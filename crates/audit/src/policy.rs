@@ -99,14 +99,15 @@ mod tests {
 
     #[test]
     fn scanned_set_covers_sources_not_vendor_or_tests() {
-        assert!(is_scanned("src/bin/rideshare.rs"));
+        assert!(is_scanned("src/bin/rideshare/main.rs"));
+        assert!(is_scanned("src/bin/rideshare/flags.rs"));
         assert!(is_scanned("src/lib.rs"));
         assert!(is_scanned("crates/core/src/market.rs"));
         assert!(is_scanned("crates/online/src/stream.rs"));
         assert!(!is_scanned("vendor/rand/src/lib.rs"));
         assert!(!is_scanned("tests/cli.rs"));
         assert!(!is_scanned("examples/serve_daemon.rs"));
-        assert!(!is_scanned("crates/bench/benches/stream_replay.rs"));
+        assert!(!is_scanned("crates/bench/benches/ablation_index.rs"));
         assert!(!is_scanned("crates/core/tests/x.rs"));
         assert!(!is_scanned("README.md"));
     }

@@ -462,3 +462,136 @@ fn replay_shard_counts_print_identical_canonical_reports() {
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--regions"));
 }
+
+#[test]
+fn misspelt_and_malformed_flags_are_refused_by_name() {
+    // Each of these ran a *different experiment* without a word before the
+    // flag tables: the default 100k tasks, the wall-clock report, the
+    // hitch-hiking model, the default five-policy sweep.
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["replay", "--task", "2000"],
+            "replay: unknown flag '--task'",
+        ),
+        (
+            &["replay", "--cannonical"],
+            "replay: unknown flag '--cannonical'",
+        ),
+        (
+            &["replay", "--model", "bogus"],
+            "replay: bad --model 'bogus' (expected hitch|hwh)",
+        ),
+        (
+            &["replay", "--drivers", "40", "--tasks"],
+            "replay: --tasks needs a value",
+        ),
+        (
+            &["sweep", "--policy", "nearest"],
+            "sweep: unknown flag '--policy'",
+        ),
+        (
+            &["export", "--seed", "1", "--seed", "2"],
+            "export: --seed given more than once",
+        ),
+        (&["generate", "--tasks", "5"], "generate: --out is required"),
+    ];
+    for (args, needle) in cases {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn online_surfaces_share_the_sweep_policy_grammar() {
+    let dir = tmpdir("policy-grammar");
+    let dir_s = dir.to_str().unwrap();
+    let replay = |policy: &str| {
+        let out = cli(&[
+            "replay",
+            "--tasks",
+            "2000",
+            "--drivers",
+            "40",
+            "--seed",
+            "3",
+            "--policy",
+            policy,
+            "--canonical",
+            "--tsdb-dir",
+            dir_s,
+            "--tsdb-scenario",
+            policy,
+        ]);
+        assert!(
+            out.status.success(),
+            "{policy}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // All but the line counting the shared store's series.
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let report: Vec<&str> = stdout.lines().filter(|l| !l.contains("tsdb:")).collect();
+        report.join("\n")
+    };
+    // `maxMargin` is the label `sweep` itself prints; a hold window is
+    // the same window however it is spelt.
+    let margin = replay("margin");
+    assert_eq!(margin, replay("maxMargin"));
+    assert_eq!(margin, replay("maxmargin"));
+    assert_eq!(replay("batch-3m"), replay("batch-180s"));
+
+    // … and the recorded policy label is the policy's, not its spelling
+    // (the scenario label tells the five runs apart).
+    let list = cli(&["query", "--tsdb", dir_s, "--list"]);
+    let listed = String::from_utf8_lossy(&list.stdout).to_string();
+    for (spelling, label) in [
+        ("margin", "margin"),
+        ("maxMargin", "margin"),
+        ("maxmargin", "margin"),
+        ("batch-3m", "batch-3m"),
+        ("batch-180s", "batch-3m"),
+    ] {
+        let key = format!("scenario={spelling},policy={label},");
+        assert_eq!(listed.matches(&key).count(), 7, "{key}: {listed}");
+    }
+    assert!(listed.contains("35 series"), "{listed}");
+
+    // The offline solver and the random baseline are sweep columns, not
+    // ways to dispatch an order stream.
+    for policy in ["greedy", "random"] {
+        for surface in [
+            &["replay"][..],
+            &["serve", "--source", "jsonl:/nonexistent"],
+            &["simulate", "--dir", "/nonexistent"],
+        ] {
+            let mut args = surface.to_vec();
+            args.extend_from_slice(&["--policy", policy]);
+            let out = cli(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("not a streaming policy"), "{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // `rideshare replay … | head -1`: the reader is gone before the report
+    // is printed. `println!` would panic on the broken pipe.
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rideshare"))
+        .args(["replay", "--tasks", "20000", "--drivers", "200"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rideshare binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for rideshare");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(out.status.success(), "{:?}", out.status);
+}
