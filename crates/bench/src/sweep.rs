@@ -29,8 +29,7 @@ use rideshare_core::{
 };
 use rideshare_metrics::render_pivot;
 use rideshare_online::{
-    run_batched_with, BatchOptions, MatcherKind, MaxMargin, NearestDriver, RandomDispatch,
-    SimulationOptions, Simulator,
+    replay_market, MatcherKind, RandomDispatch, ShardPolicySpec, SimulationOptions, Simulator,
 };
 use rideshare_types::TimeDelta;
 
@@ -107,21 +106,20 @@ impl PolicySpec {
         }
     }
 
-    /// The canonical [`BatchOptions`] of a batched policy column (grid
-    /// pruning on — result-neutral, see the oracle tests), or `None` for
-    /// the non-batched policies. The CLI's `simulate --policy batch-…` and
-    /// the sweep engine both dispatch through this, so they can never
-    /// drift apart.
+    /// The column as the streaming engine runs it — the one mapping
+    /// `sweep`, `simulate`, `replay`, `serve` and the spool workers all
+    /// dispatch through — or `None` for the two columns that cannot
+    /// dispatch an order stream (`greedy` is offline; `random` draws from
+    /// one RNG across decisions, so it is not shard-stable).
     #[must_use]
-    pub fn batch_options(&self) -> Option<BatchOptions> {
-        match self {
-            PolicySpec::Batched(w) => Some(BatchOptions::with_window(*w).grid(true)),
-            PolicySpec::BatchedOptimal(w) => Some(
-                BatchOptions::with_window(*w)
-                    .matcher(MatcherKind::Optimal)
-                    .grid(true),
-            ),
-            _ => None,
+    pub fn stream_spec(&self) -> Option<ShardPolicySpec> {
+        let batched = |window, matcher| ShardPolicySpec::Batched { window, matcher };
+        match *self {
+            PolicySpec::Greedy | PolicySpec::Random => None,
+            PolicySpec::MaxMargin => Some(ShardPolicySpec::MaxMargin),
+            PolicySpec::Nearest => Some(ShardPolicySpec::Nearest { seed: 0 }),
+            PolicySpec::Batched(w) => Some(batched(w, MatcherKind::Greedy)),
+            PolicySpec::BatchedOptimal(w) => Some(batched(w, MatcherKind::Optimal)),
         }
     }
 
@@ -170,36 +168,24 @@ impl PolicySpec {
         components: Option<&[SubMarket]>,
         threads: usize,
     ) -> (f64, usize) {
-        let assignment = match self {
-            PolicySpec::Greedy => match components {
+        // Grid pruning on: result-neutral (the oracle tests pin it).
+        let grid = SimulationOptions {
+            use_grid: true,
+            ..SimulationOptions::default()
+        };
+        let assignment = match (self.stream_spec(), self) {
+            (Some(spec), _) => {
+                replay_market(market, &mut spec.holder().as_policy(), grid).assignment
+            }
+            (None, PolicySpec::Random) => {
+                Simulator::new(market)
+                    .run(&mut RandomDispatch::with_seed(0), grid)
+                    .assignment
+            }
+            (None, _) => match components {
                 Some(c) => solve_components(market, c, Objective::Profit, threads),
                 None => solve_sharded(market, Objective::Profit, threads),
             },
-            PolicySpec::MaxMargin => {
-                Simulator::new(market)
-                    .run(&mut MaxMargin::new(), SimulationOptions::default())
-                    .assignment
-            }
-            PolicySpec::Nearest => {
-                Simulator::new(market)
-                    .run(
-                        &mut NearestDriver::with_seed(0),
-                        SimulationOptions::default(),
-                    )
-                    .assignment
-            }
-            PolicySpec::Random => {
-                Simulator::new(market)
-                    .run(
-                        &mut RandomDispatch::with_seed(0),
-                        SimulationOptions::default(),
-                    )
-                    .assignment
-            }
-            PolicySpec::Batched(_) | PolicySpec::BatchedOptimal(_) => {
-                let opts = self.batch_options().expect("batched variant");
-                run_batched_with(market, opts).assignment
-            }
         };
         (
             assignment

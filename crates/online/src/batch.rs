@@ -10,12 +10,13 @@
 //!
 //! # The decision-time model
 //!
-//! [`BatchEngine`] opens a window at the first pending order's publish
-//! time; every order published within `W` of it joins the batch. The
+//! Under [`crate::StreamPolicy::Batched`] the [`crate::StreamEngine`]
+//! opens a window at the first pending order's publish time; every order
+//! published within `W` of it joins the batch. The
 //! decisions are *decision-time-correct*: a driver cannot depart for a
 //! pickup before the dispatch decision that sends her exists, so every
 //! departure satisfies `depart ≥ decision_time` (and every
-//! [`DispatchEvent`] records the decision instant —
+//! [`crate::DispatchEvent`] records the decision instant —
 //! [`crate::validate_online_result`] enforces the causality law). Batching
 //! therefore pays its real latency cost: profit with `W > 0` can only be
 //! won back through better matching, never through time travel.
@@ -34,9 +35,9 @@
 //! # Matchers
 //!
 //! Each decision epoch solves a small matching problem over the batch's
-//! per-task candidate sets (generated by the same grid-prunable Eq. 14
-//! machinery as the per-task [`crate::Simulator`]). The matcher is
-//! pluggable via [`BatchMatcher`]:
+//! per-task candidate sets (the same grid-prunable Eq. 14 candidates
+//! instant dispatch chooses from). The matcher is pluggable via
+//! [`BatchMatcher`]:
 //!
 //! - [`GreedyPairMatcher`] commits the single *(driver, task)* pair with
 //!   the maximum marginal value per round, re-projecting the driver between
@@ -50,44 +51,20 @@
 //!   declines negative-margin dispatches that the greedy matcher would
 //!   serve.
 //!
-//! [`run_batched`] is the convenience entry point (greedy matcher, linear
-//! scan); [`run_batched_with`] exposes the full [`BatchOptions`].
+//! This module holds the matchers and the materialized entry points:
+//! [`run_batched`] (greedy matcher, linear scan) and [`run_batched_with`]
+//! (the full [`BatchOptions`]) replay a whole [`Market`] through
+//! [`crate::replay_market`].
 
-use rideshare_core::{Assignment, Driver, Market, Task};
-use rideshare_geo::SpeedModel;
+use rideshare_core::Market;
 use rideshare_lp::{Cmp, LinearProgram};
-use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
+use rideshare_types::TimeDelta;
 
-use crate::candidates::{CandidateEngine, DriverStates};
 use crate::policy::Candidate;
-use crate::simulator::{DispatchEvent, SimulationResult};
+use crate::shard::ShardPolicySpec;
+use crate::simulator::{replay_market, SimulationOptions, SimulationResult};
 
-/// Reusable per-window working memory for [`process_window`]. One decision
-/// epoch churns through half a dozen short-lived vectors (epoch groups,
-/// live slots, candidate lists); holding them on the engine and recycling
-/// capacity across windows keeps the batched hot path allocation-free in
-/// the steady state. Purely scratch — contents are meaningless between
-/// calls.
-#[derive(Default)]
-pub(crate) struct WindowScratch {
-    /// `(decision epoch, task id, batch index)` per window task; sorting
-    /// this flat list replaces the old per-epoch group vectors.
-    epochs: Vec<(Timestamp, usize, usize)>,
-    /// Batch indices still unmatched in the current epoch.
-    remaining: Vec<usize>,
-    /// Task ids aligned with `remaining`.
-    ids: Vec<usize>,
-    /// Candidate lists aligned with `remaining`.
-    candidates: Vec<Vec<Candidate>>,
-    /// Retired candidate lists, kept for their capacity.
-    pool: Vec<Vec<Candidate>>,
-    /// Slots committed in the current round.
-    committed: Vec<usize>,
-    /// Drivers committed in the current round.
-    used_drivers: Vec<usize>,
-}
-
-/// Which per-batch matcher [`BatchEngine::run`] uses.
+/// Which per-batch matcher a batched run uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MatcherKind {
     /// Repeated best-pair picking ([`GreedyPairMatcher`]).
@@ -151,7 +128,7 @@ pub struct BatchRound<'a> {
 
 /// A pluggable per-batch matching rule.
 ///
-/// [`BatchEngine`] calls [`BatchMatcher::match_round`] repeatedly within
+/// The engine calls [`BatchMatcher::match_round`] repeatedly within
 /// one decision epoch: after each non-empty answer it commits the chosen
 /// pairs (which moves the chosen drivers) and regenerates the remaining
 /// tasks' candidate sets for the next round. An empty answer ends the
@@ -272,295 +249,6 @@ impl BatchMatcher for OptimalAssignmentMatcher {
     }
 }
 
-/// The batched dispatcher over one market's order stream.
-///
-/// Holds a reference to the market; each [`BatchEngine::run`] replays the
-/// stream from scratch, so one engine can evaluate many window/matcher
-/// configurations on identical conditions.
-///
-/// # Examples
-///
-/// Sweep hold windows on one market and watch latency buy matching
-/// quality (or not):
-///
-/// ```
-/// use rideshare_core::{Market, MarketBuildOptions};
-/// use rideshare_online::{BatchEngine, BatchOptions, validate_online_result};
-/// use rideshare_trace::{DriverModel, TraceConfig};
-/// use rideshare_types::TimeDelta;
-///
-/// let trace = TraceConfig::porto()
-///     .with_seed(11)
-///     .with_task_count(100)
-///     .with_driver_count(12, DriverModel::Hitchhiking)
-///     .generate();
-/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let engine = BatchEngine::new(&market);
-/// for mins in [0, 2, 5] {
-///     let result = engine.run(BatchOptions::with_window(TimeDelta::from_mins(mins)));
-///     validate_online_result(&market, &result).unwrap();
-///     assert_eq!(result.served + result.rejected, market.num_tasks());
-/// }
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct BatchEngine<'m> {
-    market: &'m Market,
-}
-
-impl<'m> BatchEngine<'m> {
-    /// Creates an engine over `market`.
-    #[must_use]
-    pub fn new(market: &'m Market) -> Self {
-        Self { market }
-    }
-
-    /// Runs the batched dispatcher with `options`, instantiating the
-    /// matcher from [`BatchOptions::matcher`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.window` is negative.
-    #[must_use]
-    pub fn run(&self, options: BatchOptions) -> SimulationResult {
-        match options.matcher {
-            MatcherKind::Greedy => self.run_with(options, &mut GreedyPairMatcher),
-            MatcherKind::Optimal => self.run_with(options, &mut OptimalAssignmentMatcher),
-        }
-    }
-
-    /// Runs the batched dispatcher with a caller-supplied matcher
-    /// (`options.matcher` is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.window` is negative.
-    #[must_use]
-    pub fn run_with(
-        &self,
-        options: BatchOptions,
-        matcher: &mut dyn BatchMatcher,
-    ) -> SimulationResult {
-        assert!(
-            options.window.is_non_negative(),
-            "batch window must be non-negative"
-        );
-        let market = self.market;
-        let n = market.num_drivers();
-        let m = market.num_tasks();
-        let speed = market.speed();
-
-        let (mut engine, mut states) = CandidateEngine::for_market(market, options.use_grid);
-
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&t| (market.tasks()[t].publish_time, t));
-
-        let mut assignment = Assignment::empty(n);
-        let mut dispatch: Vec<Option<DriverId>> = vec![None; m];
-        let mut events: Vec<DispatchEvent> = Vec::new();
-        let mut served = 0usize;
-        let mut rejected = 0usize;
-        let mut scratch = WindowScratch::default();
-        let mut batch: Vec<Task> = Vec::new();
-
-        // Process the stream as consecutive windows of publish time.
-        let mut i = 0usize;
-        while i < order.len() {
-            let window_start = market.tasks()[order[i]].publish_time;
-            let window_end = window_start + options.window;
-            batch.clear();
-            while i < order.len() && market.tasks()[order[i]].publish_time <= window_end {
-                let t = order[i];
-                // Replay identity is positional: the window carries tasks
-                // re-labelled by market index (hand-built markets may have
-                // ids that disagree with their position).
-                batch.push(Task {
-                    id: TaskId::new(t as u32),
-                    ..market.tasks()[t]
-                });
-                i += 1;
-            }
-
-            process_window(
-                &mut engine,
-                market.drivers(),
-                &mut states,
-                speed,
-                &batch,
-                window_end,
-                matcher,
-                &mut scratch,
-                &mut |_, _, decision| match decision {
-                    Some(event) => {
-                        assignment.push_task(event.driver, event.task);
-                        dispatch[event.task.index()] = Some(event.driver);
-                        events.push(event);
-                        served += 1;
-                    }
-                    None => rejected += 1,
-                },
-            );
-        }
-
-        SimulationResult {
-            assignment,
-            served,
-            rejected,
-            dispatch,
-            events,
-        }
-    }
-}
-
-/// Decides one closed hold window — the shared core of [`BatchEngine`] and
-/// the streaming engine's batched mode, so the two can never drift apart
-/// (the stream-vs-materialized oracle tests depend on this being literally
-/// the same code path).
-///
-/// `batch` holds the window's tasks in publish order; `window_end` caps
-/// every decision epoch. `on_decided(task, epoch, outcome)` fires once per
-/// task — dispatches in commit order with `Some(event)`, then `None` for
-/// each task left unmatched at its epoch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_window(
-    engine: &mut CandidateEngine,
-    drivers: &[Driver],
-    states: &mut DriverStates,
-    speed: SpeedModel,
-    batch: &[Task],
-    window_end: Timestamp,
-    matcher: &mut dyn BatchMatcher,
-    scratch: &mut WindowScratch,
-    on_decided: &mut dyn FnMut(&Task, Timestamp, Option<DispatchEvent>),
-) {
-    // Early flush: a task that could not be feasibly dispatched at the
-    // window end any more — its pickup deadline minus the closest driver's
-    // travel falls inside the window — is decided at that last feasible
-    // instant instead of expiring unserved. Sorting the flat
-    // (epoch, task id, batch index) triples yields the epochs ascending
-    // with each epoch's tasks in ascending task id — the same order the
-    // materialized engine imposes by sorting market indices.
-    scratch.epochs.clear();
-    for (bi, task) in batch.iter().enumerate() {
-        let epoch = engine.latest_decision(states, task, window_end);
-        scratch.epochs.push((epoch, task.id.index(), bi));
-    }
-    scratch.epochs.sort_unstable();
-
-    let mut e = 0usize;
-    while e < scratch.epochs.len() {
-        let decision_time = scratch.epochs[e].0;
-        scratch.remaining.clear();
-        scratch.ids.clear();
-        while e < scratch.epochs.len() && scratch.epochs[e].0 == decision_time {
-            let (_, id, bi) = scratch.epochs[e];
-            scratch.ids.push(id);
-            scratch.remaining.push(bi);
-            e += 1;
-        }
-        // Candidate lists are kept aligned with `remaining` and refreshed
-        // incrementally: a round only moves the drivers it commits, so
-        // only their entries can go stale.
-        debug_assert!(scratch.candidates.is_empty());
-        for &bi in &scratch.remaining {
-            let mut list = scratch.pool.pop().unwrap_or_default();
-            engine.candidates_into(drivers, states, &batch[bi], decision_time, &mut list);
-            scratch.candidates.push(list);
-        }
-        loop {
-            let round = BatchRound {
-                tasks: &scratch.ids,
-                candidates: &scratch.candidates,
-            };
-            let mut picks = matcher.match_round(&round);
-            picks.sort_unstable();
-            scratch.committed.clear();
-            scratch.used_drivers.clear();
-            for (slot, ci) in picks {
-                let Some(cands) = scratch.candidates.get(slot) else {
-                    continue;
-                };
-                let Some(&cand) = cands.get(ci) else {
-                    continue;
-                };
-                // Disjointness: first slot wins, as the trait contract
-                // promises.
-                if scratch.committed.contains(&slot) || scratch.used_drivers.contains(&cand.driver)
-                {
-                    continue;
-                }
-                let task = &batch[scratch.remaining[slot]];
-                let d = cand.driver;
-                let old_loc = states.location(d);
-                let candidates = cands.len();
-                engine.commit(states, d, task, cand.arrival);
-                on_decided(
-                    task,
-                    decision_time,
-                    Some(DispatchEvent {
-                        task: task.id,
-                        driver: DriverId::new(d as u32),
-                        arrival: cand.arrival,
-                        decision_time,
-                        wait: cand.arrival - task.publish_time,
-                        deadhead_km: speed.driven_km(old_loc, task.origin),
-                        candidates,
-                        margin: cand.marginal_value,
-                    }),
-                );
-                scratch.committed.push(slot);
-                scratch.used_drivers.push(d);
-            }
-            if scratch.committed.is_empty() {
-                break;
-            }
-            // Drop the committed slots in place (order preserved), keeping
-            // the retired lists' capacity in the pool.
-            let mut w = 0usize;
-            for s in 0..scratch.remaining.len() {
-                if scratch.committed.contains(&s) {
-                    continue;
-                }
-                scratch.remaining[w] = scratch.remaining[s];
-                scratch.ids[w] = scratch.ids[s];
-                scratch.candidates.swap(w, s);
-                w += 1;
-            }
-            scratch.remaining.truncate(w);
-            scratch.ids.truncate(w);
-            for mut list in scratch.candidates.drain(w..) {
-                list.clear();
-                scratch.pool.push(list);
-            }
-            if scratch.remaining.is_empty() {
-                break;
-            }
-            // Refresh exactly the committed drivers' entries; all other
-            // pairs are untouched, so this is equivalent to regenerating
-            // every list (the oracle/property tests pin that equivalence).
-            for (slot, &bi) in scratch.remaining.iter().enumerate() {
-                let task = &batch[bi];
-                let list = &mut scratch.candidates[slot];
-                for &d in &scratch.used_drivers {
-                    if let Some(pos) = list.iter().position(|c| c.driver == d) {
-                        list.remove(pos);
-                    }
-                    if let Some(c) = engine.candidate_for(drivers, states, task, decision_time, d) {
-                        let pos = list.partition_point(|x| x.driver < d);
-                        list.insert(pos, c);
-                    }
-                }
-            }
-        }
-        for &bi in &scratch.remaining {
-            on_decided(&batch[bi], decision_time, None);
-        }
-        for mut list in scratch.candidates.drain(..) {
-            list.clear();
-            scratch.pool.push(list);
-        }
-    }
-}
-
 /// Runs the batched dispatcher with hold window `window` over `market`'s
 /// order stream, with the defaults of [`BatchOptions`] (greedy matcher,
 /// linear candidate scan).
@@ -591,7 +279,7 @@ pub(crate) fn process_window(
 /// ```
 #[must_use]
 pub fn run_batched(market: &Market, window: TimeDelta) -> SimulationResult {
-    BatchEngine::new(market).run(BatchOptions::with_window(window))
+    run_batched_with(market, BatchOptions::with_window(window))
 }
 
 /// Runs the batched dispatcher with explicit [`BatchOptions`].
@@ -626,7 +314,15 @@ pub fn run_batched(market: &Market, window: TimeDelta) -> SimulationResult {
 /// ```
 #[must_use]
 pub fn run_batched_with(market: &Market, options: BatchOptions) -> SimulationResult {
-    BatchEngine::new(market).run(options)
+    let spec = ShardPolicySpec::Batched {
+        window: options.window,
+        matcher: options.matcher,
+    };
+    let replay = SimulationOptions {
+        use_grid: options.use_grid,
+        value_sorted: false,
+    };
+    replay_market(market, &mut spec.holder().as_policy(), replay)
 }
 
 #[cfg(test)]
@@ -637,6 +333,7 @@ mod tests {
     use crate::validate::validate_online_result;
     use rideshare_core::{MarketBuildOptions, Objective};
     use rideshare_trace::{DriverModel, TraceConfig};
+    use rideshare_types::{DriverId, Timestamp};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         let trace = TraceConfig::porto()
@@ -895,6 +592,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_window_rejected() {
+        // An empty market never hands the stream an order to check the
+        // window on, so only the front-end's up-front assert refuses it.
+        let empty = market(66, 0, 2);
+        let refused = std::panic::catch_unwind(|| run_batched(&empty, TimeDelta::from_secs(-1)));
+        assert!(refused.is_err(), "empty market ran with a negative window");
         let m = market(66, 10, 2);
         let _ = run_batched(&m, TimeDelta::from_secs(-1));
     }

@@ -1,23 +1,19 @@
-//! Shared candidate generation — step (a) of Algorithms 3–4.
+//! Candidate generation — step (a) of Algorithms 3–4.
 //!
-//! Every dispatch path of this crate asks the same question: *given the
-//! drivers' projected states, who can feasibly serve this task if the
-//! dispatch decision is made at time `t`, and at what marginal value
-//! (Eq. 14)?* The per-task [`crate::Simulator`] asks it with `t` equal to
-//! the task's publish time (instant dispatch); the
-//! [`crate::BatchEngine`] asks it with `t` equal to the batch decision
-//! epoch, which may be up to the hold window `W` later; the
-//! [`crate::StreamEngine`] asks it while consuming an unbounded event
-//! stream. [`CandidateEngine`] is the single implementation of that
-//! question, so the feasibility predicates and the Eq. 14 marginal value
-//! can never drift apart between the paths.
+//! Every decision of the [`crate::StreamEngine`] asks the same question:
+//! *given the drivers' projected states, who can feasibly serve this task
+//! if the dispatch decision is made at time `t`, and at what marginal
+//! value (Eq. 14)?* Instant dispatch asks it with `t` equal to the task's
+//! publish time; batched dispatch asks it with `t` equal to the batch
+//! decision epoch, which may be up to the hold window `W` later.
+//! [`CandidateEngine`] is the single implementation of that question, so
+//! the feasibility predicates and the Eq. 14 marginal value are the same
+//! under every policy.
 //!
-//! The engine deliberately does **not** hold a `&Market`: it owns only the
-//! travel model, the optional spatial index, and per-driver flags, while
-//! tasks and drivers are passed in by the caller. That is what lets the
-//! streaming replay engine — which never materialises a market — reuse the
-//! exact same code as the materialized simulator, which is in turn what
-//! makes the stream-vs-materialized oracle tests meaningful.
+//! The engine does **not** hold a `&Market`: it owns only the travel
+//! model, the optional spatial index, and per-driver flags, while tasks
+//! and drivers are passed in by the caller — a stream never materialises
+//! a market, and its driver set grows as shifts are announced.
 //!
 //! The engine optionally maintains a [`GridIndex`] over the drivers'
 //! projected locations. Radius pruning is *lossless*: a driver departs no
@@ -46,9 +42,8 @@ const GRID_COLS: u16 = 16;
 /// never to candidate generation). Real driver indices stay below this.
 const GHOST_BIT: u32 = 1 << 31;
 
-/// Per-driver projected state during a replay (shared by the per-task
-/// simulator, the batch engine, and the streaming engine), laid out as a
-/// struct of arrays. Candidate generation touches `locations` for every
+/// Per-driver projected state during a replay, laid out as a struct of
+/// arrays. Candidate generation touches `locations` for every
 /// scanned driver but `available_at`/`tasks_taken` only for the survivors,
 /// so keeping the fields in parallel dense vectors makes the hot scan
 /// cache-linear (16-byte stride instead of a padded 32-byte record).
@@ -120,11 +115,10 @@ impl DriverStates {
     }
 }
 
-/// The shared candidate generator: the travel model, an optional spatial
-/// index over the drivers' projected locations, and per-driver expiry
-/// flags. Driver records and states are supplied by the caller on every
-/// query, so the engine works equally over a materialised [`Market`] and
-/// over a driver set that grows as a stream announces shifts.
+/// The candidate generator: the travel model, an optional spatial index
+/// over the drivers' projected locations, and per-driver expiry flags.
+/// Driver records and states are supplied by the caller on every query,
+/// so the driver set can grow as a stream announces shifts.
 #[derive(Clone, Debug)]
 pub(crate) struct CandidateEngine {
     speed: SpeedModel,
@@ -133,15 +127,15 @@ pub(crate) struct CandidateEngine {
     /// decision clock has passed her shift end, so the return-home check
     /// fails for every future task). Skipping her is lossless; she stays
     /// in the grid so [`CandidateEngine::latest_decision`] — which ignores
-    /// feasibility by design — sees exactly the same driver set as a
-    /// materialized engine would.
+    /// feasibility by design — sees the same driver set whether or not
+    /// the clock has caught up with her.
     expired: Vec<bool>,
     /// Frozen projected locations of *compacted* expired drivers. A
     /// compacted driver is gone from candidate generation (her record and
     /// state are freed), but `latest_decision` deliberately ignores
-    /// feasibility, so dropping her location would move early-flush epochs
-    /// away from what a materialized [`crate::BatchEngine`] (which never
-    /// expires anyone) computes — the subtle case the module docs describe.
+    /// feasibility, so dropping her location would move early-flush
+    /// epochs: decisions would depend on when memory was reclaimed
+    /// (`StreamOptions::compact_threshold`, a day-boundary reset).
     /// Ghosts keep exactly the data `latest_decision` needs (one point) and
     /// nothing else. Instant-mode compaction skips ghosts entirely:
     /// `latest_decision` is never consulted there.
@@ -179,6 +173,7 @@ impl CandidateEngine {
     /// materialised market (every driver at her source, free from her
     /// shift start). With `use_grid` the states are also indexed
     /// spatially.
+    #[cfg(test)]
     pub(crate) fn for_market(market: &Market, use_grid: bool) -> (Self, DriverStates) {
         let mut engine = Self::streaming(market.speed(), use_grid.then(|| market_bbox(market)));
         let mut states = DriverStates::new();
@@ -188,7 +183,7 @@ impl CandidateEngine {
         (engine, states)
     }
 
-    /// Creates an empty engine for stream consumption: no drivers yet,
+    /// Creates an empty engine: no drivers yet,
     /// spatial indexing over `bbox` when given (callers typically pass the
     /// trace's service area; the box only affects speed, never results).
     pub(crate) fn streaming(speed: SpeedModel, bbox: Option<BoundingBox>) -> Self {
@@ -264,9 +259,8 @@ impl CandidateEngine {
     /// removed drivers) so the caller can remap its own per-driver tables.
     ///
     /// With `keep_ghosts` each removed driver leaves a frozen location
-    /// behind for [`CandidateEngine::latest_decision`] — required for
-    /// byte-identity with a materialized [`crate::BatchEngine`], which
-    /// never expires anyone (see the `ghosts` field docs). Without it the
+    /// behind for [`CandidateEngine::latest_decision`], so compaction
+    /// cannot move an epoch (see the `ghosts` field docs). Without it the
     /// location vanishes too; only lossless when `latest_decision` is never
     /// consulted (instant-mode streaming).
     pub(crate) fn compact(
@@ -389,9 +383,9 @@ impl CandidateEngine {
 
     /// Evaluates one *(driver, task)* pair under a decision made at
     /// `decision_time`: `Some(candidate)` iff feasible. This is the exact
-    /// per-pair predicate behind [`CandidateEngine::candidates_at`]; the
-    /// batch engine also probes it directly to refresh only the entries of
-    /// drivers whose state changed.
+    /// per-pair predicate behind [`CandidateEngine::candidates_into`];
+    /// batched dispatch also probes it directly to refresh only the entries
+    /// of drivers whose state changed.
     pub(crate) fn candidate_for(
         &self,
         drivers: &[Driver],
@@ -465,16 +459,17 @@ impl CandidateEngine {
 
     /// The latest instant a dispatch decision for `task` could still be
     /// made with some driver reaching the pickup from her current projected
-    /// position, clamped to `[publish_time, cap]` — the batch engine's
+    /// position, clamped to `[publish_time, cap]` — batched dispatch's
     /// early-flush epoch. A heuristic against the states known when the
     /// window opens (drivers may still move before the epoch fires), but
     /// always causally valid: never before publication, never past `cap`.
     ///
     /// Expired drivers are **not** skipped here: this bound deliberately
-    /// ignores feasibility, and including them keeps streamed epochs
-    /// byte-identical to a materialized [`crate::BatchEngine`] (which
-    /// never expires anyone). For the same reason *compacted* drivers still
-    /// count through their frozen ghost locations.
+    /// ignores feasibility, and skipping them would make an epoch depend
+    /// on when each driver was retired — on which optional
+    /// `DriverOffline` hints and ticks the stream happened to carry. For
+    /// the same reason *compacted* drivers still count through their
+    /// frozen ghost locations.
     pub(crate) fn latest_decision(
         &self,
         states: &DriverStates,
@@ -549,7 +544,7 @@ impl CandidateEngine {
 
 /// Covers every driver and task location with a margin; degenerate markets
 /// fall back to a unit box.
-fn market_bbox(market: &Market) -> BoundingBox {
+pub(crate) fn market_bbox(market: &Market) -> BoundingBox {
     let mut pts = market
         .drivers()
         .iter()

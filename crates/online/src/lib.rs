@@ -4,32 +4,32 @@
 //! or any other detailed information about a task in advance" and must
 //! respond instantly when an order is published. This crate provides:
 //!
-//! - [`Simulator`]: an event-driven replay of a market's order stream in
-//!   publish order, maintaining each driver's projected location and
+//! - [`StreamEngine`] / [`replay_stream`]: **the dispatch engine** — the
+//!   one loop that orders, holds, decides and counts orders, driven from
+//!   an ordered [`StreamEvent`] sequence with resident state
+//!   `O(active tasks + drivers)` and results flowing out through a
+//!   [`StreamSink`]. It maintains each driver's projected location and
 //!   availability (including the paper's early-finish rule — "if a driver
 //!   finishes the task m before the estimated finish time t̄⁺ₘ, she can
-//!   drive to the source of her next task"), building the candidate set of
-//!   step (a) of Algs. 3–4, and dispatching through a pluggable
-//!   [`DispatchPolicy`],
+//!   drive to the source of her next task"), builds the candidate set of
+//!   step (a) of Algs. 3–4, and decides under a [`StreamPolicy`]: instant
+//!   dispatch through a pluggable [`DispatchPolicy`], or decision-time-
+//!   correct batched dispatch — orders held for a window `W`, decided
+//!   jointly at the window end (or flushed early when a pickup deadline
+//!   would expire), drivers departing no earlier than the decision, with
+//!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
+//!   the LP-backed [`OptimalAssignmentMatcher`]); expired drivers are
+//!   garbage-collected losslessly (`StreamOptions::compact_threshold`),
 //! - [`NearestDriver`]: Algorithm 3 — pick the candidate with the earliest
 //!   arrival at the pickup, random tie-break,
 //! - [`MaxMargin`]: Algorithm 4 — pick the candidate with the largest
 //!   marginal value `δₙ,ₘ` (Eq. 14),
 //! - [`RandomDispatch`]: a uniform-random baseline for ablations,
-//! - [`BatchEngine`]: decision-time-correct batched dispatch — orders are
-//!   held for a window `W`, decided jointly at the window end (or flushed
-//!   early when a pickup deadline would expire), and drivers depart no
-//!   earlier than the decision; matching is pluggable via [`BatchMatcher`]
-//!   ([`GreedyPairMatcher`] and the LP-backed
-//!   [`OptimalAssignmentMatcher`]),
-//! - [`StreamEngine`] / [`replay_stream`]: **bounded-memory streaming
-//!   replay** — the same dispatch semantics driven from an ordered
-//!   [`StreamEvent`] iterator instead of a materialised market, with
-//!   resident state `O(active tasks + drivers)` and results flowing out
-//!   through a [`StreamSink`]; byte-identical to the simulator and the
-//!   batch engine on the same orders (the oracle tests pin this), with
-//!   lossless garbage-collection of expired drivers
-//!   (`StreamOptions::compact_threshold`),
+//! - [`replay_market`]: the front-end for a materialised market — every
+//!   driver announced, every task pushed in publish order, the outcome
+//!   collected into one [`SimulationResult`]; [`Simulator`] (instant
+//!   policies) and [`run_batched`] / [`run_batched_with`] (hold window +
+//!   matcher) are its two call shapes,
 //! - [`ShardedStreamEngine`] / [`replay_sharded`]: **region-sharded
 //!   parallel streaming** — the online analogue of the §IV lossless
 //!   decomposition: events route through a pluggable [`RegionPartitioner`]
@@ -52,8 +52,8 @@
 //!   [`validate_online_result`]: the same plus the dispatch-causality law
 //!   (no departure may precede its dispatch decision),
 //! - the offline variant of maxMargin (§V-B) via
-//!   [`SimulationOptions::value_sorted`], which processes tasks in
-//!   descending-price order when the whole day is known in advance.
+//!   [`SimulationOptions::value_sorted`], which hands the engine the tasks
+//!   in descending-price order when the whole day is known in advance.
 //!
 //! # Examples
 //!
@@ -86,8 +86,8 @@ mod stream;
 mod validate;
 
 pub use batch::{
-    run_batched, run_batched_with, BatchEngine, BatchMatcher, BatchOptions, BatchRound,
-    GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher,
+    run_batched, run_batched_with, BatchMatcher, BatchOptions, BatchRound, GreedyPairMatcher,
+    MatcherKind, OptimalAssignmentMatcher,
 };
 pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
@@ -103,7 +103,7 @@ pub use shard::{
     replay_sharded, BoxPartitioner, GridHashPartitioner, PolicyHolder, RegionPartitioner,
     ShardOptions, ShardPolicySpec, ShardedStreamEngine,
 };
-pub use simulator::{DispatchEvent, SimulationOptions, SimulationResult, Simulator};
+pub use simulator::{replay_market, DispatchEvent, SimulationOptions, SimulationResult, Simulator};
 pub use stream::{
     market_events, replay_stream, CollectingSink, StreamEngine, StreamEvent, StreamOptions,
     StreamPolicy, StreamSink, StreamSummary,

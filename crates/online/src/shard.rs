@@ -15,7 +15,7 @@
 //!
 //! The decomposition is lossless **iff the partition is legal**: no driver
 //! of one shard may ever *interact* with a task of another. "Interact"
-//! means more than "be a feasible candidate" — the batch engine's
+//! means more than "be a feasible candidate" — batched dispatch's
 //! early-flush epoch (`latest_decision`) deliberately ignores feasibility
 //! and is raised by any driver within a task's publish→deadline lead
 //! radius, expired or not. Both effects share one geometric bound, so a

@@ -1,12 +1,15 @@
-//! The event-driven online replay (the `while task m arrives` loop of
-//! Algorithms 3–4).
+//! The materialized front-end: a whole [`Market`] replayed through the
+//! [`StreamEngine`] (the `while task m arrives` loop of Algorithms 3–4)
+//! and collected into one [`SimulationResult`].
 
-use rideshare_core::{Assignment, Driver, Market, Objective, Task};
-use rideshare_geo::SpeedModel;
+use rideshare_core::{Assignment, Market, Objective, Task};
 use rideshare_types::{DriverId, Money, TaskId, Timestamp};
 
-use crate::candidates::{CandidateEngine, DriverStates};
-use crate::policy::{Candidate, DispatchPolicy};
+use crate::candidates::market_bbox;
+use crate::policy::DispatchPolicy;
+use crate::stream::{
+    market_events, CollectingSink, StreamEngine, StreamEvent, StreamOptions, StreamPolicy,
+};
 
 /// Options controlling a simulation run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -32,8 +35,8 @@ pub struct DispatchEvent {
     /// When the driver reached the pickup.
     pub arrival: Timestamp,
     /// When the dispatch decision was made: the task's publish time under
-    /// instant dispatch, the batch decision epoch under
-    /// [`crate::BatchEngine`]. The driver's departure never precedes this
+    /// instant dispatch, the batch decision epoch under a batched policy
+    /// ([`crate::run_batched_with`]). The driver's departure never precedes this
     /// instant — the causality law [`crate::validate_online_result`]
     /// enforces.
     pub decision_time: Timestamp,
@@ -121,7 +124,8 @@ impl SimulationResult {
     }
 }
 
-/// The online market simulator.
+/// The online market simulator: instant dispatch (Algs. 3–4) over a
+/// materialized market.
 ///
 /// Holds a reference to the market; each [`Simulator::run`] replays the
 /// order stream from scratch, so one simulator can evaluate many policies
@@ -145,112 +149,66 @@ impl<'m> Simulator<'m> {
         policy: &mut dyn DispatchPolicy,
         options: SimulationOptions,
     ) -> SimulationResult {
-        let market = self.market;
-        let n = market.num_drivers();
-        let m = market.num_tasks();
-        let speed = market.speed();
-
-        // Shared candidate generator (Eq. 14 + feasibility + optional grid).
-        let (mut engine, mut states) = CandidateEngine::for_market(market, options.use_grid);
-
-        // Arrival order: publish time, or descending price for the offline
-        // value-sorted variant.
-        let mut order: Vec<usize> = (0..m).collect();
-        if options.value_sorted {
-            order.sort_by(|&a, &b| {
-                let ta = &market.tasks()[a];
-                let tb = &market.tasks()[b];
-                tb.price
-                    .partial_cmp(&ta.price)
-                    .expect("finite price")
-                    .then(a.cmp(&b))
-            });
-        } else {
-            order.sort_by_key(|&t| (market.tasks()[t].publish_time, t));
-        }
-
-        let mut assignment = Assignment::empty(n);
-        let mut dispatch: Vec<Option<DriverId>> = vec![None; m];
-        let mut events: Vec<DispatchEvent> = Vec::new();
-        let mut served = 0usize;
-        let mut rejected = 0usize;
-        let mut scratch: Vec<Candidate> = Vec::new();
-
-        for &ti in &order {
-            let task = &market.tasks()[ti];
-            // Instant dispatch: the decision is made the moment the order
-            // is published.
-            match dispatch_instant(
-                &mut engine,
-                market.drivers(),
-                &mut states,
-                speed,
-                task,
-                task.publish_time,
-                policy,
-                &mut scratch,
-            ) {
-                None => rejected += 1,
-                Some(mut event) => {
-                    // Replay identity is positional: events name tasks by
-                    // market index (hand-built markets may carry ids that
-                    // disagree with their position).
-                    event.task = TaskId::new(ti as u32);
-                    assignment.push_task(event.driver, event.task);
-                    dispatch[ti] = Some(event.driver);
-                    events.push(event);
-                    served += 1;
-                }
-            }
-        }
-
-        SimulationResult {
-            assignment,
-            served,
-            rejected,
-            dispatch,
-            events,
-        }
+        replay_market(self.market, &mut StreamPolicy::Instant(policy), options)
     }
 }
 
-/// One instant-dispatch decision, shared by [`Simulator::run`] and the
-/// streaming engine's instant mode: generate the candidate set for `task`
-/// at `decision_time` into the caller's reusable `scratch` arena, let
-/// `policy` choose, commit the winner, and return the resulting event
-/// (`None` = rejected). `record_id` is the task id the event reports — the
-/// market index for the materialized simulator, the task's own id for
-/// streams.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_instant(
-    engine: &mut CandidateEngine,
-    drivers: &[Driver],
-    states: &mut DriverStates,
-    speed: SpeedModel,
-    task: &Task,
-    decision_time: Timestamp,
-    policy: &mut dyn DispatchPolicy,
-    scratch: &mut Vec<Candidate>,
-) -> Option<DispatchEvent> {
-    engine.candidates_into(drivers, states, task, decision_time, scratch);
-    if scratch.is_empty() {
-        return None;
+/// Replays a materialized market through the [`StreamEngine`] and collects
+/// the whole outcome — the front-end behind [`Simulator::run`] and
+/// [`crate::run_batched_with`], taking the policy in the form every other
+/// surface hands the engine.
+///
+/// Every driver is announced up front and re-labelled by market position,
+/// as are the tasks (hand-built markets may carry ids that disagree with
+/// their position), so `dispatch` has exactly one entry per market task.
+/// Tasks arrive in publish order, or — `options.value_sorted`, §V-B — in
+/// descending price order, each still decided at its own publish instant.
+///
+/// # Panics
+///
+/// Panics if a batched `policy` has a negative window or is combined with
+/// `options.value_sorted` (a hold window has no meaning out of publish
+/// order).
+#[must_use]
+pub fn replay_market(
+    market: &Market,
+    policy: &mut StreamPolicy<'_>,
+    options: SimulationOptions,
+) -> SimulationResult {
+    if let StreamPolicy::Batched { window, .. } = policy {
+        // A bare stream only notices on its first order.
+        assert!(
+            window.is_non_negative(),
+            "batch window must be non-negative"
+        );
     }
-    let k = policy.choose(scratch)?;
-    let cand = scratch[k];
-    let d = cand.driver;
-    let old_loc = states.location(d);
-    engine.commit(states, d, task, cand.arrival);
-    Some(DispatchEvent {
-        task: task.id,
-        driver: DriverId::new(d as u32),
-        arrival: cand.arrival,
-        decision_time,
-        wait: cand.arrival - task.publish_time,
-        deadhead_km: speed.driven_km(old_loc, task.origin),
-        candidates: scratch.len(),
-        margin: cand.marginal_value,
-    })
+    let stream_options = StreamOptions {
+        grid_bbox: options.use_grid.then(|| market_bbox(market)),
+        ..StreamOptions::default()
+    };
+    let mut engine = StreamEngine::new(market.speed(), stream_options);
+    let mut sink = CollectingSink::new();
+    let mut by_value: Vec<Task> = Vec::new();
+    for event in market_events(market) {
+        match event {
+            StreamEvent::TaskPublished(task) if options.value_sorted => by_value.push(task),
+            event => engine.push(event, policy, &mut sink),
+        }
+    }
+    if options.value_sorted {
+        let StreamPolicy::Instant(choose) = &mut *policy else {
+            panic!("value_sorted needs an instant policy");
+        };
+        by_value.sort_by(|a, b| {
+            let by_price = b.price.partial_cmp(&a.price).expect("finite price");
+            by_price.then(a.id.cmp(&b.id))
+        });
+        engine.decide_each(&by_value, &mut **choose, &mut sink);
+    }
+    let _ = engine.finish(policy, &mut sink);
+    let mut result = sink.into_result();
+    result.dispatch.resize(market.num_tasks(), None);
+    result
 }
 
 #[cfg(test)]
@@ -352,6 +310,21 @@ mod tests {
             rev_sorted.as_f64() >= rev_online.as_f64() * 0.9,
             "sorted {rev_sorted} online {rev_online}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "value_sorted needs an instant policy")]
+    fn value_sorted_refuses_a_hold_window() {
+        let m = market(45, 10, 3);
+        let options = SimulationOptions {
+            value_sorted: true,
+            ..Default::default()
+        };
+        let policy = &mut StreamPolicy::Batched {
+            window: rideshare_types::TimeDelta::from_mins(3),
+            matcher: &mut crate::GreedyPairMatcher,
+        };
+        let _ = replay_market(&m, policy, options);
     }
 
     #[test]

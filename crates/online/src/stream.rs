@@ -1,39 +1,38 @@
-//! Streaming replay: bounded-memory online dispatch over an event stream.
+//! The dispatch engine: bounded-memory online dispatch over an event
+//! stream.
 //!
-//! Every other entry point of this crate replays a fully materialised
-//! [`Market`] — fine for one day of Porto, fatal for the ROADMAP's
-//! "millions of users": building the market alone is `O(trace)` memory
-//! (and `O(M²)` time for the offline chain arcs, which online dispatch
-//! never uses). [`StreamEngine`] instead consumes an ordered
-//! [`StreamEvent`] iterator — shift announcements, published orders,
-//! clock ticks — and keeps only what a real dispatch platform would:
-//! per-driver projected state plus the orders currently being held for a
-//! decision. Resident state is `O(active tasks + drivers)`, never
-//! `O(trace)`; results leave through a [`StreamSink`] as they are decided.
+//! [`StreamEngine`] is the one place in this crate where orders are
+//! ordered, held, decided and counted. It consumes an ordered
+//! [`StreamEvent`] sequence — shift announcements, published orders, clock
+//! ticks — and keeps only what a real dispatch platform would: per-driver
+//! projected state plus the orders currently being held for a decision.
+//! Resident state is `O(active tasks + drivers)`, never `O(trace)`; results
+//! leave through a [`StreamSink`] as they are decided. Building a
+//! [`Market`] is `O(trace)` memory (and `O(M²)` time for the offline chain
+//! arcs, which online dispatch never uses), so million-order days are fed
+//! lazily; a market that *is* materialized is fed through the same engine
+//! by [`crate::replay_market`], the front-end behind [`crate::Simulator`]
+//! and [`crate::run_batched_with`].
 //!
-//! # Byte-identity with the materialized engines
+//! # One engine, two ways to decide
 //!
-//! The streaming engine is not an approximation. Fed the same orders it
-//! produces **byte-identical** results to the materialized paths, because
-//! it runs literally the same code:
+//! - instant mode ([`StreamPolicy::Instant`]) decides each order at its
+//!   publish instant: candidate set, [`DispatchPolicy`] choice, commit —
+//!   Algs. 3–4,
+//! - batched mode ([`StreamPolicy::Batched`]) holds orders for a window
+//!   and closes it through the early-flush epochs and matcher rounds
+//!   `batch.rs` documents.
 //!
-//! - instant mode ([`StreamPolicy::Instant`]) drives each published order
-//!   through the same candidate generator + policy step as
-//!   [`crate::Simulator`],
-//! - batched mode ([`StreamPolicy::Batched`]) closes hold windows through
-//!   the exact `process_window` core the [`crate::BatchEngine`] uses
-//!   (same early-flush epochs, same matcher rounds).
+//! Two details make a stream reproduce what a platform that knows the
+//! whole day would decide:
 //!
-//! The facade's `stream_equivalence` oracle suite pins this on the whole
-//! scenario catalog. Two details make it work:
-//!
-//! - **Driver announcements come early.** A materialized engine knows
-//!   every shift up front, and a driver whose shift starts hours from now
-//!   can legally be dispatched an order published *now* (she departs when
-//!   her shift opens). So a stream must announce a driver before the
-//!   first order she could feasibly serve; announcing everyone up front —
-//!   what [`market_events`] and the CLI's `replay` pipeline do — is always
-//!   valid, and driver state is `O(drivers)` by design.
+//! - **Driver announcements come early.** A driver whose shift starts
+//!   hours from now can legally be dispatched an order published *now*
+//!   (she departs when her shift opens). So a stream must announce a
+//!   driver before the first order she could feasibly serve; announcing
+//!   everyone up front — what [`market_events`] and the CLI's `replay`
+//!   pipeline do — is always valid, and driver state is `O(drivers)` by
+//!   design.
 //! - **Retirement is lossless.** Once the decision clock passes a
 //!   driver's shift end she can never again pass the return-home check,
 //!   so the engine expires her (candidate scans skip her) without any
@@ -43,11 +42,14 @@
 //!
 //! Same-timestamp orders are decided in task-id order regardless of
 //! arrival order, so delivery reordering within one timestamp cannot
-//! change results (a property test pins this).
+//! change results (a property test pins this). The facade's
+//! `stream_equivalence` suite pins compaction, ticks, offline hints, the
+//! grid and sharding against the plain run, and the plain run against
+//! recorded digests.
 //!
 //! # Examples
 //!
-//! Streaming a materialized market reproduces the simulator exactly:
+//! A materialized market, streamed by hand and through the front-end:
 //!
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
@@ -88,10 +90,10 @@ use rideshare_core::{Assignment, Driver, DriverRoute, Market, Task};
 use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
-use crate::batch::{process_window, BatchMatcher, WindowScratch};
+use crate::batch::{BatchMatcher, BatchRound};
 use crate::candidates::{CandidateEngine, DriverStates};
 use crate::policy::{Candidate, DispatchPolicy};
-use crate::simulator::{dispatch_instant, DispatchEvent, SimulationResult};
+use crate::simulator::{DispatchEvent, SimulationResult};
 
 /// One event of an ordered market stream.
 ///
@@ -216,11 +218,11 @@ impl StreamOptions {
 
 /// How the stream's orders are decided.
 pub enum StreamPolicy<'p> {
-    /// Instant dispatch at publish time through a per-task policy —
-    /// the streaming form of [`crate::Simulator`] (Algs. 3–4).
+    /// Instant dispatch at publish time through a per-task policy
+    /// (Algs. 3–4).
     Instant(&'p mut dyn DispatchPolicy),
-    /// Hold orders for `window` and decide jointly — the streaming form of
-    /// [`crate::BatchEngine`], same early-flush epochs and matcher rounds.
+    /// Hold orders for `window` and decide jointly, with early-flush
+    /// epochs and matcher rounds (see `batch.rs`).
     Batched {
         /// The hold window `W ≥ 0`.
         window: TimeDelta,
@@ -299,10 +301,10 @@ pub struct StreamEngine {
     /// Cumulative drivers garbage-collected.
     compacted: usize,
     pending: Vec<Task>,
-    /// Swap buffer for [`StreamEngine::flush`]: the group being decided
-    /// trades places with `pending`, so both vectors keep their capacity
-    /// across the replay instead of reallocating per publish group.
-    deciding: Vec<Task>,
+    /// The emptied buffer of the last decided group: it trades places with
+    /// `pending` at each flush, so both vectors keep their capacity across
+    /// the replay instead of reallocating per publish group.
+    spare: Vec<Task>,
     /// Reusable candidate arena for instant-mode dispatch.
     cand_scratch: Vec<Candidate>,
     /// Reusable per-window working memory for batched-mode dispatch.
@@ -315,7 +317,6 @@ pub struct StreamEngine {
     /// event (orders may legally publish before the epoch, so zero is not
     /// a valid starting clock).
     clock: Option<Timestamp>,
-    tasks: usize,
     served: usize,
     rejected: usize,
     peak_held: usize,
@@ -340,13 +341,12 @@ impl StreamEngine {
             expired_total: 0,
             compacted: 0,
             pending: Vec::new(),
-            deciding: Vec::new(),
+            spare: Vec::new(),
             cand_scratch: Vec::new(),
             win_scratch: WindowScratch::default(),
             hold: Hold::Empty,
             decided_through: None,
             clock: None,
-            tasks: 0,
             served: 0,
             rejected: 0,
             peak_held: 0,
@@ -422,7 +422,8 @@ impl StreamEngine {
                 if let Some(clock) = self.clock {
                     assert!(
                         publish >= clock,
-                        "stream went backwards: order published at {publish} behind the clock at                          {clock}"
+                        "stream went backwards: order published at {publish} behind the clock at \
+                         {clock}"
                     );
                 }
                 match (&*policy, self.hold) {
@@ -447,7 +448,6 @@ impl StreamEngine {
                     };
                 }
                 self.clock = Some(publish);
-                self.tasks += 1;
                 self.pending.push(task);
                 self.peak_held = self.peak_held.max(self.pending.len());
             }
@@ -496,7 +496,7 @@ impl StreamEngine {
             self.flush(policy, sink);
         }
         StreamSummary {
-            tasks: self.tasks,
+            tasks: self.served + self.rejected,
             served: self.served,
             rejected: self.rejected,
             drivers: self.slots.len(),
@@ -554,17 +554,24 @@ impl StreamEngine {
         let Some(floor) = self.pending.first().map(|t| t.publish_time).or(self.clock) else {
             return;
         };
+        self.expire_before(floor);
+        self.compact(matches!(policy, StreamPolicy::Batched { .. }));
+    }
+
+    /// Retires every driver whose shift ended before `floor`, the earliest
+    /// instant any held or future order can publish at: she fails the
+    /// return-home check for everything from here on, so skipping her
+    /// cannot change results.
+    fn expire_before(&mut self, floor: Timestamp) {
         while let Some(&Reverse((end, d))) = self.expiry.peek() {
-            if Timestamp::from_secs(end) < floor {
-                if self.engine.expire(&mut self.states, d) {
-                    self.expired_total += 1;
-                }
-                self.expiry.pop();
-            } else {
+            if Timestamp::from_secs(end) >= floor {
                 break;
             }
+            if self.engine.expire(&mut self.states, d) {
+                self.expired_total += 1;
+            }
+            self.expiry.pop();
         }
-        self.compact(matches!(policy, StreamPolicy::Batched { .. }));
     }
 
     /// Orders currently held (published, undecided), for the sharding
@@ -600,8 +607,8 @@ impl StreamEngine {
 
     /// Garbage-collects every expired driver's resident state. `keep_ghosts`
     /// (batched mode) leaves a frozen location per removed driver so
-    /// `latest_decision` epochs stay byte-identical to a materialized
-    /// replay; instant mode drops them entirely.
+    /// `latest_decision` epochs do not move when she is freed; instant
+    /// mode drops them entirely.
     fn compact(&mut self, keep_ghosts: bool) {
         let remap = self.engine.compact(&mut self.states, keep_ghosts);
         let removed = remap.iter().filter(|r| r.is_none()).count();
@@ -636,87 +643,27 @@ impl StreamEngine {
         if self.pending.is_empty() {
             return;
         }
-        // Retire drivers whose shift ended before any held (or future)
-        // order was even published — they fail the return-home check for
-        // everything from here on, so skipping them cannot change results.
-        let window_start = self.pending[0].publish_time;
-        while let Some(&Reverse((end, d))) = self.expiry.peek() {
-            if Timestamp::from_secs(end) < window_start {
-                if self.engine.expire(&mut self.states, d) {
-                    self.expired_total += 1;
-                }
-                self.expiry.pop();
-            } else {
-                break;
-            }
-        }
+        self.expire_before(self.pending[0].publish_time);
 
-        // Trade the held group into the decide buffer — both vectors keep
+        // Trade the held group for the spare buffer — both vectors keep
         // their capacity across the whole replay.
-        std::mem::swap(&mut self.pending, &mut self.deciding);
+        let mut group = std::mem::replace(&mut self.pending, std::mem::take(&mut self.spare));
         match (hold, &mut *policy) {
             (Hold::Instant(at), StreamPolicy::Instant(choose)) => {
                 // Same-timestamp orders decide in task-id order, making
                 // intra-timestamp delivery order irrelevant.
-                self.deciding.sort_by_key(|t| t.id.index());
-                for task in &self.deciding {
-                    match dispatch_instant(
-                        &mut self.engine,
-                        &self.drivers,
-                        &mut self.states,
-                        self.speed,
-                        task,
-                        task.publish_time,
-                        &mut **choose,
-                        &mut self.cand_scratch,
-                    ) {
-                        Some(mut event) => {
-                            // Events name drivers by their *announced* id;
-                            // internal slots may have compacted since.
-                            event.driver = self.ids[event.driver.index()];
-                            sink.dispatched(task, &event);
-                            self.served += 1;
-                        }
-                        None => {
-                            sink.rejected(task, task.publish_time);
-                            self.rejected += 1;
-                        }
-                    }
-                }
+                group.sort_by_key(|t| t.id.index());
+                self.decide_each(&group, &mut **choose, sink);
                 self.decided_through = Some(at);
             }
             (Hold::Window(end), StreamPolicy::Batched { matcher, .. }) => {
-                let mut served = 0usize;
-                let mut rejected = 0usize;
-                let ids = &self.ids;
-                process_window(
-                    &mut self.engine,
-                    &self.drivers,
-                    &mut self.states,
-                    self.speed,
-                    &self.deciding,
-                    end,
-                    &mut **matcher,
-                    &mut self.win_scratch,
-                    &mut |task, at, decision| match decision {
-                        Some(mut event) => {
-                            event.driver = ids[event.driver.index()];
-                            sink.dispatched(task, &event);
-                            served += 1;
-                        }
-                        None => {
-                            sink.rejected(task, at);
-                            rejected += 1;
-                        }
-                    },
-                );
-                self.served += served;
-                self.rejected += rejected;
+                self.decide_window(&group, end, &mut **matcher, sink);
                 self.decided_through = Some(end);
             }
             (held, _) => panic!("policy kind changed mid-stream while holding {held:?}"),
         }
-        self.deciding.clear();
+        group.clear();
+        self.spare = group;
         // Decisions are now final through `decided_through` (both arms
         // just set it) — announce the boundary before any compaction, so
         // sinks observe state transitions in stream order.
@@ -730,6 +677,244 @@ impl StreamEngine {
             self.compact(matches!(policy, StreamPolicy::Batched { .. }));
         }
     }
+
+    /// Instant dispatch, one order at a time in the order given: generate
+    /// the candidate set at the order's publish instant (step (a) of
+    /// Algs. 3–4), let `choose` pick, commit the winner.
+    ///
+    /// [`StreamEngine::flush`] calls this per publish group, after the
+    /// stream clock has retired the drivers it may. The materialized
+    /// front-end's §V-B value-sorted variant calls it directly with the
+    /// whole day in descending-price order: that order runs the clock
+    /// backwards, so it must reach neither the publish-order assertions of
+    /// [`StreamEngine::push`] nor clock-based expiry, which is lossless
+    /// only when no later decision is earlier in time.
+    pub(crate) fn decide_each(
+        &mut self,
+        tasks: &[Task],
+        choose: &mut dyn DispatchPolicy,
+        sink: &mut dyn StreamSink,
+    ) {
+        for task in tasks {
+            let at = task.publish_time;
+            self.engine.candidates_into(
+                &self.drivers,
+                &self.states,
+                task,
+                at,
+                &mut self.cand_scratch,
+            );
+            let pick = if self.cand_scratch.is_empty() {
+                None
+            } else {
+                choose.choose(&self.cand_scratch)
+            };
+            match pick {
+                Some(k) => {
+                    let (cand, candidates) = (self.cand_scratch[k], self.cand_scratch.len());
+                    self.dispatch(task, cand, at, candidates, sink);
+                }
+                None => self.reject(task, at, sink),
+            }
+        }
+    }
+
+    /// Decides one closed hold window. `batch` holds its orders in publish
+    /// order; `window_end` caps every decision epoch. Dispatches reach the
+    /// sink in commit order, then one rejection per order left unmatched at
+    /// its epoch.
+    fn decide_window(
+        &mut self,
+        batch: &[Task],
+        window_end: Timestamp,
+        matcher: &mut dyn BatchMatcher,
+        sink: &mut dyn StreamSink,
+    ) {
+        let mut scratch = std::mem::take(&mut self.win_scratch);
+        // Early flush: a task that could not be feasibly dispatched at the
+        // window end any more — its pickup deadline minus the closest
+        // driver's travel falls inside the window — is decided at that
+        // last feasible instant instead of expiring unserved. Sorting the
+        // flat (epoch, task id, batch index) triples yields the epochs
+        // ascending with each epoch's tasks in ascending task id.
+        scratch.epochs.clear();
+        for (bi, task) in batch.iter().enumerate() {
+            let epoch = self.engine.latest_decision(&self.states, task, window_end);
+            scratch.epochs.push((epoch, task.id.index(), bi));
+        }
+        scratch.epochs.sort_unstable();
+
+        let mut e = 0usize;
+        while e < scratch.epochs.len() {
+            let decision_time = scratch.epochs[e].0;
+            scratch.remaining.clear();
+            scratch.ids.clear();
+            while e < scratch.epochs.len() && scratch.epochs[e].0 == decision_time {
+                let (_, id, bi) = scratch.epochs[e];
+                scratch.ids.push(id);
+                scratch.remaining.push(bi);
+                e += 1;
+            }
+            // Candidate lists are kept aligned with `remaining` and
+            // refreshed incrementally: a round only moves the drivers it
+            // commits, so only their entries can go stale.
+            debug_assert!(scratch.candidates.is_empty());
+            for &bi in &scratch.remaining {
+                let mut list = scratch.pool.pop().unwrap_or_default();
+                self.engine.candidates_into(
+                    &self.drivers,
+                    &self.states,
+                    &batch[bi],
+                    decision_time,
+                    &mut list,
+                );
+                scratch.candidates.push(list);
+            }
+            loop {
+                let round = BatchRound {
+                    tasks: &scratch.ids,
+                    candidates: &scratch.candidates,
+                };
+                let mut picks = matcher.match_round(&round);
+                picks.sort_unstable();
+                scratch.committed.clear();
+                scratch.used_drivers.clear();
+                for (slot, ci) in picks {
+                    let Some(cands) = scratch.candidates.get(slot) else {
+                        continue;
+                    };
+                    let Some(&cand) = cands.get(ci) else {
+                        continue;
+                    };
+                    // Disjointness: first slot wins, as the trait contract
+                    // promises.
+                    if scratch.committed.contains(&slot)
+                        || scratch.used_drivers.contains(&cand.driver)
+                    {
+                        continue;
+                    }
+                    let task = &batch[scratch.remaining[slot]];
+                    self.dispatch(task, cand, decision_time, cands.len(), sink);
+                    scratch.committed.push(slot);
+                    scratch.used_drivers.push(cand.driver);
+                }
+                if scratch.committed.is_empty() {
+                    break;
+                }
+                // Drop the committed slots in place (order preserved),
+                // keeping the retired lists' capacity in the pool.
+                let mut w = 0usize;
+                for s in 0..scratch.remaining.len() {
+                    if scratch.committed.contains(&s) {
+                        continue;
+                    }
+                    scratch.remaining[w] = scratch.remaining[s];
+                    scratch.ids[w] = scratch.ids[s];
+                    scratch.candidates.swap(w, s);
+                    w += 1;
+                }
+                scratch.remaining.truncate(w);
+                scratch.ids.truncate(w);
+                for mut list in scratch.candidates.drain(w..) {
+                    list.clear();
+                    scratch.pool.push(list);
+                }
+                if scratch.remaining.is_empty() {
+                    break;
+                }
+                // Refresh exactly the committed drivers' entries; all other
+                // pairs are untouched, so this is equivalent to
+                // regenerating every list (the property tests pin that).
+                for (slot, &bi) in scratch.remaining.iter().enumerate() {
+                    let task = &batch[bi];
+                    let list = &mut scratch.candidates[slot];
+                    for &d in &scratch.used_drivers {
+                        if let Some(pos) = list.iter().position(|c| c.driver == d) {
+                            list.remove(pos);
+                        }
+                        if let Some(c) = self.engine.candidate_for(
+                            &self.drivers,
+                            &self.states,
+                            task,
+                            decision_time,
+                            d,
+                        ) {
+                            let pos = list.partition_point(|x| x.driver < d);
+                            list.insert(pos, c);
+                        }
+                    }
+                }
+            }
+            for &bi in &scratch.remaining {
+                self.reject(&batch[bi], decision_time, sink);
+            }
+            for mut list in scratch.candidates.drain(..) {
+                list.clear();
+                scratch.pool.push(list);
+            }
+        }
+        self.win_scratch = scratch;
+    }
+
+    /// Commits `cand` to `task`, decided at `decision_time` out of
+    /// `candidates` feasible drivers: projects the driver onto the task,
+    /// reports the operational record, counts it.
+    fn dispatch(
+        &mut self,
+        task: &Task,
+        cand: Candidate,
+        decision_time: Timestamp,
+        candidates: usize,
+        sink: &mut dyn StreamSink,
+    ) {
+        let d = cand.driver;
+        let old_loc = self.states.location(d);
+        self.engine.commit(&mut self.states, d, task, cand.arrival);
+        let event = DispatchEvent {
+            task: task.id,
+            // Events name drivers by their *announced* id; internal slots
+            // may have compacted since.
+            driver: self.ids[d],
+            arrival: cand.arrival,
+            decision_time,
+            wait: cand.arrival - task.publish_time,
+            deadhead_km: self.speed.driven_km(old_loc, task.origin),
+            candidates,
+            margin: cand.marginal_value,
+        };
+        sink.dispatched(task, &event);
+        self.served += 1;
+    }
+
+    /// Reports `task` rejected at `decision_time` and counts it.
+    fn reject(&mut self, task: &Task, decision_time: Timestamp, sink: &mut dyn StreamSink) {
+        sink.rejected(task, decision_time);
+        self.rejected += 1;
+    }
+}
+
+/// Reusable per-window working memory for batched dispatch. One decision
+/// epoch churns through half a dozen short-lived vectors (epoch groups,
+/// live slots, candidate lists); holding them on the engine and recycling
+/// capacity across windows keeps the batched hot path allocation-free in
+/// the steady state. Purely scratch — contents are meaningless between
+/// windows.
+#[derive(Default)]
+struct WindowScratch {
+    /// `(decision epoch, task id, batch index)` per window task.
+    epochs: Vec<(Timestamp, usize, usize)>,
+    /// Batch indices still unmatched in the current epoch.
+    remaining: Vec<usize>,
+    /// Task ids aligned with `remaining`.
+    ids: Vec<usize>,
+    /// Candidate lists aligned with `remaining`.
+    candidates: Vec<Vec<Candidate>>,
+    /// Retired candidate lists, kept for their capacity.
+    pool: Vec<Vec<Candidate>>,
+    /// Slots committed in the current round.
+    committed: Vec<usize>,
+    /// Drivers committed in the current round.
+    used_drivers: Vec<usize>,
 }
 
 /// Replays a whole event stream through `policy` into `sink` — the
@@ -760,9 +945,8 @@ where
 
 /// The event stream of a materialized market: every driver announced up
 /// front (always a valid announcement order), then every task in publish
-/// order, both re-labelled positionally. Feeding this to [`replay_stream`]
-/// reproduces the corresponding materialized engine byte-for-byte — the
-/// bridge the oracle tests (and any caller migrating to streaming) use.
+/// order, both re-labelled positionally — what [`crate::replay_market`]
+/// feeds the engine.
 #[must_use]
 pub fn market_events(market: &Market) -> Vec<StreamEvent> {
     let mut events: Vec<StreamEvent> = market
@@ -813,9 +997,9 @@ impl CollectingSink {
         }
     }
 
-    /// The collected [`SimulationResult`], shaped exactly like the
-    /// materialized engines' output (validate with
-    /// [`crate::validate_online_result`]).
+    /// The collected [`SimulationResult`] (validate with
+    /// [`crate::validate_online_result`]). `dispatch` reaches as far as
+    /// the highest task id seen.
     #[must_use]
     pub fn into_result(self) -> SimulationResult {
         SimulationResult {
@@ -1145,6 +1329,34 @@ mod tests {
         let _ = replay_stream(
             m.speed(),
             events,
+            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            StreamOptions::default(),
+            &mut sink,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "published at 09:59:59 behind the clock at 10:00:00")]
+    fn publish_behind_a_tick_rejected() {
+        // A tick to `t` promised everything before `t` was delivered; an
+        // order at `t − 1` breaks that promise. The expectation spans both
+        // timestamps, so the message must read as one sentence.
+        let m = market(91, 1, 1);
+        let tick = Timestamp::from_hours(10);
+        let StreamEvent::TaskPublished(task) = market_events(&m)[1] else {
+            panic!("one driver, then one task");
+        };
+        let late = Task {
+            publish_time: tick - TimeDelta::from_secs(1),
+            ..task
+        };
+        let mut sink = CollectingSink::new();
+        let _ = replay_stream(
+            m.speed(),
+            [
+                StreamEvent::EpochTick(tick),
+                StreamEvent::TaskPublished(late),
+            ],
             &mut StreamPolicy::Instant(&mut MaxMargin::new()),
             StreamOptions::default(),
             &mut sink,

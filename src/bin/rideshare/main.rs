@@ -211,32 +211,27 @@ fn solve(p: &Parsed<'_>) -> Result<(), String> {
 
 /// `--policy` for the online surfaces (`simulate`, `replay`, `serve`):
 /// the labels `PolicySpec::parse` accepts — the grammar `sweep` prints —
-/// minus the two that cannot dispatch an order stream.
-fn online_policy(p: &Parsed<'_>) -> Result<PolicySpec, String> {
+/// minus the two that cannot dispatch an order stream, with the form the
+/// engine runs.
+fn online_policy(p: &Parsed<'_>) -> Result<(PolicySpec, ShardPolicySpec), String> {
     const GRAMMAR: &str = flags::POLICY;
     let label = p.value("--policy").unwrap_or("margin");
-    match PolicySpec::parse(label) {
-        Some(PolicySpec::Greedy | PolicySpec::Random) => Err(format!(
-            "policy '{label}' is not a streaming policy ({GRAMMAR})"
-        )),
-        Some(policy) => Ok(policy),
-        None => Err(format!("unknown policy '{label}' ({GRAMMAR})")),
-    }
+    let policy =
+        PolicySpec::parse(label).ok_or_else(|| format!("unknown policy '{label}' ({GRAMMAR})"))?;
+    let spec = policy
+        .stream_spec()
+        .ok_or_else(|| format!("policy '{label}' is not a streaming policy ({GRAMMAR})"))?;
+    Ok((policy, spec))
 }
 
 fn simulate(p: &Parsed<'_>) -> Result<(), String> {
-    let policy = online_policy(p)?;
+    let (_, spec) = online_policy(p)?;
     let market = load_market(p)?;
-    let sim = Simulator::new(&market);
-    // One source of truth for a batched policy's options: the same
-    // `PolicySpec::batch_options` the sweep engine dispatches with.
-    let result = match policy.batch_options() {
-        Some(opts) => run_batched_with(&market, opts),
-        None if policy == PolicySpec::Nearest => {
-            sim.run(&mut NearestDriver::new(), SimulationOptions::default())
-        }
-        None => sim.run(&mut MaxMargin::new(), SimulationOptions::default()),
+    let grid = SimulationOptions {
+        use_grid: true,
+        ..SimulationOptions::default()
     };
+    let result = replay_market(&market, &mut spec.holder().as_policy(), grid);
     validate_online_result(&market, &result).map_err(|e| e.to_string())?;
     println!(
         "online: served {}/{} ({:.1}%), profit {}",
@@ -416,6 +411,8 @@ fn worker(p: &Parsed<'_>) -> Result<(), String> {
 /// the `--policy`.
 struct StreamRun {
     policy: PolicySpec,
+    /// The policy in its shard-stable streaming form.
+    spec: ShardPolicySpec,
     shards: ShardOptions,
     regions: usize,
 }
@@ -435,23 +432,13 @@ impl StreamRun {
         }
         // Typed zero-shard rejection — the partitioner would `% 0` otherwise.
         let options = ShardOptions::try_new(shards).map_err(|e| format!("--shards: {e}"))?;
+        let (policy, spec) = online_policy(p)?;
         Ok(StreamRun {
-            policy: online_policy(p)?,
+            policy,
+            spec,
             shards: options.validate(false),
             regions,
         })
-    }
-
-    /// The policy in its shard-stable streaming form.
-    fn spec(&self) -> ShardPolicySpec {
-        match (self.policy, self.policy.batch_options()) {
-            (_, Some(opts)) => ShardPolicySpec::Batched {
-                window: opts.window,
-                matcher: opts.matcher,
-            },
-            (PolicySpec::Nearest, None) => ShardPolicySpec::Nearest { seed: 0 },
-            (_, None) => ShardPolicySpec::MaxMargin,
-        }
     }
 
     /// Wraps `inner` in the telemetry recorder when `--tsdb-dir` is given:
@@ -565,7 +552,7 @@ fn replay(p: &Parsed<'_>) -> Result<(), String> {
     };
     let (summary, elapsed) = timed(|| match run.shards.shards {
         1 => {
-            let mut holder = run.spec().holder();
+            let mut holder = run.spec.holder();
             replay_stream(
                 speed,
                 events,
@@ -577,14 +564,7 @@ fn replay(p: &Parsed<'_>) -> Result<(), String> {
         _ => {
             let partitioner = BoxPartitioner::new(config.region_boxes());
             let shards = run.shards.stream(options);
-            replay_sharded(
-                speed,
-                events,
-                run.spec(),
-                &partitioner,
-                shards,
-                &mut metrics,
-            )
+            replay_sharded(speed, events, run.spec, &partitioner, shards, &mut metrics)
         }
     });
     if let Some(e) = decode_err.into_inner() {
@@ -676,7 +656,7 @@ fn serve(p: &Parsed<'_>) -> Result<(), String> {
         .with_regions(run.regions)
         .region_boxes();
     let partitioner = BoxPartitioner::new(boxes);
-    let mut daemon = ServeDaemon::new(SpeedModel::urban(), run.spec(), config);
+    let mut daemon = ServeDaemon::new(SpeedModel::urban(), run.spec, config);
     if shards > 1 {
         daemon = daemon.with_partitioner(&partitioner);
     }

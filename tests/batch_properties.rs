@@ -1,4 +1,4 @@
-//! Property tests for the batched dispatcher (`BatchEngine`).
+//! Property tests for the batched dispatcher (`run_batched_with`).
 //!
 //! Three doc claims of `rideshare-online`'s `batch` module become
 //! executable here:

@@ -51,10 +51,23 @@ fn generate_summary_solve_simulate_bound_pipeline() {
     assert!(solve.status.success());
     assert!(String::from_utf8_lossy(&solve.stdout).contains("greedy:"));
 
-    for policy in ["margin", "nearest"] {
+    for policy in [
+        "margin",
+        "nearest",
+        "maxMargin",
+        "batch-3m",
+        "batch-opt-3m",
+        "batch-90s",
+    ] {
         let sim = cli(&["simulate", "--dir", dir_s, "--policy", policy]);
-        assert!(sim.status.success());
+        assert!(sim.status.success(), "--policy {policy}");
         assert!(String::from_utf8_lossy(&sim.stdout).contains("online: served"));
+    }
+    for policy in ["greedy", "random"] {
+        let sim = cli(&["simulate", "--dir", dir_s, "--policy", policy]);
+        assert_eq!(sim.status.code(), Some(1), "--policy {policy}");
+        let err = String::from_utf8_lossy(&sim.stderr);
+        assert!(err.contains("not a streaming policy"), "{err}");
     }
 
     let bound = cli(&["bound", "--dir", dir_s]);

@@ -9,6 +9,9 @@
 
 use rideshare::prelude::*;
 
+#[path = "golden_scenarios/digests.rs"]
+mod digests;
+
 /// One pinned `(scenario, policy)` outcome.
 struct Golden {
     scenario: &'static str,
@@ -126,6 +129,59 @@ fn pinned_scenarios_reproduce_exactly() {
             g.ratio
         );
     }
+}
+
+/// Every pinned online cell through the materialized front-ends
+/// (`Simulator::run`, `run_batched_with`): not one decision, timestamp or
+/// margin bit may differ from the recorded digests. A deliberate change
+/// of results updates `golden_scenarios/digests.rs` from the table this
+/// prints.
+#[test]
+fn online_results_match_the_pinned_digests() {
+    let window = TimeDelta::from_mins(3);
+    let instant = SimulationOptions::default();
+    let value_sorted = SimulationOptions {
+        value_sorted: true,
+        ..instant
+    };
+    let mut computed = Vec::new();
+    for scenario in Scenario::tiny_catalog() {
+        let market = scenario.build_market();
+        let sim = Simulator::new(&market);
+        let batched = BatchOptions::with_window(window);
+        let mut runs = vec![
+            ("maxMargin", sim.run(&mut MaxMargin::new(), instant)),
+            (
+                "nearest",
+                sim.run(&mut NearestDriver::with_seed(0), instant),
+            ),
+            ("batch-3m", run_batched_with(&market, batched)),
+            (
+                "batch-opt-3m",
+                run_batched_with(&market, batched.matcher(MatcherKind::Optimal)),
+            ),
+        ];
+        if scenario.name == "tiny-rides" {
+            let sorted = sim.run(&mut MaxMargin::new(), value_sorted);
+            runs.push(("maxMargin/value-sorted", sorted));
+        }
+        for (policy, result) in runs {
+            computed.push((scenario.name, policy, digests::result_digest(&result)));
+        }
+    }
+    let table: Vec<String> = computed
+        .iter()
+        .map(|(s, p, d)| format!("    (\"{s}\", \"{p}\", {d:#018x}),"))
+        .collect();
+    for (scenario, policy, digest) in &computed {
+        assert_eq!(
+            digests::pinned(scenario, policy),
+            Some(*digest),
+            "{scenario} × {policy} drifted; computed table:\n{}",
+            table.join("\n")
+        );
+    }
+    assert_eq!(computed.len(), 17, "a pinned cell was not run");
 }
 
 #[test]

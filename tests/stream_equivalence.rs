@@ -1,13 +1,28 @@
-//! The stream-vs-materialized oracle suite.
+//! The stream oracle suite.
 //!
-//! The streaming replay engine's contract is that it is *not a different
-//! dispatcher*: fed the same orders, it produces byte-identical
-//! [`SimulationResult`]s to the materialized [`Simulator`] and
-//! [`BatchEngine`] — same dispatch vector, same event list (arrival,
-//! decision time, wait, deadhead, candidates, margin), same routes — and
-//! every streamed result passes the dispatch-causality law
-//! ([`validate_online_result`]). This file pins that on the **whole
-//! scenario catalog** (instant and batched modes), plus:
+//! One engine decides every order, so "streamed ≡ materialized" compares
+//! it to itself: [`Simulator`] and [`run_batched_with`] are the
+//! `replay_market` front-end, which pushes a market's events through the
+//! same [`StreamEngine`] a bare [`replay_stream`] drives. What this file
+//! pins is therefore a chain with an absolute end:
+//!
+//! - every *other* way of feeding the engine — a bare stream without the
+//!   front-end's grid or relabelling here; compaction, clock ticks,
+//!   offline hints, the grid, shards and the daemon in the crate's unit
+//!   tests and the `grid_equivalence` / `shard_determinism` /
+//!   `serve_equivalence` batteries — produces the same
+//!   [`SimulationResult`] as the plain front-end: same dispatch vector,
+//!   same event list (arrival, decision time, wait, deadhead, candidates,
+//!   margin), same routes, on the **whole scenario catalog**, instant and
+//!   batched, and every such result passes the dispatch-causality law
+//!   ([`validate_online_result`]);
+//! - the plain run itself reproduces, on the tiny catalog, the FNV-1a
+//!   result digests recorded from the per-task simulator loop and the
+//!   batch-engine loop the engine replaced (`golden_scenarios/digests.rs`)
+//!   — the assertion that keeps its teeth now that both sides of every
+//!   `assert_same` are one implementation.
+//!
+//! Plus:
 //!
 //! - the full lazy pipeline (`TraceConfig::stream` → [`StreamPricer`] →
 //!   streaming engine) against materialising the same streamed trips into
@@ -24,6 +39,20 @@ use proptest::prelude::*;
 use rideshare::bench::Scenario;
 use rideshare::online::{GreedyPairMatcher, OptimalAssignmentMatcher, SimulationResult};
 use rideshare::prelude::*;
+
+#[path = "golden_scenarios/digests.rs"]
+mod digests;
+
+/// Checks `streamed` against the digest pinned for this cell; `false` for
+/// a catalog scenario outside the pinned tiny ones.
+fn matches_pin(streamed: &SimulationResult, scenario: &str, policy: &str) -> bool {
+    let Some(pin) = digests::pinned(scenario, policy) else {
+        return false;
+    };
+    let digest = digests::result_digest(streamed);
+    assert_eq!(digest, pin, "{scenario} × {policy}: pinned digest");
+    true
+}
 
 /// Byte-identity between two results, field by field.
 fn assert_same(streamed: &SimulationResult, materialized: &SimulationResult, ctx: &str) {
@@ -66,9 +95,11 @@ fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> Simulati
 }
 
 /// Every catalog scenario, instant mode: streaming ≡ `Simulator`, for both
-/// online heuristics, and the streamed result is causally valid.
+/// online heuristics, and the streamed result is causally valid; the tiny
+/// scenarios in it also reproduce their pinned digests.
 #[test]
 fn catalog_instant_streaming_oracle() {
+    let mut pinned = 0;
     for scenario in Scenario::catalog() {
         let market = scenario.build_market();
         let sim = Simulator::new(&market);
@@ -77,6 +108,7 @@ fn catalog_instant_streaming_oracle() {
         assert_same(&streamed, &materialized, scenario.name);
         validate_online_result(&market, &streamed)
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        pinned += usize::from(matches_pin(&streamed, scenario.name, "maxMargin"));
 
         for seed in [0u64, 3] {
             let streamed = stream_instant(&market, &mut NearestDriver::with_seed(seed));
@@ -85,12 +117,16 @@ fn catalog_instant_streaming_oracle() {
                 SimulationOptions::default(),
             );
             assert_same(&streamed, &materialized, scenario.name);
+            if seed == 0 {
+                pinned += usize::from(matches_pin(&streamed, scenario.name, "nearest"));
+            }
         }
     }
+    assert_eq!(pinned, 8, "tiny catalog × {{maxMargin, nearest}}");
 }
 
 /// Every catalog scenario, batched mode (greedy matcher, 2-minute window):
-/// streaming ≡ `BatchEngine`.
+/// streaming ≡ `run_batched`.
 #[test]
 fn catalog_batched_streaming_oracle() {
     for scenario in Scenario::catalog() {
@@ -105,12 +141,13 @@ fn catalog_batched_streaming_oracle() {
 }
 
 /// The tiny catalog under the full batched matrix (window × matcher),
-/// optimal included.
+/// optimal included; the 3-minute column reproduces its pinned digests.
 #[test]
 fn tiny_catalog_batched_matrix_oracle() {
+    let mut pinned = 0;
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        for mins in [0i64, 1, 5, 15] {
+        for mins in [0i64, 1, 3, 5, 15] {
             for optimal in [false, true] {
                 let window = TimeDelta::from_mins(mins);
                 let streamed = stream_batched(&market, window, optimal);
@@ -126,9 +163,14 @@ fn tiny_catalog_batched_matrix_oracle() {
                     &materialized,
                     &format!("{} W={mins}m optimal={optimal}", scenario.name),
                 );
+                if mins == 3 {
+                    let policy = if optimal { "batch-opt-3m" } else { "batch-3m" };
+                    pinned += usize::from(matches_pin(&streamed, scenario.name, policy));
+                }
             }
         }
     }
+    assert_eq!(pinned, 8, "tiny catalog × {{batch-3m, batch-opt-3m}}");
 }
 
 /// The full lazy pipeline — streamed trips, streamed prices, streamed
