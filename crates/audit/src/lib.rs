@@ -9,11 +9,13 @@
 //! batteries catch a violation after the fact; this crate rejects it at
 //! the source level, making the batteries the *second* line of defense.
 //!
-//! The pass is fully self-contained (no new dependencies, per the
-//! vendored-shim policy): a hand-rolled comment/string/raw-string-aware
-//! [`lexer`], a token-pattern rule engine ([`rules`]) with per-crate-tier
-//! [`policy`] selection, and canonical [`report`] rendering (rustc-style
-//! human diagnostics + byte-stable `rideshare-audit/1` JSON).
+//! The pass is fully self-contained (no third-party dependencies, per the
+//! vendored-shim policy; its one workspace edge is the dependency-free
+//! `rideshare-types`, for the shared JSON escaper): a hand-rolled
+//! comment/string/raw-string-aware [`lexer`], a token-pattern rule engine
+//! ([`rules`]) with per-crate-tier [`policy`] selection, and canonical
+//! [`report`] rendering (rustc-style human diagnostics + byte-stable
+//! `rideshare-audit/1` JSON).
 //!
 //! Findings are silenced only by an inline waiver with a mandatory
 //! reason — `// audit:allow(<rule>): <reason>` — and unused or

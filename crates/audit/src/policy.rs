@@ -11,7 +11,7 @@
 //! | `wall-clock` | everywhere except `crates/bench` (the measurement harness) |
 //! | `float-accum` | `crates/metrics` and `crates/tsdb` (the i128 fixed-point contract) |
 //! | `as-cast` | the wire/rtb/tsdb codecs (`crates/trace/src/wire.rs`, `rtb.rs`, `crates/tsdb/src/codec.rs`) |
-//! | `unwrap-panic` | the hostile-input boundary (`crates/online/src/ingest.rs`, `serve.rs`) |
+//! | `unwrap-panic` | the hostile-input boundary (`crates/online/src/ingest.rs`, `serve.rs`, and the JSON parser `crates/types/src/json.rs`) |
 //!
 //! Scanned at all: `src/` of the facade and of every `crates/*` member.
 //! Vendored shims, integration `tests/`, `examples/`, and benches are
@@ -42,7 +42,11 @@ const AS_CAST_TIER: &[&str] = &[
 /// The hostile-input boundary: feeds here are untrusted, so a panic is
 /// a denial-of-service bug ([`IngestError`](../../rideshare_online/enum.IngestError.html)
 /// is the contract).
-const UNWRAP_TIER: &[&str] = &["crates/online/src/ingest.rs", "crates/online/src/serve.rs"];
+const UNWRAP_TIER: &[&str] = &[
+    "crates/online/src/ingest.rs",
+    "crates/online/src/serve.rs",
+    "crates/types/src/json.rs",
+];
 
 /// True when `rel` (workspace-relative, `/`-separated) is a source file
 /// the auditor scans at all.
@@ -127,7 +131,9 @@ mod tests {
         assert!(!rules_for("crates/tsdb/src/store.rs").contains(&rules::AS_CAST));
         assert!(!rules_for("crates/trace/src/generator.rs").contains(&rules::AS_CAST));
         assert!(rules_for("crates/online/src/ingest.rs").contains(&rules::UNWRAP_PANIC));
+        assert!(rules_for("crates/types/src/json.rs").contains(&rules::UNWRAP_PANIC));
         assert!(!rules_for("crates/online/src/stream.rs").contains(&rules::UNWRAP_PANIC));
+        assert!(!rules_for("crates/types/src/time.rs").contains(&rules::UNWRAP_PANIC));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! report is byte-stable across runs on the same tree and diffable in
 //! CI like the sweep and metrics snapshots.
 
+use rideshare_types::json::escape;
+
 use crate::rules::Finding;
 
 /// The result of auditing a workspace tree.
@@ -95,42 +97,22 @@ impl AuditReport {
             }
             s.push_str(&format!(
                 "{{\"rule\":{},\"path\":{},\"line\":{},\"col\":{},\"waived\":{},\"message\":{},\"excerpt\":{}",
-                json_str(f.rule),
-                json_str(&f.path),
+                escape(f.rule),
+                escape(&f.path),
                 f.line,
                 f.col,
                 f.waived,
-                json_str(&f.message),
-                json_str(f.excerpt.trim()),
+                escape(&f.message),
+                escape(f.excerpt.trim()),
             ));
             if let Some(reason) = &f.reason {
-                s.push_str(&format!(",\"reason\":{}", json_str(reason)));
+                s.push_str(&format!(",\"reason\":{}", escape(reason)));
             }
             s.push('}');
         }
         s.push_str("]}");
         s
     }
-}
-
-/// Escapes `v` as a JSON string literal (quotes included).
-#[must_use]
-pub fn json_str(v: &str) -> String {
-    let mut s = String::with_capacity(v.len() + 2);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
 }
 
 #[cfg(test)]
@@ -188,11 +170,5 @@ mod tests {
         assert!(json.contains("\"rule\":\"wall-clock\""));
         assert!(json.contains("\"reason\":\"timing display only\""));
         assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn json_escaping_is_safe() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -24,6 +24,11 @@
 //! same recovery to a whole interrupted run without recomputing finished
 //! units. Results are idempotent — re-running a unit rewrites the same
 //! bytes — so every recovery path is safe to race.
+//!
+//! Spool files are single `format!` templates in a spaced layout of their
+//! own (a spool written by an older binary must stay resumable); they are
+//! read back through `rideshare_types::json`, which also escapes their
+//! free-text strings.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -32,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use rideshare_trace::wire::{parse_json, JsonValue};
+use rideshare_types::json::{self, escape, JsonValue};
 use rideshare_types::{ConfigError, OrchestrateError};
 
 use crate::scenario::Scenario;
@@ -179,22 +184,6 @@ fn io_err(op: &str, path: &Path, e: &io::Error) -> OrchestrateError {
     }
 }
 
-/// Minimal JSON string escaping for names and labels.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Writes `text` to `path` atomically: tmp file in the same directory,
 /// then rename. Readers either see the whole file or no file.
 fn write_atomic(path: &Path, text: &str, tmp_tag: &str) -> Result<(), OrchestrateError> {
@@ -210,6 +199,15 @@ fn write_atomic(path: &Path, text: &str, tmp_tag: &str) -> Result<(), Orchestrat
 // ---------------------------------------------------------------------------
 // Unit specs and the spool manifest
 // ---------------------------------------------------------------------------
+
+/// The array of strings under `key`.
+fn str_list(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
+    v.arr_field(key)?
+        .iter()
+        .map(|s| s.as_str().map(str::to_string))
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("non-string entry in {key:?}"))
+}
 
 /// One shard execution unit: a scenario and the policies to run on it.
 /// Self-describing — a worker needs nothing but this file and the
@@ -231,13 +229,13 @@ impl UnitSpec {
     }
 
     fn to_json(&self) -> String {
-        let policies: Vec<String> = self.policies.iter().map(|p| json_str(p)).collect();
+        let policies: Vec<String> = self.policies.iter().map(|p| escape(p)).collect();
         format!(
             "{{\"schema\": {}, \"unit\": {}, \"scenario\": {}, \"policies\": [{}], \
              \"bound\": {}, \"attempt\": {}}}\n",
-            json_str(UNIT_SCHEMA),
-            json_str(&self.unit),
-            json_str(&self.scenario),
+            escape(UNIT_SCHEMA),
+            escape(&self.unit),
+            escape(&self.scenario),
             policies.join(", "),
             self.bound,
             self.attempt,
@@ -245,47 +243,20 @@ impl UnitSpec {
     }
 
     fn parse(text: &str, path: &Path) -> Result<UnitSpec, OrchestrateError> {
-        let corrupt = |detail: String| OrchestrateError::CorruptUnit {
+        let read = || -> Result<UnitSpec, String> {
+            let v = json::parse(text)?;
+            v.expect_schema(UNIT_SCHEMA)?;
+            Ok(UnitSpec {
+                unit: v.str_field("unit")?.to_string(),
+                scenario: v.str_field("scenario")?.to_string(),
+                policies: str_list(&v, "policies")?,
+                bound: v.bool_field("bound")?,
+                attempt: v.num_field("attempt")?,
+            })
+        };
+        read().map_err(|detail| OrchestrateError::CorruptUnit {
             path: path.display().to_string(),
             detail,
-        };
-        let v = parse_json(text).map_err(&corrupt)?;
-        let schema = v.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(UNIT_SCHEMA) {
-            return Err(corrupt(format!(
-                "schema {schema:?}, expected {UNIT_SCHEMA:?}"
-            )));
-        }
-        let str_field = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| corrupt(format!("missing string field {key:?}")))
-        };
-        let policies = v
-            .get("policies")
-            .and_then(JsonValue::arr)
-            .ok_or_else(|| corrupt("missing policies array".into()))?
-            .iter()
-            .map(|p| {
-                p.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| corrupt("non-string policy label".into()))
-            })
-            .collect::<Result<Vec<String>, _>>()?;
-        Ok(UnitSpec {
-            unit: str_field("unit")?,
-            scenario: str_field("scenario")?,
-            policies,
-            bound: v
-                .get("bound")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| corrupt("missing bool field \"bound\"".into()))?,
-            attempt: v
-                .get("attempt")
-                .and_then(JsonValue::num)
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| corrupt("missing numeric field \"attempt\"".into()))?,
         })
     }
 }
@@ -306,14 +277,14 @@ impl Manifest {
         let list = |items: &[String]| {
             items
                 .iter()
-                .map(|s| json_str(s))
+                .map(|s| escape(s))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
         format!(
             "{{\n  \"schema\": {},\n  \"bound\": {},\n  \"scenarios\": [{}],\n  \
              \"policies\": [{}],\n  \"units\": [{}]\n}}\n",
-            json_str(SPOOL_SCHEMA),
+            escape(SPOOL_SCHEMA),
             self.bound,
             list(&self.scenarios),
             list(&self.policies),
@@ -322,37 +293,19 @@ impl Manifest {
     }
 
     fn parse(text: &str, path: &Path) -> Result<Manifest, OrchestrateError> {
-        let corrupt = |detail: String| OrchestrateError::CorruptUnit {
+        let read = || -> Result<Manifest, String> {
+            let v = json::parse(text)?;
+            v.expect_schema(SPOOL_SCHEMA)?;
+            Ok(Manifest {
+                scenarios: str_list(&v, "scenarios")?,
+                policies: str_list(&v, "policies")?,
+                bound: v.bool_field("bound")?,
+                units: str_list(&v, "units")?,
+            })
+        };
+        read().map_err(|detail| OrchestrateError::CorruptUnit {
             path: path.display().to_string(),
             detail,
-        };
-        let v = parse_json(text).map_err(&corrupt)?;
-        let schema = v.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(SPOOL_SCHEMA) {
-            return Err(corrupt(format!(
-                "schema {schema:?}, expected {SPOOL_SCHEMA:?}"
-            )));
-        }
-        let str_list = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::arr)
-                .ok_or_else(|| corrupt(format!("missing array field {key:?}")))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| corrupt(format!("non-string entry in {key:?}")))
-                })
-                .collect::<Result<Vec<String>, OrchestrateError>>()
-        };
-        Ok(Manifest {
-            scenarios: str_list("scenarios")?,
-            policies: str_list("policies")?,
-            bound: v
-                .get("bound")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| corrupt("missing bool field \"bound\"".into()))?,
-            units: str_list("units")?,
         })
     }
 
@@ -711,62 +664,32 @@ fn spawn_worker(
 /// fixed decimals, and re-formatting the parsed `f64` reproduces those
 /// digits at these magnitudes.
 fn parse_result(text: &str, path: &Path) -> Result<Vec<SweepCell>, OrchestrateError> {
-    let corrupt = |detail: String| OrchestrateError::CorruptResult {
+    let read = || -> Result<Vec<SweepCell>, String> {
+        let v = json::parse(text)?;
+        v.expect_schema(SWEEP_SCHEMA)?;
+        v.arr_field("cells")?
+            .iter()
+            .map(|cell| {
+                Ok(SweepCell {
+                    scenario: cell.str_field("scenario")?.to_string(),
+                    policy: cell.str_field("policy")?.to_string(),
+                    tasks: cell.num_field("tasks")?,
+                    drivers: cell.num_field("drivers")?,
+                    served: cell.num_field("served")?,
+                    profit: cell.num_field("profit")?,
+                    ratio: match cell.get("ratio") {
+                        Some(JsonValue::Null) | None => None,
+                        Some(_) => Some(cell.num_field("ratio")?),
+                    },
+                    wall_ms: 0.0,
+                })
+            })
+            .collect()
+    };
+    read().map_err(|detail| OrchestrateError::CorruptResult {
         path: path.display().to_string(),
         detail,
-    };
-    let v = parse_json(text).map_err(&corrupt)?;
-    let schema = v.get("schema").and_then(JsonValue::as_str);
-    if schema != Some(SWEEP_SCHEMA) {
-        return Err(corrupt(format!(
-            "schema {schema:?}, expected {SWEEP_SCHEMA:?}"
-        )));
-    }
-    let cells = v
-        .get("cells")
-        .and_then(JsonValue::arr)
-        .ok_or_else(|| corrupt("missing cells array".into()))?;
-    let mut out = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let str_field = |key: &str| {
-            cell.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| corrupt(format!("missing string field {key:?}")))
-        };
-        let num_field = |key: &str| {
-            cell.get(key)
-                .and_then(JsonValue::num)
-                .ok_or_else(|| corrupt(format!("missing numeric field {key:?}")))
-        };
-        let usize_field = |key: &str| {
-            num_field(key).and_then(|n| {
-                n.parse::<usize>()
-                    .map_err(|e| corrupt(format!("bad {key:?}: {e}")))
-            })
-        };
-        let ratio = match cell.get("ratio") {
-            Some(JsonValue::Null) | None => None,
-            Some(r) => Some(
-                r.num()
-                    .and_then(|n| n.parse::<f64>().ok())
-                    .ok_or_else(|| corrupt("bad \"ratio\"".into()))?,
-            ),
-        };
-        out.push(SweepCell {
-            scenario: str_field("scenario")?,
-            policy: str_field("policy")?,
-            tasks: usize_field("tasks")?,
-            drivers: usize_field("drivers")?,
-            served: usize_field("served")?,
-            profit: num_field("profit")?
-                .parse::<f64>()
-                .map_err(|e| corrupt(format!("bad \"profit\": {e}")))?,
-            ratio,
-            wall_ms: 0.0,
-        });
-    }
-    Ok(out)
+    })
 }
 
 /// Merges unit results in catalog order into one report.

@@ -68,8 +68,7 @@ use std::fmt::Write as _;
 
 use rideshare_core::{Driver, Task};
 use rideshare_online::{DispatchEvent, StreamSink};
-use rideshare_trace::wire::{parse_json, JsonValue};
-use rideshare_types::{TimeDelta, Timestamp};
+use rideshare_types::{json, TimeDelta, Timestamp};
 
 use crate::table::render_table;
 
@@ -503,8 +502,9 @@ impl StreamMetrics {
         s
     }
 
-    /// Decodes a [`Self::to_canonical_json`] snapshot. Exact inverse: the
-    /// result compares `==` to the serialised accumulator.
+    /// Decodes a [`Self::to_canonical_json`] snapshot (parsed and read
+    /// through [`rideshare_types::json`]). Exact inverse: the result
+    /// compares `==` to the serialised accumulator.
     ///
     /// # Errors
     ///
@@ -512,69 +512,59 @@ impl StreamMetrics {
     /// than [`SNAPSHOT_SCHEMA`], or out-of-range/inconsistent fields —
     /// never panics on hostile input.
     pub fn from_canonical_json(s: &str) -> Result<Self, SnapshotError> {
-        let v = parse_json(s).map_err(SnapshotError)?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| SnapshotError("missing schema tag".into()))?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(SnapshotError(format!(
-                "schema {schema:?}, expected {SNAPSHOT_SCHEMA:?}"
-            )));
-        }
-        let bucket_secs = json_i64(&v, "bucket_secs")?;
+        Self::read_snapshot(s).map_err(SnapshotError)
+    }
+
+    /// [`Self::from_canonical_json`] in the typed reader's error type.
+    fn read_snapshot(s: &str) -> Result<Self, String> {
+        let v = json::parse(s)?;
+        v.expect_schema(SNAPSHOT_SCHEMA)?;
+        let bucket_secs: i64 = v.num_field("bucket_secs")?;
         if bucket_secs <= 0 {
-            return Err(SnapshotError(format!(
-                "bucket_secs {bucket_secs} must be positive"
-            )));
+            return Err(format!("bucket_secs {bucket_secs} must be positive"));
         }
         let mut m = StreamMetrics::with_bucket(TimeDelta::from_secs(bucket_secs));
-        m.totals.published = json_usize(&v, "published")?;
-        m.totals.served = json_usize(&v, "served")?;
-        m.rejected = json_usize(&v, "rejected")?;
-        m.totals.revenue = FixedSum(json_i128_str(&v, "revenue")?);
-        m.totals.profit = FixedSum(json_i128_str(&v, "profit")?);
-        m.wait_secs_sum = json_i64(&v, "wait_secs")?;
-        m.deadhead_km = FixedSum(json_i128_str(&v, "deadhead")?);
+        m.totals.published = v.num_field("published")?;
+        m.totals.served = v.num_field("served")?;
+        m.rejected = v.num_field("rejected")?;
+        m.totals.revenue = FixedSum(v.quoted_num_field("revenue")?);
+        m.totals.profit = FixedSum(v.quoted_num_field("profit")?);
+        m.wait_secs_sum = v.num_field("wait_secs")?;
+        m.deadhead_km = FixedSum(v.quoted_num_field("deadhead")?);
 
-        let bucket_count = json_usize(&v, "bucket_count")?;
+        let bucket_count: usize = v.num_field("bucket_count")?;
         if bucket_count > MAX_SNAPSHOT_SLOTS {
-            return Err(SnapshotError(format!(
-                "bucket_count {bucket_count} too large"
-            )));
+            return Err(format!("bucket_count {bucket_count} too large"));
         }
         m.buckets.resize(bucket_count, StreamBucket::default());
-        for row in json_rows(&v, "buckets")? {
-            let [k, published, served, revenue, profit] = row_fields::<5>(row)?;
-            let k = cell_usize(k)?;
+        for row in v.arr_field("buckets")? {
+            let row = row.row::<5>()?;
+            let k: usize = row.num_field(0)?;
             let b = m
                 .buckets
                 .get_mut(k)
-                .ok_or_else(|| SnapshotError(format!("bucket index {k} out of range")))?;
+                .ok_or_else(|| format!("bucket index {k} out of range"))?;
             *b = StreamBucket {
-                published: cell_usize(published)?,
-                served: cell_usize(served)?,
-                revenue: FixedSum(cell_i128_str(revenue)?),
-                profit: FixedSum(cell_i128_str(profit)?),
+                published: row.num_field(1)?,
+                served: row.num_field(2)?,
+                revenue: FixedSum(row.quoted_num_field(3)?),
+                profit: FixedSum(row.quoted_num_field(4)?),
             };
         }
 
-        let driver_count = json_usize(&v, "driver_count")?;
+        let driver_count: usize = v.num_field("driver_count")?;
         if driver_count > MAX_SNAPSHOT_SLOTS {
-            return Err(SnapshotError(format!(
-                "driver_count {driver_count} too large"
-            )));
+            return Err(format!("driver_count {driver_count} too large"));
         }
         m.register_drivers(driver_count);
-        for row in json_rows(&v, "drivers")? {
-            let [d, income, tasks] = row_fields::<3>(row)?;
-            let d = cell_usize(d)?;
+        for row in v.arr_field("drivers")? {
+            let row = row.row::<3>()?;
+            let d: usize = row.num_field(0)?;
             if d >= driver_count {
-                return Err(SnapshotError(format!("driver index {d} out of range")));
+                return Err(format!("driver index {d} out of range"));
             }
-            m.income[d] = FixedSum(cell_i128_str(income)?);
-            m.tasks_per_driver[d] = u32::try_from(cell_usize(tasks)?)
-                .map_err(|_| SnapshotError("task count overflows u32".into()))?;
+            m.income[d] = FixedSum(row.quoted_num_field(1)?);
+            m.tasks_per_driver[d] = row.num_field(2)?;
         }
         Ok(m)
     }
@@ -585,69 +575,6 @@ impl StreamMetrics {
 /// allocate unbounded memory. Generous: 2²⁴ hourly buckets is ~1914
 /// years of stream time.
 const MAX_SNAPSHOT_SLOTS: usize = 1 << 24;
-
-fn json_num<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, SnapshotError> {
-    v.get(key)
-        .and_then(JsonValue::num)
-        .ok_or_else(|| SnapshotError(format!("missing numeric field {key:?}")))
-}
-
-fn json_i64(v: &JsonValue, key: &str) -> Result<i64, SnapshotError> {
-    json_num(v, key)?
-        .parse()
-        .map_err(|_| SnapshotError(format!("field {key:?} is not an i64")))
-}
-
-fn json_usize(v: &JsonValue, key: &str) -> Result<usize, SnapshotError> {
-    json_num(v, key)?
-        .parse()
-        .map_err(|_| SnapshotError(format!("field {key:?} is not a usize")))
-}
-
-fn json_i128_str(v: &JsonValue, key: &str) -> Result<i128, SnapshotError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| SnapshotError(format!("missing string field {key:?}")))?
-        .parse()
-        .map_err(|_| SnapshotError(format!("field {key:?} is not an i128 string")))
-}
-
-fn json_rows<'v>(v: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], SnapshotError> {
-    v.get(key)
-        .and_then(JsonValue::arr)
-        .ok_or_else(|| SnapshotError(format!("missing array field {key:?}")))
-}
-
-fn row_fields<const N: usize>(row: &JsonValue) -> Result<[&JsonValue; N], SnapshotError> {
-    let cells = row
-        .arr()
-        .ok_or_else(|| SnapshotError("table row is not an array".into()))?;
-    if cells.len() != N {
-        return Err(SnapshotError(format!(
-            "table row has {} cells, expected {N}",
-            cells.len()
-        )));
-    }
-    let mut out = [row; N];
-    for (o, c) in out.iter_mut().zip(cells) {
-        *o = c;
-    }
-    Ok(out)
-}
-
-fn cell_usize(c: &JsonValue) -> Result<usize, SnapshotError> {
-    c.num()
-        .ok_or_else(|| SnapshotError("table cell is not a number".into()))?
-        .parse()
-        .map_err(|_| SnapshotError("table cell is not a usize".into()))
-}
-
-fn cell_i128_str(c: &JsonValue) -> Result<i128, SnapshotError> {
-    c.as_str()
-        .ok_or_else(|| SnapshotError("table cell is not a string".into()))?
-        .parse()
-        .map_err(|_| SnapshotError("table cell is not an i128 string".into()))
-}
 
 impl StreamSink for StreamMetrics {
     fn driver_online(&mut self, driver: &Driver) {
@@ -846,10 +773,13 @@ mod tests {
 
     #[test]
     fn hostile_snapshots_yield_errors_not_panics() {
+        // Nested past the parser's bound: an error, not a stack overflow.
+        let deep = "[".repeat(60_000);
         for bad in [
             "",
             "{",
             "[1,2,3]",
+            deep.as_str(),
             "{\"schema\":\"other/9\"}",
             "{\"schema\":\"rideshare-stream-metrics/1\"}",
             // Negative / oversized counts.

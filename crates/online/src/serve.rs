@@ -294,9 +294,10 @@ enum LoopEnd {
     Fault(IngestError),
 }
 
-/// Pulls events from `source` through `guard`, as an iterator the sharded
-/// router can consume on the caller's thread. Stops (returns `None`) on
-/// end-of-stream, fault, or shutdown; the disposition lands in `end`.
+/// Pulls events from `source` through `guard`, as the iterator both the
+/// one-shard loop and the sharded router consume on the caller's thread.
+/// Stops (returns `None`) on end-of-stream, fault, or shutdown; the
+/// disposition lands in `end`.
 struct GuardedEvents<'a> {
     source: &'a mut dyn IngestSource,
     guard: EventGuard,
@@ -405,20 +406,20 @@ impl<'p> ServeDaemon<'p> {
         let mut end = LoopEnd::Clean;
         let mut serve_sink = ServeSink::new(sink, &mut on_snapshot, &mut on_day, &self.config);
 
+        let guarded = GuardedEvents {
+            source,
+            guard: EventGuard::new(),
+            shutdown: self.shutdown.as_deref(),
+            events: &mut events,
+            end: &mut end,
+        };
         let summary = if self.config.shards.shards == 1 {
-            self.run_sequential(source, &mut serve_sink, &mut events, &mut end)
+            self.run_sequential(guarded, &mut serve_sink)
         } else {
             let partitioner = self
                 .partitioner
                 // audit:allow(unwrap-panic): construction contract, not feed input — `run`'s Panics section documents it, and no hostile byte stream can reach this branch (the partitioner is fixed before ingestion starts).
                 .expect("serving more than one shard requires a partitioner");
-            let guarded = GuardedEvents {
-                source,
-                guard: EventGuard::new(),
-                shutdown: self.shutdown.as_deref(),
-                events: &mut events,
-                end: &mut end,
-            };
             replay_sharded(
                 self.speed,
                 guarded,
@@ -451,64 +452,29 @@ impl<'p> ServeDaemon<'p> {
 
     /// The one-shard path: a sequential [`StreamEngine`] driven directly,
     /// with proactive day-boundary compaction.
-    fn run_sequential<S, FS, FD>(
+    fn run_sequential(
         &self,
-        source: &mut dyn IngestSource,
-        sink: &mut ServeSink<'_, S, FS, FD>,
-        events: &mut usize,
-        end: &mut LoopEnd,
-    ) -> StreamSummary
-    where
-        S: StreamSink,
-        FS: FnMut(SnapshotPoint, &mut S),
-        FD: FnMut(DayPoint, &mut S),
-    {
+        guarded: GuardedEvents<'_>,
+        sink: &mut impl StreamSink,
+    ) -> StreamSummary {
         let mut holder = self.spec.holder();
         let mut engine = StreamEngine::new(self.speed, self.config.shards.stream);
-        let mut guard = EventGuard::new();
         let day = self.config.day_length.as_secs();
         let mut next_compact = Timestamp::EPOCH + self.config.day_length;
-        loop {
-            if self
-                .shutdown
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
-            {
-                *end = LoopEnd::Shutdown;
-                break;
-            }
-            match source.next_event() {
-                Ok(Some(event)) => {
-                    if let Err(e) = guard.admit(&event) {
-                        *end = LoopEnd::Fault(e);
-                        break;
-                    }
-                    // Day-boundary state reset: compact provably-retired
-                    // drivers the first time the stream clock crosses a
-                    // day end (lossless — cannot change any decision).
-                    if let Some(t) = event.timestamp() {
-                        if t >= next_compact {
-                            engine.compact_now(&holder.as_policy());
-                            let k = t.as_secs().div_euclid(day) + 1;
-                            next_compact = Timestamp::from_secs(k * day);
-                        }
-                    }
-                    *events += 1;
-                    let mut policy = holder.as_policy();
-                    engine.push(event, &mut policy, sink);
-                }
-                Ok(None) => {
-                    *end = LoopEnd::Clean;
-                    break;
-                }
-                Err(e) => {
-                    *end = LoopEnd::Fault(e);
-                    break;
+        for event in guarded {
+            // Day-boundary state reset: compact provably-retired drivers
+            // the first time the stream clock crosses a day end (lossless
+            // — cannot change any decision).
+            if let Some(t) = event.timestamp() {
+                if t >= next_compact {
+                    engine.compact_now(&holder.as_policy());
+                    let k = t.as_secs().div_euclid(day) + 1;
+                    next_compact = Timestamp::from_secs(k * day);
                 }
             }
+            engine.push(event, &mut holder.as_policy(), sink);
         }
-        let mut policy = holder.as_policy();
-        engine.finish(&mut policy, sink)
+        engine.finish(&mut holder.as_policy(), sink)
     }
 }
 

@@ -7,7 +7,11 @@
 //! so a future `unwrap` sneaking into the path fails here before the
 //! audit even runs.
 
-use rideshare_online::{FileSource, IngestError, IngestFormat, IngestSource, TcpSource};
+use rideshare_geo::SpeedModel;
+use rideshare_online::{
+    CollectingSink, FileSource, IngestError, IngestFormat, IngestSource, ServeConfig, ServeDaemon,
+    ServeStop, ShardPolicySpec, TcpSource,
+};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -73,6 +77,31 @@ fn truncated_json_object_is_malformed() {
         drain(src),
         Err(IngestError::Malformed { line: 1, .. })
     ));
+}
+
+#[test]
+fn deeply_nested_line_is_malformed_and_the_daemon_drains() {
+    // 60 kB of `[` after one good event. The parser used to recurse once
+    // per bracket and abort the whole process on a stack overflow; the
+    // nesting bound makes it a typed error like any other bad line.
+    let mut bytes = b"{\"event\":\"tick\",\"at\":60}\n".to_vec();
+    bytes.resize(bytes.len() + 60_000, b'[');
+    bytes.push(b'\n');
+    let junk = TempEvents::new("deep", &bytes);
+    let mut src = FileSource::open(&junk.0, IngestFormat::Jsonl).unwrap();
+    let daemon = ServeDaemon::new(
+        SpeedModel::default(),
+        ShardPolicySpec::MaxMargin,
+        ServeConfig::new(1),
+    );
+    let outcome = daemon.run(&mut src, &mut CollectingSink::new(), |_, _| {}, |_, _| {});
+    assert!(
+        matches!(outcome.error, Some(IngestError::Malformed { line: 2, .. })),
+        "expected Malformed at line 2, got {:?}",
+        outcome.error
+    );
+    assert_eq!(outcome.report.stop, ServeStop::Error);
+    assert_eq!(outcome.report.events, 1, "the good line before it drained");
 }
 
 #[test]

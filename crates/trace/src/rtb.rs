@@ -259,15 +259,52 @@ impl<W: Write> RtbWriter<W> {
     }
 }
 
+/// What both readers know about where the record stream ends: the
+/// header's declared count, the events decoded so far, and whether the
+/// end-of-stream record has been accepted.
+struct StreamEnd {
+    declared: u64,
+    decoded: u64,
+    done: bool,
+}
+
+impl StreamEnd {
+    fn new(declared: u64) -> Self {
+        Self {
+            declared,
+            decoded: 0,
+            done: false,
+        }
+    }
+
+    fn declared_count(&self) -> Option<u64> {
+        (self.declared != COUNT_UNKNOWN).then_some(self.declared)
+    }
+
+    /// Accepts the end-of-stream record, unless a byte follows it (at
+    /// offset `trailing`) or the header's count disagrees with the stream.
+    fn finish(&mut self, trailing: Option<u64>) -> Result<(), RtbError> {
+        if let Some(offset) = trailing {
+            return Err(RtbError::TrailingBytes { offset });
+        }
+        if self.declared != COUNT_UNKNOWN && self.declared != self.decoded {
+            return Err(RtbError::CountMismatch {
+                declared: self.declared,
+                decoded: self.decoded,
+            });
+        }
+        self.done = true;
+        Ok(())
+    }
+}
+
 /// Zero-copy `.rtb` reader over an in-memory byte slice (a slurped or
 /// memory-mapped file). Records decode straight out of `data` — the
 /// reader holds no buffer and performs no per-event allocation.
 pub struct RtbSlice<'a> {
     data: &'a [u8],
     pos: usize,
-    decoded: u64,
-    declared: u64,
-    done: bool,
+    end: StreamEnd,
 }
 
 impl<'a> RtbSlice<'a> {
@@ -281,22 +318,26 @@ impl<'a> RtbSlice<'a> {
         Ok(Self {
             data,
             pos: HEADER_LEN,
-            decoded: 0,
-            declared,
-            done: false,
+            end: StreamEnd::new(declared),
         })
     }
 
     /// The header's event count, or `None` if the producer streamed blind.
     #[must_use]
     pub fn declared_count(&self) -> Option<u64> {
-        (self.declared != COUNT_UNKNOWN).then_some(self.declared)
+        self.end.declared_count()
     }
 
     /// Events decoded so far.
     #[must_use]
     pub fn decoded_count(&self) -> u64 {
-        self.decoded
+        self.end.decoded
+    }
+
+    /// Byte offset of the next record, for diagnostics.
+    fn offset(&self) -> u64 {
+        // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
+        self.pos as u64
     }
 
     /// The next event, or `Ok(None)` after a clean end-of-stream record.
@@ -309,50 +350,31 @@ impl<'a> RtbSlice<'a> {
     // Fallible-iterator pull, same idiom as `FrameDecoder::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<WireEvent>, RtbError> {
-        if self.done {
+        if self.end.done {
             return Ok(None);
         }
+        let truncated = RtbError::Truncated {
+            offset: self.offset(),
+        };
         let Some(&tag) = self.data.get(self.pos) else {
-            return Err(RtbError::Truncated {
-                // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-                offset: self.pos as u64,
-            });
+            return Err(truncated);
         };
         let Some(len) = wire::body_len(tag) else {
             return Err(RtbError::Record(WireError::UnknownTag(tag)));
         };
         let end = self.pos + len;
         let Some(body) = self.data.get(self.pos..end) else {
-            return Err(RtbError::Truncated {
-                // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-                offset: self.pos as u64,
-            });
+            return Err(truncated);
         };
         let event = wire::decode_frame_body(body)?;
         self.pos = end;
         if matches!(event, WireEvent::Eos) {
-            self.finish_stream(self.data.len() != self.pos)?;
+            let trailing = (self.data.len() != self.pos).then_some(self.offset());
+            self.end.finish(trailing)?;
             return Ok(None);
         }
-        self.decoded += 1;
+        self.end.decoded += 1;
         Ok(Some(event))
-    }
-
-    fn finish_stream(&mut self, trailing: bool) -> Result<(), RtbError> {
-        if trailing {
-            return Err(RtbError::TrailingBytes {
-                // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-                offset: self.pos as u64,
-            });
-        }
-        if self.declared != COUNT_UNKNOWN && self.declared != self.decoded {
-            return Err(RtbError::CountMismatch {
-                declared: self.declared,
-                decoded: self.decoded,
-            });
-        }
-        self.done = true;
-        Ok(())
     }
 }
 
@@ -363,9 +385,7 @@ impl<'a> RtbSlice<'a> {
 pub struct RtbFileReader<R: Read = BufReader<File>> {
     inner: R,
     offset: u64,
-    decoded: u64,
-    declared: u64,
-    done: bool,
+    end: StreamEnd,
     buf: [u8; MAX_RECORD],
 }
 
@@ -398,9 +418,7 @@ impl<R: Read> RtbFileReader<R> {
             inner,
             // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
             offset: HEADER_LEN as u64,
-            decoded: 0,
-            declared,
-            done: false,
+            end: StreamEnd::new(declared),
             buf: [0u8; MAX_RECORD],
         })
     }
@@ -408,7 +426,7 @@ impl<R: Read> RtbFileReader<R> {
     /// The header's event count, or `None` if the producer streamed blind.
     #[must_use]
     pub fn declared_count(&self) -> Option<u64> {
-        (self.declared != COUNT_UNKNOWN).then_some(self.declared)
+        self.end.declared_count()
     }
 
     /// The next event, or `Ok(None)` after a clean end-of-stream record.
@@ -419,7 +437,7 @@ impl<R: Read> RtbFileReader<R> {
     /// transport failures.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<WireEvent>, RtbError> {
-        if self.done {
+        if self.end.done {
             return Ok(None);
         }
         let mut tag = [0u8; 1];
@@ -433,35 +451,24 @@ impl<R: Read> RtbFileReader<R> {
         // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
         self.offset += len as u64;
         if matches!(event, WireEvent::Eos) {
-            self.finish_stream()?;
+            let trailing = self.byte_follows()?.then_some(self.offset);
+            self.end.finish(trailing)?;
             return Ok(None);
         }
-        self.decoded += 1;
+        self.end.decoded += 1;
         Ok(Some(event))
     }
 
-    fn finish_stream(&mut self) -> Result<(), RtbError> {
+    /// Whether the transport still has a byte to give (it is consumed).
+    fn byte_follows(&mut self) -> Result<bool, RtbError> {
         let mut probe = [0u8; 1];
         loop {
             match self.inner.read(&mut probe) {
-                Ok(0) => break,
-                Ok(_) => {
-                    return Err(RtbError::TrailingBytes {
-                        offset: self.offset,
-                    })
-                }
+                Ok(n) => return Ok(n != 0),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(RtbError::Io(e.to_string())),
             }
         }
-        if self.declared != COUNT_UNKNOWN && self.declared != self.decoded {
-            return Err(RtbError::CountMismatch {
-                declared: self.declared,
-                decoded: self.decoded,
-            });
-        }
-        self.done = true;
-        Ok(())
     }
 }
 

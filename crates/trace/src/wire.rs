@@ -30,6 +30,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::str::FromStr;
 
 use rideshare_geo::GeoPoint;
 use rideshare_types::{TimeDelta, Timestamp};
@@ -499,282 +500,11 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal strict JSON (subset) parser — shared by the JSONL wire format and
-// the metrics snapshot files, so the workspace needs no serde dependency.
+// JSONL encoding. The parser and typed reader live in
+// `rideshare_types::json`; the wire format's names for them stay here.
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value from [`parse_json`].
-///
-/// Numbers are kept as their raw text so 64-bit integers survive exactly
-/// (an `f64` intermediate would corrupt timestamps and the metrics
-/// crate's i128 fixed-point accumulators above 2^53); the caller parses
-/// the text with the precision it needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A number, as raw unparsed text.
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, JsonValue)>),
-    /// The `null` literal (the sweep schema emits it for undefined ratios).
-    Null,
-    /// A `true`/`false` literal.
-    Bool(bool),
-}
-
-impl JsonValue {
-    /// Looks up a key of an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as raw number text, if it is a number.
-    #[must_use]
-    pub fn num(&self) -> Option<&str> {
-        match self {
-            JsonValue::Num(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    #[must_use]
-    pub fn arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Whether the value is the `null` literal.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
-    /// The value as a boolean, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    });
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let s = std::str::from_utf8(&self.b[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("empty number at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())?;
-        Ok(JsonValue::Num(text.to_string()))
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("unexpected literal at byte {}", self.pos))
-        }
-    }
-}
-
-/// Parses a strict subset of JSON (objects, arrays, strings, numbers, and
-/// the `null`/`true`/`false` literals) — exactly what the wire, snapshot,
-/// and sweep formats emit.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax error, with byte offsets.
-pub fn parse_json(s: &str) -> Result<JsonValue, String> {
-    let mut p = JsonParser {
-        b: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------------
-// JSONL encoding
-// ---------------------------------------------------------------------------
+pub use rideshare_types::json::{parse as parse_json, JsonValue};
 
 fn model_name(m: DriverModel) -> &'static str {
     match m {
@@ -783,13 +513,11 @@ fn model_name(m: DriverModel) -> &'static str {
     }
 }
 
-fn model_from_name(s: &str) -> Result<DriverModel, WireError> {
+fn model_from_name(s: &str) -> Result<DriverModel, String> {
     match s {
         "hwh" => Ok(DriverModel::HomeWorkHome),
         "hitch" => Ok(DriverModel::Hitchhiking),
-        other => Err(WireError::Malformed(format!(
-            "unknown driver model {other:?}"
-        ))),
+        other => Err(format!("unknown driver model {other:?}")),
     }
 }
 
@@ -832,31 +560,49 @@ pub fn to_json_line(event: &WireEvent) -> String {
     }
 }
 
-fn field<'v>(obj: &'v JsonValue, key: &str) -> Result<&'v JsonValue, WireError> {
-    obj.get(key)
-        .ok_or_else(|| WireError::Malformed(format!("missing field {key:?}")))
+/// The two-number array under `key` (`[lat,lon]`, `[start,end]`).
+fn pair_field<T: FromStr>(obj: &JsonValue, key: &str) -> Result<(T, T), String> {
+    obj.field(key)?
+        .row::<2>()
+        .and_then(|pair| Ok((pair.num_field(0)?, pair.num_field(1)?)))
+        .map_err(|e| format!("field {key:?}: {e}"))
 }
 
-fn num_field<T: std::str::FromStr>(obj: &JsonValue, key: &str) -> Result<T, WireError> {
-    field(obj, key)?
-        .num()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| WireError::Malformed(format!("bad numeric field {key:?}")))
+fn point_field(obj: &JsonValue, key: &str) -> Result<GeoPoint, String> {
+    let (lat, lon) = pair_field(obj, key)?;
+    Ok(GeoPoint::new(lat, lon))
 }
 
-fn point_field(obj: &JsonValue, key: &str) -> Result<GeoPoint, WireError> {
-    let arr = field(obj, key)?
-        .arr()
-        .ok_or_else(|| WireError::Malformed(format!("field {key:?} is not an array")))?;
-    if arr.len() != 2 {
-        return Err(WireError::Malformed(format!(
-            "field {key:?} must be [lat,lon]"
-        )));
-    }
-    let coord = |v: &JsonValue| v.num().and_then(|s| s.parse::<f64>().ok());
-    match (coord(&arr[0]), coord(&arr[1])) {
-        (Some(lat), Some(lon)) => Ok(GeoPoint::new(lat, lon)),
-        _ => Err(WireError::Malformed(format!("bad coordinates in {key:?}"))),
+fn event_from_json(line: &str) -> Result<WireEvent, String> {
+    let obj = parse_json(line)?;
+    match obj.str_field("event")? {
+        "driver" => {
+            let (start, end) = pair_field(&obj, "shift")?;
+            Ok(WireEvent::DriverOnline(WireDriver {
+                id: obj.num_field("id")?,
+                source: point_field(&obj, "source")?,
+                destination: point_field(&obj, "destination")?,
+                shift_start: Timestamp::from_secs(start),
+                shift_end: Timestamp::from_secs(end),
+                model: model_from_name(obj.str_field("model")?)?,
+            }))
+        }
+        "task" => Ok(WireEvent::TaskPublished(WireTask {
+            id: obj.num_field("id")?,
+            publish_time: Timestamp::from_secs(obj.num_field("publish")?),
+            origin: point_field(&obj, "origin")?,
+            destination: point_field(&obj, "destination")?,
+            pickup_deadline: Timestamp::from_secs(obj.num_field("pickup_by")?),
+            completion_deadline: Timestamp::from_secs(obj.num_field("complete_by")?),
+            duration: TimeDelta::from_secs(obj.num_field("duration")?),
+            price: obj.num_field("price")?,
+            valuation: obj.num_field("valuation")?,
+            service_cost: obj.num_field("cost")?,
+        })),
+        "offline" => Ok(WireEvent::DriverOffline(obj.num_field("id")?)),
+        "tick" => Ok(WireEvent::EpochTick(obj.num_field("at")?)),
+        "eos" => Ok(WireEvent::Eos),
+        other => Err(format!("unknown event kind {other:?}")),
     }
 }
 
@@ -867,56 +613,7 @@ fn point_field(obj: &JsonValue, key: &str) -> Result<GeoPoint, WireError> {
 /// Returns [`WireError::Malformed`] describing the first problem; never
 /// panics on hostile input.
 pub fn from_json_line(line: &str) -> Result<WireEvent, WireError> {
-    let obj = parse_json(line).map_err(WireError::Malformed)?;
-    let kind = field(&obj, "event")?
-        .as_str()
-        .ok_or_else(|| WireError::Malformed("field \"event\" is not a string".into()))?
-        .to_string();
-    match kind.as_str() {
-        "driver" => {
-            let shift = field(&obj, "shift")?
-                .arr()
-                .ok_or_else(|| WireError::Malformed("field \"shift\" is not an array".into()))?;
-            if shift.len() != 2 {
-                return Err(WireError::Malformed(
-                    "field \"shift\" must be [start,end]".into(),
-                ));
-            }
-            let secs = |v: &JsonValue| v.num().and_then(|s| s.parse::<i64>().ok());
-            let (start, end) = match (secs(&shift[0]), secs(&shift[1])) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(WireError::Malformed("bad shift bounds".into())),
-            };
-            Ok(WireEvent::DriverOnline(WireDriver {
-                id: num_field(&obj, "id")?,
-                source: point_field(&obj, "source")?,
-                destination: point_field(&obj, "destination")?,
-                shift_start: Timestamp::from_secs(start),
-                shift_end: Timestamp::from_secs(end),
-                model: model_from_name(field(&obj, "model")?.as_str().ok_or_else(|| {
-                    WireError::Malformed("field \"model\" is not a string".into())
-                })?)?,
-            }))
-        }
-        "task" => Ok(WireEvent::TaskPublished(WireTask {
-            id: num_field(&obj, "id")?,
-            publish_time: Timestamp::from_secs(num_field(&obj, "publish")?),
-            origin: point_field(&obj, "origin")?,
-            destination: point_field(&obj, "destination")?,
-            pickup_deadline: Timestamp::from_secs(num_field(&obj, "pickup_by")?),
-            completion_deadline: Timestamp::from_secs(num_field(&obj, "complete_by")?),
-            duration: TimeDelta::from_secs(num_field(&obj, "duration")?),
-            price: num_field(&obj, "price")?,
-            valuation: num_field(&obj, "valuation")?,
-            service_cost: num_field(&obj, "cost")?,
-        })),
-        "offline" => Ok(WireEvent::DriverOffline(num_field(&obj, "id")?)),
-        "tick" => Ok(WireEvent::EpochTick(num_field(&obj, "at")?)),
-        "eos" => Ok(WireEvent::Eos),
-        other => Err(WireError::Malformed(format!(
-            "unknown event kind {other:?}"
-        ))),
-    }
+    event_from_json(line).map_err(WireError::Malformed)
 }
 
 // ---------------------------------------------------------------------------
@@ -962,7 +659,7 @@ pub fn to_csv_line(event: &WireEvent) -> String {
     }
 }
 
-fn csv_num<T: std::str::FromStr>(fields: &[&str], idx: usize) -> Result<T, WireError> {
+fn csv_num<T: FromStr>(fields: &[&str], idx: usize) -> Result<T, WireError> {
     fields
         .get(idx)
         .and_then(|s| s.parse().ok())
@@ -997,7 +694,7 @@ pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
                 destination: GeoPoint::new(csv_num(&fields, 4)?, csv_num(&fields, 5)?),
                 shift_start: Timestamp::from_secs(csv_num(&fields, 6)?),
                 shift_end: Timestamp::from_secs(csv_num(&fields, 7)?),
-                model: model_from_name(fields[8])?,
+                model: model_from_name(fields[8]).map_err(WireError::Malformed)?,
             }))
         }
         "T" => {
@@ -1211,23 +908,6 @@ mod tests {
         ] {
             assert!(from_csv_line(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn json_parser_keeps_integer_precision() {
-        let v = parse_json("{\"at\":9223372036854775807}").unwrap();
-        assert_eq!(v.get("at").unwrap().num(), Some("9223372036854775807"));
-    }
-
-    #[test]
-    fn json_parser_accepts_literals() {
-        let v = parse_json("{\"ratio\": null, \"bound\": true, \"off\": false}").unwrap();
-        assert!(v.get("ratio").unwrap().is_null());
-        assert_eq!(v.get("bound").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("off").unwrap().as_bool(), Some(false));
-        assert!(!v.get("bound").unwrap().is_null());
-        assert!(parse_json("nul").is_err());
-        assert!(parse_json("truthy").is_err());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! checksum of the payload — then the payload. Hostile bytes (truncation,
 //! corrupt headers, overlong varints, trailing garbage, checksum
 //! mismatches) surface as typed [`CodecError`]s, never panics; bounds are
-//! checked on the *header* before any payload is awaited or decoded, so a
+//! checked on the *header* before any payload is decoded, so a
 //! forged length cannot force a large allocation.
 
 use std::error::Error;
@@ -50,8 +50,8 @@ pub const MAX_CHUNK_SAMPLES: u32 = 1 << 20;
 
 /// Hard cap on a chunk payload in bytes. A sample encodes to at most 29
 /// bytes (10-byte timestamp varint + 19-byte value varint), so this
-/// comfortably covers [`MAX_CHUNK_SAMPLES`] while bounding what a forged
-/// header can make the incremental decoder buffer.
+/// comfortably covers [`MAX_CHUNK_SAMPLES`] while bounding the payload a
+/// forged header can claim.
 pub const MAX_CHUNK_PAYLOAD: u32 = 32 << 20;
 
 /// One telemetry sample: a position on the stream clock and an exact
@@ -459,83 +459,6 @@ pub fn decode_file(bytes: &[u8]) -> Result<Vec<Sample>, CodecError> {
     Ok(out)
 }
 
-/// Incremental chunk-file decoder, mirroring the wire module's
-/// `FrameDecoder`: feed bytes in arbitrary slices (partial reads, one
-/// byte at a time, whole file at once — all equivalent), pull decoded
-/// chunks as they complete. The drained-partial-read contract: a failed
-/// [`ChunkFileDecoder::next`] leaves the buffer untouched, so the same
-/// typed error reproduces on every subsequent call and
-/// [`ChunkFileDecoder::pending_bytes`] reports exactly the undecodable
-/// tail.
-#[derive(Debug, Default)]
-pub struct ChunkFileDecoder {
-    buf: Vec<u8>,
-    header_done: bool,
-}
-
-impl ChunkFileDecoder {
-    /// A decoder expecting a fresh series file (magic first).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw bytes from any read granularity.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet decoded into a returned chunk.
-    #[must_use]
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True once the file header has been consumed and no partial chunk
-    /// is buffered — i.e. the stream may cleanly end here.
-    #[must_use]
-    pub fn at_clean_boundary(&self) -> bool {
-        self.header_done && self.buf.is_empty()
-    }
-
-    /// Decodes the next complete chunk, `Ok(None)` when more bytes are
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CodecError`]s once enough bytes are buffered to prove the
-    /// stream malformed (header bounds are checked as soon as the 12
-    /// header bytes arrive, before the payload is awaited).
-    // Fallible-iterator pull, same idiom as `FrameDecoder::next`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Vec<Sample>>, CodecError> {
-        if !self.header_done {
-            if self.buf.len() < FILE_HEADER_LEN {
-                return Ok(None);
-            }
-            check_file_header(&self.buf)?;
-            self.buf.drain(..FILE_HEADER_LEN);
-            self.header_done = true;
-        }
-        if self.buf.is_empty() {
-            return Ok(None);
-        }
-        if self.buf.len() < CHUNK_HEADER_LEN {
-            return Ok(None);
-        }
-        // Bounds-check the header immediately; only then wait for payload.
-        let header = read_chunk_header(&self.buf)?;
-        let need = CHUNK_HEADER_LEN + widen(header.payload_len);
-        if self.buf.len() < need {
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(widen(header.count));
-        let consumed = decode_chunk(&self.buf, &mut out)?;
-        self.buf.drain(..consumed);
-        Ok(Some(out))
-    }
-}
-
 /// u32 → usize widening for lengths/counts.
 fn widen(n: u32) -> usize {
     // audit:allow(as-cast): u32 -> usize widens losslessly on every supported target (usize is at least 32 bits); used for byte lengths and sample counts.
@@ -590,32 +513,5 @@ mod tests {
         for n in [0i128, 1, -1, i128::MIN, i128::MAX, -(1 << 90)] {
             assert_eq!(unzigzag128(zigzag128(n)), n);
         }
-    }
-
-    #[test]
-    fn incremental_equals_whole_buffer() {
-        let samples: Vec<Sample> = (0..500)
-            .map(|k| Sample {
-                t: 60 * k + (k % 7),
-                v: i128::from(k) * (1 << 30) - 5,
-            })
-            .collect();
-        let mut bytes = file_header().to_vec();
-        for chunk in samples.chunks(128) {
-            encode_chunk(chunk, &mut bytes).expect("encode");
-        }
-        let whole = decode_file(&bytes).expect("whole");
-
-        let mut dec = ChunkFileDecoder::new();
-        let mut streamed = Vec::new();
-        for b in &bytes {
-            dec.feed(std::slice::from_ref(b));
-            while let Some(chunk) = dec.next().expect("incremental") {
-                streamed.extend(chunk);
-            }
-        }
-        assert!(dec.at_clean_boundary());
-        assert_eq!(streamed, whole);
-        assert_eq!(streamed, samples);
     }
 }

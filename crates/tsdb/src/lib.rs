@@ -33,7 +33,7 @@ pub mod query;
 pub mod recorder;
 pub mod store;
 
-pub use codec::{ChunkFileDecoder, CodecError, Sample};
+pub use codec::{CodecError, Sample};
 pub use query::{
     run_query, to_canonical_json, Agg, LabelFilter, QueryResult, RangeQuery, WindowAgg,
     QUERY_SCHEMA,

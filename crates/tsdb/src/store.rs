@@ -1,11 +1,12 @@
 //! The label-indexed, append-only store over a directory.
 //!
 //! One directory holds one store: `index.json` (canonical JSON, schema
-//! [`INDEX_SCHEMA`]) maps label sets to series ids, and each series id
-//! `k` owns an append-only chunk file `series-000k.tsc` in the
-//! [`crate::codec`] format. Series are keyed by the five run labels
-//! `{scenario, policy, region, shard, metric}` — the valkey-timeseries
-//! key/label shape, narrowed to what a dispatch run actually varies.
+//! [`INDEX_SCHEMA`], read back through `rideshare_types::json`) maps label
+//! sets to series ids, and each series id `k` owns an append-only chunk
+//! file `series-000k.tsc` in the [`crate::codec`] format. Series are keyed
+//! by the five run labels `{scenario, policy, region, shard, metric}` — the
+//! valkey-timeseries key/label shape, narrowed to what a dispatch run
+//! actually varies.
 //!
 //! Appends must be strictly increasing on the stream clock per series;
 //! an overlapping or duplicate window append is a typed
@@ -17,7 +18,7 @@
 //! daemon flushes at day rollovers and at exit).
 
 use crate::codec::{self, CodecError, Sample};
-use rideshare_trace::wire::{parse_json, JsonValue};
+use rideshare_types::json::{self, JsonValue};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -258,47 +259,14 @@ impl TsdbStore {
     /// Parses `index.json` text and rebuilds per-series state from the
     /// chunk files it names.
     fn load_index(&mut self, text: &str) -> Result<(), TsdbError> {
-        let v = parse_json(text).map_err(TsdbError::BadIndex)?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| TsdbError::BadIndex("missing schema".to_string()))?;
-        if schema != INDEX_SCHEMA {
-            return Err(TsdbError::BadIndex(format!(
-                "schema {schema:?}, expected {INDEX_SCHEMA:?}"
-            )));
-        }
-        let rows = v
-            .get("series")
-            .and_then(JsonValue::arr)
-            .ok_or_else(|| TsdbError::BadIndex("missing series array".to_string()))?;
+        let v = json::parse(text).map_err(TsdbError::BadIndex)?;
+        v.expect_schema(INDEX_SCHEMA).map_err(TsdbError::BadIndex)?;
+        let rows = v.arr_field("series").map_err(TsdbError::BadIndex)?;
         if rows.len() > MAX_SERIES {
             return Err(TsdbError::TooManySeries(rows.len()));
         }
         for row in rows {
-            let cells = row
-                .arr()
-                .filter(|c| c.len() == 6)
-                .ok_or_else(|| TsdbError::BadIndex("series row is not a 6-tuple".to_string()))?;
-            let id: u32 = cells[0]
-                .num()
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| TsdbError::BadIndex("series id is not a u32".to_string()))?;
-            let mut labels = [const { String::new() }; 5];
-            for (slot, cell) in labels.iter_mut().zip(&cells[1..]) {
-                *slot = cell
-                    .as_str()
-                    .ok_or_else(|| TsdbError::BadIndex("label is not a string".to_string()))?
-                    .to_string();
-            }
-            let [scenario, policy, region, shard, metric] = labels;
-            let key = SeriesKey {
-                scenario,
-                policy,
-                region,
-                shard,
-                metric,
-            };
+            let (id, key) = Self::index_row(row).map_err(TsdbError::BadIndex)?;
             key.validate()?;
             let state = self.scan_series_file(id)?;
             if self.series.insert(key, state).is_some() {
@@ -307,6 +275,20 @@ impl TsdbStore {
             self.next_id = self.next_id.max(id.saturating_add(1));
         }
         Ok(())
+    }
+
+    /// One `[id, scenario, policy, region, shard, metric]` index row.
+    fn index_row(row: &JsonValue) -> Result<(u32, SeriesKey), String> {
+        let row = row.row::<6>()?;
+        let label = |cell: usize| row.str_field(cell).map(str::to_string);
+        let key = SeriesKey {
+            scenario: label(1)?,
+            policy: label(2)?,
+            region: label(3)?,
+            shard: label(4)?,
+            metric: label(5)?,
+        };
+        Ok((row.num_field(0)?, key))
     }
 
     /// Path of series `id`'s chunk file.

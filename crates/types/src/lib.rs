@@ -13,6 +13,9 @@
 //! | durations / travel times `l` | [`TimeDelta`] |
 //! | prices, costs, WTP `pₘ, c, bₘ` | [`Money`] |
 //!
+//! It is also home to [`json`], the one JSON parser, typed reader and
+//! string escaper every text format in the workspace goes through.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,6 +36,7 @@
 
 mod error;
 mod ids;
+pub mod json;
 mod money;
 mod time;
 

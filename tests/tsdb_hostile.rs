@@ -12,8 +12,7 @@
 //! ground generatively; these are the deterministic, named corners.
 
 use rideshare::tsdb::codec::{
-    decode_file, file_header, fnv1a, ChunkFileDecoder, CodecError, Sample, CHUNK_HEADER_LEN,
-    MAX_CHUNK_SAMPLES,
+    decode_file, file_header, fnv1a, CodecError, Sample, CHUNK_HEADER_LEN, MAX_CHUNK_SAMPLES,
 };
 use rideshare::tsdb::store::{SeriesKey, CHUNK_LEN, MAX_SERIES};
 use rideshare::tsdb::{LabelFilter, RangeQuery, TsdbError, TsdbStore};
@@ -178,16 +177,13 @@ fn forged_oversized_count_fails_before_payload_arrives() {
     bytes.extend_from_slice(&(MAX_CHUNK_SAMPLES + 1).to_le_bytes());
     bytes.extend_from_slice(&16u32.to_le_bytes());
     bytes.extend_from_slice(&0u32.to_le_bytes());
-    // Whole-buffer decode rejects on the header alone.
+    // The decode rejects on the 12 header bytes alone: the forged
+    // payload is absent, and it is the count that is reported, not a
+    // truncation.
     assert!(matches!(
         decode_file(&bytes),
         Err(CodecError::OversizedChunk { .. })
     ));
-    // The incremental decoder rejects as soon as the 12 header bytes are
-    // in — it must NOT wait for (or buffer toward) the forged payload.
-    let mut dec = ChunkFileDecoder::new();
-    dec.feed(&bytes);
-    assert!(matches!(dec.next(), Err(CodecError::OversizedChunk { .. })));
 }
 
 #[test]
@@ -235,22 +231,6 @@ fn trailing_payload_bytes_are_refused() {
     ));
 }
 
-#[test]
-fn failed_incremental_decode_is_sticky_and_reproducible() {
-    let mut bytes = file_header().to_vec();
-    bytes.extend_from_slice(&raw_chunk(2, &[0xFF; 25]));
-    let mut dec = ChunkFileDecoder::new();
-    dec.feed(&bytes);
-    let first = dec.next().expect_err("garbage varints");
-    let pending = dec.pending_bytes();
-    // The buffer is left untouched: same error, same pending tail, every
-    // time — a caller can log and abort deterministically.
-    let second = dec.next().expect_err("still garbage");
-    assert_eq!(first, second);
-    assert_eq!(dec.pending_bytes(), pending);
-    assert!(!dec.at_clean_boundary());
-}
-
 // ---------------------------------------------------------------------
 // Malformed index.json.
 // ---------------------------------------------------------------------
@@ -269,6 +249,11 @@ fn malformed_index_shapes_are_typed() {
     // Not JSON at all.
     assert!(matches!(
         open_with_index("garbage", "not json"),
+        TsdbError::BadIndex(_)
+    ));
+    // Nested past the parser's bound: typed, not a stack overflow.
+    assert!(matches!(
+        open_with_index("deep", &"[".repeat(60_000)),
         TsdbError::BadIndex(_)
     ));
     // Wrong schema tag.

@@ -5,26 +5,20 @@
 //! sequence exactly, because wrapping subtraction mod 2⁶⁴/2¹²⁸ is a
 //! bijection. These proptests pin that contract over adversarial series
 //! — irregular timestamps, `i64`/`i128` extremes, long constant runs,
-//! alternating sign flips — and pin the incremental decoder's
-//! chunking-insensitivity law, mirroring `tests/wire_roundtrip.rs` for
-//! the `.rtb` wire format:
+//! alternating sign flips:
 //!
 //! - **round-trip identity**: `decode_file(header + encode_chunk(s)) == s`
 //!   for any non-empty series, including multi-chunk files,
-//! - **chunked ≡ whole-buffer**: [`ChunkFileDecoder`] fed one byte at a
-//!   time, in uneven slices, or the whole file at once yields identical
-//!   samples and ends at a clean boundary,
-//! - **truncation safety**: every strict prefix of a valid file either
-//!   waits for more bytes or fails with a typed [`CodecError`] — never a
-//!   panic, never fabricated samples,
+//! - **truncation safety**: every strict prefix of a valid file decodes
+//!   to a prefix of the series or fails with a typed [`CodecError`] —
+//!   never a panic, never fabricated samples,
 //! - **corruption detection**: any single-byte payload corruption is
 //!   caught by the FNV-1a checksum (each hash step is a bijection of the
 //!   running state, so one changed byte always changes the digest).
 
 use proptest::prelude::*;
 use rideshare::tsdb::codec::{
-    decode_file, encode_chunk, file_header, ChunkFileDecoder, CodecError, Sample, CHUNK_HEADER_LEN,
-    FILE_HEADER_LEN,
+    decode_file, encode_chunk, file_header, CodecError, Sample, CHUNK_HEADER_LEN, FILE_HEADER_LEN,
 };
 
 /// Timestamps biased toward the adversarial corners: extremes, zero, and
@@ -119,21 +113,6 @@ fn encode_as_file(samples: &[Sample], chunk_len: usize) -> Vec<u8> {
     bytes
 }
 
-/// Decodes a whole file through the incremental decoder, feeding `chunk`
-/// bytes at a time.
-fn decode_incremental(bytes: &[u8], chunk: usize) -> Vec<Sample> {
-    let mut dec = ChunkFileDecoder::new();
-    let mut out = Vec::new();
-    for piece in bytes.chunks(chunk.max(1)) {
-        dec.feed(piece);
-        while let Some(samples) = dec.next().expect("valid file must decode") {
-            out.extend(samples);
-        }
-    }
-    assert!(dec.at_clean_boundary(), "leftover bytes after decode");
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -156,26 +135,9 @@ proptest! {
         prop_assert_eq!(decode_file(&bytes).expect("decode"), samples);
     }
 
-    // The incremental decoder is insensitive to read granularity: byte
-    // by byte, uneven slices, or the whole buffer — all equal.
-    #[test]
-    fn chunked_decode_equals_whole_decode(
-        samples in arb_any_series(),
-        chunk_len in 1usize..64,
-        feed in 1usize..96,
-    ) {
-        let bytes = encode_as_file(&samples, chunk_len);
-        let whole = decode_file(&bytes).expect("whole-buffer decode");
-        prop_assert_eq!(&whole, &samples);
-        prop_assert_eq!(&decode_incremental(&bytes, feed), &whole);
-        prop_assert_eq!(&decode_incremental(&bytes, 1), &whole);
-        prop_assert_eq!(&decode_incremental(&bytes, bytes.len()), &whole);
-    }
-
     // Every strict prefix of a valid file is handled without panicking:
-    // the decoder either asks for more bytes (and reports the pending
-    // tail) or returns a typed error — and it never yields samples past
-    // the last complete chunk.
+    // the decoder returns a typed error, or — cut exactly on a chunk
+    // boundary — the samples of the complete chunks and nothing more.
     #[test]
     fn truncation_never_panics_or_fabricates(
         samples in arb_any_series(),
@@ -186,26 +148,17 @@ proptest! {
         let whole = decode_file(&bytes).expect("whole-buffer decode");
         let cut = cut_seed % bytes.len();
 
-        // Whole-buffer decode of the prefix: typed error or exact prefix.
         match decode_file(&bytes[..cut]) {
-            Ok(got) => prop_assert!(whole.starts_with(&got)),
+            Ok(got) => {
+                prop_assert!(whole.starts_with(&got));
+                if cut < FILE_HEADER_LEN + CHUNK_HEADER_LEN {
+                    prop_assert!(got.is_empty());
+                }
+            }
             Err(e) => prop_assert!(matches!(
                 e,
                 CodecError::TruncatedHeader { .. } | CodecError::TruncatedChunk { .. }
             )),
-        }
-
-        // Incremental decode of the prefix: only complete chunks come
-        // out, and what comes out is a prefix of the true series.
-        let mut dec = ChunkFileDecoder::new();
-        dec.feed(&bytes[..cut]);
-        let mut got = Vec::new();
-        while let Some(chunk) = dec.next().expect("prefix of a valid file has no malformed chunk") {
-            got.extend(chunk);
-        }
-        prop_assert!(whole.starts_with(&got));
-        if cut < FILE_HEADER_LEN + CHUNK_HEADER_LEN {
-            prop_assert!(got.is_empty());
         }
     }
 
