@@ -7,8 +7,6 @@
 //!
 //! - differential testing: `DriverView::best_path` against the generic
 //!   `Dag::max_profit_path` on the same structure,
-//! - interop with the generic MDP tooling
-//!   ([`rideshare_graph::greedy_disjoint_paths`]),
 //! - inspection/debugging of individual task maps.
 
 use rideshare_graph::Dag;

@@ -1,12 +1,11 @@
 //! The two-sided market configuration and task-map construction.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use rideshare_geo::{GeoPoint, GridIndex, SpeedModel};
-use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
+use rideshare_geo::{GeoPoint, SpeedModel};
+use rideshare_pricing::{FareModel, SurgeConfig, WtpModel};
 use rideshare_trace::{DriverModel, Trace};
 use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
+
+use crate::streaming::StreamPricer;
 
 /// Which objective a solver optimises.
 ///
@@ -202,41 +201,21 @@ impl Market {
     }
 
     /// Builds a market from a generated trace: prices every trip with the
-    /// surge fare of Eq. 15 and draws customer valuations.
+    /// surge fare of Eq. 15 and draws customer valuations, through the
+    /// same [`StreamPricer`] a streaming replay uses.
     ///
     /// Multipliers come from a static whole-day demand/supply snapshot by
-    /// default, or from a rolling publish-time window when
-    /// [`MarketBuildOptions::surge_window`] is set.
+    /// default (trips in any order), or from a rolling publish-time window
+    /// when [`MarketBuildOptions::surge_window`] is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `surge_window` is negative, or set while the trips are
+    /// not in publish order.
     #[must_use]
     pub fn from_trace(trace: &Trace, opts: &MarketBuildOptions) -> Self {
-        let multipliers = match opts.surge_window {
-            Some(window) => dynamic_multipliers(trace, opts, window),
-            None => static_multipliers(trace, opts),
-        };
-
-        let mut rng = StdRng::seed_from_u64(opts.wtp_seed);
-        let tasks: Vec<Task> = trace
-            .trips
-            .iter()
-            .zip(&multipliers)
-            .map(|(t, &alpha)| {
-                let window = t.completion_deadline - t.pickup_deadline;
-                let price = opts.fare.price(t.distance_km, window, alpha);
-                let valuation = opts.wtp.sample(&mut rng, price);
-                Task {
-                    id: t.id,
-                    publish_time: t.publish_time,
-                    origin: t.origin,
-                    destination: t.destination,
-                    pickup_deadline: t.pickup_deadline,
-                    completion_deadline: t.completion_deadline,
-                    duration: t.duration,
-                    price,
-                    valuation,
-                    service_cost: trace.speed.cost_for_km(t.distance_km),
-                }
-            })
-            .collect();
+        let mut pricer = StreamPricer::for_trace(opts, trace);
+        let tasks: Vec<Task> = trace.trips.iter().map(|t| pricer.price(t)).collect();
         let drivers: Vec<Driver> = trace.drivers.iter().map(Driver::from).collect();
         Self::new(drivers, tasks, trace.speed, opts.max_chain_wait)
     }
@@ -333,76 +312,6 @@ impl Market {
         }
         best
     }
-}
-
-/// Static surge: one whole-day demand/supply snapshot per cell (the
-/// evaluation-friendly default — every task in a cell sees one multiplier).
-fn static_multipliers(trace: &Trace, opts: &MarketBuildOptions) -> Vec<f64> {
-    let mut surge = SurgeEngine::new(opts.surge);
-    let (rows, cols) = opts.surge_grid;
-    let grid: GridIndex<u32> = GridIndex::new(trace.bbox, rows, cols);
-    for trip in &trace.trips {
-        surge.add_demand(grid.cell_of(trip.origin));
-    }
-    for d in &trace.drivers {
-        surge.add_supply(grid.cell_of(d.source));
-    }
-    trace
-        .trips
-        .iter()
-        .map(|t| surge.multiplier(grid.cell_of(t.origin)))
-        .collect()
-}
-
-/// Dynamic surge: at each task's publish instant, demand is the number of
-/// orders published in its cell within the trailing `window`, and supply is
-/// the number of drivers whose shift covers that instant and whose source
-/// lies in the cell (position-at-publish is unknowable offline; the home
-/// cell is the standard approximation).
-fn dynamic_multipliers(trace: &Trace, opts: &MarketBuildOptions, window: TimeDelta) -> Vec<f64> {
-    assert!(
-        window.is_non_negative(),
-        "surge window must be non-negative"
-    );
-    let (rows, cols) = opts.surge_grid;
-    let grid: GridIndex<u32> = GridIndex::new(trace.bbox, rows, cols);
-
-    // Per-cell FIFO of recent publish times (trips arrive publish-sorted).
-    let mut recent: std::collections::BTreeMap<
-        rideshare_geo::CellId,
-        std::collections::VecDeque<Timestamp>,
-    > = std::collections::BTreeMap::new();
-    // Per-cell driver shifts.
-    let mut shifts: std::collections::BTreeMap<rideshare_geo::CellId, Vec<(Timestamp, Timestamp)>> =
-        std::collections::BTreeMap::new();
-    for d in &trace.drivers {
-        shifts
-            .entry(grid.cell_of(d.source))
-            .or_default()
-            .push((d.shift_start, d.shift_end));
-    }
-
-    let mut out = Vec::with_capacity(trace.trips.len());
-    for t in &trace.trips {
-        let cell = grid.cell_of(t.origin);
-        let q = recent.entry(cell).or_default();
-        while let Some(&front) = q.front() {
-            if front < t.publish_time - window {
-                q.pop_front();
-            } else {
-                break;
-            }
-        }
-        q.push_back(t.publish_time);
-        let demand = q.len() as u32;
-        let supply = shifts.get(&cell).map_or(0, |v| {
-            v.iter()
-                .filter(|(s, e)| *s <= t.publish_time && t.publish_time <= *e)
-                .count()
-        }) as u32;
-        out.push(opts.surge.multiplier_for(demand, supply));
-    }
-    out
 }
 
 /// Builds the driver-independent chain arcs: `m → m'` exists iff both task

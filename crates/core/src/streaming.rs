@@ -1,27 +1,30 @@
-//! Streaming task pricing: [`Market::from_trace`]'s Eq. 15 pipeline, one
-//! trip at a time.
+//! Task pricing: the Eq. 15 fare + willingness-to-pay pipeline, one trip
+//! at a time.
 //!
-//! [`Market::from_trace`] prices a whole trace at once. A streaming replay
-//! cannot afford that (the trace never materialises), so [`StreamPricer`]
-//! applies the same fare + willingness-to-pay pipeline incrementally while
-//! trips arrive in publish order, keeping only `O(grid cells + drivers)`
-//! state.
+//! [`StreamPricer`] is the only place a trip becomes a [`Task`]. A
+//! streaming replay prices trips as they arrive, keeping
+//! `O(grid cells + drivers)` state; [`Market::from_trace`] maps the same
+//! pricer over a whole trace.
 //!
-//! # Surge and what can stream
+//! # Where the surge multiplier comes from
 //!
 //! The paper only requires `pₘ` to be fixed by publish time — which is
 //! exactly what makes pricing streamable at all:
 //!
 //! - with [`MarketBuildOptions::surge_window`] set, the pricer runs the
 //!   **rolling-window dynamic surge** — per-cell demand over the trailing
-//!   window against drivers whose shift covers the instant — and produces
-//!   **byte-identical** prices to `from_trace` with the same options (a
-//!   regression test pins this);
-//! - with `surge_window = None` the static whole-day multiplier snapshot
-//!   `from_trace` would use needs the entire trace before the first order
-//!   is priced, which no online platform (and no streaming pricer) can
-//!   know. The pricer then charges the un-surged fare (multiplier 1) —
-//!   equivalent to `from_trace` with [`SurgeConfig::disabled`].
+//!   window against drivers whose shift covers the instant. Trips must
+//!   arrive in publish order; `from_trace` and a stream then produce
+//!   byte-identical tasks;
+//! - with `surge_window = None`, `from_trace` — which has the entire
+//!   trace in hand — prices from a **static whole-day snapshot**: one
+//!   demand/supply count, hence one multiplier, per grid cell, in whatever
+//!   order the trips are listed;
+//! - a stream with `surge_window = None` cannot know that snapshot before
+//!   the first order is priced (no online platform can), so
+//!   [`StreamPricer::new`] then charges the **un-surged** fare
+//!   (multiplier 1) — equivalent to `from_trace` with
+//!   [`SurgeConfig::disabled`].
 //!
 //! # Examples
 //!
@@ -55,35 +58,57 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rideshare_geo::{BoundingBox, CellId, GridIndex, SpeedModel};
-use rideshare_pricing::{FareModel, SurgeConfig, WtpModel};
-use rideshare_trace::{DriverShift, TripRecord};
+use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
+use rideshare_trace::{DriverShift, Trace, TripRecord};
 use rideshare_types::{TimeDelta, Timestamp};
 
 use crate::market::{MarketBuildOptions, Task};
 
-/// Prices trips into [`Task`]s one at a time, in publish order — the
-/// bounded-memory counterpart of [`crate::Market::from_trace`]. See the
-/// module docs for the exact equivalence guarantees.
+/// Prices trips into [`Task`]s one at a time — on a stream in
+/// `O(grid cells + drivers)` memory, and as the body of
+/// [`crate::Market::from_trace`]. See the module docs for the surge
+/// sources.
 #[derive(Clone, Debug)]
 pub struct StreamPricer {
     fare: FareModel,
     wtp: WtpModel,
-    surge: SurgeConfig,
     rng: StdRng,
     speed: SpeedModel,
-    window: Option<TimeDelta>,
     grid: GridIndex<u32>,
-    /// Per-cell FIFO of recent publish times (trips arrive publish-sorted).
-    recent: BTreeMap<CellId, VecDeque<Timestamp>>,
-    /// Per-cell driver shifts (supply is "shift covers the publish instant
-    /// and home cell is here", as in the materialised dynamic pricer).
-    shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>>,
-    last_publish: Option<Timestamp>,
+    surge: Surge,
+}
+
+/// Where a trip's surge multiplier comes from (see the module docs).
+#[derive(Clone, Debug)]
+enum Surge {
+    /// Multiplier 1.
+    Unsurged,
+    /// Demand in the trip's cell over the trailing `window` against
+    /// drivers on shift there — the one source that depends on the order
+    /// trips are priced in.
+    Rolling {
+        config: SurgeConfig,
+        window: TimeDelta,
+        /// Per-cell FIFO of recent publish times.
+        recent: BTreeMap<CellId, VecDeque<Timestamp>>,
+        /// Per-cell driver shifts (supply is "shift covers the publish
+        /// instant and home cell is here": position-at-publish is
+        /// unknowable ahead of dispatch; the home cell is the standard
+        /// approximation).
+        shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>>,
+        last_publish: Option<Timestamp>,
+    },
+    /// One whole-day demand/supply count per cell.
+    Snapshot(SurgeEngine),
 }
 
 impl StreamPricer {
     /// Creates a pricer over the service area `bbox` with the day's driver
     /// shifts (needed for the dynamic surge's supply side; `O(drivers)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MarketBuildOptions::surge_window`] is negative.
     #[must_use]
     pub fn new(
         opts: &MarketBuildOptions,
@@ -93,51 +118,87 @@ impl StreamPricer {
     ) -> Self {
         let (rows, cols) = opts.surge_grid;
         let grid: GridIndex<u32> = GridIndex::new(bbox, rows, cols);
-        let mut shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>> = BTreeMap::new();
-        for d in drivers {
-            shifts
-                .entry(grid.cell_of(d.source))
-                .or_default()
-                .push((d.shift_start, d.shift_end));
-        }
+        let surge = match opts.surge_window {
+            None => Surge::Unsurged,
+            Some(window) => {
+                assert!(
+                    window.is_non_negative(),
+                    "surge window must be non-negative"
+                );
+                let mut shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>> = BTreeMap::new();
+                for d in drivers {
+                    shifts
+                        .entry(grid.cell_of(d.source))
+                        .or_default()
+                        .push((d.shift_start, d.shift_end));
+                }
+                Surge::Rolling {
+                    config: opts.surge,
+                    window,
+                    recent: BTreeMap::new(),
+                    shifts,
+                    last_publish: None,
+                }
+            }
+        };
         Self {
             fare: opts.fare,
             wtp: opts.wtp,
-            surge: opts.surge,
             rng: StdRng::seed_from_u64(opts.wtp_seed),
             speed,
-            window: opts.surge_window,
             grid,
-            recent: BTreeMap::new(),
-            shifts,
-            last_publish: None,
+            surge,
         }
     }
 
-    /// Prices the next trip of the stream. Must be called in publish order
-    /// (the WTP draw sequence and the rolling surge window both depend on
-    /// it — this is the same order dependence `from_trace` has).
+    /// The pricer [`crate::Market::from_trace`] maps over `trace.trips`:
+    /// [`StreamPricer::new`], except that without a rolling window the
+    /// whole trace is in hand, so surge comes from its static snapshot.
+    pub(crate) fn for_trace(opts: &MarketBuildOptions, trace: &Trace) -> Self {
+        let mut pricer = Self::new(opts, trace.bbox, trace.speed, &trace.drivers);
+        if opts.surge_window.is_none() {
+            let mut snapshot = SurgeEngine::new(opts.surge);
+            for trip in &trace.trips {
+                snapshot.add_demand(pricer.grid.cell_of(trip.origin));
+            }
+            for d in &trace.drivers {
+                snapshot.add_supply(pricer.grid.cell_of(d.source));
+            }
+            pricer.surge = Surge::Snapshot(snapshot);
+        }
+        pricer
+    }
+
+    /// Prices the next trip. The WTP draw sequence follows call order;
+    /// under the rolling surge window, calls must also be in publish order.
     ///
     /// # Panics
     ///
-    /// Panics if `trip` publishes earlier than the previous one.
+    /// Panics if the surge window is rolling and `trip` publishes earlier
+    /// than the previous one.
     pub fn price(&mut self, trip: &TripRecord) -> Task {
-        if let Some(last) = self.last_publish {
-            assert!(
-                trip.publish_time >= last,
-                "trips must be priced in publish order: {} after {last}",
-                trip.publish_time
-            );
-        }
-        self.last_publish = Some(trip.publish_time);
-
-        let alpha = match self.window {
-            None => 1.0,
-            Some(window) => {
+        let alpha = match &mut self.surge {
+            Surge::Unsurged => 1.0,
+            Surge::Snapshot(snapshot) => snapshot.multiplier(self.grid.cell_of(trip.origin)),
+            Surge::Rolling {
+                config,
+                window,
+                recent,
+                shifts,
+                last_publish,
+            } => {
+                if let Some(last) = *last_publish {
+                    assert!(
+                        trip.publish_time >= last,
+                        "trips must be priced in publish order: {} after {last}",
+                        trip.publish_time
+                    );
+                }
+                *last_publish = Some(trip.publish_time);
                 let cell = self.grid.cell_of(trip.origin);
-                let q = self.recent.entry(cell).or_default();
+                let q = recent.entry(cell).or_default();
                 while let Some(&front) = q.front() {
-                    if front < trip.publish_time - window {
+                    if front < trip.publish_time - *window {
                         q.pop_front();
                     } else {
                         break;
@@ -145,12 +206,12 @@ impl StreamPricer {
                 }
                 q.push_back(trip.publish_time);
                 let demand = q.len() as u32;
-                let supply = self.shifts.get(&cell).map_or(0, |v| {
+                let supply = shifts.get(&cell).map_or(0, |v| {
                     v.iter()
                         .filter(|(s, e)| *s <= trip.publish_time && trip.publish_time <= *e)
                         .count()
                 }) as u32;
-                self.surge.multiplier_for(demand, supply)
+                config.multiplier_for(demand, supply)
             }
         };
 
@@ -254,13 +315,33 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_pricing_takes_trips_in_any_order() {
+        // A hand-edited trips file need not be publish-sorted; the
+        // whole-day snapshot gives a cell one multiplier whatever the
+        // order, so `from_trace` accepts it and fares do not move (only
+        // the WTP draws follow listing order).
+        let trace = config(36).generate();
+        let mut reversed = trace.clone();
+        reversed.trips.reverse();
+        let opts = MarketBuildOptions::default();
+        let sorted = Market::from_trace(&trace, &opts);
+        let shuffled = Market::from_trace(&reversed, &opts);
+        for (a, b) in sorted.tasks().iter().zip(shuffled.tasks().iter().rev()) {
+            assert_eq!((a.id, a.price), (b.id, b.price));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "publish order")]
     fn out_of_order_pricing_rejected() {
         let cfg = config(35);
         let trips: Vec<_> = cfg.stream().collect();
         let stream = cfg.stream();
         let mut pricer = StreamPricer::new(
-            &MarketBuildOptions::default(),
+            &MarketBuildOptions {
+                surge_window: Some(TimeDelta::from_mins(30)),
+                ..MarketBuildOptions::default()
+            },
             stream.bounding_box(),
             stream.speed(),
             stream.drivers(),

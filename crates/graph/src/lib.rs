@@ -40,11 +40,9 @@
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
 mod dag;
-mod disjoint;
 mod path;
 mod topo;
 
 pub use dag::Dag;
-pub use disjoint::{greedy_disjoint_paths, total_profit, DisjointPath};
 pub use path::PathResult;
 pub use topo::{is_acyclic, topological_order};

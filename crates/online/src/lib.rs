@@ -30,14 +30,16 @@
 //!   collected into one [`SimulationResult`]; [`Simulator`] (instant
 //!   policies) and [`run_batched`] / [`run_batched_with`] (hold window +
 //!   matcher) are its two call shapes,
-//! - [`ShardedStreamEngine`] / [`replay_sharded`]: **region-sharded
-//!   parallel streaming** — the online analogue of the §IV lossless
-//!   decomposition: events route through a pluggable [`RegionPartitioner`]
-//!   to N worker shards each running an unmodified [`StreamEngine`], with
-//!   globally anchored batch windows, a deterministic task-id-ordered
-//!   merge, and a debug-mode validator for the no-cross-shard-interaction
-//!   proof obligation; byte-identical to [`replay_stream`] on legal
-//!   partitions (the `shard_determinism` battery pins this),
+//! - [`replay_sharded`]: **region-sharded parallel streaming** — the
+//!   online analogue of the §IV lossless decomposition: one router places
+//!   events through a [`RegionPartitioner`] ([`BoxPartitioner`]) onto N
+//!   shards each running an unmodified [`StreamEngine`], with globally
+//!   anchored batch windows and a deterministic task-id-ordered merge.
+//!   The shards are worker threads, or — [`ShardOptions::validate`], the
+//!   debug default — run inline under a validator for the
+//!   no-cross-shard-interaction proof obligation; byte-identical to
+//!   [`replay_stream`] on legal partitions (the `shard_determinism`
+//!   battery pins this),
 //! - [`ServeDaemon`] / [`IngestSource`]: the **long-running dispatch
 //!   daemon** — live ingestion from tailed JSONL/CSV files
 //!   ([`FileSource`]), a length-prefixed TCP frame stream ([`TcpSource`]),
@@ -93,15 +95,12 @@ pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
     IngestSource, IterSource, TcpSource,
 };
-pub use policy::{
-    Candidate, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch, WeightedScore,
-};
+pub use policy::{Candidate, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch};
 pub use serve::{
     DayPoint, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop, SnapshotPoint,
 };
 pub use shard::{
-    replay_sharded, BoxPartitioner, GridHashPartitioner, PolicyHolder, RegionPartitioner,
-    ShardOptions, ShardPolicySpec, ShardedStreamEngine,
+    replay_sharded, BoxPartitioner, PolicyHolder, RegionPartitioner, ShardOptions, ShardPolicySpec,
 };
 pub use simulator::{replay_market, DispatchEvent, SimulationOptions, SimulationResult, Simulator};
 pub use stream::{

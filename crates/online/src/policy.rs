@@ -6,9 +6,8 @@ use rand::{Rng, SeedableRng};
 use rideshare_types::Timestamp;
 
 /// The splitmix64 finalizer: a cheap, high-quality bit mixer used to derive
-/// decision-local pseudo-random choices from candidate-set data alone (and
-/// by the sharding layer to spread grid cells across shards).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// decision-local pseudo-random choices from candidate-set data alone.
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -32,8 +31,7 @@ pub struct Candidate {
 ///
 /// Implementors are deterministic, making whole simulations reproducible.
 /// Policies whose choice is a pure function of the candidate set (and a
-/// seed) — [`MaxMargin`], [`NearestDriver`], [`WeightedScore`] — are
-/// additionally *shard-stable*: their decisions do not depend on the order
+/// seed) — [`MaxMargin`], [`NearestDriver`] — are additionally *shard-stable*: their decisions do not depend on the order
 /// in which unrelated decisions interleave, which is what lets the
 /// region-sharded streaming engine reproduce a sequential replay
 /// byte-for-byte. [`RandomDispatch`] consumes a shared RNG stream across
@@ -148,59 +146,6 @@ impl DispatchPolicy for MaxMargin {
     }
 }
 
-/// A blended criterion: score each candidate by
-/// `marginal_value − λ · wait_minutes` and dispatch the maximiser.
-///
-/// `λ = 0` reduces to [`MaxMargin`]; large `λ` approaches [`NearestDriver`]
-/// (arrival time dominates). The ablation suite sweeps `λ` to show the two
-/// paper heuristics are endpoints of one family.
-#[derive(Clone, Debug)]
-pub struct WeightedScore {
-    lambda_per_min: f64,
-}
-
-impl WeightedScore {
-    /// Creates the policy with trade-off weight `λ` (currency per minute of
-    /// pickup wait).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda_per_min` is negative or non-finite.
-    #[must_use]
-    pub fn new(lambda_per_min: f64) -> Self {
-        assert!(
-            lambda_per_min.is_finite() && lambda_per_min >= 0.0,
-            "lambda must be a non-negative finite weight"
-        );
-        Self { lambda_per_min }
-    }
-}
-
-impl DispatchPolicy for WeightedScore {
-    fn name(&self) -> &'static str {
-        "WeightedScore"
-    }
-
-    fn choose(&mut self, candidates: &[Candidate]) -> Option<usize> {
-        // Waits are scored relative to the earliest possible arrival so the
-        // score is invariant to the task's absolute publish time.
-        let earliest = candidates.iter().map(|c| c.arrival).min()?;
-        candidates
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                let score = |c: &Candidate| {
-                    c.marginal_value - self.lambda_per_min * ((c.arrival - earliest).as_mins_f64())
-                };
-                score(a)
-                    .partial_cmp(&score(b))
-                    .expect("finite score")
-                    .then(b.driver.cmp(&a.driver))
-            })
-            .map(|(i, _)| i)
-    }
-}
-
 /// A uniform-random baseline: dispatch any feasible candidate. Used by the
 /// ablation benches to isolate how much the *selection criterion* (rather
 /// than mere feasibility filtering) contributes.
@@ -298,37 +243,5 @@ mod tests {
         assert_eq!(NearestDriver::new().name(), "Nearest");
         assert_eq!(MaxMargin::new().name(), "maxMargin");
         assert_eq!(RandomDispatch::with_seed(0).name(), "Random");
-        assert_eq!(WeightedScore::new(1.0).name(), "WeightedScore");
-    }
-
-    #[test]
-    fn weighted_score_zero_lambda_is_max_margin() {
-        let c = vec![cand(0, 100, 2.0), cand(1, 900, 7.5), cand(2, 200, -1.0)];
-        let mut blended = WeightedScore::new(0.0);
-        let mut mm = MaxMargin::new();
-        assert_eq!(blended.choose(&c), mm.choose(&c));
-    }
-
-    #[test]
-    fn weighted_score_large_lambda_is_nearest() {
-        // With a huge wait penalty, the earliest arrival always wins.
-        let c = vec![cand(0, 500, 9.0), cand(1, 300, 1.0), cand(2, 400, 5.0)];
-        let mut blended = WeightedScore::new(1e9);
-        assert_eq!(blended.choose(&c), Some(1));
-    }
-
-    #[test]
-    fn weighted_score_trades_margin_for_wait() {
-        // Candidate 0 arrives 10 min later but earns 3 more. λ = 0.2/min
-        // keeps it worthwhile (penalty 2 < 3); λ = 0.5/min does not.
-        let c = vec![cand(0, 600, 8.0), cand(1, 0, 5.0)];
-        assert_eq!(WeightedScore::new(0.2).choose(&c), Some(0));
-        assert_eq!(WeightedScore::new(0.5).choose(&c), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda")]
-    fn weighted_score_rejects_negative_lambda() {
-        let _ = WeightedScore::new(-1.0);
     }
 }

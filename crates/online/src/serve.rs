@@ -1,11 +1,11 @@
 //! The long-running dispatch daemon: live ingestion over the streaming
 //! engines, proven live-equal to replay.
 //!
-//! [`ServeDaemon`] wraps the sequential [`StreamEngine`] (one shard) or
-//! the region-sharded parallel engine (N shards) behind an
-//! [`IngestSource`] — a file being tailed, a TCP frame stream, or any
-//! in-process iterator. The daemon adds exactly the operational concerns
-//! a replay does not have, and *nothing decision-relevant*:
+//! [`ServeDaemon`] is [`replay_stream`] (one shard) or [`replay_sharded`]
+//! (N shards) over a guarded [`IngestSource`] — a file being tailed, a TCP
+//! frame stream, or any in-process iterator — with its own sink
+//! interposed. The daemon adds exactly the operational concerns a replay
+//! does not have, and *nothing decision-relevant*:
 //!
 //! - **Snapshots**: every window boundary is announced through
 //!   [`StreamSink::window_closed`]; when one crosses the next snapshot
@@ -16,11 +16,10 @@
 //!   ingestion backend.
 //! - **Day rollover**: boundaries crossing a `day_length` multiple fire
 //!   the day hook (metrics rollover lives in the caller's sink — see
-//!   `MetricsJournal` in `rideshare-metrics`), and the sequential engine
-//!   additionally compacts provably-retired drivers on the spot
-//!   ([`StreamEngine::compact_now`]; sharded workers rely on the same
-//!   machinery via `StreamOptions::compact_threshold`). Compaction is
-//!   lossless, so rollover cannot perturb decisions.
+//!   `MetricsJournal` in `rideshare-metrics`). Engine state needs no
+//!   reset of its own: retired drivers are compacted as the stream runs
+//!   (`StreamOptions::compact_threshold`), losslessly, for any shard
+//!   count.
 //! - **Graceful drain**: on end-of-stream, ingest error, or the shutdown
 //!   flag, in-flight windows close through the engines' normal `finish`
 //!   path — the daemon's cumulative output over a fully delivered trace
@@ -41,14 +40,14 @@ use rideshare_types::{TimeDelta, Timestamp};
 
 use crate::ingest::{EventGuard, IngestError, IngestSource};
 use crate::shard::{replay_sharded, RegionPartitioner, ShardOptions, ShardPolicySpec};
-use crate::stream::{StreamEngine, StreamEvent, StreamSink, StreamSummary};
+use crate::stream::{replay_stream, StreamEvent, StreamSink, StreamSummary};
 
 /// Operational configuration of a [`ServeDaemon`] (everything that is
 /// *not* the dispatch semantics: sharding, snapshot cadence, day length).
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Shard count and per-shard engine options (grid pruning,
-    /// compaction, validator, channel bounds).
+    /// compaction, validator).
     pub shards: ShardOptions,
     /// Day length for state resets and metrics rollover. The stream clock
     /// is partitioned into `[k·L, (k+1)·L)` days; a window boundary at or
@@ -66,7 +65,8 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is a count [`ShardOptions::try_new`] rejects
+    /// (zero, or beyond the shard limit).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         Self {
@@ -295,7 +295,7 @@ enum LoopEnd {
 }
 
 /// Pulls events from `source` through `guard`, as the iterator both the
-/// one-shard loop and the sharded router consume on the caller's thread.
+/// one-shard replay and the sharded router consume on the caller's thread.
 /// Stops (returns `None`) on end-of-stream, fault, or shutdown; the
 /// disposition lands in `end`.
 struct GuardedEvents<'a> {
@@ -414,7 +414,13 @@ impl<'p> ServeDaemon<'p> {
             end: &mut end,
         };
         let summary = if self.config.shards.shards == 1 {
-            self.run_sequential(guarded, &mut serve_sink)
+            replay_stream(
+                self.speed,
+                guarded,
+                &mut self.spec.holder().as_policy(),
+                self.config.shards.stream,
+                &mut serve_sink,
+            )
         } else {
             let partitioner = self
                 .partitioner
@@ -448,33 +454,6 @@ impl<'p> ServeDaemon<'p> {
             },
             error,
         }
-    }
-
-    /// The one-shard path: a sequential [`StreamEngine`] driven directly,
-    /// with proactive day-boundary compaction.
-    fn run_sequential(
-        &self,
-        guarded: GuardedEvents<'_>,
-        sink: &mut impl StreamSink,
-    ) -> StreamSummary {
-        let mut holder = self.spec.holder();
-        let mut engine = StreamEngine::new(self.speed, self.config.shards.stream);
-        let day = self.config.day_length.as_secs();
-        let mut next_compact = Timestamp::EPOCH + self.config.day_length;
-        for event in guarded {
-            // Day-boundary state reset: compact provably-retired drivers
-            // the first time the stream clock crosses a day end (lossless
-            // — cannot change any decision).
-            if let Some(t) = event.timestamp() {
-                if t >= next_compact {
-                    engine.compact_now(&holder.as_policy());
-                    let k = t.as_secs().div_euclid(day) + 1;
-                    next_compact = Timestamp::from_secs(k * day);
-                }
-            }
-            engine.push(event, &mut holder.as_policy(), sink);
-        }
-        engine.finish(&mut holder.as_policy(), sink)
     }
 }
 

@@ -1,15 +1,26 @@
 //! Region-sharded parallel streaming replay.
 //!
-//! The sequential [`StreamEngine`] tops out around ~200k tasks/s on one
-//! core. This module is the ROADMAP's named way past that ceiling: the
-//! **online analogue of the paper's lossless disjoint-component
-//! decomposition (§IV)**. Offline, `disjoint_components` splits a market
-//! into independent sub-markets solvable in parallel with zero loss of
-//! optimality. Online, the same idea shards the *live stream* by disjoint
-//! service regions: every driver is owned by exactly one shard (the shard
-//! of her announce region) and every order is routed to the shard of its
-//! pickup region, each shard running an ordinary [`StreamEngine`] over its
-//! slice of the stream.
+//! One [`StreamEngine`] decides on one core (its throughput is in the
+//! ledger — `BENCHMARK.json`, `benchmark/README.md`). This module is the
+//! way past one core: the **online analogue of the paper's lossless
+//! disjoint-component decomposition (§IV)**. Offline, `disjoint_components`
+//! splits a market into independent sub-markets solvable in parallel with
+//! zero loss of optimality. Online, the same idea shards the *live stream*
+//! by disjoint service regions: every driver is owned by exactly one shard
+//! (the shard of her announce region) and every order is routed to the
+//! shard of its pickup region, each shard running an ordinary
+//! [`StreamEngine`] over its slice of the stream.
+//!
+//! # One router, two lanes
+//!
+//! [`replay_sharded`] walks the event stream once (`route`): it places
+//! each event, steps the global window clock, and emits a sequence of
+//! `(one shard | all shards, ShardMsg)` deliveries. Where those go is a
+//! lane: worker *threads* behind bounded channels, or — under
+//! [`ShardOptions::validate`] — the same shards applied *inline* on the
+//! caller's thread with the partition check run before every task, every
+//! close and the finish. Both lanes drive a shard through the same
+//! `Shard::apply`, so they cannot decide differently.
 //!
 //! # The proof obligation
 //!
@@ -26,11 +37,11 @@
 //! guarantee by construction, and the condition the **debug-mode
 //! validator** ([`ShardOptions::validate`]) re-checks per task and per
 //! window boundary, mirroring what `disjoint_components` proves offline.
-//! An illegal partition (e.g. the [`GridHashPartitioner`] over one dense
-//! city) does not crash the parallel engine — each shard still makes
-//! internally valid dispatches — but results are no longer byte-identical
-//! to a sequential replay, and the validator reports the first violating
-//! (driver, task) pair.
+//! An illegal partition (e.g. longitude stripes over one dense city) does
+//! not crash the worker threads — each shard still makes internally valid
+//! dispatches — but results are no longer byte-identical to a sequential
+//! replay, and the validator reports the first violating (driver, task)
+//! pair.
 //!
 //! # Determinism: how byte-identity is engineered
 //!
@@ -114,11 +125,11 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 
 use rideshare_core::{Driver, Task};
-use rideshare_geo::{BoundingBox, GeoPoint, GridIndex, SpeedModel};
+use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
 use rideshare_types::{ConfigError, DriverId, TimeDelta, Timestamp};
 
 use crate::batch::{BatchMatcher, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher};
-use crate::policy::{splitmix64, DispatchPolicy, MaxMargin, NearestDriver};
+use crate::policy::{DispatchPolicy, MaxMargin, NearestDriver};
 use crate::simulator::DispatchEvent;
 use crate::stream::{
     StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink, StreamSummary,
@@ -134,10 +145,7 @@ use crate::stream::{
 /// cannot promise that in general — the debug validator checks it against
 /// the actual stream.
 pub trait RegionPartitioner {
-    /// Number of region labels this partitioner can produce.
-    fn region_count(&self) -> usize;
-
-    /// The region owning `point` (must be `< region_count`).
+    /// The region owning `point`.
     fn region_of(&self, point: GeoPoint) -> usize;
 
     /// Region → shard assignment when regions outnumber shards. The
@@ -154,51 +162,6 @@ pub trait RegionPartitioner {
             "shard count must be at least 1 (ShardOptions::try_new rejects 0)"
         );
         region % shards
-    }
-}
-
-/// The default partitioner: a uniform grid over a bounding box, each cell
-/// a region, cells **hashed** across shards (so adjacent cells spread
-/// rather than stripe). Legal only for markets whose demand genuinely
-/// never crosses cell boundaries within an order's lead radius — for one
-/// dense city it is *not* legal, which the debug validator will report.
-/// Use [`BoxPartitioner`] with region-tagged traces for provably lossless
-/// sharding.
-#[derive(Clone, Debug)]
-pub struct GridHashPartitioner {
-    grid: GridIndex<u32>,
-}
-
-impl GridHashPartitioner {
-    /// A `rows × cols` cell grid over `bbox`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` or `cols` is zero.
-    #[must_use]
-    pub fn new(bbox: BoundingBox, rows: u16, cols: u16) -> Self {
-        Self {
-            grid: GridIndex::new(bbox, rows, cols),
-        }
-    }
-}
-
-impl RegionPartitioner for GridHashPartitioner {
-    fn region_count(&self) -> usize {
-        usize::from(self.grid.rows()) * usize::from(self.grid.cols())
-    }
-
-    fn region_of(&self, point: GeoPoint) -> usize {
-        let cell = self.grid.cell_of(point);
-        usize::from(cell.row()) * usize::from(self.grid.cols()) + usize::from(cell.col())
-    }
-
-    fn shard_of(&self, region: usize, shards: usize) -> usize {
-        assert!(
-            shards > 0,
-            "shard count must be at least 1 (ShardOptions::try_new rejects 0)"
-        );
-        (splitmix64(region as u64) % shards as u64) as usize
     }
 }
 
@@ -225,10 +188,6 @@ impl BoxPartitioner {
 }
 
 impl RegionPartitioner for BoxPartitioner {
-    fn region_count(&self) -> usize {
-        self.boxes.len()
-    }
-
     fn region_of(&self, point: GeoPoint) -> usize {
         if let Some(r) = self.boxes.iter().position(|b| b.contains(point)) {
             return r;
@@ -326,6 +285,15 @@ impl PolicyHolder {
     }
 }
 
+/// Bound of each worker's input queue; backpressure keeps shard skew — and
+/// therefore merge-buffer memory — bounded.
+const CHANNEL_CAPACITY: usize = 1024;
+
+/// Most shards one replay may run. Each shard is an OS thread, and a
+/// count the OS refuses aborts the process from inside `thread::scope`
+/// instead of failing the run, so the count is bounded where it enters.
+const MAX_SHARDS: usize = 1024;
+
 /// Options for a sharded replay.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardOptions {
@@ -333,41 +301,41 @@ pub struct ShardOptions {
     pub shards: usize,
     /// Per-shard [`StreamEngine`] options (grid pruning, compaction).
     pub stream: StreamOptions,
-    /// Run the **sequential debug validator** instead of the parallel
-    /// workers: one thread drives all shard engines and re-checks the
-    /// partition proof obligation on every task and at every window
-    /// boundary, panicking on the first cross-shard interaction. Results
-    /// are identical to the parallel path (that's the whole point); only
-    /// the wall-clock differs. Defaults to on under `debug_assertions`,
-    /// off in release builds.
+    /// Run the **inline validating lane** instead of the worker threads:
+    /// the caller's thread applies every delivery to the shard engines
+    /// itself and re-checks the partition proof obligation on every task
+    /// and at every window boundary, panicking on the first cross-shard
+    /// interaction. Results are identical to the threaded lane (that's the
+    /// whole point); only the wall-clock differs. Defaults to on under
+    /// `debug_assertions`, off in release builds.
     pub validate: bool,
-    /// Bound of each worker's input queue; backpressure keeps shard skew —
-    /// and therefore merge-buffer memory — bounded.
-    pub channel_capacity: usize,
 }
 
 impl ShardOptions {
     /// Options for `shards` workers with defaults (validator in debug
-    /// builds, 1024-event channels, default engine options).
+    /// builds, default engine options).
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero; [`ShardOptions::try_new`] is the
-    /// non-panicking form for validating external input.
+    /// Panics if `shards` is zero or beyond the shard limit;
+    /// [`ShardOptions::try_new`] is the non-panicking form for validating
+    /// external input.
     #[must_use]
     pub fn new(shards: usize) -> Self {
-        Self::try_new(shards).expect("need at least one shard")
+        Self::try_new(shards).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ShardOptions::new`] with the zero-shard case rejected as a typed
+    /// [`ShardOptions::new`] with an unusable count rejected as a typed
     /// error instead of a panic — the form CLI / config boundaries should
     /// use. With `shards == 0` no partitioner could place a single
-    /// region (`region % 0` divides by zero), so the value is rejected
-    /// here, before any engine or partitioner sees it.
+    /// region (`region % 0` divides by zero), and a count the OS cannot
+    /// give one thread each aborts the process; both are rejected here,
+    /// before any engine or partitioner sees them.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroShards`] when `shards` is zero.
+    /// [`ConfigError::ZeroShards`] when `shards` is zero,
+    /// [`ConfigError::TooManyShards`] when it exceeds the limit (1024).
     ///
     /// # Examples
     ///
@@ -376,16 +344,22 @@ impl ShardOptions {
     /// use rideshare_types::ConfigError;
     /// assert!(ShardOptions::try_new(2).is_ok());
     /// assert_eq!(ShardOptions::try_new(0).unwrap_err(), ConfigError::ZeroShards);
+    /// assert!(ShardOptions::try_new(70_000).is_err());
     /// ```
     pub fn try_new(shards: usize) -> Result<Self, ConfigError> {
         if shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
+        if shards > MAX_SHARDS {
+            return Err(ConfigError::TooManyShards {
+                shards,
+                max: MAX_SHARDS,
+            });
+        }
         Ok(Self {
             shards,
             stream: StreamOptions::default(),
             validate: cfg!(debug_assertions),
-            channel_capacity: 1024,
         })
     }
 
@@ -396,22 +370,10 @@ impl ShardOptions {
         self
     }
 
-    /// Forces the sequential validating path on or off.
+    /// Forces the inline validating lane on or off.
     #[must_use]
     pub fn validate(mut self, validate: bool) -> Self {
         self.validate = validate;
-        self
-    }
-
-    /// Replaces the worker input-queue bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        self.channel_capacity = capacity;
         self
     }
 }
@@ -424,10 +386,13 @@ enum Decision {
     Rejected(Timestamp),
 }
 
+/// One window's decisions from one shard, in shard emission order.
+type Batch = Vec<(Task, Decision)>;
+
 /// A shard-local sink accumulating the decisions of the current window.
 #[derive(Default)]
 struct Collector {
-    decided: Vec<(Task, Decision)>,
+    decided: Batch,
 }
 
 impl StreamSink for Collector {
@@ -533,7 +498,9 @@ impl WindowClock {
     }
 }
 
-/// Messages from the router to a worker shard.
+/// One delivery from the router to a shard — the whole protocol a lane
+/// carries.
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum ShardMsg {
     Event(StreamEvent),
     /// Anchor a batched window opening at the instant (no-op for instant).
@@ -543,12 +510,64 @@ enum ShardMsg {
     Close(Timestamp),
 }
 
-/// Messages from a worker shard to the merge stage.
-enum WorkerOut {
-    /// The decisions of one closed window, in shard emission order.
-    Window(Vec<(Task, Decision)>),
+/// Which shards a [`ShardMsg`] is for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Target {
+    One(usize),
+    All,
+}
+
+impl Target {
+    /// The shard indices addressed, out of `shards`.
+    fn of(self, shards: usize) -> std::ops::Range<usize> {
+        match self {
+            Target::One(shard) => shard..shard + 1,
+            Target::All => 0..shards,
+        }
+    }
+}
+
+/// One shard: an ordinary [`StreamEngine`], its own policy instance, and
+/// the decisions of its current window. [`Shard::apply`] and
+/// [`Shard::finish`] are the only code that drives a shard's engine —
+/// the worker thread and the inline lane both go through them.
+struct Shard {
+    engine: StreamEngine,
+    holder: PolicyHolder,
+    collector: Collector,
+}
+
+impl Shard {
+    fn new(speed: SpeedModel, options: StreamOptions, spec: ShardPolicySpec) -> Self {
+        Self {
+            engine: StreamEngine::new(speed, options),
+            holder: spec.holder(),
+            collector: Collector::default(),
+        }
+    }
+
+    /// Applies one delivery; a `Close` returns the closed window's
+    /// decisions, in shard emission order.
+    fn apply(&mut self, msg: ShardMsg) -> Option<Batch> {
+        let mut policy = self.holder.as_policy();
+        let (event, closes) = match msg {
+            ShardMsg::Event(event) => (event, false),
+            ShardMsg::Close(tick) => (StreamEvent::EpochTick(tick), true),
+            ShardMsg::Open(at) => {
+                self.engine.open_window(at, &policy);
+                return None;
+            }
+        };
+        self.engine.push(event, &mut policy, &mut self.collector);
+        closes.then(|| std::mem::take(&mut self.collector.decided))
+    }
+
     /// End of stream: the final (unclosed) window plus the shard summary.
-    Done(Vec<(Task, Decision)>, StreamSummary),
+    fn finish(mut self) -> (Batch, StreamSummary) {
+        let mut policy = self.holder.as_policy();
+        let summary = self.engine.finish(&mut policy, &mut self.collector);
+        (self.collector.decided, summary)
+    }
 }
 
 /// The merge stage: per-shard FIFO queues of per-window decision batches.
@@ -557,7 +576,7 @@ enum WorkerOut {
 /// `(decision epoch, task id)` order, relabeled to announced driver ids,
 /// and replayed into the caller's sink.
 struct Merger<'s> {
-    queues: Vec<VecDeque<Vec<(Task, Decision)>>>,
+    queues: Vec<VecDeque<Batch>>,
     /// `maps[shard][local_announce_idx]` = the driver's global id.
     maps: Vec<Vec<DriverId>>,
     /// Window boundaries in close order, noted by the router *before* the
@@ -599,7 +618,7 @@ impl<'s> Merger<'s> {
         local
     }
 
-    fn push_batch(&mut self, shard: usize, batch: Vec<(Task, Decision)>) {
+    fn push_batch(&mut self, shard: usize, batch: Batch) {
         self.queues[shard].push_back(batch);
         self.emit_ready();
     }
@@ -673,483 +692,287 @@ fn fold_summaries(parts: &[StreamSummary]) -> StreamSummary {
     total
 }
 
-/// Panics if any *foreign* shard could interact with `task` — the
-/// validator's per-task incarnation of the partition proof obligation
-/// (see [`StreamEngine`]'s `interaction_with` for the exact radius).
-fn check_partition(engines: &[StreamEngine], shard: usize, task: &Task) {
-    for (other, engine) in engines.iter().enumerate() {
-        if other == shard {
-            continue;
+/// Where the router's deliveries go: the seam between *what* is sent to
+/// which shard (the router, written once) and *how* a shard receives it.
+/// Every closed window's [`Batch`] must reach `merger` exactly once per
+/// shard, in close order.
+trait Lanes {
+    /// Delivers `msg` to `to`.
+    fn send(&mut self, to: Target, msg: ShardMsg, merger: &mut Merger<'_>);
+
+    /// End of stream: finishes every shard, ships the final batches, and
+    /// returns the per-shard summaries.
+    fn finish(self, merger: &mut Merger<'_>) -> Vec<StreamSummary>;
+}
+
+/// The validating lane: every shard lives on the caller's thread, so the
+/// partition proof obligation can be checked against live foreign driver
+/// state — before every routed task, and for every still-pending task
+/// before every close and before the finish. Compaction is off so no
+/// interaction evidence is garbage-collected mid-check (results are
+/// unchanged either way — compaction is lossless).
+struct InlineLanes {
+    shards: Vec<Shard>,
+}
+
+impl InlineLanes {
+    /// Panics if any *foreign* shard could interact with `task` — the
+    /// per-task incarnation of the partition proof obligation (see
+    /// [`StreamEngine`]'s `interaction_with` for the exact radius).
+    fn check(&self, home: usize, task: &Task) {
+        for (other, shard) in self.shards.iter().enumerate() {
+            if other == home {
+                continue;
+            }
+            if let Some(driver) = shard.engine.interaction_with(task) {
+                panic!(
+                    "region partition violated: driver {driver} (shard {other}) can interact \
+                     with task {} (shard {home}) — sharded replay would diverge from a \
+                     sequential one",
+                    task.id
+                );
+            }
         }
-        if let Some(driver) = engine.interaction_with(task) {
-            panic!(
-                "region partition violated: driver {driver} (shard {other}) can interact \
-                 with task {} (shard {shard}) — sharded replay would diverge from a \
-                 sequential one",
-                task.id
-            );
+    }
+
+    fn check_pending(&self) {
+        for (home, shard) in self.shards.iter().enumerate() {
+            for task in shard.engine.pending_tasks() {
+                self.check(home, task);
+            }
         }
     }
 }
 
-/// Closes the currently open hold on every shard engine (validator path):
-/// re-checks each still-pending task against foreign shards, ticks every
-/// engine past the hold end, and ships each shard's window batch to the
-/// merge stage.
-fn close_all_shards(
-    engines: &mut [StreamEngine],
-    holders: &mut [PolicyHolder],
-    collectors: &mut [Collector],
-    merger: &mut Merger<'_>,
-    tick: Timestamp,
-) {
-    for shard in 0..engines.len() {
-        for task in engines[shard].pending_tasks().to_vec() {
-            check_partition(engines, shard, &task);
+impl Lanes for InlineLanes {
+    fn send(&mut self, to: Target, msg: ShardMsg, merger: &mut Merger<'_>) {
+        match (to, msg) {
+            (Target::One(home), ShardMsg::Event(StreamEvent::TaskPublished(task))) => {
+                self.check(home, &task);
+            }
+            (_, ShardMsg::Close(_)) => self.check_pending(),
+            _ => {}
+        }
+        for shard in to.of(self.shards.len()) {
+            if let Some(batch) = self.shards[shard].apply(msg) {
+                merger.push_batch(shard, batch);
+            }
         }
     }
-    for (shard, engine) in engines.iter_mut().enumerate() {
-        let mut policy = holders[shard].as_policy();
-        engine.push(
-            StreamEvent::EpochTick(tick),
-            &mut policy,
-            &mut collectors[shard],
-        );
-    }
-    for (shard, c) in collectors.iter_mut().enumerate() {
-        merger.push_batch(shard, std::mem::take(&mut c.decided));
+
+    fn finish(self, merger: &mut Merger<'_>) -> Vec<StreamSummary> {
+        self.check_pending();
+        let mut summaries = Vec::with_capacity(self.shards.len());
+        for (s, shard) in self.shards.into_iter().enumerate() {
+            let (batch, summary) = shard.finish();
+            merger.push_batch(s, batch);
+            summaries.push(summary);
+        }
+        summaries
     }
 }
 
-/// One worker shard: an ordinary [`StreamEngine`] driven off a bounded
-/// channel, shipping each closed window's decisions (and finally its
-/// summary) to the merge stage.
-fn shard_worker(
-    shard: usize,
-    rx: mpsc::Receiver<ShardMsg>,
-    out: &mpsc::Sender<(usize, WorkerOut)>,
-    speed: SpeedModel,
-    options: StreamOptions,
-    spec: ShardPolicySpec,
-) {
-    let mut holder = spec.holder();
-    let mut policy = holder.as_policy();
-    let mut engine = StreamEngine::new(speed, options);
-    let mut collector = Collector::default();
-    for msg in rx {
-        match msg {
-            ShardMsg::Event(e) => engine.push(e, &mut policy, &mut collector),
-            ShardMsg::Open(at) => engine.open_window(at, &policy),
-            ShardMsg::Close(tick) => {
-                engine.push(StreamEvent::EpochTick(tick), &mut policy, &mut collector);
-                let batch = std::mem::take(&mut collector.decided);
-                if out.send((shard, WorkerOut::Window(batch))).is_err() {
-                    return; // router gone; nothing left to report to
+/// What a worker reports to the merge stage: its index, one window's
+/// decisions, and — with the final (unclosed) window — its summary.
+type WorkerOut = (usize, Batch, Option<StreamSummary>);
+
+/// The threaded lane: one worker thread per shard behind a bounded
+/// channel. The caller's thread routes and runs the merge stage, draining
+/// worker output whenever it sends — so backpressure bounds both the
+/// queues and the merge buffers.
+struct ThreadLanes {
+    txs: Vec<mpsc::SyncSender<ShardMsg>>,
+    out_rx: mpsc::Receiver<WorkerOut>,
+    summaries: Vec<Option<StreamSummary>>,
+}
+
+impl ThreadLanes {
+    /// Spawns one worker per shard into `scope`, which joins them.
+    fn spawn<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        shards: usize,
+        speed: SpeedModel,
+        options: StreamOptions,
+        spec: ShardPolicySpec,
+    ) -> Self {
+        let (out_tx, out_rx) = mpsc::channel::<WorkerOut>();
+        let txs = (0..shards)
+            .map(|s| {
+                let (tx, rx) = mpsc::sync_channel::<ShardMsg>(CHANNEL_CAPACITY);
+                let out = out_tx.clone();
+                scope.spawn(move || {
+                    let mut shard = Shard::new(speed, options, spec);
+                    for msg in rx {
+                        if let Some(batch) = shard.apply(msg) {
+                            if out.send((s, batch, None)).is_err() {
+                                return; // router gone; nothing left to report to
+                            }
+                        }
+                    }
+                    let (batch, summary) = shard.finish();
+                    let _ = out.send((s, batch, Some(summary)));
+                });
+                tx
+            })
+            .collect();
+        Self {
+            txs,
+            out_rx,
+            summaries: vec![None; shards],
+        }
+    }
+
+    fn absorb(&mut self, (shard, batch, summary): WorkerOut, merger: &mut Merger<'_>) {
+        merger.push_batch(shard, batch);
+        if summary.is_some() {
+            self.summaries[shard] = summary;
+        }
+    }
+
+    /// Merges whatever the workers have produced so far, without blocking.
+    fn drain(&mut self, merger: &mut Merger<'_>) {
+        while let Ok(out) = self.out_rx.try_recv() {
+            self.absorb(out, merger);
+        }
+    }
+}
+
+impl Lanes for ThreadLanes {
+    fn send(&mut self, to: Target, msg: ShardMsg, merger: &mut Merger<'_>) {
+        // Drained on every delivery (a `try_recv` on an empty channel is a
+        // cheap atomic check) so decisions flow to the caller's sink
+        // continuously and the merge buffers stay bounded by worker skew —
+        // if the drain only happened when an input queue filled up, a
+        // router-bound run (lazy generation + pricing upstream) would
+        // accumulate every window's decisions until end-of-stream, an
+        // O(trace) regression.
+        self.drain(merger);
+        for shard in to.of(self.txs.len()) {
+            // The worker is behind while its queue is full: keep the merge
+            // moving, then retry.
+            while let Err(e) = self.txs[shard].try_send(msg) {
+                match e {
+                    mpsc::TrySendError::Full(_) => {
+                        self.drain(merger);
+                        std::thread::yield_now();
+                    }
+                    mpsc::TrySendError::Disconnected(_) => {
+                        panic!("shard worker {shard} terminated early")
+                    }
                 }
             }
         }
     }
-    let summary = engine.finish(&mut policy, &mut collector);
-    let _ = out.send((shard, WorkerOut::Done(collector.decided, summary)));
+
+    fn finish(mut self, merger: &mut Merger<'_>) -> Vec<StreamSummary> {
+        self.txs.clear(); // end-of-stream: workers finish and report
+        while self.summaries.iter().any(Option::is_none) {
+            match self.out_rx.recv() {
+                Ok(out) => self.absorb(out, merger),
+                Err(_) => panic!("a shard worker panicked before finishing"),
+            }
+        }
+        self.drain(merger);
+        self.summaries.into_iter().flatten().collect()
+    }
 }
 
-/// The region-sharded parallel streaming replay engine: the configuration
-/// triple (policy spec, partitioner, options) plus [`replay`] to run a
-/// whole stream through it. See the module docs for the decomposition
-/// argument and the determinism machinery.
-///
-/// [`replay`]: ShardedStreamEngine::replay
-pub struct ShardedStreamEngine<'p> {
-    spec: ShardPolicySpec,
-    partitioner: &'p dyn RegionPartitioner,
-    options: ShardOptions,
-}
-
-impl<'p> ShardedStreamEngine<'p> {
-    /// Creates the engine.
-    #[must_use]
-    pub fn new(
-        spec: ShardPolicySpec,
-        partitioner: &'p dyn RegionPartitioner,
-        options: ShardOptions,
-    ) -> Self {
-        Self {
-            spec,
-            partitioner,
-            options,
-        }
-    }
-
-    /// Replays a whole event stream: routes events to shards, anchors
-    /// window boundaries globally, merges decisions deterministically into
-    /// `sink`, and returns the folded summary (see `fold_summaries`'
-    /// caveats on the diagnostic fields).
-    ///
-    /// With [`ShardOptions::validate`] the replay runs on one thread and
-    /// panics on the first partition violation; otherwise each shard is a
-    /// worker thread fed through a bounded channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stream violates the [`StreamEngine::push`]
-    /// contract, when a worker shard panics, or (validator mode) when the
-    /// partition proof obligation fails.
-    pub fn replay<I>(
-        &self,
-        speed: SpeedModel,
-        events: I,
-        sink: &mut dyn StreamSink,
-    ) -> StreamSummary
-    where
-        I: IntoIterator<Item = StreamEvent>,
-    {
-        if self.options.validate {
-            self.replay_validating(speed, events, sink)
-        } else {
-            self.replay_parallel(speed, events, sink)
-        }
-    }
-
-    fn shard_of_point(&self, point: GeoPoint) -> usize {
-        let region = self.partitioner.region_of(point);
-        let shards = self.options.shards;
-        let shard = self.partitioner.shard_of(region, shards);
+/// The router: walks the event stream once, places each event on its
+/// shard, reproduces the sequential engine's window boundaries on the
+/// global [`WindowClock`], and hands `lanes` the resulting deliveries.
+/// Announcements and boundaries are told to `merger` *before* the
+/// deliveries they concern, so no lane can ship a batch the merge stage
+/// is not ready for.
+fn route<L: Lanes>(
+    events: impl IntoIterator<Item = StreamEvent>,
+    window: Option<TimeDelta>,
+    shards: usize,
+    partitioner: &dyn RegionPartitioner,
+    mut lanes: L,
+    merger: &mut Merger<'_>,
+) -> Vec<StreamSummary> {
+    let shard_of = |point: GeoPoint| {
+        let shard = partitioner.shard_of(partitioner.region_of(point), shards);
         assert!(
             shard < shards,
             "partitioner produced shard {shard} of {shards}"
         );
         shard
+    };
+    // Every global boundary passes through here. Mid-stream it comes with
+    // the tick that closes every shard's hold; the hold still open at end
+    // of stream closes in the shards' `finish` instead.
+    let close = |lanes: &mut L, merger: &mut Merger<'_>, end: Timestamp, tick: Option<_>| {
+        merger.note_boundary(end);
+        if let Some(tick) = tick {
+            lanes.send(Target::All, ShardMsg::Close(tick), merger);
+        }
+    };
+    let mut clock = WindowClock::new(window);
+    // Owning shard and shard-local id of every announced driver.
+    let mut homes: Vec<(usize, DriverId)> = Vec::new();
+
+    for event in events {
+        match event {
+            StreamEvent::DriverOnline(driver) => {
+                let home = shard_of(driver.source);
+                assert_eq!(
+                    driver.id.index(),
+                    homes.len(),
+                    "driver ids must be dense in announcement order"
+                );
+                let id = merger.announce(home, &driver);
+                homes.push((home, id));
+                let local = StreamEvent::DriverOnline(Driver { id, ..driver });
+                lanes.send(Target::One(home), ShardMsg::Event(local), merger);
+            }
+            StreamEvent::TaskPublished(task) => {
+                match clock.on_task(task.publish_time) {
+                    ClockStep::Deliver => {}
+                    ClockStep::Open(at) => lanes.send(Target::All, ShardMsg::Open(at), merger),
+                    ClockStep::CloseThenOpen { tick, end, reopen } => {
+                        close(&mut lanes, merger, end, Some(tick));
+                        if let Some(at) = reopen {
+                            lanes.send(Target::All, ShardMsg::Open(at), merger);
+                        }
+                    }
+                }
+                let home = shard_of(task.origin);
+                lanes.send(Target::One(home), ShardMsg::Event(event), merger);
+            }
+            StreamEvent::DriverOffline(id) => {
+                let (home, local) = homes[id.index()];
+                let hint = StreamEvent::DriverOffline(local);
+                lanes.send(Target::One(home), ShardMsg::Event(hint), merger);
+            }
+            StreamEvent::EpochTick(t) => match clock.on_tick(t) {
+                Some((tick, end)) => close(&mut lanes, merger, end, Some(tick)),
+                None => lanes.send(Target::All, ShardMsg::Event(event), merger),
+            },
+        }
     }
-
-    /// The sequential debug path: one thread owns every shard engine, so
-    /// the partition proof obligation can be checked against live foreign
-    /// driver state — on every routed task and on every still-pending task
-    /// at every window boundary. Compaction is disabled so no interaction
-    /// evidence is ever garbage-collected mid-check (results are unchanged
-    /// either way — compaction is lossless).
-    fn replay_validating<I>(
-        &self,
-        speed: SpeedModel,
-        events: I,
-        sink: &mut dyn StreamSink,
-    ) -> StreamSummary
-    where
-        I: IntoIterator<Item = StreamEvent>,
-    {
-        let shards = self.options.shards;
-        let stream_options = self.options.stream.no_compaction();
-        let mut engines: Vec<StreamEngine> = (0..shards)
-            .map(|_| StreamEngine::new(speed, stream_options))
-            .collect();
-        let mut holders: Vec<PolicyHolder> = (0..shards).map(|_| self.spec.holder()).collect();
-        let mut collectors: Vec<Collector> = (0..shards).map(|_| Collector::default()).collect();
-        let mut merger = Merger::new(shards, sink);
-        let mut clock = WindowClock::new(self.spec.window());
-        // Owning shard and shard-local id of every announced driver.
-        let mut homes: Vec<(usize, DriverId)> = Vec::new();
-
-        let open_all =
-            |engines: &mut [StreamEngine], holders: &mut [PolicyHolder], at: Timestamp| {
-                for (engine, holder) in engines.iter_mut().zip(holders.iter_mut()) {
-                    engine.open_window(at, &holder.as_policy());
-                }
-            };
-
-        for event in events {
-            match event {
-                StreamEvent::DriverOnline(driver) => {
-                    let shard = self.shard_of_point(driver.source);
-                    assert_eq!(
-                        driver.id.index(),
-                        homes.len(),
-                        "driver ids must be dense in announcement order"
-                    );
-                    let local = merger.announce(shard, &driver);
-                    homes.push((shard, local));
-                    let mut policy = holders[shard].as_policy();
-                    engines[shard].push(
-                        StreamEvent::DriverOnline(Driver {
-                            id: local,
-                            ..driver
-                        }),
-                        &mut policy,
-                        &mut collectors[shard],
-                    );
-                }
-                StreamEvent::TaskPublished(task) => {
-                    let shard = self.shard_of_point(task.origin);
-                    match clock.on_task(task.publish_time) {
-                        ClockStep::Deliver => {}
-                        ClockStep::Open(at) => open_all(&mut engines, &mut holders, at),
-                        ClockStep::CloseThenOpen { tick, end, reopen } => {
-                            merger.note_boundary(end);
-                            close_all_shards(
-                                &mut engines,
-                                &mut holders,
-                                &mut collectors,
-                                &mut merger,
-                                tick,
-                            );
-                            if let Some(at) = reopen {
-                                open_all(&mut engines, &mut holders, at);
-                            }
-                        }
-                    }
-                    check_partition(&engines, shard, &task);
-                    let mut policy = holders[shard].as_policy();
-                    engines[shard].push(
-                        StreamEvent::TaskPublished(task),
-                        &mut policy,
-                        &mut collectors[shard],
-                    );
-                }
-                StreamEvent::DriverOffline(id) => {
-                    let (shard, local) = homes[id.index()];
-                    let mut policy = holders[shard].as_policy();
-                    engines[shard].push(
-                        StreamEvent::DriverOffline(local),
-                        &mut policy,
-                        &mut collectors[shard],
-                    );
-                }
-                StreamEvent::EpochTick(t) => {
-                    if let Some((tick, end)) = clock.on_tick(t) {
-                        merger.note_boundary(end);
-                        close_all_shards(
-                            &mut engines,
-                            &mut holders,
-                            &mut collectors,
-                            &mut merger,
-                            tick,
-                        );
-                    } else {
-                        for (shard, engine) in engines.iter_mut().enumerate() {
-                            let mut policy = holders[shard].as_policy();
-                            engine.push(
-                                StreamEvent::EpochTick(t),
-                                &mut policy,
-                                &mut collectors[shard],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // Final (unclosed) windows: check, finish, merge.
-        for shard in 0..shards {
-            for task in engines[shard].pending_tasks().to_vec() {
-                check_partition(&engines, shard, &task);
-            }
-        }
-        if let Some(end) = clock.final_end() {
-            merger.note_boundary(end);
-        }
-        let mut summaries = Vec::with_capacity(shards);
-        for (shard, engine) in engines.into_iter().enumerate() {
-            let mut policy = holders[shard].as_policy();
-            summaries.push(engine.finish(&mut policy, &mut collectors[shard]));
-        }
-        for (shard, c) in collectors.iter_mut().enumerate() {
-            merger.push_batch(shard, std::mem::take(&mut c.decided));
-        }
-        merger.finish();
-        fold_summaries(&summaries)
+    if let Some(end) = clock.final_end() {
+        close(&mut lanes, merger, end, None);
     }
-
-    /// The parallel path: one worker thread per shard behind a bounded
-    /// channel; the caller's thread routes events, broadcasts window
-    /// anchors/boundaries, and runs the merge stage — draining worker
-    /// output whenever a send would block, so backpressure bounds both the
-    /// queues and the merge buffers.
-    fn replay_parallel<I>(
-        &self,
-        speed: SpeedModel,
-        events: I,
-        sink: &mut dyn StreamSink,
-    ) -> StreamSummary
-    where
-        I: IntoIterator<Item = StreamEvent>,
-    {
-        let shards = self.options.shards;
-        let stream_options = self.options.stream;
-        let spec = self.spec;
-        let mut merger = Merger::new(shards, sink);
-        let mut clock = WindowClock::new(spec.window());
-        let mut homes: Vec<(usize, DriverId)> = Vec::new();
-        let mut summaries: Vec<Option<StreamSummary>> = vec![None; shards];
-
-        std::thread::scope(|scope| {
-            let (out_tx, out_rx) = mpsc::channel::<(usize, WorkerOut)>();
-            let mut txs: Vec<mpsc::SyncSender<ShardMsg>> = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                let (tx, rx) = mpsc::sync_channel::<ShardMsg>(self.options.channel_capacity);
-                txs.push(tx);
-                let out = out_tx.clone();
-                scope.spawn(move || shard_worker(shard, rx, &out, speed, stream_options, spec));
-            }
-            drop(out_tx);
-
-            fn absorb(
-                merger: &mut Merger<'_>,
-                summaries: &mut [Option<StreamSummary>],
-                shard: usize,
-                out: WorkerOut,
-            ) {
-                match out {
-                    WorkerOut::Window(batch) => merger.push_batch(shard, batch),
-                    WorkerOut::Done(batch, summary) => {
-                        merger.push_batch(shard, batch);
-                        summaries[shard] = Some(summary);
-                    }
-                }
-            }
-            // Drains whatever the workers have produced so far, without
-            // blocking. Called on every routed event (a `try_recv` on an
-            // empty channel is a cheap atomic check) so decisions flow to
-            // the caller's sink continuously and the merge buffers stay
-            // bounded by worker skew — if the drain only happened when an
-            // input queue filled up, a router-bound run (lazy generation +
-            // pricing upstream) would accumulate every window's decisions
-            // until end-of-stream, an O(trace) regression.
-            let drain = |merger: &mut Merger<'_>, summaries: &mut [Option<StreamSummary>]| {
-                while let Ok((s, out)) = out_rx.try_recv() {
-                    absorb(merger, summaries, s, out);
-                }
-            };
-            let send = |merger: &mut Merger<'_>,
-                        summaries: &mut [Option<StreamSummary>],
-                        shard: usize,
-                        mut msg: ShardMsg| {
-                loop {
-                    match txs[shard].try_send(msg) {
-                        Ok(()) => return,
-                        Err(mpsc::TrySendError::Full(m)) => {
-                            msg = m;
-                            // The worker is behind: drain the merge so it
-                            // keeps moving, then retry.
-                            drain(merger, summaries);
-                            std::thread::yield_now();
-                        }
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            panic!("shard worker {shard} terminated early")
-                        }
-                    }
-                }
-            };
-
-            for event in events {
-                drain(&mut merger, &mut summaries);
-                match event {
-                    StreamEvent::DriverOnline(driver) => {
-                        let shard = self.shard_of_point(driver.source);
-                        assert_eq!(
-                            driver.id.index(),
-                            homes.len(),
-                            "driver ids must be dense in announcement order"
-                        );
-                        let local = merger.announce(shard, &driver);
-                        homes.push((shard, local));
-                        send(
-                            &mut merger,
-                            &mut summaries,
-                            shard,
-                            ShardMsg::Event(StreamEvent::DriverOnline(Driver {
-                                id: local,
-                                ..driver
-                            })),
-                        );
-                    }
-                    StreamEvent::TaskPublished(task) => {
-                        let shard = self.shard_of_point(task.origin);
-                        match clock.on_task(task.publish_time) {
-                            ClockStep::Deliver => {}
-                            ClockStep::Open(at) => {
-                                for s in 0..shards {
-                                    send(&mut merger, &mut summaries, s, ShardMsg::Open(at));
-                                }
-                            }
-                            ClockStep::CloseThenOpen { tick, end, reopen } => {
-                                merger.note_boundary(end);
-                                for s in 0..shards {
-                                    send(&mut merger, &mut summaries, s, ShardMsg::Close(tick));
-                                }
-                                if let Some(at) = reopen {
-                                    for s in 0..shards {
-                                        send(&mut merger, &mut summaries, s, ShardMsg::Open(at));
-                                    }
-                                }
-                            }
-                        }
-                        send(
-                            &mut merger,
-                            &mut summaries,
-                            shard,
-                            ShardMsg::Event(StreamEvent::TaskPublished(task)),
-                        );
-                    }
-                    StreamEvent::DriverOffline(id) => {
-                        let (shard, local) = homes[id.index()];
-                        send(
-                            &mut merger,
-                            &mut summaries,
-                            shard,
-                            ShardMsg::Event(StreamEvent::DriverOffline(local)),
-                        );
-                    }
-                    StreamEvent::EpochTick(t) => {
-                        if let Some((tick, end)) = clock.on_tick(t) {
-                            merger.note_boundary(end);
-                            for s in 0..shards {
-                                send(&mut merger, &mut summaries, s, ShardMsg::Close(tick));
-                            }
-                        } else {
-                            for s in 0..shards {
-                                send(
-                                    &mut merger,
-                                    &mut summaries,
-                                    s,
-                                    ShardMsg::Event(StreamEvent::EpochTick(t)),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            let _ = &send;
-            if let Some(end) = clock.final_end() {
-                merger.note_boundary(end);
-            }
-            drop(txs); // end-of-stream: workers finish and report
-            while summaries.iter().any(Option::is_none) {
-                match out_rx.recv() {
-                    Ok((s, out)) => absorb(&mut merger, &mut summaries, s, out),
-                    Err(_) => panic!("a shard worker panicked before finishing"),
-                }
-            }
-            while let Ok((s, out)) = out_rx.try_recv() {
-                absorb(&mut merger, &mut summaries, s, out);
-            }
-        });
-
-        merger.finish();
-        let parts: Vec<StreamSummary> = summaries
-            .into_iter()
-            .map(|s| s.expect("every worker reported"))
-            .collect();
-        fold_summaries(&parts)
-    }
+    lanes.finish(merger)
 }
 
-/// Replays a whole event stream through a [`ShardedStreamEngine`] — the
-/// one-call form mirroring [`crate::replay_stream`]. See the module docs
-/// for the legality condition under which this is byte-identical to the
-/// sequential replay.
+/// Replays a whole event stream across region shards — the one-call form
+/// mirroring [`crate::replay_stream`]: routes events to shards, anchors
+/// window boundaries globally, merges decisions deterministically into
+/// `sink`, and returns the folded summary (see `fold_summaries`' caveats
+/// on the diagnostic fields). See the module docs for the legality
+/// condition under which this is byte-identical to the sequential replay.
+///
+/// With [`ShardOptions::validate`] the shards run inline on the caller's
+/// thread and the first partition violation panics; otherwise each shard
+/// is a worker thread fed through a bounded channel.
 ///
 /// # Panics
 ///
-/// See [`ShardedStreamEngine::replay`].
+/// Panics when the stream violates the [`StreamEngine::push`] contract,
+/// when a worker shard panics, or (validating) when the partition proof
+/// obligation fails.
 pub fn replay_sharded<I>(
     speed: SpeedModel,
     events: I,
@@ -1161,7 +984,38 @@ pub fn replay_sharded<I>(
 where
     I: IntoIterator<Item = StreamEvent>,
 {
-    ShardedStreamEngine::new(spec, partitioner, options).replay(speed, events, sink)
+    let shards = options.shards;
+    let mut merger = Merger::new(shards, sink);
+    let summaries = if options.validate {
+        let stream = options.stream.no_compaction();
+        let lanes = InlineLanes {
+            shards: (0..shards)
+                .map(|_| Shard::new(speed, stream, spec))
+                .collect(),
+        };
+        route(
+            events,
+            spec.window(),
+            shards,
+            partitioner,
+            lanes,
+            &mut merger,
+        )
+    } else {
+        std::thread::scope(|scope| {
+            let lanes = ThreadLanes::spawn(scope, shards, speed, options.stream, spec);
+            route(
+                events,
+                spec.window(),
+                shards,
+                partitioner,
+                lanes,
+                &mut merger,
+            )
+        })
+    };
+    merger.finish();
+    fold_summaries(&summaries)
 }
 
 #[cfg(test)]
@@ -1241,23 +1095,26 @@ mod tests {
         assert_eq!(c.on_tick(T::from_secs(500)), None, "hold already closed");
     }
 
-    #[test]
-    fn partitioners_are_total_and_in_range() {
-        let bbox = BoundingBox::new(41.0, 41.3, -8.8, -8.3);
-        let grid = GridHashPartitioner::new(bbox, 4, 4);
-        assert_eq!(grid.region_count(), 16);
-        for (u, v) in [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, -1.0)] {
-            let p = bbox.lerp(u, v);
-            let r = grid.region_of(p);
-            assert!(r < grid.region_count());
-            assert!(grid.shard_of(r, 3) < 3);
+    /// An *illegal* partition: one dense city cut in two at a meridian.
+    struct Meridian(f64);
+
+    impl RegionPartitioner for Meridian {
+        fn region_of(&self, point: GeoPoint) -> usize {
+            usize::from(point.lon() >= self.0)
         }
-        let boxes = vec![
+    }
+
+    fn two_boxes() -> Vec<BoundingBox> {
+        vec![
             BoundingBox::new(41.0, 41.3, -8.8, -8.3),
             BoundingBox::new(41.0, 41.3, -7.0, -6.5),
-        ];
+        ]
+    }
+
+    #[test]
+    fn box_partitioner_is_total() {
+        let boxes = two_boxes();
         let part = BoxPartitioner::new(boxes.clone());
-        assert_eq!(part.region_count(), 2);
         assert_eq!(part.region_of(boxes[0].center()), 0);
         assert_eq!(part.region_of(boxes[1].center()), 1);
         // Outside every box: nearest center wins.
@@ -1266,9 +1123,9 @@ mod tests {
 
     #[test]
     fn zero_shards_is_a_typed_error_not_a_division_panic() {
-        // Regression: `GridHashPartitioner::shard_of(_, 0)` used to reach
-        // `% 0` and die with an unhelpful arithmetic panic; the value is
-        // now rejected as ConfigError at option construction.
+        // Regression: a partitioner's `shard_of(_, 0)` used to reach `% 0`
+        // and die with an unhelpful arithmetic panic; the value is
+        // rejected as ConfigError at option construction.
         assert_eq!(
             ShardOptions::try_new(0).unwrap_err(),
             ConfigError::ZeroShards
@@ -1278,11 +1135,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard count must be at least 1")]
-    fn grid_partitioner_names_the_zero_shard_bug() {
-        let bbox = BoundingBox::new(41.0, 41.3, -8.8, -8.3);
-        let grid = GridHashPartitioner::new(bbox, 2, 2);
-        let _ = grid.shard_of(0, 0);
+    fn absurd_shard_count_is_a_typed_error_not_a_process_abort() {
+        // Regression: `--shards 70000` spawned one OS thread per shard
+        // inside `thread::scope`; when the OS refused one the runtime
+        // could not even panic ("failed to initiate panic, error 5") and
+        // aborted the process.
+        assert_eq!(
+            ShardOptions::try_new(70_000).unwrap_err(),
+            ConfigError::TooManyShards {
+                shards: 70_000,
+                max: MAX_SHARDS
+            }
+        );
+        assert_eq!(
+            ShardOptions::try_new(MAX_SHARDS + 1).unwrap_err(),
+            ConfigError::TooManyShards {
+                shards: MAX_SHARDS + 1,
+                max: MAX_SHARDS
+            }
+        );
+        assert_eq!(
+            ShardOptions::try_new(MAX_SHARDS).unwrap().shards,
+            MAX_SHARDS
+        );
     }
 
     #[test]
@@ -1326,7 +1201,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batched_replay_matches_batch_engine_canonically() {
+    fn sharded_batched_replay_matches_sequential_canonically() {
         let config = regional_config(32, 140, 20, 2);
         let market = Market::from_trace(&config.generate(), &MarketBuildOptions::default());
         let partitioner = BoxPartitioner::new(config.region_boxes());
@@ -1360,15 +1235,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "region partition violated")]
     fn validator_rejects_illegal_partition() {
-        // One dense city hash-split into grid cells: drivers constantly
-        // serve tasks across cell borders, so the proof obligation fails.
+        // One dense city cut down the middle: drivers constantly serve
+        // tasks across the cut, so the proof obligation fails.
         let trace = TraceConfig::porto()
             .with_seed(33)
             .with_task_count(60)
             .with_driver_count(12, DriverModel::Hitchhiking)
             .generate();
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-        let partitioner = GridHashPartitioner::new(trace.bbox, 4, 4);
+        let partitioner = Meridian(trace.bbox.center().lon());
         let mut sink = CollectingSink::new();
         let _ = replay_sharded(
             market.speed(),
@@ -1381,8 +1256,156 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
+    #[should_panic(expected = "shard count must be at least 1")]
     fn zero_shards_rejected() {
         let _ = ShardOptions::new(0);
+    }
+
+    /// A lane that only records what the router asked for.
+    impl Lanes for &mut Vec<(Target, ShardMsg)> {
+        fn send(&mut self, to: Target, msg: ShardMsg, _: &mut Merger<'_>) {
+            self.push((to, msg));
+        }
+
+        fn finish(self, _: &mut Merger<'_>) -> Vec<StreamSummary> {
+            Vec::new()
+        }
+    }
+
+    fn driver_at(id: u32, source: GeoPoint) -> Driver {
+        Driver {
+            id: DriverId::new(id),
+            source,
+            destination: source,
+            shift_start: Timestamp::from_secs(0),
+            shift_end: Timestamp::from_secs(86_400),
+            model: DriverModel::HomeWorkHome,
+        }
+    }
+
+    fn task_at(id: u32, origin: GeoPoint, publish: i64) -> Task {
+        Task {
+            id: rideshare_types::TaskId::new(id),
+            publish_time: Timestamp::from_secs(publish),
+            origin,
+            destination: origin,
+            pickup_deadline: Timestamp::from_secs(publish + 600),
+            completion_deadline: Timestamp::from_secs(publish + 3600),
+            duration: TimeDelta::from_secs(400),
+            price: rideshare_types::Money::new(7.0),
+            valuation: rideshare_types::Money::new(8.0),
+            service_cost: rideshare_types::Money::new(2.0),
+        }
+    }
+
+    #[test]
+    fn router_emits_the_exact_delivery_sequence() {
+        use ShardMsg::{Close, Event, Open};
+        use StreamEvent::{DriverOffline, DriverOnline, EpochTick, TaskPublished};
+        use Target::{All, One};
+        let at = Timestamp::from_secs;
+
+        // Region 0 is the west box (shard 0), region 1 the east (shard 1).
+        let boxes = two_boxes();
+        let (west, east) = (boxes[0].center(), boxes[1].center());
+        let partitioner = BoxPartitioner::new(boxes);
+        let drivers = [driver_at(0, east), driver_at(1, west), driver_at(2, east)];
+        let tasks = [
+            task_at(0, west, 100),
+            task_at(1, east, 100),
+            task_at(2, east, 130),
+            task_at(3, west, 400),
+            task_at(4, east, 700),
+        ];
+        let stream = [
+            DriverOnline(drivers[0]),
+            DriverOnline(drivers[1]),
+            DriverOnline(drivers[2]),
+            TaskPublished(tasks[0]),
+            TaskPublished(tasks[1]),
+            EpochTick(at(100)), // does not pass any hold end: a plain tick
+            TaskPublished(tasks[2]),
+            DriverOffline(DriverId::new(2)),
+            EpochTick(at(300)), // passes both policies' hold end: closes
+            TaskPublished(tasks[3]),
+            TaskPublished(tasks[4]),
+        ];
+        let routed = |spec: ShardPolicySpec| {
+            let mut sink = CollectingSink::new();
+            let mut merger = Merger::new(2, &mut sink);
+            let mut log = Vec::new();
+            let _ = route(
+                stream,
+                spec.window(),
+                2,
+                &partitioner,
+                &mut log,
+                &mut merger,
+            );
+            // Announce registered the relabeling: global ids per shard, in
+            // announce order.
+            let ids = |ids: &[u32]| ids.iter().map(|&i| DriverId::new(i)).collect::<Vec<_>>();
+            assert_eq!(merger.maps, [ids(&[1]), ids(&[0, 2])]);
+            (log, Vec::from(merger.boundaries))
+        };
+        // Drivers reach their shard under shard-local ids (0, 0, 1).
+        let local = |d: usize, id: u32| {
+            let id = DriverId::new(id);
+            Event(DriverOnline(Driver { id, ..drivers[d] }))
+        };
+        let announced = [
+            (One(1), local(0, 0)),
+            (One(0), local(1, 0)),
+            (One(1), local(2, 1)),
+        ];
+        let task = |t: usize| Event(TaskPublished(tasks[t]));
+        let offline = (One(1), Event(DriverOffline(DriverId::new(1))));
+        let plain_tick = (All, Event(EpochTick(at(100))));
+
+        // Instant: every publish timestamp is a group, closed one second
+        // past it by the next order, or by a tick that passes it.
+        let (log, boundaries) = routed(ShardPolicySpec::MaxMargin);
+        let mut expected = announced.to_vec();
+        expected.extend([
+            (One(0), task(0)),
+            (One(1), task(1)),
+            plain_tick,
+            (All, Close(at(101))),
+            (One(1), task(2)),
+            offline,
+            (All, Close(at(300))),
+            (One(0), task(3)),
+            (All, Close(at(401))),
+            (One(1), task(4)),
+        ]);
+        assert_eq!(log, expected);
+        assert_eq!(boundaries, [at(100), at(130), at(400), at(700)]);
+
+        // Batched, W = 3 min: windows open at the *global* first publish
+        // (shard 1 is told about the window shard 0's order opened) and
+        // close at `end + 1s` before the first order past the end.
+        let (log, boundaries) = routed(ShardPolicySpec::Batched {
+            window: TimeDelta::from_mins(3),
+            matcher: MatcherKind::Greedy,
+        });
+        let mut expected = announced.to_vec();
+        expected.extend([
+            (All, Open(at(100))),
+            (One(0), task(0)),
+            (One(1), task(1)),
+            plain_tick,
+            (One(1), task(2)),
+            offline,
+            (All, Close(at(300))),
+            (All, Open(at(400))),
+            (One(0), task(3)),
+            (All, Close(at(581))),
+            (All, Open(at(700))),
+            (One(1), task(4)),
+        ]);
+        assert_eq!(log, expected);
+        // 280 = 100 + W closed by the tick; 580 by task 4; 880 is the hold
+        // still open at end of stream, noted for the shards' `finish`.
+        assert_eq!(boundaries, [at(280), at(580), at(880)]);
     }
 }

@@ -208,7 +208,8 @@ impl StreamOptions {
         self
     }
 
-    /// Disables expired-driver compaction (flag-skipping only, as in PR 4).
+    /// Disables expired-driver compaction: expired drivers are still
+    /// flagged and skipped, but their resident state is never freed.
     #[must_use]
     pub fn no_compaction(mut self) -> Self {
         self.compact_threshold = usize::MAX;
@@ -541,21 +542,6 @@ impl StreamEngine {
             self.clock = Some(at);
             self.hold = Hold::Window(at + *window);
         }
-    }
-
-    /// Proactively retires every driver whose shift provably cannot matter
-    /// again and garbage-collects their resident state — the serve
-    /// daemon's day-boundary reset. Same lossless retirement proof as the
-    /// threshold-triggered compaction in the flush path (decisions and
-    /// metrics are byte-identical with or without this call); only the
-    /// high-water resident-state diagnostics can differ. No-op when
-    /// nothing is provably expired yet.
-    pub fn compact_now(&mut self, policy: &StreamPolicy<'_>) {
-        let Some(floor) = self.pending.first().map(|t| t.publish_time).or(self.clock) else {
-            return;
-        };
-        self.expire_before(floor);
-        self.compact(matches!(policy, StreamPolicy::Batched { .. }));
     }
 
     /// Retires every driver whose shift ended before `floor`, the earliest

@@ -102,6 +102,15 @@ pub enum ConfigError {
     /// A sharded engine was configured with `shards == 0`; the partitioner
     /// would divide by zero before dispatching a single event.
     ZeroShards,
+    /// A sharded engine was configured with more shards than the fixed
+    /// limit; each shard is an OS thread, and a count the OS refuses would
+    /// abort the process instead of failing the run.
+    TooManyShards {
+        /// The rejected shard count.
+        shards: usize,
+        /// The most shards a run may have.
+        max: usize,
+    },
     /// An orchestrated sweep was configured with `workers == 0`; no process
     /// would ever claim a unit and the run could not finish.
     ZeroWorkers,
@@ -120,6 +129,10 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
+            ConfigError::TooManyShards { shards, max } => write!(
+                f,
+                "shard count {shards} exceeds the limit of {max} (one OS thread per shard)"
+            ),
             ConfigError::ZeroWorkers => write!(f, "worker count must be at least 1"),
             ConfigError::ZeroAttempts => write!(f, "retry budget must allow at least 1 attempt"),
             ConfigError::InvalidValue { option, reason } => {
@@ -303,6 +316,14 @@ mod tests {
         assert_eq!(
             ConfigError::ZeroShards.to_string(),
             "shard count must be at least 1"
+        );
+        assert_eq!(
+            ConfigError::TooManyShards {
+                shards: 70_000,
+                max: 1024
+            }
+            .to_string(),
+            "shard count 70000 exceeds the limit of 1024 (one OS thread per shard)"
         );
         assert_eq!(
             ConfigError::ZeroWorkers.to_string(),

@@ -80,12 +80,11 @@ pub mod prelude {
     pub use rideshare_online::{
         market_events, replay_market, replay_sharded, replay_stream, run_batched, run_batched_with,
         validate_online, validate_online_result, BatchMatcher, BatchOptions, BoxPartitioner,
-        CollectingSink, DispatchPolicy, FileSource, GridHashPartitioner, IngestError, IngestFormat,
-        IngestSource, IterSource, MatcherKind, MaxMargin, NearestDriver, RandomDispatch,
-        RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop,
-        ShardOptions, ShardPolicySpec, ShardedStreamEngine, SimulationOptions, Simulator,
-        StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink, StreamSummary,
-        TcpSource,
+        CollectingSink, DispatchPolicy, FileSource, IngestError, IngestFormat, IngestSource,
+        IterSource, MatcherKind, MaxMargin, NearestDriver, RandomDispatch, RegionPartitioner,
+        ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop, ShardOptions,
+        ShardPolicySpec, SimulationOptions, Simulator, StreamEngine, StreamEvent, StreamOptions,
+        StreamPolicy, StreamSink, StreamSummary, TcpSource,
     };
     pub use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
     pub use rideshare_trace::{

@@ -474,6 +474,42 @@ fn replay_shard_counts_print_identical_canonical_reports() {
     let bad = cli(&["replay", "--shards", "4", "--regions", "2"]);
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--regions"));
+
+    // A shard is an OS thread. A count the OS refuses used to abort the
+    // process from inside `thread::scope` ("failed to initiate panic");
+    // it is refused where it is parsed, before any engine is built.
+    let absurd: [&[&str]; 2] = [
+        &[
+            "replay",
+            "--tasks",
+            "200",
+            "--drivers",
+            "20",
+            "--shards",
+            "70000",
+            "--regions",
+            "70000",
+        ],
+        &[
+            "serve",
+            "--source",
+            "jsonl:/dev/null",
+            "--shards",
+            "40000",
+            "--regions",
+            "40000",
+        ],
+    ];
+    for args in absurd {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--shards") && stderr.contains("exceeds the limit of 1024"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! - a proptest over random regional markets (random region counts,
 //!   seeds, fleet sizes — every partition legal by construction) × every
 //!   shard-stable policy `{margin, nearest, batch-3m, batch-opt-3m}` ×
-//!   shard counts `{1, 2, 4}`, through both the parallel workers and the
-//!   sequential validating path,
+//!   shard counts `{1, 2, 4}`, through both lanes of the one router —
+//!   worker threads and the inline validator,
 //! - pinned regressions on the `porto-regions` catalog scenario,
 //!   including exact (`PartialEq`) equality of merged per-shard
 //!   [`StreamMetrics`] against whole-stream metrics,
@@ -18,7 +18,7 @@
 //!   tiny-catalog pin (regression, not just a property),
 //! - compaction-is-invisible oracles at aggressive thresholds,
 //! - a `#[should_panic]` proving the validator rejects an *illegal*
-//!   partition (one dense city hash-split by grid cells),
+//!   partition (one dense city cut in two at a meridian),
 //! - an `#[ignore]`d million-task acceptance run:
 //!   `--shards 4 ≡ --shards 1` on the full lazy pipeline
 //!   (`cargo test --release --test shard_determinism -- --ignored`).
@@ -341,8 +341,17 @@ fn catalog_compaction_oracle() {
     }
 }
 
-/// An illegal partition — one dense city hash-split into grid cells — is
-/// caught by the validator, naming the offending pair.
+/// An illegal partition: one dense city cut in two at a meridian.
+struct Meridian(f64);
+
+impl RegionPartitioner for Meridian {
+    fn region_of(&self, point: GeoPoint) -> usize {
+        usize::from(point.lon() >= self.0)
+    }
+}
+
+/// An illegal partition is caught by the validator, naming the offending
+/// pair.
 #[test]
 #[should_panic(expected = "region partition violated")]
 fn validator_rejects_single_city_grid_hash() {
@@ -352,7 +361,7 @@ fn validator_rejects_single_city_grid_hash() {
         .with_driver_count(15, DriverModel::Hitchhiking)
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-    let partitioner = GridHashPartitioner::new(trace.bbox, 4, 4);
+    let partitioner = Meridian(trace.bbox.center().lon());
     let mut sink = CollectingSink::new();
     let _ = replay_sharded(
         market.speed(),
@@ -392,7 +401,7 @@ proptest! {
                 );
                 prop_assert_eq!(summary.tasks, market.num_tasks());
             }
-            // …and the sequential validating path (also proves the random
+            // …and the inline validating lane (also proves the random
             // partition really is legal).
             let (got, _) = sharded(&market, spec, &partitioner, 2, true);
             assert_byte_identical(
