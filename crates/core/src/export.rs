@@ -5,8 +5,9 @@
 //! paper's *literal* per-driver DAG of §III-B — nodes `{0, −1} ∪ [M]`,
 //! profit-weighted — on demand. Uses:
 //!
-//! - differential testing: `DriverView::best_path` against the generic
-//!   `Dag::max_profit_path` on the same structure,
+//! - differential testing: the compact path oracle
+//!   (`DriverView::task_map`) against the generic `Dag::max_profit_path`
+//!   on the same structure,
 //! - inspection/debugging of individual task maps.
 
 use rideshare_graph::Dag;
@@ -102,6 +103,9 @@ pub fn task_map_dag(market: &Market, driver: usize, objective: Objective) -> Tas
 mod tests {
     use super::*;
     use crate::market::MarketBuildOptions;
+    use crate::view::{task_margins, PathScratch, REMOVED};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rideshare_trace::{DriverModel, TraceConfig};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
@@ -113,27 +117,73 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
+    /// The generic longest path over the materialised map: `value` replaces
+    /// the task node weights, tasks valued [`REMOVED`] are disabled, and the
+    /// sink pays `driver_dual`. Every sum associates as the compact DP's
+    /// does, so the two profits are comparable bit for bit.
+    fn generic_best(tm: &TaskMapDag, value: &[f64], driver_dual: f64) -> (Vec<u32>, f64) {
+        let mut dag = tm.dag.clone();
+        for (t, &v) in value.iter().enumerate() {
+            if v == REMOVED {
+                dag.disable_node(t);
+            }
+        }
+        let direct = dag.node_weight(tm.source);
+        let node = |v: usize| match v {
+            v if v == tm.source => direct,
+            v if v == tm.sink => -driver_dual,
+            t => value[t],
+        };
+        let best = dag
+            .max_profit_path_with(tm.source, tm.sink, node, |_, _, w| w)
+            .expect("empty route always exists");
+        let interior = &best.nodes[1..best.nodes.len() - 1];
+        (interior.iter().map(|&t| t as u32).collect(), best.profit)
+    }
+
     #[test]
-    fn generic_dag_agrees_with_factored_solver() {
+    fn generic_dag_agrees_with_compact_task_map() {
         // The crown differential test: two completely independent path
-        // solvers over the same task map must find the same optimum.
+        // solvers over the same task map must find the same path at the
+        // same value — under Alg. 1's removals and under column
+        // generation's duals, with one scratch serving every query.
+        let mut scratch = PathScratch::default();
         for seed in [91u64, 92, 93, 94] {
             let m = market(seed, 80, 6);
-            let removed = vec![false; m.num_tasks()];
+            let margins = task_margins(&m, Objective::Profit);
+            let mut rng = StdRng::seed_from_u64(seed);
             for driver in 0..m.num_drivers() {
                 let view = DriverView::new(&m, driver);
-                let fast = view.best_path(&m, Objective::Profit, &removed);
+                let map = view.task_map(&m);
                 let tm = task_map_dag(&m, driver, Objective::Profit);
-                let generic = tm
-                    .dag
-                    .max_profit_path(tm.source, tm.sink)
-                    .expect("empty route always exists");
-                assert!(
-                    (fast.profit - generic.profit.max(0.0)).abs() < 1e-6,
-                    "seed {seed} driver {driver}: factored {} vs generic {}",
-                    fast.profit,
-                    generic.profit
-                );
+                for round in 0..6 {
+                    let context = format!("seed {seed} driver {driver} round {round}");
+
+                    let removed: Vec<bool> = margins
+                        .iter()
+                        .map(|_| round > 0 && rng.gen_bool(0.3))
+                        .collect();
+                    let value: Vec<f64> = margins
+                        .iter()
+                        .zip(&removed)
+                        .map(|(&margin, &gone)| if gone { REMOVED } else { margin })
+                        .collect();
+                    let fast = view.best_path(&m, Objective::Profit, &removed);
+                    let (tasks, profit) = generic_best(&tm, &value, 0.0);
+                    assert_eq!(fast.tasks, tasks, "{context}, removals");
+                    assert_eq!(fast.profit.to_bits(), profit.to_bits(), "{context}");
+                    assert_eq!(fast, map.best_path(&value, 0.0, &mut scratch));
+
+                    let lambda = rng.gen_range(0.25..3.0);
+                    let priced_value: Vec<f64> = margins
+                        .iter()
+                        .map(|margin| margin - rng.gen_range(0.0..8.0))
+                        .collect();
+                    let priced = map.best_path(&priced_value, lambda, &mut scratch);
+                    let (tasks, profit) = generic_best(&tm, &priced_value, lambda);
+                    assert_eq!(priced.tasks, tasks, "{context}, priced");
+                    assert_eq!(priced.profit.to_bits(), profit.to_bits(), "{context}");
+                }
             }
         }
     }

@@ -5,13 +5,15 @@
 //! task list, and delete the path's task nodes and the driver's
 //! source/destination pair from the graph.
 //!
-//! Implementation: node deletion is a shared `removed` bitmask over the
-//! market's chain DAG, and the arg-max uses **lazy re-evaluation**: each
+//! Implementation: each driver's task map is compacted once
+//! ([`DriverView::task_map`]); node deletion overwrites the task's entry
+//! in the one shared node-value vector with [`REMOVED`], and the arg-max
+//! uses **lazy re-evaluation**: each
 //! driver's best-path value can only *decrease* as task nodes disappear, so
 //! a stale heap entry that still tops the heap after recomputation is the
-//! true maximum. This keeps the per-iteration cost at a handful of
-//! `O(M + |arcs|)` DP calls instead of `N` of them, without changing the
-//! selected solution.
+//! true maximum. This keeps the per-iteration cost at a handful of DP
+//! calls, each linear in that driver's own task map, instead of `N` of
+//! them, without changing the selected solution.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,7 +22,7 @@ use rideshare_types::{Money, TaskId};
 
 use crate::assignment::{Assignment, DriverRoute};
 use crate::market::{Market, Objective};
-use crate::view::DriverView;
+use crate::view::{task_margins, DriverView, PathScratch, TaskMap, REMOVED};
 
 /// Result of running [`solve_greedy`].
 #[derive(Clone, Debug)]
@@ -65,6 +67,13 @@ impl Ord for Entry {
     }
 }
 
+/// Every driver's compacted task map, indexed by driver.
+fn task_maps(market: &Market) -> Vec<TaskMap> {
+    (0..market.num_drivers())
+        .map(|i| DriverView::new(market, i).task_map(market))
+        .collect()
+}
+
 /// Runs Algorithm 1 (GA) on the market under the given objective.
 ///
 /// Returns a feasible assignment together with search statistics. By
@@ -88,19 +97,28 @@ impl Ord for Entry {
 /// ```
 #[must_use]
 pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
+    greedy_over(market, objective, &task_maps(market))
+}
+
+/// [`solve_greedy`] over task maps the caller already holds (`maps[i]` is
+/// driver `i`'s): the column generation warm-starts from Alg. 1 and prices
+/// over the same maps.
+pub(crate) fn greedy_over(
+    market: &Market,
+    objective: Objective,
+    maps: &[TaskMap],
+) -> GreedyOutcome {
     let n = market.num_drivers();
-    let m = market.num_tasks();
-    let mut removed = vec![false; m];
+    let mut value = task_margins(market, objective);
+    let mut scratch = PathScratch::default();
     let mut assignment = Assignment::empty(n);
     let mut evaluations = 0usize;
     let mut iterations = 0usize;
 
-    let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
-
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n);
     let mut cached_paths: Vec<Option<Vec<u32>>> = vec![None; n];
-    for (i, view) in views.iter().enumerate() {
-        let best = view.best_path(market, objective, &removed);
+    for (i, map) in maps.iter().enumerate() {
+        let best = map.best_path(&value, 0.0, &mut scratch);
         evaluations += 1;
         if Money::new(best.profit).is_strictly_positive() {
             heap.push(Entry {
@@ -116,7 +134,7 @@ pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
     while let Some(top) = heap.pop() {
         if top.round < round {
             // Stale: recompute under the current removals and reinsert.
-            let best = views[top.driver].best_path(market, objective, &removed);
+            let best = maps[top.driver].best_path(&value, 0.0, &mut scratch);
             evaluations += 1;
             if Money::new(best.profit).is_strictly_positive() {
                 heap.push(Entry {
@@ -136,7 +154,7 @@ pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
             .expect("fresh heap entry has a cached path");
         debug_assert!(!path.is_empty(), "positive-profit path is non-empty");
         for &t in &path {
-            removed[t as usize] = true;
+            value[t as usize] = REMOVED;
         }
         assignment.set_route(
             market.drivers()[top.driver].id,
@@ -160,18 +178,18 @@ pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
 #[must_use]
 pub(crate) fn solve_greedy_naive(market: &Market, objective: Objective) -> Assignment {
     let n = market.num_drivers();
-    let m = market.num_tasks();
-    let mut removed = vec![false; m];
+    let mut value = task_margins(market, objective);
+    let mut scratch = PathScratch::default();
     let mut taken = vec![false; n];
-    let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
+    let maps = task_maps(market);
     let mut routes = vec![DriverRoute::default(); n];
     loop {
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
-        for (i, view) in views.iter().enumerate() {
+        for (i, map) in maps.iter().enumerate() {
             if taken[i] {
                 continue;
             }
-            let path = view.best_path(market, objective, &removed);
+            let path = map.best_path(&value, 0.0, &mut scratch);
             if !Money::new(path.profit).is_strictly_positive() {
                 continue;
             }
@@ -189,7 +207,7 @@ pub(crate) fn solve_greedy_naive(market: &Market, objective: Objective) -> Assig
             break;
         };
         for &t in &path {
-            removed[t as usize] = true;
+            value[t as usize] = REMOVED;
         }
         taken[driver] = true;
         routes[driver].tasks = path.iter().map(|&t| TaskId::new(t)).collect();

@@ -12,8 +12,10 @@
 //! ([`rideshare_lp::PackingLp`]) holds the columns generated so far, and the
 //! pricing subproblem for driver `i` asks for the path maximising the
 //! reduced cost `r_π − Σ_{m∈π} μₘ − λᵢ` — exactly a longest-path query in
-//! driver `i`'s task-map DAG with dual-adjusted node weights, solved by
-//! [`crate::DriverView::best_path_priced`] in linear time. When no path
+//! driver `i`'s task-map DAG with dual-adjusted node weights, solved in
+//! time linear in that driver's own task map (compacted once, before the
+//! first round; see [`crate::DriverView::best_path_priced`] for the
+//! one-shot form of the same DP). When no path
 //! prices positive the master optimum *is* `Z_f*`; if the round budget is
 //! hit first, the Lagrangian bound `master + Σᵢ max(0, best reduced cost)`
 //! is still a valid upper bound and is reported with `converged = false`.
@@ -21,9 +23,9 @@
 use rideshare_lp::PackingLp;
 use rideshare_types::{Money, Result};
 
-use crate::greedy::solve_greedy;
+use crate::greedy::greedy_over;
 use crate::market::{Market, Objective};
-use crate::view::DriverView;
+use crate::view::{task_margins, BestPath, DriverView, PathScratch, TaskMap};
 
 /// Options for [`lp_upper_bound`].
 #[derive(Clone, Copy, Debug)]
@@ -115,20 +117,21 @@ pub fn lp_upper_bound(
     // task node-disjointness rows (10b).
     let mut master = PackingLp::new(n + m);
     let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
+    let maps: Vec<TaskMap> = views.iter().map(|v| v.task_map(market)).collect();
 
     let mut columns = 0usize;
+    let mut support = Vec::new();
     let mut add_path = |master: &mut PackingLp, driver: usize, tasks: &[u32], profit: f64| {
-        let mut support = Vec::with_capacity(tasks.len() + 1);
+        support.clear();
         support.push(driver);
-        let mut rows: Vec<usize> = tasks.iter().map(|&t| n + t as usize).collect();
-        rows.sort_unstable();
-        support.extend(rows);
+        support.extend(tasks.iter().map(|&t| n + t as usize));
+        support[1..].sort_unstable();
         master.add_column(profit, &support);
         columns += 1;
     };
 
     if opts.warm_start_greedy {
-        let greedy = solve_greedy(market, objective);
+        let greedy = greedy_over(market, objective, &maps);
         for (i, route) in greedy.assignment.routes().iter().enumerate() {
             if route.tasks.is_empty() {
                 continue;
@@ -141,30 +144,38 @@ pub fn lp_upper_bound(
         }
     }
 
-    let removed = vec![false; m];
+    // The pricing subproblem: every driver's best path at the master's
+    // current duals, `profit` being that column's reduced cost. The duals
+    // are read once into the node values `margin − μ` all the DPs share.
+    let margins = task_margins(market, objective);
+    let mut value = vec![0.0; m];
+    let mut scratch = PathScratch::default();
+    let mut price_all = |master: &PackingLp| -> Vec<BestPath> {
+        let duals = master.duals();
+        for ((v, margin), mu) in value.iter_mut().zip(&margins).zip(&duals[n..]) {
+            *v = margin - mu;
+        }
+        maps.iter()
+            .zip(duals)
+            .map(|(map, &lambda)| map.best_path(&value, lambda, &mut scratch))
+            .collect()
+    };
+
     let mut rounds = 0usize;
     let mut converged = false;
     let mut master_objective = master.optimize()?;
-    let mut slack_bound = 0.0f64;
 
     while rounds < opts.max_rounds {
         rounds += 1;
-        let duals = master.duals();
         let mut any = false;
-        slack_bound = 0.0;
-        for (i, view) in views.iter().enumerate() {
-            let lambda = duals[i];
-            let priced =
-                view.best_path_priced(market, objective, &removed, |t| duals[n + t], lambda);
-            // `priced.profit` is the reduced cost of the best column for
-            // driver i (the empty path contributes −λᵢ ≤ 0, so a positive
-            // value certifies an improving path).
+        for (i, priced) in price_all(&master).into_iter().enumerate() {
+            // The empty path contributes −λᵢ ≤ 0, so a positive reduced
+            // cost certifies an improving path.
             if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
-                let true_profit = view.path_profit(market, objective, &priced.tasks);
+                let true_profit = views[i].path_profit(market, objective, &priced.tasks);
                 add_path(&mut master, i, &priced.tasks, true_profit.as_f64());
                 any = true;
             }
-            slack_bound += priced.profit.max(0.0);
         }
         if !any {
             converged = true;
@@ -174,7 +185,8 @@ pub fn lp_upper_bound(
         // Keep the tableau compact: drop non-basic columns that price
         // clearly unattractive. The oracle regenerates any column that
         // becomes attractive again, so this does not affect correctness —
-        // only the per-pivot cost, which is linear in tableau width.
+        // only the memory the dense tableau holds and the per-pivot scans
+        // over its columns.
         if master.num_columns() > opts.purge_factor * (n + m) {
             master.purge(1e-6);
         }
@@ -185,15 +197,10 @@ pub fn lp_upper_bound(
     let bound = if converged {
         master_objective
     } else {
-        // Recompute the pricing gap at the final duals.
-        let duals = master.duals();
-        let mut gap = 0.0;
-        for (i, view) in views.iter().enumerate() {
-            let priced =
-                view.best_path_priced(market, objective, &removed, |t| duals[n + t], duals[i]);
-            gap += priced.profit.max(0.0);
-        }
-        let _ = slack_bound;
+        let gap: f64 = price_all(&master)
+            .iter()
+            .map(|priced| priced.profit.max(0.0))
+            .sum();
         master_objective + gap
     };
 

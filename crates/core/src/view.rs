@@ -9,8 +9,12 @@ use crate::market::{Market, Objective};
 /// source/sink arc costs, and the baseline commute refund.
 ///
 /// Combined with the market's shared chain arcs this is exactly the
-/// driver's task-map DAG; [`DriverView::best_path`] runs the longest-path
-/// DP over it (the primitive both Alg. 1 and the pricing oracle use).
+/// driver's task-map DAG, kept *factored*: `O(M)` to build, which is all
+/// that validation, summaries, the partitioner and the exact solver pay.
+/// The longest-path DP (the primitive both Alg. 1 and the pricing oracle
+/// use) runs over the compacted form `task_map` derives from it; Alg. 1
+/// and the column generation compact once per driver and query many
+/// times, [`DriverView::best_path`] compacts per call.
 #[derive(Clone, Debug)]
 pub struct DriverView {
     driver: usize,
@@ -32,6 +36,125 @@ pub struct BestPath {
     pub tasks: Vec<u32>,
     /// The path profit `r_π` (0 for the empty path).
     pub profit: f64,
+}
+
+/// The value [`TaskMap::best_path`] reads as "this task is gone": a path
+/// through it is worth `−∞`, which beats neither another path nor the
+/// empty one.
+pub(crate) const REMOVED: f64 = f64::NEG_INFINITY;
+
+/// Every task's margin under `objective`, indexed by task — the node
+/// values of the path oracle before duals or removals.
+pub(crate) fn task_margins(market: &Market, objective: Objective) -> Vec<f64> {
+    let tasks = market.tasks().iter();
+    tasks.map(|t| t.margin(objective).as_f64()).collect()
+}
+
+/// One driver's task map compacted for the path oracle
+/// ([`DriverView::task_map`]): only the tasks the driver can serve, as
+/// nodes numbered in [`Market::topo_order`], and only the chain arcs
+/// between two of them, in CSR layout and [`Market::chain_edges`] order.
+///
+/// The factored form (shared chain graph + a per-driver mask) makes every
+/// query walk all `M` tasks and test every chain arc against the mask; a
+/// driver typically reaches a few percent of the tasks, so the compact
+/// form's DP does a few percent of that work. Nodes and arcs keep the
+/// factored form's relative order, so relaxations happen in the same
+/// sequence and every tie breaks the same way.
+#[derive(Clone, Debug)]
+pub(crate) struct TaskMap {
+    direct_cost: f64,
+    /// Node → task index.
+    task: Vec<u32>,
+    /// Per node, the source arc cost `cₙ,₀,ₘ` and sink arc cost `cₙ,ₘ,₋₁`.
+    source_cost: Vec<f64>,
+    sink_cost: Vec<f64>,
+    /// Node `k`'s out-arcs are `arcs[first_arc[k]..first_arc[k + 1]]`.
+    first_arc: Vec<usize>,
+    /// `(head node, empty-driving cost)`.
+    arcs: Vec<(u32, f64)>,
+}
+
+/// Buffers of [`TaskMap::best_path`], owned by the caller so that a loop
+/// over drivers and rounds allocates them once.
+#[derive(Default)]
+pub(crate) struct PathScratch {
+    /// Node values gathered from the per-task vector.
+    value: Vec<f64>,
+    /// `dp[k]`: best value of a source path ending at node `k`, its value
+    /// included, before the sink arc.
+    dp: Vec<f64>,
+    pred: Vec<u32>,
+}
+
+impl TaskMap {
+    /// The longest-path DP: the maximum over source→sink paths of `direct
+    /// cost − arc costs + Σ value[task] − driver_dual`, against the empty
+    /// path's `−driver_dual`. `value` is indexed by task: the margin, less
+    /// the task's dual when pricing, or [`REMOVED`].
+    ///
+    /// Among equally good paths the one kept is the one the first strict
+    /// improvement found, and among equally good end tasks the lowest
+    /// task index — Alg. 1's tie-breaking, which the goldens pin.
+    pub(crate) fn best_path(
+        &self,
+        value: &[f64],
+        driver_dual: f64,
+        scratch: &mut PathScratch,
+    ) -> BestPath {
+        const NONE: u32 = u32::MAX;
+        let PathScratch {
+            value: node_value,
+            dp,
+            pred,
+        } = scratch;
+        node_value.clear();
+        node_value.extend(self.task.iter().map(|&t| value[t as usize]));
+        dp.clear();
+        dp.resize(self.task.len(), f64::NEG_INFINITY);
+        pred.clear();
+        pred.resize(self.task.len(), NONE);
+
+        let mut best = 0.0 - driver_dual; // empty path: profit 0, pays λ
+        let mut best_end = NONE;
+        for i in 0..self.task.len() {
+            let via_source = self.direct_cost - self.source_cost[i] + node_value[i];
+            if via_source > dp[i] {
+                dp[i] = via_source;
+                pred[i] = NONE;
+            }
+            let dpi = dp[i];
+            if dpi == f64::NEG_INFINITY {
+                continue;
+            }
+            // Nodes come in topological order, so `dp[i]` is final here.
+            for &(j, cost) in &self.arcs[self.first_arc[i]..self.first_arc[i + 1]] {
+                let cand = dpi - cost + node_value[j as usize];
+                if cand > dp[j as usize] {
+                    dp[j as usize] = cand;
+                    pred[j as usize] = i as u32;
+                }
+            }
+            let total = dpi - self.sink_cost[i] - driver_dual;
+            let wins_tie = || best_end != NONE && self.task[i] < self.task[best_end as usize];
+            if total > best || (total == best && wins_tie()) {
+                best = total;
+                best_end = i as u32;
+            }
+        }
+
+        let mut tasks = Vec::new();
+        let mut cur = best_end;
+        while cur != NONE {
+            tasks.push(self.task[cur as usize]);
+            cur = pred[cur as usize];
+        }
+        tasks.reverse();
+        BestPath {
+            tasks,
+            profit: best,
+        }
+    }
 }
 
 impl DriverView {
@@ -120,8 +243,10 @@ impl DriverView {
     /// *reduced* value `r_π − Σ_{m∈π} task_dual(m) − driver_dual`; the true
     /// `r_π` can be recomputed with [`DriverView::path_profit`].
     ///
-    /// The DP runs over the market's shared topological order in
-    /// `O(M + |chain arcs|)`.
+    /// One-shot form of the oracle: it compacts the task map, runs the DP
+    /// once and drops both, `O(M + |chain arcs|)` in all. Alg. 1 and the
+    /// column generation, which query one driver many times, compact once
+    /// and keep the map.
     #[must_use]
     pub fn best_path_priced(
         &self,
@@ -131,72 +256,54 @@ impl DriverView {
         task_dual: impl Fn(usize) -> f64,
         driver_dual: f64,
     ) -> BestPath {
-        let m = market.num_tasks();
-        debug_assert_eq!(removed.len(), m);
-        const NEG: f64 = f64::NEG_INFINITY;
-        // dp[i] = best value of a path from the source ending at task i
-        // (inclusive of i's margin and dual), before the sink arc.
-        let mut dp = vec![NEG; m];
-        let mut pred: Vec<u32> = vec![u32::MAX; m];
-        let tasks = market.tasks();
+        debug_assert_eq!(removed.len(), market.num_tasks());
+        let mut value = task_margins(market, objective);
+        for (t, v) in value.iter_mut().enumerate() {
+            *v = if removed[t] {
+                REMOVED
+            } else {
+                *v - task_dual(t)
+            };
+        }
+        self.task_map(market)
+            .best_path(&value, driver_dual, &mut PathScratch::default())
+    }
 
-        let value = |i: usize| tasks[i].margin(objective).as_f64() - task_dual(i);
-
-        for &iu in market.topo_order() {
-            let i = iu as usize;
-            if !self.allowed[i] || removed[i] {
-                continue;
-            }
-            // Source arc.
-            let via_source = self.direct_cost - self.source_cost[i] + value(i);
-            if via_source > dp[i] {
-                dp[i] = via_source;
-                pred[i] = u32::MAX;
-            }
-            if dp[i] == NEG {
-                continue;
-            }
-            for e in market.chain_edges(i) {
-                let j = e.to as usize;
-                if !self.allowed[j] || removed[j] {
-                    continue;
-                }
-                let cand = dp[i] - e.cost + value(j);
-                if cand > dp[j] {
-                    dp[j] = cand;
-                    pred[j] = iu;
-                }
+    /// Compacts this driver's task map for repeated path queries: `O(M +
+    /// |chain arcs|)`, the cost of one DP over the factored form.
+    ///
+    /// Not part of [`DriverView::new`]: validation, summaries, the
+    /// partitioner and the exact solver build views and never ask for a
+    /// path.
+    pub(crate) fn task_map(&self, market: &Market) -> TaskMap {
+        let mut node_of = vec![u32::MAX; market.num_tasks()];
+        let mut task = Vec::with_capacity(self.feasible_count);
+        for &t in market.topo_order() {
+            if self.allowed[t as usize] {
+                node_of[t as usize] = task.len() as u32;
+                task.push(t);
             }
         }
-
-        // Close with the sink arc; compare against the empty path.
-        let mut best_end: Option<usize> = None;
-        let mut best = 0.0 - driver_dual; // empty path: profit 0, pays λ
-        for (i, &dpi) in dp.iter().enumerate() {
-            if dpi == NEG {
-                continue;
-            }
-            let total = dpi - self.sink_cost[i] - driver_dual;
-            if total > best {
-                best = total;
-                best_end = Some(i);
-            }
+        let mut first_arc = Vec::with_capacity(task.len() + 1);
+        let mut arcs = Vec::new();
+        for &t in &task {
+            first_arc.push(arcs.len());
+            arcs.extend(
+                market
+                    .chain_edges(t as usize)
+                    .iter()
+                    .filter(|e| self.allowed[e.to as usize])
+                    .map(|e| (node_of[e.to as usize], e.cost)),
+            );
         }
-        let mut tasks_out = Vec::new();
-        if let Some(mut cur) = best_end {
-            loop {
-                tasks_out.push(cur as u32);
-                let p = pred[cur];
-                if p == u32::MAX {
-                    break;
-                }
-                cur = p as usize;
-            }
-            tasks_out.reverse();
-        }
-        BestPath {
-            tasks: tasks_out,
-            profit: best,
+        first_arc.push(arcs.len());
+        TaskMap {
+            direct_cost: self.direct_cost,
+            source_cost: task.iter().map(|&t| self.source_cost[t as usize]).collect(),
+            sink_cost: task.iter().map(|&t| self.sink_cost[t as usize]).collect(),
+            task,
+            first_arc,
+            arcs,
         }
     }
 
@@ -396,6 +503,53 @@ mod tests {
         // Driver dual shifts the whole path value down.
         let paid = view.best_path_priced(&market, Objective::Profit, &[false, false], |_| 0.0, 2.0);
         assert!((paid.profit - 4.0).abs() < 1e-6, "6.0 − λ");
+    }
+
+    #[test]
+    fn empty_task_maps_price_to_minus_lambda() {
+        // A driver who can reach no task: the compact map has no node.
+        let d = driver(0.0, 0.0, 0, 600);
+        let far = task(0, 40.0, 1200, 1800, 50.0);
+        let market = Market::new(vec![d], vec![far], speed(), None);
+        let view = DriverView::new(&market, 0);
+        assert_eq!(view.feasible_task_count(), 0);
+        let none = view.best_path_priced(&market, Objective::Profit, &[false], |_| 0.0, 1.5);
+        assert!(none.tasks.is_empty());
+        assert_eq!(none.profit, -1.5);
+
+        // Two simultaneous tasks: both reachable, no chain arc between
+        // them, so the map is nodes without arcs.
+        let d = driver(0.0, 30.0, 0, 7200);
+        let t1 = task(0, 10.0, 1200, 1800, 3.0);
+        let t2 = task(1, 20.0, 1200, 1800, 4.0);
+        let market = Market::new(vec![d], vec![t1, t2], speed(), None);
+        assert_eq!(market.chain_arc_count(), 0);
+        let view = DriverView::new(&market, 0);
+        assert_eq!(view.feasible_task_count(), 2);
+        let one = view.best_path(&market, Objective::Profit, &[false, false]);
+        assert_eq!(one.tasks, vec![1], "single tasks still price");
+        let none = view.best_path_priced(&market, Objective::Profit, &[false, false], |_| 9.0, 1.5);
+        assert!(none.tasks.is_empty(), "both priced out");
+        assert_eq!(none.profit, -1.5);
+    }
+
+    #[test]
+    fn equally_good_end_tasks_resolve_to_the_lower_index() {
+        // Two exclusive tasks worth the same, where the topological order
+        // (by completion deadline) visits task 1 before task 0: the DP
+        // walks nodes in that order, the answer must not depend on it.
+        let d = driver(0.0, 0.0, 0, 7200);
+        let t0 = task(0, 10.0, 1200, 1900, 5.0);
+        let t1 = task(1, 10.0, 1200, 1800, 5.0);
+        let market = Market::new(vec![d], vec![t0, t1], speed(), None);
+        assert_eq!(market.topo_order(), &[1, 0]);
+        assert_eq!(market.chain_arc_count(), 0);
+        let view = DriverView::new(&market, 0);
+        let best = view.best_path(&market, Objective::Profit, &[false, false]);
+        assert_eq!(best.tasks, vec![0]);
+        let other = view.best_path(&market, Objective::Profit, &[true, false]);
+        assert_eq!(other.tasks, vec![1]);
+        assert_eq!(other.profit, best.profit);
     }
 
     #[test]

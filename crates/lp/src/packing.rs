@@ -12,6 +12,25 @@
 //! appending a generated path column costs `O(m·|support|)` and
 //! re-optimisation resumes from the current (still feasible) basis instead
 //! of restarting — the property that makes column generation practical.
+//!
+//! **What a pivot costs.** Storage is dense (`rows` floats per column),
+//! but a pivot is not: the elimination changes entry `(i, k)` only where
+//! the pivot row is nonzero in column `k` *and* the pivot column is
+//! nonzero in row `i`, so it does one strided read per column to find the
+//! first set, lists the second once, and touches (nonzeros of the pivot
+//! row) × (nonzeros of the pivot column) entries. On path-packing masters
+//! both sets are a few percent of the tableau — a path meets a handful of
+//! rows, and `B⁻¹` stays close to a permuted identity until the basis
+//! fills in — so a pivot costs thousands of steps where a sweep of all
+//! `rows × columns` entries costs a million. The skipped entries are
+//! exactly those a full sweep would subtract zero from, and the `1e-13`
+//! clamp on every touched entry is what keeps cancelled entries exact
+//! zeros.
+//!
+//! **Why [`PackingLp::purge`] remains.** Every column still owns `rows`
+//! floats, and every pivot still reads one entry of every column and every
+//! entering-column search scans every reduced cost; a long column
+//! generation run would otherwise grow all three without bound.
 
 use rideshare_types::{MarketError, Result};
 
@@ -55,6 +74,9 @@ pub struct PackingLp {
     /// Internal index → external id (`usize::MAX` for slacks).
     int2ext: Vec<usize>,
     pivots: usize,
+    /// Scratch of [`Self::pivot`]: the pivot column's `(row, value)`
+    /// nonzeros, kept to reuse its allocation.
+    pivot_rows: Vec<(usize, f64)>,
 }
 
 impl PackingLp {
@@ -92,6 +114,7 @@ impl PackingLp {
             ext2int: Vec::new(),
             int2ext: vec![usize::MAX; rows],
             pivots: 0,
+            pivot_rows: Vec::new(),
         }
     }
 
@@ -109,8 +132,9 @@ impl PackingLp {
 
     /// Current dual price of each row (meaningful after [`Self::optimize`]).
     #[must_use]
-    pub fn duals(&self) -> Vec<f64> {
-        (0..self.rows).map(|r| self.obj[r]).collect()
+    pub fn duals(&self) -> &[f64] {
+        // The slack columns' `z_j − c_j` entries are the row prices.
+        &self.obj[..self.rows]
     }
 
     /// Current primal value of an external column (0 if purged).
@@ -242,38 +266,47 @@ impl PackingLp {
         }
     }
 
+    /// One pivot, at the cost of its nonzeros: a column with an exact zero
+    /// in the pivot row is left alone by the elimination, and a row where
+    /// the pivot column is zero is left alone in every column, so only the
+    /// (pivot-row nonzeros) × (pivot-column nonzeros) block is touched.
     fn pivot(&mut self, row: usize, col: usize) {
         self.pivots += 1;
         let piv = self.cols[col][row];
         debug_assert!(piv.abs() > PIVOT_EPS);
         let inv = 1.0 / piv;
-        // Snapshot of the (pre-scale) pivot column.
-        let pivcol: Vec<f64> = self.cols[col].clone();
+        // The (pre-scale) pivot column's nonzeros off the pivot row.
+        self.pivot_rows.clear();
+        for (i, &p) in self.cols[col].iter().enumerate() {
+            if p != 0.0 && i != row {
+                self.pivot_rows.push((i, p));
+            }
+        }
         let obj_factor = self.obj[col];
         let rhs_pivot = self.rhs[row] * inv;
-        for (k, c) in self.cols.iter_mut().enumerate() {
+        for (c, o) in self.cols.iter_mut().zip(&mut self.obj) {
+            if c[row] == 0.0 {
+                continue;
+            }
             let row_val = c[row] * inv;
-            for (i, (ci, &p)) in c.iter_mut().zip(&pivcol).enumerate() {
-                if i == row {
-                    continue;
-                }
+            for &(i, p) in &self.pivot_rows {
+                let ci = &mut c[i];
                 *ci -= p * row_val;
                 if ci.abs() < 1e-13 {
                     *ci = 0.0;
                 }
             }
             c[row] = row_val;
-            self.obj[k] -= obj_factor * row_val;
-            if self.obj[k].abs() < 1e-13 {
-                self.obj[k] = 0.0;
+            *o -= obj_factor * row_val;
+            if o.abs() < 1e-13 {
+                *o = 0.0;
             }
         }
-        for (i, (r, &p)) in self.rhs.iter_mut().zip(&pivcol).enumerate() {
-            if i != row {
-                *r -= p * rhs_pivot;
-                if r.abs() < 1e-12 {
-                    *r = 0.0;
-                }
+        for &(i, p) in &self.pivot_rows {
+            let r = &mut self.rhs[i];
+            *r -= p * rhs_pivot;
+            if r.abs() < 1e-12 {
+                *r = 0.0;
             }
         }
         self.rhs[row] = rhs_pivot;
@@ -286,11 +319,14 @@ impl PackingLp {
     /// Purged columns report primal value 0 forever; column generation will
     /// simply regenerate them if they become attractive again.
     pub fn purge(&mut self, threshold: f64) {
-        let basic: std::collections::HashSet<usize> = self.basis.iter().copied().collect();
+        let mut basic = vec![false; self.cols.len()];
+        for &b in &self.basis {
+            basic[b] = true;
+        }
         let mut keep: Vec<usize> = Vec::with_capacity(self.cols.len());
-        for k in 0..self.cols.len() {
+        for (k, &is_basic) in basic.iter().enumerate() {
             let is_slack = k < self.rows;
-            if is_slack || basic.contains(&k) || self.obj[k] <= threshold {
+            if is_slack || is_basic || self.obj[k] <= threshold {
                 keep.push(k);
             } else {
                 self.ext2int[self.int2ext[k]] = None;
@@ -446,45 +482,153 @@ mod tests {
         lp.add_column(1.0, &[2, 1]);
     }
 
-    #[test]
-    fn larger_random_instance_matches_dense_simplex() {
-        use crate::{Cmp, LinearProgram};
-        // Cross-validate PackingLp against the general simplex on a
-        // deterministic pseudo-random packing instance.
-        let rows = 12;
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state
+    /// Deterministic pseudo-random reals in `[0, 1)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> f64 {
+            self.0 = self
+                .0
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut packing = PackingLp::new(rows);
-        let mut dense = LinearProgram::maximize();
-        let mut row_members: Vec<Vec<usize>> = vec![Vec::new(); rows];
-        for j in 0..40 {
-            let cost = 1.0 + 9.0 * next();
-            let mut support: Vec<usize> = (0..rows).filter(|_| next() < 0.25).collect();
-            if support.is_empty() {
-                support.push(j % rows);
-            }
-            packing.add_column(cost, &support);
-            let v = dense.add_var(format!("c{j}"), cost);
-            for &r in &support {
-                row_members[r].push(v);
+            (self.0 >> 33) as f64 / (1u64 << 31) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() * n as f64) as usize
+        }
+    }
+
+    /// A packing instance fed to [`PackingLp`] the way column generation
+    /// feeds it — in batches, re-optimised in between, regenerating what a
+    /// purge dropped — and checked against the general simplex on every
+    /// column ever offered.
+    struct Checked {
+        lp: PackingLp,
+        /// `(cost, support, external id)` of every `add_column` call.
+        added: Vec<(f64, Vec<usize>, usize)>,
+    }
+
+    impl Checked {
+        fn new(rows: usize) -> Self {
+            Self {
+                lp: PackingLp::new(rows),
+                added: Vec::new(),
             }
         }
-        for members in row_members {
-            let coeffs = members.into_iter().map(|v| (v, 1.0)).collect();
-            dense.add_constraint(coeffs, Cmp::Le, 1.0);
+
+        fn add(&mut self, cost: f64, support: Vec<usize>) {
+            let ext = self.lp.add_column(cost, &support);
+            self.added.push((cost, support, ext));
         }
-        let packing_obj = packing.optimize().unwrap();
-        let dense_obj = dense.solve().unwrap().objective;
-        // The packing solver's RHS perturbation admits a small one-sided
-        // inflation; it must never fall below the unperturbed optimum.
+
+        /// Optimises, re-adding any column that prices positive: after
+        /// `optimize` no column still in the tableau does, so such a column
+        /// was purged and the pricing oracle would have found it again.
+        fn optimize(&mut self) -> f64 {
+            loop {
+                let obj = self.lp.optimize().unwrap();
+                let offered = self.added.len();
+                for k in 0..offered {
+                    let (cost, support, _) = &self.added[k];
+                    if self.lp.candidate_reduced_cost(*cost, support) > 1e-7 {
+                        let (cost, support) = (*cost, support.clone());
+                        self.add(cost, support);
+                    }
+                }
+                if self.added.len() == offered {
+                    return obj;
+                }
+            }
+        }
+
+        /// Objective against the dense simplex, dual feasibility for every
+        /// column ever added, primal feasibility per row.
+        fn check(&self, obj: f64, context: &str) {
+            use crate::{Cmp, LinearProgram};
+            let rows = self.lp.num_rows();
+            let mut dense = LinearProgram::maximize();
+            let mut members: Vec<Vec<(usize, f64)>> = vec![Vec::new(); rows];
+            let mut used = vec![0.0; rows];
+            let y = self.lp.duals();
+            for (j, (cost, support, ext)) in self.added.iter().enumerate() {
+                let v = dense.add_var(format!("c{j}"), *cost);
+                let priced: f64 = support.iter().map(|&r| y[r]).sum();
+                assert!(
+                    priced >= cost - 1e-7,
+                    "{context}: column {j} prices {priced} under its cost {cost}"
+                );
+                for &r in support {
+                    members[r].push((v, 1.0));
+                    used[r] += self.lp.primal(*ext);
+                }
+            }
+            for coeffs in members {
+                dense.add_constraint(coeffs, Cmp::Le, 1.0);
+            }
+            let dense_obj = dense.solve().unwrap().objective;
+            // The RHS perturbation admits a small one-sided inflation; the
+            // objective must never fall below the unperturbed optimum.
+            assert!(
+                obj + 1e-9 >= dense_obj && obj - dense_obj < 1e-3,
+                "{context}: packing {obj} vs dense {dense_obj}"
+            );
+            for (r, &u) in used.iter().enumerate() {
+                let rhs = 1.0 + (r as f64 + 1.0) * PERTURBATION;
+                assert!(u <= rhs + 1e-9, "{context}: row {r} carries {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_batches_match_dense_simplex() {
+        for seed in 0..60u64 {
+            let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let rows = 8 + rng.below(33);
+            let mut checked = Checked::new(rows);
+            for batch in 0..4 {
+                for _ in 0..rows {
+                    let len = 1 + rng.below(6);
+                    let mut support: Vec<usize> = (0..len).map(|_| rng.below(rows)).collect();
+                    support.sort_unstable();
+                    support.dedup();
+                    checked.add(1.0 + 9.0 * rng.next(), support);
+                }
+                let obj = checked.optimize();
+                checked.check(obj, &format!("seed {seed} batch {batch}"));
+                if batch == 1 {
+                    checked.lp.purge(1e-6);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chain_overlapping_supports_fill_in() {
+        // Interval supports that each overlap their neighbours: every pivot
+        // couples a run of rows, so `B⁻¹` (the slack block) fills in and
+        // pivots run over nonzero lists far from the all-slack start.
+        let rows = 96;
+        let mut rng = Lcg(0x5eed);
+        let mut checked = Checked::new(rows);
+        for batch in 0..6 {
+            for start in 0..rows - 1 {
+                let len = 2 + rng.below(5);
+                let support: Vec<usize> = (start..(start + len).min(rows)).collect();
+                let cost = support.len() as f64 * (0.5 + rng.next());
+                checked.add(cost, support);
+            }
+            let obj = checked.optimize();
+            checked.check(obj, &format!("batch {batch}"));
+        }
+        assert!(checked.lp.pivots >= 200, "{} pivots", checked.lp.pivots);
+        let inverse_nonzeros: usize = checked.lp.cols[..rows]
+            .iter()
+            .map(|c| c.iter().filter(|&&x| x != 0.0).count())
+            .sum();
         assert!(
-            packing_obj + 1e-9 >= dense_obj && packing_obj - dense_obj < 1e-3,
-            "packing {packing_obj} vs dense {dense_obj}"
+            inverse_nonzeros > 4 * rows,
+            "B⁻¹ holds {inverse_nonzeros} nonzeros over {rows} rows"
         );
     }
 }
