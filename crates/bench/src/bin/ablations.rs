@@ -1,4 +1,5 @@
-//! Quality ablations for the design choices flagged in DESIGN.md §5.
+//! Quality ablations: what each design choice between the paper's model
+//! and this implementation buys, measured by switching it off.
 //!
 //! - **Dispatch criterion**: maxMargin (Eq. 14) vs Nearest arrival vs
 //!   Random candidate — isolates how much the selection rule contributes
@@ -7,10 +8,16 @@
 //!   (the §VI-C congestion-control discussion).
 //! - **Chain-wait cap**: pruning long idle gaps from the task map — the
 //!   offline greedy's quality/speed trade-off.
+//! - **Geographic partitioning**: the lossy `k × k` cell split of §I's
+//!   distribution claim against the global greedy.
+//! - **Objective**: drivers' profit (Eq. 4) vs social welfare (Eq. 6).
 //! - **Upper-bound validation**: `Z_f*` vs exact `Z*` gap at small scale.
 //!
-//! Usage: `cargo run --release --bin ablations [--quick]`
+//! Usage: `cargo run --release -p rideshare-bench --bin ablations --
+//!         [--quick]`
 
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::outln;
 use rideshare_core::{
     lp_upper_bound, solve_exact, solve_greedy, ExactOptions, Market, MarketBuildOptions, Objective,
     UpperBoundOptions,
@@ -21,8 +28,15 @@ use rideshare_pricing::SurgeConfig;
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
 
+const USAGE: BinUsage = BinUsage {
+    bin: "ablations",
+    counts: &[],
+    switches: &["--quick"],
+    keys: &[],
+};
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = USAGE.from_env().switch("--quick");
     let tasks = if quick { 150 } else { 600 };
     let drivers = if quick { 25 } else { 80 };
 
@@ -43,7 +57,7 @@ fn trace(tasks: usize, drivers: usize) -> rideshare_trace::Trace {
 }
 
 fn dispatch_criterion(tasks: usize, drivers: usize) {
-    println!("== Ablation: dispatch criterion ({tasks} tasks, {drivers} drivers) ==");
+    outln!("== Ablation: dispatch criterion ({tasks} tasks, {drivers} drivers) ==");
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let sim = Simulator::new(&market);
     let mut rows = Vec::new();
@@ -60,14 +74,14 @@ fn dispatch_criterion(tasks: usize, drivers: usize) {
             format!("{:.3}", r.service_rate()),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["policy", "profit", "served rate"], &rows)
     );
 }
 
 fn surge_on_off(tasks: usize, drivers: usize) {
-    println!("== Ablation: surge pricing on/off ==");
+    outln!("== Ablation: surge pricing on/off ==");
     let t = trace(tasks, drivers);
     let mut rows = Vec::new();
     for (label, surge) in [
@@ -90,14 +104,14 @@ fn surge_on_off(tasks: usize, drivers: usize) {
             format!("{:.3}", r.service_rate()),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["surge", "revenue", "profit", "served rate"], &rows)
     );
 }
 
 fn chain_wait_cap(tasks: usize, drivers: usize) {
-    println!("== Ablation: chain-wait cap on the offline task map ==");
+    outln!("== Ablation: chain-wait cap on the offline task map ==");
     let t = trace(tasks, drivers);
     let mut rows = Vec::new();
     for (label, cap) in [
@@ -125,14 +139,14 @@ fn chain_wait_cap(tasks: usize, drivers: usize) {
             ga.evaluations.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["cap", "chain arcs", "greedy profit", "DP evals"], &rows)
     );
 }
 
 fn partitioning_loss(tasks: usize, drivers: usize) {
-    println!("== Ablation: geographic partitioning loss (§I's distribution claim) ==");
+    outln!("== Ablation: geographic partitioning loss (§I's distribution claim) ==");
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let global = solve_greedy(&market, Objective::Profit)
         .assignment
@@ -155,14 +169,14 @@ fn partitioning_loss(tasks: usize, drivers: usize) {
             format!("{:.1}%", p / global.max(1e-9) * 100.0),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["partition", "greedy profit", "vs global"], &rows)
     );
 }
 
 fn objective_comparison(tasks: usize, drivers: usize) {
-    println!("== Ablation: drivers'-profit (Eq. 4) vs social-welfare (Eq. 6) objective ==");
+    outln!("== Ablation: drivers'-profit (Eq. 4) vs social-welfare (Eq. 6) objective ==");
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let mut rows = Vec::new();
     for objective in [Objective::Profit, Objective::Welfare] {
@@ -180,7 +194,7 @@ fn objective_comparison(tasks: usize, drivers: usize) {
             a.served_count().to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &["optimised for", "profit value", "welfare value", "served"],
@@ -190,7 +204,7 @@ fn objective_comparison(tasks: usize, drivers: usize) {
 }
 
 fn bound_vs_exact() {
-    println!("== Ablation: Z_f* (column generation) vs exact Z* at small scale ==");
+    outln!("== Ablation: Z_f* (column generation) vs exact Z* at small scale ==");
     let mut rows = Vec::new();
     for (tasks, drivers) in [(10, 5), (14, 7), (18, 8)] {
         let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
@@ -211,7 +225,7 @@ fn bound_vs_exact() {
             ub.rounds.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["M×N", "Z*", "Z_f*", "gap", "CG rounds"], &rows)
     );

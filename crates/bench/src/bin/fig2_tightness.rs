@@ -4,20 +4,27 @@
 //! diameters `D`, runs GA and the exact ILP on each instance, and reports
 //! the achieved ratio against the theoretical `1/(D+1)` floor.
 //!
-//! Usage: `cargo run --release --bin fig2_tightness [max_d]`
+//! Usage: `cargo run --release -p rideshare-bench --bin fig2_tightness --
+//!         [max_d]`
 
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::outln;
 use rideshare_core::tightness::fig2_instance;
 use rideshare_core::{solve_exact, solve_greedy, ExactOptions, Objective};
 use rideshare_metrics::render_table;
 
+const USAGE: BinUsage = BinUsage {
+    bin: "fig2_tightness",
+    counts: &["max_d"],
+    switches: &[],
+    keys: &[],
+};
+
 fn main() {
-    let max_d: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
+    let max_d = USAGE.from_env().count(0).unwrap_or(6);
     let epsilon = 0.02;
 
-    println!("== Fig. 2 — tightness of GA's 1/(D+1) ratio (ε = {epsilon}) ==");
+    outln!("== Fig. 2 — tightness of GA's 1/(D+1) ratio (ε = {epsilon}) ==");
     let mut rows = Vec::new();
     for d in 1..=max_d {
         let inst = fig2_instance(d, epsilon);
@@ -44,9 +51,9 @@ fn main() {
             format!("{:.4}", 1.0 / (d as f64 + 1.0)),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["D", "GA profit", "OPT", "ratio", "1/(D+1)"], &rows)
     );
-    println!("expected shape: ratio tracks 1/(D+1) from above as ε → 0.");
+    outln!("expected shape: ratio tracks 1/(D+1) from above as ε → 0.");
 }

@@ -7,17 +7,24 @@
 //! marginals, and reports the maximum-likelihood power-law exponent so the
 //! shape claim can be checked quantitatively.
 //!
-//! Usage: `cargo run --release --bin fig3_4_distributions [trips]`
+//! Usage: `cargo run --release -p rideshare-bench --bin
+//!         fig3_4_distributions -- [trips]`
 
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::outln;
 use rideshare_metrics::render_table;
 use rideshare_trace::stats::{ccdf, fit_power_law, summarize, Histogram};
 use rideshare_trace::{DriverModel, TraceConfig};
 
+const USAGE: BinUsage = BinUsage {
+    bin: "fig3_4_distributions",
+    counts: &["trips"],
+    switches: &[],
+    keys: &[],
+};
+
 fn main() {
-    let trips: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let trips = USAGE.from_env().count(0).unwrap_or(20_000);
 
     let trace = TraceConfig::porto()
         .with_seed(1907)
@@ -37,20 +44,25 @@ fn main() {
         &times_min,
         1.0,
     );
-    println!();
+    outln!();
     print_figure("Fig. 4 — travel distance distribution (km)", &dists_km, 1.0);
 }
 
 fn print_figure(title: &str, xs: &[f64], fit_xmin: f64) {
-    println!("== {title} ==");
+    outln!("== {title} ==");
     let s = summarize(xs).expect("non-empty sample");
-    println!(
+    outln!(
         "n = {}   mean = {:.2}   p50 = {:.2}   p90 = {:.2}   p99 = {:.2}   max = {:.2}",
-        s.count, s.mean, s.p50, s.p90, s.p99, s.max
+        s.count,
+        s.mean,
+        s.p50,
+        s.p90,
+        s.p99,
+        s.max
     );
     match fit_power_law(xs, fit_xmin) {
-        Some(alpha) => println!("power-law MLE exponent (x ≥ {fit_xmin}): α̂ = {alpha:.3}"),
-        None => println!("power-law fit: insufficient tail data"),
+        Some(alpha) => outln!("power-law MLE exponent (x ≥ {fit_xmin}): α̂ = {alpha:.3}"),
+        None => outln!("power-law fit: insufficient tail data"),
     }
 
     let max = xs.iter().copied().fold(f64::MIN, f64::max);
@@ -68,14 +80,14 @@ fn print_figure(title: &str, xs: &[f64], fit_xmin: f64) {
             ]
         })
         .collect();
-    println!("{}", render_table(&["bin", "center", "density"], &rows));
+    outln!("{}", render_table(&["bin", "center", "density"], &rows));
 
     // A handful of CCDF anchor points for the log-log tail plot.
     let tail = ccdf(xs);
     let picks = [0.5, 0.1, 0.01];
     for p in picks {
         if let Some((x, _)) = tail.iter().find(|(_, frac)| *frac <= p) {
-            println!("CCDF: P(X > {x:.2}) ≈ {p}");
+            outln!("CCDF: P(X > {x:.2}) ≈ {p}");
         }
     }
 }

@@ -8,95 +8,110 @@
 //! better; the paper plots the same comparison with the axes in its own
 //! orientation).
 //!
-//! Usage: `cargo run --release --bin fig5_performance_ratio [tasks]
-//!         [--quick] [--model hitch|hwh] [--rounds N]`
+//! Every sweep point is a [`Scenario`] and the figure is one [`run_sweep`]
+//! over them — the call `rideshare sweep` makes and the ledger's
+//! `offline-fig5` workload times: `Z_f*` per disjoint component, points
+//! side by side on all cores. On some home-work-home points (all three
+//! `--quick` ones) column generation stops at its round cap; their
+//! denominator is then the Lagrangian fallback — a valid upper bound a
+//! fraction of a percent above `Z_f*` (`UpperBoundResult::converged` is
+//! false there).
+//!
+//! Usage: `cargo run --release -p rideshare-bench --bin
+//!         fig5_performance_ratio -- [tasks] [--quick] [--model hitch|hwh]`
 //!
 //! `--quick` shrinks the sweep for smoke-testing; `--model` runs one panel
-//! only; `--rounds` caps the column-generation rounds (the Lagrangian
-//! fallback keeps the truncated bound valid — see `lp_upper_bound` — at
-//! the cost of a slightly looser denominator).
+//! only.
 
-use rideshare_bench::{build_market, run_all_algorithms, DRIVER_SWEEP};
-use rideshare_core::{lp_upper_bound, Objective, UpperBoundOptions};
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::{
+    outln, run_sweep, PolicySpec, Scenario, ScenarioKind, SweepOptions, DRIVER_SWEEP,
+    PAPER_TASK_COUNT,
+};
+use rideshare_core::MarketBuildOptions;
 use rideshare_metrics::{render_series, Series};
-use rideshare_trace::DriverModel;
+use rideshare_trace::{DriverModel, TraceConfig};
+
+const USAGE: BinUsage = BinUsage {
+    bin: "fig5_performance_ratio",
+    counts: &["tasks"],
+    switches: &["--quick"],
+    keys: &[("--model", "hitch|hwh")],
+};
+
+/// The paper's three algorithms, in legend order.
+const ALGORITHMS: [(&str, PolicySpec); 3] = [
+    ("Greedy", PolicySpec::Greedy),
+    ("maxMargin", PolicySpec::MaxMargin),
+    ("Nearest", PolicySpec::Nearest),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let tasks: usize = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if quick { 200 } else { 1000 });
-    let sweep: Vec<usize> = if quick {
-        vec![20, 60, 150]
-    } else {
-        DRIVER_SWEEP.to_vec()
-    };
-    let models: Vec<DriverModel> = match args
-        .iter()
-        .position(|a| a == "--model")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("hitch") => vec![DriverModel::Hitchhiking],
-        Some("hwh") => vec![DriverModel::HomeWorkHome],
-        _ => vec![DriverModel::Hitchhiking, DriverModel::HomeWorkHome],
-    };
-    let max_rounds: usize = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
-
-    let upper_bound = |market: &rideshare_core::Market| {
-        lp_upper_bound(
-            market,
-            Objective::Profit,
-            UpperBoundOptions {
-                max_rounds,
-                ..Default::default()
-            },
-        )
-        .expect("column generation on a well-formed market")
-        .bound
+    let args = USAGE.from_env();
+    let quick = args.switch("--quick");
+    let tasks = args
+        .count(0)
+        .unwrap_or(if quick { 200 } else { PAPER_TASK_COUNT });
+    let sweep: &[usize] = if quick { &[20, 60, 150] } else { &DRIVER_SWEEP };
+    let models: &[DriverModel] = match args.value("--model") {
+        None => &[DriverModel::Hitchhiking, DriverModel::HomeWorkHome],
+        Some("hitch") => &[DriverModel::Hitchhiking],
+        Some("hwh") => &[DriverModel::HomeWorkHome],
+        Some(other) => USAGE.refuse(&format!(
+            "bad value '{other}' for --model (expected hitch|hwh)"
+        )),
     };
 
+    // Panel-major, so the report's cells come back in printing order.
+    let points: Vec<Scenario> = models
+        .iter()
+        .flat_map(|&model| {
+            sweep.iter().map(move |&drivers| Scenario {
+                name: "fig5",
+                summary: "Fig. 5 sweep point",
+                kind: ScenarioKind::Trace {
+                    config: Box::new(
+                        TraceConfig::porto()
+                            .with_seed(1907)
+                            .with_task_count(tasks)
+                            .with_driver_count(drivers, model),
+                    ),
+                    build: MarketBuildOptions::default(),
+                    days: 1,
+                },
+            })
+        })
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    eprintln!(
+        "sweeping {} points × {} algorithms on {threads} thread(s)…",
+        points.len(),
+        ALGORITHMS.len()
+    );
+    let report = run_sweep(
+        &points,
+        &ALGORITHMS.map(|(_, policy)| policy),
+        SweepOptions {
+            threads,
+            compute_bound: true,
+        },
+    );
+
+    // One cell per (point, algorithm), point-major.
+    let mut rows = report.cells.chunks(ALGORITHMS.len());
     for model in models {
-        println!(
+        outln!(
             "== Fig. 5 ({}) — performance ratio vs Z_f*, {tasks} tasks ==",
             model.label()
         );
-        let mut greedy = Series::new("Greedy");
-        let mut max_margin = Series::new("maxMargin");
-        let mut nearest = Series::new("Nearest");
-        for &drivers in &sweep {
-            let market = build_market(1907, tasks, drivers, model);
-            let bound = upper_bound(&market);
-            let runs = run_all_algorithms(&market);
-            for run in &runs {
-                let ratio = if bound <= f64::EPSILON {
-                    1.0
-                } else {
-                    run.profit / bound
-                };
-                match run.name {
-                    "Greedy" => greedy.push(drivers as f64, ratio),
-                    "maxMargin" => max_margin.push(drivers as f64, ratio),
-                    "Nearest" => nearest.push(drivers as f64, ratio),
-                    _ => {}
-                }
+        let mut series = ALGORITHMS.map(|(legend, _)| Series::new(legend));
+        for (&drivers, row) in sweep.iter().zip(&mut rows) {
+            for (curve, cell) in series.iter_mut().zip(row) {
+                // A worthless market (`Z_f* = 0`) has no ratio: plot 1.
+                curve.push(drivers as f64, cell.ratio.unwrap_or(1.0));
             }
-            eprintln!(
-                "  [{}] drivers={drivers} done (Z_f* = {bound:.1})",
-                model.label()
-            );
         }
-        println!(
-            "{}",
-            render_series("drivers", &[greedy, max_margin, nearest])
-        );
+        outln!("{}", render_series("drivers", &series));
     }
-    println!("expected shape: Greedy ≥ maxMargin ≥ Nearest; hitchhiking ≥ home-work-home.");
+    outln!("expected shape: Greedy ≥ maxMargin ≥ Nearest; hitchhiking ≥ home-work-home.");
 }

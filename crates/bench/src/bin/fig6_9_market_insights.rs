@@ -9,56 +9,64 @@
 //! - Fig. 8: average revenue per worker (decreases — congestion),
 //! - Fig. 9: average tasks per worker (decreases).
 //!
-//! Usage: `cargo run --release --bin fig6_9_market_insights [tasks] [--quick]`
+//! Usage: `cargo run --release -p rideshare-bench --bin
+//!         fig6_9_market_insights -- [tasks] [--quick]`
 
-use rideshare_bench::{build_market, run_all_algorithms, DRIVER_SWEEP};
-use rideshare_metrics::{render_series, Series};
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::{build_market, outln, PolicySpec, DRIVER_SWEEP, PAPER_TASK_COUNT};
+use rideshare_metrics::{render_series, MarketMetrics, Series};
 use rideshare_trace::DriverModel;
 
+const USAGE: BinUsage = BinUsage {
+    bin: "fig6_9_market_insights",
+    counts: &["tasks"],
+    switches: &["--quick"],
+    keys: &[],
+};
+
+/// The paper's three algorithms, in legend order.
+const ALGORITHMS: [(&str, PolicySpec); 3] = [
+    ("Greedy", PolicySpec::Greedy),
+    ("maxMargin", PolicySpec::MaxMargin),
+    ("Nearest", PolicySpec::Nearest),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let tasks: usize = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if quick { 200 } else { 1000 });
-    let sweep: Vec<usize> = if quick {
-        vec![20, 60, 150]
-    } else {
-        DRIVER_SWEEP.to_vec()
-    };
+    let args = USAGE.from_env();
+    let quick = args.switch("--quick");
+    let tasks = args
+        .count(0)
+        .unwrap_or(if quick { 200 } else { PAPER_TASK_COUNT });
+    let sweep: &[usize] = if quick { &[20, 60, 150] } else { &DRIVER_SWEEP };
 
-    let algos = ["Greedy", "maxMargin", "Nearest"];
-    let mut revenue: Vec<Series> = algos.iter().map(|a| Series::new(*a)).collect();
-    let mut served: Vec<Series> = algos.iter().map(|a| Series::new(*a)).collect();
-    let mut rev_per_worker: Vec<Series> = algos.iter().map(|a| Series::new(*a)).collect();
-    let mut tasks_per_worker: Vec<Series> = algos.iter().map(|a| Series::new(*a)).collect();
+    let curves = || ALGORITHMS.map(|(legend, _)| Series::new(legend));
+    let mut revenue = curves();
+    let mut served = curves();
+    let mut rev_per_worker = curves();
+    let mut tasks_per_worker = curves();
 
-    for &drivers in &sweep {
+    for &drivers in sweep {
         let market = build_market(1907, tasks, drivers, DriverModel::Hitchhiking);
-        let runs = run_all_algorithms(&market);
-        for run in &runs {
-            let Some(k) = algos.iter().position(|a| *a == run.name) else {
-                continue;
-            };
+        for (k, (_, policy)) in ALGORITHMS.iter().enumerate() {
+            let metrics = MarketMetrics::of(&market, &policy.assign(&market, None, 1));
             let x = drivers as f64;
-            revenue[k].push(x, run.metrics.total_revenue);
-            served[k].push(x, run.metrics.served_rate);
-            rev_per_worker[k].push(x, run.metrics.avg_revenue_per_worker);
-            tasks_per_worker[k].push(x, run.metrics.avg_tasks_per_worker);
+            revenue[k].push(x, metrics.total_revenue);
+            served[k].push(x, metrics.served_rate);
+            rev_per_worker[k].push(x, metrics.avg_revenue_per_worker);
+            tasks_per_worker[k].push(x, metrics.avg_tasks_per_worker);
         }
         eprintln!("  drivers={drivers} done");
     }
 
-    println!("== Fig. 6 — total revenue in the market ({tasks} tasks) ==");
-    println!("{}", render_series("drivers", &revenue));
-    println!("== Fig. 7 — rate of served tasks ==");
-    println!("{}", render_series("drivers", &served));
-    println!("== Fig. 8 — average revenue per worker ==");
-    println!("{}", render_series("drivers", &rev_per_worker));
-    println!("== Fig. 9 — average tasks per worker ==");
-    println!("{}", render_series("drivers", &tasks_per_worker));
-    println!(
+    outln!("== Fig. 6 — total revenue in the market ({tasks} tasks) ==");
+    outln!("{}", render_series("drivers", &revenue));
+    outln!("== Fig. 7 — rate of served tasks ==");
+    outln!("{}", render_series("drivers", &served));
+    outln!("== Fig. 8 — average revenue per worker ==");
+    outln!("{}", render_series("drivers", &rev_per_worker));
+    outln!("== Fig. 9 — average tasks per worker ==");
+    outln!("{}", render_series("drivers", &tasks_per_worker));
+    outln!(
         "expected shape: Figs. 6–7 increase with drivers; Figs. 8–9 decrease \
          (market congestion, §VI-C)."
     );

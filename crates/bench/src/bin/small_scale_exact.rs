@@ -8,22 +8,28 @@
 //! algorithm's exact performance ratio (vs Z*), plus GA's worst observed
 //! ratio against its 1/(D+1) guarantee.
 //!
-//! Usage: `cargo run --release --bin small_scale_exact [seeds]`
+//! Usage: `cargo run --release -p rideshare-bench --bin small_scale_exact
+//!         -- [seeds]`
 
-use rideshare_bench::{build_market, run_all_algorithms};
+use rideshare_bench::args::BinUsage;
+use rideshare_bench::{build_market, outln, PolicySpec};
 use rideshare_core::{
     lp_upper_bound, solve_exact, ExactOptions, MarketSummary, Objective, UpperBoundOptions,
 };
 use rideshare_metrics::render_table;
 use rideshare_trace::DriverModel;
 
-fn main() {
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+const USAGE: BinUsage = BinUsage {
+    bin: "small_scale_exact",
+    counts: &["seeds"],
+    switches: &[],
+    keys: &[],
+};
 
-    println!("== Small-scale exact evaluation: Z* (branch & bound) vs algorithms ==");
+fn main() {
+    let seeds = USAGE.from_env().count(0).unwrap_or(5) as u64;
+
+    outln!("== Small-scale exact evaluation: Z* (branch & bound) vs algorithms ==");
     let mut rows = Vec::new();
     let mut worst_ga_ratio = f64::INFINITY;
     let mut worst_guarantee = 0.0f64;
@@ -40,9 +46,16 @@ fn main() {
             }
             let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
                 .expect("column generation on a small market");
-            let runs = run_all_algorithms(&market);
-            let ratio = |profit: f64| profit / exact.objective_value;
-            let ga = ratio(runs[0].profit);
+            let [ga, max_margin, nearest] = [
+                PolicySpec::Greedy,
+                PolicySpec::MaxMargin,
+                PolicySpec::Nearest,
+            ]
+            .map(|policy| {
+                let assignment = policy.assign(&market, None, 1);
+                let profit = assignment.objective_value(&market, Objective::Profit);
+                profit.as_f64() / exact.objective_value
+            });
             worst_ga_ratio = worst_ga_ratio.min(ga);
             worst_guarantee = worst_guarantee.max(summary.greedy_guarantee);
             rows.push(vec![
@@ -50,13 +63,13 @@ fn main() {
                 format!("{:.3}", exact.objective_value),
                 format!("{:.3}", ub.bound),
                 format!("{ga:.3}"),
-                format!("{:.3}", ratio(runs[1].profit)),
-                format!("{:.3}", ratio(runs[2].profit)),
+                format!("{max_margin:.3}"),
+                format!("{nearest:.3}"),
                 summary.diameter.to_string(),
             ]);
         }
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -71,7 +84,7 @@ fn main() {
             &rows
         )
     );
-    println!(
+    outln!(
         "worst observed GA ratio: {worst_ga_ratio:.3} (Theorem 1 floor at the largest D seen: {worst_guarantee:.3})"
     );
 }

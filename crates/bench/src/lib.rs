@@ -1,27 +1,34 @@
 //! Shared experiment harness for the paper's evaluation (§VI).
 //!
-//! The figure binaries (`src/bin/fig*.rs`) and the Criterion benches both
-//! build their workloads through this crate so that every reported number
-//! comes from one code path: [`build_market`] fixes the trace/market
-//! construction, [`run_all_algorithms`] runs the paper's three algorithms
-//! plus the random baseline on one market, and [`AlgorithmRun`] carries the
-//! per-algorithm outcomes.
+//! Every reported number comes from one code path: a market is a
+//! [`Scenario`] (or [`build_market`], the Figs. 5–9 sweep point), an
+//! algorithm is a [`PolicySpec`], and [`PolicySpec::assign`] is the one
+//! runner — [`run_sweep`] (behind `rideshare sweep`, the orchestrator,
+//! the goldens, the performance ledger and the Fig. 5 binary) projects
+//! its [`rideshare_core::Assignment`] to profit, served count and ratio
+//! against `Z_f*`; the Figs. 6–9 and §VI-B binaries read market metrics
+//! off the same assignment. [`args`] is those binaries' front door.
 //!
 //! ```
-//! use rideshare_bench::{build_market, run_all_algorithms};
+//! use rideshare_bench::{build_market, PolicySpec};
+//! use rideshare_core::Objective;
 //! use rideshare_trace::DriverModel;
 //!
 //! // A miniature sweep point: 40 tasks, 5 drivers.
 //! let market = build_market(7, 40, 5, DriverModel::Hitchhiking);
-//! let runs = run_all_algorithms(&market);
-//! let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
-//! assert_eq!(names, ["Greedy", "maxMargin", "Nearest", "Random"]);
+//! let profit = |p: PolicySpec| {
+//!     let assignment = p.assign(&market, None, 1);
+//!     assignment.objective_value(&market, Objective::Profit).as_f64()
+//! };
 //! // The offline greedy sees the whole day; no online policy beats it.
-//! assert!(runs[1..].iter().all(|r| r.profit <= runs[0].profit + 1e-9));
+//! let greedy = profit(PolicySpec::Greedy);
+//! assert!(profit(PolicySpec::MaxMargin) <= greedy + 1e-9);
+//! assert!(profit(PolicySpec::Nearest) <= greedy + 1e-9);
 //! ```
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
+pub mod args;
 pub mod distrib;
 pub mod scenario;
 pub mod sweep;
@@ -32,11 +39,7 @@ pub use distrib::{
 pub use scenario::{Scenario, ScenarioKind};
 pub use sweep::{run_sweep, PolicySpec, SweepCell, SweepOptions, SweepReport};
 
-use rideshare_core::{
-    lp_upper_bound, solve_greedy, Market, MarketBuildOptions, Objective, UpperBoundOptions,
-};
-use rideshare_metrics::MarketMetrics;
-use rideshare_online::{MaxMargin, NearestDriver, RandomDispatch, SimulationOptions, Simulator};
+use rideshare_core::{Market, MarketBuildOptions};
 use rideshare_trace::{DriverModel, TraceConfig};
 
 /// The driver counts swept by Figs. 5–9 ("gradually increasing the number
@@ -55,92 +58,4 @@ pub fn build_market(seed: u64, tasks: usize, drivers: usize, model: DriverModel)
         .with_driver_count(drivers, model)
         .generate();
     Market::from_trace(&trace, &MarketBuildOptions::default())
-}
-
-/// One algorithm's outcome on one market.
-#[derive(Clone, Debug)]
-pub struct AlgorithmRun {
-    /// Algorithm label as used in the paper's legends.
-    pub name: &'static str,
-    /// Drivers' total profit (Eq. 4).
-    pub profit: f64,
-    /// Market metrics of the produced assignment (Figs. 6–9 inputs).
-    pub metrics: MarketMetrics,
-}
-
-/// Runs Greedy (offline, Alg. 1), maxMargin (Alg. 4), Nearest (Alg. 3), and
-/// the Random baseline on `market`, in the paper's legend order.
-#[must_use]
-pub fn run_all_algorithms(market: &Market) -> Vec<AlgorithmRun> {
-    let mut out = Vec::with_capacity(4);
-
-    let greedy = solve_greedy(market, Objective::Profit);
-    out.push(AlgorithmRun {
-        name: "Greedy",
-        profit: greedy
-            .assignment
-            .objective_value(market, Objective::Profit)
-            .as_f64(),
-        metrics: MarketMetrics::of(market, &greedy.assignment),
-    });
-
-    let sim = Simulator::new(market);
-    let mm = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-    out.push(AlgorithmRun {
-        name: "maxMargin",
-        profit: mm.total_profit(market).as_f64(),
-        metrics: MarketMetrics::of(market, &mm.assignment),
-    });
-
-    let nearest = sim.run(
-        &mut NearestDriver::with_seed(0),
-        SimulationOptions::default(),
-    );
-    out.push(AlgorithmRun {
-        name: "Nearest",
-        profit: nearest.total_profit(market).as_f64(),
-        metrics: MarketMetrics::of(market, &nearest.assignment),
-    });
-
-    let random = sim.run(
-        &mut RandomDispatch::with_seed(0),
-        SimulationOptions::default(),
-    );
-    out.push(AlgorithmRun {
-        name: "Random",
-        profit: random.total_profit(market).as_f64(),
-        metrics: MarketMetrics::of(market, &random.assignment),
-    });
-
-    out
-}
-
-/// Computes the upper bound `Z_f*` used as the Fig. 5 denominator.
-#[must_use]
-pub fn upper_bound(market: &Market) -> f64 {
-    lp_upper_bound(market, Objective::Profit, UpperBoundOptions::default())
-        .expect("column generation on a well-formed market")
-        .bound
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn harness_produces_expected_legend() {
-        let market = build_market(1, 60, 8, DriverModel::Hitchhiking);
-        let runs = run_all_algorithms(&market);
-        let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["Greedy", "maxMargin", "Nearest", "Random"]);
-        let ub = upper_bound(&market);
-        for r in &runs {
-            assert!(
-                r.profit <= ub + 1e-6,
-                "{} profit {} above bound {ub}",
-                r.name,
-                r.profit
-            );
-        }
-    }
 }

@@ -24,8 +24,8 @@ use std::time::Instant;
 
 use rideshare_core::partition::map_sharded;
 use rideshare_core::{
-    components_upper_bound, disjoint_components_sharded, solve_components, solve_sharded, Market,
-    Objective, SubMarket, UpperBoundOptions,
+    components_upper_bound, disjoint_components_sharded, solve_components, solve_sharded,
+    Assignment, Market, Objective, SubMarket, UpperBoundOptions,
 };
 use rideshare_metrics::render_pivot;
 use rideshare_online::{
@@ -149,31 +149,27 @@ impl PolicySpec {
         }
     }
 
-    /// Runs the policy on `market` and returns `(profit, served)`.
-    /// `threads` is honoured by the component-sharded offline solver;
-    /// online replays are inherently sequential per market.
-    #[must_use]
-    pub fn run(&self, market: &Market, threads: usize) -> (f64, usize) {
-        self.run_with(market, None, threads)
-    }
-
-    /// [`PolicySpec::run`] with an optional precomputed
+    /// Runs the policy on `market` and returns the [`Assignment`] it
+    /// produces — the one runner behind [`run_sweep`]'s cells and the
+    /// figure binaries. `components` is an optional precomputed
     /// [`rideshare_core::disjoint_components`] decomposition, so callers
     /// evaluating several policies (or a policy plus the `Z_f*` bound) on
-    /// one market pay for the decomposition once.
+    /// one market pay for it once; it and `threads` are honoured by the
+    /// component-sharded offline solver only — online replays are
+    /// inherently sequential per market.
     #[must_use]
-    pub fn run_with(
+    pub fn assign(
         &self,
         market: &Market,
         components: Option<&[SubMarket]>,
         threads: usize,
-    ) -> (f64, usize) {
+    ) -> Assignment {
         // Grid pruning on: result-neutral (the oracle tests pin it).
         let grid = SimulationOptions {
             use_grid: true,
             ..SimulationOptions::default()
         };
-        let assignment = match (self.stream_spec(), self) {
+        match (self.stream_spec(), self) {
             (Some(spec), _) => {
                 replay_market(market, &mut spec.holder().as_policy(), grid).assignment
             }
@@ -186,13 +182,7 @@ impl PolicySpec {
                 Some(c) => solve_components(market, c, Objective::Profit, threads),
                 None => solve_sharded(market, Objective::Profit, threads),
             },
-        };
-        (
-            assignment
-                .objective_value(market, Objective::Profit)
-                .as_f64(),
-            assignment.served_count(),
-        )
+        }
     }
 }
 
@@ -412,7 +402,11 @@ pub fn run_sweep(
             .iter()
             .map(|p| {
                 let start = Instant::now();
-                let (profit, served) = p.run_with(&market, Some(&components), inner_threads);
+                let assignment = p.assign(&market, Some(&components), inner_threads);
+                let profit = assignment
+                    .objective_value(&market, Objective::Profit)
+                    .as_f64();
+                let served = assignment.served_count();
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 SweepCell {
                     scenario: scenario.name.to_string(),
@@ -436,6 +430,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rideshare_core::solve_greedy;
 
     fn tiny_two() -> Vec<Scenario> {
         Scenario::tiny_catalog().into_iter().take(2).collect()
@@ -489,6 +484,40 @@ mod tests {
         );
         assert_eq!(seq.to_json(false), par.to_json(false));
         assert_eq!(seq.to_csv(false), par.to_csv(false));
+    }
+
+    #[test]
+    fn assign_is_the_runner_behind_every_cell() {
+        // The harness fold's pin: what a figure binary reads off `assign`
+        // is what `run_sweep` prints, and the offline column is Alg. 1
+        // itself whether or not it is solved per component.
+        let mut policies = PolicySpec::default_set();
+        policies.push(PolicySpec::Random);
+        let scenarios = Scenario::tiny_catalog();
+        let opts = SweepOptions {
+            threads: 1,
+            compute_bound: false,
+        };
+        let report = run_sweep(&scenarios, &policies, opts);
+        let mut cells = report.cells.iter();
+        for scenario in &scenarios {
+            let market = scenario.build_market();
+            for policy in &policies {
+                let context = format!("{} × {}", scenario.name, policy.label());
+                let cell = cells.next().expect("one cell per scenario × policy");
+                let assignment = policy.assign(&market, None, 1);
+                let profit = assignment.objective_value(&market, Objective::Profit);
+                assert_eq!(cell.profit, profit.as_f64(), "{context}");
+                assert_eq!(cell.served, assignment.served_count(), "{context}");
+            }
+            let components = disjoint_components_sharded(&market, 1);
+            let greedy = PolicySpec::Greedy.assign(&market, None, 1);
+            let sharded = PolicySpec::Greedy.assign(&market, Some(&components), 2);
+            assert_eq!(greedy, sharded, "{}", scenario.name);
+            let alg1 = solve_greedy(&market, Objective::Profit).assignment;
+            assert_eq!(greedy, alg1, "{}", scenario.name);
+        }
+        assert!(cells.next().is_none());
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Export a driver's task map as a generic [`rideshare_graph::Dag`].
+//! A driver's task map as a generic [`rideshare_graph::Dag`] — test-only.
 //!
 //! The market solver uses a factored representation (shared chain graph +
 //! per-driver masks) for memory reasons; this module materialises the
 //! paper's *literal* per-driver DAG of §III-B — nodes `{0, −1} ∪ [M]`,
-//! profit-weighted — on demand. Uses:
-//!
-//! - differential testing: the compact path oracle
-//!   (`DriverView::task_map`) against the generic `Dag::max_profit_path`
-//!   on the same structure,
-//! - inspection/debugging of individual task maps.
+//! profit-weighted — so the compact path oracle (`DriverView::task_map`)
+//! can be checked, bit for bit, against the generic
+//! `Dag::max_profit_path` on the same structure. `rideshare-graph` is
+//! that reference implementation and a dev-dependency only: nothing at
+//! run time reaches it.
 
 use rideshare_graph::Dag;
 
@@ -37,23 +36,6 @@ pub struct TaskMapDag {
 /// # Panics
 ///
 /// Panics if `driver` is out of range.
-///
-/// # Examples
-///
-/// ```
-/// use rideshare_core::{export::task_map_dag, Market, MarketBuildOptions, Objective};
-/// use rideshare_trace::{DriverModel, TraceConfig};
-///
-/// let trace = TraceConfig::porto()
-///     .with_seed(9)
-///     .with_task_count(40)
-///     .with_driver_count(3, DriverModel::Hitchhiking)
-///     .generate();
-/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let tm = task_map_dag(&market, 0, Objective::Profit);
-/// assert_eq!(tm.source, 40);
-/// assert!(tm.dag.max_profit_path(tm.source, tm.sink).is_some());
-/// ```
 #[must_use]
 pub fn task_map_dag(market: &Market, driver: usize, objective: Objective) -> TaskMapDag {
     let m = market.num_tasks();

@@ -48,7 +48,8 @@
 
 mod assignment;
 mod exact;
-pub mod export;
+#[cfg(test)]
+mod export;
 mod greedy;
 mod market;
 pub mod partition;

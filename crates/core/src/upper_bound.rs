@@ -27,21 +27,23 @@ use crate::greedy::greedy_over;
 use crate::market::{Market, Objective};
 use crate::view::{task_margins, BestPath, DriverView, PathScratch, TaskMap};
 
-/// Options for [`lp_upper_bound`].
+/// Options for [`lp_upper_bound`]. Every caller passes the
+/// [`Default`]; the fields are this module's own test handles (the
+/// Lagrangian fallback, the cold start, purge-every-round), not knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct UpperBoundOptions {
     /// Maximum column-generation rounds (each round prices all drivers).
-    pub max_rounds: usize,
+    pub(crate) max_rounds: usize,
     /// Reduced-cost tolerance for accepting a new column.
-    pub pricing_tolerance: f64,
+    pub(crate) pricing_tolerance: f64,
     /// Warm-start the master with the greedy solution's paths.
-    pub warm_start_greedy: bool,
+    pub(crate) warm_start_greedy: bool,
     /// Purge clearly-unattractive non-basic columns whenever the master
     /// holds more than `purge_factor × (N + M)` of them (0 purges every
     /// round). Purging only trims the tableau; the pricing oracle
     /// regenerates anything that becomes attractive again, so the bound is
     /// unaffected.
-    pub purge_factor: usize,
+    pub(crate) purge_factor: usize,
 }
 
 impl Default for UpperBoundOptions {

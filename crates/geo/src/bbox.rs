@@ -109,25 +109,6 @@ impl BoundingBox {
         let c = self.center();
         GeoPoint::new(self.min_lat, c.lon()).haversine_km(GeoPoint::new(self.max_lat, c.lon()))
     }
-
-    /// Diagonal (south-west to north-east) length in kilometres — an upper
-    /// bound on any in-box trip distance.
-    #[must_use]
-    pub fn diagonal_km(&self) -> f64 {
-        GeoPoint::new(self.min_lat, self.min_lon)
-            .haversine_km(GeoPoint::new(self.max_lat, self.max_lon))
-    }
-
-    /// Expands the box by `margin_deg` degrees on every side.
-    #[must_use]
-    pub fn expanded(&self, margin_deg: f64) -> BoundingBox {
-        BoundingBox::new(
-            self.min_lat - margin_deg,
-            self.max_lat + margin_deg,
-            self.min_lon - margin_deg,
-            self.max_lon + margin_deg,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -171,16 +152,5 @@ mod tests {
         let b = unit_box();
         assert!(b.width_km() > 0.0);
         assert!(b.height_km() > 0.0);
-        let diag = b.diagonal_km();
-        assert!(diag > b.width_km().max(b.height_km()));
-        assert!(diag < b.width_km() + b.height_km());
-    }
-
-    #[test]
-    fn expansion_grows_box() {
-        let b = unit_box().expanded(0.1);
-        assert_eq!(b.min_lat(), 40.9);
-        assert_eq!(b.max_lon(), -8.3);
-        assert!(b.contains(GeoPoint::new(40.95, -8.35)));
     }
 }

@@ -35,12 +35,10 @@
 mod bbox;
 mod grid;
 mod point;
-mod polyline;
 pub mod porto;
 mod speed;
 
 pub use bbox::BoundingBox;
 pub use grid::{CellId, GridIndex};
 pub use point::GeoPoint;
-pub use polyline::{Polyline, GPS_SAMPLE_SECS};
 pub use speed::SpeedModel;

@@ -8,13 +8,6 @@
 
 use crate::{BoundingBox, GeoPoint};
 
-/// Number of taxis in the ECML/PKDD-15 Porto trace.
-pub const TRACE_TAXI_COUNT: usize = 442;
-
-/// Approximate number of trips in the one-year trace ("more than one
-/// million trip records", §VI-A).
-pub const TRACE_TRIP_COUNT: usize = 1_700_000;
-
 /// Bounding box of the Porto metropolitan service area.
 ///
 /// Spans roughly 33 km west–east and 33 km south–north, covering Porto, Vila

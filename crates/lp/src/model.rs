@@ -172,15 +172,6 @@ pub struct LpSolution {
     pub duals: Vec<f64>,
 }
 
-impl LpSolution {
-    /// Returns `true` if variable `var` is within `tol` of an integer.
-    #[must_use]
-    pub fn is_integral(&self, var: VarId, tol: f64) -> bool {
-        let v = self.values[var];
-        (v - v.round()).abs() <= tol
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,5 +44,5 @@ pub use market_metrics::MarketMetrics;
 pub use stream_stats::{
     fixed_to_f64, SnapshotError, StreamBucket, StreamMetrics, FIXED_POINT_SCALE, SNAPSHOT_SCHEMA,
 };
-pub use table::{render_bars, render_pivot, render_series, render_table, Series};
+pub use table::{render_pivot, render_series, render_table, Series};
 pub use timeseries::{HourBucket, HourlyBreakdown};

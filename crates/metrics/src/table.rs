@@ -30,12 +30,6 @@ impl Series {
     pub fn is_non_decreasing(&self) -> bool {
         self.points.windows(2).all(|w| w[0].1 <= w[1].1 + 1e-12)
     }
-
-    /// Returns `true` if `y` never increases along the series.
-    #[must_use]
-    pub fn is_non_increasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[0].1 + 1e-12 >= w[1].1)
-    }
 }
 
 /// Renders an aligned plain-text table.
@@ -184,52 +178,6 @@ fn format_num(v: f64) -> String {
     }
 }
 
-/// Renders a series as a horizontal ASCII bar chart — a terminal-friendly
-/// stand-in for the paper's figures.
-///
-/// Bars are scaled to the maximum `y`; non-positive values render empty.
-///
-/// # Examples
-///
-/// ```
-/// use rideshare_metrics::{render_bars, Series};
-/// let mut s = Series::new("revenue");
-/// s.push(20.0, 100.0);
-/// s.push(40.0, 300.0);
-/// let chart = render_bars(&s, 20);
-/// assert!(chart.lines().count() == 3); // title + 2 bars
-/// assert!(chart.contains("█"));
-/// ```
-#[must_use]
-pub fn render_bars(series: &Series, width: usize) -> String {
-    let max = series
-        .points
-        .iter()
-        .map(|p| p.1)
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let mut out = format!("{}\n", series.label);
-    let x_width = series
-        .points
-        .iter()
-        .map(|p| format_num(p.0).len())
-        .max()
-        .unwrap_or(1);
-    for &(x, y) in &series.points {
-        let filled = ((y.max(0.0) / max) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "{:>x_width$} | {}{} {}\n",
-            format_num(x),
-            "█".repeat(filled),
-            " ".repeat(width.saturating_sub(filled)),
-            format_num(y),
-        ));
-    }
-    // Trim the trailing newline for symmetric composition.
-    out.pop();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,11 +188,9 @@ mod tests {
         up.push(1.0, 1.0);
         up.push(2.0, 2.0);
         assert!(up.is_non_decreasing());
-        assert!(!up.is_non_increasing());
         let mut down = Series::new("down");
         down.push(1.0, 2.0);
         down.push(2.0, 1.0);
-        assert!(down.is_non_increasing());
         assert!(!down.is_non_decreasing());
     }
 
@@ -319,28 +265,5 @@ mod tests {
     fn integer_formatting() {
         assert_eq!(format_num(20.0), "20");
         assert_eq!(format_num(0.5), "0.5000");
-    }
-
-    #[test]
-    fn bars_scale_to_max() {
-        let mut s = Series::new("t");
-        s.push(1.0, 50.0);
-        s.push(2.0, 100.0);
-        s.push(3.0, 0.0);
-        let chart = render_bars(&s, 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 4);
-        let bars: Vec<usize> = lines[1..].iter().map(|l| l.matches('█').count()).collect();
-        assert_eq!(bars, vec![5, 10, 0]);
-    }
-
-    #[test]
-    fn bars_handle_negative_and_empty() {
-        let mut s = Series::new("neg");
-        s.push(1.0, -5.0);
-        let chart = render_bars(&s, 8);
-        assert!(!chart.contains('█'));
-        let empty = Series::new("none");
-        assert_eq!(render_bars(&empty, 8), "none");
     }
 }

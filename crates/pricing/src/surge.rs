@@ -132,13 +132,6 @@ impl SurgeEngine {
         *self.supply.entry(cell).or_insert(0) += 1;
     }
 
-    /// Removes one idle driver from `cell` (saturating).
-    pub fn remove_supply(&mut self, cell: CellId) {
-        if let Some(s) = self.supply.get_mut(&cell) {
-            *s = s.saturating_sub(1);
-        }
-    }
-
     /// Current open demand in `cell`.
     #[must_use]
     pub fn demand(&self, cell: CellId) -> u32 {
@@ -239,7 +232,6 @@ mod tests {
     fn removal_is_saturating() {
         let mut e = SurgeEngine::new(SurgeConfig::uber_like());
         e.remove_demand(cell());
-        e.remove_supply(cell());
         assert_eq!(e.demand(cell()), 0);
         e.add_demand(cell());
         e.remove_demand(cell());

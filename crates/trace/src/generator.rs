@@ -508,13 +508,6 @@ impl Trace {
     pub fn total_trip_km(&self) -> f64 {
         self.trips.iter().map(|t| t.distance_km).sum()
     }
-
-    /// Truncates the trace to its first `n` trips (by publish order).
-    #[must_use]
-    pub fn with_first_trips(mut self, n: usize) -> Self {
-        self.trips.truncate(n);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -625,12 +618,6 @@ mod tests {
             let h = trip.pickup_deadline.as_secs() / 3600;
             assert_eq!(h, 12);
         }
-    }
-
-    #[test]
-    fn with_first_trips_truncates() {
-        let t = small().with_first_trips(10);
-        assert_eq!(t.trips.len(), 10);
     }
 
     #[test]

@@ -67,31 +67,6 @@ impl TripRecord {
     pub fn window_slack(&self) -> TimeDelta {
         (self.completion_deadline - self.pickup_deadline) - self.duration
     }
-
-    /// Synthesises the trip's GPS trajectory in the ECML/PKDD-15 format:
-    /// one fix every 15 seconds of the trip's duration, along a gently
-    /// curved path whose bend is sized so the polyline length approximates
-    /// the trip's driven `distance_km`.
-    ///
-    /// Deterministic (the bend direction/size derive from the trip data),
-    /// so exports are reproducible.
-    #[must_use]
-    pub fn polyline(&self) -> rideshare_geo::Polyline {
-        let n_fixes =
-            ((self.duration.as_secs() / rideshare_geo::GPS_SAMPLE_SECS).max(1) + 1) as usize;
-        // A mid-path quadratic bend of height h adds ≈ 8h²/(3L) to a
-        // straight segment of length L (parabola arc-length, small-h
-        // expansion) — invert to hit the driven distance.
-        let crow = self.origin.haversine_km(self.destination);
-        let excess = (self.distance_km - crow).max(0.0);
-        let bend_km = if crow > 1e-9 {
-            (3.0 * crow * excess / 8.0).sqrt()
-        } else {
-            // Round trip (origin == destination): loop sized by distance.
-            self.distance_km / core::f64::consts::PI
-        };
-        rideshare_geo::Polyline::synthesize(self.origin, self.destination, n_fixes, bend_km)
-    }
 }
 
 #[cfg(test)]
@@ -135,43 +110,6 @@ mod tests {
             t.validate(),
             Err(MarketError::InvalidTimeWindow { .. })
         ));
-    }
-
-    #[test]
-    fn polyline_matches_trip_marginals() {
-        let mut t = trip();
-        t.destination = GeoPoint::new(41.15, -8.61).offset_km(0.0, 3.0);
-        t.origin = GeoPoint::new(41.15, -8.61);
-        t.distance_km = 3.6; // 20% road detour over the 3 km crow distance
-        t.duration = rideshare_types::TimeDelta::from_secs(600);
-        let line = t.polyline();
-        // Endpoints anchored.
-        assert!(line.start().unwrap().haversine_km(t.origin) < 1e-6);
-        assert!(line.end().unwrap().haversine_km(t.destination) < 1e-6);
-        // Sampling: 600 s / 15 s = 40 intervals → 41 fixes.
-        assert_eq!(line.len(), 41);
-        assert_eq!(line.duration_secs(), 600);
-        // Length approximates the driven distance (parabolic-bend model).
-        let err = (line.length_km() - t.distance_km).abs() / t.distance_km;
-        assert!(
-            err < 0.15,
-            "polyline {} vs driven {}",
-            line.length_km(),
-            t.distance_km
-        );
-    }
-
-    #[test]
-    fn generated_trip_polylines_are_sane() {
-        let trace = crate::TraceConfig::porto()
-            .with_seed(33)
-            .with_task_count(50)
-            .generate();
-        for trip in &trace.trips {
-            let line = trip.polyline();
-            assert!(line.len() >= 2);
-            assert!(line.length_km() >= line.crow_km() - 1e-9);
-        }
     }
 
     #[test]

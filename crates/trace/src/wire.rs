@@ -45,10 +45,6 @@ use crate::{DriverModel, DriverShift};
 /// that will never arrive.
 pub const MAX_FRAME_BODY: usize = 1024;
 
-/// Schema identifier embedded in documentation and snapshot files; bump on
-/// any layout change to the frame, JSONL or CSV encodings.
-pub const WIRE_SCHEMA: &str = "rideshare-events/1";
-
 const TAG_DRIVER: u8 = 0;
 const TAG_TASK: u8 = 1;
 const TAG_OFFLINE: u8 = 2;

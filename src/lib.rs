@@ -13,7 +13,6 @@
 //! | [`geo`] | `rideshare-geo` | coordinates, distances, speed model, grid index, Porto city model |
 //! | [`trace`] | `rideshare-trace` | Porto-calibrated synthetic trace generation + statistics |
 //! | [`pricing`] | `rideshare-pricing` | surge multipliers (SM), Eq. 15 fares, WTP |
-//! | [`graph`] | `rideshare-graph` | weighted DAGs and longest-path DP |
 //! | [`lp`] | `rideshare-lp` | simplex, packing LP (column generation), branch & bound |
 //! | [`core`] | `rideshare-core` | the market model, task maps, GA, `Z_f*`, exact ILP, Fig. 2 |
 //! | [`online`] | `rideshare-online` | the online simulator, Nearest & maxMargin dispatch, streaming engines, the `serve` daemon |
@@ -53,7 +52,6 @@ pub use rideshare_audit as audit;
 pub use rideshare_bench as bench;
 pub use rideshare_core as core;
 pub use rideshare_geo as geo;
-pub use rideshare_graph as graph;
 pub use rideshare_lp as lp;
 pub use rideshare_metrics as metrics;
 pub use rideshare_online as online;

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 
-use rideshare::graph::Dag;
 use rideshare::lp::{Cmp, LinearProgram, PackingLp};
 use rideshare::prelude::*;
 use rideshare::trace::{trips_from_csv, trips_to_csv};
+use rideshare_graph::Dag;
 
 // ---------------------------------------------------------------------------
 // Money / time arithmetic.
