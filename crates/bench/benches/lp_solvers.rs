@@ -16,10 +16,8 @@ fn assignment_lp(n: usize) -> LinearProgram {
             .wrapping_add(1442695040888963407);
         (state >> 33) as f64 / (1u64 << 31) as f64
     };
-    for (i, row) in vars.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = lp.add_var(format!("a{i}{j}"), 1.0 + 9.0 * next());
-        }
+    for v in vars.iter_mut().flatten() {
+        *v = lp.add_var(1.0 + 9.0 * next());
     }
     for (i, row) in vars.iter().enumerate() {
         lp.add_constraint(row.iter().map(|&v| (v, 1.0)).collect(), Cmp::Le, 1.0);
@@ -78,9 +76,7 @@ fn bench_branch_and_bound(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut lp = LinearProgram::maximize();
-                let vars: Vec<usize> = (0..n)
-                    .map(|i| lp.add_var(format!("x{i}"), 10.0 + i as f64))
-                    .collect();
+                let vars: Vec<usize> = (0..n).map(|i| lp.add_var(10.0 + i as f64)).collect();
                 let coeffs: Vec<(usize, f64)> = vars
                     .iter()
                     .enumerate()

@@ -13,13 +13,13 @@
 //! - **Objective**: drivers' profit (Eq. 4) vs social welfare (Eq. 6).
 //! - **Upper-bound validation**: `Z_f*` vs exact `Z*` gap at small scale.
 //!
-//! Usage: `cargo run --release -p rideshare-bench --bin ablations --
-//!         [--quick]`
+//! Usage: `rideshare ablations [--quick]`
 
-use rideshare_bench::args::BinUsage;
-use rideshare_bench::outln;
+use std::io::{self, Write};
+
+use rideshare_core::partition::{partition_market, solve_components};
 use rideshare_core::{
-    lp_upper_bound, solve_exact, solve_greedy, ExactOptions, Market, MarketBuildOptions, Objective,
+    lp_upper_bound, solve_exact, solve_greedy, Market, MarketBuildOptions, Objective,
     UpperBoundOptions,
 };
 use rideshare_metrics::render_table;
@@ -28,24 +28,21 @@ use rideshare_pricing::SurgeConfig;
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
 
-const USAGE: BinUsage = BinUsage {
-    bin: "ablations",
-    counts: &[],
-    switches: &["--quick"],
-    keys: &[],
-};
-
-fn main() {
-    let quick = USAGE.from_env().switch("--quick");
+/// Prints the six ablation tables, at smoke size under `quick`.
+///
+/// # Errors
+///
+/// Only what writing to `out` returns.
+pub fn ablations(out: &mut dyn Write, quick: bool) -> io::Result<()> {
     let tasks = if quick { 150 } else { 600 };
     let drivers = if quick { 25 } else { 80 };
 
-    dispatch_criterion(tasks, drivers);
-    surge_on_off(tasks, drivers);
-    chain_wait_cap(tasks, drivers);
-    partitioning_loss(tasks, drivers);
-    objective_comparison(tasks, drivers);
-    bound_vs_exact();
+    dispatch_criterion(out, tasks, drivers)?;
+    surge_on_off(out, tasks, drivers)?;
+    chain_wait_cap(out, tasks, drivers)?;
+    partitioning_loss(out, tasks, drivers)?;
+    objective_comparison(out, tasks, drivers)?;
+    bound_vs_exact(out)
 }
 
 fn trace(tasks: usize, drivers: usize) -> rideshare_trace::Trace {
@@ -56,8 +53,11 @@ fn trace(tasks: usize, drivers: usize) -> rideshare_trace::Trace {
         .generate()
 }
 
-fn dispatch_criterion(tasks: usize, drivers: usize) {
-    outln!("== Ablation: dispatch criterion ({tasks} tasks, {drivers} drivers) ==");
+fn dispatch_criterion(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Ablation: dispatch criterion ({tasks} tasks, {drivers} drivers) =="
+    )?;
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let sim = Simulator::new(&market);
     let mut rows = Vec::new();
@@ -74,14 +74,15 @@ fn dispatch_criterion(tasks: usize, drivers: usize) {
             format!("{:.3}", r.service_rate()),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["policy", "profit", "served rate"], &rows)
-    );
+    )
 }
 
-fn surge_on_off(tasks: usize, drivers: usize) {
-    outln!("== Ablation: surge pricing on/off ==");
+fn surge_on_off(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result<()> {
+    writeln!(out, "== Ablation: surge pricing on/off ==")?;
     let t = trace(tasks, drivers);
     let mut rows = Vec::new();
     for (label, surge) in [
@@ -104,14 +105,18 @@ fn surge_on_off(tasks: usize, drivers: usize) {
             format!("{:.3}", r.service_rate()),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["surge", "revenue", "profit", "served rate"], &rows)
-    );
+    )
 }
 
-fn chain_wait_cap(tasks: usize, drivers: usize) {
-    outln!("== Ablation: chain-wait cap on the offline task map ==");
+fn chain_wait_cap(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Ablation: chain-wait cap on the offline task map =="
+    )?;
     let t = trace(tasks, drivers);
     let mut rows = Vec::new();
     for (label, cap) in [
@@ -139,14 +144,18 @@ fn chain_wait_cap(tasks: usize, drivers: usize) {
             ga.evaluations.to_string(),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["cap", "chain arcs", "greedy profit", "DP evals"], &rows)
-    );
+    )
 }
 
-fn partitioning_loss(tasks: usize, drivers: usize) {
-    outln!("== Ablation: geographic partitioning loss (§I's distribution claim) ==");
+fn partitioning_loss(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Ablation: geographic partitioning loss (§I's distribution claim) =="
+    )?;
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let global = solve_greedy(&market, Objective::Profit)
         .assignment
@@ -158,7 +167,8 @@ fn partitioning_loss(tasks: usize, drivers: usize) {
         "100.0%".to_string(),
     ]];
     for k in [2u16, 4, 8] {
-        let merged = rideshare_core::partition::solve_partitioned(&market, k, Objective::Profit);
+        let cells = partition_market(&market, k);
+        let merged = solve_components(&market, &cells, Objective::Profit, 1);
         merged
             .validate(&market)
             .expect("merged assignment feasible");
@@ -169,14 +179,18 @@ fn partitioning_loss(tasks: usize, drivers: usize) {
             format!("{:.1}%", p / global.max(1e-9) * 100.0),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["partition", "greedy profit", "vs global"], &rows)
-    );
+    )
 }
 
-fn objective_comparison(tasks: usize, drivers: usize) {
-    outln!("== Ablation: drivers'-profit (Eq. 4) vs social-welfare (Eq. 6) objective ==");
+fn objective_comparison(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Ablation: drivers'-profit (Eq. 4) vs social-welfare (Eq. 6) objective =="
+    )?;
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let mut rows = Vec::new();
     for objective in [Objective::Profit, Objective::Welfare] {
@@ -194,22 +208,25 @@ fn objective_comparison(tasks: usize, drivers: usize) {
             a.served_count().to_string(),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &["optimised for", "profit value", "welfare value", "served"],
             &rows
         )
-    );
+    )
 }
 
-fn bound_vs_exact() {
-    outln!("== Ablation: Z_f* (column generation) vs exact Z* at small scale ==");
+fn bound_vs_exact(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Ablation: Z_f* (column generation) vs exact Z* at small scale =="
+    )?;
     let mut rows = Vec::new();
     for (tasks, drivers) in [(10, 5), (14, 7), (18, 8)] {
         let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
-        let exact = solve_exact(&market, Objective::Profit, ExactOptions::default())
-            .expect("small instance solves");
+        let exact = solve_exact(&market, Objective::Profit).expect("small instance solves");
         let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
             .expect("column generation converges");
         let gap = if exact.objective_value.abs() < 1e-9 {
@@ -225,8 +242,9 @@ fn bound_vs_exact() {
             ub.rounds.to_string(),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["M×N", "Z*", "Z_f*", "gap", "CG rounds"], &rows)
-    );
+    )
 }

@@ -4,27 +4,26 @@
 //! diameters `D`, runs GA and the exact ILP on each instance, and reports
 //! the achieved ratio against the theoretical `1/(D+1)` floor.
 //!
-//! Usage: `cargo run --release -p rideshare-bench --bin fig2_tightness --
-//!         [max_d]`
+//! Usage: `rideshare fig2 [--depth D]`
 
-use rideshare_bench::args::BinUsage;
-use rideshare_bench::outln;
+use std::io::{self, Write};
+
 use rideshare_core::tightness::fig2_instance;
-use rideshare_core::{solve_exact, solve_greedy, ExactOptions, Objective};
+use rideshare_core::{solve_exact, solve_greedy, Objective};
 use rideshare_metrics::render_table;
 
-const USAGE: BinUsage = BinUsage {
-    bin: "fig2_tightness",
-    counts: &["max_d"],
-    switches: &[],
-    keys: &[],
-};
-
-fn main() {
-    let max_d = USAGE.from_env().count(0).unwrap_or(6);
+/// Prints the Fig. 2 table for diameters `1..=max_d`.
+///
+/// # Errors
+///
+/// Only what writing to `out` returns.
+pub fn fig2(out: &mut dyn Write, max_d: usize) -> io::Result<()> {
     let epsilon = 0.02;
 
-    outln!("== Fig. 2 — tightness of GA's 1/(D+1) ratio (ε = {epsilon}) ==");
+    writeln!(
+        out,
+        "== Fig. 2 — tightness of GA's 1/(D+1) ratio (ε = {epsilon}) =="
+    )?;
     let mut rows = Vec::new();
     for d in 1..=max_d {
         let inst = fig2_instance(d, epsilon);
@@ -36,7 +35,7 @@ fn main() {
         // Exact ILP is exponential-ish; cap it at moderate D and fall back
         // to the analytic optimum beyond.
         let opt = if d <= 4 {
-            solve_exact(&inst.market, Objective::Profit, ExactOptions::default())
+            solve_exact(&inst.market, Objective::Profit)
                 .map(|e| e.objective_value)
                 .unwrap_or_else(|_| inst.expected_opt())
         } else {
@@ -51,9 +50,13 @@ fn main() {
             format!("{:.4}", 1.0 / (d as f64 + 1.0)),
         ]);
     }
-    outln!(
+    writeln!(
+        out,
         "{}",
         render_table(&["D", "GA profit", "OPT", "ratio", "1/(D+1)"], &rows)
-    );
-    outln!("expected shape: ratio tracks 1/(D+1) from above as ε → 0.");
+    )?;
+    writeln!(
+        out,
+        "expected shape: ratio tracks 1/(D+1) from above as ε → 0."
+    )
 }

@@ -17,50 +17,36 @@
 //! fraction of a percent above `Z_f*` (`UpperBoundResult::converged` is
 //! false there).
 //!
-//! Usage: `cargo run --release -p rideshare-bench --bin
-//!         fig5_performance_ratio -- [tasks] [--quick] [--model hitch|hwh]`
+//! Usage: `rideshare fig5 [--tasks N] [--quick] [--model hitch|hwh]`
 //!
 //! `--quick` shrinks the sweep for smoke-testing; `--model` runs one panel
 //! only.
 
-use rideshare_bench::args::BinUsage;
-use rideshare_bench::{
-    outln, run_sweep, PolicySpec, Scenario, ScenarioKind, SweepOptions, DRIVER_SWEEP,
-    PAPER_TASK_COUNT,
-};
+use std::io::{self, Write};
+
 use rideshare_core::MarketBuildOptions;
 use rideshare_metrics::{render_series, Series};
 use rideshare_trace::{DriverModel, TraceConfig};
 
-const USAGE: BinUsage = BinUsage {
-    bin: "fig5_performance_ratio",
-    counts: &["tasks"],
-    switches: &["--quick"],
-    keys: &[("--model", "hitch|hwh")],
-};
+use super::{sweep_shape, ALGORITHMS};
+use crate::{run_sweep, Scenario, ScenarioKind, SweepOptions};
 
-/// The paper's three algorithms, in legend order.
-const ALGORITHMS: [(&str, PolicySpec); 3] = [
-    ("Greedy", PolicySpec::Greedy),
-    ("maxMargin", PolicySpec::MaxMargin),
-    ("Nearest", PolicySpec::Nearest),
-];
-
-fn main() {
-    let args = USAGE.from_env();
-    let quick = args.switch("--quick");
-    let tasks = args
-        .count(0)
-        .unwrap_or(if quick { 200 } else { PAPER_TASK_COUNT });
-    let sweep: &[usize] = if quick { &[20, 60, 150] } else { &DRIVER_SWEEP };
-    let models: &[DriverModel] = match args.value("--model") {
-        None => &[DriverModel::Hitchhiking, DriverModel::HomeWorkHome],
-        Some("hitch") => &[DriverModel::Hitchhiking],
-        Some("hwh") => &[DriverModel::HomeWorkHome],
-        Some(other) => USAGE.refuse(&format!(
-            "bad value '{other}' for --model (expected hitch|hwh)"
-        )),
-    };
+/// Prints Fig. 5: `tasks` orders per point (the paper's 1000 by default,
+/// 200 under `quick`), one panel per driver model or `model`'s alone.
+/// Progress goes to stderr.
+///
+/// # Errors
+///
+/// Only what writing to `out` returns.
+pub fn fig5(
+    out: &mut dyn Write,
+    tasks: Option<usize>,
+    quick: bool,
+    model: Option<DriverModel>,
+) -> io::Result<()> {
+    let (tasks, sweep) = sweep_shape(tasks, quick);
+    let both = [DriverModel::Hitchhiking, DriverModel::HomeWorkHome];
+    let models: &[DriverModel] = model.as_ref().map_or(&both, std::slice::from_ref);
 
     // Panel-major, so the report's cells come back in printing order.
     let points: Vec<Scenario> = models
@@ -100,10 +86,11 @@ fn main() {
     // One cell per (point, algorithm), point-major.
     let mut rows = report.cells.chunks(ALGORITHMS.len());
     for model in models {
-        outln!(
+        writeln!(
+            out,
             "== Fig. 5 ({}) — performance ratio vs Z_f*, {tasks} tasks ==",
             model.label()
-        );
+        )?;
         let mut series = ALGORITHMS.map(|(legend, _)| Series::new(legend));
         for (&drivers, row) in sweep.iter().zip(&mut rows) {
             for (curve, cell) in series.iter_mut().zip(row) {
@@ -111,7 +98,10 @@ fn main() {
                 curve.push(drivers as f64, cell.ratio.unwrap_or(1.0));
             }
         }
-        outln!("{}", render_series("drivers", &series));
+        writeln!(out, "{}", render_series("drivers", &series))?;
     }
-    outln!("expected shape: Greedy ≥ maxMargin ≥ Nearest; hitchhiking ≥ home-work-home.");
+    writeln!(
+        out,
+        "expected shape: Greedy ≥ maxMargin ≥ Nearest; hitchhiking ≥ home-work-home."
+    )
 }

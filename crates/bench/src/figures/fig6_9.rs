@@ -9,35 +9,24 @@
 //! - Fig. 8: average revenue per worker (decreases — congestion),
 //! - Fig. 9: average tasks per worker (decreases).
 //!
-//! Usage: `cargo run --release -p rideshare-bench --bin
-//!         fig6_9_market_insights -- [tasks] [--quick]`
+//! Usage: `rideshare fig6_9 [--tasks N] [--quick]`
 
-use rideshare_bench::args::BinUsage;
-use rideshare_bench::{build_market, outln, PolicySpec, DRIVER_SWEEP, PAPER_TASK_COUNT};
+use std::io::{self, Write};
+
 use rideshare_metrics::{render_series, MarketMetrics, Series};
 use rideshare_trace::DriverModel;
 
-const USAGE: BinUsage = BinUsage {
-    bin: "fig6_9_market_insights",
-    counts: &["tasks"],
-    switches: &["--quick"],
-    keys: &[],
-};
+use super::{sweep_shape, ALGORITHMS};
+use crate::build_market;
 
-/// The paper's three algorithms, in legend order.
-const ALGORITHMS: [(&str, PolicySpec); 3] = [
-    ("Greedy", PolicySpec::Greedy),
-    ("maxMargin", PolicySpec::MaxMargin),
-    ("Nearest", PolicySpec::Nearest),
-];
-
-fn main() {
-    let args = USAGE.from_env();
-    let quick = args.switch("--quick");
-    let tasks = args
-        .count(0)
-        .unwrap_or(if quick { 200 } else { PAPER_TASK_COUNT });
-    let sweep: &[usize] = if quick { &[20, 60, 150] } else { &DRIVER_SWEEP };
+/// Prints Figs. 6–9: `tasks` orders per point (the paper's 1000 by
+/// default, 200 under `quick`). Progress goes to stderr.
+///
+/// # Errors
+///
+/// Only what writing to `out` returns.
+pub fn fig6_9(out: &mut dyn Write, tasks: Option<usize>, quick: bool) -> io::Result<()> {
+    let (tasks, sweep) = sweep_shape(tasks, quick);
 
     let curves = || ALGORITHMS.map(|(legend, _)| Series::new(legend));
     let mut revenue = curves();
@@ -58,16 +47,20 @@ fn main() {
         eprintln!("  drivers={drivers} done");
     }
 
-    outln!("== Fig. 6 — total revenue in the market ({tasks} tasks) ==");
-    outln!("{}", render_series("drivers", &revenue));
-    outln!("== Fig. 7 — rate of served tasks ==");
-    outln!("{}", render_series("drivers", &served));
-    outln!("== Fig. 8 — average revenue per worker ==");
-    outln!("{}", render_series("drivers", &rev_per_worker));
-    outln!("== Fig. 9 — average tasks per worker ==");
-    outln!("{}", render_series("drivers", &tasks_per_worker));
-    outln!(
+    writeln!(
+        out,
+        "== Fig. 6 — total revenue in the market ({tasks} tasks) =="
+    )?;
+    writeln!(out, "{}", render_series("drivers", &revenue))?;
+    writeln!(out, "== Fig. 7 — rate of served tasks ==")?;
+    writeln!(out, "{}", render_series("drivers", &served))?;
+    writeln!(out, "== Fig. 8 — average revenue per worker ==")?;
+    writeln!(out, "{}", render_series("drivers", &rev_per_worker))?;
+    writeln!(out, "== Fig. 9 — average tasks per worker ==")?;
+    writeln!(out, "{}", render_series("drivers", &tasks_per_worker))?;
+    writeln!(
+        out,
         "expected shape: Figs. 6–7 increase with drivers; Figs. 8–9 decrease \
          (market congestion, §VI-C)."
-    );
+    )
 }

@@ -3,41 +3,40 @@
 //! to calculate the exact value of the best integer solution Z*, and then
 //! use Z* as the upper bound".
 //!
-//! This binary is that mode with the workspace's branch-and-bound standing
+//! This figure is that mode with the workspace's branch-and-bound standing
 //! in for CPLEX: on a grid of small instances it reports Z*, Z_f*, and each
 //! algorithm's exact performance ratio (vs Z*), plus GA's worst observed
 //! ratio against its 1/(D+1) guarantee.
 //!
-//! Usage: `cargo run --release -p rideshare-bench --bin small_scale_exact
-//!         -- [seeds]`
+//! Usage: `rideshare small_scale [--seeds N]`
 
-use rideshare_bench::args::BinUsage;
-use rideshare_bench::{build_market, outln, PolicySpec};
-use rideshare_core::{
-    lp_upper_bound, solve_exact, ExactOptions, MarketSummary, Objective, UpperBoundOptions,
-};
+use std::io::{self, Write};
+
+use rideshare_core::{lp_upper_bound, solve_exact, MarketSummary, Objective, UpperBoundOptions};
 use rideshare_metrics::render_table;
 use rideshare_trace::DriverModel;
 
-const USAGE: BinUsage = BinUsage {
-    bin: "small_scale_exact",
-    counts: &["seeds"],
-    switches: &[],
-    keys: &[],
-};
+use super::ALGORITHMS;
+use crate::build_market;
 
-fn main() {
-    let seeds = USAGE.from_env().count(0).unwrap_or(5) as u64;
-
-    outln!("== Small-scale exact evaluation: Z* (branch & bound) vs algorithms ==");
+/// Prints the §VI-B table over `seeds` seeds × three instance sizes.
+///
+/// # Errors
+///
+/// Only what writing to `out` returns.
+pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Small-scale exact evaluation: Z* (branch & bound) vs algorithms =="
+    )?;
     let mut rows = Vec::new();
     let mut worst_ga_ratio = f64::INFINITY;
     let mut worst_guarantee = 0.0f64;
-    for seed in 0..seeds {
+    for seed in 0..seeds as u64 {
         for (tasks, drivers) in [(10usize, 4usize), (14, 5), (18, 6)] {
             let market = build_market(1000 + seed, tasks, drivers, DriverModel::Hitchhiking);
             let summary = MarketSummary::of(&market);
-            let exact = match solve_exact(&market, Objective::Profit, ExactOptions::default()) {
+            let exact = match solve_exact(&market, Objective::Profit) {
                 Ok(e) if e.proven_optimal => e,
                 _ => continue, // node budget blown — skip the point
             };
@@ -46,12 +45,7 @@ fn main() {
             }
             let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
                 .expect("column generation on a small market");
-            let [ga, max_margin, nearest] = [
-                PolicySpec::Greedy,
-                PolicySpec::MaxMargin,
-                PolicySpec::Nearest,
-            ]
-            .map(|policy| {
+            let [ga, max_margin, nearest] = ALGORITHMS.map(|(_, policy)| {
                 let assignment = policy.assign(&market, None, 1);
                 let profit = assignment.objective_value(&market, Objective::Profit);
                 profit.as_f64() / exact.objective_value
@@ -69,22 +63,17 @@ fn main() {
             ]);
         }
     }
-    outln!(
+    let [ga, max_margin, nearest] = ALGORITHMS.map(|(legend, _)| legend);
+    writeln!(
+        out,
         "{}",
         render_table(
-            &[
-                "seed/size",
-                "Z*",
-                "Z_f*",
-                "Greedy",
-                "maxMargin",
-                "Nearest",
-                "D"
-            ],
+            &["seed/size", "Z*", "Z_f*", ga, max_margin, nearest, "D"],
             &rows
         )
-    );
-    outln!(
+    )?;
+    writeln!(
+        out,
         "worst observed GA ratio: {worst_ga_ratio:.3} (Theorem 1 floor at the largest D seen: {worst_guarantee:.3})"
-    );
+    )
 }

@@ -4,10 +4,11 @@
 //! [`Scenario`] (or [`build_market`], the Figs. 5–9 sweep point), an
 //! algorithm is a [`PolicySpec`], and [`PolicySpec::assign`] is the one
 //! runner — [`run_sweep`] (behind `rideshare sweep`, the orchestrator,
-//! the goldens, the performance ledger and the Fig. 5 binary) projects
+//! the goldens, the performance ledger and [`figures::fig5`]) projects
 //! its [`rideshare_core::Assignment`] to profit, served count and ratio
-//! against `Z_f*`; the Figs. 6–9 and §VI-B binaries read market metrics
-//! off the same assignment. [`args`] is those binaries' front door.
+//! against `Z_f*`; Figs. 6–9 and §VI-B read market metrics off the same
+//! assignment. [`figures`] holds one function per figure, which the
+//! `rideshare` CLI hands its parsed flags and its standard output.
 //!
 //! ```
 //! use rideshare_bench::{build_market, PolicySpec};
@@ -28,8 +29,8 @@
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
-pub mod args;
 pub mod distrib;
+pub mod figures;
 pub mod scenario;
 pub mod sweep;
 
@@ -41,13 +42,6 @@ pub use sweep::{run_sweep, PolicySpec, SweepCell, SweepOptions, SweepReport};
 
 use rideshare_core::{Market, MarketBuildOptions};
 use rideshare_trace::{DriverModel, TraceConfig};
-
-/// The driver counts swept by Figs. 5–9 ("gradually increasing the number
-/// of drivers available in the market from 20 to 300").
-pub const DRIVER_SWEEP: [usize; 8] = [20, 40, 60, 100, 150, 200, 250, 300];
-
-/// The paper's task-count setting: "We select 1000 records during one day".
-pub const PAPER_TASK_COUNT: usize = 1000;
 
 /// Builds the evaluation market for one sweep point.
 #[must_use]

@@ -35,6 +35,12 @@ use rideshare_types::TimeDelta;
 
 use crate::scenario::Scenario;
 
+/// The longest hold window a label may name: 366 days. A window past the
+/// longest pickup lead already holds every order to its early-flush
+/// instant, and this bound leaves `timestamp + window` nowhere near
+/// `i64::MAX` on any trace the generator or `export` can produce.
+const MAX_WINDOW_SECS: i64 = 366 * 86_400;
+
 /// One policy column of the sweep matrix.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum PolicySpec {
@@ -123,16 +129,18 @@ impl PolicySpec {
         }
     }
 
-    /// Parses a label as produced by [`PolicySpec::label`].
+    /// Parses a label as produced by [`PolicySpec::label`]. A hold window
+    /// that is negative or longer than 366 days is no label.
     #[must_use]
     pub fn parse(label: &str) -> Option<PolicySpec> {
         fn window(rest: &str) -> Option<TimeDelta> {
-            let w = if let Some(mins) = rest.strip_suffix('m') {
-                TimeDelta::from_mins(mins.parse().ok()?)
-            } else {
-                TimeDelta::from_secs(rest.strip_suffix('s')?.parse().ok()?)
+            let (digits, unit) = match rest.strip_suffix('m') {
+                Some(mins) => (mins, 60),
+                None => (rest.strip_suffix('s')?, 1),
             };
-            w.is_non_negative().then_some(w)
+            let secs = digits.parse::<i64>().ok()?.checked_mul(unit)?;
+            let admitted = (0..=MAX_WINDOW_SECS).contains(&secs);
+            admitted.then_some(TimeDelta::from_secs(secs))
         }
         match label {
             "greedy" => Some(PolicySpec::Greedy),
@@ -623,5 +631,22 @@ mod tests {
         assert!(PolicySpec::parse("batch-xm").is_none());
         assert!(PolicySpec::parse("batch-opt-xm").is_none());
         assert!(PolicySpec::parse("no-such").is_none());
+        // A window that overflows the multiply (the first is 2⁶⁴ + 44
+        // seconds: it used to run as `batch-44s`), fits `i64` but not
+        // `timestamp + window`, or is merely past the bound, is no label.
+        for label in [
+            "batch-307445734561825861m",
+            "batch-opt-153722867280912931m",
+            "batch-9223372036854775807s",
+            "batch-31622401s",
+            "batch-opt-527041m",
+            "batch--1m",
+        ] {
+            assert_eq!(PolicySpec::parse(label), None, "{label}");
+        }
+        let longest = PolicySpec::Batched(TimeDelta::from_secs(MAX_WINDOW_SECS));
+        assert_eq!(longest.label(), "batch-527040m");
+        assert_eq!(PolicySpec::parse("batch-527040m"), Some(longest));
+        assert_eq!(PolicySpec::parse("batch-31622400s"), Some(longest));
     }
 }

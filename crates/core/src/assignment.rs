@@ -75,15 +75,6 @@ impl Assignment {
         self.routes.iter().filter(|r| !r.tasks.is_empty()).count()
     }
 
-    /// Which driver serves `task`, if any.
-    #[must_use]
-    pub fn server_of(&self, task: TaskId) -> Option<DriverId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .find_map(|(n, r)| r.tasks.contains(&task).then(|| DriverId::new(n as u32)))
-    }
-
     /// Total objective value: Eq. 4 (`Objective::Profit`) or Eq. 6
     /// (`Objective::Welfare`) — the sum over drivers of route profits
     /// (task margins minus excess travel cost).
@@ -273,8 +264,6 @@ mod tests {
         a.validate(&market).unwrap();
         assert_eq!(a.served_count(), 2);
         assert_eq!(a.active_driver_count(), 1);
-        assert_eq!(a.server_of(TaskId::new(1)), Some(DriverId::new(0)));
-        assert_eq!(a.server_of(TaskId::new(0)), Some(DriverId::new(0)));
         let profit = a.objective_value(&market, Objective::Profit);
         assert!(profit.approx_eq(Money::new(6.0)));
         assert!(a.total_revenue(&market).approx_eq(Money::new(6.0)));

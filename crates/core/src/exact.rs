@@ -31,27 +31,13 @@ pub struct ExactOutcome {
     pub proven_optimal: bool,
 }
 
-/// Options for [`solve_exact`].
-#[derive(Clone, Copy, Debug)]
-pub struct ExactOptions {
-    /// Enforce the individual-rationality rows (5b). The optimum never
-    /// needs them (dropping a loss-making driver's whole route is always
-    /// feasible and better), so they default to off to shrink the LP.
-    pub enforce_ir: bool,
-    /// Branch-and-bound node budget.
-    pub node_limit: usize,
-}
-
-impl Default for ExactOptions {
-    fn default() -> Self {
-        Self {
-            enforce_ir: false,
-            node_limit: 50_000,
-        }
-    }
-}
+/// Branch-and-bound node budget of [`solve_exact`].
+const NODE_LIMIT: usize = 50_000;
 
 /// Solves the market exactly by branch-and-bound on the arc formulation.
+/// The individual-rationality rows (5b) are left out: the optimum never
+/// needs them (dropping a loss-making driver's whole route is always
+/// feasible and better), and without them the LP is smaller.
 ///
 /// # Errors
 ///
@@ -72,16 +58,18 @@ impl Default for ExactOptions {
 ///     .with_driver_count(3, DriverModel::Hitchhiking)
 ///     .generate();
 /// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let exact = solve_exact(&market, Objective::Profit, Default::default()).unwrap();
+/// let exact = solve_exact(&market, Objective::Profit).unwrap();
 /// let greedy = solve_greedy(&market, Objective::Profit);
 /// let g = greedy.assignment.objective_value(&market, Objective::Profit);
 /// assert!(exact.objective_value + 1e-6 >= g.as_f64());
 /// ```
-pub fn solve_exact(
-    market: &Market,
-    objective: Objective,
-    opts: ExactOptions,
-) -> Result<ExactOutcome> {
+pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome> {
+    solve_arc_ilp(market, objective, false)
+}
+
+/// [`solve_exact`], with the rows (5b) when `enforce_ir` — kept so that
+/// the claim above stays a tested one.
+fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Result<ExactOutcome> {
     let n = market.num_drivers();
     let m = market.num_tasks();
     if n == 0 || m == 0 {
@@ -110,12 +98,12 @@ pub fn solve_exact(
         let mut xs = Vec::with_capacity(mine.len());
         for &t in &mine {
             let margin = market.tasks()[t].margin(objective).as_f64();
-            xs.push(lp.add_var(format!("x_{d}_{t}"), margin));
+            xs.push(lp.add_var(margin));
         }
         let mut my_arcs = Vec::new();
         // Direct source→sink arc, cost c₀,₋₁ (the refund makes it net 0).
         let direct = market.direct_cost(d).as_f64();
-        let v = lp.add_var(format!("y_{d}_src_snk"), -direct);
+        let v = lp.add_var(-direct);
         my_arcs.push((TERM, TERM, v, direct));
         for &t in &mine {
             let task = &market.tasks()[t];
@@ -123,20 +111,20 @@ pub fn solve_exact(
                 .speed()
                 .travel_cost(market.drivers()[d].source, task.origin)
                 .as_f64();
-            let v = lp.add_var(format!("y_{d}_src_{t}"), -src_cost);
+            let v = lp.add_var(-src_cost);
             my_arcs.push((TERM, t, v, src_cost));
             let snk_cost = market
                 .speed()
                 .travel_cost(task.destination, market.drivers()[d].destination)
                 .as_f64();
-            let v = lp.add_var(format!("y_{d}_{t}_snk"), -snk_cost);
+            let v = lp.add_var(-snk_cost);
             my_arcs.push((t, TERM, v, snk_cost));
         }
         for &t in &mine {
             for e in market.chain_edges(t) {
                 let to = e.to as usize;
                 if view.is_allowed(to) {
-                    let v = lp.add_var(format!("y_{d}_{t}_{to}"), -e.cost);
+                    let v = lp.add_var(-e.cost);
                     my_arcs.push((t, to, v, e.cost));
                 }
             }
@@ -194,7 +182,7 @@ pub fn solve_exact(
             lp.add_constraint(outbound, Cmp::Eq, 0.0);
         }
         // (5b) optional: route profit ≥ 0 ⇔ Σ x·margin − Σ y·cost ≥ −c₀,₋₁.
-        if opts.enforce_ir {
+        if enforce_ir {
             let mut coeffs: Vec<(usize, f64)> = allowed[d]
                 .iter()
                 .enumerate()
@@ -207,7 +195,7 @@ pub fn solve_exact(
 
     let binaries: Vec<usize> = (0..lp.num_vars()).collect();
     let milp = BranchAndBound::new(lp, binaries)
-        .with_node_limit(opts.node_limit)
+        .with_node_limit(NODE_LIMIT)
         .solve()?;
 
     // Reconstruct routes by walking successor arcs.
@@ -265,7 +253,7 @@ mod tests {
     #[test]
     fn exact_dominates_greedy_and_respects_bound() {
         let m = market(31, 14, 4);
-        let exact = solve_exact(&m, Objective::Profit, ExactOptions::default()).unwrap();
+        let exact = solve_exact(&m, Objective::Profit).unwrap();
         assert!(exact.proven_optimal);
         exact.assignment.validate(&m).unwrap();
         let exact_value = exact
@@ -293,16 +281,8 @@ mod tests {
     #[test]
     fn ir_constraint_does_not_change_optimum() {
         let m = market(32, 10, 3);
-        let without = solve_exact(&m, Objective::Profit, ExactOptions::default()).unwrap();
-        let with = solve_exact(
-            &m,
-            Objective::Profit,
-            ExactOptions {
-                enforce_ir: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let without = solve_exact(&m, Objective::Profit).unwrap();
+        let with = solve_arc_ilp(&m, Objective::Profit, true).unwrap();
         assert!(
             (without.objective_value - with.objective_value).abs() < 1e-6,
             "IR changed optimum: {} vs {}",
@@ -314,7 +294,7 @@ mod tests {
     #[test]
     fn empty_market_trivial() {
         let m = market(33, 0, 3);
-        let e = solve_exact(&m, Objective::Profit, ExactOptions::default()).unwrap();
+        let e = solve_exact(&m, Objective::Profit).unwrap();
         assert_eq!(e.objective_value, 0.0);
         assert!(e.proven_optimal);
     }
@@ -322,8 +302,8 @@ mod tests {
     #[test]
     fn welfare_exact_dominates_profit_exact() {
         let m = market(34, 10, 3);
-        let p = solve_exact(&m, Objective::Profit, ExactOptions::default()).unwrap();
-        let w = solve_exact(&m, Objective::Welfare, ExactOptions::default()).unwrap();
+        let p = solve_exact(&m, Objective::Profit).unwrap();
+        let w = solve_exact(&m, Objective::Welfare).unwrap();
         assert!(w.objective_value + 1e-6 >= p.objective_value);
     }
 }

@@ -60,7 +60,7 @@ mod upper_bound;
 mod view;
 
 pub use assignment::{Assignment, DriverRoute};
-pub use exact::{solve_exact, ExactOptions, ExactOutcome};
+pub use exact::{solve_exact, ExactOutcome};
 pub use greedy::{solve_greedy, GreedyOutcome};
 pub use market::{ChainEdge, Driver, Market, MarketBuildOptions, Objective, Task};
 pub use partition::{

@@ -4,27 +4,27 @@
 //! §I argues the market "can be partitioned … in city's scale" but warns
 //! that *within* a big city further partitioning is lossy "because the
 //! riders and drivers generally travel across the city". This module makes
-//! both halves of that claim testable, and adds the **lossless**
-//! decomposition the lossy grid only approximates:
+//! both halves of that claim testable. Both decompositions are lists of
+//! [`SubMarket`]s, and the same two functions solve either list —
+//! [`solve_components`] (the greedy on every sub-market, merged into one
+//! feasible global assignment) and [`components_upper_bound`]:
 //!
-//! - [`partition_market`] splits a market into `k × k` grid-cell
-//!   sub-markets (tasks by pickup cell, drivers by source cell) that can be
-//!   solved independently — the embarrassingly parallel deployment mode,
-//! - [`solve_partitioned`] runs the greedy on every sub-market and merges
-//!   the per-cell assignments into one feasible global assignment,
-//! - [`disjoint_components`] computes the *connected components* of the
-//!   driver–task interaction graph (driver `n` touches task `m` iff `m` is
-//!   a node of `n`'s task map). No feasible path crosses a component
-//!   boundary, so solving each component independently is **exact**, not
-//!   lossy: [`solve_sharded`] reproduces [`solve_greedy`]'s assignment and
-//!   [`sharded_upper_bound`] reproduces `Z_f*`, while both can fan
-//!   components out across OS threads (`std::thread::scope`, no external
-//!   dependencies) with a deterministic index-ordered merge,
-//!
-//! so the *partitioning loss* (global greedy profit vs merged partitioned
-//! profit) is a measurable quantity — the `ablations` experiment binary
-//! reports it — while the component shards give a parallel hot path with
-//! zero loss.
+//! - **exact — the hot path.** [`disjoint_components`] computes the
+//!   *connected components* of the driver–task interaction graph (driver
+//!   `n` touches task `m` iff `m` is a node of `n`'s task map). No
+//!   feasible path crosses a component boundary, so solving each component
+//!   independently loses nothing: [`solve_sharded`] reproduces
+//!   [`solve_greedy`]'s assignment and [`sharded_upper_bound`] reproduces
+//!   `Z_f*`, while both can fan components out across OS threads
+//!   (`std::thread::scope`, no external dependencies) with a
+//!   deterministic index-ordered merge. The sweep engine, the goldens and
+//!   the performance ledger run on this half.
+//! - **lossy — the ablation's.** [`partition_market`] splits a market into
+//!   `k × k` grid-cell sub-markets (tasks by pickup cell, drivers by source
+//!   cell): the embarrassingly parallel deployment mode §I warns about.
+//!   Its one caller outside the tests is `rideshare ablations`, which
+//!   reports the *partitioning loss* — global greedy profit against
+//!   `solve_components` over the cells.
 
 use rideshare_geo::GridIndex;
 use rideshare_types::{DriverId, Result, TaskId};
@@ -294,7 +294,7 @@ where
 /// extraction preserves relative driver/task order), and no path crosses a
 /// component boundary — so the merged assignment **equals** the global
 /// greedy's assignment, for every `threads` value. This is the lossless
-/// parallel counterpart of the lossy [`solve_partitioned`].
+/// parallel counterpart of the lossy [`partition_market`] cells.
 ///
 /// # Examples
 ///
@@ -325,6 +325,9 @@ pub fn solve_sharded(market: &Market, objective: Objective, threads: usize) -> A
 /// [`solve_sharded`] with precomputed components, for callers that reuse
 /// one [`disjoint_components`] decomposition across several solves (e.g.
 /// the sweep engine solves the greedy *and* the LP bound per scenario).
+/// Any sub-markets that hold each driver and task at most once merge to
+/// a feasible assignment; over [`partition_market`]'s cells it is the
+/// lossy one the partitioning ablation reports.
 #[must_use]
 pub fn solve_components(
     market: &Market,
@@ -413,50 +416,6 @@ pub fn components_upper_bound(
     Ok(agg)
 }
 
-/// Solves every sub-market with the greedy GA and merges the results into
-/// one global assignment.
-///
-/// # Examples
-///
-/// ```
-/// use rideshare_core::{partition::solve_partitioned, solve_greedy, Market, MarketBuildOptions, Objective};
-/// use rideshare_trace::{DriverModel, TraceConfig};
-///
-/// let trace = TraceConfig::porto()
-///     .with_seed(8)
-///     .with_task_count(120)
-///     .with_driver_count(20, DriverModel::Hitchhiking)
-///     .generate();
-/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let merged = solve_partitioned(&market, 3, Objective::Profit);
-/// merged.validate(&market).unwrap();
-/// // Partitioning never beats the global solver's information.
-/// let global = solve_greedy(&market, Objective::Profit);
-/// let g = global.assignment.objective_value(&market, Objective::Profit);
-/// let p = merged.objective_value(&market, Objective::Profit);
-/// assert!(p.as_f64() <= g.as_f64() + 1e-6);
-/// ```
-#[must_use]
-pub fn solve_partitioned(market: &Market, k: u16, objective: Objective) -> Assignment {
-    let mut merged = Assignment::empty(market.num_drivers());
-    for sub in partition_market(market, k) {
-        let local = solve_greedy(&sub.market, objective);
-        for (local_d, route) in local.assignment.routes().iter().enumerate() {
-            if route.tasks.is_empty() {
-                continue;
-            }
-            let global_driver = DriverId::new(sub.driver_map[local_d] as u32);
-            let tasks: Vec<TaskId> = route
-                .tasks
-                .iter()
-                .map(|t| TaskId::new(sub.task_map[t.index()] as u32))
-                .collect();
-            merged.set_route(global_driver, tasks);
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +458,7 @@ mod tests {
     #[test]
     fn k1_partition_matches_global_greedy() {
         let m = market(82, 100, 15);
-        let merged = solve_partitioned(&m, 1, Objective::Profit);
+        let merged = solve_components(&m, &partition_market(&m, 1), Objective::Profit, 1);
         let global = solve_greedy(&m, Objective::Profit);
         let a = merged.objective_value(&m, Objective::Profit);
         let b = global.assignment.objective_value(&m, Objective::Profit);
@@ -510,7 +469,7 @@ mod tests {
     fn merged_assignment_is_globally_feasible() {
         let m = market(83, 200, 30);
         for k in [2u16, 3, 6] {
-            let merged = solve_partitioned(&m, k, Objective::Profit);
+            let merged = solve_components(&m, &partition_market(&m, k), Objective::Profit, 1);
             merged.validate(&m).unwrap();
         }
     }
@@ -523,7 +482,7 @@ mod tests {
             .assignment
             .objective_value(&m, Objective::Profit)
             .as_f64();
-        let fine = solve_partitioned(&m, 6, Objective::Profit)
+        let fine = solve_components(&m, &partition_market(&m, 6), Objective::Profit, 1)
             .objective_value(&m, Objective::Profit)
             .as_f64();
         assert!(fine <= global + 1e-6);
@@ -537,7 +496,7 @@ mod tests {
     fn empty_market_partitions_to_nothing() {
         let m = Market::new(vec![], vec![], rideshare_geo::SpeedModel::urban(), None);
         assert!(partition_market(&m, 4).is_empty());
-        let a = solve_partitioned(&m, 4, Objective::Profit);
+        let a = solve_components(&m, &partition_market(&m, 4), Objective::Profit, 1);
         assert_eq!(a.routes().len(), 0);
     }
 

@@ -52,12 +52,6 @@ impl TightnessInstance {
     pub fn expected_opt(&self) -> f64 {
         (self.d as f64 + 1.0) * (1.0 - self.epsilon)
     }
-
-    /// The achieved approximation ratio `1 / ((D+1)(1−ε)) → 1/(D+1)`.
-    #[must_use]
-    pub fn expected_ratio(&self) -> f64 {
-        self.expected_greedy() / self.expected_opt()
-    }
 }
 
 /// Builds the Fig. 2 instance for diameter `d` and wedge `epsilon`.
@@ -161,7 +155,7 @@ pub fn fig2_instance(d: usize, epsilon: f64) -> TightnessInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{solve_exact, ExactOptions};
+    use crate::exact::solve_exact;
     use crate::upper_bound::{lp_upper_bound, UpperBoundOptions};
     use crate::{solve_greedy, Objective};
 
@@ -185,8 +179,7 @@ mod tests {
     fn optimum_is_d_plus_one_times_wedge() {
         for d in 1..=3 {
             let inst = fig2_instance(d, 0.05);
-            let exact =
-                solve_exact(&inst.market, Objective::Profit, ExactOptions::default()).unwrap();
+            let exact = solve_exact(&inst.market, Objective::Profit).unwrap();
             assert!(exact.proven_optimal);
             assert!(
                 (exact.objective_value - inst.expected_opt()).abs() < 1e-3,

@@ -1,6 +1,6 @@
 //! Per-driver task-map views and the max-profit-path oracle.
 
-use rideshare_types::{Money, TimeDelta};
+use rideshare_types::Money;
 
 use crate::market::{Market, Objective};
 
@@ -332,32 +332,6 @@ impl DriverView {
         total -= self.sink_cost[*tasks.last().expect("non-empty") as usize];
         Money::new(total)
     }
-
-    /// The added feasibility check for appending `task` directly after the
-    /// driver leaves `from` at `ready_at`: used by the online simulator.
-    ///
-    /// Returns the empty-drive travel time if the driver can reach the
-    /// pickup before its deadline *and* still reach her own destination
-    /// after the task's completion deadline, `None` otherwise.
-    #[must_use]
-    pub fn can_append(
-        &self,
-        market: &Market,
-        from: rideshare_geo::GeoPoint,
-        ready_at: rideshare_types::Timestamp,
-        task: usize,
-    ) -> Option<TimeDelta> {
-        if !self.allowed[task] {
-            return None;
-        }
-        let t = &market.tasks()[task];
-        let travel = market.speed().travel_time(from, t.origin);
-        if ready_at + travel <= t.pickup_deadline {
-            Some(travel)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +340,7 @@ mod tests {
     use crate::market::{Driver, Task};
     use rideshare_geo::{GeoPoint, SpeedModel};
     use rideshare_trace::DriverModel;
-    use rideshare_types::{DriverId, TaskId, Timestamp};
+    use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
     fn pt(km_east: f64) -> GeoPoint {
         GeoPoint::new(41.15, -8.61).offset_km(0.0, km_east)
@@ -550,22 +524,5 @@ mod tests {
         let other = view.best_path(&market, Objective::Profit, &[true, false]);
         assert_eq!(other.tasks, vec![1]);
         assert_eq!(other.profit, best.profit);
-    }
-
-    #[test]
-    fn can_append_checks_pickup_deadline() {
-        let d = driver(0.0, 30.0, 0, 7200);
-        let t = task(0, 10.0, 1200, 1800, 3.0);
-        let market = Market::new(vec![d], vec![t], speed(), None);
-        let view = DriverView::new(&market, 0);
-        // From km 0 at t=0: 10 min drive, deadline 20 min → fits.
-        let tt = view
-            .can_append(&market, pt(0.0), Timestamp::from_secs(0), 0)
-            .expect("reachable");
-        assert_eq!(tt.as_secs(), 600);
-        // From km 0 at t=700: 600 s drive arrives 1300 > 1200 → no.
-        assert!(view
-            .can_append(&market, pt(0.0), Timestamp::from_secs(700), 0)
-            .is_none());
     }
 }

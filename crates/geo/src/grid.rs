@@ -270,12 +270,6 @@ impl<T: Copy + PartialEq> GridIndex<T> {
         self.entries_near(center, radius_km).map(|(_, id)| *id)
     }
 
-    /// Number of entries currently stored in `cell`.
-    #[must_use]
-    pub fn cell_count(&self, cell: CellId) -> usize {
-        self.cells[self.cell_index(cell)].len()
-    }
-
     /// Iterates over every stored `(point, id)` pair.
     pub fn iter(&self) -> impl Iterator<Item = (GeoPoint, T)> + '_ {
         self.cells.iter().flatten().map(|(p, id)| (*p, *id))

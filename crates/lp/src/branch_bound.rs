@@ -27,9 +27,9 @@ const INT_TOL: f64 = 1e-6;
 ///
 /// // 0/1 knapsack: max 10a + 6b + 4c s.t. 5a + 4b + 3c <= 8.
 /// let mut lp = LinearProgram::maximize();
-/// let a = lp.add_var("a", 10.0);
-/// let b = lp.add_var("b", 6.0);
-/// let c = lp.add_var("c", 4.0);
+/// let a = lp.add_var(10.0);
+/// let b = lp.add_var(6.0);
+/// let c = lp.add_var(4.0);
 /// lp.add_constraint(vec![(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 8.0);
 /// let solver = BranchAndBound::new(lp, vec![a, b, c]);
 /// let sol = solver.solve().unwrap();
@@ -188,9 +188,9 @@ mod tests {
         // max 10a + 6b + 4c s.t. 5a + 4b + 3c <= 8 → a + c = 14
         // (LP relaxation would take a + 3/4 b = 14.5).
         let mut lp = LinearProgram::maximize();
-        let a = lp.add_var("a", 10.0);
-        let b = lp.add_var("b", 6.0);
-        let c = lp.add_var("c", 4.0);
+        let a = lp.add_var(10.0);
+        let b = lp.add_var(6.0);
+        let c = lp.add_var(4.0);
         lp.add_constraint(vec![(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 8.0);
         let sol = BranchAndBound::new(lp, vec![a, b, c]).solve().unwrap();
         assert_close(sol.objective, 14.0);
@@ -204,9 +204,9 @@ mod tests {
     fn odd_cycle_packing_integrality_gap() {
         // LP optimum 1.5 (see PackingLp test); ILP optimum is 1.
         let mut lp = LinearProgram::maximize();
-        let c1 = lp.add_var("c1", 1.0);
-        let c2 = lp.add_var("c2", 1.0);
-        let c3 = lp.add_var("c3", 1.0);
+        let c1 = lp.add_var(1.0);
+        let c2 = lp.add_var(1.0);
+        let c3 = lp.add_var(1.0);
         lp.add_constraint(vec![(c1, 1.0), (c3, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(vec![(c1, 1.0), (c2, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(vec![(c2, 1.0), (c3, 1.0)], Cmp::Le, 1.0);
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn already_integral_root() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 2.0);
+        let x = lp.add_var(2.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
         let sol = BranchAndBound::new(lp, vec![x]).solve().unwrap();
         assert_close(sol.objective, 2.0);
@@ -228,8 +228,8 @@ mod tests {
     fn mixed_integer_continuous() {
         // max 3x + y, x binary, y continuous; x + y <= 1.5 → x=1, y=0.5.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 3.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(3.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 1.5);
         let sol = BranchAndBound::new(lp, vec![x]).solve().unwrap();
         assert_close(sol.objective, 3.5);
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn infeasible_milp() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         // x binary can be at most 1 → infeasible.
         let res = BranchAndBound::new(lp, vec![x]).solve();
@@ -251,8 +251,8 @@ mod tests {
     fn equality_forces_fractional_infeasibility() {
         // x + y = 1.5 with both binary → infeasible.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 1.5);
         let res = BranchAndBound::new(lp, vec![x, y]).solve();
         assert!(matches!(res, Err(MarketError::Infeasible)));
@@ -262,9 +262,7 @@ mod tests {
     fn node_limit_reports_truncation() {
         // A 12-item knapsack with correlated weights explores many nodes.
         let mut lp = LinearProgram::maximize();
-        let vars: Vec<_> = (0..12)
-            .map(|i| lp.add_var(format!("x{i}"), 10.0 + (i as f64)))
-            .collect();
+        let vars: Vec<_> = (0..12).map(|i| lp.add_var(10.0 + (i as f64))).collect();
         let coeffs: Vec<_> = vars
             .iter()
             .enumerate()
@@ -300,7 +298,7 @@ mod tests {
         let mut vars = [[0usize; 4]; 4];
         for (i, row) in profits.iter().enumerate() {
             for (j, &p) in row.iter().enumerate() {
-                vars[i][j] = lp.add_var(format!("a{i}{j}"), p);
+                vars[i][j] = lp.add_var(p);
             }
         }
         for (i, row) in vars.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! pure-Rust reproduction, and the offline LP crate ecosystem is thin, so
 //! this crate implements the required optimization machinery from scratch:
 //!
-//! - [`LinearProgram`]: a small modelling layer (named variables, sparse
+//! - [`LinearProgram`]: a small modelling layer (indexed variables, sparse
 //!   constraint rows, `≤ / = / ≥` senses) over the `simplex` module's
 //!   dense two-phase primal simplex with Bland-rule anti-cycling,
 //!   returning primal values **and dual prices**,
@@ -25,8 +25,8 @@
 //!
 //! // max 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x,y >= 0  → obj 10 at (2,2).
 //! let mut lp = LinearProgram::maximize();
-//! let x = lp.add_var("x", 3.0);
-//! let y = lp.add_var("y", 2.0);
+//! let x = lp.add_var(3.0);
+//! let y = lp.add_var(2.0);
 //! lp.add_constraint(vec![(x, 1.0), (y, 1.0)], rideshare_lp::Cmp::Le, 4.0);
 //! lp.add_constraint(vec![(x, 1.0)], rideshare_lp::Cmp::Le, 2.0);
 //! let sol = lp.solve().unwrap();

@@ -44,8 +44,8 @@ pub(crate) struct Row {
 /// use rideshare_lp::{Cmp, LinearProgram};
 /// // min x + y  s.t.  x + 2y >= 3,  3x + y >= 4   → obj 2.0 at (1, 1).
 /// let mut lp = LinearProgram::minimize();
-/// let x = lp.add_var("x", 1.0);
-/// let y = lp.add_var("y", 1.0);
+/// let x = lp.add_var(1.0);
+/// let y = lp.add_var(1.0);
 /// lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 3.0);
 /// lp.add_constraint(vec![(x, 3.0), (y, 1.0)], Cmp::Ge, 4.0);
 /// let sol = lp.solve().unwrap();
@@ -55,7 +55,6 @@ pub(crate) struct Row {
 pub struct LinearProgram {
     pub(crate) sense: Sense,
     pub(crate) objective: Vec<f64>,
-    pub(crate) names: Vec<String>,
     pub(crate) rows: Vec<Row>,
 }
 
@@ -66,7 +65,6 @@ impl LinearProgram {
         Self {
             sense: Sense::Maximize,
             objective: Vec::new(),
-            names: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -77,16 +75,14 @@ impl LinearProgram {
         Self {
             sense: Sense::Minimize,
             objective: Vec::new(),
-            names: Vec::new(),
             rows: Vec::new(),
         }
     }
 
     /// Adds a non-negative variable with the given objective coefficient and
     /// returns its id.
-    pub fn add_var(&mut self, name: impl Into<String>, obj_coeff: f64) -> VarId {
+    pub fn add_var(&mut self, obj_coeff: f64) -> VarId {
         self.objective.push(obj_coeff);
-        self.names.push(name.into());
         self.objective.len() - 1
     }
 
@@ -100,16 +96,6 @@ impl LinearProgram {
     #[must_use]
     pub fn num_constraints(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Name of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range.
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var]
     }
 
     /// Adds a sparse constraint `Σ coeffs ⋈ rhs`; returns the row index.
@@ -179,10 +165,9 @@ mod tests {
     #[test]
     fn build_and_introspect() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(2.0);
         assert_eq!(lp.num_vars(), 2);
-        assert_eq!(lp.var_name(y), "y");
         let r = lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 1.0);
         assert_eq!(r, 0);
         assert_eq!(lp.num_constraints(), 1);
@@ -198,7 +183,7 @@ mod tests {
     #[test]
     fn rejects_non_finite_data() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", f64::NAN);
+        let x = lp.add_var(f64::NAN);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
         assert!(matches!(lp.solve(), Err(MarketError::InvalidModel { .. })));
     }

@@ -552,7 +552,7 @@ mod tests {
             let mut used = vec![0.0; rows];
             let y = self.lp.duals();
             for (j, (cost, support, ext)) in self.added.iter().enumerate() {
-                let v = dense.add_var(format!("c{j}"), *cost);
+                let v = dense.add_var(*cost);
                 let priced: f64 = support.iter().map(|&r| y[r]).sum();
                 assert!(
                     priced >= cost - 1e-7,

@@ -399,8 +399,8 @@ mod tests {
     fn textbook_max() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → 36 at (2, 6).
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 3.0);
-        let y = lp.add_var("y", 5.0);
+        let x = lp.add_var(3.0);
+        let y = lp.add_var(5.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 4.0);
         lp.add_constraint(vec![(y, 2.0)], Cmp::Le, 12.0);
         lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
@@ -418,8 +418,8 @@ mod tests {
         // min 0.12x + 0.15y s.t. 60x + 60y >= 300, 12x + 6y >= 36,
         // 10x + 30y >= 90 → 3.15 at (3, 2) (diet problem).
         let mut lp = LinearProgram::minimize();
-        let x = lp.add_var("x", 0.12);
-        let y = lp.add_var("y", 0.15);
+        let x = lp.add_var(0.12);
+        let y = lp.add_var(0.15);
         lp.add_constraint(vec![(x, 60.0), (y, 60.0)], Cmp::Ge, 300.0);
         lp.add_constraint(vec![(x, 12.0), (y, 6.0)], Cmp::Ge, 36.0);
         lp.add_constraint(vec![(x, 10.0), (y, 30.0)], Cmp::Ge, 90.0);
@@ -433,8 +433,8 @@ mod tests {
     fn equality_constraints() {
         // max x + 2y s.t. x + y = 3, x - y = 1 → x=2, y=1, obj 4.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 3.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
         let sol = lp.solve().unwrap();
@@ -447,7 +447,7 @@ mod tests {
     fn negative_rhs_handled() {
         // max x s.t. -x <= -2 (i.e. x >= 2), x <= 5 → 5.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, -1.0)], Cmp::Le, -2.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
         let sol = lp.solve().unwrap();
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         assert!(matches!(lp.solve(), Err(MarketError::Infeasible)));
@@ -466,8 +466,8 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 0.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(0.0);
         lp.add_constraint(vec![(x, -1.0), (y, 1.0)], Cmp::Le, 1.0);
         assert!(matches!(lp.solve(), Err(MarketError::Unbounded)));
     }
@@ -476,10 +476,10 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Classic degeneracy: multiple constraints active at the optimum.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 10.0);
-        let y = lp.add_var("y", -57.0);
-        let z = lp.add_var("z", 9.0);
-        let w = lp.add_var("w", -24.0);
+        let x = lp.add_var(10.0);
+        let y = lp.add_var(-57.0);
+        let z = lp.add_var(9.0);
+        let w = lp.add_var(-24.0);
         lp.add_constraint(vec![(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)], Cmp::Le, 0.0);
         lp.add_constraint(vec![(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)], Cmp::Le, 0.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
@@ -493,8 +493,8 @@ mod tests {
     fn redundant_equality_rows() {
         // x + y = 2 stated twice; still solvable.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
         let sol = lp.solve().unwrap();
@@ -513,7 +513,7 @@ mod tests {
     fn duplicate_coeffs_summed() {
         // max x s.t. 0.5x + 0.5x <= 3 → 3.
         let mut lp = LinearProgram::maximize();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 0.5), (x, 0.5)], Cmp::Le, 3.0);
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 3.0);
@@ -524,10 +524,10 @@ mod tests {
         // 2x2 assignment problem: LP relaxation is naturally integral.
         // max 5 a11 + 4 a12 + 3 a21 + 6 a22, rows/cols <= 1.
         let mut lp = LinearProgram::maximize();
-        let a11 = lp.add_var("a11", 5.0);
-        let a12 = lp.add_var("a12", 4.0);
-        let a21 = lp.add_var("a21", 3.0);
-        let a22 = lp.add_var("a22", 6.0);
+        let a11 = lp.add_var(5.0);
+        let a12 = lp.add_var(4.0);
+        let a21 = lp.add_var(3.0);
+        let a22 = lp.add_var(6.0);
         lp.add_constraint(vec![(a11, 1.0), (a12, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(vec![(a21, 1.0), (a22, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(vec![(a11, 1.0), (a21, 1.0)], Cmp::Le, 1.0);
@@ -543,8 +543,8 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 4, x >= 1 → (3,1)? obj: prefer x: 2*4=8
         // at (4,0): check constraints: x+y=4 ok, x=4>=1 ok. obj 8.
         let mut lp = LinearProgram::minimize();
-        let x = lp.add_var("x", 2.0);
-        let y = lp.add_var("y", 3.0);
+        let x = lp.add_var(2.0);
+        let y = lp.add_var(3.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
         let sol = lp.solve().unwrap();

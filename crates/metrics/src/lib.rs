@@ -37,7 +37,6 @@ mod journal;
 mod market_metrics;
 mod stream_stats;
 mod table;
-mod timeseries;
 
 pub use journal::MetricsJournal;
 pub use market_metrics::MarketMetrics;
@@ -45,4 +44,3 @@ pub use stream_stats::{
     fixed_to_f64, SnapshotError, StreamBucket, StreamMetrics, FIXED_POINT_SCALE, SNAPSHOT_SCHEMA,
 };
 pub use table::{render_pivot, render_series, render_table, Series};
-pub use timeseries::{HourBucket, HourlyBreakdown};

@@ -1,10 +1,9 @@
 //! Incremental, windowed, **mergeable** metrics for streaming replay.
 //!
-//! [`crate::MarketMetrics`] and [`crate::HourlyBreakdown`] need the whole
-//! market and result in memory. A million-task streaming replay has
-//! neither, so [`StreamMetrics`] implements
-//! [`rideshare_online::StreamSink`] and accumulates everything the
-//! reports need *as decisions happen*: totals, time-bucketed
+//! [`crate::MarketMetrics`] needs the whole market and result in memory.
+//! A million-task streaming replay has neither, so [`StreamMetrics`]
+//! implements [`rideshare_online::StreamSink`] and accumulates everything
+//! the reports need *as decisions happen*: totals, time-bucketed
 //! served/revenue/profit tables (Figs. 6–7 off a stream), and per-driver
 //! income (Figs. 8–9). Resident state is `O(time buckets + drivers)` —
 //! bounded by the replayed horizon and fleet, never by the trace length.

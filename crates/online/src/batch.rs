@@ -207,7 +207,7 @@ impl BatchMatcher for OptimalAssignmentMatcher {
         let mut lp = LinearProgram::maximize();
         let vars: Vec<usize> = pairs
             .iter()
-            .map(|&(slot, ci)| lp.add_var("x", round.candidates[slot][ci].marginal_value))
+            .map(|&(slot, ci)| lp.add_var(round.candidates[slot][ci].marginal_value))
             .collect();
         // ≤ 1 driver per task.
         for slot in 0..round.tasks.len() {

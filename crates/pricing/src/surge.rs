@@ -65,9 +65,8 @@ impl Default for SurgeConfig {
 
 /// Tracks per-cell open demand and idle supply and produces multipliers.
 ///
-/// The online simulator calls [`SurgeEngine::add_demand`] when a task is
-/// published in a cell, [`SurgeEngine::remove_demand`] when it is served or
-/// rejected, and the supply counterparts as drivers idle in or leave a cell.
+/// The pricer calls [`SurgeEngine::add_demand`] for each task published in
+/// a cell and [`SurgeEngine::add_supply`] for each driver idling in one.
 ///
 /// # Examples
 ///
@@ -118,13 +117,6 @@ impl SurgeEngine {
     /// Registers one open task in `cell`.
     pub fn add_demand(&mut self, cell: CellId) {
         *self.demand.entry(cell).or_insert(0) += 1;
-    }
-
-    /// Removes one open task from `cell` (saturating).
-    pub fn remove_demand(&mut self, cell: CellId) {
-        if let Some(d) = self.demand.get_mut(&cell) {
-            *d = d.saturating_sub(1);
-        }
     }
 
     /// Registers one idle driver in `cell`.
@@ -226,17 +218,6 @@ mod tests {
             e.add_demand(cell());
         }
         assert_eq!(e.multiplier(cell()), 1.0);
-    }
-
-    #[test]
-    fn removal_is_saturating() {
-        let mut e = SurgeEngine::new(SurgeConfig::uber_like());
-        e.remove_demand(cell());
-        assert_eq!(e.demand(cell()), 0);
-        e.add_demand(cell());
-        e.remove_demand(cell());
-        e.remove_demand(cell());
-        assert_eq!(e.demand(cell()), 0);
     }
 
     #[test]

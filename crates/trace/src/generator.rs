@@ -120,32 +120,6 @@ impl TraceConfig {
         self
     }
 
-    /// Sets the publish lead-time range in minutes (`t̄⁻ₘ − t̄ₘ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < lo ≤ hi`.
-    #[must_use]
-    pub fn with_lead_time_mins(mut self, lo: i64, hi: i64) -> Self {
-        assert!(0 < lo && lo <= hi, "need 0 < lo <= hi");
-        self.lead_time_mins = (lo, hi);
-        self
-    }
-
-    /// Sets the relative slack added to each task's completion window
-    /// (`0.0` = the window is exactly the drive time plus a small fixed
-    /// buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative.
-    #[must_use]
-    pub fn with_window_slack(mut self, factor: f64) -> Self {
-        assert!(factor >= 0.0, "slack factor must be non-negative");
-        self.window_slack_factor = factor;
-        self
-    }
-
     /// Sets the number of tasks (customer orders) in the day.
     #[must_use]
     pub fn with_task_count(mut self, count: usize) -> Self {
@@ -165,13 +139,6 @@ impl TraceConfig {
     #[must_use]
     pub fn with_distance_distribution(mut self, dist: TruncatedPareto) -> Self {
         self.distance_km = dist;
-        self
-    }
-
-    /// Overrides the speed/cost model.
-    #[must_use]
-    pub fn with_speed_model(mut self, speed: SpeedModel) -> Self {
-        self.speed = speed;
         self
     }
 
@@ -804,21 +771,15 @@ mod tests {
     }
 
     #[test]
-    fn lead_time_builder_validates() {
-        let t = TraceConfig::porto()
-            .with_seed(14)
-            .with_task_count(50)
-            .with_lead_time_mins(20, 40)
-            .generate();
+    fn lead_times_stay_in_the_preset_range() {
+        let preset = TraceConfig {
+            lead_time_mins: (20, 40),
+            ..TraceConfig::porto()
+        };
+        let t = preset.with_seed(14).with_task_count(50).generate();
         for trip in &t.trips {
             let lead = (trip.pickup_deadline - trip.publish_time).as_mins_f64();
             assert!((20.0..=40.0).contains(&lead), "lead {lead}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < lo <= hi")]
-    fn bad_lead_time_rejected() {
-        let _ = TraceConfig::porto().with_lead_time_mins(10, 5);
     }
 }

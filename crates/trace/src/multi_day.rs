@@ -23,12 +23,6 @@ pub struct MultiDayTrace {
 }
 
 impl MultiDayTrace {
-    /// Total number of trips across all days.
-    #[must_use]
-    pub fn total_trips(&self) -> usize {
-        self.days.iter().map(|d| d.trips.len()).sum()
-    }
-
     /// Flattens all days into a single publish-ordered trace (driver lists
     /// are taken from day 0 — cross-day replay reuses the same fleet).
     ///
@@ -121,7 +115,6 @@ mod tests {
         assert!(counts[4] > counts[0]);
         assert!(counts[5] > counts[0]);
         assert!(counts[6] < counts[0]);
-        assert_eq!(week.total_trips(), counts.iter().sum());
     }
 
     #[test]
@@ -158,7 +151,8 @@ mod tests {
     fn flattened_is_publish_sorted_and_renumbered() {
         let week = generate_days(&base(), 3);
         let flat = week.flattened().expect("non-empty");
-        assert_eq!(flat.trips.len(), week.total_trips());
+        let per_day = week.days.iter().map(|d| d.trips.len());
+        assert_eq!(flat.trips.len(), per_day.sum::<usize>());
         assert!(flat
             .trips
             .windows(2)
@@ -171,7 +165,7 @@ mod tests {
     #[test]
     fn empty_horizon() {
         let none = generate_days(&base(), 0);
-        assert_eq!(none.total_trips(), 0);
+        assert!(none.days.is_empty());
         assert!(none.flattened().is_none());
     }
 }

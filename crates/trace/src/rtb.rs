@@ -328,12 +328,6 @@ impl<'a> RtbSlice<'a> {
         self.end.declared_count()
     }
 
-    /// Events decoded so far.
-    #[must_use]
-    pub fn decoded_count(&self) -> u64 {
-        self.end.decoded
-    }
-
     /// Byte offset of the next record, for diagnostics.
     fn offset(&self) -> u64 {
         // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.

@@ -23,8 +23,6 @@
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,
-    below: u64,
-    above: u64,
 }
 
 impl Histogram {
@@ -42,8 +40,6 @@ impl Histogram {
         Self {
             edges,
             counts: vec![0; bins],
-            below: 0,
-            above: 0,
         }
     }
 
@@ -64,21 +60,14 @@ impl Histogram {
         Self {
             edges,
             counts: vec![0; bins],
-            below: 0,
-            above: 0,
         }
     }
 
-    /// Adds one observation.
+    /// Adds one observation; one outside `[lo, hi)` is not counted.
     pub fn add(&mut self, x: f64) {
         let lo = self.edges[0];
         let hi = *self.edges.last().expect("non-empty edges");
-        if x < lo {
-            self.below += 1;
-            return;
-        }
-        if x >= hi {
-            self.above += 1;
+        if x < lo || x >= hi {
             return;
         }
         // Binary search for the bin (edges are sorted).
@@ -115,12 +104,6 @@ impl Histogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Observations that fell outside `[lo, hi)` as `(below, above)`.
-    #[must_use]
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.below, self.above)
     }
 
     /// `(bin centre, density)` pairs, normalised so densities integrate
@@ -254,7 +237,6 @@ mod tests {
         assert_eq!(h.bin_counts()[1], 1);
         assert_eq!(h.bin_counts()[9], 1);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.out_of_range(), (1, 2));
     }
 
     #[test]

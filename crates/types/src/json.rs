@@ -129,12 +129,6 @@ impl JsonValue {
         }
     }
 
-    /// Whether the value is the `null` literal.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// The value as a boolean, if it is one.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
@@ -538,10 +532,10 @@ mod tests {
     #[test]
     fn parser_accepts_literals() {
         let v = parse("{\"ratio\": null, \"bound\": true, \"off\": false}").unwrap();
-        assert!(v.get("ratio").unwrap().is_null());
+        assert_eq!(v.get("ratio"), Some(&JsonValue::Null));
         assert_eq!(v.get("bound").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("off").unwrap().as_bool(), Some(false));
-        assert!(!v.get("bound").unwrap().is_null());
+        assert_ne!(v.get("bound"), Some(&JsonValue::Null));
         assert!(parse("nul").is_err());
         assert!(parse("truthy").is_err());
     }

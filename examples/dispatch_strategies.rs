@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example dispatch_strategies`
 
-use rideshare::metrics::HourlyBreakdown;
 use rideshare::online::{run_batched, run_batched_with, BatchOptions, MatcherKind};
 use rideshare::prelude::*;
 
@@ -18,7 +17,6 @@ fn main() {
     let sim = Simulator::new(&market);
 
     let mut rows = Vec::new();
-    let mut hourly: Option<HourlyBreakdown> = None;
 
     // Instant policies.
     for (label, result) in [
@@ -56,9 +54,6 @@ fn main() {
             format!("{:.2}", result.total_profit(&market).as_f64()),
             format!("{:.1}%", result.service_rate() * 100.0),
         ]);
-        if label.starts_with("maxMargin") {
-            hourly = Some(HourlyBreakdown::of(&market, &result));
-        }
     }
 
     // Offline reference.
@@ -83,11 +78,24 @@ fn main() {
         render_table(&["strategy", "driver profit", "served"], &rows)
     );
 
-    // Where is the market tight? (maxMargin run.)
-    let hb = hourly.expect("maxMargin ran");
-    println!("peak demand hour: {:02}:00", hb.peak_demand_hour());
-    if let Some(tight) = hb.tightest_hour() {
-        let b = hb.hour(tight);
+    // Where is the market tight? The maxMargin run once more, with the
+    // hour-of-day accumulator as the engine's sink.
+    let mut hourly = StreamMetrics::hourly();
+    replay_stream(
+        market.speed(),
+        market_events(&market),
+        &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+        StreamOptions::default(),
+        &mut hourly,
+    );
+    let hours = || hourly.buckets().iter().enumerate();
+    if let Some((peak, _)) = hours().max_by_key(|(_, b)| b.published) {
+        println!("peak demand hour: {peak:02}:00");
+    }
+    let with_demand = hours().filter(|(_, b)| b.published > 0);
+    if let Some((tight, b)) =
+        with_demand.min_by(|(_, a), (_, b)| a.service_rate().total_cmp(&b.service_rate()))
+    {
         println!(
             "tightest hour:    {tight:02}:00 — {}/{} served ({:.0}%)",
             b.served,

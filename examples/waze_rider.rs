@@ -70,8 +70,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let exact = solve_exact(&small, Objective::Profit, ExactOptions::default())
-        .expect("small instance is exactly solvable");
+    let exact = solve_exact(&small, Objective::Profit).expect("small instance is exactly solvable");
     let small_ga = solve_greedy(&small, Objective::Profit)
         .assignment
         .objective_value(&small, Objective::Profit);

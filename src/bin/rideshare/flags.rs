@@ -52,7 +52,7 @@ pub struct Command {
 
 /// The `--policy` grammar of the online surfaces (`online_policy`).
 pub const POLICY: &str = "margin|nearest|batch-<W>|batch-opt-<W>";
-const POLICY_FLAG: Flag = val("--policy", POLICY, "dispatch policy (default margin)");
+const POLICY_FLAG: Flag = val("--policy", POLICY, "default margin; hold window W ≤ 366d");
 
 const DIR: &[Flag] = &[req("--dir", "DIR", "trips.csv + drivers.csv from generate")];
 /// The synthetic-day shape (`trace_config` reads exactly this group).
@@ -63,7 +63,7 @@ const TRACE: &[Flag] = &[
     val("--model", "hitch|hwh", "driver model (default hitch)"),
     switch("--delivery", "the delivery-market preset"),
 ];
-const SURGE: Flag = val("--surge-window", "MINS", "surge window (30; 0 disables)");
+const SURGE: Flag = val("--surge-window", "MINS", "surge mins (30; 0 off; ≤ 366d)");
 const REGIONS: Flag = val("--regions", "K", "disjoint service regions in the trace");
 /// The shard geometry (`shard_geometry` reads exactly this group).
 const SHARDING: &[Flag] = &[
@@ -82,7 +82,7 @@ const STREAM: &[Flag] = &[
 const MATRIX: &[Flag] = &[
     val("--scenarios", "all|tiny|a,b,…", "catalog selection"),
     val("--policies", "p,q,…|w-sweep", "policy columns"),
-    val("--threads", "N", "threads per process (default: all cores)"),
+    val("--threads", "N", "threads per process ≥ 1 (default: cores)"),
     switch("--no-bound", "skip the Z_f* upper bound"),
     switch("--canonical", "omit wall-times (the CI snapshot form)"),
     val("--json", "PATH", "write the report as JSON"),
@@ -91,6 +91,10 @@ const MATRIX: &[Flag] = &[
 /// A duration: plain seconds or a suffix form (what `secs_or` parses).
 const DURATION: &str = "SECS|90s|30m|2h|1d";
 const SPOOL: Flag = req("--spool", "DIR", "the crash-safe spool directory");
+/// The longest span a minutes- or hours-valued flag admits: 366 days, the
+/// bound `PolicySpec::parse` puts on a hold window, so none of them comes
+/// within reach of `i64` once added to a stream timestamp.
+const MAX_SPAN_SECS: i64 = 366 * 86_400;
 
 /// One row per subcommand — `word [flag groups] "about";` — handled by
 /// the function of the same name in `main.rs`.
@@ -120,6 +124,12 @@ pub static COMMANDS: &[Command] = commands! {
     serve       [SERVE, SHARDING, STREAM]            "long-running dispatch daemon over a live event feed";
     query       [QUERY]                              "range queries over a recorded telemetry store";
     audit       [AUDIT]                              "static determinism & invariant audit of the sources";
+    fig2        [FIG2]                               "Fig. 2: tightness of GA's 1/(D+1) ratio";
+    fig3_4      [FIG3_4]                             "Figs. 3-4: travel time and distance distributions";
+    fig5        [&[POINT_TASKS, QUICK], FIG5]        "Fig. 5: performance ratio against Z_f*, per driver model";
+    fig6_9      [&[POINT_TASKS, QUICK]]              "Figs. 6-9: revenue, service rate and per-worker load";
+    small_scale [SMALL_SCALE]                        "§VI-B: exact Z* against Z_f* and the three algorithms";
+    ablations   [&[QUICK]]                           "what each design choice buys, by switching it off";
 };
 
 const OUT_DIR: Flag = req("--out", "DIR", "output directory");
@@ -132,7 +142,7 @@ const ORCHESTRATE: &[Flag] = &[
 ];
 const WORKER: &[Flag] = &[
     val("--id", "ID", "claim-directory name (default: the pid)"),
-    val("--threads", "N", "threads per unit (default 1)"),
+    val("--threads", "N", "threads per unit, ≥ 1 (default 1)"),
     val("--poll-ms", "N", "spool polling interval (default 25)"),
     val("--crash-once", "FILE", "fault: die once, FILE is the latch"),
     val("--crash-on-unit", "NAME", "fault: die claiming NAME"),
@@ -147,8 +157,8 @@ const SERVE: &[Flag] = &[
     req("--source", SOURCE, "the event feed"),
     switch("--follow", "tail a growing file until its end-of-stream"),
     val("--snapshot-dir", "DIR", "write metrics snapshots here"),
-    val("--snapshot-mins", "M", "stream minutes per snapshot (60)"),
-    val("--day-hours", "H", "stream hours per day rollover (24)"),
+    val("--snapshot-mins", "M", "stream mins/snapshot (60; ≤ 366d)"),
+    val("--day-hours", "H", "stream hours per day (24; ≤ 366d)"),
 ];
 const QUERY: &[Flag] = &[
     req("--tsdb", "DIR", "the store a --tsdb-dir run recorded"),
@@ -166,6 +176,13 @@ const AUDIT: &[Flag] = &[
     switch("--check", "CI mode: summary line only when clean"),
     switch("--verbose", "also list waived findings"),
 ];
+
+const FIG2: &[Flag] = &[val("--depth", "D", "largest diameter D swept (default 6)")];
+const FIG3_4: &[Flag] = &[val("--trips", "N", "trips in the trace (default 20000)")];
+const POINT_TASKS: Flag = val("--tasks", "N", "orders per point (1000; 200 with --quick)");
+const QUICK: Flag = switch("--quick", "smoke-test sizes");
+const FIG5: &[Flag] = &[val("--model", "hitch|hwh", "one panel (default: both)")];
+const SMALL_SCALE: &[Flag] = &[val("--seeds", "N", "seeds per instance size (default 5)")];
 
 /// Why an argument vector was refused: always the subcommand, the flag,
 /// and what was wrong with it.
@@ -213,8 +230,11 @@ impl fmt::Display for FlagError {
 }
 
 impl From<FlagError> for String {
+    /// The refusal above the usage of the subcommand that made it —
+    /// whether `parse` refused the vector or a handler one value.
     fn from(e: FlagError) -> String {
-        e.to_string()
+        let cmd = COMMANDS.iter().find(|c| c.name == e.cmd);
+        format!("{e}\n\n{}", cmd.map(Command::usage).unwrap_or_default())
     }
 }
 
@@ -345,6 +365,30 @@ impl<'a> Parsed<'a> {
         self.value(name).map_or(Ok(default), parse)
     }
 
+    /// `name` as a count of at least one, if given.
+    pub fn count(&self, name: &str) -> Result<Option<usize>, FlagError> {
+        let count = self.value(name).map(str::parse).transpose();
+        match count {
+            Ok(Some(0)) | Err(_) => Err(self.bad(name)),
+            Ok(count) => Ok(count),
+        }
+    }
+
+    /// `name` (or `default`) as whole `unit`-second units — at least
+    /// `least` of them, at most [`MAX_SPAN_SECS`] — in seconds.
+    pub fn span_or(
+        &self,
+        name: &str,
+        unit: i64,
+        default: i64,
+        least: i64,
+    ) -> Result<i64, FlagError> {
+        let units: i64 = self.parse_or(name, default)?;
+        let secs = units.checked_mul(unit);
+        let admitted = secs.filter(|secs| units >= least && *secs <= MAX_SPAN_SECS);
+        admitted.ok_or_else(|| self.bad(name))
+    }
+
     /// `name` parsed as a [`DURATION`], or `default` when absent.
     pub fn secs_or(&self, name: &str, default: i64) -> Result<i64, FlagError> {
         let Some(v) = self.value(name) else {
@@ -364,13 +408,13 @@ impl<'a> Parsed<'a> {
 
 const PROSE: &str = "\
 Policies: greedy, maxMargin, nearest, random, batch-<W> and batch-opt-<W>
-where <W> is a hold window like 3m or 90s (greedy vs optimal per-batch
-matcher); `--policies w-sweep` expands to the batching study. The online
-surfaces (`simulate`, `replay`, `serve`) take the same labels minus the
-offline `greedy` and the `random` baseline, with `margin` for maxMargin.
-`sweep --scenarios list` prints the catalog. `--canonical` omits
-wall-times, so reports are byte-identical across thread, worker and shard
-counts (the CI snapshot form).
+where <W> is a hold window like 3m or 90s, at most 366 days (greedy vs
+optimal per-batch matcher); `--policies w-sweep` expands to the batching
+study. The online surfaces (`simulate`, `replay`, `serve`) take the same
+labels minus the offline `greedy` and the `random` baseline, with `margin`
+for maxMargin. `sweep --scenarios list` prints the catalog. `--canonical`
+omits wall-times, so reports are byte-identical across thread, worker and
+shard counts (the CI snapshot form).
 
 `orchestrate` splits the catalog into one self-describing unit file per
 scenario under `--spool DIR`; workers claim units by atomic rename (the
@@ -404,7 +448,12 @@ reads them back over the half-open range `--from/--to`.
 engines: a drained daemon's report is byte-identical to `replay
 --canonical` on the same trace, for any shard count and ingestion backend.
 `--snapshot-dir` also receives per-day tables and a final snapshot.
-Malformed input drains cleanly and exits nonzero — never a panic.";
+Malformed input drains cleanly and exits nonzero — never a panic.
+
+`fig2` … `ablations` print the paper's evaluation (§VI; docs/PAPER_MAP.md
+maps each figure to its command) at paper size; `--quick` and the count
+flags shrink them. `fig5` is one `sweep` over its points with the Z_f*
+bound, on all cores; it and `fig6_9` report progress on stderr.";
 
 #[cfg(test)]
 mod tests {
@@ -437,7 +486,7 @@ mod tests {
 
     #[test]
     fn every_table_refuses_what_it_does_not_declare_and_documents_what_it_does() {
-        assert_eq!(COMMANDS.len(), 13);
+        assert_eq!(COMMANDS.len(), 19);
         let whole_program = usage();
         for cmd in COMMANDS {
             let base = required_args(cmd, "");
@@ -597,6 +646,35 @@ mod tests {
             assert_eq!((e.cmd, e.flag.as_str()), ("orchestrate", "--timeout"));
             assert!(matches!(e.fault, Fault::BadValue { ref value, .. } if value == text));
         }
+
+        // Minutes and hours are bounded where they are read: a multiply
+        // that overflows `i64`, a span past 366 days and a count of zero
+        // are bad values — not a wrapped window or an engine's panic.
+        let serve = command("serve");
+        for (hours, secs) in [
+            ("1", Some(3600)),
+            ("8784", Some(MAX_SPAN_SECS)),
+            ("8785", None),
+            ("0", None),
+            ("-1", None),
+            ("2562047788015216", None),
+            ("1h", None),
+        ] {
+            let args = strings(&["--source", "s", "--day-hours", hours]);
+            let p = parse(serve, &args).expect(hours);
+            let read = p.span_or("--day-hours", 3600, 24, 1);
+            assert_eq!(read, secs.ok_or(p.bad("--day-hours")), "{hours}");
+            assert_eq!(p.span_or("--snapshot-mins", 60, 60, 1), Ok(3600));
+        }
+        let sweep = command("sweep");
+        for (threads, count) in [("3", Some(3)), ("0", None), ("-2", None), ("two", None)] {
+            let args = strings(&["--threads", threads]);
+            let p = parse(sweep, &args).expect(threads);
+            let bad = p.bad("--threads");
+            assert_eq!(p.count("--threads"), count.map(Some).ok_or(bad));
+        }
+        let absent = parse(sweep, &[]).expect("no flags");
+        assert_eq!(absent.count("--threads"), Ok(None));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `rideshare` — command-line interface to the framework.
 //!
-//! The thirteen subcommands, their flags and their one-line descriptions
+//! The nineteen subcommands, their flags and their one-line descriptions
 //! are declared once, in [`flags::COMMANDS`]; `rideshare help` prints the
 //! synopsis generated from that table, and each subcommand is the
 //! function of its name below. In pipeline order: `generate` a synthetic
@@ -10,12 +10,15 @@
 //! processes; `replay` a day of any size through the bounded-memory
 //! streaming engine, `export` the same event stream as a log, `serve` it
 //! as a long-running daemon; `query` the telemetry store a `--tsdb-dir`
-//! run recorded; `audit` the workspace sources.
+//! run recorded; `audit` the workspace sources. `fig2` … `ablations` print
+//! the paper's figures: each hands its flags, typed, and [`Out`] to the
+//! function of its name in `rideshare::bench::figures`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use rideshare::bench::figures;
 use rideshare::prelude::*;
 use rideshare::trace::{drivers_from_csv, drivers_to_csv, trips_from_csv, trips_to_csv};
 
@@ -74,7 +77,7 @@ fn main() -> ExitCode {
         None => Err(format!("unknown subcommand '{word}'\n{}", flags::usage())),
         Some(cmd) => match flags::parse(cmd, rest) {
             Ok(parsed) => (cmd.run)(&parsed),
-            Err(e) => Err(format!("{e}\n\n{}", cmd.usage())),
+            Err(e) => Err(e.into()),
         },
     };
     match result {
@@ -99,6 +102,16 @@ fn positive(name: &str, value: i64) -> Result<i64, String> {
     positive.ok_or_else(|| format!("{name} must be positive"))
 }
 
+/// `--model`, if given.
+fn driver_model(p: &Parsed<'_>) -> Result<Option<DriverModel>, String> {
+    match p.value("--model") {
+        None => Ok(None),
+        Some("hitch") => Ok(Some(DriverModel::Hitchhiking)),
+        Some("hwh") => Ok(Some(DriverModel::HomeWorkHome)),
+        Some(_) => Err(p.bad("--model").into()),
+    }
+}
+
 /// The synthetic day `generate`, `replay` and `export` share: the TRACE
 /// flag group over the subcommand's own default `size` (tasks, drivers),
 /// sliced into `regions` disjoint service regions.
@@ -107,11 +120,7 @@ fn trace_config(
     size: (usize, usize),
     regions: usize,
 ) -> Result<TraceConfig, String> {
-    let model = match p.value("--model") {
-        None | Some("hitch") => DriverModel::Hitchhiking,
-        Some("hwh") => DriverModel::HomeWorkHome,
-        Some(_) => return Err(p.bad("--model").into()),
-    };
+    let model = driver_model(p)?.unwrap_or(DriverModel::Hitchhiking);
     if regions == 0 {
         return Err("--regions must be at least 1".into());
     }
@@ -135,9 +144,9 @@ fn priced_events(
     p: &Parsed<'_>,
     stream: TraceStream,
 ) -> Result<impl Iterator<Item = StreamEvent>, String> {
-    let surge_mins: i64 = p.parse_or("--surge-window", 30)?;
+    let surge_secs = p.span_or("--surge-window", 60, 30, 0)?;
     let build = MarketBuildOptions {
-        surge_window: (surge_mins > 0).then(|| TimeDelta::from_mins(surge_mins)),
+        surge_window: (surge_secs > 0).then(|| TimeDelta::from_secs(surge_secs)),
         ..MarketBuildOptions::default()
     };
     let (bbox, speed) = (stream.bounding_box(), stream.speed());
@@ -216,8 +225,8 @@ fn solve(p: &Parsed<'_>) -> Result<(), String> {
 fn online_policy(p: &Parsed<'_>) -> Result<(PolicySpec, ShardPolicySpec), String> {
     const GRAMMAR: &str = flags::POLICY;
     let label = p.value("--policy").unwrap_or("margin");
-    let policy =
-        PolicySpec::parse(label).ok_or_else(|| format!("unknown policy '{label}' ({GRAMMAR})"))?;
+    let policy = PolicySpec::parse(label)
+        .ok_or_else(|| format!("unknown policy '{label}' ({GRAMMAR}, <W> at most 366d)"))?;
     let spec = policy
         .stream_spec()
         .ok_or_else(|| format!("policy '{label}' is not a streaming policy ({GRAMMAR})"))?;
@@ -314,7 +323,7 @@ fn sweep(p: &Parsed<'_>) -> Result<(), String> {
         return Ok(());
     }
     let (scenarios, policies) = sweep_matrix(p)?;
-    let threads: usize = p.parse_or("--threads", cores())?;
+    let threads = p.count("--threads")?.unwrap_or_else(cores);
     let opts = SweepOptions {
         threads,
         compute_bound: !p.has("--no-bound"),
@@ -338,7 +347,8 @@ fn orchestrate(p: &Parsed<'_>) -> Result<(), String> {
     let (scenarios, policies) = sweep_matrix(p)?;
     let workers: usize = p.parse_or("--workers", 2)?;
     // Split the machine across the worker pool by default.
-    let threads: usize = p.parse_or("--threads", (cores() / workers.max(1)).max(1))?;
+    let threads = p.count("--threads")?;
+    let threads = threads.unwrap_or((cores() / workers.max(1)).max(1));
     let timeout_secs = positive("--timeout", p.secs_or("--timeout", 300)?)?;
     let exe = std::env::current_exe().map_err(|e| format!("resolving own binary: {e}"))?;
     let mut worker_extra_args = Vec::new();
@@ -390,7 +400,7 @@ fn worker(p: &Parsed<'_>) -> Result<(), String> {
     let opts = WorkerOptions {
         spool: PathBuf::from(p.required("--spool")),
         id: p.value("--id").map_or_else(own_pid, str::to_string),
-        threads: p.parse_or("--threads", 1)?,
+        threads: p.count("--threads")?.unwrap_or(1),
         poll_interval: std::time::Duration::from_millis(p.parse_or("--poll-ms", 25)?),
         crash_once: p.value("--crash-once").map(PathBuf::from),
         crash_on_unit: p.value("--crash-on-unit").map(str::to_string),
@@ -632,30 +642,27 @@ fn export(p: &Parsed<'_>) -> Result<(), String> {
 fn serve(p: &Parsed<'_>) -> Result<(), String> {
     let run = StreamRun::parse(p)?;
     let shards = run.shards.shards;
-    let day_hours = positive("--day-hours", p.parse_or("--day-hours", 24)?)?;
-    let snapshot_mins = positive("--snapshot-mins", p.parse_or("--snapshot-mins", 60)?)?;
+    let day_secs = p.span_or("--day-hours", 3600, 24, 1)?;
+    let snapshot_secs = p.span_or("--snapshot-mins", 60, 60, 1)?;
     let snapshot_dir = p.value("--snapshot-dir").map(Path::new);
     if let Some(dir) = snapshot_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
 
-    // The daemon has no trace in hand; the replay pipeline's bounding
-    // box is the city model's, so using it here keeps the pruning
-    // grid — and therefore the equivalence pin — identical.
-    let options = StreamOptions::default().grid(rideshare::geo::porto::bounding_box());
+    // The daemon has no trace in hand: `--regions K` reconstructs the
+    // region geometry `replay` slices the trace by, so the pruning grid
+    // spans the same K regions and the partition (and thus every
+    // decision) matches.
+    let geometry = TraceConfig::porto().with_regions(run.regions);
+    let options = StreamOptions::default().grid(geometry.bounding_box());
     let mut config = ServeConfig::new(shards)
         .shard_options(run.shards.stream(options))
-        .day_length(TimeDelta::from_hours(day_hours));
+        .day_length(TimeDelta::from_secs(day_secs));
     if snapshot_dir.is_some() {
-        config = config.snapshot_every(TimeDelta::from_mins(snapshot_mins));
+        config = config.snapshot_every(TimeDelta::from_secs(snapshot_secs));
     }
 
-    // `--regions K` reconstructs the same region geometry `replay` slices
-    // the trace by, so the partition (and thus every decision) matches.
-    let boxes = TraceConfig::porto()
-        .with_regions(run.regions)
-        .region_boxes();
-    let partitioner = BoxPartitioner::new(boxes);
+    let partitioner = BoxPartitioner::new(geometry.region_boxes());
     let mut daemon = ServeDaemon::new(SpeedModel::urban(), run.spec, config);
     if shards > 1 {
         daemon = daemon.with_partitioner(&partitioner);
@@ -795,6 +802,40 @@ fn query(p: &Parsed<'_>) -> Result<(), String> {
         println!("query: {} series merged{filter}", result.matched.len());
     }
     Ok(())
+}
+
+/// A figure's write error as a subcommand's (a closed pipe never gets
+/// here: [`Out`] has ended the process by then).
+fn figure(printed: std::io::Result<()>) -> Result<(), String> {
+    printed.map_err(|e| format!("writing stdout: {e}"))
+}
+
+fn fig2(p: &Parsed<'_>) -> Result<(), String> {
+    figure(figures::fig2(&mut Out, p.count("--depth")?.unwrap_or(6)))
+}
+
+fn fig3_4(p: &Parsed<'_>) -> Result<(), String> {
+    let trips = p.count("--trips")?.unwrap_or(20_000);
+    figure(figures::fig3_4(&mut Out, trips))
+}
+
+fn fig5(p: &Parsed<'_>) -> Result<(), String> {
+    let (tasks, model) = (p.count("--tasks")?, driver_model(p)?);
+    figure(figures::fig5(&mut Out, tasks, p.has("--quick"), model))
+}
+
+fn fig6_9(p: &Parsed<'_>) -> Result<(), String> {
+    let tasks = p.count("--tasks")?;
+    figure(figures::fig6_9(&mut Out, tasks, p.has("--quick")))
+}
+
+fn small_scale(p: &Parsed<'_>) -> Result<(), String> {
+    let seeds = p.count("--seeds")?.unwrap_or(5);
+    figure(figures::small_scale(&mut Out, seeds))
+}
+
+fn ablations(p: &Parsed<'_>) -> Result<(), String> {
+    figure(figures::ablations(&mut Out, p.has("--quick")))
 }
 
 /// The static determinism/invariant audit. Fails when findings remain

@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use rideshare_core::{
         disjoint_components, lp_upper_bound, performance_ratio, sharded_upper_bound, solve_exact,
-        solve_greedy, solve_sharded, Assignment, Driver, DriverRoute, DriverView, ExactOptions,
-        Market, MarketBuildOptions, Objective, StreamPricer, Task, UpperBoundOptions,
+        solve_greedy, solve_sharded, Assignment, Driver, DriverRoute, DriverView, Market,
+        MarketBuildOptions, Objective, StreamPricer, Task, UpperBoundOptions,
     };
     pub use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
     pub use rideshare_metrics::{

@@ -392,6 +392,29 @@ fn export_serve_jsonl_matches_replay_and_writes_snapshots() {
         "no periodic snap-*.json written"
     );
 
+    // Two regions on one shard: the daemon's pruning grid spans the
+    // regions `--regions` names, as replay's spans the trace's.
+    let regional = ["--regions", "2", "--canonical"];
+    let mut export_args = vec!["export"];
+    export_args.extend_from_slice(&trace);
+    export_args.extend_from_slice(&["--regions", "2", "--out", &log_s]);
+    assert!(cli(&export_args).status.success());
+    let source = format!("jsonl:{log_s}");
+    let mut serve_args = vec!["serve", "--source", &source, "--shards", "1"];
+    serve_args.extend_from_slice(&regional);
+    let served = cli(&serve_args);
+    let mut replay_args = vec!["replay"];
+    replay_args.extend_from_slice(&trace);
+    replay_args.extend_from_slice(&regional);
+    let replayed = cli(&replay_args);
+    assert!(served.status.success() && replayed.status.success());
+    let serve_stdout = String::from_utf8_lossy(&served.stdout);
+    assert!(serve_stdout.contains("2 region(s) × 1 shard(s)"));
+    assert_eq!(
+        serve_as_replay(&serve_stdout),
+        serve_as_replay(&String::from_utf8_lossy(&replayed.stdout))
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -517,7 +540,9 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
     // Each of these ran a *different experiment* without a word before the
     // flag tables: the default 100k tasks, the wall-clock report, the
     // hitch-hiking model, the default five-policy sweep.
-    let cases: [(&[&str], &str); 7] = [
+    let snaps = tmpdir("overflow-snaps");
+    let snaps_s = snaps.to_str().unwrap();
+    let cases: [(&[&str], &str); 25] = [
         (
             &["replay", "--task", "2000"],
             "replay: unknown flag '--task'",
@@ -543,6 +568,83 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
             "export: --seed given more than once",
         ),
         (&["generate", "--tasks", "5"], "generate: --out is required"),
+        // The figures are rows of the same table: the retired `--rounds`
+        // knob, a positional count and a bad panel are refused by name.
+        (&["fig5", "--rounds", "5"], "fig5: unknown flag '--rounds'"),
+        (
+            &["fig5", "--quick", "--bogus"],
+            "fig5: unknown flag '--bogus'",
+        ),
+        (
+            &["fig5", "--quick", "--model", "xyz"],
+            "fig5: bad --model 'xyz' (expected hitch|hwh)",
+        ),
+        (
+            &["fig5", "--quick", "--model"],
+            "fig5: --model needs a value",
+        ),
+        (&["fig5", "--tasks", "2000x"], "fig5: bad --tasks '2000x'"),
+        (&["fig5", "--tasks", "0"], "fig5: bad --tasks '0'"),
+        (&["fig5", "200"], "fig5: unknown flag '200'"),
+        // Durations that overflow where they enter. Each of these ran a
+        // different window (2⁶⁴ + 44 s wraps to `batch-44s`; a window that
+        // fits `i64` but not `timestamp + window` dispatched instantly) or
+        // reached an engine assertion (exit 101) before the bound.
+        (
+            &["replay", "--policy", "batch-307445734561825861m"],
+            "unknown policy 'batch-307445734561825861m'",
+        ),
+        (
+            &["replay", "--policy", "batch-9223372036854775807s"],
+            "unknown policy 'batch-9223372036854775807s'",
+        ),
+        (
+            &["replay", "--policy", "batch-opt-153722867280912930m"],
+            "unknown policy 'batch-opt-153722867280912930m'",
+        ),
+        (
+            &["replay", "--policy", "batch-527041m"],
+            "unknown policy 'batch-527041m'",
+        ),
+        (
+            &[
+                "serve",
+                "--source",
+                "jsonl:/dev/null",
+                "--day-hours",
+                "2562047788015216",
+            ],
+            "serve: bad --day-hours '2562047788015216'",
+        ),
+        (
+            &[
+                "serve",
+                "--source",
+                "jsonl:/dev/null",
+                "--snapshot-dir",
+                snaps_s,
+                "--snapshot-mins",
+                "153722867280912931",
+            ],
+            "serve: bad --snapshot-mins '153722867280912931'",
+        ),
+        (
+            &["replay", "--surge-window", "153722867280912931"],
+            "replay: bad --surge-window '153722867280912931'",
+        ),
+        (
+            &["export", "--surge-window", "-5"],
+            "export: bad --surge-window '-5'",
+        ),
+        (&["sweep", "--threads", "0"], "sweep: bad --threads '0'"),
+        (
+            &["orchestrate", "--spool", snaps_s, "--threads", "0"],
+            "orchestrate: bad --threads '0'",
+        ),
+        (
+            &["worker", "--spool", snaps_s, "--threads", "0"],
+            "worker: bad --threads '0'",
+        ),
     ];
     for (args, needle) in cases {
         let out = cli(args);
@@ -550,7 +652,28 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
         assert!(out.stdout.is_empty(), "{args:?} still ran");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        if args[0] == "fig5" {
+            let usage = "USAGE:\n  rideshare fig5     [--tasks N] [--quick] [--model hitch|hwh]";
+            assert!(stderr.contains(usage), "{args:?}: {stderr}");
+        }
     }
+    assert!(!snaps.exists(), "a refused run created {snaps_s}");
+
+    // The longest window the grammar admits (366 days) still runs, and
+    // holds every order to its early-flush instant.
+    let longest = cli(&[
+        "replay",
+        "--tasks",
+        "50",
+        "--drivers",
+        "5",
+        "--policy",
+        "batch-527040m",
+        "--canonical",
+    ]);
+    assert!(longest.status.success());
+    let report = String::from_utf8_lossy(&longest.stdout);
+    assert!(report.contains("50 held orders"), "{report}");
 }
 
 #[test]
@@ -630,17 +753,24 @@ fn online_surfaces_share_the_sweep_policy_grammar() {
 fn closed_stdout_ends_the_run_quietly() {
     // `rideshare replay … | head -1`: the reader is gone before the report
     // is printed. `println!` would panic on the broken pipe.
+    // A figure prints through the same writer.
     use std::process::Stdio;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rideshare"))
-        .args(["replay", "--tasks", "20000", "--drivers", "200"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn rideshare binary");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for rideshare");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(stderr.is_empty(), "{stderr}");
-    assert!(out.status.success(), "{:?}", out.status);
+    let runs: [&[&str]; 2] = [
+        &["replay", "--tasks", "20000", "--drivers", "200"],
+        &["fig3_4", "--trips", "2000"],
+    ];
+    for args in runs {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rideshare"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn rideshare binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for rideshare");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.is_empty(), "{stderr}");
+        assert!(out.status.success(), "{:?}", out.status);
+    }
 }

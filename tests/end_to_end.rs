@@ -25,7 +25,7 @@ fn dominance_chain_on_small_instances() {
             .objective_value(&market, Objective::Profit)
             .as_f64();
 
-        let exact = solve_exact(&market, Objective::Profit, ExactOptions::default()).unwrap();
+        let exact = solve_exact(&market, Objective::Profit).unwrap();
         assert!(exact.proven_optimal, "seed {seed}");
         exact.assignment.validate(&market).unwrap();
 

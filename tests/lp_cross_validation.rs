@@ -20,7 +20,7 @@ fn transportation_problem() {
     let mut x = [[0usize; 3]; 2];
     for (w, row) in c.iter().enumerate() {
         for (s, &cost) in row.iter().enumerate() {
-            x[w][s] = lp.add_var(format!("x{w}{s}"), cost);
+            x[w][s] = lp.add_var(cost);
         }
     }
     for (w, &supply) in [20.0, 30.0].iter().enumerate() {
@@ -39,11 +39,11 @@ fn max_flow_as_lp() {
     // Max s-t flow = 6: route 1 on s-a-t, 3 on s-a-b-t, 2 on s-b-t;
     // the source cut {s→a, s→b} = 4 + 2 certifies optimality.
     let mut lp = LinearProgram::maximize();
-    let sa = lp.add_var("sa", 0.0);
-    let sb = lp.add_var("sb", 0.0);
-    let ab = lp.add_var("ab", 0.0);
-    let at = lp.add_var("at", 1.0); // objective counts flow into t
-    let bt = lp.add_var("bt", 1.0);
+    let sa = lp.add_var(0.0);
+    let sb = lp.add_var(0.0);
+    let ab = lp.add_var(0.0);
+    let at = lp.add_var(1.0); // objective counts flow into t
+    let bt = lp.add_var(1.0);
     for (v, cap) in [(sa, 4.0), (sb, 2.0), (ab, 3.0), (at, 1.0), (bt, 6.0)] {
         lp.add_constraint(vec![(v, 1.0)], Cmp::Le, cap);
     }
@@ -69,9 +69,7 @@ fn weak_duality_on_random_packing_instances() {
         let rows = 3 + (round % 5);
         let cols = 4 + (round % 7);
         let mut lp = LinearProgram::maximize();
-        let vars: Vec<usize> = (0..cols)
-            .map(|j| lp.add_var(format!("x{j}"), 0.5 + 5.0 * next()))
-            .collect();
+        let vars: Vec<usize> = (0..cols).map(|_| lp.add_var(0.5 + 5.0 * next())).collect();
         let mut coeffs_by_row = Vec::new();
         for _ in 0..rows {
             let mut coeffs: Vec<(usize, f64)> = Vec::new();
@@ -128,10 +126,10 @@ fn branch_and_bound_set_packing() {
     // Best: D (10) + nothing touching 1,3,5 except A,B,C all collide with
     // D? A∩D={0}, B∩D={2}, C∩D={4} → D alone = 10 vs A+B+C = 12. Optimum 12.
     let mut lp = LinearProgram::maximize();
-    let a = lp.add_var("A", 4.0);
-    let b = lp.add_var("B", 4.0);
-    let c = lp.add_var("C", 4.0);
-    let d = lp.add_var("D", 10.0);
+    let a = lp.add_var(4.0);
+    let b = lp.add_var(4.0);
+    let c = lp.add_var(4.0);
+    let d = lp.add_var(10.0);
     for (elem_sets, _) in [
         (vec![a, d], 0),
         (vec![a], 1),
@@ -168,11 +166,7 @@ fn branch_and_bound_agrees_with_exhaustive_search() {
         let cap = weights.iter().sum::<f64>() * 0.4;
 
         let mut lp = LinearProgram::maximize();
-        let vars: Vec<usize> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| lp.add_var(format!("x{i}"), v))
-            .collect();
+        let vars: Vec<usize> = values.iter().map(|&v| lp.add_var(v)).collect();
         lp.add_constraint(
             vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(),
             Cmp::Le,

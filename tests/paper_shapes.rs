@@ -129,3 +129,16 @@ fn greedy_profit_grows_with_supply() {
         hi.greedy_profit
     );
 }
+
+#[test]
+fn fig2_prints_the_pinned_bytes() {
+    // A figure's stdout, in process: `rideshare fig2 --depth 3` hands the
+    // same function the CLI's writer. The pin is what the retired
+    // `fig2_tightness 3` binary printed.
+    let mut printed = Vec::new();
+    rideshare::bench::figures::fig2(&mut printed, 3).expect("writing to a Vec");
+    assert_eq!(
+        String::from_utf8(printed).expect("UTF-8 tables"),
+        include_str!("snapshots/fig2_d3.txt")
+    );
+}

@@ -111,7 +111,7 @@ proptest! {
                 support.push(j % rows);
             }
             packing.add_column(*cost, &support);
-            let v = dense.add_var(format!("c{j}"), *cost);
+            let v = dense.add_var(*cost);
             for &r in &support {
                 members[r].push(v);
             }

@@ -25,8 +25,8 @@ fn greedy_profit_is_one_across_family() {
 fn exact_optimum_matches_lemma_three() {
     for d in 1..=3 {
         let inst = fig2_instance(d, 0.1);
-        let exact = solve_exact(&inst.market, Objective::Profit, ExactOptions::default())
-            .expect("small instance solves exactly");
+        let exact =
+            solve_exact(&inst.market, Objective::Profit).expect("small instance solves exactly");
         assert!(exact.proven_optimal);
         exact.assignment.validate(&inst.market).unwrap();
         let want = (d as f64 + 1.0) * 0.9;
