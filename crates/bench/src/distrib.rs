@@ -45,7 +45,6 @@ use crate::sweep::{run_sweep, PolicySpec, SweepCell, SweepOptions, SweepReport};
 
 const SPOOL_SCHEMA: &str = "rideshare-sweep-spool/1";
 const UNIT_SCHEMA: &str = "rideshare-sweep-unit/1";
-const SWEEP_SCHEMA: &str = "rideshare-sweep/1";
 
 /// Options for [`orchestrate`].
 #[derive(Clone, Debug)]
@@ -321,41 +320,37 @@ impl Manifest {
 // Spool init / resume / recovery
 // ---------------------------------------------------------------------------
 
-/// Sorted `.json` entries of a directory; missing directory reads empty.
-fn sorted_json_files(dir: &Path) -> Result<Vec<PathBuf>, OrchestrateError> {
+/// Sorted entries of a directory; missing directory reads empty.
+fn sorted_entries(dir: &Path) -> Result<Vec<PathBuf>, OrchestrateError> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(io_err("list spool dir", dir, &e)),
     };
-    let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list spool dir", dir, &e))?;
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "json") {
-            out.push(path);
-        }
-    }
+    let paths = entries.map(|entry| entry.map(|e| e.path()));
+    let mut out: Vec<PathBuf> = paths
+        .collect::<io::Result<_>>()
+        .map_err(|e| io_err("list spool dir", dir, &e))?;
     out.sort();
     Ok(out)
 }
 
-/// Every per-worker claim file currently in the spool, sorted.
+/// Sorted `.json` entries of a directory; missing directory reads empty.
+fn sorted_json_files(dir: &Path) -> Result<Vec<PathBuf>, OrchestrateError> {
+    let mut out = sorted_entries(dir)?;
+    out.retain(|path| path.extension().is_some_and(|x| x == "json"));
+    Ok(out)
+}
+
+/// Every per-worker claim file currently in the spool, sorted (paths
+/// compare by component, so sorted directories of sorted files are).
 fn claimed_files(spool: &Spool) -> Result<Vec<PathBuf>, OrchestrateError> {
-    let dir = spool.claimed();
-    let entries = match fs::read_dir(&dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err("list claim dirs", &dir, &e)),
-    };
     let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list claim dirs", &dir, &e))?;
-        if entry.path().is_dir() {
-            out.extend(sorted_json_files(&entry.path())?);
+    for dir in sorted_entries(&spool.claimed())? {
+        if dir.is_dir() {
+            out.extend(sorted_json_files(&dir)?);
         }
     }
-    out.sort();
     Ok(out)
 }
 
@@ -659,37 +654,14 @@ fn spawn_worker(
     })
 }
 
-/// Parses one canonical `rideshare-sweep/1` unit result back into cells.
-/// The float fields survive byte-exactly: the canonical form prints four
-/// fixed decimals, and re-formatting the parsed `f64` reproduces those
-/// digits at these magnitudes.
+/// Parses one canonical unit result back into cells.
 fn parse_result(text: &str, path: &Path) -> Result<Vec<SweepCell>, OrchestrateError> {
-    let read = || -> Result<Vec<SweepCell>, String> {
-        let v = json::parse(text)?;
-        v.expect_schema(SWEEP_SCHEMA)?;
-        v.arr_field("cells")?
-            .iter()
-            .map(|cell| {
-                Ok(SweepCell {
-                    scenario: cell.str_field("scenario")?.to_string(),
-                    policy: cell.str_field("policy")?.to_string(),
-                    tasks: cell.num_field("tasks")?,
-                    drivers: cell.num_field("drivers")?,
-                    served: cell.num_field("served")?,
-                    profit: cell.num_field("profit")?,
-                    ratio: match cell.get("ratio") {
-                        Some(JsonValue::Null) | None => None,
-                        Some(_) => Some(cell.num_field("ratio")?),
-                    },
-                    wall_ms: 0.0,
-                })
-            })
-            .collect()
-    };
-    read().map_err(|detail| OrchestrateError::CorruptResult {
+    let report = SweepReport::from_json(text);
+    let report = report.map_err(|detail| OrchestrateError::CorruptResult {
         path: path.display().to_string(),
         detail,
-    })
+    })?;
+    Ok(report.cells)
 }
 
 /// Merges unit results in catalog order into one report.

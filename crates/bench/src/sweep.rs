@@ -31,6 +31,7 @@ use rideshare_metrics::render_pivot;
 use rideshare_online::{
     replay_market, MatcherKind, RandomDispatch, ShardPolicySpec, SimulationOptions, Simulator,
 };
+use rideshare_types::json::{self, JsonValue};
 use rideshare_types::TimeDelta;
 
 use crate::scenario::Scenario;
@@ -259,6 +260,9 @@ fn fixed(v: f64, decimals: usize) -> String {
     }
 }
 
+/// Schema tag of a serialised [`SweepReport`].
+const SCHEMA: &str = "rideshare-sweep/1";
+
 impl SweepReport {
     /// Serialises the report as JSON (`rideshare-sweep/1` schema). With
     /// `with_timing = false` the output is *canonical*: wall-times are
@@ -266,7 +270,7 @@ impl SweepReport {
     /// thread count or machine — the form CI snapshots.
     #[must_use]
     pub fn to_json(&self, with_timing: bool) -> String {
-        let mut out = String::from("{\n  \"schema\": \"rideshare-sweep/1\",\n  \"cells\": [\n");
+        let mut out = format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let ratio = c.ratio.map_or_else(|| "null".into(), |r| fixed(r, 4));
             let _ = write!(
@@ -292,6 +296,40 @@ impl SweepReport {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+
+    /// Reads a report back from [`SweepReport::to_json`]'s output. Wall
+    /// times are a property of the run, not of its result, and read as
+    /// zero. The canonical form survives the round trip byte for byte:
+    /// it prints four fixed decimals, and re-formatting the parsed `f64`
+    /// reproduces those digits at these magnitudes.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first thing wrong with `text`: malformed
+    /// JSON, another schema tag, a missing or mistyped field.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = json::parse(text)?;
+        v.expect_schema(SCHEMA)?;
+        let cell = |cell: &JsonValue| {
+            Ok(SweepCell {
+                scenario: cell.str_field("scenario")?.to_string(),
+                policy: cell.str_field("policy")?.to_string(),
+                tasks: cell.num_field("tasks")?,
+                drivers: cell.num_field("drivers")?,
+                served: cell.num_field("served")?,
+                profit: cell.num_field("profit")?,
+                ratio: match cell.get("ratio") {
+                    Some(JsonValue::Null) | None => None,
+                    Some(_) => Some(cell.num_field("ratio")?),
+                },
+                wall_ms: 0.0,
+            })
+        };
+        let cells = v.arr_field("cells")?.iter().map(cell);
+        Ok(Self {
+            cells: cells.collect::<Result<_, String>>()?,
+        })
     }
 
     /// Serialises the report as CSV with a header row. Timing column
@@ -595,6 +633,29 @@ mod tests {
         assert!(csv.starts_with("scenario,policy,"));
         let table = r.render();
         assert!(table.contains("greedy") && table.contains("random"));
+    }
+
+    #[test]
+    fn from_json_inverts_the_canonical_form() {
+        // The checked-in snapshot survives the round trip byte for byte.
+        let snapshot = include_str!("../../../tests/snapshots/sweep_tiny.json");
+        let report = SweepReport::from_json(snapshot).expect("snapshot parses");
+        assert_eq!(report.to_json(false), snapshot);
+        // Timed output reads back to the same cells; so does a skipped
+        // bound's `null` ratio.
+        let mut unbounded = SweepReport::from_json(&report.to_json(true)).expect("timed form");
+        assert_eq!(unbounded.to_json(false), snapshot);
+        unbounded.cells[0].ratio = None;
+        let text = unbounded.to_json(false);
+        let read = SweepReport::from_json(&text).expect("null ratio parses");
+        assert_eq!(read.to_json(false), text);
+
+        let other = snapshot.replace(SCHEMA, "rideshare-sweep/2");
+        let err = SweepReport::from_json(&other).unwrap_err();
+        assert!(err.contains("rideshare-sweep/2"), "{err}");
+        let err = SweepReport::from_json(&snapshot.replacen("\"served\"", "\"fed\"", 1));
+        assert!(err.unwrap_err().contains("served"));
+        assert!(SweepReport::from_json("{").is_err());
     }
 
     #[test]

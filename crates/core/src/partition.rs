@@ -26,12 +26,12 @@
 //!   reports the *partitioning loss* — global greedy profit against
 //!   `solve_components` over the cells.
 
-use rideshare_geo::GridIndex;
+use rideshare_geo::{BoundingBox, GridIndex};
 use rideshare_types::{DriverId, Result, TaskId};
 
 use crate::assignment::Assignment;
 use crate::greedy::solve_greedy;
-use crate::market::{Market, Objective};
+use crate::market::{Driver, Market, Objective, Task};
 use crate::upper_bound::{lp_upper_bound, UpperBoundOptions, UpperBoundResult};
 use crate::view::DriverView;
 
@@ -61,24 +61,11 @@ pub struct SubMarket {
 pub fn partition_market(market: &Market, k: u16) -> Vec<SubMarket> {
     assert!(k > 0, "need at least one cell");
     // Cover all market locations.
-    let mut pts = market
-        .drivers()
-        .iter()
-        .map(|d| d.source)
-        .chain(market.tasks().iter().map(|t| t.origin));
-    let Some(first) = pts.next() else {
+    let sources = market.drivers().iter().map(|d| d.source);
+    let origins = market.tasks().iter().map(|t| t.origin);
+    let Some(bbox) = BoundingBox::covering(sources.chain(origins), 1e-6) else {
         return Vec::new();
     };
-    let (mut lat_lo, mut lat_hi) = (first.lat(), first.lat());
-    let (mut lon_lo, mut lon_hi) = (first.lon(), first.lon());
-    for p in pts {
-        lat_lo = lat_lo.min(p.lat());
-        lat_hi = lat_hi.max(p.lat());
-        lon_lo = lon_lo.min(p.lon());
-        lon_hi = lon_hi.max(p.lon());
-    }
-    let bbox =
-        rideshare_geo::BoundingBox::new(lat_lo - 1e-6, lat_hi + 1e-6, lon_lo - 1e-6, lon_hi + 1e-6);
     let grid: GridIndex<u32> = GridIndex::new(bbox, k, k);
 
     let cells = k as usize * k as usize;
@@ -92,30 +79,34 @@ pub fn partition_market(market: &Market, k: u16) -> Vec<SubMarket> {
         cell_tasks[flat(grid.cell_of(t.origin))].push(i);
     }
 
-    let mut out = Vec::new();
-    for cell in 0..cells {
-        if cell_drivers[cell].is_empty() && cell_tasks[cell].is_empty() {
-            continue;
-        }
-        let mut drivers = Vec::with_capacity(cell_drivers[cell].len());
-        for (local, &g) in cell_drivers[cell].iter().enumerate() {
-            let mut d = market.drivers()[g];
-            d.id = DriverId::new(local as u32);
-            drivers.push(d);
-        }
-        let mut tasks = Vec::with_capacity(cell_tasks[cell].len());
-        for (local, &g) in cell_tasks[cell].iter().enumerate() {
-            let mut t = market.tasks()[g];
-            t.id = TaskId::new(local as u32);
-            tasks.push(t);
-        }
-        out.push(SubMarket {
-            market: Market::new(drivers, tasks, market.speed(), market.max_chain_wait()),
-            driver_map: cell_drivers[cell].clone(),
-            task_map: cell_tasks[cell].clone(),
-        });
+    let members = cell_drivers.into_iter().zip(cell_tasks);
+    members
+        .filter(|(drivers, tasks)| !(drivers.is_empty() && tasks.is_empty()))
+        .map(|(drivers, tasks)| sub_market(market, drivers, tasks))
+        .collect()
+}
+
+/// The standalone market of the drivers `driver_map` and tasks `task_map`
+/// (global indices), each renumbered by its position in its map.
+fn sub_market(market: &Market, driver_map: Vec<usize>, task_map: Vec<usize>) -> SubMarket {
+    let drivers = driver_map.iter().enumerate().map(|(local, &g)| Driver {
+        id: DriverId::new(local as u32),
+        ..market.drivers()[g]
+    });
+    let tasks = task_map.iter().enumerate().map(|(local, &g)| Task {
+        id: TaskId::new(local as u32),
+        ..market.tasks()[g]
+    });
+    SubMarket {
+        market: Market::new(
+            drivers.collect(),
+            tasks.collect(),
+            market.speed(),
+            market.max_chain_wait(),
+        ),
+        driver_map,
+        task_map,
     }
-    out
 }
 
 /// A disjoint-set forest over `n` elements with path halving.
@@ -214,31 +205,12 @@ pub fn disjoint_components_sharded(market: &Market, threads: usize) -> Vec<SubMa
         tasks_of[slot].push(t);
     }
 
-    let mut out = Vec::new();
-    for (driver_map, task_map) in drivers_of.into_iter().zip(tasks_of) {
+    let components = drivers_of.into_iter().zip(tasks_of);
+    components
         // One-sided components cannot produce assignments.
-        if driver_map.is_empty() || task_map.is_empty() {
-            continue;
-        }
-        let mut drivers = Vec::with_capacity(driver_map.len());
-        for (local, &g) in driver_map.iter().enumerate() {
-            let mut d = market.drivers()[g];
-            d.id = DriverId::new(local as u32);
-            drivers.push(d);
-        }
-        let mut tasks = Vec::with_capacity(task_map.len());
-        for (local, &g) in task_map.iter().enumerate() {
-            let mut t = market.tasks()[g];
-            t.id = TaskId::new(local as u32);
-            tasks.push(t);
-        }
-        out.push(SubMarket {
-            market: Market::new(drivers, tasks, market.speed(), market.max_chain_wait()),
-            driver_map,
-            task_map,
-        });
-    }
-    out
+        .filter(|(drivers, tasks)| !(drivers.is_empty() || tasks.is_empty()))
+        .map(|(drivers, tasks)| sub_market(market, drivers, tasks))
+        .collect()
 }
 
 /// Runs `f` over `items`, fanning contiguous chunks out across up to

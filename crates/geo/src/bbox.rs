@@ -39,6 +39,27 @@ impl BoundingBox {
         }
     }
 
+    /// The smallest box covering every one of `points`, widened by
+    /// `margin_deg` degrees on each side; `None` when there are none.
+    #[must_use]
+    pub fn covering(points: impl IntoIterator<Item = GeoPoint>, margin_deg: f64) -> Option<Self> {
+        let mut points = points.into_iter();
+        let first = points.next()?;
+        let mut tight = Self::new(first.lat(), first.lat(), first.lon(), first.lon());
+        for p in points {
+            tight.min_lat = tight.min_lat.min(p.lat());
+            tight.max_lat = tight.max_lat.max(p.lat());
+            tight.min_lon = tight.min_lon.min(p.lon());
+            tight.max_lon = tight.max_lon.max(p.lon());
+        }
+        Some(Self::new(
+            tight.min_lat - margin_deg,
+            tight.max_lat + margin_deg,
+            tight.min_lon - margin_deg,
+            tight.max_lon + margin_deg,
+        ))
+    }
+
     /// Southern latitude bound in degrees.
     #[must_use]
     pub const fn min_lat(&self) -> f64 {
@@ -126,6 +147,21 @@ mod tests {
         assert_eq!(b.max_lat(), 41.3);
         assert_eq!(b.min_lon(), -8.8);
         assert_eq!(b.max_lon(), -8.4);
+    }
+
+    #[test]
+    fn covering_spans_the_points_plus_the_margin() {
+        assert_eq!(BoundingBox::covering([], 0.5), None);
+        // Binary fractions, so the expected corners are exact.
+        let p = GeoPoint::new(41.5, -8.5);
+        assert_eq!(
+            BoundingBox::covering([p], 0.0),
+            Some(BoundingBox::new(41.5, 41.5, -8.5, -8.5))
+        );
+        let q = GeoPoint::new(41.0, -8.25);
+        let b = BoundingBox::covering([p, q, p], 0.25).unwrap();
+        assert_eq!(b, BoundingBox::new(40.75, 41.75, -8.75, -8.0));
+        assert!(b.contains(p) && b.contains(q));
     }
 
     #[test]

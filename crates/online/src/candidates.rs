@@ -1,4 +1,5 @@
-//! Candidate generation — step (a) of Algorithms 3–4.
+//! The fleet: everything the dispatch engine knows about drivers, and
+//! candidate generation — step (a) of Algorithms 3–4 — over it.
 //!
 //! Every decision of the [`crate::StreamEngine`] asks the same question:
 //! *given the drivers' projected states, who can feasibly serve this task
@@ -6,317 +7,335 @@
 //! value (Eq. 14)?* Instant dispatch asks it with `t` equal to the task's
 //! publish time; batched dispatch asks it with `t` equal to the batch
 //! decision epoch, which may be up to the hold window `W` later.
-//! [`CandidateEngine`] is the single implementation of that question, so
-//! the feasibility predicates and the Eq. 14 marginal value are the same
+//! [`Fleet`] is the single implementation of that question, so the
+//! feasibility predicates and the Eq. 14 marginal value are the same
 //! under every policy.
 //!
-//! The engine does **not** hold a `&Market`: it owns only the travel
-//! model, the optional spatial index, and per-driver flags, while tasks
-//! and drivers are passed in by the caller — a stream never materialises
-//! a market, and its driver set grows as shifts are announced.
+//! [`Fleet`] owns two kinds of data and keeps them apart:
 //!
-//! The engine optionally maintains a [`GridIndex`] over the drivers'
-//! projected locations. Radius pruning is *lossless*: a driver departs no
+//! - the **state** — per resident driver her record, projected location
+//!   and availability (parallel vectors in announce order), plus the
+//!   frozen locations of compacted drivers. This is all a checkpoint has
+//!   to carry;
+//! - the **indexes** derived from it — the pruning grid, the per-cell
+//!   availability floors and the shift-end heap. Each is maintained
+//!   incrementally by the operation that changes the state, and
+//!   [`Fleet::compact`] rebuilds all three from the state that survives.
+//!
+//! It does **not** hold a `&Market`: tasks are passed in by the caller —
+//! a stream never materialises a market, and its driver set grows as
+//! shifts are announced.
+//!
+//! Radius pruning through the grid is *lossless*: a driver departs no
 //! earlier than the decision time, so any driver farther than the speed
 //! model can cover within `pickup_deadline − decision_time` cannot arrive
 //! in time and would be rejected by the arrival check anyway — the grid
 //! only skips work, never changes results (pinned by the oracle tests).
-//! The same argument covers *expired* drivers (streaming replay marks a
-//! driver expired once the stream clock passes her shift end): any task
-//! decided after `t⁺ₙ` fails the return-home check, so skipping her is
-//! equally lossless.
+//! The same argument covers *retired* drivers (the engine retires a
+//! driver once the stream clock passes her shift end): any task decided
+//! after `t⁺ₙ` fails the return-home check, so skipping her is equally
+//! lossless.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rideshare_core::{Driver, Market, Task};
 use rideshare_geo::{BoundingBox, GeoPoint, GridIndex, SpeedModel};
-use rideshare_types::Timestamp;
+use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
 
-/// Grid resolution used by every candidate engine.
+/// Grid resolution of the pruning index.
 const GRID_ROWS: u16 = 16;
-/// Grid resolution used by every candidate engine.
+/// Grid resolution of the pruning index.
 const GRID_COLS: u16 = 16;
 
 /// Tag bit marking a grid entry as a ghost (a compacted driver's frozen
-/// projected location, visible to [`CandidateEngine::latest_decision`] but
-/// never to candidate generation). Real driver indices stay below this.
+/// projected location, visible to [`Fleet::latest_decision`] but never to
+/// candidate generation). Real driver indices stay below this.
 const GHOST_BIT: u32 = 1 << 31;
 
-/// Per-driver projected state during a replay, laid out as a struct of
-/// arrays. Candidate generation touches `locations` for every
-/// scanned driver but `available_at`/`tasks_taken` only for the survivors,
-/// so keeping the fields in parallel dense vectors makes the hot scan
-/// cache-linear (16-byte stride instead of a padded 32-byte record).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct DriverStates {
+/// Later than every reachable deadline: the `available_at` of a retired
+/// driver — nothing else writes it, since a commit needs a candidacy and
+/// the availability pre-reject refuses hers — and the floor of a grid
+/// cell with no live driver.
+const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
+
+/// The engine's drivers: resident state, and the indexes derived from it.
+///
+/// Driver indices (`Candidate::driver`, the `d` arguments) are positions
+/// in the state vectors. They are engine-internal: compaction renumbers
+/// the survivors, while the ids a sink sees stay the announced ones.
+#[derive(Clone, Debug)]
+pub(crate) struct Fleet {
+    speed: SpeedModel,
+
+    // State, struct-of-arrays in announce order: a candidate scan touches
+    // `available_at` for every scanned driver but the 56-byte record only
+    // for the few who survive the pre-reject, so the hot loop walks dense
+    // 8- and 16-byte strides.
+    /// Resident driver records (announced ids ascend: compaction keeps
+    /// announce order).
+    drivers: Vec<Driver>,
     /// Where each driver will next be free.
     locations: Vec<GeoPoint>,
     /// When she is free there (actual projected finish, which may precede
-    /// the running task's deadline — the paper's early-finish rule).
-    available_at: Vec<Timestamp>,
-    /// Tasks served so far (for Eq. 14's `m' = 0` case and diagnostics).
-    tasks_taken: Vec<u32>,
-}
-
-impl DriverStates {
-    /// No drivers yet (the streaming starting point).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of tracked drivers.
-    pub(crate) fn len(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// Driver `d`'s projected location.
-    pub(crate) fn location(&self, d: usize) -> GeoPoint {
-        self.locations[d]
-    }
-
-    /// Every driver's projected location, dense by driver index.
-    pub(crate) fn locations(&self) -> &[GeoPoint] {
-        &self.locations
-    }
-
-    /// When driver `d` is next free.
-    #[cfg(test)]
-    pub(crate) fn available_at(&self, d: usize) -> Timestamp {
-        self.available_at[d]
-    }
-
-    /// Tasks driver `d` has served so far.
-    #[cfg(test)]
-    pub(crate) fn tasks_taken(&self, d: usize) -> u32 {
-        self.tasks_taken[d]
-    }
-
-    fn push(&mut self, location: GeoPoint, available_at: Timestamp) {
-        self.locations.push(location);
-        self.available_at.push(available_at);
-        self.tasks_taken.push(0);
-    }
-
-    /// Keeps exactly the drivers with `remap[d].is_some()`, in index order
-    /// (the compaction step; `remap` is produced by the engine).
-    fn retain_remapped(&mut self, remap: &[Option<usize>]) {
-        let mut w = 0usize;
-        for (d, r) in remap.iter().enumerate() {
-            if r.is_some() {
-                self.locations[w] = self.locations[d];
-                self.available_at[w] = self.available_at[d];
-                self.tasks_taken[w] = self.tasks_taken[d];
-                w += 1;
-            }
-        }
-        self.locations.truncate(w);
-        self.available_at.truncate(w);
-        self.tasks_taken.truncate(w);
-    }
-}
-
-/// The candidate generator: the travel model, an optional spatial index
-/// over the drivers' projected locations, and per-driver expiry flags.
-/// Driver records and states are supplied by the caller on every query,
-/// so the driver set can grow as a stream announces shifts.
-#[derive(Clone, Debug)]
-pub(crate) struct CandidateEngine {
-    speed: SpeedModel,
-    grid: Option<GridIndex<u32>>,
-    /// `expired[d]` ⇒ driver `d` can never again be feasible (the current
+    /// the running task's deadline — the paper's early-finish rule), or
+    /// [`NEVER`] once she is retired: she can never again be feasible (the
     /// decision clock has passed her shift end, so the return-home check
-    /// fails for every future task). Skipping her is lossless; she stays
-    /// in the grid so [`CandidateEngine::latest_decision`] — which ignores
-    /// feasibility by design — sees the same driver set whether or not
-    /// the clock has caught up with her.
-    expired: Vec<bool>,
-    /// Frozen projected locations of *compacted* expired drivers. A
-    /// compacted driver is gone from candidate generation (her record and
-    /// state are freed), but `latest_decision` deliberately ignores
-    /// feasibility, so dropping her location would move early-flush
-    /// epochs: decisions would depend on when memory was reclaimed
-    /// (`StreamOptions::compact_threshold`, a day-boundary reset).
-    /// Ghosts keep exactly the data `latest_decision` needs (one point) and
-    /// nothing else. Instant-mode compaction skips ghosts entirely:
-    /// `latest_decision` is never consulted there.
+    /// fails for every future task), and the scan's availability
+    /// pre-reject skips her with the compare it uses for busy drivers.
+    available_at: Vec<Timestamp>,
+    /// Frozen projected locations of *compacted* drivers. A compacted
+    /// driver is gone from candidate generation (her record and state are
+    /// freed), but `latest_decision` deliberately ignores feasibility, so
+    /// dropping her location would move early-flush epochs: decisions
+    /// would depend on when memory was reclaimed
+    /// (`StreamOptions::compact_threshold`). Ghosts keep exactly the data
+    /// `latest_decision` needs (one point) and nothing else. Instant-mode
+    /// compaction keeps none: `latest_decision` is never consulted there.
     ghosts: Vec<GeoPoint>,
+    /// Drivers ever announced (the next dense id).
+    announced: usize,
+
+    // Indexes, each a function of the state above.
+    /// Optional spatial index over `locations` and `ghosts`. Retired
+    /// drivers stay in it so `latest_decision` sees the same driver set
+    /// whether or not the clock has caught up with them.
+    grid: Option<GridIndex<u32>>,
     /// Per-grid-cell availability floor: `cell_floor[slot]` is the exact
-    /// minimum `available_at` over the live drivers stored in that cell
-    /// (`FLOOR_EMPTY` when the cell holds none — ghosts don't count). A
-    /// candidate scan skips a whole cell with one compare when even its
+    /// minimum `available_at` over the drivers stored in that cell
+    /// ([`NEVER`] when it holds none — ghosts don't count). A candidate
+    /// scan skips a whole cell with one compare when even its
     /// most-available driver cannot make the pickup deadline; that skip is
     /// lossless because the per-driver availability pre-reject would
     /// return `None` for every entry anyway. Maintained exactly on the
-    /// rare state-changing events (add, commit, expire, compact), which
-    /// each touch at most two cells. Empty when the grid is off.
+    /// rare state-changing events (announce, commit, retire, compact),
+    /// which each touch at most two cells. Empty when the grid is off.
     cell_floor: Vec<Timestamp>,
+    /// Min-heap of `(shift_end, index)` over the drivers the clock has not
+    /// retired yet, for lazy lossless retirement.
+    shift_ends: BinaryHeap<Reverse<(i64, usize)>>,
 }
 
-/// Floor value of a cell with no live drivers: later than every reachable
-/// deadline, so such cells are skipped by the one-compare cell test.
-const FLOOR_EMPTY: Timestamp = Timestamp::from_secs(i64::MAX);
-
 /// The exact availability floor of cell `slot`: minimum `available_at`
-/// over its live entries (ghost entries carry no state and are ignored).
-fn floor_of(grid: &GridIndex<u32>, states: &DriverStates, slot: usize) -> Timestamp {
-    let mut floor = FLOOR_EMPTY;
+/// over its driver entries (ghost entries carry no state and are ignored).
+fn floor_of(grid: &GridIndex<u32>, available_at: &[Timestamp], slot: usize) -> Timestamp {
+    let mut floor = NEVER;
     for &(_, id) in grid.slot_entries(slot) {
         if id & GHOST_BIT == 0 {
-            floor = floor.min(states.available_at[id as usize]);
+            floor = floor.min(available_at[id as usize]);
         }
     }
     floor
 }
 
-impl CandidateEngine {
-    /// Creates the generator and the initial driver states for a
-    /// materialised market (every driver at her source, free from her
-    /// shift start). With `use_grid` the states are also indexed
-    /// spatially.
-    #[cfg(test)]
-    pub(crate) fn for_market(market: &Market, use_grid: bool) -> (Self, DriverStates) {
-        let mut engine = Self::streaming(market.speed(), use_grid.then(|| market_bbox(market)));
-        let mut states = DriverStates::new();
-        for d in market.drivers() {
-            engine.add_driver(&mut states, d);
-        }
-        (engine, states)
-    }
+/// Whether `task` can still be decided at `decision_time` at all — the
+/// per-task precondition of every per-pair [`Fleet::evaluate`].
+fn decidable(task: &Task, decision_time: Timestamp) -> bool {
+    task.window_feasible() && decision_time <= task.pickup_deadline
+}
 
-    /// Creates an empty engine: no drivers yet,
-    /// spatial indexing over `bbox` when given (callers typically pass the
-    /// trace's service area; the box only affects speed, never results).
-    pub(crate) fn streaming(speed: SpeedModel, bbox: Option<BoundingBox>) -> Self {
+impl Fleet {
+    /// An empty fleet, spatially indexed over `bbox` when given (callers
+    /// typically pass the trace's service area; the box only affects
+    /// speed, never results).
+    pub(crate) fn new(speed: SpeedModel, bbox: Option<BoundingBox>) -> Self {
         let grid = bbox.map(|b| GridIndex::new(b, GRID_ROWS, GRID_COLS));
-        let cell_floor = grid
-            .as_ref()
-            .map_or_else(Vec::new, |g| vec![FLOOR_EMPTY; g.slot_count()]);
+        let cell_floor = vec![NEVER; grid.as_ref().map_or(0, GridIndex::slot_count)];
         Self {
             speed,
-            grid,
-            expired: Vec::new(),
+            drivers: Vec::new(),
+            locations: Vec::new(),
+            available_at: Vec::new(),
             ghosts: Vec::new(),
+            announced: 0,
+            grid,
             cell_floor,
+            shift_ends: BinaryHeap::new(),
         }
     }
 
-    /// Registers one more driver (streaming `DriverOnline`): appends her
-    /// initial state and indexes her spatially. Driver indices are
-    /// positional — the `d`-th call corresponds to `drivers[d]`.
-    pub(crate) fn add_driver(&mut self, states: &mut DriverStates, driver: &Driver) {
-        if let Some(g) = self.grid.as_mut() {
-            g.insert(driver.source, states.len() as u32);
-            // She starts available at her shift start; an insert can only
-            // lower the exact cell minimum, so one `min` keeps it exact.
-            let slot = g.slot_of(driver.source);
-            self.cell_floor[slot] = self.cell_floor[slot].min(driver.shift_start);
+    /// The fleet of a materialised market: every driver at her source,
+    /// free from her shift start.
+    #[cfg(test)]
+    pub(crate) fn for_market(market: &Market, use_grid: bool) -> Self {
+        let mut fleet = Self::new(market.speed(), use_grid.then(|| market_bbox(market)));
+        for d in market.drivers() {
+            fleet.announce(*d);
         }
-        states.push(driver.source, driver.shift_start);
-        self.expired.push(false);
+        fleet
     }
 
-    /// Marks driver `d` as expired. Only call when the decision clock has
-    /// provably passed her shift end — then every future candidacy would
-    /// fail the return-home check anyway, so the flag is pure work-skipping
-    /// and results stay byte-identical. Returns `true` if the flag was
-    /// newly set (callers keep cumulative counts across compactions).
+    /// Drivers announced so far.
+    pub(crate) fn announced(&self) -> usize {
+        self.announced
+    }
+
+    /// Drivers currently resident (announced minus compacted).
+    pub(crate) fn resident(&self) -> usize {
+        self.drivers.len()
+    }
+
+    /// Registers one more driver (streaming `DriverOnline`) at her source,
+    /// free from her shift start.
     ///
-    /// Expiry also pins the driver's `available_at` to the far future, so
-    /// the candidate scan's availability pre-reject retires her with the
-    /// same flat compare it uses for busy drivers — no separate flag load
-    /// on the hot path. (The flag itself remains the compaction
-    /// bookkeeping ground truth.)
-    pub(crate) fn expire(&mut self, states: &mut DriverStates, d: usize) -> bool {
-        let newly = !self.expired[d];
-        self.expired[d] = true;
-        states.available_at[d] = Timestamp::from_secs(i64::MAX);
+    /// # Panics
+    ///
+    /// Panics unless `driver.id` is the next dense id.
+    pub(crate) fn announce(&mut self, driver: Driver) {
+        assert_eq!(
+            driver.id.index(),
+            self.announced,
+            "driver ids must be dense in announcement order"
+        );
+        self.drivers.push(driver);
+        self.locations.push(driver.source);
+        self.available_at.push(driver.shift_start);
+        self.announced += 1;
+        self.index(self.drivers.len() - 1);
+    }
+
+    /// Enters driver `d`, already in the state vectors, into every index.
+    fn index(&mut self, d: usize) {
+        if let Some(g) = self.grid.as_mut() {
+            let location = self.locations[d];
+            g.insert(location, d as u32);
+            // An insert can only lower the exact cell minimum, so one
+            // `min` keeps it exact.
+            let slot = g.slot_of(location);
+            self.cell_floor[slot] = self.cell_floor[slot].min(self.available_at[d]);
+        }
+        let end = self.drivers[d].shift_end;
+        self.shift_ends.push(Reverse((end.as_secs(), d)));
+    }
+
+    /// Retires driver `d`; `true` if she was not retired already (callers
+    /// keep cumulative counts across compactions). Only sound once the
+    /// decision clock has provably passed her shift end — then every
+    /// future candidacy would fail the return-home check anyway, so this
+    /// is pure work-skipping and results stay byte-identical.
+    fn retire(&mut self, d: usize) -> bool {
+        if self.available_at[d] == NEVER {
+            return false;
+        }
+        self.available_at[d] = NEVER;
         if let Some(g) = self.grid.as_ref() {
             // Her availability just rose, so her cell's minimum may have
             // too — rescan its handful of entries to keep the floor exact.
-            let slot = g.slot_of(states.location(d));
-            self.cell_floor[slot] = floor_of(g, states, slot);
+            let slot = g.slot_of(self.locations[d]);
+            self.cell_floor[slot] = floor_of(g, &self.available_at, slot);
+        }
+        true
+    }
+
+    /// Retires every driver whose shift ended before `floor`, the earliest
+    /// instant any held or future order can publish at: she fails the
+    /// return-home check for everything from here on. Returns how many
+    /// were newly retired.
+    pub(crate) fn retire_before(&mut self, floor: Timestamp) -> usize {
+        let mut newly = 0;
+        while let Some(&Reverse((end, d))) = self.shift_ends.peek() {
+            if Timestamp::from_secs(end) >= floor {
+                break;
+            }
+            self.shift_ends.pop();
+            newly += usize::from(self.retire(d));
         }
         newly
     }
 
-    /// Number of drivers currently marked expired (and not yet compacted).
-    /// (The stream engine tracks this arithmetically on its hot path; the
-    /// scan remains as the tests' ground truth.)
-    #[cfg(test)]
-    pub(crate) fn expired_count(&self) -> usize {
-        self.expired.iter().filter(|&&e| e).count()
+    /// Acts on a `DriverOffline` hint for the announced driver `id`:
+    /// retires her if her shift ended before `floor` (see
+    /// [`Fleet::retire_before`]) and reports whether that was news. A
+    /// driver no longer resident was compacted, so already retired.
+    pub(crate) fn retire_hinted(&mut self, id: DriverId, floor: Timestamp) -> bool {
+        match self.drivers.binary_search_by_key(&id, |r| r.id) {
+            Ok(d) if self.drivers[d].shift_end < floor => self.retire(d),
+            _ => false,
+        }
     }
 
-    /// Frozen locations of compacted drivers (kept for
-    /// [`CandidateEngine::latest_decision`] parity in batched mode).
-    pub(crate) fn ghost_locations(&self) -> &[GeoPoint] {
-        &self.ghosts
-    }
-
-    /// Garbage-collects every expired driver: her state is removed from the
-    /// dense vectors and the spatial index, and surviving drivers are
-    /// renumbered compactly. Returns the old→new index mapping (`None` for
-    /// removed drivers) so the caller can remap its own per-driver tables.
+    /// Garbage-collects every retired driver: her record and state leave
+    /// the vectors, the survivors are renumbered compactly in announce
+    /// order, and every index is rebuilt from what survives. Returns how
+    /// many drivers were removed.
     ///
     /// With `keep_ghosts` each removed driver leaves a frozen location
-    /// behind for [`CandidateEngine::latest_decision`], so compaction
-    /// cannot move an epoch (see the `ghosts` field docs). Without it the
-    /// location vanishes too; only lossless when `latest_decision` is never
+    /// behind for [`Fleet::latest_decision`], so compaction cannot move an
+    /// epoch (see the `ghosts` field docs). Without it the location
+    /// vanishes too; only lossless when `latest_decision` is never
     /// consulted (instant-mode streaming).
-    pub(crate) fn compact(
-        &mut self,
-        states: &mut DriverStates,
-        keep_ghosts: bool,
-    ) -> Vec<Option<usize>> {
-        let old_len = states.len();
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(old_len);
+    pub(crate) fn compact(&mut self, keep_ghosts: bool) -> usize {
+        let before = self.drivers.len();
         let mut kept = 0usize;
-        for d in 0..old_len {
-            if self.expired[d] {
+        for d in 0..before {
+            if self.available_at[d] == NEVER {
                 if keep_ghosts {
-                    self.ghosts.push(states.location(d));
+                    self.ghosts.push(self.locations[d]);
                 }
-                remap.push(None);
             } else {
-                remap.push(Some(kept));
+                self.drivers[kept] = self.drivers[d];
+                self.locations[kept] = self.locations[d];
+                self.available_at[kept] = self.available_at[d];
                 kept += 1;
             }
         }
-        states.retain_remapped(&remap);
-        self.expired.clear();
-        self.expired.resize(states.len(), false);
-        if let Some(old) = self.grid.as_ref() {
-            let mut grid = GridIndex::new(old.bounding_box(), GRID_ROWS, GRID_COLS);
-            for (d, &loc) in states.locations().iter().enumerate() {
-                grid.insert(loc, d as u32);
-            }
-            for (g, &loc) in self.ghosts.iter().enumerate() {
-                grid.insert(loc, GHOST_BIT | g as u32);
-            }
-            self.cell_floor.clear();
-            self.cell_floor.resize(grid.slot_count(), FLOOR_EMPTY);
-            for (d, &loc) in states.locations().iter().enumerate() {
-                let slot = grid.slot_of(loc);
-                self.cell_floor[slot] = self.cell_floor[slot].min(states.available_at[d]);
-            }
-            self.grid = Some(grid);
-        }
-        remap
+        self.drivers.truncate(kept);
+        self.locations.truncate(kept);
+        self.available_at.truncate(kept);
+        self.rebuild_indexes();
+        before - kept
     }
 
-    /// [`CandidateEngine::candidates_into`] with a fresh vector — the
-    /// convenient form for tests; every replay hot path passes a reusable
-    /// arena instead.
+    /// Rebuilds the grid, the cell floors and the shift-end heap from the
+    /// state vectors alone.
+    fn rebuild_indexes(&mut self) {
+        self.shift_ends.clear();
+        self.cell_floor.fill(NEVER);
+        if let Some(g) = self.grid.as_mut() {
+            g.clear();
+            for (k, &location) in self.ghosts.iter().enumerate() {
+                g.insert(location, GHOST_BIT | k as u32);
+            }
+        }
+        for d in 0..self.drivers.len() {
+            self.index(d);
+        }
+    }
+
+    /// Announced ids of the resident drivers currently retired (the scan
+    /// the engine's arithmetic stands in for — the tests' ground truth).
     #[cfg(test)]
-    pub(crate) fn candidates_at(
-        &self,
-        drivers: &[Driver],
-        states: &DriverStates,
-        task: &Task,
-        decision_time: Timestamp,
-    ) -> Vec<Candidate> {
+    pub(crate) fn retired(&self) -> Vec<DriverId> {
+        let states = self.drivers.iter().zip(&self.available_at);
+        let retired = states.filter(|(_, &free)| free == NEVER);
+        retired.map(|(r, _)| r.id).collect()
+    }
+
+    /// `(longest per-resident-driver vector or index, ghosts)` — what the
+    /// bounded-memory tests measure against [`Fleet::resident`].
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        let grid = self.grid.as_ref();
+        let gridded = grid.map_or(0, |g| g.len() - self.ghosts.len());
+        let lens = [
+            self.drivers.len(),
+            self.locations.len(),
+            self.available_at.len(),
+            self.shift_ends.len(),
+            gridded,
+        ];
+        (lens.into_iter().max().unwrap_or(0), self.ghosts.len())
+    }
+
+    /// [`Fleet::candidates_into`] with a fresh vector — the convenient
+    /// form for tests; every replay hot path passes a reusable arena
+    /// instead.
+    #[cfg(test)]
+    pub(crate) fn candidates_at(&self, task: &Task, decision_time: Timestamp) -> Vec<Candidate> {
         let mut out = Vec::new();
-        self.candidates_into(drivers, states, task, decision_time, &mut out);
+        self.candidates_into(task, decision_time, &mut out);
         out
     }
 
@@ -329,14 +348,12 @@ impl CandidateEngine {
     /// scratch vector per replay so the per-decision allocation disappears.
     pub(crate) fn candidates_into(
         &self,
-        drivers: &[Driver],
-        states: &DriverStates,
         task: &Task,
         decision_time: Timestamp,
         out: &mut Vec<Candidate>,
     ) {
         out.clear();
-        if !task.window_feasible() || decision_time > task.pickup_deadline {
+        if !decidable(task, decision_time) {
             return;
         }
 
@@ -352,8 +369,7 @@ impl CandidateEngine {
                 // re-checks arrival exactly anyway), so the prune stays
                 // lossless while each distance is computed once instead of
                 // twice.
-                let budget =
-                    task.pickup_deadline - decision_time + rideshare_types::TimeDelta::from_secs(1);
+                let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
                 let radius = self.speed.reachable_km(budget);
                 for (slot, entries) in g.cells_near(task.origin, radius) {
                     // One compare retires the whole cell when even its
@@ -368,13 +384,13 @@ impl CandidateEngine {
                         if d & GHOST_BIT != 0 {
                             continue; // ghosts never generate candidates
                         }
-                        out.extend(self.evaluate(drivers, states, task, decision_time, d as usize));
+                        out.extend(self.evaluate(task, decision_time, d as usize));
                     }
                 }
             }
             None => {
-                for d in 0..states.len() {
-                    out.extend(self.evaluate(drivers, states, task, decision_time, d));
+                for d in 0..self.drivers.len() {
+                    out.extend(self.evaluate(task, decision_time, d));
                 }
             }
         }
@@ -383,49 +399,40 @@ impl CandidateEngine {
 
     /// Evaluates one *(driver, task)* pair under a decision made at
     /// `decision_time`: `Some(candidate)` iff feasible. This is the exact
-    /// per-pair predicate behind [`CandidateEngine::candidates_into`];
-    /// batched dispatch also probes it directly to refresh only the entries
-    /// of drivers whose state changed.
+    /// per-pair predicate behind [`Fleet::candidates_into`]; batched
+    /// dispatch also probes it directly to refresh only the entries of
+    /// drivers whose state changed.
     pub(crate) fn candidate_for(
         &self,
-        drivers: &[Driver],
-        states: &DriverStates,
         task: &Task,
         decision_time: Timestamp,
         d: usize,
     ) -> Option<Candidate> {
-        if !task.window_feasible() || decision_time > task.pickup_deadline {
+        if !decidable(task, decision_time) {
             return None;
         }
-        self.evaluate(drivers, states, task, decision_time, d)
+        self.evaluate(task, decision_time, d)
     }
 
-    /// The feasibility predicates and Eq. 14 value for one pair (window
-    /// feasibility of the task itself is the caller's precondition).
-    fn evaluate(
-        &self,
-        drivers: &[Driver],
-        states: &DriverStates,
-        task: &Task,
-        decision_time: Timestamp,
-        d: usize,
-    ) -> Option<Candidate> {
+    /// The feasibility predicates and Eq. 14 value for one pair
+    /// ([`decidable`] is the caller's precondition).
+    fn evaluate(&self, task: &Task, decision_time: Timestamp, d: usize) -> Option<Candidate> {
         // Availability pre-reject: `available_at` starts at the shift
-        // start and only ever grows (expiry pins it to the far future), and
+        // start and only ever grows (retirement pins it to `NEVER`), and
         // `depart >= available_at`, so a driver unavailable past the pickup
         // deadline can never arrive in time — settled by one flat-array
         // compare, no distance needed. Under saturation this retires the
         // vast majority of pairs before any trigonometry, and it subsumes
-        // the expired-driver skip.
-        if states.available_at[d] > task.pickup_deadline {
+        // the retired-driver skip.
+        if self.available_at[d] > task.pickup_deadline {
             return None;
         }
         let speed = self.speed;
-        let driver = &drivers[d];
-        let location = states.location(d);
+        let driver = &self.drivers[d];
+        let location = self.locations[d];
         // Departure: not before the order exists, the dispatch decision
         // is made, the driver is free, and her shift has started.
-        let depart = states.available_at[d]
+        let depart = self.available_at[d]
             .max(task.publish_time)
             .max(decision_time)
             .max(driver.shift_start);
@@ -464,18 +471,13 @@ impl CandidateEngine {
     /// window opens (drivers may still move before the epoch fires), but
     /// always causally valid: never before publication, never past `cap`.
     ///
-    /// Expired drivers are **not** skipped here: this bound deliberately
+    /// Retired drivers are **not** skipped here: this bound deliberately
     /// ignores feasibility, and skipping them would make an epoch depend
     /// on when each driver was retired — on which optional
     /// `DriverOffline` hints and ticks the stream happened to carry. For
     /// the same reason *compacted* drivers still count through their
     /// frozen ghost locations.
-    pub(crate) fn latest_decision(
-        &self,
-        states: &DriverStates,
-        task: &Task,
-        cap: Timestamp,
-    ) -> Timestamp {
+    pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
         let speed = self.speed;
         let mut best = task.publish_time;
         let mut consider = |loc: GeoPoint| {
@@ -490,22 +492,18 @@ impl CandidateEngine {
                 // `pickup_deadline − travel < publish`, which can never
                 // raise `best` above its `publish_time` floor — pruning
                 // them is lossless here too (same 1 s rounding slack).
-                let budget = task.pickup_deadline - task.publish_time
-                    + rideshare_types::TimeDelta::from_secs(1);
+                let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
                 let radius = speed.reachable_km(budget);
                 for d in g.query_radius_coarse(task.origin, radius) {
                     if d & GHOST_BIT != 0 {
                         consider(self.ghosts[(d & !GHOST_BIT) as usize]);
                     } else {
-                        consider(states.location(d as usize));
+                        consider(self.locations[d as usize]);
                     }
                 }
             }
             None => {
-                for &loc in states.locations() {
-                    consider(loc);
-                }
-                for &loc in &self.ghosts {
+                for &loc in self.locations.iter().chain(&self.ghosts) {
                     consider(loc);
                 }
             }
@@ -513,57 +511,57 @@ impl CandidateEngine {
         best.min(cap)
     }
 
-    /// Commits a dispatch: projects driver `d` onto the task's destination,
-    /// free at `arrival + duration`, and keeps the spatial index in sync.
-    pub(crate) fn commit(
-        &mut self,
-        states: &mut DriverStates,
-        d: usize,
-        task: &Task,
-        arrival: Timestamp,
-    ) {
-        let old_loc = states.locations[d];
-        states.locations[d] = task.destination;
-        states.available_at[d] = arrival + task.duration;
-        states.tasks_taken[d] += 1;
-        if let Some(g) = self.grid.as_mut() {
-            g.relocate(old_loc, task.destination, d as u32);
+    /// A resident driver who could still *interact* with `task`: reach its
+    /// pickup within the publish→deadline lead (the loosest feasibility
+    /// radius — she departs no earlier than publication), which is also
+    /// exactly the radius inside which she could raise the task's
+    /// early-flush epoch above its `publish_time` floor. `None` proves the
+    /// task is independent of every driver this fleet holds — the
+    /// region-sharding proof obligation (`shard.rs`), the streaming mirror
+    /// of `disjoint_components`. Scans every resident driver, retired
+    /// included (they still count for `latest_decision`); compacted ghosts
+    /// report the sentinel `DriverId(u32::MAX)`.
+    pub(crate) fn interaction_with(&self, task: &Task) -> Option<DriverId> {
+        let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
+        let near = |&loc: &GeoPoint| self.speed.travel_time(loc, task.origin) <= budget;
+        if let Some(d) = self.locations.iter().position(near) {
+            return Some(self.drivers[d].id);
         }
-        if let Some(g) = self.grid.as_ref() {
+        let ghost = self.ghosts.iter().any(near);
+        ghost.then(|| DriverId::new(u32::MAX))
+    }
+
+    /// Commits a dispatch: projects driver `d` onto the task's destination,
+    /// free at `arrival + duration`, and keeps the indexes in sync.
+    /// Returns her announced id and the deadhead she drives to the pickup,
+    /// in kilometres.
+    pub(crate) fn commit(&mut self, d: usize, task: &Task, arrival: Timestamp) -> (DriverId, f64) {
+        let from = self.locations[d];
+        self.locations[d] = task.destination;
+        self.available_at[d] = arrival + task.duration;
+        if let Some(g) = self.grid.as_mut() {
+            g.relocate(from, task.destination, d as u32);
             // The move changes at most two cells; rescanning both keeps
             // the floors exact (commits are rare next to candidate scans).
-            let from = g.slot_of(old_loc);
-            let to = g.slot_of(task.destination);
-            self.cell_floor[from] = floor_of(g, states, from);
-            if to != from {
-                self.cell_floor[to] = floor_of(g, states, to);
+            let (left, entered) = (g.slot_of(from), g.slot_of(task.destination));
+            self.cell_floor[left] = floor_of(g, &self.available_at, left);
+            if entered != left {
+                self.cell_floor[entered] = floor_of(g, &self.available_at, entered);
             }
         }
+        (self.drivers[d].id, self.speed.driven_km(from, task.origin))
     }
 }
 
 /// Covers every driver and task location with a margin; degenerate markets
 /// fall back to a unit box.
 pub(crate) fn market_bbox(market: &Market) -> BoundingBox {
-    let mut pts = market
-        .drivers()
-        .iter()
-        .map(|d| d.source)
-        .chain(market.drivers().iter().map(|d| d.destination))
-        .chain(market.tasks().iter().map(|t| t.origin))
-        .chain(market.tasks().iter().map(|t| t.destination));
-    let Some(first) = pts.next() else {
-        return BoundingBox::new(0.0, 1.0, 0.0, 1.0);
-    };
-    let (mut lat_lo, mut lat_hi) = (first.lat(), first.lat());
-    let (mut lon_lo, mut lon_hi) = (first.lon(), first.lon());
-    for p in pts {
-        lat_lo = lat_lo.min(p.lat());
-        lat_hi = lat_hi.max(p.lat());
-        lon_lo = lon_lo.min(p.lon());
-        lon_hi = lon_hi.max(p.lon());
-    }
-    BoundingBox::new(lat_lo - 0.01, lat_hi + 0.01, lon_lo - 0.01, lon_hi + 0.01)
+    let drivers = market.drivers().iter();
+    let tasks = market.tasks().iter();
+    let points = drivers
+        .flat_map(|d| [d.source, d.destination])
+        .chain(tasks.flat_map(|t| [t.origin, t.destination]));
+    BoundingBox::covering(points, 0.01).unwrap_or(BoundingBox::new(0.0, 1.0, 0.0, 1.0))
 }
 
 #[cfg(test)]
@@ -584,16 +582,16 @@ mod tests {
     #[test]
     fn grid_pruning_is_lossless_at_any_decision_time() {
         let m = market(71, 60, 25);
-        let (linear, states) = CandidateEngine::for_market(&m, false);
-        let (grid, _) = CandidateEngine::for_market(&m, true);
+        let linear = Fleet::for_market(&m, false);
+        let grid = Fleet::for_market(&m, true);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             let publish = task.publish_time;
             for delay_mins in [0i64, 2, 10, 45] {
-                let at = publish + rideshare_types::TimeDelta::from_mins(delay_mins);
+                let at = publish + TimeDelta::from_mins(delay_mins);
                 assert_eq!(
-                    linear.candidates_at(m.drivers(), &states, task, at),
-                    grid.candidates_at(m.drivers(), &states, task, at),
+                    linear.candidates_at(task, at),
+                    grid.candidates_at(task, at),
                     "task {t} at {at}"
                 );
             }
@@ -605,17 +603,12 @@ mod tests {
         // A later decision only delays departures, so feasibility shrinks
         // monotonically (driver states held fixed).
         let m = market(72, 40, 15);
-        let (engine, states) = CandidateEngine::for_market(&m, false);
+        let fleet = Fleet::for_market(&m, false);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             let publish = task.publish_time;
-            let now = engine.candidates_at(m.drivers(), &states, task, publish);
-            let later = engine.candidates_at(
-                m.drivers(),
-                &states,
-                task,
-                publish + rideshare_types::TimeDelta::from_mins(5),
-            );
+            let now = fleet.candidates_at(task, publish);
+            let later = fleet.candidates_at(task, publish + TimeDelta::from_mins(5));
             let now_drivers: Vec<usize> = now.iter().map(|c| c.driver).collect();
             for c in &later {
                 assert!(now_drivers.contains(&c.driver), "candidate appeared late");
@@ -626,37 +619,39 @@ mod tests {
     #[test]
     fn decision_past_pickup_deadline_is_empty() {
         let m = market(73, 20, 10);
-        let (engine, states) = CandidateEngine::for_market(&m, false);
+        let fleet = Fleet::for_market(&m, false);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
-            let past = task.pickup_deadline + rideshare_types::TimeDelta::from_secs(1);
-            assert!(engine
-                .candidates_at(m.drivers(), &states, task, past)
-                .is_empty());
+            let past = task.pickup_deadline + TimeDelta::from_secs(1);
+            assert!(fleet.candidates_at(task, past).is_empty());
+            assert_eq!(fleet.candidate_for(task, past, 0), None);
         }
     }
 
     #[test]
     fn commit_moves_the_driver_and_the_index() {
         let m = market(74, 30, 6);
-        let (mut engine, mut states) = CandidateEngine::for_market(&m, true);
+        let mut fleet = Fleet::for_market(&m, true);
         let task = &m.tasks()[0];
         let publish = task.publish_time;
-        let cands = engine.candidates_at(m.drivers(), &states, task, publish);
+        let cands = fleet.candidates_at(task, publish);
         if let Some(c) = cands.first() {
-            engine.commit(&mut states, c.driver, task, c.arrival);
-            assert_eq!(states.location(c.driver), task.destination);
-            assert_eq!(states.tasks_taken(c.driver), 1);
-            assert_eq!(states.available_at(c.driver), c.arrival + task.duration);
-            // The index tracked the move: a fresh linear engine over the
-            // mutated states agrees with the grid one.
-            let (linear, _) = CandidateEngine::for_market(&m, false);
+            let from = fleet.locations[c.driver];
+            let committed = fleet.commit(c.driver, task, c.arrival);
+            let deadhead = m.speed().driven_km(from, task.origin);
+            assert_eq!(committed, (m.drivers()[c.driver].id, deadhead));
+            assert_eq!(fleet.locations[c.driver], task.destination);
+            assert_eq!(fleet.available_at[c.driver], c.arrival + task.duration);
+            // The index tracked the move: a linear fleet in the same
+            // state agrees with the grid one.
+            let mut linear = Fleet::for_market(&m, false);
+            linear.commit(c.driver, task, c.arrival);
             for t in 1..m.num_tasks() {
                 let next = &m.tasks()[t];
                 let at = next.publish_time;
                 assert_eq!(
-                    linear.candidates_at(m.drivers(), &states, next, at),
-                    engine.candidates_at(m.drivers(), &states, next, at)
+                    linear.candidates_at(next, at),
+                    fleet.candidates_at(next, at)
                 );
             }
         }
@@ -665,20 +660,19 @@ mod tests {
     #[test]
     fn incremental_driver_onboarding_matches_for_market() {
         // Announcing drivers one by one (the streaming path) yields the
-        // same engine + states as building from the whole market.
+        // same fleet as building from the whole market.
         let m = market(75, 40, 12);
-        let (batch, batch_states) = CandidateEngine::for_market(&m, true);
-        let mut inc = CandidateEngine::streaming(m.speed(), Some(market_bbox(&m)));
-        let mut inc_states = DriverStates::new();
+        let batch = Fleet::for_market(&m, true);
+        let mut inc = Fleet::new(m.speed(), Some(market_bbox(&m)));
         for d in m.drivers() {
-            inc.add_driver(&mut inc_states, d);
+            inc.announce(*d);
         }
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             let at = task.publish_time;
             assert_eq!(
-                batch.candidates_at(m.drivers(), &batch_states, task, at),
-                inc.candidates_at(m.drivers(), &inc_states, task, at),
+                batch.candidates_at(task, at),
+                inc.candidates_at(task, at),
                 "task {t}"
             );
         }
@@ -686,31 +680,30 @@ mod tests {
 
     #[test]
     fn compaction_keeps_latest_decision_only_through_ghosts() {
-        // The subtle case the module docs warn about: an *expired* driver
+        // The subtle case the module docs warn about: a *retired* driver
         // can still determine a later task's early-flush epoch, because
         // `latest_decision` deliberately ignores feasibility. Compacting
         // her with a ghost preserves the epoch bit-for-bit; dropping her
         // outright moves it — which is why batched-mode compaction must
         // keep ghosts (and instant mode, which never consults
         // `latest_decision`, may drop them).
-        use rideshare_types::{TimeDelta, Timestamp};
-        let speed = rideshare_geo::SpeedModel::urban();
+        let speed = SpeedModel::urban();
         let origin = GeoPoint::new(41.15, -8.61);
         let near_expired = Driver {
-            id: rideshare_types::DriverId::new(0),
+            id: DriverId::new(0),
             source: origin.offset_km(0.3, 0.0), // ~1 min from the pickup
             destination: origin,
             shift_start: Timestamp::EPOCH,
             shift_end: Timestamp::from_hours(1), // long gone by publish
-            model: rideshare_trace::DriverModel::Hitchhiking,
+            model: DriverModel::Hitchhiking,
         };
         let far_live = Driver {
-            id: rideshare_types::DriverId::new(1),
+            id: DriverId::new(1),
             source: origin.offset_km(0.0, 4.0), // ~13 min away
             destination: origin.offset_km(0.0, 4.0),
             shift_start: Timestamp::EPOCH,
             shift_end: Timestamp::from_hours(24),
-            model: rideshare_trace::DriverModel::HomeWorkHome,
+            model: DriverModel::HomeWorkHome,
         };
         let task = Task {
             id: rideshare_types::TaskId::new(0),
@@ -728,11 +721,10 @@ mod tests {
 
         for use_grid in [false, true] {
             let bbox = use_grid.then(|| BoundingBox::new(41.0, 41.3, -8.8, -8.3));
-            let mut reference = CandidateEngine::streaming(speed, bbox);
-            let mut states = DriverStates::new();
-            reference.add_driver(&mut states, &near_expired);
-            reference.add_driver(&mut states, &far_live);
-            let baseline = reference.latest_decision(&states, &task, cap);
+            let mut reference = Fleet::new(speed, bbox);
+            reference.announce(near_expired);
+            reference.announce(far_live);
+            let baseline = reference.latest_decision(&task, cap);
             // The near (but long-expired) driver determines the epoch.
             assert!(
                 baseline > task.pickup_deadline - TimeDelta::from_mins(5),
@@ -740,31 +732,28 @@ mod tests {
             );
 
             let compacted = |keep_ghosts: bool| {
-                let mut engine = reference.clone();
-                let mut st = states.clone();
-                assert!(engine.expire(&mut st, 0));
-                assert!(
-                    !engine.expire(&mut st, 0),
-                    "second expiry must not re-count"
-                );
-                let remap = engine.compact(&mut st, keep_ghosts);
-                assert_eq!(remap, vec![None, Some(0)]);
-                assert_eq!(engine.expired_count(), 0);
-                (engine, st)
+                let mut fleet = reference.clone();
+                assert!(fleet.retire(0));
+                assert!(!fleet.retire(0), "second retirement must not re-count");
+                assert_eq!(fleet.retired(), [near_expired.id]);
+                assert_eq!(fleet.compact(keep_ghosts), 1);
+                assert_eq!(fleet.drivers, [far_live], "the survivor is renumbered 0");
+                assert_eq!(fleet.retired(), []);
+                fleet
             };
 
-            let (ghosted, ghost_states) = compacted(true);
-            assert_eq!(ghosted.ghost_locations().len(), 1);
+            let ghosted = compacted(true);
+            assert_eq!(ghosted.ghosts.len(), 1);
             assert_eq!(
-                ghosted.latest_decision(&ghost_states, &task, cap),
+                ghosted.latest_decision(&task, cap),
                 baseline,
                 "ghost must preserve the epoch (grid={use_grid})"
             );
 
-            let (dropped, drop_states) = compacted(false);
-            assert_eq!(dropped.ghost_locations().len(), 0);
+            let dropped = compacted(false);
+            assert_eq!(dropped.ghosts.len(), 0);
             assert_ne!(
-                dropped.latest_decision(&drop_states, &task, cap),
+                dropped.latest_decision(&task, cap),
                 baseline,
                 "dropping the location should move the epoch (grid={use_grid})"
             );
@@ -772,32 +761,27 @@ mod tests {
             // Candidate generation is identical either way: ghosts are
             // invisible to it, and the surviving driver was renumbered the
             // same. (The live far driver is the only candidate.)
-            let live = vec![far_live];
             assert_eq!(
-                ghosted.candidates_at(&live, &ghost_states, &task, task.publish_time),
-                dropped.candidates_at(&live, &drop_states, &task, task.publish_time),
+                ghosted.candidates_at(&task, task.publish_time),
+                dropped.candidates_at(&task, task.publish_time),
             );
         }
     }
 
     #[test]
     fn expiring_a_dead_driver_changes_nothing() {
-        // Expire every driver whose shift ended before some cutoff; any
+        // Retire every driver whose shift ended before some cutoff; any
         // task decided after the cutoff sees identical candidates, and
         // `latest_decision` (which ignores feasibility) is untouched too.
         let m = market(76, 50, 20);
-        let (plain, states) = CandidateEngine::for_market(&m, false);
-        let (mut expired, mut ex_states) = CandidateEngine::for_market(&m, false);
-        let cutoff = rideshare_types::Timestamp::from_hours(14);
-        let mut expired_any = false;
-        for (d, drv) in m.drivers().iter().enumerate() {
-            if drv.shift_end < cutoff {
-                expired.expire(&mut ex_states, d);
-                expired_any = true;
-            }
-        }
-        assert!(expired_any, "seed must produce an early shift");
-        assert_eq!(expired.expired_count() > 0, expired_any);
+        let plain = Fleet::for_market(&m, false);
+        let mut expired = Fleet::for_market(&m, false);
+        let cutoff = Timestamp::from_hours(14);
+        let newly = expired.retire_before(cutoff);
+        let ended = m.drivers().iter().filter(|d| d.shift_end < cutoff);
+        assert_eq!(newly, ended.count(), "exactly the shifts that ended");
+        assert!(newly > 0, "seed must produce an early shift");
+        assert_eq!(expired.retired().len(), newly);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             if task.publish_time < cutoff {
@@ -805,14 +789,111 @@ mod tests {
             }
             let at = task.publish_time;
             assert_eq!(
-                plain.candidates_at(m.drivers(), &states, task, at),
-                expired.candidates_at(m.drivers(), &ex_states, task, at),
+                plain.candidates_at(task, at),
+                expired.candidates_at(task, at),
                 "task {t}"
             );
             assert_eq!(
-                plain.latest_decision(&states, task, at),
-                expired.latest_decision(&ex_states, task, at),
+                plain.latest_decision(task, at),
+                expired.latest_decision(task, at),
             );
+        }
+    }
+
+    /// The grid's entries per cell (sorted), the cell floors and the
+    /// shift-end heap's pop order.
+    type Indexes = (Vec<Vec<u32>>, Vec<Timestamp>, Vec<(i64, usize)>);
+
+    fn indexes(fleet: &Fleet) -> Indexes {
+        let g = fleet.grid.as_ref().expect("gridded fleet");
+        let cell = |slot| {
+            let mut ids: Vec<u32> = g.slot_entries(slot).iter().map(|&(_, id)| id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let heap = fleet.shift_ends.clone().into_sorted_vec();
+        (
+            (0..g.slot_count()).map(cell).collect(),
+            fleet.cell_floor.clone(),
+            heap.into_iter().rev().map(|Reverse(e)| e).collect(),
+        )
+    }
+
+    /// Grid membership and every cell floor recomputed from the state
+    /// vectors by brute force — no index is consulted.
+    fn assert_grid_is_exact(fleet: &Fleet) {
+        let g = fleet.grid.as_ref().expect("gridded fleet");
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); g.slot_count()];
+        let mut floors = vec![NEVER; g.slot_count()];
+        for (d, (&loc, &free)) in fleet.locations.iter().zip(&fleet.available_at).enumerate() {
+            members[g.slot_of(loc)].push(d as u32);
+            floors[g.slot_of(loc)] = floors[g.slot_of(loc)].min(free);
+        }
+        for (k, &loc) in fleet.ghosts.iter().enumerate() {
+            members[g.slot_of(loc)].push(GHOST_BIT | k as u32);
+        }
+        let (cells, cell_floor, _) = indexes(fleet);
+        assert_eq!(cells, members);
+        assert_eq!(cell_floor, floors);
+    }
+
+    #[test]
+    fn compaction_leaves_the_indexes_of_a_fleet_built_from_the_survivors() {
+        // What a restore will lean on: the indexes are a function of the
+        // state. Churn a fleet — announcements trickling in, commits,
+        // clock retirement — compacting at every cadence, with and without
+        // ghosts; after each compaction the grid membership, every cell
+        // floor and the heap's pop order equal those of a fresh fleet
+        // handed the surviving state, and between compactions the
+        // incrementally maintained grid and floors stay exact.
+        let m = market(77, 240, 40);
+        let mut order: Vec<usize> = (0..m.num_tasks()).collect();
+        order.sort_by_key(|&t| (m.tasks()[t].publish_time, t));
+        for (cadence, keep_ghosts) in [(1, true), (7, false), (60, true)] {
+            let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
+            let mut late = m.drivers().iter();
+            for d in late.by_ref().take(20) {
+                fleet.announce(*d);
+            }
+            let (mut compactions, mut removed) = (0usize, 0usize);
+            for (step, &t) in order.iter().enumerate() {
+                let task = &m.tasks()[t];
+                if step % 3 == 0 {
+                    late.next().into_iter().for_each(|d| fleet.announce(*d));
+                }
+                fleet.retire_before(task.publish_time);
+                if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
+                    fleet.commit(c.driver, task, c.arrival);
+                }
+                assert_grid_is_exact(&fleet);
+                if step % cadence != 0 {
+                    continue;
+                }
+                let retired = fleet.retired().len();
+                assert_eq!(fleet.compact(keep_ghosts), retired);
+                compactions += usize::from(retired > 0);
+                removed += retired;
+                assert_eq!(fleet.ghosts.len(), if keep_ghosts { removed } else { 0 });
+                assert_grid_is_exact(&fleet);
+
+                let bbox = fleet.grid.as_ref().map(GridIndex::bounding_box);
+                let mut fresh = Fleet::new(fleet.speed, bbox);
+                fresh.drivers.clone_from(&fleet.drivers);
+                fresh.locations.clone_from(&fleet.locations);
+                fresh.available_at.clone_from(&fleet.available_at);
+                fresh.ghosts.clone_from(&fleet.ghosts);
+                fresh.rebuild_indexes();
+                assert_eq!(indexes(&fleet), indexes(&fresh), "step {step}");
+                // Every survivor is still waiting for the clock, in
+                // shift-end order.
+                let drivers = fleet.drivers.iter().enumerate();
+                let mut ends: Vec<(i64, usize)> =
+                    drivers.map(|(d, r)| (r.shift_end.as_secs(), d)).collect();
+                ends.sort_unstable();
+                assert_eq!(indexes(&fleet).2, ends);
+            }
+            assert!(compactions > 1, "cadence {cadence}: fleet never churned");
+            assert_eq!(fleet.announced(), m.num_drivers());
         }
     }
 }

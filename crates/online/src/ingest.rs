@@ -28,6 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rideshare_core::{Driver, Task};
+use rideshare_geo::GeoPoint;
 use rideshare_trace::wire::{
     from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder, WireError, WireEvent,
     WireTask,
@@ -83,6 +84,17 @@ pub enum IngestError {
         /// The unknown id.
         id: u32,
     },
+    /// A coordinate that is not finite, or an amount that is not finite
+    /// or lies beyond [`EventGuard::MAX_AMOUNT`] — admitted, it would
+    /// saturate or wrap the exact accumulators and be reported as data.
+    OutOfRange {
+        /// The kind of event that carried it: `task` or `driver`.
+        event: &'static str,
+        /// That task's or driver's id.
+        id: u32,
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for IngestError {
@@ -108,6 +120,11 @@ impl fmt::Display for IngestError {
             IngestError::UnknownDriver { id } => {
                 write!(f, "DriverOffline for unknown driver {id}")
             }
+            IngestError::OutOfRange { event, id, field } => write!(
+                f,
+                "{event} {id}: {field} out of range (not finite, or an amount beyond ±{:e})",
+                EventGuard::MAX_AMOUNT
+            ),
         }
     }
 }
@@ -455,6 +472,9 @@ where
 /// cannot panic a [`crate::StreamEngine`] or the sharded router on
 /// contract grounds — which is what lets the daemon return typed errors
 /// for hostile input while the engines keep their fail-fast internals.
+/// It is also the one place a feed's numbers are bounded: coordinates
+/// must be finite and amounts within [`EventGuard::MAX_AMOUNT`], so
+/// nothing downstream has to doubt a value it sums.
 #[derive(Debug, Default)]
 pub struct EventGuard {
     clock: Option<Timestamp>,
@@ -462,10 +482,52 @@ pub struct EventGuard {
 }
 
 impl EventGuard {
+    /// The largest price, valuation or service cost admitted, either
+    /// sign. The exact accumulators sum amounts as `i128` multiples of
+    /// 2⁻⁴⁰, so 10¹² (under 2⁸⁰ of them) leaves room for 2⁴⁶ addends.
+    pub const MAX_AMOUNT: f64 = 1e12;
+
     /// A fresh guard (no events seen).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Refuses a coordinate that is not finite and an amount that is not
+    /// finite or beyond [`EventGuard::MAX_AMOUNT`].
+    fn check_values(event: &StreamEvent) -> Result<(), IngestError> {
+        let finite = |p: GeoPoint| p.lat().is_finite() && p.lon().is_finite();
+        let refuse = |event, id, field| Err(IngestError::OutOfRange { event, id, field });
+        match event {
+            StreamEvent::DriverOnline(d) => {
+                for (field, p) in [("source", d.source), ("destination", d.destination)] {
+                    if !finite(p) {
+                        return refuse("driver", d.id.raw(), field);
+                    }
+                }
+            }
+            StreamEvent::TaskPublished(t) => {
+                for (field, p) in [("origin", t.origin), ("destination", t.destination)] {
+                    if !finite(p) {
+                        return refuse("task", t.id.raw(), field);
+                    }
+                }
+                let amounts = [
+                    ("price", t.price),
+                    ("valuation", t.valuation),
+                    ("service_cost", t.service_cost),
+                ];
+                for (field, x) in amounts {
+                    // NaN fails the compare, so it goes with the infinities.
+                    let admitted = x.as_f64().abs() <= Self::MAX_AMOUNT;
+                    if !admitted {
+                        return refuse("task", t.id.raw(), field);
+                    }
+                }
+            }
+            StreamEvent::DriverOffline(_) | StreamEvent::EpochTick(_) => {}
+        }
+        Ok(())
     }
 
     /// Validates the next event against everything admitted so far.
@@ -475,6 +537,7 @@ impl EventGuard {
     /// Returns the typed [`IngestError`] the event would have caused an
     /// engine panic for.
     pub fn admit(&mut self, event: &StreamEvent) -> Result<(), IngestError> {
+        Self::check_values(event)?;
         if let Some(at) = event.timestamp() {
             if let Some(prev) = self.clock {
                 if at < prev {

@@ -6,8 +6,12 @@
 //! [`StreamEvent`] sequence — shift announcements, published orders, clock
 //! ticks — and keeps only what a real dispatch platform would: per-driver
 //! projected state plus the orders currently being held for a decision.
-//! Resident state is `O(active tasks + drivers)`, never `O(trace)`; results
-//! leave through a [`StreamSink`] as they are decided. Building a
+//! Everything per driver — state, and the indexes derived from it — lives
+//! in the one `Fleet` of `candidates.rs`; the engine itself holds the
+//! orders, the hold, the clock and the counters. Resident state is
+//! `O(active tasks + live fleet)` — plus, under batching, one frozen
+//! point per compacted driver — never `O(trace)`; results leave through a
+//! [`StreamSink`] as they are decided. Building a
 //! [`Market`] is `O(trace)` memory (and `O(M²)` time for the offline chain
 //! arcs, which online dispatch never uses), so million-order days are fed
 //! lazily; a market that *is* materialized is fed through the same engine
@@ -83,15 +87,12 @@
 //! assert_eq!(summary.served, materialized.served);
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rideshare_core::{Assignment, Driver, DriverRoute, Market, Task};
 use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::batch::{BatchMatcher, BatchRound};
-use crate::candidates::{CandidateEngine, DriverStates};
+use crate::candidates::Fleet;
 use crate::policy::{Candidate, DispatchPolicy};
 use crate::simulator::{DispatchEvent, SimulationResult};
 
@@ -281,23 +282,12 @@ enum Hold {
 /// The push-based streaming replay engine. See the module docs for the
 /// model; [`replay_stream`] is the pull-everything convenience wrapper.
 pub struct StreamEngine {
-    speed: SpeedModel,
-    engine: CandidateEngine,
-    /// Live (non-compacted) driver records, positionally aligned with
-    /// `states`. Slot indices are engine-internal: they compact when
-    /// expired drivers are garbage-collected, while the ids the sink sees
-    /// stay the announced ones (`ids` maps slot → announced id).
-    drivers: Vec<Driver>,
-    states: DriverStates,
-    /// Announced id of each live slot (sink-facing identity).
-    ids: Vec<DriverId>,
-    /// Live slot of each announced driver; `None` once compacted.
-    slots: Vec<Option<usize>>,
-    /// Min-heap of `(shift_end, slot)` for lazy lossless retirement.
-    expiry: BinaryHeap<Reverse<(i64, usize)>>,
-    /// Compact once this many expired flags accumulate (`usize::MAX` off).
+    /// Everything per driver: state, and the indexes derived from it.
+    fleet: Fleet,
+    /// Compact once this many retired drivers are resident (`usize::MAX`
+    /// off).
     compact_threshold: usize,
-    /// Cumulative drivers retired (flagged or compacted).
+    /// Cumulative drivers retired (still resident, or compacted since).
     expired_total: usize,
     /// Cumulative drivers garbage-collected.
     compacted: usize,
@@ -328,13 +318,7 @@ impl StreamEngine {
     #[must_use]
     pub fn new(speed: SpeedModel, options: StreamOptions) -> Self {
         Self {
-            speed,
-            engine: CandidateEngine::streaming(speed, options.grid_bbox),
-            drivers: Vec::new(),
-            states: DriverStates::new(),
-            ids: Vec::new(),
-            slots: Vec::new(),
-            expiry: BinaryHeap::new(),
+            fleet: Fleet::new(speed, options.grid_bbox),
             // Same clamp as `StreamOptions::compaction` — the field is
             // public, so a hand-built `0` still means "eagerest", not
             // "every flush".
@@ -363,14 +347,14 @@ impl StreamEngine {
     /// Drivers announced so far.
     #[must_use]
     pub fn driver_count(&self) -> usize {
-        self.slots.len()
+        self.fleet.announced()
     }
 
     /// Drivers currently resident (announced minus compacted) — the number
     /// the bounded-memory claim is really about once fleets churn.
     #[must_use]
     pub fn resident_drivers(&self) -> usize {
-        self.drivers.len()
+        self.fleet.resident()
     }
 
     /// Feeds one event. Decisions triggered by it (a publish group or hold
@@ -393,19 +377,8 @@ impl StreamEngine {
     ) {
         match event {
             StreamEvent::DriverOnline(driver) => {
-                assert_eq!(
-                    driver.id.index(),
-                    self.slots.len(),
-                    "driver ids must be dense in announcement order"
-                );
+                self.fleet.announce(driver);
                 sink.driver_online(&driver);
-                let slot = self.drivers.len();
-                self.engine.add_driver(&mut self.states, &driver);
-                self.expiry
-                    .push(Reverse((driver.shift_end.as_secs(), slot)));
-                self.slots.push(Some(slot));
-                self.ids.push(driver.id);
-                self.drivers.push(driver);
             }
             StreamEvent::TaskPublished(task) => {
                 let publish = task.publish_time;
@@ -454,21 +427,15 @@ impl StreamEngine {
             }
             StreamEvent::DriverOffline(id) => {
                 assert!(
-                    id.index() < self.slots.len(),
+                    id.index() < self.fleet.announced(),
                     "DriverOffline for unknown {id}"
                 );
-                // Already compacted ⇒ already provably retired.
-                let Some(d) = self.slots[id.index()] else {
-                    return;
-                };
                 // Only retire when provably lossless: no held or future
                 // order can be decided early enough for her to get home
                 // (held orders publish no later than the clock, so the
                 // earliest held publish is the binding floor).
                 let floor = self.pending.first().map(|t| t.publish_time).or(self.clock);
-                if floor.is_some_and(|f| self.drivers[d].shift_end < f)
-                    && self.engine.expire(&mut self.states, d)
-                {
+                if floor.is_some_and(|f| self.fleet.retire_hinted(id, f)) {
                     self.expired_total += 1;
                 }
             }
@@ -500,7 +467,7 @@ impl StreamEngine {
             tasks: self.served + self.rejected,
             served: self.served,
             rejected: self.rejected,
-            drivers: self.slots.len(),
+            drivers: self.fleet.announced(),
             expired_drivers: self.expired_total,
             compacted_drivers: self.compacted,
             peak_held_tasks: self.peak_held,
@@ -544,83 +511,16 @@ impl StreamEngine {
         }
     }
 
-    /// Retires every driver whose shift ended before `floor`, the earliest
-    /// instant any held or future order can publish at: she fails the
-    /// return-home check for everything from here on, so skipping her
-    /// cannot change results.
-    fn expire_before(&mut self, floor: Timestamp) {
-        while let Some(&Reverse((end, d))) = self.expiry.peek() {
-            if Timestamp::from_secs(end) >= floor {
-                break;
-            }
-            if self.engine.expire(&mut self.states, d) {
-                self.expired_total += 1;
-            }
-            self.expiry.pop();
-        }
-    }
-
     /// Orders currently held (published, undecided), for the sharding
     /// validator's re-checks at window boundaries.
     pub(crate) fn pending_tasks(&self) -> &[Task] {
         &self.pending
     }
 
-    /// A resident driver who could still *interact* with `task`: reach its
-    /// pickup within the publish→deadline lead (the loosest feasibility
-    /// radius — she departs no earlier than publication), which is also
-    /// exactly the radius inside which she could raise the task's
-    /// early-flush epoch above its `publish_time` floor. `None` proves the
-    /// task is independent of every driver this engine owns — the
-    /// region-sharding proof obligation (`shard.rs`), the streaming mirror
-    /// of `disjoint_components`. Scans every resident driver, expired
-    /// included (expired drivers still count for `latest_decision`);
-    /// compacted ghosts report the sentinel `DriverId(u32::MAX)`.
+    /// A driver of this engine who could still interact with `task`, if
+    /// any — see [`Fleet::interaction_with`].
     pub(crate) fn interaction_with(&self, task: &Task) -> Option<DriverId> {
-        let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
-        for (slot, &loc) in self.states.locations().iter().enumerate() {
-            if self.speed.travel_time(loc, task.origin) <= budget {
-                return Some(self.ids[slot]);
-            }
-        }
-        for &loc in self.engine.ghost_locations() {
-            if self.speed.travel_time(loc, task.origin) <= budget {
-                return Some(DriverId::new(u32::MAX));
-            }
-        }
-        None
-    }
-
-    /// Garbage-collects every expired driver's resident state. `keep_ghosts`
-    /// (batched mode) leaves a frozen location per removed driver so
-    /// `latest_decision` epochs do not move when she is freed; instant
-    /// mode drops them entirely.
-    fn compact(&mut self, keep_ghosts: bool) {
-        let remap = self.engine.compact(&mut self.states, keep_ghosts);
-        let removed = remap.iter().filter(|r| r.is_none()).count();
-        if removed == 0 {
-            return;
-        }
-        self.compacted += removed;
-        let mut drivers = Vec::with_capacity(self.drivers.len() - removed);
-        let mut ids = Vec::with_capacity(self.ids.len() - removed);
-        for (old, r) in remap.iter().enumerate() {
-            if r.is_some() {
-                drivers.push(self.drivers[old]);
-                ids.push(self.ids[old]);
-            }
-        }
-        self.drivers = drivers;
-        self.ids = ids;
-        for slot in &mut self.slots {
-            *slot = slot.and_then(|s| remap[s]);
-        }
-        let entries: Vec<Reverse<(i64, usize)>> = std::mem::take(&mut self.expiry).into_vec();
-        for Reverse((end, old)) in entries {
-            if let Some(new) = remap[old] {
-                self.expiry.push(Reverse((end, new)));
-            }
-        }
+        self.fleet.interaction_with(task)
     }
 
     /// Decides the currently held group/window.
@@ -629,7 +529,7 @@ impl StreamEngine {
         if self.pending.is_empty() {
             return;
         }
-        self.expire_before(self.pending[0].publish_time);
+        self.expired_total += self.fleet.retire_before(self.pending[0].publish_time);
 
         // Trade the held group for the spare buffer — both vectors keep
         // their capacity across the whole replay.
@@ -656,11 +556,14 @@ impl StreamEngine {
         if let Some(end) = self.decided_through {
             sink.window_closed(end);
         }
-        // Flagged-but-resident drivers, without the O(residents) flag scan
-        // (`expire` counts transitions, `compact` counts removals) — flush
-        // runs once per publish group, so this is hot-path arithmetic.
+        // Retired-but-resident drivers, without an O(residents) scan
+        // (retirements counted less removals) — flush runs once per
+        // publish group, so this is hot-path arithmetic. Batched mode
+        // keeps a ghost per removed driver so `latest_decision` epochs do
+        // not move when she is freed; instant mode never consults it.
         if self.expired_total - self.compacted >= self.compact_threshold {
-            self.compact(matches!(policy, StreamPolicy::Batched { .. }));
+            let keep_ghosts = matches!(policy, StreamPolicy::Batched { .. });
+            self.compacted += self.fleet.compact(keep_ghosts);
         }
     }
 
@@ -683,13 +586,7 @@ impl StreamEngine {
     ) {
         for task in tasks {
             let at = task.publish_time;
-            self.engine.candidates_into(
-                &self.drivers,
-                &self.states,
-                task,
-                at,
-                &mut self.cand_scratch,
-            );
+            self.fleet.candidates_into(task, at, &mut self.cand_scratch);
             let pick = if self.cand_scratch.is_empty() {
                 None
             } else {
@@ -725,7 +622,7 @@ impl StreamEngine {
         // ascending with each epoch's tasks in ascending task id.
         scratch.epochs.clear();
         for (bi, task) in batch.iter().enumerate() {
-            let epoch = self.engine.latest_decision(&self.states, task, window_end);
+            let epoch = self.fleet.latest_decision(task, window_end);
             scratch.epochs.push((epoch, task.id.index(), bi));
         }
         scratch.epochs.sort_unstable();
@@ -747,13 +644,8 @@ impl StreamEngine {
             debug_assert!(scratch.candidates.is_empty());
             for &bi in &scratch.remaining {
                 let mut list = scratch.pool.pop().unwrap_or_default();
-                self.engine.candidates_into(
-                    &self.drivers,
-                    &self.states,
-                    &batch[bi],
-                    decision_time,
-                    &mut list,
-                );
+                self.fleet
+                    .candidates_into(&batch[bi], decision_time, &mut list);
                 scratch.candidates.push(list);
             }
             loop {
@@ -818,13 +710,7 @@ impl StreamEngine {
                         if let Some(pos) = list.iter().position(|c| c.driver == d) {
                             list.remove(pos);
                         }
-                        if let Some(c) = self.engine.candidate_for(
-                            &self.drivers,
-                            &self.states,
-                            task,
-                            decision_time,
-                            d,
-                        ) {
+                        if let Some(c) = self.fleet.candidate_for(task, decision_time, d) {
                             let pos = list.partition_point(|x| x.driver < d);
                             list.insert(pos, c);
                         }
@@ -853,18 +739,16 @@ impl StreamEngine {
         candidates: usize,
         sink: &mut dyn StreamSink,
     ) {
-        let d = cand.driver;
-        let old_loc = self.states.location(d);
-        self.engine.commit(&mut self.states, d, task, cand.arrival);
+        // Events name drivers by their *announced* id; the fleet's indices
+        // may have compacted since.
+        let (driver, deadhead_km) = self.fleet.commit(cand.driver, task, cand.arrival);
         let event = DispatchEvent {
             task: task.id,
-            // Events name drivers by their *announced* id; internal slots
-            // may have compacted since.
-            driver: self.ids[d],
+            driver,
             arrival: cand.arrival,
             decision_time,
             wait: cand.arrival - task.publish_time,
-            deadhead_km: self.speed.driven_km(old_loc, task.origin),
+            deadhead_km,
             candidates,
             margin: cand.marginal_value,
         };
@@ -1296,6 +1180,151 @@ mod tests {
         );
         assert!(summary.compacted_drivers > 0);
         assert!(summary.expired_drivers >= summary.compacted_drivers);
+    }
+
+    /// `m`'s stream with the drivers relabelled in shift-end order.
+    fn shift_ordered_events(m: &Market) -> Vec<StreamEvent> {
+        let mut drivers = m.drivers().to_vec();
+        drivers.sort_by_key(|d| (d.shift_end, d.id));
+        let relabel = |(n, d): (usize, &Driver)| Driver {
+            id: DriverId::new(n as u32),
+            ..*d
+        };
+        let drivers = drivers.iter().enumerate().map(relabel);
+        let mut events: Vec<StreamEvent> = drivers.map(StreamEvent::DriverOnline).collect();
+        let orders = market_events(m).into_iter();
+        events.extend(orders.filter(|e| matches!(e, StreamEvent::TaskPublished(_))));
+        events
+    }
+
+    /// Pushes [`shift_ordered_events`] at compaction threshold 1 with,
+    /// ahead of every order, a tick to its instant and then a
+    /// `DriverOffline` hint for every shift the engine can by then prove
+    /// over — checking each hint as it lands. Hints run ahead of the
+    /// clock's own retirement (the next flush), in shift-end order, which
+    /// is id order here: the compacted drivers are always exactly the
+    /// lowest ids, and every resident's index has moved once anyone is
+    /// gone. Returns the engine unfinished.
+    fn push_hinted(
+        speed: SpeedModel,
+        events: &[StreamEvent],
+        policy: &mut StreamPolicy<'_>,
+        sink: &mut CollectingSink,
+    ) -> StreamEngine {
+        let announced = events.iter().filter_map(|e| match e {
+            StreamEvent::DriverOnline(d) => Some(*d),
+            _ => None,
+        });
+        let shifts: Vec<Driver> = announced.collect();
+        let mut hints = shifts.iter().peekable();
+        let mut engine = StreamEngine::new(speed, StreamOptions::default().compaction(1));
+        let mut moved = 0usize;
+        for e in events {
+            let Some(at) = e.timestamp() else {
+                engine.push(*e, policy, sink);
+                continue;
+            };
+            engine.push(StreamEvent::EpochTick(at), policy, sink);
+            let floor = engine.pending.first().map_or(at, |t| t.publish_time);
+            while let Some(d) = hints.next_if(|d| d.shift_end < floor) {
+                let compacted = engine.driver_count() - engine.resident_drivers();
+                let (retired, expired) = (engine.fleet.retired(), engine.expired_total);
+                engine.push(StreamEvent::DriverOffline(d.id), policy, sink);
+                // The hint retires her and nobody else; freeing her is the
+                // next flush's job.
+                let expected = retired.into_iter().chain([d.id]);
+                assert_eq!(engine.fleet.retired(), expected.collect::<Vec<_>>());
+                assert_eq!(engine.expired_total, expired + 1);
+                assert_eq!(engine.driver_count() - engine.resident_drivers(), compacted);
+                moved += usize::from(compacted > 0);
+            }
+            engine.push(*e, policy, sink);
+        }
+        assert!(moved > 0, "no hint reached a driver whose index had moved");
+        engine
+    }
+
+    /// Runs `f` under instant max-margin dispatch, then (`true`) under
+    /// `batch-3m`.
+    fn under_both_policies(mut f: impl FnMut(bool, &mut StreamPolicy<'_>)) {
+        f(false, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let (window, matcher) = (TimeDelta::from_mins(3), &mut GreedyPairMatcher);
+        f(true, &mut StreamPolicy::Batched { window, matcher });
+    }
+
+    #[test]
+    fn offline_hints_find_their_driver_after_compaction() {
+        let m = market(97, 240, 30);
+        let events = shift_ordered_events(&m);
+        under_both_policies(|_, policy| {
+            let mut sink = CollectingSink::new();
+            let mut engine = push_hinted(m.speed(), &events, policy, &mut sink);
+
+            // A hint for a compacted driver (the lowest id) is a no-op.
+            assert!(engine.resident_drivers() < engine.driver_count());
+            let (retired, expired) = (engine.fleet.retired(), engine.expired_total);
+            engine.push(
+                StreamEvent::DriverOffline(DriverId::new(0)),
+                policy,
+                &mut sink,
+            );
+            assert_eq!(engine.fleet.retired(), retired);
+            assert_eq!(engine.expired_total, expired);
+            let summary = engine.finish(policy, &mut sink);
+            assert!(summary.compacted_drivers > 0);
+
+            // Decisions ≡ the run without ticks, hints or compaction.
+            let mut plain = CollectingSink::new();
+            let options = StreamOptions::default().no_compaction();
+            let _ = replay_stream(
+                m.speed(),
+                events.iter().copied(),
+                policy,
+                options,
+                &mut plain,
+            );
+            assert_same(&sink.into_result(), &plain.into_result());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DriverOffline for unknown driver#30")]
+    fn offline_hint_for_an_unannounced_driver_is_refused_after_compaction() {
+        let m = market(97, 240, 30);
+        let mut policy = StreamPolicy::Instant(&mut MaxMargin::new());
+        let mut sink = CollectingSink::new();
+        let events = shift_ordered_events(&m);
+        let mut engine = push_hinted(m.speed(), &events, &mut policy, &mut sink);
+        assert!(engine.resident_drivers() < 30);
+        engine.push(
+            StreamEvent::DriverOffline(DriverId::new(30)),
+            &mut policy,
+            &mut sink,
+        );
+    }
+
+    #[test]
+    fn per_driver_memory_is_bounded_by_the_resident_fleet() {
+        // After a churned stream no per-driver vector or index the engine
+        // owns is longer than the resident fleet; batched mode's ghosts
+        // (one point per compacted driver) are counted apart.
+        let m = market(97, 240, 30);
+        let events = shift_ordered_events(&m);
+        under_both_policies(|batched, policy| {
+            let mut sink = CollectingSink::new();
+            let options = StreamOptions::default()
+                .compaction(1)
+                .grid(rideshare_geo::porto::bounding_box());
+            let mut engine = StreamEngine::new(m.speed(), options);
+            for e in &events {
+                engine.push(*e, policy, &mut sink);
+            }
+            assert!(engine.compacted > 0, "nothing was freed");
+            let resident = engine.driver_count() - engine.compacted;
+            assert_eq!(engine.resident_drivers(), resident);
+            let ghosts = if batched { engine.compacted } else { 0 };
+            assert_eq!(engine.fleet.footprint(), (resident, ghosts));
+        });
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! so a future `unwrap` sneaking into the path fails here before the
 //! audit even runs.
 
-use rideshare_geo::SpeedModel;
+use rideshare_geo::{GeoPoint, SpeedModel};
 use rideshare_online::{
     CollectingSink, FileSource, IngestError, IngestFormat, IngestSource, ServeConfig, ServeDaemon,
-    ServeStop, ShardPolicySpec, TcpSource,
+    ServeOutcome, ServeStop, ShardPolicySpec, TcpSource,
 };
+use rideshare_trace::wire::{
+    encode_frame, to_csv_line, to_json_line, WireDriver, WireEvent, WireTask,
+};
+use rideshare_trace::DriverModel;
+use rideshare_types::{TimeDelta, Timestamp};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -170,4 +175,155 @@ fn tcp_mid_frame_disconnect_reports_stranded_bytes() {
 fn tcp_clean_close_on_frame_boundary_ends_stream() {
     let src = TcpSource::from_stream(loopback(Vec::new()));
     assert_eq!(drain(src).unwrap(), 0);
+}
+
+// --- numbers outside the exact grid --------------------------------------
+
+fn wire_driver(source: GeoPoint) -> WireEvent {
+    WireEvent::DriverOnline(WireDriver {
+        id: 0,
+        source,
+        destination: GeoPoint::new(41.16, -8.62),
+        shift_start: Timestamp::from_secs(0),
+        shift_end: Timestamp::from_secs(86_400),
+        model: DriverModel::Hitchhiking,
+    })
+}
+
+/// An order whose every number is a sentinel the text cases can find and
+/// overwrite in its encoded line.
+fn wire_task(id: u32, publish: i64) -> WireTask {
+    WireTask {
+        id,
+        publish_time: Timestamp::from_secs(publish),
+        origin: GeoPoint::new(41.140625, -8.515625),
+        destination: GeoPoint::new(41.16, -8.6),
+        pickup_deadline: Timestamp::from_secs(publish + 900),
+        completion_deadline: Timestamp::from_secs(publish + 4000),
+        duration: TimeDelta::from_secs(600),
+        price: 77.125,
+        valuation: 88.25,
+        service_cost: 3.0625,
+    }
+}
+
+/// One max-margin daemon over `source`, run until it stops.
+fn serve(source: &mut dyn IngestSource) -> ServeOutcome {
+    let daemon = ServeDaemon::new(
+        SpeedModel::default(),
+        ShardPolicySpec::MaxMargin,
+        ServeConfig::new(1),
+    );
+    daemon.run(source, &mut CollectingSink::new(), |_, _| {}, |_, _| {})
+}
+
+/// Serves `source` and demands `refused` beside a valid report for the
+/// admitted prefix: `events` events, the one order among them decided.
+fn assert_refused(source: &mut dyn IngestSource, refused: &IngestError, events: usize, case: &str) {
+    let outcome = serve(source);
+    assert_eq!(outcome.error.as_ref(), Some(refused), "{case}");
+    assert_eq!(outcome.report.stop, ServeStop::Error, "{case}");
+    assert_eq!(outcome.report.events, events, "{case}: admitted prefix");
+    let decided = events.saturating_sub(1);
+    assert_eq!(outcome.report.summary.tasks, decided, "{case}: drained");
+}
+
+/// The refusal of order 1's `field`.
+fn order_one(field: &'static str) -> IngestError {
+    IngestError::OutOfRange {
+        event: "task",
+        id: 1,
+        field,
+    }
+}
+
+#[test]
+fn text_numbers_outside_the_exact_grid_are_refused_by_task_and_field() {
+    // `1e999` parses to +∞ and saturated the i128 revenue accumulator
+    // (one order reported revenue 1.5e26, two wrapped it to −0.00);
+    // `-1e300` is finite and did the same; an infinite longitude wraps to
+    // NaN inside `GeoPoint::new`. Each was admitted, exit 0, as data.
+    let cases = [
+        ("77.125", "1e999", "price"),
+        ("88.25", "-1e999", "valuation"),
+        ("3.0625", "-1e300", "service_cost"),
+        ("77.125", "1000000000001", "price"),
+        ("-8.515625", "1e999", "origin"),
+    ];
+    for format in [IngestFormat::Jsonl, IngestFormat::Csv] {
+        let encode = |event: &WireEvent| match format {
+            IngestFormat::Jsonl => to_json_line(event),
+            IngestFormat::Csv => to_csv_line(event),
+        };
+        for (sentinel, hostile, field) in cases {
+            let bad = encode(&WireEvent::TaskPublished(wire_task(1, 7300)));
+            assert!(bad.contains(sentinel), "{bad}");
+            let lines = [
+                encode(&wire_driver(GeoPoint::new(41.15, -8.63))),
+                encode(&WireEvent::TaskPublished(wire_task(0, 7200))),
+                bad.replace(sentinel, hostile),
+            ];
+            let case = format!("{format:?} {field}={hostile}");
+            let feed = TempEvents::new(&format!("range-{format:?}-{hostile}"), &[]);
+            std::fs::write(&feed.0, lines.join("\n") + "\n").unwrap();
+            let mut source = FileSource::open(&feed.0, format).unwrap();
+            assert_refused(&mut source, &order_one(field), 2, &case);
+        }
+    }
+
+    // The bound itself is admitted, either sign.
+    let edge = to_json_line(&WireEvent::TaskPublished(wire_task(0, 7200)));
+    let edge = edge.replace("77.125", "1e12").replace("3.0625", "-1e12");
+    let feed = TempEvents::new("range-edge", edge.as_bytes());
+    let mut source = FileSource::open(&feed.0, IngestFormat::Jsonl).unwrap();
+    let outcome = serve(&mut source);
+    assert_eq!((outcome.error, outcome.report.events), (None, 1));
+}
+
+#[test]
+fn frames_carrying_nan_bits_are_refused_by_task_and_field() {
+    // A binary frame carries its floats as raw bits, so NaN needs no
+    // parser's help to arrive.
+    let good = wire_task(1, 7300);
+    let nowhere = GeoPoint::new(10.0, f64::INFINITY);
+    let hostile = [
+        (
+            WireTask {
+                valuation: f64::NAN,
+                ..good
+            },
+            "valuation",
+        ),
+        (
+            WireTask {
+                price: f64::NEG_INFINITY,
+                ..good
+            },
+            "price",
+        ),
+        (
+            WireTask {
+                destination: nowhere,
+                ..good
+            },
+            "destination",
+        ),
+    ];
+    for (bad, field) in hostile {
+        let mut bytes = encode_frame(&wire_driver(GeoPoint::new(41.15, -8.63)));
+        bytes.extend(encode_frame(&WireEvent::TaskPublished(wire_task(0, 7200))));
+        bytes.extend(encode_frame(&WireEvent::TaskPublished(bad)));
+        let mut source = TcpSource::from_stream(loopback(bytes));
+        assert_refused(&mut source, &order_one(field), 2, field);
+    }
+
+    // A driver announced from nowhere is refused the same way.
+    let lost = encode_frame(&wire_driver(GeoPoint::new(f64::NAN, -8.63)));
+    let refused = IngestError::OutOfRange {
+        event: "driver",
+        id: 0,
+        field: "source",
+    };
+    let mut source = TcpSource::from_stream(loopback(lost));
+    assert_refused(&mut source, &refused, 0, "driver source");
 }

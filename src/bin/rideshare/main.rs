@@ -750,13 +750,28 @@ fn serve(p: &Parsed<'_>) -> Result<(), String> {
 
 /// Range queries over a recorded telemetry store.
 fn query(p: &Parsed<'_>) -> Result<(), String> {
-    let dir = p.required("--tsdb");
-    // Querying is read-only: a missing directory is an error, not an
-    // invitation to create an empty store (which `open` would do).
-    if !Path::new(dir).is_dir() {
-        return Err(format!("--tsdb: no store directory at {dir}"));
+    // A range no query can have is refused as the flag it is, before
+    // `run_query` reports it as a damaged index.
+    let (from, to) = (p.secs_or("--from", i64::MIN)?, p.secs_or("--to", i64::MAX)?);
+    let step = p.secs_or("--step", 3600)?;
+    if step < 1 {
+        return Err(p.bad("--step").into());
     }
-    let store = TsdbStore::open(Path::new(dir)).map_err(|e| format!("tsdb: {e}"))?;
+    if to < from {
+        return Err(p.bad("--to").into());
+    }
+    let dir = Path::new(p.required("--tsdb"));
+    // Querying is read-only: a directory that holds no store is an error,
+    // not an invitation to create an empty one (which `open` would do).
+    if !dir.join("index.json").is_file() {
+        let what = if dir.is_dir() {
+            "store"
+        } else {
+            "store directory"
+        };
+        return Err(format!("query: --tsdb: no {what} at {}", dir.display()));
+    }
+    let store = TsdbStore::open(dir).map_err(|e| format!("tsdb: {e}"))?;
 
     if p.has("--list") {
         let row = |id: &str, samples: &str, first: &str, last: &str, series: &str| {
@@ -786,9 +801,9 @@ fn query(p: &Parsed<'_>) -> Result<(), String> {
     // accumulator totals the equivalence battery pins them to.
     let q = RangeQuery {
         filter,
-        from: p.secs_or("--from", i64::MIN)?,
-        to: p.secs_or("--to", i64::MAX)?,
-        step: p.secs_or("--step", 3600)?,
+        from,
+        to,
+        step,
     };
     let result = run_query(&store, &q).map_err(|e| format!("query: {e}"))?;
     if p.has("--canonical") {

@@ -436,6 +436,41 @@ fn serve_rejects_malformed_input_with_typed_errors() {
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(stderr.contains("error: ingest:"), "{stderr}");
 
+    // An amount outside the exact grid is refused where it enters: `1e999`
+    // parses to +∞, which saturated the revenue accumulator and was
+    // reported as data (exit 0, `stop: drained`). The order before it
+    // still drains into a valid report.
+    let order = |id: u32, publish: u32, price: &str| {
+        format!(
+            "{{\"event\":\"task\",\"id\":{id},\"publish\":{publish},\"origin\":[41.15,-8.63],\
+             \"destination\":[41.16,-8.6],\"pickup_by\":{},\"complete_by\":{},\"duration\":600,\
+             \"price\":{price},\"valuation\":36.5,\"cost\":1.8}}\n",
+            publish + 900,
+            publish + 4000,
+        )
+    };
+    let feed = dir.join("inf.jsonl");
+    let announce = "{\"event\":\"driver\",\"id\":0,\"source\":[41.15,-8.63],\
+                    \"destination\":[41.16,-8.62],\"shift\":[0,86400],\"model\":\"hitch\"}\n";
+    let lines = [announce, &order(0, 7200, "12.5"), &order(1, 7300, "1e999")];
+    std::fs::write(&feed, lines.concat()).unwrap();
+    let inf = cli(&[
+        "serve",
+        "--source",
+        &format!("jsonl:{}", feed.to_str().unwrap()),
+        "--canonical",
+    ]);
+    assert_eq!(inf.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&inf.stderr);
+    assert!(
+        stderr.contains("error: ingest: task 1: price out of range"),
+        "{stderr}"
+    );
+    let report = String::from_utf8_lossy(&inf.stdout);
+    assert!(report.contains("stop: ingest error"), "{report}");
+    assert!(report.contains("served 1/1"), "{report}");
+    assert!(report.contains("revenue 12.50"), "{report}");
+
     // Bad source schemes and shard/region mismatches are caught up front.
     let scheme = cli(&["serve", "--source", "ftp://example"]);
     assert!(!scheme.status.success());
@@ -542,7 +577,7 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
     // hitch-hiking model, the default five-policy sweep.
     let snaps = tmpdir("overflow-snaps");
     let snaps_s = snaps.to_str().unwrap();
-    let cases: [(&[&str], &str); 25] = [
+    let cases: [(&[&str], &str); 29] = [
         (
             &["replay", "--task", "2000"],
             "replay: unknown flag '--task'",
@@ -645,6 +680,24 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
             &["worker", "--spool", snaps_s, "--threads", "0"],
             "worker: bad --threads '0'",
         ),
+        // A range no query can have was blamed on `index.json`, and a
+        // directory holding no store read as an empty one (exit 0).
+        (
+            &["query", "--tsdb", snaps_s, "--step", "0"],
+            "query: bad --step '0'",
+        ),
+        (
+            &["query", "--tsdb", snaps_s, "--step", "-5"],
+            "query: bad --step '-5'",
+        ),
+        (
+            &["query", "--tsdb", snaps_s, "--from", "10", "--to", "5"],
+            "query: bad --to '5'",
+        ),
+        (
+            &["query", "--tsdb", env!("CARGO_MANIFEST_DIR")],
+            concat!("query: --tsdb: no store at ", env!("CARGO_MANIFEST_DIR")),
+        ),
     ];
     for (args, needle) in cases {
         let out = cli(args);
@@ -655,6 +708,9 @@ fn misspelt_and_malformed_flags_are_refused_by_name() {
         if args[0] == "fig5" {
             let usage = "USAGE:\n  rideshare fig5     [--tasks N] [--quick] [--model hitch|hwh]";
             assert!(stderr.contains(usage), "{args:?}: {stderr}");
+        }
+        if args[0] == "query" && needle.contains("bad") {
+            assert!(stderr.contains("USAGE:\n  rideshare query"), "{stderr}");
         }
     }
     assert!(!snaps.exists(), "a refused run created {snaps_s}");
