@@ -476,7 +476,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rideshare_core::solve_greedy;
+    use rideshare_core::{solve_greedy, DriverView};
 
     fn tiny_two() -> Vec<Scenario> {
         Scenario::tiny_catalog().into_iter().take(2).collect()
@@ -564,6 +564,68 @@ mod tests {
             assert_eq!(greedy, alg1, "{}", scenario.name);
         }
         assert!(cells.next().is_none());
+    }
+
+    #[test]
+    fn route_profit_is_the_view_based_formula_bit_for_bit() {
+        // `route_profit` reads a route's end costs from the market. It
+        // used to read them out of an `O(M)` `DriverView`, whose cost
+        // vectors hold `0.0` for a task outside the driver's task map.
+        // Pinned over every route every policy produces: none leaves its
+        // driver's map, so that formula — restated here, `source_cost` /
+        // `sink_cost` being the travel costs `DriverView::new` stores —
+        // gives the same bits.
+        let mut policies = PolicySpec::default_set();
+        policies.push(PolicySpec::Random);
+        policies.extend(PolicySpec::w_sweep_set());
+        let scenarios = Scenario::catalog()
+            .into_iter()
+            .chain(Scenario::tiny_catalog());
+        let mut routes = 0usize;
+        for scenario in scenarios.filter(|s| s.name != "porto-large") {
+            let market = scenario.build_market();
+            let (ts, speed) = (market.tasks(), market.speed());
+            let views: Vec<DriverView> = (0..market.num_drivers())
+                .map(|n| DriverView::new(&market, n))
+                .collect();
+            for policy in &policies {
+                let context = format!("{} × {}", scenario.name, policy.label());
+                let assignment = policy.assign(&market, None, 1);
+                for (d, route) in market.drivers().iter().zip(assignment.routes()) {
+                    let Some((last, first)) = route.tasks.last().zip(route.tasks.first()) else {
+                        continue;
+                    };
+                    routes += 1;
+                    let view = &views[d.id.index()];
+                    for t in &route.tasks {
+                        assert!(view.is_allowed(t.index()), "{context}: {} serves {t}", d.id);
+                    }
+                    let mut total = view.direct_cost().as_f64()
+                        - speed
+                            .travel_cost(d.source, ts[first.index()].origin)
+                            .as_f64();
+                    for (k, t) in route.tasks.iter().enumerate() {
+                        total += ts[t.index()].margin(Objective::Profit).as_f64();
+                        if let Some(next) = route.tasks.get(k + 1) {
+                            total -= speed
+                                .travel_cost(ts[t.index()].destination, ts[next.index()].origin)
+                                .as_f64();
+                        }
+                    }
+                    total -= speed
+                        .travel_cost(ts[last.index()].destination, d.destination)
+                        .as_f64();
+                    let profit = assignment.route_profit(&market, Objective::Profit, d.id);
+                    assert_eq!(
+                        profit.as_f64().to_bits(),
+                        total.to_bits(),
+                        "{context}: {}",
+                        d.id
+                    );
+                }
+            }
+        }
+        assert!(routes > 2000, "{routes} routes");
     }
 
     #[test]

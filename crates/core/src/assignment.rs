@@ -6,6 +6,43 @@ use rideshare_types::{DriverId, MarketError, Money, Result, TaskId};
 use crate::market::{Market, Objective};
 use crate::view::DriverView;
 
+/// The true profit `r_π` of an explicit task sequence for `driver`: the
+/// commute refund, minus the connection costs (source arc, chain arcs,
+/// sink arc), plus the task margins — read from the market alone, so it
+/// needs neither a [`DriverView`] nor the chain graph. The terms are
+/// added in path order, the order the path oracle's DP adds them in.
+///
+/// Does **not** check feasibility; pair with [`Assignment::validate`].
+pub(crate) fn path_profit(
+    market: &Market,
+    objective: Objective,
+    driver: usize,
+    tasks: impl IntoIterator<Item = usize>,
+) -> Money {
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else {
+        return Money::ZERO;
+    };
+    let ts = market.tasks();
+    let speed = market.speed();
+    let d = &market.drivers()[driver];
+    let mut total = market.direct_cost(driver).as_f64()
+        - speed.travel_cost(d.source, ts[first].origin).as_f64();
+    total += ts[first].margin(objective).as_f64();
+    let mut last = first;
+    for next in tasks {
+        total -= speed
+            .travel_cost(ts[last].destination, ts[next].origin)
+            .as_f64();
+        total += ts[next].margin(objective).as_f64();
+        last = next;
+    }
+    total -= speed
+        .travel_cost(ts[last].destination, d.destination)
+        .as_f64();
+    Money::new(total)
+}
+
 /// One driver's task list: the tasks she serves, in service order — a
 /// source→sink path in her task map.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -80,10 +117,8 @@ impl Assignment {
     /// (task margins minus excess travel cost).
     #[must_use]
     pub fn objective_value(&self, market: &Market, objective: Objective) -> Money {
-        self.routes
-            .iter()
-            .enumerate()
-            .map(|(n, r)| self.route_profit_inner(market, objective, n, &r.tasks))
+        (0..self.routes.len())
+            .map(|n| self.profit_of(market, objective, n))
             .sum()
     }
 
@@ -94,23 +129,12 @@ impl Assignment {
     /// Panics if the driver index is out of range.
     #[must_use]
     pub fn route_profit(&self, market: &Market, objective: Objective, driver: DriverId) -> Money {
-        let r = &self.routes[driver.index()];
-        self.route_profit_inner(market, objective, driver.index(), &r.tasks)
+        self.profit_of(market, objective, driver.index())
     }
 
-    fn route_profit_inner(
-        &self,
-        market: &Market,
-        objective: Objective,
-        driver: usize,
-        tasks: &[TaskId],
-    ) -> Money {
-        if tasks.is_empty() {
-            return Money::ZERO;
-        }
-        let view = DriverView::new(market, driver);
-        let idx: Vec<u32> = tasks.iter().map(|t| t.raw()).collect();
-        view.path_profit(market, objective, &idx)
+    fn profit_of(&self, market: &Market, objective: Objective, driver: usize) -> Money {
+        let tasks = self.routes[driver].tasks.iter();
+        path_profit(market, objective, driver, tasks.map(|t| t.index()))
     }
 
     /// Total revenue paid out to drivers (`Σ xₙ,ₘ pₘ`) — Fig. 6's metric.
@@ -149,6 +173,9 @@ impl Assignment {
         // (5a) node-disjointness.
         let mut seen = vec![false; market.num_tasks()];
         for (n, route) in self.routes.iter().enumerate() {
+            if route.tasks.is_empty() {
+                continue;
+            }
             let view = DriverView::new(market, n);
             let mut prev: Option<usize> = None;
             for t in &route.tasks {
@@ -184,7 +211,7 @@ impl Assignment {
                 }
             }
             // (5b) individual rationality.
-            let profit = self.route_profit_inner(market, Objective::Profit, n, &route.tasks);
+            let profit = self.profit_of(market, Objective::Profit, n);
             if profit.is_strictly_negative() {
                 return Err(MarketError::InfeasibleAssignment {
                     reason: format!("(5b) driver#{n} route profit {profit} < 0"),
@@ -330,6 +357,38 @@ mod tests {
         a.set_route(DriverId::new(0), vec![TaskId::new(0)]);
         let err = a.validate(&market).unwrap_err();
         assert!(err.to_string().contains("(5b)"), "{err}");
+    }
+
+    #[test]
+    fn a_route_is_charged_its_real_sink_cost() {
+        // The driver lives at km 0 and her shift ends at t=3600; the task
+        // sits at km 10 and completes at t=3300, ten minutes from home
+        // with five to spare — outside her task map. A route through it
+        // is infeasible, and its profit is still the real one: 5 − 1.0
+        // out − 1.0 back. Read out of a `DriverView`, whose cost vectors
+        // hold 0.0 outside the map, it came to 5.0.
+        let d = Driver {
+            id: DriverId::new(0),
+            source: pt(0.0),
+            destination: pt(0.0),
+            shift_start: Timestamp::from_secs(0),
+            shift_end: Timestamp::from_secs(3600),
+            model: DriverModel::HomeWorkHome,
+        };
+        let market = Market::new(
+            vec![d],
+            vec![task(0, 10.0, 2700, 3300, 5.0)],
+            SpeedModel::new(60.0, 1.0, 0.1),
+            None,
+        );
+        assert!(!DriverView::new(&market, 0).is_allowed(0));
+        let mut a = Assignment::empty(1);
+        a.set_route(DriverId::new(0), vec![TaskId::new(0)]);
+        let profit = a.objective_value(&market, Objective::Profit);
+        assert!(profit.approx_eq(Money::new(3.0)), "profit {profit}");
+        assert_eq!(profit, a.route_profit(&market, Objective::Profit, d.id));
+        let err = a.validate(&market).unwrap_err();
+        assert!(err.to_string().contains("(5c/5d)"), "{err}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! task list, and delete the path's task nodes and the driver's
 //! source/destination pair from the graph.
 //!
-//! Implementation: each driver's task map is compacted once
-//! ([`DriverView::task_map`]); node deletion overwrites the task's entry
+//! Implementation: each driver's task map is compacted once per market
+//! (kept on the [`Market`], shared with the column generation's pricing
+//! oracle); node deletion overwrites the task's entry
 //! in the one shared node-value vector with [`REMOVED`], and the arg-max
 //! uses **lazy re-evaluation**: each
 //! driver's best-path value can only *decrease* as task nodes disappear, so
@@ -22,7 +23,7 @@ use rideshare_types::{Money, TaskId};
 
 use crate::assignment::{Assignment, DriverRoute};
 use crate::market::{Market, Objective};
-use crate::view::{task_margins, DriverView, PathScratch, TaskMap, REMOVED};
+use crate::view::{task_margins, PathScratch, REMOVED};
 
 /// Result of running [`solve_greedy`].
 #[derive(Clone, Debug)]
@@ -67,13 +68,6 @@ impl Ord for Entry {
     }
 }
 
-/// Every driver's compacted task map, indexed by driver.
-fn task_maps(market: &Market) -> Vec<TaskMap> {
-    (0..market.num_drivers())
-        .map(|i| DriverView::new(market, i).task_map(market))
-        .collect()
-}
-
 /// Runs Algorithm 1 (GA) on the market under the given objective.
 ///
 /// Returns a feasible assignment together with search statistics. By
@@ -97,18 +91,8 @@ fn task_maps(market: &Market) -> Vec<TaskMap> {
 /// ```
 #[must_use]
 pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
-    greedy_over(market, objective, &task_maps(market))
-}
-
-/// [`solve_greedy`] over task maps the caller already holds (`maps[i]` is
-/// driver `i`'s): the column generation warm-starts from Alg. 1 and prices
-/// over the same maps.
-pub(crate) fn greedy_over(
-    market: &Market,
-    objective: Objective,
-    maps: &[TaskMap],
-) -> GreedyOutcome {
     let n = market.num_drivers();
+    let maps = market.task_maps();
     let mut value = task_margins(market, objective);
     let mut scratch = PathScratch::default();
     let mut assignment = Assignment::empty(n);
@@ -181,7 +165,7 @@ pub(crate) fn solve_greedy_naive(market: &Market, objective: Objective) -> Assig
     let mut value = task_margins(market, objective);
     let mut scratch = PathScratch::default();
     let mut taken = vec![false; n];
-    let maps = task_maps(market);
+    let maps = market.task_maps();
     let mut routes = vec![DriverRoute::default(); n];
     loop {
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
@@ -259,6 +243,47 @@ mod tests {
             let np = naive.objective_value(&m, Objective::Profit);
             assert!(lp.approx_eq(np), "seed {seed}: lazy {lp} vs naive {np}");
         }
+    }
+
+    #[test]
+    fn task_maps_kept_on_the_market_change_no_answer() {
+        use crate::upper_bound::{lp_upper_bound, UpperBoundOptions};
+
+        fn same(a: &GreedyOutcome, b: &GreedyOutcome, case: &str) {
+            assert_eq!(a.assignment, b.assignment, "{case}");
+            assert_eq!(a.iterations, b.iterations, "{case}");
+            assert_eq!(a.evaluations, b.evaluations, "{case}");
+        }
+        let fresh = || market(10, 150, 20, DriverModel::Hitchhiking);
+        let bound = |m: &Market| {
+            let ub = lp_upper_bound(m, Objective::Profit, UpperBoundOptions::default()).unwrap();
+            (ub.bound.to_bits(), ub.rounds, ub.columns)
+        };
+
+        let m = fresh();
+        let first = solve_greedy(&m, Objective::Profit);
+        assert!(first.iterations > 0);
+        same(&solve_greedy(&m, Objective::Profit), &first, "second solve");
+        let welfare = solve_greedy(&m, Objective::Welfare);
+        same(
+            &solve_greedy(&fresh(), Objective::Welfare),
+            &welfare,
+            "other objective",
+        );
+
+        // The bound first (it compacts, warm-starts from Alg. 1 and prices
+        // over the maps), the greedy after it, the bound again.
+        let m = fresh();
+        let cold = bound(&m);
+        same(
+            &solve_greedy(&m, Objective::Profit),
+            &first,
+            "after the bound",
+        );
+        assert_eq!(bound(&m), cold);
+        let after_greedy = fresh();
+        let _ = solve_greedy(&after_greedy, Objective::Profit);
+        assert_eq!(bound(&after_greedy), cold);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The two-sided market configuration and task-map construction.
 
+use std::sync::OnceLock;
+
 use rideshare_geo::{GeoPoint, SpeedModel};
 use rideshare_pricing::{FareModel, SurgeConfig, WtpModel};
 use rideshare_trace::{DriverModel, Trace};
 use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
 
 use crate::streaming::StreamPricer;
+use crate::view::{DriverView, TaskMap};
 
 /// Which objective a solver optimises.
 ///
@@ -106,8 +109,6 @@ pub struct ChainEdge {
     pub to: u32,
     /// Empty-driving cost `cₙ,ₘ,ₘ'` (currency).
     pub cost: f64,
-    /// Empty-driving time `lₙ,ₘ,ₘ'`.
-    pub travel: TimeDelta,
 }
 
 /// Options controlling market construction from a trace.
@@ -156,23 +157,47 @@ impl Default for MarketBuildOptions {
 ///
 /// The task map of driver `n` is the DAG over `{0, −1} ∪ [M]` defined by
 /// Eqs. 1–3. With a shared speed model, the arc predicate between two tasks
-/// factors into a driver-independent part (stored here once as
-/// [`ChainEdge`] lists, `O(M²)` construction exactly as the paper counts)
-/// and per-driver source/sink reachability (computed by
-/// [`crate::DriverView`] in `O(M)`).
+/// factors into a driver-independent part (the [`ChainEdge`] lists, `O(M²)`
+/// construction exactly as the paper counts) and per-driver source/sink
+/// reachability (computed by [`crate::DriverView`] in `O(M)`).
+///
+/// Both are *derived* state — functions of the tasks, the speed model and
+/// the wait cap — and each is built by its first reader, once per market:
+///
+/// - the chain graph (arcs and their topological order) by the first
+///   [`Market::chain_edges`], [`Market::topo_order`],
+///   [`Market::has_chain_edge`], [`Market::chain_arc_count`] or
+///   [`Market::chain_diameter`] call;
+/// - the compact per-driver task maps the path oracle runs over by the
+///   first [`crate::solve_greedy`] or [`crate::lp_upper_bound`] (which
+///   read the chain graph to build them).
+///
+/// [`Market::new`] builds neither, so a market that is only split
+/// ([`crate::disjoint_components`]), replayed online, or priced
+/// ([`crate::Assignment::objective_value`]) never pays `O(M²)` time or
+/// memory. Concurrent first readers are safe: one of them builds, the
+/// others wait for it.
 #[derive(Clone, Debug)]
 pub struct Market {
     drivers: Vec<Driver>,
     tasks: Vec<Task>,
     speed: SpeedModel,
+    /// The arc-pruning cap the chain is built with, kept so derived
+    /// sub-markets (partitions, disjoint components) build identical arcs.
+    max_chain_wait: Option<TimeDelta>,
+    graph: OnceLock<ChainGraph>,
+    /// Every driver's compacted task map, indexed by driver.
+    task_maps: OnceLock<Vec<TaskMap>>,
+}
+
+/// The driver-independent part of the task map.
+#[derive(Clone, Debug)]
+struct ChainGraph {
     /// `chain[m]` = feasible successor arcs of task `m`.
     chain: Vec<Vec<ChainEdge>>,
     /// Task indices sorted by completion deadline — a topological order of
     /// every chain arc (an arc implies `t̄⁺ₘ ≤ t̄⁻ₘ' < t̄⁺ₘ'`).
     topo: Vec<u32>,
-    /// The arc-pruning cap the chain was built with, kept so derived
-    /// sub-markets (partitions, disjoint components) rebuild identical arcs.
-    max_chain_wait: Option<TimeDelta>,
 }
 
 impl Market {
@@ -187,17 +212,39 @@ impl Market {
         speed: SpeedModel,
         max_chain_wait: Option<TimeDelta>,
     ) -> Self {
-        let chain = build_chain_arcs(&tasks, speed, max_chain_wait);
-        let mut topo: Vec<u32> = (0..tasks.len() as u32).collect();
-        topo.sort_by_key(|&m| tasks[m as usize].completion_deadline);
         Self {
             drivers,
             tasks,
             speed,
-            chain,
-            topo,
             max_chain_wait,
+            graph: OnceLock::new(),
+            task_maps: OnceLock::new(),
         }
+    }
+
+    fn graph(&self) -> &ChainGraph {
+        self.graph.get_or_init(|| {
+            let chain = build_chain_arcs(&self.tasks, self.speed, self.max_chain_wait);
+            let mut topo: Vec<u32> = (0..self.tasks.len() as u32).collect();
+            topo.sort_by_key(|&m| self.tasks[m as usize].completion_deadline);
+            ChainGraph { chain, topo }
+        })
+    }
+
+    /// Whether a reader has asked for the chain graph yet.
+    #[cfg(test)]
+    pub(crate) fn graph_is_built(&self) -> bool {
+        self.graph.get().is_some()
+    }
+
+    /// Every driver's compacted task map, indexed by driver: what Alg. 1
+    /// and the column generation query, shared between them.
+    pub(crate) fn task_maps(&self) -> &[TaskMap] {
+        self.task_maps.get_or_init(|| {
+            (0..self.num_drivers())
+                .map(|i| DriverView::new(self, i).task_map(self))
+                .collect()
+        })
     }
 
     /// Builds a market from a generated trace: prices every trip with the
@@ -261,26 +308,26 @@ impl Market {
     /// Eq. 3).
     #[must_use]
     pub fn chain_edges(&self, m: usize) -> &[ChainEdge] {
-        &self.chain[m]
+        &self.graph().chain[m]
     }
 
     /// Total number of chain arcs in the shared task map.
     #[must_use]
     pub fn chain_arc_count(&self) -> usize {
-        self.chain.iter().map(Vec::len).sum()
+        self.graph().chain.iter().map(Vec::len).sum()
     }
 
     /// Task indices in a topological order of the chain DAG (sorted by
     /// completion deadline).
     #[must_use]
     pub fn topo_order(&self) -> &[u32] {
-        &self.topo
+        &self.graph().topo
     }
 
     /// Whether the chain arc `m → m'` exists.
     #[must_use]
     pub fn has_chain_edge(&self, m: usize, m_next: usize) -> bool {
-        self.chain[m].iter().any(|e| e.to as usize == m_next)
+        self.chain_edges(m).iter().any(|e| e.to as usize == m_next)
     }
 
     /// The driver's baseline commute cost `cₙ,₀,₋₁` (source to destination
@@ -297,13 +344,13 @@ impl Market {
     #[must_use]
     pub fn chain_diameter(&self) -> usize {
         // Longest path in DAG by node count, DP over topo order.
-        let m = self.tasks.len();
-        let mut depth = vec![1usize; m];
+        let graph = self.graph();
+        let mut depth = vec![1usize; self.tasks.len()];
         let mut best = 0usize;
-        for &u in &self.topo {
+        for &u in &graph.topo {
             let du = depth[u as usize];
             best = best.max(du);
-            for e in &self.chain[u as usize] {
+            for e in &graph.chain[u as usize] {
                 let v = e.to as usize;
                 if du + 1 > depth[v] {
                     depth[v] = du + 1;
@@ -347,12 +394,10 @@ fn build_chain_arcs(
                     continue;
                 }
             }
-            let travel = speed.travel_time(from.destination, to.origin);
-            if travel <= gap {
+            if speed.travel_time(from.destination, to.origin) <= gap {
                 chain[mi].push(ChainEdge {
                     to: j,
                     cost: speed.travel_cost(from.destination, to.origin).as_f64(),
-                    travel,
                 });
             }
         }
@@ -544,6 +589,81 @@ mod tests {
         let market = Market::new(vec![], vec![a, b, c], fast_speed(), None);
         assert_eq!(market.chain_diameter(), 3);
         assert_eq!(market.chain_arc_count(), 3); // a→b, a→c, b→c
+    }
+
+    #[test]
+    fn the_chain_graph_is_built_by_its_first_reader_only() {
+        use crate::partition::{components_upper_bound, disjoint_components, solve_components};
+        use crate::upper_bound::UpperBoundOptions;
+
+        let trace = TraceConfig::porto()
+            .with_seed(17)
+            .with_task_count(160)
+            .with_driver_count(12, DriverModel::Hitchhiking)
+            .generate();
+        let market = Market::from_trace(&trace, &MarketBuildOptions::default());
+
+        // The sweep's path: split, bound and solve the sub-markets, price
+        // the merged assignment on the global market. Nobody reads the
+        // global market's arcs, so nobody builds them.
+        let components = disjoint_components(&market);
+        assert!(!components.is_empty());
+        let bound = components_upper_bound(
+            &components,
+            Objective::Profit,
+            UpperBoundOptions::default(),
+            1,
+        )
+        .unwrap();
+        let merged = solve_components(&market, &components, Objective::Profit, 1);
+        let profit = merged.objective_value(&market, Objective::Profit);
+        assert!(profit.is_strictly_positive());
+        assert!(bound.bound + 1e-6 >= profit.as_f64());
+        assert!(!market.graph_is_built());
+        assert!(components.iter().all(|c| c.market.graph_is_built()));
+
+        // One read builds all of it, equal to a direct build.
+        let _ = market.chain_edges(0);
+        assert!(market.graph_is_built());
+        let direct = build_chain_arcs(market.tasks(), market.speed(), market.max_chain_wait());
+        for (m, arcs) in direct.iter().enumerate() {
+            assert_eq!(market.chain_edges(m), arcs.as_slice(), "task {m}");
+        }
+        let arc_count: usize = direct.iter().map(Vec::len).sum();
+        assert!(arc_count > 0);
+        assert_eq!(market.chain_arc_count(), arc_count);
+        let mut by_deadline: Vec<u32> = (0..market.num_tasks() as u32).collect();
+        by_deadline.sort_by_key(|&m| market.tasks()[m as usize].completion_deadline);
+        assert_eq!(market.topo_order(), by_deadline);
+        // Longest chain by node count, straight off the direct arcs.
+        let mut depth = vec![1usize; market.num_tasks()];
+        for &u in &by_deadline {
+            for e in &direct[u as usize] {
+                depth[e.to as usize] = depth[e.to as usize].max(depth[u as usize] + 1);
+            }
+        }
+        assert_eq!(market.chain_diameter(), depth.into_iter().max().unwrap());
+    }
+
+    #[test]
+    fn a_market_is_shareable_and_a_clone_keeps_what_was_built() {
+        fn shareable<T: Send + Sync + Clone>() {}
+        shareable::<Market>();
+
+        let a = stationary_task(0, pt(0.0), 0, 600, 1.0);
+        let b = stationary_task(1, pt(0.0), 1200, 1800, 1.0);
+        let c = stationary_task(2, pt(0.0), 2400, 3000, 1.0);
+        let market = Market::new(vec![], vec![a, b, c], fast_speed(), None);
+        let unread = market.clone();
+        assert!(!unread.graph_is_built());
+        assert_eq!(market.chain_edges(0).len(), 2);
+        let built = market.clone();
+        assert!(built.graph_is_built());
+        for m in 0..3 {
+            assert_eq!(built.chain_edges(m), market.chain_edges(m));
+            assert_eq!(unread.chain_edges(m), market.chain_edges(m));
+        }
+        assert_eq!(built.topo_order(), market.topo_order());
     }
 
     #[test]

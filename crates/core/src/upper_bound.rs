@@ -13,8 +13,8 @@
 //! pricing subproblem for driver `i` asks for the path maximising the
 //! reduced cost `r_π − Σ_{m∈π} μₘ − λᵢ` — exactly a longest-path query in
 //! driver `i`'s task-map DAG with dual-adjusted node weights, solved in
-//! time linear in that driver's own task map (compacted once, before the
-//! first round; see [`crate::DriverView::best_path_priced`] for the
+//! time linear in that driver's own task map (compacted once per market,
+//! shared with Alg. 1; see [`crate::DriverView::best_path_priced`] for the
 //! one-shot form of the same DP). When no path
 //! prices positive the master optimum *is* `Z_f*`; if the round budget is
 //! hit first, the Lagrangian bound `master + Σᵢ max(0, best reduced cost)`
@@ -23,9 +23,10 @@
 use rideshare_lp::PackingLp;
 use rideshare_types::{Money, Result};
 
-use crate::greedy::greedy_over;
+use crate::assignment::path_profit;
+use crate::greedy::solve_greedy;
 use crate::market::{Market, Objective};
-use crate::view::{task_margins, BestPath, DriverView, PathScratch, TaskMap};
+use crate::view::{task_margins, BestPath, PathScratch};
 
 /// Options for [`lp_upper_bound`]. Every caller passes the
 /// [`Default`]; the fields are this module's own test handles (the
@@ -118,8 +119,7 @@ pub fn lp_upper_bound(
     // Rows 0..n are driver convexity rows (10a as ≤ 1); rows n..n+m are the
     // task node-disjointness rows (10b).
     let mut master = PackingLp::new(n + m);
-    let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
-    let maps: Vec<TaskMap> = views.iter().map(|v| v.task_map(market)).collect();
+    let maps = market.task_maps();
 
     let mut columns = 0usize;
     let mut support = Vec::new();
@@ -133,13 +133,13 @@ pub fn lp_upper_bound(
     };
 
     if opts.warm_start_greedy {
-        let greedy = greedy_over(market, objective, &maps);
+        let greedy = solve_greedy(market, objective);
         for (i, route) in greedy.assignment.routes().iter().enumerate() {
             if route.tasks.is_empty() {
                 continue;
             }
             let tasks: Vec<u32> = route.tasks.iter().map(|t| t.raw()).collect();
-            let profit = views[i].path_profit(market, objective, &tasks);
+            let profit = path_profit(market, objective, i, tasks.iter().map(|&t| t as usize));
             if profit.is_strictly_positive() {
                 add_path(&mut master, i, &tasks, profit.as_f64());
             }
@@ -174,7 +174,8 @@ pub fn lp_upper_bound(
             // The empty path contributes −λᵢ ≤ 0, so a positive reduced
             // cost certifies an improving path.
             if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
-                let true_profit = views[i].path_profit(market, objective, &priced.tasks);
+                let tasks = priced.tasks.iter().map(|&t| t as usize);
+                let true_profit = path_profit(market, objective, i, tasks);
                 add_path(&mut master, i, &priced.tasks, true_profit.as_f64());
                 any = true;
             }

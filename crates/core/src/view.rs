@@ -13,8 +13,9 @@ use crate::market::{Market, Objective};
 /// that validation, summaries, the partitioner and the exact solver pay.
 /// The longest-path DP (the primitive both Alg. 1 and the pricing oracle
 /// use) runs over the compacted form `task_map` derives from it; Alg. 1
-/// and the column generation compact once per driver and query many
-/// times, [`DriverView::best_path`] compacts per call.
+/// and the column generation share one compaction per driver, kept on
+/// the [`Market`], and query many times; [`DriverView::best_path`]
+/// compacts per call.
 #[derive(Clone, Debug)]
 pub struct DriverView {
     driver: usize,
@@ -241,7 +242,7 @@ impl DriverView {
     /// Maximum-profit path with per-task dual prices subtracted — the
     /// column-generation pricing oracle. The returned `profit` is the
     /// *reduced* value `r_π − Σ_{m∈π} task_dual(m) − driver_dual`; the true
-    /// `r_π` can be recomputed with [`DriverView::path_profit`].
+    /// `r_π` is [`crate::Assignment::route_profit`]'s.
     ///
     /// One-shot form of the oracle: it compacts the task map, runs the DP
     /// once and drops both, `O(M + |chain arcs|)` in all. Alg. 1 and the
@@ -305,32 +306,6 @@ impl DriverView {
             first_arc,
             arcs,
         }
-    }
-
-    /// The true profit `r_π` of an explicit task sequence for this driver:
-    /// task margins minus connection costs plus the commute refund.
-    ///
-    /// Does **not** check feasibility; pair with
-    /// [`crate::Assignment::validate`].
-    #[must_use]
-    pub fn path_profit(&self, market: &Market, objective: Objective, tasks: &[u32]) -> Money {
-        if tasks.is_empty() {
-            return Money::ZERO;
-        }
-        let ts = market.tasks();
-        let speed = market.speed();
-        let mut total = self.direct_cost - self.source_cost[tasks[0] as usize];
-        for (k, &i) in tasks.iter().enumerate() {
-            total += ts[i as usize].margin(objective).as_f64();
-            if k + 1 < tasks.len() {
-                let j = tasks[k + 1] as usize;
-                total -= speed
-                    .travel_cost(ts[i as usize].destination, ts[j].origin)
-                    .as_f64();
-            }
-        }
-        total -= self.sink_cost[*tasks.last().expect("non-empty") as usize];
-        Money::new(total)
     }
 }
 
@@ -408,7 +383,8 @@ mod tests {
         // Costs: direct refund 3.0; path drives 0→10→20→30 = 30 km = 3.0.
         // Profit = 3+3 (margins) − 3.0 + 3.0 = 6.0.
         assert!((best.profit - 6.0).abs() < 1e-6, "profit {}", best.profit);
-        let recomputed = view.path_profit(&market, Objective::Profit, &best.tasks);
+        let route = best.tasks.iter().map(|&t| t as usize);
+        let recomputed = crate::assignment::path_profit(&market, Objective::Profit, 0, route);
         assert!(recomputed.approx_eq(Money::new(best.profit)));
     }
 

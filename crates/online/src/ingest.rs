@@ -86,11 +86,13 @@ pub enum IngestError {
     },
     /// A coordinate that is not finite, or an amount that is not finite
     /// or lies beyond [`EventGuard::MAX_AMOUNT`] — admitted, it would
-    /// saturate or wrap the exact accumulators and be reported as data.
+    /// saturate or wrap the exact accumulators and be reported as data —
+    /// or an instant beyond [`EventGuard::MAX_INSTANT_SECS`], which would
+    /// overflow the clock arithmetic or size the hourly table by it.
     OutOfRange {
-        /// The kind of event that carried it: `task` or `driver`.
+        /// The kind of event that carried it: `task`, `driver` or `tick`.
         event: &'static str,
-        /// That task's or driver's id.
+        /// That task's or driver's id (0 for a tick, which has none).
         id: u32,
         /// The offending field.
         field: &'static str,
@@ -122,8 +124,10 @@ impl fmt::Display for IngestError {
             }
             IngestError::OutOfRange { event, id, field } => write!(
                 f,
-                "{event} {id}: {field} out of range (not finite, or an amount beyond ±{:e})",
-                EventGuard::MAX_AMOUNT
+                "{event} {id}: {field} out of range (not finite, an amount beyond ±{:e}, \
+                 or an instant beyond ±{} s)",
+                EventGuard::MAX_AMOUNT,
+                EventGuard::MAX_INSTANT_SECS
             ),
         }
     }
@@ -473,8 +477,9 @@ where
 /// contract grounds — which is what lets the daemon return typed errors
 /// for hostile input while the engines keep their fail-fast internals.
 /// It is also the one place a feed's numbers are bounded: coordinates
-/// must be finite and amounts within [`EventGuard::MAX_AMOUNT`], so
-/// nothing downstream has to doubt a value it sums.
+/// must be finite, amounts within [`EventGuard::MAX_AMOUNT`] and instants
+/// within [`EventGuard::MAX_INSTANT_SECS`], so nothing downstream has to
+/// doubt a value it sums, adds a window to or sizes a table by.
 #[derive(Debug, Default)]
 pub struct EventGuard {
     clock: Option<Timestamp>,
@@ -487,21 +492,38 @@ impl EventGuard {
     /// 2⁻⁴⁰, so 10¹² (under 2⁸⁰ of them) leaves room for 2⁴⁶ addends.
     pub const MAX_AMOUNT: f64 = 1e12;
 
+    /// The largest instant admitted, in seconds either side of the
+    /// epoch: ten 366-day years. Every window, hold and day length a flag
+    /// can set stops at 366 days, so no `instant + window` or
+    /// `day_end + day_length` can overflow, and the hourly window table,
+    /// which is dense from hour 0, tops out at 87,840 buckets (≈ 4.2 MB).
+    pub const MAX_INSTANT_SECS: i64 = 10 * 366 * 86_400;
+
     /// A fresh guard (no events seen).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Refuses a coordinate that is not finite and an amount that is not
-    /// finite or beyond [`EventGuard::MAX_AMOUNT`].
+    /// Refuses a coordinate that is not finite, an amount that is not
+    /// finite or beyond [`EventGuard::MAX_AMOUNT`], and an instant beyond
+    /// [`EventGuard::MAX_INSTANT_SECS`] (or a service time that is
+    /// negative or longer than that).
     fn check_values(event: &StreamEvent) -> Result<(), IngestError> {
         let finite = |p: GeoPoint| p.lat().is_finite() && p.lon().is_finite();
+        let span = -Self::MAX_INSTANT_SECS..=Self::MAX_INSTANT_SECS;
+        let in_range = |at: Timestamp| span.contains(&at.as_secs());
         let refuse = |event, id, field| Err(IngestError::OutOfRange { event, id, field });
         match event {
             StreamEvent::DriverOnline(d) => {
                 for (field, p) in [("source", d.source), ("destination", d.destination)] {
                     if !finite(p) {
+                        return refuse("driver", d.id.raw(), field);
+                    }
+                }
+                let instants = [("shift_start", d.shift_start), ("shift_end", d.shift_end)];
+                for (field, at) in instants {
+                    if !in_range(at) {
                         return refuse("driver", d.id.raw(), field);
                     }
                 }
@@ -524,8 +546,27 @@ impl EventGuard {
                         return refuse("task", t.id.raw(), field);
                     }
                 }
+                let instants = [
+                    ("publish", t.publish_time),
+                    ("pickup_by", t.pickup_deadline),
+                    ("complete_by", t.completion_deadline),
+                ];
+                for (field, at) in instants {
+                    if !in_range(at) {
+                        return refuse("task", t.id.raw(), field);
+                    }
+                }
+                if !(0..=Self::MAX_INSTANT_SECS).contains(&t.duration.as_secs()) {
+                    return refuse("task", t.id.raw(), "duration");
+                }
             }
-            StreamEvent::DriverOffline(_) | StreamEvent::EpochTick(_) => {}
+            StreamEvent::EpochTick(at) => {
+                if !in_range(*at) {
+                    return refuse("tick", 0, "at");
+                }
+            }
+            // Carries a driver id and no instant.
+            StreamEvent::DriverOffline(_) => {}
         }
         Ok(())
     }

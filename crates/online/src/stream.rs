@@ -12,9 +12,9 @@
 //! `O(active tasks + live fleet)` — plus, under batching, one frozen
 //! point per compacted driver — never `O(trace)`; results leave through a
 //! [`StreamSink`] as they are decided. Building a
-//! [`Market`] is `O(trace)` memory (and `O(M²)` time for the offline chain
-//! arcs, which online dispatch never uses), so million-order days are fed
-//! lazily; a market that *is* materialized is fed through the same engine
+//! [`Market`] is `O(trace)` memory (its `O(M²)` offline chain arcs are
+//! built on first read, and online dispatch never reads them), so
+//! million-order days are fed lazily; a market that *is* materialized is fed through the same engine
 //! by [`crate::replay_market`], the front-end behind [`crate::Simulator`]
 //! and [`crate::run_batched_with`].
 //!

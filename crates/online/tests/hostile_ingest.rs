@@ -9,8 +9,8 @@
 
 use rideshare_geo::{GeoPoint, SpeedModel};
 use rideshare_online::{
-    CollectingSink, FileSource, IngestError, IngestFormat, IngestSource, ServeConfig, ServeDaemon,
-    ServeOutcome, ServeStop, ShardPolicySpec, TcpSource,
+    CollectingSink, EventGuard, FileSource, IngestError, IngestFormat, IngestSource, ServeConfig,
+    ServeDaemon, ServeOutcome, ServeStop, ShardPolicySpec, TcpSource,
 };
 use rideshare_trace::wire::{
     encode_frame, to_csv_line, to_json_line, WireDriver, WireEvent, WireTask,
@@ -326,4 +326,120 @@ fn frames_carrying_nan_bits_are_refused_by_task_and_field() {
     };
     let mut source = TcpSource::from_stream(loopback(lost));
     assert_refused(&mut source, &refused, 0, "driver source");
+}
+
+// --- instants no day holds -------------------------------------------------
+
+/// `events` through each transport in turn: a JSONL file, a CSV file,
+/// binary frames over loopback TCP.
+fn over_every_transport(
+    tag: &str,
+    events: &[WireEvent],
+    mut check: impl FnMut(&mut dyn IngestSource, &str),
+) {
+    for format in [IngestFormat::Jsonl, IngestFormat::Csv] {
+        let lines: Vec<String> = events
+            .iter()
+            .map(|e| match format {
+                IngestFormat::Jsonl => to_json_line(e),
+                IngestFormat::Csv => to_csv_line(e),
+            })
+            .collect();
+        let feed = TempEvents::new(&format!("{tag}-{format:?}"), &[]);
+        std::fs::write(&feed.0, lines.join("\n") + "\n").unwrap();
+        let mut source = FileSource::open(&feed.0, format).unwrap();
+        check(&mut source, &format!("{tag} {format:?}"));
+    }
+    let bytes = events.iter().flat_map(encode_frame).collect();
+    let mut source = TcpSource::from_stream(loopback(bytes));
+    check(&mut source, &format!("{tag} frames"));
+}
+
+#[test]
+fn instants_beyond_the_bound_are_refused_by_event_and_field() {
+    // A publish time near `i64::MAX` was admitted and sized the dense
+    // hourly window table by itself (`memory allocation of
+    // 122978293824730368 bytes failed`, abort, no report); the same value
+    // reached `publish_time + window` and `next_day_end += day_length`.
+    const BOUND: i64 = EventGuard::MAX_INSTANT_SECS;
+    let at = Timestamp::from_secs;
+    let task = WireEvent::TaskPublished;
+    let order_one = [
+        ("publish", i64::MAX),
+        ("publish", i64::MIN),
+        ("publish", BOUND + 1),
+        ("pickup_by", i64::MAX),
+        ("complete_by", -BOUND - 1),
+        ("duration", -1),
+        ("duration", BOUND + 1),
+    ];
+    let orders = order_one.map(|(field, secs)| {
+        let mut bad = wire_task(1, 7300);
+        match field {
+            "publish" => bad.publish_time = at(secs),
+            "pickup_by" => bad.pickup_deadline = at(secs),
+            "complete_by" => bad.completion_deadline = at(secs),
+            _ => bad.duration = TimeDelta::from_secs(secs),
+        }
+        (task(bad), "task", 1, field)
+    });
+    let ticks = [i64::MAX, BOUND + 1].map(|t| (WireEvent::EpochTick(t), "tick", 0, "at"));
+    for (n, (bad, event, id, field)) in orders.into_iter().chain(ticks).enumerate() {
+        let refused = IngestError::OutOfRange { event, id, field };
+        let events = [
+            wire_driver(GeoPoint::new(41.15, -8.63)),
+            task(wire_task(0, 7200)),
+            bad,
+        ];
+        over_every_transport(&format!("instant-{n}-{field}"), &events, |source, case| {
+            assert_refused(source, &refused, 2, case);
+        });
+    }
+
+    // A shift no day holds is refused with its driver, before the dense-id
+    // count moves.
+    let WireEvent::DriverOnline(announced) = wire_driver(GeoPoint::new(41.15, -8.63)) else {
+        unreachable!()
+    };
+    for (field, bad) in [
+        (
+            "shift_start",
+            WireDriver {
+                shift_start: at(i64::MIN),
+                ..announced
+            },
+        ),
+        (
+            "shift_end",
+            WireDriver {
+                shift_end: at(BOUND + 1),
+                ..announced
+            },
+        ),
+    ] {
+        let refused = IngestError::OutOfRange {
+            event: "driver",
+            id: 0,
+            field,
+        };
+        over_every_transport(field, &[WireEvent::DriverOnline(bad)], |source, case| {
+            assert_refused(source, &refused, 0, case);
+        });
+    }
+
+    // The bound itself is admitted, either sign.
+    let edge = [
+        WireEvent::EpochTick(-BOUND),
+        WireEvent::DriverOnline(WireDriver {
+            shift_start: at(-BOUND),
+            shift_end: at(BOUND),
+            ..announced
+        }),
+        task(wire_task(0, BOUND - 4000)),
+        WireEvent::EpochTick(BOUND),
+    ];
+    over_every_transport("instant-edge", &edge, |source, case| {
+        let outcome = serve(source);
+        assert_eq!((outcome.error, outcome.report.events), (None, 4), "{case}");
+    });
 }

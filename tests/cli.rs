@@ -471,6 +471,31 @@ fn serve_rejects_malformed_input_with_typed_errors() {
     assert!(report.contains("served 1/1"), "{report}");
     assert!(report.contains("revenue 12.50"), "{report}");
 
+    // So is an instant no day holds: a publish time near `i64::MAX` sized
+    // the dense hourly table by itself and aborted the daemon (exit 134,
+    // `memory allocation of 122978293824730368 bytes failed`, no report).
+    let late = order(1, 7300, "12.5")
+        .replace(":7300,", ":9223372036854775000,")
+        .replace(":8200,", ":9223372036854775600,")
+        .replace(":11300,", ":9223372036854775800,");
+    let lines = [announce, &order(0, 7200, "12.5"), &late];
+    std::fs::write(&feed, lines.concat()).unwrap();
+    let far = cli(&[
+        "serve",
+        "--source",
+        &format!("jsonl:{}", feed.to_str().unwrap()),
+        "--canonical",
+    ]);
+    assert_eq!(far.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&far.stderr);
+    assert!(
+        stderr.contains("error: ingest: task 1: publish out of range"),
+        "{stderr}"
+    );
+    let report = String::from_utf8_lossy(&far.stdout);
+    assert!(report.contains("stop: ingest error"), "{report}");
+    assert!(report.contains("served 1/1"), "{report}");
+
     // Bad source schemes and shard/region mismatches are caught up front.
     let scheme = cli(&["serve", "--source", "ftp://example"]);
     assert!(!scheme.status.success());
