@@ -605,7 +605,7 @@ mod tests {
                             .travel_cost(d.source, ts[first.index()].origin)
                             .as_f64();
                     for (k, t) in route.tasks.iter().enumerate() {
-                        total += ts[t.index()].margin(Objective::Profit).as_f64();
+                        total += Objective::Profit.margin(&ts[t.index()]).as_f64();
                         if let Some(next) = route.tasks.get(k + 1) {
                             total -= speed
                                 .travel_cost(ts[t.index()].destination, ts[next.index()].origin)

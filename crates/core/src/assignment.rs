@@ -28,13 +28,13 @@ pub(crate) fn path_profit(
     let d = &market.drivers()[driver];
     let mut total = market.direct_cost(driver).as_f64()
         - speed.travel_cost(d.source, ts[first].origin).as_f64();
-    total += ts[first].margin(objective).as_f64();
+    total += objective.margin(&ts[first]).as_f64();
     let mut last = first;
     for next in tasks {
         total -= speed
             .travel_cost(ts[last].destination, ts[next].origin)
             .as_f64();
-        total += ts[next].margin(objective).as_f64();
+        total += objective.margin(&ts[next]).as_f64();
         last = next;
     }
     total -= speed
@@ -225,7 +225,8 @@ impl Assignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::market::{Driver, MarketBuildOptions, Task};
+    use crate::market::MarketBuildOptions;
+    use crate::{Driver, Task};
     use rideshare_geo::{GeoPoint, SpeedModel};
     use rideshare_trace::{DriverModel, TraceConfig};
     use rideshare_types::{TimeDelta, Timestamp};

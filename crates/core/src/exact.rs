@@ -97,7 +97,7 @@ fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Res
         let mine: Vec<usize> = (0..m).filter(|&t| view.is_allowed(t)).collect();
         let mut xs = Vec::with_capacity(mine.len());
         for &t in &mine {
-            let margin = market.tasks()[t].margin(objective).as_f64();
+            let margin = objective.margin(&market.tasks()[t]).as_f64();
             xs.push(lp.add_var(margin));
         }
         let mut my_arcs = Vec::new();
@@ -186,7 +186,7 @@ fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Res
             let mut coeffs: Vec<(usize, f64)> = allowed[d]
                 .iter()
                 .enumerate()
-                .map(|(k, &t)| (x_var[d][k], market.tasks()[t].margin(objective).as_f64()))
+                .map(|(k, &t)| (x_var[d][k], objective.margin(&market.tasks()[t]).as_f64()))
                 .collect();
             coeffs.extend(arcs[d].iter().map(|(_, _, v, c)| (*v, -*c)));
             lp.add_constraint(coeffs, Cmp::Ge, -market.direct_cost(d).as_f64());

@@ -54,7 +54,7 @@ pub fn task_map_dag(market: &Market, driver: usize, objective: Objective) -> Tas
             continue;
         }
         let task = &market.tasks()[t];
-        dag.set_node_weight(t, task.margin(objective).as_f64());
+        dag.set_node_weight(t, objective.margin(task).as_f64());
         dag.add_edge(
             source,
             t,

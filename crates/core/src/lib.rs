@@ -6,7 +6,9 @@
 //!
 //! - [`Market`]: the two-sided market configuration of §III-A — `N` drivers
 //!   with daily travel plans, `M` tasks with deadlines, prices `pₘ`, and
-//!   valuations `bₘ` — plus the **task-map** arcs of §III-B (Eqs. 1–3),
+//!   valuations `bₘ` ([`Driver`] and [`Task`], the records
+//!   `rideshare-trace` defines and its wire formats carry, re-exported
+//!   here) — plus the **task-map** arcs of §III-B (Eqs. 1–3),
 //!   stored as one shared driver-independent chain graph and per-driver
 //!   reachability views ([`DriverView`]),
 //! - [`Assignment`]: a feasible solution (one node-disjoint task list per
@@ -62,7 +64,12 @@ mod view;
 pub use assignment::{Assignment, DriverRoute};
 pub use exact::{solve_exact, ExactOutcome};
 pub use greedy::{solve_greedy, GreedyOutcome};
-pub use market::{ChainEdge, Driver, Market, MarketBuildOptions, Objective, Task};
+pub use market::{ChainEdge, Market, MarketBuildOptions, Objective};
+// The market's two records, defined once in `rideshare-trace` (the lowest
+// layer that names them: it generates drivers and owns the wire format of
+// both) and re-exported under the names every solver uses.
+pub use rideshare_trace::{Driver, Task};
+
 pub use partition::{
     components_upper_bound, disjoint_components, disjoint_components_sharded, sharded_upper_bound,
     solve_components, solve_sharded, SubMarket,

@@ -2,10 +2,10 @@
 
 use std::sync::OnceLock;
 
-use rideshare_geo::{GeoPoint, SpeedModel};
+use rideshare_geo::SpeedModel;
 use rideshare_pricing::{FareModel, SurgeConfig, WtpModel};
-use rideshare_trace::{DriverModel, Trace};
-use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
+use rideshare_trace::{Driver, Task, Trace};
+use rideshare_types::{Money, TimeDelta};
 
 use crate::streaming::StreamPricer;
 use crate::view::{DriverView, TaskMap};
@@ -24,78 +24,14 @@ pub enum Objective {
     Welfare,
 }
 
-/// A task (customer order) in the market, the paper's `m ∈ [M]`.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Task {
-    /// Dense identifier.
-    pub id: TaskId,
-    /// When the order was submitted (`t̄ₘ`).
-    pub publish_time: Timestamp,
-    /// Pickup location (`s̄ₘ`).
-    pub origin: GeoPoint,
-    /// Drop-off location (`d̄ₘ`).
-    pub destination: GeoPoint,
-    /// Pickup deadline (`t̄⁻ₘ`).
-    pub pickup_deadline: Timestamp,
-    /// Completion deadline (`t̄⁺ₘ`).
-    pub completion_deadline: Timestamp,
-    /// In-service travel time (`l̂ₙ,ₘ`, driver-independent here).
-    pub duration: TimeDelta,
-    /// Payoff to the serving driver (`pₘ`), surge included.
-    pub price: Money,
-    /// Customer's willingness to pay (`bₘ ≥ pₘ`).
-    pub valuation: Money,
-    /// Driver's cost to serve origin→destination (`ĉₙ,ₘ`).
-    pub service_cost: Money,
-}
-
-impl Task {
-    /// Net contribution of serving this task under `objective`, before
+impl Objective {
+    /// Net contribution of serving `task` under this objective, before
     /// connection costs: `pₘ − ĉₙ,ₘ` or `bₘ − ĉₙ,ₘ`.
     #[must_use]
-    pub fn margin(&self, objective: Objective) -> Money {
-        match objective {
-            Objective::Profit => self.price - self.service_cost,
-            Objective::Welfare => self.valuation - self.service_cost,
-        }
-    }
-
-    /// Whether the task's own window can fit its service time — the paper's
-    /// `ĥₙ,ₘ` precondition (Eq. 1).
-    #[must_use]
-    pub fn window_feasible(&self) -> bool {
-        self.duration <= self.completion_deadline - self.pickup_deadline
-    }
-}
-
-/// A driver in the market, the paper's `n ∈ [N]`.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Driver {
-    /// Dense identifier.
-    pub id: DriverId,
-    /// Start location (`sₙ`).
-    pub source: GeoPoint,
-    /// End-of-day location (`dₙ`).
-    pub destination: GeoPoint,
-    /// Start of availability (`t⁻ₙ`).
-    pub shift_start: Timestamp,
-    /// End of availability (`t⁺ₙ`).
-    pub shift_end: Timestamp,
-    /// Which working model the driver follows.
-    pub model: DriverModel,
-}
-
-impl From<&rideshare_trace::DriverShift> for Driver {
-    /// A market driver is a trace shift verbatim — one conversion shared
-    /// by [`Market::from_trace`] and the streaming replay pipeline.
-    fn from(d: &rideshare_trace::DriverShift) -> Self {
-        Driver {
-            id: d.id,
-            source: d.source,
-            destination: d.destination,
-            shift_start: d.shift_start,
-            shift_end: d.shift_end,
-            model: d.model,
+    pub fn margin(self, task: &Task) -> Money {
+        match self {
+            Objective::Profit => task.price - task.service_cost,
+            Objective::Welfare => task.valuation - task.service_cost,
         }
     }
 }
@@ -263,17 +199,21 @@ impl Market {
     pub fn from_trace(trace: &Trace, opts: &MarketBuildOptions) -> Self {
         let mut pricer = StreamPricer::for_trace(opts, trace);
         let tasks: Vec<Task> = trace.trips.iter().map(|t| pricer.price(t)).collect();
-        let drivers: Vec<Driver> = trace.drivers.iter().map(Driver::from).collect();
-        Self::new(drivers, tasks, trace.speed, opts.max_chain_wait)
+        Self::new(
+            trace.drivers.clone(),
+            tasks,
+            trace.speed,
+            opts.max_chain_wait,
+        )
     }
 
-    /// The drivers, indexed by [`DriverId::index`].
+    /// The drivers, indexed by [`rideshare_types::DriverId::index`].
     #[must_use]
     pub fn drivers(&self) -> &[Driver] {
         &self.drivers
     }
 
-    /// The tasks, indexed by [`TaskId::index`].
+    /// The tasks, indexed by [`rideshare_types::TaskId::index`].
     #[must_use]
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
@@ -409,7 +349,9 @@ fn build_chain_arcs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rideshare_trace::TraceConfig;
+    use rideshare_geo::GeoPoint;
+    use rideshare_trace::{DriverModel, TraceConfig};
+    use rideshare_types::{DriverId, TaskId, Timestamp};
 
     fn pt(km_east: f64) -> GeoPoint {
         GeoPoint::new(41.15, -8.61).offset_km(0.0, km_east)
@@ -509,10 +451,10 @@ mod tests {
         for t in market.tasks() {
             assert!(t.valuation >= t.price, "IR: bₘ ≥ pₘ");
             assert!(
-                t.margin(Objective::Profit).is_strictly_positive(),
+                Objective::Profit.margin(t).is_strictly_positive(),
                 "porto fares exceed fuel cost"
             );
-            assert!(t.margin(Objective::Welfare) >= t.margin(Objective::Profit));
+            assert!(Objective::Welfare.margin(t) >= Objective::Profit.margin(t));
         }
     }
 

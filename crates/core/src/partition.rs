@@ -31,9 +31,10 @@ use rideshare_types::{DriverId, Result, TaskId};
 
 use crate::assignment::Assignment;
 use crate::greedy::solve_greedy;
-use crate::market::{Driver, Market, Objective, Task};
+use crate::market::{Market, Objective};
 use crate::upper_bound::{lp_upper_bound, UpperBoundOptions, UpperBoundResult};
 use crate::view::DriverView;
+use crate::{Driver, Task};
 
 /// One grid cell's sub-market, with maps back to global indices.
 #[derive(Clone, Debug)]

@@ -59,10 +59,10 @@ use rand::SeedableRng;
 
 use rideshare_geo::{BoundingBox, CellId, GridIndex, SpeedModel};
 use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
-use rideshare_trace::{DriverShift, Trace, TripRecord};
+use rideshare_trace::{Driver, Task, Trace, TripRecord};
 use rideshare_types::{TimeDelta, Timestamp};
 
-use crate::market::{MarketBuildOptions, Task};
+use crate::market::MarketBuildOptions;
 
 /// Prices trips into [`Task`]s one at a time — on a stream in
 /// `O(grid cells + drivers)` memory, and as the body of
@@ -114,7 +114,7 @@ impl StreamPricer {
         opts: &MarketBuildOptions,
         bbox: BoundingBox,
         speed: SpeedModel,
-        drivers: &[DriverShift],
+        drivers: &[Driver],
     ) -> Self {
         let (rows, cols) = opts.surge_grid;
         let grid: GridIndex<u32> = GridIndex::new(bbox, rows, cols);
@@ -308,8 +308,8 @@ mod tests {
         };
         for task in stream_tasks(&cfg, &opts) {
             assert!(task.valuation >= task.price, "IR: bₘ ≥ pₘ");
-            assert!(task
-                .margin(crate::market::Objective::Profit)
+            assert!(crate::market::Objective::Profit
+                .margin(&task)
                 .is_strictly_positive());
         }
     }

@@ -63,7 +63,7 @@ impl MarketSummary {
             market
                 .tasks()
                 .iter()
-                .map(|t| t.margin(Objective::Profit).as_f64())
+                .map(|t| Objective::Profit.margin(t).as_f64())
                 .sum::<f64>()
                 / m as f64
         };

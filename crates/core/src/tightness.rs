@@ -26,7 +26,8 @@ use rideshare_geo::{GeoPoint, SpeedModel};
 use rideshare_trace::DriverModel;
 use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
 
-use crate::market::{Driver, Market, Task};
+use crate::market::Market;
+use crate::{Driver, Task};
 
 /// A generated tightness instance with its analytically known optima.
 #[derive(Clone, Debug)]

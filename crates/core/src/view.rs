@@ -48,7 +48,7 @@ pub(crate) const REMOVED: f64 = f64::NEG_INFINITY;
 /// values of the path oracle before duals or removals.
 pub(crate) fn task_margins(market: &Market, objective: Objective) -> Vec<f64> {
     let tasks = market.tasks().iter();
-    tasks.map(|t| t.margin(objective).as_f64()).collect()
+    tasks.map(|t| objective.margin(t).as_f64()).collect()
 }
 
 /// One driver's task map compacted for the path oracle
@@ -312,7 +312,7 @@ impl DriverView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::market::{Driver, Task};
+    use crate::{Driver, Task};
     use rideshare_geo::{GeoPoint, SpeedModel};
     use rideshare_trace::DriverModel;
     use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};

@@ -27,13 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rideshare_core::{Driver, Task};
 use rideshare_geo::GeoPoint;
 use rideshare_trace::wire::{
     from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder, WireError, WireEvent,
-    WireTask,
 };
-use rideshare_types::{DriverId, Money, TaskId, Timestamp};
+use rideshare_types::{DriverId, Timestamp};
 
 use crate::stream::StreamEvent;
 
@@ -141,65 +139,28 @@ impl From<WireError> for IngestError {
     }
 }
 
-/// Converts a wire event into an engine event; `None` for
-/// [`WireEvent::Eos`].
+/// Relabels a wire event as an engine event — the records pass through
+/// untouched; only the offline hint's id and the tick's instant gain
+/// their types. `None` for [`WireEvent::Eos`].
 #[must_use]
 pub fn wire_to_event(wire: WireEvent) -> Option<StreamEvent> {
     match wire {
-        WireEvent::DriverOnline(d) => Some(StreamEvent::DriverOnline(Driver {
-            id: DriverId::new(d.id),
-            source: d.source,
-            destination: d.destination,
-            shift_start: d.shift_start,
-            shift_end: d.shift_end,
-            model: d.model,
-        })),
-        WireEvent::TaskPublished(t) => Some(StreamEvent::TaskPublished(Task {
-            id: TaskId::new(t.id),
-            publish_time: t.publish_time,
-            origin: t.origin,
-            destination: t.destination,
-            pickup_deadline: t.pickup_deadline,
-            completion_deadline: t.completion_deadline,
-            duration: t.duration,
-            price: Money::new(t.price),
-            valuation: Money::new(t.valuation),
-            service_cost: Money::new(t.service_cost),
-        })),
+        WireEvent::DriverOnline(d) => Some(StreamEvent::DriverOnline(d)),
+        WireEvent::TaskPublished(t) => Some(StreamEvent::TaskPublished(t)),
         WireEvent::DriverOffline(id) => Some(StreamEvent::DriverOffline(DriverId::new(id))),
         WireEvent::EpochTick(at) => Some(StreamEvent::EpochTick(Timestamp::from_secs(at))),
         WireEvent::Eos => None,
     }
 }
 
-/// Converts an engine event into its wire form (always succeeds — every
+/// Relabels an engine event as its wire form (always succeeds — every
 /// engine event has a wire representation; [`WireEvent::Eos`] has no
 /// engine-side counterpart and is emitted by producers explicitly).
 #[must_use]
 pub fn event_to_wire(event: &StreamEvent) -> WireEvent {
-    match event {
-        StreamEvent::DriverOnline(d) => {
-            WireEvent::DriverOnline(rideshare_trace::wire::WireDriver {
-                id: d.id.raw(),
-                source: d.source,
-                destination: d.destination,
-                shift_start: d.shift_start,
-                shift_end: d.shift_end,
-                model: d.model,
-            })
-        }
-        StreamEvent::TaskPublished(t) => WireEvent::TaskPublished(WireTask {
-            id: t.id.raw(),
-            publish_time: t.publish_time,
-            origin: t.origin,
-            destination: t.destination,
-            pickup_deadline: t.pickup_deadline,
-            completion_deadline: t.completion_deadline,
-            duration: t.duration,
-            price: t.price.as_f64(),
-            valuation: t.valuation.as_f64(),
-            service_cost: t.service_cost.as_f64(),
-        }),
+    match *event {
+        StreamEvent::DriverOnline(d) => WireEvent::DriverOnline(d),
+        StreamEvent::TaskPublished(t) => WireEvent::TaskPublished(t),
         StreamEvent::DriverOffline(id) => WireEvent::DriverOffline(id.raw()),
         StreamEvent::EpochTick(at) => WireEvent::EpochTick(at.as_secs()),
     }
@@ -446,7 +407,7 @@ impl IngestSource for TcpSource {
 
 /// An in-process iterator as an ingest source — the test harness's way to
 /// run the daemon with zero I/O, and the adapter that makes every lazy
-/// event pipeline (`TraceStream` + pricer) servable.
+/// event pipeline ([`crate::priced_events`]) servable.
 pub struct IterSource<I> {
     events: I,
 }
@@ -621,9 +582,9 @@ pub fn event_to_line(event: &StreamEvent, format: IngestFormat) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rideshare_geo::GeoPoint;
+    use rideshare_core::{Driver, Task};
     use rideshare_trace::DriverModel;
-    use rideshare_types::TimeDelta;
+    use rideshare_types::{Money, TaskId, TimeDelta};
     use std::io::Write;
 
     fn driver(id: u32) -> StreamEvent {
@@ -650,20 +611,6 @@ mod tests {
             valuation: Money::new(7.25),
             service_cost: Money::new(2.0),
         })
-    }
-
-    #[test]
-    fn wire_conversion_round_trips() {
-        for e in [
-            driver(0),
-            task(0, 100),
-            StreamEvent::DriverOffline(DriverId::new(0)),
-            StreamEvent::EpochTick(Timestamp::from_secs(5000)),
-        ] {
-            let back = wire_to_event(event_to_wire(&e)).unwrap();
-            assert_eq!(back, e);
-        }
-        assert_eq!(wire_to_event(WireEvent::Eos), None);
     }
 
     #[test]

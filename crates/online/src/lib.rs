@@ -20,6 +20,10 @@
 //!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
 //!   the LP-backed [`OptimalAssignmentMatcher`]); expired drivers are
 //!   garbage-collected losslessly (`StreamOptions::compact_threshold`),
+//! - [`priced_events`]: the feed of a generated day — every shift of a
+//!   `TraceStream` announced, then each trip priced into a task as it is
+//!   pulled — the one place that sequence is written; [`market_events`] is
+//!   its counterpart for a materialised market,
 //! - [`NearestDriver`]: Algorithm 3 — pick the candidate with the earliest
 //!   arrival at the pickup, random tie-break,
 //! - [`MaxMargin`]: Algorithm 4 — pick the candidate with the largest
@@ -46,7 +50,9 @@
 //!   or any in-process iterator ([`IterSource`]), with periodic metrics
 //!   snapshots and day-boundary state resets on the deterministic stream
 //!   clock, hostile-input hardening via typed [`IngestError`]s, and
-//!   graceful drain; a drained daemon is byte-identical to
+//!   graceful drain; a decoded `WireEvent` already holds the `Driver` or
+//!   `Task` the engine takes, so [`wire_to_event`] relabels and copies no
+//!   record; a drained daemon is byte-identical to
 //!   [`replay_stream`] / [`replay_sharded`] over the same trace (the
 //!   `serve_equivalence` battery pins this),
 //! - [`validate_online`]: feasibility checking under *actual* (simulated)
@@ -104,7 +110,7 @@ pub use shard::{
 };
 pub use simulator::{replay_market, DispatchEvent, SimulationOptions, SimulationResult, Simulator};
 pub use stream::{
-    market_events, replay_stream, CollectingSink, StreamEngine, StreamEvent, StreamOptions,
-    StreamPolicy, StreamSink, StreamSummary,
+    market_events, priced_events, replay_stream, CollectingSink, StreamEngine, StreamEvent,
+    StreamOptions, StreamPolicy, StreamSink, StreamSummary,
 };
 pub use validate::{validate_online, validate_online_result};

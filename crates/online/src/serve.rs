@@ -11,7 +11,8 @@
 //!   [`StreamSink::window_closed`]; when one crosses the next snapshot
 //!   instant (`snapshot_every` grid on the stream clock), the snapshot
 //!   hook fires. Because boundaries are positions on the *stream* clock —
-//!   reproduced exactly by the sharded router's window clock — the
+//!   reproduced exactly by the sharded router, which asks the engine's
+//!   own hold rule about the global stream — the
 //!   snapshot sequence is identical for any shard count and any
 //!   ingestion backend.
 //! - **Day rollover**: boundaries crossing a `day_length` multiple fire

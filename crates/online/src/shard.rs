@@ -14,7 +14,8 @@
 //! # One router, two lanes
 //!
 //! [`replay_sharded`] walks the event stream once (`route`): it places
-//! each event, steps the global window clock, and emits a sequence of
+//! each event, steps the global hold (the engine's own hold rule, asked
+//! about the whole stream), and emits a sequence of
 //! `(one shard | all shards, ShardMsg)` deliveries. Where those go is a
 //! lane: worker *threads* behind bounded channels, or — under
 //! [`ShardOptions::validate`] — the same shards applied *inline* on the
@@ -132,7 +133,7 @@ use crate::batch::{BatchMatcher, GreedyPairMatcher, MatcherKind, OptimalAssignme
 use crate::policy::{DispatchPolicy, MaxMargin, NearestDriver};
 use crate::simulator::DispatchEvent;
 use crate::stream::{
-    StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink, StreamSummary,
+    Hold, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink, StreamSummary,
 };
 
 /// Maps locations to disjoint service regions, and regions to shards.
@@ -403,98 +404,6 @@ impl StreamSink for Collector {
     fn rejected(&mut self, task: &Task, decision_time: Timestamp) {
         self.decided
             .push((*task, Decision::Rejected(decision_time)));
-    }
-}
-
-/// The router's view of the global hold/window sequence. Window formation
-/// depends only on publish times and `W` — never on decisions — so the
-/// router can reproduce the sequential engine's window boundaries exactly
-/// and broadcast them to all shards.
-struct WindowClock {
-    /// `Some(W)` for batched policies, `None` for instant publish groups.
-    window: Option<TimeDelta>,
-    /// Instant: the open group's timestamp. Batched: the open window end.
-    hold_end: Option<Timestamp>,
-}
-
-/// What the router must broadcast before delivering the next task.
-enum ClockStep {
-    /// Deliver directly; the open hold absorbs it.
-    Deliver,
-    /// Open a batched window at the task's publish instant first.
-    Open(Timestamp),
-    /// Close the current hold (then, for batched policies, open the next
-    /// window at the task's publish instant).
-    CloseThenOpen {
-        /// The epoch tick that closes every shard's hold.
-        tick: Timestamp,
-        /// The boundary decisions become final through — what the
-        /// sequential engine reports via [`StreamSink::window_closed`].
-        end: Timestamp,
-        /// For batched policies, where to anchor the next window.
-        reopen: Option<Timestamp>,
-    },
-}
-
-impl WindowClock {
-    fn new(window: Option<TimeDelta>) -> Self {
-        Self {
-            window,
-            hold_end: None,
-        }
-    }
-
-    fn on_task(&mut self, publish: Timestamp) -> ClockStep {
-        match (self.hold_end, self.window) {
-            (None, None) => {
-                self.hold_end = Some(publish);
-                ClockStep::Deliver
-            }
-            (None, Some(w)) => {
-                self.hold_end = Some(publish + w);
-                ClockStep::Open(publish)
-            }
-            (Some(end), None) if publish > end => {
-                // Close the instant group strictly after it; the next task
-                // publishes at `publish ≥ end + 1`, so the tick never
-                // outruns the stream.
-                self.hold_end = Some(publish);
-                ClockStep::CloseThenOpen {
-                    tick: end + TimeDelta::from_secs(1),
-                    end,
-                    reopen: None,
-                }
-            }
-            (Some(end), Some(w)) if publish > end => {
-                self.hold_end = Some(publish + w);
-                ClockStep::CloseThenOpen {
-                    tick: end + TimeDelta::from_secs(1),
-                    end,
-                    reopen: Some(publish),
-                }
-            }
-            (Some(_), _) => ClockStep::Deliver,
-        }
-    }
-
-    /// A tick closes the hold only when it passes the hold end — the same
-    /// predicate the sequential engine applies. Returns the tick to
-    /// broadcast and the boundary decisions become final through.
-    fn on_tick(&mut self, t: Timestamp) -> Option<(Timestamp, Timestamp)> {
-        match self.hold_end {
-            Some(end) if end < t => {
-                self.hold_end = None;
-                Some((t, end))
-            }
-            _ => None,
-        }
-    }
-
-    /// The still-open hold's boundary at end-of-stream, if any — the final
-    /// window the shards close in `finish`, which the merge stage must
-    /// still announce via [`StreamSink::window_closed`].
-    fn final_end(&self) -> Option<Timestamp> {
-        self.hold_end
     }
 }
 
@@ -878,8 +787,10 @@ impl Lanes for ThreadLanes {
 }
 
 /// The router: walks the event stream once, places each event on its
-/// shard, reproduces the sequential engine's window boundaries on the
-/// global [`WindowClock`], and hands `lanes` the resulting deliveries.
+/// shard, reproduces the sequential engine's window boundaries by asking
+/// the engine's own [`Hold`] rule about the *global* stream — window
+/// formation depends only on publish times and `W`, never on decisions —
+/// and hands `lanes` the resulting deliveries.
 /// Announcements and boundaries are told to `merger` *before* the
 /// deliveries they concern, so no lane can ship a batch the merge stage
 /// is not ready for.
@@ -908,7 +819,7 @@ fn route<L: Lanes>(
             lanes.send(Target::All, ShardMsg::Close(tick), merger);
         }
     };
-    let mut clock = WindowClock::new(window);
+    let mut hold = Hold::Empty;
     // Owning shard and shard-local id of every announced driver.
     let mut homes: Vec<(usize, DriverId)> = Vec::new();
 
@@ -927,14 +838,21 @@ fn route<L: Lanes>(
                 lanes.send(Target::One(home), ShardMsg::Event(local), merger);
             }
             StreamEvent::TaskPublished(task) => {
-                match clock.on_task(task.publish_time) {
-                    ClockStep::Deliver => {}
-                    ClockStep::Open(at) => lanes.send(Target::All, ShardMsg::Open(at), merger),
-                    ClockStep::CloseThenOpen { tick, end, reopen } => {
-                        close(&mut lanes, merger, end, Some(tick));
-                        if let Some(at) = reopen {
-                            lanes.send(Target::All, ShardMsg::Open(at), merger);
-                        }
+                let publish = task.publish_time;
+                if let Some(end) = hold.closed_by(publish) {
+                    // Tick one second past the end: the order publishes at
+                    // `publish ≥ end + 1`, so the tick never outruns the
+                    // stream.
+                    let tick = end + TimeDelta::from_secs(1);
+                    close(&mut lanes, merger, end, Some(tick));
+                    hold = Hold::Empty;
+                }
+                if hold == Hold::Empty {
+                    hold = Hold::opened_at(publish, window);
+                    // Instant publish groups are self-aligning; a batched
+                    // window is anchored on every shard.
+                    if window.is_some() {
+                        lanes.send(Target::All, ShardMsg::Open(publish), merger);
                     }
                 }
                 let home = shard_of(task.origin);
@@ -945,13 +863,18 @@ fn route<L: Lanes>(
                 let hint = StreamEvent::DriverOffline(local);
                 lanes.send(Target::One(home), ShardMsg::Event(hint), merger);
             }
-            StreamEvent::EpochTick(t) => match clock.on_tick(t) {
-                Some((tick, end)) => close(&mut lanes, merger, end, Some(tick)),
+            StreamEvent::EpochTick(t) => match hold.closed_by(t) {
+                Some(end) => {
+                    close(&mut lanes, merger, end, Some(t));
+                    hold = Hold::Empty;
+                }
                 None => lanes.send(Target::All, ShardMsg::Event(event), merger),
             },
         }
     }
-    if let Some(end) = clock.final_end() {
+    // The hold still open at end of stream: the shards close it in
+    // `finish`, and the merge stage must still announce it.
+    if let Some(end) = hold.end() {
         close(&mut lanes, merger, end, None);
     }
     lanes.finish(merger)
@@ -1046,53 +969,6 @@ mod tests {
             &mut sink,
         );
         sink.into_result()
-    }
-
-    #[test]
-    fn window_clock_reproduces_sequential_boundaries() {
-        use rideshare_types::Timestamp as T;
-        // Instant: group per timestamp.
-        let mut c = WindowClock::new(None);
-        assert!(matches!(c.on_task(T::from_secs(10)), ClockStep::Deliver));
-        assert!(matches!(c.on_task(T::from_secs(10)), ClockStep::Deliver));
-        match c.on_task(T::from_secs(15)) {
-            ClockStep::CloseThenOpen {
-                tick,
-                end,
-                reopen: None,
-            } => {
-                assert_eq!(tick, T::from_secs(11));
-                assert_eq!(end, T::from_secs(10));
-            }
-            other => panic!("unexpected {:?}", std::mem::discriminant(&other)),
-        }
-        // Batched: window end = open + W; ticks close only past the end.
-        let mut c = WindowClock::new(Some(TimeDelta::from_secs(60)));
-        match c.on_task(T::from_secs(100)) {
-            ClockStep::Open(at) => assert_eq!(at, T::from_secs(100)),
-            _ => panic!("expected open"),
-        }
-        assert!(matches!(c.on_task(T::from_secs(160)), ClockStep::Deliver));
-        match c.on_task(T::from_secs(161)) {
-            ClockStep::CloseThenOpen {
-                tick,
-                end,
-                reopen: Some(at),
-            } => {
-                assert_eq!(tick, T::from_secs(161));
-                assert_eq!(end, T::from_secs(160));
-                assert_eq!(at, T::from_secs(161));
-            }
-            _ => panic!("expected close+open"),
-        }
-        assert_eq!(c.on_tick(T::from_secs(200)), None);
-        assert_eq!(c.final_end(), Some(T::from_secs(221)));
-        assert_eq!(
-            c.on_tick(T::from_secs(222)),
-            Some((T::from_secs(222), T::from_secs(221)))
-        );
-        assert_eq!(c.final_end(), None);
-        assert_eq!(c.on_tick(T::from_secs(500)), None, "hold already closed");
     }
 
     /// An *illegal* partition: one dense city cut in two at a meridian.

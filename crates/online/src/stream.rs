@@ -34,8 +34,8 @@
 //!   hours from now can legally be dispatched an order published *now*
 //!   (she departs when her shift opens). So a stream must announce a
 //!   driver before the first order she could feasibly serve; announcing
-//!   everyone up front — what [`market_events`] and the CLI's `replay`
-//!   pipeline do — is always valid, and driver state is `O(drivers)` by
+//!   everyone up front — what [`market_events`] and [`priced_events`]
+//!   do — is always valid, and driver state is `O(drivers)` by
 //!   design.
 //! - **Retirement is lossless.** Once the decision clock passes a
 //!   driver's shift end she can never again pass the return-home check,
@@ -87,8 +87,11 @@
 //! assert_eq!(summary.served, materialized.served);
 //! ```
 
-use rideshare_core::{Assignment, Driver, DriverRoute, Market, Task};
+use rideshare_core::{
+    Assignment, Driver, DriverRoute, Market, MarketBuildOptions, StreamPricer, Task,
+};
 use rideshare_geo::{BoundingBox, SpeedModel};
+use rideshare_trace::TraceStream;
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::batch::{BatchMatcher, BatchRound};
@@ -268,15 +271,65 @@ impl StreamSummary {
     }
 }
 
-/// What the engine is currently holding.
+/// What is currently held, and the one statement of when it stops being
+/// held: a hold opened by an order publishing at `P` runs through `P`
+/// itself (an instant-mode publish group) or through `P + W` (a
+/// batched-mode window), and closes when an order publishes, or a tick
+/// lands, *strictly after* that end. [`StreamEngine::push`],
+/// [`StreamEngine::open_window`] and the shard router — which reproduces
+/// the sequential engine's boundaries for all shards — each ask this
+/// type, so they cannot disagree about a boundary.
 #[derive(Clone, Copy, PartialEq, Debug)]
-enum Hold {
+pub(crate) enum Hold {
     /// Nothing pending.
     Empty,
     /// An instant-mode publish group, all at this timestamp.
     Instant(Timestamp),
     /// A batched-mode hold window closing at this instant.
     Window(Timestamp),
+}
+
+impl Hold {
+    /// The hold an order publishing at `publish` opens: a window of
+    /// length `window`, or (`None`) an instant publish group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is negative.
+    pub(crate) fn opened_at(publish: Timestamp, window: Option<TimeDelta>) -> Self {
+        match window {
+            None => Hold::Instant(publish),
+            Some(w) => {
+                assert!(w.is_non_negative(), "batch window must be non-negative");
+                Hold::Window(publish + w)
+            }
+        }
+    }
+
+    /// The instant decisions become final through once this hold closes,
+    /// if anything is held.
+    pub(crate) fn end(self) -> Option<Timestamp> {
+        match self {
+            Hold::Empty => None,
+            Hold::Instant(end) | Hold::Window(end) => Some(end),
+        }
+    }
+
+    /// The end of this hold if an order publishing at `at`, or a tick
+    /// landing on `at`, closes it.
+    pub(crate) fn closed_by(self, at: Timestamp) -> Option<Timestamp> {
+        self.end().filter(|&end| at > end)
+    }
+}
+
+impl StreamPolicy<'_> {
+    /// The hold window, if this policy batches.
+    fn window(&self) -> Option<TimeDelta> {
+        match self {
+            StreamPolicy::Instant(_) => None,
+            StreamPolicy::Batched { window, .. } => Some(*window),
+        }
+    }
 }
 
 /// The push-based streaming replay engine. See the module docs for the
@@ -400,26 +453,11 @@ impl StreamEngine {
                          {clock}"
                     );
                 }
-                match (&*policy, self.hold) {
-                    (StreamPolicy::Instant(_), Hold::Instant(at)) if publish > at => {
-                        self.flush(policy, sink);
-                    }
-                    (StreamPolicy::Batched { .. }, Hold::Window(end)) if publish > end => {
-                        self.flush(policy, sink);
-                    }
-                    _ => {}
+                if self.hold.closed_by(publish).is_some() {
+                    self.flush(policy, sink);
                 }
                 if self.hold == Hold::Empty {
-                    self.hold = match policy {
-                        StreamPolicy::Instant(_) => Hold::Instant(publish),
-                        StreamPolicy::Batched { window, .. } => {
-                            assert!(
-                                window.is_non_negative(),
-                                "batch window must be non-negative"
-                            );
-                            Hold::Window(publish + *window)
-                        }
-                    };
+                    self.hold = Hold::opened_at(publish, policy.window());
                 }
                 self.clock = Some(publish);
                 self.pending.push(task);
@@ -444,10 +482,8 @@ impl StreamEngine {
                     assert!(t >= clock, "clock tick to {t} behind {clock}");
                 }
                 self.clock = Some(t);
-                match self.hold {
-                    Hold::Instant(at) if at < t => self.flush(policy, sink),
-                    Hold::Window(end) if end < t => self.flush(policy, sink),
-                    _ => {}
+                if self.hold.closed_by(t).is_some() {
+                    self.flush(policy, sink);
                 }
             }
         }
@@ -490,11 +526,7 @@ impl StreamEngine {
     /// [`StreamEvent::EpochTick`] first), if the clock has passed `at`, or
     /// if the batch window is negative.
     pub fn open_window(&mut self, at: Timestamp, policy: &StreamPolicy<'_>) {
-        if let StreamPolicy::Batched { window, .. } = policy {
-            assert!(
-                window.is_non_negative(),
-                "batch window must be non-negative"
-            );
+        if let Some(window) = policy.window() {
             assert_eq!(
                 self.hold,
                 Hold::Empty,
@@ -507,7 +539,7 @@ impl StreamEngine {
                 );
             }
             self.clock = Some(at);
-            self.hold = Hold::Window(at + *window);
+            self.hold = Hold::opened_at(at, Some(window));
         }
     }
 
@@ -839,6 +871,25 @@ pub fn market_events(market: &Market) -> Vec<StreamEvent> {
         })
     }));
     events
+}
+
+/// The event stream of a generated day, nothing materialised: every shift
+/// of `stream` announced up front, then its trips — generated lazily, in
+/// publish order — each priced into a task by a [`StreamPricer`] under
+/// `build` as it is pulled. This is the only place that sequence is
+/// written: `rideshare replay` dispatches it, `rideshare export` writes it
+/// down, and the equivalence batteries and examples feed engines with it.
+/// Resident state is `O(drivers + surge grid)`, never `O(trace)`.
+pub fn priced_events(
+    stream: TraceStream,
+    build: &MarketBuildOptions,
+) -> impl Iterator<Item = StreamEvent> {
+    let (bbox, speed) = (stream.bounding_box(), stream.speed());
+    let mut pricer = StreamPricer::new(build, bbox, speed, stream.drivers());
+    let announcements = stream.drivers().to_vec().into_iter();
+    announcements
+        .map(StreamEvent::DriverOnline)
+        .chain(stream.map(move |trip| StreamEvent::TaskPublished(pricer.price(&trip))))
 }
 
 /// A [`StreamSink`] that collects everything into a full

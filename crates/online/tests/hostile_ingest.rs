@@ -12,11 +12,9 @@ use rideshare_online::{
     CollectingSink, EventGuard, FileSource, IngestError, IngestFormat, IngestSource, ServeConfig,
     ServeDaemon, ServeOutcome, ServeStop, ShardPolicySpec, TcpSource,
 };
-use rideshare_trace::wire::{
-    encode_frame, to_csv_line, to_json_line, WireDriver, WireEvent, WireTask,
-};
-use rideshare_trace::DriverModel;
-use rideshare_types::{TimeDelta, Timestamp};
+use rideshare_trace::wire::{encode_frame, to_csv_line, to_json_line, WireEvent};
+use rideshare_trace::{Driver, DriverModel, Task};
+use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -180,8 +178,8 @@ fn tcp_clean_close_on_frame_boundary_ends_stream() {
 // --- numbers outside the exact grid --------------------------------------
 
 fn wire_driver(source: GeoPoint) -> WireEvent {
-    WireEvent::DriverOnline(WireDriver {
-        id: 0,
+    WireEvent::DriverOnline(Driver {
+        id: DriverId::new(0),
         source,
         destination: GeoPoint::new(41.16, -8.62),
         shift_start: Timestamp::from_secs(0),
@@ -192,18 +190,18 @@ fn wire_driver(source: GeoPoint) -> WireEvent {
 
 /// An order whose every number is a sentinel the text cases can find and
 /// overwrite in its encoded line.
-fn wire_task(id: u32, publish: i64) -> WireTask {
-    WireTask {
-        id,
+fn wire_task(id: u32, publish: i64) -> Task {
+    Task {
+        id: TaskId::new(id),
         publish_time: Timestamp::from_secs(publish),
         origin: GeoPoint::new(41.140625, -8.515625),
         destination: GeoPoint::new(41.16, -8.6),
         pickup_deadline: Timestamp::from_secs(publish + 900),
         completion_deadline: Timestamp::from_secs(publish + 4000),
         duration: TimeDelta::from_secs(600),
-        price: 77.125,
-        valuation: 88.25,
-        service_cost: 3.0625,
+        price: Money::new(77.125),
+        valuation: Money::new(88.25),
+        service_cost: Money::new(3.0625),
     }
 }
 
@@ -288,21 +286,21 @@ fn frames_carrying_nan_bits_are_refused_by_task_and_field() {
     let nowhere = GeoPoint::new(10.0, f64::INFINITY);
     let hostile = [
         (
-            WireTask {
-                valuation: f64::NAN,
+            Task {
+                valuation: Money::new(f64::NAN),
                 ..good
             },
             "valuation",
         ),
         (
-            WireTask {
-                price: f64::NEG_INFINITY,
+            Task {
+                price: Money::new(f64::NEG_INFINITY),
                 ..good
             },
             "price",
         ),
         (
-            WireTask {
+            Task {
                 destination: nowhere,
                 ..good
             },
@@ -404,14 +402,14 @@ fn instants_beyond_the_bound_are_refused_by_event_and_field() {
     for (field, bad) in [
         (
             "shift_start",
-            WireDriver {
+            Driver {
                 shift_start: at(i64::MIN),
                 ..announced
             },
         ),
         (
             "shift_end",
-            WireDriver {
+            Driver {
                 shift_end: at(BOUND + 1),
                 ..announced
             },
@@ -430,7 +428,7 @@ fn instants_beyond_the_bound_are_refused_by_event_and_field() {
     // The bound itself is admitted, either sign.
     let edge = [
         WireEvent::EpochTick(-BOUND),
-        WireEvent::DriverOnline(WireDriver {
+        WireEvent::DriverOnline(Driver {
             shift_start: at(-BOUND),
             shift_end: at(BOUND),
             ..announced

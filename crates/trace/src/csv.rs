@@ -8,7 +8,7 @@
 use rideshare_geo::GeoPoint;
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
-use crate::{DriverModel, DriverShift, TripRecord};
+use crate::{Driver, DriverModel, TripRecord};
 
 /// Header used by [`trips_to_csv`].
 const TRIP_HEADER: &str =
@@ -101,7 +101,7 @@ pub fn trips_from_csv(csv: &str) -> Result<Vec<TripRecord>, String> {
 
 /// Serialises driver shifts to CSV (header + one row per driver).
 #[must_use]
-pub fn drivers_to_csv(drivers: &[DriverShift]) -> String {
+pub fn drivers_to_csv(drivers: &[Driver]) -> String {
     let mut out = String::with_capacity(48 * (drivers.len() + 1));
     out.push_str(DRIVER_HEADER);
     out.push('\n');
@@ -129,7 +129,7 @@ pub fn drivers_to_csv(drivers: &[DriverShift]) -> String {
 /// # Errors
 ///
 /// Returns a human-readable description of the first malformed line.
-pub fn drivers_from_csv(csv: &str) -> Result<Vec<DriverShift>, String> {
+pub fn drivers_from_csv(csv: &str) -> Result<Vec<Driver>, String> {
     let mut lines = csv.lines();
     match lines.next() {
         Some(h) if h == DRIVER_HEADER => {}
@@ -149,7 +149,7 @@ pub fn drivers_from_csv(csv: &str) -> Result<Vec<DriverShift>, String> {
             ));
         }
         let err = |what: &str| format!("line {}: bad {what}", ln + 2);
-        out.push(DriverShift {
+        out.push(Driver {
             id: DriverId::new(f[0].parse().map_err(|_| err("id"))?),
             source: GeoPoint::new(
                 f[1].parse().map_err(|_| err("source_lat"))?,

@@ -1,4 +1,4 @@
-//! Driver shift records and the paper's two working models.
+//! The driver record and the paper's two working models.
 
 use rideshare_geo::GeoPoint;
 use rideshare_types::{DriverId, MarketError, Result, TimeDelta, Timestamp};
@@ -33,24 +33,38 @@ impl core::fmt::Display for DriverModel {
     }
 }
 
-/// One driver's daily travel plan, the paper's `(sₙ, dₙ, t⁻ₙ, t⁺ₙ)`.
+/// A driver `n ∈ [N]` and her daily travel plan, the paper's
+/// `(sₙ, dₙ, t⁻ₙ, t⁺ₙ)` (§III-A) — the one driver record: what the
+/// generator emits, the wire formats carry, a market holds and the
+/// dispatch engine is announced.
 #[derive(Clone, Copy, PartialEq, Debug)]
-pub struct DriverShift {
-    /// Driver identifier, dense within a trace.
+pub struct Driver {
+    /// Driver identifier, dense within a trace (and, on a stream, in
+    /// announcement order).
     pub id: DriverId,
     /// Where the driver starts her day (`sₙ`).
     pub source: GeoPoint,
-    /// Where she must end it (`dₙ`).
+    /// Where she must end it (`dₙ`; equals `source` for home-work-home
+    /// drivers).
     pub destination: GeoPoint,
     /// Start of availability (`t⁻ₙ`).
     pub shift_start: Timestamp,
     /// End of availability (`t⁺ₙ`).
     pub shift_end: Timestamp,
-    /// Which working model generated this shift.
+    /// Which working model the driver follows.
     pub model: DriverModel,
 }
 
-impl DriverShift {
+// ROADMAP item 3(a)'s to delete: `benchmark/` still writes
+// `Driver::from(shift)` from when a trace shift and a market driver were
+// two types.
+impl From<&Driver> for Driver {
+    fn from(d: &Driver) -> Self {
+        *d
+    }
+}
+
+impl Driver {
     /// Validates `t⁻ₙ < t⁺ₙ` and, for home-work-home shifts, that source
     /// and destination coincide.
     ///
@@ -82,8 +96,8 @@ impl DriverShift {
 mod tests {
     use super::*;
 
-    fn shift() -> DriverShift {
-        DriverShift {
+    fn shift() -> Driver {
+        Driver {
             id: DriverId::new(0),
             source: GeoPoint::new(41.15, -8.61),
             destination: GeoPoint::new(41.15, -8.61),

@@ -7,7 +7,7 @@ use rideshare_geo::{porto, BoundingBox, GeoPoint, SpeedModel};
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::sampler::{sample_categorical, standard_normal, LogNormal, TruncatedPareto};
-use crate::{DriverModel, DriverShift, TripRecord};
+use crate::{Driver, DriverModel, TripRecord};
 
 /// Double-peaked urban demand profile (share of daily demand per hour),
 /// with a morning rush around 8–9 and an evening rush around 18–20.
@@ -278,7 +278,7 @@ impl TraceConfig {
         for (i, t) in trips.iter_mut().enumerate() {
             t.id = TaskId::new(i as u32);
         }
-        let drivers: Vec<DriverShift> = (0..self.driver_count)
+        let drivers: Vec<Driver> = (0..self.driver_count)
             .map(|i| self.gen_driver(&mut rng, DriverId::new(i as u32)))
             .collect();
         Trace {
@@ -398,21 +398,21 @@ impl TraceConfig {
         trip
     }
 
-    pub(crate) fn gen_driver<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> DriverShift {
+    pub(crate) fn gen_driver<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> Driver {
         let region = if self.region_count > 1 {
             rng.gen_range(0..self.region_count)
         } else {
             0
         };
         let shift = self.gen_driver_in_base(rng, id);
-        DriverShift {
+        Driver {
             source: self.translate_to_region(shift.source, region),
             destination: self.translate_to_region(shift.destination, region),
             ..shift
         }
     }
 
-    fn gen_driver_in_base<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> DriverShift {
+    fn gen_driver_in_base<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> Driver {
         match self.driver_model {
             DriverModel::HomeWorkHome => {
                 let home = self.bbox.lerp(rng.gen(), rng.gen());
@@ -421,7 +421,7 @@ impl TraceConfig {
                 let start_h = rng.gen_range(0.0..latest_start);
                 let start = Timestamp::from_secs((start_h * 3600.0) as i64);
                 let end = start + TimeDelta::from_secs((len_h * 3600.0) as i64);
-                DriverShift {
+                Driver {
                     id,
                     source: home,
                     destination: home,
@@ -443,7 +443,7 @@ impl TraceConfig {
                     .max(TimeDelta::from_mins(30));
                 let latest = (24 * 3600 - window.as_secs()).max(0);
                 let start = Timestamp::from_secs(rng.gen_range(0..=latest));
-                DriverShift {
+                Driver {
                     id,
                     source,
                     destination,
@@ -462,7 +462,7 @@ pub struct Trace {
     /// Customer orders, sorted by publish time.
     pub trips: Vec<TripRecord>,
     /// Driver shifts.
-    pub drivers: Vec<DriverShift>,
+    pub drivers: Vec<Driver>,
     /// The speed/cost model the trace was generated with.
     pub speed: SpeedModel,
     /// The service area.

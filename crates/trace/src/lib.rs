@@ -1,4 +1,18 @@
-//! Synthetic Porto-calibrated taxi-trace generation.
+//! The market's records, a synthetic Porto-calibrated trace of them, and
+//! the formats they travel in.
+//!
+//! §III-A of the paper defines a driver `n` (`sₙ, dₙ, t⁻ₙ, t⁺ₙ`) and a
+//! task `m` (`s̄ₘ, d̄ₘ, t̄ₘ, t̄⁻ₘ, t̄⁺ₘ, pₘ, bₘ`) once; so does the
+//! workspace, here — [`Driver`] and [`Task`] — because this is the lowest
+//! layer that has to name both: the generator emits drivers, and the
+//! event [`wire`] formats (binary frames, JSONL, CSV) and the compact
+//! [`rtb`] trace carry drivers and *priced* tasks as they are. Everything
+//! above (`rideshare-core`'s market and solvers, `rideshare-online`'s
+//! engines) uses these same two types, re-exported as
+//! `rideshare_core::{Driver, Task}`; a raw, unpriced order is a
+//! [`TripRecord`], which `rideshare-core`'s pricer turns into a [`Task`].
+//!
+//! # The synthetic trace
 //!
 //! The paper's evaluation (§VI-A) replays one year of trajectories of the
 //! 442 taxis of Porto, Portugal (the ECML/PKDD-15 Kaggle dataset). That
@@ -49,13 +63,15 @@ pub mod rtb;
 mod sampler;
 pub mod stats;
 mod stream;
+mod task;
 mod trip;
 pub mod wire;
 
 pub use csv::{drivers_from_csv, drivers_to_csv, trips_from_csv, trips_to_csv};
-pub use driver::{DriverModel, DriverShift};
+pub use driver::{Driver, DriverModel};
 pub use generator::{Trace, TraceConfig};
 pub use multi_day::{generate_days, MultiDayTrace};
 pub use sampler::{sample_categorical, LogNormal, TruncatedPareto};
 pub use stream::TraceStream;
+pub use task::Task;
 pub use trip::TripRecord;

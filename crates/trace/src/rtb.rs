@@ -34,6 +34,8 @@ use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
+use rideshare_types::widen_u64;
+
 use crate::wire::{self, WireError, WireEvent};
 
 /// The four magic bytes every `.rtb` file starts with.
@@ -165,8 +167,7 @@ pub fn encode_header(count: u64) -> [u8; HEADER_LEN] {
 pub fn decode_header(bytes: &[u8]) -> Result<u64, RtbError> {
     let Some(h) = bytes.get(..HEADER_LEN) else {
         return Err(RtbError::Truncated {
-            // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-            offset: bytes.len() as u64,
+            offset: widen_u64(bytes.len()),
         });
     };
     if h[..4] != MAGIC {
@@ -330,8 +331,7 @@ impl<'a> RtbSlice<'a> {
 
     /// Byte offset of the next record, for diagnostics.
     fn offset(&self) -> u64 {
-        // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-        self.pos as u64
+        widen_u64(self.pos)
     }
 
     /// The next event, or `Ok(None)` after a clean end-of-stream record.
@@ -410,8 +410,7 @@ impl<R: Read> RtbFileReader<R> {
         let declared = decode_header(&header)?;
         Ok(Self {
             inner,
-            // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-            offset: HEADER_LEN as u64,
+            offset: widen_u64(HEADER_LEN),
             end: StreamEnd::new(declared),
             buf: [0u8; MAX_RECORD],
         })
@@ -442,8 +441,7 @@ impl<R: Read> RtbFileReader<R> {
         self.buf[0] = tag[0];
         read_exact_at(&mut self.inner, &mut self.buf[1..len], self.offset)?;
         let event = wire::decode_frame_body(&self.buf[..len])?;
-        // audit:allow(as-cast): usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); byte offsets in diagnostics only.
-        self.offset += len as u64;
+        self.offset += widen_u64(len);
         if matches!(event, WireEvent::Eos) {
             let trailing = self.byte_follows()?.then_some(self.offset);
             self.end.finish(trailing)?;
@@ -518,32 +516,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DriverModel;
+    use crate::{Driver, DriverModel, Task};
     use rideshare_geo::GeoPoint;
-    use rideshare_types::{TimeDelta, Timestamp};
+    use rideshare_types::{DriverId, Money, TaskId, TimeDelta, Timestamp};
     use std::io::Cursor;
 
     fn sample_events() -> Vec<WireEvent> {
         vec![
-            WireEvent::DriverOnline(wire::WireDriver {
-                id: 0,
+            WireEvent::DriverOnline(Driver {
+                id: DriverId::new(0),
                 source: GeoPoint::new(41.1579, -8.6291),
                 destination: GeoPoint::new(41.2, -8.5),
                 shift_start: Timestamp::from_secs(0),
                 shift_end: Timestamp::from_secs(36_000),
                 model: DriverModel::Hitchhiking,
             }),
-            WireEvent::TaskPublished(wire::WireTask {
-                id: 7,
+            WireEvent::TaskPublished(Task {
+                id: TaskId::new(7),
                 publish_time: Timestamp::from_secs(3600),
                 origin: GeoPoint::new(41.15, -8.61),
                 destination: GeoPoint::new(41.16, -8.58),
                 pickup_deadline: Timestamp::from_secs(3900),
                 completion_deadline: Timestamp::from_secs(5400),
                 duration: TimeDelta::from_secs(740),
-                price: 6.25,
-                valuation: 0.1 + 0.2,
-                service_cost: 1.0 / 3.0,
+                price: Money::new(6.25),
+                valuation: Money::new(0.1 + 0.2),
+                service_cost: Money::new(1.0 / 3.0),
             }),
             WireEvent::DriverOffline(0),
             WireEvent::EpochTick(i64::MIN),

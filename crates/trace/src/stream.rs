@@ -67,7 +67,7 @@ use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::sampler::sample_categorical;
-use crate::{DriverShift, Trace, TraceConfig, TripRecord};
+use crate::{Driver, Trace, TraceConfig, TripRecord};
 
 /// Salt separating the trip stream's RNG from the seed itself.
 const TRIP_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -106,7 +106,7 @@ impl Ord for Pending {
 pub struct TraceStream {
     config: TraceConfig,
     rng: StdRng,
-    drivers: Vec<DriverShift>,
+    drivers: Vec<Driver>,
     /// How many trips fall in each pickup-deadline hour.
     counts: [usize; 24],
     /// Next hour to generate (24 = all generated).
@@ -128,7 +128,7 @@ impl TraceConfig {
     #[must_use]
     pub fn stream(&self) -> TraceStream {
         let mut driver_rng = StdRng::seed_from_u64(self.seed ^ DRIVER_STREAM_SALT);
-        let drivers: Vec<DriverShift> = (0..self.driver_count)
+        let drivers: Vec<Driver> = (0..self.driver_count)
             .map(|i| self.gen_driver(&mut driver_rng, DriverId::new(i as u32)))
             .collect();
         let mut rng = StdRng::seed_from_u64(self.seed ^ TRIP_STREAM_SALT);
@@ -156,7 +156,7 @@ impl TraceConfig {
 impl TraceStream {
     /// The driver shifts of this day (generated up front; `O(drivers)`).
     #[must_use]
-    pub fn drivers(&self) -> &[DriverShift] {
+    pub fn drivers(&self) -> &[Driver] {
         &self.drivers
     }
 

@@ -23,19 +23,21 @@
 //! explicit [`WireEvent::Eos`] end-of-stream marker so a tailing consumer
 //! can distinguish "feed finished cleanly" from "producer died mid-write".
 //!
-//! The wire types deliberately mirror the *priced* task (price, valuation,
-//! service cost already attached) rather than the raw trip: the daemon
-//! must not re-run the pricer, or live decisions could diverge from a
-//! replay of the same trace.
+//! The wire carries the records themselves — [`Driver`] and the *priced*
+//! [`Task`] (price, valuation, service cost already attached), not the raw
+//! trip: the daemon must not re-run the pricer, or live decisions could
+//! diverge from a replay of the same trace. Ids travel as their raw `u32`
+//! and amounts as their `f64` units; no second set of record types exists
+//! for the encodings to drift from.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 use rideshare_geo::GeoPoint;
-use rideshare_types::{TimeDelta, Timestamp};
+use rideshare_types::{widen_usize, DriverId, Money, TaskId, TimeDelta, Timestamp};
 
-use crate::{DriverModel, DriverShift};
+use crate::{Driver, DriverModel, Task};
 
 /// Largest legal frame body (tag + payload) in bytes.
 ///
@@ -51,85 +53,13 @@ const TAG_OFFLINE: u8 = 2;
 const TAG_TICK: u8 = 3;
 const TAG_EOS: u8 = 4;
 
-/// A driver shift as it crosses the wire (identical fields to
-/// [`DriverShift`], flattened to primitives).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireDriver {
-    /// Dense driver index (the engines require arrival order 0, 1, 2, …).
-    pub id: u32,
-    /// Shift start location.
-    pub source: GeoPoint,
-    /// Shift end location (equals `source` for home-work-home drivers).
-    pub destination: GeoPoint,
-    /// When the driver comes online.
-    pub shift_start: Timestamp,
-    /// When the driver goes offline.
-    pub shift_end: Timestamp,
-    /// Working model (§II of the paper).
-    pub model: DriverModel,
-}
-
-impl From<&DriverShift> for WireDriver {
-    fn from(d: &DriverShift) -> Self {
-        WireDriver {
-            id: d.id.raw(),
-            source: d.source,
-            destination: d.destination,
-            shift_start: d.shift_start,
-            shift_end: d.shift_end,
-            model: d.model,
-        }
-    }
-}
-
-impl From<&WireDriver> for DriverShift {
-    fn from(w: &WireDriver) -> Self {
-        DriverShift {
-            id: rideshare_types::DriverId::new(w.id),
-            source: w.source,
-            destination: w.destination,
-            shift_start: w.shift_start,
-            shift_end: w.shift_end,
-            model: w.model,
-        }
-    }
-}
-
-/// A priced task as it crosses the wire.
-///
-/// Money fields are plain `f64` units here; the ingest layer converts to
-/// the typed `Money` wrapper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireTask {
-    /// Task id (monotone in publish order).
-    pub id: u32,
-    /// Publish (arrival) time.
-    pub publish_time: Timestamp,
-    /// Pickup location.
-    pub origin: GeoPoint,
-    /// Drop-off location.
-    pub destination: GeoPoint,
-    /// Latest acceptable pickup time.
-    pub pickup_deadline: Timestamp,
-    /// Latest acceptable completion time.
-    pub completion_deadline: Timestamp,
-    /// On-trip travel time.
-    pub duration: TimeDelta,
-    /// Rider-facing price, currency units.
-    pub price: f64,
-    /// Rider willingness-to-pay, currency units.
-    pub valuation: f64,
-    /// Platform-side service cost, currency units.
-    pub service_cost: f64,
-}
-
 /// One event of the serve daemon's external feed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireEvent {
-    /// A driver comes online.
-    DriverOnline(WireDriver),
+    /// A driver comes online (ids dense in arrival order 0, 1, 2, …).
+    DriverOnline(Driver),
     /// A priced task publishes.
-    TaskPublished(WireTask),
+    TaskPublished(Task),
     /// A driver leaves (early shift end); payload is the dense driver id.
     DriverOffline(u32),
     /// A clock tick (closes batch windows); payload is epoch seconds.
@@ -288,7 +218,7 @@ pub fn encode_frame_body(event: &WireEvent, out: &mut Vec<u8>) {
     match event {
         WireEvent::DriverOnline(d) => {
             body.push(TAG_DRIVER);
-            put_u32(body, d.id);
+            put_u32(body, d.id.raw());
             put_point(body, d.source);
             put_point(body, d.destination);
             put_i64(body, d.shift_start.as_secs());
@@ -300,16 +230,16 @@ pub fn encode_frame_body(event: &WireEvent, out: &mut Vec<u8>) {
         }
         WireEvent::TaskPublished(t) => {
             body.push(TAG_TASK);
-            put_u32(body, t.id);
+            put_u32(body, t.id.raw());
             put_i64(body, t.publish_time.as_secs());
             put_point(body, t.origin);
             put_point(body, t.destination);
             put_i64(body, t.pickup_deadline.as_secs());
             put_i64(body, t.completion_deadline.as_secs());
             put_i64(body, t.duration.as_secs());
-            put_f64(body, t.price);
-            put_f64(body, t.valuation);
-            put_f64(body, t.service_cost);
+            put_f64(body, t.price.as_f64());
+            put_f64(body, t.valuation.as_f64());
+            put_f64(body, t.service_cost.as_f64());
         }
         WireEvent::DriverOffline(id) => {
             body.push(TAG_OFFLINE);
@@ -353,7 +283,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
     };
     let event = match tag {
         TAG_DRIVER => {
-            let id = take.u32()?;
+            let id = DriverId::new(take.u32()?);
             let source = take.point()?;
             let destination = take.point()?;
             let shift_start = Timestamp::from_secs(take.i64()?);
@@ -367,7 +297,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
                     )))
                 }
             };
-            WireEvent::DriverOnline(WireDriver {
+            WireEvent::DriverOnline(Driver {
                 id,
                 source,
                 destination,
@@ -377,17 +307,17 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
             })
         }
         TAG_TASK => {
-            let id = take.u32()?;
+            let id = TaskId::new(take.u32()?);
             let publish_time = Timestamp::from_secs(take.i64()?);
             let origin = take.point()?;
             let destination = take.point()?;
             let pickup_deadline = Timestamp::from_secs(take.i64()?);
             let completion_deadline = Timestamp::from_secs(take.i64()?);
             let duration = TimeDelta::from_secs(take.i64()?);
-            let price = take.f64()?;
-            let valuation = take.f64()?;
-            let service_cost = take.f64()?;
-            WireEvent::TaskPublished(WireTask {
+            let price = Money::new(take.f64()?);
+            let valuation = Money::new(take.f64()?);
+            let service_cost = Money::new(take.f64()?);
+            WireEvent::TaskPublished(Task {
                 id,
                 publish_time,
                 origin,
@@ -475,17 +405,12 @@ impl FrameDecoder {
         if prefix == 0 {
             return Err(WireError::EmptyFrame);
         }
-        // Compare in u64 so the bound check cannot be weakened by a
-        // u32→usize truncation on a narrow target; a prefix of exactly
-        // MAX_FRAME_BODY is legal, MAX_FRAME_BODY + 1 is not.
-        // audit:allow(as-cast): const usize -> u64 widens losslessly on every supported target (usize is at most 64 bits); this is the very bound check that makes the cast below safe.
-        if u64::from(prefix) > MAX_FRAME_BODY as u64 {
-            return Err(WireError::FrameTooLarge {
-                len: usize::try_from(prefix).unwrap_or(usize::MAX),
-            });
+        // A prefix of exactly MAX_FRAME_BODY is legal, MAX_FRAME_BODY + 1
+        // is not.
+        let len = widen_usize(prefix);
+        if len > MAX_FRAME_BODY {
+            return Err(WireError::FrameTooLarge { len });
         }
-        // audit:allow(as-cast): cannot truncate — the guard above rejects any prefix exceeding MAX_FRAME_BODY, and MAX_FRAME_BODY is a usize constant, so the surviving value fits usize by construction.
-        let len = prefix as usize;
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
@@ -526,7 +451,7 @@ pub fn to_json_line(event: &WireEvent) -> String {
     match event {
         WireEvent::DriverOnline(d) => format!(
             "{{\"event\":\"driver\",\"id\":{},\"source\":[{},{}],\"destination\":[{},{}],\"shift\":[{},{}],\"model\":\"{}\"}}",
-            d.id,
+            d.id.raw(),
             d.source.lat(),
             d.source.lon(),
             d.destination.lat(),
@@ -537,7 +462,7 @@ pub fn to_json_line(event: &WireEvent) -> String {
         ),
         WireEvent::TaskPublished(t) => format!(
             "{{\"event\":\"task\",\"id\":{},\"publish\":{},\"origin\":[{},{}],\"destination\":[{},{}],\"pickup_by\":{},\"complete_by\":{},\"duration\":{},\"price\":{},\"valuation\":{},\"cost\":{}}}",
-            t.id,
+            t.id.raw(),
             t.publish_time.as_secs(),
             t.origin.lat(),
             t.origin.lon(),
@@ -546,9 +471,9 @@ pub fn to_json_line(event: &WireEvent) -> String {
             t.pickup_deadline.as_secs(),
             t.completion_deadline.as_secs(),
             t.duration.as_secs(),
-            t.price,
-            t.valuation,
-            t.service_cost,
+            t.price.as_f64(),
+            t.valuation.as_f64(),
+            t.service_cost.as_f64(),
         ),
         WireEvent::DriverOffline(id) => format!("{{\"event\":\"offline\",\"id\":{id}}}"),
         WireEvent::EpochTick(at) => format!("{{\"event\":\"tick\",\"at\":{at}}}"),
@@ -574,8 +499,8 @@ fn event_from_json(line: &str) -> Result<WireEvent, String> {
     match obj.str_field("event")? {
         "driver" => {
             let (start, end) = pair_field(&obj, "shift")?;
-            Ok(WireEvent::DriverOnline(WireDriver {
-                id: obj.num_field("id")?,
+            Ok(WireEvent::DriverOnline(Driver {
+                id: DriverId::new(obj.num_field("id")?),
                 source: point_field(&obj, "source")?,
                 destination: point_field(&obj, "destination")?,
                 shift_start: Timestamp::from_secs(start),
@@ -583,17 +508,17 @@ fn event_from_json(line: &str) -> Result<WireEvent, String> {
                 model: model_from_name(obj.str_field("model")?)?,
             }))
         }
-        "task" => Ok(WireEvent::TaskPublished(WireTask {
-            id: obj.num_field("id")?,
+        "task" => Ok(WireEvent::TaskPublished(Task {
+            id: TaskId::new(obj.num_field("id")?),
             publish_time: Timestamp::from_secs(obj.num_field("publish")?),
             origin: point_field(&obj, "origin")?,
             destination: point_field(&obj, "destination")?,
             pickup_deadline: Timestamp::from_secs(obj.num_field("pickup_by")?),
             completion_deadline: Timestamp::from_secs(obj.num_field("complete_by")?),
             duration: TimeDelta::from_secs(obj.num_field("duration")?),
-            price: obj.num_field("price")?,
-            valuation: obj.num_field("valuation")?,
-            service_cost: obj.num_field("cost")?,
+            price: Money::new(obj.num_field("price")?),
+            valuation: Money::new(obj.num_field("valuation")?),
+            service_cost: Money::new(obj.num_field("cost")?),
         })),
         "offline" => Ok(WireEvent::DriverOffline(obj.num_field("id")?)),
         "tick" => Ok(WireEvent::EpochTick(obj.num_field("at")?)),
@@ -625,7 +550,7 @@ pub fn to_csv_line(event: &WireEvent) -> String {
     match event {
         WireEvent::DriverOnline(d) => format!(
             "D,{},{},{},{},{},{},{},{}",
-            d.id,
+            d.id.raw(),
             d.source.lat(),
             d.source.lon(),
             d.destination.lat(),
@@ -636,7 +561,7 @@ pub fn to_csv_line(event: &WireEvent) -> String {
         ),
         WireEvent::TaskPublished(t) => format!(
             "T,{},{},{},{},{},{},{},{},{},{},{},{}",
-            t.id,
+            t.id.raw(),
             t.publish_time.as_secs(),
             t.origin.lat(),
             t.origin.lon(),
@@ -645,9 +570,9 @@ pub fn to_csv_line(event: &WireEvent) -> String {
             t.pickup_deadline.as_secs(),
             t.completion_deadline.as_secs(),
             t.duration.as_secs(),
-            t.price,
-            t.valuation,
-            t.service_cost,
+            t.price.as_f64(),
+            t.valuation.as_f64(),
+            t.service_cost.as_f64(),
         ),
         WireEvent::DriverOffline(id) => format!("F,{id}"),
         WireEvent::EpochTick(at) => format!("K,{at}"),
@@ -684,8 +609,8 @@ pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
     match fields[0] {
         "D" => {
             arity(9)?;
-            Ok(WireEvent::DriverOnline(WireDriver {
-                id: csv_num(&fields, 1)?,
+            Ok(WireEvent::DriverOnline(Driver {
+                id: DriverId::new(csv_num(&fields, 1)?),
                 source: GeoPoint::new(csv_num(&fields, 2)?, csv_num(&fields, 3)?),
                 destination: GeoPoint::new(csv_num(&fields, 4)?, csv_num(&fields, 5)?),
                 shift_start: Timestamp::from_secs(csv_num(&fields, 6)?),
@@ -695,17 +620,17 @@ pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
         }
         "T" => {
             arity(13)?;
-            Ok(WireEvent::TaskPublished(WireTask {
-                id: csv_num(&fields, 1)?,
+            Ok(WireEvent::TaskPublished(Task {
+                id: TaskId::new(csv_num(&fields, 1)?),
                 publish_time: Timestamp::from_secs(csv_num(&fields, 2)?),
                 origin: GeoPoint::new(csv_num(&fields, 3)?, csv_num(&fields, 4)?),
                 destination: GeoPoint::new(csv_num(&fields, 5)?, csv_num(&fields, 6)?),
                 pickup_deadline: Timestamp::from_secs(csv_num(&fields, 7)?),
                 completion_deadline: Timestamp::from_secs(csv_num(&fields, 8)?),
                 duration: TimeDelta::from_secs(csv_num(&fields, 9)?),
-                price: csv_num(&fields, 10)?,
-                valuation: csv_num(&fields, 11)?,
-                service_cost: csv_num(&fields, 12)?,
+                price: Money::new(csv_num(&fields, 10)?),
+                valuation: Money::new(csv_num(&fields, 11)?),
+                service_cost: Money::new(csv_num(&fields, 12)?),
             }))
         }
         "F" => {
@@ -730,33 +655,33 @@ mod tests {
 
     fn sample_events() -> Vec<WireEvent> {
         vec![
-            WireEvent::DriverOnline(WireDriver {
-                id: 0,
+            WireEvent::DriverOnline(Driver {
+                id: DriverId::new(0),
                 source: GeoPoint::new(41.1579, -8.6291),
                 destination: GeoPoint::new(41.2, -8.5),
                 shift_start: Timestamp::from_secs(0),
                 shift_end: Timestamp::from_secs(36_000),
                 model: DriverModel::Hitchhiking,
             }),
-            WireEvent::DriverOnline(WireDriver {
-                id: 1,
+            WireEvent::DriverOnline(Driver {
+                id: DriverId::new(1),
                 source: GeoPoint::new(41.0, -8.0),
                 destination: GeoPoint::new(41.0, -8.0),
                 shift_start: Timestamp::from_secs(-120),
                 shift_end: Timestamp::from_secs(i64::MAX),
                 model: DriverModel::HomeWorkHome,
             }),
-            WireEvent::TaskPublished(WireTask {
-                id: 7,
+            WireEvent::TaskPublished(Task {
+                id: TaskId::new(7),
                 publish_time: Timestamp::from_secs(3600),
                 origin: GeoPoint::new(41.15, -8.61),
                 destination: GeoPoint::new(41.16, -8.58),
                 pickup_deadline: Timestamp::from_secs(3900),
                 completion_deadline: Timestamp::from_secs(5400),
                 duration: TimeDelta::from_secs(740),
-                price: 6.25,
-                valuation: 0.1 + 0.2, // deliberately non-representable
-                service_cost: 1.0 / 3.0,
+                price: Money::new(6.25),
+                valuation: Money::new(0.1 + 0.2), // deliberately non-representable
+                service_cost: Money::new(1.0 / 3.0),
             }),
             WireEvent::DriverOffline(1),
             WireEvent::EpochTick(i64::MIN),
@@ -904,24 +829,5 @@ mod tests {
         ] {
             assert!(from_csv_line(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn driver_shift_conversion_round_trips() {
-        let shift = DriverShift {
-            id: rideshare_types::DriverId::new(4),
-            source: GeoPoint::new(41.1, -8.6),
-            destination: GeoPoint::new(41.2, -8.4),
-            shift_start: Timestamp::from_secs(100),
-            shift_end: Timestamp::from_secs(9000),
-            model: DriverModel::Hitchhiking,
-        };
-        let wire = WireDriver::from(&shift);
-        let back = DriverShift::from(&wire);
-        assert_eq!(back.id, shift.id);
-        assert_eq!(back.model, shift.model);
-        assert_eq!(back.shift_start, shift.shift_start);
-        assert_eq!(back.shift_end, shift.shift_end);
-        assert_eq!(back.source.lat().to_bits(), shift.source.lat().to_bits());
     }
 }

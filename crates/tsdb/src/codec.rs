@@ -31,6 +31,8 @@
 use std::error::Error;
 use std::fmt;
 
+use rideshare_types::widen_usize;
+
 /// Magic bytes opening every series file: **R**ideshare **TS**db
 /// **C**hunks.
 pub const FILE_MAGIC: [u8; 4] = *b"RTSC";
@@ -417,7 +419,7 @@ fn decode_payload(payload: &[u8], count: u32, out: &mut Vec<Sample>) -> Result<(
 /// checksum, varint garbage, trailing payload bytes.
 pub fn decode_chunk(bytes: &[u8], out: &mut Vec<Sample>) -> Result<usize, CodecError> {
     let header = read_chunk_header(bytes)?;
-    let need = widen(header.payload_len);
+    let need = widen_usize(header.payload_len);
     let body = &bytes[CHUNK_HEADER_LEN..];
     if body.len() < need {
         return Err(CodecError::TruncatedChunk {
@@ -457,12 +459,6 @@ pub fn decode_file(bytes: &[u8]) -> Result<Vec<Sample>, CodecError> {
         pos += decode_chunk(&bytes[pos..], &mut out)?;
     }
     Ok(out)
-}
-
-/// u32 → usize widening for lengths/counts.
-fn widen(n: u32) -> usize {
-    // audit:allow(as-cast): u32 -> usize widens losslessly on every supported target (usize is at least 32 bits); used for byte lengths and sample counts.
-    n as usize
 }
 
 #[cfg(test)]

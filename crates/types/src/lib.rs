@@ -14,7 +14,9 @@
 //! | prices, costs, WTP `pₘ, c, bₘ` | [`Money`] |
 //!
 //! It is also home to [`json`], the one JSON parser, typed reader and
-//! string escaper every text format in the workspace goes through.
+//! string escaper every text format in the workspace goes through, and
+//! to [`widen_u64`] / [`widen_usize`], the `as`-free widenings the binary
+//! codecs size and offset with.
 //!
 //! # Examples
 //!
@@ -39,8 +41,10 @@ mod ids;
 pub mod json;
 mod money;
 mod time;
+mod widen;
 
 pub use error::{ConfigError, MarketError, OrchestrateError, Result};
 pub use ids::{DriverId, NodeId, TaskId};
 pub use money::Money;
 pub use time::{TimeDelta, Timestamp};
+pub use widen::{widen_u64, widen_usize};

@@ -7,7 +7,7 @@
 //! The workflow, end to end:
 //!
 //! 1. a producer thread prices one synthetic Porto day with the lazy
-//!    pipeline (`TraceConfig::stream` → `StreamPricer`) and frames every
+//!    pipeline (`TraceConfig::stream` → `priced_events`) and frames every
 //!    event onto a loopback socket (`encode_frame`, u32-length-prefixed),
 //! 2. `ServeDaemon` ingests from a [`TcpSource`], partitions 4 regions
 //!    onto 2 shards, dispatches through maxMargin, and invokes the
@@ -44,23 +44,17 @@ fn main() {
     let speed = stream.speed();
     let bbox = stream.bounding_box();
     let options = StreamOptions::default().grid(bbox);
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
-    let mut events: Vec<StreamEvent> = stream
-        .drivers()
-        .iter()
-        .map(|shift| StreamEvent::DriverOnline(Driver::from(shift)))
-        .collect();
-    for trip in stream {
-        events.push(StreamEvent::TaskPublished(pricer.price(&trip)));
-    }
+    let events: Vec<StreamEvent> = priced_events(stream, &build).collect();
     let mut mm = MaxMargin::new();
     let mut policy = StreamPolicy::Instant(&mut mm);
     let mut want = StreamMetrics::hourly();
-    let mut engine = StreamEngine::new(speed, options);
-    for event in events.iter().cloned() {
-        engine.push(event, &mut policy, &mut want);
-    }
-    let want_summary = engine.finish(&mut policy, &mut want);
+    let want_summary = replay_stream(
+        speed,
+        events.iter().copied(),
+        &mut policy,
+        options,
+        &mut want,
+    );
     println!(
         "oracle replay: served {}/{} ({:.1}%), revenue {:.2}",
         want_summary.served,

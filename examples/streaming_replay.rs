@@ -4,9 +4,9 @@
 //! accumulated off the stream instead of from a materialized result.
 //!
 //! Demonstrates the whole lazy pipeline: `TraceConfig::stream` (trips
-//! generated in publish order, never sorted in bulk) → `StreamPricer`
+//! generated in publish order, never sorted in bulk) → `priced_events`
 //! (Eq. 15 fares with rolling-window surge, priced order by order) →
-//! `StreamEngine` (the same dispatch semantics as `Simulator`, resident
+//! `replay_stream` (the same dispatch semantics as `Simulator`, resident
 //! state `O(held orders + drivers)`) → `StreamMetrics` (windowed
 //! served/revenue/profit and per-driver income). The same run with ten
 //! times the orders uses essentially the same memory — that is the
@@ -43,30 +43,21 @@ fn main() {
         surge_window: Some(TimeDelta::from_mins(30)),
         ..MarketBuildOptions::default()
     };
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
 
     // 4. Replay through maxMargin with grid-pruned candidates, windowed
-    //    metrics as the sink.
+    //    metrics as the sink. `priced_events` is the feed `rideshare
+    //    replay` dispatches: every shift announced, then each trip priced
+    //    as the engine pulls it.
     let mut policy = MaxMargin::new();
     let mut stream_policy = StreamPolicy::Instant(&mut policy);
     let mut metrics = StreamMetrics::hourly();
-    let mut engine = StreamEngine::new(speed, StreamOptions::default().grid(bbox));
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut stream_policy,
-            &mut metrics,
-        );
-    }
-    for trip in stream {
-        let task = pricer.price(&trip);
-        engine.push(
-            StreamEvent::TaskPublished(task),
-            &mut stream_policy,
-            &mut metrics,
-        );
-    }
-    let summary = engine.finish(&mut stream_policy, &mut metrics);
+    let summary = replay_stream(
+        speed,
+        priced_events(stream, &build),
+        &mut stream_policy,
+        StreamOptions::default().grid(bbox),
+        &mut metrics,
+    );
 
     // 5. The Figs. 6–9 quantities, straight off the stream.
     println!("\n{}", metrics.render());

@@ -34,7 +34,6 @@ fn main() {
         surge_window: Some(TimeDelta::from_mins(30)),
         ..MarketBuildOptions::default()
     };
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
 
     // 2. Open a store and interpose the recorder between the engine and
     //    the metrics accumulator. Every callback forwards unchanged; on
@@ -46,25 +45,14 @@ fn main() {
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
 
     let mut policy = MaxMargin::new();
-    let mut stream_policy = rideshare::online::StreamPolicy::Instant(&mut policy);
-    let mut engine =
-        rideshare::online::StreamEngine::new(speed, StreamOptions::default().grid(bbox));
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut stream_policy,
-            &mut sink,
-        );
-    }
-    for trip in stream {
-        let task = pricer.price(&trip);
-        engine.push(
-            StreamEvent::TaskPublished(task),
-            &mut stream_policy,
-            &mut sink,
-        );
-    }
-    let summary = engine.finish(&mut stream_policy, &mut sink);
+    let mut stream_policy = StreamPolicy::Instant(&mut policy);
+    let summary = replay_stream(
+        speed,
+        priced_events(stream, &build),
+        &mut stream_policy,
+        StreamOptions::default().grid(bbox),
+        &mut sink,
+    );
     let (store, metrics) = sink.finish().expect("flush store");
     let store = store.expect("store attached");
     println!(

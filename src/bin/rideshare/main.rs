@@ -136,27 +136,15 @@ fn trace_config(
         .with_regions(regions))
 }
 
-/// The generated feed `replay` dispatches and `export` writes: driver
-/// announcements, then orders generated lazily in publish order and
-/// priced by the rolling-window surge pricer (`--surge-window`, 0 for no
-/// surge). Nothing here is O(trace).
-fn priced_events(
-    p: &Parsed<'_>,
-    stream: TraceStream,
-) -> Result<impl Iterator<Item = StreamEvent>, String> {
+/// `--surge-window` (minutes; 0 for no surge) as the pricing options of
+/// the generated feed `replay` dispatches and `export` writes
+/// (`priced_events`).
+fn surge_options(p: &Parsed<'_>) -> Result<MarketBuildOptions, String> {
     let surge_secs = p.span_or("--surge-window", 60, 30, 0)?;
-    let build = MarketBuildOptions {
+    Ok(MarketBuildOptions {
         surge_window: (surge_secs > 0).then(|| TimeDelta::from_secs(surge_secs)),
         ..MarketBuildOptions::default()
-    };
-    let (bbox, speed) = (stream.bounding_box(), stream.speed());
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
-    let shifts = stream.drivers().iter();
-    let drivers: Vec<_> = shifts
-        .map(|shift| StreamEvent::DriverOnline(Driver::from(shift)))
-        .collect();
-    let tasks = stream.map(move |trip| StreamEvent::TaskPublished(pricer.price(&trip)));
-    Ok(drivers.into_iter().chain(tasks))
+    })
 }
 
 fn generate(p: &Parsed<'_>) -> Result<(), String> {
@@ -558,7 +546,7 @@ fn replay(p: &Parsed<'_>) -> Result<(), String> {
                 }
             }))
         }
-        None => Box::new(priced_events(p, stream)?),
+        None => Box::new(priced_events(stream, &surge_options(p)?)),
     };
     let (summary, elapsed) = timed(|| match run.shards.shards {
         1 => {
@@ -606,7 +594,7 @@ fn export(p: &Parsed<'_>) -> Result<(), String> {
     // entering an engine, so a daemon ingesting it decides exactly what
     // `replay` decides.
     let mut count = 0usize;
-    let events = priced_events(p, config.stream())?
+    let events = priced_events(config.stream(), &surge_options(p)?)
         .inspect(|_| count += 1)
         .map(|event| event_to_wire(&event));
 

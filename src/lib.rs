@@ -76,18 +76,16 @@ pub mod prelude {
         render_series, render_table, MarketMetrics, MetricsJournal, Series, StreamMetrics,
     };
     pub use rideshare_online::{
-        market_events, replay_market, replay_sharded, replay_stream, run_batched, run_batched_with,
-        validate_online, validate_online_result, BatchMatcher, BatchOptions, BoxPartitioner,
-        CollectingSink, DispatchPolicy, FileSource, IngestError, IngestFormat, IngestSource,
-        IterSource, MatcherKind, MaxMargin, NearestDriver, RandomDispatch, RegionPartitioner,
-        ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop, ShardOptions,
-        ShardPolicySpec, SimulationOptions, Simulator, StreamEngine, StreamEvent, StreamOptions,
-        StreamPolicy, StreamSink, StreamSummary, TcpSource,
+        market_events, priced_events, replay_market, replay_sharded, replay_stream, run_batched,
+        run_batched_with, validate_online, validate_online_result, BatchMatcher, BatchOptions,
+        BoxPartitioner, CollectingSink, DispatchPolicy, FileSource, IngestError, IngestFormat,
+        IngestSource, IterSource, MatcherKind, MaxMargin, NearestDriver, RandomDispatch,
+        RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop,
+        ShardOptions, ShardPolicySpec, SimulationOptions, Simulator, StreamEngine, StreamEvent,
+        StreamOptions, StreamPolicy, StreamSink, StreamSummary, TcpSource,
     };
     pub use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
-    pub use rideshare_trace::{
-        DriverModel, DriverShift, Trace, TraceConfig, TraceStream, TripRecord,
-    };
+    pub use rideshare_trace::{DriverModel, Trace, TraceConfig, TraceStream, TripRecord};
     pub use rideshare_tsdb::{
         run_query, Agg, LabelFilter, RangeQuery, RunLabels, TsdbRecorder, TsdbStore,
     };

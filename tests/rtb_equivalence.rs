@@ -52,19 +52,10 @@ fn pipeline(seed: u64, tasks: usize, drivers: usize, regions: usize) -> Pipeline
         surge_window: Some(TimeDelta::from_mins(30)),
         ..MarketBuildOptions::default()
     };
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
-    let mut events: Vec<StreamEvent> = stream
-        .drivers()
-        .iter()
-        .map(|shift| StreamEvent::DriverOnline(Driver::from(shift)))
-        .collect();
-    for trip in stream {
-        events.push(StreamEvent::TaskPublished(pricer.price(&trip)));
-    }
     Pipeline {
         speed,
         bbox,
-        events,
+        events: priced_events(stream, &build).collect(),
     }
 }
 

@@ -575,46 +575,21 @@ fn million_task_tcp_serve_matches_replay() {
     let stream = config.stream();
     let speed = stream.speed();
     let bbox = stream.bounding_box();
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
     let options = StreamOptions::default().grid(bbox);
     let mut want = StreamMetrics::hourly();
     let mut mm = MaxMargin::new();
     let mut policy = StreamPolicy::Instant(&mut mm);
-    let mut engine = StreamEngine::new(speed, options);
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut policy,
-            &mut want,
-        );
-    }
-    for trip in stream {
-        engine.push(
-            StreamEvent::TaskPublished(pricer.price(&trip)),
-            &mut policy,
-            &mut want,
-        );
-    }
-    let want_summary = engine.finish(&mut policy, &mut want);
+    let events = priced_events(stream, &build);
+    let want_summary = replay_stream(speed, events, &mut policy, options, &mut want);
 
     // Daemon: the same events framed over a real socket, 4 shards.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let writer_config = config.clone();
     let writer = std::thread::spawn(move || {
-        let stream = writer_config.stream();
-        let speed = stream.speed();
-        let bbox = stream.bounding_box();
-        let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
-        let _ = speed;
         let conn = TcpStream::connect(addr).unwrap();
         let mut out = std::io::BufWriter::with_capacity(1 << 20, conn);
-        for shift in stream.drivers() {
-            let e = StreamEvent::DriverOnline(Driver::from(shift));
-            out.write_all(&encode_frame(&event_to_wire(&e))).unwrap();
-        }
-        for trip in stream {
-            let e = StreamEvent::TaskPublished(pricer.price(&trip));
+        for e in priced_events(writer_config.stream(), &build) {
             out.write_all(&encode_frame(&event_to_wire(&e))).unwrap();
         }
         out.write_all(&encode_frame(&WireEvent::Eos)).unwrap();

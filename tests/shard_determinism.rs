@@ -507,37 +507,18 @@ fn million_task_sharded_replay_is_byte_identical() {
         let stream = config.stream();
         let speed = stream.speed();
         let bbox = stream.bounding_box();
-        let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
         let mut metrics = StreamMetrics::hourly();
         let options = StreamOptions::default().grid(bbox);
+        let events = priced_events(stream, &build);
         let summary = if shards == 1 {
             let mut mm = MaxMargin::new();
             let mut policy = StreamPolicy::Instant(&mut mm);
-            let mut engine = StreamEngine::new(speed, options);
-            for shift in stream.drivers() {
-                engine.push(
-                    StreamEvent::DriverOnline(Driver::from(shift)),
-                    &mut policy,
-                    &mut metrics,
-                );
-            }
-            for trip in stream {
-                let task = pricer.price(&trip);
-                engine.push(StreamEvent::TaskPublished(task), &mut policy, &mut metrics);
-            }
-            engine.finish(&mut policy, &mut metrics)
+            replay_stream(speed, events, &mut policy, options, &mut metrics)
         } else {
             let partitioner = BoxPartitioner::new(config.region_boxes());
-            let driver_events: Vec<StreamEvent> = stream
-                .drivers()
-                .iter()
-                .map(|s| StreamEvent::DriverOnline(Driver::from(s)))
-                .collect();
-            let task_events =
-                stream.map(move |trip| StreamEvent::TaskPublished(pricer.price(&trip)));
             replay_sharded(
                 speed,
-                driver_events.into_iter().chain(task_events),
+                events,
                 ShardPolicySpec::MaxMargin,
                 &partitioner,
                 ShardOptions::new(shards).stream(options).validate(false),

@@ -191,26 +191,12 @@ fn lazy_pipeline_matches_materialized_pipeline() {
     // Lazy: generate + price + dispatch one order at a time.
     let stream = config.stream();
     let speed = stream.speed();
-    let mut pricer = StreamPricer::new(&build, stream.bounding_box(), speed, stream.drivers());
+    let options = StreamOptions::default().grid(stream.bounding_box());
     let mut policy = MaxMargin::new();
     let mut spolicy = StreamPolicy::Instant(&mut policy);
     let mut sink = CollectingSink::new();
-    let mut engine = StreamEngine::new(speed, StreamOptions::default().grid(stream.bounding_box()));
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut spolicy,
-            &mut sink,
-        );
-    }
-    for trip in stream {
-        engine.push(
-            StreamEvent::TaskPublished(pricer.price(&trip)),
-            &mut spolicy,
-            &mut sink,
-        );
-    }
-    let summary = engine.finish(&mut spolicy, &mut sink);
+    let events = priced_events(stream, &build);
+    let summary = replay_stream(speed, events, &mut spolicy, options, &mut sink);
     let streamed = sink.into_result();
 
     // Materialized: the same streamed trips, built into a market.
@@ -362,27 +348,12 @@ fn million_task_replay_stays_bounded() {
     let stream = config.stream();
     let speed = stream.speed();
     let bbox = stream.bounding_box();
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
     let mut mm = MaxMargin::new();
     let mut policy = StreamPolicy::Instant(&mut mm);
     let mut metrics = StreamMetrics::hourly();
-    let mut engine = StreamEngine::new(speed, StreamOptions::default().grid(bbox));
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut policy,
-            &mut metrics,
-        );
-    }
-    let mut stream = config.stream();
-    for trip in stream.by_ref() {
-        engine.push(
-            StreamEvent::TaskPublished(pricer.price(&trip)),
-            &mut policy,
-            &mut metrics,
-        );
-    }
-    let summary = engine.finish(&mut policy, &mut metrics);
+    let options = StreamOptions::default().grid(bbox);
+    let events = priced_events(stream, &build);
+    let summary = replay_stream(speed, events, &mut policy, options, &mut metrics);
     assert_eq!(summary.tasks, 1_000_000);
     assert!(summary.served > 0);
     assert_eq!(metrics.published(), 1_000_000);
@@ -393,6 +364,9 @@ fn million_task_replay_stays_bounded() {
         "peak held {}",
         summary.peak_held_tasks
     );
+    // (The generator's buffer does not depend on who consumes the trips.)
+    let mut stream = config.stream();
+    stream.by_ref().for_each(drop);
     assert!(
         stream.peak_buffered() < 200_000,
         "trace buffer {}",

@@ -470,7 +470,6 @@ fn million_task_record_and_query_round_trip() {
     let stream = config.stream();
     let speed = stream.speed();
     let bbox = stream.bounding_box();
-    let mut pricer = StreamPricer::new(&build, bbox, speed, stream.drivers());
 
     let dir = tmp_dir("million");
     let store = TsdbStore::open(&dir).expect("open store");
@@ -478,22 +477,9 @@ fn million_task_record_and_query_round_trip() {
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
     let mut mm = MaxMargin::new();
     let mut policy = rideshare::online::StreamPolicy::Instant(&mut mm);
-    let mut engine = StreamEngine::new(speed, StreamOptions::default().grid(bbox));
-    for shift in stream.drivers() {
-        engine.push(
-            StreamEvent::DriverOnline(Driver::from(shift)),
-            &mut policy,
-            &mut sink,
-        );
-    }
-    for trip in stream {
-        engine.push(
-            StreamEvent::TaskPublished(pricer.price(&trip)),
-            &mut policy,
-            &mut sink,
-        );
-    }
-    let summary = engine.finish(&mut policy, &mut sink);
+    let options = StreamOptions::default().grid(bbox);
+    let events = priced_events(stream, &build);
+    let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
     assert_eq!(summary.tasks, 1_000_000);
 
     let (store, metrics) = sink.finish().expect("record");

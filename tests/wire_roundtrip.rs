@@ -28,8 +28,7 @@ use rideshare::online::{event_to_wire, wire_to_event};
 use rideshare::prelude::*;
 use rideshare::trace::rtb::{self, RtbFileReader, RtbSlice};
 use rideshare::trace::wire::{
-    encode_frame, from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder,
-    WireDriver, WireEvent, WireTask,
+    encode_frame, from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder, WireEvent,
 };
 use rideshare::trace::DriverModel;
 
@@ -75,7 +74,7 @@ fn arb_model() -> impl Strategy<Value = DriverModel> {
     ]
 }
 
-fn arb_driver() -> impl Strategy<Value = WireDriver> {
+fn arb_driver() -> impl Strategy<Value = Driver> {
     (
         any::<u32>(),
         arb_geo(),
@@ -84,8 +83,8 @@ fn arb_driver() -> impl Strategy<Value = WireDriver> {
         arb_epoch(),
         arb_model(),
     )
-        .prop_map(|(id, source, destination, start, end, model)| WireDriver {
-            id,
+        .prop_map(|(id, source, destination, start, end, model)| Driver {
+            id: DriverId::new(id),
             source,
             destination,
             shift_start: Timestamp::from_secs(start),
@@ -94,26 +93,24 @@ fn arb_driver() -> impl Strategy<Value = WireDriver> {
         })
 }
 
-fn arb_task() -> impl Strategy<Value = WireTask> {
+fn arb_task() -> impl Strategy<Value = Task> {
     (
         (any::<u32>(), arb_epoch(), arb_geo(), arb_geo()),
         (arb_epoch(), arb_epoch(), arb_epoch()),
         (arb_money(), arb_money(), arb_money()),
     )
         .prop_map(
-            |((id, publish, origin, destination), (pickup, complete, duration), (p, v, c))| {
-                WireTask {
-                    id,
-                    publish_time: Timestamp::from_secs(publish),
-                    origin,
-                    destination,
-                    pickup_deadline: Timestamp::from_secs(pickup),
-                    completion_deadline: Timestamp::from_secs(complete),
-                    duration: TimeDelta::from_secs(duration),
-                    price: p,
-                    valuation: v,
-                    service_cost: c,
-                }
+            |((id, publish, origin, destination), (pickup, complete, duration), (p, v, c))| Task {
+                id: TaskId::new(id),
+                publish_time: Timestamp::from_secs(publish),
+                origin,
+                destination,
+                pickup_deadline: Timestamp::from_secs(pickup),
+                completion_deadline: Timestamp::from_secs(complete),
+                duration: TimeDelta::from_secs(duration),
+                price: Money::new(p),
+                valuation: Money::new(v),
+                service_cost: Money::new(c),
             },
         )
 }
