@@ -67,7 +67,7 @@ pub fn partition_market(market: &Market, k: u16) -> Vec<SubMarket> {
     let Some(bbox) = BoundingBox::covering(sources.chain(origins), 1e-6) else {
         return Vec::new();
     };
-    let grid: GridIndex<u32> = GridIndex::new(bbox, k, k);
+    let grid = GridIndex::new(bbox, k, k);
 
     let cells = k as usize * k as usize;
     let mut cell_drivers: Vec<Vec<usize>> = vec![Vec::new(); cells];

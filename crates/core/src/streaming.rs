@@ -74,7 +74,7 @@ pub struct StreamPricer {
     wtp: WtpModel,
     rng: StdRng,
     speed: SpeedModel,
-    grid: GridIndex<u32>,
+    grid: GridIndex,
     surge: Surge,
 }
 
@@ -117,7 +117,7 @@ impl StreamPricer {
         drivers: &[Driver],
     ) -> Self {
         let (rows, cols) = opts.surge_grid;
-        let grid: GridIndex<u32> = GridIndex::new(bbox, rows, cols);
+        let grid = GridIndex::new(bbox, rows, cols);
         let surge = match opts.surge_window {
             None => Surge::Unsurged,
             Some(window) => {

@@ -1,11 +1,16 @@
-//! A uniform spatial grid index over a bounding box.
+//! A uniform grid over a bounding box: which cell a point falls in, and
+//! which cells a disc can reach.
 //!
 //! The online dispatcher repeatedly asks "which drivers are within reach of
 //! this pickup point?". A linear scan is `O(N)` per query; the grid cuts this
-//! to the drivers in nearby cells. The surge-pricing engine reuses the same
-//! cells as its supply/demand aggregation regions ("a given geographic
+//! to the drivers in the cells [`GridIndex::cover`] names (the dispatcher
+//! keeps the per-cell tables itself). The surge-pricing engine reuses the
+//! same cells as its supply/demand aggregation regions ("a given geographic
 //! area", §III-A).
 
+use core::ops::RangeInclusive;
+
+use crate::point::EARTH_RADIUS_KM;
 use crate::{BoundingBox, GeoPoint};
 
 /// Identifier of a grid cell: `(row, col)` indices.
@@ -44,34 +49,50 @@ impl CellId {
     }
 }
 
-/// A uniform grid over a [`BoundingBox`] storing ids of type `T` per cell.
+/// What [`GridIndex::cover`] adds to a disc before mapping it to cells,
+/// relatively and in degrees: far more than the handful of roundings
+/// between [`GeoPoint::equirectangular_km`]'s arithmetic and the cover's,
+/// far less than a cell.
+const COVER_SLACK: f64 = 1e-9;
+
+/// The geometry of a uniform `rows × cols` grid over a [`BoundingBox`].
 ///
-/// `T` is any small copyable id (driver index, task index). Out-of-box points
-/// are clamped to the nearest boundary cell, so every point maps to a valid
-/// cell.
+/// Out-of-box points are clamped to the nearest boundary cell, so every
+/// point maps to a valid cell. The grid stores nothing: callers keep their
+/// own per-cell tables, indexed by cell id or by dense slot.
 ///
 /// # Examples
 ///
 /// ```
-/// use rideshare_geo::{BoundingBox, GeoPoint, GridIndex};
-/// let bbox = BoundingBox::new(41.0, 41.3, -8.8, -8.4);
-/// let mut grid: GridIndex<u32> = GridIndex::new(bbox, 8, 8);
+/// use rideshare_geo::{BoundingBox, CellId, GeoPoint, GridIndex};
+/// let grid = GridIndex::new(BoundingBox::new(41.0, 41.3, -8.8, -8.4), 8, 8);
 /// let p = GeoPoint::new(41.15, -8.6);
-/// grid.insert(p, 7);
-/// let near: Vec<u32> = grid.query_radius(p, 1.0).collect();
-/// assert_eq!(near, vec![7]);
+/// assert_eq!(grid.cell_of(p), CellId::new(4, 4));
+/// assert_eq!(grid.slot_of(p), 4 * 8 + 4);
+/// // A 1 km disc around `p` cannot leave these cells.
+/// assert_eq!(grid.cover(p, 1.0), (3..=4, 3..=4));
 /// ```
 #[derive(Clone, Debug)]
-pub struct GridIndex<T> {
+pub struct GridIndex {
     bbox: BoundingBox,
     rows: u16,
     cols: u16,
-    cells: Vec<Vec<(GeoPoint, T)>>,
-    len: usize,
+    /// The box's height and width in degrees, floored away from zero so a
+    /// degenerate box still maps every point to a cell.
+    lat_span: f64,
+    lon_span: f64,
 }
 
-impl<T: Copy + PartialEq> GridIndex<T> {
-    /// Creates an empty grid with `rows × cols` cells over `bbox`.
+/// The cell a coordinate falls in along one axis of `cells` cells starting
+/// at `min`. Every step is monotone in `value`, which is what lets
+/// [`GridIndex::cover`] map an interval to a cell range by its two ends.
+fn axis_cell(value: f64, min: f64, span: f64, cells: u16) -> u16 {
+    let u = (value - min) / span;
+    ((u * f64::from(cells)).floor() as i64).clamp(0, i64::from(cells) - 1) as u16
+}
+
+impl GridIndex {
+    /// Creates the grid with `rows × cols` cells over `bbox`.
     ///
     /// # Panics
     ///
@@ -83,21 +104,9 @@ impl<T: Copy + PartialEq> GridIndex<T> {
             bbox,
             rows,
             cols,
-            cells: vec![Vec::new(); rows as usize * cols as usize],
-            len: 0,
+            lat_span: (bbox.max_lat() - bbox.min_lat()).max(f64::MIN_POSITIVE),
+            lon_span: (bbox.max_lon() - bbox.min_lon()).max(f64::MIN_POSITIVE),
         }
-    }
-
-    /// Number of stored entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the grid stores no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The bounding box this grid covers.
@@ -118,303 +127,185 @@ impl<T: Copy + PartialEq> GridIndex<T> {
         self.cols
     }
 
+    fn row_of(&self, lat: f64) -> u16 {
+        axis_cell(lat, self.bbox.min_lat(), self.lat_span, self.rows)
+    }
+
+    fn col_of(&self, lon: f64) -> u16 {
+        axis_cell(lon, self.bbox.min_lon(), self.lon_span, self.cols)
+    }
+
     /// Maps a point to its cell id (out-of-box points clamp to the border).
     #[must_use]
     pub fn cell_of(&self, point: GeoPoint) -> CellId {
-        let u = (point.lat() - self.bbox.min_lat())
-            / (self.bbox.max_lat() - self.bbox.min_lat()).max(f64::MIN_POSITIVE);
-        let v = (point.lon() - self.bbox.min_lon())
-            / (self.bbox.max_lon() - self.bbox.min_lon()).max(f64::MIN_POSITIVE);
-        let row = ((u * f64::from(self.rows)).floor() as i64).clamp(0, i64::from(self.rows) - 1);
-        let col = ((v * f64::from(self.cols)).floor() as i64).clamp(0, i64::from(self.cols) - 1);
-        CellId::new(row as u16, col as u16)
+        CellId::new(self.row_of(point.lat()), self.col_of(point.lon()))
     }
 
-    fn cell_index(&self, cell: CellId) -> usize {
-        cell.row() as usize * self.cols as usize + cell.col() as usize
-    }
-
-    /// Inserts an entry at `point`.
-    pub fn insert(&mut self, point: GeoPoint, id: T) {
-        let idx = self.cell_index(self.cell_of(point));
-        self.cells[idx].push((point, id));
-        self.len += 1;
-    }
-
-    /// Removes the entry with the given id at (or near) `point`.
-    ///
-    /// Returns `true` if an entry was removed. The point must map to the
-    /// same cell it was inserted into.
-    pub fn remove(&mut self, point: GeoPoint, id: T) -> bool {
-        let idx = self.cell_index(self.cell_of(point));
-        let cell = &mut self.cells[idx];
-        if let Some(pos) = cell.iter().position(|(_, e)| *e == id) {
-            cell.swap_remove(pos);
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Moves an entry from `old_point` to `new_point`.
-    ///
-    /// Returns `true` if the entry was found and moved.
-    pub fn relocate(&mut self, old_point: GeoPoint, new_point: GeoPoint, id: T) -> bool {
-        if self.remove(old_point, id) {
-            self.insert(new_point, id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// All `(point, id)` entries in the cells intersecting the `radius_km`
-    /// box around `center`.
-    fn entries_near(
-        &self,
-        center: GeoPoint,
-        radius_km: f64,
-    ) -> impl Iterator<Item = &(GeoPoint, T)> + '_ {
-        self.cells_near(center, radius_km)
-            .flat_map(|(_, entries)| entries.iter())
-    }
-
-    /// The cells intersecting the `radius_km` box around `center`, as
-    /// `(slot, entries)` pairs, where `slot` is the cell's dense linear
-    /// index (`row * cols + col`, the same for the life of the grid).
-    ///
-    /// This is the cell-granular face of [`GridIndex::query_radius_coarse`]:
-    /// callers that keep per-cell side tables (e.g. an availability floor
-    /// per cell, letting a dispatcher skip a whole cell with one compare)
-    /// index them by `slot` and decide per cell whether to scan `entries`.
-    pub fn cells_near(
-        &self,
-        center: GeoPoint,
-        radius_km: f64,
-    ) -> impl Iterator<Item = (usize, &[(GeoPoint, T)])> + '_ {
-        let cell_h_km = self.bbox.height_km() / f64::from(self.rows);
-        let cell_w_km = self.bbox.width_km() / f64::from(self.cols);
-        let row_span = if cell_h_km > 0.0 {
-            (radius_km / cell_h_km).ceil() as i64 + 1
-        } else {
-            i64::from(self.rows)
-        };
-        let col_span = if cell_w_km > 0.0 {
-            (radius_km / cell_w_km).ceil() as i64 + 1
-        } else {
-            i64::from(self.cols)
-        };
-        let c = self.cell_of(center);
-        let row_lo = (i64::from(c.row()) - row_span).max(0) as u16;
-        let row_hi = (i64::from(c.row()) + row_span).min(i64::from(self.rows) - 1) as u16;
-        let col_lo = (i64::from(c.col()) - col_span).max(0) as u16;
-        let col_hi = (i64::from(c.col()) + col_span).min(i64::from(self.cols) - 1) as u16;
-
-        (row_lo..=row_hi)
-            .flat_map(move |r| (col_lo..=col_hi).map(move |col| CellId::new(r, col)))
-            .map(move |cell| {
-                let slot = self.cell_index(cell);
-                (slot, self.cells[slot].as_slice())
-            })
-    }
-
-    /// Total number of cell slots (`rows * cols`); the exclusive upper
-    /// bound of every `slot` yielded by [`GridIndex::cells_near`].
+    /// Total number of cell slots (`rows * cols`).
     #[must_use]
     pub fn slot_count(&self) -> usize {
         self.rows as usize * self.cols as usize
     }
 
-    /// The dense slot of the cell containing `point` (out-of-box points
-    /// clamp to the border, as in [`GridIndex::cell_of`]).
+    /// The dense slot (`row * cols + col`) of the cell containing `point`
+    /// (out-of-box points clamp to the border, as in
+    /// [`GridIndex::cell_of`]).
     #[must_use]
     pub fn slot_of(&self, point: GeoPoint) -> usize {
-        self.cell_index(self.cell_of(point))
+        let cell = self.cell_of(point);
+        cell.row() as usize * self.cols as usize + cell.col() as usize
     }
 
-    /// The entries currently stored in cell `slot`.
+    /// The inclusive `(rows, cols)` ranges of cells that hold every point
+    /// `p` with `center.equirectangular_km(p) <= radius_km` — a lossless
+    /// cover of the disc under the distance the speed model drives by.
     ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= self.slot_count()`.
+    /// Derived from that distance itself: `R·√(Δx² + Δlat²) ≤ r` with
+    /// `Δx = Δlon · cos(mean latitude)` forces `|Δlat| ≤ r/R`, and
+    /// `|Δlon| ≤ r / (R · cos)` for the smallest cosine the latitude band
+    /// `center ± r/R` reaches (the cosine is concave between the poles, so
+    /// that is at one end of the band; a band that reaches a pole bounds no
+    /// longitude and covers every column). Longitudes are taken raw, as
+    /// the distance takes them — no wrap at ±180°. Both intervals map to
+    /// cells through the clamped, monotone map [`GridIndex::cell_of`] uses,
+    /// so centres and points outside the box stay covered, and a larger
+    /// radius never covers less.
     #[must_use]
-    pub fn slot_entries(&self, slot: usize) -> &[(GeoPoint, T)] {
-        self.cells[slot].as_slice()
-    }
-
-    /// Iterates over all ids whose stored point lies within `radius_km`
-    /// (haversine) of `center`.
-    ///
-    /// Only the cells overlapping the radius are scanned.
-    pub fn query_radius(&self, center: GeoPoint, radius_km: f64) -> impl Iterator<Item = T> + '_ {
-        self.entries_near(center, radius_km)
-            .filter(move |(p, _)| p.haversine_km(center) <= radius_km)
-            .map(|(_, id)| *id)
-    }
-
-    /// Iterates over all ids stored in cells that intersect the
-    /// `radius_km` box around `center` — a cheap **superset** of
-    /// [`GridIndex::query_radius`]: no per-entry distance filter is
-    /// applied, so entries up to a cell-diagonal beyond the radius may be
-    /// yielded.
-    ///
-    /// Use this when the caller re-checks candidates exactly anyway (the
-    /// online dispatcher's feasibility predicate does): skipping the
-    /// haversine filter here avoids computing every distance twice.
-    pub fn query_radius_coarse(
+    pub fn cover(
         &self,
         center: GeoPoint,
         radius_km: f64,
-    ) -> impl Iterator<Item = T> + '_ {
-        self.entries_near(center, radius_km).map(|(_, id)| *id)
-    }
-
-    /// Iterates over every stored `(point, id)` pair.
-    pub fn iter(&self) -> impl Iterator<Item = (GeoPoint, T)> + '_ {
-        self.cells.iter().flatten().map(|(p, id)| (*p, *id))
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        for cell in &mut self.cells {
-            cell.clear();
-        }
-        self.len = 0;
+    ) -> (RangeInclusive<u16>, RangeInclusive<u16>) {
+        let reach = radius_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+        let dlat = reach.to_degrees() + COVER_SLACK;
+        let (south, north) = (center.lat() - dlat, center.lat() + dlat);
+        let rows = self.row_of(south)..=self.row_of(north);
+        let cols = if south > -90.0 && north < 90.0 {
+            let cos = south.to_radians().cos().min(north.to_radians().cos());
+            let dlon = (reach / cos).to_degrees() + COVER_SLACK;
+            self.col_of(center.lon() - dlon)..=self.col_of(center.lon() + dlon)
+        } else {
+            0..=self.cols - 1
+        };
+        (rows, cols)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn test_grid() -> GridIndex<u32> {
+    fn test_grid() -> GridIndex {
         GridIndex::new(BoundingBox::new(41.0, 41.3, -8.8, -8.4), 10, 10)
     }
 
     #[test]
-    fn insert_query_remove() {
-        let mut g = test_grid();
-        let p = GeoPoint::new(41.15, -8.6);
-        g.insert(p, 1);
-        g.insert(GeoPoint::new(41.16, -8.61), 2);
-        g.insert(GeoPoint::new(41.29, -8.41), 3); // far away
-        assert_eq!(g.len(), 3);
-
-        let mut near: Vec<u32> = g.query_radius(p, 2.0).collect();
-        near.sort_unstable();
-        assert_eq!(near, vec![1, 2]);
-
-        assert!(g.remove(p, 1));
-        assert!(!g.remove(p, 1));
-        assert_eq!(g.len(), 2);
-        let near: Vec<u32> = g.query_radius(p, 2.0).collect();
-        assert_eq!(near, vec![2]);
-    }
-
-    #[test]
-    fn radius_zero_matches_exact_point_only() {
-        let mut g = test_grid();
-        let p = GeoPoint::new(41.2, -8.5);
-        g.insert(p, 9);
-        let hits: Vec<u32> = g.query_radius(p, 0.0).collect();
-        assert_eq!(hits, vec![9]);
-        let none: Vec<u32> = g.query_radius(GeoPoint::new(41.21, -8.5), 0.5).collect();
-        assert!(none.is_empty());
-    }
-
-    #[test]
     fn out_of_box_points_clamp() {
-        let mut g = test_grid();
-        let outside = GeoPoint::new(40.0, -9.5);
-        g.insert(outside, 4);
-        assert_eq!(g.cell_of(outside), CellId::new(0, 0));
-        assert_eq!(g.len(), 1);
-        // Removal uses the same clamped cell.
-        assert!(g.remove(outside, 4));
-    }
-
-    #[test]
-    fn relocate_moves_entry() {
-        let mut g = test_grid();
-        let a = GeoPoint::new(41.05, -8.75);
-        let b = GeoPoint::new(41.28, -8.42);
-        g.insert(a, 5);
-        assert!(g.relocate(a, b, 5));
-        assert!(g.query_radius(a, 1.0).next().is_none());
-        let hits: Vec<u32> = g.query_radius(b, 1.0).collect();
-        assert_eq!(hits, vec![5]);
-        assert!(!g.relocate(a, b, 99));
-    }
-
-    #[test]
-    fn query_equals_linear_scan() {
-        // The grid query must agree with a brute-force filter.
-        let mut g = test_grid();
-        let mut points = Vec::new();
-        // Deterministic pseudo-random scatter.
-        let mut state = 42u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        for i in 0..200u32 {
-            let p = GeoPoint::new(41.0 + 0.3 * next(), -8.8 + 0.4 * next());
-            points.push((p, i));
-            g.insert(p, i);
-        }
-        let center = GeoPoint::new(41.15, -8.6);
-        for radius in [0.5, 1.0, 3.0, 10.0, 50.0] {
-            let mut got: Vec<u32> = g.query_radius(center, radius).collect();
-            got.sort_unstable();
-            let mut want: Vec<u32> = points
-                .iter()
-                .filter(|(p, _)| p.haversine_km(center) <= radius)
-                .map(|(_, i)| *i)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "radius {radius}");
-        }
-    }
-
-    #[test]
-    fn coarse_query_is_a_superset() {
-        let mut g = test_grid();
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        for i in 0..200u32 {
-            g.insert(GeoPoint::new(41.0 + 0.3 * next(), -8.8 + 0.4 * next()), i);
-        }
-        let center = GeoPoint::new(41.15, -8.6);
-        for radius in [0.5, 1.0, 3.0, 10.0, 50.0] {
-            let coarse: Vec<u32> = g.query_radius_coarse(center, radius).collect();
-            for id in g.query_radius(center, radius) {
-                assert!(coarse.contains(&id), "radius {radius}: {id} missing");
-            }
-        }
-    }
-
-    #[test]
-    fn clear_and_iter() {
-        let mut g = test_grid();
-        g.insert(GeoPoint::new(41.1, -8.6), 1);
-        g.insert(GeoPoint::new(41.2, -8.5), 2);
-        assert_eq!(g.iter().count(), 2);
-        g.clear();
-        assert!(g.is_empty());
-        assert_eq!(g.iter().count(), 0);
+        let g = test_grid();
+        assert_eq!(g.cell_of(GeoPoint::new(40.0, -9.5)), CellId::new(0, 0));
+        assert_eq!(g.cell_of(GeoPoint::new(42.0, -8.0)), CellId::new(9, 9));
+        assert_eq!(g.slot_of(GeoPoint::new(42.0, -9.5)), 90);
+        assert_eq!(g.slot_count(), 100);
     }
 
     #[test]
     #[should_panic(expected = "at least one cell")]
     fn zero_cells_rejected() {
-        let _: GridIndex<u32> = GridIndex::new(BoundingBox::new(0.0, 1.0, 0.0, 1.0), 0, 4);
+        let _ = GridIndex::new(BoundingBox::new(0.0, 1.0, 0.0, 1.0), 0, 4);
+    }
+
+    #[test]
+    fn cover_is_as_tight_as_the_cells_allow() {
+        // 3.34 km cells either way; a 3.5 km disc centred mid-cell reaches
+        // one cell out and no farther, and a zero radius stays home.
+        let g = test_grid();
+        let center = GeoPoint::new(41.165, -8.58);
+        assert_eq!(g.cell_of(center), CellId::new(5, 5));
+        assert_eq!(g.cover(center, 0.0), (5..=5, 5..=5));
+        assert_eq!(g.cover(center, 3.5), (4..=6, 4..=6));
+        assert_eq!(g.cover(center, 1e5), (0..=9, 0..=9));
+        // From outside the box the cover still starts at the border cell.
+        assert_eq!(g.cover(GeoPoint::new(40.9, -9.0), 1.0), (0..=0, 0..=0));
+    }
+
+    type Case = (GridIndex, GeoPoint, f64, GeoPoint);
+
+    /// A centre, a radius from zero to past any box, a box (possibly of
+    /// zero height or width) whose cells are a twentieth of the radius to
+    /// three radii a side and which holds the centre or lies well off it,
+    /// and a point: at a polar offset from the centre in radii — half the
+    /// draws just inside the rim, where a cover that is short shows — or
+    /// anywhere on the globe.
+    fn arb_case() -> impl Strategy<Value = Case> {
+        let lat = || prop_oneof![30.0f64..50.0, -89.9f64..89.9];
+        let lon = || prop_oneof![-20.0f64..0.0, -179.9f64..179.9];
+        let radius = prop_oneof![Just(0.0f64), 0.0f64..30.0, 0.0f64..3e3, 0.0f64..25e3];
+        let cell = || prop_oneof![1 => Just(0.0f64), 4 => 0.05f64..3.0];
+        let grid = (cell(), cell(), 1u16..40, 1u16..40);
+        let corner = (-1.5f64..0.5, -1.5f64..0.5);
+        let polar = (prop_oneof![0.0f64..1.5, 0.97f64..1.0], 0.0f64..360.0);
+        let anywhere = prop_oneof![4 => Just(false), 1 => Just(true)];
+        (
+            (lat(), lon(), radius),
+            grid,
+            corner,
+            polar,
+            (anywhere, lat(), lon()),
+        )
+            .prop_map(|(disc, grid, corner, polar, far)| case(disc, grid, corner, polar, far))
+    }
+
+    fn case(
+        (lat, lon, r): (f64, f64, f64),
+        (cell_h, cell_w, rows, cols): (f64, f64, u16, u16),
+        (south, west): (f64, f64),
+        (rho, theta): (f64, f64),
+        (far, far_lat, far_lon): (bool, f64, f64),
+    ) -> Case {
+        let deg = (r / EARTH_RADIUS_KM).to_degrees();
+        let h = cell_h * (deg + 0.01) * f64::from(rows);
+        let w = cell_w * (deg + 0.01) * f64::from(cols);
+        let (min_lat, min_lon) = (lat + south * h, lon + west * w);
+        let bbox = BoundingBox::new(min_lat, min_lat + h, min_lon, min_lon + w);
+        let (sin, cos) = theta.to_radians().sin_cos();
+        let north = rho * deg * sin;
+        let stretch = (lat + north / 2.0).to_radians().cos().max(0.01);
+        let point = if far {
+            GeoPoint::new(far_lat, far_lon)
+        } else {
+            GeoPoint::new(lat + north, lon + rho * deg * cos / stretch)
+        };
+        (
+            GridIndex::new(bbox, rows, cols),
+            GeoPoint::new(lat, lon),
+            r,
+            point,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn cover_holds_every_point_of_the_disc((g, center, r, p) in arb_case()) {
+            let (rows, cols) = g.cover(center, r);
+            let home = g.cell_of(center);
+            prop_assert!(rows.contains(&home.row()) && cols.contains(&home.col()));
+            if center.equirectangular_km(p) <= r {
+                let cell = g.cell_of(p);
+                prop_assert!(
+                    rows.contains(&cell.row()) && cols.contains(&cell.col()),
+                    "{p} within {r} km of {center} is in {cell:?}, outside {rows:?} x {cols:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn cover_is_monotone_in_the_radius((g, center, r, _p) in arb_case(), shrink in 0.0f64..1.0) {
+            let (rows, cols) = g.cover(center, r);
+            let (inner_rows, inner_cols) = g.cover(center, r * shrink);
+            prop_assert!(rows.start() <= inner_rows.start() && inner_rows.end() <= rows.end());
+            prop_assert!(cols.start() <= inner_cols.start() && inner_cols.end() <= cols.end());
+        }
     }
 }

@@ -10,8 +10,9 @@
 //! - [`BoundingBox`]: rectangular city regions with uniform sampling support,
 //! - [`SpeedModel`]: converts distances to travel times and travel costs
 //!   (gasoline cost per km, per the paper's §VI-A cost estimate),
-//! - [`GridIndex`]: a uniform spatial hash over a bounding box for fast
-//!   nearest-driver candidate queries in the online simulator,
+//! - [`GridIndex`]: the geometry of a uniform grid over a bounding box —
+//!   a point's cell and a disc's lossless cell cover — behind the online
+//!   dispatcher's candidate pruning and the surge engine's regions,
 //! - [`porto`]: the Porto, Portugal city model matching the ECML/PKDD-15
 //!   trace used by the paper's evaluation.
 //!

@@ -17,30 +17,41 @@
 //!   and availability (parallel vectors in announce order), plus the
 //!   frozen locations of compacted drivers. This is all a checkpoint has
 //!   to carry;
-//! - the **indexes** derived from it — the pruning grid, the per-cell
-//!   availability floors and the shift-end heap. Each is maintained
-//!   incrementally by the operation that changes the state, and
-//!   [`Fleet::compact`] rebuilds all three from the state that survives.
+//! - the **indexes** derived from it — the availability-ordered cell
+//!   table and the shift-end heap. Each is maintained incrementally by the
+//!   operation that changes the state, and [`Fleet::compact`] rebuilds both
+//!   from the state that survives.
 //!
 //! It does **not** hold a `&Market`: tasks are passed in by the caller —
 //! a stream never materialises a market, and its driver set grows as
 //! shifts are announced.
 //!
-//! Radius pruning through the grid is *lossless*: a driver departs no
-//! earlier than the decision time, so any driver farther than the speed
-//! model can cover within `pickup_deadline − decision_time` cannot arrive
-//! in time and would be rejected by the arrival check anyway — the grid
-//! only skips work, never changes results (pinned by the oracle tests).
-//! The same argument covers *retired* drivers (the engine retires a
-//! driver once the stream clock passes her shift end): any task decided
-//! after `t⁺ₙ` fails the return-home check, so skipping her is equally
-//! lossless.
+//! The cell table answers the two questions the engine asks, and both
+//! prunes are *lossless* — the table only skips work, never changes
+//! results (pinned against the table-less scan by the oracle tests):
+//!
+//! - **who can reach this pickup in time** ([`Fleet::candidates_into`]).
+//!   In space: a driver departs no earlier than the decision time, so one
+//!   farther than the speed model covers within `pickup_deadline −
+//!   decision_time` cannot arrive in time, and [`GridIndex::cover`] names
+//!   the only cells that can hold anyone nearer. In time: each cell is
+//!   kept ascending by `available_at`, and a driver free only after the
+//!   pickup deadline cannot arrive by it, so a cell is walked up to the
+//!   first such entry and no farther — busy drivers, drivers whose shift
+//!   has not begun and *retired* drivers (the engine retires a driver once
+//!   the stream clock passes her shift end: any task decided after `t⁺ₙ`
+//!   fails the return-home check) are never touched;
+//! - **how late can this order be decided** ([`Fleet::latest_decision`]) —
+//!   the travel time of the *nearest* point, found by searching rings of
+//!   cells outward from the pickup's and shrinking the cover to the best
+//!   point found so far.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::RangeInclusive;
 
 use rideshare_core::{Driver, Market, Task};
-use rideshare_geo::{BoundingBox, GeoPoint, GridIndex, SpeedModel};
+use rideshare_geo::{BoundingBox, CellId, GeoPoint, GridIndex, SpeedModel};
 use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
@@ -50,15 +61,15 @@ const GRID_ROWS: u16 = 16;
 /// Grid resolution of the pruning index.
 const GRID_COLS: u16 = 16;
 
-/// Tag bit marking a grid entry as a ghost (a compacted driver's frozen
+/// Tag bit marking a cell entry as a ghost (a compacted driver's frozen
 /// projected location, visible to [`Fleet::latest_decision`] but never to
 /// candidate generation). Real driver indices stay below this.
 const GHOST_BIT: u32 = 1 << 31;
 
 /// Later than every reachable deadline: the `available_at` of a retired
 /// driver — nothing else writes it, since a commit needs a candidacy and
-/// the availability pre-reject refuses hers — and the floor of a grid
-/// cell with no live driver.
+/// the availability pre-reject refuses hers — and the key of a ghost's
+/// cell entry.
 const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
 
 /// The engine's drivers: resident state, and the indexes derived from it.
@@ -99,35 +110,80 @@ pub(crate) struct Fleet {
     announced: usize,
 
     // Indexes, each a function of the state above.
-    /// Optional spatial index over `locations` and `ghosts`. Retired
-    /// drivers stay in it so `latest_decision` sees the same driver set
-    /// whether or not the clock has caught up with them.
-    grid: Option<GridIndex<u32>>,
-    /// Per-grid-cell availability floor: `cell_floor[slot]` is the exact
-    /// minimum `available_at` over the drivers stored in that cell
-    /// ([`NEVER`] when it holds none — ghosts don't count). A candidate
-    /// scan skips a whole cell with one compare when even its
-    /// most-available driver cannot make the pickup deadline; that skip is
-    /// lossless because the per-driver availability pre-reject would
-    /// return `None` for every entry anyway. Maintained exactly on the
-    /// rare state-changing events (announce, commit, retire, compact),
-    /// which each touch at most two cells. Empty when the grid is off.
-    cell_floor: Vec<Timestamp>,
+    /// Optional spatial index over `locations` and `ghosts`.
+    cells: Option<CellTable>,
     /// Min-heap of `(shift_end, index)` over the drivers the clock has not
     /// retired yet, for lazy lossless retirement.
     shift_ends: BinaryHeap<Reverse<(i64, usize)>>,
 }
 
-/// The exact availability floor of cell `slot`: minimum `available_at`
-/// over its driver entries (ghost entries carry no state and are ignored).
-fn floor_of(grid: &GridIndex<u32>, available_at: &[Timestamp], slot: usize) -> Timestamp {
-    let mut floor = NEVER;
-    for &(_, id) in grid.slot_entries(slot) {
-        if id & GHOST_BIT == 0 {
-            floor = floor.min(available_at[id as usize]);
-        }
+/// The fleet's spatial index: per grid cell, one `(available_at, index)`
+/// entry for every driver whose projected location falls in it, kept
+/// ascending by `available_at`. Live drivers come first; retired drivers
+/// and ghosts (index tagged [`GHOST_BIT`]) sit at [`NEVER`] in the tail —
+/// they stay in the table so `latest_decision` sees the same point set
+/// whether or not the clock has caught up with a driver.
+///
+/// A candidate scan walks a cell only up to the first entry free after
+/// the pickup deadline: every later entry would fail the availability
+/// pre-reject inside `evaluate`, so stopping is lossless, and a cell whose
+/// most-available driver is too late costs one compare. Each
+/// state-changing event (announce, commit, retire) moves one entry.
+#[derive(Clone, Debug)]
+struct CellTable {
+    grid: GridIndex,
+    /// Indexed by [`GridIndex::slot_of`] (`row * cols + col`).
+    cells: Vec<Vec<(Timestamp, u32)>>,
+}
+
+impl CellTable {
+    fn new(bbox: BoundingBox) -> Self {
+        let grid = GridIndex::new(bbox, GRID_ROWS, GRID_COLS);
+        let cells = vec![Vec::new(); grid.slot_count()];
+        Self { grid, cells }
     }
-    floor
+
+    /// Enters `id`, free at `free`, into the cell of `location`, in order.
+    fn insert(&mut self, location: GeoPoint, free: Timestamp, id: u32) {
+        let cell = &mut self.cells[self.grid.slot_of(location)];
+        let at = cell.partition_point(|&(earlier, _)| earlier <= free);
+        cell.insert(at, (free, id));
+    }
+
+    /// Removes the entry `insert` made for the same arguments.
+    fn remove(&mut self, location: GeoPoint, free: Timestamp, id: u32) {
+        let cell = &mut self.cells[self.grid.slot_of(location)];
+        let run = cell.partition_point(|&(earlier, _)| earlier < free);
+        let at = cell[run..].iter().position(|&(_, other)| other == id);
+        cell.remove(run + at.expect("every resident driver has her cell entry"));
+    }
+
+    /// The entries of one cell.
+    fn cell(&self, cell: CellId) -> &[(Timestamp, u32)] {
+        let (row, col) = (usize::from(cell.row()), usize::from(cell.col()));
+        &self.cells[row * usize::from(self.grid.cols()) + col]
+    }
+}
+
+/// The cells at Chebyshev distance `ring` from `home` — the border of the
+/// square of side `2·ring + 1` around it — that have non-negative indices.
+fn ring_cells(home: CellId, ring: u16) -> impl Iterator<Item = CellId> {
+    let (row, col, ring) = (
+        i32::from(home.row()),
+        i32::from(home.col()),
+        i32::from(ring),
+    );
+    (row - ring..=row + ring).flat_map(move |r| {
+        // Top and bottom edges run the square's width; rows between them
+        // contribute their two end cells.
+        let step = if (r - row).abs() == ring {
+            1
+        } else {
+            2 * ring as usize
+        };
+        let cols = (col - ring..=col + ring).step_by(step);
+        cols.filter_map(move |c| Some(CellId::new(u16::try_from(r).ok()?, u16::try_from(c).ok()?)))
+    })
 }
 
 /// Whether `task` can still be decided at `decision_time` at all — the
@@ -141,8 +197,6 @@ impl Fleet {
     /// typically pass the trace's service area; the box only affects
     /// speed, never results).
     pub(crate) fn new(speed: SpeedModel, bbox: Option<BoundingBox>) -> Self {
-        let grid = bbox.map(|b| GridIndex::new(b, GRID_ROWS, GRID_COLS));
-        let cell_floor = vec![NEVER; grid.as_ref().map_or(0, GridIndex::slot_count)];
         Self {
             speed,
             drivers: Vec::new(),
@@ -150,8 +204,7 @@ impl Fleet {
             available_at: Vec::new(),
             ghosts: Vec::new(),
             announced: 0,
-            grid,
-            cell_floor,
+            cells: bbox.map(CellTable::new),
             shift_ends: BinaryHeap::new(),
         }
     }
@@ -193,21 +246,12 @@ impl Fleet {
         self.locations.push(driver.source);
         self.available_at.push(driver.shift_start);
         self.announced += 1;
-        self.index(self.drivers.len() - 1);
-    }
-
-    /// Enters driver `d`, already in the state vectors, into every index.
-    fn index(&mut self, d: usize) {
-        if let Some(g) = self.grid.as_mut() {
-            let location = self.locations[d];
-            g.insert(location, d as u32);
-            // An insert can only lower the exact cell minimum, so one
-            // `min` keeps it exact.
-            let slot = g.slot_of(location);
-            self.cell_floor[slot] = self.cell_floor[slot].min(self.available_at[d]);
+        let d = self.drivers.len() - 1;
+        if let Some(table) = self.cells.as_mut() {
+            table.insert(driver.source, driver.shift_start, d as u32);
         }
-        let end = self.drivers[d].shift_end;
-        self.shift_ends.push(Reverse((end.as_secs(), d)));
+        self.shift_ends
+            .push(Reverse((driver.shift_end.as_secs(), d)));
     }
 
     /// Retires driver `d`; `true` if she was not retired already (callers
@@ -219,12 +263,11 @@ impl Fleet {
         if self.available_at[d] == NEVER {
             return false;
         }
-        self.available_at[d] = NEVER;
-        if let Some(g) = self.grid.as_ref() {
-            // Her availability just rose, so her cell's minimum may have
-            // too — rescan its handful of entries to keep the floor exact.
-            let slot = g.slot_of(self.locations[d]);
-            self.cell_floor[slot] = floor_of(g, &self.available_at, slot);
+        let free = std::mem::replace(&mut self.available_at[d], NEVER);
+        if let Some(table) = self.cells.as_mut() {
+            // Her entry moves to her cell's tail, behind every live driver.
+            table.remove(self.locations[d], free, d as u32);
+            table.insert(self.locations[d], NEVER, d as u32);
         }
         true
     }
@@ -288,20 +331,24 @@ impl Fleet {
         before - kept
     }
 
-    /// Rebuilds the grid, the cell floors and the shift-end heap from the
-    /// state vectors alone.
+    /// Rebuilds the cell table and the shift-end heap from the state
+    /// vectors alone. Cells are filled first and sorted once each: entering
+    /// a large fleet in order entry by entry is quadratic in a cell's size.
     fn rebuild_indexes(&mut self) {
-        self.shift_ends.clear();
-        self.cell_floor.fill(NEVER);
-        if let Some(g) = self.grid.as_mut() {
-            g.clear();
-            for (k, &location) in self.ghosts.iter().enumerate() {
-                g.insert(location, GHOST_BIT | k as u32);
+        if let Some(table) = self.cells.as_mut() {
+            table.cells.iter_mut().for_each(Vec::clear);
+            let ghosts = self.ghosts.iter().map(|at| (at, NEVER)).zip(GHOST_BIT..);
+            let free = self.available_at.iter().copied();
+            let residents = self.locations.iter().zip(free).zip(0..);
+            for ((location, free), id) in ghosts.chain(residents) {
+                table.cells[table.grid.slot_of(*location)].push((free, id));
             }
+            table.cells.iter_mut().for_each(|cell| cell.sort_unstable());
         }
-        for d in 0..self.drivers.len() {
-            self.index(d);
-        }
+        let ends = self.drivers.iter().enumerate();
+        self.shift_ends = ends
+            .map(|(d, r)| Reverse((r.shift_end.as_secs(), d)))
+            .collect();
     }
 
     /// Announced ids of the resident drivers currently retired (the scan
@@ -317,8 +364,8 @@ impl Fleet {
     /// bounded-memory tests measure against [`Fleet::resident`].
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> (usize, usize) {
-        let grid = self.grid.as_ref();
-        let gridded = grid.map_or(0, |g| g.len() - self.ghosts.len());
+        let table = self.cells.iter().flat_map(|t| t.cells.iter().flatten());
+        let gridded = table.filter(|&&(_, id)| id & GHOST_BIT == 0).count();
         let lens = [
             self.drivers.len(),
             self.locations.len(),
@@ -357,35 +404,29 @@ impl Fleet {
             return;
         }
 
-        match &self.grid {
-            Some(g) => {
+        match &self.cells {
+            Some(table) => {
                 // Any driver farther than the loosest possible travel
                 // budget — she departs no earlier than the decision —
                 // cannot arrive in time. One second of slack keeps the
                 // prune lossless: travel times round to whole seconds, so
                 // a driver fractionally past the exact radius can still
-                // round down into the budget. The coarse query yields a
-                // superset (no per-entry distance filter — `evaluate`
-                // re-checks arrival exactly anyway), so the prune stays
-                // lossless while each distance is computed once instead of
-                // twice.
+                // round down into the budget. The cover is a superset of
+                // the disc (`evaluate` re-checks arrival exactly anyway).
                 let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
                 let radius = self.speed.reachable_km(budget);
-                for (slot, entries) in g.cells_near(task.origin, radius) {
-                    // One compare retires the whole cell when even its
-                    // most-available driver misses the pickup deadline —
-                    // every entry would fail the same availability
-                    // pre-reject inside `evaluate`, so the skip is
-                    // lossless. Under saturation most cells die here.
-                    if self.cell_floor[slot] > task.pickup_deadline {
-                        continue;
-                    }
-                    for &(_, d) in entries {
-                        if d & GHOST_BIT != 0 {
-                            continue; // ghosts never generate candidates
-                        }
-                        out.extend(self.evaluate(task, decision_time, d as usize));
-                    }
+                let (rows, cols) = table.grid.cover(task.origin, radius);
+                // Entries at `NEVER` — retired drivers and ghosts, who
+                // carry no state to evaluate — are out of reach of every
+                // deadline, even one no guard bounded.
+                let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
+                for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col)))
+                {
+                    let free = table
+                        .cell(cell)
+                        .iter()
+                        .map_while(|&(free, d)| (free <= horizon).then_some(d));
+                    out.extend(free.filter_map(|d| self.evaluate(task, decision_time, d as usize)));
                 }
             }
             None => {
@@ -479,36 +520,56 @@ impl Fleet {
     /// frozen ghost locations.
     pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
         let speed = self.speed;
+        let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);
         let mut best = task.publish_time;
-        let mut consider = |loc: GeoPoint| {
-            let latest = task.pickup_deadline - speed.travel_time(loc, task.origin);
-            if latest > best {
-                best = latest;
-            }
-        };
-        match &self.grid {
-            Some(g) => {
-                // Drivers beyond the publish-time budget have
-                // `pickup_deadline − travel < publish`, which can never
-                // raise `best` above its `publish_time` floor — pruning
-                // them is lossless here too (same 1 s rounding slack).
-                let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
-                let radius = speed.reachable_km(budget);
-                for d in g.query_radius_coarse(task.origin, radius) {
-                    if d & GHOST_BIT != 0 {
-                        consider(self.ghosts[(d & !GHOST_BIT) as usize]);
-                    } else {
-                        consider(self.locations[d as usize]);
+        match &self.cells {
+            Some(table) => {
+                // A point beyond the budget left by the best epoch so far
+                // has `pickup_deadline − travel < best` and cannot raise it
+                // (same 1 s rounding slack as the candidate scan) — from
+                // the `publish_time` floor on, and tighter with every
+                // nearer point found. So search rings of cells outward
+                // from the pickup's, shrink the cover after each, and stop
+                // once a ring has passed all four of its sides.
+                let cover = |best: Timestamp| {
+                    let budget = task.pickup_deadline - best + TimeDelta::from_secs(1);
+                    table.grid.cover(task.origin, speed.reachable_km(budget))
+                };
+                let home = table.grid.cell_of(task.origin);
+                let (mut rows, mut cols) = cover(best);
+                for ring in 0.. {
+                    let cells = ring_cells(home, ring)
+                        .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
+                    let entries = cells.flat_map(|cell| table.cell(cell));
+                    let nearest = entries.map(|&(_, id)| latest(self.point(id))).max();
+                    if let Some(found) = nearest.filter(|&found| found > best) {
+                        best = found;
+                        (rows, cols) = cover(best);
+                    }
+                    let passed = |at: u16, range: &RangeInclusive<u16>| {
+                        at.saturating_sub(ring) <= *range.start()
+                            && at.saturating_add(ring) >= *range.end()
+                    };
+                    if passed(home.row(), &rows) && passed(home.col(), &cols) {
+                        break;
                     }
                 }
             }
             None => {
-                for &loc in self.locations.iter().chain(&self.ghosts) {
-                    consider(loc);
-                }
+                let points = self.locations.iter().chain(&self.ghosts);
+                best = points.map(|&loc| latest(loc)).fold(best, Timestamp::max);
             }
         }
         best.min(cap)
+    }
+
+    /// The point a cell entry stands for: a resident driver's projected
+    /// location, or a ghost's frozen one.
+    fn point(&self, id: u32) -> GeoPoint {
+        match id & GHOST_BIT {
+            0 => self.locations[id as usize],
+            _ => self.ghosts[(id & !GHOST_BIT) as usize],
+        }
     }
 
     /// A resident driver who could still *interact* with `task`: reach its
@@ -536,18 +597,12 @@ impl Fleet {
     /// Returns her announced id and the deadhead she drives to the pickup,
     /// in kilometres.
     pub(crate) fn commit(&mut self, d: usize, task: &Task, arrival: Timestamp) -> (DriverId, f64) {
-        let from = self.locations[d];
-        self.locations[d] = task.destination;
-        self.available_at[d] = arrival + task.duration;
-        if let Some(g) = self.grid.as_mut() {
-            g.relocate(from, task.destination, d as u32);
-            // The move changes at most two cells; rescanning both keeps
-            // the floors exact (commits are rare next to candidate scans).
-            let (left, entered) = (g.slot_of(from), g.slot_of(task.destination));
-            self.cell_floor[left] = floor_of(g, &self.available_at, left);
-            if entered != left {
-                self.cell_floor[entered] = floor_of(g, &self.available_at, entered);
-            }
+        let until = arrival + task.duration;
+        let from = std::mem::replace(&mut self.locations[d], task.destination);
+        let free = std::mem::replace(&mut self.available_at[d], until);
+        if let Some(table) = self.cells.as_mut() {
+            table.remove(from, free, d as u32);
+            table.insert(task.destination, until, d as u32);
         }
         (self.drivers[d].id, self.speed.driven_km(from, task.origin))
     }
@@ -579,22 +634,66 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
+    /// Task indices in publish order.
+    fn publish_order(m: &Market) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..m.num_tasks()).collect();
+        order.sort_by_key(|&t| (m.tasks()[t].publish_time, t));
+        order
+    }
+
     #[test]
     fn grid_pruning_is_lossless_at_any_decision_time() {
-        let m = market(71, 60, 25);
-        let linear = Fleet::for_market(&m, false);
-        let grid = Fleet::for_market(&m, true);
-        for t in 0..m.num_tasks() {
-            let task = &m.tasks()[t];
-            let publish = task.publish_time;
-            for delay_mins in [0i64, 2, 10, 45] {
-                let at = publish + TimeDelta::from_mins(delay_mins);
+        // Both questions, index ≡ scan, asked of a fleet that churns the
+        // way a stream's does — drivers announced late, committed, retired
+        // by the clock, compacted with and without ghosts — over a box
+        // that holds every point and over one most points fall outside of.
+        let m = market(71, 240, 40);
+        let full = market_bbox(&m);
+        let (lat, lon) = (full.center().lat(), full.center().lon());
+        let inner = BoundingBox::new(lat - 0.02, lat + 0.02, lon - 0.03, lon + 0.03);
+        for (bbox, keep_ghosts) in [(full, true), (inner, false), (inner, true)] {
+            let mut linear = Fleet::new(m.speed(), None);
+            let mut grid = Fleet::new(m.speed(), Some(bbox));
+            let mut late = m.drivers().iter();
+            let mut compacted = 0;
+            for (step, &t) in publish_order(&m).iter().enumerate() {
+                let task = &m.tasks()[t];
+                let publish = task.publish_time;
+                let joining = (step % 2 == 0).then(|| late.next()).flatten();
+                for fleet in [&mut linear, &mut grid] {
+                    joining.into_iter().for_each(|d| fleet.announce(*d));
+                    fleet.retire_before(publish);
+                    if step % 25 == 0 {
+                        compacted += fleet.compact(keep_ghosts);
+                    }
+                }
+                for delay_mins in [0i64, 2, 10, 45] {
+                    let at = publish + TimeDelta::from_mins(delay_mins);
+                    assert_eq!(
+                        linear.candidates_at(task, at),
+                        grid.candidates_at(task, at),
+                        "task {t} at {at}"
+                    );
+                }
+                // Capped at the deadline no epoch exceeds, so the cap is
+                // inert and the nearest point's own epoch is compared.
+                let cap = task.pickup_deadline;
                 assert_eq!(
-                    linear.candidates_at(task, at),
-                    grid.candidates_at(task, at),
-                    "task {t} at {at}"
+                    linear.latest_decision(task, cap),
+                    grid.latest_decision(task, cap),
+                    "task {t}"
                 );
+                if let Some(c) = grid.candidates_at(task, publish).first() {
+                    linear.commit(c.driver, task, c.arrival);
+                    grid.commit(c.driver, task, c.arrival);
+                }
             }
+            assert_eq!(linear.announced(), m.num_drivers());
+            assert!(compacted > 0, "fleet never churned");
+            assert_eq!(
+                grid.ghosts.len() * 2,
+                if keep_ghosts { compacted } else { 0 }
+            );
         }
     }
 
@@ -800,41 +899,47 @@ mod tests {
         }
     }
 
-    /// The grid's entries per cell (sorted), the cell floors and the
-    /// shift-end heap's pop order.
-    type Indexes = (Vec<Vec<u32>>, Vec<Timestamp>, Vec<(i64, usize)>);
+    /// The cell table's entries, each cell sorted (the table orders a cell
+    /// by `available_at` alone; entries free at the same instant may sit
+    /// either way round), and the shift-end heap's pop order.
+    type Indexes = (Vec<Vec<(Timestamp, u32)>>, Vec<(i64, usize)>);
 
     fn indexes(fleet: &Fleet) -> Indexes {
-        let g = fleet.grid.as_ref().expect("gridded fleet");
-        let cell = |slot| {
-            let mut ids: Vec<u32> = g.slot_entries(slot).iter().map(|&(_, id)| id).collect();
-            ids.sort_unstable();
-            ids
+        let table = fleet.cells.as_ref().expect("gridded fleet");
+        let sorted = |cell: &Vec<(Timestamp, u32)>| {
+            let mut cell = cell.clone();
+            cell.sort_unstable();
+            cell
         };
         let heap = fleet.shift_ends.clone().into_sorted_vec();
         (
-            (0..g.slot_count()).map(cell).collect(),
-            fleet.cell_floor.clone(),
+            table.cells.iter().map(sorted).collect(),
             heap.into_iter().rev().map(|Reverse(e)| e).collect(),
         )
     }
 
-    /// Grid membership and every cell floor recomputed from the state
-    /// vectors by brute force — no index is consulted.
+    /// The cell table recomputed from the state vectors by brute force —
+    /// no index is consulted: every driver and ghost is entered once, in
+    /// the cell of her location, a driver under her current `available_at`
+    /// (so a retired one at `NEVER`) and a ghost at `NEVER`; and every
+    /// cell is ascending as it stands.
     fn assert_grid_is_exact(fleet: &Fleet) {
-        let g = fleet.grid.as_ref().expect("gridded fleet");
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); g.slot_count()];
-        let mut floors = vec![NEVER; g.slot_count()];
+        let table = fleet.cells.as_ref().expect("gridded fleet");
+        let mut members = vec![Vec::new(); table.grid.slot_count()];
         for (d, (&loc, &free)) in fleet.locations.iter().zip(&fleet.available_at).enumerate() {
-            members[g.slot_of(loc)].push(d as u32);
-            floors[g.slot_of(loc)] = floors[g.slot_of(loc)].min(free);
+            members[table.grid.slot_of(loc)].push((free, d as u32));
         }
         for (k, &loc) in fleet.ghosts.iter().enumerate() {
-            members[g.slot_of(loc)].push(GHOST_BIT | k as u32);
+            members[table.grid.slot_of(loc)].push((NEVER, GHOST_BIT | k as u32));
         }
-        let (cells, cell_floor, _) = indexes(fleet);
-        assert_eq!(cells, members);
-        assert_eq!(cell_floor, floors);
+        members.iter_mut().for_each(|cell| cell.sort_unstable());
+        assert_eq!(indexes(fleet).0, members);
+        for cell in &table.cells {
+            assert!(
+                cell.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+                "{cell:?}"
+            );
+        }
     }
 
     #[test]
@@ -842,13 +947,12 @@ mod tests {
         // What a restore will lean on: the indexes are a function of the
         // state. Churn a fleet — announcements trickling in, commits,
         // clock retirement — compacting at every cadence, with and without
-        // ghosts; after each compaction the grid membership, every cell
-        // floor and the heap's pop order equal those of a fresh fleet
-        // handed the surviving state, and between compactions the
-        // incrementally maintained grid and floors stay exact.
+        // ghosts; after each compaction the cell table (up to the order of
+        // entries free at the same instant) and the heap's pop order equal
+        // those of a fresh fleet handed the surviving state, and between
+        // compactions the incrementally maintained table stays exact.
         let m = market(77, 240, 40);
-        let mut order: Vec<usize> = (0..m.num_tasks()).collect();
-        order.sort_by_key(|&t| (m.tasks()[t].publish_time, t));
+        let order = publish_order(&m);
         for (cadence, keep_ghosts) in [(1, true), (7, false), (60, true)] {
             let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
             let mut late = m.drivers().iter();
@@ -876,7 +980,7 @@ mod tests {
                 assert_eq!(fleet.ghosts.len(), if keep_ghosts { removed } else { 0 });
                 assert_grid_is_exact(&fleet);
 
-                let bbox = fleet.grid.as_ref().map(GridIndex::bounding_box);
+                let bbox = fleet.cells.as_ref().map(|t| t.grid.bounding_box());
                 let mut fresh = Fleet::new(fleet.speed, bbox);
                 fresh.drivers.clone_from(&fleet.drivers);
                 fresh.locations.clone_from(&fleet.locations);
@@ -890,7 +994,7 @@ mod tests {
                 let mut ends: Vec<(i64, usize)> =
                     drivers.map(|(d, r)| (r.shift_end.as_secs(), d)).collect();
                 ends.sort_unstable();
-                assert_eq!(indexes(&fleet).2, ends);
+                assert_eq!(indexes(&fleet).1, ends);
             }
             assert!(compactions > 1, "cadence {cadence}: fleet never churned");
             assert_eq!(fleet.announced(), m.num_drivers());

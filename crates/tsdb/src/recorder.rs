@@ -123,15 +123,23 @@ struct RawTotals {
 }
 
 impl RawTotals {
-    fn of(m: &StreamMetrics) -> Self {
+    /// The totals of `m`, one window after `last`. Counting the active
+    /// drivers scans every driver `m` knows; the count can move only in a
+    /// window that dispatched, so any other window carries it forward.
+    fn of(m: &StreamMetrics, last: &RawTotals) -> Self {
+        let served = m.served() as u64;
         RawTotals {
-            served: m.served() as u64,
+            served,
             rejected: m.rejected() as u64,
             revenue: m.revenue_raw(),
             profit: m.profit_raw(),
             wait_secs: m.wait_secs_total(),
             deadhead: m.deadhead_raw(),
-            active: m.active_drivers() as u64,
+            active: if served == last.served {
+                last.active
+            } else {
+                m.active_drivers() as u64
+            },
         }
     }
 }
@@ -169,8 +177,8 @@ impl RecState {
         if self.last_t.is_some_and(|prev| t <= prev) {
             return;
         }
-        let cur = RawTotals::of(&self.shadow);
         let last = self.last;
+        let cur = RawTotals::of(&self.shadow, &last);
         // Deltas on the exact grid; zero deltas are skipped (series sums
         // are unchanged, files stay dense with activity).
         let deltas: [(&str, i128); 6] = [

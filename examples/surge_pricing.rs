@@ -17,7 +17,7 @@ fn main() {
 
     // Inspect the surge engine directly: count demand/supply per cell.
     let mut engine = SurgeEngine::new(SurgeConfig::uber_like());
-    let grid: GridIndex<u32> = GridIndex::new(porto::bounding_box(), 12, 12);
+    let grid = GridIndex::new(porto::bounding_box(), 12, 12);
     for t in &trace.trips {
         engine.add_demand(grid.cell_of(t.origin));
     }

@@ -30,14 +30,19 @@
 //! - a property test that reordering events *within one timestamp* cannot
 //!   change anything (the engine decides same-instant groups in task-id
 //!   order, so delivery jitter is invisible),
-//! - `#[ignore]`d heavy runs: the porto-large batched matrix and a
-//!   1,000,000-task bounded-memory replay
+//! - grid ≡ scan with a fleet-sized grid (5k orders × 20k drivers,
+//!   instant and batched, default compaction),
+//! - `#[ignore]`d heavy runs: the porto-large batched matrix, the same
+//!   grid ≡ scan cell at 20k × 100k and a 1,000,000-task bounded-memory
+//!   replay
 //!   (`cargo test --release --test stream_equivalence -- --ignored`).
 
 use proptest::prelude::*;
 
 use rideshare::bench::Scenario;
-use rideshare::online::{GreedyPairMatcher, OptimalAssignmentMatcher, SimulationResult};
+use rideshare::online::{
+    DispatchEvent, GreedyPairMatcher, OptimalAssignmentMatcher, SimulationResult,
+};
 use rideshare::prelude::*;
 
 #[path = "golden_scenarios/digests.rs"]
@@ -313,6 +318,91 @@ proptest! {
         prop_assert_eq!(&streamed.events, &materialized.events);
         prop_assert!(validate_online_result(&market, &streamed).is_ok());
     }
+}
+
+/// Both of one run's views: the telemetry accumulator and the collected
+/// decisions.
+struct Tee(StreamMetrics, CollectingSink);
+
+impl StreamSink for Tee {
+    fn driver_online(&mut self, driver: &Driver) {
+        self.0.driver_online(driver);
+        self.1.driver_online(driver);
+    }
+    fn dispatched(&mut self, task: &Task, event: &DispatchEvent) {
+        self.0.dispatched(task, event);
+        self.1.dispatched(task, event);
+    }
+    fn rejected(&mut self, task: &Task, decision_time: Timestamp) {
+        StreamSink::rejected(&mut self.0, task, decision_time);
+        self.1.rejected(task, decision_time);
+    }
+    fn window_closed(&mut self, end: Timestamp) {
+        self.0.window_closed(end);
+        self.1.window_closed(end);
+    }
+}
+
+/// Grid ≡ scan with a fleet in the grid, not a handful of drivers: cells
+/// hold hundreds of availability-ordered entries, retirement moves entries
+/// to a long tail, and default compaction rebuilds the table (fill, then
+/// one sort a cell) hundreds of times over the day — under instant
+/// dispatch and under `batch-3m`, whose early-flush epochs search the same
+/// table ring by ring.
+fn fleet_sized_grid_matches_scan(tasks: usize, drivers: usize) {
+    let config = TraceConfig::porto()
+        .with_seed(29)
+        .with_task_count(tasks)
+        .with_driver_count(drivers, DriverModel::Hitchhiking);
+    for batched in [false, true] {
+        let run = |grid: bool| {
+            let stream = config.stream();
+            let speed = stream.speed();
+            let scan = StreamOptions::default();
+            let options = if grid {
+                scan.grid(stream.bounding_box())
+            } else {
+                scan
+            };
+            let (mut margin, mut matcher) = (MaxMargin::new(), GreedyPairMatcher);
+            let mut policy = if batched {
+                let window = TimeDelta::from_mins(3);
+                StreamPolicy::Batched {
+                    window,
+                    matcher: &mut matcher,
+                }
+            } else {
+                StreamPolicy::Instant(&mut margin)
+            };
+            let events = priced_events(stream, &MarketBuildOptions::default());
+            let mut sink = Tee(StreamMetrics::hourly(), CollectingSink::new());
+            let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
+            (summary, sink.0, sink.1.into_result())
+        };
+        let ctx = format!("{tasks} x {drivers}, batched: {batched}");
+        let (summary, metrics, decisions) = run(true);
+        let (scan_summary, scan_metrics, scan_decisions) = run(false);
+        assert_eq!(summary, scan_summary, "{ctx}");
+        assert_eq!(metrics, scan_metrics, "{ctx}");
+        assert_same(&decisions, &scan_decisions, &ctx);
+        assert!(
+            decisions.served * 10 > tasks,
+            "{ctx}: a market that dispatches"
+        );
+        let rebuilds = summary.compacted_drivers / StreamOptions::default().compact_threshold;
+        assert!(rebuilds >= 100, "{ctx}: {rebuilds} compactions");
+    }
+}
+
+#[test]
+fn fleet_sized_grid_matches_scan_at_20k_drivers() {
+    fleet_sized_grid_matches_scan(5_000, 20_000);
+}
+
+#[test]
+#[ignore = "heavy: 20k tasks x 100k drivers against the full scan, release only"]
+fn fleet_sized_grid_matches_scan_at_100k_drivers() {
+    fleet_sized_grid_matches_scan(20_000, 100_000);
 }
 
 /// The heavy preset under the optimal matcher — run with
