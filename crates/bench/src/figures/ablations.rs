@@ -23,7 +23,9 @@ use rideshare_core::{
     UpperBoundOptions,
 };
 use rideshare_metrics::render_table;
-use rideshare_online::{MaxMargin, NearestDriver, RandomDispatch, SimulationOptions, Simulator};
+use rideshare_online::{
+    replay_market, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch, StreamPolicy,
+};
 use rideshare_pricing::SurgeConfig;
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
@@ -59,15 +61,14 @@ fn dispatch_criterion(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::
         "== Ablation: dispatch criterion ({tasks} tasks, {drivers} drivers) =="
     )?;
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
-    let sim = Simulator::new(&market);
     let mut rows = Vec::new();
-    let mut policies: Vec<Box<dyn rideshare_online::DispatchPolicy>> = vec![
+    let mut policies: Vec<Box<dyn DispatchPolicy>> = vec![
         Box::new(MaxMargin::new()),
         Box::new(NearestDriver::with_seed(0)),
         Box::new(RandomDispatch::with_seed(0)),
     ];
     for policy in &mut policies {
-        let r = sim.run(policy.as_mut(), SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(policy.as_mut()));
         rows.push(vec![
             policy.name().to_string(),
             format!("{:.2}", r.total_profit(&market).as_f64()),
@@ -96,8 +97,7 @@ fn surge_on_off(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result
                 ..Default::default()
             },
         );
-        let sim = Simulator::new(&market);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", r.assignment.total_revenue(&market).as_f64()),

@@ -28,9 +28,7 @@ use rideshare_core::{
     Assignment, Market, Objective, SubMarket, UpperBoundOptions,
 };
 use rideshare_metrics::render_pivot;
-use rideshare_online::{
-    replay_market, MatcherKind, RandomDispatch, ShardPolicySpec, SimulationOptions, Simulator,
-};
+use rideshare_online::{replay_market, MatcherKind, RandomDispatch, ShardPolicySpec, StreamPolicy};
 use rideshare_types::json::{self, JsonValue};
 use rideshare_types::TimeDelta;
 
@@ -160,7 +158,7 @@ impl PolicySpec {
 
     /// Runs the policy on `market` and returns the [`Assignment`] it
     /// produces — the one runner behind [`run_sweep`]'s cells and the
-    /// figure binaries. `components` is an optional precomputed
+    /// figure subcommands. `components` is an optional precomputed
     /// [`rideshare_core::disjoint_components`] decomposition, so callers
     /// evaluating several policies (or a policy plus the `Z_f*` bound) on
     /// one market pay for it once; it and `threads` are honoured by the
@@ -173,19 +171,11 @@ impl PolicySpec {
         components: Option<&[SubMarket]>,
         threads: usize,
     ) -> Assignment {
-        // Grid pruning on: result-neutral (the oracle tests pin it).
-        let grid = SimulationOptions {
-            use_grid: true,
-            ..SimulationOptions::default()
-        };
         match (self.stream_spec(), self) {
-            (Some(spec), _) => {
-                replay_market(market, &mut spec.holder().as_policy(), grid).assignment
-            }
+            (Some(spec), _) => replay_market(market, &mut spec.holder().as_policy()).assignment,
             (None, PolicySpec::Random) => {
-                Simulator::new(market)
-                    .run(&mut RandomDispatch::with_seed(0), grid)
-                    .assignment
+                let random = &mut RandomDispatch::with_seed(0);
+                replay_market(market, &mut StreamPolicy::Instant(random)).assignment
             }
             (None, _) => match components {
                 Some(c) => solve_components(market, c, Objective::Profit, threads),

@@ -613,8 +613,7 @@ mod tests {
     use super::*;
     use rideshare_core::{Market, MarketBuildOptions};
     use rideshare_online::{
-        market_events, replay_stream, MaxMargin, SimulationOptions, Simulator, StreamOptions,
-        StreamPolicy,
+        market_events, replay_market, replay_stream, MaxMargin, StreamOptions, StreamPolicy,
     };
     use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -640,7 +639,7 @@ mod tests {
     fn totals_match_materialized_objective() {
         let (market, metrics) = run(91, 250, 25);
         let materialized =
-            Simulator::new(&market).run(&mut MaxMargin::new(), SimulationOptions::default());
+            replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         assert_eq!(metrics.served(), materialized.served);
         assert_eq!(metrics.rejected(), materialized.rejected);
         assert_eq!(metrics.published(), market.num_tasks());

@@ -42,7 +42,7 @@
 //! - [`GreedyPairMatcher`] commits the single *(driver, task)* pair with
 //!   the maximum marginal value per round, re-projecting the driver between
 //!   rounds — the batch analogue of maxMargin. With `W = 0` and distinct
-//!   publish times it degenerates to the per-task maxMargin simulator
+//!   publish times it degenerates to instant maxMargin dispatch
 //!   *exactly* (a property the facade's `batch_properties` suite pins).
 //! - [`OptimalAssignmentMatcher`] solves each round's one-shot assignment
 //!   LP (total marginal value, ≤ 1 task per driver per round) with
@@ -51,66 +51,22 @@
 //!   declines negative-margin dispatches that the greedy matcher would
 //!   serve.
 //!
-//! This module holds the matchers and the materialized entry points:
-//! [`run_batched`] (greedy matcher, linear scan) and [`run_batched_with`]
-//! (the full [`BatchOptions`]) replay a whole [`Market`] through
-//! [`crate::replay_market`].
+//! This module holds the matchers; a whole `Market` runs under one
+//! through [`crate::replay_market`] with a [`crate::StreamPolicy::Batched`]
+//! (or [`crate::ShardPolicySpec::Batched`]'s holder, which picks the
+//! matcher by [`MatcherKind`]).
 
-use rideshare_core::Market;
 use rideshare_lp::{Cmp, LinearProgram};
-use rideshare_types::TimeDelta;
 
 use crate::policy::Candidate;
-use crate::shard::ShardPolicySpec;
-use crate::simulator::{replay_market, SimulationOptions, SimulationResult};
 
 /// Which per-batch matcher a batched run uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MatcherKind {
     /// Repeated best-pair picking ([`GreedyPairMatcher`]).
-    #[default]
     Greedy,
     /// Per-round optimal assignment ([`OptimalAssignmentMatcher`]).
     Optimal,
-}
-
-/// Options controlling a batched run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchOptions {
-    /// The hold window `W ≥ 0`. Zero batches only same-instant publishes.
-    pub window: TimeDelta,
-    /// The per-batch matcher.
-    pub matcher: MatcherKind,
-    /// Use the spatial grid index for candidate generation instead of a
-    /// linear scan over all drivers (identical results — radius pruning is
-    /// lossless — different cost; see the oracle tests and the
-    /// `batch_dispatch` bench).
-    pub use_grid: bool,
-}
-
-impl BatchOptions {
-    /// Options with the given hold window (greedy matcher, linear scan).
-    #[must_use]
-    pub fn with_window(window: TimeDelta) -> Self {
-        Self {
-            window,
-            ..Self::default()
-        }
-    }
-
-    /// Replaces the matcher.
-    #[must_use]
-    pub fn matcher(mut self, matcher: MatcherKind) -> Self {
-        self.matcher = matcher;
-        self
-    }
-
-    /// Enables or disables the spatial grid index.
-    #[must_use]
-    pub fn grid(mut self, use_grid: bool) -> Self {
-        self.use_grid = use_grid;
-        self
-    }
 }
 
 /// One matching round of one decision epoch, as presented to a
@@ -134,9 +90,6 @@ pub struct BatchRound<'a> {
 /// tasks' candidate sets for the next round. An empty answer ends the
 /// epoch; tasks still unmatched are rejected.
 pub trait BatchMatcher {
-    /// Short label used in experiment output (e.g. `"greedy"`).
-    fn name(&self) -> &'static str;
-
     /// Picks driver-disjoint, task-disjoint `(slot, candidate_index)`
     /// pairs to commit this round, or an empty vector to end the epoch.
     /// Pairs violating disjointness are skipped deterministically (first
@@ -152,10 +105,6 @@ pub trait BatchMatcher {
 pub struct GreedyPairMatcher;
 
 impl BatchMatcher for GreedyPairMatcher {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
     fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
         let mut best: Option<(f64, usize, usize, usize)> = None; // (δ, task, slot, cand)
         for (slot, &t) in round.tasks.iter().enumerate() {
@@ -189,10 +138,6 @@ impl BatchMatcher for GreedyPairMatcher {
 pub struct OptimalAssignmentMatcher;
 
 impl BatchMatcher for OptimalAssignmentMatcher {
-    fn name(&self) -> &'static str {
-        "optimal"
-    }
-
     fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
         // Variables: one per feasible (slot, candidate) pair.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -249,91 +194,17 @@ impl BatchMatcher for OptimalAssignmentMatcher {
     }
 }
 
-/// Runs the batched dispatcher with hold window `window` over `market`'s
-/// order stream, with the defaults of [`BatchOptions`] (greedy matcher,
-/// linear candidate scan).
-///
-/// Returns the same [`SimulationResult`] shape as the per-task simulator;
-/// validate with [`crate::validate_online_result`].
-///
-/// # Panics
-///
-/// Panics if `window` is negative.
-///
-/// # Examples
-///
-/// ```
-/// use rideshare_core::{Market, MarketBuildOptions};
-/// use rideshare_online::{run_batched, validate_online_result};
-/// use rideshare_trace::{DriverModel, TraceConfig};
-/// use rideshare_types::TimeDelta;
-///
-/// let trace = TraceConfig::porto()
-///     .with_seed(6)
-///     .with_task_count(80)
-///     .with_driver_count(10, DriverModel::Hitchhiking)
-///     .generate();
-/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let result = run_batched(&market, TimeDelta::from_mins(2));
-/// validate_online_result(&market, &result).unwrap();
-/// ```
-#[must_use]
-pub fn run_batched(market: &Market, window: TimeDelta) -> SimulationResult {
-    run_batched_with(market, BatchOptions::with_window(window))
-}
-
-/// Runs the batched dispatcher with explicit [`BatchOptions`].
-///
-/// # Panics
-///
-/// Panics if `options.window` is negative.
-///
-/// # Examples
-///
-/// The per-round LP matcher with grid-pruned candidates — the
-/// configuration `rideshare simulate --policy batch-opt-<W>` uses:
-///
-/// ```
-/// use rideshare_core::{Market, MarketBuildOptions};
-/// use rideshare_online::{run_batched_with, BatchOptions, MatcherKind};
-/// use rideshare_trace::{DriverModel, TraceConfig};
-/// use rideshare_types::TimeDelta;
-///
-/// let trace = TraceConfig::porto()
-///     .with_seed(12)
-///     .with_task_count(60)
-///     .with_driver_count(8, DriverModel::Hitchhiking)
-///     .generate();
-/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-/// let opts = BatchOptions::with_window(TimeDelta::from_mins(3))
-///     .matcher(MatcherKind::Optimal)
-///     .grid(true);
-/// let result = run_batched_with(&market, opts);
-/// // The LP matcher never dispatches a money-losing pair.
-/// assert!(result.events.iter().all(|e| e.margin > -1e-9));
-/// ```
-#[must_use]
-pub fn run_batched_with(market: &Market, options: BatchOptions) -> SimulationResult {
-    let spec = ShardPolicySpec::Batched {
-        window: options.window,
-        matcher: options.matcher,
-    };
-    let replay = SimulationOptions {
-        use_grid: options.use_grid,
-        value_sorted: false,
-    };
-    replay_market(market, &mut spec.holder().as_policy(), replay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::MaxMargin;
-    use crate::simulator::{SimulationOptions, Simulator};
+    use crate::shard::ShardPolicySpec;
+    use crate::simulator::{replay_market, SimulationResult};
+    use crate::stream::StreamPolicy;
     use crate::validate::validate_online_result;
-    use rideshare_core::{MarketBuildOptions, Objective};
+    use rideshare_core::{Market, MarketBuildOptions, Objective};
     use rideshare_trace::{DriverModel, TraceConfig};
-    use rideshare_types::{DriverId, Timestamp};
+    use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         let trace = TraceConfig::porto()
@@ -344,15 +215,18 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
+    /// `market` held for `window` and closed by `matcher`.
+    fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
+        let spec = ShardPolicySpec::Batched { window, matcher };
+        replay_market(market, &mut spec.holder().as_policy())
+    }
+
     #[test]
     fn batched_results_are_feasible_and_causal() {
         let m = market(61, 120, 20);
         for mins in [0i64, 1, 5, 30] {
             for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-                let r = run_batched_with(
-                    &m,
-                    BatchOptions::with_window(TimeDelta::from_mins(mins)).matcher(matcher),
-                );
+                let r = batched(&m, TimeDelta::from_mins(mins), matcher);
                 validate_online_result(&m, &r).unwrap();
                 assert_eq!(r.served + r.rejected, m.num_tasks());
                 assert_eq!(r.served, r.assignment.served_count());
@@ -369,7 +243,7 @@ mod tests {
         // inside the task's window.
         let m = market(67, 150, 25);
         let w = TimeDelta::from_mins(10);
-        let r = run_batched(&m, w);
+        let r = batched(&m, w, MatcherKind::Greedy);
         assert!(r.served > 0, "market too sparse for the assertion");
         for e in &r.events {
             let task = &m.tasks()[e.task.index()];
@@ -390,12 +264,11 @@ mod tests {
             publishes.windows(2).all(|w| w[0] != w[1]),
             "seed must give distinct publish times"
         );
-        let sim = Simulator::new(&m);
-        let instant = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-        let batched = run_batched(&m, TimeDelta::ZERO);
-        assert_eq!(batched.dispatch, instant.dispatch);
-        assert_eq!(batched.served, instant.served);
-        assert!(batched.total_profit(&m).approx_eq(instant.total_profit(&m)));
+        let instant = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let zero = batched(&m, TimeDelta::ZERO, MatcherKind::Greedy);
+        assert_eq!(zero.dispatch, instant.dispatch);
+        assert_eq!(zero.served, instant.served);
+        assert!(zero.total_profit(&m).approx_eq(instant.total_profit(&m)));
     }
 
     #[test]
@@ -408,32 +281,15 @@ mod tests {
                 .as_f64();
             for mins in [1i64, 3, 10] {
                 for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-                    let batched = run_batched_with(
-                        &m,
-                        BatchOptions::with_window(TimeDelta::from_mins(mins)).matcher(matcher),
-                    )
-                    .total_profit(&m)
-                    .as_f64();
+                    let profit = batched(&m, TimeDelta::from_mins(mins), matcher)
+                        .total_profit(&m)
+                        .as_f64();
                     assert!(
-                        batched <= offline + 1e-6,
-                        "seed {seed} W={mins}m {matcher:?}: batched {batched} beats offline \
+                        profit <= offline + 1e-6,
+                        "seed {seed} W={mins}m {matcher:?}: batched {profit} beats offline \
                          greedy {offline}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_and_linear_scan_agree() {
-        let m = market(69, 200, 30);
-        for mins in [0i64, 3, 15] {
-            for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-                let base = BatchOptions::with_window(TimeDelta::from_mins(mins)).matcher(matcher);
-                let linear = run_batched_with(&m, base);
-                let grid = run_batched_with(&m, base.grid(true));
-                assert_eq!(linear.dispatch, grid.dispatch, "W={mins}m {matcher:?}");
-                assert_eq!(linear.events, grid.events, "W={mins}m {matcher:?}");
             }
         }
     }
@@ -482,9 +338,9 @@ mod tests {
             speed,
             None,
         );
-        let w = BatchOptions::with_window(TimeDelta::from_mins(1));
-        let greedy = run_batched_with(&market, w);
-        let optimal = run_batched_with(&market, w.matcher(MatcherKind::Optimal));
+        let w = TimeDelta::from_mins(1);
+        let greedy = batched(&market, w, MatcherKind::Greedy);
+        let optimal = batched(&market, w, MatcherKind::Optimal);
         assert_eq!(greedy.served, 1, "greedy falls into the trap");
         assert_eq!(optimal.served, 2, "optimal serves both");
         assert!(
@@ -528,7 +384,7 @@ mod tests {
             model: DriverModel::HomeWorkHome,
         };
         let market = Market::new(vec![driver], vec![task], speed, None);
-        let r = run_batched(&market, TimeDelta::from_mins(10));
+        let r = batched(&market, TimeDelta::from_mins(10), MatcherKind::Greedy);
         assert_eq!(r.served, 1, "early flush must rescue the task");
         let e = &r.events[0];
         assert_eq!(e.decision_time, Timestamp::from_secs(120), "flushed at t̄⁻");
@@ -573,7 +429,7 @@ mod tests {
             SpeedModel::new(60.0, 1.0, 0.1),
             None,
         );
-        let r = run_batched(&market, TimeDelta::from_mins(10));
+        let r = batched(&market, TimeDelta::from_mins(10), MatcherKind::Greedy);
         assert_eq!(r.served, 1, "flush must leave room for the travel");
         let e = &r.events[0];
         assert_eq!(e.decision_time, Timestamp::from_secs(60));
@@ -584,7 +440,7 @@ mod tests {
     #[test]
     fn empty_market_ok() {
         let m = market(65, 0, 5);
-        let r = run_batched(&m, TimeDelta::from_mins(5));
+        let r = batched(&m, TimeDelta::from_mins(5), MatcherKind::Greedy);
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 0);
     }
@@ -595,15 +451,10 @@ mod tests {
         // An empty market never hands the stream an order to check the
         // window on, so only the front-end's up-front assert refuses it.
         let empty = market(66, 0, 2);
-        let refused = std::panic::catch_unwind(|| run_batched(&empty, TimeDelta::from_secs(-1)));
+        let negative = TimeDelta::from_secs(-1);
+        let refused = std::panic::catch_unwind(|| batched(&empty, negative, MatcherKind::Greedy));
         assert!(refused.is_err(), "empty market ran with a negative window");
         let m = market(66, 10, 2);
-        let _ = run_batched(&m, TimeDelta::from_secs(-1));
-    }
-
-    #[test]
-    fn matcher_names() {
-        assert_eq!(GreedyPairMatcher.name(), "greedy");
-        assert_eq!(OptimalAssignmentMatcher.name(), "optimal");
+        let _ = batched(&m, negative, MatcherKind::Greedy);
     }
 }

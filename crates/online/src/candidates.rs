@@ -695,6 +695,30 @@ mod tests {
                 if keep_ghosts { compacted } else { 0 }
             );
         }
+
+        // §V-B's value order, as `decide_each` sees it from
+        // `replay_market_by_value`: the whole fleet announced up front,
+        // then every task in descending price at its own publish instant —
+        // the decision clock runs backwards and nothing retires.
+        let mut by_value: Vec<&Task> = m.tasks().iter().collect();
+        by_value.sort_by(|a, b| b.price.partial_cmp(&a.price).unwrap().then(a.id.cmp(&b.id)));
+        for bbox in [full, inner] {
+            let mut linear = Fleet::for_market(&m, false);
+            let mut grid = Fleet::new(m.speed(), Some(bbox));
+            m.drivers().iter().for_each(|d| grid.announce(*d));
+            let mut committed = 0;
+            for task in &by_value {
+                let at = task.publish_time;
+                let candidates = grid.candidates_at(task, at);
+                assert_eq!(linear.candidates_at(task, at), candidates, "{}", task.id);
+                if let Some(c) = candidates.first() {
+                    linear.commit(c.driver, task, c.arrival);
+                    grid.commit(c.driver, task, c.arrival);
+                    committed += 1;
+                }
+            }
+            assert!(committed > 0, "value order never committed");
+        }
     }
 
     #[test]

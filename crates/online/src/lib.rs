@@ -29,11 +29,10 @@
 //! - [`MaxMargin`]: Algorithm 4 — pick the candidate with the largest
 //!   marginal value `δₙ,ₘ` (Eq. 14),
 //! - [`RandomDispatch`]: a uniform-random baseline for ablations,
-//! - [`replay_market`]: the front-end for a materialised market — every
-//!   driver announced, every task pushed in publish order, the outcome
-//!   collected into one [`SimulationResult`]; [`Simulator`] (instant
-//!   policies) and [`run_batched`] / [`run_batched_with`] (hold window +
-//!   matcher) are its two call shapes,
+//! - [`replay_market`]: the one way to run a materialised market — every
+//!   driver announced, every task pushed in publish order through the
+//!   given [`StreamPolicy`] (instant or batched), candidates grid-pruned,
+//!   the outcome collected into one [`SimulationResult`],
 //! - [`replay_sharded`]: **region-sharded parallel streaming** — the
 //!   online analogue of the §IV lossless decomposition: one router places
 //!   events through a [`RegionPartitioner`] ([`BoxPartitioner`]) onto N
@@ -59,15 +58,15 @@
 //!   timing rather than the offline task-map deadlines, and
 //!   [`validate_online_result`]: the same plus the dispatch-causality law
 //!   (no departure may precede its dispatch decision),
-//! - the offline variant of maxMargin (§V-B) via
-//!   [`SimulationOptions::value_sorted`], which hands the engine the tasks
-//!   in descending-price order when the whole day is known in advance.
+//! - [`replay_market_by_value`]: the offline variant of maxMargin (§V-B),
+//!   which hands an instant policy the tasks in descending-price order
+//!   when the whole day is known in advance.
 //!
 //! # Examples
 //!
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions, Objective};
-//! use rideshare_online::{MaxMargin, SimulationOptions, Simulator};
+//! use rideshare_online::{replay_market, MaxMargin, StreamPolicy};
 //! use rideshare_trace::{DriverModel, TraceConfig};
 //!
 //! let trace = TraceConfig::porto()
@@ -76,8 +75,7 @@
 //!     .with_driver_count(12, DriverModel::Hitchhiking)
 //!     .generate();
 //! let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-//! let sim = Simulator::new(&market);
-//! let result = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+//! let result = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
 //! assert_eq!(result.served + result.rejected, market.num_tasks());
 //! ```
 
@@ -94,8 +92,7 @@ mod stream;
 mod validate;
 
 pub use batch::{
-    run_batched, run_batched_with, BatchMatcher, BatchOptions, BatchRound, GreedyPairMatcher,
-    MatcherKind, OptimalAssignmentMatcher,
+    BatchMatcher, BatchRound, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher,
 };
 pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
@@ -108,7 +105,7 @@ pub use serve::{
 pub use shard::{
     replay_sharded, BoxPartitioner, PolicyHolder, RegionPartitioner, ShardOptions, ShardPolicySpec,
 };
-pub use simulator::{replay_market, DispatchEvent, SimulationOptions, SimulationResult, Simulator};
+pub use simulator::{replay_market, replay_market_by_value, DispatchEvent, SimulationResult};
 pub use stream::{
     market_events, priced_events, replay_stream, CollectingSink, StreamEngine, StreamEvent,
     StreamOptions, StreamPolicy, StreamSink, StreamSummary,

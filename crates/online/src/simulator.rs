@@ -1,6 +1,8 @@
 //! The materialized front-end: a whole [`Market`] replayed through the
 //! [`StreamEngine`] (the `while task m arrives` loop of Algorithms 3–4)
-//! and collected into one [`SimulationResult`].
+//! and collected into one [`SimulationResult`] — [`replay_market`] in
+//! publish order, [`replay_market_by_value`] in §V-B's offline value
+//! order.
 
 use rideshare_core::{Assignment, Market, Objective, Task};
 use rideshare_types::{DriverId, Money, TaskId, Timestamp};
@@ -8,22 +10,9 @@ use rideshare_types::{DriverId, Money, TaskId, Timestamp};
 use crate::candidates::market_bbox;
 use crate::policy::DispatchPolicy;
 use crate::stream::{
-    market_events, CollectingSink, StreamEngine, StreamEvent, StreamOptions, StreamPolicy,
+    market_events, replay_stream, CollectingSink, StreamEngine, StreamEvent, StreamOptions,
+    StreamPolicy,
 };
-
-/// Options controlling a simulation run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimulationOptions {
-    /// Process tasks in descending price order instead of publish order —
-    /// the *offline* variant of maxMargin from §V-B ("it will be more
-    /// efficient to deal with the tasks which have higher values firstly"),
-    /// only meaningful when the full day is known in advance.
-    pub value_sorted: bool,
-    /// Use a spatial grid index for candidate generation instead of a
-    /// linear scan over all drivers (identical results, different cost —
-    /// kept switchable for the ablation bench).
-    pub use_grid: bool,
-}
 
 /// One dispatched task's operational record.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -35,8 +24,8 @@ pub struct DispatchEvent {
     /// When the driver reached the pickup.
     pub arrival: Timestamp,
     /// When the dispatch decision was made: the task's publish time under
-    /// instant dispatch, the batch decision epoch under a batched policy
-    /// ([`crate::run_batched_with`]). The driver's departure never precedes this
+    /// instant dispatch, the batch decision epoch under
+    /// [`StreamPolicy::Batched`]. The driver's departure never precedes this
     /// instant — the causality law [`crate::validate_online_result`]
     /// enforces.
     pub decision_time: Timestamp,
@@ -124,57 +113,55 @@ impl SimulationResult {
     }
 }
 
-/// The online market simulator: instant dispatch (Algs. 3–4) over a
-/// materialized market.
-///
-/// Holds a reference to the market; each [`Simulator::run`] replays the
-/// order stream from scratch, so one simulator can evaluate many policies
-/// on identical conditions.
-#[derive(Clone, Debug)]
-pub struct Simulator<'m> {
-    market: &'m Market,
-}
-
-impl<'m> Simulator<'m> {
-    /// Creates a simulator over `market`.
-    #[must_use]
-    pub fn new(market: &'m Market) -> Self {
-        Self { market }
-    }
-
-    /// Replays every task through `policy` under `options`.
-    #[must_use]
-    pub fn run(
-        &self,
-        policy: &mut dyn DispatchPolicy,
-        options: SimulationOptions,
-    ) -> SimulationResult {
-        replay_market(self.market, &mut StreamPolicy::Instant(policy), options)
-    }
-}
-
 /// Replays a materialized market through the [`StreamEngine`] and collects
-/// the whole outcome — the front-end behind [`Simulator::run`] and
-/// [`crate::run_batched_with`], taking the policy in the form every other
-/// surface hands the engine.
+/// the whole outcome — the one way to run a [`Market`], taking the policy
+/// in the form every other surface hands the engine (an instant
+/// [`DispatchPolicy`] or a hold window and matcher).
 ///
 /// Every driver is announced up front and re-labelled by market position,
 /// as are the tasks (hand-built markets may carry ids that disagree with
 /// their position), so `dispatch` has exactly one entry per market task.
-/// Tasks arrive in publish order, or — `options.value_sorted`, §V-B — in
-/// descending price order, each still decided at its own publish instant.
+/// Tasks arrive in publish order. Candidates are grid-pruned over a box
+/// covering every driver and task location — lossless, so the result
+/// equals the linear scan's, the oracle a bare [`crate::replay_stream`]
+/// with [`StreamOptions::default`] runs.
 ///
 /// # Panics
 ///
-/// Panics if a batched `policy` has a negative window or is combined with
-/// `options.value_sorted` (a hold window has no meaning out of publish
-/// order).
+/// Panics if a batched `policy` has a negative window.
+///
+/// # Examples
+///
+/// The per-round LP matcher under a three-minute hold — what `rideshare
+/// simulate --policy batch-opt-3m` runs:
+///
+/// ```
+/// use rideshare_core::{Market, MarketBuildOptions};
+/// use rideshare_online::{
+///     replay_market, validate_online_result, OptimalAssignmentMatcher, StreamPolicy,
+/// };
+/// use rideshare_trace::{DriverModel, TraceConfig};
+/// use rideshare_types::TimeDelta;
+///
+/// let trace = TraceConfig::porto()
+///     .with_seed(12)
+///     .with_task_count(60)
+///     .with_driver_count(8, DriverModel::Hitchhiking)
+///     .generate();
+/// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
+/// let result = replay_market(
+///     &market,
+///     &mut StreamPolicy::Batched {
+///         window: TimeDelta::from_mins(3),
+///         matcher: &mut OptimalAssignmentMatcher,
+///     },
+/// );
+/// validate_online_result(&market, &result).unwrap();
+/// // The LP matcher never dispatches a money-losing pair.
+/// assert!(result.events.iter().all(|e| e.margin > -1e-9));
+/// ```
 #[must_use]
-pub fn replay_market(
-    market: &Market,
-    policy: &mut StreamPolicy<'_>,
-    options: SimulationOptions,
-) -> SimulationResult {
+pub fn replay_market(market: &Market, policy: &mut StreamPolicy<'_>) -> SimulationResult {
     if let StreamPolicy::Batched { window, .. } = policy {
         // A bare stream only notices on its first order.
         assert!(
@@ -182,30 +169,53 @@ pub fn replay_market(
             "batch window must be non-negative"
         );
     }
-    let stream_options = StreamOptions {
-        grid_bbox: options.use_grid.then(|| market_bbox(market)),
-        ..StreamOptions::default()
-    };
-    let mut engine = StreamEngine::new(market.speed(), stream_options);
     let mut sink = CollectingSink::new();
-    let mut by_value: Vec<Task> = Vec::new();
+    let options = StreamOptions::default().grid(market_bbox(market));
+    let _ = replay_stream(
+        market.speed(),
+        market_events(market),
+        policy,
+        options,
+        &mut sink,
+    );
+    collected(market, sink)
+}
+
+/// The *offline* variant of maxMargin from §V-B ("it will be more
+/// efficient to deal with the tasks which have higher values firstly"),
+/// only meaningful when the full day is known in advance: [`replay_market`]
+/// with the tasks handed to `choose` in descending price order (ties by
+/// task id), each still decided at its own publish instant. A hold window
+/// has no meaning out of publish order, so the policy is an instant one.
+#[must_use]
+pub fn replay_market_by_value(
+    market: &Market,
+    choose: &mut dyn DispatchPolicy,
+) -> SimulationResult {
+    let mut engine = StreamEngine::new(
+        market.speed(),
+        StreamOptions::default().grid(market_bbox(market)),
+    );
+    let mut sink = CollectingSink::new();
+    let mut by_value: Vec<Task> = Vec::with_capacity(market.num_tasks());
     for event in market_events(market) {
         match event {
-            StreamEvent::TaskPublished(task) if options.value_sorted => by_value.push(task),
-            event => engine.push(event, policy, &mut sink),
+            StreamEvent::TaskPublished(task) => by_value.push(task),
+            event => engine.push(event, &mut StreamPolicy::Instant(&mut *choose), &mut sink),
         }
     }
-    if options.value_sorted {
-        let StreamPolicy::Instant(choose) = &mut *policy else {
-            panic!("value_sorted needs an instant policy");
-        };
-        by_value.sort_by(|a, b| {
-            let by_price = b.price.partial_cmp(&a.price).expect("finite price");
-            by_price.then(a.id.cmp(&b.id))
-        });
-        engine.decide_each(&by_value, &mut **choose, &mut sink);
-    }
-    let _ = engine.finish(policy, &mut sink);
+    by_value.sort_by(|a, b| {
+        let by_price = b.price.partial_cmp(&a.price).expect("finite price");
+        by_price.then(a.id.cmp(&b.id))
+    });
+    // Past the stream's publish-order contract: see `decide_each`.
+    engine.decide_each(&by_value, &mut *choose, &mut sink);
+    let _ = engine.finish(&mut StreamPolicy::Instant(choose), &mut sink);
+    collected(market, sink)
+}
+
+/// `sink`'s result with one `dispatch` entry per market task.
+fn collected(market: &Market, sink: CollectingSink) -> SimulationResult {
     let mut result = sink.into_result();
     result.dispatch.resize(market.num_tasks(), None);
     result
@@ -215,7 +225,7 @@ pub fn replay_market(
 mod tests {
     use super::*;
     use crate::policy::{MaxMargin, NearestDriver, RandomDispatch};
-    use crate::validate_online;
+    use crate::{validate_online, validate_online_result};
     use rideshare_core::MarketBuildOptions;
     use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -228,16 +238,19 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
+    fn instant(market: &Market, policy: &mut dyn DispatchPolicy) -> SimulationResult {
+        replay_market(market, &mut StreamPolicy::Instant(policy))
+    }
+
     #[test]
     fn all_tasks_accounted_for() {
         let m = market(41, 120, 15);
-        let sim = Simulator::new(&m);
         for policy in [
             &mut NearestDriver::new() as &mut dyn DispatchPolicy,
             &mut MaxMargin::new(),
             &mut RandomDispatch::with_seed(1),
         ] {
-            let r = sim.run(policy, SimulationOptions::default());
+            let r = instant(&m, policy);
             assert_eq!(r.served + r.rejected, m.num_tasks());
             assert_eq!(r.served, r.assignment.served_count());
             assert_eq!(r.dispatch.iter().filter(|d| d.is_some()).count(), r.served);
@@ -246,33 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_linear_scan_agree() {
-        let m = market(42, 150, 20);
-        let sim = Simulator::new(&m);
-        let linear = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-        let grid = sim.run(
-            &mut MaxMargin::new(),
-            SimulationOptions {
-                use_grid: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(linear.dispatch, grid.dispatch);
-        assert_eq!(linear.served, grid.served);
-    }
-
-    #[test]
     fn deterministic_replay() {
         let m = market(43, 100, 10);
-        let sim = Simulator::new(&m);
-        let a = sim.run(
-            &mut NearestDriver::with_seed(5),
-            SimulationOptions::default(),
-        );
-        let b = sim.run(
-            &mut NearestDriver::with_seed(5),
-            SimulationOptions::default(),
-        );
+        let a = instant(&m, &mut NearestDriver::with_seed(5));
+        let b = instant(&m, &mut NearestDriver::with_seed(5));
         assert_eq!(a.dispatch, b.dispatch);
     }
 
@@ -282,8 +272,7 @@ mod tests {
         // positive one exists — total profit should be positive on a
         // healthy market.
         let m = market(44, 150, 60);
-        let sim = Simulator::new(&m);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = instant(&m, &mut MaxMargin::new());
         assert!(r.total_profit(&m).is_strictly_positive());
         // Hitchhiking shifts are short commuter windows, so coverage of a
         // full day is sparse; with 60 drivers a healthy slice gets served.
@@ -291,17 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn value_sorted_processes_high_prices_first() {
+    fn value_order_processes_high_prices_first() {
         let m = market(45, 100, 3);
-        let sim = Simulator::new(&m);
-        let online = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-        let sorted = sim.run(
-            &mut MaxMargin::new(),
-            SimulationOptions {
-                value_sorted: true,
-                ..Default::default()
-            },
-        );
+        let online = instant(&m, &mut MaxMargin::new());
+        let sorted = replay_market_by_value(&m, &mut MaxMargin::new());
+        validate_online_result(&m, &sorted).unwrap();
+        assert_eq!(sorted.dispatch.len(), m.num_tasks());
         // With scarce supply, prioritising valuable tasks should not lose
         // revenue relative to arrival order.
         let rev_online = online.assignment.total_revenue(&m);
@@ -313,25 +297,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "value_sorted needs an instant policy")]
-    fn value_sorted_refuses_a_hold_window() {
-        let m = market(45, 10, 3);
-        let options = SimulationOptions {
-            value_sorted: true,
-            ..Default::default()
-        };
-        let policy = &mut StreamPolicy::Batched {
-            window: rideshare_types::TimeDelta::from_mins(3),
-            matcher: &mut crate::GreedyPairMatcher,
-        };
-        let _ = replay_market(&m, policy, options);
-    }
-
-    #[test]
     fn empty_market_zero_everything() {
         let m = market(46, 0, 5);
-        let sim = Simulator::new(&m);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = instant(&m, &mut MaxMargin::new());
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 0);
         assert_eq!(r.service_rate(), 0.0);
@@ -340,8 +308,7 @@ mod tests {
     #[test]
     fn no_drivers_rejects_everything() {
         let m = market(47, 50, 0);
-        let sim = Simulator::new(&m);
-        let r = sim.run(&mut NearestDriver::new(), SimulationOptions::default());
+        let r = instant(&m, &mut NearestDriver::new());
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 50);
     }
@@ -349,8 +316,7 @@ mod tests {
     #[test]
     fn events_are_consistent_with_dispatch() {
         let m = market(49, 150, 30);
-        let sim = Simulator::new(&m);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = instant(&m, &mut MaxMargin::new());
         assert_eq!(r.events.len(), r.served);
         for e in &r.events {
             assert_eq!(r.dispatch[e.task.index()], Some(e.driver));
@@ -374,7 +340,7 @@ mod tests {
     #[test]
     fn empty_run_has_no_event_stats() {
         let m = market(50, 0, 3);
-        let r = Simulator::new(&m).run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = instant(&m, &mut MaxMargin::new());
         assert!(r.mean_wait_mins().is_none());
         assert!(r.mean_candidates().is_none());
         assert_eq!(r.total_deadhead_km(), 0.0);
@@ -384,9 +350,8 @@ mod tests {
     fn more_drivers_serve_more() {
         let small = market(48, 200, 5);
         let big = market(48, 200, 60);
-        let r_small =
-            Simulator::new(&small).run(&mut MaxMargin::new(), SimulationOptions::default());
-        let r_big = Simulator::new(&big).run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r_small = instant(&small, &mut MaxMargin::new());
+        let r_big = instant(&big, &mut MaxMargin::new());
         assert!(
             r_big.served > r_small.served,
             "big {} vs small {}",

@@ -14,9 +14,8 @@
 //! [`StreamSink`] as they are decided. Building a
 //! [`Market`] is `O(trace)` memory (its `O(M²)` offline chain arcs are
 //! built on first read, and online dispatch never reads them), so
-//! million-order days are fed lazily; a market that *is* materialized is fed through the same engine
-//! by [`crate::replay_market`], the front-end behind [`crate::Simulator`]
-//! and [`crate::run_batched_with`].
+//! million-order days are fed lazily; a market that *is* materialized is
+//! fed through the same engine by [`crate::replay_market`].
 //!
 //! # One engine, two ways to decide
 //!
@@ -47,19 +46,21 @@
 //! Same-timestamp orders are decided in task-id order regardless of
 //! arrival order, so delivery reordering within one timestamp cannot
 //! change results (a property test pins this). The facade's
-//! `stream_equivalence` suite pins compaction, ticks, offline hints, the
-//! grid and sharding against the plain run, and the plain run against
-//! recorded digests.
+//! `stream_equivalence` suite pins the front-end against the plain
+//! linear-scan run and the plain run against recorded digests; compaction,
+//! ticks, offline hints, the grid and sharding are each pinned against the
+//! front-end or the plain run.
 //!
 //! # Examples
 //!
-//! A materialized market, streamed by hand and through the front-end:
+//! A materialized market, streamed by hand (linear scan) and through the
+//! front-end (grid-pruned):
 //!
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
 //! use rideshare_online::{
-//!     market_events, replay_stream, CollectingSink, MaxMargin, SimulationOptions, Simulator,
-//!     StreamOptions, StreamPolicy,
+//!     market_events, replay_market, replay_stream, CollectingSink, MaxMargin, StreamOptions,
+//!     StreamPolicy,
 //! };
 //! use rideshare_trace::{DriverModel, TraceConfig};
 //!
@@ -80,8 +81,7 @@
 //! );
 //! let streamed = sink.into_result();
 //!
-//! let materialized =
-//!     Simulator::new(&market).run(&mut MaxMargin::new(), SimulationOptions::default());
+//! let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
 //! assert_eq!(streamed.dispatch, materialized.dispatch);
 //! assert_eq!(streamed.events, materialized.events);
 //! assert_eq!(summary.served, materialized.served);
@@ -604,8 +604,8 @@ impl StreamEngine {
     /// Algs. 3–4), let `choose` pick, commit the winner.
     ///
     /// [`StreamEngine::flush`] calls this per publish group, after the
-    /// stream clock has retired the drivers it may. The materialized
-    /// front-end's §V-B value-sorted variant calls it directly with the
+    /// stream clock has retired the drivers it may.
+    /// [`crate::replay_market_by_value`] (§V-B) calls it directly with the
     /// whole day in descending-price order: that order runs the clock
     /// backwards, so it must reach neither the publish-order assertions of
     /// [`StreamEngine::push`] nor clock-based expiry, which is lossless
@@ -955,10 +955,9 @@ impl StreamSink for CollectingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchOptions, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher};
-    use crate::policy::{MaxMargin, NearestDriver};
-    use crate::simulator::{SimulationOptions, Simulator};
-    use crate::validate::validate_online_result;
+    use crate::batch::GreedyPairMatcher;
+    use crate::policy::MaxMargin;
+    use crate::simulator::replay_market;
     use rideshare_core::{Market, MarketBuildOptions};
     use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -983,82 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn instant_stream_matches_simulator() {
-        let m = market(81, 150, 20);
-        for use_grid in [false, true] {
-            let mut sink = CollectingSink::new();
-            let options = if use_grid {
-                StreamOptions::default().grid(rideshare_geo::porto::bounding_box())
-            } else {
-                StreamOptions::default()
-            };
-            let summary = replay_stream(
-                m.speed(),
-                market_events(&m),
-                &mut StreamPolicy::Instant(&mut MaxMargin::new()),
-                options,
-                &mut sink,
-            );
-            let streamed = sink.into_result();
-            let materialized =
-                Simulator::new(&m).run(&mut MaxMargin::new(), SimulationOptions::default());
-            assert_same(&streamed, &materialized);
-            validate_online_result(&m, &streamed).unwrap();
-            assert_eq!(summary.tasks, m.num_tasks());
-            assert_eq!(summary.served + summary.rejected, summary.tasks);
-        }
-    }
-
-    #[test]
-    fn instant_stream_matches_seeded_nearest() {
-        let m = market(82, 100, 12);
-        let mut sink = CollectingSink::new();
-        replay_stream(
-            m.speed(),
-            market_events(&m),
-            &mut StreamPolicy::Instant(&mut NearestDriver::with_seed(7)),
-            StreamOptions::default(),
-            &mut sink,
-        );
-        let materialized = Simulator::new(&m).run(
-            &mut NearestDriver::with_seed(7),
-            SimulationOptions::default(),
-        );
-        assert_same(&sink.into_result(), &materialized);
-    }
-
-    #[test]
-    fn batched_stream_matches_batch_engine() {
-        let m = market(83, 120, 18);
-        for mins in [0i64, 2, 10] {
-            for optimal in [false, true] {
-                let window = TimeDelta::from_mins(mins);
-                let mut sink = CollectingSink::new();
-                let mut greedy = GreedyPairMatcher;
-                let mut opt = OptimalAssignmentMatcher;
-                let matcher: &mut dyn BatchMatcher = if optimal { &mut opt } else { &mut greedy };
-                replay_stream(
-                    m.speed(),
-                    market_events(&m),
-                    &mut StreamPolicy::Batched { window, matcher },
-                    StreamOptions::default(),
-                    &mut sink,
-                );
-                let kind = if optimal {
-                    MatcherKind::Optimal
-                } else {
-                    MatcherKind::Greedy
-                };
-                let materialized = crate::batch::run_batched_with(
-                    &m,
-                    BatchOptions::with_window(window).matcher(kind),
-                );
-                assert_same(&sink.into_result(), &materialized);
-            }
-        }
-    }
-
-    #[test]
     fn epoch_ticks_flush_windows_without_changing_results() {
         let m = market(84, 90, 10);
         let window = TimeDelta::from_mins(5);
@@ -1078,18 +1001,15 @@ mod tests {
         ticked.push(StreamEvent::EpochTick(Timestamp::from_hours(30)));
 
         let mut sink = CollectingSink::new();
-        let mut matcher = GreedyPairMatcher;
+        let matcher = &mut GreedyPairMatcher;
         replay_stream(
             m.speed(),
             ticked,
-            &mut StreamPolicy::Batched {
-                window,
-                matcher: &mut matcher,
-            },
+            &mut StreamPolicy::Batched { window, matcher },
             StreamOptions::default(),
             &mut sink,
         );
-        let materialized = crate::batch::run_batched(&m, window);
+        let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
         assert_same(&sink.into_result(), &materialized);
     }
 
@@ -1145,8 +1065,7 @@ mod tests {
             StreamOptions::default(),
             &mut sink,
         );
-        let materialized =
-            Simulator::new(&m).run(&mut MaxMargin::new(), SimulationOptions::default());
+        let materialized = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         assert_same(&sink.into_result(), &materialized);
         assert!(summary.expired_drivers > 0, "no shift ended mid-stream");
     }
@@ -1154,7 +1073,7 @@ mod tests {
     #[test]
     fn aggressive_compaction_changes_nothing_instant() {
         // Compact after every single expiry: resident drivers shrink, the
-        // replay stays byte-identical to the materialized simulator, and
+        // replay stays byte-identical to the materialized front-end, and
         // events still name drivers by their announced ids.
         let m = market(89, 200, 30);
         for use_grid in [false, true] {
@@ -1170,8 +1089,7 @@ mod tests {
                 options,
                 &mut sink,
             );
-            let materialized =
-                Simulator::new(&m).run(&mut MaxMargin::new(), SimulationOptions::default());
+            let materialized = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
             assert_same(&sink.into_result(), &materialized);
             assert!(
                 summary.compacted_drivers > 0,
@@ -1185,24 +1103,21 @@ mod tests {
     fn aggressive_compaction_changes_nothing_batched() {
         // Batched mode: ghosts must keep every early-flush epoch (computed
         // by `latest_decision` over *all* drivers, expired included) equal
-        // to the materialized batch engine's — the parity the candidate
+        // to the materialized front-end's — the parity the candidate
         // engine's ghost test isolates, exercised here end-to-end.
         let m = market(90, 200, 30);
         for mins in [2i64, 10] {
             let window = TimeDelta::from_mins(mins);
             let mut sink = CollectingSink::new();
-            let mut matcher = GreedyPairMatcher;
+            let matcher = &mut GreedyPairMatcher;
             let summary = replay_stream(
                 m.speed(),
                 market_events(&m),
-                &mut StreamPolicy::Batched {
-                    window,
-                    matcher: &mut matcher,
-                },
+                &mut StreamPolicy::Batched { window, matcher },
                 StreamOptions::default().compaction(1),
                 &mut sink,
             );
-            let materialized = crate::batch::run_batched(&m, window);
+            let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
             assert_same(&sink.into_result(), &materialized);
             assert!(summary.compacted_drivers > 0, "no compaction at W={mins}m");
         }

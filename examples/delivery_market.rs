@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --release --example delivery_market`
 
-use rideshare::online::run_batched;
 use rideshare::prelude::*;
 
 fn main() {
@@ -35,10 +34,15 @@ fn main() {
         let market = Market::from_trace(trace, &MarketBuildOptions::default());
         let offline = solve_greedy(&market, Objective::Profit);
         offline.assignment.validate(&market).expect("feasible");
-        let sim = Simulator::new(&market);
-        let online = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         validate_online(&market, &online.assignment).expect("feasible online");
-        let batched = run_batched(&market, TimeDelta::from_mins(20));
+        let batched = replay_market(
+            &market,
+            &mut StreamPolicy::Batched {
+                window: TimeDelta::from_mins(20),
+                matcher: &mut GreedyPairMatcher,
+            },
+        );
 
         let off = offline
             .assignment

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example dispatch_strategies`
 
-use rideshare::online::{run_batched, run_batched_with, BatchOptions, MatcherKind};
 use rideshare::prelude::*;
 
 fn main() {
@@ -14,36 +13,25 @@ fn main() {
         .with_driver_count(50, DriverModel::Hitchhiking)
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-    let sim = Simulator::new(&market);
+    let instant = |policy: &mut dyn DispatchPolicy| {
+        replay_market(&market, &mut StreamPolicy::Instant(policy))
+    };
+    let batched = |mins: i64, matcher: &mut dyn BatchMatcher| {
+        let window = TimeDelta::from_mins(mins);
+        replay_market(&market, &mut StreamPolicy::Batched { window, matcher })
+    };
 
     let mut rows = Vec::new();
 
-    // Instant policies.
+    // Instant policies, then batched ones.
     for (label, result) in [
-        (
-            "Nearest (Alg. 3)",
-            sim.run(&mut NearestDriver::new(), SimulationOptions::default()),
-        ),
-        (
-            "maxMargin (Alg. 4)",
-            sim.run(&mut MaxMargin::new(), SimulationOptions::default()),
-        ),
-        (
-            "batched 2 min",
-            run_batched(&market, TimeDelta::from_mins(2)),
-        ),
-        (
-            "batched 10 min",
-            run_batched(&market, TimeDelta::from_mins(10)),
-        ),
+        ("Nearest (Alg. 3)", instant(&mut NearestDriver::new())),
+        ("maxMargin (Alg. 4)", instant(&mut MaxMargin::new())),
+        ("batched 2 min", batched(2, &mut GreedyPairMatcher)),
+        ("batched 10 min", batched(10, &mut GreedyPairMatcher)),
         (
             "batched 2 min, optimal",
-            run_batched_with(
-                &market,
-                BatchOptions::with_window(TimeDelta::from_mins(2))
-                    .matcher(MatcherKind::Optimal)
-                    .grid(true),
-            ),
+            batched(2, &mut OptimalAssignmentMatcher),
         ),
     ] {
         // Feasibility *and* dispatch causality: departures never precede

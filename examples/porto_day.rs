@@ -34,8 +34,7 @@ fn main() {
         }
 
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-        let sim = Simulator::new(&market);
-        let online = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         let offline = solve_greedy(&market, Objective::Profit);
 
         let m_on = MarketMetrics::of(&market, &online.assignment);

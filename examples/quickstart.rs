@@ -42,9 +42,11 @@ fn main() {
         .objective_value(&market, Objective::Profit);
 
     // 4. Online: replay the order stream through both heuristics.
-    let sim = Simulator::new(&market);
-    let mm = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-    let nearest = sim.run(&mut NearestDriver::new(), SimulationOptions::default());
+    let mm = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let nearest = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut NearestDriver::new()),
+    );
     validate_online(&market, &mm.assignment).expect("online dispatch is feasible");
 
     // 5. The paper's yardstick: the LP-relaxation upper bound Z_f*.

@@ -6,7 +6,7 @@
 //! Demonstrates the whole lazy pipeline: `TraceConfig::stream` (trips
 //! generated in publish order, never sorted in bulk) → `priced_events`
 //! (Eq. 15 fares with rolling-window surge, priced order by order) →
-//! `replay_stream` (the same dispatch semantics as `Simulator`, resident
+//! `replay_stream` (the same engine `replay_market` runs, resident
 //! state `O(held orders + drivers)`) → `StreamMetrics` (windowed
 //! served/revenue/profit and per-driver income). The same run with ten
 //! times the orders uses essentially the same memory — that is the

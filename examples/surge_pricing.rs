@@ -57,8 +57,7 @@ fn main() {
             .iter()
             .map(|t| t.price.as_f64())
             .fold(f64::MIN, f64::max);
-        let sim = Simulator::new(&market);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", max_price),

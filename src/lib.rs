@@ -15,7 +15,7 @@
 //! | [`pricing`] | `rideshare-pricing` | surge multipliers (SM), Eq. 15 fares, WTP |
 //! | [`lp`] | `rideshare-lp` | simplex, packing LP (column generation), branch & bound |
 //! | [`core`] | `rideshare-core` | the market model, task maps, GA, `Z_f*`, exact ILP, Fig. 2 |
-//! | [`online`] | `rideshare-online` | the online simulator, Nearest & maxMargin dispatch, streaming engines, the `serve` daemon |
+//! | [`online`] | `rideshare-online` | the dispatch engine and its front-ends (`replay_market`, `replay_stream`, `replay_sharded`), Nearest & maxMargin dispatch, batched matchers, the `serve` daemon |
 //! | [`metrics`] | `rideshare-metrics` | evaluation metrics and table rendering |
 //! | [`tsdb`] | `rideshare-tsdb` | embedded telemetry time-series store: lossless chunks, label index, range queries (`rideshare query`) |
 //! | [`bench`](mod@bench) | `rideshare-bench` | scenario catalog, parallel sharded sweep engine, multi-process sweep orchestrator (`rideshare orchestrate`), figure harness |
@@ -37,8 +37,7 @@
 //! let offline = solve_greedy(&market, Objective::Profit);
 //!
 //! // Online: replay the order stream through maxMargin (Alg. 4).
-//! let sim = Simulator::new(&market);
-//! let online = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+//! let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
 //!
 //! // Offline information advantage: greedy should not lose to the
 //! // online heuristic by much on any seed, and both must be feasible.
@@ -76,12 +75,12 @@ pub mod prelude {
         render_series, render_table, MarketMetrics, MetricsJournal, Series, StreamMetrics,
     };
     pub use rideshare_online::{
-        market_events, priced_events, replay_market, replay_sharded, replay_stream, run_batched,
-        run_batched_with, validate_online, validate_online_result, BatchMatcher, BatchOptions,
-        BoxPartitioner, CollectingSink, DispatchPolicy, FileSource, IngestError, IngestFormat,
-        IngestSource, IterSource, MatcherKind, MaxMargin, NearestDriver, RandomDispatch,
-        RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop,
-        ShardOptions, ShardPolicySpec, SimulationOptions, Simulator, StreamEngine, StreamEvent,
+        market_events, priced_events, replay_market, replay_market_by_value, replay_sharded,
+        replay_stream, validate_online, validate_online_result, BatchMatcher, BoxPartitioner,
+        CollectingSink, DispatchPolicy, FileSource, GreedyPairMatcher, IngestError, IngestFormat,
+        IngestSource, IterSource, MatcherKind, MaxMargin, NearestDriver, OptimalAssignmentMatcher,
+        RandomDispatch, RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport,
+        ServeStop, ShardOptions, ShardPolicySpec, SimulationResult, StreamEngine, StreamEvent,
         StreamOptions, StreamPolicy, StreamSink, StreamSummary, TcpSource,
     };
     pub use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};

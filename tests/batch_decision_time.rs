@@ -1,7 +1,7 @@
 //! The clairvoyance regression suite (the acceptance tests for the batch
 //! engine rebuild).
 //!
-//! The original `run_batched` computed a batch decision time and then let
+//! The original batch engine computed a batch decision time and then let
 //! drivers depart at task *publish* time — dispatching on a decision that
 //! did not exist yet. These tests pin the corrected semantics:
 //!
@@ -10,12 +10,32 @@
 //! - batched profit with `W > 0` never exceeds the same market's offline
 //!   greedy (time travel was the only way to beat it from inside a
 //!   window),
-//! - grid-pruned batch candidate generation is byte-identical to the
-//!   full-scan path on catalog scenarios (the speed side is measured by
-//!   the `batch_dispatch` Criterion bench on `porto-large`).
+//! - grid-pruned batch candidate generation (`replay_market`) is
+//!   byte-identical to the full-scan path (a bare `replay_stream` with
+//!   `StreamOptions::default()`) on catalog scenarios.
 
-use rideshare::online::{run_batched_with, BatchOptions, MatcherKind};
 use rideshare::prelude::*;
+
+/// `market` held for `window` and closed by `matcher`, through the
+/// front-end.
+fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
+    let spec = ShardPolicySpec::Batched { window, matcher };
+    replay_market(market, &mut spec.holder().as_policy())
+}
+
+/// The same, through the linear-scan stream.
+fn batched_scan(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
+    let spec = ShardPolicySpec::Batched { window, matcher };
+    let mut sink = CollectingSink::new();
+    let _ = replay_stream(
+        market.speed(),
+        market_events(market),
+        &mut spec.holder().as_policy(),
+        StreamOptions::default(),
+        &mut sink,
+    );
+    sink.into_result()
+}
 
 /// One driver sitting exactly on the pickup of one task, both live from
 /// t = 0 with deadlines far beyond the window.
@@ -58,7 +78,7 @@ fn departure_waits_for_the_batch_decision() {
     let market = single_driver_market();
     let w = TimeDelta::from_mins(5);
     for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-        let r = run_batched_with(&market, BatchOptions::with_window(w).matcher(matcher));
+        let r = batched(&market, w, matcher);
         assert_eq!(r.served, 1, "{matcher:?}");
         let e = &r.events[0];
         assert_eq!(e.decision_time, Timestamp::from_secs(300), "{matcher:?}");
@@ -78,7 +98,7 @@ fn departure_waits_for_the_batch_decision() {
     }
     // Instant dispatch on the same market really is instant — the 300 s
     // above is the cost of batching, not an artefact of the market.
-    let instant = Simulator::new(&market).run(&mut MaxMargin::new(), SimulationOptions::default());
+    let instant = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
     assert_eq!(instant.events[0].arrival, Timestamp::from_secs(0));
 }
 
@@ -100,15 +120,12 @@ fn batched_never_beats_offline_greedy() {
             .as_f64();
         for mins in [1i64, 3, 10, 30] {
             for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-                let batched = run_batched_with(
-                    &market,
-                    BatchOptions::with_window(TimeDelta::from_mins(mins)).matcher(matcher),
-                )
-                .total_profit(&market)
-                .as_f64();
+                let profit = batched(&market, TimeDelta::from_mins(mins), matcher)
+                    .total_profit(&market)
+                    .as_f64();
                 assert!(
-                    batched <= offline + 1e-6,
-                    "seed {seed}, W = {mins}m, {matcher:?}: batched {batched} beats \
+                    profit <= offline + 1e-6,
+                    "seed {seed}, W = {mins}m, {matcher:?}: batched {profit} beats \
                      offline greedy {offline}"
                 );
             }
@@ -126,9 +143,9 @@ fn grid_oracle_on_catalog_scenarios() {
             .expect("catalog name")
             .build_market();
         for matcher in [MatcherKind::Greedy, MatcherKind::Optimal] {
-            let base = BatchOptions::with_window(TimeDelta::from_mins(3)).matcher(matcher);
-            let scan = run_batched_with(&market, base);
-            let grid = run_batched_with(&market, base.grid(true));
+            let window = TimeDelta::from_mins(3);
+            let scan = batched_scan(&market, window, matcher);
+            let grid = batched(&market, window, matcher);
             assert_eq!(scan.dispatch, grid.dispatch, "{name} {matcher:?}");
             assert_eq!(scan.events, grid.events, "{name} {matcher:?}");
             assert_eq!(scan.rejected, grid.rejected, "{name} {matcher:?}");
@@ -137,14 +154,14 @@ fn grid_oracle_on_catalog_scenarios() {
 }
 
 #[test]
-#[ignore = "heavy: run with --ignored (or see the batch_dispatch bench) for the porto-large oracle"]
+#[ignore = "heavy: run with --ignored for the porto-large oracle"]
 fn grid_oracle_on_porto_large() {
     let market = Scenario::by_name("porto-large")
         .expect("catalog name")
         .build_market();
-    let base = BatchOptions::with_window(TimeDelta::from_mins(3));
-    let scan = run_batched_with(&market, base);
-    let grid = run_batched_with(&market, base.grid(true));
+    let window = TimeDelta::from_mins(3);
+    let scan = batched_scan(&market, window, MatcherKind::Greedy);
+    let grid = batched(&market, window, MatcherKind::Greedy);
     assert_eq!(scan.dispatch, grid.dispatch);
     assert_eq!(scan.events, grid.events);
 }

@@ -1,4 +1,5 @@
-//! Property tests for the batched dispatcher (`run_batched_with`).
+//! Property tests for the batched dispatcher (`replay_market` under a
+//! batched policy).
 //!
 //! Three doc claims of `rideshare-online`'s `batch` module become
 //! executable here:
@@ -10,16 +11,26 @@
 //!    with decision-time departures and demands exact agreement),
 //! 2. with `W = 0` and distinct publish times (a zero window still batches
 //!    same-instant ties), the batched dispatcher degenerates to the
-//!    per-task maxMargin simulator exactly — same dispatch vector, same
+//!    per-task maxMargin dispatch exactly — same dispatch vector, same
 //!    profit (also pinned by a fixed-seed regression test below), and
 //! 3. grid-pruned candidate generation changes nothing but wall-time: the
-//!    full-scan and grid paths produce byte-identical dispatches and
-//!    events for random traces and windows.
+//!    full-scan stream and the (always gridded) front-end produce
+//!    byte-identical dispatches and events for random traces and windows.
 
 use proptest::prelude::*;
 
-use rideshare::online::{run_batched, run_batched_with, BatchOptions, MatcherKind};
 use rideshare::prelude::*;
+
+/// `market` held for `window` and closed by `matcher`.
+fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
+    let spec = ShardPolicySpec::Batched { window, matcher };
+    replay_market(market, &mut spec.holder().as_policy())
+}
+
+/// `market` under instant maxMargin.
+fn max_margin(market: &Market) -> SimulationResult {
+    replay_market(market, &mut StreamPolicy::Instant(&mut MaxMargin::new()))
+}
 
 fn porto_market(seed: u64, tasks: usize, drivers: usize, hitch: bool) -> Market {
     let model = if hitch {
@@ -49,7 +60,7 @@ proptest! {
         let market = porto_market(seed, tasks, drivers, hitch);
         let matcher = if optimal { MatcherKind::Optimal } else { MatcherKind::Greedy };
         let window = TimeDelta::from_mins(window_mins);
-        let r = run_batched_with(&market, BatchOptions::with_window(window).matcher(matcher));
+        let r = batched(&market, window, matcher);
         // Feasibility + causality in one validator: routes replay cleanly
         // AND departing at each event's recorded decision time reproduces
         // each recorded arrival exactly.
@@ -83,13 +94,12 @@ proptest! {
         publishes.sort();
         let distinct = publishes.windows(2).all(|w| w[0] != w[1]);
         if distinct {
-            let batched = run_batched(&market, TimeDelta::ZERO);
-            let instant = Simulator::new(&market)
-                .run(&mut MaxMargin::new(), SimulationOptions::default());
-            prop_assert_eq!(&batched.dispatch, &instant.dispatch);
-            prop_assert_eq!(batched.served, instant.served);
-            prop_assert_eq!(batched.rejected, instant.rejected);
-            let pb = batched.total_profit(&market);
+            let zero = batched(&market, TimeDelta::ZERO, MatcherKind::Greedy);
+            let instant = max_margin(&market);
+            prop_assert_eq!(&zero.dispatch, &instant.dispatch);
+            prop_assert_eq!(zero.served, instant.served);
+            prop_assert_eq!(zero.rejected, instant.rejected);
+            let pb = zero.total_profit(&market);
             let pi = instant.total_profit(&market);
             prop_assert!(pb.approx_eq(pi), "batched {pb} vs instant {pi}");
         }
@@ -105,9 +115,18 @@ proptest! {
     ) {
         let market = porto_market(seed, tasks, drivers, true);
         let matcher = if optimal { MatcherKind::Optimal } else { MatcherKind::Greedy };
-        let base = BatchOptions::with_window(TimeDelta::from_mins(window_mins)).matcher(matcher);
-        let scan = run_batched_with(&market, base);
-        let grid = run_batched_with(&market, base.grid(true));
+        let window = TimeDelta::from_mins(window_mins);
+        let spec = ShardPolicySpec::Batched { window, matcher };
+        let mut sink = CollectingSink::new();
+        let _ = replay_stream(
+            market.speed(),
+            market_events(&market),
+            &mut spec.holder().as_policy(),
+            StreamOptions::default(),
+            &mut sink,
+        );
+        let scan = sink.into_result();
+        let grid = batched(&market, window, matcher);
         prop_assert_eq!(&scan.dispatch, &grid.dispatch);
         prop_assert_eq!(&scan.events, &grid.events);
         prop_assert_eq!(scan.rejected, grid.rejected);
@@ -123,7 +142,7 @@ proptest! {
         // accounting must hold across the whole window sweep of one market.
         let market = porto_market(seed, tasks, drivers, true);
         for mins in [0i64, 1, 5, 15, 60] {
-            let r = run_batched(&market, TimeDelta::from_mins(mins));
+            let r = batched(&market, TimeDelta::from_mins(mins), MatcherKind::Greedy);
             prop_assert!(validate_online_result(&market, &r).is_ok(), "W = {mins}m");
             prop_assert_eq!(r.served + r.rejected, market.num_tasks());
         }
@@ -143,10 +162,10 @@ fn zero_window_regression_pin() {
         publishes.windows(2).all(|w| w[0] != w[1]),
         "seed 63 must keep distinct publish times for this pin"
     );
-    let batched = run_batched(&market, TimeDelta::ZERO);
-    let instant = Simulator::new(&market).run(&mut MaxMargin::new(), SimulationOptions::default());
-    assert_eq!(batched.dispatch, instant.dispatch);
-    assert_eq!(batched.events, instant.events);
-    assert_eq!(batched.served, instant.served);
-    assert_eq!(batched.rejected, instant.rejected);
+    let zero = batched(&market, TimeDelta::ZERO, MatcherKind::Greedy);
+    let instant = max_margin(&market);
+    assert_eq!(zero.dispatch, instant.dispatch);
+    assert_eq!(zero.events, instant.events);
+    assert_eq!(zero.served, instant.served);
+    assert_eq!(zero.rejected, instant.rejected);
 }

@@ -60,13 +60,12 @@ fn online_heuristics_feasible_and_bounded() {
     let bound = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
         .unwrap()
         .bound;
-    let sim = Simulator::new(&market);
     for policy in [
         &mut MaxMargin::new() as &mut dyn DispatchPolicy,
         &mut NearestDriver::with_seed(1),
         &mut RandomDispatch::with_seed(1),
     ] {
-        let r = sim.run(policy, SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(policy));
         validate_online(&market, &r.assignment).unwrap();
         assert!(
             r.total_profit(&market).as_f64() <= bound + 1e-6,
@@ -85,9 +84,7 @@ fn greedy_dominates_online_in_profit() {
             .assignment
             .objective_value(&market, Objective::Profit)
             .as_f64();
-        let sim = Simulator::new(&market);
-        let online = sim
-            .run(&mut MaxMargin::new(), SimulationOptions::default())
+        let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()))
             .total_profit(&market)
             .as_f64();
         assert!(
@@ -103,8 +100,7 @@ fn both_driver_models_run_cleanly() {
         let market = build(31, 100, 15, model);
         let greedy = solve_greedy(&market, Objective::Profit);
         greedy.assignment.validate(&market).unwrap();
-        let sim = Simulator::new(&market);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         validate_online(&market, &r.assignment).unwrap();
         let m = MarketMetrics::of(&market, &r.assignment);
         assert!(m.served_rate <= 1.0);

@@ -132,37 +132,30 @@ fn pinned_scenarios_reproduce_exactly() {
 }
 
 /// Every pinned online cell through the materialized front-ends
-/// (`Simulator::run`, `run_batched_with`): not one decision, timestamp or
-/// margin bit may differ from the recorded digests. A deliberate change
+/// (`replay_market`, and `replay_market_by_value` for §V-B's value order):
+/// not one decision, timestamp or margin bit may differ from the recorded
+/// digests. A deliberate change
 /// of results updates `golden_scenarios/digests.rs` from the table this
 /// prints.
 #[test]
 fn online_results_match_the_pinned_digests() {
-    let window = TimeDelta::from_mins(3);
-    let instant = SimulationOptions::default();
-    let value_sorted = SimulationOptions {
-        value_sorted: true,
-        ..instant
-    };
     let mut computed = Vec::new();
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        let sim = Simulator::new(&market);
-        let batched = BatchOptions::with_window(window);
-        let mut runs = vec![
-            ("maxMargin", sim.run(&mut MaxMargin::new(), instant)),
-            (
-                "nearest",
-                sim.run(&mut NearestDriver::with_seed(0), instant),
-            ),
-            ("batch-3m", run_batched_with(&market, batched)),
-            (
-                "batch-opt-3m",
-                run_batched_with(&market, batched.matcher(MatcherKind::Optimal)),
-            ),
-        ];
+        let mut runs: Vec<(&str, SimulationResult)> =
+            ["maxMargin", "nearest", "batch-3m", "batch-opt-3m"]
+                .into_iter()
+                .map(|label| {
+                    let spec = PolicySpec::parse(label).and_then(|p| p.stream_spec());
+                    let spec = spec.expect("an online column");
+                    (
+                        label,
+                        replay_market(&market, &mut spec.holder().as_policy()),
+                    )
+                })
+                .collect();
         if scenario.name == "tiny-rides" {
-            let sorted = sim.run(&mut MaxMargin::new(), value_sorted);
+            let sorted = replay_market_by_value(&market, &mut MaxMargin::new());
             runs.push(("maxMargin/value-sorted", sorted));
         }
         for (policy, result) in runs {

@@ -26,11 +26,10 @@ fn run_point(drivers: usize, model: DriverModel) -> SweepPoint {
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
     let greedy = solve_greedy(&market, Objective::Profit);
-    let sim = Simulator::new(&market);
-    let mm = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-    let nearest = sim.run(
-        &mut NearestDriver::with_seed(0),
-        SimulationOptions::default(),
+    let mm = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let nearest = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut NearestDriver::with_seed(0)),
     );
     SweepPoint {
         greedy_profit: greedy

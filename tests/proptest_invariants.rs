@@ -163,8 +163,7 @@ proptest! {
                 .is_strictly_negative()
         );
 
-        let sim = Simulator::new(&market);
-        let r = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
+        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         prop_assert!(validate_online(&market, &r.assignment).is_ok());
     }
 

@@ -315,7 +315,7 @@ fn catalog_compaction_oracle() {
         assert_eq!(plain.dispatch, compacted.dispatch, "{}", scenario.name);
         assert_eq!(plain.events, compacted.events, "{}", scenario.name);
 
-        let run_batched_stream = |options: StreamOptions| {
+        let batched_stream = |options: StreamOptions| {
             let mut sink = CollectingSink::new();
             let mut matcher = GreedyPairMatcher;
             let _ = replay_stream(
@@ -330,8 +330,8 @@ fn catalog_compaction_oracle() {
             );
             sink.into_result()
         };
-        let plain = run_batched_stream(StreamOptions::default().no_compaction());
-        let compacted = run_batched_stream(StreamOptions::default().compaction(1));
+        let plain = batched_stream(StreamOptions::default().no_compaction());
+        let compacted = batched_stream(StreamOptions::default().compaction(1));
         assert_eq!(
             plain.dispatch, compacted.dispatch,
             "{} batched",

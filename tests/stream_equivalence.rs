@@ -1,26 +1,25 @@
 //! The stream oracle suite.
 //!
-//! One engine decides every order, so "streamed ≡ materialized" compares
-//! it to itself: [`Simulator`] and [`run_batched_with`] are the
-//! `replay_market` front-end, which pushes a market's events through the
-//! same [`StreamEngine`] a bare [`replay_stream`] drives. What this file
-//! pins is therefore a chain with an absolute end:
+//! One engine decides every order. What this file pins is a chain with an
+//! absolute end:
 //!
-//! - every *other* way of feeding the engine — a bare stream without the
-//!   front-end's grid or relabelling here; compaction, clock ticks,
-//!   offline hints, the grid, shards and the daemon in the crate's unit
-//!   tests and the `grid_equivalence` / `shard_determinism` /
-//!   `serve_equivalence` batteries — produces the same
-//!   [`SimulationResult`] as the plain front-end: same dispatch vector,
-//!   same event list (arrival, decision time, wait, deadhead, candidates,
-//!   margin), same routes, on the **whole scenario catalog**, instant and
-//!   batched, and every such result passes the dispatch-causality law
-//!   ([`validate_online_result`]);
-//! - the plain run itself reproduces, on the tiny catalog, the FNV-1a
+//! - the front-end, [`replay_market`] (grid-pruned, tasks re-labelled by
+//!   position), equals the plain run — a bare [`replay_stream`] of
+//!   [`market_events`] with [`StreamOptions::default`], the linear scan —
+//!   on the tiny catalog under every online policy, field by field
+//!   (`front_end_matches_the_scan_stream`);
+//! - every *other* way of feeding the engine — clock ticks and eager
+//!   compaction here, offline hints, the grid, shards and the daemon in
+//!   the crate's unit tests and the `grid_equivalence` /
+//!   `shard_determinism` / `serve_equivalence` batteries — produces the
+//!   same [`SimulationResult`] as the front-end or the plain run: same
+//!   dispatch vector, same event list (arrival, decision time, wait,
+//!   deadhead, candidates, margin), same routes;
+//! - the plain run itself passes the dispatch-causality law
+//!   ([`validate_online_result`]) on the **whole scenario catalog**,
+//!   instant and batched, and reproduces, on the tiny catalog, the FNV-1a
 //!   result digests recorded from the per-task simulator loop and the
-//!   batch-engine loop the engine replaced (`golden_scenarios/digests.rs`)
-//!   — the assertion that keeps its teeth now that both sides of every
-//!   `assert_same` are one implementation.
+//!   batch-engine loop the engine replaced (`golden_scenarios/digests.rs`).
 //!
 //! Plus:
 //!
@@ -40,9 +39,7 @@
 use proptest::prelude::*;
 
 use rideshare::bench::Scenario;
-use rideshare::online::{
-    DispatchEvent, GreedyPairMatcher, OptimalAssignmentMatcher, SimulationResult,
-};
+use rideshare::online::{DispatchEvent, PolicyHolder};
 use rideshare::prelude::*;
 
 #[path = "golden_scenarios/digests.rs"]
@@ -99,54 +96,80 @@ fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> Simulati
     sink.into_result()
 }
 
-/// Every catalog scenario, instant mode: streaming ≡ `Simulator`, for both
-/// online heuristics, and the streamed result is causally valid; the tiny
-/// scenarios in it also reproduce their pinned digests.
+/// The one pin for the front-end: on the tiny catalog, under every online
+/// policy, [`replay_market`] equals the scan stream — one dispatch entry
+/// per market task, same events, routes and counts.
+#[test]
+fn front_end_matches_the_scan_stream() {
+    let batched = |window, matcher| ShardPolicySpec::Batched { window, matcher }.holder();
+    let three = TimeDelta::from_mins(3);
+    let policies: [(&str, &dyn Fn() -> PolicyHolder); 5] = [
+        ("maxMargin", &|| ShardPolicySpec::MaxMargin.holder()),
+        ("nearest", &|| ShardPolicySpec::Nearest { seed: 7 }.holder()),
+        ("random", &|| {
+            PolicyHolder::Instant(Box::new(RandomDispatch::with_seed(1)))
+        }),
+        ("batch-3m", &|| batched(three, MatcherKind::Greedy)),
+        ("batch-opt-3m", &|| batched(three, MatcherKind::Optimal)),
+    ];
+    for scenario in Scenario::tiny_catalog() {
+        let market = scenario.build_market();
+        for (label, make) in policies {
+            let front = replay_market(&market, &mut make().as_policy());
+            let mut sink = CollectingSink::new();
+            let _ = replay_stream(
+                market.speed(),
+                market_events(&market),
+                &mut make().as_policy(),
+                StreamOptions::default(),
+                &mut sink,
+            );
+            let ctx = format!("{} × {label}", scenario.name);
+            assert_eq!(front.dispatch.len(), market.num_tasks(), "{ctx}");
+            assert_same(&sink.into_result(), &front, &ctx);
+        }
+    }
+}
+
+/// Every catalog scenario, instant mode: the plain run is causally valid
+/// under both online heuristics, and the tiny scenarios in it reproduce
+/// their pinned digests.
 #[test]
 fn catalog_instant_streaming_oracle() {
     let mut pinned = 0;
     for scenario in Scenario::catalog() {
         let market = scenario.build_market();
-        let sim = Simulator::new(&market);
-        let streamed = stream_instant(&market, &mut MaxMargin::new());
-        let materialized = sim.run(&mut MaxMargin::new(), SimulationOptions::default());
-        assert_same(&streamed, &materialized, scenario.name);
-        validate_online_result(&market, &streamed)
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
-        pinned += usize::from(matches_pin(&streamed, scenario.name, "maxMargin"));
-
-        for seed in [0u64, 3] {
-            let streamed = stream_instant(&market, &mut NearestDriver::with_seed(seed));
-            let materialized = sim.run(
-                &mut NearestDriver::with_seed(seed),
-                SimulationOptions::default(),
-            );
-            assert_same(&streamed, &materialized, scenario.name);
-            if seed == 0 {
-                pinned += usize::from(matches_pin(&streamed, scenario.name, "nearest"));
-            }
+        let runs = [
+            ("maxMargin", stream_instant(&market, &mut MaxMargin::new())),
+            (
+                "nearest",
+                stream_instant(&market, &mut NearestDriver::with_seed(0)),
+            ),
+        ];
+        for (policy, streamed) in runs {
+            validate_online_result(&market, &streamed)
+                .unwrap_or_else(|e| panic!("{} × {policy}: {e}", scenario.name));
+            pinned += usize::from(matches_pin(&streamed, scenario.name, policy));
         }
     }
     assert_eq!(pinned, 8, "tiny catalog × {{maxMargin, nearest}}");
 }
 
 /// Every catalog scenario, batched mode (greedy matcher, 2-minute window):
-/// streaming ≡ `run_batched`.
+/// the plain run is causally valid.
 #[test]
 fn catalog_batched_streaming_oracle() {
     for scenario in Scenario::catalog() {
         let market = scenario.build_market();
-        let window = TimeDelta::from_mins(2);
-        let streamed = stream_batched(&market, window, false);
-        let materialized = run_batched(&market, window);
-        assert_same(&streamed, &materialized, scenario.name);
+        let streamed = stream_batched(&market, TimeDelta::from_mins(2), false);
         validate_online_result(&market, &streamed)
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
     }
 }
 
 /// The tiny catalog under the full batched matrix (window × matcher),
-/// optimal included; the 3-minute column reproduces its pinned digests.
+/// optimal included: every plain run is causally valid, and the 3-minute
+/// column reproduces its pinned digests.
 #[test]
 fn tiny_catalog_batched_matrix_oracle() {
     let mut pinned = 0;
@@ -154,20 +177,10 @@ fn tiny_catalog_batched_matrix_oracle() {
         let market = scenario.build_market();
         for mins in [0i64, 1, 3, 5, 15] {
             for optimal in [false, true] {
-                let window = TimeDelta::from_mins(mins);
-                let streamed = stream_batched(&market, window, optimal);
-                let kind = if optimal {
-                    MatcherKind::Optimal
-                } else {
-                    MatcherKind::Greedy
-                };
-                let materialized =
-                    run_batched_with(&market, BatchOptions::with_window(window).matcher(kind));
-                assert_same(
-                    &streamed,
-                    &materialized,
-                    &format!("{} W={mins}m optimal={optimal}", scenario.name),
-                );
+                let streamed = stream_batched(&market, TimeDelta::from_mins(mins), optimal);
+                validate_online_result(&market, &streamed).unwrap_or_else(|e| {
+                    panic!("{} W={mins}m optimal={optimal}: {e}", scenario.name)
+                });
                 if mins == 3 {
                     let policy = if optimal { "batch-opt-3m" } else { "batch-3m" };
                     pinned += usize::from(matches_pin(&streamed, scenario.name, policy));
@@ -206,8 +219,7 @@ fn lazy_pipeline_matches_materialized_pipeline() {
 
     // Materialized: the same streamed trips, built into a market.
     let market = Market::from_trace(&config.stream().collect_trace(), &build);
-    let materialized =
-        Simulator::new(&market).run(&mut MaxMargin::new(), SimulationOptions::default());
+    let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
 
     assert_same(&streamed, &materialized, "lazy pipeline");
     validate_online_result(&market, &streamed).unwrap();
@@ -294,8 +306,9 @@ proptest! {
         prop_assert!(any_tie, "no timestamp ties generated");
     }
 
-    // Random traces, random windows: streamed batched replay stays
-    // byte-identical to the materialized batch engine and causally valid.
+    // Random traces, random windows: a batched stream ticked on ten-minute
+    // boundaries that compacts at every expiry stays byte-identical
+    // to the materialized front-end and causally valid.
     #[test]
     fn random_batched_streams_match_materialized(
         seed in 0u64..10_000,
@@ -311,11 +324,28 @@ proptest! {
             .generate();
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
         let window = TimeDelta::from_mins(window_mins);
-        let streamed = stream_batched(&market, window, optimal);
-        let kind = if optimal { MatcherKind::Optimal } else { MatcherKind::Greedy };
-        let materialized = run_batched_with(&market, BatchOptions::with_window(window).matcher(kind));
+        let matcher = if optimal { MatcherKind::Optimal } else { MatcherKind::Greedy };
+        let spec = ShardPolicySpec::Batched { window, matcher };
+        // A tick on every ten-minute boundary an order crosses.
+        let (mut ticked, mut last_tick) = (Vec::new(), None);
+        for event in market_events(&market) {
+            if let Some(at) = event.timestamp() {
+                let tick = Timestamp::from_secs(at.as_secs().div_euclid(600) * 600);
+                if last_tick < Some(tick) {
+                    ticked.push(StreamEvent::EpochTick(tick));
+                    last_tick = Some(tick);
+                }
+            }
+            ticked.push(event);
+        }
+        let mut sink = CollectingSink::new();
+        let options = StreamOptions::default().compaction(1);
+        let _ = replay_stream(market.speed(), ticked, &mut spec.holder().as_policy(), options, &mut sink);
+        let streamed = sink.into_result();
+        let materialized = replay_market(&market, &mut spec.holder().as_policy());
         prop_assert_eq!(&streamed.dispatch, &materialized.dispatch);
         prop_assert_eq!(&streamed.events, &materialized.events);
+        prop_assert_eq!(streamed.assignment.routes(), materialized.assignment.routes());
         prop_assert!(validate_online_result(&market, &streamed).is_ok());
     }
 }
@@ -414,10 +444,11 @@ fn porto_large_optimal_streaming_oracle() {
     for mins in [1i64, 5] {
         let window = TimeDelta::from_mins(mins);
         let streamed = stream_batched(&market, window, true);
-        let materialized = run_batched_with(
-            &market,
-            BatchOptions::with_window(window).matcher(MatcherKind::Optimal),
-        );
+        let spec = ShardPolicySpec::Batched {
+            window,
+            matcher: MatcherKind::Optimal,
+        };
+        let materialized = replay_market(&market, &mut spec.holder().as_policy());
         assert_same(&streamed, &materialized, &format!("porto-large W={mins}m"));
     }
 }

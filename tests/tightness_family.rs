@@ -79,12 +79,11 @@ fn online_heuristics_on_adversarial_instance_stay_feasible() {
     // The Fig. 2 instance is an offline construction, but the online
     // simulator must still replay it without violating feasibility.
     let inst = fig2_instance(4, 0.05);
-    let sim = Simulator::new(&inst.market);
     for policy in [
         &mut MaxMargin::new() as &mut dyn DispatchPolicy,
         &mut NearestDriver::with_seed(0),
     ] {
-        let r = sim.run(policy, SimulationOptions::default());
+        let r = replay_market(&inst.market, &mut StreamPolicy::Instant(policy));
         validate_online(&inst.market, &r.assignment).unwrap();
     }
 }
