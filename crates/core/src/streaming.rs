@@ -15,7 +15,9 @@
 //!   **rolling-window dynamic surge** — per-cell demand over the trailing
 //!   window against drivers whose shift covers the instant. Trips must
 //!   arrive in publish order; `from_trace` and a stream then produce
-//!   byte-identical tasks;
+//!   byte-identical tasks. Publish order is also what lets supply be
+//!   counted by two forward-only cursors over each cell's sorted shift
+//!   starts and ends, rather than by a scan of its drivers per trip;
 //! - with `surge_window = None`, `from_trace` — which has the entire
 //!   trace in hand — prices from a **static whole-day snapshot**: one
 //!   demand/supply count, hence one multiplier, per grid cell, in whatever
@@ -52,12 +54,12 @@
 //! assert_eq!(streamed, market.tasks());
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rideshare_geo::{BoundingBox, CellId, GridIndex, SpeedModel};
+use rideshare_geo::{BoundingBox, GridIndex, SpeedModel};
 use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
 use rideshare_trace::{Driver, Task, Trace, TripRecord};
 use rideshare_types::{TimeDelta, Timestamp};
@@ -89,17 +91,66 @@ enum Surge {
     Rolling {
         config: SurgeConfig,
         window: TimeDelta,
-        /// Per-cell FIFO of recent publish times.
-        recent: BTreeMap<CellId, VecDeque<Timestamp>>,
-        /// Per-cell driver shifts (supply is "shift covers the publish
-        /// instant and home cell is here": position-at-publish is
-        /// unknowable ahead of dispatch; the home cell is the standard
-        /// approximation).
-        shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>>,
+        /// Per-cell FIFO of recent publish times, indexed by grid slot.
+        recent: Vec<VecDeque<Timestamp>>,
+        /// Per-cell count of drivers on shift, indexed by grid slot
+        /// (supply is "shift covers the publish instant and home cell is
+        /// here": position-at-publish is unknowable ahead of dispatch; the
+        /// home cell is the standard approximation).
+        supply: Vec<OnShift>,
         last_publish: Option<Timestamp>,
     },
     /// One whole-day demand/supply count per cell.
     Snapshot(SurgeEngine),
+}
+
+/// The drivers of one cell whose shift `[start, end]` covers an instant,
+/// counted by two cursors over sorted shift bounds instead of a scan.
+///
+/// For `start ≤ end`, "covers `t`" is `start ≤ t` and not `end < t`, and
+/// `end < t` implies `start ≤ t`, so the count is `#{start ≤ t} − #{end <
+/// t}`. Both counts only grow while `t` does not decrease, which is the
+/// publish order [`StreamPricer::price`] enforces. An inverted shift
+/// (`end < start`) covers no instant and is left out of both lists, so
+/// the subtraction cannot underflow.
+#[derive(Clone, Debug, Default)]
+struct OnShift {
+    /// Shift starts, ascending.
+    starts: Vec<Timestamp>,
+    /// Shift ends, ascending.
+    ends: Vec<Timestamp>,
+    /// `#{start ≤ t}` at the last instant counted.
+    started: usize,
+    /// `#{end < t}` at the last instant counted.
+    ended: usize,
+}
+
+impl OnShift {
+    /// Builds one counter per grid slot from the drivers' home cells.
+    fn per_slot(grid: &GridIndex, drivers: &[Driver]) -> Vec<Self> {
+        let mut slots = vec![Self::default(); grid.slot_count()];
+        for d in drivers.iter().filter(|d| d.shift_start <= d.shift_end) {
+            let slot = &mut slots[grid.slot_of(d.source)];
+            slot.starts.push(d.shift_start);
+            slot.ends.push(d.shift_end);
+        }
+        for slot in &mut slots {
+            slot.starts.sort_unstable();
+            slot.ends.sort_unstable();
+        }
+        slots
+    }
+
+    /// Shifts covering `t`; `t` must not precede the previous call's.
+    fn count_at(&mut self, t: Timestamp) -> usize {
+        while self.starts.get(self.started).is_some_and(|&s| s <= t) {
+            self.started += 1;
+        }
+        while self.ends.get(self.ended).is_some_and(|&e| e < t) {
+            self.ended += 1;
+        }
+        self.started - self.ended
+    }
 }
 
 impl StreamPricer {
@@ -125,18 +176,11 @@ impl StreamPricer {
                     window.is_non_negative(),
                     "surge window must be non-negative"
                 );
-                let mut shifts: BTreeMap<CellId, Vec<(Timestamp, Timestamp)>> = BTreeMap::new();
-                for d in drivers {
-                    shifts
-                        .entry(grid.cell_of(d.source))
-                        .or_default()
-                        .push((d.shift_start, d.shift_end));
-                }
                 Surge::Rolling {
                     config: opts.surge,
                     window,
-                    recent: BTreeMap::new(),
-                    shifts,
+                    recent: vec![VecDeque::new(); grid.slot_count()],
+                    supply: OnShift::per_slot(&grid, drivers),
                     last_publish: None,
                 }
             }
@@ -170,7 +214,8 @@ impl StreamPricer {
     }
 
     /// Prices the next trip. The WTP draw sequence follows call order;
-    /// under the rolling surge window, calls must also be in publish order.
+    /// under the rolling surge window, calls must also be in publish order,
+    /// which both the demand window and the supply cursors rely on.
     ///
     /// # Panics
     ///
@@ -184,7 +229,7 @@ impl StreamPricer {
                 config,
                 window,
                 recent,
-                shifts,
+                supply,
                 last_publish,
             } => {
                 if let Some(last) = *last_publish {
@@ -195,22 +240,15 @@ impl StreamPricer {
                     );
                 }
                 *last_publish = Some(trip.publish_time);
-                let cell = self.grid.cell_of(trip.origin);
-                let q = recent.entry(cell).or_default();
-                while let Some(&front) = q.front() {
-                    if front < trip.publish_time - *window {
-                        q.pop_front();
-                    } else {
-                        break;
-                    }
+                let slot = self.grid.slot_of(trip.origin);
+                let q = &mut recent[slot];
+                let oldest = trip.publish_time - *window;
+                while q.front().is_some_and(|&front| front < oldest) {
+                    q.pop_front();
                 }
                 q.push_back(trip.publish_time);
                 let demand = q.len() as u32;
-                let supply = shifts.get(&cell).map_or(0, |v| {
-                    v.iter()
-                        .filter(|(s, e)| *s <= trip.publish_time && trip.publish_time <= *e)
-                        .count()
-                }) as u32;
+                let supply = supply[slot].count_at(trip.publish_time) as u32;
                 config.multiplier_for(demand, supply)
             }
         };
@@ -328,6 +366,54 @@ mod tests {
         let shuffled = Market::from_trace(&reversed, &opts);
         for (a, b) in sorted.tasks().iter().zip(shuffled.tasks().iter().rev()) {
             assert_eq!((a.id, a.price), (b.id, b.price));
+        }
+    }
+
+    #[test]
+    fn supply_cursors_match_the_shift_scan() {
+        use rand::Rng;
+        use rideshare_trace::DriverModel;
+        use rideshare_types::DriverId;
+
+        let bbox = BoundingBox::new(41.10, 41.20, -8.70, -8.55);
+        let grid = GridIndex::new(bbox, 3, 3);
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Shifts of every shape: ordinary, zero-length and inverted,
+            // with repeated bounds so ties at `t` are common.
+            let drivers: Vec<Driver> = (0..rng.gen_range(0..60))
+                .map(|i| {
+                    let start = Timestamp::from_secs(rng.gen_range(0..40i64) * 25);
+                    let length: i64 = match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => -rng.gen_range(1..200i64),
+                        _ => rng.gen_range(1..400),
+                    };
+                    let at = bbox.lerp(rng.gen(), rng.gen());
+                    Driver {
+                        id: DriverId::new(i),
+                        source: at,
+                        destination: at,
+                        shift_start: start,
+                        shift_end: start + TimeDelta::from_secs(length),
+                        model: DriverModel::Hitchhiking,
+                    }
+                })
+                .collect();
+            let mut supply = OnShift::per_slot(&grid, &drivers);
+            let mut t = Timestamp::from_secs(rng.gen_range(-50..50));
+            for _ in 0..200 {
+                t += TimeDelta::from_secs(rng.gen_range(0..3i64) * rng.gen_range(0..25i64));
+                for (slot, cell) in supply.iter_mut().enumerate() {
+                    let scan = drivers
+                        .iter()
+                        .filter(|d| grid.slot_of(d.source) == slot)
+                        .filter(|d| d.shift_start <= t && t <= d.shift_end)
+                        .count();
+                    assert_eq!(cell.count_at(t), scan, "seed {seed}, slot {slot}, t {t}");
+                    assert!(cell.ended <= cell.started, "seed {seed}: cursors crossed");
+                }
+            }
         }
     }
 

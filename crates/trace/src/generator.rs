@@ -225,12 +225,15 @@ impl TraceConfig {
         (self.bbox.max_lon() - self.bbox.min_lon()) + gap_km / km_per_deg_lon
     }
 
-    /// Translates `p` from the base service area into region `r`.
-    fn translate_to_region(&self, p: GeoPoint, r: usize) -> GeoPoint {
-        if r == 0 {
-            return p;
+    /// What one `generate` or `stream` call computes before its first
+    /// draw. Never stored on the configuration: a struct-update literal
+    /// (`TraceConfig { lead_time_mins, ..porto() }`) would leave a stored
+    /// copy stale.
+    pub(crate) fn run_constants(&self) -> RunConstants {
+        RunConstants {
+            hotspot_weights: self.hotspots.iter().map(|(_, w)| *w).collect(),
+            region_step_deg: self.region_lon_step_deg(),
         }
-        GeoPoint::new(p.lat(), p.lon() + r as f64 * self.region_lon_step_deg())
     }
 
     /// The speed model trips were generated with.
@@ -269,9 +272,10 @@ impl TraceConfig {
     /// Generates the trace.
     #[must_use]
     pub fn generate(&self) -> Trace {
+        let run = self.run_constants();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut trips: Vec<TripRecord> = (0..self.task_count)
-            .map(|i| self.gen_trip(&mut rng, TaskId::new(i as u32)))
+            .map(|i| self.gen_trip(&mut rng, &run, TaskId::new(i as u32)))
             .collect();
         trips.sort_by_key(|t| t.publish_time);
         // Re-number so ids follow publish order (stable replay identity).
@@ -279,7 +283,7 @@ impl TraceConfig {
             t.id = TaskId::new(i as u32);
         }
         let drivers: Vec<Driver> = (0..self.driver_count)
-            .map(|i| self.gen_driver(&mut rng, DriverId::new(i as u32)))
+            .map(|i| self.gen_driver(&mut rng, &run, DriverId::new(i as u32)))
             .collect();
         Trace {
             trips,
@@ -289,10 +293,9 @@ impl TraceConfig {
         }
     }
 
-    fn sample_pickup_point<R: Rng + ?Sized>(&self, rng: &mut R) -> GeoPoint {
+    fn sample_pickup_point<R: Rng + ?Sized>(&self, rng: &mut R, run: &RunConstants) -> GeoPoint {
         if rng.gen::<f64>() < self.hotspot_share && !self.hotspots.is_empty() {
-            let weights: Vec<f64> = self.hotspots.iter().map(|(_, w)| *w).collect();
-            let (center, _) = self.hotspots[sample_categorical(rng, &weights)];
+            let (center, _) = self.hotspots[sample_categorical(rng, &run.hotspot_weights)];
             // Gaussian cloud around the hotspot, clamped into the box.
             for _ in 0..16 {
                 let p = center.offset_km(
@@ -335,9 +338,9 @@ impl TraceConfig {
         )
     }
 
-    fn gen_trip<R: Rng + ?Sized>(&self, rng: &mut R, id: TaskId) -> TripRecord {
+    fn gen_trip<R: Rng + ?Sized>(&self, rng: &mut R, run: &RunConstants, id: TaskId) -> TripRecord {
         let hour = sample_categorical(rng, &self.hourly_demand);
-        self.gen_trip_in_hour(rng, id, hour)
+        self.gen_trip_in_hour(rng, run, id, hour)
     }
 
     /// Generates one trip whose pickup deadline falls in `hour` — the body
@@ -348,6 +351,7 @@ impl TraceConfig {
     pub(crate) fn gen_trip_in_hour<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
+        run: &RunConstants,
         id: TaskId,
         hour: usize,
     ) -> TripRecord {
@@ -361,7 +365,7 @@ impl TraceConfig {
         let within = rng.gen_range(0..3600);
         let pickup_deadline = Timestamp::from_hours(hour as i64) + TimeDelta::from_secs(within);
 
-        let origin = self.sample_pickup_point(rng);
+        let origin = self.sample_pickup_point(rng, run);
         let driven_km = self.distance_km.sample(rng);
         let destination = self.sample_destination(rng, origin, driven_km);
         // Realised driven distance after the in-box clamp.
@@ -387,8 +391,8 @@ impl TraceConfig {
             // The translation shifts every point of the region by the same
             // longitude delta, so it preserves within-region distances and
             // everything derived from them above.
-            origin: self.translate_to_region(origin, region),
-            destination: self.translate_to_region(destination, region),
+            origin: run.translate_to_region(origin, region),
+            destination: run.translate_to_region(destination, region),
             pickup_deadline,
             completion_deadline,
             distance_km: driven_km,
@@ -398,21 +402,31 @@ impl TraceConfig {
         trip
     }
 
-    pub(crate) fn gen_driver<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> Driver {
+    pub(crate) fn gen_driver<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        run: &RunConstants,
+        id: DriverId,
+    ) -> Driver {
         let region = if self.region_count > 1 {
             rng.gen_range(0..self.region_count)
         } else {
             0
         };
-        let shift = self.gen_driver_in_base(rng, id);
+        let shift = self.gen_driver_in_base(rng, run, id);
         Driver {
-            source: self.translate_to_region(shift.source, region),
-            destination: self.translate_to_region(shift.destination, region),
+            source: run.translate_to_region(shift.source, region),
+            destination: run.translate_to_region(shift.destination, region),
             ..shift
         }
     }
 
-    fn gen_driver_in_base<R: Rng + ?Sized>(&self, rng: &mut R, id: DriverId) -> Driver {
+    fn gen_driver_in_base<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        run: &RunConstants,
+        id: DriverId,
+    ) -> Driver {
         match self.driver_model {
             DriverModel::HomeWorkHome => {
                 let home = self.bbox.lerp(rng.gen(), rng.gen());
@@ -431,8 +445,8 @@ impl TraceConfig {
                 }
             }
             DriverModel::Hitchhiking => {
-                let source = self.sample_pickup_point(rng);
-                let mut destination = self.sample_pickup_point(rng);
+                let source = self.sample_pickup_point(rng, run);
+                let mut destination = self.sample_pickup_point(rng, run);
                 // A commute of zero length defeats the model; nudge apart.
                 if source.equirectangular_km(destination) < 0.5 {
                     destination = destination.offset_km(1.0, 1.0);
@@ -453,6 +467,27 @@ impl TraceConfig {
                 }
             }
         }
+    }
+}
+
+/// The part of a [`TraceConfig`] every trip and driver would otherwise
+/// recompute, derived once per `generate` / `stream` call by
+/// `TraceConfig::run_constants`.
+#[derive(Debug)]
+pub(crate) struct RunConstants {
+    /// The hotspot mixture's weights, in `hotspots` order.
+    hotspot_weights: Vec<f64>,
+    /// `TraceConfig::region_lon_step_deg`.
+    region_step_deg: f64,
+}
+
+impl RunConstants {
+    /// Translates `p` from the base service area into region `r`.
+    fn translate_to_region(&self, p: GeoPoint, r: usize) -> GeoPoint {
+        if r == 0 {
+            return p;
+        }
+        GeoPoint::new(p.lat(), p.lon() + r as f64 * self.region_step_deg)
     }
 }
 

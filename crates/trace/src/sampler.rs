@@ -30,6 +30,11 @@ pub struct TruncatedPareto {
     xmin: f64,
     xmax: f64,
     alpha: f64,
+    /// `xmin^(1−α)`, `xmax^(1−α)` and `1/(1−α)`: the inverse CDF's
+    /// constants, fixed by the three parameters above.
+    lo: f64,
+    hi: f64,
+    inv_exponent: f64,
 }
 
 impl TruncatedPareto {
@@ -45,7 +50,15 @@ impl TruncatedPareto {
         assert!(xmin > 0.0, "xmin must be positive, got {xmin}");
         assert!(xmax > xmin, "xmax must exceed xmin");
         assert!(alpha > 1.0, "alpha must exceed 1, got {alpha}");
-        Self { xmin, xmax, alpha }
+        let one_minus_a = 1.0 - alpha;
+        Self {
+            xmin,
+            xmax,
+            alpha,
+            lo: xmin.powf(one_minus_a),
+            hi: xmax.powf(one_minus_a),
+            inv_exponent: 1.0 / one_minus_a,
+        }
     }
 
     /// Lower bound of the support.
@@ -69,10 +82,8 @@ impl TruncatedPareto {
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
-        let one_minus_a = 1.0 - self.alpha;
-        let lo = self.xmin.powf(one_minus_a);
-        let hi = self.xmax.powf(one_minus_a);
-        (lo + u * (hi - lo)).powf(1.0 / one_minus_a)
+        let (lo, hi) = (self.lo, self.hi);
+        (lo + u * (hi - lo)).powf(self.inv_exponent)
     }
 
     /// Analytic mean of the truncated distribution.

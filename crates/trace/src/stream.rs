@@ -13,14 +13,19 @@
 //! profile and then the trip itself; sorting afterwards is what forces
 //! materialisation. The stream inverts that: it first draws the whole
 //! histogram of hours (the same categorical distribution, `O(24)` state),
-//! then generates hour by hour in ascending order. Within the look-ahead
-//! buffer trips are heap-ordered by publish time. Because a trip's publish
-//! time precedes its pickup deadline by at most the configured maximum
-//! lead time `L`, every future trip (deadline in hour `h` or later)
-//! publishes at or after `h·3600 − L` — so once hour `h − 1` is generated,
-//! everything publishing before that watermark can be emitted. The buffer
-//! therefore never holds more than ~one hour plus one lead window of
-//! demand, independent of the trace length.
+//! then generates hour by hour in ascending order. Because a trip's
+//! publish time precedes its pickup deadline by at most the configured
+//! maximum lead time `L`, every future trip (deadline in hour `h` or
+//! later) publishes at or after `h·3600 − L` — so once hour `h − 1` is
+//! generated, everything publishing before that watermark can be emitted.
+//! The buffer therefore never holds more than ~one hour plus one lead
+//! window of demand, independent of the trace length.
+//!
+//! The look-ahead buffer is one sorted deque. Each hour is appended whole
+//! and the buffer re-sorted in place by `(publish time, generation
+//! sequence)`; emission pops from the front. The sequence number is
+//! unique per trip, so no two keys tie and the order is fully determined
+//! by the keys — any correct sort, stable or not, yields the same stream.
 //!
 //! # Relation to `generate`
 //!
@@ -57,8 +62,7 @@
 //! assert_eq!(n, 500);
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,6 +70,7 @@ use rand::SeedableRng;
 use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
+use crate::generator::RunConstants;
 use crate::sampler::sample_categorical;
 use crate::{Driver, Trace, TraceConfig, TripRecord};
 
@@ -73,29 +78,6 @@ use crate::{Driver, Trace, TraceConfig, TripRecord};
 const TRIP_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Salt for the driver RNG (drivers are generated up front).
 const DRIVER_STREAM_SALT: u64 = 0xD1B5_4A32_D192_ED03;
-
-/// A buffered trip ordered by `(publish time, generation sequence)`.
-struct Pending {
-    key: (i64, u64),
-    trip: TripRecord,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
 
 /// The lazy publish-ordered trip stream created by [`TraceConfig::stream`].
 ///
@@ -105,14 +87,19 @@ impl Ord for Pending {
 /// the first order). See the module docs for the memory bound.
 pub struct TraceStream {
     config: TraceConfig,
+    run: RunConstants,
     rng: StdRng,
     drivers: Vec<Driver>,
     /// How many trips fall in each pickup-deadline hour.
     counts: [usize; 24],
     /// Next hour to generate (24 = all generated).
     hour: usize,
-    buffer: BinaryHeap<Reverse<Pending>>,
-    seq: u64,
+    /// Generated, not yet emitted trips, sorted by `(publish time, id)`.
+    /// Until emission renumbers it, a trip's id is its generation
+    /// sequence number, which makes every key unique.
+    buffer: VecDeque<TripRecord>,
+    /// Trips generated so far (the next trip's sequence number).
+    generated: u32,
     emitted: usize,
     peak_buffered: usize,
     max_lead: TimeDelta,
@@ -127,9 +114,10 @@ impl TraceConfig {
     /// trip-for-trip identical (see the `stream` module docs).
     #[must_use]
     pub fn stream(&self) -> TraceStream {
+        let run = self.run_constants();
         let mut driver_rng = StdRng::seed_from_u64(self.seed ^ DRIVER_STREAM_SALT);
         let drivers: Vec<Driver> = (0..self.driver_count)
-            .map(|i| self.gen_driver(&mut driver_rng, DriverId::new(i as u32)))
+            .map(|i| self.gen_driver(&mut driver_rng, &run, DriverId::new(i as u32)))
             .collect();
         let mut rng = StdRng::seed_from_u64(self.seed ^ TRIP_STREAM_SALT);
         // The hour histogram: same marginal distribution `generate` uses,
@@ -141,12 +129,13 @@ impl TraceConfig {
         TraceStream {
             max_lead: TimeDelta::from_mins(self.lead_time_mins.1),
             config: self.clone(),
+            run,
             rng,
             drivers,
             counts,
             hour: 0,
-            buffer: BinaryHeap::new(),
-            seq: 0,
+            buffer: VecDeque::new(),
+            generated: 0,
             emitted: 0,
             peak_buffered: 0,
         }
@@ -224,33 +213,36 @@ impl Iterator for TraceStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let ready = match (self.buffer.peek(), self.watermark()) {
+            let ready = match (self.buffer.front(), self.watermark()) {
                 (Some(_), None) => true,
-                (Some(Reverse(top)), Some(w)) => Timestamp::from_secs(top.key.0) < w,
+                (Some(first), Some(w)) => first.publish_time < w,
                 (None, _) => false,
             };
             if ready {
-                let Reverse(mut pending) = self.buffer.pop().expect("peeked");
-                pending.trip.id = TaskId::new(self.emitted as u32);
+                let mut trip = self.buffer.pop_front().expect("peeked");
+                trip.id = TaskId::new(self.emitted as u32);
                 self.emitted += 1;
-                return Some(pending.trip);
+                return Some(trip);
             }
             if self.hour > 23 {
                 return None;
             }
-            // Generate the next hour into the buffer.
+            // Generate the next hour into the buffer, then restore its
+            // order. Exact reservation keeps the buffer at its peak depth.
             let h = self.hour;
             self.hour += 1;
+            self.buffer.reserve_exact(self.counts[h]);
             for _ in 0..self.counts[h] {
+                let id = TaskId::new(self.generated);
                 let trip = self
                     .config
-                    .gen_trip_in_hour(&mut self.rng, TaskId::new(0), h);
-                self.buffer.push(Reverse(Pending {
-                    key: (trip.publish_time.as_secs(), self.seq),
-                    trip,
-                }));
-                self.seq += 1;
+                    .gen_trip_in_hour(&mut self.rng, &self.run, id, h);
+                self.buffer.push_back(trip);
+                self.generated += 1;
             }
+            self.buffer
+                .make_contiguous()
+                .sort_unstable_by_key(|t| (t.publish_time, t.id));
             self.peak_buffered = self.peak_buffered.max(self.buffer.len());
         }
     }

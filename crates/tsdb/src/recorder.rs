@@ -147,7 +147,8 @@ impl RawTotals {
 /// Recording state, present only when a store is attached.
 struct RecState {
     store: TsdbStore,
-    labels: RunLabels,
+    /// One series key per entry of [`METRICS`], in that order, built once.
+    keys: [SeriesKey; METRICS.len()],
     /// Shadow accumulator fed the same decisions as the inner sink —
     /// the recorder's own exact view of the run, independent of what
     /// the inner sink does with its callbacks.
@@ -158,13 +159,13 @@ struct RecState {
 }
 
 impl RecState {
-    /// Appends `v` at `t` unless zero-delta, latching the first error.
-    fn emit(&mut self, metric: &str, t: i64, v: i128) {
+    /// Appends `v` at `t` to the series of `METRICS[metric]`, latching
+    /// the first error.
+    fn emit(&mut self, metric: usize, t: i64, v: i128) {
         if self.error.is_some() {
             return;
         }
-        let key = self.labels.series(metric);
-        if let Err(e) = self.store.append(&key, t, v) {
+        if let Err(e) = self.store.append(&self.keys[metric], t, v) {
             self.error = Some(e);
         }
     }
@@ -179,33 +180,26 @@ impl RecState {
         }
         let last = self.last;
         let cur = RawTotals::of(&self.shadow, &last);
-        // Deltas on the exact grid; zero deltas are skipped (series sums
-        // are unchanged, files stay dense with activity).
-        let deltas: [(&str, i128); 6] = [
-            (
-                METRIC_SERVED,
-                i128::from(cur.served) - i128::from(last.served),
-            ),
-            (
-                METRIC_REJECTED,
-                i128::from(cur.rejected) - i128::from(last.rejected),
-            ),
-            (METRIC_REVENUE, cur.revenue - last.revenue),
-            (METRIC_PROFIT, cur.profit - last.profit),
-            (
-                METRIC_WAIT_SECS,
-                i128::from(cur.wait_secs) - i128::from(last.wait_secs),
-            ),
-            (METRIC_DEADHEAD, cur.deadhead - last.deadhead),
+        // Deltas on the exact grid, in `METRICS` order (served, rejected,
+        // revenue, profit, wait_secs, deadhead); zero deltas are skipped
+        // (series sums are unchanged, files stay dense with activity).
+        let deltas: [i128; METRICS.len() - 1] = [
+            i128::from(cur.served) - i128::from(last.served),
+            i128::from(cur.rejected) - i128::from(last.rejected),
+            cur.revenue - last.revenue,
+            cur.profit - last.profit,
+            i128::from(cur.wait_secs) - i128::from(last.wait_secs),
+            cur.deadhead - last.deadhead,
         ];
-        for (metric, delta) in deltas {
+        for (metric, delta) in deltas.into_iter().enumerate() {
             if delta != 0 {
                 self.emit(metric, t, delta);
             }
         }
-        // Gauge: absolute value, emitted on change.
+        // Gauge (`active_drivers`, the last of `METRICS`): absolute value,
+        // emitted on change.
         if cur.active != last.active {
-            self.emit(METRIC_ACTIVE_DRIVERS, t, i128::from(cur.active));
+            self.emit(METRICS.len() - 1, t, i128::from(cur.active));
         }
         self.last = cur;
         self.last_t = Some(t);
@@ -227,7 +221,7 @@ impl<S: StreamSink> TsdbRecorder<S> {
             inner,
             rec: Some(RecState {
                 store,
-                labels,
+                keys: METRICS.map(|metric| labels.series(metric)),
                 shadow: StreamMetrics::hourly(),
                 last: RawTotals::default(),
                 last_t: None,
