@@ -807,27 +807,194 @@ mod tests {
         assert_eq!(body_len(250), None);
     }
 
+    /// A canonical task line, and the task it carries.
+    const TASK_LINE: &str = r#"{"event":"task","id":0,"publish":64575,"origin":[41.15,-8.63],"destination":[41.16,-8.6],"pickup_by":65475,"complete_by":69031,"duration":600,"price":6.7,"valuation":36.5,"cost":1.8}"#;
+
+    fn task(price: f64) -> WireEvent {
+        WireEvent::TaskPublished(Task {
+            id: TaskId::new(0),
+            publish_time: Timestamp::from_secs(64_575),
+            origin: GeoPoint::new(41.15, -8.63),
+            destination: GeoPoint::new(41.16, -8.6),
+            pickup_deadline: Timestamp::from_secs(65_475),
+            completion_deadline: Timestamp::from_secs(69_031),
+            duration: TimeDelta::from_secs(600),
+            price: Money::new(price),
+            valuation: Money::new(36.5),
+            service_cost: Money::new(1.8),
+        })
+    }
+
+    /// `TASK_LINE` with `from` replaced by `to`.
+    fn task_line(from: &str, to: &str) -> String {
+        assert!(TASK_LINE.contains(from), "{from}");
+        TASK_LINE.replacen(from, to, 1)
+    }
+
+    /// Every line is read the same whatever the decoder's insides: the
+    /// exact message of each refusal is part of the format.
     #[test]
     fn hostile_lines_fail_with_typed_errors() {
-        for bad in [
-            "",
-            "{",
-            "{\"event\":\"task\"}",
-            "{\"event\":\"warp\"}",
-            "{\"event\":\"tick\",\"at\":\"noon\"}",
-            "{\"event\":\"tick\",\"at\":12,\"x\":}",
-            "not json at all",
-        ] {
-            assert!(from_json_line(bad).is_err(), "{bad:?} should fail");
+        let driver = r#"{"event":"driver","id":0,"source":[41.15,-8.63],"destination":[41.16,-8.62],"shift":[0,86400],"model":"hitch"}"#;
+        let deep = format!(r#"{{"event":"eos","x":{}"#, "[".repeat(32));
+        let json: Vec<(String, &str)> = vec![
+            ("".into(), "unexpected None at byte 0"),
+            ("{".into(), "expected '\"' at byte 1, found None"),
+            (r#"{"event":"task"}"#.into(), "missing field \"id\""),
+            (r#"{"event":"warp"}"#.into(), "unknown event kind \"warp\""),
+            (
+                r#"{"event":"tick","at":"noon"}"#.into(),
+                "field \"at\" is not a number",
+            ),
+            (
+                r#"{"event":"tick","at":12,"x":}"#.into(),
+                "unexpected Some('}') at byte 28",
+            ),
+            ("not json at all".into(), "unexpected literal at byte 0"),
+            (
+                task_line("[41.15,-8.63]", "[41.15,-8.63,0]"),
+                "field \"origin\": row has 3 cells, expected 2",
+            ),
+            (
+                task_line("\"price\":6.7", "\"price\":\"6.7\""),
+                "field \"price\" is not a number",
+            ),
+            (
+                r#"{"event":"offline","id":4294967296}"#.into(),
+                "field \"id\" is not a valid u32",
+            ),
+            (
+                driver.replace("[0,86400]", "[0,\"86400\"]"),
+                "field \"shift\": cell 1 is not a number",
+            ),
+            (
+                driver.replace("[41.15,-8.63]", "41.15"),
+                "field \"source\": row is not an array of 2 cells",
+            ),
+            (
+                driver.replace("[41.16,-8.62]", "[41.16,[-8.62]]"),
+                "field \"destination\": cell 1 is not a number",
+            ),
+            (
+                driver.replace("[0,86400]", "[0,8.64e4]"),
+                "field \"shift\": cell 1 is not a valid i64",
+            ),
+            (
+                driver.replace("hitch", "bus"),
+                "unknown driver model \"bus\"",
+            ),
+            (r#"[{"event":"eos"}]"#.into(), "missing field \"event\""),
+            (r#""eos""#.into(), "missing field \"event\""),
+            (r#"{"event":"eos"} x"#.into(), "trailing garbage at byte 16"),
+            (r#"{"event":5}"#.into(), "field \"event\" is not a string"),
+            (r#"{"ev\qent":"eos"}"#.into(), "unsupported escape '\\q'"),
+            (
+                r#"{"event":"\u00zz"}"#.into(),
+                "expected four hex digits in \\u escape at byte 12",
+            ),
+            (r#"{"event":"eos"#.into(), "unterminated string"),
+            (deep, "nesting deeper than 32 levels at byte 50"),
+            (
+                r#"{"event":"tick","at":+1}"#.into(),
+                "unexpected Some('+') at byte 21",
+            ),
+            (
+                r#"{"event":"tick","at":1-2}"#.into(),
+                "field \"at\" is not a valid i64",
+            ),
+            (
+                r#"{"event":"tick","at":12 "x":1}"#.into(),
+                "expected ',' or '}' at byte 24, found Some('\"')",
+            ),
+            (
+                r#"{"event":"tick","at":"noon","at":5}"#.into(),
+                "field \"at\" is not a number",
+            ),
+        ];
+        for (line, want) in json {
+            assert_eq!(
+                from_json_line(&line),
+                Err(WireError::Malformed(want.into())),
+                "{line}"
+            );
         }
-        for bad in [
-            "",
-            "X,1",
-            "T,1,2",
-            "K,notanumber",
-            "D,0,1,2,3,4,5,6,teleport",
-        ] {
-            assert!(from_csv_line(bad).is_err(), "{bad:?} should fail");
+        let long_task = format!("{},0", to_csv_line(&task(6.7)));
+        let csv = [
+            ("", "unknown row tag \"\""),
+            ("X,1", "unknown row tag \"X\""),
+            ("T,1,2", "row \"T\" expects 13 fields, got 3"),
+            ("K,notanumber", "bad field 1"),
+            (
+                "D,0,1,2,3,4,5,6,teleport",
+                "unknown driver model \"teleport\"",
+            ),
+            ("F,1,2", "row \"F\" expects 2 fields, got 3"),
+            ("E,", "row \"E\" expects 1 fields, got 2"),
+            (&long_task, "row \"T\" expects 13 fields, got 14"),
+            ("T,1,2,3,4,5,6,7,8,9,x,11,12", "bad field 10"),
+        ];
+        for (line, want) in csv {
+            assert_eq!(
+                from_csv_line(line),
+                Err(WireError::Malformed(want.into())),
+                "{line}"
+            );
+        }
+    }
+
+    /// Lines no encoder writes but the format accepts: members in any
+    /// order, the first of a repeated key, escapes in keys and values,
+    /// unknown members (nested or not), whitespace between tokens, and a
+    /// float literal past `f64::MAX`, which reads as infinity here and is
+    /// refused later by the ingest guard.
+    #[test]
+    fn non_canonical_lines_read_as_the_event_they_carry() {
+        let reversed = r#"{"cost":1.8,"valuation":36.5,"price":6.7,"duration":600,"complete_by":69031,"pickup_by":65475,"destination":[41.16,-8.6],"origin":[41.15,-8.63],"publish":64575,"id":0,"event":"task"}"#;
+        let spaced = " \t{ \"event\" :\t\"task\" , \"id\" : 0 , \"publish\" : 64575 , \
+             \"origin\" : [ 41.15 , -8.63 ] , \"destination\" :\r\n[41.16,\t-8.6 ] , \
+             \"pickup_by\" : 65475 , \"complete_by\" : 69031 , \"duration\" : 600 , \
+             \"price\" : 6.7 , \"valuation\" : 36.5 , \"cost\" : 1.8 } \r";
+        // A backslash, kept apart from the escapes it starts below.
+        let bs = '\\';
+        let ok = [
+            (TASK_LINE.to_string(), task(6.7)),
+            (reversed.into(), task(6.7)),
+            (spaced.into(), task(6.7)),
+            (
+                task_line("\"pickup_by\"", &format!("\"pi{bs}u0063kup_by\"")),
+                task(6.7),
+            ),
+            (
+                task_line("\"price\":6.7", r#""price":6.7,"price":"six""#),
+                task(6.7),
+            ),
+            (
+                task_line(
+                    "\"id\":0",
+                    r#""meta":{"a":[1,{"b":null,"c":"\"}"}],"d":true},"id":0"#,
+                ),
+                task(6.7),
+            ),
+            (
+                task_line("\"price\":6.7", "\"price\":1e999"),
+                task(f64::INFINITY),
+            ),
+            (
+                r#"{"event":"tick","at":5,"at":"noon"}"#.into(),
+                WireEvent::EpochTick(5),
+            ),
+            (
+                format!("{{\"event\":\"{bs}u0074ick\",\"at\":-3}}"),
+                WireEvent::EpochTick(-3),
+            ),
+            (
+                r#"{"id":3,"event":"offline"}"#.into(),
+                WireEvent::DriverOffline(3),
+            ),
+            (r#"{"x":[],"event":"eos"}"#.into(), WireEvent::Eos),
+        ];
+        for (line, want) in ok {
+            assert_eq!(from_json_line(&line), Ok(want), "{line}");
         }
     }
 }
