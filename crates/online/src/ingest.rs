@@ -298,12 +298,15 @@ impl IngestSource for FileSource {
                 }
             }
             self.line_no += 1;
-            let line = std::mem::take(&mut self.partial);
-            let line = line.trim_end_matches(['\n', '\r']);
-            if line.trim().is_empty() {
+            // The line is parsed in the buffer it was read into, which the
+            // next line reuses: a line costs no allocation.
+            let line = self.partial.trim_end_matches(['\n', '\r']);
+            let parsed = (!line.trim().is_empty()).then(|| self.parse(line));
+            self.partial.clear();
+            let Some(parsed) = parsed else {
                 continue;
-            }
-            let wire = self.parse(line).map_err(|e| IngestError::Malformed {
+            };
+            let wire = parsed.map_err(|e| IngestError::Malformed {
                 line: self.line_no,
                 reason: e.to_string(),
             })?;

@@ -30,11 +30,13 @@
 //! and amounts as their `f64` units; no second set of record types exists
 //! for the encodings to drift from.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 use rideshare_geo::GeoPoint;
+use rideshare_types::json::{self, JsonKey};
 use rideshare_types::{widen_usize, DriverId, Money, TaskId, TimeDelta, Timestamp};
 
 use crate::{Driver, DriverModel, Task};
@@ -421,8 +423,8 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL encoding. The parser and typed reader live in
-// `rideshare_types::json`; the wire format's names for them stay here.
+// JSONL encoding. The grammar and both of its readers live in
+// `rideshare_types::json`; the wire format's names for the tree stay here.
 // ---------------------------------------------------------------------------
 
 pub use rideshare_types::json::{parse as parse_json, JsonValue};
@@ -481,53 +483,119 @@ pub fn to_json_line(event: &WireEvent) -> String {
     }
 }
 
+/// The raw text of every member an event line may carry, as
+/// [`json::for_each_member`] hands it over. A repeated key keeps its first
+/// value, as [`JsonValue::get`] does; unknown keys are passed over.
+#[derive(Default)]
+struct LineMembers<'a> {
+    event: Option<&'a str>,
+    id: Option<&'a str>,
+    source: Option<&'a str>,
+    destination: Option<&'a str>,
+    shift: Option<&'a str>,
+    model: Option<&'a str>,
+    publish: Option<&'a str>,
+    origin: Option<&'a str>,
+    pickup_by: Option<&'a str>,
+    complete_by: Option<&'a str>,
+    duration: Option<&'a str>,
+    price: Option<&'a str>,
+    valuation: Option<&'a str>,
+    cost: Option<&'a str>,
+    at: Option<&'a str>,
+}
+
+impl<'a> LineMembers<'a> {
+    fn of(line: &'a str) -> Result<Self, String> {
+        let mut m = Self::default();
+        json::for_each_member(line, |key, raw| {
+            let slot = match key {
+                "event" => &mut m.event,
+                "id" => &mut m.id,
+                "source" => &mut m.source,
+                "destination" => &mut m.destination,
+                "shift" => &mut m.shift,
+                "model" => &mut m.model,
+                "publish" => &mut m.publish,
+                "origin" => &mut m.origin,
+                "pickup_by" => &mut m.pickup_by,
+                "complete_by" => &mut m.complete_by,
+                "duration" => &mut m.duration,
+                "price" => &mut m.price,
+                "valuation" => &mut m.valuation,
+                "cost" => &mut m.cost,
+                "at" => &mut m.at,
+                _ => return,
+            };
+            slot.get_or_insert(raw);
+        })?;
+        Ok(m)
+    }
+}
+
+/// The member `key` found, or the error naming it.
+fn present<'a>(raw: Option<&'a str>, key: &str) -> Result<&'a str, String> {
+    raw.ok_or_else(|| format!("missing {}", key.label()))
+}
+
+fn num_member<T: FromStr>(raw: Option<&str>, key: &str) -> Result<T, String> {
+    json::read_num(present(raw, key)?, key)
+}
+
+fn str_member<'a>(raw: Option<&'a str>, key: &str) -> Result<Cow<'a, str>, String> {
+    json::read_str(present(raw, key)?, key)
+}
+
 /// The two-number array under `key` (`[lat,lon]`, `[start,end]`).
-fn pair_field<T: FromStr>(obj: &JsonValue, key: &str) -> Result<(T, T), String> {
-    obj.field(key)?
-        .row::<2>()
-        .and_then(|pair| Ok((pair.num_field(0)?, pair.num_field(1)?)))
+fn pair_member<T: FromStr>(raw: Option<&str>, key: &str) -> Result<(T, T), String> {
+    json::read_row::<2>(present(raw, key)?)
+        .and_then(|[a, b]| Ok((json::read_num(a, 0)?, json::read_num(b, 1)?)))
         .map_err(|e| format!("field {key:?}: {e}"))
 }
 
-fn point_field(obj: &JsonValue, key: &str) -> Result<GeoPoint, String> {
-    let (lat, lon) = pair_field(obj, key)?;
+fn point_member(raw: Option<&str>, key: &str) -> Result<GeoPoint, String> {
+    let (lat, lon) = pair_member(raw, key)?;
     Ok(GeoPoint::new(lat, lon))
 }
 
 fn event_from_json(line: &str) -> Result<WireEvent, String> {
-    let obj = parse_json(line)?;
-    match obj.str_field("event")? {
+    let m = LineMembers::of(line)?;
+    match &*str_member(m.event, "event")? {
         "driver" => {
-            let (start, end) = pair_field(&obj, "shift")?;
+            let (start, end) = pair_member(m.shift, "shift")?;
             Ok(WireEvent::DriverOnline(Driver {
-                id: DriverId::new(obj.num_field("id")?),
-                source: point_field(&obj, "source")?,
-                destination: point_field(&obj, "destination")?,
+                id: DriverId::new(num_member(m.id, "id")?),
+                source: point_member(m.source, "source")?,
+                destination: point_member(m.destination, "destination")?,
                 shift_start: Timestamp::from_secs(start),
                 shift_end: Timestamp::from_secs(end),
-                model: model_from_name(obj.str_field("model")?)?,
+                model: model_from_name(&str_member(m.model, "model")?)?,
             }))
         }
         "task" => Ok(WireEvent::TaskPublished(Task {
-            id: TaskId::new(obj.num_field("id")?),
-            publish_time: Timestamp::from_secs(obj.num_field("publish")?),
-            origin: point_field(&obj, "origin")?,
-            destination: point_field(&obj, "destination")?,
-            pickup_deadline: Timestamp::from_secs(obj.num_field("pickup_by")?),
-            completion_deadline: Timestamp::from_secs(obj.num_field("complete_by")?),
-            duration: TimeDelta::from_secs(obj.num_field("duration")?),
-            price: Money::new(obj.num_field("price")?),
-            valuation: Money::new(obj.num_field("valuation")?),
-            service_cost: Money::new(obj.num_field("cost")?),
+            id: TaskId::new(num_member(m.id, "id")?),
+            publish_time: Timestamp::from_secs(num_member(m.publish, "publish")?),
+            origin: point_member(m.origin, "origin")?,
+            destination: point_member(m.destination, "destination")?,
+            pickup_deadline: Timestamp::from_secs(num_member(m.pickup_by, "pickup_by")?),
+            completion_deadline: Timestamp::from_secs(num_member(m.complete_by, "complete_by")?),
+            duration: TimeDelta::from_secs(num_member(m.duration, "duration")?),
+            price: Money::new(num_member(m.price, "price")?),
+            valuation: Money::new(num_member(m.valuation, "valuation")?),
+            service_cost: Money::new(num_member(m.cost, "cost")?),
         })),
-        "offline" => Ok(WireEvent::DriverOffline(obj.num_field("id")?)),
-        "tick" => Ok(WireEvent::EpochTick(obj.num_field("at")?)),
+        "offline" => Ok(WireEvent::DriverOffline(num_member(m.id, "id")?)),
+        "tick" => Ok(WireEvent::EpochTick(num_member(m.at, "at")?)),
         "eos" => Ok(WireEvent::Eos),
         other => Err(format!("unknown event kind {other:?}")),
     }
 }
 
-/// Parses one canonical JSONL event line.
+/// Parses one JSONL event line in a single pass that builds no tree: the
+/// members are walked once, and each field is then read from its raw text.
+/// It accepts exactly the lines [`parse_json`] accepts and reads them as
+/// the tree's accessors would (first of a repeated key, unknown members
+/// ignored), with the same messages.
 ///
 /// # Errors
 ///
@@ -593,16 +661,22 @@ fn csv_num<T: FromStr>(fields: &[&str], idx: usize) -> Result<T, WireError> {
 ///
 /// Returns [`WireError::Malformed`] on wrong tag, arity or field syntax.
 pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
-    let fields: Vec<&str> = line.split(',').collect();
+    // The widest row (a task) has 13 fields; a longer one is only counted.
+    let mut fields = [""; 13];
+    let mut count = 0;
+    for field in line.split(',') {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
     let arity = |n: usize| -> Result<(), WireError> {
-        if fields.len() == n {
+        if count == n {
             Ok(())
         } else {
             Err(WireError::Malformed(format!(
-                "row {:?} expects {} fields, got {}",
-                fields[0],
-                n,
-                fields.len()
+                "row {:?} expects {n} fields, got {count}",
+                fields[0]
             )))
         }
     };

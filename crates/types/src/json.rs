@@ -1,22 +1,37 @@
-//! The workspace's one JSON module: a strict-subset parser, a typed reader
-//! over the parsed value, and a string escaper.
+//! The workspace's one JSON module: one strict-subset grammar with two
+//! readers over it, typed accessors for each, and a string escaper.
 //!
-//! Every artefact that crosses a JSON boundary — JSONL event lines, metric
-//! snapshots, the tsdb index, sweep cells, the orchestrator's spool files —
-//! is read through [`parse`] and the `*_field` accessors on [`JsonValue`],
-//! and every free-text string a canonical emitter writes goes through
-//! [`escape`], so the workspace needs no serde dependency. There is
-//! deliberately no generic *writer*: each emitter is one `format!` template
-//! pinned byte-for-byte by a golden file, in three different layouts.
+//! - **The tree**, [`parse`] into a [`JsonValue`], is for documents:
+//!   metric snapshots, the tsdb index, sweep cells, the orchestrator's
+//!   spool files. It is owned (keys and number texts are `String`s)
+//!   because its readers keep it after the text is gone — a file is read
+//!   into a local, parsed, and the tree returned — and read it by key as
+//!   often as they like through the `*_field` accessors.
+//! - **The member walk**, [`for_each_member`], is for feed lines, which
+//!   are read once each, hundreds of thousands a second. It hands over
+//!   each member's key and the exact text of its value, syntax checked,
+//!   and builds nothing; [`read_str`], [`read_num`] and [`read_row`] then
+//!   read the members a caller wants straight from that text, with the
+//!   messages of the matching tree accessors. JSONL event lines are read
+//!   this way.
+//!
+//! Both readers run the same token readers under the same nesting bound,
+//! so a text one refuses the other refuses too, with the same message at
+//! the same byte offset. Every free-text string a canonical emitter writes
+//! goes through [`escape`], so the workspace needs no serde dependency.
+//! There is deliberately no generic *writer*: each emitter is one
+//! `format!` template pinned byte-for-byte by a golden file, in three
+//! different layouts.
 //!
 //! Input here is hostile (a feed line, a file on disk): nothing in this
 //! module panics, and nesting deeper than [`MAX_DEPTH`] is a parse error
 //! rather than unbounded recursion.
 //!
 //! ```
-//! use rideshare_types::json::{escape, parse};
+//! use rideshare_types::json::{escape, for_each_member, parse, read_num, read_row};
 //!
-//! let v = parse("{\"schema\":\"demo/1\",\"at\":9223372036854775807,\"row\":[3,\"-7\"]}").unwrap();
+//! let text = "{\"schema\":\"demo/1\",\"at\":9223372036854775807,\"row\":[3,\"-7\"]}";
+//! let v = parse(text).unwrap();
 //! v.expect_schema("demo/1").unwrap();
 //! assert_eq!(v.num_field::<i64>("at"), Ok(i64::MAX));
 //! let row = v.field("row").unwrap().row::<2>().unwrap();
@@ -24,9 +39,23 @@
 //! assert_eq!(row.quoted_num_field::<i128>(1), Ok(-7));
 //! assert_eq!(v.num_field::<u8>("at").unwrap_err(), "field \"at\" is not a valid u8");
 //! assert_eq!(parse(&escape("tab\there")).unwrap().as_str(), Some("tab\there"));
+//!
+//! // The same text, walked: nothing is built until a member is read.
+//! let mut at = None;
+//! let mut row = None;
+//! for_each_member(text, |key, raw| match key {
+//!     "at" => at = Some(raw),
+//!     "row" => row = Some(raw),
+//!     _ => {}
+//! })
+//! .unwrap();
+//! assert_eq!(read_num::<i64>(at.unwrap(), "at"), Ok(i64::MAX));
+//! assert_eq!(read_row::<2>(row.unwrap()), Ok(["3", "\"-7\""]));
+//! assert_eq!(read_num::<u8>(at.unwrap(), "at").unwrap_err(), "field \"at\" is not a valid u8");
 //! ```
 
 use std::any::type_name;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
@@ -161,7 +190,7 @@ impl JsonValue {
     pub fn str_field(&self, key: impl JsonKey) -> Result<&str, String> {
         self.field(key)?
             .as_str()
-            .ok_or_else(|| format!("{} is not a string", key.label()))
+            .ok_or_else(|| not_a(key, "a string"))
     }
 
     /// The number member under `key`, parsed from its raw text as `T` —
@@ -176,7 +205,7 @@ impl JsonValue {
         let text = self
             .field(key)?
             .num()
-            .ok_or_else(|| format!("{} is not a number", key.label()))?;
+            .ok_or_else(|| not_a(key, "a number"))?;
         parse_as(text, key)
     }
 
@@ -199,9 +228,7 @@ impl JsonValue {
     /// Names the key when it is absent or not an array.
     #[inline]
     pub fn arr_field(&self, key: impl JsonKey) -> Result<&[JsonValue], String> {
-        self.field(key)?
-            .arr()
-            .ok_or_else(|| format!("{} is not an array", key.label()))
+        self.field(key)?.arr().ok_or_else(|| not_a(key, "an array"))
     }
 
     /// The boolean member under `key`.
@@ -212,7 +239,7 @@ impl JsonValue {
     pub fn bool_field(&self, key: impl JsonKey) -> Result<bool, String> {
         self.field(key)?
             .as_bool()
-            .ok_or_else(|| format!("{} is not a boolean", key.label()))
+            .ok_or_else(|| not_a(key, "a boolean"))
     }
 
     /// The value itself, checked to be an array of exactly `N` cells — a
@@ -224,11 +251,7 @@ impl JsonValue {
     /// Says what was found instead: not an array, or the cell count.
     #[inline]
     pub fn row<const N: usize>(&self) -> Result<&JsonValue, String> {
-        match self.arr() {
-            Some(cells) if cells.len() == N => Ok(self),
-            Some(cells) => Err(format!("row has {} cells, expected {N}", cells.len())),
-            None => Err(format!("row is not an array of {N} cells")),
-        }
+        check_arity::<N>(self.arr().map(<[JsonValue]>::len)).map(|()| self)
     }
 
     /// Checks the object's `"schema"` member equals `tag`.
@@ -247,18 +270,54 @@ impl JsonValue {
     }
 }
 
+// -- The messages both readers' accessors share.
+
+fn not_a(key: impl JsonKey, what: &str) -> String {
+    format!("{} is not {what}", key.label())
+}
+
 fn parse_as<T: FromStr>(text: &str, key: impl JsonKey) -> Result<T, String> {
     text.parse()
         .map_err(|_| format!("{} is not a valid {}", key.label(), type_name::<T>()))
 }
 
+/// `Ok` when a row of `cells` cells (`None`: not an array) has exactly `N`.
+fn check_arity<const N: usize>(cells: Option<usize>) -> Result<(), String> {
+    match cells {
+        Some(n) if n == N => Ok(()),
+        Some(n) => Err(format!("row has {n} cells, expected {N}")),
+        None => Err(format!("row is not an array of {N} cells")),
+    }
+}
+
+/// Whether a value starting with byte `c` is a number.
+fn starts_number(c: u8) -> bool {
+    c == b'-' || c.is_ascii_digit()
+}
+
+/// The grammar: one cursor over the text, read into a tree
+/// ([`JsonParser::value`]) and by the member walk ([`JsonParser::skip`]
+/// for each value) through the same token readers.
 struct JsonParser<'a> {
     s: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl JsonParser<'_> {
+impl<'a> JsonParser<'a> {
+    fn new(s: &'a str) -> Self {
+        Self {
+            s,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The text from byte `start` to the cursor.
+    fn since(&self, start: usize) -> &'a str {
+        &self.s[start..self.pos]
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -283,59 +342,102 @@ impl JsonParser<'_> {
         }
     }
 
+    fn unexpected(&self) -> String {
+        format!(
+            "unexpected {:?} at byte {}",
+            self.peek().map(char::from),
+            self.pos
+        )
+    }
+
+    /// Runs `read` on the array or object at the cursor one nesting level
+    /// down, refusing a level past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Builds the value at the cursor: the tree reader.
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let v = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
+            Some(b'{') => self.nested(|p| {
+                let mut fields = Vec::new();
+                p.members(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Obj(fields))
+            }),
+            Some(b'[') => self.nested(|p| {
+                let mut items = Vec::new();
+                p.items(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Arr(items))
+            }),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(c) if starts_number(c) => Ok(JsonValue::Num(self.number().to_owned())),
+            Some(b'n' | b't' | b'f') => {
+                Ok(self.literal()?.map_or(JsonValue::Null, JsonValue::Bool))
             }
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(char::from),
-                self.pos
-            )),
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    /// Steps over the value at the cursor, checked exactly as [`Self::value`]
+    /// checks it, building no tree: how the member walk passes a value.
+    fn skip(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.nested(|p| p.members(|p, _| p.skip())),
+            Some(b'[') => self.nested(|p| p.items(Self::skip)),
+            Some(b'"') => self.string().map(drop),
+            Some(c) if starts_number(c) => {
+                self.number();
+                Ok(())
+            }
+            Some(b'n' | b't' | b'f') => self.literal().map(drop),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    /// Reads the object at the cursor. Each key goes to `member` with the
+    /// cursor before its value, which `member` must read.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -348,22 +450,26 @@ impl JsonParser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    /// Reads the array at the cursor, calling `item` with the cursor before
+    /// each cell, which `item` must read.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -376,9 +482,19 @@ impl JsonParser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Steps over the value at the cursor and returns its exact text.
+    fn raw(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip()?;
+        Ok(self.since(start))
+    }
+
+    /// Reads the string literal at the cursor, checking every escape. The
+    /// text is borrowed unless the literal holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
             let start = self.pos;
             while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
@@ -386,13 +502,21 @@ impl JsonParser<'_> {
             }
             // Both delimiters are ASCII, so the run between them starts
             // and ends on char boundaries of the `&str` input.
-            out.push_str(&self.s[start..self.pos]);
+            let run = self.since(start);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(_) => {
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -449,7 +573,9 @@ impl JsonParser<'_> {
         u32::from_str_radix(digits, 16).ok()
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// The number text at the cursor, which [`starts_number`]. Its syntax
+    /// is left to whoever parses it as the type it needs.
+    fn number(&mut self) -> &'a str {
         let start = self.pos;
         while self
             .peek()
@@ -457,18 +583,28 @@ impl JsonParser<'_> {
         {
             self.pos += 1;
         }
-        if self.pos == start {
-            return Err(format!("empty number at byte {start}"));
-        }
-        Ok(JsonValue::Num(self.s[start..self.pos].to_string()))
+        self.since(start)
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.s.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
+    /// The `null` (`None`), `true` or `false` literal at the cursor.
+    fn literal(&mut self) -> Result<Option<bool>, String> {
+        let rest = &self.s.as_bytes()[self.pos..];
+        for (word, value) in [("null", None), ("true", Some(true)), ("false", Some(false))] {
+            if rest.starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                return Ok(value);
+            }
+        }
+        Err(format!("unexpected literal at byte {}", self.pos))
+    }
+
+    /// Checks that only whitespace follows the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.s.len() {
+            Ok(())
         } else {
-            Err(format!("unexpected literal at byte {}", self.pos))
+            Err(format!("trailing garbage at byte {}", self.pos))
         }
     }
 }
@@ -481,17 +617,97 @@ impl JsonParser<'_> {
 ///
 /// Returns a description of the first syntax error, with its byte offset.
 pub fn parse(s: &str) -> Result<JsonValue, String> {
-    let mut p = JsonParser {
-        s,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = JsonParser::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != s.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    p.end()?;
     Ok(v)
+}
+
+/// Walks the members of the object `text` holds, in order, building
+/// nothing: `f` gets each member's key, decoded, and the exact text of its
+/// value, whose syntax is already checked. Keys are handed over as written,
+/// repeats included. A valid `text` that is not an object has no members,
+/// just as [`JsonValue::get`] finds none in it.
+///
+/// `text` is checked whole, to the same grammar, nesting bound and messages
+/// as [`parse`]: the walk succeeds exactly when `parse` does, and then the
+/// members it handed over are the tree's, each raw text `parse`-ing to the
+/// tree's value for that member. When the walk fails, `f` may already have
+/// seen the members before the error.
+///
+/// # Errors
+///
+/// The message [`parse`] returns for the same text.
+pub fn for_each_member<'a>(text: &'a str, mut f: impl FnMut(&str, &'a str)) -> Result<(), String> {
+    let mut p = JsonParser::new(text);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.nested(|p| {
+            p.members(|p, key| {
+                f(&key, p.raw()?);
+                Ok(())
+            })
+        })?;
+    } else {
+        p.skip()?;
+    }
+    p.end()
+}
+
+/// The string a member's raw text holds (as [`for_each_member`] or
+/// [`read_row`] hand it over), decoded — borrowed from `raw` unless the
+/// string holds an escape. The walk's twin of [`JsonValue::str_field`].
+///
+/// # Errors
+///
+/// `field "key" is not a string` / `cell 3 is not a string`.
+pub fn read_str(raw: &str, key: impl JsonKey) -> Result<Cow<'_, str>, String> {
+    let mut p = JsonParser::new(raw);
+    p.string()
+        .ok()
+        .filter(|_| p.pos == raw.len())
+        .ok_or_else(|| not_a(key, "a string"))
+}
+
+/// The number a member's raw text holds (as [`for_each_member`] or
+/// [`read_row`] hand it over), parsed as `T`. The walk's twin of
+/// [`JsonValue::num_field`]: every digit of a 64-bit integer survives, and
+/// a value `T` cannot hold is an error.
+///
+/// # Errors
+///
+/// Names the key or cell when the value is not a number, or not a valid `T`.
+pub fn read_num<T: FromStr>(raw: &str, key: impl JsonKey) -> Result<T, String> {
+    if !raw.bytes().next().is_some_and(starts_number) {
+        return Err(not_a(key, "a number"));
+    }
+    parse_as(raw, key)
+}
+
+/// The `N` cells of the fixed-arity row a member's raw text holds (as
+/// [`for_each_member`] hands it over), each as its own raw text for the
+/// readers above. The walk's twin of [`JsonValue::row`].
+///
+/// # Errors
+///
+/// Says what was found instead: not an array, or the cell count.
+pub fn read_row<const N: usize>(raw: &str) -> Result<[&str; N], String> {
+    let mut p = JsonParser::new(raw);
+    let mut cells = [""; N];
+    let mut count = 0;
+    let is_array = p.peek() == Some(b'[')
+        && p.items(|p| {
+            let cell = p.raw()?;
+            if let Some(slot) = cells.get_mut(count) {
+                *slot = cell;
+            }
+            count += 1;
+            Ok(())
+        })
+        .is_ok()
+        && p.pos == raw.len();
+    check_arity::<N>(is_array.then_some(count))?;
+    Ok(cells)
 }
 
 /// Escapes `v` as a JSON string literal (quotes included). Complete:
@@ -720,6 +936,203 @@ mod tests {
         fn parse_inverts_escape(chars in collection::vec(arb_char(), 0..40)) {
             let s: String = chars.into_iter().collect();
             prop_assert_eq!(parse(&escape(&s)), Ok(JsonValue::Str(s)));
+        }
+    }
+
+    #[test]
+    fn member_walk_hands_over_each_value_as_written() {
+        let bs = '\\';
+        let text = format!(
+            " {{ \"a\" : [1, {{\"b\":null}}] ,\"k{bs}u0065y\":\"v{bs}n\",\"a\":-0.5e3,\"z\":{{}} }} "
+        );
+        let mut members = Vec::new();
+        for_each_member(&text, |key, raw| members.push((key.to_string(), raw))).unwrap();
+        let want = [
+            ("a", "[1, {\"b\":null}]"),
+            ("key", "\"v\\n\""),
+            ("a", "-0.5e3"),
+            ("z", "{}"),
+        ];
+        assert_eq!(members.len(), want.len());
+        for ((key, raw), (want_key, want_raw)) in members.iter().zip(want) {
+            assert_eq!((key.as_str(), *raw), (want_key, want_raw));
+        }
+        // Any other valid document has no members; an invalid one fails
+        // as `parse` does.
+        for text in ["[1,2]", "\"s\"", "7", " null "] {
+            assert_eq!(for_each_member(text, |_, _| panic!("{text}")), Ok(()));
+        }
+        assert_eq!(
+            for_each_member("{\"a\":1,}", |_, _| {}),
+            Err("expected '\"' at byte 7, found Some('}')".into())
+        );
+    }
+
+    #[test]
+    fn borrowed_readers_borrow_unless_they_must_decode() {
+        assert!(matches!(
+            read_str("\"plain\"", "k"),
+            Ok(Cow::Borrowed("plain"))
+        ));
+        let escaped = read_str("\"tab\\there\"", "k");
+        assert!(matches!(&escaped, Ok(Cow::Owned(s)) if s == "tab\there"));
+        assert_eq!(err(read_str("7", "k")), "field \"k\" is not a string");
+        assert_eq!(err(read_str("\"open", 2)), "cell 2 is not a string");
+        assert_eq!(read_num::<u32>("42", "k"), Ok(42));
+        assert_eq!(
+            err(read_num::<u32>("[42]", "k")),
+            "field \"k\" is not a number"
+        );
+        assert_eq!(err(read_num::<u32>("-1", 0)), "cell 0 is not a valid u32");
+        assert_eq!(read_row::<2>("[ 1 ,[2,3]]"), Ok(["1", "[2,3]"]));
+        assert_eq!(err(read_row::<2>("[1,2,3]")), "row has 3 cells, expected 2");
+        assert_eq!(err(read_row::<2>("[]")), "row has 0 cells, expected 2");
+        assert_eq!(err(read_row::<2>("{}")), "row is not an array of 2 cells");
+        assert_eq!(err(read_row::<2>("[1,2")), "row is not an array of 2 cells");
+    }
+
+    /// Writes a JSON-ish value drawn from `r`: keys repeat (once through an
+    /// escape), strings carry escapes, numbers come in shapes `str::parse`
+    /// refuses, and some arrays nest right at the depth bound.
+    fn write_doc(r: &mut impl Iterator<Item = u64>, depth: usize, out: &mut String) {
+        let n = r.next().unwrap_or(0);
+        let u = |hex: &str| format!("{}u{hex}", '\\');
+        out.push_str([" ", "", "", "\t", "\r\n"][(n >> 8) as usize % 5]);
+        let pick = (n >> 16) as usize;
+        match n % 10 {
+            0..=2 if depth < 4 => {
+                let keys = ["a", "b", "event", "k", &u("0061")];
+                out.push('{');
+                for i in 0..pick % 5 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&format!("\"{}\":", keys[(pick >> (3 * i)) % keys.len()]));
+                    write_doc(r, depth + 1, out);
+                }
+                out.push('}');
+            }
+            3 if depth < 4 => {
+                out.push('[');
+                for i in 0..pick % 4 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_doc(r, depth + 1, out);
+                }
+                out.push(']');
+            }
+            4 => {
+                let strings = [
+                    "\"a\"".to_string(),
+                    "\"\"".into(),
+                    format!("\"x{}\"", u("0041")),
+                    "\"q\\\"/\\\\\"".into(),
+                    "\"é\"".into(),
+                    format!("\"{}{}\"", u("d83d"), u("de00")),
+                ];
+                out.push_str(&strings[pick % strings.len()]);
+            }
+            5 => {
+                let k = MAX_DEPTH - 2 + pick % 4;
+                out.push_str(&format!("{}{}", "[".repeat(k), "]".repeat(k)));
+            }
+            6 => out.push_str(["null", "true", "false"][pick % 3]),
+            _ => {
+                let numbers = [
+                    "0",
+                    "-1",
+                    "12.5e3",
+                    "1e999",
+                    "01",
+                    "1-2",
+                    "-",
+                    "4294967296",
+                    "0.1",
+                    "2",
+                ];
+                out.push_str(numbers[pick % numbers.len()]);
+            }
+        }
+    }
+
+    /// A document from [`write_doc`] (an object three times in four), then
+    /// up to three characters inserted, deleted or replaced.
+    fn arb_doc() -> impl Strategy<Value = String> {
+        const NOISE: [char; 12] = ['{', '}', '[', ']', ':', ',', '"', '\\', '1', '-', ' ', 'é'];
+        (
+            collection::vec(any::<u64>(), 64),
+            collection::vec((0u8..3, any::<u64>(), 0..NOISE.len()), 0..4),
+        )
+            .prop_map(|(recipe, edits)| {
+                let mut r = recipe.into_iter();
+                let top = r.next().unwrap_or(0);
+                // `n % 10 == 0` draws an object.
+                let top = if top % 4 == 0 { top } else { top - top % 10 };
+                let mut doc = String::new();
+                write_doc(&mut std::iter::once(top).chain(r), 0, &mut doc);
+                let mut chars: Vec<char> = doc.chars().collect();
+                for (op, at, noise) in edits {
+                    let at = usize::try_from(at % (chars.len() as u64 + 1)).unwrap();
+                    match op {
+                        0 => chars.insert(at, NOISE[noise]),
+                        _ if at == chars.len() => {}
+                        1 => drop(chars.remove(at)),
+                        _ => chars[at] = NOISE[noise],
+                    }
+                }
+                chars.into_iter().collect()
+            })
+    }
+
+    /// The walk accepts exactly what `parse` accepts, refuses the rest with
+    /// its message, and hands over the tree's members: each raw text parses
+    /// to the member's value, and each borrowed reader answers as the tree's
+    /// accessor for that member does.
+    fn assert_walk_reads_the_tree(doc: &str) {
+        let mut members = Vec::new();
+        let walked = for_each_member(doc, |key, raw| members.push((key.to_string(), raw)));
+        let fields = match parse(doc) {
+            Err(e) => return assert_eq!(walked, Err(e), "{doc}"),
+            Ok(JsonValue::Obj(fields)) => fields,
+            Ok(_) => Vec::new(),
+        };
+        assert_eq!(walked, Ok(()), "{doc}");
+        assert_eq!(members.len(), fields.len(), "{doc}");
+        for ((key, raw), (tree_key, value)) in members.into_iter().zip(fields) {
+            assert_eq!(key, tree_key, "{doc}");
+            assert_eq!(parse(raw).as_ref(), Ok(&value), "{doc}");
+            let k = key.as_str();
+            let one = JsonValue::Obj(vec![(key.clone(), value)]);
+            assert_eq!(
+                read_str(raw, k).map(Cow::into_owned),
+                one.str_field(k).map(str::to_owned)
+            );
+            assert_eq!(read_num::<i64>(raw, k), one.num_field::<i64>(k));
+            assert_eq!(
+                read_num::<f64>(raw, k).map(f64::to_bits),
+                one.num_field::<f64>(k).map(f64::to_bits)
+            );
+            let row = one.field(k).and_then(JsonValue::row::<2>);
+            match read_row::<2>(raw) {
+                Err(e) => assert_eq!(Err(e), row.map(drop), "{raw}"),
+                Ok(cells) => {
+                    let row = row.unwrap();
+                    for (i, cell) in cells.into_iter().enumerate() {
+                        assert_eq!(parse(cell).as_ref().ok(), row.field(i).ok(), "{raw}");
+                        assert_eq!(read_num::<u32>(cell, i), row.num_field::<u32>(i));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn member_walk_reads_what_the_tree_holds(doc in arb_doc()) {
+            assert_walk_reads_the_tree(&doc);
         }
     }
 }

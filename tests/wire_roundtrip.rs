@@ -20,7 +20,16 @@
 //!   identity over adversarial events, and the incremental
 //!   [`RtbFileReader`] fed through a reader that trickles arbitrary
 //!   chunk sizes decodes exactly what the whole-buffer [`RtbSlice`]
-//!   path does.
+//!   path does,
+//! - the borrowed JSONL decoder against its oracle, the tree decoder it
+//!   replaced (parse the whole line with [`parse_json`], then read each
+//!   field through the tree's accessors): on canonical lines with their
+//!   members shuffled and then bytes inserted, deleted and replaced, both
+//!   accept the same lines, read the same event bit for bit, and refuse
+//!   the rest with the same message. An ignored run does the same over
+//!   every line of the `serve-jsonl` benchmark's export.
+
+use std::str::FromStr;
 
 use proptest::prelude::*;
 
@@ -28,9 +37,128 @@ use rideshare::online::{event_to_wire, wire_to_event};
 use rideshare::prelude::*;
 use rideshare::trace::rtb::{self, RtbFileReader, RtbSlice};
 use rideshare::trace::wire::{
-    encode_frame, from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder, WireEvent,
+    encode_frame, from_csv_line, from_json_line, parse_json, to_csv_line, to_json_line,
+    FrameDecoder, JsonValue, WireError, WireEvent,
 };
 use rideshare::trace::DriverModel;
+use rideshare::types::json::escape;
+
+/// The oracle: the tree decoder `from_json_line` replaced.
+fn tree_from_json_line(line: &str) -> Result<WireEvent, WireError> {
+    tree_event(line).map_err(WireError::Malformed)
+}
+
+fn tree_pair<T: FromStr>(obj: &JsonValue, key: &str) -> Result<(T, T), String> {
+    obj.field(key)?
+        .row::<2>()
+        .and_then(|pair| Ok((pair.num_field(0)?, pair.num_field(1)?)))
+        .map_err(|e| format!("field {key:?}: {e}"))
+}
+
+fn tree_point(obj: &JsonValue, key: &str) -> Result<GeoPoint, String> {
+    let (lat, lon) = tree_pair(obj, key)?;
+    Ok(GeoPoint::new(lat, lon))
+}
+
+fn tree_event(line: &str) -> Result<WireEvent, String> {
+    let obj = parse_json(line)?;
+    match obj.str_field("event")? {
+        "driver" => {
+            let (start, end) = tree_pair(&obj, "shift")?;
+            Ok(WireEvent::DriverOnline(Driver {
+                id: DriverId::new(obj.num_field("id")?),
+                source: tree_point(&obj, "source")?,
+                destination: tree_point(&obj, "destination")?,
+                shift_start: Timestamp::from_secs(start),
+                shift_end: Timestamp::from_secs(end),
+                model: match obj.str_field("model")? {
+                    "hwh" => DriverModel::HomeWorkHome,
+                    "hitch" => DriverModel::Hitchhiking,
+                    other => return Err(format!("unknown driver model {other:?}")),
+                },
+            }))
+        }
+        "task" => Ok(WireEvent::TaskPublished(Task {
+            id: TaskId::new(obj.num_field("id")?),
+            publish_time: Timestamp::from_secs(obj.num_field("publish")?),
+            origin: tree_point(&obj, "origin")?,
+            destination: tree_point(&obj, "destination")?,
+            pickup_deadline: Timestamp::from_secs(obj.num_field("pickup_by")?),
+            completion_deadline: Timestamp::from_secs(obj.num_field("complete_by")?),
+            duration: TimeDelta::from_secs(obj.num_field("duration")?),
+            price: Money::new(obj.num_field("price")?),
+            valuation: Money::new(obj.num_field("valuation")?),
+            service_cost: Money::new(obj.num_field("cost")?),
+        })),
+        "offline" => Ok(WireEvent::DriverOffline(obj.num_field("id")?)),
+        "tick" => Ok(WireEvent::EpochTick(obj.num_field("at")?)),
+        "eos" => Ok(WireEvent::Eos),
+        other => Err(format!("unknown event kind {other:?}")),
+    }
+}
+
+/// A decode result with every float as its bits (a frame is bit-exact),
+/// so two results compare equal only when every bit does.
+fn bits(decoded: Result<WireEvent, WireError>) -> Result<Vec<u8>, WireError> {
+    decoded.map(|e| encode_frame(&e))
+}
+
+/// `v` written back as compact JSON.
+fn write_json(v: &JsonValue) -> String {
+    let join = |items: Vec<String>| items.join(",");
+    match v {
+        JsonValue::Num(text) => text.clone(),
+        JsonValue::Str(s) => escape(s),
+        JsonValue::Null => "null".into(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Arr(items) => format!("[{}]", join(items.iter().map(write_json).collect())),
+        JsonValue::Obj(fields) => format!(
+            "{{{}}}",
+            join(
+                fields
+                    .iter()
+                    .map(|(k, v)| format!("{}:{}", escape(k), write_json(v)))
+                    .collect()
+            )
+        ),
+    }
+}
+
+/// What a byte edit writes: JSON's punctuation, the first characters of
+/// its tokens, whitespace, and a multi-byte character.
+const NOISE: [char; 26] = [
+    '{', '}', '[', ']', ':', ',', '"', '\\', 'u', '0', '1', '9', '-', '+', '.', 'e', 'E', ' ',
+    '\t', '\n', 'n', 't', 'f', 'a', 'x', 'é',
+];
+
+/// A canonical line of a random event with its members in a random order,
+/// then up to three characters inserted, deleted or replaced.
+fn arb_json_line() -> impl Strategy<Value = String> {
+    (
+        arb_event(),
+        prop::collection::vec(any::<u64>(), 11),
+        prop::collection::vec((0u8..3, any::<u64>(), 0..NOISE.len()), 0..4),
+    )
+        .prop_map(|(event, order, edits)| {
+            let JsonValue::Obj(fields) = parse_json(&to_json_line(&event)).unwrap() else {
+                unreachable!("an event line is an object")
+            };
+            let mut keyed: Vec<_> = order.into_iter().zip(fields).collect();
+            keyed.sort_by_key(|(k, _)| *k);
+            let line = write_json(&JsonValue::Obj(keyed.into_iter().map(|(_, f)| f).collect()));
+            let mut chars: Vec<char> = line.chars().collect();
+            for (op, at, noise) in edits {
+                let at = usize::try_from(at % (chars.len() as u64 + 1)).unwrap();
+                match op {
+                    0 => chars.insert(at, NOISE[noise]),
+                    _ if at == chars.len() => {}
+                    1 => drop(chars.remove(at)),
+                    _ => chars[at] = NOISE[noise],
+                }
+            }
+            chars.into_iter().collect()
+        })
+}
 
 /// Timestamps including the boundary epochs the wire must not mangle.
 fn arb_epoch() -> impl Strategy<Value = i64> {
@@ -289,4 +417,47 @@ proptest! {
         let _ = decoder.next();
         let _ = decoder.next();
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    // The borrowed decoder reads every line as the tree decoder does:
+    // the same event bit for bit, or the same refusal word for word.
+    #[test]
+    fn json_line_decoders_agree_on_mutated_lines(line in arb_json_line()) {
+        prop_assert_eq!(
+            bits(from_json_line(&line)),
+            bits(tree_from_json_line(&line)),
+            "{}",
+            line
+        );
+    }
+}
+
+/// The decoder agreement at the scale of the `serve-jsonl` benchmark: its
+/// whole export (250k tasks × 450 drivers × 4 regions, seed 0, 30-minute
+/// rolling surge), every line read by both decoders.
+#[test]
+#[ignore = "heavy: 250k-line JSONL export decoded twice, release only"]
+fn serve_jsonl_export_reads_the_same_through_both_decoders() {
+    let config = TraceConfig::porto()
+        .with_seed(0)
+        .with_task_count(250_000)
+        .with_driver_count(450, DriverModel::Hitchhiking)
+        .with_regions(4);
+    let build = MarketBuildOptions {
+        surge_window: Some(TimeDelta::from_mins(30)),
+        ..MarketBuildOptions::default()
+    };
+    let events = priced_events(config.stream(), &build).map(|e| event_to_wire(&e));
+    let mut lines = 0;
+    for event in events.chain([WireEvent::Eos]) {
+        let line = to_json_line(&event);
+        let decoded = from_json_line(&line);
+        assert_eq!(bits(decoded.clone()), bits(Ok(event)), "{line}");
+        assert_eq!(bits(decoded), bits(tree_from_json_line(&line)), "{line}");
+        lines += 1;
+    }
+    assert_eq!(lines, 450 + 250_000 + 1);
 }
