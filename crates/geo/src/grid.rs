@@ -191,6 +191,79 @@ impl GridIndex {
     }
 }
 
+/// [`GridIndex::cover`]'s argument applied to one point at a time: a
+/// test that proves a point lies outside a disc around `center` without
+/// the cosine and the square root of [`GeoPoint::equirectangular_km`].
+///
+/// Built once per centre for the largest radius it will be asked about,
+/// `max_km`. Every point `p` with `center.equirectangular_km(p) ≤ r ≤
+/// max_km` has `|Δlat| ≤ r/R`, so its mean latitude with the centre lies
+/// in the band `center.lat ± max_km/(2R)`. The cosine falls with the
+/// distance from the equator, so over that band it is smallest at the
+/// edge farther from it: that cosine, `cos_min`, is the one `cos` the
+/// bound costs
+/// (a band that reaches a pole has `cos_min = 0`, a latitude-only
+/// bound). Then `Δx = Δlon · cos(mean latitude)` has `|Δx| ≥ |Δlon| ·
+/// cos_min`, and `R·√(Δx² + Δlat²) ≤ r` forces `(Δlon · cos_min)² + Δlat²
+/// ≤ (r/R)²`; [`DiscBound::beyond`] tests the converse, with the cover's
+/// slack on the radius and on the band for the roundings between the two
+/// computations. Longitudes are taken raw, as the distance takes them —
+/// no wrap at ±180°. The distance is symmetric bit for bit, so the bound
+/// holds for `p.equirectangular_km(center)` too.
+///
+/// # Examples
+///
+/// ```
+/// use rideshare_geo::{DiscBound, GeoPoint};
+/// let pickup = GeoPoint::new(41.15, -8.61);
+/// let bound = DiscBound::new(pickup, 5.0);
+/// assert!(bound.beyond(pickup.offset_km(0.0, 3.1), 3.0));
+/// assert!(!bound.beyond(pickup.offset_km(2.0, 2.0), 3.0)); // 2.83 km away
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct DiscBound {
+    center: GeoPoint,
+    /// The smallest cosine of a mean latitude any point within `max_km`
+    /// of the centre can have with it.
+    cos_min: f64,
+    max_km: f64,
+}
+
+impl DiscBound {
+    /// The bound around `center` for radii up to `max_km`.
+    #[must_use]
+    pub fn new(center: GeoPoint, max_km: f64) -> Self {
+        let reach = max_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+        let edge = center.lat().abs() + reach.to_degrees() / 2.0 + COVER_SLACK;
+        let cos_min = if edge < 90.0 {
+            edge.to_radians().cos()
+        } else {
+            0.0
+        };
+        Self {
+            center,
+            cos_min,
+            max_km,
+        }
+    }
+
+    /// `true` only if `center.equirectangular_km(point) > radius_km`;
+    /// `false` leaves the question open. Requires `radius_km ≤ max_km`.
+    #[inline]
+    #[must_use]
+    pub fn beyond(&self, point: GeoPoint, radius_km: f64) -> bool {
+        debug_assert!(
+            radius_km <= self.max_km,
+            "radius {radius_km} km past the bound's {} km",
+            self.max_km
+        );
+        let reach = radius_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+        let dx = (point.lon() - self.center.lon()).to_radians() * self.cos_min;
+        let dy = (point.lat() - self.center.lat()).to_radians();
+        dx * dx + dy * dy > reach * reach
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,5 +380,115 @@ mod tests {
             prop_assert!(rows.start() <= inner_rows.start() && inner_rows.end() <= rows.end());
             prop_assert!(cols.start() <= inner_cols.start() && inner_cols.end() <= cols.end());
         }
+
+        #[test]
+        fn disc_bound_never_rejects_a_point_of_the_disc(
+            (center, max, share, bearing) in arb_disc(),
+        ) {
+            let r = max * share;
+            let bound = DiscBound::new(center, max);
+            let inside = rim_points(center, r, bearing);
+            prop_assert!(!inside.is_empty());
+            for p in inside {
+                let km = center.equirectangular_km(p);
+                prop_assert_eq!(km.to_bits(), p.equirectangular_km(center).to_bits());
+                prop_assert!(
+                    !bound.beyond(p, r),
+                    "{p} is {km} km from {center}, within {r} (max {max}), yet beyond"
+                );
+            }
+        }
+    }
+
+    /// A centre at any latitude — the polar caps, their ±89.9° edges and
+    /// bands that reach a pole included — and any longitude, the
+    /// antimeridian's neighbourhood included; a largest radius from zero
+    /// to a quarter of the globe, a share of it, and a bearing.
+    fn arb_disc() -> impl Strategy<Value = (GeoPoint, f64, f64, f64)> {
+        let lat = prop_oneof![
+            30.0f64..50.0,
+            -90.0f64..=90.0,
+            89.0f64..=90.0,
+            -90.0f64..-89.0,
+            Just(89.9f64),
+            Just(-89.9f64),
+        ];
+        let lon = prop_oneof![
+            -20.0f64..0.0,
+            -180.0f64..=180.0,
+            179.0f64..=180.0,
+            -180.0f64..-179.0,
+        ];
+        let max =
+            prop_oneof![1 => Just(0.0f64), 4 => 0.0f64..30.0, 2 => 0.0f64..3e3, 1 => 0.0f64..1e4];
+        let share = prop_oneof![1 => Just(1.0f64), 4 => 0.0f64..=1.0];
+        let center = (lat, lon).prop_map(|(lat, lon)| GeoPoint::new(lat, lon));
+        (center, max, share, 0.0f64..360.0)
+    }
+
+    /// Points within `r` of `center` along one bearing, ending on the rim:
+    /// a bisection between the centre and a point past `r` (its longitude
+    /// raw, so it may wrap past ±180°, where the distance jumps) keeps
+    /// every midpoint that is inside, down to the last bit of the step —
+    /// within an ulp or so of `r` wherever the distance is continuous. A
+    /// bearing that never leaves the disc yields its farthest point.
+    fn rim_points(center: GeoPoint, r: f64, bearing: f64) -> Vec<GeoPoint> {
+        let (sin, cos) = bearing.to_radians().sin_cos();
+        let stretch = center.lat().to_radians().cos().max(0.01);
+        let along =
+            |deg: f64| GeoPoint::new(center.lat() + deg * sin, center.lon() + deg * cos / stretch);
+        let within = |deg: f64| center.equirectangular_km(along(deg)) <= r;
+        let mut hi = 2.0 * (r / EARTH_RADIUS_KM).to_degrees() + 1e-9;
+        while within(hi) && hi < 720.0 {
+            hi *= 2.0;
+        }
+        if within(hi) {
+            return vec![along(hi)];
+        }
+        let (mut lo, mut inside) = (0.0f64, vec![center]);
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid <= lo || mid >= hi {
+                return inside;
+            }
+            if within(mid) {
+                lo = mid;
+                inside.push(along(mid));
+            } else {
+                hi = mid;
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_radius_disc_is_its_centre() {
+        for (lat, lon) in [(41.15, -8.61), (0.0, 180.0), (-89.9, -179.9), (90.0, 0.0)] {
+            let center = GeoPoint::new(lat, lon);
+            let bound = DiscBound::new(center, 0.0);
+            assert!(!bound.beyond(center, 0.0), "{center}");
+            assert!(
+                bound.beyond(GeoPoint::new(lat - 1e-7, lon), 0.0),
+                "{center}"
+            );
+        }
+    }
+
+    #[test]
+    fn disc_bound_is_close_to_the_disc_at_city_scale() {
+        // Over the band a 50 km disc at Porto's latitude spans, the
+        // smallest cosine is within 0.35% of the centre's: a point 0.5%
+        // past the rim due east is rejected, and so is any point past it
+        // due north.
+        let pickup = GeoPoint::new(41.15, -8.61);
+        let bound = DiscBound::new(pickup, 50.0);
+        for r in [0.5, 5.0, 50.0] {
+            assert!(bound.beyond(pickup.offset_km(0.0, r * 1.005), r));
+            assert!(bound.beyond(pickup.offset_km(-r * 1.000_001, 0.0), r));
+            assert!(!bound.beyond(pickup.offset_km(0.0, r * 0.999), r));
+        }
+        // A band that reaches the pole bounds latitude only.
+        let polar = DiscBound::new(GeoPoint::new(89.99, 0.0), 5.0);
+        assert!(!polar.beyond(GeoPoint::new(89.99, 170.0), 1.0));
+        assert!(polar.beyond(GeoPoint::new(89.97, 0.0), 1.0));
     }
 }

@@ -12,7 +12,8 @@
 //!   (gasoline cost per km, per the paper's §VI-A cost estimate),
 //! - [`GridIndex`]: the geometry of a uniform grid over a bounding box —
 //!   a point's cell and a disc's lossless cell cover — behind the online
-//!   dispatcher's candidate pruning and the surge engine's regions,
+//!   dispatcher's candidate pruning and the surge engine's regions, and
+//!   [`DiscBound`], the same argument applied to one point at a time,
 //! - [`porto`]: the Porto, Portugal city model matching the ECML/PKDD-15
 //!   trace used by the paper's evaluation.
 //!
@@ -40,6 +41,6 @@ pub mod porto;
 mod speed;
 
 pub use bbox::BoundingBox;
-pub use grid::{CellId, GridIndex};
+pub use grid::{CellId, DiscBound, GridIndex};
 pub use point::GeoPoint;
 pub use speed::SpeedModel;

@@ -26,8 +26,8 @@
 //! a stream never materialises a market, and its driver set grows as
 //! shifts are announced.
 //!
-//! The cell table answers the two questions the engine asks, and both
-//! prunes are *lossless* — the table only skips work, never changes
+//! The cell table answers the two questions the engine asks, and all three
+//! of its prunes are *lossless* — they only skip work, never change
 //! results (pinned against the table-less scan by the oracle tests):
 //!
 //! - **who can reach this pickup in time** ([`Fleet::candidates_into`]).
@@ -40,18 +40,24 @@
 //!   first such entry and no farther — busy drivers, drivers whose shift
 //!   has not begun and *retired* drivers (the engine retires a driver once
 //!   the stream clock passes her shift end: any task decided after `t⁺ₙ`
-//!   fails the return-home check) are never touched;
+//!   fails the return-home check) are never touched. Per point: the
+//!   cover's square holds many drivers outside the reachable disc, so
+//!   each walked entry first faces two [`DiscBound`]s — the pickup within
+//!   what is left of her budget, her home within her shift's slack after
+//!   the completion deadline — and only a driver neither rejects reaches
+//!   the exact [`Fleet::evaluate`] and its distances;
 //! - **how late can this order be decided** ([`Fleet::latest_decision`]) —
 //!   the travel time of the *nearest* point, found by searching rings of
 //!   cells outward from the pickup's and shrinking the cover to the best
-//!   point found so far.
+//!   point found so far; a disc bound for the same budget skips the
+//!   travel time of every point that cannot raise it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::RangeInclusive;
 
 use rideshare_core::{Driver, Market, Task};
-use rideshare_geo::{BoundingBox, CellId, GeoPoint, GridIndex, SpeedModel};
+use rideshare_geo::{BoundingBox, CellId, DiscBound, GeoPoint, GridIndex, SpeedModel};
 use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
@@ -134,13 +140,25 @@ struct CellTable {
     grid: GridIndex,
     /// Indexed by [`GridIndex::slot_of`] (`row * cols + col`).
     cells: Vec<Vec<(Timestamp, u32)>>,
+    /// The grid box's diagonal: the largest return-home radius a
+    /// [`Reach`] bounds. A driver with more slack than this reaches every
+    /// home in the box, so a bound could only reject a home outside it,
+    /// and would be looser for every other driver (its band is wider).
+    diagonal_km: f64,
 }
 
 impl CellTable {
     fn new(bbox: BoundingBox) -> Self {
         let grid = GridIndex::new(bbox, GRID_ROWS, GRID_COLS);
         let cells = vec![Vec::new(); grid.slot_count()];
-        Self { grid, cells }
+        let south_west = GeoPoint::new(bbox.min_lat(), bbox.min_lon());
+        let diagonal_km =
+            south_west.equirectangular_km(GeoPoint::new(bbox.max_lat(), bbox.max_lon()));
+        Self {
+            grid,
+            cells,
+            diagonal_km,
+        }
     }
 
     /// Enters `id`, free at `free`, into the cell of `location`, in order.
@@ -184,6 +202,60 @@ fn ring_cells(home: CellId, ring: u16) -> impl Iterator<Item = CellId> {
         let cols = (col - ring..=col + ring).step_by(step);
         cols.filter_map(move |c| Some(CellId::new(u16::try_from(r).ok()?, u16::try_from(c).ok()?)))
     })
+}
+
+/// The layer a grid scan puts between the availability-ordered walk and
+/// [`Fleet::evaluate`]: two [`DiscBound`]s that each prove one of
+/// `evaluate`'s checks fails for a driver without the distance that check
+/// computes. They only reject drivers `evaluate` would reject, so results
+/// stay bit-identical; each is built at the first entry that needs it, so
+/// an order whose walk is empty pays nothing for them.
+struct Reach<'t> {
+    task: &'t Task,
+    decision_time: Timestamp,
+    /// The cover's radius, the arrival bound's largest.
+    pickup_km: f64,
+    /// [`CellTable::diagonal_km`], the return-home bound's largest.
+    home_km: f64,
+    /// Around the pickup, for the arrival check.
+    pickup: Option<DiscBound>,
+    /// Around the drop-off, for the return-home check.
+    home: Option<DiscBound>,
+}
+
+impl Reach<'_> {
+    /// `true` only if driver `d`, free at `free` (her `available_at`),
+    /// fails `evaluate`'s arrival or return-home check.
+    fn excludes(&mut self, fleet: &Fleet, free: Timestamp, d: usize) -> bool {
+        let (task, speed) = (self.task, fleet.speed);
+        let second = TimeDelta::from_secs(1);
+        // (i) Arrival. She departs no earlier than she is free and the
+        // decision is made, so from beyond what the rest of the budget
+        // covers (the cover's 1 s rounding slack) she arrives too late.
+        // The budget is never larger than the cover's.
+        let budget = task.pickup_deadline - free.max(self.decision_time) + second;
+        let pickup_km = self.pickup_km;
+        let pickup = self
+            .pickup
+            .get_or_insert_with(|| DiscBound::new(task.origin, pickup_km));
+        if pickup.beyond(fleet.locations[d], speed.reachable_km(budget)) {
+            return true;
+        }
+        // (ii) Return home. A travel time is never negative, so a shift
+        // that ends before the completion deadline fails outright;
+        // otherwise a home beyond what the slack covers does.
+        let driver = &fleet.drivers[d];
+        if driver.shift_end < task.completion_deadline {
+            return true;
+        }
+        let slack_km = speed.reachable_km(driver.shift_end - task.completion_deadline + second);
+        let home_km = self.home_km;
+        slack_km <= home_km
+            && self
+                .home
+                .get_or_insert_with(|| DiscBound::new(task.destination, home_km))
+                .beyond(driver.destination, slack_km)
+    }
 }
 
 /// Whether `task` can still be decided at `decision_time` at all — the
@@ -420,13 +492,23 @@ impl Fleet {
                 // carry no state to evaluate — are out of reach of every
                 // deadline, even one no guard bounded.
                 let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
+                let mut reach = Reach {
+                    task,
+                    decision_time,
+                    pickup_km: radius,
+                    home_km: table.diagonal_km,
+                    pickup: None,
+                    home: None,
+                };
                 for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col)))
                 {
-                    let free = table
-                        .cell(cell)
-                        .iter()
-                        .map_while(|&(free, d)| (free <= horizon).then_some(d));
-                    out.extend(free.filter_map(|d| self.evaluate(task, decision_time, d as usize)));
+                    let walk = table.cell(cell).iter();
+                    for &(free, d) in walk.take_while(|&&(free, _)| free <= horizon) {
+                        let d = d as usize;
+                        if !reach.excludes(self, free, d) {
+                            out.extend(self.evaluate(task, decision_time, d));
+                        }
+                    }
                 }
             }
             None => {
@@ -530,21 +612,36 @@ impl Fleet {
                 // the `publish_time` floor on, and tighter with every
                 // nearer point found. So search rings of cells outward
                 // from the pickup's, shrink the cover after each, and stop
-                // once a ring has passed all four of its sides.
-                let cover = |best: Timestamp| {
-                    let budget = task.pickup_deadline - best + TimeDelta::from_secs(1);
-                    table.grid.cover(task.origin, speed.reachable_km(budget))
+                // once a ring has passed all four of its sides. Inside a
+                // ring the same budget rejects a point as a disc bound,
+                // before its travel time, and shrinks with every point
+                // that raises the epoch.
+                let radius = |best: Timestamp| {
+                    speed.reachable_km(task.pickup_deadline - best + TimeDelta::from_secs(1))
                 };
+                let mut reach = radius(best);
+                let mut bound = None;
                 let home = table.grid.cell_of(task.origin);
-                let (mut rows, mut cols) = cover(best);
+                let (mut rows, mut cols) = table.grid.cover(task.origin, reach);
                 for ring in 0.. {
+                    let before = best;
                     let cells = ring_cells(home, ring)
                         .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
-                    let entries = cells.flat_map(|cell| table.cell(cell));
-                    let nearest = entries.map(|&(_, id)| latest(self.point(id))).max();
-                    if let Some(found) = nearest.filter(|&found| found > best) {
-                        best = found;
-                        (rows, cols) = cover(best);
+                    for &(_, id) in cells.flat_map(|cell| table.cell(cell)) {
+                        let point = self.point(id);
+                        // Built at the first point, for the widest budget.
+                        let disc = bound.get_or_insert_with(|| DiscBound::new(task.origin, reach));
+                        if disc.beyond(point, reach) {
+                            continue;
+                        }
+                        let found = latest(point);
+                        if found > best {
+                            best = found;
+                            reach = radius(best);
+                        }
+                    }
+                    if best > before {
+                        (rows, cols) = table.grid.cover(task.origin, reach);
                     }
                     let passed = |at: u16, range: &RangeInclusive<u16>| {
                         at.saturating_sub(ring) <= *range.start()

@@ -91,24 +91,22 @@ impl DispatchPolicy for NearestDriver {
 
     fn choose(&mut self, candidates: &[Candidate]) -> Option<usize> {
         let best = candidates.iter().map(|c| c.arrival).min()?;
-        let tied: Vec<usize> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.arrival == best)
-            .map(|(i, _)| i)
-            .collect();
-        if tied.len() == 1 {
-            return Some(tied[0]);
-        }
+        let tied = || {
+            let positions = candidates.iter().enumerate();
+            positions.filter(move |(_, c)| c.arrival == best)
+        };
         // Decision-local pseudo-random pick: fold the candidate set's
-        // relabeling-invariant data through splitmix64.
+        // relabeling-invariant data through splitmix64, counting the ties
+        // on the way, then take the tie the hash names.
         let mut h = splitmix64(self.seed ^ 0xA076_1D64_78BD_642F);
         h = splitmix64(h ^ best.as_secs() as u64);
         h = splitmix64(h ^ candidates.len() as u64);
-        for &i in &tied {
-            h = splitmix64(h ^ candidates[i].marginal_value.to_bits());
+        let mut count = 0u64;
+        for (_, c) in tied() {
+            h = splitmix64(h ^ c.marginal_value.to_bits());
+            count += 1;
         }
-        Some(tied[(h % tied.len() as u64) as usize])
+        tied().nth((h % count) as usize).map(|(i, _)| i)
     }
 }
 

@@ -30,7 +30,9 @@
 //!   change anything (the engine decides same-instant groups in task-id
 //!   order, so delivery jitter is invisible),
 //! - grid ≡ scan with a fleet-sized grid (5k orders × 20k drivers,
-//!   instant and batched, default compaction),
+//!   instant and batched, default compaction), and on the `replay-dense`
+//!   and `replay-batch` benchmark markets at a tenth of their size, where
+//!   the candidate scan's disc bounds reject most of what the cells hold,
 //! - `#[ignore]`d heavy runs: the porto-large batched matrix, the same
 //!   grid ≡ scan cell at 20k × 100k and a 1,000,000-task bounded-memory
 //!   replay
@@ -373,6 +375,61 @@ impl StreamSink for Tee {
     }
 }
 
+/// `tasks` orders and `drivers` hitchhiking drivers of the Porto stream.
+fn porto(seed: u64, tasks: usize, drivers: usize) -> TraceConfig {
+    TraceConfig::porto()
+        .with_seed(seed)
+        .with_task_count(tasks)
+        .with_driver_count(drivers, DriverModel::Hitchhiking)
+}
+
+/// One stream, priced under `build`, dispatched by maxMargin or `batch-3m`
+/// with default compaction, replayed with the grid and with the linear
+/// scan: the two must agree on the summary, the telemetry and every
+/// decision. Returns the grid run's summary and decisions for the
+/// caller's checks on the shape of the market.
+fn grid_matches_scan(
+    config: &TraceConfig,
+    build: &MarketBuildOptions,
+    batched: bool,
+) -> (StreamSummary, SimulationResult) {
+    let run = |grid: bool| {
+        let stream = config.stream();
+        let speed = stream.speed();
+        let scan = StreamOptions::default();
+        let options = if grid {
+            scan.grid(stream.bounding_box())
+        } else {
+            scan
+        };
+        let (mut margin, mut matcher) = (MaxMargin::new(), GreedyPairMatcher);
+        let mut policy = if batched {
+            let window = TimeDelta::from_mins(3);
+            StreamPolicy::Batched {
+                window,
+                matcher: &mut matcher,
+            }
+        } else {
+            StreamPolicy::Instant(&mut margin)
+        };
+        let events = priced_events(stream, build);
+        let mut sink = Tee(StreamMetrics::hourly(), CollectingSink::new());
+        let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
+        (summary, sink.0, sink.1.into_result())
+    };
+    let ctx = format!(
+        "seed {}, {} tasks, batched: {batched}",
+        config.seed(),
+        config.task_count()
+    );
+    let (summary, metrics, decisions) = run(true);
+    let (scan_summary, scan_metrics, scan_decisions) = run(false);
+    assert_eq!(summary, scan_summary, "{ctx}");
+    assert_eq!(metrics, scan_metrics, "{ctx}");
+    assert_same(&decisions, &scan_decisions, &ctx);
+    (summary, decisions)
+}
+
 /// Grid ≡ scan with a fleet in the grid, not a handful of drivers: cells
 /// hold hundreds of availability-ordered entries, retirement moves entries
 /// to a long tail, and default compaction rebuilds the table (fill, then
@@ -380,41 +437,10 @@ impl StreamSink for Tee {
 /// dispatch and under `batch-3m`, whose early-flush epochs search the same
 /// table ring by ring.
 fn fleet_sized_grid_matches_scan(tasks: usize, drivers: usize) {
-    let config = TraceConfig::porto()
-        .with_seed(29)
-        .with_task_count(tasks)
-        .with_driver_count(drivers, DriverModel::Hitchhiking);
+    let (config, build) = (porto(29, tasks, drivers), MarketBuildOptions::default());
     for batched in [false, true] {
-        let run = |grid: bool| {
-            let stream = config.stream();
-            let speed = stream.speed();
-            let scan = StreamOptions::default();
-            let options = if grid {
-                scan.grid(stream.bounding_box())
-            } else {
-                scan
-            };
-            let (mut margin, mut matcher) = (MaxMargin::new(), GreedyPairMatcher);
-            let mut policy = if batched {
-                let window = TimeDelta::from_mins(3);
-                StreamPolicy::Batched {
-                    window,
-                    matcher: &mut matcher,
-                }
-            } else {
-                StreamPolicy::Instant(&mut margin)
-            };
-            let events = priced_events(stream, &MarketBuildOptions::default());
-            let mut sink = Tee(StreamMetrics::hourly(), CollectingSink::new());
-            let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
-            (summary, sink.0, sink.1.into_result())
-        };
+        let (summary, decisions) = grid_matches_scan(&config, &build, batched);
         let ctx = format!("{tasks} x {drivers}, batched: {batched}");
-        let (summary, metrics, decisions) = run(true);
-        let (scan_summary, scan_metrics, scan_decisions) = run(false);
-        assert_eq!(summary, scan_summary, "{ctx}");
-        assert_eq!(metrics, scan_metrics, "{ctx}");
-        assert_same(&decisions, &scan_decisions, &ctx);
         assert!(
             decisions.served * 10 > tasks,
             "{ctx}: a market that dispatches"
@@ -422,6 +448,42 @@ fn fleet_sized_grid_matches_scan(tasks: usize, drivers: usize) {
         let rebuilds = summary.compacted_drivers / StreamOptions::default().compact_threshold;
         assert!(rebuilds >= 100, "{ctx}: {rebuilds} compactions");
     }
+}
+
+/// The benchmark's pricing: a 30-minute rolling surge.
+fn surge() -> MarketBuildOptions {
+    MarketBuildOptions {
+        surge_window: Some(TimeDelta::from_mins(30)),
+        ..MarketBuildOptions::default()
+    }
+}
+
+/// Grid ≡ scan where the disc bounds do the rejecting: the `replay-dense`
+/// benchmark's market at a tenth of its size (its seed and pricing, 6,000
+/// orders × 600 drivers, maxMargin). A third of the orders are served;
+/// per order the grid walks about 7.8 entries, of which about 5.3 fail
+/// the arrival check and 1.8 the return-home check, so both bounds reject
+/// thousands of drivers that `evaluate` would have rejected.
+#[test]
+fn dense_grid_matches_scan_where_the_disc_bounds_reject() {
+    let (summary, decisions) = grid_matches_scan(&porto(0, 6_000, 600), &surge(), false);
+    assert_eq!(summary.tasks, 6_000);
+    assert!(decisions.served * 3 > summary.tasks, "{}", decisions.served);
+}
+
+/// The `replay-batch` benchmark's market at a tenth of its size (2,500
+/// orders × 250 drivers under `batch-3m`): every early-flush epoch is a
+/// search whose per-point bound shrinks as it goes, over cells where the
+/// ghosts of compacted drivers pile up around the hotspots.
+#[test]
+fn batched_grid_matches_scan_where_the_disc_bounds_reject() {
+    let (summary, decisions) = grid_matches_scan(&porto(0, 2_500, 250), &surge(), true);
+    assert!(decisions.served * 5 > summary.tasks, "{}", decisions.served);
+    assert!(
+        summary.compacted_drivers >= 3 * StreamOptions::default().compact_threshold,
+        "{} ghosts",
+        summary.compacted_drivers
+    );
 }
 
 #[test]
