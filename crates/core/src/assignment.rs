@@ -158,8 +158,8 @@ impl Assignment {
     /// # Errors
     ///
     /// Returns [`MarketError::InfeasibleAssignment`] naming the violated
-    /// constraint, or [`MarketError::UnknownTask`]/
-    /// [`MarketError::UnknownDriver`] for dangling references.
+    /// constraint, or [`MarketError::UnknownTask`] for a dangling task
+    /// reference.
     pub fn validate(&self, market: &Market) -> Result<()> {
         if self.routes.len() != market.num_drivers() {
             return Err(MarketError::InfeasibleAssignment {

@@ -61,6 +61,7 @@ use rideshare_geo::{BoundingBox, CellId, DiscBound, GeoPoint, GridIndex, SpeedMo
 use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
+use crate::stream::next_announced;
 
 /// Grid resolution of the pruning index.
 const GRID_ROWS: u16 = 16;
@@ -83,6 +84,8 @@ const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
 /// Driver indices (`Candidate::driver`, the `d` arguments) are positions
 /// in the state vectors. They are engine-internal: compaction renumbers
 /// the survivors, while the ids a sink sees stay the announced ones.
+/// Nothing looks a driver up by id, so ids need only ascend; positions
+/// keep announce order, which is all a tie-break or matcher reads.
 #[derive(Clone, Debug)]
 pub(crate) struct Fleet {
     speed: SpeedModel,
@@ -112,8 +115,10 @@ pub(crate) struct Fleet {
     /// `latest_decision` needs (one point) and nothing else. Instant-mode
     /// compaction keeps none: `latest_decision` is never consulted there.
     ghosts: Vec<GeoPoint>,
-    /// Drivers ever announced (the next dense id).
+    /// Drivers ever announced.
     announced: usize,
+    /// The id announced last; the next must exceed it.
+    last_id: Option<DriverId>,
 
     // Indexes, each a function of the state above.
     /// Optional spatial index over `locations` and `ghosts`.
@@ -276,6 +281,7 @@ impl Fleet {
             available_at: Vec::new(),
             ghosts: Vec::new(),
             announced: 0,
+            last_id: None,
             cells: bbox.map(CellTable::new),
             shift_ends: BinaryHeap::new(),
         }
@@ -307,13 +313,9 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics unless `driver.id` is the next dense id.
+    /// Panics unless `driver.id` exceeds every id announced before it.
     pub(crate) fn announce(&mut self, driver: Driver) {
-        assert_eq!(
-            driver.id.index(),
-            self.announced,
-            "driver ids must be dense in announcement order"
-        );
+        self.last_id = next_announced(self.last_id, driver.id);
         self.drivers.push(driver);
         self.locations.push(driver.source);
         self.available_at.push(driver.shift_start);
@@ -358,17 +360,6 @@ impl Fleet {
             newly += usize::from(self.retire(d));
         }
         newly
-    }
-
-    /// Acts on a `DriverOffline` hint for the announced driver `id`:
-    /// retires her if her shift ended before `floor` (see
-    /// [`Fleet::retire_before`]) and reports whether that was news. A
-    /// driver no longer resident was compacted, so already retired.
-    pub(crate) fn retire_hinted(&mut self, id: DriverId, floor: Timestamp) -> bool {
-        match self.drivers.binary_search_by_key(&id, |r| r.id) {
-            Ok(d) if self.drivers[d].shift_end < floor => self.retire(d),
-            _ => false,
-        }
     }
 
     /// Garbage-collects every retired driver: her record and state leave
@@ -596,10 +587,9 @@ impl Fleet {
     ///
     /// Retired drivers are **not** skipped here: this bound deliberately
     /// ignores feasibility, and skipping them would make an epoch depend
-    /// on when each driver was retired — on which optional
-    /// `DriverOffline` hints and ticks the stream happened to carry. For
-    /// the same reason *compacted* drivers still count through their
-    /// frozen ghost locations.
+    /// on when each driver was retired — on which held orders a flush saw,
+    /// and a shard sees only its own. For the same reason *compacted*
+    /// drivers still count through their frozen ghost locations.
     pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
         let speed = self.speed;
         let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);

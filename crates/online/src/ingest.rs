@@ -31,7 +31,7 @@ use rideshare_geo::GeoPoint;
 use rideshare_trace::wire::{
     from_csv_line, from_json_line, to_csv_line, to_json_line, FrameDecoder, WireError, WireEvent,
 };
-use rideshare_types::{DriverId, Timestamp};
+use rideshare_types::Timestamp;
 
 use crate::stream::StreamEvent;
 
@@ -77,11 +77,6 @@ pub enum IngestError {
         /// The id the dense sequence requires next.
         expected: u32,
     },
-    /// A `DriverOffline` for a driver never announced.
-    UnknownDriver {
-        /// The unknown id.
-        id: u32,
-    },
     /// A coordinate that is not finite, or an amount that is not finite
     /// or lies beyond [`EventGuard::MAX_AMOUNT`] — admitted, it would
     /// saturate or wrap the exact accumulators and be reported as data —
@@ -117,9 +112,6 @@ impl fmt::Display for IngestError {
                 f,
                 "driver announced with id {got}, expected dense id {expected}"
             ),
-            IngestError::UnknownDriver { id } => {
-                write!(f, "DriverOffline for unknown driver {id}")
-            }
             IngestError::OutOfRange { event, id, field } => write!(
                 f,
                 "{event} {id}: {field} out of range (not finite, an amount beyond ±{:e}, \
@@ -140,14 +132,13 @@ impl From<WireError> for IngestError {
 }
 
 /// Relabels a wire event as an engine event — the records pass through
-/// untouched; only the offline hint's id and the tick's instant gain
-/// their types. `None` for [`WireEvent::Eos`].
+/// untouched; only the tick's instant gains its type. `None` for
+/// [`WireEvent::Eos`].
 #[must_use]
 pub fn wire_to_event(wire: WireEvent) -> Option<StreamEvent> {
     match wire {
         WireEvent::DriverOnline(d) => Some(StreamEvent::DriverOnline(d)),
         WireEvent::TaskPublished(t) => Some(StreamEvent::TaskPublished(t)),
-        WireEvent::DriverOffline(id) => Some(StreamEvent::DriverOffline(DriverId::new(id))),
         WireEvent::EpochTick(at) => Some(StreamEvent::EpochTick(Timestamp::from_secs(at))),
         WireEvent::Eos => None,
     }
@@ -161,7 +152,6 @@ pub fn event_to_wire(event: &StreamEvent) -> WireEvent {
     match *event {
         StreamEvent::DriverOnline(d) => WireEvent::DriverOnline(d),
         StreamEvent::TaskPublished(t) => WireEvent::TaskPublished(t),
-        StreamEvent::DriverOffline(id) => WireEvent::DriverOffline(id.raw()),
         StreamEvent::EpochTick(at) => WireEvent::EpochTick(at.as_secs()),
     }
 }
@@ -435,8 +425,8 @@ where
 }
 
 /// Front-runs the engines' stream-contract panics at the ingestion
-/// boundary: timestamps must be non-decreasing, driver announcements
-/// dense, offline notices known. A feed the guard admits event-by-event
+/// boundary: timestamps must be non-decreasing and driver announcements
+/// dense. A feed the guard admits event-by-event
 /// cannot panic a [`crate::StreamEngine`] or the sharded router on
 /// contract grounds — which is what lets the daemon return typed errors
 /// for hostile input while the engines keep their fail-fast internals.
@@ -529,8 +519,6 @@ impl EventGuard {
                     return refuse("tick", 0, "at");
                 }
             }
-            // Carries a driver id and no instant.
-            StreamEvent::DriverOffline(_) => {}
         }
         Ok(())
     }
@@ -551,22 +539,14 @@ impl EventGuard {
             }
             self.clock = Some(at);
         }
-        match event {
-            StreamEvent::DriverOnline(d) => {
-                if d.id.raw() != self.drivers {
-                    return Err(IngestError::NonDenseDriver {
-                        got: d.id.raw(),
-                        expected: self.drivers,
-                    });
-                }
-                self.drivers += 1;
+        if let StreamEvent::DriverOnline(d) = event {
+            if d.id.raw() != self.drivers {
+                return Err(IngestError::NonDenseDriver {
+                    got: d.id.raw(),
+                    expected: self.drivers,
+                });
             }
-            StreamEvent::DriverOffline(id) => {
-                if id.raw() >= self.drivers {
-                    return Err(IngestError::UnknownDriver { id: id.raw() });
-                }
-            }
-            StreamEvent::TaskPublished(_) | StreamEvent::EpochTick(_) => {}
+            self.drivers += 1;
         }
         Ok(())
     }
@@ -587,7 +567,7 @@ mod tests {
     use super::*;
     use rideshare_core::{Driver, Task};
     use rideshare_trace::DriverModel;
-    use rideshare_types::{Money, TaskId, TimeDelta};
+    use rideshare_types::{DriverId, Money, TaskId, TimeDelta};
     use std::io::Write;
 
     fn driver(id: u32) -> StreamEvent {
@@ -688,10 +668,6 @@ mod tests {
                 got: 7,
                 expected: 1
             })
-        );
-        assert_eq!(
-            g.admit(&StreamEvent::DriverOffline(DriverId::new(3))),
-            Err(IngestError::UnknownDriver { id: 3 })
         );
         // Equal timestamps are legal (same-instant arrivals).
         g.admit(&task(1, 100)).unwrap();

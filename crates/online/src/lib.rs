@@ -18,8 +18,10 @@
 //!   jointly at the window end (or flushed early when a pickup deadline
 //!   would expire), drivers departing no earlier than the decision, with
 //!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
-//!   the LP-backed [`OptimalAssignmentMatcher`]); expired drivers are
-//!   garbage-collected losslessly (`StreamOptions::compact_threshold`),
+//!   the LP-backed [`OptimalAssignmentMatcher`]); a driver leaves when the
+//!   stream clock passes her shift end (no event says so), and expired
+//!   drivers are garbage-collected losslessly
+//!   (`StreamOptions::compact_threshold`),
 //! - [`priced_events`]: the feed of a generated day — every shift of a
 //!   `TraceStream` announced, then each trip priced into a task as it is
 //!   pulled — the one place that sequence is written; [`market_events`] is
@@ -36,8 +38,9 @@
 //! - [`replay_sharded`]: **region-sharded parallel streaming** — the
 //!   online analogue of the §IV lossless decomposition: one router places
 //!   events through a [`RegionPartitioner`] ([`BoxPartitioner`]) onto N
-//!   shards each running an unmodified [`StreamEngine`], with globally
-//!   anchored batch windows and a deterministic task-id-ordered merge.
+//!   shards each running an unmodified [`StreamEngine`] over drivers under
+//!   their announced ids, with globally anchored batch windows and a
+//!   deterministic task-id-ordered merge.
 //!   The shards are worker threads, or — [`ShardOptions::validate`], the
 //!   debug default — run inline under a validator for the
 //!   no-cross-shard-interaction proof obligation; byte-identical to

@@ -55,10 +55,10 @@ pub trait DispatchPolicy {
 /// many unrelated decisions happened before — the property that makes the
 /// policy shard-stable (a region-sharded replay interleaves decisions
 /// differently than a sequential one, but every individual decision sees
-/// the same candidate set, so results stay byte-identical). The hash only
-/// uses relabeling-invariant data (never driver indices), so a shard's
-/// locally renumbered driver set picks the same candidate *position* as the
-/// global one.
+/// the same candidate set, so results stay byte-identical). The hash never
+/// reads driver indices, which are positions in one engine's fleet: a
+/// shard's fleet holds fewer drivers, so its indices differ from the
+/// sequential engine's while its candidates, in order, are the same.
 #[derive(Clone, Copy, Debug)]
 pub struct NearestDriver {
     seed: u64,

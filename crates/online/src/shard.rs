@@ -60,9 +60,8 @@
 //!   they need only the closing tick.)
 //! - **Deterministic merge.** Worker shards emit their decisions per
 //!   window; the merge stage re-serializes each window into global
-//!   `(decision epoch, task id)` order and relabels driver ids back to
-//!   their announced (global) identities before the caller's
-//!   [`StreamSink`] sees them. Within an instant-mode group this *is* the
+//!   `(decision epoch, task id)` order before the caller's [`StreamSink`]
+//!   sees them. Within an instant-mode group this *is* the
 //!   sequential emission order; within a batched epoch the sequential
 //!   engine emits in matcher-commit order instead, so byte-identity for
 //!   batched replays is pinned on the canonical `(epoch, task id)` form.
@@ -71,8 +70,9 @@
 //!   candidate set: [`ShardPolicySpec`] covers maxMargin (deterministic
 //!   argmax), nearest (decision-local hashed tie-break), and the batched
 //!   matchers (deterministic round solutions). Candidate sets themselves
-//!   are relabeling-invariant because shard-local driver numbering
-//!   preserves the global announce order.
+//!   agree because a shard's engine holds its drivers under their
+//!   announced ids, in global announce order: a shard's candidate list is
+//!   the sequential one, with the same ids, in the same order.
 //!
 //! Aggregate [`StreamMetrics`]-style accounting survives the reordering
 //! because `rideshare-metrics` accumulates in order-independent
@@ -125,15 +125,16 @@
 use std::collections::VecDeque;
 use std::sync::mpsc;
 
-use rideshare_core::{Driver, Task};
+use rideshare_core::Task;
 use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
-use rideshare_types::{ConfigError, DriverId, TimeDelta, Timestamp};
+use rideshare_types::{ConfigError, TimeDelta, Timestamp};
 
 use crate::batch::{BatchMatcher, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher};
 use crate::policy::{DispatchPolicy, MaxMargin, NearestDriver};
 use crate::simulator::DispatchEvent;
 use crate::stream::{
-    Hold, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink, StreamSummary,
+    next_announced, Hold, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink,
+    StreamSummary,
 };
 
 /// Maps locations to disjoint service regions, and regions to shards.
@@ -379,8 +380,8 @@ impl ShardOptions {
     }
 }
 
-/// One decided order, as collected inside a shard (driver ids still
-/// shard-local) and re-emitted by the merge stage (driver ids global).
+/// One decided order, as collected inside a shard and re-emitted by the
+/// merge stage.
 #[derive(Clone, Copy)]
 enum Decision {
     Dispatched(DispatchEvent),
@@ -482,12 +483,9 @@ impl Shard {
 /// The merge stage: per-shard FIFO queues of per-window decision batches.
 /// Window `k`'s global decisions exist exactly when every shard has
 /// shipped its `k`-th batch; they are then re-serialized into
-/// `(decision epoch, task id)` order, relabeled to announced driver ids,
-/// and replayed into the caller's sink.
+/// `(decision epoch, task id)` order and replayed into the caller's sink.
 struct Merger<'s> {
     queues: Vec<VecDeque<Batch>>,
-    /// `maps[shard][local_announce_idx]` = the driver's global id.
-    maps: Vec<Vec<DriverId>>,
     /// Window boundaries in close order, noted by the router *before* the
     /// shards' batches can arrive; each merged window pops one and fires
     /// [`StreamSink::window_closed`], reproducing the sequential engine's
@@ -497,7 +495,7 @@ struct Merger<'s> {
     /// Reusable merge arena: one window's decisions, re-sorted into the
     /// canonical order. Drained on every emit, so only its capacity
     /// persists between windows.
-    window: Vec<(usize, Task, Decision)>,
+    window: Vec<(Task, Decision)>,
     sink: &'s mut dyn StreamSink,
 }
 
@@ -505,7 +503,6 @@ impl<'s> Merger<'s> {
     fn new(shards: usize, sink: &'s mut dyn StreamSink) -> Self {
         Self {
             queues: (0..shards).map(|_| VecDeque::new()).collect(),
-            maps: vec![Vec::new(); shards],
             boundaries: VecDeque::new(),
             window: Vec::new(),
             sink,
@@ -517,16 +514,6 @@ impl<'s> Merger<'s> {
         self.boundaries.push_back(end);
     }
 
-    /// Relays a (global) driver announcement to the caller's sink and
-    /// registers the shard-local relabeling for later decision remaps.
-    /// Returns the driver's shard-local id.
-    fn announce(&mut self, shard: usize, driver: &Driver) -> DriverId {
-        self.sink.driver_online(driver);
-        let local = DriverId::new(self.maps[shard].len() as u32);
-        self.maps[shard].push(driver.id);
-        local
-    }
-
     fn push_batch(&mut self, shard: usize, batch: Batch) {
         self.queues[shard].push_back(batch);
         self.emit_ready();
@@ -535,25 +522,21 @@ impl<'s> Merger<'s> {
     fn emit_ready(&mut self) {
         while self.queues.iter().all(|q| !q.is_empty()) {
             debug_assert!(self.window.is_empty());
-            for (s, q) in self.queues.iter_mut().enumerate() {
-                for (task, decision) in q.pop_front().expect("checked non-empty") {
-                    self.window.push((s, task, decision));
-                }
+            for q in &mut self.queues {
+                self.window
+                    .extend(q.pop_front().expect("checked non-empty"));
             }
             // The canonical merge order: decision epoch, then task id.
-            self.window.sort_by_key(|(_, task, decision)| {
+            self.window.sort_by_key(|(task, decision)| {
                 let at = match decision {
                     Decision::Dispatched(e) => e.decision_time,
                     Decision::Rejected(at) => *at,
                 };
                 (at, task.id.index())
             });
-            for (s, task, decision) in self.window.drain(..) {
+            for (task, decision) in self.window.drain(..) {
                 match decision {
-                    Decision::Dispatched(mut event) => {
-                        event.driver = self.maps[s][event.driver.index()];
-                        self.sink.dispatched(&task, &event);
-                    }
+                    Decision::Dispatched(event) => self.sink.dispatched(&task, &event),
                     Decision::Rejected(at) => self.sink.rejected(&task, at),
                 }
             }
@@ -820,22 +803,17 @@ fn route<L: Lanes>(
         }
     };
     let mut hold = Hold::Empty;
-    // Owning shard and shard-local id of every announced driver.
-    let mut homes: Vec<(usize, DriverId)> = Vec::new();
+    // The engine's check on ids, made here on the whole stream, so both
+    // paths refuse exactly the same streams.
+    let mut last_id = None;
 
     for event in events {
         match event {
             StreamEvent::DriverOnline(driver) => {
+                last_id = next_announced(last_id, driver.id);
+                merger.sink.driver_online(&driver);
                 let home = shard_of(driver.source);
-                assert_eq!(
-                    driver.id.index(),
-                    homes.len(),
-                    "driver ids must be dense in announcement order"
-                );
-                let id = merger.announce(home, &driver);
-                homes.push((home, id));
-                let local = StreamEvent::DriverOnline(Driver { id, ..driver });
-                lanes.send(Target::One(home), ShardMsg::Event(local), merger);
+                lanes.send(Target::One(home), ShardMsg::Event(event), merger);
             }
             StreamEvent::TaskPublished(task) => {
                 let publish = task.publish_time;
@@ -857,11 +835,6 @@ fn route<L: Lanes>(
                 }
                 let home = shard_of(task.origin);
                 lanes.send(Target::One(home), ShardMsg::Event(event), merger);
-            }
-            StreamEvent::DriverOffline(id) => {
-                let (home, local) = homes[id.index()];
-                let hint = StreamEvent::DriverOffline(local);
-                lanes.send(Target::One(home), ShardMsg::Event(hint), merger);
             }
             StreamEvent::EpochTick(t) => match hold.closed_by(t) {
                 Some(end) => {
@@ -946,8 +919,9 @@ mod tests {
     use super::*;
     use crate::stream::{market_events, replay_stream, CollectingSink};
     use crate::MatcherKind;
-    use rideshare_core::{Market, MarketBuildOptions};
+    use rideshare_core::{Driver, Market, MarketBuildOptions};
     use rideshare_trace::{DriverModel, TraceConfig};
+    use rideshare_types::DriverId;
 
     fn regional_config(seed: u64, tasks: usize, drivers: usize, regions: usize) -> TraceConfig {
         TraceConfig::porto()
@@ -1175,9 +1149,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "driver driver#2 (shard 1) can interact with task task#0 (shard 0)")]
+    fn validator_names_the_announced_driver() {
+        // Shard 0 holds drivers 0 and 1, so driver 2 is the first of shard
+        // 1's — and the only one, close to the cut, near shard 0's order.
+        let cut = -8.6;
+        let (west, near_east) = (GeoPoint::new(41.15, -8.7), GeoPoint::new(41.15, -8.595));
+        let stream = [
+            StreamEvent::DriverOnline(driver_at(0, west)),
+            StreamEvent::DriverOnline(driver_at(1, west)),
+            StreamEvent::DriverOnline(driver_at(2, near_east)),
+            StreamEvent::TaskPublished(task_at(0, GeoPoint::new(41.15, -8.605), 100)),
+        ];
+        let _ = replay_sharded(
+            SpeedModel::urban(),
+            stream,
+            ShardPolicySpec::MaxMargin,
+            &Meridian(cut),
+            ShardOptions::new(2).validate(true),
+            &mut CollectingSink::new(),
+        );
+    }
+
+    #[test]
     fn router_emits_the_exact_delivery_sequence() {
         use ShardMsg::{Close, Event, Open};
-        use StreamEvent::{DriverOffline, DriverOnline, EpochTick, TaskPublished};
+        use StreamEvent::{DriverOnline, EpochTick, TaskPublished};
         use Target::{All, One};
         let at = Timestamp::from_secs;
 
@@ -1201,7 +1198,6 @@ mod tests {
             TaskPublished(tasks[1]),
             EpochTick(at(100)), // does not pass any hold end: a plain tick
             TaskPublished(tasks[2]),
-            DriverOffline(DriverId::new(2)),
             EpochTick(at(300)), // passes both policies' hold end: closes
             TaskPublished(tasks[3]),
             TaskPublished(tasks[4]),
@@ -1218,24 +1214,16 @@ mod tests {
                 &mut log,
                 &mut merger,
             );
-            // Announce registered the relabeling: global ids per shard, in
-            // announce order.
-            let ids = |ids: &[u32]| ids.iter().map(|&i| DriverId::new(i)).collect::<Vec<_>>();
-            assert_eq!(merger.maps, [ids(&[1]), ids(&[0, 2])]);
             (log, Vec::from(merger.boundaries))
         };
-        // Drivers reach their shard under shard-local ids (0, 0, 1).
-        let local = |d: usize, id: u32| {
-            let id = DriverId::new(id);
-            Event(DriverOnline(Driver { id, ..drivers[d] }))
-        };
+        // Drivers reach their shard as announced, global ids and all.
+        let online = |d: usize| Event(DriverOnline(drivers[d]));
         let announced = [
-            (One(1), local(0, 0)),
-            (One(0), local(1, 0)),
-            (One(1), local(2, 1)),
+            (One(1), online(0)),
+            (One(0), online(1)),
+            (One(1), online(2)),
         ];
         let task = |t: usize| Event(TaskPublished(tasks[t]));
-        let offline = (One(1), Event(DriverOffline(DriverId::new(1))));
         let plain_tick = (All, Event(EpochTick(at(100))));
 
         // Instant: every publish timestamp is a group, closed one second
@@ -1248,7 +1236,6 @@ mod tests {
             plain_tick,
             (All, Close(at(101))),
             (One(1), task(2)),
-            offline,
             (All, Close(at(300))),
             (One(0), task(3)),
             (All, Close(at(401))),
@@ -1271,7 +1258,6 @@ mod tests {
             (One(1), task(1)),
             plain_tick,
             (One(1), task(2)),
-            offline,
             (All, Close(at(300))),
             (All, Open(at(400))),
             (One(0), task(3)),

@@ -39,7 +39,9 @@
 //! - **Retirement is lossless.** Once the decision clock passes a
 //!   driver's shift end she can never again pass the return-home check,
 //!   so the engine expires her (candidate scans skip her) without any
-//!   observable difference. Held *tasks* retire at their decision epoch:
+//!   observable difference. The clock is the only way a driver leaves:
+//!   her announced shift says when, so no event does. Held *tasks* retire
+//!   at their decision epoch:
 //!   instant orders are decided the moment their publish group closes,
 //!   batched orders no later than their window end.
 //!
@@ -48,8 +50,8 @@
 //! change results (a property test pins this). The facade's
 //! `stream_equivalence` suite pins the front-end against the plain
 //! linear-scan run and the plain run against recorded digests; compaction,
-//! ticks, offline hints, the grid and sharding are each pinned against the
-//! front-end or the plain run.
+//! ticks, the grid and sharding are each pinned against the front-end or
+//! the plain run.
 //!
 //! # Examples
 //!
@@ -108,15 +110,12 @@ use crate::simulator::{DispatchEvent, SimulationResult};
 /// clock backwards.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum StreamEvent {
-    /// A driver announces her shift. Ids must be dense in announcement
-    /// order (`DriverId(k)` is the `k`-th announcement).
+    /// A driver announces her shift, and leaves when the clock passes its
+    /// end. Ids strictly ascend in announcement order; they need not be
+    /// dense, since a shard of [`crate::replay_sharded`] sees a subset.
     DriverOnline(Driver),
     /// A customer order is published, priced and timestamped.
     TaskPublished(Task),
-    /// A hint that the driver's shift has ended; the engine retires her as
-    /// soon as that is provably lossless (it also does so on its own once
-    /// the clock passes her shift end, so the event is optional).
-    DriverOffline(DriverId),
     /// Advances the stream clock: asserts every event strictly before the
     /// instant has been delivered, closing publish groups and hold windows
     /// that end before it. Lets quiet periods make progress without
@@ -131,9 +130,26 @@ impl StreamEvent {
         match self {
             StreamEvent::TaskPublished(t) => Some(t.publish_time),
             StreamEvent::EpochTick(t) => Some(*t),
-            StreamEvent::DriverOnline(_) | StreamEvent::DriverOffline(_) => None,
+            StreamEvent::DriverOnline(_) => None,
         }
     }
+}
+
+/// The one check on driver ids, made alike by the engine and the sharded
+/// router: `id` must exceed `last`, the id announced before it. Returns
+/// `id` as the new `last`.
+///
+/// # Panics
+///
+/// Panics if `id` does not exceed `last`.
+pub(crate) fn next_announced(last: Option<DriverId>, id: DriverId) -> Option<DriverId> {
+    if let Some(last) = last {
+        assert!(
+            id > last,
+            "driver ids must ascend in announcement order: {id} after {last}"
+        );
+    }
+    Some(id)
 }
 
 /// Where decided orders go. Implementations aggregate (windowed metrics),
@@ -419,9 +435,8 @@ impl StreamEngine {
     ///
     /// Panics when the stream violates its contract: task events out of
     /// publish order (or publishing into an already-decided instant), a
-    /// clock tick moving backwards, non-dense driver ids, an unknown
-    /// driver in [`StreamEvent::DriverOffline`], or a `policy` kind that
-    /// contradicts the orders currently held.
+    /// clock tick moving backwards, driver ids that do not ascend, or a
+    /// `policy` kind that contradicts the orders currently held.
     pub fn push(
         &mut self,
         event: StreamEvent,
@@ -462,20 +477,6 @@ impl StreamEngine {
                 self.clock = Some(publish);
                 self.pending.push(task);
                 self.peak_held = self.peak_held.max(self.pending.len());
-            }
-            StreamEvent::DriverOffline(id) => {
-                assert!(
-                    id.index() < self.fleet.announced(),
-                    "DriverOffline for unknown {id}"
-                );
-                // Only retire when provably lossless: no held or future
-                // order can be decided early enough for her to get home
-                // (held orders publish no later than the clock, so the
-                // earliest held publish is the binding floor).
-                let floor = self.pending.first().map(|t| t.publish_time).or(self.clock);
-                if floor.is_some_and(|f| self.fleet.retire_hinted(id, f)) {
-                    self.expired_total += 1;
-                }
             }
             StreamEvent::EpochTick(t) => {
                 if let Some(clock) = self.clock {
@@ -920,7 +921,8 @@ impl CollectingSink {
 
     /// The collected [`SimulationResult`] (validate with
     /// [`crate::validate_online_result`]). `dispatch` reaches as far as
-    /// the highest task id seen.
+    /// the highest task id seen, and the routes as far as the highest
+    /// driver id.
     #[must_use]
     pub fn into_result(self) -> SimulationResult {
         SimulationResult {
@@ -934,8 +936,9 @@ impl CollectingSink {
 }
 
 impl StreamSink for CollectingSink {
-    fn driver_online(&mut self, _driver: &Driver) {
-        self.routes.push(DriverRoute::default());
+    fn driver_online(&mut self, driver: &Driver) {
+        self.routes
+            .resize_with(driver.id.index() + 1, DriverRoute::default);
     }
 
     fn dispatched(&mut self, task: &Task, event: &DispatchEvent) {
@@ -1040,37 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn driver_offline_and_expiry_change_nothing() {
-        let m = market(86, 120, 20);
-        // Interleave DriverOffline hints after each driver's shift end.
-        let mut events = Vec::new();
-        let mut offline: Vec<(Timestamp, DriverId)> =
-            m.drivers().iter().map(|d| (d.shift_end, d.id)).collect();
-        offline.sort_by_key(|&(t, id)| (t, id.index()));
-        let mut oi = 0usize;
-        for e in market_events(&m) {
-            if let Some(at) = e.timestamp() {
-                while oi < offline.len() && offline[oi].0 < at {
-                    events.push(StreamEvent::DriverOffline(offline[oi].1));
-                    oi += 1;
-                }
-            }
-            events.push(e);
-        }
-        let mut sink = CollectingSink::new();
-        let summary = replay_stream(
-            m.speed(),
-            events,
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
-            StreamOptions::default(),
-            &mut sink,
-        );
-        let materialized = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
-        assert_same(&sink.into_result(), &materialized);
-        assert!(summary.expired_drivers > 0, "no shift ended mid-stream");
-    }
-
-    #[test]
     fn aggressive_compaction_changes_nothing_instant() {
         // Compact after every single expiry: resident drivers shrink, the
         // replay stays byte-identical to the materialized front-end, and
@@ -1163,110 +1135,12 @@ mod tests {
         events
     }
 
-    /// Pushes [`shift_ordered_events`] at compaction threshold 1 with,
-    /// ahead of every order, a tick to its instant and then a
-    /// `DriverOffline` hint for every shift the engine can by then prove
-    /// over — checking each hint as it lands. Hints run ahead of the
-    /// clock's own retirement (the next flush), in shift-end order, which
-    /// is id order here: the compacted drivers are always exactly the
-    /// lowest ids, and every resident's index has moved once anyone is
-    /// gone. Returns the engine unfinished.
-    fn push_hinted(
-        speed: SpeedModel,
-        events: &[StreamEvent],
-        policy: &mut StreamPolicy<'_>,
-        sink: &mut CollectingSink,
-    ) -> StreamEngine {
-        let announced = events.iter().filter_map(|e| match e {
-            StreamEvent::DriverOnline(d) => Some(*d),
-            _ => None,
-        });
-        let shifts: Vec<Driver> = announced.collect();
-        let mut hints = shifts.iter().peekable();
-        let mut engine = StreamEngine::new(speed, StreamOptions::default().compaction(1));
-        let mut moved = 0usize;
-        for e in events {
-            let Some(at) = e.timestamp() else {
-                engine.push(*e, policy, sink);
-                continue;
-            };
-            engine.push(StreamEvent::EpochTick(at), policy, sink);
-            let floor = engine.pending.first().map_or(at, |t| t.publish_time);
-            while let Some(d) = hints.next_if(|d| d.shift_end < floor) {
-                let compacted = engine.driver_count() - engine.resident_drivers();
-                let (retired, expired) = (engine.fleet.retired(), engine.expired_total);
-                engine.push(StreamEvent::DriverOffline(d.id), policy, sink);
-                // The hint retires her and nobody else; freeing her is the
-                // next flush's job.
-                let expected = retired.into_iter().chain([d.id]);
-                assert_eq!(engine.fleet.retired(), expected.collect::<Vec<_>>());
-                assert_eq!(engine.expired_total, expired + 1);
-                assert_eq!(engine.driver_count() - engine.resident_drivers(), compacted);
-                moved += usize::from(compacted > 0);
-            }
-            engine.push(*e, policy, sink);
-        }
-        assert!(moved > 0, "no hint reached a driver whose index had moved");
-        engine
-    }
-
     /// Runs `f` under instant max-margin dispatch, then (`true`) under
     /// `batch-3m`.
     fn under_both_policies(mut f: impl FnMut(bool, &mut StreamPolicy<'_>)) {
         f(false, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
         let (window, matcher) = (TimeDelta::from_mins(3), &mut GreedyPairMatcher);
         f(true, &mut StreamPolicy::Batched { window, matcher });
-    }
-
-    #[test]
-    fn offline_hints_find_their_driver_after_compaction() {
-        let m = market(97, 240, 30);
-        let events = shift_ordered_events(&m);
-        under_both_policies(|_, policy| {
-            let mut sink = CollectingSink::new();
-            let mut engine = push_hinted(m.speed(), &events, policy, &mut sink);
-
-            // A hint for a compacted driver (the lowest id) is a no-op.
-            assert!(engine.resident_drivers() < engine.driver_count());
-            let (retired, expired) = (engine.fleet.retired(), engine.expired_total);
-            engine.push(
-                StreamEvent::DriverOffline(DriverId::new(0)),
-                policy,
-                &mut sink,
-            );
-            assert_eq!(engine.fleet.retired(), retired);
-            assert_eq!(engine.expired_total, expired);
-            let summary = engine.finish(policy, &mut sink);
-            assert!(summary.compacted_drivers > 0);
-
-            // Decisions ≡ the run without ticks, hints or compaction.
-            let mut plain = CollectingSink::new();
-            let options = StreamOptions::default().no_compaction();
-            let _ = replay_stream(
-                m.speed(),
-                events.iter().copied(),
-                policy,
-                options,
-                &mut plain,
-            );
-            assert_same(&sink.into_result(), &plain.into_result());
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "DriverOffline for unknown driver#30")]
-    fn offline_hint_for_an_unannounced_driver_is_refused_after_compaction() {
-        let m = market(97, 240, 30);
-        let mut policy = StreamPolicy::Instant(&mut MaxMargin::new());
-        let mut sink = CollectingSink::new();
-        let events = shift_ordered_events(&m);
-        let mut engine = push_hinted(m.speed(), &events, &mut policy, &mut sink);
-        assert!(engine.resident_drivers() < 30);
-        engine.push(
-            StreamEvent::DriverOffline(DriverId::new(30)),
-            &mut policy,
-            &mut sink,
-        );
     }
 
     #[test]
@@ -1345,20 +1219,68 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dense")]
-    fn sparse_driver_ids_rejected() {
-        let m = market(88, 5, 2);
-        let mut events = market_events(&m);
-        if let StreamEvent::DriverOnline(d) = &mut events[0] {
-            d.id = DriverId::new(5);
-        }
-        let mut sink = CollectingSink::new();
-        let _ = replay_stream(
-            m.speed(),
-            events,
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
-            StreamOptions::default(),
-            &mut sink,
+    fn both_paths_accept_and_refuse_the_same_driver_ids() {
+        use crate::shard::{replay_sharded, BoxPartitioner, ShardOptions, ShardPolicySpec};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let m = market(86, 120, 20);
+        let partitioner = BoxPartitioner::new(vec![rideshare_geo::porto::bounding_box()]);
+        // The sequential engine, then the router's inline and threaded
+        // lanes; a refusal comes back as its panic message.
+        let runs = |events: &[StreamEvent]| {
+            let lanes = [None, Some(true), Some(false)].map(|validate| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    let mut sink = CollectingSink::new();
+                    let events = events.iter().copied();
+                    let _ = match validate {
+                        None => replay_stream(
+                            m.speed(),
+                            events,
+                            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+                            StreamOptions::default(),
+                            &mut sink,
+                        ),
+                        Some(validate) => replay_sharded(
+                            m.speed(),
+                            events,
+                            ShardPolicySpec::MaxMargin,
+                            &partitioner,
+                            ShardOptions::new(2).validate(validate),
+                            &mut sink,
+                        ),
+                    };
+                    sink.into_result().events
+                }))
+                .map_err(|panic| *panic.downcast::<String>().expect("a formatted message"))
+            });
+            let [sequential, inline, threaded] = lanes;
+            assert_eq!(sequential, inline);
+            assert_eq!(sequential, threaded);
+            sequential
+        };
+        let relabel = |id: fn(u32) -> u32| {
+            let mut events = market_events(&m);
+            for e in &mut events {
+                if let StreamEvent::DriverOnline(d) = e {
+                    d.id = DriverId::new(id(d.id.raw()));
+                }
+            }
+            events
+        };
+
+        // Ids that ascend but are not dense are labels like any other.
+        let dense = runs(&relabel(|id| id)).unwrap();
+        let mut sparse = runs(&relabel(|id| 2 * id)).unwrap();
+        assert!(!dense.is_empty());
+        sparse
+            .iter_mut()
+            .for_each(|e| e.driver = DriverId::new(e.driver.raw() / 2));
+        assert_eq!(sparse, dense);
+
+        // Id 5, then id 1.
+        assert_eq!(
+            runs(&relabel(|id| if id == 0 { 5 } else { id })),
+            Err("driver ids must ascend in announcement order: driver#1 after driver#5".into())
         );
     }
 

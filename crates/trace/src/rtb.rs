@@ -543,7 +543,6 @@ mod tests {
                 valuation: Money::new(0.1 + 0.2),
                 service_cost: Money::new(1.0 / 3.0),
             }),
-            WireEvent::DriverOffline(0),
             WireEvent::EpochTick(i64::MIN),
         ]
     }
@@ -656,13 +655,15 @@ mod tests {
             RtbError::TrailingBytes { .. }
         ));
 
-        // Unknown record tag.
-        let mut corrupt = bytes.clone();
-        corrupt[HEADER_LEN] = 200;
-        assert_eq!(
-            read_events(&corrupt).unwrap_err(),
-            RtbError::Record(WireError::UnknownTag(200))
-        );
+        // Unknown record tags, the retired offline tag 2 among them.
+        for tag in [200, 2] {
+            let mut corrupt = bytes.clone();
+            corrupt[HEADER_LEN] = tag;
+            let unknown = RtbError::Record(WireError::UnknownTag(tag));
+            assert_eq!(read_events(&corrupt).unwrap_err(), unknown);
+            let mut reader = RtbFileReader::from_reader(Cursor::new(corrupt)).unwrap();
+            assert_eq!(reader.next().unwrap_err(), unknown);
+        }
 
         // The chunked reader agrees on all of it.
         let cut = &bytes[..bytes.len() - 1];

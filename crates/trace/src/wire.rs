@@ -51,19 +51,18 @@ pub const MAX_FRAME_BODY: usize = 1024;
 
 const TAG_DRIVER: u8 = 0;
 const TAG_TASK: u8 = 1;
-const TAG_OFFLINE: u8 = 2;
+// Tag 2 is retired (it carried a driver-offline hint) and decodes as unknown.
 const TAG_TICK: u8 = 3;
 const TAG_EOS: u8 = 4;
 
-/// One event of the serve daemon's external feed.
+/// One event of the serve daemon's external feed. A driver leaves when
+/// her announced shift ends; no event says so.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireEvent {
     /// A driver comes online (ids dense in arrival order 0, 1, 2, …).
     DriverOnline(Driver),
     /// A priced task publishes.
     TaskPublished(Task),
-    /// A driver leaves (early shift end); payload is the dense driver id.
-    DriverOffline(u32),
     /// A clock tick (closes batch windows); payload is epoch seconds.
     EpochTick(i64),
     /// Explicit end-of-stream marker: the producer finished cleanly.
@@ -201,7 +200,6 @@ pub const fn body_len(tag: u8) -> Option<usize> {
         TAG_DRIVER => Some(1 + 4 + 32 + 16 + 1),
         // tag + id + publish + 2 points + 3 timestamps + 3 money f64s
         TAG_TASK => Some(1 + 4 + 8 + 32 + 24 + 24),
-        TAG_OFFLINE => Some(1 + 4),
         TAG_TICK => Some(1 + 8),
         TAG_EOS => Some(1),
         _ => None,
@@ -242,10 +240,6 @@ pub fn encode_frame_body(event: &WireEvent, out: &mut Vec<u8>) {
             put_f64(body, t.price.as_f64());
             put_f64(body, t.valuation.as_f64());
             put_f64(body, t.service_cost.as_f64());
-        }
-        WireEvent::DriverOffline(id) => {
-            body.push(TAG_OFFLINE);
-            put_u32(body, *id);
         }
         WireEvent::EpochTick(at) => {
             body.push(TAG_TICK);
@@ -332,7 +326,6 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
                 service_cost,
             })
         }
-        TAG_OFFLINE => WireEvent::DriverOffline(take.u32()?),
         TAG_TICK => WireEvent::EpochTick(take.i64()?),
         TAG_EOS => WireEvent::Eos,
         other => return Err(WireError::UnknownTag(other)),
@@ -477,7 +470,6 @@ pub fn to_json_line(event: &WireEvent) -> String {
             t.valuation.as_f64(),
             t.service_cost.as_f64(),
         ),
-        WireEvent::DriverOffline(id) => format!("{{\"event\":\"offline\",\"id\":{id}}}"),
         WireEvent::EpochTick(at) => format!("{{\"event\":\"tick\",\"at\":{at}}}"),
         WireEvent::Eos => "{\"event\":\"eos\"}".to_string(),
     }
@@ -584,7 +576,6 @@ fn event_from_json(line: &str) -> Result<WireEvent, String> {
             valuation: Money::new(num_member(m.valuation, "valuation")?),
             service_cost: Money::new(num_member(m.cost, "cost")?),
         })),
-        "offline" => Ok(WireEvent::DriverOffline(num_member(m.id, "id")?)),
         "tick" => Ok(WireEvent::EpochTick(num_member(m.at, "at")?)),
         "eos" => Ok(WireEvent::Eos),
         other => Err(format!("unknown event kind {other:?}")),
@@ -611,8 +602,8 @@ pub fn from_json_line(line: &str) -> Result<WireEvent, WireError> {
 
 /// Encodes one event as its CSV event row (no trailing newline).
 ///
-/// Rows are tagged by kind: `D` driver, `T` task, `F` offline, `K` tick,
-/// `E` end-of-stream. Same exact float round-trip as the JSONL form.
+/// Rows are tagged by kind: `D` driver, `T` task, `K` tick, `E`
+/// end-of-stream. Same exact float round-trip as the JSONL form.
 #[must_use]
 pub fn to_csv_line(event: &WireEvent) -> String {
     match event {
@@ -642,7 +633,6 @@ pub fn to_csv_line(event: &WireEvent) -> String {
             t.valuation.as_f64(),
             t.service_cost.as_f64(),
         ),
-        WireEvent::DriverOffline(id) => format!("F,{id}"),
         WireEvent::EpochTick(at) => format!("K,{at}"),
         WireEvent::Eos => "E".to_string(),
     }
@@ -707,10 +697,6 @@ pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
                 service_cost: Money::new(csv_num(&fields, 12)?),
             }))
         }
-        "F" => {
-            arity(2)?;
-            Ok(WireEvent::DriverOffline(csv_num(&fields, 1)?))
-        }
         "K" => {
             arity(2)?;
             Ok(WireEvent::EpochTick(csv_num(&fields, 1)?))
@@ -757,7 +743,6 @@ mod tests {
                 valuation: Money::new(0.1 + 0.2), // deliberately non-representable
                 service_cost: Money::new(1.0 / 3.0),
             }),
-            WireEvent::DriverOffline(1),
             WireEvent::EpochTick(i64::MIN),
             WireEvent::EpochTick(i64::MAX),
             WireEvent::Eos,
@@ -832,9 +817,14 @@ mod tests {
         dec.feed(&[5, 0, 0, 0, TAG_TICK, 1, 2, 3, 4]);
         assert!(matches!(dec.next(), Err(WireError::BadLength { .. })));
 
+        // The retired offline tag is unknown, whatever its payload.
+        let mut dec = FrameDecoder::new();
+        dec.feed(&[5, 0, 0, 0, 2, 3, 0, 0, 0]);
+        assert_eq!(dec.next(), Err(WireError::UnknownTag(2)));
+
         // Oversized body for its tag (extra trailing byte).
         let mut dec = FrameDecoder::new();
-        let mut frame = encode_frame(&WireEvent::DriverOffline(3));
+        let mut frame = encode_frame(&WireEvent::EpochTick(3));
         frame[0] += 1; // lengthen the prefix
         frame.push(0xAB);
         dec.feed(&frame);
@@ -934,7 +924,11 @@ mod tests {
                 "field \"price\" is not a number",
             ),
             (
-                r#"{"event":"offline","id":4294967296}"#.into(),
+                r#"{"event":"offline","id":3}"#.into(),
+                "unknown event kind \"offline\"",
+            ),
+            (
+                driver.replace("\"id\":0", "\"id\":4294967296"),
                 "field \"id\" is not a valid u32",
             ),
             (
@@ -1002,7 +996,8 @@ mod tests {
                 "D,0,1,2,3,4,5,6,teleport",
                 "unknown driver model \"teleport\"",
             ),
-            ("F,1,2", "row \"F\" expects 2 fields, got 3"),
+            ("F,3", "unknown row tag \"F\""),
+            ("K,1,2", "row \"K\" expects 2 fields, got 3"),
             ("E,", "row \"E\" expects 1 fields, got 2"),
             (&long_task, "row \"T\" expects 13 fields, got 14"),
             ("T,1,2,3,4,5,6,7,8,9,x,11,12", "bad field 10"),
@@ -1060,10 +1055,6 @@ mod tests {
             (
                 format!("{{\"event\":\"{bs}u0074ick\",\"at\":-3}}"),
                 WireEvent::EpochTick(-3),
-            ),
-            (
-                r#"{"id":3,"event":"offline"}"#.into(),
-                WireEvent::DriverOffline(3),
             ),
             (r#"{"x":[],"event":"eos"}"#.into(), WireEvent::Eos),
         ];

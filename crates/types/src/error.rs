@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{DriverId, TaskId};
+use crate::TaskId;
 
 /// A convenient alias for results in the rideshare framework.
 pub type Result<T, E = MarketError> = core::result::Result<T, E>;
@@ -19,8 +19,6 @@ pub type Result<T, E = MarketError> = core::result::Result<T, E>;
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum MarketError {
-    /// A driver id referenced an index outside `0..N`.
-    UnknownDriver(DriverId),
     /// A task id referenced an index outside `0..M`.
     UnknownTask(TaskId),
     /// A driver or task has an inverted time window (`end ≤ start`).
@@ -60,7 +58,6 @@ pub enum MarketError {
 impl fmt::Display for MarketError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MarketError::UnknownDriver(d) => write!(f, "unknown driver: {d}"),
             MarketError::UnknownTask(t) => write!(f, "unknown task: {t}"),
             MarketError::InvalidTimeWindow { entity } => {
                 write!(f, "invalid time window for {entity}")
@@ -283,10 +280,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert_eq!(
-            MarketError::UnknownDriver(DriverId::new(1)).to_string(),
-            "unknown driver: driver#1"
-        );
         assert_eq!(
             MarketError::PublishAfterStart(TaskId::new(2)).to_string(),
             "task#2 published at or after its pickup deadline"

@@ -9,8 +9,8 @@
 //!   on the tiny catalog under every online policy, field by field
 //!   (`front_end_matches_the_scan_stream`);
 //! - every *other* way of feeding the engine — clock ticks and eager
-//!   compaction here, offline hints, the grid, shards and the daemon in
-//!   the crate's unit tests and the `grid_equivalence` /
+//!   compaction here, the grid, shards and the daemon in the crate's unit
+//!   tests and the `grid_equivalence` /
 //!   `shard_determinism` / `serve_equivalence` batteries — produces the
 //!   same [`SimulationResult`] as the front-end or the plain run: same
 //!   dispatch vector, same event list (arrival, decision time, wait,

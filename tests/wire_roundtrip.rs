@@ -90,7 +90,6 @@ fn tree_event(line: &str) -> Result<WireEvent, String> {
             valuation: Money::new(obj.num_field("valuation")?),
             service_cost: Money::new(obj.num_field("cost")?),
         })),
-        "offline" => Ok(WireEvent::DriverOffline(obj.num_field("id")?)),
         "tick" => Ok(WireEvent::EpochTick(obj.num_field("at")?)),
         "eos" => Ok(WireEvent::Eos),
         other => Err(format!("unknown event kind {other:?}")),
@@ -247,7 +246,6 @@ fn arb_event() -> impl Strategy<Value = WireEvent> {
     prop_oneof![
         3 => arb_driver().prop_map(WireEvent::DriverOnline),
         4 => arb_task().prop_map(WireEvent::TaskPublished),
-        1 => any::<u32>().prop_map(WireEvent::DriverOffline),
         1 => arb_epoch().prop_map(WireEvent::EpochTick),
         1 => Just(WireEvent::Eos),
     ]
@@ -259,7 +257,6 @@ fn arb_stream_event() -> impl Strategy<Value = WireEvent> {
     prop_oneof![
         3 => arb_driver().prop_map(WireEvent::DriverOnline),
         4 => arb_task().prop_map(WireEvent::TaskPublished),
-        1 => any::<u32>().prop_map(WireEvent::DriverOffline),
         1 => arb_epoch().prop_map(WireEvent::EpochTick),
     ]
 }
