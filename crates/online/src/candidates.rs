@@ -738,6 +738,8 @@ mod tests {
         let full = market_bbox(&m);
         let (lat, lon) = (full.center().lat(), full.center().lon());
         let inner = BoundingBox::new(lat - 0.02, lat + 0.02, lon - 0.03, lon + 0.03);
+        // Epochs that reached their cap, and epochs that fell short of it.
+        let (mut capped, mut short) = (0usize, 0usize);
         for (bbox, keep_ghosts) in [(full, true), (inner, false), (inner, true)] {
             let mut linear = Fleet::new(m.speed(), None);
             let mut grid = Fleet::new(m.speed(), Some(bbox));
@@ -762,14 +764,19 @@ mod tests {
                         "task {t} at {at}"
                     );
                 }
-                // Capped at the deadline no epoch exceeds, so the cap is
-                // inert and the nearest point's own epoch is compared.
-                let cap = task.pickup_deadline;
-                assert_eq!(
-                    linear.latest_decision(task, cap),
-                    grid.latest_decision(task, cap),
-                    "task {t}"
-                );
+                // From the publish instant, where every epoch is the cap,
+                // to the deadline no epoch exceeds, where the cap is inert
+                // and the nearest point's own epoch is compared.
+                let windows = [0i64, 1, 3, 10].map(|mins| publish + TimeDelta::from_mins(mins));
+                for cap in windows.into_iter().chain([task.pickup_deadline]) {
+                    let epoch = linear.latest_decision(task, cap);
+                    assert_eq!(epoch, grid.latest_decision(task, cap), "task {t} cap {cap}");
+                    if epoch == cap {
+                        capped += 1;
+                    } else {
+                        short += 1;
+                    }
+                }
                 if let Some(c) = grid.candidates_at(task, publish).first() {
                     linear.commit(c.driver, task, c.arrival);
                     grid.commit(c.driver, task, c.arrival);
@@ -782,6 +789,7 @@ mod tests {
                 if keep_ghosts { compacted } else { 0 }
             );
         }
+        assert!(capped > 0 && short > 0, "{capped} capped, {short} short");
 
         // §V-B's value order, as `decide_each` sees it from
         // `replay_market_by_value`: the whole fleet announced up front,
