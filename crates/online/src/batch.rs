@@ -28,9 +28,13 @@
 //! decided at the *latest still-feasible instant*,
 //! `max over drivers of (t̄⁻ₘ − travel)`, clamped to its publication and
 //! the window end (computed against the driver positions known when the
-//! window opens). Tasks sharing a flush epoch are decided jointly; a task
-//! unmatched at its epoch is rejected (waiting longer only moves
-//! departures later, so feasibility cannot return).
+//! window opens). Because of that clamp the search for the epoch stops at
+//! the first driver who can still arrive departing at the window end —
+//! most orders end there — and an order published at the window end
+//! (every order when `W = 0`) needs no search. Tasks sharing a flush
+//! epoch are decided jointly; a task unmatched at its epoch is rejected
+//! (waiting longer only moves departures later, so feasibility cannot
+//! return).
 //!
 //! # Matchers
 //!

@@ -50,7 +50,11 @@
 //!   the travel time of the *nearest* point, found by searching rings of
 //!   cells outward from the pickup's and shrinking the cover to the best
 //!   point found so far; a disc bound for the same budget skips the
-//!   travel time of every point that cannot raise it.
+//!   travel time of every point that cannot raise it. The answer is
+//!   clamped to the window end, so the search stops at the first point
+//!   whose epoch reaches it (usually the first live driver of the
+//!   pickup's own cell), and is not run when the order publishes at the
+//!   window end. The table-less path folds every point, as the oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -590,11 +594,17 @@ impl Fleet {
     /// on when each driver was retired — on which held orders a flush saw,
     /// and a shard sees only its own. For the same reason *compacted*
     /// drivers still count through their frozen ghost locations.
+    ///
+    /// The grid path stops at the first point whose epoch reaches `cap`
+    /// (the clamp settles the answer there), and reads no point at all
+    /// when `publish_time` already reaches it. The linear path folds every
+    /// point: it is the oracle the grid path is tested against.
     pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
         let speed = self.speed;
         let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);
         let mut best = task.publish_time;
         match &self.cells {
+            Some(_) if best >= cap => return cap,
             Some(table) => {
                 // A point beyond the budget left by the best epoch so far
                 // has `pickup_deadline − travel < best` and cannot raise it
@@ -626,6 +636,14 @@ impl Fleet {
                         }
                         let found = latest(point);
                         if found > best {
+                            // `best` only rises and the result is clamped
+                            // to `cap`, so this point settles it. Until now
+                            // `best < cap`, so the disc bound, which skips
+                            // only points below `best`, skipped none that
+                            // reaches `cap`.
+                            if found >= cap {
+                                return cap;
+                            }
                             best = found;
                             reach = radius(best);
                         }
@@ -896,6 +914,24 @@ mod tests {
         }
     }
 
+    /// An order picked up at `origin`: published at 10:00, to be picked
+    /// up within 15 minutes and completed within 40.
+    fn order_at(origin: GeoPoint) -> Task {
+        let publish = Timestamp::from_hours(10);
+        Task {
+            id: rideshare_types::TaskId::new(0),
+            publish_time: publish,
+            origin,
+            destination: origin.offset_km(1.0, 1.0),
+            pickup_deadline: publish + TimeDelta::from_mins(15),
+            completion_deadline: publish + TimeDelta::from_mins(40),
+            duration: TimeDelta::from_mins(10),
+            price: rideshare_types::Money::new(10.0),
+            valuation: rideshare_types::Money::new(12.0),
+            service_cost: rideshare_types::Money::new(1.0),
+        }
+    }
+
     #[test]
     fn compaction_keeps_latest_decision_only_through_ghosts() {
         // The subtle case the module docs warn about: a *retired* driver
@@ -923,18 +959,7 @@ mod tests {
             shift_end: Timestamp::from_hours(24),
             model: DriverModel::HomeWorkHome,
         };
-        let task = Task {
-            id: rideshare_types::TaskId::new(0),
-            publish_time: Timestamp::from_hours(10),
-            origin,
-            destination: origin.offset_km(1.0, 1.0),
-            pickup_deadline: Timestamp::from_hours(10) + TimeDelta::from_mins(15),
-            completion_deadline: Timestamp::from_hours(10) + TimeDelta::from_mins(40),
-            duration: TimeDelta::from_mins(10),
-            price: rideshare_types::Money::new(10.0),
-            valuation: rideshare_types::Money::new(12.0),
-            service_cost: rideshare_types::Money::new(1.0),
-        };
+        let task = order_at(origin);
         let cap = task.pickup_deadline;
 
         for use_grid in [false, true] {
@@ -984,6 +1009,93 @@ mod tests {
                 dropped.candidates_at(&task, task.publish_time),
             );
         }
+    }
+
+    #[test]
+    fn the_early_flush_search_stops_at_the_first_epoch_that_reaches_the_cap() {
+        // The epoch is clamped to the window end (`cap`), so the grid
+        // search may stop at the first point whose epoch reaches it. A
+        // tripwire — a cell entry naming a ghost that does not exist, so
+        // a search that reads it panics — shows where it stopped, and
+        // every answer equals the table-less fleet's fold.
+        let speed = SpeedModel::urban();
+        // Cells of 0.01° a side; the pickup sits 0.0005° inside its
+        // cell's east edge.
+        let bbox = BoundingBox::new(41.0, 41.16, -8.8, -8.64);
+        let origin = GeoPoint::new(41.085, -8.7105);
+        let driver = |id, at: GeoPoint| Driver {
+            id: DriverId::new(id),
+            source: at,
+            destination: at,
+            shift_start: Timestamp::from_hours(6),
+            shift_end: Timestamp::from_hours(24),
+            model: DriverModel::Hitchhiking,
+        };
+        // In the pickup's cell but at its far side (~2.3 min away), and
+        // just across the cell's east edge (~0.5 min away).
+        let far_side = driver(0, origin.offset_km(0.0, -0.7));
+        let across = driver(1, origin.offset_km(0.0, 0.15));
+        let cells = GridIndex::new(bbox, GRID_ROWS, GRID_COLS);
+        let home = cells.cell_of(origin);
+        assert_eq!(cells.cell_of(far_side.source), home);
+        assert_eq!(
+            cells.cell_of(across.source),
+            CellId::new(home.row(), home.col() + 1)
+        );
+        let task = order_at(origin);
+        let epoch = |d: &Driver| task.pickup_deadline - speed.travel_time(d.source, origin);
+        let fleets = |drivers: &[Driver]| {
+            [None, Some(bbox)].map(|bbox| {
+                let mut fleet = Fleet::new(speed, bbox);
+                drivers.iter().for_each(|d| fleet.announce(*d));
+                fleet
+            })
+        };
+        let trip_wire = |fleet: &mut Fleet, at: GeoPoint, key: Timestamp| {
+            let table = fleet.cells.as_mut().expect("gridded fleet");
+            table.insert(at, key, u32::MAX);
+        };
+
+        // The pickup's own cell falls short of the cap; the next cell's
+        // driver reaches it, or meets it exactly, and the search stops
+        // there, before the tripwire behind her.
+        let cap = task.pickup_deadline - TimeDelta::from_mins(1);
+        assert!(epoch(&far_side) < cap && cap < epoch(&across));
+        let [linear, mut grid] = fleets(&[far_side, across]);
+        trip_wire(&mut grid, across.source, NEVER);
+        for cap in [cap, epoch(&across)] {
+            assert_eq!(linear.latest_decision(&task, cap), cap);
+            assert_eq!(grid.latest_decision(&task, cap), cap);
+        }
+
+        // No point reaches the cap: the nearest point's own epoch.
+        let [linear, grid] = fleets(&[far_side, across]);
+        let just_past = epoch(&across) + TimeDelta::from_secs(1);
+        for cap in [just_past, task.pickup_deadline] {
+            assert_eq!(linear.latest_decision(&task, cap), epoch(&across));
+            assert_eq!(grid.latest_decision(&task, cap), epoch(&across));
+        }
+
+        // An order published at its window end reads no point at all:
+        // the tripwire heads the pickup's cell.
+        let publish = task.publish_time;
+        for drivers in [&[][..], &[far_side, across]] {
+            let [linear, mut grid] = fleets(drivers);
+            trip_wire(&mut grid, origin, Timestamp::EPOCH);
+            assert_eq!(linear.latest_decision(&task, publish), publish);
+            assert_eq!(grid.latest_decision(&task, publish), publish);
+        }
+
+        // The point that reaches the cap is a ghost.
+        let [mut linear, mut grid] = fleets(&[far_side, across]);
+        for fleet in [&mut linear, &mut grid] {
+            assert!(fleet.retire(1));
+            assert_eq!(fleet.compact(true), 1);
+        }
+        assert_eq!(grid.ghosts, [across.source]);
+        trip_wire(&mut grid, across.source, NEVER);
+        assert_eq!(linear.latest_decision(&task, cap), cap);
+        assert_eq!(grid.latest_decision(&task, cap), cap);
     }
 
     #[test]

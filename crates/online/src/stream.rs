@@ -736,16 +736,21 @@ impl StreamEngine {
                 // Refresh exactly the committed drivers' entries; all other
                 // pairs are untouched, so this is equivalent to
                 // regenerating every list (the property tests pin that).
+                // Each list stays sorted by driver index, as
+                // `candidates_into` left it.
                 for (slot, &bi) in scratch.remaining.iter().enumerate() {
                     let task = &batch[bi];
                     let list = &mut scratch.candidates[slot];
                     for &d in &scratch.used_drivers {
-                        if let Some(pos) = list.iter().position(|c| c.driver == d) {
-                            list.remove(pos);
-                        }
+                        let at = match list.binary_search_by_key(&d, |c| c.driver) {
+                            Ok(at) => {
+                                list.remove(at);
+                                at
+                            }
+                            Err(at) => at,
+                        };
                         if let Some(c) = self.fleet.candidate_for(task, decision_time, d) {
-                            let pos = list.partition_point(|x| x.driver < d);
-                            list.insert(pos, c);
+                            list.insert(at, c);
                         }
                     }
                 }
