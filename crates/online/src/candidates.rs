@@ -1180,11 +1180,13 @@ mod tests {
         // clock retirement — compacting at every cadence, with and without
         // ghosts; after each compaction the cell table (up to the order of
         // entries free at the same instant) and the heap's pop order equal
-        // those of a fresh fleet handed the surviving state, and between
+        // those of a fresh fleet handed the surviving state, and so do the
+        // answers to both questions for the orders still to come; between
         // compactions the incrementally maintained table stays exact.
         let m = market(77, 240, 40);
         let order = publish_order(&m);
-        for (cadence, keep_ghosts) in [(1, true), (7, false), (60, true)] {
+        let cases = [1, 7, 60].into_iter().flat_map(|c| [(c, true), (c, false)]);
+        for (cadence, keep_ghosts) in cases {
             let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
             let mut late = m.drivers().iter();
             for d in late.by_ref().take(20) {
@@ -1219,6 +1221,23 @@ mod tests {
                 fresh.ghosts.clone_from(&fleet.ghosts);
                 fresh.rebuild_indexes();
                 assert_eq!(indexes(&fleet), indexes(&fresh), "step {step}");
+                for &next in &order[step..order.len().min(step + 6)] {
+                    let task = &m.tasks()[next];
+                    let publish = task.publish_time;
+                    assert_eq!(
+                        fleet.candidates_at(task, publish),
+                        fresh.candidates_at(task, publish),
+                        "step {step}, task {next}"
+                    );
+                    let three_mins = publish + TimeDelta::from_mins(3);
+                    for cap in [publish, three_mins, task.pickup_deadline] {
+                        assert_eq!(
+                            fleet.latest_decision(task, cap),
+                            fresh.latest_decision(task, cap),
+                            "step {step}, task {next}, cap {cap}"
+                        );
+                    }
+                }
                 // Every survivor is still waiting for the clock, in
                 // shift-end order.
                 let drivers = fleet.drivers.iter().enumerate();
