@@ -34,6 +34,33 @@ pub mod figures;
 pub mod scenario;
 pub mod sweep;
 
+/// The wall clock of the engine's stage probe, which never reads one
+/// itself.
+#[cfg(feature = "stage-probe")]
+pub mod probe {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    use rideshare_online::probe::{install_clock, StageClock};
+
+    /// Monotonic nanoseconds since the clock's first read.
+    pub struct WallClock;
+
+    impl StageClock for WallClock {
+        fn now_ns(&self) -> u64 {
+            static ORIGIN: OnceLock<Instant> = OnceLock::new();
+            let elapsed = ORIGIN.get_or_init(Instant::now).elapsed();
+            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+        }
+    }
+
+    /// Installs [`WallClock`] as the stage probe's clock; `false` if a
+    /// clock was installed already.
+    pub fn install() -> bool {
+        install_clock(&WallClock)
+    }
+}
+
 pub use distrib::{
     orchestrate, run_worker, OrchestrateOptions, OrchestrateOutcome, WorkerOptions, WorkerOutcome,
 };

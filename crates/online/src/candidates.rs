@@ -65,6 +65,8 @@ use rideshare_geo::{BoundingBox, CellId, DiscBound, GeoPoint, GridIndex, SpeedMo
 use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
+#[cfg(feature = "stage-probe")]
+use crate::probe::{self, Count};
 use crate::stream::next_announced;
 
 /// Grid resolution of the pruning index.
@@ -377,6 +379,8 @@ impl Fleet {
     /// vanishes too; only lossless when `latest_decision` is never
     /// consulted (instant-mode streaming).
     pub(crate) fn compact(&mut self, keep_ghosts: bool) -> usize {
+        // The rebuild rewrites or drops every index entry.
+        probe!(let entries = self.index_entries(););
         let before = self.drivers.len();
         let mut kept = 0usize;
         for d in 0..before {
@@ -395,7 +399,16 @@ impl Fleet {
         self.locations.truncate(kept);
         self.available_at.truncate(kept);
         self.rebuild_indexes();
+        probe!(probe::count(Count::Compactions, 1));
+        probe!(probe::count(Count::CompactedEntries, entries as u64));
         before - kept
+    }
+
+    /// Entries in the cell table (if any) and the shift-end heap.
+    #[cfg(feature = "stage-probe")]
+    fn index_entries(&self) -> usize {
+        let table = self.cells.iter().flat_map(|t| &t.cells);
+        table.map(Vec::len).sum::<usize>() + self.shift_ends.len()
     }
 
     /// Rebuilds the cell table and the shift-end heap from the state
@@ -467,6 +480,7 @@ impl Fleet {
         out: &mut Vec<Candidate>,
     ) {
         out.clear();
+        probe!(probe::count(Count::Scans, 1));
         if !decidable(task, decision_time) {
             return;
         }
@@ -495,16 +509,23 @@ impl Fleet {
                     pickup: None,
                     home: None,
                 };
+                probe!(let cells = rows.len() * cols.len(););
+                probe!(let (mut walked, mut evaluated) = (0, 0););
                 for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col)))
                 {
                     let walk = table.cell(cell).iter();
                     for &(free, d) in walk.take_while(|&&(free, _)| free <= horizon) {
+                        probe!(walked += 1);
                         let d = d as usize;
                         if !reach.excludes(self, free, d) {
+                            probe!(evaluated += 1);
                             out.extend(self.evaluate(task, decision_time, d));
                         }
                     }
                 }
+                probe!(probe::count(Count::Cells, cells as u64));
+                probe!(probe::count(Count::Entries, walked));
+                probe!(probe::count(Count::Evaluations, evaluated));
             }
             None => {
                 for d in 0..self.drivers.len() {
@@ -513,6 +534,7 @@ impl Fleet {
             }
         }
         out.sort_by_key(|c| c.driver);
+        probe!(probe::count(Count::Candidates, out.len() as u64));
     }
 
     /// Evaluates one *(driver, task)* pair under a decision made at
@@ -603,6 +625,7 @@ impl Fleet {
         let speed = self.speed;
         let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);
         let mut best = task.publish_time;
+        probe!(probe::count(Count::Searches, 1));
         match &self.cells {
             Some(_) if best >= cap => return cap,
             Some(table) => {
@@ -628,6 +651,7 @@ impl Fleet {
                     let cells = ring_cells(home, ring)
                         .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
                     for &(_, id) in cells.flat_map(|cell| table.cell(cell)) {
+                        probe!(probe::count(Count::SearchEntries, 1));
                         let point = self.point(id);
                         // Built at the first point, for the widest budget.
                         let disc = bound.get_or_insert_with(|| DiscBound::new(task.origin, reach));

@@ -63,7 +63,11 @@
 //!   (no departure may precede its dispatch decision),
 //! - [`replay_market_by_value`]: the offline variant of maxMargin (§V-B),
 //!   which hands an instant policy the tasks in descending-price order
-//!   when the whole day is known in advance.
+//!   when the whole day is known in advance,
+//! - `probe`, compiled only with the `stage-probe` feature: the engine's
+//!   stage probe — exact counts of what candidate scans, early-flush
+//!   searches and compactions read, and the nanoseconds of each stage
+//!   under a caller-installed `StageClock`.
 //!
 //! # Examples
 //!
@@ -84,10 +88,23 @@
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
+/// A stage-probe hook: its tokens as written in a `stage-probe` build,
+/// nothing otherwise.
+#[cfg(feature = "stage-probe")]
+macro_rules! probe {
+    ($($hook:tt)*) => { $($hook)* };
+}
+#[cfg(not(feature = "stage-probe"))]
+macro_rules! probe {
+    ($($hook:tt)*) => {};
+}
+
 mod batch;
 mod candidates;
 mod ingest;
 mod policy;
+#[cfg(feature = "stage-probe")]
+pub mod probe;
 mod serve;
 mod shard;
 mod simulator;

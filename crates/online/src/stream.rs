@@ -99,6 +99,8 @@ use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 use crate::batch::{BatchMatcher, BatchRound};
 use crate::candidates::Fleet;
 use crate::policy::{Candidate, DispatchPolicy};
+#[cfg(feature = "stage-probe")]
+use crate::probe::{self, Stage};
 use crate::simulator::{DispatchEvent, SimulationResult};
 
 /// One event of an ordered market stream.
@@ -500,6 +502,7 @@ impl StreamEngine {
         if self.hold != Hold::Empty {
             self.flush(policy, sink);
         }
+        probe!(probe::flush());
         StreamSummary {
             tasks: self.served + self.rejected,
             served: self.served,
@@ -586,9 +589,11 @@ impl StreamEngine {
         // Decisions are now final through `decided_through` (both arms
         // just set it) — announce the boundary before any compaction, so
         // sinks observe state transitions in stream order.
+        probe!(probe::start());
         if let Some(end) = self.decided_through {
             sink.window_closed(end);
         }
+        probe!(probe::lap(Stage::Sink));
         // Retired-but-resident drivers, without an O(residents) scan
         // (retirements counted less removals) — flush runs once per
         // publish group, so this is hot-path arithmetic. Batched mode
@@ -597,6 +602,7 @@ impl StreamEngine {
         if self.expired_total - self.compacted >= self.compact_threshold {
             let keep_ghosts = matches!(policy, StreamPolicy::Batched { .. });
             self.compacted += self.fleet.compact(keep_ghosts);
+            probe!(probe::lap(Stage::Compact));
         }
     }
 
@@ -618,13 +624,16 @@ impl StreamEngine {
         sink: &mut dyn StreamSink,
     ) {
         for task in tasks {
+            probe!(probe::start());
             let at = task.publish_time;
             self.fleet.candidates_into(task, at, &mut self.cand_scratch);
+            probe!(probe::lap(Stage::Scan));
             let pick = if self.cand_scratch.is_empty() {
                 None
             } else {
                 choose.choose(&self.cand_scratch)
             };
+            probe!(probe::lap(Stage::Choose));
             match pick {
                 Some(k) => {
                     let (cand, candidates) = (self.cand_scratch[k], self.cand_scratch.len());
@@ -646,6 +655,7 @@ impl StreamEngine {
         matcher: &mut dyn BatchMatcher,
         sink: &mut dyn StreamSink,
     ) {
+        probe!(probe::start());
         let mut scratch = std::mem::take(&mut self.win_scratch);
         // Early flush: a task that could not be feasibly dispatched at the
         // window end any more — its pickup deadline minus the closest
@@ -659,6 +669,7 @@ impl StreamEngine {
             scratch.epochs.push((epoch, task.id.index(), bi));
         }
         scratch.epochs.sort_unstable();
+        probe!(probe::lap(Stage::EarlyFlush));
 
         let mut e = 0usize;
         while e < scratch.epochs.len() {
@@ -681,6 +692,7 @@ impl StreamEngine {
                     .candidates_into(&batch[bi], decision_time, &mut list);
                 scratch.candidates.push(list);
             }
+            probe!(probe::lap(Stage::Scan));
             loop {
                 let round = BatchRound {
                     tasks: &scratch.ids,
@@ -688,6 +700,7 @@ impl StreamEngine {
                 };
                 let mut picks = matcher.match_round(&round);
                 picks.sort_unstable();
+                probe!(probe::lap(Stage::Choose));
                 scratch.committed.clear();
                 scratch.used_drivers.clear();
                 for (slot, ci) in picks {
@@ -754,6 +767,7 @@ impl StreamEngine {
                         }
                     }
                 }
+                probe!(probe::lap(Stage::Refresh));
             }
             for &bi in &scratch.remaining {
                 self.reject(&batch[bi], decision_time, sink);
@@ -780,6 +794,7 @@ impl StreamEngine {
         // Events name drivers by their *announced* id; the fleet's indices
         // may have compacted since.
         let (driver, deadhead_km) = self.fleet.commit(cand.driver, task, cand.arrival);
+        probe!(probe::lap(Stage::Commit));
         let event = DispatchEvent {
             task: task.id,
             driver,
@@ -791,12 +806,14 @@ impl StreamEngine {
             margin: cand.marginal_value,
         };
         sink.dispatched(task, &event);
+        probe!(probe::lap(Stage::Sink));
         self.served += 1;
     }
 
     /// Reports `task` rejected at `decision_time` and counts it.
     fn reject(&mut self, task: &Task, decision_time: Timestamp, sink: &mut dyn StreamSink) {
         sink.rejected(task, decision_time);
+        probe!(probe::lap(Stage::Sink));
         self.rejected += 1;
     }
 }

@@ -73,6 +73,8 @@ fn main() -> ExitCode {
         println!("{}", flags::usage());
         return ExitCode::SUCCESS;
     }
+    #[cfg(feature = "stage-probe")]
+    rideshare::bench::probe::install();
     let result = match flags::COMMANDS.iter().find(|c| c.name == word) {
         None => Err(format!("unknown subcommand '{word}'\n{}", flags::usage())),
         Some(cmd) => match flags::parse(cmd, rest) {
@@ -80,6 +82,11 @@ fn main() -> ExitCode {
             Err(e) => Err(e.into()),
         },
     };
+    // Stderr, outside every canonical output.
+    #[cfg(feature = "stage-probe")]
+    if matches!(word.as_str(), "replay" | "serve") {
+        eprintln!("{}", rideshare::online::probe::readings());
+    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
