@@ -10,8 +10,10 @@
 
 use core::ops::RangeInclusive;
 
+use rideshare_types::TimeDelta;
+
 use crate::point::EARTH_RADIUS_KM;
-use crate::{BoundingBox, GeoPoint};
+use crate::{BoundingBox, GeoPoint, SpeedModel};
 
 /// Identifier of a grid cell: `(row, col)` indices.
 ///
@@ -191,49 +193,67 @@ impl GridIndex {
     }
 }
 
-/// [`GridIndex::cover`]'s argument applied to one point at a time: a
-/// test that proves a point lies outside a disc around `center` without
-/// the cosine and the square root of [`GeoPoint::equirectangular_km`].
+/// [`GridIndex::cover`]'s argument applied to one point at a time, and
+/// asked in time: a test that proves a point lies farther from `center`
+/// than a [`SpeedModel`] covers within a budget, without the cosine and
+/// the square root of [`GeoPoint::equirectangular_km`], and without a
+/// division.
 ///
-/// Built once per centre for the largest radius it will be asked about,
-/// `max_km`. Every point `p` with `center.equirectangular_km(p) ≤ r ≤
-/// max_km` has `|Δlat| ≤ r/R`, so its mean latitude with the centre lies
-/// in the band `center.lat ± max_km/(2R)`. The cosine falls with the
+/// Built once per centre and speed model for the largest budget it will
+/// be asked about, `max`. Below, `r` is what the speed model covers within
+/// a budget ([`SpeedModel::reachable_km`]) and `r_max` what it covers
+/// within `max`. Every point `p` with `center.equirectangular_km(p) ≤ r ≤
+/// r_max` has `|Δlat| ≤ r/R`, so its mean latitude with the centre lies
+/// in the band `center.lat ± r_max/(2R)`. The cosine falls with the
 /// distance from the equator, so over that band it is smallest at the
 /// edge farther from it: that cosine, `cos_min`, is the one `cos` the
-/// bound costs
-/// (a band that reaches a pole has `cos_min = 0`, a latitude-only
-/// bound). Then `Δx = Δlon · cos(mean latitude)` has `|Δx| ≥ |Δlon| ·
-/// cos_min`, and `R·√(Δx² + Δlat²) ≤ r` forces `(Δlon · cos_min)² + Δlat²
-/// ≤ (r/R)²`; [`DiscBound::beyond`] tests the converse, with the cover's
-/// slack on the radius and on the band for the roundings between the two
-/// computations. Longitudes are taken raw, as the distance takes them —
-/// no wrap at ±180°. The distance is symmetric bit for bit, so the bound
-/// holds for `p.equirectangular_km(center)` too.
+/// bound costs (a band that reaches a pole has `cos_min = 0`, a
+/// latitude-only bound). Then `Δx = Δlon · cos(mean latitude)` has `|Δx|
+/// ≥ |Δlon| · cos_min`, and `R·√(Δx² + Δlat²) ≤ r` forces `(Δlon ·
+/// cos_min)² + Δlat² ≤ (r/R)²`.
+///
+/// [`DiscBound::beyond`] tests the converse in radians with nothing left
+/// to divide: the bound keeps `cos_min · π/180` — the radians of easting a
+/// degree of longitude spans at the least — and the radians of arc one
+/// second of budget covers, so a budget costs one multiply. The cover's
+/// slack on the radius and on the band absorbs the roundings between
+/// these products and the distance's own arithmetic. Longitudes are taken
+/// raw, as the distance takes them — no wrap at ±180°. The distance is
+/// symmetric bit for bit, so the bound holds for
+/// `p.equirectangular_km(center)` too.
 ///
 /// # Examples
 ///
 /// ```
-/// use rideshare_geo::{DiscBound, GeoPoint};
+/// use rideshare_geo::{DiscBound, GeoPoint, SpeedModel};
+/// use rideshare_types::TimeDelta;
+/// // 36 km/h in a straight line: 3 km in five minutes.
+/// let speed = SpeedModel::new(36.0, 1.0, 0.1);
 /// let pickup = GeoPoint::new(41.15, -8.61);
-/// let bound = DiscBound::new(pickup, 5.0);
-/// assert!(bound.beyond(pickup.offset_km(0.0, 3.1), 3.0));
-/// assert!(!bound.beyond(pickup.offset_km(2.0, 2.0), 3.0)); // 2.83 km away
+/// let bound = DiscBound::new(pickup, speed, TimeDelta::from_mins(10));
+/// let five = TimeDelta::from_mins(5);
+/// assert!(bound.beyond(pickup.offset_km(0.0, 3.1), five));
+/// assert!(!bound.beyond(pickup.offset_km(2.0, 2.0), five)); // 2.83 km away
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct DiscBound {
     center: GeoPoint,
-    /// The smallest cosine of a mean latitude any point within `max_km`
-    /// of the centre can have with it.
-    cos_min: f64,
-    max_km: f64,
+    /// `cos_min · π/180`, where `cos_min` is the smallest cosine of a mean
+    /// latitude any point within reach of the centre can have with it.
+    lon_rad: f64,
+    /// Radians of arc one second of budget covers, the slack included.
+    rad_per_sec: f64,
+    max: TimeDelta,
 }
 
 impl DiscBound {
-    /// The bound around `center` for radii up to `max_km`.
+    /// The bound around `center` for budgets up to `max` under `speed`.
     #[must_use]
-    pub fn new(center: GeoPoint, max_km: f64) -> Self {
-        let reach = max_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+    pub fn new(center: GeoPoint, speed: SpeedModel, max: TimeDelta) -> Self {
+        debug_assert!(max.is_non_negative(), "negative budget {max}");
+        let second = speed.reachable_km(TimeDelta::from_secs(1));
+        let rad_per_sec = second / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+        let reach = max.as_secs() as f64 * rad_per_sec;
         let edge = center.lat().abs() + reach.to_degrees() / 2.0 + COVER_SLACK;
         let cos_min = if edge < 90.0 {
             edge.to_radians().cos()
@@ -242,23 +262,25 @@ impl DiscBound {
         };
         Self {
             center,
-            cos_min,
-            max_km,
+            lon_rad: cos_min.to_radians(),
+            rad_per_sec,
+            max,
         }
     }
 
-    /// `true` only if `center.equirectangular_km(point) > radius_km`;
-    /// `false` leaves the question open. Requires `radius_km ≤ max_km`.
+    /// `true` only if `center.equirectangular_km(point)` exceeds what the
+    /// speed model covers within `budget`; `false` leaves the question
+    /// open. Requires `0 ≤ budget ≤ max`.
     #[inline]
     #[must_use]
-    pub fn beyond(&self, point: GeoPoint, radius_km: f64) -> bool {
+    pub fn beyond(&self, point: GeoPoint, budget: TimeDelta) -> bool {
         debug_assert!(
-            radius_km <= self.max_km,
-            "radius {radius_km} km past the bound's {} km",
-            self.max_km
+            budget.is_non_negative() && budget <= self.max,
+            "budget {budget} outside the bound's 0..={}",
+            self.max
         );
-        let reach = radius_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
-        let dx = (point.lon() - self.center.lon()).to_radians() * self.cos_min;
+        let reach = budget.as_secs() as f64 * self.rad_per_sec;
+        let dx = (point.lon() - self.center.lon()) * self.lon_rad;
         let dy = (point.lat() - self.center.lat()).to_radians();
         dx * dx + dy * dy > reach * reach
     }
@@ -382,29 +404,77 @@ mod tests {
         }
 
         #[test]
-        fn disc_bound_never_rejects_a_point_of_the_disc(
-            (center, max, share, bearing) in arb_disc(),
+        fn disc_bound_rejects_only_points_out_of_reach(
+            (center, speed, max, share, bearing) in arb_disc(),
         ) {
-            let r = max * share;
-            let bound = DiscBound::new(center, max);
+            let budget = TimeDelta::from_secs((max.as_secs() as f64 * share) as i64);
+            let r = speed.reachable_km(budget);
+            let bound = DiscBound::new(center, speed, max);
             let inside = rim_points(center, r, bearing);
             prop_assert!(!inside.is_empty());
-            for p in inside {
+            for &p in &inside {
                 let km = center.equirectangular_km(p);
                 prop_assert_eq!(km.to_bits(), p.equirectangular_km(center).to_bits());
                 prop_assert!(
-                    !bound.beyond(p, r),
-                    "{p} is {km} km from {center}, within {r} (max {max}), yet beyond"
+                    !bound.beyond(p, budget),
+                    "{p} is {km} km from {center}, within {r} ({budget} of {max}), yet beyond"
                 );
             }
+            // The kilometre form over the same draws, and past the rim:
+            // the two disagree only within roundings of its threshold.
+            let km_bound = KmDisc::new(center, speed.reachable_km(max));
+            let rim = inside[inside.len() - 1];
+            let past = [1.0001, 1.01, 1.5, 3.0].map(|k| {
+                let (dlat, dlon) = (rim.lat() - center.lat(), rim.lon() - center.lon());
+                GeoPoint::new(center.lat() + k * dlat, center.lon() + k * dlon)
+            });
+            for p in inside.into_iter().chain(past) {
+                let (lhs, rhs) = km_bound.sides(p, r);
+                if bound.beyond(p, budget) != (lhs > rhs) {
+                    prop_assert!(
+                        (lhs - rhs).abs() <= 1e-9 * rhs,
+                        "{p}: forms disagree {lhs} vs {rhs} ({budget} of {max})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The kilometre form of [`DiscBound`]: the radius divided down to
+    /// radians for every point.
+    struct KmDisc {
+        center: GeoPoint,
+        cos_min: f64,
+    }
+
+    impl KmDisc {
+        fn new(center: GeoPoint, max_km: f64) -> Self {
+            let reach = max_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+            let edge = center.lat().abs() + reach.to_degrees() / 2.0 + COVER_SLACK;
+            let cos_min = if edge < 90.0 {
+                edge.to_radians().cos()
+            } else {
+                0.0
+            };
+            Self { center, cos_min }
+        }
+
+        /// The two sides of its compare: `point` is beyond `radius_km`
+        /// when the first exceeds the second.
+        fn sides(&self, point: GeoPoint, radius_km: f64) -> (f64, f64) {
+            let reach = radius_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
+            let dx = (point.lon() - self.center.lon()).to_radians() * self.cos_min;
+            let dy = (point.lat() - self.center.lat()).to_radians();
+            (dx * dx + dy * dy, reach * reach)
         }
     }
 
     /// A centre at any latitude — the polar caps, their ±89.9° edges and
     /// bands that reach a pole included — and any longitude, the
-    /// antimeridian's neighbourhood included; a largest radius from zero
-    /// to a quarter of the globe, a share of it, and a bearing.
-    fn arb_disc() -> impl Strategy<Value = (GeoPoint, f64, f64, f64)> {
+    /// antimeridian's neighbourhood included; a speed model; a largest
+    /// budget from zero to one that reaches past a quarter of the globe, a
+    /// share of it, and a bearing.
+    fn arb_disc() -> impl Strategy<Value = (GeoPoint, SpeedModel, TimeDelta, f64, f64)> {
         let lat = prop_oneof![
             30.0f64..50.0,
             -90.0f64..=90.0,
@@ -419,11 +489,18 @@ mod tests {
             179.0f64..=180.0,
             -180.0f64..-179.0,
         ];
-        let max =
-            prop_oneof![1 => Just(0.0f64), 4 => 0.0f64..30.0, 2 => 0.0f64..3e3, 1 => 0.0f64..1e4];
+        let speed = (1.0f64..120.0, 1.0f64..2.0)
+            .prop_map(|(kmh, detour)| SpeedModel::new(kmh, detour, 0.1));
+        let max = prop_oneof![
+            1 => Just(0i64),
+            4 => 0i64..1800,
+            2 => 0i64..36_000,
+            1 => 0i64..1_000_000,
+        ]
+        .prop_map(TimeDelta::from_secs);
         let share = prop_oneof![1 => Just(1.0f64), 4 => 0.0f64..=1.0];
         let center = (lat, lon).prop_map(|(lat, lon)| GeoPoint::new(lat, lon));
-        (center, max, share, 0.0f64..360.0)
+        (center, speed, max, share, 0.0f64..360.0)
     }
 
     /// Points within `r` of `center` along one bearing, ending on the rim:
@@ -461,13 +538,14 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_radius_disc_is_its_centre() {
+    fn a_zero_budget_disc_is_its_centre() {
+        let speed = SpeedModel::urban();
         for (lat, lon) in [(41.15, -8.61), (0.0, 180.0), (-89.9, -179.9), (90.0, 0.0)] {
             let center = GeoPoint::new(lat, lon);
-            let bound = DiscBound::new(center, 0.0);
-            assert!(!bound.beyond(center, 0.0), "{center}");
+            let bound = DiscBound::new(center, speed, TimeDelta::ZERO);
+            assert!(!bound.beyond(center, TimeDelta::ZERO), "{center}");
             assert!(
-                bound.beyond(GeoPoint::new(lat - 1e-7, lon), 0.0),
+                bound.beyond(GeoPoint::new(lat - 1e-7, lon), TimeDelta::ZERO),
                 "{center}"
             );
         }
@@ -478,17 +556,21 @@ mod tests {
         // Over the band a 50 km disc at Porto's latitude spans, the
         // smallest cosine is within 0.35% of the centre's: a point 0.5%
         // past the rim due east is rejected, and so is any point past it
-        // due north.
+        // due north. At 36 km/h in a straight line, 50 s cover 0.5 km.
+        let speed = SpeedModel::new(36.0, 1.0, 0.1);
         let pickup = GeoPoint::new(41.15, -8.61);
-        let bound = DiscBound::new(pickup, 50.0);
-        for r in [0.5, 5.0, 50.0] {
-            assert!(bound.beyond(pickup.offset_km(0.0, r * 1.005), r));
-            assert!(bound.beyond(pickup.offset_km(-r * 1.000_001, 0.0), r));
-            assert!(!bound.beyond(pickup.offset_km(0.0, r * 0.999), r));
+        let bound = DiscBound::new(pickup, speed, TimeDelta::from_secs(5000));
+        for secs in [50, 500, 5000] {
+            let budget = TimeDelta::from_secs(secs);
+            let r = speed.reachable_km(budget);
+            assert!(bound.beyond(pickup.offset_km(0.0, r * 1.005), budget));
+            assert!(bound.beyond(pickup.offset_km(-r * 1.000_001, 0.0), budget));
+            assert!(!bound.beyond(pickup.offset_km(0.0, r * 0.999), budget));
         }
         // A band that reaches the pole bounds latitude only.
-        let polar = DiscBound::new(GeoPoint::new(89.99, 0.0), 5.0);
-        assert!(!polar.beyond(GeoPoint::new(89.99, 170.0), 1.0));
-        assert!(polar.beyond(GeoPoint::new(89.97, 0.0), 1.0));
+        let polar = DiscBound::new(GeoPoint::new(89.99, 0.0), speed, TimeDelta::from_secs(500));
+        let one_km = TimeDelta::from_secs(100);
+        assert!(!polar.beyond(GeoPoint::new(89.99, 170.0), one_km));
+        assert!(polar.beyond(GeoPoint::new(89.97, 0.0), one_km));
     }
 }

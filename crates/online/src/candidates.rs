@@ -151,24 +151,24 @@ struct CellTable {
     grid: GridIndex,
     /// Indexed by [`GridIndex::slot_of`] (`row * cols + col`).
     cells: Vec<Vec<(Timestamp, u32)>>,
-    /// The grid box's diagonal: the largest return-home radius a
-    /// [`Reach`] bounds. A driver with more slack than this reaches every
-    /// home in the box, so a bound could only reject a home outside it,
-    /// and would be looser for every other driver (its band is wider).
-    diagonal_km: f64,
+    /// The travel time across the grid box's diagonal: the largest
+    /// return-home budget a [`Reach`] bounds. A driver with more slack
+    /// than this reaches every home in the box, so a bound could only
+    /// reject a home outside it, and would be looser for every other
+    /// driver (its band is wider).
+    diagonal: TimeDelta,
 }
 
 impl CellTable {
-    fn new(bbox: BoundingBox) -> Self {
+    fn new(bbox: BoundingBox, speed: SpeedModel) -> Self {
         let grid = GridIndex::new(bbox, GRID_ROWS, GRID_COLS);
         let cells = vec![Vec::new(); grid.slot_count()];
         let south_west = GeoPoint::new(bbox.min_lat(), bbox.min_lon());
-        let diagonal_km =
-            south_west.equirectangular_km(GeoPoint::new(bbox.max_lat(), bbox.max_lon()));
+        let diagonal = speed.travel_time(south_west, GeoPoint::new(bbox.max_lat(), bbox.max_lon()));
         Self {
             grid,
             cells,
-            diagonal_km,
+            diagonal,
         }
     }
 
@@ -220,14 +220,16 @@ fn ring_cells(home: CellId, ring: u16) -> impl Iterator<Item = CellId> {
 /// `evaluate`'s checks fails for a driver without the distance that check
 /// computes. They only reject drivers `evaluate` would reject, so results
 /// stay bit-identical; each is built at the first entry that needs it, so
-/// an order whose walk is empty pays nothing for them.
+/// an order whose walk is empty pays nothing for them. Both take their
+/// budget in seconds, so an entry costs a subtraction and a multiply
+/// before the compare.
 struct Reach<'t> {
     task: &'t Task,
     decision_time: Timestamp,
-    /// The cover's radius, the arrival bound's largest.
-    pickup_km: f64,
-    /// [`CellTable::diagonal_km`], the return-home bound's largest.
-    home_km: f64,
+    /// The cover's budget, the arrival bound's largest.
+    pickup_max: TimeDelta,
+    /// [`CellTable::diagonal`], the return-home bound's largest.
+    home_max: TimeDelta,
     /// Around the pickup, for the arrival check.
     pickup: Option<DiscBound>,
     /// Around the drop-off, for the return-home check.
@@ -245,11 +247,11 @@ impl Reach<'_> {
         // covers (the cover's 1 s rounding slack) she arrives too late.
         // The budget is never larger than the cover's.
         let budget = task.pickup_deadline - free.max(self.decision_time) + second;
-        let pickup_km = self.pickup_km;
+        let pickup_max = self.pickup_max;
         let pickup = self
             .pickup
-            .get_or_insert_with(|| DiscBound::new(task.origin, pickup_km));
-        if pickup.beyond(fleet.locations[d], speed.reachable_km(budget)) {
+            .get_or_insert_with(|| DiscBound::new(task.origin, speed, pickup_max));
+        if pickup.beyond(fleet.locations[d], budget) {
             return true;
         }
         // (ii) Return home. A travel time is never negative, so a shift
@@ -259,13 +261,13 @@ impl Reach<'_> {
         if driver.shift_end < task.completion_deadline {
             return true;
         }
-        let slack_km = speed.reachable_km(driver.shift_end - task.completion_deadline + second);
-        let home_km = self.home_km;
-        slack_km <= home_km
+        let slack = driver.shift_end - task.completion_deadline + second;
+        let home_max = self.home_max;
+        slack <= home_max
             && self
                 .home
-                .get_or_insert_with(|| DiscBound::new(task.destination, home_km))
-                .beyond(driver.destination, slack_km)
+                .get_or_insert_with(|| DiscBound::new(task.destination, speed, home_max))
+                .beyond(driver.destination, slack)
     }
 }
 
@@ -288,7 +290,7 @@ impl Fleet {
             ghosts: Vec::new(),
             announced: 0,
             last_id: None,
-            cells: bbox.map(CellTable::new),
+            cells: bbox.map(|bbox| CellTable::new(bbox, speed)),
             shift_ends: BinaryHeap::new(),
         }
     }
@@ -495,8 +497,9 @@ impl Fleet {
                 // round down into the budget. The cover is a superset of
                 // the disc (`evaluate` re-checks arrival exactly anyway).
                 let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
-                let radius = self.speed.reachable_km(budget);
-                let (rows, cols) = table.grid.cover(task.origin, radius);
+                let (rows, cols) = table
+                    .grid
+                    .cover(task.origin, self.speed.reachable_km(budget));
                 // Entries at `NEVER` — retired drivers and ghosts, who
                 // carry no state to evaluate — are out of reach of every
                 // deadline, even one no guard bounded.
@@ -504,8 +507,8 @@ impl Fleet {
                 let mut reach = Reach {
                     task,
                     decision_time,
-                    pickup_km: radius,
-                    home_km: table.diagonal_km,
+                    pickup_max: budget,
+                    home_max: table.diagonal,
                     pickup: None,
                     home: None,
                 };
@@ -639,13 +642,13 @@ impl Fleet {
                 // ring the same budget rejects a point as a disc bound,
                 // before its travel time, and shrinks with every point
                 // that raises the epoch.
-                let radius = |best: Timestamp| {
-                    speed.reachable_km(task.pickup_deadline - best + TimeDelta::from_secs(1))
+                let budget = |best: Timestamp| {
+                    (task.pickup_deadline - best + TimeDelta::from_secs(1)).max(TimeDelta::ZERO)
                 };
-                let mut reach = radius(best);
+                let mut left = budget(best);
                 let mut bound = None;
                 let home = table.grid.cell_of(task.origin);
-                let (mut rows, mut cols) = table.grid.cover(task.origin, reach);
+                let (mut rows, mut cols) = table.grid.cover(task.origin, speed.reachable_km(left));
                 for ring in 0.. {
                     let before = best;
                     let cells = ring_cells(home, ring)
@@ -654,8 +657,9 @@ impl Fleet {
                         probe!(probe::count(Count::SearchEntries, 1));
                         let point = self.point(id);
                         // Built at the first point, for the widest budget.
-                        let disc = bound.get_or_insert_with(|| DiscBound::new(task.origin, reach));
-                        if disc.beyond(point, reach) {
+                        let disc =
+                            bound.get_or_insert_with(|| DiscBound::new(task.origin, speed, left));
+                        if disc.beyond(point, left) {
                             continue;
                         }
                         let found = latest(point);
@@ -669,11 +673,11 @@ impl Fleet {
                                 return cap;
                             }
                             best = found;
-                            reach = radius(best);
+                            left = budget(best);
                         }
                     }
                     if best > before {
-                        (rows, cols) = table.grid.cover(task.origin, reach);
+                        (rows, cols) = table.grid.cover(task.origin, speed.reachable_km(left));
                     }
                     let passed = |at: u16, range: &RangeInclusive<u16>| {
                         at.saturating_sub(ring) <= *range.start()
