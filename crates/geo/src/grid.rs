@@ -412,7 +412,7 @@ mod tests {
             let bound = DiscBound::new(center, speed, max);
             let inside = rim_points(center, r, bearing);
             prop_assert!(!inside.is_empty());
-            for &p in &inside {
+            for p in inside {
                 let km = center.equirectangular_km(p);
                 prop_assert_eq!(km.to_bits(), p.equirectangular_km(center).to_bits());
                 prop_assert!(
@@ -420,52 +420,6 @@ mod tests {
                     "{p} is {km} km from {center}, within {r} ({budget} of {max}), yet beyond"
                 );
             }
-            // The kilometre form over the same draws, and past the rim:
-            // the two disagree only within roundings of its threshold.
-            let km_bound = KmDisc::new(center, speed.reachable_km(max));
-            let rim = inside[inside.len() - 1];
-            let past = [1.0001, 1.01, 1.5, 3.0].map(|k| {
-                let (dlat, dlon) = (rim.lat() - center.lat(), rim.lon() - center.lon());
-                GeoPoint::new(center.lat() + k * dlat, center.lon() + k * dlon)
-            });
-            for p in inside.into_iter().chain(past) {
-                let (lhs, rhs) = km_bound.sides(p, r);
-                if bound.beyond(p, budget) != (lhs > rhs) {
-                    prop_assert!(
-                        (lhs - rhs).abs() <= 1e-9 * rhs,
-                        "{p}: forms disagree {lhs} vs {rhs} ({budget} of {max})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The kilometre form of [`DiscBound`]: the radius divided down to
-    /// radians for every point.
-    struct KmDisc {
-        center: GeoPoint,
-        cos_min: f64,
-    }
-
-    impl KmDisc {
-        fn new(center: GeoPoint, max_km: f64) -> Self {
-            let reach = max_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
-            let edge = center.lat().abs() + reach.to_degrees() / 2.0 + COVER_SLACK;
-            let cos_min = if edge < 90.0 {
-                edge.to_radians().cos()
-            } else {
-                0.0
-            };
-            Self { center, cos_min }
-        }
-
-        /// The two sides of its compare: `point` is beyond `radius_km`
-        /// when the first exceeds the second.
-        fn sides(&self, point: GeoPoint, radius_km: f64) -> (f64, f64) {
-            let reach = radius_km / EARTH_RADIUS_KM * (1.0 + COVER_SLACK);
-            let dx = (point.lon() - self.center.lon()).to_radians() * self.cos_min;
-            let dy = (point.lat() - self.center.lat()).to_radians();
-            (dx * dx + dy * dy, reach * reach)
         }
     }
 
