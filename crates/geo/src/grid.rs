@@ -166,7 +166,8 @@ impl GridIndex {
     /// `Δx = Δlon · cos(mean latitude)` forces `|Δlat| ≤ r/R`, and
     /// `|Δlon| ≤ r / (R · cos)` for the smallest cosine the latitude band
     /// `center ± r/R` reaches (the cosine is concave between the poles, so
-    /// that is at one end of the band; a band that reaches a pole bounds no
+    /// that is at one end of the band — the end farther from the equator,
+    /// the cosine being even; a band that reaches a pole bounds no
     /// longitude and covers every column). Longitudes are taken raw, as
     /// the distance takes them — no wrap at ±180°. Both intervals map to
     /// cells through the clamped, monotone map [`GridIndex::cell_of`] uses,
@@ -183,7 +184,7 @@ impl GridIndex {
         let (south, north) = (center.lat() - dlat, center.lat() + dlat);
         let rows = self.row_of(south)..=self.row_of(north);
         let cols = if south > -90.0 && north < 90.0 {
-            let cos = south.to_radians().cos().min(north.to_radians().cos());
+            let cos = south.abs().max(north.abs()).to_radians().cos();
             let dlon = (reach / cos).to_degrees() + COVER_SLACK;
             self.col_of(center.lon() - dlon)..=self.col_of(center.lon() + dlon)
         } else {
