@@ -85,6 +85,10 @@ const GHOST_BIT: u32 = 1 << 31;
 /// cell entry.
 const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
 
+/// What [`Fleet::compact`] renumbers a driver it drops without a ghost
+/// to. It carries [`GHOST_BIT`], so it is never a resident's index.
+const GONE: u32 = u32::MAX;
+
 /// The engine's drivers: resident state, and the indexes derived from it.
 ///
 /// Driver indices (`Candidate::driver`, the `d` arguments) are positions
@@ -341,6 +345,8 @@ impl Fleet {
     /// decision clock has provably passed her shift end — then every
     /// future candidacy would fail the return-home check anyway, so this
     /// is pure work-skipping and results stay byte-identical.
+    /// [`Fleet::retire_before`] pops her shift end first, which
+    /// [`Fleet::compact`] relies on.
     fn retire(&mut self, d: usize) -> bool {
         if self.available_at[d] == NEVER {
             return false;
@@ -372,50 +378,76 @@ impl Fleet {
 
     /// Garbage-collects every retired driver: her record and state leave
     /// the vectors, the survivors are renumbered compactly in announce
-    /// order, and every index is rebuilt from what survives. Returns how
-    /// many drivers were removed.
+    /// order, and both indexes are renumbered in place. Returns how many
+    /// drivers were removed.
     ///
     /// With `keep_ghosts` each removed driver leaves a frozen location
     /// behind for [`Fleet::latest_decision`], so compaction cannot move an
     /// epoch (see the `ghosts` field docs). Without it the location
     /// vanishes too; only lossless when `latest_decision` is never
     /// consulted (instant-mode streaming).
+    ///
+    /// The renumbering is monotone on the survivors, so every cell stays
+    /// ascending and the heap stays a heap. A removed driver's cell entry,
+    /// at [`NEVER`] in its cell's tail, becomes her ghost's or goes; her
+    /// heap entry went when she was retired.
     pub(crate) fn compact(&mut self, keep_ghosts: bool) -> usize {
-        // The rebuild rewrites or drops every index entry.
-        probe!(let entries = self.index_entries(););
         let before = self.drivers.len();
+        // Each index's new one: a survivor's position, a ghost's tagged
+        // id, or `GONE`.
+        let mut renumber = Vec::with_capacity(before);
         let mut kept = 0usize;
         for d in 0..before {
-            if self.available_at[d] == NEVER {
-                if keep_ghosts {
-                    self.ghosts.push(self.locations[d]);
-                }
-            } else {
+            if self.available_at[d] != NEVER {
+                renumber.push(kept as u32);
                 self.drivers[kept] = self.drivers[d];
                 self.locations[kept] = self.locations[d];
                 self.available_at[kept] = self.available_at[d];
                 kept += 1;
+            } else if keep_ghosts {
+                renumber.push(GHOST_BIT | self.ghosts.len() as u32);
+                self.ghosts.push(self.locations[d]);
+            } else {
+                renumber.push(GONE);
             }
         }
         self.drivers.truncate(kept);
         self.locations.truncate(kept);
         self.available_at.truncate(kept);
-        self.rebuild_indexes();
+        probe!(let mut moved = 0;);
+        if let Some(table) = self.cells.as_mut() {
+            for cell in &mut table.cells {
+                cell.retain_mut(|(_, id)| {
+                    if *id & GHOST_BIT == 0 {
+                        probe!(moved += u64::from(renumber[*id as usize] != *id));
+                        *id = renumber[*id as usize];
+                    }
+                    *id != GONE
+                });
+            }
+        }
+        let mut ends = std::mem::take(&mut self.shift_ends).into_vec();
+        for Reverse((_, d)) in &mut ends {
+            let new = renumber[*d];
+            debug_assert!(
+                new & GHOST_BIT == 0,
+                "driver {d} left with her shift end queued"
+            );
+            probe!(moved += u64::from(new as usize != *d));
+            *d = new as usize;
+        }
+        // Already a heap: `from` only confirms it.
+        self.shift_ends = BinaryHeap::from(ends);
         probe!(probe::count(Count::Compactions, 1));
-        probe!(probe::count(Count::CompactedEntries, entries as u64));
+        probe!(probe::count(Count::CompactedEntries, moved));
         before - kept
     }
 
-    /// Entries in the cell table (if any) and the shift-end heap.
-    #[cfg(feature = "stage-probe")]
-    fn index_entries(&self) -> usize {
-        let table = self.cells.iter().flat_map(|t| &t.cells);
-        table.map(Vec::len).sum::<usize>() + self.shift_ends.len()
-    }
-
     /// Rebuilds the cell table and the shift-end heap from the state
-    /// vectors alone. Cells are filled first and sorted once each: entering
-    /// a large fleet in order entry by entry is quadratic in a cell's size.
+    /// vectors alone — the oracle compaction is tested against. Cells are
+    /// filled first and sorted once each: entering a large fleet in order
+    /// entry by entry is quadratic in a cell's size.
+    #[cfg(test)]
     fn rebuild_indexes(&mut self) {
         if let Some(table) = self.cells.as_mut() {
             table.cells.iter_mut().for_each(Vec::clear);
@@ -1006,7 +1038,7 @@ mod tests {
 
             let compacted = |keep_ghosts: bool| {
                 let mut fleet = reference.clone();
-                assert!(fleet.retire(0));
+                assert_eq!(fleet.retire_before(task.publish_time), 1);
                 assert!(!fleet.retire(0), "second retirement must not re-count");
                 assert_eq!(fleet.retired(), [near_expired.id]);
                 assert_eq!(fleet.compact(keep_ghosts), 1);
@@ -1117,9 +1149,13 @@ mod tests {
         }
 
         // The point that reaches the cap is a ghost.
-        let [mut linear, mut grid] = fleets(&[far_side, across]);
+        let gone = Driver {
+            shift_end: task.publish_time - TimeDelta::from_hours(1),
+            ..across
+        };
+        let [mut linear, mut grid] = fleets(&[far_side, gone]);
         for fleet in [&mut linear, &mut grid] {
-            assert!(fleet.retire(1));
+            assert_eq!(fleet.retire_before(task.publish_time), 1);
             assert_eq!(fleet.compact(true), 1);
         }
         assert_eq!(grid.ghosts, [across.source]);

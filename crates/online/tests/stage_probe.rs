@@ -115,7 +115,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         instant.counts(),
-        [3000, 45832, 12848, 1364, 1360, 0, 0, 36, 11023]
+        [3000, 45832, 12848, 1364, 1360, 0, 0, 36, 9897]
     );
     assert_eq!(instant.laps(Stage::Scan), 3000);
     assert_eq!(instant.laps(Stage::Choose), 3000);
@@ -136,7 +136,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         batched.counts(),
-        [3000, 36107, 10765, 1396, 1390, 3000, 5497, 35, 15596]
+        [3000, 36107, 10765, 1396, 1390, 3000, 5497, 35, 9338]
     );
     assert_eq!(batched.laps(Stage::EarlyFlush), sink.windows);
     assert_eq!(batched.laps(Stage::Commit), sink.served);
