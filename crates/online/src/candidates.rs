@@ -19,8 +19,9 @@
 //!   to carry;
 //! - the **indexes** derived from it — the availability-ordered cell
 //!   table and the shift-end heap. Each is maintained incrementally by the
-//!   operation that changes the state, and [`Fleet::compact`] rebuilds both
-//!   from the state that survives.
+//!   operation that changes the state, and [`Fleet::compact`] renumbers
+//!   both in place to the state that survives; the tests' rebuild from
+//!   the state alone is the oracle it is pinned against.
 //!
 //! It does **not** hold a `&Market`: tasks are passed in by the caller —
 //! a stream never materialises a market, and its driver set grows as
@@ -529,9 +530,8 @@ impl Fleet {
                 // round down into the budget. The cover is a superset of
                 // the disc (`evaluate` re-checks arrival exactly anyway).
                 let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
-                let (rows, cols) = table
-                    .grid
-                    .cover(task.origin, self.speed.reachable_km(budget));
+                let radius = self.speed.reachable_km(budget);
+                let (rows, cols) = table.grid.cover(task.origin, radius);
                 // Entries at `NEVER` — retired drivers and ghosts, who
                 // carry no state to evaluate — are out of reach of every
                 // deadline, even one no guard bounded.

@@ -97,7 +97,7 @@ impl Stage {
 
 /// The probe's readings: every [`Count`] and the nanoseconds of every
 /// [`Stage`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StageReadings {
     counts: [u64; COUNTS],
     ns: [u64; Stage::ALL.len()],
