@@ -41,9 +41,10 @@ pub mod probe {
     use std::sync::OnceLock;
     use std::time::Instant;
 
-    use rideshare_online::probe::{install_clock, StageClock};
+    use rideshare_online::probe::StageClock;
 
-    /// Monotonic nanoseconds since the clock's first read.
+    /// Monotonic nanoseconds since the clock's first read; the CLI
+    /// installs it with `rideshare_online::probe::install_clock`.
     pub struct WallClock;
 
     impl StageClock for WallClock {
@@ -52,12 +53,6 @@ pub mod probe {
             let elapsed = ORIGIN.get_or_init(Instant::now).elapsed();
             u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
         }
-    }
-
-    /// Installs [`WallClock`] as the stage probe's clock; `false` if a
-    /// clock was installed already.
-    pub fn install() -> bool {
-        install_clock(&WallClock)
     }
 }
 

@@ -190,7 +190,7 @@ pub fn readings() -> StageReadings {
     flush();
     *TOTAL
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .expect("no thread panics while adding to the probe's total")
 }
 
 fn now() -> u64 {
@@ -219,6 +219,6 @@ pub(crate) fn flush() {
     let local = LOCAL.replace(StageReadings::ZERO);
     TOTAL
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .expect("no thread panics while adding to the probe's total")
         .add(&local);
 }

@@ -74,7 +74,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     #[cfg(feature = "stage-probe")]
-    rideshare::bench::probe::install();
+    rideshare::online::probe::install_clock(&rideshare::bench::probe::WallClock);
     let result = match flags::COMMANDS.iter().find(|c| c.name == word) {
         None => Err(format!("unknown subcommand '{word}'\n{}", flags::usage())),
         Some(cmd) => match flags::parse(cmd, rest) {
