@@ -14,9 +14,8 @@
 //! [`Fleet`] owns two kinds of data and keeps them apart:
 //!
 //! - the **state** — per resident driver her record, projected location
-//!   and availability (parallel vectors in announce order), plus the
-//!   frozen locations of compacted drivers. This is all a checkpoint has
-//!   to carry;
+//!   and availability (parallel vectors in announce order). This is all a
+//!   checkpoint has to carry;
 //! - the **indexes** derived from it — the availability-ordered cell
 //!   table and the shift-end heap. Each is maintained incrementally by the
 //!   operation that changes the state, and [`Fleet::compact`] renumbers
@@ -48,14 +47,17 @@
 //!   the completion deadline — and only a driver neither rejects reaches
 //!   the exact [`Fleet::evaluate`] and its distances;
 //! - **how late can this order be decided** ([`Fleet::latest_decision`]) —
-//!   the travel time of the *nearest* point, found by searching rings of
-//!   cells outward from the pickup's and shrinking the cover to the best
-//!   point found so far; a disc bound for the same budget skips the
-//!   travel time of every point that cannot raise it. The answer is
-//!   clamped to the window end, so the search stops at the first point
-//!   whose epoch reaches it (usually the first live driver of the
+//!   the travel time of the *nearest* driver still on shift when the order
+//!   publishes, found by searching rings of cells outward from the
+//!   pickup's and shrinking the cover to the best point found so far; a
+//!   disc bound for the same budget skips the travel time of every point
+//!   that cannot raise it. Retired drivers' shifts all ended before that,
+//!   so each cell is read up to its retired tail and no farther. The
+//!   answer is clamped to the window end, so the search stops at the first
+//!   point whose epoch reaches it (usually the first live driver of the
 //!   pickup's own cell), and is not run when the order publishes at the
-//!   window end. The table-less path folds every point, as the oracle.
+//!   window end. The table-less path folds every driver on shift, as the
+//!   oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,19 +77,14 @@ const GRID_ROWS: u16 = 16;
 /// Grid resolution of the pruning index.
 const GRID_COLS: u16 = 16;
 
-/// Tag bit marking a cell entry as a ghost (a compacted driver's frozen
-/// projected location, visible to [`Fleet::latest_decision`] but never to
-/// candidate generation). Real driver indices stay below this.
-const GHOST_BIT: u32 = 1 << 31;
-
 /// Later than every reachable deadline: the `available_at` of a retired
-/// driver — nothing else writes it, since a commit needs a candidacy and
-/// the availability pre-reject refuses hers — and the key of a ghost's
-/// cell entry.
+/// driver, and so the key of her cell entry. Nothing else writes it,
+/// since a commit needs a candidacy and the availability pre-reject
+/// refuses hers.
 const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
 
-/// What [`Fleet::compact`] renumbers a driver it drops without a ghost
-/// to. It carries [`GHOST_BIT`], so it is never a resident's index.
+/// What [`Fleet::compact`] renumbers a driver it drops to. A fleet never
+/// holds `u32::MAX` drivers, so it is never a resident's index.
 const GONE: u32 = u32::MAX;
 
 /// The engine's drivers: resident state, and the indexes derived from it.
@@ -117,22 +114,13 @@ pub(crate) struct Fleet {
     /// fails for every future task), and the scan's availability
     /// pre-reject skips her with the compare it uses for busy drivers.
     available_at: Vec<Timestamp>,
-    /// Frozen projected locations of *compacted* drivers. A compacted
-    /// driver is gone from candidate generation (her record and state are
-    /// freed), but `latest_decision` deliberately ignores feasibility, so
-    /// dropping her location would move early-flush epochs: decisions
-    /// would depend on when memory was reclaimed
-    /// (`StreamOptions::compact_threshold`). Ghosts keep exactly the data
-    /// `latest_decision` needs (one point) and nothing else. Instant-mode
-    /// compaction keeps none: `latest_decision` is never consulted there.
-    ghosts: Vec<GeoPoint>,
     /// Drivers ever announced.
     announced: usize,
     /// The id announced last; the next must exceed it.
     last_id: Option<DriverId>,
 
     // Indexes, each a function of the state above.
-    /// Optional spatial index over `locations` and `ghosts`.
+    /// Optional spatial index over `locations`.
     cells: Option<CellTable>,
     /// Min-heap of `(shift_end, index)` over the drivers the clock has not
     /// retired yet, for lazy lossless retirement.
@@ -142,9 +130,9 @@ pub(crate) struct Fleet {
 /// The fleet's spatial index: per grid cell, one `(available_at, index)`
 /// entry for every driver whose projected location falls in it, kept
 /// ascending by `available_at`. Live drivers come first; retired drivers
-/// and ghosts (index tagged [`GHOST_BIT`]) sit at [`NEVER`] in the tail —
-/// they stay in the table so `latest_decision` sees the same point set
-/// whether or not the clock has caught up with a driver.
+/// sit at [`NEVER`] in the tail until [`Fleet::compact`] drops them.
+/// Neither question reads the tail: a retired driver can serve nothing,
+/// and her shift ended before every order still to be decided published.
 ///
 /// A candidate scan walks a cell only up to the first entry free after
 /// the pickup deadline: every later entry would fail the availability
@@ -196,6 +184,13 @@ impl CellTable {
     fn cell(&self, cell: CellId) -> &[(Timestamp, u32)] {
         let (row, col) = (usize::from(cell.row()), usize::from(cell.col()));
         &self.cells[row * usize::from(self.grid.cols()) + col]
+    }
+
+    /// The entries of one cell ahead of its retired tail.
+    fn live(&self, cell: CellId) -> impl Iterator<Item = &(Timestamp, u32)> {
+        self.cell(cell)
+            .iter()
+            .take_while(|&&(free, _)| free < NEVER)
     }
 }
 
@@ -292,7 +287,6 @@ impl Fleet {
             drivers: Vec::new(),
             locations: Vec::new(),
             available_at: Vec::new(),
-            ghosts: Vec::new(),
             announced: 0,
             last_id: None,
             cells: bbox.map(|bbox| CellTable::new(bbox, speed)),
@@ -382,20 +376,17 @@ impl Fleet {
     /// order, and both indexes are renumbered in place. Returns how many
     /// drivers were removed.
     ///
-    /// With `keep_ghosts` each removed driver leaves a frozen location
-    /// behind for [`Fleet::latest_decision`], so compaction cannot move an
-    /// epoch (see the `ghosts` field docs). Without it the location
-    /// vanishes too; only lossless when `latest_decision` is never
-    /// consulted (instant-mode streaming).
+    /// Lossless under both questions: a removed driver's shift ended
+    /// before every order still to be decided published, so neither the
+    /// candidate scan nor [`Fleet::latest_decision`] counts her.
     ///
     /// The renumbering is monotone on the survivors, so every cell stays
     /// ascending and the heap stays a heap. A removed driver's cell entry,
-    /// at [`NEVER`] in its cell's tail, becomes her ghost's or goes; her
-    /// heap entry went when she was retired.
-    pub(crate) fn compact(&mut self, keep_ghosts: bool) -> usize {
+    /// at [`NEVER`] in its cell's tail, goes; her heap entry went when she
+    /// was retired.
+    pub(crate) fn compact(&mut self) -> usize {
         let before = self.drivers.len();
-        // Each index's new one: a survivor's position, a ghost's tagged
-        // id, or `GONE`.
+        // Each index's new one: a survivor's position, or `GONE`.
         let mut renumber = Vec::with_capacity(before);
         let mut kept = 0usize;
         for d in 0..before {
@@ -405,9 +396,6 @@ impl Fleet {
                 self.locations[kept] = self.locations[d];
                 self.available_at[kept] = self.available_at[d];
                 kept += 1;
-            } else if keep_ghosts {
-                renumber.push(GHOST_BIT | self.ghosts.len() as u32);
-                self.ghosts.push(self.locations[d]);
             } else {
                 renumber.push(GONE);
             }
@@ -419,10 +407,8 @@ impl Fleet {
         if let Some(table) = self.cells.as_mut() {
             for cell in &mut table.cells {
                 cell.retain_mut(|(_, id)| {
-                    if *id & GHOST_BIT == 0 {
-                        probe!(moved += u64::from(renumber[*id as usize] != *id));
-                        *id = renumber[*id as usize];
-                    }
+                    probe!(moved += u64::from(renumber[*id as usize] != *id));
+                    *id = renumber[*id as usize];
                     *id != GONE
                 });
             }
@@ -430,10 +416,7 @@ impl Fleet {
         let mut ends = std::mem::take(&mut self.shift_ends).into_vec();
         for Reverse((_, d)) in &mut ends {
             let new = renumber[*d];
-            debug_assert!(
-                new & GHOST_BIT == 0,
-                "driver {d} left with her shift end queued"
-            );
+            debug_assert!(new != GONE, "driver {d} left with her shift end queued");
             probe!(moved += u64::from(new as usize != *d));
             *d = new as usize;
         }
@@ -452,10 +435,8 @@ impl Fleet {
     fn rebuild_indexes(&mut self) {
         if let Some(table) = self.cells.as_mut() {
             table.cells.iter_mut().for_each(Vec::clear);
-            let ghosts = self.ghosts.iter().map(|at| (at, NEVER)).zip(GHOST_BIT..);
             let free = self.available_at.iter().copied();
-            let residents = self.locations.iter().zip(free).zip(0..);
-            for ((location, free), id) in ghosts.chain(residents) {
+            for ((location, free), id) in self.locations.iter().zip(free).zip(0..) {
                 table.cells[table.grid.slot_of(*location)].push((free, id));
             }
             table.cells.iter_mut().for_each(|cell| cell.sort_unstable());
@@ -475,20 +456,21 @@ impl Fleet {
         retired.map(|(r, _)| r.id).collect()
     }
 
-    /// `(longest per-resident-driver vector or index, ghosts)` — what the
-    /// bounded-memory tests measure against [`Fleet::resident`].
+    /// The longest per-driver vector or index — what the bounded-memory
+    /// tests measure against [`Fleet::resident`].
     #[cfg(test)]
-    pub(crate) fn footprint(&self) -> (usize, usize) {
-        let table = self.cells.iter().flat_map(|t| t.cells.iter().flatten());
-        let gridded = table.filter(|&&(_, id)| id & GHOST_BIT == 0).count();
+    pub(crate) fn footprint(&self) -> usize {
+        let gridded = self
+            .cells
+            .iter()
+            .map(|t| t.cells.iter().map(Vec::len).sum());
         let lens = [
             self.drivers.len(),
             self.locations.len(),
             self.available_at.len(),
             self.shift_ends.len(),
-            gridded,
         ];
-        (lens.into_iter().max().unwrap_or(0), self.ghosts.len())
+        lens.into_iter().chain(gridded).max().unwrap_or(0)
     }
 
     /// [`Fleet::candidates_into`] with a fresh vector — the convenient
@@ -532,9 +514,8 @@ impl Fleet {
                 let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
                 let radius = self.speed.reachable_km(budget);
                 let (rows, cols) = table.grid.cover(task.origin, radius);
-                // Entries at `NEVER` — retired drivers and ghosts, who
-                // carry no state to evaluate — are out of reach of every
-                // deadline, even one no guard bounded.
+                // Entries at `NEVER` — retired drivers — are out of reach
+                // of every deadline, even one no guard bounded.
                 let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
                 let mut reach = Reach {
                     task,
@@ -648,19 +629,22 @@ impl Fleet {
     /// window opens (drivers may still move before the epoch fires), but
     /// always causally valid: never before publication, never past `cap`.
     ///
-    /// Retired drivers are **not** skipped here: this bound deliberately
-    /// ignores feasibility, and skipping them would make an epoch depend
-    /// on when each driver was retired — on which held orders a flush saw,
-    /// and a shard sees only its own. For the same reason *compacted*
-    /// drivers still count through their frozen ghost locations.
+    /// Only drivers on shift at publication (`shift_end ≥ publish_time`)
+    /// count: one whose shift ended before can never serve the order. That
+    /// is a property of the pair, not of when a lane retired her, so every
+    /// lane computes the same epoch. Every retired driver fails it, since
+    /// [`Fleet::retire_before`]'s floor is at most every held order's
+    /// publication, so the grid path reads each cell's live prefix only,
+    /// and compaction cannot move an epoch.
     ///
     /// The grid path stops at the first point whose epoch reaches `cap`
     /// (the clamp settles the answer there), and reads no point at all
     /// when `publish_time` already reaches it. The linear path folds every
-    /// point: it is the oracle the grid path is tested against.
+    /// driver on shift: it is the oracle the grid path is tested against.
     pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
         let speed = self.speed;
         let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);
+        let on_shift = |d: usize| self.drivers[d].shift_end >= task.publish_time;
         let mut best = task.publish_time;
         probe!(probe::count(Count::Searches, 1));
         match &self.cells {
@@ -687,9 +671,13 @@ impl Fleet {
                     let before = best;
                     let cells = ring_cells(home, ring)
                         .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
-                    for &(_, id) in cells.flat_map(|cell| table.cell(cell)) {
+                    for &(_, d) in cells.flat_map(|cell| table.live(cell)) {
                         probe!(probe::count(Count::SearchEntries, 1));
-                        let point = self.point(id);
+                        let d = d as usize;
+                        if !on_shift(d) {
+                            continue;
+                        }
+                        let point = self.locations[d];
                         // Built at the first point, for the widest budget.
                         let disc =
                             bound.get_or_insert_with(|| DiscBound::new(task.origin, speed, left));
@@ -723,40 +711,32 @@ impl Fleet {
                 }
             }
             None => {
-                let points = self.locations.iter().chain(&self.ghosts);
-                best = points.map(|&loc| latest(loc)).fold(best, Timestamp::max);
+                let on = (0..self.drivers.len()).filter(|&d| on_shift(d));
+                best = on
+                    .map(|d| latest(self.locations[d]))
+                    .fold(best, Timestamp::max);
             }
         }
         best.min(cap)
     }
 
-    /// The point a cell entry stands for: a resident driver's projected
-    /// location, or a ghost's frozen one.
-    fn point(&self, id: u32) -> GeoPoint {
-        match id & GHOST_BIT {
-            0 => self.locations[id as usize],
-            _ => self.ghosts[(id & !GHOST_BIT) as usize],
-        }
-    }
-
-    /// A resident driver who could still *interact* with `task`: reach its
-    /// pickup within the publish→deadline lead (the loosest feasibility
-    /// radius — she departs no earlier than publication), which is also
-    /// exactly the radius inside which she could raise the task's
-    /// early-flush epoch above its `publish_time` floor. `None` proves the
-    /// task is independent of every driver this fleet holds — the
-    /// region-sharding proof obligation (`shard.rs`), the streaming mirror
-    /// of `disjoint_components`. Scans every resident driver, retired
-    /// included (they still count for `latest_decision`); compacted ghosts
-    /// report the sentinel `DriverId(u32::MAX)`.
+    /// A driver on shift at `task`'s publication who could still
+    /// *interact* with it: reach its pickup within the publish→deadline
+    /// lead (the loosest feasibility radius — she departs no earlier than
+    /// publication), which is also exactly the radius inside which she
+    /// could raise the task's early-flush epoch above its `publish_time`
+    /// floor. `None` proves the task is independent of every driver this
+    /// fleet holds — the region-sharding proof obligation (`shard.rs`),
+    /// the streaming mirror of `disjoint_components`. A driver whose shift
+    /// ended before publication counts for neither, so compacting her
+    /// loses no evidence.
     pub(crate) fn interaction_with(&self, task: &Task) -> Option<DriverId> {
         let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
-        let near = |&loc: &GeoPoint| self.speed.travel_time(loc, task.origin) <= budget;
-        if let Some(d) = self.locations.iter().position(near) {
-            return Some(self.drivers[d].id);
-        }
-        let ghost = self.ghosts.iter().any(near);
-        ghost.then(|| DriverId::new(u32::MAX))
+        let fleet = self.drivers.iter().zip(&self.locations);
+        fleet
+            .filter(|(driver, _)| driver.shift_end >= task.publish_time)
+            .find(|&(_, &loc)| self.speed.travel_time(loc, task.origin) <= budget)
+            .map(|(driver, _)| driver.id)
     }
 
     /// Commits a dispatch: projects driver `d` onto the task's destination,
@@ -812,15 +792,16 @@ mod tests {
     fn grid_pruning_is_lossless_at_any_decision_time() {
         // Both questions, index ≡ scan, asked of a fleet that churns the
         // way a stream's does — drivers announced late, committed, retired
-        // by the clock, compacted with and without ghosts — over a box
-        // that holds every point and over one most points fall outside of.
+        // by a clock that lags the orders (so some shifts have ended
+        // unretired), compacted — over a box that holds every point and
+        // over one most points fall outside of.
         let m = market(71, 240, 40);
         let full = market_bbox(&m);
         let (lat, lon) = (full.center().lat(), full.center().lon());
         let inner = BoundingBox::new(lat - 0.02, lat + 0.02, lon - 0.03, lon + 0.03);
         // Epochs that reached their cap, and epochs that fell short of it.
         let (mut capped, mut short) = (0usize, 0usize);
-        for (bbox, keep_ghosts) in [(full, true), (inner, false), (inner, true)] {
+        for bbox in [full, inner] {
             let mut linear = Fleet::new(m.speed(), None);
             let mut grid = Fleet::new(m.speed(), Some(bbox));
             let mut late = m.drivers().iter();
@@ -831,9 +812,11 @@ mod tests {
                 let joining = (step % 2 == 0).then(|| late.next()).flatten();
                 for fleet in [&mut linear, &mut grid] {
                     joining.into_iter().for_each(|d| fleet.announce(*d));
-                    fleet.retire_before(publish);
+                    if step % 3 == 0 {
+                        fleet.retire_before(publish);
+                    }
                     if step % 25 == 0 {
-                        compacted += fleet.compact(keep_ghosts);
+                        compacted += fleet.compact();
                     }
                 }
                 for delay_mins in [0i64, 2, 10, 45] {
@@ -864,10 +847,6 @@ mod tests {
             }
             assert_eq!(linear.announced(), m.num_drivers());
             assert!(compacted > 0, "fleet never churned");
-            assert_eq!(
-                grid.ghosts.len() * 2,
-                if keep_ghosts { compacted } else { 0 }
-            );
         }
         assert!(capped > 0 && short > 0, "{capped} capped, {short} short");
 
@@ -995,22 +974,22 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_latest_decision_only_through_ghosts() {
-        // The subtle case the module docs warn about: a *retired* driver
-        // can still determine a later task's early-flush epoch, because
-        // `latest_decision` deliberately ignores feasibility. Compacting
-        // her with a ghost preserves the epoch bit-for-bit; dropping her
-        // outright moves it — which is why batched-mode compaction must
-        // keep ghosts (and instant mode, which never consults
-        // `latest_decision`, may drop them).
+    fn compaction_cannot_move_an_epoch() {
+        // A driver whose shift ended before an order published can never
+        // serve it, so she does not count for its early-flush epoch, near
+        // as she is: not before the clock retires her, not once it has,
+        // and not once compaction has freed her. So no retirement or
+        // compaction schedule can move an epoch. One second more shift and
+        // she sets it.
         let speed = SpeedModel::urban();
         let origin = GeoPoint::new(41.15, -8.61);
+        let task = order_at(origin);
         let near_expired = Driver {
             id: DriverId::new(0),
             source: origin.offset_km(0.3, 0.0), // ~1 min from the pickup
             destination: origin,
             shift_start: Timestamp::EPOCH,
-            shift_end: Timestamp::from_hours(1), // long gone by publish
+            shift_end: task.publish_time - TimeDelta::from_secs(1),
             model: DriverModel::Hitchhiking,
         };
         let far_live = Driver {
@@ -1021,54 +1000,50 @@ mod tests {
             shift_end: Timestamp::from_hours(24),
             model: DriverModel::HomeWorkHome,
         };
-        let task = order_at(origin);
         let cap = task.pickup_deadline;
+        let epoch = |d: &Driver| cap - speed.travel_time(d.source, origin);
+        assert!(task.publish_time < epoch(&far_live) && epoch(&far_live) < epoch(&near_expired));
 
-        for use_grid in [false, true] {
-            let bbox = use_grid.then(|| BoundingBox::new(41.0, 41.3, -8.8, -8.3));
-            let mut reference = Fleet::new(speed, bbox);
-            reference.announce(near_expired);
-            reference.announce(far_live);
-            let baseline = reference.latest_decision(&task, cap);
-            // The near (but long-expired) driver determines the epoch.
-            assert!(
-                baseline > task.pickup_deadline - TimeDelta::from_mins(5),
-                "baseline epoch {baseline} not driven by the near driver"
-            );
-
-            let compacted = |keep_ghosts: bool| {
-                let mut fleet = reference.clone();
-                assert_eq!(fleet.retire_before(task.publish_time), 1);
-                assert!(!fleet.retire(0), "second retirement must not re-count");
-                assert_eq!(fleet.retired(), [near_expired.id]);
-                assert_eq!(fleet.compact(keep_ghosts), 1);
-                assert_eq!(fleet.drivers, [far_live], "the survivor is renumbered 0");
-                assert_eq!(fleet.retired(), []);
+        for bbox in [None, Some(BoundingBox::new(41.0, 41.3, -8.8, -8.3))] {
+            let ctx = format!("grid: {}", bbox.is_some());
+            let fleet_of = |drivers: &[Driver]| {
+                let mut fleet = Fleet::new(speed, bbox);
+                drivers.iter().for_each(|d| fleet.announce(*d));
                 fleet
             };
-
-            let ghosted = compacted(true);
-            assert_eq!(ghosted.ghosts.len(), 1);
+            let on_shift = Driver {
+                shift_end: task.publish_time,
+                ..near_expired
+            };
+            let fleet = fleet_of(&[on_shift, far_live]);
             assert_eq!(
-                ghosted.latest_decision(&task, cap),
-                baseline,
-                "ghost must preserve the epoch (grid={use_grid})"
+                fleet.latest_decision(&task, cap),
+                epoch(&near_expired),
+                "{ctx}"
             );
 
-            let dropped = compacted(false);
-            assert_eq!(dropped.ghosts.len(), 0);
-            assert_ne!(
-                dropped.latest_decision(&task, cap),
-                baseline,
-                "dropping the location should move the epoch (grid={use_grid})"
-            );
-
-            // Candidate generation is identical either way: ghosts are
-            // invisible to it, and the surviving driver was renumbered the
-            // same. (The live far driver is the only candidate.)
+            let mut fleet = fleet_of(&[near_expired, far_live]);
+            let baseline = epoch(&far_live);
             assert_eq!(
-                ghosted.candidates_at(&task, task.publish_time),
-                dropped.candidates_at(&task, task.publish_time),
+                fleet.latest_decision(&task, cap),
+                baseline,
+                "unretired, {ctx}"
+            );
+            assert_eq!(fleet.retire_before(task.publish_time), 1);
+            assert!(!fleet.retire(0), "second retirement must not re-count");
+            assert_eq!(fleet.retired(), [near_expired.id]);
+            assert_eq!(
+                fleet.latest_decision(&task, cap),
+                baseline,
+                "retired, {ctx}"
+            );
+            assert_eq!(fleet.compact(), 1);
+            assert_eq!(fleet.drivers, [far_live], "the survivor is renumbered 0");
+            assert_eq!(fleet.retired(), []);
+            assert_eq!(
+                fleet.latest_decision(&task, cap),
+                baseline,
+                "compacted, {ctx}"
             );
         }
     }
@@ -1077,7 +1052,7 @@ mod tests {
     fn the_early_flush_search_stops_at_the_first_epoch_that_reaches_the_cap() {
         // The epoch is clamped to the window end (`cap`), so the grid
         // search may stop at the first point whose epoch reaches it. A
-        // tripwire — a cell entry naming a ghost that does not exist, so
+        // tripwire — a cell entry naming a driver that does not exist, so
         // a search that reads it panics — shows where it stopped, and
         // every answer equals the table-less fleet's fold.
         let speed = SpeedModel::urban();
@@ -1120,11 +1095,11 @@ mod tests {
 
         // The pickup's own cell falls short of the cap; the next cell's
         // driver reaches it, or meets it exactly, and the search stops
-        // there, before the tripwire behind her.
+        // there, before the tripwire free an hour after her.
         let cap = task.pickup_deadline - TimeDelta::from_mins(1);
         assert!(epoch(&far_side) < cap && cap < epoch(&across));
         let [linear, mut grid] = fleets(&[far_side, across]);
-        trip_wire(&mut grid, across.source, NEVER);
+        trip_wire(&mut grid, across.source, Timestamp::from_hours(7));
         for cap in [cap, epoch(&across)] {
             assert_eq!(linear.latest_decision(&task, cap), cap);
             assert_eq!(grid.latest_decision(&task, cap), cap);
@@ -1148,27 +1123,32 @@ mod tests {
             assert_eq!(grid.latest_decision(&task, publish), publish);
         }
 
-        // The point that reaches the cap is a ghost.
+        // The driver across the edge, but off shift since before the
+        // order published: she does not count, so the pickup's own cell
+        // settles the epoch. Unretired, her entry is read and fails the
+        // shift compare; retired, it sits in her cell's tail, which is
+        // never read: the tripwire behind it stays untouched.
         let gone = Driver {
             shift_end: task.publish_time - TimeDelta::from_hours(1),
             ..across
         };
         let [mut linear, mut grid] = fleets(&[far_side, gone]);
+        assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
+        assert_eq!(grid.latest_decision(&task, cap), epoch(&far_side));
         for fleet in [&mut linear, &mut grid] {
             assert_eq!(fleet.retire_before(task.publish_time), 1);
-            assert_eq!(fleet.compact(true), 1);
         }
-        assert_eq!(grid.ghosts, [across.source]);
         trip_wire(&mut grid, across.source, NEVER);
-        assert_eq!(linear.latest_decision(&task, cap), cap);
-        assert_eq!(grid.latest_decision(&task, cap), cap);
+        assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
+        assert_eq!(grid.latest_decision(&task, cap), epoch(&far_side));
     }
 
     #[test]
     fn expiring_a_dead_driver_changes_nothing() {
         // Retire every driver whose shift ended before some cutoff; any
         // task decided after the cutoff sees identical candidates, and
-        // `latest_decision` (which ignores feasibility) is untouched too.
+        // `latest_decision` (which counts only drivers on shift) is
+        // untouched too.
         let m = market(76, 50, 20);
         let plain = Fleet::for_market(&m, false);
         let mut expired = Fleet::for_market(&m, false);
@@ -1216,18 +1196,14 @@ mod tests {
     }
 
     /// The cell table recomputed from the state vectors by brute force —
-    /// no index is consulted: every driver and ghost is entered once, in
-    /// the cell of her location, a driver under her current `available_at`
-    /// (so a retired one at `NEVER`) and a ghost at `NEVER`; and every
-    /// cell is ascending as it stands.
+    /// no index is consulted: every driver is entered once, in the cell of
+    /// her location, under her current `available_at` (so a retired one at
+    /// `NEVER`); and every cell is ascending as it stands.
     fn assert_grid_is_exact(fleet: &Fleet) {
         let table = fleet.cells.as_ref().expect("gridded fleet");
         let mut members = vec![Vec::new(); table.grid.slot_count()];
         for (d, (&loc, &free)) in fleet.locations.iter().zip(&fleet.available_at).enumerate() {
             members[table.grid.slot_of(loc)].push((free, d as u32));
-        }
-        for (k, &loc) in fleet.ghosts.iter().enumerate() {
-            members[table.grid.slot_of(loc)].push((NEVER, GHOST_BIT | k as u32));
         }
         members.iter_mut().for_each(|cell| cell.sort_unstable());
         assert_eq!(indexes(fleet).0, members);
@@ -1243,22 +1219,21 @@ mod tests {
     fn compaction_leaves_the_indexes_of_a_fleet_built_from_the_survivors() {
         // What a restore will lean on: the indexes are a function of the
         // state. Churn a fleet — announcements trickling in, commits,
-        // clock retirement — compacting at every cadence, with and without
-        // ghosts; after each compaction the cell table (up to the order of
+        // clock retirement — compacting at every cadence; after each
+        // compaction the cell table (up to the order of
         // entries free at the same instant) and the heap's pop order equal
         // those of a fresh fleet handed the surviving state, and so do the
         // answers to both questions for the orders still to come; between
         // compactions the incrementally maintained table stays exact.
         let m = market(77, 240, 40);
         let order = publish_order(&m);
-        let cases = [1, 7, 60].into_iter().flat_map(|c| [(c, true), (c, false)]);
-        for (cadence, keep_ghosts) in cases {
+        for cadence in [1, 7, 60] {
             let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
             let mut late = m.drivers().iter();
             for d in late.by_ref().take(20) {
                 fleet.announce(*d);
             }
-            let (mut compactions, mut removed) = (0usize, 0usize);
+            let mut compactions = 0usize;
             for (step, &t) in order.iter().enumerate() {
                 let task = &m.tasks()[t];
                 if step % 3 == 0 {
@@ -1273,10 +1248,8 @@ mod tests {
                     continue;
                 }
                 let retired = fleet.retired().len();
-                assert_eq!(fleet.compact(keep_ghosts), retired);
+                assert_eq!(fleet.compact(), retired);
                 compactions += usize::from(retired > 0);
-                removed += retired;
-                assert_eq!(fleet.ghosts.len(), if keep_ghosts { removed } else { 0 });
                 assert_grid_is_exact(&fleet);
 
                 let bbox = fleet.cells.as_ref().map(|t| t.grid.bounding_box());
@@ -1284,7 +1257,6 @@ mod tests {
                 fresh.drivers.clone_from(&fleet.drivers);
                 fresh.locations.clone_from(&fleet.locations);
                 fresh.available_at.clone_from(&fleet.available_at);
-                fresh.ghosts.clone_from(&fleet.ghosts);
                 fresh.rebuild_indexes();
                 assert_eq!(indexes(&fleet), indexes(&fresh), "step {step}");
                 for &next in &order[step..order.len().min(step + 6)] {

@@ -28,12 +28,13 @@
 //! The decomposition is lossless **iff the partition is legal**: no driver
 //! of one shard may ever *interact* with a task of another. "Interact"
 //! means more than "be a feasible candidate" — batched dispatch's
-//! early-flush epoch (`latest_decision`) deliberately ignores feasibility
-//! and is raised by any driver within a task's publish→deadline lead
-//! radius, expired or not. Both effects share one geometric bound, so a
-//! single condition covers them: *every foreign driver stays farther (in
-//! travel time from her current projected position) than the task's full
-//! publish→deadline lead at every decision epoch.* This is exactly the
+//! early-flush epoch (`latest_decision`) is raised by any driver on shift
+//! at the task's publication within its publish→deadline lead radius,
+//! feasible or not. Both effects share one geometric bound, so a single
+//! condition covers them: *every foreign driver still on shift at a task's
+//! publication stays farther (in travel time from her current projected
+//! position) than the task's full publish→deadline lead at every decision
+//! epoch.* This is exactly the
 //! condition the region-tagged traces (`TraceConfig::with_regions`)
 //! guarantee by construction, and the condition the **debug-mode
 //! validator** ([`ShardOptions::validate`]) re-checks per task and per
@@ -600,9 +601,10 @@ trait Lanes {
 /// The validating lane: every shard lives on the caller's thread, so the
 /// partition proof obligation can be checked against live foreign driver
 /// state — before every routed task, and for every still-pending task
-/// before every close and before the finish. Compaction is off so no
-/// interaction evidence is garbage-collected mid-check (results are
-/// unchanged either way — compaction is lossless).
+/// before every close and before the finish. Compaction runs as it does
+/// in the threaded lane: it frees only drivers whose shifts ended before
+/// every task still to be checked published, and those interact with
+/// none of them.
 struct InlineLanes {
     shards: Vec<Shard>,
 }
@@ -883,10 +885,9 @@ where
     let shards = options.shards;
     let mut merger = Merger::new(shards, sink);
     let summaries = if options.validate {
-        let stream = options.stream.no_compaction();
         let lanes = InlineLanes {
             shards: (0..shards)
-                .map(|_| Shard::new(speed, stream, spec))
+                .map(|_| Shard::new(speed, options.stream, spec))
                 .collect(),
         };
         route(

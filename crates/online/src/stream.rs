@@ -9,9 +9,8 @@
 //! Everything per driver — state, and the indexes derived from it — lives
 //! in the one `Fleet` of `candidates.rs`; the engine itself holds the
 //! orders, the hold, the clock and the counters. Resident state is
-//! `O(active tasks + live fleet)` — plus, under batching, one frozen
-//! point per compacted driver — never `O(trace)`; results leave through a
-//! [`StreamSink`] as they are decided. Building a
+//! `O(active tasks + live fleet)` under every policy, never `O(trace)`;
+//! results leave through a [`StreamSink`] as they are decided. Building a
 //! [`Market`] is `O(trace)` memory (its `O(M²)` offline chain arcs are
 //! built on first read, and online dispatch never reads them), so
 //! million-order days are fed lazily; a market that *is* materialized is
@@ -187,9 +186,10 @@ pub struct StreamOptions {
     /// many are flagged (checked at each flush). Without compaction,
     /// resident state is `O(all drivers ever announced)` — fatal for
     /// week-long streams with fleet churn; with it, provably-irrelevant
-    /// drivers are freed losslessly (batched mode keeps a frozen location
-    /// "ghost" per driver for `latest_decision` parity — the subtle case
-    /// `candidates.rs` documents). `usize::MAX` disables compaction.
+    /// drivers are freed losslessly under every policy: a freed driver's
+    /// shift ended before every order still to be decided published, so
+    /// neither a candidate scan nor an early-flush epoch counts her.
+    /// `usize::MAX` disables compaction.
     ///
     /// `0` is equivalent to `1` ("compact as soon as any driver expires"):
     /// compaction can fire no more eagerly than that, so the engine clamps
@@ -596,12 +596,9 @@ impl StreamEngine {
         probe!(probe::lap(Stage::Sink));
         // Retired-but-resident drivers, without an O(residents) scan
         // (retirements counted less removals) — flush runs once per
-        // publish group, so this is hot-path arithmetic. Batched mode
-        // keeps a ghost per removed driver so `latest_decision` epochs do
-        // not move when she is freed; instant mode never consults it.
+        // publish group, so this is hot-path arithmetic.
         if self.expired_total - self.compacted >= self.compact_threshold {
-            let keep_ghosts = matches!(policy, StreamPolicy::Batched { .. });
-            self.compacted += self.fleet.compact(keep_ghosts);
+            self.compacted += self.fleet.compact();
             probe!(probe::lap(Stage::Compact));
         }
     }
@@ -1095,10 +1092,12 @@ mod tests {
 
     #[test]
     fn aggressive_compaction_changes_nothing_batched() {
-        // Batched mode: ghosts must keep every early-flush epoch (computed
-        // by `latest_decision` over *all* drivers, expired included) equal
-        // to the materialized front-end's — the parity the candidate
-        // engine's ghost test isolates, exercised here end-to-end.
+        // Batched mode: an early-flush epoch counts only drivers on shift
+        // at the order's publication, and compaction frees only drivers
+        // whose shift ended before, so compacting at every expiry keeps
+        // every epoch equal to the materialized front-end's — the rule
+        // the fleet's `compaction_cannot_move_an_epoch` isolates,
+        // exercised here end-to-end.
         let m = market(90, 200, 30);
         for mins in [2i64, 10] {
             let window = TimeDelta::from_mins(mins);
@@ -1157,22 +1156,20 @@ mod tests {
         events
     }
 
-    /// Runs `f` under instant max-margin dispatch, then (`true`) under
-    /// `batch-3m`.
-    fn under_both_policies(mut f: impl FnMut(bool, &mut StreamPolicy<'_>)) {
-        f(false, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    /// Runs `f` under instant max-margin dispatch, then under `batch-3m`.
+    fn under_both_policies(mut f: impl FnMut(&mut StreamPolicy<'_>)) {
+        f(&mut StreamPolicy::Instant(&mut MaxMargin::new()));
         let (window, matcher) = (TimeDelta::from_mins(3), &mut GreedyPairMatcher);
-        f(true, &mut StreamPolicy::Batched { window, matcher });
+        f(&mut StreamPolicy::Batched { window, matcher });
     }
 
     #[test]
     fn per_driver_memory_is_bounded_by_the_resident_fleet() {
         // After a churned stream no per-driver vector or index the engine
-        // owns is longer than the resident fleet; batched mode's ghosts
-        // (one point per compacted driver) are counted apart.
+        // owns is longer than the resident fleet, batched or not.
         let m = market(97, 240, 30);
         let events = shift_ordered_events(&m);
-        under_both_policies(|batched, policy| {
+        under_both_policies(|policy| {
             let mut sink = CollectingSink::new();
             let options = StreamOptions::default()
                 .compaction(1)
@@ -1184,8 +1181,7 @@ mod tests {
             assert!(engine.compacted > 0, "nothing was freed");
             let resident = engine.driver_count() - engine.compacted;
             assert_eq!(engine.resident_drivers(), resident);
-            let ghosts = if batched { engine.compacted } else { 0 };
-            assert_eq!(engine.fleet.footprint(), (resident, ghosts));
+            assert_eq!(engine.fleet.footprint(), resident);
         });
     }
 

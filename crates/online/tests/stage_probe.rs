@@ -136,7 +136,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         batched.counts(),
-        [3000, 36107, 10765, 1396, 1390, 3000, 5497, 35, 9338]
+        [3000, 36759, 10849, 1401, 1395, 3000, 5234, 35, 9338]
     );
     assert_eq!(batched.laps(Stage::EarlyFlush), sink.windows);
     assert_eq!(batched.laps(Stage::Commit), sink.served);

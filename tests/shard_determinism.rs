@@ -16,7 +16,8 @@
 //!   [`StreamMetrics`] against whole-stream metrics,
 //! - `StreamMetrics::merge` associativity/commutativity (proptest) plus a
 //!   tiny-catalog pin (regression, not just a property),
-//! - compaction-is-invisible oracles at aggressive thresholds,
+//! - compaction-is-invisible oracles at aggressive thresholds, the
+//!   validating lane's included,
 //! - a `#[should_panic]` proving the validator rejects an *illegal*
 //!   partition (one dense city cut in two at a meridian),
 //! - an `#[ignore]`d million-task acceptance run:
@@ -96,8 +97,7 @@ fn sharded(
     market: &Market,
     spec: ShardPolicySpec,
     partitioner: &dyn RegionPartitioner,
-    shards: usize,
-    validate: bool,
+    options: ShardOptions,
 ) -> (SimulationResult, StreamSummary) {
     let mut sink = CollectingSink::new();
     let summary = replay_sharded(
@@ -105,7 +105,7 @@ fn sharded(
         market_events(market),
         spec,
         partitioner,
-        ShardOptions::new(shards).validate(validate),
+        options,
         &mut sink,
     );
     (sink.into_result(), summary)
@@ -170,7 +170,8 @@ fn porto_regions_scenario_is_shard_invariant() {
         let expected = sequential(&market, spec);
         for shards in [1usize, 2, 4] {
             for validate in [false, true] {
-                let (got, summary) = sharded(&market, spec, &partitioner, shards, validate);
+                let options = ShardOptions::new(shards).validate(validate);
+                let (got, summary) = sharded(&market, spec, &partitioner, options);
                 assert_byte_identical(
                     &got,
                     &expected,
@@ -341,6 +342,33 @@ fn catalog_compaction_oracle() {
     }
 }
 
+/// The validating lane compacts like the threaded one: at threshold 1
+/// under `batch-3m`, every shard frees each driver as soon as her shift
+/// has ended, and the partition check still passes and the result still
+/// equals the sequential run. A freed driver's shift ended before every
+/// order still to be checked published, so she interacts with none.
+#[test]
+fn validating_lane_compacts_without_losing_interaction_evidence() {
+    let scenario = Scenario::by_name("porto-regions").expect("catalog scenario");
+    let config = scenario.trace_config().expect("trace-backed").clone();
+    let market = scenario.build_market();
+    let partitioner = BoxPartitioner::new(config.region_boxes());
+    let spec = ShardPolicySpec::Batched {
+        window: TimeDelta::from_mins(3),
+        matcher: MatcherKind::Greedy,
+    };
+    let expected = sequential(&market, spec);
+    for shards in [2usize, 4] {
+        let options = ShardOptions::new(shards)
+            .stream(StreamOptions::default().compaction(1))
+            .validate(true);
+        let (got, summary) = sharded(&market, spec, &partitioner, options);
+        let ctx = format!("porto-regions × batch-3m × {shards} shards, compaction(1)");
+        assert!(summary.compacted_drivers > 0, "{ctx}: nothing was freed");
+        assert_byte_identical(&got, &expected, true, market.num_drivers(), &ctx);
+    }
+}
+
 /// An illegal partition: one dense city cut in two at a meridian.
 struct Meridian(f64);
 
@@ -394,7 +422,8 @@ proptest! {
             let expected = sequential(&market, spec);
             for shards in [1usize, 2, 4] {
                 // Parallel workers…
-                let (got, summary) = sharded(&market, spec, &partitioner, shards, false);
+                let options = ShardOptions::new(shards).validate(false);
+                let (got, summary) = sharded(&market, spec, &partitioner, options);
                 assert_byte_identical(
                     &got, &expected, canonical, market.num_drivers(),
                     &format!("seed {seed} × {} × {shards} shards", policy_label(spec)),
@@ -403,7 +432,8 @@ proptest! {
             }
             // …and the inline validating lane (also proves the random
             // partition really is legal).
-            let (got, _) = sharded(&market, spec, &partitioner, 2, true);
+            let options = ShardOptions::new(2).validate(true);
+            let (got, _) = sharded(&market, spec, &partitioner, options);
             assert_byte_identical(
                 &got, &expected, canonical, market.num_drivers(),
                 &format!("seed {seed} × {} × validator", policy_label(spec)),
