@@ -22,6 +22,13 @@
 //!   both in place to the state that survives; the tests' rebuild from
 //!   the state alone is the oracle it is pinned against.
 //!
+//! When to compact is the fleet's own call, not a setting:
+//! [`Fleet::retire_before`] compacts as soon as at least as many resident
+//! drivers are retired as live. Each `O(resident)` pass then follows at
+//! least `resident / 2` retirements, so it costs `O(1)` per retirement at
+//! every fleet size, and resident state stays at most twice the live
+//! fleet.
+//!
 //! It does **not** hold a `&Market`: tasks are passed in by the caller —
 //! a stream never materialises a market, and its driver set grows as
 //! shifts are announced.
@@ -69,7 +76,7 @@ use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
 #[cfg(feature = "stage-probe")]
-use crate::probe::{self, Count};
+use crate::probe::{self, Count, Stage};
 use crate::stream::next_announced;
 
 /// Grid resolution of the pruning index.
@@ -114,8 +121,10 @@ pub(crate) struct Fleet {
     /// fails for every future task), and the scan's availability
     /// pre-reject skips her with the compare it uses for busy drivers.
     available_at: Vec<Timestamp>,
-    /// Drivers ever announced.
-    announced: usize,
+    /// Resident drivers the clock has retired.
+    retired: usize,
+    /// Drivers compaction has freed, over the fleet's life.
+    compacted: usize,
     /// The id announced last; the next must exceed it.
     last_id: Option<DriverId>,
 
@@ -287,7 +296,8 @@ impl Fleet {
             drivers: Vec::new(),
             locations: Vec::new(),
             available_at: Vec::new(),
-            announced: 0,
+            retired: 0,
+            compacted: 0,
             last_id: None,
             cells: bbox.map(|bbox| CellTable::new(bbox, speed)),
             shift_ends: BinaryHeap::new(),
@@ -307,12 +317,17 @@ impl Fleet {
 
     /// Drivers announced so far.
     pub(crate) fn announced(&self) -> usize {
-        self.announced
+        self.drivers.len() + self.compacted
     }
 
     /// Drivers currently resident (announced minus compacted).
     pub(crate) fn resident(&self) -> usize {
         self.drivers.len()
+    }
+
+    /// Drivers compaction has freed so far.
+    pub(crate) fn compacted(&self) -> usize {
+        self.compacted
     }
 
     /// Registers one more driver (streaming `DriverOnline`) at her source,
@@ -326,7 +341,6 @@ impl Fleet {
         self.drivers.push(driver);
         self.locations.push(driver.source);
         self.available_at.push(driver.shift_start);
-        self.announced += 1;
         let d = self.drivers.len() - 1;
         if let Some(table) = self.cells.as_mut() {
             table.insert(driver.source, driver.shift_start, d as u32);
@@ -335,16 +349,15 @@ impl Fleet {
             .push(Reverse((driver.shift_end.as_secs(), d)));
     }
 
-    /// Retires driver `d`; `true` if she was not retired already (callers
-    /// keep cumulative counts across compactions). Only sound once the
-    /// decision clock has provably passed her shift end — then every
-    /// future candidacy would fail the return-home check anyway, so this
-    /// is pure work-skipping and results stay byte-identical.
-    /// [`Fleet::retire_before`] pops her shift end first, which
-    /// [`Fleet::compact`] relies on.
-    fn retire(&mut self, d: usize) -> bool {
+    /// Retires driver `d` and counts her, unless she is retired already.
+    /// Only sound once the decision clock has provably passed her shift
+    /// end — then every future candidacy would fail the return-home check
+    /// anyway, so this is pure work-skipping and results stay
+    /// byte-identical. [`Fleet::retire_before`] pops her shift end first,
+    /// which [`Fleet::compact`] relies on.
+    fn retire(&mut self, d: usize) {
         if self.available_at[d] == NEVER {
-            return false;
+            return;
         }
         let free = std::mem::replace(&mut self.available_at[d], NEVER);
         if let Some(table) = self.cells.as_mut() {
@@ -352,29 +365,31 @@ impl Fleet {
             table.remove(self.locations[d], free, d as u32);
             table.insert(self.locations[d], NEVER, d as u32);
         }
-        true
+        self.retired += 1;
     }
 
     /// Retires every driver whose shift ended before `floor`, the earliest
     /// instant any held or future order can publish at: she fails the
-    /// return-home check for everything from here on. Returns how many
-    /// were newly retired.
-    pub(crate) fn retire_before(&mut self, floor: Timestamp) -> usize {
-        let mut newly = 0;
+    /// return-home check for everything from here on. Then compacts once
+    /// the retired residents are at least as many as the live ones.
+    pub(crate) fn retire_before(&mut self, floor: Timestamp) {
         while let Some(&Reverse((end, d))) = self.shift_ends.peek() {
             if Timestamp::from_secs(end) >= floor {
                 break;
             }
             self.shift_ends.pop();
-            newly += usize::from(self.retire(d));
+            self.retire(d);
         }
-        newly
+        if self.retired > 0 && self.retired >= self.drivers.len() - self.retired {
+            self.compact();
+        }
     }
 
     /// Garbage-collects every retired driver: her record and state leave
     /// the vectors, the survivors are renumbered compactly in announce
     /// order, and both indexes are renumbered in place. Returns how many
-    /// drivers were removed.
+    /// drivers were removed. [`Fleet::retire_before`] is its one caller
+    /// outside the tests.
     ///
     /// Lossless under both questions: a removed driver's shift ended
     /// before every order still to be decided published, so neither the
@@ -385,6 +400,7 @@ impl Fleet {
     /// at [`NEVER`] in its cell's tail, goes; her heap entry went when she
     /// was retired.
     pub(crate) fn compact(&mut self) -> usize {
+        probe!(probe::start());
         let before = self.drivers.len();
         // Each index's new one: a survivor's position, or `GONE`.
         let mut renumber = Vec::with_capacity(before);
@@ -403,6 +419,9 @@ impl Fleet {
         self.drivers.truncate(kept);
         self.locations.truncate(kept);
         self.available_at.truncate(kept);
+        debug_assert_eq!(before - kept, self.retired);
+        self.compacted += self.retired;
+        self.retired = 0;
         probe!(let mut moved = 0;);
         if let Some(table) = self.cells.as_mut() {
             for cell in &mut table.cells {
@@ -424,6 +443,7 @@ impl Fleet {
         self.shift_ends = BinaryHeap::from(ends);
         probe!(probe::count(Count::Compactions, 1));
         probe!(probe::count(Count::CompactedEntries, moved));
+        probe!(probe::lap(Stage::Compact));
         before - kept
     }
 
@@ -443,14 +463,15 @@ impl Fleet {
         }
         let ends = self.drivers.iter().enumerate();
         self.shift_ends = ends
+            .filter(|&(d, _)| self.available_at[d] != NEVER)
             .map(|(d, r)| Reverse((r.shift_end.as_secs(), d)))
             .collect();
     }
 
     /// Announced ids of the resident drivers currently retired (the scan
-    /// the engine's arithmetic stands in for — the tests' ground truth).
+    /// the `retired` count stands in for — the tests' ground truth).
     #[cfg(test)]
-    pub(crate) fn retired(&self) -> Vec<DriverId> {
+    fn retired_ids(&self) -> Vec<DriverId> {
         let states = self.drivers.iter().zip(&self.available_at);
         let retired = states.filter(|(_, &free)| free == NEVER);
         retired.map(|(r, _)| r.id).collect()
@@ -805,7 +826,6 @@ mod tests {
             let mut linear = Fleet::new(m.speed(), None);
             let mut grid = Fleet::new(m.speed(), Some(bbox));
             let mut late = m.drivers().iter();
-            let mut compacted = 0;
             for (step, &t) in publish_order(&m).iter().enumerate() {
                 let task = &m.tasks()[t];
                 let publish = task.publish_time;
@@ -816,7 +836,7 @@ mod tests {
                         fleet.retire_before(publish);
                     }
                     if step % 25 == 0 {
-                        compacted += fleet.compact();
+                        fleet.compact();
                     }
                 }
                 for delay_mins in [0i64, 2, 10, 45] {
@@ -846,7 +866,7 @@ mod tests {
                 }
             }
             assert_eq!(linear.announced(), m.num_drivers());
-            assert!(compacted > 0, "fleet never churned");
+            assert!(grid.compacted() > 0, "fleet never churned");
         }
         assert!(capped > 0 && short > 0, "{capped} capped, {short} short");
 
@@ -980,7 +1000,8 @@ mod tests {
         // as she is: not before the clock retires her, not once it has,
         // and not once compaction has freed her. So no retirement or
         // compaction schedule can move an epoch. One second more shift and
-        // she sets it.
+        // she sets it. A second live driver, `far_live`'s twin, keeps the
+        // retired one a minority, so retiring her does not compact yet.
         let speed = SpeedModel::urban();
         let origin = GeoPoint::new(41.15, -8.61);
         let task = order_at(origin);
@@ -999,6 +1020,10 @@ mod tests {
             shift_start: Timestamp::EPOCH,
             shift_end: Timestamp::from_hours(24),
             model: DriverModel::HomeWorkHome,
+        };
+        let twin = Driver {
+            id: DriverId::new(2),
+            ..far_live
         };
         let cap = task.pickup_deadline;
         let epoch = |d: &Driver| cap - speed.travel_time(d.source, origin);
@@ -1022,24 +1047,25 @@ mod tests {
                 "{ctx}"
             );
 
-            let mut fleet = fleet_of(&[near_expired, far_live]);
+            let mut fleet = fleet_of(&[near_expired, far_live, twin]);
             let baseline = epoch(&far_live);
             assert_eq!(
                 fleet.latest_decision(&task, cap),
                 baseline,
                 "unretired, {ctx}"
             );
-            assert_eq!(fleet.retire_before(task.publish_time), 1);
-            assert!(!fleet.retire(0), "second retirement must not re-count");
-            assert_eq!(fleet.retired(), [near_expired.id]);
+            fleet.retire_before(task.publish_time);
+            fleet.retire(0);
+            assert_eq!(fleet.retired, 1, "a second retirement must not re-count");
+            assert_eq!(fleet.retired_ids(), [near_expired.id]);
             assert_eq!(
                 fleet.latest_decision(&task, cap),
                 baseline,
                 "retired, {ctx}"
             );
             assert_eq!(fleet.compact(), 1);
-            assert_eq!(fleet.drivers, [far_live], "the survivor is renumbered 0");
-            assert_eq!(fleet.retired(), []);
+            assert_eq!(fleet.drivers, [far_live, twin], "survivors renumber from 0");
+            assert_eq!(fleet.retired_ids(), []);
             assert_eq!(
                 fleet.latest_decision(&task, cap),
                 baseline,
@@ -1127,16 +1153,19 @@ mod tests {
         // order published: she does not count, so the pickup's own cell
         // settles the epoch. Unretired, her entry is read and fails the
         // shift compare; retired, it sits in her cell's tail, which is
-        // never read: the tripwire behind it stays untouched.
+        // never read: the tripwire behind it stays untouched. A twin of
+        // the far-side driver keeps her a minority, so she stays resident.
         let gone = Driver {
             shift_end: task.publish_time - TimeDelta::from_hours(1),
             ..across
         };
-        let [mut linear, mut grid] = fleets(&[far_side, gone]);
+        let twin = driver(2, far_side.source);
+        let [mut linear, mut grid] = fleets(&[far_side, gone, twin]);
         assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
         assert_eq!(grid.latest_decision(&task, cap), epoch(&far_side));
         for fleet in [&mut linear, &mut grid] {
-            assert_eq!(fleet.retire_before(task.publish_time), 1);
+            fleet.retire_before(task.publish_time);
+            assert_eq!(fleet.retired_ids(), [gone.id]);
         }
         trip_wire(&mut grid, across.source, NEVER);
         assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
@@ -1153,11 +1182,11 @@ mod tests {
         let plain = Fleet::for_market(&m, false);
         let mut expired = Fleet::for_market(&m, false);
         let cutoff = Timestamp::from_hours(14);
-        let newly = expired.retire_before(cutoff);
+        expired.retire_before(cutoff);
         let ended = m.drivers().iter().filter(|d| d.shift_end < cutoff);
-        assert_eq!(newly, ended.count(), "exactly the shifts that ended");
-        assert!(newly > 0, "seed must produce an early shift");
-        assert_eq!(expired.retired().len(), newly);
+        let gone = expired.retired_ids().len() + expired.compacted();
+        assert_eq!(gone, ended.count(), "exactly the shifts that ended");
+        assert!(gone > 0, "seed must produce an early shift");
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             if task.publish_time < cutoff {
@@ -1215,6 +1244,17 @@ mod tests {
         }
     }
 
+    /// A fresh fleet handed `fleet`'s state, its indexes rebuilt from it.
+    fn rebuilt(fleet: &Fleet) -> Fleet {
+        let bbox = fleet.cells.as_ref().map(|t| t.grid.bounding_box());
+        let mut fresh = Fleet::new(fleet.speed, bbox);
+        fresh.drivers.clone_from(&fleet.drivers);
+        fresh.locations.clone_from(&fleet.locations);
+        fresh.available_at.clone_from(&fleet.available_at);
+        fresh.rebuild_indexes();
+        fresh
+    }
+
     #[test]
     fn compaction_leaves_the_indexes_of_a_fleet_built_from_the_survivors() {
         // What a restore will lean on: the indexes are a function of the
@@ -1247,17 +1287,12 @@ mod tests {
                 if step % cadence != 0 {
                     continue;
                 }
-                let retired = fleet.retired().len();
+                let retired = fleet.retired_ids().len();
                 assert_eq!(fleet.compact(), retired);
                 compactions += usize::from(retired > 0);
                 assert_grid_is_exact(&fleet);
 
-                let bbox = fleet.cells.as_ref().map(|t| t.grid.bounding_box());
-                let mut fresh = Fleet::new(fleet.speed, bbox);
-                fresh.drivers.clone_from(&fleet.drivers);
-                fresh.locations.clone_from(&fleet.locations);
-                fresh.available_at.clone_from(&fleet.available_at);
-                fresh.rebuild_indexes();
+                let fresh = rebuilt(&fleet);
                 assert_eq!(indexes(&fleet), indexes(&fresh), "step {step}");
                 for &next in &order[step..order.len().min(step + 6)] {
                     let task = &m.tasks()[next];
@@ -1287,5 +1322,62 @@ mod tests {
             assert!(compactions > 1, "cadence {cadence}: fleet never churned");
             assert_eq!(fleet.announced(), m.num_drivers());
         }
+    }
+
+    #[test]
+    fn retire_before_compacts_exactly_when_half_the_residents_are_retired() {
+        // Random announce / commit / retire sequences. After every call
+        // the retired count matches a scan, resident state is at most
+        // twice the live fleet and the indexes equal a rebuild from the
+        // state; after every `retire_before`, compaction fired exactly
+        // when the retired residents were at least as many as the live.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let m = market(78, 400, 80);
+        let order = publish_order(&m);
+        let (mut fired, mut held) = (0, 0);
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
+            let mut late = m.drivers().iter();
+            let mut next = 0;
+            while next < order.len() {
+                let task = &m.tasks()[order[next]];
+                match rng.gen_range(0..3) {
+                    0 => late.next().into_iter().for_each(|d| fleet.announce(*d)),
+                    1 => {
+                        if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
+                            fleet.commit(c.driver, task, c.arrival);
+                        }
+                        next += 1;
+                    }
+                    _ => {
+                        let floor = task.publish_time;
+                        let states = fleet.drivers.iter().zip(&fleet.available_at);
+                        let live = states.filter(|&(_, &free)| free != NEVER);
+                        let ending = live.filter(|(r, _)| r.shift_end < floor).count();
+                        let retired = fleet.retired_ids().len() + ending;
+                        let (resident, compacted) = (fleet.resident(), fleet.compacted());
+                        fleet.retire_before(floor);
+                        if retired > 0 && retired >= resident - retired {
+                            assert_eq!(fleet.compacted(), compacted + retired);
+                            assert_eq!(fleet.resident(), resident - retired);
+                            fired += 1;
+                        } else {
+                            assert_eq!(fleet.compacted(), compacted);
+                            assert_eq!(fleet.retired, retired);
+                            held += usize::from(retired > 0);
+                        }
+                    }
+                }
+                assert_eq!(fleet.retired, fleet.retired_ids().len());
+                let live = fleet.resident() - fleet.retired;
+                assert!(fleet.resident() <= 2 * live, "seed {seed}, order {next}");
+                assert_eq!(indexes(&fleet), indexes(&rebuilt(&fleet)));
+                assert_grid_is_exact(&fleet);
+            }
+        }
+        assert!(fired > 4 && held > 4, "{fired} fired, {held} held");
     }
 }

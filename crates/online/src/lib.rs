@@ -19,9 +19,9 @@
 //!   would expire), drivers departing no earlier than the decision, with
 //!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
 //!   the LP-backed [`OptimalAssignmentMatcher`]); a driver leaves when the
-//!   stream clock passes her shift end (no event says so), and expired
-//!   drivers are garbage-collected losslessly
-//!   (`StreamOptions::compact_threshold`),
+//!   stream clock passes her shift end (no event says so), and the fleet
+//!   frees its retired drivers losslessly once they are half its
+//!   residents,
 //! - [`priced_events`]: the feed of a generated day — every shift of a
 //!   `TraceStream` announced, then each trip priced into a task as it is
 //!   pulled — the one place that sequence is written; [`market_events`] is
@@ -50,8 +50,8 @@
 //!   daemon** — live ingestion from tailed JSONL/CSV files
 //!   ([`FileSource`]), a length-prefixed TCP frame stream ([`TcpSource`]),
 //!   or any in-process iterator ([`IterSource`]), with periodic metrics
-//!   snapshots and day-boundary state resets on the deterministic stream
-//!   clock, hostile-input hardening via typed [`IngestError`]s, and
+//!   snapshots and day-rollover hooks on the deterministic stream clock,
+//!   hostile-input hardening via typed [`IngestError`]s, and
 //!   graceful drain; a decoded `WireEvent` already holds the `Driver` or
 //!   `Task` the engine takes, so [`wire_to_event`] relabels and copies no
 //!   record; a drained daemon is byte-identical to

@@ -42,7 +42,8 @@ pub enum Count {
     Searches,
     /// Cell entries the searches read.
     SearchEntries,
-    /// Compactions.
+    /// Compactions: the fleet runs one each time the drivers the clock
+    /// retired become at least half its residents.
     Compactions,
     /// Cell-table and shift-end-heap entries the compactions rewrote or
     /// dropped.
@@ -62,7 +63,8 @@ pub enum Stage {
     Commit,
     /// Reporting decisions and window boundaries to the sink.
     Sink,
-    /// Fleet compaction.
+    /// Fleet compaction, run at the head of a flush, when the clock's
+    /// retirements leave at least half the residents retired.
     Compact,
     /// Batched mode's early-flush epochs, searched and sorted.
     EarlyFlush,

@@ -1,8 +1,8 @@
 //! The long-running dispatch daemon: live ingestion over the streaming
 //! engines, proven live-equal to replay.
 //!
-//! [`ServeDaemon`] is [`replay_stream`] (one shard) or [`replay_sharded`]
-//! (N shards) over a guarded [`IngestSource`] — a file being tailed, a TCP
+//! [`ServeDaemon`] is [`replay_stream`] (one engine) or [`replay_sharded`]
+//! (N shards and a partitioner) over a guarded [`IngestSource`] — a file being tailed, a TCP
 //! frame stream, or any in-process iterator — with its own sink
 //! interposed. The daemon adds exactly the operational concerns a replay
 //! does not have, and *nothing decision-relevant*:
@@ -18,9 +18,8 @@
 //! - **Day rollover**: boundaries crossing a `day_length` multiple fire
 //!   the day hook (metrics rollover lives in the caller's sink — see
 //!   `MetricsJournal` in `rideshare-metrics`). Engine state needs no
-//!   reset of its own: retired drivers are compacted as the stream runs
-//!   (`StreamOptions::compact_threshold`), losslessly, for any shard
-//!   count.
+//!   reset of its own: each engine's fleet compacts itself once half its
+//!   resident drivers are retired, losslessly, for any shard count.
 //! - **Graceful drain**: on end-of-stream, ingest error, or the shutdown
 //!   flag, in-flight windows close through the engines' normal `finish`
 //!   path — the daemon's cumulative output over a fully delivered trace
@@ -48,11 +47,11 @@ use crate::stream::{replay_stream, StreamEvent, StreamSink, StreamSummary};
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Shard count and per-shard engine options (grid pruning,
-    /// compaction, validator).
+    /// validator).
     pub shards: ShardOptions,
-    /// Day length for state resets and metrics rollover. The stream clock
-    /// is partitioned into `[k·L, (k+1)·L)` days; a window boundary at or
-    /// past a day end closes that day.
+    /// Day length for the day hook (metrics rollover); no engine state is
+    /// reset. The stream clock is partitioned into `[k·L, (k+1)·L)` days;
+    /// a window boundary at or past a day end closes that day.
     pub day_length: TimeDelta,
     /// Snapshot cadence on the stream clock, `None` to disable. The first
     /// window boundary at or past each due multiple fires the snapshot
@@ -63,6 +62,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A daemon over `shards` workers, 24-hour days, snapshots disabled.
+    /// The shards run only under a partitioner
+    /// ([`ServeDaemon::with_partitioner`]); without one the daemon runs one
+    /// engine, with the same decisions.
     ///
     /// # Panics
     ///
@@ -135,7 +137,7 @@ pub enum ServeStop {
 pub struct ServeReport {
     /// The engines' replay summary over everything ingested.
     pub summary: StreamSummary,
-    /// Events ingested and admitted (drivers, tasks, offline, ticks).
+    /// Events ingested and admitted (drivers, tasks, ticks).
     pub events: usize,
     /// Window boundaries observed (decision groups fully decided).
     pub windows: usize,
@@ -350,8 +352,9 @@ pub struct ServeDaemon<'p> {
 }
 
 impl<'p> ServeDaemon<'p> {
-    /// Creates a daemon. With more than one shard a partitioner is
-    /// required — add it with [`with_partitioner`](Self::with_partitioner).
+    /// Creates a daemon. It runs the configured shards once a partitioner
+    /// is added with [`with_partitioner`](Self::with_partitioner), and one
+    /// engine until then; the decisions are the same either way.
     #[must_use]
     pub fn new(speed: SpeedModel, spec: ShardPolicySpec, config: ServeConfig) -> Self {
         Self {
@@ -384,13 +387,13 @@ impl<'p> ServeDaemon<'p> {
 
     /// Drains `source` through the engines into `sink`, firing
     /// `on_snapshot` and `on_day` at their deterministic stream-clock
-    /// instants. Never panics on hostile feed input; see [`ServeOutcome`].
+    /// instants: [`replay_sharded`] when the daemon has a partitioner and
+    /// more than one shard, [`replay_stream`] otherwise. Never panics on
+    /// hostile feed input; see [`ServeOutcome`].
     ///
     /// # Panics
     ///
-    /// Panics only on daemon misconfiguration (more than one shard
-    /// without a partitioner) or internal engine failure — not on feed
-    /// content.
+    /// Panics only on internal engine failure — not on feed content.
     pub fn run<S, FS, FD>(
         &self,
         source: &mut dyn IngestSource,
@@ -414,27 +417,22 @@ impl<'p> ServeDaemon<'p> {
             events: &mut events,
             end: &mut end,
         };
-        let summary = if self.config.shards.shards == 1 {
-            replay_stream(
-                self.speed,
-                guarded,
-                &mut self.spec.holder().as_policy(),
-                self.config.shards.stream,
-                &mut serve_sink,
-            )
-        } else {
-            let partitioner = self
-                .partitioner
-                // audit:allow(unwrap-panic): construction contract, not feed input — `run`'s Panics section documents it, and no hostile byte stream can reach this branch (the partitioner is fixed before ingestion starts).
-                .expect("serving more than one shard requires a partitioner");
-            replay_sharded(
+        let summary = match self.partitioner {
+            Some(partitioner) if self.config.shards.shards > 1 => replay_sharded(
                 self.speed,
                 guarded,
                 self.spec,
                 partitioner,
                 self.config.shards,
                 &mut serve_sink,
-            )
+            ),
+            _ => replay_stream(
+                self.speed,
+                guarded,
+                &mut self.spec.holder().as_policy(),
+                self.config.shards.stream,
+                &mut serve_sink,
+            ),
         };
 
         let (windows, days, snapshots) =
@@ -549,6 +547,38 @@ mod tests {
         assert_eq!(report.snapshots, 3);
         assert_eq!(snapshots[0].seq, 0);
 
+        let (a, b) = (sink.into_result(), expected.into_result());
+        assert_eq!(a.dispatch, b.dispatch);
+        assert_eq!(a.events, b.events);
+    }
+
+    #[test]
+    fn shards_without_a_partitioner_run_one_engine() {
+        let events = three_day_events();
+        let mut expected = CollectingSink::new();
+        let summary = replay_stream(
+            SpeedModel::default(),
+            events.iter().copied(),
+            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            StreamOptions::default(),
+            &mut expected,
+        );
+
+        let daemon = ServeDaemon::new(
+            SpeedModel::default(),
+            ShardPolicySpec::MaxMargin,
+            ServeConfig::new(2),
+        );
+        let mut sink = CollectingSink::new();
+        let outcome = daemon.run(
+            &mut IterSource::new(events.into_iter()),
+            &mut sink,
+            |_, _| {},
+            |_, _| {},
+        );
+        let report = outcome.into_result().unwrap();
+        assert_eq!(report.stop, ServeStop::Drained);
+        assert_eq!(report.summary, summary);
         let (a, b) = (sink.into_result(), expected.into_result());
         assert_eq!(a.dispatch, b.dispatch);
         assert_eq!(a.events, b.events);

@@ -302,7 +302,7 @@ const MAX_SHARDS: usize = 1024;
 pub struct ShardOptions {
     /// Number of worker shards (≥ 1).
     pub shards: usize,
-    /// Per-shard [`StreamEngine`] options (grid pruning, compaction).
+    /// Per-shard [`StreamEngine`] options (grid pruning).
     pub stream: StreamOptions,
     /// Run the **inline validating lane** instead of the worker threads:
     /// the caller's thread applies every delivery to the shard engines
@@ -565,11 +565,11 @@ impl<'s> Merger<'s> {
 }
 
 /// Folds per-shard summaries into the whole-stream aggregate. Counters are
-/// sums and match a sequential replay exactly, except: `expired_drivers` /
-/// `compacted_drivers` are work-skipping diagnostics whose timing differs
-/// across shard counts, `peak_held_tasks` sums per-shard peaks (an upper
-/// bound on the true global peak — shards peak at different instants), and
-/// `clock` takes the max.
+/// sums and match a sequential replay exactly, except: `compacted_drivers`
+/// is a work-skipping diagnostic whose timing differs across shard counts,
+/// `peak_held_tasks` sums per-shard peaks (an upper bound on the true
+/// global peak — shards peak at different instants), and `clock` takes the
+/// max.
 fn fold_summaries(parts: &[StreamSummary]) -> StreamSummary {
     let mut total = StreamSummary::default();
     for p in parts {
@@ -577,7 +577,6 @@ fn fold_summaries(parts: &[StreamSummary]) -> StreamSummary {
         total.served += p.served;
         total.rejected += p.rejected;
         total.drivers += p.drivers;
-        total.expired_drivers += p.expired_drivers;
         total.compacted_drivers += p.compacted_drivers;
         total.peak_held_tasks += p.peak_held_tasks;
         total.clock = total.clock.max(p.clock);

@@ -37,7 +37,8 @@
 //!   design.
 //! - **Retirement is lossless.** Once the decision clock passes a
 //!   driver's shift end she can never again pass the return-home check,
-//!   so the engine expires her (candidate scans skip her) without any
+//!   so the engine expires her (candidate scans skip her), and the fleet
+//!   frees her state once half its residents are expired, without any
 //!   observable difference. The clock is the only way a driver leaves:
 //!   her announced shift says when, so no event does. Held *tasks* retire
 //!   at their decision epoch:
@@ -176,36 +177,12 @@ pub trait StreamSink {
 }
 
 /// Options for a streaming replay.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StreamOptions {
     /// Maintain a spatial grid index over this service area for candidate
     /// pruning (lossless — identical results, different cost). `None`
     /// scans all live drivers linearly.
     pub grid_bbox: Option<BoundingBox>,
-    /// Garbage-collect expired drivers' resident state once at least this
-    /// many are flagged (checked at each flush). Without compaction,
-    /// resident state is `O(all drivers ever announced)` — fatal for
-    /// week-long streams with fleet churn; with it, provably-irrelevant
-    /// drivers are freed losslessly under every policy: a freed driver's
-    /// shift ended before every order still to be decided published, so
-    /// neither a candidate scan nor an early-flush epoch counts her.
-    /// `usize::MAX` disables compaction.
-    ///
-    /// `0` is equivalent to `1` ("compact as soon as any driver expires"):
-    /// compaction can fire no more eagerly than that, so the engine clamps
-    /// the threshold to at least one. [`StreamOptions::compaction`] applies
-    /// the same clamp up front, keeping the stored option equal to what
-    /// the engine will actually use.
-    pub compact_threshold: usize,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        Self {
-            grid_bbox: None,
-            compact_threshold: 64,
-        }
-    }
 }
 
 impl StreamOptions {
@@ -213,28 +190,6 @@ impl StreamOptions {
     #[must_use]
     pub fn grid(mut self, bbox: BoundingBox) -> Self {
         self.grid_bbox = Some(bbox);
-        self
-    }
-
-    /// Sets the expired-driver compaction threshold.
-    ///
-    /// `0` is clamped to `1`: "compact whenever at least zero drivers are
-    /// expired" would fire at every flush — even with nothing to free —
-    /// which is never what a caller means. The clamped value is stored, so
-    /// the option always reads back as the threshold the engine runs with
-    /// (use [`StreamOptions::no_compaction`] to disable compaction; that
-    /// sentinel is `usize::MAX`, not `0`).
-    #[must_use]
-    pub fn compaction(mut self, threshold: usize) -> Self {
-        self.compact_threshold = threshold.max(1);
-        self
-    }
-
-    /// Disables expired-driver compaction: expired drivers are still
-    /// flagged and skipped, but their resident state is never freed.
-    #[must_use]
-    pub fn no_compaction(mut self) -> Self {
-        self.compact_threshold = usize::MAX;
         self
     }
 }
@@ -266,14 +221,13 @@ pub struct StreamSummary {
     pub rejected: usize,
     /// Drivers announced.
     pub drivers: usize,
-    /// Drivers retired by stream-clock expiry (their shift ended).
-    pub expired_drivers: usize,
-    /// Of the expired drivers, how many were *compacted*: their resident
-    /// state (record, projected state, grid entry) was garbage-collected,
-    /// not just flag-skipped. See [`StreamOptions::compact_threshold`].
+    /// Drivers *compacted*: the stream clock passed their shift end, and
+    /// their resident state (record, projected state, index entries) was
+    /// garbage-collected, not just skipped. The fleet compacts itself once
+    /// at least as many of its resident drivers are retired as live.
     pub compacted_drivers: usize,
     /// High-water mark of simultaneously *held* (published, undecided)
-    /// orders. Peak resident state is this plus `drivers` — the
+    /// orders. Peak resident state is at most this plus `drivers` — the
     /// `O(active tasks + drivers)` bound, independent of trace length.
     pub peak_held_tasks: usize,
     /// The stream clock when the replay finished.
@@ -281,8 +235,9 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// Peak resident entities (held orders + driver states): the number
-    /// the bounded-memory acceptance criterion is about.
+    /// An upper bound on peak resident entities: the held orders' peak
+    /// plus every driver announced, compacted or not. The number the
+    /// bounded-memory acceptance criterion is about.
     #[must_use]
     pub fn peak_resident(&self) -> usize {
         self.peak_held_tasks + self.drivers
@@ -355,13 +310,6 @@ impl StreamPolicy<'_> {
 pub struct StreamEngine {
     /// Everything per driver: state, and the indexes derived from it.
     fleet: Fleet,
-    /// Compact once this many retired drivers are resident (`usize::MAX`
-    /// off).
-    compact_threshold: usize,
-    /// Cumulative drivers retired (still resident, or compacted since).
-    expired_total: usize,
-    /// Cumulative drivers garbage-collected.
-    compacted: usize,
     pending: Vec<Task>,
     /// The emptied buffer of the last decided group: it trades places with
     /// `pending` at each flush, so both vectors keep their capacity across
@@ -390,12 +338,6 @@ impl StreamEngine {
     pub fn new(speed: SpeedModel, options: StreamOptions) -> Self {
         Self {
             fleet: Fleet::new(speed, options.grid_bbox),
-            // Same clamp as `StreamOptions::compaction` — the field is
-            // public, so a hand-built `0` still means "eagerest", not
-            // "every flush".
-            compact_threshold: options.compact_threshold.max(1),
-            expired_total: 0,
-            compacted: 0,
             pending: Vec::new(),
             spare: Vec::new(),
             cand_scratch: Vec::new(),
@@ -508,8 +450,7 @@ impl StreamEngine {
             served: self.served,
             rejected: self.rejected,
             drivers: self.fleet.announced(),
-            expired_drivers: self.expired_total,
-            compacted_drivers: self.compacted,
+            compacted_drivers: self.fleet.compacted(),
             peak_held_tasks: self.peak_held,
             clock: self.clock.unwrap_or(Timestamp::EPOCH),
         }
@@ -565,7 +506,7 @@ impl StreamEngine {
         if self.pending.is_empty() {
             return;
         }
-        self.expired_total += self.fleet.retire_before(self.pending[0].publish_time);
+        self.fleet.retire_before(self.pending[0].publish_time);
 
         // Trade the held group for the spare buffer — both vectors keep
         // their capacity across the whole replay.
@@ -587,20 +528,12 @@ impl StreamEngine {
         group.clear();
         self.spare = group;
         // Decisions are now final through `decided_through` (both arms
-        // just set it) — announce the boundary before any compaction, so
-        // sinks observe state transitions in stream order.
+        // just set it).
         probe!(probe::start());
         if let Some(end) = self.decided_through {
             sink.window_closed(end);
         }
         probe!(probe::lap(Stage::Sink));
-        // Retired-but-resident drivers, without an O(residents) scan
-        // (retirements counted less removals) — flush runs once per
-        // publish group, so this is hot-path arithmetic.
-        if self.expired_total - self.compacted >= self.compact_threshold {
-            self.compacted += self.fleet.compact();
-            probe!(probe::lap(Stage::Compact));
-        }
     }
 
     /// Instant dispatch, one order at a time in the order given: generate
@@ -1063,12 +996,13 @@ mod tests {
 
     #[test]
     fn aggressive_compaction_changes_nothing_instant() {
-        // Compact after every single expiry: resident drivers shrink, the
+        // The fleet compacts once half its residents are retired, which a
+        // 30-driver day reaches many times: resident drivers shrink, the
         // replay stays byte-identical to the materialized front-end, and
         // events still name drivers by their announced ids.
         let m = market(89, 200, 30);
         for use_grid in [false, true] {
-            let mut options = StreamOptions::default().compaction(1);
+            let mut options = StreamOptions::default();
             if use_grid {
                 options = options.grid(rideshare_geo::porto::bounding_box());
             }
@@ -1086,7 +1020,6 @@ mod tests {
                 summary.compacted_drivers > 0,
                 "no shift ended mid-stream (grid={use_grid})"
             );
-            assert!(summary.compacted_drivers <= summary.expired_drivers);
         }
     }
 
@@ -1094,8 +1027,8 @@ mod tests {
     fn aggressive_compaction_changes_nothing_batched() {
         // Batched mode: an early-flush epoch counts only drivers on shift
         // at the order's publication, and compaction frees only drivers
-        // whose shift ended before, so compacting at every expiry keeps
-        // every epoch equal to the materialized front-end's — the rule
+        // whose shift ended before, so compacting keeps every epoch equal
+        // to the materialized front-end's — the rule
         // the fleet's `compaction_cannot_move_an_epoch` isolates,
         // exercised here end-to-end.
         let m = market(90, 200, 30);
@@ -1107,7 +1040,7 @@ mod tests {
                 m.speed(),
                 market_events(&m),
                 &mut StreamPolicy::Batched { window, matcher },
-                StreamOptions::default().compaction(1),
+                StreamOptions::default(),
                 &mut sink,
             );
             let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
@@ -1119,7 +1052,7 @@ mod tests {
     #[test]
     fn compaction_shrinks_resident_state() {
         let m = market(95, 150, 25);
-        let mut engine = StreamEngine::new(m.speed(), StreamOptions::default().compaction(1));
+        let mut engine = StreamEngine::new(m.speed(), StreamOptions::default());
         let mut mm = MaxMargin::new();
         let mut policy = StreamPolicy::Instant(&mut mm);
         let mut sink = CollectingSink::new();
@@ -1138,7 +1071,6 @@ mod tests {
             "announced count is never compacted away"
         );
         assert!(summary.compacted_drivers > 0);
-        assert!(summary.expired_drivers >= summary.compacted_drivers);
     }
 
     /// `m`'s stream with the drivers relabelled in shift-end order.
@@ -1171,15 +1103,14 @@ mod tests {
         let events = shift_ordered_events(&m);
         under_both_policies(|policy| {
             let mut sink = CollectingSink::new();
-            let options = StreamOptions::default()
-                .compaction(1)
-                .grid(rideshare_geo::porto::bounding_box());
+            let options = StreamOptions::default().grid(rideshare_geo::porto::bounding_box());
             let mut engine = StreamEngine::new(m.speed(), options);
             for e in &events {
                 engine.push(*e, policy, &mut sink);
             }
-            assert!(engine.compacted > 0, "nothing was freed");
-            let resident = engine.driver_count() - engine.compacted;
+            let compacted = engine.fleet.compacted();
+            assert!(compacted > 0, "nothing was freed");
+            let resident = engine.driver_count() - compacted;
             assert_eq!(engine.resident_drivers(), resident);
             assert_eq!(engine.fleet.footprint(), resident);
         });
@@ -1300,47 +1231,5 @@ mod tests {
             runs(&relabel(|id| if id == 0 { 5 } else { id })),
             Err("driver ids must ascend in announcement order: driver#1 after driver#5".into())
         );
-    }
-
-    #[test]
-    fn compaction_zero_clamps_to_one() {
-        // The builder stores the clamped value, so the option reads back
-        // as what the engine runs with; `0` never means "every flush".
-        assert_eq!(StreamOptions::default().compaction(0).compact_threshold, 1);
-        assert_eq!(StreamOptions::default().compaction(1).compact_threshold, 1);
-        assert_eq!(StreamOptions::default().compaction(9).compact_threshold, 9);
-        assert_eq!(
-            StreamOptions::default().no_compaction().compact_threshold,
-            usize::MAX,
-            "disabling is the MAX sentinel, not 0"
-        );
-
-        // A hand-built 0 (the field is public) behaves exactly like 1 —
-        // same decisions, same compaction count — because the engine
-        // applies the same clamp defensively.
-        let m = market(83, 200, 25);
-        let run = |threshold: usize| {
-            let mut sink = CollectingSink::new();
-            let options = StreamOptions {
-                grid_bbox: None,
-                compact_threshold: threshold,
-            };
-            let summary = replay_stream(
-                m.speed(),
-                market_events(&m),
-                &mut StreamPolicy::Instant(&mut MaxMargin::new()),
-                options,
-                &mut sink,
-            );
-            (summary, sink.into_result())
-        };
-        let (zero_summary, zero) = run(0);
-        let (one_summary, one) = run(1);
-        assert_same(&zero, &one);
-        assert_eq!(
-            zero_summary.compacted_drivers,
-            one_summary.compacted_drivers
-        );
-        assert_eq!(zero_summary.expired_drivers, one_summary.expired_drivers);
     }
 }

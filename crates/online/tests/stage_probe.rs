@@ -63,9 +63,7 @@ impl Run {
             .with_task_count(3000)
             .with_driver_count(300, DriverModel::Hitchhiking)
             .stream();
-        let options = StreamOptions::default()
-            .grid(stream.bounding_box())
-            .compaction(8);
+        let options = StreamOptions::default().grid(stream.bounding_box());
         let speed = stream.speed();
         let events = priced_events(stream, &MarketBuildOptions::default());
         let before = readings();
@@ -115,7 +113,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         instant.counts(),
-        [3000, 45832, 12848, 1364, 1360, 0, 0, 36, 9897]
+        [3000, 45832, 12848, 1364, 1360, 0, 0, 9, 862]
     );
     assert_eq!(instant.laps(Stage::Scan), 3000);
     assert_eq!(instant.laps(Stage::Choose), 3000);
@@ -136,7 +134,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         batched.counts(),
-        [3000, 36759, 10849, 1401, 1395, 3000, 5234, 35, 9338]
+        [3000, 36759, 10849, 1401, 1395, 3000, 5234, 7, 859]
     );
     assert_eq!(batched.laps(Stage::EarlyFlush), sink.windows);
     assert_eq!(batched.laps(Stage::Commit), sink.served);
