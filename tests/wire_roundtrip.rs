@@ -11,6 +11,12 @@
 //!   decoding the same byte stream fed one byte at a time and in random
 //!   uneven chunks (a TCP stream guarantees neither message boundaries
 //!   nor chunk sizes),
+//! - the frame decoder against a model built from the known frame
+//!   boundaries: random interleavings of `feed` and `next` over a stream
+//!   that ends cleanly or in one hostile frame, with every result and
+//!   every `pending_bytes()` checked after every call; and the golden
+//!   `.rtb` corpus re-framed and fed at several chunk sizes decodes to
+//!   exactly what [`RtbSlice`] reads,
 //! - JSONL and CSV text lines: `to_*_line` → `from_*_line` identity
 //!   (floats survive because the encoders use Rust's shortest-round-trip
 //!   `{}` formatting),
@@ -38,7 +44,7 @@ use rideshare::prelude::*;
 use rideshare::trace::rtb::{self, RtbFileReader, RtbSlice};
 use rideshare::trace::wire::{
     encode_frame, from_csv_line, from_json_line, parse_json, to_csv_line, to_json_line,
-    FrameDecoder, JsonValue, WireError, WireEvent,
+    FrameDecoder, JsonValue, WireError, WireEvent, MAX_FRAME_BODY,
 };
 use rideshare::trace::DriverModel;
 use rideshare::types::json::escape;
@@ -293,6 +299,111 @@ fn decode_all(bytes: &[u8], chunk: usize) -> Vec<WireEvent> {
     out
 }
 
+/// The end of a frame stream: nothing, or one hostile frame and the error
+/// it must raise.
+#[derive(Debug, Clone)]
+struct Tail {
+    bytes: Vec<u8>,
+    /// `None` for a clean end.
+    error: Option<WireError>,
+    /// Whether the error waits for the whole frame (a body the body
+    /// decoder refuses; the frame is consumed) or only for the length
+    /// prefix (refused before any body byte is awaited; nothing is
+    /// consumed).
+    whole_frame: bool,
+}
+
+impl Tail {
+    fn clean() -> Self {
+        Tail {
+            bytes: Vec::new(),
+            error: None,
+            whole_frame: false,
+        }
+    }
+
+    /// A refused length prefix followed by bytes that must never be
+    /// awaited.
+    fn prefix(prefix: u32, junk: Vec<u8>, error: WireError) -> Self {
+        let mut bytes = prefix.to_le_bytes().to_vec();
+        bytes.extend(junk);
+        Tail {
+            bytes,
+            error: Some(error),
+            whole_frame: false,
+        }
+    }
+
+    /// A correctly framed body that the body decoder refuses.
+    fn body(body: Vec<u8>, error: WireError) -> Self {
+        let mut bytes = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+        bytes.extend(body);
+        Tail {
+            bytes,
+            error: Some(error),
+            whole_frame: true,
+        }
+    }
+}
+
+/// The frame body of `event`.
+fn body_of(event: &WireEvent) -> Vec<u8> {
+    encode_frame(event)[4..].to_vec()
+}
+
+/// A clean end, a zero prefix, a prefix one past the cap, an unknown tag,
+/// the retired tag 2, a body cut short, or a body with bytes to spare.
+fn arb_tail() -> impl Strategy<Value = Tail> {
+    let junk = || prop::collection::vec(0u8..=255, 0..8);
+    let too_large = u32::try_from(MAX_FRAME_BODY + 1).unwrap();
+    prop_oneof![
+        Just(Tail::clean()),
+        junk().prop_map(|junk| Tail::prefix(0, junk, WireError::EmptyFrame)),
+        junk().prop_map(move |junk| Tail::prefix(
+            too_large,
+            junk,
+            WireError::FrameTooLarge {
+                len: MAX_FRAME_BODY + 1
+            }
+        )),
+        (5u8..=255, junk()).prop_map(|(tag, junk)| {
+            Tail::body([vec![tag], junk].concat(), WireError::UnknownTag(tag))
+        }),
+        junk().prop_map(|junk| Tail::body([vec![2], junk].concat(), WireError::UnknownTag(2))),
+        (arb_stream_event(), any::<u64>()).prop_map(|(event, cut)| {
+            let mut body = body_of(&event);
+            let keep = 1 + usize::try_from(cut % (body.len() as u64 - 1)).unwrap();
+            body.truncate(keep);
+            let error = WireError::BadLength {
+                tag: body[0],
+                got: keep,
+            };
+            Tail::body(body, error)
+        }),
+        (arb_event(), prop::collection::vec(0u8..=255, 1..8)).prop_map(|(event, extra)| {
+            let body = [body_of(&event), extra].concat();
+            let error = WireError::BadLength {
+                tag: body[0],
+                got: body.len(),
+            };
+            Tail::body(body, error)
+        }),
+    ]
+}
+
+/// A decode result with every event as its frame bytes, so two results
+/// compare equal only when every bit does.
+type FrameResult = Result<Option<Vec<u8>>, WireError>;
+
+fn frame_bits(result: Result<Option<WireEvent>, WireError>) -> FrameResult {
+    result.map(|e| e.as_ref().map(encode_frame))
+}
+
+/// Frames `events` into one byte stream.
+fn frames(events: &[WireEvent]) -> Vec<u8> {
+    events.iter().flat_map(encode_frame).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -324,6 +435,67 @@ proptest! {
         prop_assert_eq!(&dribble, &events);
         let chunked = decode_all(&bytes, chunk);
         prop_assert_eq!(&chunked, &events);
+    }
+
+    // Any interleaving of `feed` and `next` agrees with the model built
+    // from the known frame boundaries: `next` yields event j exactly when
+    // frame j is wholly fed, `pending_bytes()` is bytes fed minus bytes
+    // consumed after every call, and the error surfaces at the hostile
+    // frame — a refused prefix once its four bytes are fed, a refused
+    // body once the whole frame is.
+    #[test]
+    fn decoder_follows_the_frame_boundary_model(
+        events in prop::collection::vec(arb_event(), 0..24),
+        tail in arb_tail(),
+        calls in prop::collection::vec((any::<bool>(), 1usize..=300), 0..80),
+    ) {
+        let mut bytes = frames(&events);
+        let tail_start = bytes.len();
+        let ends: Vec<usize> = events
+            .iter()
+            .scan(0, |end, e| {
+                *end += encode_frame(e).len();
+                Some(*end)
+            })
+            .collect();
+        bytes.extend_from_slice(&tail.bytes);
+        let refused_at = if tail.whole_frame { bytes.len() } else { tail_start + 4 };
+
+        let mut decoder = FrameDecoder::new();
+        let (mut fed, mut consumed, mut popped) = (0, 0, 0);
+        // The scripted calls, then feed-and-pop until the stream ends.
+        let drain = std::iter::repeat([(true, 300), (false, 0)]).flatten();
+        for (is_feed, chunk) in calls.into_iter().chain(drain) {
+            if is_feed {
+                let n = chunk.min(bytes.len() - fed);
+                decoder.feed(&bytes[fed..fed + n]);
+                fed += n;
+                prop_assert_eq!(decoder.pending_bytes(), fed - consumed);
+                continue;
+            }
+            let expected: FrameResult = match (events.get(popped), &tail.error) {
+                (Some(event), _) if fed >= ends[popped] => {
+                    consumed = ends[popped];
+                    popped += 1;
+                    Ok(Some(encode_frame(event)))
+                }
+                (Some(_), _) | (None, None) => Ok(None),
+                (None, Some(error)) if fed >= refused_at => {
+                    if tail.whole_frame {
+                        consumed = bytes.len();
+                    }
+                    Err(error.clone())
+                }
+                (None, Some(_)) => Ok(None),
+            };
+            let got = frame_bits(decoder.next());
+            prop_assert_eq!(&got, &expected, "after {} of {} bytes fed", fed, bytes.len());
+            prop_assert_eq!(decoder.pending_bytes(), fed - consumed);
+            if got.is_err() || (got == Ok(None) && fed == bytes.len()) {
+                break;
+            }
+        }
+        prop_assert_eq!(popped, events.len());
     }
 
     // JSONL text round trip is the identity (shortest-round-trip floats).
@@ -429,6 +601,28 @@ proptest! {
             "{}",
             line
         );
+    }
+}
+
+/// The golden `.rtb` corpus, re-framed: the frame decoder reads every
+/// event bit for bit as [`RtbSlice`] does, at every chunk size.
+#[test]
+fn golden_corpus_decodes_the_same_as_frames_and_as_rtb() {
+    const GOLDEN: &[u8] = include_bytes!("snapshots/golden_trace.rtb");
+    let mut slice = RtbSlice::new(GOLDEN).unwrap();
+    let mut events = Vec::new();
+    while let Some(e) = slice.next().unwrap() {
+        events.push(e);
+    }
+    assert!(
+        events.len() > 120,
+        "the corpus holds 120 tasks and their drivers"
+    );
+    let bytes = frames(&events);
+    let expected: Vec<Vec<u8>> = events.iter().map(encode_frame).collect();
+    for chunk in [1, 7, 97, 8192] {
+        let decoded: Vec<Vec<u8>> = decode_all(&bytes, chunk).iter().map(encode_frame).collect();
+        assert_eq!(decoded, expected, "chunk size {chunk}");
     }
 }
 
