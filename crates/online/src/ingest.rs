@@ -320,6 +320,10 @@ impl IngestSource for FileSource {
 pub struct TcpSource {
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// What one socket read lands in before it is fed to the decoder;
+    /// allocated once, since most calls pop a buffered frame and read
+    /// nothing.
+    chunk: Box<[u8]>,
     shutdown: Option<Arc<AtomicBool>>,
     done: bool,
 }
@@ -331,6 +335,7 @@ impl TcpSource {
         Self {
             stream,
             decoder: FrameDecoder::new(),
+            chunk: vec![0; 8192].into_boxed_slice(),
             shutdown: None,
             done: false,
         }
@@ -350,7 +355,6 @@ impl TcpSource {
 
 impl IngestSource for TcpSource {
     fn next_event(&mut self) -> Result<Option<StreamEvent>, IngestError> {
-        let mut buf = [0u8; 8192];
         loop {
             if self.done {
                 return Ok(None);
@@ -371,7 +375,7 @@ impl IngestSource for TcpSource {
             {
                 return Ok(None);
             }
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     self.done = true;
                     let pending = self.decoder.pending_bytes();
@@ -382,7 +386,7 @@ impl IngestSource for TcpSource {
                         pending_bytes: pending,
                     });
                 }
-                Ok(n) => self.decoder.feed(&buf[..n]),
+                Ok(n) => self.decoder.feed(&self.chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),

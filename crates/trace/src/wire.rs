@@ -31,7 +31,6 @@
 //! for the encodings to drift from.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
@@ -337,6 +336,12 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
 /// Incremental frame decoder: feed byte chunks of any size (network reads
 /// split frames arbitrarily), pop complete events.
 ///
+/// The decoder holds one byte buffer and a read offset into it. Each body
+/// is decoded in place from that buffer, so a frame costs no allocation
+/// and no copy beyond the one `feed` makes; `feed` first moves the unread
+/// tail (at most one partial frame when every complete frame has been
+/// popped) to the front.
+///
 /// # Examples
 ///
 /// ```
@@ -353,7 +358,9 @@ pub fn decode_frame_body(body: &[u8]) -> Result<WireEvent, WireError> {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: VecDeque<u8>,
+    /// Bytes received; `buf[head..]` are not yet consumed.
+    buf: Vec<u8>,
+    head: usize,
 }
 
 impl FrameDecoder {
@@ -365,7 +372,9 @@ impl FrameDecoder {
 
     /// Appends raw bytes received from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes.iter().copied());
+        self.buf.drain(..self.head);
+        self.head = 0;
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Number of buffered bytes not yet forming a complete frame.
@@ -374,7 +383,7 @@ impl FrameDecoder {
     /// ingest layer turns that into a typed truncation error.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Pops the next complete event, or `Ok(None)` if more bytes are
@@ -389,14 +398,10 @@ impl FrameDecoder {
     // express the `Result<Option<_>>` pull this decoder needs.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<WireEvent>, WireError> {
-        if self.buf.len() < 4 {
+        let Some((&prefix, rest)) = self.buf[self.head..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let mut len_bytes = [0u8; 4];
-        for (i, b) in len_bytes.iter_mut().enumerate() {
-            *b = self.buf[i];
-        }
-        let prefix = u32::from_le_bytes(len_bytes);
+        };
+        let prefix = u32::from_le_bytes(prefix);
         if prefix == 0 {
             return Err(WireError::EmptyFrame);
         }
@@ -406,12 +411,12 @@ impl FrameDecoder {
         if len > MAX_FRAME_BODY {
             return Err(WireError::FrameTooLarge { len });
         }
-        if self.buf.len() < 4 + len {
+        if rest.len() < len {
             return Ok(None);
         }
-        self.buf.drain(..4);
-        let body: Vec<u8> = self.buf.drain(..len).collect();
-        decode_frame_body(&body).map(Some)
+        let body = self.head + 4;
+        self.head = body + len;
+        decode_frame_body(&self.buf[body..self.head]).map(Some)
     }
 }
 
