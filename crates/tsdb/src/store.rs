@@ -333,28 +333,24 @@ impl TsdbStore {
     /// newest timestamp; label validation and filesystem/codec errors as
     /// typed variants.
     pub fn append(&mut self, key: &SeriesKey, t: i64, v: i128) -> Result<(), TsdbError> {
-        if !self.series.contains_key(key) {
-            key.validate()?;
-            if self.series.len() >= MAX_SERIES {
-                return Err(TsdbError::TooManySeries(self.series.len() + 1));
-            }
-            let id = self.next_id;
-            self.next_id += 1;
-            self.series.insert(
-                key.clone(),
-                SeriesState {
+        let state = match self.series.get_mut(key) {
+            Some(state) => state,
+            None => {
+                key.validate()?;
+                if self.series.len() >= MAX_SERIES {
+                    return Err(TsdbError::TooManySeries(self.series.len() + 1));
+                }
+                let id = self.next_id;
+                self.next_id += 1;
+                self.series.entry(key.clone()).or_insert(SeriesState {
                     id,
                     first_t: None,
                     last_t: None,
                     sealed_samples: 0,
                     open: Vec::new(),
-                },
-            );
-        }
-        let state = self
-            .series
-            .get_mut(key)
-            .expect("series inserted just above");
+                })
+            }
+        };
         if let Some(prev) = state.last_t {
             if t <= prev {
                 return Err(TsdbError::OutOfOrder {
