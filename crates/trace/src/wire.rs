@@ -414,9 +414,9 @@ impl FrameDecoder {
         if rest.len() < len {
             return Ok(None);
         }
-        let body = self.head + 4;
-        self.head = body + len;
-        decode_frame_body(&self.buf[body..self.head]).map(Some)
+        let start = self.head + 4;
+        self.head = start + len;
+        decode_frame_body(&self.buf[start..self.head]).map(Some)
     }
 }
 
