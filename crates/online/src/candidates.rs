@@ -814,15 +814,17 @@ mod tests {
         // Both questions, index ≡ scan, asked of a fleet that churns the
         // way a stream's does — drivers announced late, committed, retired
         // by a clock that lags the orders (so some shifts have ended
-        // unretired), compacted — over a box that holds every point and
-        // over one most points fall outside of.
+        // unretired), compacted — over a box that holds every point, over
+        // one most points fall outside of, and over one that holds none
+        // (every point clamps into a border cell).
         let m = market(71, 240, 40);
         let full = market_bbox(&m);
         let (lat, lon) = (full.center().lat(), full.center().lon());
         let inner = BoundingBox::new(lat - 0.02, lat + 0.02, lon - 0.03, lon + 0.03);
+        let empty = BoundingBox::new(0.0, 1.0, 0.0, 1.0);
         // Epochs that reached their cap, and epochs that fell short of it.
         let (mut capped, mut short) = (0usize, 0usize);
-        for bbox in [full, inner] {
+        for bbox in [full, inner, empty] {
             let mut linear = Fleet::new(m.speed(), None);
             let mut grid = Fleet::new(m.speed(), Some(bbox));
             let mut late = m.drivers().iter();
@@ -876,7 +878,7 @@ mod tests {
         // the decision clock runs backwards and nothing retires.
         let mut by_value: Vec<&Task> = m.tasks().iter().collect();
         by_value.sort_by(|a, b| b.price.partial_cmp(&a.price).unwrap().then(a.id.cmp(&b.id)));
-        for bbox in [full, inner] {
+        for bbox in [full, inner, empty] {
             let mut linear = Fleet::for_market(&m, false);
             let mut grid = Fleet::new(m.speed(), Some(bbox));
             m.drivers().iter().for_each(|d| grid.announce(*d));
