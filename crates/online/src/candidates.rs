@@ -35,7 +35,7 @@
 //!
 //! The cell table answers the two questions the engine asks, and all three
 //! of its prunes are *lossless* — they only skip work, never change
-//! results (pinned against the table-less scan by the oracle tests):
+//! results (pinned against test-only folds over the state vectors):
 //!
 //! - **who can reach this pickup in time** ([`Fleet::candidates_into`]).
 //!   In space: a driver departs no earlier than the decision time, so one
@@ -63,8 +63,7 @@
 //!   answer is clamped to the window end, so the search stops at the first
 //!   point whose epoch reaches it (usually the first live driver of the
 //!   pickup's own cell), and is not run when the order publishes at the
-//!   window end. The table-less path folds every driver on shift, as the
-//!   oracle.
+//!   window end.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,11 +128,16 @@ pub(crate) struct Fleet {
     last_id: Option<DriverId>,
 
     // Indexes, each a function of the state above.
-    /// Optional spatial index over `locations`.
-    cells: Option<CellTable>,
+    /// The spatial index over `locations`.
+    table: CellTable,
     /// Min-heap of `(shift_end, index)` over the drivers the clock has not
     /// retired yet, for lazy lossless retirement.
     shift_ends: BinaryHeap<Reverse<(i64, usize)>>,
+
+    /// Answer both questions by folding every resident driver instead of
+    /// reading the table: the reference replay-level oracles run.
+    #[cfg(any(test, feature = "oracle"))]
+    fold: bool,
 }
 
 /// The fleet's spatial index: per grid cell, one `(available_at, index)`
@@ -287,10 +291,10 @@ fn decidable(task: &Task, decision_time: Timestamp) -> bool {
 }
 
 impl Fleet {
-    /// An empty fleet, spatially indexed over `bbox` when given (callers
-    /// typically pass the trace's service area; the box only affects
-    /// speed, never results).
-    pub(crate) fn new(speed: SpeedModel, bbox: Option<BoundingBox>) -> Self {
+    /// An empty fleet, spatially indexed over `bbox` (callers typically
+    /// pass the trace's service area, or [`unit_box`]; the box only
+    /// affects speed, never results).
+    pub(crate) fn new(speed: SpeedModel, bbox: BoundingBox) -> Self {
         Self {
             speed,
             drivers: Vec::new(),
@@ -299,16 +303,24 @@ impl Fleet {
             retired: 0,
             compacted: 0,
             last_id: None,
-            cells: bbox.map(|bbox| CellTable::new(bbox, speed)),
+            table: CellTable::new(bbox, speed),
             shift_ends: BinaryHeap::new(),
+            #[cfg(any(test, feature = "oracle"))]
+            fold: false,
         }
+    }
+
+    /// This fleet, answering both questions by the folds when `fold`.
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn folding(self, fold: bool) -> Self {
+        Self { fold, ..self }
     }
 
     /// The fleet of a materialised market: every driver at her source,
     /// free from her shift start.
     #[cfg(test)]
-    pub(crate) fn for_market(market: &Market, use_grid: bool) -> Self {
-        let mut fleet = Self::new(market.speed(), use_grid.then(|| market_bbox(market)));
+    pub(crate) fn for_market(market: &Market) -> Self {
+        let mut fleet = Self::new(market.speed(), market_bbox(market));
         for d in market.drivers() {
             fleet.announce(*d);
         }
@@ -342,9 +354,8 @@ impl Fleet {
         self.locations.push(driver.source);
         self.available_at.push(driver.shift_start);
         let d = self.drivers.len() - 1;
-        if let Some(table) = self.cells.as_mut() {
-            table.insert(driver.source, driver.shift_start, d as u32);
-        }
+        self.table
+            .insert(driver.source, driver.shift_start, d as u32);
         self.shift_ends
             .push(Reverse((driver.shift_end.as_secs(), d)));
     }
@@ -360,11 +371,9 @@ impl Fleet {
             return;
         }
         let free = std::mem::replace(&mut self.available_at[d], NEVER);
-        if let Some(table) = self.cells.as_mut() {
-            // Her entry moves to her cell's tail, behind every live driver.
-            table.remove(self.locations[d], free, d as u32);
-            table.insert(self.locations[d], NEVER, d as u32);
-        }
+        // Her entry moves to her cell's tail, behind every live driver.
+        self.table.remove(self.locations[d], free, d as u32);
+        self.table.insert(self.locations[d], NEVER, d as u32);
         self.retired += 1;
     }
 
@@ -423,14 +432,12 @@ impl Fleet {
         self.compacted += self.retired;
         self.retired = 0;
         probe!(let mut moved = 0;);
-        if let Some(table) = self.cells.as_mut() {
-            for cell in &mut table.cells {
-                cell.retain_mut(|(_, id)| {
-                    probe!(moved += u64::from(renumber[*id as usize] != *id));
-                    *id = renumber[*id as usize];
-                    *id != GONE
-                });
-            }
+        for cell in &mut self.table.cells {
+            cell.retain_mut(|(_, id)| {
+                probe!(moved += u64::from(renumber[*id as usize] != *id));
+                *id = renumber[*id as usize];
+                *id != GONE
+            });
         }
         let mut ends = std::mem::take(&mut self.shift_ends).into_vec();
         for Reverse((_, d)) in &mut ends {
@@ -453,14 +460,13 @@ impl Fleet {
     /// entry by entry is quadratic in a cell's size.
     #[cfg(test)]
     fn rebuild_indexes(&mut self) {
-        if let Some(table) = self.cells.as_mut() {
-            table.cells.iter_mut().for_each(Vec::clear);
-            let free = self.available_at.iter().copied();
-            for ((location, free), id) in self.locations.iter().zip(free).zip(0..) {
-                table.cells[table.grid.slot_of(*location)].push((free, id));
-            }
-            table.cells.iter_mut().for_each(|cell| cell.sort_unstable());
+        let table = &mut self.table;
+        table.cells.iter_mut().for_each(Vec::clear);
+        let free = self.available_at.iter().copied();
+        for ((location, free), id) in self.locations.iter().zip(free).zip(0..) {
+            table.cells[table.grid.slot_of(*location)].push((free, id));
         }
+        table.cells.iter_mut().for_each(|cell| cell.sort_unstable());
         let ends = self.drivers.iter().enumerate();
         self.shift_ends = ends
             .filter(|&(d, _)| self.available_at[d] != NEVER)
@@ -481,17 +487,15 @@ impl Fleet {
     /// tests measure against [`Fleet::resident`].
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
-        let gridded = self
-            .cells
-            .iter()
-            .map(|t| t.cells.iter().map(Vec::len).sum());
+        let gridded = self.table.cells.iter().map(Vec::len).sum();
         let lens = [
             self.drivers.len(),
             self.locations.len(),
             self.available_at.len(),
             self.shift_ends.len(),
+            gridded,
         ];
-        lens.into_iter().chain(gridded).max().unwrap_or(0)
+        lens.into_iter().max().unwrap_or(0)
     }
 
     /// [`Fleet::candidates_into`] with a fresh vector — the convenient
@@ -518,58 +522,53 @@ impl Fleet {
         out: &mut Vec<Candidate>,
     ) {
         out.clear();
+        #[cfg(any(test, feature = "oracle"))]
+        if self.fold {
+            out.extend(fold_candidates(self, task, decision_time));
+            return;
+        }
         probe!(probe::count(Count::Scans, 1));
         if !decidable(task, decision_time) {
             return;
         }
 
-        match &self.cells {
-            Some(table) => {
-                // Any driver farther than the loosest possible travel
-                // budget — she departs no earlier than the decision —
-                // cannot arrive in time. One second of slack keeps the
-                // prune lossless: travel times round to whole seconds, so
-                // a driver fractionally past the exact radius can still
-                // round down into the budget. The cover is a superset of
-                // the disc (`evaluate` re-checks arrival exactly anyway).
-                let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
-                let radius = self.speed.reachable_km(budget);
-                let (rows, cols) = table.grid.cover(task.origin, radius);
-                // Entries at `NEVER` — retired drivers — are out of reach
-                // of every deadline, even one no guard bounded.
-                let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
-                let mut reach = Reach {
-                    task,
-                    decision_time,
-                    pickup_max: budget,
-                    home_max: table.diagonal,
-                    pickup: None,
-                    home: None,
-                };
-                probe!(let cells = rows.len() * cols.len(););
-                probe!(let (mut walked, mut evaluated) = (0, 0););
-                for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col)))
-                {
-                    let walk = table.cell(cell).iter();
-                    for &(free, d) in walk.take_while(|&&(free, _)| free <= horizon) {
-                        probe!(walked += 1);
-                        let d = d as usize;
-                        if !reach.excludes(self, free, d) {
-                            probe!(evaluated += 1);
-                            out.extend(self.evaluate(task, decision_time, d));
-                        }
-                    }
-                }
-                probe!(probe::count(Count::Cells, cells as u64));
-                probe!(probe::count(Count::Entries, walked));
-                probe!(probe::count(Count::Evaluations, evaluated));
-            }
-            None => {
-                for d in 0..self.drivers.len() {
+        // Any driver farther than the loosest possible travel budget — she
+        // departs no earlier than the decision — cannot arrive in time.
+        // One second of slack keeps the prune lossless: travel times round
+        // to whole seconds, so a driver fractionally past the exact radius
+        // can still round down into the budget. The cover is a superset of
+        // the disc (`evaluate` re-checks arrival exactly anyway).
+        let table = &self.table;
+        let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
+        let radius = self.speed.reachable_km(budget);
+        let (rows, cols) = table.grid.cover(task.origin, radius);
+        // Entries at `NEVER` — retired drivers — are out of reach of every
+        // deadline, even one no guard bounded.
+        let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
+        let mut reach = Reach {
+            task,
+            decision_time,
+            pickup_max: budget,
+            home_max: table.diagonal,
+            pickup: None,
+            home: None,
+        };
+        probe!(let cells = rows.len() * cols.len(););
+        probe!(let (mut walked, mut evaluated) = (0, 0););
+        for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col))) {
+            let walk = table.cell(cell).iter();
+            for &(free, d) in walk.take_while(|&&(free, _)| free <= horizon) {
+                probe!(walked += 1);
+                let d = d as usize;
+                if !reach.excludes(self, free, d) {
+                    probe!(evaluated += 1);
                     out.extend(self.evaluate(task, decision_time, d));
                 }
             }
         }
+        probe!(probe::count(Count::Cells, cells as u64));
+        probe!(probe::count(Count::Entries, walked));
+        probe!(probe::count(Count::Evaluations, evaluated));
         // Driver indices are unique, so the unstable sort's order is the
         // stable one's.
         out.sort_unstable_by_key(|c| c.driver);
@@ -655,87 +654,79 @@ impl Fleet {
     /// is a property of the pair, not of when a lane retired her, so every
     /// lane computes the same epoch. Every retired driver fails it, since
     /// [`Fleet::retire_before`]'s floor is at most every held order's
-    /// publication, so the grid path reads each cell's live prefix only,
-    /// and compaction cannot move an epoch.
+    /// publication, so the search reads each cell's live prefix only, and
+    /// compaction cannot move an epoch.
     ///
-    /// The grid path stops at the first point whose epoch reaches `cap`
-    /// (the clamp settles the answer there), and reads no point at all
-    /// when `publish_time` already reaches it. The linear path folds every
-    /// driver on shift: it is the oracle the grid path is tested against.
+    /// The search stops at the first point whose epoch reaches `cap` (the
+    /// clamp settles the answer there), and reads no point at all when
+    /// `publish_time` already reaches it.
     pub(crate) fn latest_decision(&self, task: &Task, cap: Timestamp) -> Timestamp {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.fold {
+            return fold_latest_decision(self, task, cap);
+        }
         let speed = self.speed;
         let latest = |loc: GeoPoint| task.pickup_deadline - speed.travel_time(loc, task.origin);
         let on_shift = |d: usize| self.drivers[d].shift_end >= task.publish_time;
         let mut best = task.publish_time;
         probe!(probe::count(Count::Searches, 1));
-        match &self.cells {
-            Some(_) if best >= cap => return cap,
-            Some(table) => {
-                // A point beyond the budget left by the best epoch so far
-                // has `pickup_deadline − travel < best` and cannot raise it
-                // (same 1 s rounding slack as the candidate scan) — from
-                // the `publish_time` floor on, and tighter with every
-                // nearer point found. So search rings of cells outward
-                // from the pickup's, shrink the cover after each, and stop
-                // once a ring has passed all four of its sides. Inside a
-                // ring the same budget rejects a point as a disc bound,
-                // before its travel time, and shrinks with every point
-                // that raises the epoch.
-                let budget = |best: Timestamp| {
-                    (task.pickup_deadline - best + TimeDelta::from_secs(1)).max(TimeDelta::ZERO)
-                };
-                let mut left = budget(best);
-                let mut bound = None;
-                let home = table.grid.cell_of(task.origin);
-                let (mut rows, mut cols) = table.grid.cover(task.origin, speed.reachable_km(left));
-                for ring in 0.. {
-                    let before = best;
-                    let cells = ring_cells(home, ring)
-                        .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
-                    for &(_, d) in cells.flat_map(|cell| table.live(cell)) {
-                        probe!(probe::count(Count::SearchEntries, 1));
-                        let d = d as usize;
-                        if !on_shift(d) {
-                            continue;
-                        }
-                        let point = self.locations[d];
-                        // Built at the first point, for the widest budget.
-                        let disc =
-                            bound.get_or_insert_with(|| DiscBound::new(task.origin, speed, left));
-                        if disc.beyond(point, left) {
-                            continue;
-                        }
-                        let found = latest(point);
-                        if found > best {
-                            // `best` only rises and the result is clamped
-                            // to `cap`, so this point settles it. Until now
-                            // `best < cap`, so the disc bound, which skips
-                            // only points below `best`, skipped none that
-                            // reaches `cap`.
-                            if found >= cap {
-                                return cap;
-                            }
-                            best = found;
-                            left = budget(best);
-                        }
+        if best >= cap {
+            return cap;
+        }
+        // A point beyond the budget left by the best epoch so far has
+        // `pickup_deadline − travel < best` and cannot raise it (same 1 s
+        // rounding slack as the candidate scan) — from the `publish_time`
+        // floor on, and tighter with every nearer point found. So search
+        // rings of cells outward from the pickup's, shrink the cover after
+        // each, and stop once a ring has passed all four of its sides.
+        // Inside a ring the same budget rejects a point as a disc bound,
+        // before its travel time, and shrinks with every point that raises
+        // the epoch.
+        let table = &self.table;
+        let budget = |best: Timestamp| {
+            (task.pickup_deadline - best + TimeDelta::from_secs(1)).max(TimeDelta::ZERO)
+        };
+        let mut left = budget(best);
+        let mut bound = None;
+        let home = table.grid.cell_of(task.origin);
+        let (mut rows, mut cols) = table.grid.cover(task.origin, speed.reachable_km(left));
+        for ring in 0.. {
+            let before = best;
+            let cells = ring_cells(home, ring)
+                .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
+            for &(_, d) in cells.flat_map(|cell| table.live(cell)) {
+                probe!(probe::count(Count::SearchEntries, 1));
+                let d = d as usize;
+                if !on_shift(d) {
+                    continue;
+                }
+                let point = self.locations[d];
+                // Built at the first point, for the widest budget.
+                let disc = bound.get_or_insert_with(|| DiscBound::new(task.origin, speed, left));
+                if disc.beyond(point, left) {
+                    continue;
+                }
+                let found = latest(point);
+                if found > best {
+                    // `best` only rises and the result is clamped to `cap`,
+                    // so this point settles it. Until now `best < cap`, so
+                    // the disc bound, which skips only points below `best`,
+                    // skipped none that reaches `cap`.
+                    if found >= cap {
+                        return cap;
                     }
-                    if best > before {
-                        (rows, cols) = table.grid.cover(task.origin, speed.reachable_km(left));
-                    }
-                    let passed = |at: u16, range: &RangeInclusive<u16>| {
-                        at.saturating_sub(ring) <= *range.start()
-                            && at.saturating_add(ring) >= *range.end()
-                    };
-                    if passed(home.row(), &rows) && passed(home.col(), &cols) {
-                        break;
-                    }
+                    best = found;
+                    left = budget(best);
                 }
             }
-            None => {
-                let on = (0..self.drivers.len()).filter(|&d| on_shift(d));
-                best = on
-                    .map(|d| latest(self.locations[d]))
-                    .fold(best, Timestamp::max);
+            if best > before {
+                (rows, cols) = table.grid.cover(task.origin, speed.reachable_km(left));
+            }
+            let passed = |at: u16, range: &RangeInclusive<u16>| {
+                at.saturating_sub(ring) <= *range.start() && at.saturating_add(ring) >= *range.end()
+            };
+            if passed(home.row(), &rows) && passed(home.col(), &cols) {
+                break;
             }
         }
         best.min(cap)
@@ -768,23 +759,49 @@ impl Fleet {
         let until = arrival + task.duration;
         let from = std::mem::replace(&mut self.locations[d], task.destination);
         let free = std::mem::replace(&mut self.available_at[d], until);
-        if let Some(table) = self.cells.as_mut() {
-            table.remove(from, free, d as u32);
-            table.insert(task.destination, until, d as u32);
-        }
+        self.table.remove(from, free, d as u32);
+        self.table.insert(task.destination, until, d as u32);
         (self.drivers[d].id, self.speed.driven_km(from, task.origin))
     }
 }
 
 /// Covers every driver and task location with a margin; degenerate markets
-/// fall back to a unit box.
+/// fall back to [`unit_box`].
 pub(crate) fn market_bbox(market: &Market) -> BoundingBox {
     let drivers = market.drivers().iter();
     let tasks = market.tasks().iter();
     let points = drivers
         .flat_map(|d| [d.source, d.destination])
         .chain(tasks.flat_map(|t| [t.origin, t.destination]));
-    BoundingBox::covering(points, 0.01).unwrap_or(BoundingBox::new(0.0, 1.0, 0.0, 1.0))
+    BoundingBox::covering(points, 0.01).unwrap_or_else(unit_box)
+}
+
+/// The box a fleet is gridded over when its caller names none. Points
+/// outside a box clamp into its border cells, so a box only costs speed.
+pub(crate) fn unit_box() -> BoundingBox {
+    BoundingBox::new(0.0, 1.0, 0.0, 1.0)
+}
+
+/// Every feasible candidate for `task` decided at `decision_time`, by
+/// evaluating each resident driver in index order: the reference
+/// [`Fleet::candidates_into`]'s prunes are tested against.
+#[cfg(any(test, feature = "oracle"))]
+fn fold_candidates(fleet: &Fleet, task: &Task, decision_time: Timestamp) -> Vec<Candidate> {
+    (0..fleet.drivers.len())
+        .filter_map(|d| fleet.candidate_for(task, decision_time, d))
+        .collect()
+}
+
+/// [`Fleet::latest_decision`] by folding the epoch of every driver on shift
+/// at `task`'s publication: the reference the ring search is tested
+/// against.
+#[cfg(any(test, feature = "oracle"))]
+fn fold_latest_decision(fleet: &Fleet, task: &Task, cap: Timestamp) -> Timestamp {
+    let residents = fleet.drivers.iter().zip(&fleet.locations);
+    let on_shift = residents.filter(|(driver, _)| driver.shift_end >= task.publish_time);
+    let latest =
+        on_shift.map(|(_, &loc)| task.pickup_deadline - fleet.speed.travel_time(loc, task.origin));
+    latest.fold(task.publish_time, Timestamp::max).min(cap)
 }
 
 #[cfg(test)]
@@ -809,43 +826,52 @@ mod tests {
         order
     }
 
+    /// `fleet`'s early-flush epoch for `task` under `cap`, asserted equal
+    /// to the fold's.
+    fn epoch_of(fleet: &Fleet, task: &Task, cap: Timestamp) -> Timestamp {
+        let epoch = fleet.latest_decision(task, cap);
+        let folded = fold_latest_decision(fleet, task, cap);
+        assert_eq!(epoch, folded, "task {} cap {cap}", task.id);
+        epoch
+    }
+
     #[test]
     fn grid_pruning_is_lossless_at_any_decision_time() {
-        // Both questions, index ≡ scan, asked of a fleet that churns the
+        // Both questions, index ≡ fold, asked of a fleet that churns the
         // way a stream's does — drivers announced late, committed, retired
         // by a clock that lags the orders (so some shifts have ended
         // unretired), compacted — over a box that holds every point, over
         // one most points fall outside of, and over one that holds none
-        // (every point clamps into a border cell).
+        // (every point clamps into a border cell). That last one is the
+        // unit box, which a fleet given no box is built over.
         let m = market(71, 240, 40);
         let full = market_bbox(&m);
         let (lat, lon) = (full.center().lat(), full.center().lon());
         let inner = BoundingBox::new(lat - 0.02, lat + 0.02, lon - 0.03, lon + 0.03);
         let empty = BoundingBox::new(0.0, 1.0, 0.0, 1.0);
+        assert_eq!(empty, unit_box());
         // Epochs that reached their cap, and epochs that fell short of it.
         let (mut capped, mut short) = (0usize, 0usize);
         for bbox in [full, inner, empty] {
-            let mut linear = Fleet::new(m.speed(), None);
-            let mut grid = Fleet::new(m.speed(), Some(bbox));
+            let mut fleet = Fleet::new(m.speed(), bbox);
             let mut late = m.drivers().iter();
             for (step, &t) in publish_order(&m).iter().enumerate() {
                 let task = &m.tasks()[t];
                 let publish = task.publish_time;
-                let joining = (step % 2 == 0).then(|| late.next()).flatten();
-                for fleet in [&mut linear, &mut grid] {
-                    joining.into_iter().for_each(|d| fleet.announce(*d));
-                    if step % 3 == 0 {
-                        fleet.retire_before(publish);
-                    }
-                    if step % 25 == 0 {
-                        fleet.compact();
-                    }
+                if step % 2 == 0 {
+                    late.next().into_iter().for_each(|d| fleet.announce(*d));
+                }
+                if step % 3 == 0 {
+                    fleet.retire_before(publish);
+                }
+                if step % 25 == 0 {
+                    fleet.compact();
                 }
                 for delay_mins in [0i64, 2, 10, 45] {
                     let at = publish + TimeDelta::from_mins(delay_mins);
                     assert_eq!(
-                        linear.candidates_at(task, at),
-                        grid.candidates_at(task, at),
+                        fold_candidates(&fleet, task, at),
+                        fleet.candidates_at(task, at),
                         "task {t} at {at}"
                     );
                 }
@@ -854,21 +880,18 @@ mod tests {
                 // and the nearest point's own epoch is compared.
                 let windows = [0i64, 1, 3, 10].map(|mins| publish + TimeDelta::from_mins(mins));
                 for cap in windows.into_iter().chain([task.pickup_deadline]) {
-                    let epoch = linear.latest_decision(task, cap);
-                    assert_eq!(epoch, grid.latest_decision(task, cap), "task {t} cap {cap}");
-                    if epoch == cap {
+                    if epoch_of(&fleet, task, cap) == cap {
                         capped += 1;
                     } else {
                         short += 1;
                     }
                 }
-                if let Some(c) = grid.candidates_at(task, publish).first() {
-                    linear.commit(c.driver, task, c.arrival);
-                    grid.commit(c.driver, task, c.arrival);
+                if let Some(c) = fleet.candidates_at(task, publish).first() {
+                    fleet.commit(c.driver, task, c.arrival);
                 }
             }
-            assert_eq!(linear.announced(), m.num_drivers());
-            assert!(grid.compacted() > 0, "fleet never churned");
+            assert_eq!(fleet.announced(), m.num_drivers());
+            assert!(fleet.compacted() > 0, "fleet never churned");
         }
         assert!(capped > 0 && short > 0, "{capped} capped, {short} short");
 
@@ -879,17 +902,15 @@ mod tests {
         let mut by_value: Vec<&Task> = m.tasks().iter().collect();
         by_value.sort_by(|a, b| b.price.partial_cmp(&a.price).unwrap().then(a.id.cmp(&b.id)));
         for bbox in [full, inner, empty] {
-            let mut linear = Fleet::for_market(&m, false);
-            let mut grid = Fleet::new(m.speed(), Some(bbox));
-            m.drivers().iter().for_each(|d| grid.announce(*d));
+            let mut fleet = Fleet::new(m.speed(), bbox);
+            m.drivers().iter().for_each(|d| fleet.announce(*d));
             let mut committed = 0;
             for task in &by_value {
                 let at = task.publish_time;
-                let candidates = grid.candidates_at(task, at);
-                assert_eq!(linear.candidates_at(task, at), candidates, "{}", task.id);
+                let candidates = fleet.candidates_at(task, at);
+                assert_eq!(fold_candidates(&fleet, task, at), candidates, "{}", task.id);
                 if let Some(c) = candidates.first() {
-                    linear.commit(c.driver, task, c.arrival);
-                    grid.commit(c.driver, task, c.arrival);
+                    fleet.commit(c.driver, task, c.arrival);
                     committed += 1;
                 }
             }
@@ -902,7 +923,7 @@ mod tests {
         // A later decision only delays departures, so feasibility shrinks
         // monotonically (driver states held fixed).
         let m = market(72, 40, 15);
-        let fleet = Fleet::for_market(&m, false);
+        let fleet = Fleet::for_market(&m);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             let publish = task.publish_time;
@@ -918,7 +939,7 @@ mod tests {
     #[test]
     fn decision_past_pickup_deadline_is_empty() {
         let m = market(73, 20, 10);
-        let fleet = Fleet::for_market(&m, false);
+        let fleet = Fleet::for_market(&m);
         for t in 0..m.num_tasks() {
             let task = &m.tasks()[t];
             let past = task.pickup_deadline + TimeDelta::from_secs(1);
@@ -930,7 +951,7 @@ mod tests {
     #[test]
     fn commit_moves_the_driver_and_the_index() {
         let m = market(74, 30, 6);
-        let mut fleet = Fleet::for_market(&m, true);
+        let mut fleet = Fleet::for_market(&m);
         let task = &m.tasks()[0];
         let publish = task.publish_time;
         let cands = fleet.candidates_at(task, publish);
@@ -941,15 +962,13 @@ mod tests {
             assert_eq!(committed, (m.drivers()[c.driver].id, deadhead));
             assert_eq!(fleet.locations[c.driver], task.destination);
             assert_eq!(fleet.available_at[c.driver], c.arrival + task.duration);
-            // The index tracked the move: a linear fleet in the same
-            // state agrees with the grid one.
-            let mut linear = Fleet::for_market(&m, false);
-            linear.commit(c.driver, task, c.arrival);
+            // The index tracked the move: the fold over the moved state
+            // agrees with the grid.
             for t in 1..m.num_tasks() {
                 let next = &m.tasks()[t];
                 let at = next.publish_time;
                 assert_eq!(
-                    linear.candidates_at(next, at),
+                    fold_candidates(&fleet, next, at),
                     fleet.candidates_at(next, at)
                 );
             }
@@ -961,8 +980,8 @@ mod tests {
         // Announcing drivers one by one (the streaming path) yields the
         // same fleet as building from the whole market.
         let m = market(75, 40, 12);
-        let batch = Fleet::for_market(&m, true);
-        let mut inc = Fleet::new(m.speed(), Some(market_bbox(&m)));
+        let batch = Fleet::for_market(&m);
+        let mut inc = Fleet::new(m.speed(), market_bbox(&m));
         for d in m.drivers() {
             inc.announce(*d);
         }
@@ -1031,8 +1050,8 @@ mod tests {
         let epoch = |d: &Driver| cap - speed.travel_time(d.source, origin);
         assert!(task.publish_time < epoch(&far_live) && epoch(&far_live) < epoch(&near_expired));
 
-        for bbox in [None, Some(BoundingBox::new(41.0, 41.3, -8.8, -8.3))] {
-            let ctx = format!("grid: {}", bbox.is_some());
+        for bbox in [unit_box(), BoundingBox::new(41.0, 41.3, -8.8, -8.3)] {
+            let ctx = format!("{bbox:?}");
             let fleet_of = |drivers: &[Driver]| {
                 let mut fleet = Fleet::new(speed, bbox);
                 drivers.iter().for_each(|d| fleet.announce(*d));
@@ -1043,36 +1062,20 @@ mod tests {
                 ..near_expired
             };
             let fleet = fleet_of(&[on_shift, far_live]);
-            assert_eq!(
-                fleet.latest_decision(&task, cap),
-                epoch(&near_expired),
-                "{ctx}"
-            );
+            assert_eq!(epoch_of(&fleet, &task, cap), epoch(&near_expired), "{ctx}");
 
             let mut fleet = fleet_of(&[near_expired, far_live, twin]);
             let baseline = epoch(&far_live);
-            assert_eq!(
-                fleet.latest_decision(&task, cap),
-                baseline,
-                "unretired, {ctx}"
-            );
+            assert_eq!(epoch_of(&fleet, &task, cap), baseline, "unretired, {ctx}");
             fleet.retire_before(task.publish_time);
             fleet.retire(0);
             assert_eq!(fleet.retired, 1, "a second retirement must not re-count");
             assert_eq!(fleet.retired_ids(), [near_expired.id]);
-            assert_eq!(
-                fleet.latest_decision(&task, cap),
-                baseline,
-                "retired, {ctx}"
-            );
+            assert_eq!(epoch_of(&fleet, &task, cap), baseline, "retired, {ctx}");
             assert_eq!(fleet.compact(), 1);
             assert_eq!(fleet.drivers, [far_live, twin], "survivors renumber from 0");
             assert_eq!(fleet.retired_ids(), []);
-            assert_eq!(
-                fleet.latest_decision(&task, cap),
-                baseline,
-                "compacted, {ctx}"
-            );
+            assert_eq!(epoch_of(&fleet, &task, cap), baseline, "compacted, {ctx}");
         }
     }
 
@@ -1082,7 +1085,8 @@ mod tests {
         // search may stop at the first point whose epoch reaches it. A
         // tripwire — a cell entry naming a driver that does not exist, so
         // a search that reads it panics — shows where it stopped, and
-        // every answer equals the table-less fleet's fold.
+        // every answer equals the fold over the state vectors, which never
+        // reads the table.
         let speed = SpeedModel::urban();
         // Cells of 0.01° a side; the pickup sits 0.0005° inside its
         // cell's east edge.
@@ -1109,16 +1113,13 @@ mod tests {
         );
         let task = order_at(origin);
         let epoch = |d: &Driver| task.pickup_deadline - speed.travel_time(d.source, origin);
-        let fleets = |drivers: &[Driver]| {
-            [None, Some(bbox)].map(|bbox| {
-                let mut fleet = Fleet::new(speed, bbox);
-                drivers.iter().for_each(|d| fleet.announce(*d));
-                fleet
-            })
+        let fleet_of = |drivers: &[Driver]| {
+            let mut fleet = Fleet::new(speed, bbox);
+            drivers.iter().for_each(|d| fleet.announce(*d));
+            fleet
         };
         let trip_wire = |fleet: &mut Fleet, at: GeoPoint, key: Timestamp| {
-            let table = fleet.cells.as_mut().expect("gridded fleet");
-            table.insert(at, key, u32::MAX);
+            fleet.table.insert(at, key, u32::MAX);
         };
 
         // The pickup's own cell falls short of the cap; the next cell's
@@ -1126,29 +1127,26 @@ mod tests {
         // there, before the tripwire free an hour after her.
         let cap = task.pickup_deadline - TimeDelta::from_mins(1);
         assert!(epoch(&far_side) < cap && cap < epoch(&across));
-        let [linear, mut grid] = fleets(&[far_side, across]);
-        trip_wire(&mut grid, across.source, Timestamp::from_hours(7));
+        let mut fleet = fleet_of(&[far_side, across]);
+        trip_wire(&mut fleet, across.source, Timestamp::from_hours(7));
         for cap in [cap, epoch(&across)] {
-            assert_eq!(linear.latest_decision(&task, cap), cap);
-            assert_eq!(grid.latest_decision(&task, cap), cap);
+            assert_eq!(epoch_of(&fleet, &task, cap), cap);
         }
 
         // No point reaches the cap: the nearest point's own epoch.
-        let [linear, grid] = fleets(&[far_side, across]);
+        let fleet = fleet_of(&[far_side, across]);
         let just_past = epoch(&across) + TimeDelta::from_secs(1);
         for cap in [just_past, task.pickup_deadline] {
-            assert_eq!(linear.latest_decision(&task, cap), epoch(&across));
-            assert_eq!(grid.latest_decision(&task, cap), epoch(&across));
+            assert_eq!(epoch_of(&fleet, &task, cap), epoch(&across));
         }
 
         // An order published at its window end reads no point at all:
         // the tripwire heads the pickup's cell.
         let publish = task.publish_time;
         for drivers in [&[][..], &[far_side, across]] {
-            let [linear, mut grid] = fleets(drivers);
-            trip_wire(&mut grid, origin, Timestamp::EPOCH);
-            assert_eq!(linear.latest_decision(&task, publish), publish);
-            assert_eq!(grid.latest_decision(&task, publish), publish);
+            let mut fleet = fleet_of(drivers);
+            trip_wire(&mut fleet, origin, Timestamp::EPOCH);
+            assert_eq!(epoch_of(&fleet, &task, publish), publish);
         }
 
         // The driver across the edge, but off shift since before the
@@ -1162,16 +1160,12 @@ mod tests {
             ..across
         };
         let twin = driver(2, far_side.source);
-        let [mut linear, mut grid] = fleets(&[far_side, gone, twin]);
-        assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
-        assert_eq!(grid.latest_decision(&task, cap), epoch(&far_side));
-        for fleet in [&mut linear, &mut grid] {
-            fleet.retire_before(task.publish_time);
-            assert_eq!(fleet.retired_ids(), [gone.id]);
-        }
-        trip_wire(&mut grid, across.source, NEVER);
-        assert_eq!(linear.latest_decision(&task, cap), epoch(&far_side));
-        assert_eq!(grid.latest_decision(&task, cap), epoch(&far_side));
+        let mut fleet = fleet_of(&[far_side, gone, twin]);
+        assert_eq!(epoch_of(&fleet, &task, cap), epoch(&far_side));
+        fleet.retire_before(task.publish_time);
+        assert_eq!(fleet.retired_ids(), [gone.id]);
+        trip_wire(&mut fleet, across.source, NEVER);
+        assert_eq!(epoch_of(&fleet, &task, cap), epoch(&far_side));
     }
 
     #[test]
@@ -1181,8 +1175,8 @@ mod tests {
         // `latest_decision` (which counts only drivers on shift) is
         // untouched too.
         let m = market(76, 50, 20);
-        let plain = Fleet::for_market(&m, false);
-        let mut expired = Fleet::for_market(&m, false);
+        let plain = Fleet::for_market(&m);
+        let mut expired = Fleet::for_market(&m);
         let cutoff = Timestamp::from_hours(14);
         expired.retire_before(cutoff);
         let ended = m.drivers().iter().filter(|d| d.shift_end < cutoff);
@@ -1213,7 +1207,7 @@ mod tests {
     type Indexes = (Vec<Vec<(Timestamp, u32)>>, Vec<(i64, usize)>);
 
     fn indexes(fleet: &Fleet) -> Indexes {
-        let table = fleet.cells.as_ref().expect("gridded fleet");
+        let table = &fleet.table;
         let sorted = |cell: &Vec<(Timestamp, u32)>| {
             let mut cell = cell.clone();
             cell.sort_unstable();
@@ -1231,7 +1225,7 @@ mod tests {
     /// her location, under her current `available_at` (so a retired one at
     /// `NEVER`); and every cell is ascending as it stands.
     fn assert_grid_is_exact(fleet: &Fleet) {
-        let table = fleet.cells.as_ref().expect("gridded fleet");
+        let table = &fleet.table;
         let mut members = vec![Vec::new(); table.grid.slot_count()];
         for (d, (&loc, &free)) in fleet.locations.iter().zip(&fleet.available_at).enumerate() {
             members[table.grid.slot_of(loc)].push((free, d as u32));
@@ -1248,8 +1242,7 @@ mod tests {
 
     /// A fresh fleet handed `fleet`'s state, its indexes rebuilt from it.
     fn rebuilt(fleet: &Fleet) -> Fleet {
-        let bbox = fleet.cells.as_ref().map(|t| t.grid.bounding_box());
-        let mut fresh = Fleet::new(fleet.speed, bbox);
+        let mut fresh = Fleet::new(fleet.speed, fleet.table.grid.bounding_box());
         fresh.drivers.clone_from(&fleet.drivers);
         fresh.locations.clone_from(&fleet.locations);
         fresh.available_at.clone_from(&fleet.available_at);
@@ -1270,7 +1263,7 @@ mod tests {
         let m = market(77, 240, 40);
         let order = publish_order(&m);
         for cadence in [1, 7, 60] {
-            let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
+            let mut fleet = Fleet::new(m.speed(), market_bbox(&m));
             let mut late = m.drivers().iter();
             for d in late.by_ref().take(20) {
                 fleet.announce(*d);
@@ -1341,7 +1334,7 @@ mod tests {
         let (mut fired, mut held) = (0, 0);
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut fleet = Fleet::new(m.speed(), Some(market_bbox(&m)));
+            let mut fleet = Fleet::new(m.speed(), market_bbox(&m));
             let mut late = m.drivers().iter();
             let mut next = 0;
             while next < order.len() {

@@ -302,7 +302,7 @@ const MAX_SHARDS: usize = 1024;
 pub struct ShardOptions {
     /// Number of worker shards (≥ 1).
     pub shards: usize,
-    /// Per-shard [`StreamEngine`] options (grid pruning).
+    /// Per-shard [`StreamEngine`] options (the grid's box, a speed hint).
     pub stream: StreamOptions,
     /// Run the **inline validating lane** instead of the worker threads:
     /// the caller's thread applies every delivery to the shard engines

@@ -123,8 +123,8 @@ impl SimulationResult {
 /// their position), so `dispatch` has exactly one entry per market task.
 /// Tasks arrive in publish order. Candidates are grid-pruned over a box
 /// covering every driver and task location — lossless, so the result
-/// equals the linear scan's, the oracle a bare [`crate::replay_stream`]
-/// with [`StreamOptions::default`] runs.
+/// equals a bare [`crate::replay_stream`]'s with [`StreamOptions::default`]
+/// (the unit box) and the linear fold's the oracle tests run.
 ///
 /// # Panics
 ///

@@ -48,15 +48,15 @@
 //! Same-timestamp orders are decided in task-id order regardless of
 //! arrival order, so delivery reordering within one timestamp cannot
 //! change results (a property test pins this). The facade's
-//! `stream_equivalence` suite pins the front-end against the plain
-//! linear-scan run and the plain run against recorded digests; compaction,
-//! ticks, the grid and sharding are each pinned against the front-end or
-//! the plain run.
+//! `stream_equivalence` suite pins the front-end against a run that folds
+//! over every driver instead of searching the grid, and the plain run
+//! against recorded digests; compaction, ticks, the grid's box and
+//! sharding are each pinned against the front-end or the plain run.
 //!
 //! # Examples
 //!
-//! A materialized market, streamed by hand (linear scan) and through the
-//! front-end (grid-pruned):
+//! A materialized market, streamed by hand (gridded over the default unit
+//! box) and through the front-end (gridded over the market's own box):
 //!
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
@@ -97,7 +97,7 @@ use rideshare_trace::TraceStream;
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::batch::{BatchMatcher, BatchRound};
-use crate::candidates::Fleet;
+use crate::candidates::{unit_box, Fleet};
 use crate::policy::{Candidate, DispatchPolicy};
 #[cfg(feature = "stage-probe")]
 use crate::probe::{self, Stage};
@@ -176,21 +176,48 @@ pub trait StreamSink {
     fn window_closed(&mut self, _end: Timestamp) {}
 }
 
-/// Options for a streaming replay.
-#[derive(Clone, Copy, Debug, Default)]
+/// Options for a streaming replay: the box candidate generation is
+/// gridded over, the unit box unless [`StreamOptions::grid`] names one. The
+/// box is a speed hint and never changes a result.
+#[derive(Clone, Copy, Debug)]
 pub struct StreamOptions {
-    /// Maintain a spatial grid index over this service area for candidate
-    /// pruning (lossless — identical results, different cost). `None`
-    /// scans all live drivers linearly.
-    pub grid_bbox: Option<BoundingBox>,
+    bbox: BoundingBox,
+    #[cfg(any(test, feature = "oracle"))]
+    fold: bool,
+}
+
+impl Default for StreamOptions {
+    fn default() -> Self {
+        Self {
+            bbox: unit_box(),
+            #[cfg(any(test, feature = "oracle"))]
+            fold: false,
+        }
+    }
 }
 
 impl StreamOptions {
-    /// Enables grid-pruned candidate generation over `bbox`.
+    /// Grids candidate generation over `bbox`, typically the trace's
+    /// service area.
     #[must_use]
     pub fn grid(mut self, bbox: BoundingBox) -> Self {
-        self.grid_bbox = Some(bbox);
+        self.bbox = bbox;
         self
+    }
+
+    /// Options whose engine answers every candidate and early-flush
+    /// question by folding over all resident drivers, reading no grid:
+    /// the reference the replay-level oracle tests compare the grid
+    /// against. Compiled only with the `oracle` feature, which only test
+    /// targets enable.
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "oracle"))]
+    #[must_use]
+    pub fn fold_oracle() -> Self {
+        Self {
+            fold: true,
+            ..Self::default()
+        }
     }
 }
 
@@ -336,8 +363,11 @@ impl StreamEngine {
     /// Creates an engine with no drivers and nothing pending.
     #[must_use]
     pub fn new(speed: SpeedModel, options: StreamOptions) -> Self {
+        let fleet = Fleet::new(speed, options.bbox);
+        #[cfg(any(test, feature = "oracle"))]
+        let fleet = fleet.folding(options.fold);
         Self {
-            fleet: Fleet::new(speed, options.grid_bbox),
+            fleet,
             pending: Vec::new(),
             spare: Vec::new(),
             cand_scratch: Vec::new(),
@@ -1001,11 +1031,8 @@ mod tests {
         // replay stays byte-identical to the materialized front-end, and
         // events still name drivers by their announced ids.
         let m = market(89, 200, 30);
-        for use_grid in [false, true] {
-            let mut options = StreamOptions::default();
-            if use_grid {
-                options = options.grid(rideshare_geo::porto::bounding_box());
-            }
+        let porto = StreamOptions::default().grid(rideshare_geo::porto::bounding_box());
+        for options in [StreamOptions::fold_oracle(), porto] {
             let mut sink = CollectingSink::new();
             let summary = replay_stream(
                 m.speed(),
@@ -1018,7 +1045,7 @@ mod tests {
             assert_same(&sink.into_result(), &materialized);
             assert!(
                 summary.compacted_drivers > 0,
-                "no shift ended mid-stream (grid={use_grid})"
+                "no shift ended mid-stream ({options:?})"
             );
         }
     }

@@ -12,7 +12,7 @@
 //!   window),
 //! - grid-pruned batch candidate generation (`replay_market`) is
 //!   byte-identical to the full-scan path (a bare `replay_stream` with
-//!   `StreamOptions::default()`) on catalog scenarios.
+//!   the test-only `StreamOptions::fold_oracle()`) on catalog scenarios.
 
 use rideshare::prelude::*;
 
@@ -23,7 +23,7 @@ fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> Simulati
     replay_market(market, &mut spec.holder().as_policy())
 }
 
-/// The same, through the linear-scan stream.
+/// The same, through the linear-scan stream (the test-only fold).
 fn batched_scan(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
     let spec = ShardPolicySpec::Batched { window, matcher };
     let mut sink = CollectingSink::new();
@@ -31,7 +31,7 @@ fn batched_scan(market: &Market, window: TimeDelta, matcher: MatcherKind) -> Sim
         market.speed(),
         market_events(market),
         &mut spec.holder().as_policy(),
-        StreamOptions::default(),
+        StreamOptions::fold_oracle(),
         &mut sink,
     );
     sink.into_result()

@@ -14,7 +14,8 @@
 //!    per-task maxMargin dispatch exactly — same dispatch vector, same
 //!    profit (also pinned by a fixed-seed regression test below), and
 //! 3. grid-pruned candidate generation changes nothing but wall-time: the
-//!    full-scan stream and the (always gridded) front-end produce
+//!    full-scan stream (`StreamOptions::fold_oracle()`) and the
+//!    front-end, gridded over the market's box, produce
 //!    byte-identical dispatches and events for random traces and windows.
 
 use proptest::prelude::*;
@@ -122,7 +123,7 @@ proptest! {
             market.speed(),
             market_events(&market),
             &mut spec.holder().as_policy(),
-            StreamOptions::default(),
+            StreamOptions::fold_oracle(),
             &mut sink,
         );
         let scan = sink.into_result();

@@ -1,7 +1,9 @@
 //! The spatial grid index is an *index*, not a semantics change: for every
-//! market and every policy, `replay_market` — which always prunes over the
+//! market and every policy, `replay_market` — which prunes over the
 //! market's box — must produce the same `SimulationResult` as the linear
-//! scan, a bare `replay_stream` with `StreamOptions::default()`.
+//! fold (`StreamOptions::fold_oracle()`, compiled for tests only) and as a
+//! bare `replay_stream` with `StreamOptions::default()`, whose grid spans
+//! the unit box and so holds every Porto point in one border cell.
 //!
 //! Promoted from a single-seed unit test to a property over random
 //! `TraceConfig`s, per the regression-suite charter: any future tuning of
@@ -16,24 +18,32 @@ use proptest::prelude::*;
 use rideshare::online::PolicyHolder;
 use rideshare::prelude::*;
 
-/// A fresh `make()` policy over `market` through the front-end and through
-/// the scan stream; `true` when every field agrees.
+/// A fresh `make()` policy over `market` through the front-end, through
+/// the fold and through a bare stream over the default box; `true` when
+/// every field of all three agrees.
 fn grid_matches_scan(market: &Market, make: impl Fn() -> PolicyHolder) -> bool {
     let grid = replay_market(market, &mut make().as_policy());
-    let mut sink = CollectingSink::new();
-    let _ = replay_stream(
-        market.speed(),
-        market_events(market),
-        &mut make().as_policy(),
-        StreamOptions::default(),
-        &mut sink,
-    );
-    let scan = sink.into_result();
-    scan.dispatch == grid.dispatch
-        && scan.served == grid.served
-        && scan.rejected == grid.rejected
-        && scan.events == grid.events
-        && scan.assignment.routes() == grid.assignment.routes()
+    let stream = |options| {
+        let mut sink = CollectingSink::new();
+        let _ = replay_stream(
+            market.speed(),
+            market_events(market),
+            &mut make().as_policy(),
+            options,
+            &mut sink,
+        );
+        sink.into_result()
+    };
+    [StreamOptions::fold_oracle(), StreamOptions::default()]
+        .map(stream)
+        .iter()
+        .all(|run| {
+            run.dispatch == grid.dispatch
+                && run.served == grid.served
+                && run.rejected == grid.rejected
+                && run.events == grid.events
+                && run.assignment.routes() == grid.assignment.routes()
+        })
 }
 
 proptest! {

@@ -5,8 +5,9 @@
 //!
 //! - the front-end, [`replay_market`] (grid-pruned, tasks re-labelled by
 //!   position), equals the plain run — a bare [`replay_stream`] of
-//!   [`market_events`] with [`StreamOptions::default`], the linear scan —
-//!   on the tiny catalog under every online policy, field by field
+//!   [`market_events`] that folds over every driver
+//!   (`StreamOptions::fold_oracle()`, the linear scan, compiled for tests
+//!   only) — on the tiny catalog under every online policy, field by field
 //!   (`front_end_matches_the_scan_stream`);
 //! - every *other* way of feeding the engine — clock ticks and eager
 //!   compaction here, the grid, shards and the daemon in the crate's unit
@@ -77,7 +78,7 @@ fn stream_instant(market: &Market, policy: &mut dyn DispatchPolicy) -> Simulatio
         market.speed(),
         market_events(market),
         &mut StreamPolicy::Instant(policy),
-        StreamOptions::default(),
+        StreamOptions::fold_oracle(),
         &mut sink,
     );
     sink.into_result()
@@ -92,7 +93,7 @@ fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> Simulati
         market.speed(),
         market_events(market),
         &mut StreamPolicy::Batched { window, matcher },
-        StreamOptions::default(),
+        StreamOptions::fold_oracle(),
         &mut sink,
     );
     sink.into_result()
@@ -123,7 +124,7 @@ fn front_end_matches_the_scan_stream() {
                 market.speed(),
                 market_events(&market),
                 &mut make().as_policy(),
-                StreamOptions::default(),
+                StreamOptions::fold_oracle(),
                 &mut sink,
             );
             let ctx = format!("{} × {label}", scenario.name);
@@ -396,11 +397,10 @@ fn grid_matches_scan(
     let run = |grid: bool| {
         let stream = config.stream();
         let speed = stream.speed();
-        let scan = StreamOptions::default();
         let options = if grid {
-            scan.grid(stream.bounding_box())
+            StreamOptions::default().grid(stream.bounding_box())
         } else {
-            scan
+            StreamOptions::fold_oracle()
         };
         let (mut margin, mut matcher) = (MaxMargin::new(), GreedyPairMatcher);
         let mut policy = if batched {
