@@ -123,8 +123,9 @@ impl SimulationResult {
 /// their position), so `dispatch` has exactly one entry per market task.
 /// Tasks arrive in publish order. Candidates are grid-pruned over a box
 /// covering every driver and task location — lossless, so the result
-/// equals a bare [`crate::replay_stream`]'s with [`StreamOptions::default`]
-/// (the unit box) and the linear fold's the oracle tests run.
+/// equals that of a bare [`crate::replay_stream`] with
+/// [`StreamOptions::default`] (gridded over the unit box), and that of the
+/// linear fold the oracle tests run.
 ///
 /// # Panics
 ///
