@@ -75,8 +75,8 @@ pub enum MatcherKind {
 
 /// One matching round of one decision epoch, as presented to a
 /// [`BatchMatcher`]: the still-unmatched task indices and, aligned by
-/// slot, each task's feasible candidate drivers (sorted by driver index,
-/// marginal values per Eq. 14) under the epoch's decision time and the
+/// slot, each task's feasible candidate drivers (sorted by announced driver
+/// id, marginal values per Eq. 14) under the epoch's decision time and the
 /// drivers' current projected states.
 #[derive(Debug)]
 pub struct BatchRound<'a> {
@@ -103,8 +103,7 @@ pub trait BatchMatcher {
 
 /// The batch analogue of maxMargin: per round, commit the single feasible
 /// *(driver, task)* pair with the maximum marginal value. Ties break to the
-/// lower task index, then the lower driver index, so runs are
-/// deterministic.
+/// lower task index, then the lower driver id, so runs are deterministic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyPairMatcher;
 
@@ -171,7 +170,7 @@ impl BatchMatcher for OptimalAssignmentMatcher {
             }
         }
         // ≤ 1 task per driver (per round).
-        let mut drivers: Vec<usize> = pairs
+        let mut drivers: Vec<_> = pairs
             .iter()
             .map(|&(slot, ci)| round.candidates[slot][ci].driver)
             .collect();

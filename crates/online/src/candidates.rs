@@ -95,11 +95,11 @@ const GONE: u32 = u32::MAX;
 
 /// The engine's drivers: resident state, and the indexes derived from it.
 ///
-/// Driver indices (`Candidate::driver`, the `d` arguments) are positions
-/// in the state vectors. They are engine-internal: compaction renumbers
-/// the survivors, while the ids a sink sees stay the announced ones.
-/// Nothing looks a driver up by id, so ids need only ascend; positions
-/// keep announce order, which is all a tie-break or matcher reads.
+/// Slots (`Candidate::slot`, the `d` arguments) are positions in the state
+/// vectors. They are engine-internal: compaction renumbers the survivors.
+/// Every order on drivers — a candidate list, a tie-break, a matcher —
+/// reads the announced id (`Candidate::driver`), which ascends in announce
+/// order; nothing looks a driver up by id.
 #[derive(Clone, Debug)]
 pub(crate) struct Fleet {
     speed: SpeedModel,
@@ -512,7 +512,7 @@ impl Fleet {
     /// decision is made at `decision_time`: she can reach the pickup from
     /// her projected position by the deadline (departing no earlier than
     /// the decision), can still get home afterwards, and is inside her
-    /// shift. `out` is cleared and refilled sorted by driver index, each
+    /// shift. `out` is cleared and refilled sorted by announced id, each
     /// candidate carrying the Eq. 14 marginal value — callers keep one
     /// scratch vector per replay so the per-decision allocation disappears.
     pub(crate) fn candidates_into(
@@ -569,7 +569,7 @@ impl Fleet {
         probe!(probe::count(Count::Cells, cells as u64));
         probe!(probe::count(Count::Entries, walked));
         probe!(probe::count(Count::Evaluations, evaluated));
-        // Driver indices are unique, so the unstable sort's order is the
+        // Announced ids are unique, so the unstable sort's order is the
         // stable one's.
         out.sort_unstable_by_key(|c| c.driver);
         probe!(probe::count(Count::Candidates, out.len() as u64));
@@ -584,12 +584,12 @@ impl Fleet {
         &self,
         task: &Task,
         decision_time: Timestamp,
-        d: usize,
+        slot: u32,
     ) -> Option<Candidate> {
         if !decidable(task, decision_time) {
             return None;
         }
-        self.evaluate(task, decision_time, d)
+        self.evaluate(task, decision_time, slot as usize)
     }
 
     /// The feasibility predicates and Eq. 14 value for one pair
@@ -636,7 +636,8 @@ impl Fleet {
         let old_return = speed.travel_cost(location, driver.destination);
         let delta = task.price - new_return - task.service_cost - to_pickup_cost + old_return;
         Some(Candidate {
-            driver: d,
+            driver: driver.id,
+            slot: d as u32,
             arrival,
             marginal_value: delta.as_f64(),
         })
@@ -751,17 +752,17 @@ impl Fleet {
             .map(|(driver, _)| driver.id)
     }
 
-    /// Commits a dispatch: projects driver `d` onto the task's destination,
-    /// free at `arrival + duration`, and keeps the indexes in sync.
-    /// Returns her announced id and the deadhead she drives to the pickup,
-    /// in kilometres.
-    pub(crate) fn commit(&mut self, d: usize, task: &Task, arrival: Timestamp) -> (DriverId, f64) {
+    /// Commits a dispatch: projects the driver in `slot` onto the task's
+    /// destination, free at `arrival + duration`, and keeps the indexes in
+    /// sync. Returns the deadhead she drives to the pickup, in kilometres.
+    pub(crate) fn commit(&mut self, slot: u32, task: &Task, arrival: Timestamp) -> f64 {
+        let d = slot as usize;
         let until = arrival + task.duration;
         let from = std::mem::replace(&mut self.locations[d], task.destination);
         let free = std::mem::replace(&mut self.available_at[d], until);
-        self.table.remove(from, free, d as u32);
-        self.table.insert(task.destination, until, d as u32);
-        (self.drivers[d].id, self.speed.driven_km(from, task.origin))
+        self.table.remove(from, free, slot);
+        self.table.insert(task.destination, until, slot);
+        self.speed.driven_km(from, task.origin)
     }
 }
 
@@ -783,13 +784,16 @@ pub(crate) fn unit_box() -> BoundingBox {
 }
 
 /// Every feasible candidate for `task` decided at `decision_time`, by
-/// evaluating each resident driver in index order: the reference
+/// evaluating each resident driver, sorted by announced id: the reference
 /// [`Fleet::candidates_into`]'s prunes are tested against.
 #[cfg(any(test, feature = "oracle"))]
 fn fold_candidates(fleet: &Fleet, task: &Task, decision_time: Timestamp) -> Vec<Candidate> {
-    (0..fleet.drivers.len())
+    let slots = 0..fleet.drivers.len() as u32;
+    let mut out: Vec<Candidate> = slots
         .filter_map(|d| fleet.candidate_for(task, decision_time, d))
-        .collect()
+        .collect();
+    out.sort_unstable_by_key(|c| c.driver);
+    out
 }
 
 /// [`Fleet::latest_decision`] by folding the epoch of every driver on shift
@@ -887,7 +891,7 @@ mod tests {
                     }
                 }
                 if let Some(c) = fleet.candidates_at(task, publish).first() {
-                    fleet.commit(c.driver, task, c.arrival);
+                    fleet.commit(c.slot, task, c.arrival);
                 }
             }
             assert_eq!(fleet.announced(), m.num_drivers());
@@ -910,7 +914,7 @@ mod tests {
                 let candidates = fleet.candidates_at(task, at);
                 assert_eq!(fold_candidates(&fleet, task, at), candidates, "{}", task.id);
                 if let Some(c) = candidates.first() {
-                    fleet.commit(c.driver, task, c.arrival);
+                    fleet.commit(c.slot, task, c.arrival);
                     committed += 1;
                 }
             }
@@ -929,7 +933,7 @@ mod tests {
             let publish = task.publish_time;
             let now = fleet.candidates_at(task, publish);
             let later = fleet.candidates_at(task, publish + TimeDelta::from_mins(5));
-            let now_drivers: Vec<usize> = now.iter().map(|c| c.driver).collect();
+            let now_drivers: Vec<DriverId> = now.iter().map(|c| c.driver).collect();
             for c in &later {
                 assert!(now_drivers.contains(&c.driver), "candidate appeared late");
             }
@@ -956,12 +960,13 @@ mod tests {
         let publish = task.publish_time;
         let cands = fleet.candidates_at(task, publish);
         if let Some(c) = cands.first() {
-            let from = fleet.locations[c.driver];
-            let committed = fleet.commit(c.driver, task, c.arrival);
-            let deadhead = m.speed().driven_km(from, task.origin);
-            assert_eq!(committed, (m.drivers()[c.driver].id, deadhead));
-            assert_eq!(fleet.locations[c.driver], task.destination);
-            assert_eq!(fleet.available_at[c.driver], c.arrival + task.duration);
+            let d = c.slot as usize;
+            assert_eq!(c.driver, m.drivers()[d].id);
+            let from = fleet.locations[d];
+            let deadhead = fleet.commit(c.slot, task, c.arrival);
+            assert_eq!(deadhead, m.speed().driven_km(from, task.origin));
+            assert_eq!(fleet.locations[d], task.destination);
+            assert_eq!(fleet.available_at[d], c.arrival + task.duration);
             // The index tracked the move: the fold over the moved state
             // agrees with the grid.
             for t in 1..m.num_tasks() {
@@ -1276,7 +1281,7 @@ mod tests {
                 }
                 fleet.retire_before(task.publish_time);
                 if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
-                    fleet.commit(c.driver, task, c.arrival);
+                    fleet.commit(c.slot, task, c.arrival);
                 }
                 assert_grid_is_exact(&fleet);
                 if step % cadence != 0 {
@@ -1343,7 +1348,7 @@ mod tests {
                     0 => late.next().into_iter().for_each(|d| fleet.announce(*d)),
                     1 => {
                         if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
-                            fleet.commit(c.driver, task, c.arrival);
+                            fleet.commit(c.slot, task, c.arrival);
                         }
                         next += 1;
                     }

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rideshare_types::Timestamp;
+use rideshare_types::{DriverId, Timestamp};
 
 /// The splitmix64 finalizer: a cheap, high-quality bit mixer used to derive
 /// decision-local pseudo-random choices from candidate-set data alone.
@@ -18,8 +18,11 @@ fn splitmix64(mut x: u64) -> u64 {
 /// simulator in step (a) of Algorithms 3–4.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Candidate {
-    /// Driver index.
-    pub driver: usize,
+    /// The driver's announced id: the one order on drivers, which every
+    /// candidate list, tie-break and matcher reads.
+    pub driver: DriverId,
+    /// Where the engine's fleet holds her state.
+    pub(crate) slot: u32,
     /// Earliest arrival time at the task's pickup point.
     pub arrival: Timestamp,
     /// The marginal value `δₙ,ₘ` of Eq. 14: the profit added to this
@@ -55,10 +58,9 @@ pub trait DispatchPolicy {
 /// many unrelated decisions happened before — the property that makes the
 /// policy shard-stable (a region-sharded replay interleaves decisions
 /// differently than a sequential one, but every individual decision sees
-/// the same candidate set, so results stay byte-identical). The hash never
-/// reads driver indices, which are positions in one engine's fleet: a
-/// shard's fleet holds fewer drivers, so its indices differ from the
-/// sequential engine's while its candidates, in order, are the same.
+/// the same candidate set, so results stay byte-identical). Candidates are
+/// listed by announced driver id, a key that is the same in every shard, so
+/// a shard's candidates, in order, are the sequential engine's.
 #[derive(Clone, Copy, Debug)]
 pub struct NearestDriver {
     seed: u64,
@@ -137,7 +139,7 @@ impl DispatchPolicy for MaxMargin {
                 a.marginal_value
                     .partial_cmp(&b.marginal_value)
                     .expect("finite marginal value")
-                    // Deterministic tie-break: lower driver index wins.
+                    // Deterministic tie-break: lower driver id wins.
                     .then(b.driver.cmp(&a.driver))
             })
             .map(|(i, _)| i)
@@ -176,9 +178,10 @@ impl DispatchPolicy for RandomDispatch {
 mod tests {
     use super::*;
 
-    fn cand(driver: usize, arrival_secs: i64, margin: f64) -> Candidate {
+    fn cand(driver: u32, arrival_secs: i64, margin: f64) -> Candidate {
         Candidate {
-            driver,
+            driver: DriverId::new(driver),
+            slot: driver,
             arrival: Timestamp::from_secs(arrival_secs),
             marginal_value: margin,
         }
@@ -223,7 +226,7 @@ mod tests {
     fn max_margin_tie_break_deterministic() {
         let mut p = MaxMargin::new();
         let c = vec![cand(5, 100, 3.0), cand(2, 200, 3.0)];
-        // Equal margins → lower driver index (2) wins.
+        // Equal margins → lower driver id (2) wins.
         assert_eq!(p.choose(&c), Some(1));
     }
 

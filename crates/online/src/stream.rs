@@ -672,15 +672,14 @@ impl StreamEngine {
                     };
                     // Disjointness: first slot wins, as the trait contract
                     // promises.
-                    if scratch.committed.contains(&slot)
-                        || scratch.used_drivers.contains(&cand.driver)
-                    {
+                    let used = scratch.used_drivers.iter().any(|c| c.driver == cand.driver);
+                    if used || scratch.committed.contains(&slot) {
                         continue;
                     }
                     let task = &batch[scratch.remaining[slot]];
                     self.dispatch(task, cand, decision_time, cands.len(), sink);
                     scratch.committed.push(slot);
-                    scratch.used_drivers.push(cand.driver);
+                    scratch.used_drivers.push(cand);
                 }
                 if scratch.committed.is_empty() {
                     break;
@@ -709,20 +708,20 @@ impl StreamEngine {
                 // Refresh exactly the committed drivers' entries; all other
                 // pairs are untouched, so this is equivalent to
                 // regenerating every list (the property tests pin that).
-                // Each list stays sorted by driver index, as
+                // Each list stays sorted by announced id, as
                 // `candidates_into` left it.
                 for (slot, &bi) in scratch.remaining.iter().enumerate() {
                     let task = &batch[bi];
                     let list = &mut scratch.candidates[slot];
-                    for &d in &scratch.used_drivers {
-                        let at = match list.binary_search_by_key(&d, |c| c.driver) {
+                    for used in &scratch.used_drivers {
+                        let at = match list.binary_search_by_key(&used.driver, |c| c.driver) {
                             Ok(at) => {
                                 list.remove(at);
                                 at
                             }
                             Err(at) => at,
                         };
-                        if let Some(c) = self.fleet.candidate_for(task, decision_time, d) {
+                        if let Some(c) = self.fleet.candidate_for(task, decision_time, used.slot) {
                             list.insert(at, c);
                         }
                     }
@@ -751,13 +750,11 @@ impl StreamEngine {
         candidates: usize,
         sink: &mut dyn StreamSink,
     ) {
-        // Events name drivers by their *announced* id; the fleet's indices
-        // may have compacted since.
-        let (driver, deadhead_km) = self.fleet.commit(cand.driver, task, cand.arrival);
+        let deadhead_km = self.fleet.commit(cand.slot, task, cand.arrival);
         probe!(probe::lap(Stage::Commit));
         let event = DispatchEvent {
             task: task.id,
-            driver,
+            driver: cand.driver,
             arrival: cand.arrival,
             decision_time,
             wait: cand.arrival - task.publish_time,
@@ -798,8 +795,8 @@ struct WindowScratch {
     pool: Vec<Vec<Candidate>>,
     /// Slots committed in the current round.
     committed: Vec<usize>,
-    /// Drivers committed in the current round.
-    used_drivers: Vec<usize>,
+    /// The candidates committed in the current round.
+    used_drivers: Vec<Candidate>,
 }
 
 /// Replays a whole event stream through `policy` into `sink` — the
