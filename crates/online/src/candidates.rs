@@ -13,21 +13,19 @@
 //!
 //! [`Fleet`] owns two kinds of data and keeps them apart:
 //!
-//! - the **state** — per resident driver her record, projected location
-//!   and availability (parallel vectors in announce order). This is all a
-//!   checkpoint has to carry;
+//! - the **state** — per driver slot her record, projected location and
+//!   availability (parallel vectors). This is all a checkpoint has to
+//!   carry;
 //! - the **indexes** derived from it — the availability-ordered cell
 //!   table and the shift-end heap. Each is maintained incrementally by the
-//!   operation that changes the state, and [`Fleet::compact`] renumbers
-//!   both in place to the state that survives; the tests' rebuild from
-//!   the state alone is the oracle it is pinned against.
+//!   operation that changes the state; the tests' rebuild from the state
+//!   alone is the oracle they are pinned against.
 //!
-//! When to compact is the fleet's own call, not a setting:
-//! [`Fleet::retire_before`] compacts as soon as at least as many resident
-//! drivers are retired as live. Each `O(resident)` pass then follows at
-//! least `resident / 2` retirements, so it costs `O(1)` per retirement at
-//! every fleet size, and resident state stays at most twice the live
-//! fleet.
+//! A driver leaves one way: [`Fleet::retire_before`] retires her once the
+//! stream clock passes her shift end, which removes her cell entry and
+//! frees her slot for the next announcement. Slots carry no order — every
+//! order on drivers reads the announced id — so a slot never moves, and
+//! the state vectors are as long as the peak live fleet.
 //!
 //! It does **not** hold a `&Market`: tasks are passed in by the caller —
 //! a stream never materialises a market, and its driver set grows as
@@ -44,10 +42,10 @@
 //!   the only cells that can hold anyone nearer. In time: each cell is
 //!   kept ascending by `available_at`, and a driver free only after the
 //!   pickup deadline cannot arrive by it, so a cell is walked up to the
-//!   first such entry and no farther — busy drivers, drivers whose shift
-//!   has not begun and *retired* drivers (the engine retires a driver once
-//!   the stream clock passes her shift end: any task decided after `t⁺ₙ`
-//!   fails the return-home check) are never touched. Per point: the
+//!   first such entry and no farther — busy drivers and drivers whose shift
+//!   has not begun are never touched. Retired drivers have no entry (the
+//!   engine retires a driver once the stream clock passes her shift end:
+//!   any task decided after `t⁺ₙ` fails the return-home check). Per point: the
 //!   cover's square holds many drivers outside the reachable disc, so
 //!   each walked entry first faces two [`DiscBound`]s — the pickup within
 //!   what is left of her budget, her home within her shift's slack after
@@ -58,12 +56,10 @@
 //!   publishes, found by searching rings of cells outward from the
 //!   pickup's and shrinking the cover to the best point found so far; a
 //!   disc bound for the same budget skips the travel time of every point
-//!   that cannot raise it. Retired drivers' shifts all ended before that,
-//!   so each cell is read up to its retired tail and no farther. The
-//!   answer is clamped to the window end, so the search stops at the first
-//!   point whose epoch reaches it (usually the first live driver of the
-//!   pickup's own cell), and is not run when the order publishes at the
-//!   window end.
+//!   that cannot raise it. The answer is clamped to the window end, so the
+//!   search stops at the first point whose epoch reaches it (usually the
+//!   first driver of the pickup's own cell), and is not run when the order
+//!   publishes at the window end.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,7 +71,7 @@ use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
 use crate::policy::Candidate;
 #[cfg(feature = "stage-probe")]
-use crate::probe::{self, Count, Stage};
+use crate::probe::{self, Count};
 use crate::stream::next_announced;
 
 /// Grid resolution of the pruning index.
@@ -83,69 +79,57 @@ const GRID_ROWS: u16 = 16;
 /// Grid resolution of the pruning index.
 const GRID_COLS: u16 = 16;
 
-/// Later than every reachable deadline: the `available_at` of a retired
-/// driver, and so the key of her cell entry. Nothing else writes it,
-/// since a commit needs a candidacy and the availability pre-reject
-/// refuses hers.
+/// Later than every reachable deadline: the `available_at` of a vacant
+/// slot, and of nothing else. No cell entry holds it.
 const NEVER: Timestamp = Timestamp::from_secs(i64::MAX);
-
-/// What [`Fleet::compact`] renumbers a driver it drops to. A fleet never
-/// holds `u32::MAX` drivers, so it is never a resident's index.
-const GONE: u32 = u32::MAX;
 
 /// The engine's drivers: resident state, and the indexes derived from it.
 ///
 /// Slots (`Candidate::slot`, the `d` arguments) are positions in the state
-/// vectors. They are engine-internal: compaction renumbers the survivors.
-/// Every order on drivers — a candidate list, a tie-break, a matcher —
-/// reads the announced id (`Candidate::driver`), which ascends in announce
-/// order; nothing looks a driver up by id.
+/// vectors. They are engine-internal: retirement frees a slot and the next
+/// announcement takes it. Every order on drivers — a candidate list, a
+/// tie-break, a matcher — reads the announced id (`Candidate::driver`),
+/// which ascends in announce order; nothing looks a driver up by id.
 #[derive(Clone, Debug)]
 pub(crate) struct Fleet {
     speed: SpeedModel,
 
-    // State, struct-of-arrays in announce order: a candidate scan touches
+    // State, struct-of-arrays by slot: a candidate scan touches
     // `available_at` for every scanned driver but the 56-byte record only
     // for the few who survive the pre-reject, so the hot loop walks dense
     // 8- and 16-byte strides.
-    /// Resident driver records (announced ids ascend: compaction keeps
-    /// announce order).
+    /// Driver records; a vacant slot keeps its last driver's, whose shift
+    /// ended before every order still to be decided published.
     drivers: Vec<Driver>,
     /// Where each driver will next be free.
     locations: Vec<GeoPoint>,
     /// When she is free there (actual projected finish, which may precede
     /// the running task's deadline — the paper's early-finish rule), or
-    /// [`NEVER`] once she is retired: she can never again be feasible (the
-    /// decision clock has passed her shift end, so the return-home check
-    /// fails for every future task), and the scan's availability
-    /// pre-reject skips her with the compare it uses for busy drivers.
+    /// [`NEVER`] once her slot is vacant.
     available_at: Vec<Timestamp>,
-    /// Resident drivers the clock has retired.
-    retired: usize,
-    /// Drivers compaction has freed, over the fleet's life.
-    compacted: usize,
+    /// Vacant slots, the next announcement's to take.
+    vacant: Vec<u32>,
+    /// Drivers retirement has freed, over the fleet's life.
+    freed: usize,
     /// The id announced last; the next must exceed it.
     last_id: Option<DriverId>,
 
     // Indexes, each a function of the state above.
     /// The spatial index over `locations`.
     table: CellTable,
-    /// Min-heap of `(shift_end, index)` over the drivers the clock has not
+    /// Min-heap of `(shift_end, slot)` over the drivers the clock has not
     /// retired yet, for lazy lossless retirement.
     shift_ends: BinaryHeap<Reverse<(i64, usize)>>,
 
-    /// Answer both questions by folding every resident driver instead of
+    /// Answer both questions by folding every live driver instead of
     /// reading the table: the reference replay-level oracles run.
     #[cfg(any(test, feature = "oracle"))]
     fold: bool,
 }
 
-/// The fleet's spatial index: per grid cell, one `(available_at, index)`
-/// entry for every driver whose projected location falls in it, kept
-/// ascending by `available_at`. Live drivers come first; retired drivers
-/// sit at [`NEVER`] in the tail until [`Fleet::compact`] drops them.
-/// Neither question reads the tail: a retired driver can serve nothing,
-/// and her shift ended before every order still to be decided published.
+/// The fleet's spatial index: per grid cell, one `(available_at, slot)`
+/// entry for every live driver whose projected location falls in it, kept
+/// ascending by `available_at`.
 ///
 /// A candidate scan walks a cell only up to the first entry free after
 /// the pickup deadline: every later entry would fail the availability
@@ -190,20 +174,13 @@ impl CellTable {
         let cell = &mut self.cells[self.grid.slot_of(location)];
         let run = cell.partition_point(|&(earlier, _)| earlier < free);
         let at = cell[run..].iter().position(|&(_, other)| other == id);
-        cell.remove(run + at.expect("every resident driver has her cell entry"));
+        cell.remove(run + at.expect("every live driver has her cell entry"));
     }
 
     /// The entries of one cell.
     fn cell(&self, cell: CellId) -> &[(Timestamp, u32)] {
         let (row, col) = (usize::from(cell.row()), usize::from(cell.col()));
         &self.cells[row * usize::from(self.grid.cols()) + col]
-    }
-
-    /// The entries of one cell ahead of its retired tail.
-    fn live(&self, cell: CellId) -> impl Iterator<Item = &(Timestamp, u32)> {
-        self.cell(cell)
-            .iter()
-            .take_while(|&&(free, _)| free < NEVER)
     }
 }
 
@@ -300,8 +277,8 @@ impl Fleet {
             drivers: Vec::new(),
             locations: Vec::new(),
             available_at: Vec::new(),
-            retired: 0,
-            compacted: 0,
+            vacant: Vec::new(),
+            freed: 0,
             last_id: None,
             table: CellTable::new(bbox, speed),
             shift_ends: BinaryHeap::new(),
@@ -329,58 +306,65 @@ impl Fleet {
 
     /// Drivers announced so far.
     pub(crate) fn announced(&self) -> usize {
-        self.drivers.len() + self.compacted
+        self.resident() + self.freed
     }
 
-    /// Drivers currently resident (announced minus compacted).
+    /// Drivers currently resident (announced minus freed).
     pub(crate) fn resident(&self) -> usize {
-        self.drivers.len()
+        self.drivers.len() - self.vacant.len()
     }
 
-    /// Drivers compaction has freed so far.
-    pub(crate) fn compacted(&self) -> usize {
-        self.compacted
+    /// Drivers retirement has freed so far.
+    pub(crate) fn freed(&self) -> usize {
+        self.freed
     }
 
     /// Registers one more driver (streaming `DriverOnline`) at her source,
-    /// free from her shift start.
+    /// free from her shift start, in a vacant slot if there is one.
     ///
     /// # Panics
     ///
     /// Panics unless `driver.id` exceeds every id announced before it.
     pub(crate) fn announce(&mut self, driver: Driver) {
         self.last_id = next_announced(self.last_id, driver.id);
-        self.drivers.push(driver);
-        self.locations.push(driver.source);
-        self.available_at.push(driver.shift_start);
-        let d = self.drivers.len() - 1;
-        self.table
-            .insert(driver.source, driver.shift_start, d as u32);
+        let (location, free) = (driver.source, driver.shift_start);
+        let d = match self.vacant.pop() {
+            Some(slot) => {
+                let d = slot as usize;
+                self.drivers[d] = driver;
+                self.locations[d] = location;
+                self.available_at[d] = free;
+                d
+            }
+            None => {
+                self.drivers.push(driver);
+                self.locations.push(location);
+                self.available_at.push(free);
+                self.drivers.len() - 1
+            }
+        };
+        self.table.insert(location, free, d as u32);
         self.shift_ends
             .push(Reverse((driver.shift_end.as_secs(), d)));
     }
 
-    /// Retires driver `d` and counts her, unless she is retired already.
-    /// Only sound once the decision clock has provably passed her shift
-    /// end — then every future candidacy would fail the return-home check
-    /// anyway, so this is pure work-skipping and results stay
-    /// byte-identical. [`Fleet::retire_before`] pops her shift end first,
-    /// which [`Fleet::compact`] relies on.
+    /// Retires the driver in slot `d`: her cell entry goes, and her slot is
+    /// vacant for the next announcement. Only sound once the decision clock
+    /// has provably passed her shift end — then every future candidacy
+    /// would fail the return-home check anyway, so this is pure
+    /// work-skipping and results stay byte-identical.
+    /// [`Fleet::retire_before`] pops her shift end first, so no index
+    /// names a vacant slot.
     fn retire(&mut self, d: usize) {
-        if self.available_at[d] == NEVER {
-            return;
-        }
         let free = std::mem::replace(&mut self.available_at[d], NEVER);
-        // Her entry moves to her cell's tail, behind every live driver.
         self.table.remove(self.locations[d], free, d as u32);
-        self.table.insert(self.locations[d], NEVER, d as u32);
-        self.retired += 1;
+        self.vacant.push(d as u32);
+        self.freed += 1;
     }
 
     /// Retires every driver whose shift ended before `floor`, the earliest
     /// instant any held or future order can publish at: she fails the
-    /// return-home check for everything from here on. Then compacts once
-    /// the retired residents are at least as many as the live ones.
+    /// return-home check for everything from here on.
     pub(crate) fn retire_before(&mut self, floor: Timestamp) {
         while let Some(&Reverse((end, d))) = self.shift_ends.peek() {
             if Timestamp::from_secs(end) >= floor {
@@ -389,102 +373,28 @@ impl Fleet {
             self.shift_ends.pop();
             self.retire(d);
         }
-        if self.retired > 0 && self.retired >= self.drivers.len() - self.retired {
-            self.compact();
-        }
     }
 
-    /// Garbage-collects every retired driver: her record and state leave
-    /// the vectors, the survivors are renumbered compactly in announce
-    /// order, and both indexes are renumbered in place. Returns how many
-    /// drivers were removed. [`Fleet::retire_before`] is its one caller
-    /// outside the tests.
-    ///
-    /// Lossless under both questions: a removed driver's shift ended
-    /// before every order still to be decided published, so neither the
-    /// candidate scan nor [`Fleet::latest_decision`] counts her.
-    ///
-    /// The renumbering is monotone on the survivors, so every cell stays
-    /// ascending and the heap stays a heap. A removed driver's cell entry,
-    /// at [`NEVER`] in its cell's tail, goes; her heap entry went when she
-    /// was retired.
-    pub(crate) fn compact(&mut self) -> usize {
-        probe!(probe::start());
-        let before = self.drivers.len();
-        // Each index's new one: a survivor's position, or `GONE`.
-        let mut renumber = Vec::with_capacity(before);
-        let mut kept = 0usize;
-        for d in 0..before {
-            if self.available_at[d] != NEVER {
-                renumber.push(kept as u32);
-                self.drivers[kept] = self.drivers[d];
-                self.locations[kept] = self.locations[d];
-                self.available_at[kept] = self.available_at[d];
-                kept += 1;
-            } else {
-                renumber.push(GONE);
-            }
-        }
-        self.drivers.truncate(kept);
-        self.locations.truncate(kept);
-        self.available_at.truncate(kept);
-        debug_assert_eq!(before - kept, self.retired);
-        self.compacted += self.retired;
-        self.retired = 0;
-        probe!(let mut moved = 0;);
-        for cell in &mut self.table.cells {
-            cell.retain_mut(|(_, id)| {
-                probe!(moved += u64::from(renumber[*id as usize] != *id));
-                *id = renumber[*id as usize];
-                *id != GONE
-            });
-        }
-        let mut ends = std::mem::take(&mut self.shift_ends).into_vec();
-        for Reverse((_, d)) in &mut ends {
-            let new = renumber[*d];
-            debug_assert!(new != GONE, "driver {d} left with her shift end queued");
-            probe!(moved += u64::from(new as usize != *d));
-            *d = new as usize;
-        }
-        // Already a heap: `from` only confirms it.
-        self.shift_ends = BinaryHeap::from(ends);
-        probe!(probe::count(Count::Compactions, 1));
-        probe!(probe::count(Count::CompactedEntries, moved));
-        probe!(probe::lap(Stage::Compact));
-        before - kept
-    }
-
-    /// Rebuilds the cell table and the shift-end heap from the state
-    /// vectors alone — the oracle compaction is tested against. Cells are
-    /// filled first and sorted once each: entering a large fleet in order
-    /// entry by entry is quadratic in a cell's size.
+    /// Rebuilds the cell table and the shift-end heap from the live slots'
+    /// state alone — the oracle the incremental indexes are tested against.
+    /// Cells are filled first and sorted once each: entering a large fleet
+    /// in order entry by entry is quadratic in a cell's size.
     #[cfg(test)]
     fn rebuild_indexes(&mut self) {
         let table = &mut self.table;
         table.cells.iter_mut().for_each(Vec::clear);
-        let free = self.available_at.iter().copied();
-        for ((location, free), id) in self.locations.iter().zip(free).zip(0..) {
-            table.cells[table.grid.slot_of(*location)].push((free, id));
+        self.shift_ends.clear();
+        for d in (0..self.drivers.len()).filter(|&d| self.available_at[d] != NEVER) {
+            let cell = table.grid.slot_of(self.locations[d]);
+            table.cells[cell].push((self.available_at[d], d as u32));
+            let end = self.drivers[d].shift_end.as_secs();
+            self.shift_ends.push(Reverse((end, d)));
         }
         table.cells.iter_mut().for_each(|cell| cell.sort_unstable());
-        let ends = self.drivers.iter().enumerate();
-        self.shift_ends = ends
-            .filter(|&(d, _)| self.available_at[d] != NEVER)
-            .map(|(d, r)| Reverse((r.shift_end.as_secs(), d)))
-            .collect();
-    }
-
-    /// Announced ids of the resident drivers currently retired (the scan
-    /// the `retired` count stands in for — the tests' ground truth).
-    #[cfg(test)]
-    fn retired_ids(&self) -> Vec<DriverId> {
-        let states = self.drivers.iter().zip(&self.available_at);
-        let retired = states.filter(|(_, &free)| free == NEVER);
-        retired.map(|(r, _)| r.id).collect()
     }
 
     /// The longest per-driver vector or index — what the bounded-memory
-    /// tests measure against [`Fleet::resident`].
+    /// tests measure against the peak of [`Fleet::resident`].
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
         let gridded = self.table.cells.iter().map(Vec::len).sum();
@@ -542,9 +452,6 @@ impl Fleet {
         let budget = task.pickup_deadline - decision_time + TimeDelta::from_secs(1);
         let radius = self.speed.reachable_km(budget);
         let (rows, cols) = table.grid.cover(task.origin, radius);
-        // Entries at `NEVER` — retired drivers — are out of reach of every
-        // deadline, even one no guard bounded.
-        let horizon = task.pickup_deadline.min(NEVER - TimeDelta::from_secs(1));
         let mut reach = Reach {
             task,
             decision_time,
@@ -557,7 +464,7 @@ impl Fleet {
         probe!(let (mut walked, mut evaluated) = (0, 0););
         for cell in rows.flat_map(|row| cols.clone().map(move |col| CellId::new(row, col))) {
             let walk = table.cell(cell).iter();
-            for &(free, d) in walk.take_while(|&&(free, _)| free <= horizon) {
+            for &(free, d) in walk.take_while(|&&(free, _)| free <= task.pickup_deadline) {
                 probe!(walked += 1);
                 let d = d as usize;
                 if !reach.excludes(self, free, d) {
@@ -596,12 +503,11 @@ impl Fleet {
     /// ([`decidable`] is the caller's precondition).
     fn evaluate(&self, task: &Task, decision_time: Timestamp, d: usize) -> Option<Candidate> {
         // Availability pre-reject: `available_at` starts at the shift
-        // start and only ever grows (retirement pins it to `NEVER`), and
-        // `depart >= available_at`, so a driver unavailable past the pickup
-        // deadline can never arrive in time — settled by one flat-array
-        // compare, no distance needed. Under saturation this retires the
-        // vast majority of pairs before any trigonometry, and it subsumes
-        // the retired-driver skip.
+        // start and only ever grows, and `depart >= available_at`, so a
+        // driver unavailable past the pickup deadline can never arrive in
+        // time — settled by one flat-array compare, no distance needed.
+        // Under saturation this retires the vast majority of pairs before
+        // any trigonometry.
         if self.available_at[d] > task.pickup_deadline {
             return None;
         }
@@ -655,8 +561,7 @@ impl Fleet {
     /// is a property of the pair, not of when a lane retired her, so every
     /// lane computes the same epoch. Every retired driver fails it, since
     /// [`Fleet::retire_before`]'s floor is at most every held order's
-    /// publication, so the search reads each cell's live prefix only, and
-    /// compaction cannot move an epoch.
+    /// publication, so removing her cell entry cannot move an epoch.
     ///
     /// The search stops at the first point whose epoch reaches `cap` (the
     /// clamp settles the answer there), and reads no point at all when
@@ -695,7 +600,7 @@ impl Fleet {
             let before = best;
             let cells = ring_cells(home, ring)
                 .filter(|cell| rows.contains(&cell.row()) && cols.contains(&cell.col()));
-            for &(_, d) in cells.flat_map(|cell| table.live(cell)) {
+            for &(_, d) in cells.flat_map(|cell| table.cell(cell)) {
                 probe!(probe::count(Count::SearchEntries, 1));
                 let d = d as usize;
                 if !on_shift(d) {
@@ -741,8 +646,10 @@ impl Fleet {
     /// floor. `None` proves the task is independent of every driver this
     /// fleet holds — the region-sharding proof obligation (`shard.rs`),
     /// the streaming mirror of `disjoint_components`. A driver whose shift
-    /// ended before publication counts for neither, so compacting her
-    /// loses no evidence.
+    /// ended before publication counts for neither, so retiring her loses
+    /// no evidence, and a vacant slot's stale record never counts: its
+    /// shift ended before [`Fleet::retire_before`]'s floor, and every
+    /// order still to be checked publishes at or after that floor.
     pub(crate) fn interaction_with(&self, task: &Task) -> Option<DriverId> {
         let budget = task.pickup_deadline - task.publish_time + TimeDelta::from_secs(1);
         let fleet = self.drivers.iter().zip(&self.locations);
@@ -784,12 +691,13 @@ pub(crate) fn unit_box() -> BoundingBox {
 }
 
 /// Every feasible candidate for `task` decided at `decision_time`, by
-/// evaluating each resident driver, sorted by announced id: the reference
+/// evaluating each live driver, sorted by announced id: the reference
 /// [`Fleet::candidates_into`]'s prunes are tested against.
 #[cfg(any(test, feature = "oracle"))]
 fn fold_candidates(fleet: &Fleet, task: &Task, decision_time: Timestamp) -> Vec<Candidate> {
     let slots = 0..fleet.drivers.len() as u32;
     let mut out: Vec<Candidate> = slots
+        .filter(|&d| fleet.available_at[d as usize] != NEVER)
         .filter_map(|d| fleet.candidate_for(task, decision_time, d))
         .collect();
     out.sort_unstable_by_key(|c| c.driver);
@@ -798,7 +706,9 @@ fn fold_candidates(fleet: &Fleet, task: &Task, decision_time: Timestamp) -> Vec<
 
 /// [`Fleet::latest_decision`] by folding the epoch of every driver on shift
 /// at `task`'s publication: the reference the ring search is tested
-/// against.
+/// against. A vacant slot's stale record is never on shift: its shift
+/// ended before [`Fleet::retire_before`]'s floor, and every order still to
+/// be decided publishes at or after that floor.
 #[cfg(any(test, feature = "oracle"))]
 fn fold_latest_decision(fleet: &Fleet, task: &Task, cap: Timestamp) -> Timestamp {
     let residents = fleet.drivers.iter().zip(&fleet.locations);
@@ -842,9 +752,9 @@ mod tests {
     #[test]
     fn grid_pruning_is_lossless_at_any_decision_time() {
         // Both questions, index ≡ fold, asked of a fleet that churns the
-        // way a stream's does — drivers announced late, committed, retired
-        // by a clock that lags the orders (so some shifts have ended
-        // unretired), compacted — over a box that holds every point, over
+        // way a stream's does — drivers announced late, into slots retired
+        // ones freed, committed, retired by a clock that lags the orders
+        // (so some shifts have ended unretired) — over a box that holds every point, over
         // one most points fall outside of, and over one that holds none
         // (every point clamps into a border cell). That last one is the
         // unit box, which a fleet given no box is built over.
@@ -867,9 +777,6 @@ mod tests {
                 }
                 if step % 3 == 0 {
                     fleet.retire_before(publish);
-                }
-                if step % 25 == 0 {
-                    fleet.compact();
                 }
                 for delay_mins in [0i64, 2, 10, 45] {
                     let at = publish + TimeDelta::from_mins(delay_mins);
@@ -895,7 +802,7 @@ mod tests {
                 }
             }
             assert_eq!(fleet.announced(), m.num_drivers());
-            assert!(fleet.compacted() > 0, "fleet never churned");
+            assert!(fleet.drivers.len() < m.num_drivers(), "no slot was reused");
         }
         assert!(capped > 0 && short > 0, "{capped} capped, {short} short");
 
@@ -1020,14 +927,13 @@ mod tests {
     }
 
     #[test]
-    fn compaction_cannot_move_an_epoch() {
+    fn retirement_cannot_move_an_epoch() {
         // A driver whose shift ended before an order published can never
         // serve it, so she does not count for its early-flush epoch, near
         // as she is: not before the clock retires her, not once it has,
-        // and not once compaction has freed her. So no retirement or
-        // compaction schedule can move an epoch. One second more shift and
-        // she sets it. A second live driver, `far_live`'s twin, keeps the
-        // retired one a minority, so retiring her does not compact yet.
+        // and not once a driver announced later has taken her slot. So no
+        // retirement schedule can move an epoch. One second more shift and
+        // she sets it.
         let speed = SpeedModel::urban();
         let origin = GeoPoint::new(41.15, -8.61);
         let task = order_at(origin);
@@ -1047,7 +953,7 @@ mod tests {
             shift_end: Timestamp::from_hours(24),
             model: DriverModel::HomeWorkHome,
         };
-        let twin = Driver {
+        let late = Driver {
             id: DriverId::new(2),
             ..far_live
         };
@@ -1069,18 +975,15 @@ mod tests {
             let fleet = fleet_of(&[on_shift, far_live]);
             assert_eq!(epoch_of(&fleet, &task, cap), epoch(&near_expired), "{ctx}");
 
-            let mut fleet = fleet_of(&[near_expired, far_live, twin]);
+            let mut fleet = fleet_of(&[near_expired, far_live]);
             let baseline = epoch(&far_live);
             assert_eq!(epoch_of(&fleet, &task, cap), baseline, "unretired, {ctx}");
             fleet.retire_before(task.publish_time);
-            fleet.retire(0);
-            assert_eq!(fleet.retired, 1, "a second retirement must not re-count");
-            assert_eq!(fleet.retired_ids(), [near_expired.id]);
+            assert_eq!((fleet.freed(), &fleet.vacant[..]), (1, &[0][..]));
             assert_eq!(epoch_of(&fleet, &task, cap), baseline, "retired, {ctx}");
-            assert_eq!(fleet.compact(), 1);
-            assert_eq!(fleet.drivers, [far_live, twin], "survivors renumber from 0");
-            assert_eq!(fleet.retired_ids(), []);
-            assert_eq!(epoch_of(&fleet, &task, cap), baseline, "compacted, {ctx}");
+            fleet.announce(late);
+            assert_eq!(fleet.drivers, [late, far_live], "the freed slot is reused");
+            assert_eq!(epoch_of(&fleet, &task, cap), baseline, "reused, {ctx}");
         }
     }
 
@@ -1157,19 +1060,16 @@ mod tests {
         // The driver across the edge, but off shift since before the
         // order published: she does not count, so the pickup's own cell
         // settles the epoch. Unretired, her entry is read and fails the
-        // shift compare; retired, it sits in her cell's tail, which is
-        // never read: the tripwire behind it stays untouched. A twin of
-        // the far-side driver keeps her a minority, so she stays resident.
+        // shift compare; retired, her cell holds no entry at all.
         let gone = Driver {
             shift_end: task.publish_time - TimeDelta::from_hours(1),
             ..across
         };
-        let twin = driver(2, far_side.source);
-        let mut fleet = fleet_of(&[far_side, gone, twin]);
+        let mut fleet = fleet_of(&[far_side, gone]);
         assert_eq!(epoch_of(&fleet, &task, cap), epoch(&far_side));
         fleet.retire_before(task.publish_time);
-        assert_eq!(fleet.retired_ids(), [gone.id]);
-        trip_wire(&mut fleet, across.source, NEVER);
+        assert_eq!(fleet.freed(), 1);
+        assert!(fleet.table.cell(cells.cell_of(across.source)).is_empty());
         assert_eq!(epoch_of(&fleet, &task, cap), epoch(&far_side));
     }
 
@@ -1185,7 +1085,7 @@ mod tests {
         let cutoff = Timestamp::from_hours(14);
         expired.retire_before(cutoff);
         let ended = m.drivers().iter().filter(|d| d.shift_end < cutoff);
-        let gone = expired.retired_ids().len() + expired.compacted();
+        let gone = expired.freed();
         assert_eq!(gone, ended.count(), "exactly the shifts that ended");
         assert!(gone > 0, "seed must produce an early shift");
         for t in 0..m.num_tasks() {
@@ -1226,14 +1126,16 @@ mod tests {
     }
 
     /// The cell table recomputed from the state vectors by brute force —
-    /// no index is consulted: every driver is entered once, in the cell of
-    /// her location, under her current `available_at` (so a retired one at
-    /// `NEVER`); and every cell is ascending as it stands.
+    /// no index is consulted: every live driver is entered once, in the
+    /// cell of her location, under her current `available_at`, and no
+    /// vacant slot is; and every cell is ascending as it stands.
     fn assert_grid_is_exact(fleet: &Fleet) {
         let table = &fleet.table;
         let mut members = vec![Vec::new(); table.grid.slot_count()];
         for (d, (&loc, &free)) in fleet.locations.iter().zip(&fleet.available_at).enumerate() {
-            members[table.grid.slot_of(loc)].push((free, d as u32));
+            if free != NEVER {
+                members[table.grid.slot_of(loc)].push((free, d as u32));
+            }
         }
         members.iter_mut().for_each(|cell| cell.sort_unstable());
         assert_eq!(indexes(fleet).0, members);
@@ -1255,97 +1157,70 @@ mod tests {
         fresh
     }
 
-    #[test]
-    fn compaction_leaves_the_indexes_of_a_fleet_built_from_the_survivors() {
-        // What a restore will lean on: the indexes are a function of the
-        // state. Churn a fleet — announcements trickling in, commits,
-        // clock retirement — compacting at every cadence; after each
-        // compaction the cell table (up to the order of
-        // entries free at the same instant) and the heap's pop order equal
-        // those of a fresh fleet handed the surviving state, and so do the
-        // answers to both questions for the orders still to come; between
-        // compactions the incrementally maintained table stays exact.
-        let m = market(77, 240, 40);
-        let order = publish_order(&m);
-        for cadence in [1, 7, 60] {
-            let mut fleet = Fleet::new(m.speed(), market_bbox(&m));
-            let mut late = m.drivers().iter();
-            for d in late.by_ref().take(20) {
-                fleet.announce(*d);
-            }
-            let mut compactions = 0usize;
-            for (step, &t) in order.iter().enumerate() {
-                let task = &m.tasks()[t];
-                if step % 3 == 0 {
-                    late.next().into_iter().for_each(|d| fleet.announce(*d));
-                }
-                fleet.retire_before(task.publish_time);
-                if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
-                    fleet.commit(c.slot, task, c.arrival);
-                }
-                assert_grid_is_exact(&fleet);
-                if step % cadence != 0 {
-                    continue;
-                }
-                let retired = fleet.retired_ids().len();
-                assert_eq!(fleet.compact(), retired);
-                compactions += usize::from(retired > 0);
-                assert_grid_is_exact(&fleet);
-
-                let fresh = rebuilt(&fleet);
-                assert_eq!(indexes(&fleet), indexes(&fresh), "step {step}");
-                for &next in &order[step..order.len().min(step + 6)] {
-                    let task = &m.tasks()[next];
-                    let publish = task.publish_time;
-                    assert_eq!(
-                        fleet.candidates_at(task, publish),
-                        fresh.candidates_at(task, publish),
-                        "step {step}, task {next}"
-                    );
-                    let three_mins = publish + TimeDelta::from_mins(3);
-                    for cap in [publish, three_mins, task.pickup_deadline] {
-                        assert_eq!(
-                            fleet.latest_decision(task, cap),
-                            fresh.latest_decision(task, cap),
-                            "step {step}, task {next}, cap {cap}"
-                        );
-                    }
-                }
-                // Every survivor is still waiting for the clock, in
-                // shift-end order.
-                let drivers = fleet.drivers.iter().enumerate();
-                let mut ends: Vec<(i64, usize)> =
-                    drivers.map(|(d, r)| (r.shift_end.as_secs(), d)).collect();
-                ends.sort_unstable();
-                assert_eq!(indexes(&fleet).1, ends);
-            }
-            assert!(compactions > 1, "cadence {cadence}: fleet never churned");
-            assert_eq!(fleet.announced(), m.num_drivers());
+    /// A fresh fleet holding `fleet`'s live drivers in fresh slots, in id
+    /// order, its indexes rebuilt from them.
+    fn repacked(fleet: &Fleet) -> Fleet {
+        let mut fresh = Fleet::new(fleet.speed, fleet.table.grid.bounding_box());
+        let mut live: Vec<usize> = (0..fleet.drivers.len())
+            .filter(|&d| fleet.available_at[d] != NEVER)
+            .collect();
+        live.sort_by_key(|&d| fleet.drivers[d].id);
+        for d in live {
+            fresh.drivers.push(fleet.drivers[d]);
+            fresh.locations.push(fleet.locations[d]);
+            fresh.available_at.push(fleet.available_at[d]);
         }
+        fresh.rebuild_indexes();
+        fresh
+    }
+
+    /// `fleet`'s live drivers, by id.
+    fn live(fleet: &Fleet) -> Vec<Driver> {
+        let states = fleet.drivers.iter().zip(&fleet.available_at);
+        let mut live: Vec<Driver> = states
+            .filter(|&(_, &free)| free != NEVER)
+            .map(|(d, _)| *d)
+            .collect();
+        live.sort_by_key(|d| d.id);
+        live
+    }
+
+    /// The candidates for `task` decided at its publication, slots aside.
+    fn answers(fleet: &Fleet, task: &Task) -> Vec<(DriverId, Timestamp, u64)> {
+        let candidates = fleet.candidates_at(task, task.publish_time);
+        let answer = |c: &Candidate| (c.driver, c.arrival, c.marginal_value.to_bits());
+        candidates.iter().map(answer).collect()
     }
 
     #[test]
-    fn retire_before_compacts_exactly_when_half_the_residents_are_retired() {
-        // Random announce / commit / retire sequences. After every call
-        // the retired count matches a scan, resident state is at most
-        // twice the live fleet and the indexes equal a rebuild from the
-        // state; after every `retire_before`, compaction fired exactly
-        // when the retired residents were at least as many as the live.
+    fn freed_slots_are_reused_and_never_move_an_answer() {
+        // Random announce / commit / retire sequences. After every call,
+        // retirement has freed exactly the shifts that ended before its
+        // floor, the indexes equal a rebuild from the state and the grid
+        // is exact, the state vectors are as long as the peak live fleet,
+        // and a fleet holding the same drivers in fresh slots, in id order,
+        // answers the next orders alike: which slot a driver takes moves
+        // nothing.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
         let m = market(78, 400, 80);
         let order = publish_order(&m);
-        let (mut fired, mut held) = (0, 0);
+        let mut reused = 0;
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut fleet = Fleet::new(m.speed(), market_bbox(&m));
             let mut late = m.drivers().iter();
-            let mut next = 0;
+            let (mut next, mut peak) = (0, 0);
             while next < order.len() {
                 let task = &m.tasks()[order[next]];
                 match rng.gen_range(0..3) {
-                    0 => late.next().into_iter().for_each(|d| fleet.announce(*d)),
+                    0 => {
+                        if let Some(d) = late.next() {
+                            reused += usize::from(!fleet.vacant.is_empty());
+                            fleet.announce(*d);
+                        }
+                    }
                     1 => {
                         if let Some(c) = fleet.candidates_at(task, task.publish_time).first() {
                             fleet.commit(c.slot, task, c.arrival);
@@ -1354,30 +1229,37 @@ mod tests {
                     }
                     _ => {
                         let floor = task.publish_time;
-                        let states = fleet.drivers.iter().zip(&fleet.available_at);
-                        let live = states.filter(|&(_, &free)| free != NEVER);
-                        let ending = live.filter(|(r, _)| r.shift_end < floor).count();
-                        let retired = fleet.retired_ids().len() + ending;
-                        let (resident, compacted) = (fleet.resident(), fleet.compacted());
+                        let (before, freed) = (live(&fleet), fleet.freed());
                         fleet.retire_before(floor);
-                        if retired > 0 && retired >= resident - retired {
-                            assert_eq!(fleet.compacted(), compacted + retired);
-                            assert_eq!(fleet.resident(), resident - retired);
-                            fired += 1;
-                        } else {
-                            assert_eq!(fleet.compacted(), compacted);
-                            assert_eq!(fleet.retired, retired);
-                            held += usize::from(retired > 0);
-                        }
+                        let kept: Vec<Driver> = before
+                            .iter()
+                            .filter(|d| d.shift_end >= floor)
+                            .copied()
+                            .collect();
+                        assert_eq!(live(&fleet), kept, "seed {seed}, order {next}");
+                        assert_eq!(fleet.freed(), freed + before.len() - kept.len());
                     }
                 }
-                assert_eq!(fleet.retired, fleet.retired_ids().len());
-                let live = fleet.resident() - fleet.retired;
-                assert!(fleet.resident() <= 2 * live, "seed {seed}, order {next}");
+                peak = peak.max(fleet.resident());
+                assert_eq!(fleet.drivers.len(), peak, "seed {seed}, order {next}");
                 assert_eq!(indexes(&fleet), indexes(&rebuilt(&fleet)));
                 assert_grid_is_exact(&fleet);
+                let repacked = repacked(&fleet);
+                for &t in &order[next..order.len().min(next + 3)] {
+                    let task = &m.tasks()[t];
+                    assert_eq!(answers(&fleet, task), answers(&repacked, task), "task {t}");
+                    let publish = task.publish_time;
+                    let three_mins = publish + TimeDelta::from_mins(3);
+                    for cap in [publish, three_mins, task.pickup_deadline] {
+                        assert_eq!(
+                            fleet.latest_decision(task, cap),
+                            repacked.latest_decision(task, cap),
+                            "seed {seed}, task {t}, cap {cap}"
+                        );
+                    }
+                }
             }
         }
-        assert!(fired > 4 && held > 4, "{fired} fired, {held} held");
+        assert!(reused > 4, "{reused} slots reused");
     }
 }

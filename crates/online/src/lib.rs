@@ -65,9 +65,9 @@
 //!   which hands an instant policy the tasks in descending-price order
 //!   when the whole day is known in advance,
 //! - `probe`, compiled only with the `stage-probe` feature: the engine's
-//!   stage probe — exact counts of what candidate scans, early-flush
-//!   searches and compactions read, and the nanoseconds of each stage
-//!   under a caller-installed `StageClock`.
+//!   stage probe — exact counts of what candidate scans and early-flush
+//!   searches read, and the nanoseconds of each stage under a
+//!   caller-installed `StageClock`.
 //!
 //! # Examples
 //!

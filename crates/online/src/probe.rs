@@ -5,10 +5,9 @@
 //! Counters are exact and deterministic: per candidate scan the cells its
 //! cover names, the cell entries it walks, the exact evaluations those
 //! entries reach and the candidates it returns; per early-flush search the
-//! cell entries it reads; per compaction the index entries it rewrites or
-//! drops. Nanoseconds come from the one [`StageClock`] installed with
-//! [`install_clock`]: the engine never reads a clock itself, and with none
-//! installed every stage reads zero.
+//! cell entries it reads. Nanoseconds come from the one [`StageClock`]
+//! installed with [`install_clock`]: the engine never reads a clock itself,
+//! and with none installed every stage reads zero.
 //!
 //! Each thread tallies into its own counters, which
 //! [`crate::StreamEngine::finish`] adds to the process total, so the
@@ -42,12 +41,6 @@ pub enum Count {
     Searches,
     /// Cell entries the searches read.
     SearchEntries,
-    /// Compactions: the fleet runs one each time the drivers the clock
-    /// retired become at least half its residents.
-    Compactions,
-    /// Cell-table and shift-end-heap entries the compactions rewrote or
-    /// dropped.
-    CompactedEntries,
 }
 
 /// Where the engine's time goes.
@@ -63,24 +56,20 @@ pub enum Stage {
     Commit,
     /// Reporting decisions and window boundaries to the sink.
     Sink,
-    /// Fleet compaction, run at the head of a flush, when the clock's
-    /// retirements leave at least half the residents retired.
-    Compact,
     /// Batched mode's early-flush epochs, searched and sorted.
     EarlyFlush,
 }
 
 /// How many [`Count`]s there are.
-const COUNTS: usize = Count::CompactedEntries as usize + 1;
+const COUNTS: usize = Count::SearchEntries as usize + 1;
 
 impl Stage {
-    const ALL: [Stage; 7] = [
+    const ALL: [Stage; 6] = [
         Stage::Scan,
         Stage::Choose,
         Stage::Refresh,
         Stage::Commit,
         Stage::Sink,
-        Stage::Compact,
         Stage::EarlyFlush,
     ];
 
@@ -91,7 +80,6 @@ impl Stage {
             Stage::Refresh => "refresh",
             Stage::Commit => "commit",
             Stage::Sink => "sink",
-            Stage::Compact => "compact",
             Stage::EarlyFlush => "early flush",
         }
     }
@@ -133,7 +121,7 @@ impl StageReadings {
     }
 }
 
-/// Per scan, per search and per compaction, then nanoseconds per stage.
+/// Per scan and per search, then nanoseconds per stage.
 impl fmt::Display for StageReadings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per = |count: Count, of: Count| match self.count(of) {
@@ -155,12 +143,6 @@ impl fmt::Display for StageReadings {
             "stage probe: {} early-flush search(es): {:.2} entries read per search",
             self.count(Count::Searches),
             per(Count::SearchEntries, Count::Searches),
-        )?;
-        writeln!(
-            f,
-            "stage probe: {} compaction(s): {:.1} index entries moved per compaction",
-            self.count(Count::Compactions),
-            per(Count::CompactedEntries, Count::Compactions),
         )?;
         write!(f, "stage probe: ms")?;
         for stage in Stage::ALL {

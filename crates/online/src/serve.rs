@@ -18,8 +18,8 @@
 //! - **Day rollover**: boundaries crossing a `day_length` multiple fire
 //!   the day hook (metrics rollover lives in the caller's sink — see
 //!   `MetricsJournal` in `rideshare-metrics`). Engine state needs no
-//!   reset of its own: each engine's fleet compacts itself once half its
-//!   resident drivers are retired, losslessly, for any shard count.
+//!   reset of its own: each engine's fleet frees a driver's slot once the
+//!   clock retires her, losslessly, for any shard count.
 //! - **Graceful drain**: on end-of-stream, ingest error, or the shutdown
 //!   flag, in-flight windows close through the engines' normal `finish`
 //!   path — the daemon's cumulative output over a fully delivered trace

@@ -71,9 +71,9 @@
 //!   candidate set: [`ShardPolicySpec`] covers maxMargin (deterministic
 //!   argmax), nearest (decision-local hashed tie-break), and the batched
 //!   matchers (deterministic round solutions). Candidate sets themselves
-//!   agree because a shard's engine holds its drivers under their
-//!   announced ids, in global announce order: a shard's candidate list is
-//!   the sequential one, with the same ids, in the same order.
+//!   agree because a shard's engine keeps its drivers' announced ids and
+//!   lists candidates by id: a shard's candidate list is the sequential
+//!   one, with the same ids, in the same order.
 //!
 //! Aggregate [`StreamMetrics`]-style accounting survives the reordering
 //! because `rideshare-metrics` accumulates in order-independent
@@ -566,10 +566,10 @@ impl<'s> Merger<'s> {
 
 /// Folds per-shard summaries into the whole-stream aggregate. Counters are
 /// sums and match a sequential replay exactly, except: `compacted_drivers`
-/// is a work-skipping diagnostic whose timing differs across shard counts,
-/// `peak_held_tasks` sums per-shard peaks (an upper bound on the true
-/// global peak — shards peak at different instants), and `clock` takes the
-/// max.
+/// counts the drivers retirement freed, which happens at each shard's own
+/// flushes, so it differs across shard counts; `peak_held_tasks` sums
+/// per-shard peaks (an upper bound on the true global peak — shards peak
+/// at different instants); and `clock` takes the max.
 fn fold_summaries(parts: &[StreamSummary]) -> StreamSummary {
     let mut total = StreamSummary::default();
     for p in parts {
@@ -600,7 +600,7 @@ trait Lanes {
 /// The validating lane: every shard lives on the caller's thread, so the
 /// partition proof obligation can be checked against live foreign driver
 /// state — before every routed task, and for every still-pending task
-/// before every close and before the finish. Compaction runs as it does
+/// before every close and before the finish. Retirement runs as it does
 /// in the threaded lane: it frees only drivers whose shifts ended before
 /// every task still to be checked published, and those interact with
 /// none of them.

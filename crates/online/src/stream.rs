@@ -37,9 +37,9 @@
 //!   design.
 //! - **Retirement is lossless.** Once the decision clock passes a
 //!   driver's shift end she can never again pass the return-home check,
-//!   so the engine expires her (candidate scans skip her), and the fleet
-//!   frees her state once half its residents are expired, without any
-//!   observable difference. The clock is the only way a driver leaves:
+//!   so the engine retires her: her cell entry goes and her slot is free
+//!   for the next driver announced, without any observable difference.
+//!   The clock is the only way a driver leaves:
 //!   her announced shift says when, so no event does. Held *tasks* retire
 //!   at their decision epoch:
 //!   instant orders are decided the moment their publish group closes,
@@ -50,7 +50,7 @@
 //! change results (a property test pins this). The facade's
 //! `stream_equivalence` suite pins the front-end against a run that folds
 //! over every driver instead of searching the grid, and the plain run
-//! against recorded digests; compaction, ticks, the grid's box and
+//! against recorded digests; retirement, ticks, the grid's box and
 //! sharding are each pinned against the front-end or the plain run.
 //!
 //! # Examples
@@ -248,10 +248,9 @@ pub struct StreamSummary {
     pub rejected: usize,
     /// Drivers announced.
     pub drivers: usize,
-    /// Drivers *compacted*: the stream clock passed their shift end, and
-    /// their resident state (record, projected state, index entries) was
-    /// garbage-collected, not just skipped. The fleet compacts itself once
-    /// at least as many of its resident drivers are retired as live.
+    /// Drivers whose slots retirement freed: the stream clock passed their
+    /// shift end, their cell entries went, and the next driver announced
+    /// takes their slot.
     pub compacted_drivers: usize,
     /// High-water mark of simultaneously *held* (published, undecided)
     /// orders. Peak resident state is at most this plus `drivers` — the
@@ -263,7 +262,7 @@ pub struct StreamSummary {
 
 impl StreamSummary {
     /// An upper bound on peak resident entities: the held orders' peak
-    /// plus every driver announced, compacted or not. The number the
+    /// plus every driver announced, freed or not. The number the
     /// bounded-memory acceptance criterion is about.
     #[must_use]
     pub fn peak_resident(&self) -> usize {
@@ -393,8 +392,8 @@ impl StreamEngine {
         self.fleet.announced()
     }
 
-    /// Drivers currently resident (announced minus compacted) — the number
-    /// the bounded-memory claim is really about once fleets churn.
+    /// Drivers currently resident (announced minus freed) — the number the
+    /// bounded-memory claim is really about once fleets churn.
     #[must_use]
     pub fn resident_drivers(&self) -> usize {
         self.fleet.resident()
@@ -480,7 +479,7 @@ impl StreamEngine {
             served: self.served,
             rejected: self.rejected,
             drivers: self.fleet.announced(),
-            compacted_drivers: self.fleet.compacted(),
+            compacted_drivers: self.fleet.freed(),
             peak_held_tasks: self.peak_held,
             clock: self.clock.unwrap_or(Timestamp::EPOCH),
         }
@@ -1022,11 +1021,10 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_compaction_changes_nothing_instant() {
-        // The fleet compacts once half its residents are retired, which a
-        // 30-driver day reaches many times: resident drivers shrink, the
-        // replay stays byte-identical to the materialized front-end, and
-        // events still name drivers by their announced ids.
+    fn retirement_changes_nothing_instant() {
+        // A 30-driver day retires drivers all along: resident drivers
+        // shrink, the replay stays byte-identical to the materialized
+        // front-end, and events name drivers by their announced ids.
         let m = market(89, 200, 30);
         let porto = StreamOptions::default().grid(rideshare_geo::porto::bounding_box());
         for options in [StreamOptions::fold_oracle(), porto] {
@@ -1048,13 +1046,13 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_compaction_changes_nothing_batched() {
+    fn retirement_changes_nothing_batched() {
         // Batched mode: an early-flush epoch counts only drivers on shift
-        // at the order's publication, and compaction frees only drivers
-        // whose shift ended before, so compacting keeps every epoch equal
-        // to the materialized front-end's — the rule
-        // the fleet's `compaction_cannot_move_an_epoch` isolates,
-        // exercised here end-to-end.
+        // at the order's publication, and retirement frees only drivers
+        // whose shift ended before, so retiring keeps every epoch equal to
+        // the materialized front-end's — the rule the fleet's
+        // `retirement_cannot_move_an_epoch` isolates, exercised here
+        // end-to-end.
         let m = market(90, 200, 30);
         for mins in [2i64, 10] {
             let window = TimeDelta::from_mins(mins);
@@ -1069,12 +1067,12 @@ mod tests {
             );
             let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
             assert_same(&sink.into_result(), &materialized);
-            assert!(summary.compacted_drivers > 0, "no compaction at W={mins}m");
+            assert!(summary.compacted_drivers > 0, "no retirement at W={mins}m");
         }
     }
 
     #[test]
-    fn compaction_shrinks_resident_state() {
+    fn retirement_shrinks_resident_state() {
         let m = market(95, 150, 25);
         let mut engine = StreamEngine::new(m.speed(), StreamOptions::default());
         let mut mm = MaxMargin::new();
@@ -1090,25 +1088,34 @@ mod tests {
             engine.resident_drivers()
         );
         let summary = engine.finish(&mut policy, &mut sink);
-        assert_eq!(
-            summary.drivers, 25,
-            "announced count is never compacted away"
-        );
+        assert_eq!(summary.drivers, 25, "announced count is never freed away");
         assert!(summary.compacted_drivers > 0);
     }
 
-    /// `m`'s stream with the drivers relabelled in shift-end order.
-    fn shift_ordered_events(m: &Market) -> Vec<StreamEvent> {
+    /// `m`'s orders, each driver announced just before the first order
+    /// published at or after her shift start (or at the end, if none is),
+    /// relabelled in announcement order: a fleet that comes and goes.
+    fn announced_at_shift_start(m: &Market) -> Vec<StreamEvent> {
         let mut drivers = m.drivers().to_vec();
-        drivers.sort_by_key(|d| (d.shift_end, d.id));
-        let relabel = |(n, d): (usize, &Driver)| Driver {
-            id: DriverId::new(n as u32),
-            ..*d
+        drivers.sort_by_key(|d| (d.shift_start, d.id));
+        let online = |(n, d): (usize, Driver)| {
+            StreamEvent::DriverOnline(Driver {
+                id: DriverId::new(n as u32),
+                ..d
+            })
         };
-        let drivers = drivers.iter().enumerate().map(relabel);
-        let mut events: Vec<StreamEvent> = drivers.map(StreamEvent::DriverOnline).collect();
-        let orders = market_events(m).into_iter();
-        events.extend(orders.filter(|e| matches!(e, StreamEvent::TaskPublished(_))));
+        let mut drivers = drivers.into_iter().enumerate().peekable();
+        let mut events = Vec::new();
+        for order in market_events(m) {
+            let Some(at) = order.timestamp() else {
+                continue;
+            };
+            while let Some(driver) = drivers.next_if(|(_, d)| d.shift_start <= at) {
+                events.push(online(driver));
+            }
+            events.push(order);
+        }
+        events.extend(drivers.map(online));
         events
     }
 
@@ -1121,22 +1128,23 @@ mod tests {
 
     #[test]
     fn per_driver_memory_is_bounded_by_the_resident_fleet() {
-        // After a churned stream no per-driver vector or index the engine
-        // owns is longer than the resident fleet, batched or not.
+        // Drivers announced as their shifts start take the slots of those
+        // already retired, so no per-driver vector or index the engine owns
+        // is longer than the peak resident fleet, batched or not, and that
+        // is below the drivers announced.
         let m = market(97, 240, 30);
-        let events = shift_ordered_events(&m);
+        let events = announced_at_shift_start(&m);
         under_both_policies(|policy| {
             let mut sink = CollectingSink::new();
             let options = StreamOptions::default().grid(rideshare_geo::porto::bounding_box());
             let mut engine = StreamEngine::new(m.speed(), options);
+            let mut peak = 0;
             for e in &events {
                 engine.push(*e, policy, &mut sink);
+                peak = peak.max(engine.resident_drivers());
             }
-            let compacted = engine.fleet.compacted();
-            assert!(compacted > 0, "nothing was freed");
-            let resident = engine.driver_count() - compacted;
-            assert_eq!(engine.resident_drivers(), resident);
-            assert_eq!(engine.fleet.footprint(), resident);
+            assert_eq!(engine.fleet.footprint(), peak);
+            assert!(peak < engine.driver_count(), "no slot was reused");
         });
     }
 

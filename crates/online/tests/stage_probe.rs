@@ -86,7 +86,7 @@ impl Run {
         self.after.ns(stage) - self.before.ns(stage)
     }
 
-    fn counts(&self) -> [u64; 9] {
+    fn counts(&self) -> [u64; 7] {
         [
             Count::Scans,
             Count::Cells,
@@ -95,8 +95,6 @@ impl Run {
             Count::Candidates,
             Count::Searches,
             Count::SearchEntries,
-            Count::Compactions,
-            Count::CompactedEntries,
         ]
         .map(|count| self.count(count))
     }
@@ -111,18 +109,11 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     let instant = Run::new(&mut StreamPolicy::Instant(&mut MaxMargin::new()));
     let sink = &instant.sink;
     assert_eq!(sink.served + sink.rejected, 3000);
-    assert_eq!(
-        instant.counts(),
-        [3000, 45832, 12848, 1364, 1360, 0, 0, 9, 862]
-    );
+    assert_eq!(instant.counts(), [3000, 45832, 12848, 1364, 1360, 0, 0]);
     assert_eq!(instant.laps(Stage::Scan), 3000);
     assert_eq!(instant.laps(Stage::Choose), 3000);
     assert_eq!(instant.laps(Stage::Commit), sink.served);
     assert_eq!(instant.laps(Stage::Sink), 3000 + sink.windows);
-    assert_eq!(
-        instant.laps(Stage::Compact),
-        instant.count(Count::Compactions)
-    );
     assert_eq!(instant.laps(Stage::Refresh), 0);
     assert_eq!(instant.laps(Stage::EarlyFlush), 0);
 
@@ -134,15 +125,11 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(
         batched.counts(),
-        [3000, 36759, 10849, 1401, 1395, 3000, 5234, 7, 859]
+        [3000, 36759, 10849, 1401, 1395, 3000, 5234]
     );
     assert_eq!(batched.laps(Stage::EarlyFlush), sink.windows);
     assert_eq!(batched.laps(Stage::Commit), sink.served);
     assert_eq!(batched.laps(Stage::Sink), 3000 + sink.windows);
-    assert_eq!(
-        batched.laps(Stage::Compact),
-        batched.count(Count::Compactions)
-    );
     assert!(batched.laps(Stage::Scan) <= batched.laps(Stage::Choose));
     assert!(batched.laps(Stage::Refresh) < batched.laps(Stage::Choose));
 }

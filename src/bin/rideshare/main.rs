@@ -490,7 +490,7 @@ impl StreamRun {
         }
         println!(
             "        {} region(s) × {} shard(s); peak resident state: {} held orders + {} \
-             drivers ({} compacted) (O(active + drivers), trace never materialised)",
+             drivers ({} freed) (O(active + drivers), trace never materialised)",
             self.regions,
             self.shards.shards,
             summary.peak_held_tasks,

@@ -521,7 +521,7 @@ fn replay_shard_counts_print_identical_canonical_reports() {
     // The acceptance criterion at CLI level, small scale: the same
     // regional stream at 1, 2 and 4 shards prints the same decisions and
     // metrics byte-for-byte under --canonical (the "shard(s)" diagnostics
-    // line legitimately varies — per-shard peaks and compaction timing).
+    // line legitimately varies — per-shard peaks and retirement timing).
     let canonical = |shards: &str| {
         let out = cli(&[
             "replay",

@@ -16,8 +16,9 @@
 //!   [`StreamMetrics`] against whole-stream metrics,
 //! - `StreamMetrics::merge` associativity/commutativity (proptest) plus a
 //!   tiny-catalog pin (regression, not just a property),
-//! - checks that every tiny-catalog run compacts, and that the validating
-//!   lane compacts and still equals the sequential run,
+//! - checks that every tiny-catalog run frees retired drivers' slots, and
+//!   that the validating lane frees them and still equals the sequential
+//!   run,
 //! - a `#[should_panic]` proving the validator rejects an *illegal*
 //!   partition (one dense city cut in two at a meridian),
 //! - an `#[ignore]`d million-task acceptance run:
@@ -294,11 +295,10 @@ fn tiny_catalog_metric_merge_is_exact() {
     }
 }
 
-/// Every run of the tiny catalog compacts, instant and batched: the
-/// fleet frees its retired drivers once they are half its residents, which
-/// even a ten-driver day reaches. That compaction changes no decision is
-/// pinned by the golden digests (`tests/golden_scenarios.rs`), taken from
-/// runs that never compacted.
+/// Every run of the tiny catalog frees slots, instant and batched: the
+/// fleet frees a driver's slot once the clock retires her, which even a
+/// ten-driver day does. That retirement changes no decision is pinned by
+/// the golden digests (`tests/golden_scenarios.rs`).
 #[test]
 fn catalog_compaction_oracle() {
     for scenario in Scenario::tiny_catalog() {
@@ -326,9 +326,9 @@ fn catalog_compaction_oracle() {
     }
 }
 
-/// The validating lane compacts like the threaded one: under `batch-3m`
-/// every shard frees its retired drivers once they are half its residents,
-/// and the partition check still passes and the result still equals the
+/// The validating lane frees slots like the threaded one: under `batch-3m`
+/// every shard frees a driver's slot once the clock retires her, and the
+/// partition check still passes and the result still equals the
 /// sequential run. A freed driver's shift ended before every order still
 /// to be checked published, so she interacts with none.
 #[test]

@@ -9,8 +9,8 @@
 //!   (`StreamOptions::fold_oracle()`, the linear scan, compiled for tests
 //!   only) — on the tiny catalog under every online policy, field by field
 //!   (`front_end_matches_the_scan_stream`);
-//! - every *other* way of feeding the engine — clock ticks and eager
-//!   compaction here, the grid, shards and the daemon in the crate's unit
+//! - every *other* way of feeding the engine — clock ticks and driver
+//!   retirement here, the grid, shards and the daemon in the crate's unit
 //!   tests and the `grid_equivalence` /
 //!   `shard_determinism` / `serve_equivalence` batteries — produces the
 //!   same [`SimulationResult`] as the front-end or the plain run: same
@@ -31,7 +31,7 @@
 //!   change anything (the engine decides same-instant groups in task-id
 //!   order, so delivery jitter is invisible),
 //! - grid ≡ scan with a fleet-sized grid (5k orders × 20k drivers,
-//!   instant and batched, default compaction), and on the `replay-dense`
+//!   instant and batched, most of the fleet retired), and on the `replay-dense`
 //!   and `replay-batch` benchmark markets at a tenth of their size, where
 //!   the candidate scan's disc bounds reject most of what the cells hold,
 //! - `#[ignore]`d heavy runs: the porto-large batched matrix, the same
@@ -310,7 +310,7 @@ proptest! {
     }
 
     // Random traces, random windows: a batched stream ticked on ten-minute
-    // boundaries that compacts at every expiry stays byte-identical
+    // boundaries, which retire drivers between orders, stays byte-identical
     // to the materialized front-end and causally valid.
     #[test]
     fn random_batched_streams_match_materialized(
@@ -431,11 +431,10 @@ fn grid_matches_scan(
 }
 
 /// Grid ≡ scan with a fleet in the grid, not a handful of drivers: cells
-/// hold hundreds of availability-ordered entries, retirement moves entries
-/// to a long tail, and compaction renumbers the table in place whenever
-/// half the residents are retired, until most of the fleet is freed —
-/// under instant dispatch and under `batch-3m`, whose early-flush epochs
-/// search the same table ring by ring.
+/// hold hundreds of availability-ordered entries, and retirement removes
+/// entries and frees slots until most of the fleet is freed — under
+/// instant dispatch and under `batch-3m`, whose early-flush epochs search
+/// the same table ring by ring.
 fn fleet_sized_grid_matches_scan(tasks: usize, drivers: usize) {
     let (config, build) = (porto(29, tasks, drivers), MarketBuildOptions::default());
     for batched in [false, true] {
@@ -474,8 +473,8 @@ fn dense_grid_matches_scan_where_the_disc_bounds_reject() {
 /// The `replay-batch` benchmark's market at a tenth of its size (2,500
 /// orders × 250 drivers under `batch-3m`): every early-flush epoch is a
 /// search whose per-point bound shrinks as it goes, over cells whose
-/// retired tails it skips and whose drivers off shift at publication it
-/// passes over, while compaction frees most of the fleet over the day.
+/// drivers off shift at publication it passes over, while retirement frees
+/// most of the fleet over the day.
 #[test]
 fn batched_grid_matches_scan_where_the_disc_bounds_reject() {
     let (summary, decisions) = grid_matches_scan(&porto(0, 2_500, 250), &surge(), true);
