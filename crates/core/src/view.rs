@@ -501,4 +501,204 @@ mod tests {
         assert_eq!(other.tasks, vec![1]);
         assert_eq!(other.profit, best.profit);
     }
+
+    /// Eq. 3's shared conjuncts for the pair `a → b`, tested the long way:
+    /// the arc's cost, or `None` when `b` cannot follow `a`.
+    fn chain_cost(market: &Market, a: &Task, b: &Task) -> Option<f64> {
+        let speed = market.speed();
+        if !a.window_feasible() || !b.window_feasible() {
+            return None;
+        }
+        if b.pickup_deadline < a.completion_deadline {
+            return None;
+        }
+        let gap = b.pickup_deadline - a.completion_deadline;
+        if market.max_chain_wait().is_some_and(|cap| gap > cap) {
+            return None;
+        }
+        if speed.travel_time(a.destination, b.origin) > gap {
+            return None;
+        }
+        Some(speed.travel_cost(a.destination, b.origin).as_f64())
+    }
+
+    /// Driver `n`'s compact task map straight from Eqs. 2–3, with no chain
+    /// graph: its nodes are the tasks it can serve, stable-sorted by
+    /// completion deadline; each node's arcs test every node as successor,
+    /// in task order.
+    fn reference_map(market: &Market, n: usize) -> TaskMap {
+        let speed = market.speed();
+        let d = &market.drivers()[n];
+        let tasks = market.tasks();
+        let serves = |t: &Task| {
+            t.window_feasible()
+                && speed.travel_time(d.source, t.origin) <= t.pickup_deadline - d.shift_start
+                && speed.travel_time(t.destination, d.destination)
+                    <= d.shift_end - t.completion_deadline
+        };
+        let by_index: Vec<u32> = (0..tasks.len() as u32)
+            .filter(|&t| serves(&tasks[t as usize]))
+            .collect();
+        let mut task = by_index.clone();
+        task.sort_by_key(|&t| tasks[t as usize].completion_deadline);
+        let node_of = |t: u32| task.iter().position(|&s| s == t).unwrap() as u32;
+        let mut first_arc = vec![0];
+        let mut arcs = Vec::new();
+        for &a in &task {
+            for &b in &by_index {
+                if let Some(cost) = chain_cost(market, &tasks[a as usize], &tasks[b as usize]) {
+                    arcs.push((node_of(b), cost));
+                }
+            }
+            first_arc.push(arcs.len());
+        }
+        let cost = |from, to| speed.travel_cost(from, to).as_f64();
+        TaskMap {
+            direct_cost: cost(d.source, d.destination),
+            source_cost: task
+                .iter()
+                .map(|&t| cost(d.source, tasks[t as usize].origin))
+                .collect(),
+            sink_cost: task
+                .iter()
+                .map(|&t| cost(tasks[t as usize].destination, d.destination))
+                .collect(),
+            task,
+            first_arc,
+            arcs,
+        }
+    }
+
+    type MapBits = (
+        u64,
+        Vec<u32>,
+        Vec<u64>,
+        Vec<u64>,
+        Vec<usize>,
+        Vec<(u32, u64)>,
+    );
+
+    /// Every field of a task map, floats as their bits.
+    fn bits(map: &TaskMap) -> MapBits {
+        let floats = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            map.direct_cost.to_bits(),
+            map.task.clone(),
+            floats(&map.source_cost),
+            floats(&map.sink_cost),
+            map.first_arc.clone(),
+            map.arcs.iter().map(|&(j, c)| (j, c.to_bits())).collect(),
+        )
+    }
+
+    /// Every driver's map and every task's chain row equal the pairwise
+    /// reference, bit for bit; returns the number of nodes over all maps.
+    fn assert_matches_reference(market: &Market, context: &str) -> usize {
+        let maps = market.task_maps();
+        assert_eq!(maps.len(), market.num_drivers(), "{context}");
+        for (n, map) in maps.iter().enumerate() {
+            let want = reference_map(market, n);
+            assert_eq!(bits(map), bits(&want), "{context}, driver {n}");
+        }
+        let tasks = market.tasks();
+        for (a, from) in tasks.iter().enumerate() {
+            let want: Vec<(u32, u64)> = (0..tasks.len())
+                .filter_map(|b| {
+                    chain_cost(market, from, &tasks[b]).map(|c| (b as u32, c.to_bits()))
+                })
+                .collect();
+            let got: Vec<(u32, u64)> = market
+                .chain_edges(a)
+                .iter()
+                .map(|e| (e.to, e.cost.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{context}, chain row {a}");
+        }
+        maps.iter().map(|m| m.task.len()).sum()
+    }
+
+    fn generated(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
+        use crate::MarketBuildOptions;
+        let trace = rideshare_trace::TraceConfig::porto()
+            .with_seed(seed)
+            .with_task_count(tasks)
+            .with_driver_count(drivers, model)
+            .generate();
+        Market::from_trace(&trace, &MarketBuildOptions::default())
+    }
+
+    /// `market` rebuilt with extra drivers and tasks and another wait cap.
+    fn extended(
+        market: &Market,
+        drivers: Vec<Driver>,
+        tasks: Vec<Task>,
+        max_chain_wait: Option<TimeDelta>,
+    ) -> Market {
+        let all_drivers = market.drivers().iter().cloned().chain(drivers).collect();
+        let all_tasks = market.tasks().iter().cloned().chain(tasks).collect();
+        Market::new(all_drivers, all_tasks, market.speed(), max_chain_wait)
+    }
+
+    #[test]
+    fn task_maps_equal_a_pairwise_reference() {
+        for seed in 0..4 {
+            for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
+                let market = generated(seed, 120, 8, model);
+                let nodes = assert_matches_reference(&market, &format!("{model:?} seed {seed}"));
+                assert!(nodes > 0);
+            }
+        }
+        for tasks in [63, 64, 65] {
+            let market = generated(7, tasks, 6, DriverModel::Hitchhiking);
+            assert_matches_reference(&market, &format!("M = {tasks}"));
+        }
+
+        // A wait cap, a window-infeasible task, a zero-duration task that
+        // is its own candidate, and a driver who can serve nothing.
+        let base = generated(11, 64, 6, DriverModel::Hitchhiking);
+        let speed = base.speed();
+        let d0 = &base.drivers()[0];
+        let mut infeasible = base.tasks()[3];
+        infeasible.duration =
+            infeasible.completion_deadline - infeasible.pickup_deadline + TimeDelta::from_secs(1);
+        let mut instant = *base
+            .tasks()
+            .iter()
+            .find(|t| {
+                speed.travel_time(d0.source, t.origin) <= t.pickup_deadline - d0.shift_start
+                    && speed.travel_time(t.origin, d0.destination)
+                        <= d0.shift_end - t.pickup_deadline
+            })
+            .expect("driver 0 reaches some pickup");
+        instant.destination = instant.origin;
+        instant.duration = TimeDelta::from_secs(0);
+        instant.completion_deadline = instant.pickup_deadline;
+        let idle = Driver {
+            id: DriverId::new(6),
+            shift_start: Timestamp::from_hours(48),
+            shift_end: Timestamp::from_hours(48),
+            ..*d0
+        };
+        for cap in [None, Some(TimeDelta::from_mins(30))] {
+            let mut tasks = vec![infeasible, instant];
+            for (i, t) in tasks.iter_mut().enumerate() {
+                t.id = TaskId::new((64 + i) as u32);
+            }
+            let market = extended(&base, vec![idle], tasks, cap);
+            assert_matches_reference(&market, &format!("edge cases, cap {cap:?}"));
+            assert!(
+                market.has_chain_edge(65, 65),
+                "the instant task follows itself"
+            );
+            assert!(market.chain_edges(64).is_empty(), "infeasible has no arcs");
+            assert!(market.task_maps()[0].task.contains(&65));
+            assert!(market.task_maps()[6].task.is_empty(), "the idle driver");
+        }
+        let capped = extended(&base, vec![], vec![], Some(TimeDelta::from_mins(30)));
+        assert!(capped.chain_arc_count() < base.chain_arc_count());
+
+        let empty = Market::new(base.drivers().to_vec(), vec![], speed, None);
+        assert_eq!(assert_matches_reference(&empty, "no tasks"), 0);
+        assert_eq!(empty.chain_arc_count(), 0);
+    }
 }
