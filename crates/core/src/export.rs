@@ -136,7 +136,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for driver in 0..m.num_drivers() {
                 let view = DriverView::new(&m, driver);
-                let map = view.task_map(&m);
+                let map = &m.task_maps()[driver];
                 let tm = task_map_dag(&m, driver, Objective::Profit);
                 for round in 0..6 {
                     let context = format!("seed {seed} driver {driver} round {round}");

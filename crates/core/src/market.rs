@@ -93,25 +93,28 @@ impl Default for MarketBuildOptions {
 ///
 /// The task map of driver `n` is the DAG over `{0, −1} ∪ [M]` defined by
 /// Eqs. 1–3. With a shared speed model, the arc predicate between two tasks
-/// factors into a driver-independent part (the [`ChainEdge`] lists, `O(M²)`
-/// construction exactly as the paper counts) and per-driver source/sink
+/// factors into a driver-independent part (the [`ChainEdge`] rows, `O(M²)`
+/// pair tests at most, as the paper counts) and per-driver source/sink
 /// reachability (computed by [`crate::DriverView`] in `O(M)`).
 ///
 /// Both are *derived* state — functions of the tasks, the speed model and
 /// the wait cap — and each is built by its first reader, once per market:
 ///
-/// - the chain graph (arcs and their topological order) by the first
+/// - the full chain graph (arcs and their topological order) by the first
 ///   [`Market::chain_edges`], [`Market::topo_order`],
 ///   [`Market::has_chain_edge`], [`Market::chain_arc_count`] or
 ///   [`Market::chain_diameter`] call;
 /// - the compact per-driver task maps the path oracle runs over by the
-///   first [`crate::solve_greedy`] or [`crate::lp_upper_bound`] (which
-///   read the chain graph to build them).
+///   first [`crate::solve_greedy`] or [`crate::lp_upper_bound`]. They do
+///   not read the full graph: one arena holds only the arcs `m → m'` that
+///   some driver able to serve `m` can also serve `m'` with, each map is
+///   compacted from it, and the arena is dropped.
 ///
 /// [`Market::new`] builds neither, so a market that is only split
 /// ([`crate::disjoint_components`]), replayed online, or priced
 /// ([`crate::Assignment::objective_value`]) never pays `O(M²)` time or
-/// memory. Concurrent first readers are safe: one of them builds, the
+/// memory, and one that is only solved or bounded never builds the full
+/// graph. Concurrent first readers are safe: one of them builds, the
 /// others wait for it.
 #[derive(Clone, Debug)]
 pub struct Market {
@@ -126,14 +129,109 @@ pub struct Market {
     task_maps: OnceLock<Vec<TaskMap>>,
 }
 
-/// The driver-independent part of the task map.
+/// Chain arcs in one CSR arena, and a topological order of all of them.
+///
+/// Built by [`ChainGraph::build`], either over every task (the market's
+/// public graph) or masked by the drivers' reach (the arena the task maps
+/// are compacted from).
 #[derive(Clone, Debug)]
-struct ChainGraph {
-    /// `chain[m]` = feasible successor arcs of task `m`.
-    chain: Vec<Vec<ChainEdge>>,
+pub(crate) struct ChainGraph {
+    /// Task `m`'s successor arcs, ascending in `to`, are
+    /// `arcs[first[m]..first[m + 1]]`.
+    first: Vec<usize>,
+    arcs: Vec<ChainEdge>,
     /// Task indices sorted by completion deadline — a topological order of
     /// every chain arc (an arc implies `t̄⁺ₘ ≤ t̄⁻ₘ' < t̄⁺ₘ'`).
     topo: Vec<u32>,
+}
+
+/// Whether bit `i` of a task bitset is set.
+pub(crate) fn has_bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Sets bit `i` of a task bitset.
+pub(crate) fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// The bitset of all `m` tasks.
+fn all_tasks(m: usize) -> Vec<u64> {
+    let mut bits = vec![0u64; m.div_ceil(64)];
+    for i in 0..m {
+        set_bit(&mut bits, i);
+    }
+    bits
+}
+
+impl ChainGraph {
+    /// Builds the driver-independent chain arcs that a reach set can use:
+    /// `m → m'` exists iff both task windows are internally feasible, the
+    /// gap `t̄⁻ₘ' − t̄⁺ₘ` is non-negative and within `max_chain_wait`, and
+    /// the empty drive fits it, `lₘ,ₘ' ≤ t̄⁻ₘ' − t̄⁺ₘ` (Eq. 3's shared
+    /// conjuncts) — and some bitset of `reach` holds both `m` and `m'`.
+    ///
+    /// Row `m` tests only the successors in the union of the bitsets that
+    /// hold `m`, in ascending task order, so every row comes out sorted by
+    /// `to`. One reach set of all tasks gives the full graph.
+    pub(crate) fn build(
+        tasks: &[Task],
+        speed: SpeedModel,
+        max_chain_wait: Option<TimeDelta>,
+        reach: &[&[u64]],
+    ) -> Self {
+        let mut mask = vec![0u64; tasks.len().div_ceil(64)];
+        let mut first = Vec::with_capacity(tasks.len() + 1);
+        let mut arcs = Vec::new();
+        for (a, from) in tasks.iter().enumerate() {
+            first.push(arcs.len());
+            if !from.window_feasible() {
+                continue;
+            }
+            mask.fill(0);
+            for bits in reach.iter().filter(|bits| has_bit(bits, a)) {
+                for (word, &b) in mask.iter_mut().zip(bits.iter()) {
+                    *word |= b;
+                }
+            }
+            for (w, &word) in mask.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let b = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let to = &tasks[b];
+                    if to.pickup_deadline < from.completion_deadline || !to.window_feasible() {
+                        continue;
+                    }
+                    let gap = to.pickup_deadline - from.completion_deadline;
+                    if max_chain_wait.is_some_and(|cap| gap > cap) {
+                        continue;
+                    }
+                    let km = speed.driven_km(from.destination, to.origin);
+                    if speed.travel_time_for_km(km) <= gap {
+                        arcs.push(ChainEdge {
+                            to: b as u32,
+                            cost: speed.cost_for_km(km).as_f64(),
+                        });
+                    }
+                }
+            }
+        }
+        first.push(arcs.len());
+        let mut topo: Vec<u32> = (0..tasks.len() as u32).collect();
+        topo.sort_by_key(|&m| tasks[m as usize].completion_deadline);
+        Self { first, arcs, topo }
+    }
+
+    /// Task `m`'s successor arcs, ascending in `to`.
+    pub(crate) fn row(&self, m: usize) -> &[ChainEdge] {
+        &self.arcs[self.first[m]..self.first[m + 1]]
+    }
+
+    /// Task indices sorted by completion deadline.
+    pub(crate) fn topo(&self) -> &[u32] {
+        &self.topo
+    }
 }
 
 impl Market {
@@ -158,12 +256,11 @@ impl Market {
         }
     }
 
-    fn graph(&self) -> &ChainGraph {
+    /// The full chain graph: [`ChainGraph::build`] over every task.
+    pub(crate) fn graph(&self) -> &ChainGraph {
         self.graph.get_or_init(|| {
-            let chain = build_chain_arcs(&self.tasks, self.speed, self.max_chain_wait);
-            let mut topo: Vec<u32> = (0..self.tasks.len() as u32).collect();
-            topo.sort_by_key(|&m| self.tasks[m as usize].completion_deadline);
-            ChainGraph { chain, topo }
+            let all = all_tasks(self.tasks.len());
+            ChainGraph::build(&self.tasks, self.speed, self.max_chain_wait, &[&all])
         })
     }
 
@@ -175,11 +272,21 @@ impl Market {
 
     /// Every driver's compacted task map, indexed by driver: what Alg. 1
     /// and the column generation query, shared between them.
+    ///
+    /// The maps are compacted from an arena masked by the drivers' reach,
+    /// not from the full graph: a driver's map keeps `m → m'` only if it
+    /// can serve both, so the arena's row `m` need only test the tasks
+    /// that some driver able to serve `m` can serve. Its rows hold every
+    /// arc a map keeps, in the full graph's order, so each map is the one
+    /// the full graph would give.
     pub(crate) fn task_maps(&self) -> &[TaskMap] {
         self.task_maps.get_or_init(|| {
-            (0..self.num_drivers())
-                .map(|i| DriverView::new(self, i).task_map(self))
-                .collect()
+            let views: Vec<DriverView> = (0..self.num_drivers())
+                .map(|i| DriverView::new(self, i))
+                .collect();
+            let reach: Vec<&[u64]> = views.iter().map(DriverView::reach).collect();
+            let arena = ChainGraph::build(&self.tasks, self.speed, self.max_chain_wait, &reach);
+            views.iter().map(|view| view.task_map(&arena)).collect()
         })
     }
 
@@ -248,26 +355,28 @@ impl Market {
     /// Eq. 3).
     #[must_use]
     pub fn chain_edges(&self, m: usize) -> &[ChainEdge] {
-        &self.graph().chain[m]
+        self.graph().row(m)
     }
 
     /// Total number of chain arcs in the shared task map.
     #[must_use]
     pub fn chain_arc_count(&self) -> usize {
-        self.graph().chain.iter().map(Vec::len).sum()
+        self.graph().arcs.len()
     }
 
     /// Task indices in a topological order of the chain DAG (sorted by
     /// completion deadline).
     #[must_use]
     pub fn topo_order(&self) -> &[u32] {
-        &self.graph().topo
+        self.graph().topo()
     }
 
-    /// Whether the chain arc `m → m'` exists.
+    /// Whether the chain arc `m → m'` exists: a binary search of `m`'s
+    /// row, which is sorted by `to`.
     #[must_use]
     pub fn has_chain_edge(&self, m: usize, m_next: usize) -> bool {
-        self.chain_edges(m).iter().any(|e| e.to as usize == m_next)
+        let row = self.chain_edges(m);
+        row.binary_search_by_key(&m_next, |e| e.to as usize).is_ok()
     }
 
     /// The driver's baseline commute cost `cₙ,₀,₋₁` (source to destination
@@ -290,7 +399,7 @@ impl Market {
         for &u in &graph.topo {
             let du = depth[u as usize];
             best = best.max(du);
-            for e in &graph.chain[u as usize] {
+            for e in graph.row(u as usize) {
                 let v = e.to as usize;
                 if du + 1 > depth[v] {
                     depth[v] = du + 1;
@@ -299,51 +408,6 @@ impl Market {
         }
         best
     }
-}
-
-/// Builds the driver-independent chain arcs: `m → m'` exists iff both task
-/// windows are internally feasible and the empty drive fits the gap,
-/// `lₘ,ₘ' ≤ t̄⁻ₘ' − t̄⁺ₘ` (Eq. 3's shared conjuncts).
-fn build_chain_arcs(
-    tasks: &[Task],
-    speed: SpeedModel,
-    max_chain_wait: Option<TimeDelta>,
-) -> Vec<Vec<ChainEdge>> {
-    let m = tasks.len();
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_by_key(|&i| tasks[i as usize].pickup_deadline);
-
-    let mut chain: Vec<Vec<ChainEdge>> = vec![Vec::new(); m];
-    for (mi, from) in tasks.iter().enumerate() {
-        if !from.window_feasible() {
-            continue;
-        }
-        // Candidate successors must have pickup deadline after `from`'s
-        // completion deadline; scan the pickup-sorted order from that point.
-        let start = order
-            .partition_point(|&j| tasks[j as usize].pickup_deadline < from.completion_deadline);
-        for &j in &order[start..] {
-            let to = &tasks[j as usize];
-            if !to.window_feasible() {
-                continue;
-            }
-            let gap = to.pickup_deadline - from.completion_deadline;
-            debug_assert!(gap.is_non_negative());
-            if let Some(cap) = max_chain_wait {
-                if gap > cap {
-                    continue;
-                }
-            }
-            if speed.travel_time(from.destination, to.origin) <= gap {
-                chain[mi].push(ChainEdge {
-                    to: j,
-                    cost: speed.travel_cost(from.destination, to.origin).as_f64(),
-                });
-            }
-        }
-        chain[mi].sort_by_key(|e| e.to);
-    }
-    chain
 }
 
 #[cfg(test)]
@@ -546,8 +610,9 @@ mod tests {
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
 
         // The sweep's path: split, bound and solve the sub-markets, price
-        // the merged assignment on the global market. Nobody reads the
-        // global market's arcs, so nobody builds them.
+        // the merged assignment on the global market. The bound and the
+        // greedy read task maps, which are compacted from a masked arena,
+        // so nobody builds any full graph.
         let components = disjoint_components(&market);
         assert!(!components.is_empty());
         let bound = components_upper_bound(
@@ -562,16 +627,22 @@ mod tests {
         assert!(profit.is_strictly_positive());
         assert!(bound.bound + 1e-6 >= profit.as_f64());
         assert!(!market.graph_is_built());
-        assert!(components.iter().all(|c| c.market.graph_is_built()));
+        assert!(components.iter().all(|c| !c.market.graph_is_built()));
 
-        // One read builds all of it, equal to a direct build.
+        // One read builds all of it, equal to a direct all-tasks build.
         let _ = market.chain_edges(0);
         assert!(market.graph_is_built());
-        let direct = build_chain_arcs(market.tasks(), market.speed(), market.max_chain_wait());
-        for (m, arcs) in direct.iter().enumerate() {
-            assert_eq!(market.chain_edges(m), arcs.as_slice(), "task {m}");
+        let all = all_tasks(market.num_tasks());
+        let direct = ChainGraph::build(
+            market.tasks(),
+            market.speed(),
+            market.max_chain_wait(),
+            &[&all],
+        );
+        for m in 0..market.num_tasks() {
+            assert_eq!(market.chain_edges(m), direct.row(m), "task {m}");
         }
-        let arc_count: usize = direct.iter().map(Vec::len).sum();
+        let arc_count = direct.arcs.len();
         assert!(arc_count > 0);
         assert_eq!(market.chain_arc_count(), arc_count);
         let mut by_deadline: Vec<u32> = (0..market.num_tasks() as u32).collect();
@@ -580,7 +651,7 @@ mod tests {
         // Longest chain by node count, straight off the direct arcs.
         let mut depth = vec![1usize; market.num_tasks()];
         for &u in &by_deadline {
-            for e in &direct[u as usize] {
+            for e in direct.row(u as usize) {
                 depth[e.to as usize] = depth[e.to as usize].max(depth[u as usize] + 1);
             }
         }

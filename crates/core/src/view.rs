@@ -2,7 +2,7 @@
 
 use rideshare_types::Money;
 
-use crate::market::{Market, Objective};
+use crate::market::{has_bit, set_bit, ChainGraph, Market, Objective};
 
 /// The per-driver part of the task map of §III-B: which tasks driver `n`
 /// can serve at all (Eq. 2's reach and return conjuncts plus Eq. 1), the
@@ -14,13 +14,14 @@ use crate::market::{Market, Objective};
 /// The longest-path DP (the primitive both Alg. 1 and the pricing oracle
 /// use) runs over the compacted form `task_map` derives from it; Alg. 1
 /// and the column generation share one compaction per driver, kept on
-/// the [`Market`], and query many times; [`DriverView::best_path`]
-/// compacts per call.
+/// the [`Market`] and made from an arena of the arcs some driver can use,
+/// and query many times; [`DriverView::best_path`] compacts per call
+/// from the market's full graph.
 #[derive(Clone, Debug)]
 pub struct DriverView {
     driver: usize,
-    /// `allowed[m]`: task m is a node of this driver's task map.
-    allowed: Vec<bool>,
+    /// Bit `m` is set iff task `m` is a node of this driver's task map.
+    allowed: Vec<u64>,
     /// Cost of the source arc `0 → m` (`cₙ,₀,ₘ`), valid where `allowed`.
     source_cost: Vec<f64>,
     /// Cost of the sink arc `m → −1` (`cₙ,ₘ,₋₁`), valid where `allowed`.
@@ -54,14 +55,17 @@ pub(crate) fn task_margins(market: &Market, objective: Objective) -> Vec<f64> {
 /// One driver's task map compacted for the path oracle
 /// ([`DriverView::task_map`]): only the tasks the driver can serve, as
 /// nodes numbered in [`Market::topo_order`], and only the chain arcs
-/// between two of them, in CSR layout and [`Market::chain_edges`] order.
+/// between two of them, in CSR layout, each node's arcs ascending in task
+/// index as in [`Market::chain_edges`].
 ///
 /// The factored form (shared chain graph + a per-driver mask) makes every
 /// query walk all `M` tasks and test every chain arc against the mask; a
 /// driver typically reaches a few percent of the tasks, so the compact
 /// form's DP does a few percent of that work. Nodes and arcs keep the
 /// factored form's relative order, so relaxations happen in the same
-/// sequence and every tie breaks the same way.
+/// sequence and every tie breaks the same way — whether the map was
+/// compacted from the full graph or from the arena [`Market`] masks by
+/// its drivers' reach, which holds the same arcs in the same order.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskMap {
     direct_cost: f64,
@@ -171,7 +175,7 @@ impl DriverView {
         let d = &market.drivers()[driver];
         let speed = market.speed();
         let m = market.num_tasks();
-        let mut allowed = vec![false; m];
+        let mut allowed = vec![0u64; m.div_ceil(64)];
         let mut source_cost = vec![0.0; m];
         let mut sink_cost = vec![0.0; m];
         let mut feasible_count = 0;
@@ -180,19 +184,19 @@ impl DriverView {
                 continue;
             }
             // Eq. 2: reach the pickup before its deadline…
-            let reach = speed.travel_time(d.source, t.origin);
-            if reach > t.pickup_deadline - d.shift_start {
+            let reach_km = speed.driven_km(d.source, t.origin);
+            if speed.travel_time_for_km(reach_km) > t.pickup_deadline - d.shift_start {
                 continue;
             }
             // …and still make it home after the drop-off deadline.
-            let back = speed.travel_time(t.destination, d.destination);
-            if back > d.shift_end - t.completion_deadline {
+            let back_km = speed.driven_km(t.destination, d.destination);
+            if speed.travel_time_for_km(back_km) > d.shift_end - t.completion_deadline {
                 continue;
             }
-            allowed[i] = true;
+            set_bit(&mut allowed, i);
             feasible_count += 1;
-            source_cost[i] = speed.travel_cost(d.source, t.origin).as_f64();
-            sink_cost[i] = speed.travel_cost(t.destination, d.destination).as_f64();
+            source_cost[i] = speed.cost_for_km(reach_km).as_f64();
+            sink_cost[i] = speed.cost_for_km(back_km).as_f64();
         }
         Self {
             driver,
@@ -214,7 +218,12 @@ impl DriverView {
     /// reach/return conjuncts of Eq. 2).
     #[must_use]
     pub fn is_allowed(&self, m: usize) -> bool {
-        self.allowed[m]
+        has_bit(&self.allowed, m)
+    }
+
+    /// The tasks of this driver's task map as a bitset, `⌈M/64⌉` words.
+    pub(crate) fn reach(&self) -> &[u64] {
+        &self.allowed
     }
 
     /// Number of tasks in this driver's task map.
@@ -266,21 +275,23 @@ impl DriverView {
                 *v - task_dual(t)
             };
         }
-        self.task_map(market)
+        self.task_map(market.graph())
             .best_path(&value, driver_dual, &mut PathScratch::default())
     }
 
-    /// Compacts this driver's task map for repeated path queries: `O(M +
-    /// |chain arcs|)`, the cost of one DP over the factored form.
+    /// Compacts this driver's task map for repeated path queries from
+    /// `graph`, which must hold every chain arc between two tasks this
+    /// driver can serve: the market's full graph, or the arena
+    /// [`Market`] masks by all its drivers' reach. `O(M + |graph arcs|)`.
     ///
     /// Not part of [`DriverView::new`]: validation, summaries, the
     /// partitioner and the exact solver build views and never ask for a
     /// path.
-    pub(crate) fn task_map(&self, market: &Market) -> TaskMap {
-        let mut node_of = vec![u32::MAX; market.num_tasks()];
+    pub(crate) fn task_map(&self, graph: &ChainGraph) -> TaskMap {
+        let mut node_of = vec![u32::MAX; graph.topo().len()];
         let mut task = Vec::with_capacity(self.feasible_count);
-        for &t in market.topo_order() {
-            if self.allowed[t as usize] {
+        for &t in graph.topo() {
+            if self.is_allowed(t as usize) {
                 node_of[t as usize] = task.len() as u32;
                 task.push(t);
             }
@@ -290,10 +301,10 @@ impl DriverView {
         for &t in &task {
             first_arc.push(arcs.len());
             arcs.extend(
-                market
-                    .chain_edges(t as usize)
+                graph
+                    .row(t as usize)
                     .iter()
-                    .filter(|e| self.allowed[e.to as usize])
+                    .filter(|e| self.is_allowed(e.to as usize))
                     .map(|e| (node_of[e.to as usize], e.cost)),
             );
         }
