@@ -183,14 +183,19 @@ fn io_err(op: &str, path: &Path, e: &io::Error) -> OrchestrateError {
     }
 }
 
+/// The tmp file [`write_atomic`] stages `path` in: same directory, named
+/// `.{name}.{tmp_tag}.tmp`. It must not end in `.json`, or a worker
+/// listing `units/` could claim a requeue before the rename commits it.
+fn tmp_path(path: &Path, tmp_tag: &str) -> PathBuf {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("unit");
+    dir.join(format!(".{name}.{tmp_tag}.tmp"))
+}
+
 /// Writes `text` to `path` atomically: tmp file in the same directory,
 /// then rename. Readers either see the whole file or no file.
 fn write_atomic(path: &Path, text: &str, tmp_tag: &str) -> Result<(), OrchestrateError> {
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let tmp = dir.join(format!(
-        ".tmp-{tmp_tag}-{}",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("unit")
-    ));
+    let tmp = tmp_path(path, tmp_tag);
     fs::write(&tmp, text).map_err(|e| io_err("write tmp file", &tmp, &e))?;
     fs::rename(&tmp, path).map_err(|e| io_err("commit tmp file", path, &e))
 }
@@ -867,6 +872,30 @@ mod tests {
         assert_eq!(parsed, spec);
         assert!(UnitSpec::parse("{}", Path::new("x.json")).is_err());
         assert!(UnitSpec::parse("not json", Path::new("x.json")).is_err());
+    }
+
+    #[test]
+    fn a_staged_tmp_file_is_never_listed_or_claimed() {
+        let dir = tmp_spool("staged");
+        let spool = Spool::new(&dir);
+        let my_claims = spool.claimed().join("w0");
+        fs::create_dir_all(spool.units()).unwrap();
+        fs::create_dir_all(&my_claims).unwrap();
+        // A requeue caught between its write and its rename.
+        let unit = spool.units().join("0000-tiny-rides.json");
+        let staged = tmp_path(&unit, "requeue");
+        assert_eq!(staged.parent(), unit.parent());
+        fs::write(&staged, "{}").unwrap();
+        assert!(sorted_json_files(&spool.units()).unwrap().is_empty());
+        assert_eq!(claim_next(&spool, &my_claims).unwrap(), None);
+        assert!(staged.exists());
+        // Once committed, the unit is claimed and the staged name is free.
+        fs::rename(&staged, &unit).unwrap();
+        assert_eq!(
+            claim_next(&spool, &my_claims).unwrap(),
+            Some(my_claims.join("0000-tiny-rides.json"))
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
