@@ -10,7 +10,8 @@
 //!   `rideshare-trace` defines and its wire formats carry, re-exported
 //!   here) — plus the **task-map** arcs of §III-B (Eqs. 1–3),
 //!   stored as one shared driver-independent chain graph and per-driver
-//!   reachability views ([`DriverView`]),
+//!   reachability views ([`DriverView`]); the solvers' compact task maps
+//!   are cut from an arena of only the arcs some driver can use,
 //! - [`Assignment`]: a feasible solution (one node-disjoint task list per
 //!   driver), with validation of the flow constraints (5a–5f) and
 //!   individual rationality (5b), and evaluation of both objectives —
