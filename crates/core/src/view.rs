@@ -690,8 +690,49 @@ mod tests {
             shift_end: Timestamp::from_hours(48),
             ..*d0
         };
+        // Driver 0's shift edges: a task at her source picked up exactly
+        // at shift start, and one at her destination completed exactly at
+        // shift end, each also one second outside the shift.
+        let ten_mins = TimeDelta::from_mins(10);
+        let one_sec = TimeDelta::from_secs(1);
+        let at_start = Task {
+            origin: d0.source,
+            destination: d0.source,
+            publish_time: d0.shift_start - ten_mins,
+            pickup_deadline: d0.shift_start,
+            completion_deadline: d0.shift_start + ten_mins,
+            duration: TimeDelta::from_mins(1),
+            ..instant
+        };
+        let before_start = Task {
+            publish_time: at_start.publish_time - one_sec,
+            pickup_deadline: at_start.pickup_deadline - one_sec,
+            completion_deadline: at_start.completion_deadline - one_sec,
+            ..at_start
+        };
+        let at_end = Task {
+            origin: d0.destination,
+            destination: d0.destination,
+            publish_time: d0.shift_end - ten_mins - ten_mins,
+            pickup_deadline: d0.shift_end - ten_mins,
+            completion_deadline: d0.shift_end,
+            ..at_start
+        };
+        let after_end = Task {
+            publish_time: at_end.publish_time + one_sec,
+            pickup_deadline: at_end.pickup_deadline + one_sec,
+            completion_deadline: at_end.completion_deadline + one_sec,
+            ..at_end
+        };
         for cap in [None, Some(TimeDelta::from_mins(30))] {
-            let mut tasks = vec![infeasible, instant];
+            let mut tasks = vec![
+                infeasible,
+                instant,
+                at_start,
+                before_start,
+                at_end,
+                after_end,
+            ];
             for (i, t) in tasks.iter_mut().enumerate() {
                 t.id = TaskId::new((64 + i) as u32);
             }
@@ -702,7 +743,12 @@ mod tests {
                 "the instant task follows itself"
             );
             assert!(market.chain_edges(64).is_empty(), "infeasible has no arcs");
-            assert!(market.task_maps()[0].task.contains(&65));
+            let driver0 = &market.task_maps()[0].task;
+            assert!(driver0.contains(&65));
+            assert!(driver0.contains(&66), "picked up at shift start");
+            assert!(!driver0.contains(&67), "picked up before shift start");
+            assert!(driver0.contains(&68), "completed at shift end");
+            assert!(!driver0.contains(&69), "completed after shift end");
             assert!(market.task_maps()[6].task.is_empty(), "the idle driver");
         }
         let capped = extended(&base, vec![], vec![], Some(TimeDelta::from_mins(30)));
