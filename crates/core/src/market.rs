@@ -170,6 +170,8 @@ impl ChainGraph {
     /// gap `t̄⁻ₘ' − t̄⁺ₘ` is non-negative and within `max_chain_wait`, and
     /// the empty drive fits it, `lₘ,ₘ' ≤ t̄⁻ₘ' − t̄⁺ₘ` (Eq. 3's shared
     /// conjuncts) — and some bitset of `reach` holds both `m` and `m'`.
+    /// There is no arc `m → m`: a stationary instant task passes Eq. 3
+    /// against itself, but a task is served once.
     ///
     /// Row `m` tests only the successors in the union of the bitsets that
     /// hold `m`, in ascending task order, so every row comes out sorted by
@@ -199,6 +201,9 @@ impl ChainGraph {
                 while word != 0 {
                     let b = w * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
+                    if b == a {
+                        continue;
+                    }
                     let to = &tasks[b];
                     if to.pickup_deadline < from.completion_deadline || !to.window_feasible() {
                         continue;

@@ -513,10 +513,35 @@ mod tests {
         assert_eq!(other.profit, best.profit);
     }
 
-    /// Eq. 3's shared conjuncts for the pair `a → b`, tested the long way:
-    /// the arc's cost, or `None` when `b` cannot follow `a`.
-    fn chain_cost(market: &Market, a: &Task, b: &Task) -> Option<f64> {
+    #[test]
+    fn a_stationary_instant_task_is_served_once() {
+        // Window [1800, 1800], zero duration, origin = destination: the
+        // task passes Eq. 3 against itself, and the path must still hold
+        // it once.
+        let d = driver(0.0, 0.0, 0, 3600);
+        let t = task(0, 5.0, 1800, 1800, 5.0);
+        let market = Market::new(vec![d], vec![t], speed(), None);
+        assert!(!market.has_chain_edge(0, 0));
+        let view = DriverView::new(&market, 0);
+        let best = view.best_path(&market, Objective::Profit, &[false]);
+        assert_eq!(best.tasks, vec![0]);
+        // 5.0 − 1.0 (10 km round trip) + 0 refund.
+        assert!((best.profit - 4.0).abs() < 1e-6, "profit {}", best.profit);
+        let maps = market.task_maps();
+        let margins = task_margins(&market, Objective::Profit);
+        let shared = maps[0].best_path(&margins, 0.0, &mut PathScratch::default());
+        assert_eq!(shared, best);
+    }
+
+    /// Eq. 3's shared conjuncts for the pair of tasks `a → b`, tested the
+    /// long way: the arc's cost, or `None` when `b` cannot follow `a` (a
+    /// task never follows itself).
+    fn chain_cost(market: &Market, a: usize, b: usize) -> Option<f64> {
         let speed = market.speed();
+        let (a, b) = match market.tasks() {
+            tasks if a != b => (&tasks[a], &tasks[b]),
+            _ => return None,
+        };
         if !a.window_feasible() || !b.window_feasible() {
             return None;
         }
@@ -557,7 +582,7 @@ mod tests {
         let mut arcs = Vec::new();
         for &a in &task {
             for &b in &by_index {
-                if let Some(cost) = chain_cost(market, &tasks[a as usize], &tasks[b as usize]) {
+                if let Some(cost) = chain_cost(market, a as usize, b as usize) {
                     arcs.push((node_of(b), cost));
                 }
             }
@@ -611,12 +636,10 @@ mod tests {
             let want = reference_map(market, n);
             assert_eq!(bits(map), bits(&want), "{context}, driver {n}");
         }
-        let tasks = market.tasks();
-        for (a, from) in tasks.iter().enumerate() {
-            let want: Vec<(u32, u64)> = (0..tasks.len())
-                .filter_map(|b| {
-                    chain_cost(market, from, &tasks[b]).map(|c| (b as u32, c.to_bits()))
-                })
+        let m = market.num_tasks();
+        for a in 0..m {
+            let want: Vec<(u32, u64)> = (0..m)
+                .filter_map(|b| chain_cost(market, a, b).map(|c| (b as u32, c.to_bits())))
                 .collect();
             let got: Vec<(u32, u64)> = market
                 .chain_edges(a)
@@ -739,8 +762,8 @@ mod tests {
             let market = extended(&base, vec![idle], tasks, cap);
             assert_matches_reference(&market, &format!("edge cases, cap {cap:?}"));
             assert!(
-                market.has_chain_edge(65, 65),
-                "the instant task follows itself"
+                !market.has_chain_edge(65, 65),
+                "the instant task does not follow itself"
             );
             assert!(market.chain_edges(64).is_empty(), "infeasible has no arcs");
             let driver0 = &market.task_maps()[0].task;
