@@ -19,6 +19,17 @@
 //! prices positive the master optimum *is* `Z_f*`; if the round budget is
 //! hit first, the Lagrangian bound `master + Σᵢ max(0, best reduced cost)`
 //! is still a valid upper bound and is reported with `converged = false`.
+//!
+//! Pricing reuses what did not move, exactly. A driver's DP reads only her
+//! dual `λᵢ` and the node values `margin − μₘ` of her map's tasks, so when
+//! all of those are bitwise equal to what her last DP read, that DP's path
+//! is the answer again and is kept: per task and per driver the pricing
+//! pass that last changed the input is stamped, and a driver whose inputs
+//! are all stamped no later than her last DP skips it. The check costs
+//! `O(k)` against the DP's `O(k + arcs)`. Columns, their order, every dual
+//! and every bit of the bound are what full pricing gives; debug builds
+//! recompute each reused path and assert it equal. This is the exact form
+//! of partial pricing (Lübbecke & Desrosiers, *Oper. Res.* 53(6), 2005).
 
 use rideshare_lp::PackingLp;
 use rideshare_types::{Money, Result};
@@ -26,7 +37,7 @@ use rideshare_types::{Money, Result};
 use crate::assignment::path_profit;
 use crate::greedy::solve_greedy;
 use crate::market::{Market, Objective};
-use crate::view::{task_margins, BestPath, PathScratch};
+use crate::view::{task_margins, BestPath, PathScratch, TaskMap};
 
 /// Options for [`lp_upper_bound`]. Every caller passes the
 /// [`Default`]; the fields are this module's own test handles (the
@@ -146,23 +157,7 @@ pub fn lp_upper_bound(
         }
     }
 
-    // The pricing subproblem: every driver's best path at the master's
-    // current duals, `profit` being that column's reduced cost. The duals
-    // are read once into the node values `margin − μ` all the DPs share.
-    let margins = task_margins(market, objective);
-    let mut value = vec![0.0; m];
-    let mut scratch = PathScratch::default();
-    let mut price_all = |master: &PackingLp| -> Vec<BestPath> {
-        let duals = master.duals();
-        for ((v, margin), mu) in value.iter_mut().zip(&margins).zip(&duals[n..]) {
-            *v = margin - mu;
-        }
-        maps.iter()
-            .zip(duals)
-            .map(|(map, &lambda)| map.best_path(&value, lambda, &mut scratch))
-            .collect()
-    };
-
+    let mut pricer = Pricer::new(task_margins(market, objective), n);
     let mut rounds = 0usize;
     let mut converged = false;
     let mut master_objective = master.optimize()?;
@@ -170,7 +165,7 @@ pub fn lp_upper_bound(
     while rounds < opts.max_rounds {
         rounds += 1;
         let mut any = false;
-        for (i, priced) in price_all(&master).into_iter().enumerate() {
+        for (i, priced) in pricer.price(maps, master.duals()).iter().enumerate() {
             // The empty path contributes −λᵢ ≤ 0, so a positive reduced
             // cost certifies an improving path.
             if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
@@ -200,7 +195,8 @@ pub fn lp_upper_bound(
     let bound = if converged {
         master_objective
     } else {
-        let gap: f64 = price_all(&master)
+        let gap: f64 = pricer
+            .price(maps, master.duals())
             .iter()
             .map(|priced| priced.profit.max(0.0))
             .sum();
@@ -214,6 +210,100 @@ pub fn lp_upper_bound(
         columns,
         converged,
     })
+}
+
+/// The pricing subproblem: every driver's best path at the master's
+/// current duals, `profit` being that column's reduced cost.
+///
+/// The duals are read once per pass into the node values `margin − μ`
+/// all the DPs share. A driver's DP is a pure function of its `λ` and of
+/// the values of its map's tasks, so a driver none of whose inputs moved
+/// (bitwise) since its last DP keeps that DP's path.
+struct Pricer {
+    margins: Vec<f64>,
+    /// Per task, `margin − μ` at the latest pass.
+    value: Vec<f64>,
+    /// Per driver, `λ` at the latest pass.
+    lambda: Vec<f64>,
+    /// Per task and per driver, the pass that last changed `value` or
+    /// `lambda` (0: never).
+    value_moved: Vec<u32>,
+    lambda_moved: Vec<u32>,
+    /// Per driver, the pass whose inputs `best` was computed on (0: none).
+    priced: Vec<u32>,
+    best: Vec<BestPath>,
+    /// Passes so far, numbered from 1.
+    pass: u32,
+    scratch: PathScratch,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Paths [`Pricer::price`] reused instead of recomputing, on this
+    /// thread.
+    static REUSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Pricer {
+    fn new(margins: Vec<f64>, drivers: usize) -> Self {
+        Self {
+            value: vec![0.0; margins.len()],
+            value_moved: vec![0; margins.len()],
+            margins,
+            lambda: vec![0.0; drivers],
+            lambda_moved: vec![0; drivers],
+            priced: vec![0; drivers],
+            best: vec![
+                BestPath {
+                    tasks: Vec::new(),
+                    profit: 0.0,
+                };
+                drivers
+            ],
+            pass: 0,
+            scratch: PathScratch::default(),
+        }
+    }
+
+    /// Every driver's best path at `duals` (drivers' rows, then tasks'),
+    /// indexed by driver.
+    fn price(&mut self, maps: &[TaskMap], duals: &[f64]) -> &[BestPath] {
+        self.pass += 1;
+        let (lambdas, mus) = duals.split_at(maps.len());
+        for (t, (margin, mu)) in self.margins.iter().zip(mus).enumerate() {
+            let value = margin - mu;
+            if value.to_bits() != self.value[t].to_bits() {
+                self.value[t] = value;
+                self.value_moved[t] = self.pass;
+            }
+        }
+        for (i, (map, &lambda)) in maps.iter().zip(lambdas).enumerate() {
+            if lambda.to_bits() != self.lambda[i].to_bits() {
+                self.lambda[i] = lambda;
+                self.lambda_moved[i] = self.pass;
+            }
+            let since = self.priced[i];
+            let unmoved = since > 0
+                && self.lambda_moved[i] <= since
+                && map
+                    .tasks()
+                    .iter()
+                    .all(|&t| self.value_moved[t as usize] <= since);
+            if unmoved {
+                debug_assert_eq!(
+                    self.best[i],
+                    map.best_path(&self.value, lambda, &mut self.scratch),
+                    "driver {i}'s reused path"
+                );
+                #[cfg(test)]
+                REUSED.with(|reused| reused.set(reused.get() + 1));
+            } else {
+                self.best[i] = map.best_path(&self.value, lambda, &mut self.scratch);
+                self.priced[i] = self.pass;
+            }
+        }
+        &self.best
+    }
 }
 
 /// Convenience: the paper's *performance ratio* — an algorithm's achieved
@@ -336,6 +426,19 @@ mod tests {
             normal.bound,
             purged.bound
         );
+    }
+
+    #[test]
+    fn pricing_reuses_paths_whose_inputs_did_not_move() {
+        // Every reuse is checked against a fresh DP in debug builds; this
+        // shows there are reuses to check.
+        let m = market(14, 100, 12, DriverModel::Hitchhiking);
+        REUSED.with(|reused| reused.set(0));
+        let ub = lp_upper_bound(&m, Objective::Profit, UpperBoundOptions::default()).unwrap();
+        assert!(ub.converged && ub.rounds >= 2, "{} rounds", ub.rounds);
+        let reused = REUSED.with(std::cell::Cell::get);
+        assert!(reused > 0, "no path reused over {} rounds", ub.rounds);
+        assert!(reused < ub.rounds * m.num_drivers());
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub(crate) struct PathScratch {
 }
 
 impl TaskMap {
+    /// The map's tasks, in node order.
+    pub(crate) fn tasks(&self) -> &[u32] {
+        &self.task
+    }
+
     /// The longest-path DP: the maximum over source→sink paths of `direct
     /// cost − arc costs + Σ value[task] − driver_dual`, against the empty
     /// path's `−driver_dual`. `value` is indexed by task: the margin, less
@@ -165,7 +170,11 @@ impl TaskMap {
 impl DriverView {
     /// Builds the view for `driver` (an index into [`Market::drivers`]).
     ///
-    /// Cost: `O(M)` distance evaluations.
+    /// Cost: `O(M)` distance evaluations at most. A task picked up before
+    /// the shift starts or completed after it ends is skipped before any
+    /// distance is computed: a drive takes no negative time, so Eq. 2's
+    /// reach or return conjunct refuses it anyway, and on a day-long trace
+    /// most tasks lie outside any one shift.
     ///
     /// # Panics
     ///
@@ -181,6 +190,11 @@ impl DriverView {
         let mut feasible_count = 0;
         for (i, t) in market.tasks().iter().enumerate() {
             if !t.window_feasible() {
+                continue;
+            }
+            // Off shift: a drive takes no negative time, so Eq. 2 below
+            // would refuse it too, after two distances.
+            if t.pickup_deadline < d.shift_start || t.completion_deadline > d.shift_end {
                 continue;
             }
             // Eq. 2: reach the pickup before its deadline…
