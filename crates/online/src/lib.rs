@@ -20,8 +20,7 @@
 //!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
 //!   the LP-backed [`OptimalAssignmentMatcher`]); a driver leaves when the
 //!   stream clock passes her shift end (no event says so), and the fleet
-//!   frees its retired drivers losslessly once they are half its
-//!   residents,
+//!   frees each retired driver's slot at retirement,
 //! - [`priced_events`]: the feed of a generated day — every shift of a
 //!   `TraceStream` announced, then each trip priced into a task as it is
 //!   pulled — the one place that sequence is written; [`market_events`] is
