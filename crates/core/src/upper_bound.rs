@@ -23,9 +23,10 @@
 //! Pricing reuses what did not move, exactly. A driver's DP reads only her
 //! dual `λᵢ` and the node values `margin − μₘ` of her map's tasks, so when
 //! all of those are bitwise equal to what her last DP read, that DP's path
-//! is the answer again and is kept: per task and per driver the pricing
-//! pass that last changed the input is stamped, and a driver whose inputs
-//! are all stamped no later than her last DP skips it. The check costs
+//! is the answer again and is kept: each task's value is stamped with the
+//! pricing pass that last changed it, and a driver whose `λ` is the one
+//! her last DP read and whose tasks are all stamped no later than that DP
+//! skips it. The check costs
 //! `O(k)` against the DP's `O(k + arcs)`. Columns, their order, every dual
 //! and every bit of the bound are what full pricing gives; debug builds
 //! recompute each reused path and assert it equal. This is the exact form
@@ -221,16 +222,14 @@ pub fn lp_upper_bound(
 /// (bitwise) since its last DP keeps that DP's path.
 struct Pricer {
     margins: Vec<f64>,
-    /// Per task, `margin − μ` at the latest pass.
+    /// Per task, `margin − μ` at the latest pass, and the pass that last
+    /// changed it bitwise (0: never).
     value: Vec<f64>,
-    /// Per driver, `λ` at the latest pass.
-    lambda: Vec<f64>,
-    /// Per task and per driver, the pass that last changed `value` or
-    /// `lambda` (0: never).
     value_moved: Vec<u32>,
-    lambda_moved: Vec<u32>,
-    /// Per driver, the pass whose inputs `best` was computed on (0: none).
+    /// Per driver, her last DP: the pass it ran in (0: none), the `λ` it
+    /// read and the path it found.
     priced: Vec<u32>,
+    lambda: Vec<f64>,
     best: Vec<BestPath>,
     /// Passes so far, numbered from 1.
     pass: u32,
@@ -250,9 +249,8 @@ impl Pricer {
             value: vec![0.0; margins.len()],
             value_moved: vec![0; margins.len()],
             margins,
-            lambda: vec![0.0; drivers],
-            lambda_moved: vec![0; drivers],
             priced: vec![0; drivers],
+            lambda: vec![0.0; drivers],
             best: vec![
                 BestPath {
                     tasks: Vec::new(),
@@ -278,13 +276,9 @@ impl Pricer {
             }
         }
         for (i, (map, &lambda)) in maps.iter().zip(lambdas).enumerate() {
-            if lambda.to_bits() != self.lambda[i].to_bits() {
-                self.lambda[i] = lambda;
-                self.lambda_moved[i] = self.pass;
-            }
             let since = self.priced[i];
             let unmoved = since > 0
-                && self.lambda_moved[i] <= since
+                && lambda.to_bits() == self.lambda[i].to_bits()
                 && map
                     .tasks()
                     .iter()
@@ -300,6 +294,7 @@ impl Pricer {
             } else {
                 self.best[i] = map.best_path(&self.value, lambda, &mut self.scratch);
                 self.priced[i] = self.pass;
+                self.lambda[i] = lambda;
             }
         }
         &self.best
