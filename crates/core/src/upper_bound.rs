@@ -26,11 +26,11 @@
 //! is the answer again and is kept: each task's value is stamped with the
 //! pricing pass that last changed it, and a driver whose `λ` is the one
 //! her last DP read and whose tasks are all stamped no later than that DP
-//! skips it. The check costs
-//! `O(k)` against the DP's `O(k + arcs)`. Columns, their order, every dual
-//! and every bit of the bound are what full pricing gives; debug builds
-//! recompute each reused path and assert it equal. This is the exact form
-//! of partial pricing (Lübbecke & Desrosiers, *Oper. Res.* 53(6), 2005).
+//! skips it. The check costs `O(k)` against the DP's `O(k + arcs)`.
+//! Columns, their order, every dual and every bit of the bound are what
+//! full pricing gives; debug builds recompute each reused path and assert
+//! it equal. This is the exact form of partial pricing (Lübbecke &
+//! Desrosiers, *Oper. Res.* 53(6), 2005).
 
 use rideshare_lp::PackingLp;
 use rideshare_types::{Money, Result};
@@ -214,12 +214,10 @@ pub fn lp_upper_bound(
 }
 
 /// The pricing subproblem: every driver's best path at the master's
-/// current duals, `profit` being that column's reduced cost.
-///
-/// The duals are read once per pass into the node values `margin − μ`
-/// all the DPs share. A driver's DP is a pure function of its `λ` and of
-/// the values of its map's tasks, so a driver none of whose inputs moved
-/// (bitwise) since its last DP keeps that DP's path.
+/// current duals, `profit` being that column's reduced cost. The duals are
+/// read once per pass into the node values `margin − μ` all the DPs share,
+/// and a driver whose inputs did not move keeps her last path (module
+/// doc).
 struct Pricer {
     margins: Vec<f64>,
     /// Per task, `margin − μ` at the latest pass, and the pass that last
