@@ -376,12 +376,19 @@ impl Market {
         self.graph().topo()
     }
 
-    /// Whether the chain arc `m → m'` exists: a binary search of `m`'s
-    /// row, which is sorted by `to`.
+    /// Whether the chain arc `m → m'` exists.
     #[must_use]
     pub fn has_chain_edge(&self, m: usize, m_next: usize) -> bool {
+        self.chain_cost(m, m_next).is_some()
+    }
+
+    /// The empty-driving cost of the chain arc `m → m'`, or `None` when
+    /// there is no such arc: a binary search of `m`'s row, which is
+    /// sorted by `to`.
+    pub(crate) fn chain_cost(&self, m: usize, m_next: usize) -> Option<f64> {
         let row = self.chain_edges(m);
-        row.binary_search_by_key(&m_next, |e| e.to as usize).is_ok()
+        let at = row.binary_search_by_key(&m_next, |e| e.to as usize).ok()?;
+        Some(row[at].cost)
     }
 
     /// The driver's baseline commute cost `cₙ,₀,₋₁` (source to destination
@@ -486,25 +493,6 @@ mod tests {
         let market = Market::new(vec![], vec![bad, ok], fast_speed(), None);
         assert!(!market.has_chain_edge(0, 1));
         assert!(!market.tasks()[0].window_feasible());
-    }
-
-    #[test]
-    fn topo_order_respects_chain_arcs() {
-        let trace = TraceConfig::porto()
-            .with_seed(8)
-            .with_task_count(150)
-            .with_driver_count(5, DriverModel::Hitchhiking)
-            .generate();
-        let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-        let mut pos = vec![0usize; market.num_tasks()];
-        for (i, &t) in market.topo_order().iter().enumerate() {
-            pos[t as usize] = i;
-        }
-        for m in 0..market.num_tasks() {
-            for e in market.chain_edges(m) {
-                assert!(pos[m] < pos[e.to as usize], "arc {m}→{} backwards", e.to);
-            }
-        }
     }
 
     #[test]

@@ -547,6 +547,25 @@ mod tests {
         assert_eq!(shared, best);
     }
 
+    #[test]
+    fn task_map_arcs_run_forward() {
+        // The DP reads `dp[i]` as final once it reaches node `i`, so every
+        // arc must end at a later node than it starts from.
+        for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
+            let market = generated(8, 150, 5, model);
+            let mut arcs = 0;
+            for (n, map) in market.task_maps().iter().enumerate() {
+                for i in 0..map.task.len() {
+                    for &(j, _) in &map.arcs[map.first_arc[i]..map.first_arc[i + 1]] {
+                        assert!(j as usize > i, "{model:?} driver {n}: arc {i} → {j}");
+                        arcs += 1;
+                    }
+                }
+            }
+            assert!(arcs > 0, "{model:?}");
+        }
+    }
+
     /// Eq. 3's shared conjuncts for the pair of tasks `a → b`, tested the
     /// long way: the arc's cost, or `None` when `b` cannot follow `a` (a
     /// task never follows itself).
@@ -652,15 +671,11 @@ mod tests {
         }
         let m = market.num_tasks();
         for a in 0..m {
-            let want: Vec<(u32, u64)> = (0..m)
-                .filter_map(|b| chain_cost(market, a, b).map(|c| (b as u32, c.to_bits())))
-                .collect();
-            let got: Vec<(u32, u64)> = market
-                .chain_edges(a)
-                .iter()
-                .map(|e| (e.to, e.cost.to_bits()))
-                .collect();
-            assert_eq!(got, want, "{context}, chain row {a}");
+            for b in 0..m {
+                let got = market.chain_cost(a, b).map(f64::to_bits);
+                let want = chain_cost(market, a, b).map(f64::to_bits);
+                assert_eq!(got, want, "{context}, chain arc {a} → {b}");
+            }
         }
         maps.iter().map(|m| m.task.len()).sum()
     }
@@ -779,7 +794,10 @@ mod tests {
                 !market.has_chain_edge(65, 65),
                 "the instant task does not follow itself"
             );
-            assert!(market.chain_edges(64).is_empty(), "infeasible has no arcs");
+            assert!(
+                (0..market.num_tasks()).all(|b| market.chain_cost(64, b).is_none()),
+                "infeasible has no arcs"
+            );
             let driver0 = &market.task_maps()[0].task;
             assert!(driver0.contains(&65));
             assert!(driver0.contains(&66), "picked up at shift start");
