@@ -31,7 +31,7 @@ pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
     )?;
     let mut rows = Vec::new();
     let mut worst_ga_ratio = f64::INFINITY;
-    let mut worst_guarantee = 0.0f64;
+    let mut worst_guarantee = 1.0f64;
     for seed in 0..seeds as u64 {
         for (tasks, drivers) in [(10usize, 4usize), (14, 5), (18, 6)] {
             let market = build_market(1000 + seed, tasks, drivers, DriverModel::Hitchhiking);
@@ -51,7 +51,7 @@ pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
                 profit.as_f64() / exact.objective_value
             });
             worst_ga_ratio = worst_ga_ratio.min(ga);
-            worst_guarantee = worst_guarantee.max(summary.greedy_guarantee);
+            worst_guarantee = worst_guarantee.min(summary.greedy_guarantee);
             rows.push(vec![
                 format!("{seed}/{tasks}x{drivers}"),
                 format!("{:.3}", exact.objective_value),
@@ -76,4 +76,32 @@ pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
         out,
         "worst observed GA ratio: {worst_ga_ratio:.3} (Theorem 1 floor at the largest D seen: {worst_guarantee:.3})"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_floor_is_the_guarantee_at_the_largest_d() {
+        let mut buf = Vec::new();
+        small_scale(&mut buf, 1).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let max_d = text
+            .lines()
+            .filter(|line| line.trim_start().starts_with("0/"))
+            .filter_map(|line| line.split_whitespace().last()?.parse::<usize>().ok())
+            .max()
+            .expect("at least one row");
+        let floor = text
+            .rsplit("largest D seen: ")
+            .next()
+            .and_then(|tail| tail.trim_end().strip_suffix(')'))
+            .expect("the floor line");
+        assert_eq!(
+            floor,
+            format!("{:.3}", 1.0 / (max_d as f64 + 1.0)),
+            "{text}"
+        );
+    }
 }
