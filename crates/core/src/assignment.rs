@@ -9,7 +9,7 @@ use crate::view::DriverView;
 /// The true profit `r_π` of an explicit task sequence for `driver`: the
 /// commute refund, minus the connection costs (source arc, chain arcs,
 /// sink arc), plus the task margins — read from the market alone, so it
-/// needs neither a [`DriverView`] nor the chain graph. The terms are
+/// needs neither a [`DriverView`] nor a task map. The terms are
 /// added in path order, the order the path oracle's DP adds them in.
 ///
 /// Does **not** check feasibility; pair with [`Assignment::validate`].

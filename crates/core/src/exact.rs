@@ -121,11 +121,10 @@ fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Res
             my_arcs.push((t, TERM, v, snk_cost));
         }
         for &t in &mine {
-            for e in market.chain_edges(t) {
-                let to = e.to as usize;
-                if view.is_allowed(to) {
-                    let v = lp.add_var(-e.cost);
-                    my_arcs.push((t, to, v, e.cost));
+            for &to in &mine {
+                if let Some(cost) = market.chain_cost(t, to) {
+                    let v = lp.add_var(-cost);
+                    my_arcs.push((t, to, v, cost));
                 }
             }
         }

@@ -1,9 +1,10 @@
 //! A driver's task map as a generic [`rideshare_graph::Dag`] — test-only.
 //!
-//! The market solver uses a factored representation (shared chain graph +
-//! per-driver masks) for memory reasons; this module materialises the
-//! paper's *literal* per-driver DAG of §III-B — nodes `{0, −1} ∪ [M]`,
-//! profit-weighted — so the compact path oracle (`DriverView::task_map`)
+//! The market solver keeps each driver's map compact (only the tasks the
+//! driver can serve, and the chain arcs between them); this module
+//! materialises the paper's *literal* per-driver DAG of §III-B — nodes
+//! `{0, −1} ∪ [M]`, profit-weighted, its chain arcs from the market's pair
+//! test — so the compact path oracle (`DriverView::task_map`)
 //! can be checked, bit for bit, against the generic
 //! `Dag::max_profit_path` on the same structure. `rideshare-graph` is
 //! that reference implementation and a dev-dependency only: nothing at
@@ -66,13 +67,11 @@ pub fn task_map_dag(market: &Market, driver: usize, objective: Objective) -> Tas
             -speed.travel_cost(task.destination, d.destination).as_f64(),
         );
     }
-    for t in 0..m {
-        if !view.is_allowed(t) {
-            continue;
-        }
-        for e in market.chain_edges(t) {
-            if view.is_allowed(e.to as usize) {
-                dag.add_edge(t, e.to as usize, -e.cost);
+    let mine: Vec<usize> = (0..m).filter(|&t| view.is_allowed(t)).collect();
+    for &t in &mine {
+        for &to in &mine {
+            if let Some(cost) = market.chain_cost(t, to) {
+                dag.add_edge(t, to, -cost);
             }
         }
     }

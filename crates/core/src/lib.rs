@@ -8,8 +8,8 @@
 //!   with daily travel plans, `M` tasks with deadlines, prices `pₘ`, and
 //!   valuations `bₘ` ([`Driver`] and [`Task`], the records
 //!   `rideshare-trace` defines and its wire formats carry, re-exported
-//!   here) — plus the **task-map** arcs of §III-B (Eqs. 1–3),
-//!   stored as one shared driver-independent chain graph and per-driver
+//!   here) — plus the **task maps** of §III-B (Eqs. 1–3): a
+//!   driver-independent pair test for chain arcs and per-driver
 //!   reachability views ([`DriverView`]); the solvers' compact task maps
 //!   are cut from an arena of only the arcs some driver can use,
 //! - [`Assignment`]: a feasible solution (one node-disjoint task list per
@@ -65,7 +65,7 @@ mod view;
 pub use assignment::{Assignment, DriverRoute};
 pub use exact::{solve_exact, ExactOutcome};
 pub use greedy::{solve_greedy, GreedyOutcome};
-pub use market::{ChainEdge, Market, MarketBuildOptions, Objective};
+pub use market::{Market, MarketBuildOptions, Objective};
 // The market's two records, defined once in `rideshare-trace` (the lowest
 // layer that names them: it generates drivers and owns the wire format of
 // both) and re-exported under the names every solver uses.

@@ -40,7 +40,7 @@ impl Objective {
 /// driver can drive empty from `m`'s destination to `m'`'s origin within
 /// the gap between their windows (Eq. 3's shared condition).
 #[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ChainEdge {
+pub(crate) struct ChainEdge {
     /// Successor task index.
     pub to: u32,
     /// Empty-driving cost `cₙ,ₘ,ₘ'` (currency).
@@ -88,33 +88,28 @@ impl Default for MarketBuildOptions {
     }
 }
 
-/// The market: drivers, tasks, the travel model, and the shared part of the
-/// task map (§III-B).
+/// The market: drivers, tasks, the travel model, and the drivers' task
+/// maps (§III-B).
 ///
 /// The task map of driver `n` is the DAG over `{0, −1} ∪ [M]` defined by
 /// Eqs. 1–3. With a shared speed model, the arc predicate between two tasks
-/// factors into a driver-independent part (the [`ChainEdge`] rows, `O(M²)`
-/// pair tests at most, as the paper counts) and per-driver source/sink
-/// reachability (computed by [`crate::DriverView`] in `O(M)`).
+/// factors into a driver-independent pair test ([`Market::has_chain_edge`],
+/// `O(1)`) and per-driver source/sink reachability (computed by
+/// [`crate::DriverView`] in `O(M)`).
 ///
-/// Both are *derived* state — functions of the tasks, the speed model and
-/// the wait cap — and each is built by its first reader, once per market:
+/// The compact per-driver task maps the path oracle runs over are
+/// *derived* state — functions of the drivers, the tasks, the speed model
+/// and the wait cap — built once per market by their first reader
+/// ([`crate::solve_greedy`], [`crate::lp_upper_bound`],
+/// [`Market::chain_diameter`], [`Market::chain_arc_count`] or
+/// [`crate::MarketSummary::of`]). One arena holds only the arcs `m → m'`
+/// that some driver able to serve `m` can also serve `m'` with, each map
+/// is compacted from it, and the arena is dropped.
 ///
-/// - the full chain graph (arcs and their topological order) by the first
-///   [`Market::chain_edges`], [`Market::topo_order`],
-///   [`Market::has_chain_edge`], [`Market::chain_arc_count`] or
-///   [`Market::chain_diameter`] call;
-/// - the compact per-driver task maps the path oracle runs over by the
-///   first [`crate::solve_greedy`] or [`crate::lp_upper_bound`]. They do
-///   not read the full graph: one arena holds only the arcs `m → m'` that
-///   some driver able to serve `m` can also serve `m'` with, each map is
-///   compacted from it, and the arena is dropped.
-///
-/// [`Market::new`] builds neither, so a market that is only split
-/// ([`crate::disjoint_components`]), replayed online, or priced
+/// [`Market::new`] builds no map, so a market that is only split
+/// ([`crate::disjoint_components`]), replayed online, validated or priced
 /// ([`crate::Assignment::objective_value`]) never pays `O(M²)` time or
-/// memory, and one that is only solved or bounded never builds the full
-/// graph. Concurrent first readers are safe: one of them builds, the
+/// memory. Concurrent first readers are safe: one of them builds, the
 /// others wait for it.
 #[derive(Clone, Debug)]
 pub struct Market {
@@ -124,16 +119,13 @@ pub struct Market {
     /// The arc-pruning cap the chain is built with, kept so derived
     /// sub-markets (partitions, disjoint components) build identical arcs.
     max_chain_wait: Option<TimeDelta>,
-    graph: OnceLock<ChainGraph>,
-    /// Every driver's compacted task map, indexed by driver.
-    task_maps: OnceLock<Vec<TaskMap>>,
+    /// Every driver's compacted task map, indexed by driver, and the
+    /// number of arcs in the arena they were compacted from.
+    task_maps: OnceLock<(Vec<TaskMap>, usize)>,
 }
 
-/// Chain arcs in one CSR arena, and a topological order of all of them.
-///
-/// Built by [`ChainGraph::build`], either over every task (the market's
-/// public graph) or masked by the drivers' reach (the arena the task maps
-/// are compacted from).
+/// Chain arcs in one CSR arena, and a topological order of all of them:
+/// the arena the task maps are compacted from ([`ChainGraph::build`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ChainGraph {
     /// Task `m`'s successor arcs, ascending in `to`, are
@@ -155,41 +147,21 @@ pub(crate) fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
 }
 
-/// The bitset of all `m` tasks.
-fn all_tasks(m: usize) -> Vec<u64> {
-    let mut bits = vec![0u64; m.div_ceil(64)];
-    for i in 0..m {
-        set_bit(&mut bits, i);
-    }
-    bits
-}
-
 impl ChainGraph {
-    /// Builds the driver-independent chain arcs that a reach set can use:
-    /// `m → m'` exists iff both task windows are internally feasible, the
-    /// gap `t̄⁻ₘ' − t̄⁺ₘ` is non-negative and within `max_chain_wait`, and
-    /// the empty drive fits it, `lₘ,ₘ' ≤ t̄⁻ₘ' − t̄⁺ₘ` (Eq. 3's shared
-    /// conjuncts) — and some bitset of `reach` holds both `m` and `m'`.
-    /// There is no arc `m → m`: a stationary instant task passes Eq. 3
-    /// against itself, but a task is served once.
+    /// Builds the chain arcs that a reach set can use: `m → m'` exists iff
+    /// [`Market::chain_cost`] finds the arc and some bitset of `reach`
+    /// holds both `m` and `m'`.
     ///
     /// Row `m` tests only the successors in the union of the bitsets that
     /// hold `m`, in ascending task order, so every row comes out sorted by
-    /// `to`. One reach set of all tasks gives the full graph.
-    pub(crate) fn build(
-        tasks: &[Task],
-        speed: SpeedModel,
-        max_chain_wait: Option<TimeDelta>,
-        reach: &[&[u64]],
-    ) -> Self {
+    /// `to`.
+    pub(crate) fn build(market: &Market, reach: &[&[u64]]) -> Self {
+        let tasks = market.tasks();
         let mut mask = vec![0u64; tasks.len().div_ceil(64)];
         let mut first = Vec::with_capacity(tasks.len() + 1);
         let mut arcs = Vec::new();
-        for (a, from) in tasks.iter().enumerate() {
+        for a in 0..tasks.len() {
             first.push(arcs.len());
-            if !from.window_feasible() {
-                continue;
-            }
             mask.fill(0);
             for bits in reach.iter().filter(|bits| has_bit(bits, a)) {
                 for (word, &b) in mask.iter_mut().zip(bits.iter()) {
@@ -201,23 +173,9 @@ impl ChainGraph {
                 while word != 0 {
                     let b = w * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    if b == a {
-                        continue;
-                    }
-                    let to = &tasks[b];
-                    if to.pickup_deadline < from.completion_deadline || !to.window_feasible() {
-                        continue;
-                    }
-                    let gap = to.pickup_deadline - from.completion_deadline;
-                    if max_chain_wait.is_some_and(|cap| gap > cap) {
-                        continue;
-                    }
-                    let km = speed.driven_km(from.destination, to.origin);
-                    if speed.travel_time_for_km(km) <= gap {
-                        arcs.push(ChainEdge {
-                            to: b as u32,
-                            cost: speed.cost_for_km(km).as_f64(),
-                        });
+                    if let Some(cost) = market.chain_cost(a, b) {
+                        let to = b as u32;
+                        arcs.push(ChainEdge { to, cost });
                     }
                 }
             }
@@ -256,42 +214,31 @@ impl Market {
             tasks,
             speed,
             max_chain_wait,
-            graph: OnceLock::new(),
             task_maps: OnceLock::new(),
         }
-    }
-
-    /// The full chain graph: [`ChainGraph::build`] over every task.
-    pub(crate) fn graph(&self) -> &ChainGraph {
-        self.graph.get_or_init(|| {
-            let all = all_tasks(self.tasks.len());
-            ChainGraph::build(&self.tasks, self.speed, self.max_chain_wait, &[&all])
-        })
-    }
-
-    /// Whether a reader has asked for the chain graph yet.
-    #[cfg(test)]
-    pub(crate) fn graph_is_built(&self) -> bool {
-        self.graph.get().is_some()
     }
 
     /// Every driver's compacted task map, indexed by driver: what Alg. 1
     /// and the column generation query, shared between them.
     ///
-    /// The maps are compacted from an arena masked by the drivers' reach,
-    /// not from the full graph: a driver's map keeps `m → m'` only if it
-    /// can serve both, so the arena's row `m` need only test the tasks
-    /// that some driver able to serve `m` can serve. Its rows hold every
-    /// arc a map keeps, in the full graph's order, so each map is the one
-    /// the full graph would give.
+    /// A driver's map keeps `m → m'` only if it can serve both, so the
+    /// arena the maps are compacted from need only test, in row `m`, the
+    /// tasks that some driver able to serve `m` can serve. Its rows hold
+    /// every arc a map keeps, ascending in task index.
     pub(crate) fn task_maps(&self) -> &[TaskMap] {
+        &self.maps_and_arcs().0
+    }
+
+    /// The task maps and the arena's arc count, built together once.
+    fn maps_and_arcs(&self) -> &(Vec<TaskMap>, usize) {
         self.task_maps.get_or_init(|| {
             let views: Vec<DriverView> = (0..self.num_drivers())
                 .map(|i| DriverView::new(self, i))
                 .collect();
             let reach: Vec<&[u64]> = views.iter().map(DriverView::reach).collect();
-            let arena = ChainGraph::build(&self.tasks, self.speed, self.max_chain_wait, &reach);
-            views.iter().map(|view| view.task_map(&arena)).collect()
+            let arena = ChainGraph::build(self, &reach);
+            let maps = views.iter().map(|view| view.task_map(&arena)).collect();
+            (maps, arena.arcs.len())
         })
     }
 
@@ -356,39 +303,44 @@ impl Market {
         self.max_chain_wait
     }
 
-    /// Feasible chain successors of task `m` (driver-independent part of
-    /// Eq. 3).
-    #[must_use]
-    pub fn chain_edges(&self, m: usize) -> &[ChainEdge] {
-        self.graph().row(m)
-    }
-
-    /// Total number of chain arcs in the shared task map.
+    /// The number of chain arcs some driver can use: `m → m'` where one
+    /// driver can serve both tasks.
     #[must_use]
     pub fn chain_arc_count(&self) -> usize {
-        self.graph().arcs.len()
+        self.maps_and_arcs().1
     }
 
-    /// Task indices in a topological order of the chain DAG (sorted by
-    /// completion deadline).
-    #[must_use]
-    pub fn topo_order(&self) -> &[u32] {
-        self.graph().topo()
-    }
-
-    /// Whether the chain arc `m → m'` exists.
+    /// Whether the chain arc `m → m'` exists (Eq. 3's driver-independent
+    /// part), in `O(1)`.
     #[must_use]
     pub fn has_chain_edge(&self, m: usize, m_next: usize) -> bool {
         self.chain_cost(m, m_next).is_some()
     }
 
     /// The empty-driving cost of the chain arc `m → m'`, or `None` when
-    /// there is no such arc: a binary search of `m`'s row, which is
-    /// sorted by `to`.
+    /// there is no such arc. The arc exists iff both task windows are
+    /// internally feasible, the gap `t̄⁻ₘ' − t̄⁺ₘ` is non-negative and
+    /// within `max_chain_wait`, and the empty drive fits it, `lₘ,ₘ' ≤
+    /// t̄⁻ₘ' − t̄⁺ₘ` (Eq. 3's shared conjuncts). There is no arc `m → m`:
+    /// a stationary instant task passes Eq. 3 against itself, but a task
+    /// is served once.
+    #[inline]
     pub(crate) fn chain_cost(&self, m: usize, m_next: usize) -> Option<f64> {
-        let row = self.chain_edges(m);
-        let at = row.binary_search_by_key(&m_next, |e| e.to as usize).ok()?;
-        Some(row[at].cost)
+        let (from, to) = (&self.tasks[m], &self.tasks[m_next]);
+        if m == m_next
+            || to.pickup_deadline < from.completion_deadline
+            || !from.window_feasible()
+            || !to.window_feasible()
+        {
+            return None;
+        }
+        let gap = to.pickup_deadline - from.completion_deadline;
+        if self.max_chain_wait.is_some_and(|cap| gap > cap) {
+            return None;
+        }
+        let km = self.speed.driven_km(from.destination, to.origin);
+        let fits = self.speed.travel_time_for_km(km) <= gap;
+        fits.then(|| self.speed.cost_for_km(km).as_f64())
     }
 
     /// The driver's baseline commute cost `cₙ,₀,₋₁` (source to destination
@@ -399,26 +351,13 @@ impl Market {
         self.speed.travel_cost(d.source, d.destination)
     }
 
-    /// The diameter bound `D` used by Theorem 1: the maximum number of task
-    /// nodes on any source→sink path, computed on the shared chain DAG
-    /// (an upper bound on every driver's own diameter).
+    /// The diameter `D` of Theorem 1: the most tasks on one source→sink
+    /// path of any driver's task map — the longest chain a driver can
+    /// drive. 0 when no driver can serve any task.
     #[must_use]
     pub fn chain_diameter(&self) -> usize {
-        // Longest path in DAG by node count, DP over topo order.
-        let graph = self.graph();
-        let mut depth = vec![1usize; self.tasks.len()];
-        let mut best = 0usize;
-        for &u in &graph.topo {
-            let du = depth[u as usize];
-            best = best.max(du);
-            for e in graph.row(u as usize) {
-                let v = e.to as usize;
-                if du + 1 > depth[v] {
-                    depth[v] = du + 1;
-                }
-            }
-        }
-        best
+        let maps = self.task_maps().iter();
+        maps.map(TaskMap::longest_chain).max().unwrap_or(0)
     }
 }
 
@@ -465,9 +404,8 @@ mod tests {
         assert!(market.has_chain_edge(0, 2));
         // Arcs never go backwards in time.
         assert!(!market.has_chain_edge(2, 0));
-        let e = market.chain_edges(0)[0];
-        assert_eq!(e.to, 2);
-        assert!((e.cost - 1.0).abs() < 1e-6, "10 km at 0.1/km");
+        let cost = market.chain_cost(0, 2).unwrap();
+        assert!((cost - 1.0).abs() < 1e-6, "10 km at 0.1/km");
     }
 
     #[test]
@@ -579,97 +517,34 @@ mod tests {
         }
     }
 
+    fn driver_at(at: GeoPoint, shift_start: i64, shift_end: i64) -> Driver {
+        Driver {
+            id: DriverId::new(0),
+            source: at,
+            destination: at,
+            shift_start: Timestamp::from_secs(shift_start),
+            shift_end: Timestamp::from_secs(shift_end),
+            model: DriverModel::Hitchhiking,
+        }
+    }
+
     #[test]
     fn diameter_of_sequential_chain() {
-        // Three tasks in strict sequence → diameter 3.
+        // Three tasks in strict sequence, one driver who serves all three
+        // → diameter 3.
         let a = stationary_task(0, pt(0.0), 0, 600, 1.0);
         let b = stationary_task(1, pt(0.0), 1200, 1800, 1.0);
         let c = stationary_task(2, pt(0.0), 2400, 3000, 1.0);
-        let market = Market::new(vec![], vec![a, b, c], fast_speed(), None);
+        let d = driver_at(pt(0.0), 0, 3600);
+        let market = Market::new(vec![d], vec![a, b, c], fast_speed(), None);
         assert_eq!(market.chain_diameter(), 3);
         assert_eq!(market.chain_arc_count(), 3); // a→b, a→c, b→c
     }
 
     #[test]
-    fn the_chain_graph_is_built_by_its_first_reader_only() {
-        use crate::partition::{components_upper_bound, disjoint_components, solve_components};
-        use crate::upper_bound::UpperBoundOptions;
-
-        let trace = TraceConfig::porto()
-            .with_seed(17)
-            .with_task_count(160)
-            .with_driver_count(12, DriverModel::Hitchhiking)
-            .generate();
-        let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-
-        // The sweep's path: split, bound and solve the sub-markets, price
-        // the merged assignment on the global market. The bound and the
-        // greedy read task maps, which are compacted from a masked arena,
-        // so nobody builds any full graph.
-        let components = disjoint_components(&market);
-        assert!(!components.is_empty());
-        let bound = components_upper_bound(
-            &components,
-            Objective::Profit,
-            UpperBoundOptions::default(),
-            1,
-        )
-        .unwrap();
-        let merged = solve_components(&market, &components, Objective::Profit, 1);
-        let profit = merged.objective_value(&market, Objective::Profit);
-        assert!(profit.is_strictly_positive());
-        assert!(bound.bound + 1e-6 >= profit.as_f64());
-        assert!(!market.graph_is_built());
-        assert!(components.iter().all(|c| !c.market.graph_is_built()));
-
-        // One read builds all of it, equal to a direct all-tasks build.
-        let _ = market.chain_edges(0);
-        assert!(market.graph_is_built());
-        let all = all_tasks(market.num_tasks());
-        let direct = ChainGraph::build(
-            market.tasks(),
-            market.speed(),
-            market.max_chain_wait(),
-            &[&all],
-        );
-        for m in 0..market.num_tasks() {
-            assert_eq!(market.chain_edges(m), direct.row(m), "task {m}");
-        }
-        let arc_count = direct.arcs.len();
-        assert!(arc_count > 0);
-        assert_eq!(market.chain_arc_count(), arc_count);
-        let mut by_deadline: Vec<u32> = (0..market.num_tasks() as u32).collect();
-        by_deadline.sort_by_key(|&m| market.tasks()[m as usize].completion_deadline);
-        assert_eq!(market.topo_order(), by_deadline);
-        // Longest chain by node count, straight off the direct arcs.
-        let mut depth = vec![1usize; market.num_tasks()];
-        for &u in &by_deadline {
-            for e in direct.row(u as usize) {
-                depth[e.to as usize] = depth[e.to as usize].max(depth[u as usize] + 1);
-            }
-        }
-        assert_eq!(market.chain_diameter(), depth.into_iter().max().unwrap());
-    }
-
-    #[test]
-    fn a_market_is_shareable_and_a_clone_keeps_what_was_built() {
+    fn a_market_is_send_sync_and_clone() {
         fn shareable<T: Send + Sync + Clone>() {}
         shareable::<Market>();
-
-        let a = stationary_task(0, pt(0.0), 0, 600, 1.0);
-        let b = stationary_task(1, pt(0.0), 1200, 1800, 1.0);
-        let c = stationary_task(2, pt(0.0), 2400, 3000, 1.0);
-        let market = Market::new(vec![], vec![a, b, c], fast_speed(), None);
-        let unread = market.clone();
-        assert!(!unread.graph_is_built());
-        assert_eq!(market.chain_edges(0).len(), 2);
-        let built = market.clone();
-        assert!(built.graph_is_built());
-        for m in 0..3 {
-            assert_eq!(built.chain_edges(m), market.chain_edges(m));
-            assert_eq!(unread.chain_edges(m), market.chain_edges(m));
-        }
-        assert_eq!(built.topo_order(), market.topo_order());
     }
 
     #[test]

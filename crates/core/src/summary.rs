@@ -3,7 +3,6 @@
 use core::fmt;
 
 use crate::market::{Market, Objective};
-use crate::view::DriverView;
 
 /// Structural statistics of a market instance.
 ///
@@ -30,9 +29,10 @@ pub struct MarketSummary {
     pub drivers: usize,
     /// Number of tasks `M`.
     pub tasks: usize,
-    /// Chain arcs in the shared task map.
+    /// Chain arcs some driver can use (both tasks in one driver's map).
     pub chain_arcs: usize,
-    /// Task-map diameter `D` (Theorem 1's constant).
+    /// Task-map diameter `D` (Theorem 1's constant): the most tasks one
+    /// driver can chain.
     pub diameter: usize,
     /// Average number of tasks feasible per driver (task-map node count).
     pub avg_feasible_tasks: f64,
@@ -47,15 +47,14 @@ pub struct MarketSummary {
 }
 
 impl MarketSummary {
-    /// Computes the summary (`O(N·M)` feasibility evaluations).
+    /// Computes the summary from the market's task maps, which it builds
+    /// if no solver has yet.
     #[must_use]
     pub fn of(market: &Market) -> Self {
         let n = market.num_drivers();
         let m = market.num_tasks();
-        let mut feasible_total = 0usize;
-        for d in 0..n {
-            feasible_total += DriverView::new(market, d).feasible_task_count();
-        }
+        let maps = market.task_maps().iter();
+        let feasible_total: usize = maps.map(|map| map.tasks().len()).sum();
         let diameter = market.chain_diameter();
         let mean_margin = if m == 0 {
             0.0

@@ -8,15 +8,14 @@ use crate::market::{has_bit, set_bit, ChainGraph, Market, Objective};
 /// can serve at all (Eq. 2's reach and return conjuncts plus Eq. 1), the
 /// source/sink arc costs, and the baseline commute refund.
 ///
-/// Combined with the market's shared chain arcs this is exactly the
-/// driver's task-map DAG, kept *factored*: `O(M)` to build, which is all
-/// that validation, summaries, the partitioner and the exact solver pay.
-/// The longest-path DP (the primitive both Alg. 1 and the pricing oracle
-/// use) runs over the compacted form `task_map` derives from it; Alg. 1
-/// and the column generation share one compaction per driver, kept on
-/// the [`Market`] and made from an arena of the arcs some driver can use,
-/// and query many times; [`DriverView::best_path`] compacts per call
-/// from the market's full graph.
+/// Combined with the market's pair test for chain arcs
+/// ([`Market::has_chain_edge`]) this is exactly the driver's task-map
+/// DAG, kept *factored*: `O(M)` to build, which is all that validation,
+/// the partitioner and the exact solver pay. The longest-path DP (the
+/// primitive both Alg. 1 and the pricing oracle use) runs over the
+/// compacted form `task_map` derives from it, one per driver, kept on
+/// the [`Market`] and made from an arena of the arcs some driver can
+/// use; [`DriverView::best_path`] reads the same map.
 #[derive(Clone, Debug)]
 pub struct DriverView {
     driver: usize,
@@ -54,18 +53,15 @@ pub(crate) fn task_margins(market: &Market, objective: Objective) -> Vec<f64> {
 
 /// One driver's task map compacted for the path oracle
 /// ([`DriverView::task_map`]): only the tasks the driver can serve, as
-/// nodes numbered in [`Market::topo_order`], and only the chain arcs
+/// nodes sorted by completion deadline (a topological order: an arc
+/// `m → m'` implies `t̄⁺ₘ ≤ t̄⁻ₘ' < t̄⁺ₘ'`), and only the chain arcs
 /// between two of them, in CSR layout, each node's arcs ascending in task
-/// index as in [`Market::chain_edges`].
+/// index. Every arc runs from a node to a later one.
 ///
-/// The factored form (shared chain graph + a per-driver mask) makes every
-/// query walk all `M` tasks and test every chain arc against the mask; a
-/// driver typically reaches a few percent of the tasks, so the compact
-/// form's DP does a few percent of that work. Nodes and arcs keep the
-/// factored form's relative order, so relaxations happen in the same
-/// sequence and every tie breaks the same way — whether the map was
-/// compacted from the full graph or from the arena [`Market`] masks by
-/// its drivers' reach, which holds the same arcs in the same order.
+/// A driver typically reaches a few percent of the tasks, so a DP over
+/// the compact form does a few percent of the work of one over all `M`
+/// tasks. Nodes and arcs come in a fixed order, so relaxations happen in
+/// the same sequence and every tie breaks the same way on every build.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskMap {
     direct_cost: f64,
@@ -96,6 +92,19 @@ impl TaskMap {
     /// The map's tasks, in node order.
     pub(crate) fn tasks(&self) -> &[u32] {
         &self.task
+    }
+
+    /// The most tasks on one path through the map: a longest-path DP by
+    /// node count, in node order (arcs run forward, so a node's depth is
+    /// final when the loop reaches it). 0 for a map with no node.
+    pub(crate) fn longest_chain(&self) -> usize {
+        let mut depth = vec![1usize; self.task.len()];
+        for i in 0..self.task.len() {
+            for &(j, _) in &self.arcs[self.first_arc[i]..self.first_arc[i + 1]] {
+                depth[j as usize] = depth[j as usize].max(depth[i] + 1);
+            }
+        }
+        depth.into_iter().max().unwrap_or(0)
     }
 
     /// The longest-path DP: the maximum over source→sink paths of `direct
@@ -267,10 +276,8 @@ impl DriverView {
     /// *reduced* value `r_π − Σ_{m∈π} task_dual(m) − driver_dual`; the true
     /// `r_π` is [`crate::Assignment::route_profit`]'s.
     ///
-    /// One-shot form of the oracle: it compacts the task map, runs the DP
-    /// once and drops both, `O(M + |chain arcs|)` in all. Alg. 1 and the
-    /// column generation, which query one driver many times, compact once
-    /// and keep the map.
+    /// One-shot form of the oracle over the driver's task map in
+    /// [`Market`], which the first call builds for every driver.
     #[must_use]
     pub fn best_path_priced(
         &self,
@@ -289,18 +296,16 @@ impl DriverView {
                 *v - task_dual(t)
             };
         }
-        self.task_map(market.graph())
-            .best_path(&value, driver_dual, &mut PathScratch::default())
+        market.task_maps()[self.driver].best_path(&value, driver_dual, &mut PathScratch::default())
     }
 
     /// Compacts this driver's task map for repeated path queries from
-    /// `graph`, which must hold every chain arc between two tasks this
-    /// driver can serve: the market's full graph, or the arena
-    /// [`Market`] masks by all its drivers' reach. `O(M + |graph arcs|)`.
+    /// `graph`, the arena [`Market`] masks by all its drivers' reach, which
+    /// holds every chain arc between two tasks this driver can serve.
+    /// `O(M + |graph arcs|)`.
     ///
-    /// Not part of [`DriverView::new`]: validation, summaries, the
-    /// partitioner and the exact solver build views and never ask for a
-    /// path.
+    /// Not part of [`DriverView::new`]: validation, the partitioner and
+    /// the exact solver build views and never ask for a path.
     pub(crate) fn task_map(&self, graph: &ChainGraph) -> TaskMap {
         let mut node_of = vec![u32::MAX; graph.topo().len()];
         let mut task = Vec::with_capacity(self.feasible_count);
@@ -517,7 +522,7 @@ mod tests {
         let t0 = task(0, 10.0, 1200, 1900, 5.0);
         let t1 = task(1, 10.0, 1200, 1800, 5.0);
         let market = Market::new(vec![d], vec![t0, t1], speed(), None);
-        assert_eq!(market.topo_order(), &[1, 0]);
+        assert_eq!(market.task_maps()[0].tasks(), &[1, 0]);
         assert_eq!(market.chain_arc_count(), 0);
         let view = DriverView::new(&market, 0);
         let best = view.best_path(&market, Objective::Profit, &[false, false]);
@@ -697,9 +702,51 @@ mod tests {
         tasks: Vec<Task>,
         max_chain_wait: Option<TimeDelta>,
     ) -> Market {
-        let all_drivers = market.drivers().iter().cloned().chain(drivers).collect();
-        let all_tasks = market.tasks().iter().cloned().chain(tasks).collect();
-        Market::new(all_drivers, all_tasks, market.speed(), max_chain_wait)
+        let drivers = market.drivers().iter().cloned().chain(drivers).collect();
+        let tasks = market.tasks().iter().cloned().chain(tasks).collect();
+        Market::new(drivers, tasks, market.speed(), max_chain_wait)
+    }
+
+    /// The most tasks on one path of `map`, by memoised search over each
+    /// node's successors; no use of the node order.
+    fn longest_chain_by_search(map: &TaskMap) -> usize {
+        fn from(map: &TaskMap, i: usize, memo: &mut [usize]) -> usize {
+            if memo[i] == 0 {
+                let arcs = &map.arcs[map.first_arc[i]..map.first_arc[i + 1]];
+                let tail = arcs.iter().map(|&(j, _)| from(map, j as usize, memo));
+                memo[i] = 1 + tail.max().unwrap_or(0);
+            }
+            memo[i]
+        }
+        let mut memo = vec![0; map.task.len()];
+        (0..map.task.len())
+            .map(|i| from(map, i, &mut memo))
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn chain_diameter_is_the_longest_chain_a_driver_can_drive() {
+        let mut markets = Vec::new();
+        for seed in 0..4 {
+            for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
+                markets.push(generated(seed, 120, 8, model));
+            }
+        }
+        for tasks in [63, 64, 65] {
+            markets.push(generated(7, tasks, 6, DriverModel::Hitchhiking));
+        }
+        for (k, market) in markets.iter().enumerate() {
+            let want = (0..market.num_drivers())
+                .map(|n| longest_chain_by_search(&reference_map(market, n)))
+                .max()
+                .unwrap();
+            assert!(want > 1, "market {k}");
+            assert_eq!(market.chain_diameter(), want, "market {k}");
+        }
+        let speed = markets[0].speed();
+        let no_drivers = Market::new(vec![], markets[0].tasks().to_vec(), speed, None);
+        assert_eq!(no_drivers.chain_diameter(), 0);
     }
 
     #[test]

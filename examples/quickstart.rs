@@ -26,7 +26,7 @@ fn main() {
     // 2. Build the market: surge prices (Eq. 15), valuations, task map.
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
     println!(
-        "market: {} chain arcs in the shared task map, diameter D = {}",
+        "market: {} chain arcs some driver can use, diameter D = {}",
         market.chain_arc_count(),
         market.chain_diameter()
     );
