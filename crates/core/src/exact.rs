@@ -298,6 +298,75 @@ mod tests {
         assert!(e.proven_optimal);
     }
 
+    /// `solve_exact` against the arc-form ILP on one market: the same `Z*`
+    /// to 1e-6 relative, the same verdict on optimality, and assignments
+    /// that validate and are worth what each solver reports.
+    fn assert_agrees_with_the_arc_form(label: &str, m: &Market) {
+        let exact = solve_exact(m, Objective::Profit).unwrap();
+        let oracle = solve_arc_ilp(m, Objective::Profit, false).unwrap();
+        for (solver, outcome) in [("solve_exact", &exact), ("arc form", &oracle)] {
+            outcome.assignment.validate(m).unwrap();
+            let worth = outcome
+                .assignment
+                .objective_value(m, Objective::Profit)
+                .as_f64();
+            assert!(
+                (worth - outcome.objective_value).abs() < 1e-6,
+                "{label}: {solver} reports {} for an assignment worth {worth}",
+                outcome.objective_value
+            );
+        }
+        let scale = oracle.objective_value.abs().max(1.0);
+        assert!(
+            (exact.objective_value - oracle.objective_value).abs() <= 1e-6 * scale,
+            "{label}: Z* {} vs the arc form's {}",
+            exact.objective_value,
+            oracle.objective_value
+        );
+        assert_eq!(exact.proven_optimal, oracle.proven_optimal, "{label}");
+    }
+
+    fn porto(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
+        let trace = TraceConfig::porto()
+            .with_seed(seed)
+            .with_task_count(tasks)
+            .with_driver_count(drivers, model)
+            .generate();
+        Market::from_trace(&trace, &MarketBuildOptions::default())
+    }
+
+    #[test]
+    fn exact_matches_the_arc_form_oracle() {
+        // Every `small_scale --seeds 3` market (hitchhiking 10 × 4 to 18 ×
+        // 6), hitchhiking up to 80 × 12 and hwh up to 50 × 10, at the
+        // figure's seeds. hwh 18 × 6 at seed 1001 has a fractional path
+        // relaxation.
+        let hitch = [(10, 4), (14, 5), (18, 6), (30, 8), (50, 10), (80, 12)];
+        let hwh = [(18, 6), (30, 8), (50, 10)];
+        for seed in 1000..1003 {
+            let sizes = hitch.iter().map(|&s| (s, DriverModel::Hitchhiking));
+            for ((tasks, drivers), model) in
+                sizes.chain(hwh.map(|s| (s, DriverModel::HomeWorkHome)))
+            {
+                let label = format!("{model} {tasks} x {drivers}, seed {seed}");
+                assert_agrees_with_the_arc_form(&label, &porto(seed, tasks, drivers, model));
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "the arc form takes minutes here; nightly CI runs it in release"]
+    fn exact_matches_the_arc_form_oracle_on_fractional_roots() {
+        for (tasks, drivers, model) in [
+            (80, 12, DriverModel::HomeWorkHome),
+            (120, 16, DriverModel::Hitchhiking),
+            (400, 30, DriverModel::Hitchhiking),
+        ] {
+            let label = format!("{model} {tasks} x {drivers}, seed 1001");
+            assert_agrees_with_the_arc_form(&label, &porto(1001, tasks, drivers, model));
+        }
+    }
+
     #[test]
     fn welfare_exact_dominates_profit_exact() {
         let m = market(34, 10, 3);
