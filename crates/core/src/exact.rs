@@ -1,22 +1,33 @@
-//! Exact small-scale optima `Z*` via the arc-form ILP.
+//! Exact small-scale optima `Z*` by branch-and-price.
 //!
 //! The paper computes exact integral optima with CPLEX/MOSEK "for the
-//! evaluation of small-scale problems" (§VI-B). This module builds the flow
-//! formulation of §III-C — decision variables `xₙ,ₘ` and `yₙ,ₘ,ₘ'`,
-//! constraints (5a)–(5f) with individual rationality (5b) optional — over
-//! the *feasible* arcs only (the task map prunes the variable set), and
-//! solves it with the workspace's branch-and-bound solver.
+//! evaluation of small-scale problems" (§VI-B). This module solves the
+//! path formulation (Eq. 9–10) that [`crate::lp_upper_bound`] relaxes,
+//! with the same column generation at every node of a branch-and-bound
+//! tree (Barnhart, Johnson, Nemhauser, Savelsbergh & Vance,
+//! "Branch-and-price", *Oper. Res.* 46(3), 1998). One master and one
+//! pricing DP thus give both `Z_f*` (the root) and `Z*`.
 //!
-//! Intended for validation at small `N × M`; the LP-relaxation bound of
-//! [`crate::lp_upper_bound`] covers large instances, exactly as in the
-//! paper.
+//! A node whose master is integral is solved. Otherwise it branches on a
+//! fractional driver–task share `x_{n,m} = Σ_{π ∋ m} f_π` over `n`'s
+//! paths: one child bans `m` for `n`, the other bans `m` for every other
+//! driver. Every integral solution lies in one child or both, and a ban is
+//! a node removal in pricing, so the DP is unchanged. The greedy solution
+//! (Alg. 1), which already warm-starts the root master, is the first
+//! incumbent.
+//!
+//! §III-C's arc-form ILP (`x`, `y`, rows 5a–5f), solved by the dense
+//! branch-and-bound, is kept under `#[cfg(test)]` as the oracle this
+//! solver is tested against.
 
-use rideshare_lp::{BranchAndBound, Cmp, LinearProgram};
-use rideshare_types::{MarketError, Result, TaskId};
+use std::collections::BTreeMap;
+
+use rideshare_types::{Result, TaskId};
 
 use crate::assignment::Assignment;
+use crate::greedy::solve_greedy;
 use crate::market::{Market, Objective};
-use crate::view::DriverView;
+use crate::upper_bound::{route_columns, Column, ColumnGeneration, UpperBoundOptions};
 
 /// Result of [`solve_exact`].
 #[derive(Clone, Debug)]
@@ -25,26 +36,40 @@ pub struct ExactOutcome {
     pub assignment: Assignment,
     /// The optimal objective value (Eq. 4 / Eq. 6, constants included).
     pub objective_value: f64,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-price nodes explored.
     pub nodes_explored: usize,
     /// Whether optimality was proven within the node budget.
     pub proven_optimal: bool,
 }
 
-/// Branch-and-bound node budget of [`solve_exact`].
+/// Branch-and-price node budget of [`solve_exact`].
 const NODE_LIMIT: usize = 50_000;
 
-/// Solves the market exactly by branch-and-bound on the arc formulation.
-/// The individual-rationality rows (5b) are left out: the optimum never
-/// needs them (dropping a loss-making driver's whole route is always
-/// feasible and better), and without them the LP is smaller.
+/// A node is pruned once its bound exceeds the incumbent by no more than
+/// this share of it: `Z*` is exact to that relative tolerance.
+const PRUNE_TOLERANCE: f64 = 1e-6;
+
+/// One branch-and-price node: per driver the tasks she may not serve, and
+/// the parent's columns those bans allow.
+struct Node {
+    bans: Vec<Vec<u32>>,
+    columns: Vec<Column>,
+}
+
+/// Solves the market exactly by branch-and-price on the path formulation.
+/// `Z*` is the value of the best assignment found, recomputed from its
+/// routes; it is optimal to a relative `1e-6` when `proven_optimal`.
+///
+/// Every node runs column generation to convergence, and stops early once
+/// its Lagrangian bound falls to the incumbent. Nodes are explored depth
+/// first, the child that keeps `m` for `n` first.
 ///
 /// # Errors
 ///
-/// Returns [`MarketError::IterationLimit`] if the node budget is exhausted
-/// before any incumbent exists, and propagates LP failures. Use small
-/// instances (`N·M ≲ 200`) — the paper itself resorts to `Z_f*` beyond
-/// that.
+/// Propagates master LP failures ([`rideshare_types::MarketError`]), which
+/// indicate a pivot-budget exhaustion. Running out of nodes is not an
+/// error: the best assignment found is returned with `proven_optimal`
+/// false.
 ///
 /// # Examples
 ///
@@ -64,12 +89,148 @@ const NODE_LIMIT: usize = 50_000;
 /// assert!(exact.objective_value + 1e-6 >= g.as_f64());
 /// ```
 pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome> {
-    solve_arc_ilp(market, objective, false)
+    let n = market.num_drivers();
+    let mut assignment = solve_greedy(market, objective).assignment;
+    let mut incumbent = assignment.objective_value(market, objective).as_f64();
+    let node_options = UpperBoundOptions {
+        max_rounds: usize::MAX,
+        ..UpperBoundOptions::default()
+    };
+    let mut stack = Vec::new();
+    // A market without drivers or tasks has nothing to solve.
+    if n > 0 && market.num_tasks() > 0 {
+        stack.push(Node {
+            bans: vec![Vec::new(); n],
+            columns: route_columns(market, objective, &assignment),
+        });
+    }
+    let mut nodes = 0;
+    while nodes < NODE_LIMIT {
+        let Some(node) = stack.pop() else { break };
+        nodes += 1;
+        let cutoff = incumbent + PRUNE_TOLERANCE * incumbent.abs().max(1.0);
+        let mut generation = ColumnGeneration::new(market, objective, node.bans, node.columns);
+        let run = generation.run(node_options, cutoff)?;
+        if generation.dual_bound(run.gap) <= cutoff {
+            continue;
+        }
+        let primal: Vec<f64> = (0..generation.columns.len())
+            .map(|j| generation.master.primal(j))
+            .collect();
+        match branching_pair(market, &generation.columns, &primal) {
+            None => {
+                let integral = integral_assignment(market, &generation.columns, &primal);
+                let value = integral.objective_value(market, objective).as_f64();
+                if value > incumbent {
+                    incumbent = value;
+                    assignment = integral;
+                }
+            }
+            Some((driver, task)) => stack.extend(branch(market, &generation, driver, task)),
+        }
+    }
+    Ok(ExactOutcome {
+        assignment,
+        objective_value: incumbent,
+        nodes_explored: nodes,
+        proven_optimal: stack.is_empty(),
+    })
 }
 
-/// [`solve_exact`], with the rows (5b) when `enforce_ir` — kept so that
-/// the claim above stays a tested one.
+/// The children of branching on `(driver, task)`: `driver` may not serve
+/// `task`, or no other driver may. Each starts from the node's columns at
+/// zero reduced cost (its optimal basis and the ties) that its bans allow;
+/// pricing regenerates any other column it needs.
+fn branch(market: &Market, generation: &ColumnGeneration, driver: usize, task: u32) -> [Node; 2] {
+    let maps = market.task_maps();
+    let mut without = generation.bans().to_vec();
+    without[driver].push(task);
+    let mut only = generation.bans().to_vec();
+    for (other, bans) in only.iter_mut().enumerate() {
+        if other != driver && !bans.contains(&task) && maps[other].tasks().contains(&task) {
+            bans.push(task);
+        }
+    }
+    let tolerance = UpperBoundOptions::default().pricing_tolerance;
+    let columns = generation.columns.iter();
+    let tight: Vec<&Column> = columns
+        .filter(|c| generation.reduced_cost(c) >= -tolerance)
+        .collect();
+    [without, only].map(|bans| Node {
+        columns: tight
+            .iter()
+            .filter(|c| c.tasks.iter().all(|t| !bans[c.driver].contains(t)))
+            .map(|&c| c.clone())
+            .collect(),
+        bans,
+    })
+}
+
+/// How far a driver–task share may sit from 0 or 1 and still read as
+/// integral. `PackingLp` lifts row `i`'s capacity by `(i + 1)·1e-7` against
+/// degeneracy, so an integral master's values drift by up to the row count
+/// × 1e-7 (1e-4 at 1040 rows); this stays ten times above that.
+fn integrality_tolerance(market: &Market) -> f64 {
+    let rows = market.num_drivers() + market.num_tasks();
+    (rows as f64 * 1e-6).max(1e-3)
+}
+
+/// The pair `(n, m)` to branch on: the most fractional share `x_{n,m}`
+/// whose task another driver also holds a share of, ties to the lower
+/// driver, then the lower task. `None` when there is none: then the
+/// master is integral, since without a shared task its task rows are
+/// implied by the driver rows and each driver's part is a simplex, whose
+/// vertices are single paths.
+fn branching_pair(market: &Market, columns: &[Column], primal: &[f64]) -> Option<(usize, u32)> {
+    let tolerance = integrality_tolerance(market);
+    let mut share = BTreeMap::<(usize, u32), f64>::new();
+    let mut task_share = vec![0.0; market.num_tasks()];
+    for (column, &f) in columns.iter().zip(primal) {
+        if f > tolerance {
+            for &t in &column.tasks {
+                *share.entry((column.driver, t)).or_default() += f;
+                task_share[t as usize] += f;
+            }
+        }
+    }
+    let mut best = None;
+    let mut best_fraction = tolerance;
+    for (&(driver, task), &x) in &share {
+        let fraction = x.min(1.0 - x);
+        if fraction > best_fraction && task_share[task as usize] - x > tolerance {
+            best_fraction = fraction;
+            best = Some((driver, task));
+        }
+    }
+    best
+}
+
+/// The assignment an integral master describes: each driver's column at
+/// value 1, if she has one.
+fn integral_assignment(market: &Market, columns: &[Column], primal: &[f64]) -> Assignment {
+    let mut assignment = Assignment::empty(market.num_drivers());
+    for (column, &f) in columns.iter().zip(primal) {
+        if f > 0.5 {
+            let route = column.tasks.iter().map(|&t| TaskId::new(t)).collect();
+            assignment.set_route(market.drivers()[column.driver].id, route);
+        }
+    }
+    debug_assert!(assignment.validate(market).is_ok());
+    assignment
+}
+
+/// §III-C's arc-form ILP over the *feasible* arcs only (the task map
+/// prunes the variable set), solved by the dense branch-and-bound: the
+/// oracle [`solve_exact`] is tested against. The individual-rationality
+/// rows (5b) are added when `enforce_ir`; the optimum never needs them
+/// (dropping a loss-making driver's whole route is always feasible and
+/// better), and a test keeps that claim checked.
+#[cfg(test)]
 fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Result<ExactOutcome> {
+    use crate::view::DriverView;
+    use rideshare_lp::{BranchAndBound, Cmp, LinearProgram};
+    use rideshare_types::MarketError;
+
     let n = market.num_drivers();
     let m = market.num_tasks();
     if n == 0 || m == 0 {
@@ -365,6 +526,17 @@ mod tests {
             let label = format!("{model} {tasks} x {drivers}, seed 1001");
             assert_agrees_with_the_arc_form(&label, &porto(1001, tasks, drivers, model));
         }
+    }
+
+    #[test]
+    fn branching_closes_a_fractional_root() {
+        // hwh 18 × 6 at seed 1001: the path relaxation `Z_f*` sits above
+        // `Z*`, so the root master is fractional and the tree must branch.
+        let m = porto(1001, 18, 6, DriverModel::HomeWorkHome);
+        let exact = solve_exact(&m, Objective::Profit).unwrap();
+        let ub = lp_upper_bound(&m, Objective::Profit, UpperBoundOptions::default()).unwrap();
+        assert!(ub.converged && ub.bound > exact.objective_value + 1e-3);
+        assert!(exact.proven_optimal && exact.nodes_explored > 1);
     }
 
     #[test]

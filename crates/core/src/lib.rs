@@ -23,8 +23,8 @@
 //! - [`lp_upper_bound`]: the LP-relaxation bound `Z_f*` (§III-E) computed
 //!   by column generation over the path formulation (Eq. 9–10), with an
 //!   exact longest-path pricing oracle,
-//! - [`solve_exact`]: the arc-form ILP solved by branch-and-bound — the
-//!   CPLEX stand-in for small-scale exact optima `Z*` (§VI-B),
+//! - [`solve_exact`]: branch-and-price over the same column generation —
+//!   the CPLEX stand-in for small-scale exact optima `Z*` (§VI-B),
 //! - [`tightness`]: a generator for the Fig. 2 adversarial family showing
 //!   the `1/(D+1)` ratio is tight.
 //!

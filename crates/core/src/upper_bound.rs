@@ -31,18 +31,24 @@
 //! full pricing gives; debug builds recompute each reused path and assert
 //! it equal. This is the exact form of partial pricing (Lübbecke &
 //! Desrosiers, *Oper. Res.* 53(6), 2005).
+//!
+//! The same loop ([`ColumnGeneration`]) runs at every node of
+//! [`crate::solve_exact`]'s branch-and-price. There some drivers carry
+//! bans: a banned task is a removed node in that driver's DP alone, and a
+//! driver with bans is priced afresh every pass.
 
 use rideshare_lp::PackingLp;
 use rideshare_types::{Money, Result};
 
-use crate::assignment::path_profit;
+use crate::assignment::{path_profit, Assignment};
 use crate::greedy::solve_greedy;
 use crate::market::{Market, Objective};
-use crate::view::{task_margins, BestPath, PathScratch, TaskMap};
+use crate::view::{task_margins, BestPath, PathScratch, TaskMap, REMOVED};
 
 /// Options for [`lp_upper_bound`]. Every caller passes the
 /// [`Default`]; the fields are this module's own test handles (the
-/// Lagrangian fallback, the cold start, purge-every-round), not knobs.
+/// Lagrangian fallback, the cold start, purge-every-round) and the lifted
+/// round cap of [`crate::solve_exact`]'s nodes, not knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct UpperBoundOptions {
     /// Maximum column-generation rounds (each round prices all drivers).
@@ -118,8 +124,7 @@ pub fn lp_upper_bound(
     opts: UpperBoundOptions,
 ) -> Result<UpperBoundResult> {
     let n = market.num_drivers();
-    let m = market.num_tasks();
-    if n == 0 || m == 0 {
+    if n == 0 || market.num_tasks() == 0 {
         return Ok(UpperBoundResult {
             bound: 0.0,
             master_objective: 0.0,
@@ -128,98 +133,223 @@ pub fn lp_upper_bound(
             converged: true,
         });
     }
-    // Rows 0..n are driver convexity rows (10a as ≤ 1); rows n..n+m are the
-    // task node-disjointness rows (10b).
-    let mut master = PackingLp::new(n + m);
-    let maps = market.task_maps();
-
-    let mut columns = 0usize;
-    let mut support = Vec::new();
-    let mut add_path = |master: &mut PackingLp, driver: usize, tasks: &[u32], profit: f64| {
-        support.clear();
-        support.push(driver);
-        support.extend(tasks.iter().map(|&t| n + t as usize));
-        support[1..].sort_unstable();
-        master.add_column(profit, &support);
-        columns += 1;
-    };
-
-    if opts.warm_start_greedy {
-        let greedy = solve_greedy(market, objective);
-        for (i, route) in greedy.assignment.routes().iter().enumerate() {
-            if route.tasks.is_empty() {
-                continue;
-            }
-            let tasks: Vec<u32> = route.tasks.iter().map(|t| t.raw()).collect();
-            let profit = path_profit(market, objective, i, tasks.iter().map(|&t| t as usize));
-            if profit.is_strictly_positive() {
-                add_path(&mut master, i, &tasks, profit.as_f64());
-            }
-        }
-    }
-
-    let mut pricer = Pricer::new(task_margins(market, objective), n);
-    let mut rounds = 0usize;
-    let mut converged = false;
-    let mut master_objective = master.optimize()?;
-
-    while rounds < opts.max_rounds {
-        rounds += 1;
-        let mut any = false;
-        for (i, priced) in pricer.price(maps, master.duals()).iter().enumerate() {
-            // The empty path contributes −λᵢ ≤ 0, so a positive reduced
-            // cost certifies an improving path.
-            if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
-                let tasks = priced.tasks.iter().map(|&t| t as usize);
-                let true_profit = path_profit(market, objective, i, tasks);
-                add_path(&mut master, i, &priced.tasks, true_profit.as_f64());
-                any = true;
-            }
-        }
-        if !any {
-            converged = true;
-            break;
-        }
-        master_objective = master.optimize()?;
-        // Keep the tableau compact: drop non-basic columns that price
-        // clearly unattractive. The oracle regenerates any column that
-        // becomes attractive again, so this does not affect correctness —
-        // only the memory the dense tableau holds and the per-pivot scans
-        // over its columns.
-        if master.num_columns() > opts.purge_factor * (n + m) {
-            master.purge(1e-6);
-        }
-    }
-
-    // Lagrangian safety net: Z_f* ≤ master + Σᵢ (best reduced cost)⁺,
-    // evaluated at the master's final duals. Zero at convergence.
-    let bound = if converged {
-        master_objective
+    let warm = if opts.warm_start_greedy {
+        route_columns(
+            market,
+            objective,
+            &solve_greedy(market, objective).assignment,
+        )
     } else {
-        let gap: f64 = pricer
-            .price(maps, master.duals())
+        Vec::new()
+    };
+    let mut generation = ColumnGeneration::new(market, objective, vec![Vec::new(); n], warm);
+    let run = generation.run(opts, f64::NEG_INFINITY)?;
+    Ok(UpperBoundResult {
+        bound: if run.converged {
+            run.master_objective
+        } else {
+            run.master_objective + run.gap
+        },
+        master_objective: run.master_objective,
+        rounds: run.rounds,
+        columns: generation.columns.len(),
+        converged: run.converged,
+    })
+}
+
+/// One path column of the master: whose path it is, its tasks in service
+/// order and its profit `r_π`.
+#[derive(Clone, Debug)]
+pub(crate) struct Column {
+    pub(crate) driver: usize,
+    pub(crate) tasks: Vec<u32>,
+    pub(crate) profit: f64,
+}
+
+/// The columns of `assignment`'s routes that are worth serving — the warm
+/// start of every master.
+pub(crate) fn route_columns(
+    market: &Market,
+    objective: Objective,
+    assignment: &Assignment,
+) -> Vec<Column> {
+    let routes = assignment.routes().iter().enumerate();
+    routes
+        .filter(|(_, route)| !route.tasks.is_empty())
+        .filter_map(|(driver, route)| {
+            let tasks: Vec<u32> = route.tasks.iter().map(|t| t.raw()).collect();
+            let profit = path_profit(market, objective, driver, tasks.iter().map(|&t| t as usize));
+            profit.is_strictly_positive().then(|| Column {
+                driver,
+                tasks,
+                profit: profit.as_f64(),
+            })
+        })
+        .collect()
+}
+
+/// Column generation on the path master: the restricted master, its
+/// pricing oracle and every column added, master column `j` being
+/// `columns[j]`. Rows `0..N` are the drivers' convexity rows (10a as
+/// `≤ 1`); rows `N..N+M` are the tasks' node-disjointness rows (10b).
+///
+/// `bans[i]` lists tasks driver `i` may not serve: her pricing DP reads
+/// them as removed, and no column of hers may hold one. [`lp_upper_bound`]
+/// runs one with no bans; [`crate::solve_exact`] runs one per
+/// branch-and-price node.
+pub(crate) struct ColumnGeneration<'m> {
+    market: &'m Market,
+    objective: Objective,
+    pub(crate) master: PackingLp,
+    pricer: Pricer,
+    pub(crate) columns: Vec<Column>,
+    support: Vec<usize>,
+}
+
+/// Where [`ColumnGeneration::run`] stopped.
+pub(crate) struct Run {
+    /// The restricted master's objective after its last optimisation.
+    pub(crate) master_objective: f64,
+    pub(crate) rounds: usize,
+    /// Whether pricing proved the master optimal.
+    pub(crate) converged: bool,
+    /// `Σᵢ (best reduced cost)⁺` at the master's final duals: the
+    /// Lagrangian correction, at most `N ×` the pricing tolerance once
+    /// converged.
+    pub(crate) gap: f64,
+}
+
+impl<'m> ColumnGeneration<'m> {
+    pub(crate) fn new(
+        market: &'m Market,
+        objective: Objective,
+        bans: Vec<Vec<u32>>,
+        columns: Vec<Column>,
+    ) -> Self {
+        let mut generation = Self {
+            market,
+            objective,
+            master: PackingLp::new(market.num_drivers() + market.num_tasks()),
+            pricer: Pricer::new(task_margins(market, objective), bans),
+            columns: Vec::with_capacity(columns.len()),
+            support: Vec::new(),
+        };
+        for column in columns {
+            generation.add(column);
+        }
+        generation
+    }
+
+    fn add(&mut self, column: Column) {
+        let n = self.market.num_drivers();
+        self.support.clear();
+        self.support.push(column.driver);
+        self.support
+            .extend(column.tasks.iter().map(|&t| n + t as usize));
+        self.support[1..].sort_unstable();
+        self.master.add_column(column.profit, &self.support);
+        self.columns.push(column);
+    }
+
+    /// Optimises the master, then runs rounds — price every driver, add
+    /// each path that prices above the tolerance, re-optimise — until no
+    /// path does, `opts.max_rounds` rounds have run, or the dual bound
+    /// falls to `cutoff`.
+    pub(crate) fn run(&mut self, opts: UpperBoundOptions, cutoff: f64) -> Result<Run> {
+        let rows = self.master.num_rows();
+        let mut run = Run {
+            master_objective: self.master.optimize()?,
+            rounds: 0,
+            converged: false,
+            gap: 0.0,
+        };
+        while run.rounds < opts.max_rounds {
+            run.rounds += 1;
+            run.gap = 0.0;
+            let mut fresh = Vec::new();
+            let maps = self.market.task_maps();
+            for (i, priced) in self
+                .pricer
+                .price(maps, self.master.duals())
+                .iter()
+                .enumerate()
+            {
+                run.gap += priced.profit.max(0.0);
+                // The empty path contributes −λᵢ ≤ 0, so a positive reduced
+                // cost certifies an improving path.
+                if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
+                    let tasks = priced.tasks.iter().map(|&t| t as usize);
+                    fresh.push(Column {
+                        driver: i,
+                        tasks: priced.tasks.clone(),
+                        profit: path_profit(self.market, self.objective, i, tasks).as_f64(),
+                    });
+                }
+            }
+            if fresh.is_empty() {
+                run.converged = true;
+                return Ok(run);
+            }
+            for column in fresh {
+                self.add(column);
+            }
+            if self.dual_bound(run.gap) <= cutoff {
+                return Ok(run);
+            }
+            run.master_objective = self.master.optimize()?;
+            // Keep the tableau compact: drop non-basic columns that price
+            // clearly unattractive. The oracle regenerates any column that
+            // becomes attractive again, so this does not affect correctness
+            // — only the memory the dense tableau holds and the per-pivot
+            // scans over its columns.
+            if self.master.num_columns() > opts.purge_factor * rows {
+                self.master.purge(1e-6);
+            }
+        }
+        // Lagrangian safety net: Z_f* ≤ master + Σᵢ (best reduced cost)⁺,
+        // evaluated at the master's final duals.
+        let maps = self.market.task_maps();
+        run.gap = self
+            .pricer
+            .price(maps, self.master.duals())
             .iter()
             .map(|priced| priced.profit.max(0.0))
             .sum();
-        master_objective + gap
-    };
+        Ok(run)
+    }
 
-    Ok(UpperBoundResult {
-        bound,
-        master_objective,
-        rounds,
-        columns,
-        converged,
-    })
+    /// Per driver, the tasks she may not serve.
+    pub(crate) fn bans(&self) -> &[Vec<u32>] {
+        &self.pricer.bans
+    }
+
+    /// `column`'s reduced cost `r_π − y·a_π` at the master's duals.
+    pub(crate) fn reduced_cost(&self, column: &Column) -> f64 {
+        let (lambdas, mus) = self.master.duals().split_at(self.market.num_drivers());
+        let mu: f64 = column.tasks.iter().map(|&t| mus[t as usize]).sum();
+        column.profit - lambdas[column.driver] - mu
+    }
+
+    /// An upper bound on every integral solution the bans allow that,
+    /// unlike the master's objective, carries no anti-degeneracy lift:
+    /// the duals are feasible for the unperturbed dual once `gap` (the
+    /// [`Run::gap`] at them) is added, so by weak duality `Σ y⁺ + gap`
+    /// bounds the unperturbed LP.
+    pub(crate) fn dual_bound(&self, gap: f64) -> f64 {
+        self.master.duals().iter().map(|y| y.max(0.0)).sum::<f64>() + gap
+    }
 }
 
 /// The pricing subproblem: every driver's best path at the master's
 /// current duals, `profit` being that column's reduced cost. The duals are
 /// read once per pass into the node values `margin − μ` all the DPs share,
 /// and a driver whose inputs did not move keeps her last path (module
-/// doc).
+/// doc). A driver with bans reads her banned tasks as [`REMOVED`] and is
+/// priced afresh every pass.
 struct Pricer {
     margins: Vec<f64>,
+    /// Per driver, the tasks she may not serve.
+    bans: Vec<Vec<u32>>,
     /// Per task, `margin − μ` at the latest pass, and the pass that last
     /// changed it bitwise (0: never).
     value: Vec<f64>,
@@ -242,8 +372,10 @@ thread_local! {
 }
 
 impl Pricer {
-    fn new(margins: Vec<f64>, drivers: usize) -> Self {
+    fn new(margins: Vec<f64>, bans: Vec<Vec<u32>>) -> Self {
+        let drivers = bans.len();
         Self {
+            bans,
             value: vec![0.0; margins.len()],
             value_moved: vec![0; margins.len()],
             margins,
@@ -274,6 +406,18 @@ impl Pricer {
             }
         }
         for (i, (map, &lambda)) in maps.iter().zip(lambdas).enumerate() {
+            let banned = &self.bans[i];
+            if !banned.is_empty() {
+                let kept: Vec<f64> = banned
+                    .iter()
+                    .map(|&t| std::mem::replace(&mut self.value[t as usize], REMOVED))
+                    .collect();
+                self.best[i] = map.best_path(&self.value, lambda, &mut self.scratch);
+                for (&t, value) in banned.iter().zip(kept) {
+                    self.value[t as usize] = value;
+                }
+                continue;
+            }
             let since = self.priced[i];
             let unmoved = since > 0
                 && lambda.to_bits() == self.lambda[i].to_bits()
