@@ -1,8 +1,8 @@
 //! Figure 2 / Lemma 3 — tightness of the 1/(D+1) approximation ratio.
 //!
 //! Builds the geometric adversarial family of §IV-B for a sweep of
-//! diameters `D`, runs GA and the exact ILP on each instance, and reports
-//! the achieved ratio against the theoretical `1/(D+1)` floor.
+//! diameters `D`, runs GA and the exact solver on each instance, and
+//! reports the achieved ratio against the theoretical `1/(D+1)` floor.
 //!
 //! Usage: `rideshare fig2 [--depth D]`
 
@@ -16,7 +16,8 @@ use rideshare_metrics::render_table;
 ///
 /// # Errors
 ///
-/// Only what writing to `out` returns.
+/// What writing to `out` returns, and an [`io::ErrorKind::Other`] naming
+/// the depth whose exact solve failed or did not prove its optimum.
 pub fn fig2(out: &mut dyn Write, max_d: usize) -> io::Result<()> {
     let epsilon = 0.02;
 
@@ -32,15 +33,13 @@ pub fn fig2(out: &mut dyn Write, max_d: usize) -> io::Result<()> {
             .assignment
             .objective_value(&inst.market, Objective::Profit)
             .as_f64();
-        // Exact ILP is exponential-ish; cap it at moderate D and fall back
-        // to the analytic optimum beyond.
-        let opt = if d <= 4 {
-            solve_exact(&inst.market, Objective::Profit)
-                .map(|e| e.objective_value)
-                .unwrap_or_else(|_| inst.expected_opt())
-        } else {
-            inst.expected_opt()
-        };
+        let exact = solve_exact(&inst.market, Objective::Profit)
+            .map_err(|e| io::Error::other(format!("fig2: D = {d}: {e}")))?;
+        if !exact.proven_optimal {
+            let reason = format!("fig2: D = {d}: optimum not proven within the node budget");
+            return Err(io::Error::other(reason));
+        }
+        let opt = exact.objective_value;
         let ratio = ga_profit / opt;
         rows.push(vec![
             d.to_string(),

@@ -812,8 +812,13 @@ fn query(p: &Parsed<'_>) -> Result<(), String> {
 
 /// A figure's write error as a subcommand's (a closed pipe never gets
 /// here: [`Out`] has ended the process by then).
+/// A figure's own failure (`ErrorKind::Other`, e.g. an exact solve) as it
+/// is, anything else as the stdout write that failed.
 fn figure(printed: std::io::Result<()>) -> Result<(), String> {
-    printed.map_err(|e| format!("writing stdout: {e}"))
+    printed.map_err(|e| match e.kind() {
+        std::io::ErrorKind::Other => e.to_string(),
+        _ => format!("writing stdout: {e}"),
+    })
 }
 
 fn fig2(p: &Parsed<'_>) -> Result<(), String> {
