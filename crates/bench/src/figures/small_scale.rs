@@ -3,10 +3,14 @@
 //! to calculate the exact value of the best integer solution Z*, and then
 //! use Z* as the upper bound".
 //!
-//! This figure is that mode with the workspace's branch-and-bound standing
-//! in for CPLEX: on a grid of small instances it reports Z*, Z_f*, and each
-//! algorithm's exact performance ratio (vs Z*), plus GA's worst observed
-//! ratio against its 1/(D+1) guarantee.
+//! This figure is that mode with the workspace's branch-and-price standing
+//! in for CPLEX. On a grid of small instances under both driver models it
+//! reports Z*, the LP bound Z_f* and the integrality gap Z_f*/Z* (how far
+//! the paper's large-scale yardstick sits above the optimum), each
+//! algorithm's exact performance ratio (vs Z*), and GA's worst observed
+//! ratio against its 1/(D+1) guarantee. A point that is not solved to
+//! proven optimality, or that has nothing to serve, is skipped and
+//! counted.
 //!
 //! Usage: `rideshare small_scale [--seeds N]`
 
@@ -19,7 +23,23 @@ use rideshare_trace::DriverModel;
 use super::ALGORITHMS;
 use crate::build_market;
 
-/// Prints the §VI-B table over `seeds` seeds × three instance sizes.
+/// The grid's sizes (tasks × drivers). Home-work-home stops one size
+/// short: at 200 × 20 (seed 1000) its root master needs 73 pricing rounds
+/// and the tree 19 nodes, over a second in release and tens of seconds in
+/// the debug build that runs this module's test.
+const SIZES: [(usize, usize); 8] = [
+    (10, 4),
+    (14, 5),
+    (18, 6),
+    (30, 8),
+    (50, 10),
+    (80, 12),
+    (120, 16),
+    (200, 20),
+];
+
+/// Prints the §VI-B table over `seeds` seeds × both driver models × the
+/// grid's sizes.
 ///
 /// # Errors
 ///
@@ -27,40 +47,54 @@ use crate::build_market;
 pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
     writeln!(
         out,
-        "== Small-scale exact evaluation: Z* (branch & bound) vs algorithms =="
+        "== Small-scale exact evaluation: Z* (branch-and-price) vs algorithms =="
     )?;
+    let grid = [
+        ("hitch", DriverModel::Hitchhiking, &SIZES[..]),
+        ("hwh", DriverModel::HomeWorkHome, &SIZES[..SIZES.len() - 1]),
+    ];
     let mut rows = Vec::new();
+    let (mut unsolved, mut empty, mut capped) = (0usize, 0usize, false);
     let mut worst_ga_ratio = f64::INFINITY;
     let mut worst_guarantee = 1.0f64;
     for seed in 0..seeds as u64 {
-        for (tasks, drivers) in [(10usize, 4usize), (14, 5), (18, 6)] {
-            let market = build_market(1000 + seed, tasks, drivers, DriverModel::Hitchhiking);
-            let summary = MarketSummary::of(&market);
-            let exact = match solve_exact(&market, Objective::Profit) {
-                Ok(e) if e.proven_optimal => e,
-                _ => continue, // node budget blown — skip the point
-            };
-            if exact.objective_value < 1e-6 {
-                continue; // degenerate instance with nothing to serve
+        for (label, model, sizes) in grid {
+            for &(tasks, drivers) in sizes {
+                let market = build_market(1000 + seed, tasks, drivers, model);
+                let summary = MarketSummary::of(&market);
+                let exact = match solve_exact(&market, Objective::Profit) {
+                    Ok(e) if e.proven_optimal => e,
+                    _ => {
+                        unsolved += 1;
+                        continue;
+                    }
+                };
+                if exact.objective_value < 1e-6 {
+                    empty += 1;
+                    continue;
+                }
+                let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
+                    .expect("column generation on a small market");
+                capped |= !ub.converged;
+                let [ga, max_margin, nearest] = ALGORITHMS.map(|(_, policy)| {
+                    let assignment = policy.assign(&market, None, 1);
+                    let profit = assignment.objective_value(&market, Objective::Profit);
+                    profit.as_f64() / exact.objective_value
+                });
+                worst_ga_ratio = worst_ga_ratio.min(ga);
+                worst_guarantee = worst_guarantee.min(summary.greedy_guarantee);
+                let cap_mark = if ub.converged { "" } else { "+" };
+                rows.push(vec![
+                    format!("{seed}/{label}/{tasks}x{drivers}"),
+                    format!("{:.3}", exact.objective_value),
+                    format!("{:.3}{cap_mark}", ub.bound),
+                    format!("{:.4}{cap_mark}", ub.bound / exact.objective_value),
+                    format!("{ga:.3}"),
+                    format!("{max_margin:.3}"),
+                    format!("{nearest:.3}"),
+                    summary.diameter.to_string(),
+                ]);
             }
-            let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
-                .expect("column generation on a small market");
-            let [ga, max_margin, nearest] = ALGORITHMS.map(|(_, policy)| {
-                let assignment = policy.assign(&market, None, 1);
-                let profit = assignment.objective_value(&market, Objective::Profit);
-                profit.as_f64() / exact.objective_value
-            });
-            worst_ga_ratio = worst_ga_ratio.min(ga);
-            worst_guarantee = worst_guarantee.min(summary.greedy_guarantee);
-            rows.push(vec![
-                format!("{seed}/{tasks}x{drivers}"),
-                format!("{:.3}", exact.objective_value),
-                format!("{:.3}", ub.bound),
-                format!("{ga:.3}"),
-                format!("{max_margin:.3}"),
-                format!("{nearest:.3}"),
-                summary.diameter.to_string(),
-            ]);
         }
     }
     let [ga, max_margin, nearest] = ALGORITHMS.map(|(legend, _)| legend);
@@ -68,9 +102,28 @@ pub fn small_scale(out: &mut dyn Write, seeds: usize) -> io::Result<()> {
         out,
         "{}",
         render_table(
-            &["seed/size", "Z*", "Z_f*", ga, max_margin, nearest, "D"],
+            &[
+                "seed/model/size",
+                "Z*",
+                "Z_f*",
+                "Z_f*/Z*",
+                ga,
+                max_margin,
+                nearest,
+                "D"
+            ],
             &rows
         )
+    )?;
+    if capped {
+        writeln!(
+            out,
+            "+: column generation hit its round cap; the Lagrangian bound above Z_f* stands in"
+        )?;
+    }
+    writeln!(
+        out,
+        "skipped points: {unsolved} not solved to proven optimality, {empty} with nothing to serve"
     )?;
     writeln!(
         out,
