@@ -1,26 +1,15 @@
 //! Exact small-scale optima `Z*` by branch-and-price.
 //!
 //! The paper computes exact integral optima with CPLEX/MOSEK "for the
-//! evaluation of small-scale problems" (§VI-B). This module solves the
-//! path formulation (Eq. 9–10) that [`crate::lp_upper_bound`] relaxes,
-//! with the same column generation at every node of a branch-and-bound
-//! tree (Barnhart, Johnson, Nemhauser, Savelsbergh & Vance,
-//! "Branch-and-price", *Oper. Res.* 46(3), 1998). One master and one
-//! pricing DP thus give both `Z_f*` (the root) and `Z*`.
-//!
-//! A node whose master is integral is solved. Otherwise it branches on a
-//! fractional driver–task share `x_{n,m} = Σ_{π ∋ m} f_π` over `n`'s
-//! paths: one child bans `m` for `n`, the other bans `m` for every other
-//! driver. Every integral solution lies in one child or both, and a ban is
-//! a node removal in pricing, so the DP is unchanged. The greedy solution
-//! (Alg. 1), which already warm-starts the root master, is the first
-//! incumbent.
-//!
-//! §III-C's arc-form ILP (`x`, `y`, rows 5a–5f), solved by the dense
-//! branch-and-bound, is kept under `#[cfg(test)]` as the oracle this
-//! solver is tested against.
-
-use std::collections::BTreeMap;
+//! evaluation of small-scale problems" (§VI-B). Here [`crate::lp_upper_bound`]'s
+//! column generation on the path formulation (Eq. 9–10) runs at every node
+//! of a branch-and-bound tree (branch-and-price: Barnhart et al., *Oper.
+//! Res.* 46(3), 1998). A node whose master is integral is solved; otherwise
+//! it branches on a fractional driver–task share `x_{n,m} = Σ_{π ∋ m} f_π`:
+//! one child bans `m` for `n` (a removed node in `n`'s pricing DP), the
+//! other for every other driver. The greedy solution (Alg. 1), which also
+//! warm-starts the root, is the first incumbent. §III-C's arc-form ILP
+//! stays in the tests, as this solver's oracle.
 
 use rideshare_types::{Result, TaskId};
 
@@ -45,12 +34,8 @@ pub struct ExactOutcome {
 /// Branch-and-price node budget of [`solve_exact`].
 const NODE_LIMIT: usize = 50_000;
 
-/// A node is pruned once its bound exceeds the incumbent by no more than
-/// this share of it: `Z*` is exact to that relative tolerance.
-const PRUNE_TOLERANCE: f64 = 1e-6;
-
-/// One branch-and-price node: per driver the tasks she may not serve, and
-/// the parent's columns those bans allow.
+/// A node: per driver the tasks she may not serve, and the columns its
+/// master starts from.
 struct Node {
     bans: Vec<Vec<u32>>,
     columns: Vec<Column>,
@@ -58,18 +43,15 @@ struct Node {
 
 /// Solves the market exactly by branch-and-price on the path formulation.
 /// `Z*` is the value of the best assignment found, recomputed from its
-/// routes; it is optimal to a relative `1e-6` when `proven_optimal`.
-///
-/// Every node runs column generation to convergence, and stops early once
-/// its Lagrangian bound falls to the incumbent. Nodes are explored depth
-/// first, the child that keeps `m` for `n` first.
+/// routes. Nodes are explored depth first, the child that keeps the task
+/// for the driver first; each runs column generation to convergence, or
+/// until its bound prunes it.
 ///
 /// # Errors
 ///
 /// Propagates master LP failures ([`rideshare_types::MarketError`]), which
-/// indicate a pivot-budget exhaustion. Running out of nodes is not an
-/// error: the best assignment found is returned with `proven_optimal`
-/// false.
+/// mean a pivot budget ran out. Running out of nodes is not an error: the
+/// best assignment found comes back with `proven_optimal` false.
 ///
 /// # Examples
 ///
@@ -92,41 +74,49 @@ pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome
     let n = market.num_drivers();
     let mut assignment = solve_greedy(market, objective).assignment;
     let mut incumbent = assignment.objective_value(market, objective).as_f64();
-    let node_options = UpperBoundOptions {
+    let uncapped = UpperBoundOptions {
         max_rounds: usize::MAX,
         ..UpperBoundOptions::default()
     };
     let mut stack = Vec::new();
     // A market without drivers or tasks has nothing to solve.
     if n > 0 && market.num_tasks() > 0 {
+        let columns = route_columns(market, objective, &assignment);
         stack.push(Node {
             bans: vec![Vec::new(); n],
-            columns: route_columns(market, objective, &assignment),
+            columns,
         });
     }
     let mut nodes = 0;
     while nodes < NODE_LIMIT {
-        let Some(node) = stack.pop() else { break };
+        let Some(Node { bans, columns }) = stack.pop() else {
+            break;
+        };
         nodes += 1;
-        let cutoff = incumbent + PRUNE_TOLERANCE * incumbent.abs().max(1.0);
-        let mut generation = ColumnGeneration::new(market, objective, node.bans, node.columns);
-        let run = generation.run(node_options, cutoff)?;
-        if generation.dual_bound(run.gap) <= cutoff {
+        // A node whose bound is within 1e-6 of the incumbent is pruned, so
+        // `Z*` is exact to that relative tolerance.
+        let cutoff = incumbent + 1e-6 * incumbent.abs().max(1.0);
+        let mut generation = ColumnGeneration::new(market, objective, bans.clone(), columns);
+        generation.run(uncapped, cutoff)?;
+        if generation.dual_bound() <= cutoff {
             continue;
         }
-        let primal: Vec<f64> = (0..generation.columns.len())
-            .map(|j| generation.master.primal(j))
-            .collect();
-        match branching_pair(market, &generation.columns, &primal) {
-            None => {
-                let integral = integral_assignment(market, &generation.columns, &primal);
-                let value = integral.objective_value(market, objective).as_f64();
-                if value > incumbent {
-                    incumbent = value;
-                    assignment = integral;
-                }
-            }
-            Some((driver, task)) => stack.extend(branch(market, &generation, driver, task)),
+        let columns = generation.columns.iter().enumerate();
+        let valued = columns.map(|(j, column)| (column, generation.master.primal(j)));
+        let solution: Vec<(&Column, f64)> = valued.filter(|&(_, f)| f > 0.0).collect();
+        if let Some((driver, task)) = branching_pair(market, &solution) {
+            stack.extend(branch(market, bans, &solution, driver, task));
+            continue;
+        }
+        // The master is integral: a driver's column at value 1 is her route.
+        let mut integral = Assignment::empty(n);
+        for (column, _) in solution.iter().filter(|&&(_, f)| f > 0.5) {
+            let route = column.tasks.iter().map(|&t| TaskId::new(t)).collect();
+            integral.set_route(market.drivers()[column.driver].id, route);
+        }
+        let value = integral.objective_value(market, objective).as_f64();
+        if value > incumbent {
+            (incumbent, assignment) = (value, integral);
         }
     }
     Ok(ExactOutcome {
@@ -138,268 +128,248 @@ pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome
 }
 
 /// The children of branching on `(driver, task)`: `driver` may not serve
-/// `task`, or no other driver may. Each starts from the node's columns at
-/// zero reduced cost (its optimal basis and the ties) that its bans allow;
-/// pricing regenerates any other column it needs.
-fn branch(market: &Market, generation: &ColumnGeneration, driver: usize, task: u32) -> [Node; 2] {
+/// `task`, or no other driver may. Each starts from the columns of the
+/// node's `solution` that its bans allow; pricing generates the rest.
+fn branch(
+    market: &Market,
+    bans: Vec<Vec<u32>>,
+    solution: &[(&Column, f64)],
+    driver: usize,
+    task: u32,
+) -> [Node; 2] {
     let maps = market.task_maps();
-    let mut without = generation.bans().to_vec();
+    let mut without = bans.clone();
     without[driver].push(task);
-    let mut only = generation.bans().to_vec();
+    let mut only = bans;
     for (other, bans) in only.iter_mut().enumerate() {
         if other != driver && !bans.contains(&task) && maps[other].tasks().contains(&task) {
             bans.push(task);
         }
     }
-    let tolerance = UpperBoundOptions::default().pricing_tolerance;
-    let columns = generation.columns.iter();
-    let tight: Vec<&Column> = columns
-        .filter(|c| generation.reduced_cost(c) >= -tolerance)
-        .collect();
-    [without, only].map(|bans| Node {
-        columns: tight
-            .iter()
-            .filter(|c| c.tasks.iter().all(|t| !bans[c.driver].contains(t)))
-            .map(|&c| c.clone())
-            .collect(),
-        bans,
+    [without, only].map(|bans| {
+        let columns = solution.iter().map(|&(column, _)| column);
+        let allowed = columns.filter(|c| c.tasks.iter().all(|t| !bans[c.driver].contains(t)));
+        let columns = allowed.cloned().collect();
+        Node { bans, columns }
     })
 }
 
-/// How far a driver–task share may sit from 0 or 1 and still read as
-/// integral. `PackingLp` lifts row `i`'s capacity by `(i + 1)·1e-7` against
-/// degeneracy, so an integral master's values drift by up to the row count
-/// × 1e-7 (1e-4 at 1040 rows); this stays ten times above that.
-fn integrality_tolerance(market: &Market) -> f64 {
-    let rows = market.num_drivers() + market.num_tasks();
-    (rows as f64 * 1e-6).max(1e-3)
-}
-
-/// The pair `(n, m)` to branch on: the most fractional share `x_{n,m}`
+/// The pair `(n, m)` to branch on in a node's `solution` (its columns at
+/// positive value): the most fractional share `x_{n,m}`
 /// whose task another driver also holds a share of, ties to the lower
-/// driver, then the lower task. `None` when there is none: then the
-/// master is integral, since without a shared task its task rows are
-/// implied by the driver rows and each driver's part is a simplex, whose
-/// vertices are single paths.
-fn branching_pair(market: &Market, columns: &[Column], primal: &[f64]) -> Option<(usize, u32)> {
-    let tolerance = integrality_tolerance(market);
-    let mut share = BTreeMap::<(usize, u32), f64>::new();
-    let mut task_share = vec![0.0; market.num_tasks()];
-    for (column, &f) in columns.iter().zip(primal) {
-        if f > tolerance {
-            for &t in &column.tasks {
-                *share.entry((column.driver, t)).or_default() += f;
-                task_share[t as usize] += f;
-            }
+/// driver, then the lower task. `None` when there is none; the master is
+/// then integral, since with no task shared its task rows follow from the
+/// driver rows and each driver's part is a simplex, whose vertices are
+/// single paths.
+///
+/// `PackingLp` lifts row `i`'s capacity by `(i + 1)·1e-7` against
+/// degeneracy, so an integral master's values drift from 0 and 1 by up to
+/// the row count × 1e-7 (1e-4 at 1040 rows). A share reads as fractional
+/// only ten times further out.
+fn branching_pair(market: &Market, solution: &[(&Column, f64)]) -> Option<(usize, u32)> {
+    let m = market.num_tasks();
+    let tolerance = ((market.num_drivers() + m) as f64 * 1e-6).max(1e-3);
+    // x_{n,m} at n·M + m, and Σₙ x_{n,m} at m.
+    let (mut share, mut task_share) = (vec![0.0; market.num_drivers() * m], vec![0.0; m]);
+    for &(column, f) in solution.iter().filter(|&&(_, f)| f > tolerance) {
+        for &t in &column.tasks {
+            share[column.driver * m + t as usize] += f;
+            task_share[t as usize] += f;
         }
     }
     let mut best = None;
     let mut best_fraction = tolerance;
-    for (&(driver, task), &x) in &share {
+    for (k, &x) in share.iter().enumerate() {
         let fraction = x.min(1.0 - x);
-        if fraction > best_fraction && task_share[task as usize] - x > tolerance {
-            best_fraction = fraction;
-            best = Some((driver, task));
+        if fraction > best_fraction && task_share[k % m] - x > tolerance {
+            (best, best_fraction) = (Some((k / m, (k % m) as u32)), fraction);
         }
     }
     best
-}
-
-/// The assignment an integral master describes: each driver's column at
-/// value 1, if she has one.
-fn integral_assignment(market: &Market, columns: &[Column], primal: &[f64]) -> Assignment {
-    let mut assignment = Assignment::empty(market.num_drivers());
-    for (column, &f) in columns.iter().zip(primal) {
-        if f > 0.5 {
-            let route = column.tasks.iter().map(|&t| TaskId::new(t)).collect();
-            assignment.set_route(market.drivers()[column.driver].id, route);
-        }
-    }
-    debug_assert!(assignment.validate(market).is_ok());
-    assignment
-}
-
-/// §III-C's arc-form ILP over the *feasible* arcs only (the task map
-/// prunes the variable set), solved by the dense branch-and-bound: the
-/// oracle [`solve_exact`] is tested against. The individual-rationality
-/// rows (5b) are added when `enforce_ir`; the optimum never needs them
-/// (dropping a loss-making driver's whole route is always feasible and
-/// better), and a test keeps that claim checked.
-#[cfg(test)]
-fn solve_arc_ilp(market: &Market, objective: Objective, enforce_ir: bool) -> Result<ExactOutcome> {
-    use crate::view::DriverView;
-    use rideshare_lp::{BranchAndBound, Cmp, LinearProgram};
-    use rideshare_types::MarketError;
-
-    let n = market.num_drivers();
-    let m = market.num_tasks();
-    if n == 0 || m == 0 {
-        return Ok(ExactOutcome {
-            assignment: Assignment::empty(n),
-            objective_value: 0.0,
-            nodes_explored: 0,
-            proven_optimal: true,
-        });
-    }
-
-    let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
-    let mut lp = LinearProgram::maximize();
-
-    // Variable bookkeeping per driver.
-    // x[d][k]: task `allowed[d][k]` assigned to driver d.
-    let mut allowed: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut x_var: Vec<Vec<usize>> = Vec::with_capacity(n);
-    // Arc variables per driver: (from, to, var, cost) with `usize::MAX`
-    // encoding the source (from) / sink (to).
-    const TERM: usize = usize::MAX;
-    let mut arcs: Vec<Vec<(usize, usize, usize, f64)>> = Vec::with_capacity(n);
-
-    for (d, view) in views.iter().enumerate() {
-        let mine: Vec<usize> = (0..m).filter(|&t| view.is_allowed(t)).collect();
-        let mut xs = Vec::with_capacity(mine.len());
-        for &t in &mine {
-            let margin = objective.margin(&market.tasks()[t]).as_f64();
-            xs.push(lp.add_var(margin));
-        }
-        let mut my_arcs = Vec::new();
-        // Direct source→sink arc, cost c₀,₋₁ (the refund makes it net 0).
-        let direct = market.direct_cost(d).as_f64();
-        let v = lp.add_var(-direct);
-        my_arcs.push((TERM, TERM, v, direct));
-        for &t in &mine {
-            let task = &market.tasks()[t];
-            let src_cost = market
-                .speed()
-                .travel_cost(market.drivers()[d].source, task.origin)
-                .as_f64();
-            let v = lp.add_var(-src_cost);
-            my_arcs.push((TERM, t, v, src_cost));
-            let snk_cost = market
-                .speed()
-                .travel_cost(task.destination, market.drivers()[d].destination)
-                .as_f64();
-            let v = lp.add_var(-snk_cost);
-            my_arcs.push((t, TERM, v, snk_cost));
-        }
-        for &t in &mine {
-            for &to in &mine {
-                if let Some(cost) = market.chain_cost(t, to) {
-                    let v = lp.add_var(-cost);
-                    my_arcs.push((t, to, v, cost));
-                }
-            }
-        }
-        allowed.push(mine);
-        x_var.push(xs);
-        arcs.push(my_arcs);
-    }
-
-    // (5a): each task served at most once.
-    for t in 0..m {
-        let coeffs: Vec<(usize, f64)> = (0..n)
-            .filter_map(|d| {
-                allowed[d]
-                    .iter()
-                    .position(|&tt| tt == t)
-                    .map(|k| (x_var[d][k], 1.0))
-            })
-            .collect();
-        if !coeffs.is_empty() {
-            lp.add_constraint(coeffs, Cmp::Le, 1.0);
-        }
-    }
-
-    for d in 0..n {
-        // (5c): out-degree of the source is 1.
-        let from_src: Vec<(usize, f64)> = arcs[d]
-            .iter()
-            .filter(|(f, _, _, _)| *f == TERM)
-            .map(|(_, _, v, _)| (*v, 1.0))
-            .collect();
-        lp.add_constraint(from_src, Cmp::Eq, 1.0);
-        // (5d): in-degree of the sink is 1.
-        let to_snk: Vec<(usize, f64)> = arcs[d]
-            .iter()
-            .filter(|(_, t, _, _)| *t == TERM)
-            .map(|(_, _, v, _)| (*v, 1.0))
-            .collect();
-        lp.add_constraint(to_snk, Cmp::Eq, 1.0);
-        // (5e)/(5f): task in/out degree equals xₙ,ₘ.
-        for (k, &t) in allowed[d].iter().enumerate() {
-            let inbound: Vec<(usize, f64)> = arcs[d]
-                .iter()
-                .filter(|(_, to, _, _)| *to == t)
-                .map(|(_, _, v, _)| (*v, 1.0))
-                .chain([(x_var[d][k], -1.0)])
-                .collect();
-            lp.add_constraint(inbound, Cmp::Eq, 0.0);
-            let outbound: Vec<(usize, f64)> = arcs[d]
-                .iter()
-                .filter(|(from, _, _, _)| *from == t)
-                .map(|(_, _, v, _)| (*v, 1.0))
-                .chain([(x_var[d][k], -1.0)])
-                .collect();
-            lp.add_constraint(outbound, Cmp::Eq, 0.0);
-        }
-        // (5b) optional: route profit ≥ 0 ⇔ Σ x·margin − Σ y·cost ≥ −c₀,₋₁.
-        if enforce_ir {
-            let mut coeffs: Vec<(usize, f64)> = allowed[d]
-                .iter()
-                .enumerate()
-                .map(|(k, &t)| (x_var[d][k], objective.margin(&market.tasks()[t]).as_f64()))
-                .collect();
-            coeffs.extend(arcs[d].iter().map(|(_, _, v, c)| (*v, -*c)));
-            lp.add_constraint(coeffs, Cmp::Ge, -market.direct_cost(d).as_f64());
-        }
-    }
-
-    let binaries: Vec<usize> = (0..lp.num_vars()).collect();
-    let milp = BranchAndBound::new(lp, binaries)
-        .with_node_limit(NODE_LIMIT)
-        .solve()?;
-
-    // Reconstruct routes by walking successor arcs.
-    let mut assignment = Assignment::empty(n);
-    for (d, driver_arcs) in arcs.iter().enumerate() {
-        let succ_of = |from: usize| -> Option<usize> {
-            driver_arcs
-                .iter()
-                .find(|(f, to, v, _)| *f == from && *to != TERM && milp.values[*v] > 0.5)
-                .map(|(_, to, _, _)| *to)
-        };
-        let mut route = Vec::new();
-        let mut cur = succ_of(TERM);
-        let mut hops = 0usize;
-        while let Some(t) = cur {
-            route.push(TaskId::new(t as u32));
-            hops += 1;
-            if hops > m {
-                return Err(MarketError::InfeasibleAssignment {
-                    reason: format!("driver#{d}: cyclic arc solution"),
-                });
-            }
-            cur = succ_of(t);
-        }
-        assignment.set_route(market.drivers()[d].id, route);
-    }
-
-    // Add back the constant Σₙ cₙ,₀,₋₁ from Eq. 4.
-    let constant: f64 = (0..n).map(|d| market.direct_cost(d).as_f64()).sum();
-    Ok(ExactOutcome {
-        assignment,
-        objective_value: milp.objective + constant,
-        nodes_explored: milp.nodes_explored,
-        proven_optimal: milp.proven_optimal,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::market::MarketBuildOptions;
-    use crate::upper_bound::{lp_upper_bound, UpperBoundOptions};
-    use crate::{solve_greedy, Objective};
+    use crate::upper_bound::lp_upper_bound;
+    use crate::view::DriverView;
+    use rideshare_lp::{BranchAndBound, Cmp, LinearProgram};
     use rideshare_trace::{DriverModel, TraceConfig};
+    use rideshare_types::MarketError;
+
+    /// §III-C's arc-form ILP over the *feasible* arcs only (the task map
+    /// prunes the variable set), solved by the dense branch-and-bound: the
+    /// oracle [`solve_exact`] is tested against. The individual-rationality
+    /// rows (5b) are added when `enforce_ir`; the optimum never needs them
+    /// (dropping a loss-making driver's whole route is always feasible and
+    /// better), and a test keeps that claim checked.
+    fn solve_arc_ilp(
+        market: &Market,
+        objective: Objective,
+        enforce_ir: bool,
+    ) -> Result<ExactOutcome> {
+        let n = market.num_drivers();
+        let m = market.num_tasks();
+        if n == 0 || m == 0 {
+            return Ok(ExactOutcome {
+                assignment: Assignment::empty(n),
+                objective_value: 0.0,
+                nodes_explored: 0,
+                proven_optimal: true,
+            });
+        }
+
+        let views: Vec<DriverView> = (0..n).map(|i| DriverView::new(market, i)).collect();
+        let mut lp = LinearProgram::maximize();
+
+        // Variable bookkeeping per driver.
+        // x[d][k]: task `allowed[d][k]` assigned to driver d.
+        let mut allowed: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut x_var: Vec<Vec<usize>> = Vec::with_capacity(n);
+        // Arc variables per driver: (from, to, var, cost) with `usize::MAX`
+        // encoding the source (from) / sink (to).
+        const TERM: usize = usize::MAX;
+        let mut arcs: Vec<Vec<(usize, usize, usize, f64)>> = Vec::with_capacity(n);
+
+        for (d, view) in views.iter().enumerate() {
+            let mine: Vec<usize> = (0..m).filter(|&t| view.is_allowed(t)).collect();
+            let mut xs = Vec::with_capacity(mine.len());
+            for &t in &mine {
+                let margin = objective.margin(&market.tasks()[t]).as_f64();
+                xs.push(lp.add_var(margin));
+            }
+            let mut my_arcs = Vec::new();
+            // Direct source→sink arc, cost c₀,₋₁ (the refund makes it net 0).
+            let direct = market.direct_cost(d).as_f64();
+            let v = lp.add_var(-direct);
+            my_arcs.push((TERM, TERM, v, direct));
+            for &t in &mine {
+                let task = &market.tasks()[t];
+                let src_cost = market
+                    .speed()
+                    .travel_cost(market.drivers()[d].source, task.origin)
+                    .as_f64();
+                let v = lp.add_var(-src_cost);
+                my_arcs.push((TERM, t, v, src_cost));
+                let snk_cost = market
+                    .speed()
+                    .travel_cost(task.destination, market.drivers()[d].destination)
+                    .as_f64();
+                let v = lp.add_var(-snk_cost);
+                my_arcs.push((t, TERM, v, snk_cost));
+            }
+            for &t in &mine {
+                for &to in &mine {
+                    if let Some(cost) = market.chain_cost(t, to) {
+                        let v = lp.add_var(-cost);
+                        my_arcs.push((t, to, v, cost));
+                    }
+                }
+            }
+            allowed.push(mine);
+            x_var.push(xs);
+            arcs.push(my_arcs);
+        }
+
+        // (5a): each task served at most once.
+        for t in 0..m {
+            let coeffs: Vec<(usize, f64)> = (0..n)
+                .filter_map(|d| {
+                    allowed[d]
+                        .iter()
+                        .position(|&tt| tt == t)
+                        .map(|k| (x_var[d][k], 1.0))
+                })
+                .collect();
+            if !coeffs.is_empty() {
+                lp.add_constraint(coeffs, Cmp::Le, 1.0);
+            }
+        }
+
+        for d in 0..n {
+            // (5c): out-degree of the source is 1.
+            let from_src: Vec<(usize, f64)> = arcs[d]
+                .iter()
+                .filter(|(f, _, _, _)| *f == TERM)
+                .map(|(_, _, v, _)| (*v, 1.0))
+                .collect();
+            lp.add_constraint(from_src, Cmp::Eq, 1.0);
+            // (5d): in-degree of the sink is 1.
+            let to_snk: Vec<(usize, f64)> = arcs[d]
+                .iter()
+                .filter(|(_, t, _, _)| *t == TERM)
+                .map(|(_, _, v, _)| (*v, 1.0))
+                .collect();
+            lp.add_constraint(to_snk, Cmp::Eq, 1.0);
+            // (5e)/(5f): task in/out degree equals xₙ,ₘ.
+            for (k, &t) in allowed[d].iter().enumerate() {
+                let inbound: Vec<(usize, f64)> = arcs[d]
+                    .iter()
+                    .filter(|(_, to, _, _)| *to == t)
+                    .map(|(_, _, v, _)| (*v, 1.0))
+                    .chain([(x_var[d][k], -1.0)])
+                    .collect();
+                lp.add_constraint(inbound, Cmp::Eq, 0.0);
+                let outbound: Vec<(usize, f64)> = arcs[d]
+                    .iter()
+                    .filter(|(from, _, _, _)| *from == t)
+                    .map(|(_, _, v, _)| (*v, 1.0))
+                    .chain([(x_var[d][k], -1.0)])
+                    .collect();
+                lp.add_constraint(outbound, Cmp::Eq, 0.0);
+            }
+            // (5b) optional: route profit ≥ 0 ⇔ Σ x·margin − Σ y·cost ≥ −c₀,₋₁.
+            if enforce_ir {
+                let mut coeffs: Vec<(usize, f64)> = allowed[d]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &t)| (x_var[d][k], objective.margin(&market.tasks()[t]).as_f64()))
+                    .collect();
+                coeffs.extend(arcs[d].iter().map(|(_, _, v, c)| (*v, -*c)));
+                lp.add_constraint(coeffs, Cmp::Ge, -market.direct_cost(d).as_f64());
+            }
+        }
+
+        let binaries: Vec<usize> = (0..lp.num_vars()).collect();
+        let milp = BranchAndBound::new(lp, binaries)
+            .with_node_limit(NODE_LIMIT)
+            .solve()?;
+
+        // Reconstruct routes by walking successor arcs.
+        let mut assignment = Assignment::empty(n);
+        for (d, driver_arcs) in arcs.iter().enumerate() {
+            let succ_of = |from: usize| -> Option<usize> {
+                driver_arcs
+                    .iter()
+                    .find(|(f, to, v, _)| *f == from && *to != TERM && milp.values[*v] > 0.5)
+                    .map(|(_, to, _, _)| *to)
+            };
+            let mut route = Vec::new();
+            let mut cur = succ_of(TERM);
+            let mut hops = 0usize;
+            while let Some(t) = cur {
+                route.push(TaskId::new(t as u32));
+                hops += 1;
+                if hops > m {
+                    return Err(MarketError::InfeasibleAssignment {
+                        reason: format!("driver#{d}: cyclic arc solution"),
+                    });
+                }
+                cur = succ_of(t);
+            }
+            assignment.set_route(market.drivers()[d].id, route);
+        }
+
+        // Add back the constant Σₙ cₙ,₀,₋₁ from Eq. 4.
+        let constant: f64 = (0..n).map(|d| market.direct_cost(d).as_f64()).sum();
+        Ok(ExactOutcome {
+            assignment,
+            objective_value: milp.objective + constant,
+            nodes_explored: milp.nodes_explored,
+            proven_optimal: milp.proven_optimal,
+        })
+    }
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         let trace = TraceConfig::porto()

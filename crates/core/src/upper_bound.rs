@@ -14,11 +14,10 @@
 //! reduced cost `r_π − Σ_{m∈π} μₘ − λᵢ` — exactly a longest-path query in
 //! driver `i`'s task-map DAG with dual-adjusted node weights, solved in
 //! time linear in that driver's own task map (compacted once per market,
-//! shared with Alg. 1; see [`crate::DriverView::best_path_priced`] for the
-//! one-shot form of the same DP). When no path
-//! prices positive the master optimum *is* `Z_f*`; if the round budget is
-//! hit first, the Lagrangian bound `master + Σᵢ max(0, best reduced cost)`
-//! is still a valid upper bound and is reported with `converged = false`.
+//! shared with Alg. 1). When no path prices positive the master optimum
+//! *is* `Z_f*`; if the round budget is hit first, the Lagrangian bound
+//! `master + Σᵢ max(0, best reduced cost)` is still a valid upper bound and
+//! is reported with `converged = false`.
 //!
 //! Pricing reuses what did not move, exactly. A driver's DP reads only her
 //! dual `λᵢ` and the node values `margin − μₘ` of her map's tasks, so when
@@ -45,8 +44,7 @@ use crate::greedy::solve_greedy;
 use crate::market::{Market, Objective};
 use crate::view::{task_margins, BestPath, PathScratch, TaskMap, REMOVED};
 
-/// Options for [`lp_upper_bound`]. Every caller passes the
-/// [`Default`]; the fields are this module's own test handles (the
+/// Options for [`lp_upper_bound`]: the [`Default`], or test handles (the
 /// Lagrangian fallback, the cold start, purge-every-round) and the lifted
 /// round cap of [`crate::solve_exact`]'s nodes, not knobs.
 #[derive(Clone, Copy, Debug)]
@@ -133,27 +131,22 @@ pub fn lp_upper_bound(
             converged: true,
         });
     }
-    let warm = if opts.warm_start_greedy {
-        route_columns(
-            market,
-            objective,
-            &solve_greedy(market, objective).assignment,
-        )
-    } else {
-        Vec::new()
-    };
-    let mut generation = ColumnGeneration::new(market, objective, vec![Vec::new(); n], warm);
-    let run = generation.run(opts, f64::NEG_INFINITY)?;
+    let greedy = opts
+        .warm_start_greedy
+        .then(|| solve_greedy(market, objective).assignment);
+    let warm = greedy.map_or_else(Vec::new, |greedy| route_columns(market, objective, &greedy));
+    let mut cg = ColumnGeneration::new(market, objective, vec![Vec::new(); n], warm);
+    cg.run(opts, f64::NEG_INFINITY)?;
     Ok(UpperBoundResult {
-        bound: if run.converged {
-            run.master_objective
+        bound: if cg.converged {
+            cg.master_objective
         } else {
-            run.master_objective + run.gap
+            cg.master_objective + cg.gap
         },
-        master_objective: run.master_objective,
-        rounds: run.rounds,
-        columns: generation.columns.len(),
-        converged: run.converged,
+        master_objective: cg.master_objective,
+        rounds: cg.rounds,
+        columns: cg.columns.len(),
+        converged: cg.converged,
     })
 }
 
@@ -166,56 +159,48 @@ pub(crate) struct Column {
     pub(crate) profit: f64,
 }
 
-/// The columns of `assignment`'s routes that are worth serving — the warm
-/// start of every master.
-pub(crate) fn route_columns(
-    market: &Market,
-    objective: Objective,
-    assignment: &Assignment,
-) -> Vec<Column> {
-    let routes = assignment.routes().iter().enumerate();
-    routes
-        .filter(|(_, route)| !route.tasks.is_empty())
-        .filter_map(|(driver, route)| {
-            let tasks: Vec<u32> = route.tasks.iter().map(|t| t.raw()).collect();
-            let profit = path_profit(market, objective, driver, tasks.iter().map(|&t| t as usize));
-            profit.is_strictly_positive().then(|| Column {
-                driver,
-                tasks,
-                profit: profit.as_f64(),
-            })
-        })
-        .collect()
+impl Column {
+    fn new(market: &Market, objective: Objective, driver: usize, tasks: Vec<u32>) -> Self {
+        let path = tasks.iter().map(|&t| t as usize);
+        let profit = path_profit(market, objective, driver, path).as_f64();
+        Self {
+            driver,
+            tasks,
+            profit,
+        }
+    }
 }
 
-/// Column generation on the path master: the restricted master, its
-/// pricing oracle and every column added, master column `j` being
-/// `columns[j]`. Rows `0..N` are the drivers' convexity rows (10a as
-/// `≤ 1`); rows `N..N+M` are the tasks' node-disjointness rows (10b).
-///
-/// `bans[i]` lists tasks driver `i` may not serve: her pricing DP reads
-/// them as removed, and no column of hers may hold one. [`lp_upper_bound`]
-/// runs one with no bans; [`crate::solve_exact`] runs one per
-/// branch-and-price node.
+/// The columns of `assignment`'s routes that are worth serving: the warm
+/// start of every master.
+pub(crate) fn route_columns(market: &Market, objective: Objective, a: &Assignment) -> Vec<Column> {
+    let routes = a.routes().iter().enumerate();
+    let columns = routes.map(|(driver, route)| {
+        let tasks = route.tasks.iter().map(|t| t.raw()).collect();
+        Column::new(market, objective, driver, tasks)
+    });
+    // `Money::is_strictly_positive`, Alg. 1's test.
+    columns.filter(|c| c.profit > Money::EPSILON).collect()
+}
+
+/// Column generation on the path master (rows `0..N`: the drivers' 10a as
+/// `≤ 1`; rows `N..N+M`: the tasks' 10b), with its pricing oracle and every
+/// column added, master column `j` being `columns[j]`. Driver `i`'s DP
+/// reads the tasks in `bans[i]` as removed. [`lp_upper_bound`] runs one
+/// with no bans, [`crate::solve_exact`] one per branch-and-price node.
 pub(crate) struct ColumnGeneration<'m> {
     market: &'m Market,
     objective: Objective,
     pub(crate) master: PackingLp,
     pricer: Pricer,
     pub(crate) columns: Vec<Column>,
-    support: Vec<usize>,
-}
-
-/// Where [`ColumnGeneration::run`] stopped.
-pub(crate) struct Run {
-    /// The restricted master's objective after its last optimisation.
+    /// Where [`Self::run`] stopped: the master's objective after its last
+    /// optimisation, the rounds run, whether pricing proved the master
+    /// optimal, and `Σᵢ (best reduced cost)⁺` at its final duals (the
+    /// Lagrangian correction; at most `N ×` the tolerance once converged).
     pub(crate) master_objective: f64,
-    pub(crate) rounds: usize,
-    /// Whether pricing proved the master optimal.
-    pub(crate) converged: bool,
-    /// `Σᵢ (best reduced cost)⁺` at the master's final duals: the
-    /// Lagrangian correction, at most `N ×` the pricing tolerance once
-    /// converged.
+    rounds: usize,
+    converged: bool,
     pub(crate) gap: f64,
 }
 
@@ -232,7 +217,10 @@ impl<'m> ColumnGeneration<'m> {
             master: PackingLp::new(market.num_drivers() + market.num_tasks()),
             pricer: Pricer::new(task_margins(market, objective), bans),
             columns: Vec::with_capacity(columns.len()),
-            support: Vec::new(),
+            master_objective: 0.0,
+            rounds: 0,
+            converged: false,
+            gap: 0.0,
         };
         for column in columns {
             generation.add(column);
@@ -242,12 +230,10 @@ impl<'m> ColumnGeneration<'m> {
 
     fn add(&mut self, column: Column) {
         let n = self.market.num_drivers();
-        self.support.clear();
-        self.support.push(column.driver);
-        self.support
-            .extend(column.tasks.iter().map(|&t| n + t as usize));
-        self.support[1..].sort_unstable();
-        self.master.add_column(column.profit, &self.support);
+        let mut support: Vec<usize> = column.tasks.iter().map(|&t| n + t as usize).collect();
+        support.sort_unstable();
+        support.insert(0, column.driver);
+        self.master.add_column(column.profit, &support);
         self.columns.push(column);
     }
 
@@ -255,48 +241,40 @@ impl<'m> ColumnGeneration<'m> {
     /// each path that prices above the tolerance, re-optimise — until no
     /// path does, `opts.max_rounds` rounds have run, or the dual bound
     /// falls to `cutoff`.
-    pub(crate) fn run(&mut self, opts: UpperBoundOptions, cutoff: f64) -> Result<Run> {
+    pub(crate) fn run(&mut self, opts: UpperBoundOptions, cutoff: f64) -> Result<()> {
         let rows = self.master.num_rows();
-        let mut run = Run {
-            master_objective: self.master.optimize()?,
-            rounds: 0,
-            converged: false,
-            gap: 0.0,
-        };
-        while run.rounds < opts.max_rounds {
-            run.rounds += 1;
-            run.gap = 0.0;
-            let mut fresh = Vec::new();
-            let maps = self.market.task_maps();
-            for (i, priced) in self
+        self.master_objective = self.master.optimize()?;
+        loop {
+            let priced = self
                 .pricer
-                .price(maps, self.master.duals())
-                .iter()
-                .enumerate()
-            {
-                run.gap += priced.profit.max(0.0);
-                // The empty path contributes −λᵢ ≤ 0, so a positive reduced
-                // cost certifies an improving path.
-                if priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty() {
-                    let tasks = priced.tasks.iter().map(|&t| t as usize);
-                    fresh.push(Column {
-                        driver: i,
-                        tasks: priced.tasks.clone(),
-                        profit: path_profit(self.market, self.objective, i, tasks).as_f64(),
-                    });
-                }
+                .price(self.market.task_maps(), self.master.duals());
+            // Lagrangian safety net: Z_f* ≤ master + Σᵢ (best reduced
+            // cost)⁺ at these duals.
+            self.gap = priced.iter().map(|priced| priced.profit.max(0.0)).sum();
+            if self.rounds == opts.max_rounds {
+                return Ok(());
             }
-            if fresh.is_empty() {
-                run.converged = true;
-                return Ok(run);
+            self.rounds += 1;
+            // The empty path contributes −λᵢ ≤ 0, so a positive reduced
+            // cost certifies an improving path.
+            let improving = priced.iter().enumerate().filter(|(_, priced)| {
+                priced.profit > opts.pricing_tolerance && !priced.tasks.is_empty()
+            });
+            let (market, objective) = (self.market, self.objective);
+            let fresh: Vec<Column> = improving
+                .map(|(i, priced)| Column::new(market, objective, i, priced.tasks.clone()))
+                .collect();
+            self.converged = fresh.is_empty();
+            if self.converged {
+                return Ok(());
             }
             for column in fresh {
                 self.add(column);
             }
-            if self.dual_bound(run.gap) <= cutoff {
-                return Ok(run);
+            if self.dual_bound() <= cutoff {
+                return Ok(());
             }
-            run.master_objective = self.master.optimize()?;
+            self.master_objective = self.master.optimize()?;
             // Keep the tableau compact: drop non-basic columns that price
             // clearly unattractive. The oracle regenerates any column that
             // becomes attractive again, so this does not affect correctness
@@ -306,37 +284,13 @@ impl<'m> ColumnGeneration<'m> {
                 self.master.purge(1e-6);
             }
         }
-        // Lagrangian safety net: Z_f* ≤ master + Σᵢ (best reduced cost)⁺,
-        // evaluated at the master's final duals.
-        let maps = self.market.task_maps();
-        run.gap = self
-            .pricer
-            .price(maps, self.master.duals())
-            .iter()
-            .map(|priced| priced.profit.max(0.0))
-            .sum();
-        Ok(run)
     }
 
-    /// Per driver, the tasks she may not serve.
-    pub(crate) fn bans(&self) -> &[Vec<u32>] {
-        &self.pricer.bans
-    }
-
-    /// `column`'s reduced cost `r_π − y·a_π` at the master's duals.
-    pub(crate) fn reduced_cost(&self, column: &Column) -> f64 {
-        let (lambdas, mus) = self.master.duals().split_at(self.market.num_drivers());
-        let mu: f64 = column.tasks.iter().map(|&t| mus[t as usize]).sum();
-        column.profit - lambdas[column.driver] - mu
-    }
-
-    /// An upper bound on every integral solution the bans allow that,
-    /// unlike the master's objective, carries no anti-degeneracy lift:
-    /// the duals are feasible for the unperturbed dual once `gap` (the
-    /// [`Run::gap`] at them) is added, so by weak duality `Σ y⁺ + gap`
-    /// bounds the unperturbed LP.
-    pub(crate) fn dual_bound(&self, gap: f64) -> f64 {
-        self.master.duals().iter().map(|y| y.max(0.0)).sum::<f64>() + gap
+    /// A bound on every integral solution the bans allow that, unlike the
+    /// master's objective, has no anti-degeneracy lift: by weak duality
+    /// `Σ y⁺ + gap` bounds the unperturbed LP.
+    pub(crate) fn dual_bound(&self) -> f64 {
+        self.master.duals().iter().map(|y| y.max(0.0)).sum::<f64>() + self.gap
     }
 }
 
@@ -406,16 +360,12 @@ impl Pricer {
             }
         }
         for (i, (map, &lambda)) in maps.iter().zip(lambdas).enumerate() {
-            let banned = &self.bans[i];
-            if !banned.is_empty() {
-                let kept: Vec<f64> = banned
-                    .iter()
-                    .map(|&t| std::mem::replace(&mut self.value[t as usize], REMOVED))
-                    .collect();
-                self.best[i] = map.best_path(&self.value, lambda, &mut self.scratch);
-                for (&t, value) in banned.iter().zip(kept) {
-                    self.value[t as usize] = value;
+            if !self.bans[i].is_empty() {
+                let mut value = self.value.clone();
+                for &t in &self.bans[i] {
+                    value[t as usize] = REMOVED;
                 }
+                self.best[i] = map.best_path(&value, lambda, &mut self.scratch);
                 continue;
             }
             let since = self.priced[i];

@@ -15,7 +15,7 @@ use crate::market::{has_bit, set_bit, ChainGraph, Market, Objective};
 /// primitive both Alg. 1 and the pricing oracle use) runs over the
 /// compacted form `task_map` derives from it, one per driver, kept on
 /// the [`Market`] and made from an arena of the arcs some driver can
-/// use; [`DriverView::best_path`] reads the same map.
+/// use.
 #[derive(Clone, Debug)]
 pub struct DriverView {
     driver: usize,
@@ -261,44 +261,6 @@ impl DriverView {
         Money::new(self.direct_cost)
     }
 
-    /// Maximum-profit path under `objective`, skipping tasks where
-    /// `removed[m]` is true.
-    ///
-    /// Returns the empty path (profit 0) when no task path beats doing
-    /// nothing.
-    #[must_use]
-    pub fn best_path(&self, market: &Market, objective: Objective, removed: &[bool]) -> BestPath {
-        self.best_path_priced(market, objective, removed, |_| 0.0, 0.0)
-    }
-
-    /// Maximum-profit path with per-task dual prices subtracted — the
-    /// column-generation pricing oracle. The returned `profit` is the
-    /// *reduced* value `r_π − Σ_{m∈π} task_dual(m) − driver_dual`; the true
-    /// `r_π` is [`crate::Assignment::route_profit`]'s.
-    ///
-    /// One-shot form of the oracle over the driver's task map in
-    /// [`Market`], which the first call builds for every driver.
-    #[must_use]
-    pub fn best_path_priced(
-        &self,
-        market: &Market,
-        objective: Objective,
-        removed: &[bool],
-        task_dual: impl Fn(usize) -> f64,
-        driver_dual: f64,
-    ) -> BestPath {
-        debug_assert_eq!(removed.len(), market.num_tasks());
-        let mut value = task_margins(market, objective);
-        for (t, v) in value.iter_mut().enumerate() {
-            *v = if removed[t] {
-                REMOVED
-            } else {
-                *v - task_dual(t)
-            };
-        }
-        market.task_maps()[self.driver].best_path(&value, driver_dual, &mut PathScratch::default())
-    }
-
     /// Compacts this driver's task map for repeated path queries from
     /// `graph`, the arena [`Market`] masks by all its drivers' reach, which
     /// holds every chain arc between two tasks this driver can serve.
@@ -346,6 +308,41 @@ mod tests {
     use rideshare_geo::{GeoPoint, SpeedModel};
     use rideshare_trace::DriverModel;
     use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
+
+    /// The path oracle in one shot, over the driver's map in [`Market`]:
+    /// the maximum-profit path under `objective`, with `removed[m]` tasks
+    /// gone and per-task duals and the driver's dual subtracted (the
+    /// column-generation pricing form, `profit` being the reduced cost).
+    impl DriverView {
+        pub(crate) fn best_path(
+            &self,
+            market: &Market,
+            objective: Objective,
+            removed: &[bool],
+        ) -> BestPath {
+            self.best_path_priced(market, objective, removed, |_| 0.0, 0.0)
+        }
+
+        pub(crate) fn best_path_priced(
+            &self,
+            market: &Market,
+            objective: Objective,
+            removed: &[bool],
+            task_dual: impl Fn(usize) -> f64,
+            driver_dual: f64,
+        ) -> BestPath {
+            let mut value = task_margins(market, objective);
+            for (t, v) in value.iter_mut().enumerate() {
+                *v = if removed[t] {
+                    REMOVED
+                } else {
+                    *v - task_dual(t)
+                };
+            }
+            let map = &market.task_maps()[self.driver];
+            map.best_path(&value, driver_dual, &mut PathScratch::default())
+        }
+    }
 
     fn pt(km_east: f64) -> GeoPoint {
         GeoPoint::new(41.15, -8.61).offset_km(0.0, km_east)

@@ -14,9 +14,11 @@
 //!   (`max c·f` s.t. `A f ≤ 1`, `f ≥ 0`, `A ∈ {0,1}`) whose tableau carries
 //!   `B⁻¹` explicitly so **column generation** can append columns and
 //!   re-optimise without restarting — this is the master problem of the
-//!   `Z_f*` bound,
+//!   `Z_f*` bound and of every node of exact `Z*`'s branch-and-price,
 //! - [`BranchAndBound`]: a 0/1 MILP solver (LP-relaxation bounding,
-//!   most-fractional branching) standing in for CPLEX on small instances.
+//!   most-fractional branching). No runtime code calls it: exact `Z*` is
+//!   `rideshare-core`'s branch-and-price on [`PackingLp`], and this solver
+//!   stays as the oracle tests and benches check that one against.
 //!
 //! # Examples
 //!
