@@ -11,17 +11,16 @@
 //! - **Geographic partitioning**: the lossy `k × k` cell split of §I's
 //!   distribution claim against the global greedy.
 //! - **Objective**: drivers' profit (Eq. 4) vs social welfare (Eq. 6).
-//! - **Upper-bound validation**: `Z_f*` vs exact `Z*` gap at small scale.
+//!
+//! The `Z_f*` vs exact `Z*` gap is a column of the §VI-B table
+//! (`small_scale`).
 //!
 //! Usage: `rideshare ablations [--quick]`
 
 use std::io::{self, Write};
 
 use rideshare_core::partition::{partition_market, solve_components};
-use rideshare_core::{
-    lp_upper_bound, solve_exact, solve_greedy, Market, MarketBuildOptions, Objective,
-    UpperBoundOptions,
-};
+use rideshare_core::{solve_greedy, Market, MarketBuildOptions, Objective};
 use rideshare_metrics::render_table;
 use rideshare_online::{
     replay_market, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch, StreamPolicy,
@@ -30,7 +29,7 @@ use rideshare_pricing::SurgeConfig;
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
 
-/// Prints the six ablation tables, at smoke size under `quick`.
+/// Prints the five ablation tables, at smoke size under `quick`.
 ///
 /// # Errors
 ///
@@ -43,8 +42,7 @@ pub fn ablations(out: &mut dyn Write, quick: bool) -> io::Result<()> {
     surge_on_off(out, tasks, drivers)?;
     chain_wait_cap(out, tasks, drivers)?;
     partitioning_loss(out, tasks, drivers)?;
-    objective_comparison(out, tasks, drivers)?;
-    bound_vs_exact(out)
+    objective_comparison(out, tasks, drivers)
 }
 
 fn trace(tasks: usize, drivers: usize) -> rideshare_trace::Trace {
@@ -215,36 +213,5 @@ fn objective_comparison(out: &mut dyn Write, tasks: usize, drivers: usize) -> io
             &["optimised for", "profit value", "welfare value", "served"],
             &rows
         )
-    )
-}
-
-fn bound_vs_exact(out: &mut dyn Write) -> io::Result<()> {
-    writeln!(
-        out,
-        "== Ablation: Z_f* (column generation) vs exact Z* at small scale =="
-    )?;
-    let mut rows = Vec::new();
-    for (tasks, drivers) in [(10, 5), (14, 7), (18, 8)] {
-        let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
-        let exact = solve_exact(&market, Objective::Profit).expect("small instance solves");
-        let ub = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
-            .expect("column generation converges");
-        let gap = if exact.objective_value.abs() < 1e-9 {
-            0.0
-        } else {
-            (ub.bound - exact.objective_value) / exact.objective_value.max(1e-9)
-        };
-        rows.push(vec![
-            format!("{tasks}×{drivers}"),
-            format!("{:.4}", exact.objective_value),
-            format!("{:.4}", ub.bound),
-            format!("{:.2}%", gap * 100.0),
-            ub.rounds.to_string(),
-        ]);
-    }
-    writeln!(
-        out,
-        "{}",
-        render_table(&["M×N", "Z*", "Z_f*", "gap", "CG rounds"], &rows)
     )
 }
