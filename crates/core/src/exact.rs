@@ -103,7 +103,7 @@ pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome
         }
         let columns = generation.columns.iter().enumerate();
         let valued = columns.map(|(j, column)| (column, generation.master.primal(j)));
-        let solution: Vec<(&Column, f64)> = valued.filter(|&(_, f)| f > 0.0).collect();
+        let solution: Vec<(&Column, f64)> = valued.filter(|&(_, f)| f > 1e-9).collect();
         if let Some((driver, task)) = branching_pair(market, &solution) {
             stack.extend(branch(market, bans, &solution, driver, task));
             continue;
@@ -155,7 +155,7 @@ fn branch(
 }
 
 /// The pair `(n, m)` to branch on in a node's `solution` (its columns at
-/// positive value): the most fractional share `x_{n,m}`
+/// value beyond round-off): the most fractional share `x_{n,m}`
 /// whose task another driver also holds a share of, ties to the lower
 /// driver, then the lower task. `None` when there is none; the master is
 /// then integral, since with no task shared its task rows follow from the
