@@ -16,9 +16,8 @@
 //!   re-optimise without restarting — this is the master problem of the
 //!   `Z_f*` bound and of every node of exact `Z*`'s branch-and-price,
 //! - [`BranchAndBound`]: a 0/1 MILP solver (LP-relaxation bounding,
-//!   most-fractional branching). No runtime code calls it: exact `Z*` is
-//!   `rideshare-core`'s branch-and-price on [`PackingLp`], and this solver
-//!   stays as the oracle tests and benches check that one against.
+//!   most-fractional branching), the test oracle of exact `Z*`'s
+//!   branch-and-price; no runtime code calls it.
 //!
 //! # Examples
 //!
