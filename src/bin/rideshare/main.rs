@@ -810,10 +810,10 @@ fn query(p: &Parsed<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// A figure's write error as a subcommand's (a closed pipe never gets
-/// here: [`Out`] has ended the process by then).
-/// A figure's own failure (`ErrorKind::Other`, e.g. an exact solve) as it
-/// is, anything else as the stdout write that failed.
+/// A figure's error as a subcommand's: its own (`ErrorKind::Other`, such
+/// as an exact solve that failed) as it is, anything else as the stdout
+/// write that failed (a closed pipe never gets here: [`Out`] has ended
+/// the process by then).
 fn figure(printed: std::io::Result<()>) -> Result<(), String> {
     printed.map_err(|e| match e.kind() {
         std::io::ErrorKind::Other => e.to_string(),
