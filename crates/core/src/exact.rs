@@ -101,9 +101,13 @@ pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome
         if generation.dual_bound() <= cutoff {
             continue;
         }
-        let columns = generation.columns.iter().enumerate();
-        let valued = columns.map(|(j, column)| (column, generation.master.primal(j)));
-        let solution: Vec<(&Column, f64)> = valued.filter(|&(_, f)| f > 1e-9).collect();
+        // In column order, the order the children inherit them in.
+        let basic = generation.master.basic_columns();
+        let mut valued: Vec<(usize, f64)> = basic.filter(|&(_, f)| f > 1e-9).collect();
+        valued.sort_unstable_by_key(|&(j, _)| j);
+        let valued = valued.into_iter();
+        let solution: Vec<(&Column, f64)> =
+            valued.map(|(j, f)| (&generation.columns[j], f)).collect();
         if let Some((driver, task)) = branching_pair(market, &solution) {
             stack.extend(branch(market, bans, &solution, driver, task));
             continue;

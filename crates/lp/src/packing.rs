@@ -154,6 +154,18 @@ impl PackingLp {
         }
     }
 
+    /// Every basic structural column with its current value, as `(external
+    /// id, value)` in basis-row order, read in one pass over the basis.
+    /// Every column not listed is at 0. Reading a whole solution through
+    /// [`Self::primal`] instead scans the basis once per column.
+    pub fn basic_columns(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.basis
+            .iter()
+            .zip(&self.rhs)
+            .filter(|&(&k, _)| k >= self.rows)
+            .map(|(&k, &x)| (self.int2ext[k], x))
+    }
+
     /// Current objective value `Σ c_B · rhs`.
     #[must_use]
     pub fn objective(&self) -> f64 {
@@ -464,6 +476,33 @@ mod tests {
         let c = lp.add_column(4.0, &[1]);
         assert_close(lp.optimize().unwrap(), 7.0);
         assert_close(lp.primal(c), 1.0);
+    }
+
+    #[test]
+    fn basic_columns_read_what_primal_reads() {
+        let mut rng = Lcg(0xba5e);
+        let rows = 24;
+        let mut lp = PackingLp::new(rows);
+        for batch in 0..4 {
+            for _ in 0..rows {
+                let len = 1 + rng.below(4);
+                let mut support: Vec<usize> = (0..len).map(|_| rng.below(rows)).collect();
+                support.sort_unstable();
+                support.dedup();
+                lp.add_column(1.0 + 9.0 * rng.next(), &support);
+            }
+            lp.optimize().unwrap();
+            if batch == 1 {
+                lp.purge(1e-6);
+            }
+            let mut read = vec![0.0; lp.ext2int.len()];
+            for (col, value) in lp.basic_columns() {
+                read[col] = value;
+            }
+            for (col, &value) in read.iter().enumerate() {
+                assert_eq!(value, lp.primal(col), "batch {batch} column {col}");
+            }
+        }
     }
 
     #[test]
