@@ -210,10 +210,14 @@ mod tests {
     use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
+        market_of(seed, tasks, drivers, DriverModel::Hitchhiking)
+    }
+
+    fn market_of(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
         let trace = TraceConfig::porto()
             .with_seed(seed)
             .with_task_count(tasks)
-            .with_driver_count(drivers, DriverModel::Hitchhiking)
+            .with_driver_count(drivers, model)
             .generate();
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
@@ -297,14 +301,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn optimal_matcher_beats_greedy_within_one_epoch() {
-        // Classic greedy trap. Both tasks share the decision epoch t = 60
-        // (W = 1 min, deadlines past the window end). Driver 0 sits on task
-        // 0's pickup and is the only driver who can reach task 1 in time —
-        // but not after serving task 0 first. Greedy commits the best pair
-        // (driver 0, task 0) and forfeits task 1; the optimal assignment
-        // sends driver 1 to task 0 and driver 0 to task 1, serving both.
+    /// Classic greedy trap. Both tasks share the decision epoch t = 60
+    /// (W = 1 min, deadlines past the window end). Driver 0 sits on task
+    /// 0's pickup and is the only driver who can reach task 1 in time —
+    /// but not after serving task 0 first. Greedy commits the best pair
+    /// (driver 0, task 0) and forfeits task 1; the optimal assignment
+    /// sends driver 1 to task 0 and driver 0 to task 1, serving both.
+    fn greedy_trap() -> Market {
         use rideshare_geo::{GeoPoint, SpeedModel};
         use rideshare_types::{Money, TaskId};
 
@@ -335,12 +338,17 @@ mod tests {
         // Arrivals at the epoch: d0→t0 instant, d1→t0 at 360, d0→t1 at 420
         // (feasible, deadline 430), d1→t1 at 720 (infeasible). After d0
         // serves t0 it reaches t1 at 480 > 430 — greedy cannot recover.
-        let market = Market::new(
+        Market::new(
             vec![driver(0, 0.0), driver(1, 5.0)],
             vec![task(0, 0.0, 10.0, 1200), task(1, -6.0, 9.0, 430)],
             speed,
             None,
-        );
+        )
+    }
+
+    #[test]
+    fn optimal_matcher_beats_greedy_within_one_epoch() {
+        let market = greedy_trap();
         let w = TimeDelta::from_mins(1);
         let greedy = batched(&market, w, MatcherKind::Greedy);
         let optimal = batched(&market, w, MatcherKind::Optimal);
@@ -354,6 +362,174 @@ mod tests {
         );
         validate_online_result(&market, &greedy).unwrap();
         validate_online_result(&market, &optimal).unwrap();
+    }
+
+    /// The round LP on `PackingLp`: one row per task slot and per driver
+    /// offered in more than one slot, one column per pair of margin ≥ 0,
+    /// the pairs the basic columns above 0.5 stand for.
+    fn packing_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        use rideshare_lp::PackingLp;
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (slot, cands) in round.candidates.iter().enumerate() {
+            for (ci, c) in cands.iter().enumerate() {
+                if c.marginal_value >= 0.0 {
+                    pairs.push((slot, ci));
+                }
+            }
+        }
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        let mut by_driver: Vec<(DriverId, usize)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
+            .collect();
+        by_driver.sort_unstable();
+        let mut driver_row = vec![None; pairs.len()];
+        let mut rows = round.tasks.len();
+        for group in by_driver.chunk_by(|a, b| a.0 == b.0) {
+            if group.len() > 1 {
+                for &(_, j) in group {
+                    driver_row[j] = Some(rows);
+                }
+                rows += 1;
+            }
+        }
+        let mut lp = PackingLp::new(rows);
+        for (&(slot, ci), row) in pairs.iter().zip(&driver_row) {
+            let margin = round.candidates[slot][ci].marginal_value;
+            match *row {
+                Some(row) => lp.add_column(margin, &[slot, row]),
+                None => lp.add_column(margin, &[slot]),
+            };
+        }
+        lp.optimize().expect("round LP within its pivot limit");
+        let mut chosen: Vec<usize> = lp
+            .basic_columns()
+            .filter(|&(_, f)| f > 0.5)
+            .map(|(j, _)| j)
+            .collect();
+        chosen.sort_unstable();
+        chosen.into_iter().map(|j| pairs[j]).collect()
+    }
+
+    /// The dense round LP, the oracle of [`packing_round`].
+    fn dense_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        OptimalAssignmentMatcher.match_round(round)
+    }
+
+    /// A matcher that solves every round both ways, insists on the same
+    /// pairs, and commits them.
+    #[derive(Default)]
+    struct Pinned {
+        rounds: usize,
+        /// Rounds that committed more than one pair.
+        joint: usize,
+    }
+
+    impl BatchMatcher for Pinned {
+        fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+            let dense = dense_round(round);
+            let packing = packing_round(round);
+            assert_eq!(
+                packing, dense,
+                "round {} over tasks {:?}",
+                self.rounds, round.tasks
+            );
+            self.rounds += 1;
+            self.joint += usize::from(packing.len() > 1);
+            packing
+        }
+    }
+
+    #[test]
+    fn packing_round_lp_matches_the_dense_oracle_on_market_rounds() {
+        let mut pinned = Pinned::default();
+        let trap = greedy_trap();
+        let mut runs = vec![(trap, vec![60])];
+        for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
+            for seed in [71u64, 72, 73] {
+                let m = market_of(seed, 2000, 200, model);
+                runs.push((m, vec![90, 60, 180, 300, 600]));
+            }
+        }
+        for (m, windows) in &runs {
+            for &secs in windows {
+                let window = TimeDelta::from_secs(secs);
+                let matcher = &mut pinned;
+                let r = replay_market(m, &mut StreamPolicy::Batched { window, matcher });
+                validate_online_result(m, &r).unwrap();
+            }
+        }
+        assert!(
+            pinned.joint >= 1_000,
+            "{} of {} rounds committed more than one pair",
+            pinned.joint,
+            pinned.rounds
+        );
+    }
+
+    #[test]
+    fn tie_rounds_resolve_to_an_optimum_of_equal_value() {
+        // Integer margins from five levels (zero and negative included),
+        // each driver a candidate of several tasks: rounds full of
+        // equal-value optima. The two LPs may settle on different ones.
+        let mut state = 0x7135_u64;
+        let mut below = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % n as u64) as usize
+        };
+        let value = |round: &BatchRound<'_>, pairs: &[(usize, usize)]| -> f64 {
+            let margin = |&(slot, ci): &(usize, usize)| round.candidates[slot][ci].marginal_value;
+            pairs.iter().map(margin).sum()
+        };
+        for r in 0..5_000 {
+            let tasks: Vec<usize> = (0..1 + below(8)).collect();
+            let drivers = 1 + below(8);
+            let mut candidates: Vec<Vec<Candidate>> = vec![Vec::new(); tasks.len()];
+            for list in &mut candidates {
+                for d in 0..drivers as u32 {
+                    if below(3) > 0 {
+                        list.push(Candidate {
+                            driver: DriverId::new(d),
+                            slot: d,
+                            arrival: Timestamp::from_secs(0),
+                            marginal_value: below(5) as f64 - 1.0,
+                        });
+                    }
+                }
+            }
+            let round = BatchRound {
+                tasks: &tasks,
+                candidates: &candidates,
+            };
+            let (packing, dense) = (packing_round(&round), dense_round(&round));
+            for pairs in [&packing, &dense] {
+                let mut slots: Vec<usize> = pairs.iter().map(|p| p.0).collect();
+                let mut ids: Vec<DriverId> = pairs
+                    .iter()
+                    .map(|&(s, c)| candidates[s][c].driver)
+                    .collect();
+                slots.dedup();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(
+                    slots.len(),
+                    pairs.len(),
+                    "round {r}: a task twice in {pairs:?}"
+                );
+                assert_eq!(
+                    ids.len(),
+                    pairs.len(),
+                    "round {r}: a driver twice in {pairs:?}"
+                );
+            }
+            let (p, d) = (value(&round, &packing), value(&round, &dense));
+            assert!((p - d).abs() < 1e-9, "round {r}: packing {p} vs dense {d}");
+        }
     }
 
     #[test]
