@@ -167,9 +167,12 @@ fn branch(
 /// single paths.
 ///
 /// `PackingLp` lifts row `i`'s capacity by `(i + 1)·1e-7` against
-/// degeneracy, so an integral master's values drift from 0 and 1 by up to
-/// the row count × 1e-7 (1e-4 at 1040 rows). A share reads as fractional
-/// only ten times further out.
+/// degeneracy, which moves the basic values by `B⁻¹ε`. A totally
+/// unimodular basis (one whose columns share no task is) has an integral
+/// inverse with entries in {−1, 0, 1}, so an integral master's values
+/// drift from 0 and 1 by up to the row count × 1e-7 (1e-4 at 1040 rows),
+/// the argument the batch-opt round LP's 0.5 cut rests on too. A share
+/// reads as fractional only ten times further out.
 fn branching_pair(market: &Market, solution: &[(&Column, f64)]) -> Option<(usize, u32)> {
     let m = market.num_tasks();
     let tolerance = ((market.num_drivers() + m) as f64 * 1e-6).max(1e-3);

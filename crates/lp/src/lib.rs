@@ -1,48 +1,57 @@
-//! Linear- and integer-programming substrate, hand-rolled in pure Rust.
+//! Linear-programming substrate, hand-rolled in pure Rust.
 //!
 //! The paper evaluates its algorithms against the LP-relaxation upper bound
 //! `Z_f*` (§III-E) and, at small scale, against the exact integral optimum
 //! `Z*` computed with CPLEX/MOSEK (§VI-B). Neither solver is available to a
 //! pure-Rust reproduction, and the offline LP crate ecosystem is thin, so
-//! this crate implements the required optimization machinery from scratch:
+//! this crate implements the one solver those need from scratch.
 //!
-//! - [`LinearProgram`]: a small modelling layer (indexed variables, sparse
-//!   constraint rows, `≤ / = / ≥` senses) over the `simplex` module's
-//!   dense two-phase primal simplex with Bland-rule anti-cycling,
-//!   returning primal values **and dual prices**,
-//! - [`PackingLp`]: a warm-startable simplex specialised to packing LPs
-//!   (`max c·f` s.t. `A f ≤ 1`, `f ≥ 0`, `A ∈ {0,1}`) whose tableau carries
-//!   `B⁻¹` explicitly so **column generation** can append columns and
-//!   re-optimise without restarting — this is the master problem of the
-//!   `Z_f*` bound and of every node of exact `Z*`'s branch-and-price,
-//! - [`BranchAndBound`]: a 0/1 MILP solver (LP-relaxation bounding,
-//!   most-fractional branching), the test oracle of exact `Z*`'s
-//!   branch-and-price; no runtime code calls it.
+//! Every LP the workspace solves is a packing LP (`max c·f` s.t. `A f ≤ 1`,
+//! `f ≥ 0`, `A ∈ {0,1}`), and [`PackingLp`] solves them: a warm-startable
+//! simplex whose tableau carries `B⁻¹` explicitly, so **column
+//! generation** can append columns and re-optimise without restarting. It
+//! is the master problem of the `Z_f*` bound, of every node of exact
+//! `Z*`'s branch-and-price, and of each round of the `batch-opt` matcher's
+//! assignment LP.
+//!
+//! The `oracle` feature (on in this crate's own tests; elsewhere only
+//! dev-dependencies enable it) adds the solvers `PackingLp` and
+//! branch-and-price are tested against: `LinearProgram`, a small
+//! modelling layer (indexed variables, sparse `≤ / = / ≥` rows) over a
+//! dense two-phase primal simplex with Bland-rule anti-cycling that
+//! returns primal values and dual prices, and `BranchAndBound`, a 0/1
+//! MILP solver (LP-relaxation bounding, most-fractional branching). No
+//! runtime code calls either.
 //!
 //! # Examples
 //!
 //! ```
-//! use rideshare_lp::{Cmp, LinearProgram};
+//! use rideshare_lp::PackingLp;
 //!
-//! // max 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x,y >= 0  → obj 10 at (2,2).
-//! let mut lp = LinearProgram::maximize();
-//! let x = lp.add_var(3.0);
-//! let y = lp.add_var(2.0);
-//! lp.add_constraint(vec![(x, 1.0), (y, 1.0)], rideshare_lp::Cmp::Le, 4.0);
-//! lp.add_constraint(vec![(x, 1.0)], rideshare_lp::Cmp::Le, 2.0);
-//! let sol = lp.solve().unwrap();
-//! assert!((sol.objective - 10.0).abs() < 1e-9);
-//! assert!((sol.values[x] - 2.0).abs() < 1e-9);
-//! # let _ = Cmp::Le;
+//! // Two tasks (rows 0, 1) and one driver (row 2) who may serve either:
+//! // max 3a + 2b  s.t.  a <= 1,  b <= 1,  a + b <= 1  → obj 3 at a = 1.
+//! let mut lp = PackingLp::new(3);
+//! let a = lp.add_column(3.0, &[0, 2]);
+//! let b = lp.add_column(2.0, &[1, 2]);
+//! let obj = lp.optimize().unwrap();
+//! assert!((obj - 3.0).abs() < 1e-4);
+//! let chosen: Vec<usize> = lp.basic_columns().filter(|&(_, f)| f > 0.5).map(|(j, _)| j).collect();
+//! assert_eq!(chosen, [a]);
+//! assert!(lp.primal(b) < 1e-4);
 //! ```
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
+#[cfg(any(test, feature = "oracle"))]
 mod branch_bound;
+#[cfg(any(test, feature = "oracle"))]
 mod model;
 mod packing;
+#[cfg(any(test, feature = "oracle"))]
 mod simplex;
 
+#[cfg(any(test, feature = "oracle"))]
 pub use branch_bound::{BranchAndBound, MilpSolution};
+#[cfg(any(test, feature = "oracle"))]
 pub use model::{Cmp, LinearProgram, LpSolution, VarId};
 pub use packing::PackingLp;

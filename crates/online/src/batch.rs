@@ -49,18 +49,22 @@
 //!   publish times it degenerates to instant maxMargin dispatch
 //!   *exactly* (a property the facade's `batch_properties` suite pins).
 //! - [`OptimalAssignmentMatcher`] solves each round's one-shot assignment
-//!   LP (total marginal value, ≤ 1 task per driver per round) with
-//!   `rideshare-lp`'s simplex; the bipartite constraint matrix is totally
-//!   unimodular, so the LP vertex is integral. Profit-maximizing: it
-//!   declines negative-margin dispatches that the greedy matcher would
-//!   serve.
+//!   LP (total marginal value, ≤ 1 task per driver per round) as a packing
+//!   LP on [`rideshare_lp::PackingLp`], the simplex of the `Z_f*` master.
+//!   The bipartite constraint matrix is totally unimodular, so a basis has
+//!   an integral inverse with entries in {−1, 0, 1}; under the LP's RHS
+//!   perturbation of at most rows × 1e-7, every value is that close to an
+//!   integer, and reading a pair as chosen above 0.5 is safe.
+//!   Profit-maximizing: it declines negative-margin dispatches that the
+//!   greedy matcher would serve.
 //!
 //! This module holds the matchers; a whole `Market` runs under one
 //! through [`crate::replay_market`] with a [`crate::StreamPolicy::Batched`]
 //! (or [`crate::ShardPolicySpec::Batched`]'s holder, which picks the
 //! matcher by [`MatcherKind`]).
 
-use rideshare_lp::{Cmp, LinearProgram};
+use rideshare_lp::PackingLp;
+use rideshare_types::DriverId;
 
 use crate::policy::Candidate;
 
@@ -131,69 +135,78 @@ impl BatchMatcher for GreedyPairMatcher {
 }
 
 /// Per-round optimal assignment: maximize the round's total marginal value
-/// subject to ≤ 1 task per driver and ≤ 1 driver per task, solved as an LP
-/// (integral by total unimodularity of the bipartite constraint matrix).
+/// subject to ≤ 1 task per driver and ≤ 1 driver per task, solved as a
+/// packing LP on [`PackingLp`].
 ///
-/// Profit-maximizing: pairs with negative marginal value are never part of
-/// an optimum, so tasks whose every candidate loses money are declined —
-/// unlike [`GreedyPairMatcher`], which serves any feasible task.
+/// - **Rows:** one per task slot, plus one per driver offered in more than
+///   one slot. A driver with a single pair is already capped by that
+///   pair's task row.
+/// - **Columns:** one per pair with margin ≥ 0, its support {task row,
+///   driver row}, every coefficient 1. A negative-margin column is zero at
+///   every optimum of a packing LP (lowering it keeps every row feasible
+///   and raises the objective), so it is never offered, and tasks whose
+///   every candidate loses money are declined — unlike
+///   [`GreedyPairMatcher`], which serves any feasible task.
+/// - **Result:** the pairs whose basic columns are valued above 0.5. The
+///   bipartite matrix is totally unimodular, so every basis has an
+///   integral inverse with entries in {−1, 0, 1}. `PackingLp` lifts row
+///   `i`'s capacity by `(i + 1)·1e-7` against degeneracy, so each value
+///   sits within rows × 1e-7 of an integer, far inside 0.5.
+///
+/// Among equal-value optima a round resolves to the vertex `PackingLp`
+/// reaches. That is deterministic, and shard-stable because candidates
+/// are ordered by announced driver id.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OptimalAssignmentMatcher;
 
 impl BatchMatcher for OptimalAssignmentMatcher {
     fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-        // Variables: one per feasible (slot, candidate) pair.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for (slot, cands) in round.candidates.iter().enumerate() {
-            for ci in 0..cands.len() {
-                pairs.push((slot, ci));
+            for (ci, c) in cands.iter().enumerate() {
+                if c.marginal_value >= 0.0 {
+                    pairs.push((slot, ci));
+                }
             }
         }
         if pairs.is_empty() {
             return Vec::new();
         }
-        let mut lp = LinearProgram::maximize();
-        let vars: Vec<usize> = pairs
+        // A driver is a candidate at most once per slot, so a driver with
+        // more than one pair is offered in more than one slot.
+        let mut by_driver: Vec<(DriverId, usize)> = pairs
             .iter()
-            .map(|&(slot, ci)| lp.add_var(round.candidates[slot][ci].marginal_value))
+            .enumerate()
+            .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
             .collect();
-        // ≤ 1 driver per task.
-        for slot in 0..round.tasks.len() {
-            let row: Vec<(usize, f64)> = pairs
-                .iter()
-                .zip(&vars)
-                .filter(|(&(s, _), _)| s == slot)
-                .map(|(_, &v)| (v, 1.0))
-                .collect();
-            if !row.is_empty() {
-                lp.add_constraint(row, Cmp::Le, 1.0);
+        by_driver.sort_unstable();
+        let mut driver_row = vec![None; pairs.len()];
+        let mut rows = round.tasks.len();
+        for group in by_driver.chunk_by(|a, b| a.0 == b.0) {
+            if group.len() > 1 {
+                for &(_, j) in group {
+                    driver_row[j] = Some(rows);
+                }
+                rows += 1;
             }
         }
-        // ≤ 1 task per driver (per round).
-        let mut drivers: Vec<_> = pairs
-            .iter()
-            .map(|&(slot, ci)| round.candidates[slot][ci].driver)
-            .collect();
-        drivers.sort_unstable();
-        drivers.dedup();
-        for d in drivers {
-            let row: Vec<(usize, f64)> = pairs
-                .iter()
-                .zip(&vars)
-                .filter(|(&(slot, ci), _)| round.candidates[slot][ci].driver == d)
-                .map(|(_, &v)| (v, 1.0))
-                .collect();
-            if row.len() > 1 {
-                lp.add_constraint(row, Cmp::Le, 1.0);
-            }
+        let mut lp = PackingLp::new(rows);
+        for (&(slot, ci), row) in pairs.iter().zip(&driver_row) {
+            let margin = round.candidates[slot][ci].marginal_value;
+            match *row {
+                Some(row) => lp.add_column(margin, &[slot, row]),
+                None => lp.add_column(margin, &[slot]),
+            };
         }
-        let sol = lp.solve().expect("round assignment LP is feasible (x = 0)");
-        pairs
-            .into_iter()
-            .zip(&vars)
-            .filter(|(_, &v)| sol.values[v] > 0.5)
-            .map(|(p, _)| p)
-            .collect()
+        lp.optimize()
+            .expect("round assignment LP ran out of its pivot limit");
+        let mut chosen: Vec<usize> = lp
+            .basic_columns()
+            .filter(|&(_, f)| f > 0.5)
+            .map(|(j, _)| j)
+            .collect();
+        chosen.sort_unstable();
+        chosen.into_iter().map(|j| pairs[j]).collect()
     }
 }
 
@@ -207,7 +220,7 @@ mod tests {
     use crate::validate::validate_online_result;
     use rideshare_core::{Market, MarketBuildOptions, Objective};
     use rideshare_trace::{DriverModel, TraceConfig};
-    use rideshare_types::{DriverId, TimeDelta, Timestamp};
+    use rideshare_types::{TimeDelta, Timestamp};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         market_of(seed, tasks, drivers, DriverModel::Hitchhiking)
@@ -364,59 +377,63 @@ mod tests {
         validate_online_result(&market, &optimal).unwrap();
     }
 
-    /// The round LP on `PackingLp`: one row per task slot and per driver
-    /// offered in more than one slot, one column per pair of margin ≥ 0,
-    /// the pairs the basic columns above 0.5 stand for.
-    fn packing_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-        use rideshare_lp::PackingLp;
+    /// The round LP on the dense simplex, as the matcher solved it before
+    /// it ran on `PackingLp`: every pair a variable, negative margins
+    /// included. The oracle of [`OptimalAssignmentMatcher`].
+    fn dense_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        use rideshare_lp::{Cmp, LinearProgram};
+        // Variables: one per feasible (slot, candidate) pair.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for (slot, cands) in round.candidates.iter().enumerate() {
-            for (ci, c) in cands.iter().enumerate() {
-                if c.marginal_value >= 0.0 {
-                    pairs.push((slot, ci));
-                }
+            for ci in 0..cands.len() {
+                pairs.push((slot, ci));
             }
         }
         if pairs.is_empty() {
             return Vec::new();
         }
-        let mut by_driver: Vec<(DriverId, usize)> = pairs
+        let mut lp = LinearProgram::maximize();
+        let vars: Vec<usize> = pairs
             .iter()
-            .enumerate()
-            .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
+            .map(|&(slot, ci)| lp.add_var(round.candidates[slot][ci].marginal_value))
             .collect();
-        by_driver.sort_unstable();
-        let mut driver_row = vec![None; pairs.len()];
-        let mut rows = round.tasks.len();
-        for group in by_driver.chunk_by(|a, b| a.0 == b.0) {
-            if group.len() > 1 {
-                for &(_, j) in group {
-                    driver_row[j] = Some(rows);
-                }
-                rows += 1;
+        // ≤ 1 driver per task.
+        for slot in 0..round.tasks.len() {
+            let row: Vec<(usize, f64)> = pairs
+                .iter()
+                .zip(&vars)
+                .filter(|(&(s, _), _)| s == slot)
+                .map(|(_, &v)| (v, 1.0))
+                .collect();
+            if !row.is_empty() {
+                lp.add_constraint(row, Cmp::Le, 1.0);
             }
         }
-        let mut lp = PackingLp::new(rows);
-        for (&(slot, ci), row) in pairs.iter().zip(&driver_row) {
-            let margin = round.candidates[slot][ci].marginal_value;
-            match *row {
-                Some(row) => lp.add_column(margin, &[slot, row]),
-                None => lp.add_column(margin, &[slot]),
-            };
-        }
-        lp.optimize().expect("round LP within its pivot limit");
-        let mut chosen: Vec<usize> = lp
-            .basic_columns()
-            .filter(|&(_, f)| f > 0.5)
-            .map(|(j, _)| j)
+        // ≤ 1 task per driver (per round).
+        let mut drivers: Vec<_> = pairs
+            .iter()
+            .map(|&(slot, ci)| round.candidates[slot][ci].driver)
             .collect();
-        chosen.sort_unstable();
-        chosen.into_iter().map(|j| pairs[j]).collect()
-    }
-
-    /// The dense round LP, the oracle of [`packing_round`].
-    fn dense_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-        OptimalAssignmentMatcher.match_round(round)
+        drivers.sort_unstable();
+        drivers.dedup();
+        for d in drivers {
+            let row: Vec<(usize, f64)> = pairs
+                .iter()
+                .zip(&vars)
+                .filter(|(&(slot, ci), _)| round.candidates[slot][ci].driver == d)
+                .map(|(_, &v)| (v, 1.0))
+                .collect();
+            if row.len() > 1 {
+                lp.add_constraint(row, Cmp::Le, 1.0);
+            }
+        }
+        let sol = lp.solve().expect("round assignment LP is feasible (x = 0)");
+        pairs
+            .into_iter()
+            .zip(&vars)
+            .filter(|(_, &v)| sol.values[v] > 0.5)
+            .map(|(p, _)| p)
+            .collect()
     }
 
     /// A matcher that solves every round both ways, insists on the same
@@ -431,7 +448,7 @@ mod tests {
     impl BatchMatcher for Pinned {
         fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
             let dense = dense_round(round);
-            let packing = packing_round(round);
+            let packing = OptimalAssignmentMatcher.match_round(round);
             assert_eq!(
                 packing, dense,
                 "round {} over tasks {:?}",
@@ -506,7 +523,8 @@ mod tests {
                 tasks: &tasks,
                 candidates: &candidates,
             };
-            let (packing, dense) = (packing_round(&round), dense_round(&round));
+            let packing = OptimalAssignmentMatcher.match_round(&round);
+            let dense = dense_round(&round);
             for pairs in [&packing, &dense] {
                 let mut slots: Vec<usize> = pairs.iter().map(|p| p.0).collect();
                 let mut ids: Vec<DriverId> = pairs
