@@ -1,41 +1,10 @@
-//! Criterion benchmarks of the hand-rolled LP/MILP substrate.
+//! Criterion benchmark of the packing LP's warm start, the step column
+//! generation repeats every round.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rideshare_lp::{BranchAndBound, Cmp, LinearProgram, PackingLp};
-
-/// A dense n×n assignment LP (integral relaxation, exercises pivoting).
-fn assignment_lp(n: usize) -> LinearProgram {
-    let mut lp = LinearProgram::maximize();
-    let mut vars = vec![vec![0usize; n]; n];
-    let mut state = 123u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
-    for v in vars.iter_mut().flatten() {
-        *v = lp.add_var(1.0 + 9.0 * next());
-    }
-    for (i, row) in vars.iter().enumerate() {
-        lp.add_constraint(row.iter().map(|&v| (v, 1.0)).collect(), Cmp::Le, 1.0);
-        lp.add_constraint((0..n).map(|j| (vars[j][i], 1.0)).collect(), Cmp::Le, 1.0);
-    }
-    lp
-}
-
-fn bench_simplex(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dense_simplex_assignment");
-    for &n in &[8usize, 16, 32] {
-        let lp = assignment_lp(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &lp, |b, lp| {
-            b.iter(|| black_box(lp.solve().expect("solvable")));
-        });
-    }
-    group.finish();
-}
+use rideshare_lp::PackingLp;
 
 fn bench_packing_warm_start(c: &mut Criterion) {
     c.bench_function("packing_lp_incremental_200cols", |b| {
@@ -69,35 +38,5 @@ fn bench_packing_warm_start(c: &mut Criterion) {
     });
 }
 
-fn bench_branch_and_bound(c: &mut Criterion) {
-    let mut group = c.benchmark_group("branch_and_bound_knapsack");
-    group.sample_size(10);
-    for &n in &[10usize, 14] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut lp = LinearProgram::maximize();
-                let vars: Vec<usize> = (0..n).map(|i| lp.add_var(10.0 + i as f64)).collect();
-                let coeffs: Vec<(usize, f64)> = vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, 11.0 + (i % 5) as f64))
-                    .collect();
-                lp.add_constraint(coeffs, Cmp::Le, (3 * n) as f64);
-                black_box(
-                    BranchAndBound::new(lp, vars)
-                        .solve()
-                        .expect("knapsack solvable"),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_simplex,
-    bench_packing_warm_start,
-    bench_branch_and_bound
-);
+criterion_group!(benches, bench_packing_warm_start);
 criterion_main!(benches);
