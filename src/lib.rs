@@ -13,8 +13,8 @@
 //! | [`geo`] | `rideshare-geo` | coordinates, distances, speed model, grid index, Porto city model |
 //! | [`trace`] | `rideshare-trace` | Porto-calibrated synthetic trace generation + statistics |
 //! | [`pricing`] | `rideshare-pricing` | surge multipliers (SM), Eq. 15 fares, WTP |
-//! | [`lp`] | `rideshare-lp` | simplex, packing LP (column generation), branch & bound |
-//! | [`core`] | `rideshare-core` | the market model, task maps, GA, `Z_f*`, exact ILP, Fig. 2 |
+//! | [`lp`] | `rideshare-lp` | the packing-LP simplex behind column generation, branch-and-price and batch-opt |
+//! | [`core`] | `rideshare-core` | the market model, task maps, GA, `Z_f*`, exact `Z*`, Fig. 2 |
 //! | [`online`] | `rideshare-online` | the dispatch engine and its front-ends (`replay_market`, `replay_stream`, `replay_sharded`), Nearest & maxMargin dispatch, batched matchers, the `serve` daemon |
 //! | [`metrics`] | `rideshare-metrics` | evaluation metrics and table rendering |
 //! | [`tsdb`] | `rideshare-tsdb` | embedded telemetry time-series store: lossless chunks, label index, range queries (`rideshare query`) |
