@@ -105,9 +105,8 @@ pub fn solve_exact(market: &Market, objective: Objective) -> Result<ExactOutcome
         let basic = generation.master.basic_columns();
         let mut valued: Vec<(usize, f64)> = basic.filter(|&(_, f)| f > 1e-9).collect();
         valued.sort_unstable_by_key(|&(j, _)| j);
-        let valued = valued.into_iter();
-        let solution: Vec<(&Column, f64)> =
-            valued.map(|(j, f)| (&generation.columns[j], f)).collect();
+        let columns = &generation.columns;
+        let solution: Vec<(&Column, f64)> = valued.iter().map(|&(j, f)| (&columns[j], f)).collect();
         if let Some((driver, task)) = branching_pair(market, &solution) {
             stack.extend(branch(market, bans, &solution, driver, task));
             continue;

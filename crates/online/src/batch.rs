@@ -64,7 +64,6 @@
 //! matcher by [`MatcherKind`]).
 
 use rideshare_lp::PackingLp;
-use rideshare_types::DriverId;
 
 use crate::policy::Candidate;
 
@@ -174,7 +173,7 @@ impl BatchMatcher for OptimalAssignmentMatcher {
         }
         // A driver is a candidate at most once per slot, so a driver with
         // more than one pair is offered in more than one slot.
-        let mut by_driver: Vec<(DriverId, usize)> = pairs
+        let mut by_driver: Vec<_> = pairs
             .iter()
             .enumerate()
             .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
@@ -220,7 +219,7 @@ mod tests {
     use crate::validate::validate_online_result;
     use rideshare_core::{Market, MarketBuildOptions, Objective};
     use rideshare_trace::{DriverModel, TraceConfig};
-    use rideshare_types::{TimeDelta, Timestamp};
+    use rideshare_types::{DriverId, TimeDelta, Timestamp};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         market_of(seed, tasks, drivers, DriverModel::Hitchhiking)
@@ -377,9 +376,8 @@ mod tests {
         validate_online_result(&market, &optimal).unwrap();
     }
 
-    /// The round LP on the dense simplex, as the matcher solved it before
-    /// it ran on `PackingLp`: every pair a variable, negative margins
-    /// included. The oracle of [`OptimalAssignmentMatcher`].
+    /// The round LP on the dense simplex, every pair a variable (negative
+    /// margins included): the oracle of [`OptimalAssignmentMatcher`].
     fn dense_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
         use rideshare_lp::{Cmp, LinearProgram};
         // Variables: one per feasible (slot, candidate) pair.
