@@ -983,6 +983,19 @@ mod tests {
                 r#"{"event":"tick","at":"noon","at":5}"#.into(),
                 "field \"at\" is not a number",
             ),
+            // Near misses of the writer's own task layout.
+            (
+                task_line("\"id\":0", "\"id\":+0"),
+                "unexpected Some('+') at byte 21",
+            ),
+            (
+                task_line("\"id\":0", "\"id\":4294967296"),
+                "field \"id\" is not a valid u32",
+            ),
+            (
+                task_line("\"publish\":64575", "\"publish\":6.4e4"),
+                "field \"publish\" is not a valid i64",
+            ),
         ];
         for (line, want) in json {
             assert_eq!(
@@ -1062,6 +1075,18 @@ mod tests {
                 WireEvent::EpochTick(-3),
             ),
             (r#"{"x":[],"event":"eos"}"#.into(), WireEvent::Eos),
+            // Near misses of the writer's own task layout.
+            (task_line("\"duration\":", "\"duration\": "), task(6.7)),
+            (task_line("1.8}", "1.8} "), task(6.7)),
+            (
+                task_line("\"cost\":1.8", r#""cost":1.8,"cost":2.5"#),
+                task(6.7),
+            ),
+            (task_line("1.8}", r#"1.8,"note":null}"#), task(6.7)),
+            (
+                task_line("\"task\"", &format!("\"{bs}u0074ask\"")),
+                task(6.7),
+            ),
         ];
         for (line, want) in ok {
             assert_eq!(from_json_line(&line), Ok(want), "{line}");
