@@ -423,6 +423,9 @@ impl FrameDecoder {
 // ---------------------------------------------------------------------------
 // JSONL encoding. The grammar and both of its readers live in
 // `rideshare_types::json`; the wire format's names for the tree stay here.
+// A task line in the writer's own layout is read in one forward pass over
+// that layout's literal pieces (`TASK_LINE_PIECES`, next to the template);
+// every other line, and every refusal, is the member walk's.
 // ---------------------------------------------------------------------------
 
 pub use rideshare_types::json::{parse as parse_json, JsonValue};
@@ -478,6 +481,84 @@ pub fn to_json_line(event: &WireEvent) -> String {
         WireEvent::EpochTick(at) => format!("{{\"event\":\"tick\",\"at\":{at}}}"),
         WireEvent::Eos => "{\"event\":\"eos\"}".to_string(),
     }
+}
+
+/// The task template of [`to_json_line`] cut at its twelve numbers: piece
+/// `i` precedes number `i`, and the last piece ends the line. An edit to
+/// the template must be made here too; the pass fails its unit test, not
+/// the decoding, when the two part.
+const TASK_LINE_PIECES: [&str; 13] = [
+    "{\"event\":\"task\",\"id\":",
+    ",\"publish\":",
+    ",\"origin\":[",
+    ",",
+    "],\"destination\":[",
+    ",",
+    "],\"pickup_by\":",
+    ",\"complete_by\":",
+    ",\"duration\":",
+    ",\"price\":",
+    ",\"valuation\":",
+    ",\"cost\":",
+    "}",
+];
+
+/// A forward pass over a line against [`TASK_LINE_PIECES`]: the text not
+/// yet read, and the pieces not yet matched.
+struct TaskLayout<'a> {
+    rest: &'a str,
+    pieces: std::slice::Iter<'static, &'static str>,
+}
+
+impl TaskLayout<'_> {
+    /// Matches the next piece byte for byte, then reads the number after
+    /// it as the member walk reads a number: the grammar's span
+    /// ([`json::number_span`]), parsed by [`json::read_num`]. A refusal's
+    /// message is dropped; the walk writes its own.
+    fn num<T: FromStr>(&mut self) -> Option<T> {
+        let rest = self.rest.strip_prefix(*self.pieces.next()?)?;
+        let span = json::number_span(rest);
+        self.rest = &rest[span.len()..];
+        json::read_num(span, 0).ok()
+    }
+
+    /// Whether only the closing piece is left, and it is the rest of the
+    /// line.
+    fn ends(&self) -> bool {
+        self.pieces.as_slice() == [self.rest]
+    }
+}
+
+/// The task a line carries when the line is in exactly the layout
+/// [`to_json_line`] writes, read in one forward pass with no allocation;
+/// `None` for every other line, whatever it holds.
+///
+/// A line this accepts is one object of eleven distinct members with no
+/// whitespace and no escape, whose numbers each span what the grammar
+/// gives them (the byte after each is punctuation outside the span rule)
+/// and parse as the type the walk reads them as. The walk therefore
+/// accepts it too and reads every field from the same text: both readers
+/// give the same task, bit for bit.
+fn task_from_writer_layout(line: &str) -> Option<Task> {
+    let mut l = TaskLayout {
+        rest: line,
+        pieces: TASK_LINE_PIECES.iter(),
+    };
+    // Fields are read in the order they are written, which is the
+    // template's.
+    let task = Task {
+        id: TaskId::new(l.num()?),
+        publish_time: Timestamp::from_secs(l.num()?),
+        origin: GeoPoint::new(l.num()?, l.num()?),
+        destination: GeoPoint::new(l.num()?, l.num()?),
+        pickup_deadline: Timestamp::from_secs(l.num()?),
+        completion_deadline: Timestamp::from_secs(l.num()?),
+        duration: TimeDelta::from_secs(l.num()?),
+        price: Money::new(l.num()?),
+        valuation: Money::new(l.num()?),
+        service_cost: Money::new(l.num()?),
+    };
+    l.ends().then_some(task)
 }
 
 /// The raw text of every member an event line may carry, as
@@ -587,17 +668,28 @@ fn event_from_json(line: &str) -> Result<WireEvent, String> {
     }
 }
 
-/// Parses one JSONL event line in a single pass that builds no tree: the
-/// members are walked once, and each field is then read from its raw text.
-/// It accepts exactly the lines [`parse_json`] accepts and reads them as
-/// the tree's accessors would (first of a repeated key, unknown members
-/// ignored), with the same messages.
+/// Parses one JSONL event line, building no tree.
+///
+/// A task line in exactly the layout [`to_json_line`] writes (every task
+/// line `rideshare export` writes) is read in one forward pass: each
+/// literal piece of the template is matched byte for byte and each number
+/// read where it stands. Every other line, from a driver line to a task
+/// line with one space or one member more, goes to the member walk from
+/// byte 0: the members are walked once, and each field is then read from
+/// its raw text. The walk accepts exactly the lines [`parse_json`] accepts
+/// and reads them as the tree's accessors would (first of a repeated key,
+/// unknown members ignored), with the same messages. The forward pass
+/// refuses nothing and takes only lines the walk reads to the same bits,
+/// so which reader ran never shows in the result.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Malformed`] describing the first problem; never
 /// panics on hostile input.
 pub fn from_json_line(line: &str) -> Result<WireEvent, WireError> {
+    if let Some(task) = task_from_writer_layout(line) {
+        return Ok(WireEvent::TaskPublished(task));
+    }
     event_from_json(line).map_err(WireError::Malformed)
 }
 
@@ -717,6 +809,8 @@ pub fn from_csv_line(line: &str) -> Result<WireEvent, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_events() -> Vec<WireEvent> {
         vec![
@@ -898,6 +992,57 @@ mod tests {
     fn task_line(from: &str, to: &str) -> String {
         assert!(TASK_LINE.contains(from), "{from}");
         TASK_LINE.replacen(from, to, 1)
+    }
+
+    /// The forward pass reads every task line the writer writes, boundary
+    /// values included. Nothing else would notice if it stopped: a line it
+    /// passes up still decodes the same, through the walk.
+    #[test]
+    fn writer_layout_pass_reads_every_written_task_line() {
+        let mut rng = StdRng::seed_from_u64(49);
+        let mut tasks: Vec<Task> = (0..500)
+            .map(|_| Task {
+                id: TaskId::new(rng.gen()),
+                publish_time: Timestamp::from_secs(rng.gen_range(0..86_400)),
+                origin: GeoPoint::new(rng.gen_range(40.9..41.4), rng.gen_range(-8.9..-8.3)),
+                destination: GeoPoint::new(
+                    rng.gen_range(-90.0..90.0),
+                    rng.gen_range(-180.0..180.0),
+                ),
+                pickup_deadline: Timestamp::from_secs(rng.gen_range(i64::MIN..=i64::MAX)),
+                completion_deadline: Timestamp::from_secs(rng.gen_range(-1..100_000)),
+                duration: TimeDelta::from_secs(rng.gen_range(0..7_200)),
+                price: Money::new(rng.gen_range(0.0..100.0)),
+                valuation: Money::new(rng.gen_range(-1.0e9..1.0e9)),
+                service_cost: Money::new(rng.gen::<f64>() / 3.0),
+            })
+            .collect();
+        let boundary = |instant: i64, amounts: [f64; 3]| Task {
+            id: TaskId::new(u32::MAX),
+            publish_time: Timestamp::from_secs(instant),
+            origin: GeoPoint::new(-90.0, 180.0),
+            destination: GeoPoint::new(-0.0, f64::MIN_POSITIVE / 4.0),
+            pickup_deadline: Timestamp::from_secs(instant),
+            completion_deadline: Timestamp::from_secs(instant),
+            duration: TimeDelta::from_secs(instant),
+            price: Money::new(amounts[0]),
+            valuation: Money::new(amounts[1]),
+            service_cost: Money::new(amounts[2]),
+        };
+        let subnormal = f64::from_bits(1);
+        tasks.push(boundary(i64::MIN, [-0.0, subnormal, 1e300]));
+        tasks.push(boundary(i64::MAX, [1e300, -0.0, -subnormal]));
+        tasks.push(boundary(0, [subnormal, 1e300, -1e300]));
+        for task in tasks {
+            let event = WireEvent::TaskPublished(task);
+            let line = to_json_line(&event);
+            let read = task_from_writer_layout(&line).map(WireEvent::TaskPublished);
+            assert_eq!(
+                read.as_ref().map(encode_frame),
+                Some(encode_frame(&event)),
+                "{line}"
+            );
+        }
     }
 
     /// Every line is read the same whatever the decoder's insides: the

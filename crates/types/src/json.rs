@@ -295,6 +295,25 @@ fn starts_number(c: u8) -> bool {
     c == b'-' || c.is_ascii_digit()
 }
 
+/// The longest prefix of `text` made of the bytes a number's text may
+/// hold (digits, signs, `.`, `e`, `E`): the extent the grammar gives the
+/// number a value starts with. Whether it is a number of some type is left
+/// to [`read_num`].
+///
+/// ```
+/// assert_eq!(rideshare_types::json::number_span("-8.6e1],"), "-8.6e1");
+/// assert_eq!(rideshare_types::json::number_span(" 1"), "");
+/// ```
+#[must_use]
+pub fn number_span(text: &str) -> &str {
+    let len = text
+        .bytes()
+        .take_while(|&c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
+        .count();
+    // Every byte counted is ASCII, so `len` is a char boundary.
+    &text[..len]
+}
+
 /// The grammar: one cursor over the text, read into a tree
 /// ([`JsonParser::value`]) and by the member walk ([`JsonParser::skip`]
 /// for each value) through the same token readers.
@@ -576,14 +595,9 @@ impl<'a> JsonParser<'a> {
     /// The number text at the cursor, which [`starts_number`]. Its syntax
     /// is left to whoever parses it as the type it needs.
     fn number(&mut self) -> &'a str {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        self.since(start)
+        let span = number_span(&self.s[self.pos..]);
+        self.pos += span.len();
+        span
     }
 
     /// The `null` (`None`), `true` or `false` literal at the cursor.
