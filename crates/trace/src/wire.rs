@@ -484,9 +484,10 @@ pub fn to_json_line(event: &WireEvent) -> String {
 }
 
 /// The task template of [`to_json_line`] cut at its twelve numbers: piece
-/// `i` precedes number `i`, and the last piece ends the line. An edit to
-/// the template must be made here too; the pass fails its unit test, not
-/// the decoding, when the two part.
+/// `i` precedes number `i`, and the last piece ends the line. Edit the two
+/// together. Should they part, every task line would go to the member walk
+/// and still decode the same; only the unit test of the forward pass would
+/// fail.
 const TASK_LINE_PIECES: [&str; 13] = [
     "{\"event\":\"task\",\"id\":",
     ",\"publish\":",
@@ -1141,6 +1142,7 @@ mod tests {
                 task_line("\"publish\":64575", "\"publish\":6.4e4"),
                 "field \"publish\" is not a valid i64",
             ),
+            (task_line("1.8}", "1.8}x"), "trailing garbage at byte 182"),
         ];
         for (line, want) in json {
             assert_eq!(
