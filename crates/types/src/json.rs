@@ -13,7 +13,10 @@
 //!   and builds nothing; [`read_str`], [`read_num`] and [`read_row`] then
 //!   read the members a caller wants straight from that text, with the
 //!   messages of the matching tree accessors. JSONL event lines are read
-//!   this way.
+//!   this way, except a task line in the wire writer's own layout: that
+//!   one is read in a forward pass over the layout's literal text, which
+//!   takes each number's extent from [`number_span`], the rule the
+//!   grammar uses, and its value from [`read_num`].
 //!
 //! Both readers run the same token readers under the same nesting bound,
 //! so a text one refuses the other refuses too, with the same message at
