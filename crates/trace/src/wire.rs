@@ -522,12 +522,6 @@ impl TaskLayout<'_> {
         self.rest = &rest[span.len()..];
         json::read_num(span, 0).ok()
     }
-
-    /// Whether only the closing piece is left, and it is the rest of the
-    /// line.
-    fn ends(&self) -> bool {
-        self.pieces.as_slice() == [self.rest]
-    }
 }
 
 /// The task a line carries when the line is in exactly the layout
@@ -559,7 +553,8 @@ fn task_from_writer_layout(line: &str) -> Option<Task> {
         valuation: Money::new(l.num()?),
         service_cost: Money::new(l.num()?),
     };
-    l.ends().then_some(task)
+    // Only the closing piece is left, and it is the rest of the line.
+    (l.pieces.as_slice() == [l.rest]).then_some(task)
 }
 
 /// The raw text of every member an event line may carry, as
