@@ -20,6 +20,9 @@
 //! - JSONL and CSV text lines: `to_*_line` → `from_*_line` identity
 //!   (floats survive because the encoders use Rust's shortest-round-trip
 //!   `{}` formatting),
+//! - both text writers against their oracle, the `format!` templates with
+//!   every number through its `Display`: byte for byte, over adversarial
+//!   events and every event of the golden `.rtb` corpus,
 //! - the `StreamEvent` ↔ `WireEvent` conversion used at the ingest
 //!   boundary: lossless for every event kind,
 //! - the compact `.rtb` binary stream: `write_events` → `read_events`
@@ -103,6 +106,88 @@ fn tree_event(line: &str) -> Result<WireEvent, String> {
         "eos" => Ok(WireEvent::Eos),
         other => Err(format!("unknown event kind {other:?}")),
     }
+}
+
+/// The oracle of both line writers: the `format!` templates they replaced,
+/// every number through its `Display`.
+fn template_json_line(event: &WireEvent) -> String {
+    match event {
+        WireEvent::DriverOnline(d) => format!(
+            "{{\"event\":\"driver\",\"id\":{},\"source\":[{},{}],\"destination\":[{},{}],\"shift\":[{},{}],\"model\":\"{}\"}}",
+            d.id.raw(),
+            d.source.lat(),
+            d.source.lon(),
+            d.destination.lat(),
+            d.destination.lon(),
+            d.shift_start.as_secs(),
+            d.shift_end.as_secs(),
+            template_model(d.model),
+        ),
+        WireEvent::TaskPublished(t) => format!(
+            "{{\"event\":\"task\",\"id\":{},\"publish\":{},\"origin\":[{},{}],\"destination\":[{},{}],\"pickup_by\":{},\"complete_by\":{},\"duration\":{},\"price\":{},\"valuation\":{},\"cost\":{}}}",
+            t.id.raw(),
+            t.publish_time.as_secs(),
+            t.origin.lat(),
+            t.origin.lon(),
+            t.destination.lat(),
+            t.destination.lon(),
+            t.pickup_deadline.as_secs(),
+            t.completion_deadline.as_secs(),
+            t.duration.as_secs(),
+            t.price.as_f64(),
+            t.valuation.as_f64(),
+            t.service_cost.as_f64(),
+        ),
+        WireEvent::EpochTick(at) => format!("{{\"event\":\"tick\",\"at\":{at}}}"),
+        WireEvent::Eos => "{\"event\":\"eos\"}".to_string(),
+    }
+}
+
+/// See [`template_json_line`].
+fn template_csv_line(event: &WireEvent) -> String {
+    match event {
+        WireEvent::DriverOnline(d) => format!(
+            "D,{},{},{},{},{},{},{},{}",
+            d.id.raw(),
+            d.source.lat(),
+            d.source.lon(),
+            d.destination.lat(),
+            d.destination.lon(),
+            d.shift_start.as_secs(),
+            d.shift_end.as_secs(),
+            template_model(d.model),
+        ),
+        WireEvent::TaskPublished(t) => format!(
+            "T,{},{},{},{},{},{},{},{},{},{},{},{}",
+            t.id.raw(),
+            t.publish_time.as_secs(),
+            t.origin.lat(),
+            t.origin.lon(),
+            t.destination.lat(),
+            t.destination.lon(),
+            t.pickup_deadline.as_secs(),
+            t.completion_deadline.as_secs(),
+            t.duration.as_secs(),
+            t.price.as_f64(),
+            t.valuation.as_f64(),
+            t.service_cost.as_f64(),
+        ),
+        WireEvent::EpochTick(at) => format!("K,{at}"),
+        WireEvent::Eos => "E".to_string(),
+    }
+}
+
+fn template_model(m: DriverModel) -> &'static str {
+    match m {
+        DriverModel::HomeWorkHome => "hwh",
+        DriverModel::Hitchhiking => "hitch",
+    }
+}
+
+/// Both line writers write exactly their template's bytes for `event`.
+fn assert_lines_match_templates(event: &WireEvent) {
+    assert_eq!(to_json_line(event), template_json_line(event));
+    assert_eq!(to_csv_line(event), template_csv_line(event));
 }
 
 /// A decode result with every float as its bits (a frame is bit-exact),
@@ -513,6 +598,12 @@ proptest! {
         prop_assert_eq!(from_json_line(&line).unwrap(), event);
     }
 
+    // Both text writers write their `format!` template's bytes exactly.
+    #[test]
+    fn line_writers_match_their_templates(event in arb_event()) {
+        assert_lines_match_templates(&event);
+    }
+
     // CSV text round trip is the identity.
     #[test]
     fn csv_line_round_trip_is_identity(event in arb_event()) {
@@ -632,6 +723,21 @@ fn golden_corpus_decodes_the_same_as_frames_and_as_rtb() {
         let decoded: Vec<Vec<u8>> = decode_all(&bytes, chunk).iter().map(encode_frame).collect();
         assert_eq!(decoded, expected, "chunk size {chunk}");
     }
+}
+
+/// The golden `.rtb` corpus, written as JSONL and CSV: every line is its
+/// template's, byte for byte.
+#[test]
+fn golden_corpus_lines_match_their_templates() {
+    const GOLDEN: &[u8] = include_bytes!("snapshots/golden_trace.rtb");
+    let mut slice = RtbSlice::new(GOLDEN).unwrap();
+    let mut events = 0;
+    while let Some(e) = slice.next().unwrap() {
+        assert_lines_match_templates(&e);
+        events += 1;
+    }
+    assert_lines_match_templates(&WireEvent::Eos);
+    assert!(events > 120, "the corpus holds 120 tasks and their drivers");
 }
 
 /// The decoder agreement at the scale of the `serve-jsonl` benchmark: its
