@@ -701,6 +701,103 @@ pub fn read_num<T: FromStr>(raw: &str, key: impl JsonKey) -> Result<T, String> {
     parse_as(raw, key)
 }
 
+/// Appends `x` exactly as `format!("{x}")` writes it: the shortest
+/// decimal that reads back to the same bits, in fixed notation (`-0`,
+/// `NaN` and `inf` included). The write-side twin of the grammar's number
+/// rule: every finite value it writes is one [`number_span`] and reads
+/// back through [`read_num`] to the same `f64`, bit for bit.
+///
+/// ```
+/// use rideshare_types::json::write_f64;
+///
+/// let mut line = String::new();
+/// for x in [0.1, -0.0, 1e21, 5e-7, f64::MIN_POSITIVE] {
+///     write_f64(&mut line, x);
+///     line.push(' ');
+/// }
+/// assert_eq!(line, format!("0.1 -0 {} {} {} ", 1e21, 5e-7, f64::MIN_POSITIVE));
+/// ```
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_nan() {
+        out.push_str("NaN");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    if x.is_infinite() {
+        out.push_str("inf");
+        return;
+    }
+    if x == 0.0 {
+        out.push('0');
+        return;
+    }
+    let (digits, exp) = crate::ryu::shortest(x.abs().to_bits());
+    let len = digits.ilog10() as usize + 1;
+    // The value is 0.<digits> × 10^point. Most values are laid out whole
+    // in `text`, whose unwritten bytes are the zeros a layout pads with.
+    let point = exp + len as i32;
+    let mut text = [b'0'; 25];
+    let lead = point.unsigned_abs() as usize;
+    let used = if point <= 0 && 2 + lead + len <= text.len() {
+        // 0.000ddd
+        text[1] = b'.';
+        write_digits(&mut text[2 + lead..2 + lead + len], digits);
+        2 + lead + len
+    } else if point > 0 && lead < len {
+        // ddd.ddd
+        write_digits(&mut text[1..=len], digits);
+        text.copy_within(1..=lead, 0);
+        text[lead] = b'.';
+        len + 1
+    } else if point > 0 && lead <= text.len() {
+        // ddd000
+        write_digits(&mut text[..len], digits);
+        lead
+    } else {
+        // Far from 1: the zeros are pushed one by one.
+        write_digits(&mut text[..len], digits);
+        if point <= 0 {
+            out.push_str("0.");
+            out.extend(std::iter::repeat_n('0', lead));
+        }
+        out.push_str(std::str::from_utf8(&text[..len]).unwrap_or_default());
+        if point > 0 {
+            out.extend(std::iter::repeat_n('0', lead - len));
+        }
+        return;
+    };
+    // Every byte of `text` is an ASCII digit or the point.
+    out.push_str(std::str::from_utf8(&text[..used]).unwrap_or_default());
+}
+
+/// `"00" "01" … "99"`: two digits per table read.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Fills `out` with the last `out.len()` decimal digits of `n`.
+fn write_digits(out: &mut [u8], mut n: u64) {
+    let mut end = out.len();
+    while end >= 2 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        out[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        end -= 2;
+    }
+    if end == 1 {
+        out[0] = b'0' + (n % 10) as u8;
+    }
+}
+
 /// The `N` cells of the fixed-arity row a member's raw text holds (as
 /// [`for_each_member`] hands it over), each as its own raw text for the
 /// readers above. The walk's twin of [`JsonValue::row`].
@@ -1151,5 +1248,89 @@ mod tests {
         fn member_walk_reads_what_the_tree_holds(doc in arb_doc()) {
             assert_walk_reads_the_tree(&doc);
         }
+    }
+
+    /// `write_f64` against `Display`, byte for byte.
+    fn assert_writes_like_display(x: f64) {
+        let mut out = String::new();
+        write_f64(&mut out, x);
+        assert_eq!(out, format!("{x}"), "bits {:#018x}", x.to_bits());
+    }
+
+    /// SplitMix64: a seeded stream of bit patterns, every one a valid `f64`.
+    fn bit_patterns(mut state: u64) -> impl Iterator<Item = f64> {
+        std::iter::from_fn(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            Some(f64::from_bits(z ^ (z >> 31)))
+        })
+    }
+
+    #[test]
+    fn f64_writer_matches_display_on_random_bit_patterns() {
+        bit_patterns(50)
+            .take(1_000_000)
+            .for_each(assert_writes_like_display);
+    }
+
+    #[test]
+    #[ignore = "heavy: 100M bit patterns, release only"]
+    fn f64_writer_matches_display_on_100m_bit_patterns() {
+        bit_patterns(0x5eed)
+            .take(100_000_000)
+            .for_each(assert_writes_like_display);
+    }
+
+    #[test]
+    fn f64_writer_matches_display_on_the_edges() {
+        let named = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE - 5e-324,
+            f64::MAX,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1,
+            1.0 / 3.0,
+            2f64.powi(53) + 2.0,
+        ];
+        // Powers of ten from 1e-324 (which reads as 0) to 1e308, each with
+        // its neighbours one ulp either side, and both signs.
+        let decades = (-324..=308).flat_map(|e: i32| {
+            let x: f64 = format!("1e{e}").parse().unwrap();
+            [x.next_down(), x, x.next_up()]
+        });
+        // Every power of two, and small integers and short decimals.
+        let binades = (-1074..=1023).map(|e| 2f64.powi(e));
+        let short = (0..=2000).flat_map(|n| [f64::from(n), f64::from(n) / 1000.0]);
+        for x in named.into_iter().chain(decades).chain(binades).chain(short) {
+            assert_writes_like_display(x);
+            assert_writes_like_display(-x);
+        }
+    }
+
+    #[test]
+    fn f64_writer_rounds_a_tie_up() {
+        // 1658206780088562.25 is exact; .2 and .3 are equally near and both
+        // read back to it. Ryū's reference prints .2 (to even).
+        let tie = f64::from_bits(0x4317_9085_685d_83c9);
+        let mut out = String::new();
+        write_f64(&mut out, tie);
+        assert_eq!(out, "1658206780088562.3");
+        // Every n + 1/4 and n + 3/4 in [2^50, 2^51) is such a tie; so are
+        // the subnormals, whose exact decimals end in ...5.
+        let ties = (0..20_000u64).map(|k| {
+            let n = 2f64.powi(50) + (k * 56_294_995_342) as f64;
+            n + if k % 2 == 0 { 0.25 } else { 0.75 }
+        });
+        let subnormals = (1..20_000u64).map(f64::from_bits);
+        ties.chain(subnormals).for_each(assert_writes_like_display);
     }
 }

@@ -40,6 +40,7 @@ mod error;
 mod ids;
 pub mod json;
 mod money;
+mod ryu;
 mod time;
 mod widen;
 
