@@ -13,9 +13,10 @@
 //!   the TCP socket format; [`FrameDecoder`] decodes incrementally from
 //!   arbitrary chunk boundaries (including one byte at a time).
 //! - **JSONL**: one canonical JSON object per line. Floats are printed
-//!   with Rust's shortest-round-trip `Display`, which parses back to the
-//!   identical bit pattern, so this encoding is also exact (unlike the
-//!   human-facing trace CSVs in [`crate::trips_to_csv`], which truncate).
+//!   shortest-round-trip ([`json::write_f64`], the bytes of `Display`),
+//!   which parses back to the identical bit pattern, so this encoding is
+//!   also exact (unlike the human-facing trace CSVs in
+//!   [`crate::trips_to_csv`], which truncate).
 //! - **CSV events**: one tagged row per event, same exactness guarantee,
 //!   for spreadsheet-friendly pipelines.
 //!
@@ -32,6 +33,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::fmt::Write as _;
 use std::str::FromStr;
 
 use rideshare_geo::GeoPoint;
@@ -421,11 +423,12 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL encoding. The grammar and both of its readers live in
-// `rideshare_types::json`; the wire format's names for the tree stay here.
-// A task line in the writer's own layout is read in one forward pass over
-// that layout's literal pieces (`TASK_LINE_PIECES`, next to the template);
-// every other line, and every refusal, is the member walk's.
+// JSONL encoding. The grammar, both of its readers and the float writer
+// live in `rideshare_types::json`; the wire format's names for the tree
+// stay here. A task line is written from its layout's literal pieces
+// (`TASK_LINE_PIECES`) with its twelve numbers between them, and a line in
+// that layout is read back in one forward pass over the same pieces; every
+// other line, and every refusal, is the member walk's.
 // ---------------------------------------------------------------------------
 
 pub use rideshare_types::json::{parse as parse_json, JsonValue};
@@ -445,49 +448,110 @@ fn model_from_name(s: &str) -> Result<DriverModel, String> {
     }
 }
 
+/// One value of an event line: an integer written by its `Display`, a
+/// float by [`json::write_f64`], or a fixed word.
+#[derive(Clone, Copy)]
+enum Field {
+    Int(i64),
+    Float(f64),
+    Word(&'static str),
+}
+
+impl Field {
+    fn write(self, line: &mut String) {
+        match self {
+            Field::Int(n) => {
+                let _ = write!(line, "{n}");
+            }
+            Field::Float(x) => json::write_f64(line, x),
+            Field::Word(w) => line.push_str(w),
+        }
+    }
+}
+
+/// A driver's fields in the order both text formats write them.
+fn driver_fields(d: &Driver) -> [Field; 8] {
+    [
+        Field::Int(i64::from(d.id.raw())),
+        Field::Float(d.source.lat()),
+        Field::Float(d.source.lon()),
+        Field::Float(d.destination.lat()),
+        Field::Float(d.destination.lon()),
+        Field::Int(d.shift_start.as_secs()),
+        Field::Int(d.shift_end.as_secs()),
+        Field::Word(model_name(d.model)),
+    ]
+}
+
+/// A task's twelve numbers in the order both text formats write them.
+fn task_fields(t: &Task) -> [Field; 12] {
+    [
+        Field::Int(i64::from(t.id.raw())),
+        Field::Int(t.publish_time.as_secs()),
+        Field::Float(t.origin.lat()),
+        Field::Float(t.origin.lon()),
+        Field::Float(t.destination.lat()),
+        Field::Float(t.destination.lon()),
+        Field::Int(t.pickup_deadline.as_secs()),
+        Field::Int(t.completion_deadline.as_secs()),
+        Field::Int(t.duration.as_secs()),
+        Field::Float(t.price.as_f64()),
+        Field::Float(t.valuation.as_f64()),
+        Field::Float(t.service_cost.as_f64()),
+    ]
+}
+
+/// `pieces[0]`, `fields[0]`, `pieces[1]`, …, the last piece: one line, in
+/// one string sized for it. There is one piece more than fields.
+fn write_line(pieces: &[&str], fields: &[Field]) -> String {
+    let text: usize = pieces.iter().map(|p| p.len()).sum();
+    // 24 bytes hold any integer and most floats; a longer float grows it.
+    let mut line = String::with_capacity(text + 24 * fields.len());
+    for (piece, field) in pieces.iter().zip(fields) {
+        line.push_str(piece);
+        field.write(&mut line);
+    }
+    line.push_str(pieces.last().copied().unwrap_or_default());
+    line
+}
+
 /// Encodes one event as its canonical JSONL line (no trailing newline).
 ///
-/// Floats use shortest-round-trip formatting, so
+/// A driver or task line is its layout's fixed text with the event's
+/// fields written between the pieces, into one string sized for the line;
+/// the task layout is the one [`from_json_line`] reads in a forward pass.
+/// Integers are written by their `Display` and floats by
+/// [`json::write_f64`], which writes the bytes of `Display`: the shortest
+/// decimal that reads back to the same bits, so
 /// [`from_json_line`]`(`[`to_json_line`]`(e)) == e` bit-for-bit.
 #[must_use]
 pub fn to_json_line(event: &WireEvent) -> String {
     match event {
-        WireEvent::DriverOnline(d) => format!(
-            "{{\"event\":\"driver\",\"id\":{},\"source\":[{},{}],\"destination\":[{},{}],\"shift\":[{},{}],\"model\":\"{}\"}}",
-            d.id.raw(),
-            d.source.lat(),
-            d.source.lon(),
-            d.destination.lat(),
-            d.destination.lon(),
-            d.shift_start.as_secs(),
-            d.shift_end.as_secs(),
-            model_name(d.model),
-        ),
-        WireEvent::TaskPublished(t) => format!(
-            "{{\"event\":\"task\",\"id\":{},\"publish\":{},\"origin\":[{},{}],\"destination\":[{},{}],\"pickup_by\":{},\"complete_by\":{},\"duration\":{},\"price\":{},\"valuation\":{},\"cost\":{}}}",
-            t.id.raw(),
-            t.publish_time.as_secs(),
-            t.origin.lat(),
-            t.origin.lon(),
-            t.destination.lat(),
-            t.destination.lon(),
-            t.pickup_deadline.as_secs(),
-            t.completion_deadline.as_secs(),
-            t.duration.as_secs(),
-            t.price.as_f64(),
-            t.valuation.as_f64(),
-            t.service_cost.as_f64(),
-        ),
+        WireEvent::DriverOnline(d) => write_line(&DRIVER_LINE_PIECES, &driver_fields(d)),
+        WireEvent::TaskPublished(t) => write_line(&TASK_LINE_PIECES, &task_fields(t)),
         WireEvent::EpochTick(at) => format!("{{\"event\":\"tick\",\"at\":{at}}}"),
         WireEvent::Eos => "{\"event\":\"eos\"}".to_string(),
     }
 }
 
-/// The task template of [`to_json_line`] cut at its twelve numbers: piece
-/// `i` precedes number `i`, and the last piece ends the line. Edit the two
-/// together. Should they part, every task line would go to the member walk
-/// and still decode the same; only the unit test of the forward pass would
-/// fail.
+/// The driver line's literal text around its eight fields (the last is
+/// the model's name, inside quotes).
+const DRIVER_LINE_PIECES: [&str; 9] = [
+    "{\"event\":\"driver\",\"id\":",
+    ",\"source\":[",
+    ",",
+    "],\"destination\":[",
+    ",",
+    "],\"shift\":[",
+    ",",
+    "],\"model\":\"",
+    "\"}",
+];
+
+/// The task line's literal text, cut at its twelve numbers: piece `i`
+/// precedes number `i`, and the last piece ends the line. The one copy of
+/// the layout: [`to_json_line`] writes these pieces and
+/// `task_from_writer_layout` matches them.
 const TASK_LINE_PIECES: [&str; 13] = [
     "{\"event\":\"task\",\"id\":",
     ",\"publish\":",
@@ -696,39 +760,27 @@ pub fn from_json_line(line: &str) -> Result<WireEvent, WireError> {
 /// Encodes one event as its CSV event row (no trailing newline).
 ///
 /// Rows are tagged by kind: `D` driver, `T` task, `K` tick, `E`
-/// end-of-stream. Same exact float round-trip as the JSONL form.
+/// end-of-stream. The fields are the JSONL line's, written the same way,
+/// so the float round trip is as exact.
 #[must_use]
 pub fn to_csv_line(event: &WireEvent) -> String {
     match event {
-        WireEvent::DriverOnline(d) => format!(
-            "D,{},{},{},{},{},{},{},{}",
-            d.id.raw(),
-            d.source.lat(),
-            d.source.lon(),
-            d.destination.lat(),
-            d.destination.lon(),
-            d.shift_start.as_secs(),
-            d.shift_end.as_secs(),
-            model_name(d.model),
-        ),
-        WireEvent::TaskPublished(t) => format!(
-            "T,{},{},{},{},{},{},{},{},{},{},{},{}",
-            t.id.raw(),
-            t.publish_time.as_secs(),
-            t.origin.lat(),
-            t.origin.lon(),
-            t.destination.lat(),
-            t.destination.lon(),
-            t.pickup_deadline.as_secs(),
-            t.completion_deadline.as_secs(),
-            t.duration.as_secs(),
-            t.price.as_f64(),
-            t.valuation.as_f64(),
-            t.service_cost.as_f64(),
-        ),
+        WireEvent::DriverOnline(d) => csv_row("D", &driver_fields(d)),
+        WireEvent::TaskPublished(t) => csv_row("T", &task_fields(t)),
         WireEvent::EpochTick(at) => format!("K,{at}"),
         WireEvent::Eos => "E".to_string(),
     }
+}
+
+/// `tag` and `fields`, comma-separated.
+fn csv_row(tag: &str, fields: &[Field]) -> String {
+    let mut row = String::with_capacity(tag.len() + 24 * fields.len());
+    row.push_str(tag);
+    for field in fields {
+        row.push(',');
+        field.write(&mut row);
+    }
+    row
 }
 
 fn csv_num<T: FromStr>(fields: &[&str], idx: usize) -> Result<T, WireError> {
