@@ -22,9 +22,12 @@
 //! so a text one refuses the other refuses too, with the same message at
 //! the same byte offset. Every free-text string a canonical emitter writes
 //! goes through [`escape`], so the workspace needs no serde dependency.
-//! There is deliberately no generic *writer*: each emitter is one
-//! `format!` template pinned byte-for-byte by a golden file, in three
-//! different layouts.
+//! There is still deliberately no generic *writer*: each emitter is its
+//! own layout pinned byte-for-byte by a golden file or a test oracle. There
+//! is one number writer, [`write_f64`], the grammar's number rule run
+//! backwards: it writes the bytes of `f64`'s `Display` (the shortest
+//! decimal that reads back to the same bits) at a fraction of the cost,
+//! and the wire's JSONL and CSV event lines write every float with it.
 //!
 //! Input here is hostile (a feed line, a file on disk): nothing in this
 //! module panics, and nesting deeper than [`MAX_DEPTH`] is a parse error
@@ -735,41 +738,26 @@ pub fn write_f64(out: &mut String, x: f64) {
     }
     let (digits, exp) = crate::ryu::shortest(x.abs().to_bits());
     let len = digits.ilog10() as usize + 1;
-    // The value is 0.<digits> × 10^point. Most values are laid out whole
-    // in `text`, whose unwritten bytes are the zeros a layout pads with.
+    // The digits, after a spare byte that lets the whole part move left
+    // of a point. All are ASCII.
+    let mut text = [0; 18];
+    write_digits(&mut text[1..=len], digits);
+    let ascii = |bytes| std::str::from_utf8(bytes).unwrap_or_default();
+    // The value is 0.<digits> × 10^point.
     let point = exp + len as i32;
-    let mut text = [b'0'; 25];
     let lead = point.unsigned_abs() as usize;
-    let used = if point <= 0 && 2 + lead + len <= text.len() {
-        // 0.000ddd
-        text[1] = b'.';
-        write_digits(&mut text[2 + lead..2 + lead + len], digits);
-        2 + lead + len
-    } else if point > 0 && lead < len {
-        // ddd.ddd
-        write_digits(&mut text[1..=len], digits);
+    if point <= 0 {
+        out.push_str("0.");
+        out.extend(std::iter::repeat_n('0', lead));
+        out.push_str(ascii(&text[1..=len]));
+    } else if lead < len {
         text.copy_within(1..=lead, 0);
         text[lead] = b'.';
-        len + 1
-    } else if point > 0 && lead <= text.len() {
-        // ddd000
-        write_digits(&mut text[..len], digits);
-        lead
+        out.push_str(ascii(&text[..=len]));
     } else {
-        // Far from 1: the zeros are pushed one by one.
-        write_digits(&mut text[..len], digits);
-        if point <= 0 {
-            out.push_str("0.");
-            out.extend(std::iter::repeat_n('0', lead));
-        }
-        out.push_str(std::str::from_utf8(&text[..len]).unwrap_or_default());
-        if point > 0 {
-            out.extend(std::iter::repeat_n('0', lead - len));
-        }
-        return;
-    };
-    // Every byte of `text` is an ASCII digit or the point.
-    out.push_str(std::str::from_utf8(&text[..used]).unwrap_or_default());
+        out.push_str(ascii(&text[1..=len]));
+        out.extend(std::iter::repeat_n('0', lead - len));
+    }
 }
 
 /// `"00" "01" … "99"`: two digits per table read.
