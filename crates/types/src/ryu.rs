@@ -168,7 +168,7 @@ impl Tables {
     fn build(bits: u32) -> Self {
         let mut pow5 = Vec::with_capacity(POW5_LEN);
         let mut pow5_inv = Vec::with_capacity(POW5_INV_LEN);
-        let mut power = Big::one();
+        let mut power = Big::pow2(0);
         for i in 0..POW5_LEN.max(POW5_INV_LEN) {
             let len = power.bit_len();
             if i < POW5_LEN {
@@ -194,14 +194,10 @@ const LIMBS: usize = 13;
 /// A natural number below `2^(64·LIMBS)`, as little-endian 64-bit limbs.
 /// Only what building the tables needs: times a small factor, doubling,
 /// comparison, subtraction and bit extraction.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 struct Big([u64; LIMBS]);
 
 impl Big {
-    fn one() -> Self {
-        Self::pow2(0)
-    }
-
     fn pow2(e: u32) -> Self {
         let mut limbs = [0; LIMBS];
         limbs[(e / 64) as usize] = 1 << (e % 64);
@@ -294,7 +290,7 @@ mod tests {
 
     #[test]
     fn bit_length_formula_matches_the_bignum() {
-        let mut power = Big::one();
+        let mut power = Big::pow2(0);
         for i in 0..POW5_LEN.max(POW5_INV_LEN) {
             assert_eq!(pow5_bits(i as i32), power.bit_len() as i32, "5^{i}");
             power.mul_small(5);
