@@ -18,8 +18,8 @@
 //!   `.rtb` corpus re-framed and fed at several chunk sizes decodes to
 //!   exactly what [`RtbSlice`] reads,
 //! - JSONL and CSV text lines: `to_*_line` → `from_*_line` identity
-//!   (floats survive because the encoders use Rust's shortest-round-trip
-//!   `{}` formatting),
+//!   (floats survive because the encoders write the shortest decimal
+//!   that reads back to the same bits, `json::write_f64`),
 //! - both text writers against their oracle, the `format!` templates with
 //!   every number through its `Display`: byte for byte, over adversarial
 //!   events and every event of the golden `.rtb` corpus,
