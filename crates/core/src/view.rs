@@ -857,4 +857,125 @@ mod tests {
         assert_eq!(assert_matches_reference(&empty, "no tasks"), 0);
         assert_eq!(empty.chain_arc_count(), 0);
     }
+
+    /// The best of every chain a driver can drive through `map` (a
+    /// [`reference_map`]), by a DFS from each node along its arcs, with no
+    /// use of the node order. Each chain is valued term by term in path
+    /// order, `direct − source + v₁ − c₁₂ + v₂ … − sink − λ`, the order
+    /// [`TaskMap::best_path`] adds them in; the empty chain is worth `0 −
+    /// λ`, and only a strictly better chain replaces the best so far.
+    fn best_chain_by_enumeration(map: &TaskMap, value: &[f64], lambda: f64) -> BestPath {
+        let mut best = BestPath {
+            tasks: Vec::new(),
+            profit: 0.0 - lambda,
+        };
+        let value_at = |i: usize| value[map.task[i] as usize];
+        // (node, tasks before it on the chain, the chain's value through it)
+        let mut stack: Vec<(usize, usize, f64)> = (0..map.task.len())
+            .map(|i| (i, 0, map.direct_cost - map.source_cost[i] + value_at(i)))
+            .collect();
+        let mut chain = Vec::new();
+        while let Some((i, depth, prefix)) = stack.pop() {
+            chain.truncate(depth);
+            chain.push(map.task[i]);
+            let total = prefix - map.sink_cost[i] - lambda;
+            if total > best.profit {
+                best = BestPath {
+                    tasks: chain.clone(),
+                    profit: total,
+                };
+            }
+            for &(j, cost) in &map.arcs[map.first_arc[i]..map.first_arc[i + 1]] {
+                let j = j as usize;
+                stack.push((j, depth + 1, prefix - cost + value_at(j)));
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn chains_by_enumeration_match_the_path_dp() {
+        // Alg. 1 (seeded removals) and the pricing step (seeded duals and
+        // λ) against every chain of every driver, under both objectives:
+        // the DP's best must be the best chain, bit for bit.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut markets = Vec::new();
+        for seed in [91, 92, 93, 94] {
+            markets.push(generated(seed, 80, 6, DriverModel::Hitchhiking));
+        }
+        for tasks in [40, 60] {
+            for seed in 0..3 {
+                markets.push(generated(seed, tasks, 6, DriverModel::HomeWorkHome));
+            }
+        }
+        let mut scratch = PathScratch::default();
+        for (k, market) in markets.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let profit = task_margins(market, Objective::Profit);
+            let welfare = task_margins(market, Objective::Welfare);
+            for n in 0..market.num_drivers() {
+                let reference = reference_map(market, n);
+                let map = &market.task_maps()[n];
+                for round in 0..6 {
+                    let gone: Vec<bool> = profit
+                        .iter()
+                        .map(|_| round > 0 && rng.gen_bool(0.3))
+                        .collect();
+                    let duals: Vec<f64> = profit.iter().map(|_| rng.gen_range(0.0..8.0)).collect();
+                    let lambda = rng.gen_range(0.25..3.0);
+                    let mut best = [0.0; 2];
+                    for (o, objective) in [Objective::Profit, Objective::Welfare]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        let margins = [&profit, &welfare][o];
+                        let context = format!("market {k} driver {n} round {round} {objective:?}");
+                        let mut check = |value: &[f64], lambda: f64| {
+                            let dp = map.best_path(value, lambda, &mut scratch);
+                            let chain = best_chain_by_enumeration(&reference, value, lambda);
+                            assert_eq!(dp.tasks, chain.tasks, "{context}, λ {lambda}");
+                            assert_eq!(
+                                dp.profit.to_bits(),
+                                chain.profit.to_bits(),
+                                "{context}, λ {lambda}"
+                            );
+                            dp
+                        };
+                        let removed: Vec<f64> = margins
+                            .iter()
+                            .zip(&gone)
+                            .map(|(&margin, &gone)| if gone { REMOVED } else { margin })
+                            .collect();
+                        let dp = check(&removed, 0.0);
+                        let priced: Vec<f64> =
+                            margins.iter().zip(&duals).map(|(m, d)| m - d).collect();
+                        check(&priced, lambda);
+                        // The market's own reading of the chosen route.
+                        let route = dp.tasks.iter().map(|&t| t as usize);
+                        let read = crate::assignment::path_profit(market, objective, n, route);
+                        assert_eq!(read.as_f64().to_bits(), dp.profit.to_bits(), "{context}");
+                        best[o] = dp.profit;
+                    }
+                    assert!(
+                        best[1] >= best[0],
+                        "market {k} driver {n}: welfare {best:?}"
+                    );
+                }
+            }
+        }
+
+        // No task at all: only the empty chain, which pays λ.
+        let empty = generated(96, 0, 1, DriverModel::Hitchhiking);
+        let map = &empty.task_maps()[0];
+        for lambda in [0.0, 1.5] {
+            let dp = map.best_path(&[], lambda, &mut scratch);
+            assert!(dp.tasks.is_empty());
+            assert_eq!(dp.profit.to_bits(), (0.0 - lambda).to_bits());
+            assert_eq!(
+                best_chain_by_enumeration(&reference_map(&empty, 0), &[], lambda),
+                dp
+            );
+        }
+    }
 }
