@@ -7,7 +7,7 @@
 //!
 //! | Rule | Tier |
 //! |---|---|
-//! | `iter-order` | dispatch/metrics crates (`core`, `online`, `pricing`, `metrics`, `tsdb`, `geo`, `graph`, `lp`) |
+//! | `iter-order` | dispatch/metrics crates (`core`, `online`, `pricing`, `metrics`, `tsdb`, `geo`, `lp`) |
 //! | `wall-clock` | everywhere except `crates/bench` (the measurement harness) |
 //! | `float-accum` | `crates/metrics` and `crates/tsdb` (the i128 fixed-point contract) |
 //! | `as-cast` | the wire/rtb/tsdb codecs (`crates/trace/src/wire.rs`, `rtb.rs`, `crates/tsdb/src/codec.rs`) |
@@ -27,7 +27,6 @@ const ITER_ORDER_TIER: &[&str] = &[
     "crates/metrics/src/",
     "crates/tsdb/src/",
     "crates/geo/src/",
-    "crates/graph/src/",
     "crates/lp/src/",
 ];
 

@@ -1,8 +1,8 @@
 //! Shared experiment harness for the paper's evaluation (§VI).
 //!
 //! Every reported number comes from one code path: a market is a
-//! [`Scenario`] (or [`build_market`], the Figs. 5–9 sweep point), an
-//! algorithm is a [`PolicySpec`], and [`PolicySpec::assign`] is the one
+//! [`Scenario`] (or, for Figs. 6–9 and §VI-B, one generated sweep
+//! point), an algorithm is a [`PolicySpec`], and [`PolicySpec::assign`] is the one
 //! runner — [`run_sweep`] (behind `rideshare sweep`, the orchestrator,
 //! the goldens, the performance ledger and [`figures::fig5`]) projects
 //! its [`rideshare_core::Assignment`] to profit, served count and ratio
@@ -11,12 +11,11 @@
 //! `rideshare` CLI hands its parsed flags and its standard output.
 //!
 //! ```
-//! use rideshare_bench::{build_market, PolicySpec};
+//! use rideshare_bench::{PolicySpec, Scenario};
 //! use rideshare_core::Objective;
-//! use rideshare_trace::DriverModel;
 //!
-//! // A miniature sweep point: 40 tasks, 5 drivers.
-//! let market = build_market(7, 40, 5, DriverModel::Hitchhiking);
+//! // A catalog preset: 80 Porto orders, 10 commuters.
+//! let market = Scenario::by_name("tiny-rides").unwrap().build_market();
 //! let profit = |p: PolicySpec| {
 //!     let assignment = p.assign(&market, None, 1);
 //!     assignment.objective_value(&market, Objective::Profit).as_f64()
@@ -65,9 +64,10 @@ pub use sweep::{run_sweep, PolicySpec, SweepCell, SweepOptions, SweepReport};
 use rideshare_core::{Market, MarketBuildOptions};
 use rideshare_trace::{DriverModel, TraceConfig};
 
-/// Builds the evaluation market for one sweep point.
+/// Builds the evaluation market for one sweep point of Figs. 6–9 and
+/// §VI-B.
 #[must_use]
-pub fn build_market(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
+pub(crate) fn build_market(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
     let trace = TraceConfig::porto()
         .with_seed(seed)
         .with_task_count(tasks)

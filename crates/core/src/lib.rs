@@ -51,8 +51,6 @@
 
 mod assignment;
 mod exact;
-#[cfg(test)]
-mod export;
 mod greedy;
 mod market;
 pub mod partition;

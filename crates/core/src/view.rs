@@ -663,13 +663,21 @@ mod tests {
     }
 
     /// Every driver's map and every task's chain row equal the pairwise
-    /// reference, bit for bit; returns the number of nodes over all maps.
+    /// reference, bit for bit, and each map's nodes are the tasks its
+    /// driver's view allows; returns the number of nodes over all maps.
     fn assert_matches_reference(market: &Market, context: &str) -> usize {
         let maps = market.task_maps();
         assert_eq!(maps.len(), market.num_drivers(), "{context}");
         for (n, map) in maps.iter().enumerate() {
             let want = reference_map(market, n);
             assert_eq!(bits(map), bits(&want), "{context}, driver {n}");
+            let view = DriverView::new(market, n);
+            let mut nodes = map.task.clone();
+            nodes.sort_unstable();
+            let allowed: Vec<u32> = (0..market.num_tasks() as u32)
+                .filter(|&t| view.is_allowed(t as usize))
+                .collect();
+            assert_eq!(nodes, allowed, "{context}, driver {n}'s nodes");
         }
         let m = market.num_tasks();
         for a in 0..m {

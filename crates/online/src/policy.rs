@@ -146,9 +146,9 @@ impl DispatchPolicy for MaxMargin {
     }
 }
 
-/// A uniform-random baseline: dispatch any feasible candidate. Used by the
-/// ablation benches to isolate how much the *selection criterion* (rather
-/// than mere feasibility filtering) contributes.
+/// A uniform-random baseline: dispatch any feasible candidate. It
+/// isolates how much the *selection criterion* (rather than mere
+/// feasibility filtering) contributes.
 #[derive(Debug)]
 pub struct RandomDispatch {
     rng: StdRng,

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use rideshare::lp::{Cmp, LinearProgram, PackingLp};
 use rideshare::prelude::*;
 use rideshare::trace::{trips_from_csv, trips_to_csv};
-use rideshare_graph::Dag;
 
 // ---------------------------------------------------------------------------
 // Money / time arithmetic.
@@ -32,58 +31,6 @@ proptest! {
         let delta = TimeDelta::from_secs(d);
         prop_assert_eq!((ts + delta) - delta, ts);
         prop_assert_eq!((ts + delta) - ts, delta);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DAG longest path vs brute force on tiny random DAGs.
-// ---------------------------------------------------------------------------
-
-fn brute_force_best(dag: &Dag, source: usize, sink: usize) -> Option<f64> {
-    // DFS over all paths (graphs here are ≤ 8 nodes).
-    fn rec(dag: &Dag, cur: usize, sink: usize, acc: f64) -> Option<f64> {
-        let acc = acc + dag.node_weight(cur);
-        if cur == sink {
-            return Some(acc);
-        }
-        let mut best: Option<f64> = None;
-        for (next, w) in dag.out_edges(cur) {
-            if let Some(v) = rec(dag, next, sink, acc + w) {
-                best = Some(best.map_or(v, |b: f64| b.max(v)));
-            }
-        }
-        best
-    }
-    rec(dag, source, sink, 0.0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn dag_dp_matches_brute_force(
-        n in 2usize..8,
-        edges in proptest::collection::vec((0usize..8, 0usize..8, -5.0f64..5.0), 0..20),
-        weights in proptest::collection::vec(-5.0f64..5.0, 8),
-    ) {
-        let mut dag = Dag::new(n);
-        for (i, w) in weights.iter().take(n).enumerate() {
-            dag.set_node_weight(i, *w);
-        }
-        for (a, b, w) in edges {
-            let (a, b) = (a % n, b % n);
-            // Keep it acyclic by orienting edges upward.
-            if a < b {
-                dag.add_edge(a, b, w);
-            }
-        }
-        let dp = dag.max_profit_path(0, n - 1);
-        let brute = brute_force_best(&dag, 0, n - 1);
-        match (dp, brute) {
-            (None, None) => {}
-            (Some(p), Some(b)) => prop_assert!((p.profit - b).abs() < 1e-9,
-                "dp {} vs brute {b}", p.profit),
-            (dp, brute) => prop_assert!(false, "dp {dp:?} vs brute {brute:?}"),
-        }
     }
 }
 
