@@ -2,13 +2,14 @@
 //!
 //! Every reported number comes from one code path: a market is a
 //! [`Scenario`] (or, for Figs. 6–9 and §VI-B, one generated sweep
-//! point), an algorithm is a [`PolicySpec`], and [`PolicySpec::assign`] is the one
-//! runner — [`run_sweep`] (behind `rideshare sweep`, the orchestrator,
-//! the goldens, the performance ledger and [`figures::fig5`]) projects
-//! its [`rideshare_core::Assignment`] to profit, served count and ratio
-//! against `Z_f*`; Figs. 6–9 and §VI-B read market metrics off the same
-//! assignment. [`figures`] holds one function per figure, which the
-//! `rideshare` CLI hands its parsed flags and its standard output.
+//! point), an algorithm is a [`PolicySpec`], and [`PolicySpec::assign`]
+//! is the one runner — [`run_sweep`] (behind `rideshare sweep`, the
+//! orchestrator, the goldens, the performance ledger and
+//! [`figures::fig5`]) projects its [`rideshare_core::Assignment`] to
+//! profit, served count and ratio against `Z_f*`; Figs. 6–9 and §VI-B
+//! read market metrics off the same assignment. [`figures`] holds one
+//! function per figure, which the `rideshare` CLI hands its parsed flags
+//! and its standard output.
 //!
 //! ```
 //! use rideshare_bench::{PolicySpec, Scenario};
