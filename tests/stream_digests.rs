@@ -16,7 +16,11 @@
 //! - (`#[ignore]`d, run nightly in release mode) the full-size
 //!   `replay-sparse` day, 1M tasks × 450 drivers × 4 regions.
 //!
-//! Each row also pins the stream's `peak_buffered`. The constants were
+//! Each row also pins the stream's `peak_buffered`. The three 20k-task
+//! shapes are pinned again under the pricer's two other surge sources:
+//! the whole-day snapshot `Market::from_trace` prices a generated trace
+//! with (surged, and with `SurgeConfig::disabled`), and the unsurged
+//! stream a pricer without a rolling window runs. The constants were
 //! recorded once and are never edited: the generator and the pricer may
 //! change how they work, never what they produce.
 
@@ -95,14 +99,52 @@ fn replay_sparse_shape_is_pinned() {
     );
 }
 
-#[test]
-fn delivery_preset_is_pinned() {
-    let config = TraceConfig::porto_delivery()
+fn delivery_preset() -> TraceConfig {
+    TraceConfig::porto_delivery()
         .with_seed(0)
         .with_task_count(20_000)
         .with_driver_count(45, DriverModel::HomeWorkHome)
-        .with_regions(2);
-    let (hash, peak, _) = digest(&config);
+        .with_regions(2)
+}
+
+fn dense_hour() -> TraceConfig {
+    let mut demand = [0.0; 24];
+    demand[12] = 1.0;
+    TraceConfig::porto()
+        .with_seed(0)
+        .with_task_count(20_000)
+        .with_driver_count(200, DriverModel::Hitchhiking)
+        .with_hourly_demand(demand)
+}
+
+/// The three 20k-task shapes: sparse, delivery, dense hour.
+fn shapes() -> [TraceConfig; 3] {
+    [replay_sparse(20_000, 45), delivery_preset(), dense_hour()]
+}
+
+/// A 64-bit FNV-1a digest over the bits of every task's `price`,
+/// `valuation` and `service_cost`, in order.
+fn price_digest(tasks: &[Task]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for task in tasks {
+        for money in [task.price, task.valuation, task.service_cost] {
+            for byte in money.as_f64().to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// Prices each shape's generated trace with `Market::from_trace`, which
+/// without a rolling window takes surge from the whole-day snapshot.
+fn snapshot_digests(opts: &MarketBuildOptions) -> [u64; 3] {
+    shapes().map(|config| price_digest(Market::from_trace(&config.generate(), opts).tasks()))
+}
+
+#[test]
+fn delivery_preset_is_pinned() {
+    let (hash, peak, _) = digest(&delivery_preset());
     assert_eq!(
         (hash, peak),
         (DIGEST_DELIVERY, PEAK_DELIVERY),
@@ -112,14 +154,7 @@ fn delivery_preset_is_pinned() {
 
 #[test]
 fn dense_hour_is_pinned() {
-    let mut demand = [0.0; 24];
-    demand[12] = 1.0;
-    let config = TraceConfig::porto()
-        .with_seed(0)
-        .with_task_count(20_000)
-        .with_driver_count(200, DriverModel::Hitchhiking)
-        .with_hourly_demand(demand);
-    let (hash, peak, ties) = digest(&config);
+    let (hash, peak, ties) = digest(&dense_hour());
     // The row exists for its ties: most trips share a publish second.
     assert!(ties > 10_000, "only {ties} tied publish seconds");
     assert_eq!(
@@ -127,6 +162,39 @@ fn dense_hour_is_pinned() {
         (DIGEST_DENSE, PEAK_DENSE),
         "{hash:#018x} {peak}"
     );
+}
+
+#[test]
+fn whole_day_snapshot_prices_are_pinned() {
+    let digests = snapshot_digests(&MarketBuildOptions::default());
+    assert_eq!(digests, SNAPSHOT, "{digests:#018x?}");
+}
+
+#[test]
+fn whole_day_snapshot_without_surge_is_pinned() {
+    let digests = snapshot_digests(&MarketBuildOptions {
+        surge: SurgeConfig::disabled(),
+        ..MarketBuildOptions::default()
+    });
+    assert_eq!(digests, SNAPSHOT_UNSURGED, "{digests:#018x?}");
+}
+
+#[test]
+fn unsurged_stream_prices_are_pinned() {
+    // No rolling window: the stream cannot know the whole-day snapshot,
+    // so it charges multiplier 1 (`replay --surge-window 0`).
+    let digests = shapes().map(|config| {
+        let stream = config.stream();
+        let mut pricer = StreamPricer::new(
+            &MarketBuildOptions::default(),
+            stream.bounding_box(),
+            stream.speed(),
+            stream.drivers(),
+        );
+        let tasks: Vec<Task> = stream.map(|trip| pricer.price(&trip)).collect();
+        price_digest(&tasks)
+    });
+    assert_eq!(digests, STREAM_UNSURGED, "{digests:#018x?}");
 }
 
 #[test]
@@ -148,3 +216,18 @@ const DIGEST_DENSE: u64 = 0x76f4_6603_2575_254e;
 const PEAK_DENSE: usize = 20_000;
 const DIGEST_FULL: u64 = 0x5b49_cc14_7f77_ac95;
 const PEAK_FULL: usize = 89_426;
+const SNAPSHOT: [u64; 3] = [
+    0xe8f3_637d_f6db_5ec9,
+    0x34b2_8905_58c5_4677,
+    0x03b1_2ba8_9484_efa6,
+];
+const SNAPSHOT_UNSURGED: [u64; 3] = [
+    0x7edd_04d4_05f6_6431,
+    0x6bed_ca29_38d6_2cf8,
+    0xd0e1_d8b7_35e7_1a61,
+];
+const STREAM_UNSURGED: [u64; 3] = [
+    0x6ee1_841d_be8c_8f57,
+    0x293e_939a_d458_401f,
+    0x3016_d55d_3f0e_e1ce,
+];
