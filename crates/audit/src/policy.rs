@@ -7,7 +7,7 @@
 //!
 //! | Rule | Tier |
 //! |---|---|
-//! | `iter-order` | dispatch/metrics crates (`core`, `online`, `pricing`, `metrics`, `tsdb`, `geo`, `lp`) |
+//! | `iter-order` | dispatch/metrics crates (`core`, `online`, `metrics`, `tsdb`, `geo`, `lp`) |
 //! | `wall-clock` | everywhere except `crates/bench` (the measurement harness) |
 //! | `float-accum` | `crates/metrics` and `crates/tsdb` (the i128 fixed-point contract) |
 //! | `as-cast` | the wire/rtb/tsdb codecs (`crates/trace/src/wire.rs`, `rtb.rs`, `crates/tsdb/src/codec.rs`) |
@@ -23,7 +23,6 @@
 const ITER_ORDER_TIER: &[&str] = &[
     "crates/core/src/",
     "crates/online/src/",
-    "crates/pricing/src/",
     "crates/metrics/src/",
     "crates/tsdb/src/",
     "crates/geo/src/",

@@ -20,12 +20,11 @@
 use std::io::{self, Write};
 
 use rideshare_core::partition::{partition_market, solve_components};
-use rideshare_core::{solve_greedy, Market, MarketBuildOptions, Objective};
+use rideshare_core::{solve_greedy, Market, MarketBuildOptions, Objective, SurgeConfig};
 use rideshare_metrics::render_table;
 use rideshare_online::{
     replay_market, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch, StreamPolicy,
 };
-use rideshare_pricing::SurgeConfig;
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
 

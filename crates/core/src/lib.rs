@@ -12,6 +12,10 @@
 //!   driver-independent pair test for chain arcs and per-driver
 //!   reachability views ([`DriverView`]); the solvers' compact task maps
 //!   are cut from an arena of only the arcs some driver can use,
+//! - [`StreamPricer`]: the one pricing rule, Eq. 15's surge fare
+//!   (§VI-A) with its global constants, surge multipliers from a
+//!   [`SurgeConfig`] curve over per-cell demand and supply
+//!   ([`SurgeEngine`]), and the customers' valuations `bₘ ≥ pₘ`,
 //! - [`Assignment`]: a feasible solution (one node-disjoint task list per
 //!   driver), with validation of the flow constraints (5a–5f) and
 //!   individual rationality (5b), and evaluation of both objectives —
@@ -73,7 +77,7 @@ pub use partition::{
     components_upper_bound, disjoint_components, disjoint_components_sharded, sharded_upper_bound,
     solve_components, solve_sharded, SubMarket,
 };
-pub use streaming::StreamPricer;
+pub use streaming::{StreamPricer, SurgeConfig, SurgeEngine};
 pub use summary::MarketSummary;
 pub use upper_bound::{lp_upper_bound, performance_ratio, UpperBoundOptions, UpperBoundResult};
 pub use view::{BestPath, DriverView};

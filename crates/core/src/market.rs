@@ -3,11 +3,10 @@
 use std::sync::OnceLock;
 
 use rideshare_geo::SpeedModel;
-use rideshare_pricing::{FareModel, SurgeConfig, WtpModel};
 use rideshare_trace::{Driver, Task, Trace};
 use rideshare_types::{Money, TimeDelta};
 
-use crate::streaming::StreamPricer;
+use crate::streaming::{StreamPricer, SurgeConfig};
 use crate::view::{DriverView, TaskMap};
 
 /// Which objective a solver optimises.
@@ -48,19 +47,20 @@ pub(crate) struct ChainEdge {
 }
 
 /// Options controlling market construction from a trace.
+///
+/// Eq. 15's tariff (`β₁`, `β₂`, the flag drop), the valuation markup and
+/// the surge grid are the paper's global constants, fixed in
+/// [`StreamPricer`]; these options choose the surge curve and its source,
+/// the valuation draws' seed and the chain-arc wait cap.
 #[derive(Clone, Debug)]
 pub struct MarketBuildOptions {
-    /// Fare model for Eq. 15 prices.
-    pub fare: FareModel,
-    /// Surge curve; multipliers are computed from a static supply/demand
-    /// snapshot over the trace's grid cells.
+    /// Surge curve: [`SurgeConfig::uber_like`] (the default) or
+    /// [`SurgeConfig::disabled`]. Without [`Self::surge_window`] the
+    /// multipliers come from one static whole-day supply/demand snapshot
+    /// over the trace's grid cells.
     pub surge: SurgeConfig,
-    /// WTP model for customer valuations.
-    pub wtp: WtpModel,
     /// Seed for the WTP draws (independent of the trace seed).
     pub wtp_seed: u64,
-    /// Grid resolution for the surge engine's geographic cells.
-    pub surge_grid: (u16, u16),
     /// Optional cap on the waiting gap a chain arc may bridge; `None`
     /// (the paper's model) allows arbitrarily long waits between tasks.
     pub max_chain_wait: Option<TimeDelta>,
@@ -77,11 +77,8 @@ pub struct MarketBuildOptions {
 impl Default for MarketBuildOptions {
     fn default() -> Self {
         Self {
-            fare: FareModel::porto_taxi(),
             surge: SurgeConfig::uber_like(),
-            wtp: WtpModel::default(),
             wtp_seed: 0x5eed,
-            surge_grid: (12, 12),
             max_chain_wait: None,
             surge_window: None,
         }
@@ -246,9 +243,10 @@ impl Market {
     /// surge fare of Eq. 15 and draws customer valuations, through the
     /// same [`StreamPricer`] a streaming replay uses.
     ///
-    /// Multipliers come from a static whole-day demand/supply snapshot by
-    /// default (trips in any order), or from a rolling publish-time window
-    /// when [`MarketBuildOptions::surge_window`] is set.
+    /// Multipliers follow [`MarketBuildOptions::surge`]: from a static
+    /// whole-day demand/supply snapshot by default (trips in any order), or
+    /// from a rolling publish-time window when
+    /// [`MarketBuildOptions::surge_window`] is set.
     ///
     /// # Panics
     ///

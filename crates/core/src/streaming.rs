@@ -1,5 +1,18 @@
-//! Task pricing: the Eq. 15 fare + willingness-to-pay pipeline, one trip
-//! at a time.
+//! Task pricing: the paper's one pricing rule, Eq. 15 (§VI-A), and the
+//! willingness-to-pay draw, one trip at a time.
+//!
+//! ```text
+//! pₘ = αₘ · (β₁ · dis(s̄ₘ, d̄ₘ) + β₂ · (t̄⁺ₘ − t̄⁻ₘ))
+//! ```
+//!
+//! `β₁` and `β₂` are the paper's "global constants"; here they are the
+//! Porto taxi tariff (€0.47/km and €0.25/min over a €2 flag drop). `αₘ` is
+//! the Uber-style *surge multiplier* — "the price rate … increases when
+//! demand is higher than supply for a given geographic area" (§III-A,
+//! citing Chen & Sheldon) — read from a clamped power curve of a 12 × 12
+//! grid cell's demand/supply ratio ([`SurgeConfig`], [`SurgeEngine`]). A
+//! customer publishes only when their valuation `bₘ ≥ pₘ`, so `bₘ` is drawn
+//! as the price times `1 + LogNormal(−1.5, 0.8)`.
 //!
 //! [`StreamPricer`] is the only place a trip becomes a [`Task`]. A
 //! streaming replay prices trips as they arrive, keeping
@@ -54,17 +67,180 @@
 //! assert_eq!(streamed, market.tasks());
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use rideshare_geo::{BoundingBox, GridIndex, SpeedModel};
-use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
+use rideshare_geo::{BoundingBox, CellId, GridIndex, SpeedModel};
 use rideshare_trace::{Driver, Task, Trace, TripRecord};
-use rideshare_types::{TimeDelta, Timestamp};
+use rideshare_types::{Money, TimeDelta, Timestamp};
 
 use crate::market::MarketBuildOptions;
+
+/// Eq. 15's flag drop (€). With `β₁` and `β₂` below it keeps fares
+/// comfortably above the €0.12/km driving cost, so the market has positive
+/// surplus, as in the real trace.
+const BASE_FARE: f64 = 2.0;
+/// Eq. 15's `β₁` (€ per km driven).
+const BETA1_PER_KM: f64 = 0.47;
+/// Eq. 15's `β₂` (€ per minute of the task's time window).
+const BETA2_PER_MIN: f64 = 0.25;
+/// `μ` of the valuation markup's `LogNormal(μ, σ)` surplus: a median
+/// surplus of `e^μ ≈ 22%` of the fare, consistent with consumer-surplus
+/// estimates for ride-sharing (Cramer & Krueger).
+const WTP_MU: f64 = -1.5;
+/// `σ` of the valuation markup's surplus: moderate dispersion.
+const WTP_SIGMA: f64 = 0.8;
+/// Rows and columns of the grid whose cells the surge counts demand and
+/// supply in.
+const SURGE_GRID: (u16, u16) = (12, 12);
+
+/// Eq. 15: the fare of a trip of `distance_km` whose time window is
+/// `window` (clamped at zero), at surge multiplier `alpha`.
+///
+/// # Panics
+///
+/// Panics if `alpha < 1` (surge never discounts below the base rate) or
+/// `distance_km < 0`.
+fn fare(distance_km: f64, window: TimeDelta, alpha: f64) -> Money {
+    assert!(distance_km >= 0.0, "negative distance");
+    assert!(alpha >= 1.0, "surge multiplier below 1: {alpha}");
+    let mins = window.as_mins_f64().max(0.0);
+    Money::new(alpha * (BASE_FARE + BETA1_PER_KM * distance_km + BETA2_PER_MIN * mins))
+}
+
+/// Draws a customer's valuation `bₘ ≥ pₘ` for a task priced at `price`:
+/// the price times `1 + LogNormal(WTP_MU, WTP_SIGMA)` (Box–Muller).
+fn draw_valuation(rng: &mut StdRng, price: Money) -> Money {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen();
+    let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    let surplus = (WTP_MU + WTP_SIGMA * normal).exp();
+    price * (1.0 + surplus)
+}
+
+/// The surge curve `α = clamp((D / max(S, 1))^exponent, 1, cap)`: one of
+/// two presets.
+///
+/// The fields are private, so no other curve can be built — in
+/// particular no cap below 1, on which the clamp would panic:
+///
+/// ```compile_fail
+/// let _ = rideshare_core::SurgeConfig { exponent: 0.5, cap: 0.5 };
+/// ```
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SurgeConfig {
+    /// Exponent of the demand/supply ratio (0 disables surge entirely).
+    exponent: f64,
+    /// Upper cap on the multiplier, at least 1.
+    cap: f64,
+}
+
+impl SurgeConfig {
+    /// The measured Uber shape: square-root response capped at 3×
+    /// (Uber historically capped surges around 3–5× outside emergencies).
+    #[must_use]
+    pub fn uber_like() -> Self {
+        Self {
+            exponent: 0.5,
+            cap: 3.0,
+        }
+    }
+
+    /// Disables surge: every multiplier is exactly 1.
+    #[must_use]
+    pub fn disabled() -> Self {
+        Self {
+            exponent: 0.0,
+            cap: 1.0,
+        }
+    }
+
+    /// Evaluates the curve for explicit counts:
+    /// `clamp((demand / max(supply, 1))^exponent, 1, cap)`. A cell with no
+    /// demand is never surged; supply is floored at one virtual driver so
+    /// empty cells do not divide by zero.
+    fn multiplier_for(self, demand: u32, supply: u32) -> f64 {
+        let d = f64::from(demand);
+        if d == 0.0 || self.exponent == 0.0 {
+            return 1.0;
+        }
+        let s = f64::from(supply.max(1));
+        (d / s).powf(self.exponent).clamp(1.0, self.cap)
+    }
+}
+
+/// Tracks per-cell demand and supply and produces multipliers.
+///
+/// The whole-day snapshot calls [`SurgeEngine::add_demand`] for each task
+/// published in a cell and [`SurgeEngine::add_supply`] for each driver
+/// based in one.
+///
+/// # Examples
+///
+/// ```
+/// use rideshare_core::{SurgeConfig, SurgeEngine};
+/// use rideshare_geo::CellId;
+///
+/// let mut surge = SurgeEngine::new(SurgeConfig::uber_like());
+/// let cell = CellId::new(3, 4);
+/// assert_eq!(surge.multiplier(cell), 1.0); // balanced by default
+/// for _ in 0..9 {
+///     surge.add_demand(cell);
+/// }
+/// surge.add_supply(cell);
+/// // ratio 9: sqrt(9) = 3, at the cap.
+/// assert_eq!(surge.multiplier(cell), 3.0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct SurgeEngine {
+    config: SurgeConfig,
+    demand: BTreeMap<CellId, u32>,
+    supply: BTreeMap<CellId, u32>,
+}
+
+impl SurgeEngine {
+    /// Creates an engine with the given curve and no counts.
+    #[must_use]
+    pub fn new(config: SurgeConfig) -> Self {
+        Self {
+            config,
+            demand: BTreeMap::new(),
+            supply: BTreeMap::new(),
+        }
+    }
+
+    /// Registers one task in `cell`.
+    pub fn add_demand(&mut self, cell: CellId) {
+        *self.demand.entry(cell).or_insert(0) += 1;
+    }
+
+    /// Registers one driver in `cell`.
+    pub fn add_supply(&mut self, cell: CellId) {
+        *self.supply.entry(cell).or_insert(0) += 1;
+    }
+
+    /// Demand counted in `cell`.
+    #[must_use]
+    pub fn demand(&self, cell: CellId) -> u32 {
+        self.demand.get(&cell).copied().unwrap_or(0)
+    }
+
+    /// Supply counted in `cell`.
+    #[must_use]
+    pub fn supply(&self, cell: CellId) -> u32 {
+        self.supply.get(&cell).copied().unwrap_or(0)
+    }
+
+    /// The surge multiplier for `cell`:
+    /// `clamp((D / max(S, 1))^exponent, 1, cap)`.
+    #[must_use]
+    pub fn multiplier(&self, cell: CellId) -> f64 {
+        self.config
+            .multiplier_for(self.demand(cell), self.supply(cell))
+    }
+}
 
 /// Prices trips into [`Task`]s one at a time — on a stream in
 /// `O(grid cells + drivers)` memory, and as the body of
@@ -72,8 +248,6 @@ use crate::market::MarketBuildOptions;
 /// sources.
 #[derive(Clone, Debug)]
 pub struct StreamPricer {
-    fare: FareModel,
-    wtp: WtpModel,
     rng: StdRng,
     speed: SpeedModel,
     grid: GridIndex,
@@ -167,7 +341,7 @@ impl StreamPricer {
         speed: SpeedModel,
         drivers: &[Driver],
     ) -> Self {
-        let (rows, cols) = opts.surge_grid;
+        let (rows, cols) = SURGE_GRID;
         let grid = GridIndex::new(bbox, rows, cols);
         let surge = match opts.surge_window {
             None => Surge::Unsurged,
@@ -186,8 +360,6 @@ impl StreamPricer {
             }
         };
         Self {
-            fare: opts.fare,
-            wtp: opts.wtp,
             rng: StdRng::seed_from_u64(opts.wtp_seed),
             speed,
             grid,
@@ -254,8 +426,8 @@ impl StreamPricer {
         };
 
         let window = trip.completion_deadline - trip.pickup_deadline;
-        let price = self.fare.price(trip.distance_km, window, alpha);
-        let valuation = self.wtp.sample(&mut self.rng, price);
+        let price = fare(trip.distance_km, window, alpha);
+        let valuation = draw_valuation(&mut self.rng, price);
         Task {
             id: trip.id,
             publish_time: trip.publish_time,
@@ -415,6 +587,132 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn cell() -> CellId {
+        CellId::new(1, 1)
+    }
+
+    #[test]
+    fn balanced_market_no_surge() {
+        let mut e = SurgeEngine::new(SurgeConfig::uber_like());
+        e.add_demand(cell());
+        e.add_supply(cell());
+        assert_eq!(e.multiplier(cell()), 1.0);
+    }
+
+    #[test]
+    fn excess_supply_never_discounts() {
+        let mut e = SurgeEngine::new(SurgeConfig::uber_like());
+        e.add_demand(cell());
+        for _ in 0..10 {
+            e.add_supply(cell());
+        }
+        assert_eq!(e.multiplier(cell()), 1.0);
+    }
+
+    #[test]
+    fn surge_grows_with_imbalance_and_caps() {
+        let mut e = SurgeEngine::new(SurgeConfig::uber_like());
+        e.add_supply(cell());
+        e.add_demand(cell());
+        let mut last = e.multiplier(cell());
+        for _ in 0..3 {
+            e.add_demand(cell());
+            let m = e.multiplier(cell());
+            assert!(m >= last, "multiplier must be monotone in demand");
+            last = m;
+        }
+        // D=4, S=1 → sqrt(4) = 2.
+        assert!((last - 2.0).abs() < 1e-9);
+        for _ in 0..100 {
+            e.add_demand(cell());
+        }
+        assert_eq!(e.multiplier(cell()), 3.0, "cap binds");
+    }
+
+    #[test]
+    fn empty_cell_is_balanced() {
+        let e = SurgeEngine::new(SurgeConfig::uber_like());
+        assert_eq!(e.multiplier(cell()), 1.0);
+        assert_eq!(e.demand(cell()), 0);
+        assert_eq!(e.supply(cell()), 0);
+    }
+
+    #[test]
+    fn disabled_config_always_one() {
+        let mut e = SurgeEngine::new(SurgeConfig::disabled());
+        for _ in 0..50 {
+            e.add_demand(cell());
+        }
+        assert_eq!(e.multiplier(cell()), 1.0);
+    }
+
+    #[test]
+    fn cells_are_independent() {
+        let mut e = SurgeEngine::new(SurgeConfig::uber_like());
+        let hot = CellId::new(0, 0);
+        let cold = CellId::new(5, 5);
+        for _ in 0..9 {
+            e.add_demand(hot);
+        }
+        assert!(e.multiplier(hot) > 1.0);
+        assert_eq!(e.multiplier(cold), 1.0);
+    }
+
+    #[test]
+    fn fare_is_the_porto_tariff() {
+        // 2 + 0.47 × 3 + 0.25 × 4 = 4.41.
+        let p = fare(3.0, TimeDelta::from_mins(4), 1.0);
+        assert!((p.as_f64() - 4.41).abs() < 1e-9, "{p:?}");
+        // A zero-length trip costs the flag drop.
+        assert_eq!(fare(0.0, TimeDelta::ZERO, 1.0), Money::new(2.0));
+    }
+
+    #[test]
+    fn surge_scales_linearly() {
+        let p1 = fare(5.0, TimeDelta::from_mins(10), 1.0);
+        let p3 = fare(5.0, TimeDelta::from_mins(10), 3.0);
+        assert!(p3.approx_eq(p1 * 3.0));
+    }
+
+    #[test]
+    fn negative_window_treated_as_zero() {
+        let p = fare(2.0, TimeDelta::from_mins(-5), 1.0);
+        assert_eq!(p, fare(2.0, TimeDelta::ZERO, 1.0));
+        assert!((p.as_f64() - 2.94).abs() < 1e-9, "{p:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "surge multiplier below 1")]
+    fn rejects_discount_surge() {
+        let _ = fare(1.0, TimeDelta::from_mins(1), 0.5);
+    }
+
+    #[test]
+    fn wtp_always_at_least_price() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let price = Money::new(12.0);
+        for _ in 0..10_000 {
+            assert!(draw_valuation(&mut rng, price) >= price);
+        }
+    }
+
+    #[test]
+    fn median_surplus_matches() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let price = Money::new(10.0);
+        let mut fracs: Vec<f64> = (0..40_000)
+            .map(|_| (draw_valuation(&mut rng, price) - price).as_f64() / price.as_f64())
+            .collect();
+        fracs.sort_by(f64::total_cmp);
+        let median = fracs[fracs.len() / 2];
+        // The surplus fraction is LogNormal(μ, σ): median `exp(μ)`.
+        let expected = WTP_MU.exp();
+        assert!(
+            (median - expected).abs() / expected < 0.05,
+            "median {median} vs {expected}"
+        );
     }
 
     #[test]

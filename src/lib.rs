@@ -12,9 +12,8 @@
 //! | [`types`] | `rideshare-types` | ids, time, money newtypes |
 //! | [`geo`] | `rideshare-geo` | coordinates, distances, speed model, grid index, Porto city model |
 //! | [`trace`] | `rideshare-trace` | Porto-calibrated synthetic trace generation + statistics |
-//! | [`pricing`] | `rideshare-pricing` | surge multipliers (SM), Eq. 15 fares, WTP |
 //! | [`lp`] | `rideshare-lp` | the packing-LP simplex behind column generation, branch-and-price and batch-opt |
-//! | [`core`] | `rideshare-core` | the market model, task maps, GA, `Z_f*`, exact `Z*`, Fig. 2 |
+//! | [`core`] | `rideshare-core` | the market model, Eq. 15 pricing with surge multipliers (SM), task maps, GA, `Z_f*`, exact `Z*`, Fig. 2 |
 //! | [`online`] | `rideshare-online` | the dispatch engine and its front-ends (`replay_market`, `replay_stream`, `replay_sharded`), Nearest & maxMargin dispatch, batched matchers, the `serve` daemon |
 //! | [`metrics`] | `rideshare-metrics` | evaluation metrics and table rendering |
 //! | [`tsdb`] | `rideshare-tsdb` | embedded telemetry time-series store: lossless chunks, label index, range queries (`rideshare query`) |
@@ -54,7 +53,6 @@ pub use rideshare_geo as geo;
 pub use rideshare_lp as lp;
 pub use rideshare_metrics as metrics;
 pub use rideshare_online as online;
-pub use rideshare_pricing as pricing;
 pub use rideshare_trace as trace;
 pub use rideshare_tsdb as tsdb;
 pub use rideshare_types as types;
@@ -68,7 +66,8 @@ pub mod prelude {
     pub use rideshare_core::{
         disjoint_components, lp_upper_bound, performance_ratio, sharded_upper_bound, solve_exact,
         solve_greedy, solve_sharded, Assignment, Driver, DriverRoute, DriverView, Market,
-        MarketBuildOptions, Objective, StreamPricer, Task, UpperBoundOptions,
+        MarketBuildOptions, Objective, StreamPricer, SurgeConfig, SurgeEngine, Task,
+        UpperBoundOptions,
     };
     pub use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
     pub use rideshare_metrics::{
@@ -83,7 +82,6 @@ pub mod prelude {
         ServeStop, ShardOptions, ShardPolicySpec, SimulationResult, StreamEngine, StreamEvent,
         StreamOptions, StreamPolicy, StreamSink, StreamSummary, TcpSource,
     };
-    pub use rideshare_pricing::{FareModel, SurgeConfig, SurgeEngine, WtpModel};
     pub use rideshare_trace::{DriverModel, Trace, TraceConfig, TraceStream, TripRecord};
     pub use rideshare_tsdb::{
         run_query, Agg, LabelFilter, RangeQuery, RunLabels, TsdbRecorder, TsdbStore,
