@@ -20,10 +20,20 @@
 //! shapes are pinned again under the pricer's two other surge sources:
 //! the whole-day snapshot `Market::from_trace` prices a generated trace
 //! with (surged, and with `SurgeConfig::disabled`), and the unsurged
-//! stream a pricer without a rolling window runs. The constants were
-//! recorded once and are never edited: the generator and the pricer may
-//! change how they work, never what they produce.
+//! stream a pricer without a rolling window runs.
+//!
+//! The greedy batched close is pinned the same way, over every decision
+//! it reports: each dispatch event (candidate count and decision time
+//! included) and each rejection, in the order the sink receives them. The
+//! rows are the `replay-batch` benchmark shape (25k tasks × 2.5k drivers)
+//! under `batch-3m`, the same day at `batch-0m`, `batch-10m` and
+//! `batch-30m`, and a home-work-home day at `batch-5m`.
+//!
+//! The constants were recorded once and are never edited: the generator,
+//! the pricer and the engine may change how they work, never what they
+//! produce.
 
+use rideshare::online::DispatchEvent;
 use rideshare::prelude::*;
 
 /// Streams `config`, prices every trip under a 30-minute rolling surge
@@ -208,6 +218,108 @@ fn full_size_replay_sparse_is_pinned() {
     );
 }
 
+/// FNV-1a over the little-endian bytes of each word a sink is fed.
+struct DecisionDigest {
+    hash: u64,
+    served: usize,
+}
+
+impl DecisionDigest {
+    fn feed(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl StreamSink for DecisionDigest {
+    fn dispatched(&mut self, _task: &Task, e: &DispatchEvent) {
+        self.served += 1;
+        for word in [
+            1,
+            e.task.index() as u64,
+            e.driver.index() as u64,
+            e.arrival.as_secs() as u64,
+            e.decision_time.as_secs() as u64,
+            e.wait.as_secs() as u64,
+            e.deadhead_km.to_bits(),
+            e.candidates as u64,
+            e.margin.to_bits(),
+        ] {
+            self.feed(word);
+        }
+    }
+
+    fn rejected(&mut self, task: &Task, decision_time: Timestamp) {
+        self.feed(2);
+        self.feed(task.id.index() as u64);
+        self.feed(decision_time.as_secs() as u64);
+    }
+}
+
+/// Replays `config`'s priced day (30-minute rolling surge, as `replay`
+/// prices it) held for `mins` minutes and closed by the greedy pair
+/// matcher. Returns the decision digest and the orders served.
+fn batched_digest(config: &TraceConfig, mins: i64) -> (u64, usize) {
+    let stream = config.stream();
+    let (speed, options) = (
+        stream.speed(),
+        StreamOptions::default().grid(stream.bounding_box()),
+    );
+    let opts = MarketBuildOptions {
+        surge_window: Some(TimeDelta::from_mins(30)),
+        ..MarketBuildOptions::default()
+    };
+    let mut sink = DecisionDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        served: 0,
+    };
+    let (window, matcher) = (TimeDelta::from_mins(mins), &mut GreedyPairMatcher);
+    let summary = replay_stream(
+        speed,
+        priced_events(stream, &opts),
+        &mut StreamPolicy::Batched { window, matcher },
+        options,
+        &mut sink,
+    );
+    assert_eq!(summary.served, sink.served);
+    (sink.hash, sink.served)
+}
+
+/// The `replay-batch` benchmark's day: 25k tasks × 2.5k drivers, seed 0.
+fn replay_batch(model: DriverModel) -> TraceConfig {
+    TraceConfig::porto()
+        .with_seed(0)
+        .with_task_count(25_000)
+        .with_driver_count(2_500, model)
+}
+
+#[test]
+fn replay_batch_shape_is_pinned() {
+    let got = batched_digest(&replay_batch(DriverModel::Hitchhiking), 3);
+    assert_eq!(got, BATCH_3M, "{:#018x} {}", got.0, got.1);
+}
+
+#[test]
+fn replay_batch_day_is_pinned_across_windows() {
+    let day = replay_batch(DriverModel::Hitchhiking);
+    let got = [0, 10, 30].map(|mins| batched_digest(&day, mins));
+    assert_eq!(got, BATCH_0M_10M_30M, "{got:#018x?}");
+}
+
+#[test]
+fn home_work_home_batch_day_is_pinned() {
+    let got = batched_digest(&replay_batch(DriverModel::HomeWorkHome), 5);
+    assert_eq!(got, BATCH_HWH_5M, "{:#018x} {}", got.0, got.1);
+}
+
+const BATCH_3M: (u64, usize) = (0x77c5_7aa0_c36c_4f20, 10_616);
+const BATCH_0M_10M_30M: [(u64, usize); 3] = [
+    (0xbe08_e879_e66c_0763, 12_143),
+    (0x4170_7e5b_31a3_6826, 7_665),
+    (0x5d4b_775b_cb95_092c, 4_798),
+];
+const BATCH_HWH_5M: (u64, usize) = (0x32d2_d22a_150e_08d7, 9_893);
 const DIGEST_SPARSE: u64 = 0xb528_10a8_0504_3799;
 const PEAK_SPARSE: usize = 1_731;
 const DIGEST_DELIVERY: u64 = 0xe81d_edbd_a41e_d767;
