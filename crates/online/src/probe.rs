@@ -5,7 +5,8 @@
 //! Counters are exact and deterministic: per candidate scan the cells its
 //! cover names, the cell entries it walks, the exact evaluations those
 //! entries reach and the candidates it returns; per early-flush search the
-//! cell entries it reads. Nanoseconds come from the one [`StageClock`]
+//! cell entries it reads; per batched decision epoch the pairs its close
+//! reads and the committed drivers' re-evaluations. Nanoseconds come from the one [`StageClock`]
 //! installed with [`install_clock`]: the engine never reads a clock itself,
 //! and with none installed every stage reads zero.
 //!
@@ -41,6 +42,17 @@ pub enum Count {
     Searches,
     /// Cell entries the searches read.
     SearchEntries,
+    /// Batched decision epochs closed.
+    Epochs,
+    /// *(driver, task)* pairs the epochs' closes read to choose their
+    /// commits: every pair offered to every matcher round, or every entry
+    /// popped from the greedy close's pair heap.
+    PairsRead,
+    /// Pairs of a committed driver and a still-unmatched order evaluated
+    /// again after her commit (`Fleet::candidate_for` calls).
+    Reevaluations,
+    /// Re-evaluations that found the driver still a candidate.
+    ReevaluationHits,
 }
 
 /// Where the engine's time goes.
@@ -61,7 +73,7 @@ pub enum Stage {
 }
 
 /// How many [`Count`]s there are.
-const COUNTS: usize = Count::SearchEntries as usize + 1;
+const COUNTS: usize = Count::ReevaluationHits as usize + 1;
 
 impl Stage {
     const ALL: [Stage; 6] = [
@@ -121,7 +133,8 @@ impl StageReadings {
     }
 }
 
-/// Per scan and per search, then nanoseconds per stage.
+/// Per scan, per search and per batched close, then nanoseconds per
+/// stage.
 impl fmt::Display for StageReadings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let per = |count: Count, of: Count| match self.count(of) {
@@ -143,6 +156,15 @@ impl fmt::Display for StageReadings {
             "stage probe: {} early-flush search(es): {:.2} entries read per search",
             self.count(Count::Searches),
             per(Count::SearchEntries, Count::Searches),
+        )?;
+        writeln!(
+            f,
+            "stage probe: {} batch epoch(s): {} pairs read, {} re-evaluations ({} found a \
+             candidate)",
+            self.count(Count::Epochs),
+            self.count(Count::PairsRead),
+            self.count(Count::Reevaluations),
+            self.count(Count::ReevaluationHits),
         )?;
         write!(f, "stage probe: ms")?;
         for stage in Stage::ALL {

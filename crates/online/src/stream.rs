@@ -100,7 +100,7 @@ use crate::batch::{BatchMatcher, BatchRound};
 use crate::candidates::{unit_box, Fleet};
 use crate::policy::{Candidate, DispatchPolicy};
 #[cfg(feature = "stage-probe")]
-use crate::probe::{self, Stage};
+use crate::probe::{self, Count, Stage};
 use crate::simulator::{DispatchEvent, SimulationResult};
 
 /// One event of an ordered market stream.
@@ -638,6 +638,7 @@ impl StreamEngine {
             // Candidate lists are kept aligned with `remaining` and
             // refreshed incrementally: a round only moves the drivers it
             // commits, so only their entries can go stale.
+            probe!(probe::count(Count::Epochs, 1));
             debug_assert!(scratch.candidates.is_empty());
             for &bi in &scratch.remaining {
                 let mut list = scratch.pool.pop().unwrap_or_default();
@@ -651,6 +652,8 @@ impl StreamEngine {
                     tasks: &scratch.ids,
                     candidates: &scratch.candidates,
                 };
+                probe!(let offered = round.candidates.iter().map(Vec::len).sum::<usize>(););
+                probe!(probe::count(Count::PairsRead, offered as u64));
                 let mut picks = matcher.match_round(&round);
                 picks.sort_unstable();
                 probe!(probe::lap(Stage::Choose));
@@ -714,7 +717,9 @@ impl StreamEngine {
                             }
                             Err(at) => at,
                         };
+                        probe!(probe::count(Count::Reevaluations, 1));
                         if let Some(c) = self.fleet.candidate_for(task, decision_time, used.slot) {
+                            probe!(probe::count(Count::ReevaluationHits, 1));
                             list.insert(at, c);
                         }
                     }
