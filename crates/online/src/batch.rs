@@ -41,13 +41,32 @@
 //! Each decision epoch solves a small matching problem over the batch's
 //! per-task candidate sets (the same grid-prunable Eq. 14 candidates
 //! instant dispatch chooses from). The matcher is pluggable via
-//! [`BatchMatcher`]:
+//! [`BatchMatcher`], and an epoch closes one of two ways:
+//!
+//! - **In rounds**, for any matcher: the engine offers every unmatched
+//!   order's candidates to [`BatchMatcher::match_round`], commits the
+//!   pairs it answers, refreshes the committed drivers' entries and asks
+//!   again, until an answer is empty.
+//! - **From a pair heap**, for a matcher whose
+//!   [`BatchMatcher::single_best_pair`] promises that every round answer
+//!   is the one best pair under [`GreedyPairMatcher`]'s rule. The engine
+//!   scans each order once, pushes every pair, and pops the best one still
+//!   live (its order unmatched, its driver not moved since the push). After
+//!   a commit it evaluates the driver again only for the unmatched orders
+//!   whose pickup deadline she can still meet by availability, and pushes
+//!   what it finds. The commits, their order and each dispatch's candidate
+//!   count are the round loop's; the cost follows the commits, not rounds
+//!   × held orders. `match_round` is never called on this path.
+//!
+//! The matchers:
 //!
 //! - [`GreedyPairMatcher`] commits the single *(driver, task)* pair with
 //!   the maximum marginal value per round, re-projecting the driver between
 //!   rounds — the batch analogue of maxMargin. With `W = 0` and distinct
 //!   publish times it degenerates to instant maxMargin dispatch
 //!   *exactly* (a property the facade's `batch_properties` suite pins).
+//!   Its epochs close from the pair heap; its `match_round` is the rule's
+//!   definition, and the oracle the heap close is tested against.
 //! - [`OptimalAssignmentMatcher`] solves each round's one-shot assignment
 //!   LP (total marginal value, ≤ 1 task per driver per round) as a packing
 //!   LP on [`rideshare_lp::PackingLp`], the simplex of the `Z_f*` master.
@@ -62,6 +81,8 @@
 //! through [`crate::replay_market`] with a [`crate::StreamPolicy::Batched`]
 //! (or [`crate::ShardPolicySpec::Batched`]'s holder, which picks the
 //! matcher by [`MatcherKind`]).
+
+use std::cmp::Reverse;
 
 use rideshare_lp::PackingLp;
 
@@ -91,26 +112,45 @@ pub struct BatchRound<'a> {
 
 /// A pluggable per-batch matching rule.
 ///
-/// The engine calls [`BatchMatcher::match_round`] repeatedly within
-/// one decision epoch: after each non-empty answer it commits the chosen
-/// pairs (which moves the chosen drivers) and regenerates the remaining
-/// tasks' candidate sets for the next round. An empty answer ends the
-/// epoch; tasks still unmatched are rejected.
+/// Unless [`BatchMatcher::single_best_pair`] says otherwise, the engine
+/// calls [`BatchMatcher::match_round`] repeatedly within one decision
+/// epoch: after each non-empty answer it commits the chosen pairs (which
+/// moves the chosen drivers) and regenerates the remaining tasks'
+/// candidate sets for the next round. An empty answer ends the epoch;
+/// tasks still unmatched are rejected.
 pub trait BatchMatcher {
     /// Picks driver-disjoint, task-disjoint `(slot, candidate_index)`
     /// pairs to commit this round, or an empty vector to end the epoch.
     /// Pairs violating disjointness are skipped deterministically (first
     /// slot wins).
     fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)>;
+
+    /// `true` promises that every [`BatchMatcher::match_round`] answer is
+    /// exactly [`GreedyPairMatcher`]'s: the one best pair of the round, or
+    /// nothing when no order has a candidate. The engine then closes each
+    /// epoch from a pair heap and never calls `match_round`; a matcher
+    /// that breaks the promise is not asked. The default is `false`: every
+    /// epoch closes in rounds.
+    fn single_best_pair(&self) -> bool {
+        false
+    }
 }
 
 /// The batch analogue of maxMargin: per round, commit the single feasible
 /// *(driver, task)* pair with the maximum marginal value. Ties break to the
 /// lower task index, then the lower driver id, so runs are deterministic.
+///
+/// Its epochs close from the engine's pair heap
+/// ([`BatchMatcher::single_best_pair`] is `true`), which commits what
+/// this `match_round` would, round by round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyPairMatcher;
 
 impl BatchMatcher for GreedyPairMatcher {
+    fn single_best_pair(&self) -> bool {
+        true
+    }
+
     fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
         let mut best: Option<(f64, usize, usize, usize)> = None; // (δ, task, slot, cand)
         for (slot, &t) in round.tasks.iter().enumerate() {
@@ -132,6 +172,68 @@ impl BatchMatcher for GreedyPairMatcher {
             .unwrap_or_default()
     }
 }
+
+/// A candidate of one epoch's order, ranked as [`GreedyPairMatcher`]
+/// ranks pairs: the larger margin first (`-0.0` folded to `0.0`, equal as
+/// `>` has them), then the lower task id, then the lower driver id, then
+/// the earlier slot (the round loop's first-found, for orders that share
+/// an id). Margins are finite: a feed's prices and costs are. `version` is
+/// the driver's commit count when the pair was evaluated, which tells the
+/// engine's pair heap a live pair from one her later commit outdated.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RankedPair {
+    margin: f64,
+    /// The order's task id.
+    pub(crate) task: u32,
+    /// The order's slot in its epoch.
+    pub(crate) slot: u32,
+    /// The driver's commit count when `candidate` was evaluated.
+    pub(crate) version: u32,
+    /// The pair as evaluated.
+    pub(crate) candidate: Candidate,
+}
+
+impl RankedPair {
+    pub(crate) fn new(candidate: Candidate, task: u32, slot: u32, version: u32) -> Self {
+        Self {
+            margin: candidate.marginal_value + 0.0,
+            task,
+            slot,
+            version,
+            candidate,
+        }
+    }
+}
+
+impl Ord for RankedPair {
+    /// Greater is better: a max-heap pops the pair the round would pick.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |p: &Self| {
+            (
+                Reverse(p.task),
+                Reverse(p.candidate.driver),
+                Reverse(p.slot),
+            )
+        };
+        self.margin
+            .total_cmp(&other.margin)
+            .then_with(|| key(self).cmp(&key(other)))
+    }
+}
+
+impl PartialOrd for RankedPair {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RankedPair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RankedPair {}
 
 /// Per-round optimal assignment: maximize the round's total marginal value
 /// subject to ≤ 1 task per driver and ≤ 1 driver per task, solved as a
@@ -546,6 +648,173 @@ mod tests {
             let (p, d) = (value(&round, &packing), value(&round, &dense));
             assert!((p - d).abs() < 1e-9, "round {r}: packing {p} vs dense {d}");
         }
+    }
+
+    /// [`GreedyPairMatcher`]'s rounds without its
+    /// [`BatchMatcher::single_best_pair`] promise, so the engine closes
+    /// every epoch in rounds: the oracle of the pair-heap close. It also
+    /// counts what the heap close has to get right.
+    #[derive(Default)]
+    struct RoundLoop {
+        /// The last round's orders and the driver it committed.
+        last: Option<(Vec<usize>, Option<DriverId>)>,
+        /// Commits so far in the running epoch.
+        commits: usize,
+        /// Epochs that committed two pairs or more.
+        multi_commit_epochs: usize,
+        /// Rounds that found the driver the round before committed still
+        /// a candidate: re-evaluations that hit.
+        hits: usize,
+    }
+
+    impl BatchMatcher for RoundLoop {
+        fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+            // Task ids are unique, so a round shares an order with the
+            // round before only inside one epoch.
+            match self.last.take() {
+                Some((tasks, moved)) if tasks.contains(&round.tasks[0]) => {
+                    let mut offered = round.candidates.iter().flatten();
+                    self.hits += usize::from(offered.any(|c| Some(c.driver) == moved));
+                }
+                _ => self.commits = 0,
+            }
+            let picks = GreedyPairMatcher.match_round(round);
+            let moved = picks
+                .first()
+                .map(|&(slot, ci)| round.candidates[slot][ci].driver);
+            if moved.is_some() {
+                self.commits += 1;
+                self.multi_commit_epochs += usize::from(self.commits == 2);
+            }
+            self.last = Some((round.tasks.to_vec(), moved));
+            picks
+        }
+    }
+
+    /// Every pair of a co-located market: `drivers` drivers and one order
+    /// per price in `prices`, all at one point and published together,
+    /// with service cost 3. Travel takes no time and an order one minute,
+    /// so a driver serves one order a minute, up to pickup deadlines of 2,
+    /// 3, 4 and 5 minutes in turn: her next availability meets some
+    /// deadlines exactly. Margins are `price − 3`, equal across drivers.
+    fn co_located(drivers: u32, prices: &[f64]) -> Market {
+        use rideshare_geo::{GeoPoint, SpeedModel};
+        use rideshare_types::{Money, TaskId};
+
+        let at = GeoPoint::new(41.15, -8.61);
+        let tasks = (0..).zip(prices).map(|(id, &price)| rideshare_core::Task {
+            id: TaskId::new(id),
+            publish_time: Timestamp::from_secs(0),
+            origin: at,
+            destination: at,
+            pickup_deadline: Timestamp::from_secs(120 + 60 * i64::from(id % 4)),
+            completion_deadline: Timestamp::from_secs(3600),
+            duration: TimeDelta::from_secs(60),
+            price: Money::new(price),
+            valuation: Money::new(price),
+            service_cost: Money::new(3.0),
+        });
+        let drivers = (0..drivers).map(|id| rideshare_core::Driver {
+            id: DriverId::new(id),
+            source: at,
+            destination: at,
+            shift_start: Timestamp::from_secs(0),
+            shift_end: Timestamp::from_secs(100_000),
+            model: DriverModel::HomeWorkHome,
+        });
+        let speed = SpeedModel::new(60.0, 1.0, 0.1);
+        Market::new(drivers.collect(), tasks.collect(), speed, None)
+    }
+
+    #[test]
+    fn heap_close_matches_the_round_loop_oracle() {
+        let mut oracle = RoundLoop::default();
+        let mut runs = Vec::new();
+        for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
+            for seed in [74u64, 75] {
+                runs.push((market_of(seed, 1500, 150, model), vec![0, 1, 3, 10, 30]));
+            }
+        }
+        // Equal margins on every driver, positive, zero (`3.0 − 3.0` is
+        // `+0.0`) and negative ones. No order of Eq. 14's terms yields
+        // `-0.0` (the last adds a return cost of at least `+0.0`), so the
+        // fold of `-0.0` is checked on the ranking itself, below.
+        let prices = [5.0, 3.0, 5.0, 1.0, 3.0, 5.0, 2.0, 3.0, 5.0];
+        runs.push((co_located(3, &prices), vec![0, 1, 10]));
+        runs.push((co_located(12, &prices), vec![1]));
+        for (m, windows) in &runs {
+            for &mins in windows {
+                let window = TimeDelta::from_mins(mins);
+                let heap = replay_market(
+                    m,
+                    &mut StreamPolicy::Batched {
+                        window,
+                        matcher: &mut GreedyPairMatcher,
+                    },
+                );
+                let matcher = &mut oracle;
+                let rounds = replay_market(m, &mut StreamPolicy::Batched { window, matcher });
+                let at = format!("W={mins}m over {} tasks", m.num_tasks());
+                assert_eq!(heap.events, rounds.events, "{at}");
+                assert_eq!(heap.dispatch, rounds.dispatch, "{at}");
+                assert_eq!(
+                    (heap.served, heap.rejected),
+                    (rounds.served, rounds.rejected)
+                );
+                assert_eq!(heap.assignment.routes(), rounds.assignment.routes());
+                validate_online_result(m, &heap).unwrap();
+            }
+        }
+        assert!(oracle.hits > 0, "no re-evaluation found a candidate");
+        assert!(
+            oracle.multi_commit_epochs >= 100,
+            "{} epochs committed more than one pair",
+            oracle.multi_commit_epochs
+        );
+    }
+
+    #[test]
+    fn ranked_pairs_order_as_the_greedy_round_picks() {
+        let pair = |margin: f64, task: u32, driver: u32, slot: u32| {
+            let candidate = Candidate {
+                driver: DriverId::new(driver),
+                slot: 0,
+                arrival: Timestamp::from_secs(0),
+                marginal_value: margin,
+            };
+            RankedPair::new(candidate, task, slot, 0)
+        };
+        // Best first: margin, then the lower task id, driver id and slot.
+        let mut ranked = [
+            pair(1.0, 9, 9, 9),
+            pair(0.0, 4, 1, 0),
+            pair(-0.0, 3, 2, 0),
+            pair(0.0, 3, 1, 1),
+            pair(-0.0, 3, 1, 0),
+            pair(-2.5, 0, 0, 0),
+        ];
+        ranked.sort_by(|a, b| b.cmp(a));
+        let order: Vec<(u32, u32, u32)> = ranked
+            .iter()
+            .map(|p| (p.task, p.candidate.driver.raw(), p.slot))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (9, 9, 9),
+                (3, 1, 0),
+                (3, 1, 1),
+                (3, 2, 0),
+                (4, 1, 0),
+                (0, 0, 0)
+            ]
+        );
+        // `-0.0` ties `0.0` as `>` has it, and keeps its sign for the event.
+        assert_eq!(pair(-0.0, 1, 1, 1), pair(0.0, 1, 1, 1));
+        assert!(pair(-0.0, 1, 1, 1)
+            .candidate
+            .marginal_value
+            .is_sign_negative());
     }
 
     #[test]

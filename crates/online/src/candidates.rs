@@ -499,6 +499,12 @@ impl Fleet {
         self.evaluate(task, decision_time, slot as usize)
     }
 
+    /// When the driver in `slot` is next free: [`Fleet::evaluate`] rejects
+    /// her for every order whose pickup deadline precedes it.
+    pub(crate) fn available_at(&self, slot: u32) -> Timestamp {
+        self.available_at[slot as usize]
+    }
+
     /// The feasibility predicates and Eq. 14 value for one pair
     /// ([`decidable`] is the caller's precondition).
     fn evaluate(&self, task: &Task, decision_time: Timestamp, d: usize) -> Option<Candidate> {

@@ -60,7 +60,8 @@ pub enum Count {
 pub enum Stage {
     /// Candidate scans.
     Scan,
-    /// The instant policy's choice, or one batched matcher round.
+    /// The instant policy's choice, one batched matcher round, or one
+    /// pop of the greedy close's pair heap down to a live pair.
     Choose,
     /// Batched mode's refresh of the committed drivers' entries.
     Refresh,

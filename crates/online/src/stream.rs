@@ -22,8 +22,9 @@
 //!   publish instant: candidate set, [`DispatchPolicy`] choice, commit —
 //!   Algs. 3–4,
 //! - batched mode ([`StreamPolicy::Batched`]) holds orders for a window
-//!   and closes it through the early-flush epochs and matcher rounds
-//!   `batch.rs` documents.
+//!   and closes it through the early-flush epochs `batch.rs` documents,
+//!   each in matcher rounds or, for the greedy pair matcher, from a heap
+//!   of pairs.
 //!
 //! Two details make a stream reproduce what a platform that knows the
 //! whole day would decide:
@@ -89,6 +90,8 @@
 //! assert_eq!(summary.served, materialized.served);
 //! ```
 
+use std::collections::BinaryHeap;
+
 use rideshare_core::{
     Assignment, Driver, DriverRoute, Market, MarketBuildOptions, StreamPricer, Task,
 };
@@ -96,7 +99,7 @@ use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_trace::TraceStream;
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
-use crate::batch::{BatchMatcher, BatchRound};
+use crate::batch::{BatchMatcher, BatchRound, RankedPair};
 use crate::candidates::{unit_box, Fleet};
 use crate::policy::{Candidate, DispatchPolicy};
 #[cfg(feature = "stage-probe")]
@@ -227,7 +230,7 @@ pub enum StreamPolicy<'p> {
     /// (Algs. 3–4).
     Instant(&'p mut dyn DispatchPolicy),
     /// Hold orders for `window` and decide jointly, with early-flush
-    /// epochs and matcher rounds (see `batch.rs`).
+    /// epochs closed by `matcher` (see `batch.rs`).
     Batched {
         /// The hold window `W ≥ 0`.
         window: TimeDelta,
@@ -635,106 +638,197 @@ impl StreamEngine {
                 scratch.remaining.push(bi);
                 e += 1;
             }
-            // Candidate lists are kept aligned with `remaining` and
-            // refreshed incrementally: a round only moves the drivers it
-            // commits, so only their entries can go stale.
             probe!(probe::count(Count::Epochs, 1));
-            debug_assert!(scratch.candidates.is_empty());
-            for &bi in &scratch.remaining {
-                let mut list = scratch.pool.pop().unwrap_or_default();
-                self.fleet
-                    .candidates_into(&batch[bi], decision_time, &mut list);
-                scratch.candidates.push(list);
-            }
-            probe!(probe::lap(Stage::Scan));
-            loop {
-                let round = BatchRound {
-                    tasks: &scratch.ids,
-                    candidates: &scratch.candidates,
-                };
-                probe!(let offered = round.candidates.iter().map(Vec::len).sum::<usize>(););
-                probe!(probe::count(Count::PairsRead, offered as u64));
-                let mut picks = matcher.match_round(&round);
-                picks.sort_unstable();
-                probe!(probe::lap(Stage::Choose));
-                scratch.committed.clear();
-                scratch.used_drivers.clear();
-                for (slot, ci) in picks {
-                    let Some(cands) = scratch.candidates.get(slot) else {
-                        continue;
-                    };
-                    let Some(&cand) = cands.get(ci) else {
-                        continue;
-                    };
-                    // Disjointness: first slot wins, as the trait contract
-                    // promises.
-                    let used = scratch.used_drivers.iter().any(|c| c.driver == cand.driver);
-                    if used || scratch.committed.contains(&slot) {
-                        continue;
-                    }
-                    let task = &batch[scratch.remaining[slot]];
-                    self.dispatch(task, cand, decision_time, cands.len(), sink);
-                    scratch.committed.push(slot);
-                    scratch.used_drivers.push(cand);
-                }
-                if scratch.committed.is_empty() {
-                    break;
-                }
-                // Drop the committed slots in place (order preserved),
-                // keeping the retired lists' capacity in the pool.
-                let mut w = 0usize;
-                for s in 0..scratch.remaining.len() {
-                    if scratch.committed.contains(&s) {
-                        continue;
-                    }
-                    scratch.remaining[w] = scratch.remaining[s];
-                    scratch.ids[w] = scratch.ids[s];
-                    scratch.candidates.swap(w, s);
-                    w += 1;
-                }
-                scratch.remaining.truncate(w);
-                scratch.ids.truncate(w);
-                for mut list in scratch.candidates.drain(w..) {
-                    list.clear();
-                    scratch.pool.push(list);
-                }
-                if scratch.remaining.is_empty() {
-                    break;
-                }
-                // Refresh exactly the committed drivers' entries; all other
-                // pairs are untouched, so this is equivalent to
-                // regenerating every list (the property tests pin that).
-                // Each list stays sorted by announced id, as
-                // `candidates_into` left it.
-                for (slot, &bi) in scratch.remaining.iter().enumerate() {
-                    let task = &batch[bi];
-                    let list = &mut scratch.candidates[slot];
-                    for used in &scratch.used_drivers {
-                        let at = match list.binary_search_by_key(&used.driver, |c| c.driver) {
-                            Ok(at) => {
-                                list.remove(at);
-                                at
-                            }
-                            Err(at) => at,
-                        };
-                        probe!(probe::count(Count::Reevaluations, 1));
-                        if let Some(c) = self.fleet.candidate_for(task, decision_time, used.slot) {
-                            probe!(probe::count(Count::ReevaluationHits, 1));
-                            list.insert(at, c);
-                        }
-                    }
-                }
-                probe!(probe::lap(Stage::Refresh));
-            }
-            for &bi in &scratch.remaining {
-                self.reject(&batch[bi], decision_time, sink);
-            }
-            for mut list in scratch.candidates.drain(..) {
-                list.clear();
-                scratch.pool.push(list);
+            if matcher.single_best_pair() {
+                self.close_from_heap(batch, decision_time, &mut scratch, sink);
+            } else {
+                self.close_in_rounds(batch, decision_time, matcher, &mut scratch, sink);
             }
         }
         self.win_scratch = scratch;
+    }
+
+    /// Closes one decision epoch, the orders of `scratch.remaining`, in
+    /// matcher rounds: offer every unmatched order's candidates, commit the
+    /// answer, refresh the committed drivers' entries, ask again until an
+    /// answer is empty, then reject what is left.
+    fn close_in_rounds(
+        &mut self,
+        batch: &[Task],
+        decision_time: Timestamp,
+        matcher: &mut dyn BatchMatcher,
+        scratch: &mut WindowScratch,
+        sink: &mut dyn StreamSink,
+    ) {
+        // Candidate lists are kept aligned with `remaining` and
+        // refreshed incrementally: a round only moves the drivers it
+        // commits, so only their entries can go stale.
+        debug_assert!(scratch.candidates.is_empty());
+        for &bi in &scratch.remaining {
+            let mut list = scratch.pool.pop().unwrap_or_default();
+            self.fleet
+                .candidates_into(&batch[bi], decision_time, &mut list);
+            scratch.candidates.push(list);
+        }
+        probe!(probe::lap(Stage::Scan));
+        loop {
+            let round = BatchRound {
+                tasks: &scratch.ids,
+                candidates: &scratch.candidates,
+            };
+            probe!(let offered = round.candidates.iter().map(Vec::len).sum::<usize>(););
+            probe!(probe::count(Count::PairsRead, offered as u64));
+            let mut picks = matcher.match_round(&round);
+            picks.sort_unstable();
+            probe!(probe::lap(Stage::Choose));
+            scratch.committed.clear();
+            scratch.used_drivers.clear();
+            for (slot, ci) in picks {
+                let Some(cands) = scratch.candidates.get(slot) else {
+                    continue;
+                };
+                let Some(&cand) = cands.get(ci) else {
+                    continue;
+                };
+                // Disjointness: first slot wins, as the trait contract
+                // promises.
+                let used = scratch.used_drivers.iter().any(|c| c.driver == cand.driver);
+                if used || scratch.committed.contains(&slot) {
+                    continue;
+                }
+                let task = &batch[scratch.remaining[slot]];
+                self.dispatch(task, cand, decision_time, cands.len(), sink);
+                scratch.committed.push(slot);
+                scratch.used_drivers.push(cand);
+            }
+            if scratch.committed.is_empty() {
+                break;
+            }
+            // Drop the committed slots in place (order preserved),
+            // keeping the retired lists' capacity in the pool.
+            let mut w = 0usize;
+            for s in 0..scratch.remaining.len() {
+                if scratch.committed.contains(&s) {
+                    continue;
+                }
+                scratch.remaining[w] = scratch.remaining[s];
+                scratch.ids[w] = scratch.ids[s];
+                scratch.candidates.swap(w, s);
+                w += 1;
+            }
+            scratch.remaining.truncate(w);
+            scratch.ids.truncate(w);
+            for mut list in scratch.candidates.drain(w..) {
+                list.clear();
+                scratch.pool.push(list);
+            }
+            if scratch.remaining.is_empty() {
+                break;
+            }
+            // Refresh exactly the committed drivers' entries; all other
+            // pairs are untouched, so this is equivalent to
+            // regenerating every list (the property tests pin that).
+            // Each list stays sorted by announced id, as
+            // `candidates_into` left it.
+            for (slot, &bi) in scratch.remaining.iter().enumerate() {
+                let task = &batch[bi];
+                let list = &mut scratch.candidates[slot];
+                for used in &scratch.used_drivers {
+                    let at = match list.binary_search_by_key(&used.driver, |c| c.driver) {
+                        Ok(at) => {
+                            list.remove(at);
+                            at
+                        }
+                        Err(at) => at,
+                    };
+                    probe!(probe::count(Count::Reevaluations, 1));
+                    if let Some(c) = self.fleet.candidate_for(task, decision_time, used.slot) {
+                        probe!(probe::count(Count::ReevaluationHits, 1));
+                        list.insert(at, c);
+                    }
+                }
+            }
+            probe!(probe::lap(Stage::Refresh));
+        }
+        for &bi in &scratch.remaining {
+            self.reject(&batch[bi], decision_time, sink);
+        }
+        for mut list in scratch.candidates.drain(..) {
+            list.clear();
+            scratch.pool.push(list);
+        }
+    }
+
+    /// Closes one decision epoch, the orders of `scratch.remaining`, from a
+    /// heap of pairs, for a matcher whose every round commits the one best
+    /// pair ([`BatchMatcher::single_best_pair`]). It commits what
+    /// [`StreamEngine::close_in_rounds`] would under
+    /// [`crate::GreedyPairMatcher`], in the same order and each out of the
+    /// same number of candidates, then rejects the unmatched orders in
+    /// ascending task id.
+    ///
+    /// Each order is scanned once and each pair pushed. A pair pops live
+    /// if its order is unmatched and its driver has not committed since it
+    /// was evaluated. A commit moves only its driver, so only her pairs go
+    /// stale: she is evaluated again for the unmatched orders whose pickup
+    /// deadline is at or after her new availability (`evaluate` rejects
+    /// every other order on availability alone), and what she still
+    /// reaches is pushed again.
+    fn close_from_heap(
+        &mut self,
+        batch: &[Task],
+        decision_time: Timestamp,
+        scratch: &mut WindowScratch,
+        sink: &mut dyn StreamSink,
+    ) {
+        let orders = &scratch.remaining;
+        let pairs = &mut scratch.pairs;
+        pairs.clear();
+        for (slot, &bi) in orders.iter().enumerate() {
+            let task = &batch[bi];
+            self.fleet
+                .candidates_into(task, decision_time, &mut pairs.scan);
+            pairs.live.push(pairs.scan.len());
+            pairs.matched.push(false);
+            pairs.by_deadline.push((task.pickup_deadline, slot));
+            for k in 0..pairs.scan.len() {
+                pairs.push(pairs.scan[k], task.id, slot);
+            }
+        }
+        pairs.by_deadline.sort_unstable();
+        probe!(probe::lap(Stage::Scan));
+        loop {
+            let best = pairs.pop_live();
+            probe!(probe::lap(Stage::Choose));
+            let Some((slot, cand)) = best else {
+                break;
+            };
+            let task = &batch[orders[slot]];
+            self.dispatch(task, cand, decision_time, pairs.live[slot], sink);
+            pairs.matched[slot] = true;
+            pairs.unlist(cand.slot);
+            let free = self.fleet.available_at(cand.slot);
+            let from = pairs.by_deadline.partition_point(|&(due, _)| due < free);
+            for k in from..pairs.by_deadline.len() {
+                let slot = pairs.by_deadline[k].1;
+                if pairs.matched[slot] {
+                    continue;
+                }
+                let task = &batch[orders[slot]];
+                probe!(probe::count(Count::Reevaluations, 1));
+                if let Some(c) = self.fleet.candidate_for(task, decision_time, cand.slot) {
+                    probe!(probe::count(Count::ReevaluationHits, 1));
+                    pairs.live[slot] += 1;
+                    pairs.push(c, task.id, slot);
+                }
+            }
+            probe!(probe::lap(Stage::Refresh));
+        }
+        for (&bi, &matched) in orders.iter().zip(&pairs.matched) {
+            if !matched {
+                self.reject(&batch[bi], decision_time, sink);
+            }
+        }
     }
 
     /// Commits `cand` to `task`, decided at `decision_time` out of
@@ -795,6 +889,86 @@ struct WindowScratch {
     committed: Vec<usize>,
     /// The candidates committed in the current round.
     used_drivers: Vec<Candidate>,
+    /// The pair-heap close's working memory.
+    pairs: PairScratch,
+}
+
+/// What [`StreamEngine::close_from_heap`] keeps while it closes an epoch.
+/// Per-order vectors are indexed by the order's slot in the epoch,
+/// per-driver ones by the driver's fleet slot.
+#[derive(Default)]
+struct PairScratch {
+    /// Every pair evaluated this epoch, the best on top; stale pairs are
+    /// skipped as they pop.
+    heap: BinaryHeap<RankedPair>,
+    /// The candidate scan of one order.
+    scan: Vec<Candidate>,
+    /// Per order: the drivers that are its candidates now, counted.
+    live: Vec<usize>,
+    /// Per order: whether it has been dispatched.
+    matched: Vec<bool>,
+    /// `(pickup deadline, order)` per order, ascending.
+    by_deadline: Vec<(Timestamp, usize)>,
+    /// Per driver: the orders that count her among their candidates.
+    listed: Vec<Vec<usize>>,
+    /// Per driver: her commits so far, which dates her pairs.
+    versions: Vec<u32>,
+    /// The drivers whose `listed` this epoch may have filled.
+    touched: Vec<u32>,
+}
+
+impl PairScratch {
+    /// Forgets the last epoch's orders and pairs.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.live.clear();
+        self.matched.clear();
+        self.by_deadline.clear();
+        for d in self.touched.drain(..) {
+            self.listed[d as usize].clear();
+        }
+    }
+
+    /// Records `cand` as a candidate of order `slot` (task `task`).
+    fn push(&mut self, cand: Candidate, task: TaskId, slot: usize) {
+        let d = cand.slot as usize;
+        if self.listed.len() <= d {
+            self.listed.resize_with(d + 1, Vec::new);
+            self.versions.resize(d + 1, 0);
+        }
+        if self.listed[d].is_empty() {
+            self.touched.push(cand.slot);
+        }
+        self.listed[d].push(slot);
+        let version = self.versions[d];
+        let slot = slot as u32;
+        self.heap
+            .push(RankedPair::new(cand, task.raw(), slot, version));
+    }
+
+    /// Pops the best pair still live: its order unmatched, its driver not
+    /// committed since the pair was evaluated.
+    fn pop_live(&mut self) -> Option<(usize, Candidate)> {
+        while let Some(pair) = self.heap.pop() {
+            probe!(probe::count(Count::PairsRead, 1));
+            let (slot, cand) = (pair.slot as usize, pair.candidate);
+            if !self.matched[slot] && pair.version == self.versions[cand.slot as usize] {
+                return Some((slot, cand));
+            }
+        }
+        None
+    }
+
+    /// The driver in fleet slot `d` has committed: she leaves every order's
+    /// candidates, and her pairs on the heap go stale.
+    fn unlist(&mut self, d: u32) {
+        let d = d as usize;
+        for &slot in &self.listed[d] {
+            self.live[slot] -= 1;
+        }
+        self.listed[d].clear();
+        self.versions[d] = self.versions[d].wrapping_add(1);
+    }
 }
 
 /// Replays a whole event stream through `policy` into `sink` — the
