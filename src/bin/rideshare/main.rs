@@ -580,16 +580,18 @@ fn replay(p: &Parsed<'_>) -> Result<(), String> {
         let mut source = IterSource::new(events);
         daemon.run(&mut source, &mut metrics, |_, _| {}, |_, _| {})
     });
+    // Flush + dismantle the recorder before any error leaves, as `serve`
+    // does: a feed that fails part-way still leaves a store indexing what
+    // it recorded. A latched recording error fails the run *after*
+    // dispatch completed, like a snapshot write error.
+    let finished = metrics.finish();
     if let Some(e) = decode_err.into_inner() {
         return Err(format!("{}: {e}", input.unwrap_or_default()));
     }
     if let Some(e) = outcome.error {
         return Err(format!("ingest: {e}"));
     }
-
-    // Flush + dismantle the recorder: a latched recording error fails
-    // the run *after* dispatch completed, like a snapshot write error.
-    let (tsdb_store, metrics) = metrics.finish().map_err(|e| format!("tsdb: {e}"))?;
+    let (tsdb_store, metrics) = finished.map_err(|e| format!("tsdb: {e}"))?;
     let summary = &outcome.report.summary;
     run.report(p, &metrics, summary);
     report_rate(p, summary.tasks, elapsed, tsdb_store.as_ref());

@@ -610,6 +610,61 @@ fn replay_refuses_hostile_rtb_logs_with_typed_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replay whose feed fails part-way still seals its telemetry store:
+/// the recorder is finished before the error leaves, so `query` opens
+/// what it recorded instead of calling the directory no store.
+#[test]
+fn replay_into_a_store_seals_it_when_the_feed_fails() {
+    let dir = tmpdir("replay-cut-tsdb");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("day.rtb");
+    let log_s = log.to_str().unwrap();
+    let export = cli(&[
+        "export",
+        "--tasks",
+        "5000",
+        "--drivers",
+        "100",
+        "--format",
+        "bin",
+        "--out",
+        log_s,
+    ]);
+    assert!(export.status.success());
+    let bytes = std::fs::read(&log).unwrap();
+    std::fs::write(&log, &bytes[..bytes.len() / 2]).unwrap();
+
+    let store = dir.join("store");
+    let store_s = store.to_str().unwrap();
+    let cut = cli(&[
+        "replay",
+        "--input",
+        log_s,
+        "--tsdb-dir",
+        store_s,
+        "--canonical",
+    ]);
+    assert_eq!(cut.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&cut.stderr);
+    assert!(stderr.contains(".rtb stream truncated at byte"), "{stderr}");
+    assert!(cut.stdout.is_empty());
+
+    let list = cli(&["query", "--tsdb", store_s, "--list"]);
+    let stdout = String::from_utf8_lossy(&list.stdout);
+    assert!(
+        list.status.success(),
+        "{}",
+        String::from_utf8_lossy(&list.stderr)
+    );
+    let total = stdout.lines().last().unwrap_or_default();
+    assert!(
+        total.ends_with(" samples") && !total.ends_with(" 0 samples"),
+        "{stdout}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn replay_shard_counts_print_identical_canonical_reports() {
     // The acceptance criterion at CLI level, small scale: the same
