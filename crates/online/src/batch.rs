@@ -128,9 +128,9 @@ pub trait BatchMatcher {
     /// `true` promises that every [`BatchMatcher::match_round`] answer is
     /// exactly [`GreedyPairMatcher`]'s: the one best pair of the round, or
     /// nothing when no order has a candidate. The engine then closes each
-    /// epoch from a pair heap and never calls `match_round`; a matcher
-    /// that breaks the promise is not asked. The default is `false`: every
-    /// epoch closes in rounds.
+    /// epoch from a pair heap and never calls `match_round`, so a matcher
+    /// that answers otherwise gets the greedy rule's commits, not its own.
+    /// The default is `false`: every epoch closes in rounds.
     fn single_best_pair(&self) -> bool {
         false
     }
@@ -177,9 +177,10 @@ impl BatchMatcher for GreedyPairMatcher {
 /// ranks pairs: the larger margin first (`-0.0` folded to `0.0`, equal as
 /// `>` has them), then the lower task id, then the lower driver id, then
 /// the earlier slot (the round loop's first-found, for orders that share
-/// an id). Margins are finite: a feed's prices and costs are. `version` is
-/// the driver's commit count when the pair was evaluated, which tells the
-/// engine's pair heap a live pair from one her later commit outdated.
+/// an id). Margins are taken to be finite, as `EventGuard` keeps a feed's
+/// prices and costs. `version` is the driver's commit count when the pair
+/// was evaluated: the engine's pair heap drops a pair whose driver has
+/// committed since.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RankedPair {
     margin: f64,
