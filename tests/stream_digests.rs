@@ -22,12 +22,14 @@
 //! with (surged, and with `SurgeConfig::disabled`), and the unsurged
 //! stream a pricer without a rolling window runs.
 //!
-//! The greedy batched close is pinned the same way, over every decision
-//! it reports: each dispatch event (candidate count and decision time
+//! Both batched closes are pinned the same way, over every decision they
+//! report: each dispatch event (candidate count and decision time
 //! included) and each rejection, in the order the sink receives them. The
-//! rows are the `replay-batch` benchmark shape (25k tasks × 2.5k drivers)
-//! under `batch-3m`, the same day at `batch-0m`, `batch-10m` and
-//! `batch-30m`, and a home-work-home day at `batch-5m`.
+//! greedy rows are the `replay-batch` benchmark shape (25k tasks × 2.5k
+//! drivers) under `batch-3m`, the same day at `batch-0m`, `batch-10m` and
+//! `batch-30m`, and a home-work-home day at `batch-5m`; the per-round
+//! assignment LP's rows are the same two days under `batch-opt-3m` and
+//! `batch-opt-5m`.
 //!
 //! The constants were recorded once and are never edited: the generator,
 //! the pricer and the engine may change how they work, never what they
@@ -258,9 +260,9 @@ impl StreamSink for DecisionDigest {
 }
 
 /// Replays `config`'s priced day (30-minute rolling surge, as `replay`
-/// prices it) held for `mins` minutes and closed by the greedy pair
-/// matcher. Returns the decision digest and the orders served.
-fn batched_digest(config: &TraceConfig, mins: i64) -> (u64, usize) {
+/// prices it) held for `mins` minutes and closed by `matcher`. Returns the
+/// decision digest and the orders served.
+fn batched_digest(config: &TraceConfig, mins: i64, matcher: MatcherKind) -> (u64, usize) {
     let stream = config.stream();
     let (speed, options) = (
         stream.speed(),
@@ -274,11 +276,13 @@ fn batched_digest(config: &TraceConfig, mins: i64) -> (u64, usize) {
         hash: 0xcbf2_9ce4_8422_2325,
         served: 0,
     };
-    let (window, matcher) = (TimeDelta::from_mins(mins), &mut GreedyPairMatcher);
+    let window = TimeDelta::from_mins(mins);
     let summary = replay_stream(
         speed,
         priced_events(stream, &opts),
-        &mut StreamPolicy::Batched { window, matcher },
+        &mut ShardPolicySpec::Batched { window, matcher }
+            .holder()
+            .as_policy(),
         options,
         &mut sink,
     );
@@ -296,21 +300,37 @@ fn replay_batch(model: DriverModel) -> TraceConfig {
 
 #[test]
 fn replay_batch_shape_is_pinned() {
-    let got = batched_digest(&replay_batch(DriverModel::Hitchhiking), 3);
+    let day = replay_batch(DriverModel::Hitchhiking);
+    let got = batched_digest(&day, 3, MatcherKind::Greedy);
     assert_eq!(got, BATCH_3M, "{:#018x} {}", got.0, got.1);
 }
 
 #[test]
 fn replay_batch_day_is_pinned_across_windows() {
     let day = replay_batch(DriverModel::Hitchhiking);
-    let got = [0, 10, 30].map(|mins| batched_digest(&day, mins));
+    let got = [0, 10, 30].map(|mins| batched_digest(&day, mins, MatcherKind::Greedy));
     assert_eq!(got, BATCH_0M_10M_30M, "{got:#018x?}");
 }
 
 #[test]
 fn home_work_home_batch_day_is_pinned() {
-    let got = batched_digest(&replay_batch(DriverModel::HomeWorkHome), 5);
+    let day = replay_batch(DriverModel::HomeWorkHome);
+    let got = batched_digest(&day, 5, MatcherKind::Greedy);
     assert_eq!(got, BATCH_HWH_5M, "{:#018x} {}", got.0, got.1);
+}
+
+#[test]
+fn replay_batch_day_is_pinned_under_the_round_lp() {
+    let day = replay_batch(DriverModel::Hitchhiking);
+    let got = batched_digest(&day, 3, MatcherKind::Optimal);
+    assert_eq!(got, BATCH_OPT_3M, "{:#018x} {}", got.0, got.1);
+}
+
+#[test]
+fn home_work_home_batch_day_is_pinned_under_the_round_lp() {
+    let day = replay_batch(DriverModel::HomeWorkHome);
+    let got = batched_digest(&day, 5, MatcherKind::Optimal);
+    assert_eq!(got, BATCH_OPT_HWH_5M, "{:#018x} {}", got.0, got.1);
 }
 
 const BATCH_3M: (u64, usize) = (0x77c5_7aa0_c36c_4f20, 10_616);
@@ -320,6 +340,8 @@ const BATCH_0M_10M_30M: [(u64, usize); 3] = [
     (0x5d4b_775b_cb95_092c, 4_798),
 ];
 const BATCH_HWH_5M: (u64, usize) = (0x32d2_d22a_150e_08d7, 9_893);
+const BATCH_OPT_3M: (u64, usize) = (0x1201_29ef_c27c_702e, 10_827);
+const BATCH_OPT_HWH_5M: (u64, usize) = (0x8957_c1c8_50ad_d50f, 10_461);
 const DIGEST_SPARSE: u64 = 0xb528_10a8_0504_3799;
 const PEAK_SPARSE: usize = 1_731;
 const DIGEST_DELIVERY: u64 = 0xe81d_edbd_a41e_d767;
