@@ -40,47 +40,39 @@
 //!
 //! Each decision epoch solves a small matching problem over the batch's
 //! per-task candidate sets (the same grid-prunable Eq. 14 candidates
-//! instant dispatch chooses from). The matcher is pluggable via
-//! [`BatchMatcher`], and an epoch closes one of two ways:
+//! instant dispatch chooses from). A batched run names its matcher by
+//! [`MatcherKind`], and the engine closes an epoch the way that kind
+//! says:
 //!
-//! - **In rounds**, for any matcher: the engine offers every unmatched
-//!   order's candidates to [`BatchMatcher::match_round`], commits the
-//!   pairs it answers, refreshes the committed drivers' entries and asks
-//!   again, until an answer is empty.
-//! - **From a pair heap**, for a matcher whose
-//!   [`BatchMatcher::single_best_pair`] promises that every round answer
-//!   is the one best pair under [`GreedyPairMatcher`]'s rule. The engine
-//!   scans each order once, pushes every pair, and pops the best one still
-//!   live (its order unmatched, its driver not moved since the push). After
-//!   a commit it evaluates the driver again only for the unmatched orders
-//!   whose pickup deadline she can still meet by availability, and pushes
-//!   what it finds. The commits, their order and each dispatch's candidate
-//!   count are the round loop's; the cost follows the commits, not rounds
-//!   × held orders. `match_round` is never called on this path.
-//!
-//! The matchers:
-//!
-//! - [`GreedyPairMatcher`] commits the single *(driver, task)* pair with
-//!   the maximum marginal value per round, re-projecting the driver between
-//!   rounds — the batch analogue of maxMargin. With `W = 0` and distinct
-//!   publish times it degenerates to instant maxMargin dispatch
+//! - [`MatcherKind::Greedy`] commits the single *(driver, task)* pair
+//!   with the maximum marginal value per round, re-projecting the driver
+//!   between rounds — the batch analogue of maxMargin. With `W = 0` and
+//!   distinct publish times it degenerates to instant maxMargin dispatch
 //!   *exactly* (a property the facade's `batch_properties` suite pins).
-//!   Its epochs close from the pair heap; its `match_round` is the rule's
-//!   definition, and the oracle the heap close is tested against.
-//! - [`OptimalAssignmentMatcher`] solves each round's one-shot assignment
-//!   LP (total marginal value, ≤ 1 task per driver per round) as a packing
-//!   LP on [`rideshare_lp::PackingLp`], the simplex of the `Z_f*` master.
-//!   The bipartite constraint matrix is totally unimodular, so a basis has
-//!   an integral inverse with entries in {−1, 0, 1}; under the LP's RHS
-//!   perturbation of at most rows × 1e-7, every value is that close to an
-//!   integer, and reading a pair as chosen above 0.5 is safe.
-//!   Profit-maximizing: it declines negative-margin dispatches that the
-//!   greedy matcher would serve.
+//!   Its epochs close **from a pair heap**: the engine scans each order
+//!   once, pushes every pair, and pops the best one still live (its order
+//!   unmatched, its driver not moved since the push). After a commit it
+//!   evaluates the driver again only for the unmatched orders whose
+//!   pickup deadline she can still meet by availability, and pushes what
+//!   it finds. The commits, their order and each dispatch's candidate
+//!   count are those of the rule run round by round (the tests' oracle);
+//!   the cost follows the commits, not rounds × held orders.
+//! - [`MatcherKind::Optimal`] closes **in rounds**: the engine offers
+//!   every unmatched order's candidates to [`optimal_round`], commits the
+//!   pairs it answers, refreshes the committed drivers' entries and asks
+//!   again, until an answer is empty. Each round solves the one-shot
+//!   assignment LP (total marginal value, ≤ 1 task per driver per round)
+//!   as a packing LP on [`rideshare_lp::PackingLp`], the simplex of the
+//!   `Z_f*` master. The bipartite constraint matrix is totally
+//!   unimodular, so a basis has an integral inverse with entries in
+//!   {−1, 0, 1}; under the LP's RHS perturbation of at most rows × 1e-7,
+//!   every value is that close to an integer, and reading a pair as
+//!   chosen above 0.5 is safe. Profit-maximizing: it declines
+//!   negative-margin dispatches that the greedy matcher would serve.
 //!
 //! This module holds the matchers; a whole `Market` runs under one
 //! through [`crate::replay_market`] with a [`crate::StreamPolicy::Batched`]
-//! (or [`crate::ShardPolicySpec::Batched`]'s holder, which picks the
-//! matcher by [`MatcherKind`]).
+//! (or [`crate::ShardPolicySpec::Batched`]'s holder).
 
 use std::cmp::Reverse;
 
@@ -91,93 +83,35 @@ use crate::policy::Candidate;
 /// Which per-batch matcher a batched run uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MatcherKind {
-    /// Repeated best-pair picking ([`GreedyPairMatcher`]).
+    /// Repeated best-pair picking, closed from a pair heap.
     Greedy,
-    /// Per-round optimal assignment ([`OptimalAssignmentMatcher`]).
+    /// Per-round optimal assignment on the packing LP.
     Optimal,
 }
 
-/// One matching round of one decision epoch, as presented to a
-/// [`BatchMatcher`]: the still-unmatched task indices and, aligned by
-/// slot, each task's feasible candidate drivers (sorted by announced driver
-/// id, marginal values per Eq. 14) under the epoch's decision time and the
-/// drivers' current projected states.
+/// One matching round of one decision epoch: the still-unmatched task
+/// indices and, aligned by slot, each task's feasible candidate drivers
+/// (sorted by announced driver id, marginal values per Eq. 14) under the
+/// epoch's decision time and the drivers' current projected states.
 #[derive(Debug)]
-pub struct BatchRound<'a> {
+pub(crate) struct BatchRound<'a> {
     /// Market task indices still unmatched in this epoch, ascending.
-    pub tasks: &'a [usize],
+    pub(crate) tasks: &'a [usize],
     /// `candidates[slot]` are the feasible candidates of `tasks[slot]`.
-    pub candidates: &'a [Vec<Candidate>],
+    pub(crate) candidates: &'a [Vec<Candidate>],
 }
 
-/// A pluggable per-batch matching rule.
-///
-/// Unless [`BatchMatcher::single_best_pair`] says otherwise, the engine
-/// calls [`BatchMatcher::match_round`] repeatedly within one decision
-/// epoch: after each non-empty answer it commits the chosen pairs (which
-/// moves the chosen drivers) and regenerates the remaining tasks'
-/// candidate sets for the next round. An empty answer ends the epoch;
-/// tasks still unmatched are rejected.
-pub trait BatchMatcher {
-    /// Picks driver-disjoint, task-disjoint `(slot, candidate_index)`
-    /// pairs to commit this round, or an empty vector to end the epoch.
-    /// Pairs violating disjointness are skipped deterministically (first
-    /// slot wins).
-    fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)>;
+/// A per-round matching rule: the driver-disjoint, task-disjoint
+/// `(slot, candidate_index)` pairs to commit this round, or an empty
+/// vector to end the epoch. The engine skips a pair that breaks
+/// disjointness (first slot wins).
+pub(crate) type RoundRule = fn(&BatchRound<'_>) -> Vec<(usize, usize)>;
 
-    /// `true` promises that every [`BatchMatcher::match_round`] answer is
-    /// exactly [`GreedyPairMatcher`]'s: the one best pair of the round, or
-    /// nothing when no order has a candidate. The engine then closes each
-    /// epoch from a pair heap and never calls `match_round`, so a matcher
-    /// that answers otherwise gets the greedy rule's commits, not its own.
-    /// The default is `false`: every epoch closes in rounds.
-    fn single_best_pair(&self) -> bool {
-        false
-    }
-}
-
-/// The batch analogue of maxMargin: per round, commit the single feasible
-/// *(driver, task)* pair with the maximum marginal value. Ties break to the
-/// lower task index, then the lower driver id, so runs are deterministic.
-///
-/// Its epochs close from the engine's pair heap
-/// ([`BatchMatcher::single_best_pair`] is `true`), which commits what
-/// this `match_round` would, round by round.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreedyPairMatcher;
-
-impl BatchMatcher for GreedyPairMatcher {
-    fn single_best_pair(&self) -> bool {
-        true
-    }
-
-    fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-        let mut best: Option<(f64, usize, usize, usize)> = None; // (δ, task, slot, cand)
-        for (slot, &t) in round.tasks.iter().enumerate() {
-            for (ci, c) in round.candidates[slot].iter().enumerate() {
-                let better = match best {
-                    None => true,
-                    Some((bv, bt, bslot, bci)) => {
-                        let bd = round.candidates[bslot][bci].driver;
-                        c.marginal_value > bv
-                            || (c.marginal_value == bv && (t, c.driver) < (bt, bd))
-                    }
-                };
-                if better {
-                    best = Some((c.marginal_value, t, slot, ci));
-                }
-            }
-        }
-        best.map(|(_, _, slot, ci)| vec![(slot, ci)])
-            .unwrap_or_default()
-    }
-}
-
-/// A candidate of one epoch's order, ranked as [`GreedyPairMatcher`]
-/// ranks pairs: the larger margin first (`-0.0` folded to `0.0`, equal as
-/// `>` has them), then the lower task id, then the lower driver id, then
-/// the earlier slot (the round loop's first-found, for orders that share
-/// an id). Margins are taken to be finite, as `EventGuard` keeps a feed's
+/// A candidate of one epoch's order, ranked as the greedy rule ranks
+/// pairs: the larger margin first (`-0.0` folded to `0.0`, equal as `>`
+/// has them), then the lower task id, then the lower driver id, then the
+/// earlier slot (the round loop's first-found, for orders that share an
+/// id). Margins are taken to be finite, as `EventGuard` keeps a feed's
 /// prices and costs. `version` is the driver's commit count when the pair
 /// was evaluated: the engine's pair heap drops a pair whose driver has
 /// committed since.
@@ -236,9 +170,9 @@ impl PartialEq for RankedPair {
 
 impl Eq for RankedPair {}
 
-/// Per-round optimal assignment: maximize the round's total marginal value
-/// subject to ≤ 1 task per driver and ≤ 1 driver per task, solved as a
-/// packing LP on [`PackingLp`].
+/// The [`MatcherKind::Optimal`] round rule: maximize the round's total
+/// marginal value subject to ≤ 1 task per driver and ≤ 1 driver per task,
+/// solved as a packing LP on [`PackingLp`].
 ///
 /// - **Rows:** one per task slot, plus one per driver offered in more than
 ///   one slot. A driver with a single pair is already capped by that
@@ -247,8 +181,8 @@ impl Eq for RankedPair {}
 ///   driver row}, every coefficient 1. A negative-margin column is zero at
 ///   every optimum of a packing LP (lowering it keeps every row feasible
 ///   and raises the objective), so it is never offered, and tasks whose
-///   every candidate loses money are declined — unlike
-///   [`GreedyPairMatcher`], which serves any feasible task.
+///   every candidate loses money are declined — unlike the greedy
+///   matcher, which serves any feasible task.
 /// - **Result:** the pairs whose basic columns are valued above 0.5. The
 ///   bipartite matrix is totally unimodular, so every basis has an
 ///   integral inverse with entries in {−1, 0, 1}. `PackingLp` lifts row
@@ -258,58 +192,53 @@ impl Eq for RankedPair {}
 /// Among equal-value optima a round resolves to the vertex `PackingLp`
 /// reaches. That is deterministic, and shard-stable because candidates
 /// are ordered by announced driver id.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OptimalAssignmentMatcher;
-
-impl BatchMatcher for OptimalAssignmentMatcher {
-    fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (slot, cands) in round.candidates.iter().enumerate() {
-            for (ci, c) in cands.iter().enumerate() {
-                if c.marginal_value >= 0.0 {
-                    pairs.push((slot, ci));
-                }
+pub(crate) fn optimal_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (slot, cands) in round.candidates.iter().enumerate() {
+        for (ci, c) in cands.iter().enumerate() {
+            if c.marginal_value >= 0.0 {
+                pairs.push((slot, ci));
             }
         }
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        // A driver is a candidate at most once per slot, so a driver with
-        // more than one pair is offered in more than one slot.
-        let mut by_driver: Vec<_> = pairs
-            .iter()
-            .enumerate()
-            .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
-            .collect();
-        by_driver.sort_unstable();
-        let mut driver_row = vec![None; pairs.len()];
-        let mut rows = round.tasks.len();
-        for group in by_driver.chunk_by(|a, b| a.0 == b.0) {
-            if group.len() > 1 {
-                for &(_, j) in group {
-                    driver_row[j] = Some(rows);
-                }
-                rows += 1;
-            }
-        }
-        let mut lp = PackingLp::new(rows);
-        for (&(slot, ci), row) in pairs.iter().zip(&driver_row) {
-            let margin = round.candidates[slot][ci].marginal_value;
-            match *row {
-                Some(row) => lp.add_column(margin, &[slot, row]),
-                None => lp.add_column(margin, &[slot]),
-            };
-        }
-        lp.optimize()
-            .expect("round assignment LP ran out of its pivot limit");
-        let mut chosen: Vec<usize> = lp
-            .basic_columns()
-            .filter(|&(_, f)| f > 0.5)
-            .map(|(j, _)| j)
-            .collect();
-        chosen.sort_unstable();
-        chosen.into_iter().map(|j| pairs[j]).collect()
     }
+    if pairs.is_empty() {
+        return Vec::new();
+    }
+    // A driver is a candidate at most once per slot, so a driver with
+    // more than one pair is offered in more than one slot.
+    let mut by_driver: Vec<_> = pairs
+        .iter()
+        .enumerate()
+        .map(|(j, &(slot, ci))| (round.candidates[slot][ci].driver, j))
+        .collect();
+    by_driver.sort_unstable();
+    let mut driver_row = vec![None; pairs.len()];
+    let mut rows = round.tasks.len();
+    for group in by_driver.chunk_by(|a, b| a.0 == b.0) {
+        if group.len() > 1 {
+            for &(_, j) in group {
+                driver_row[j] = Some(rows);
+            }
+            rows += 1;
+        }
+    }
+    let mut lp = PackingLp::new(rows);
+    for (&(slot, ci), row) in pairs.iter().zip(&driver_row) {
+        let margin = round.candidates[slot][ci].marginal_value;
+        match *row {
+            Some(row) => lp.add_column(margin, &[slot, row]),
+            None => lp.add_column(margin, &[slot]),
+        };
+    }
+    lp.optimize()
+        .expect("round assignment LP ran out of its pivot limit");
+    let mut chosen: Vec<usize> = lp
+        .basic_columns()
+        .filter(|&(_, f)| f > 0.5)
+        .map(|(j, _)| j)
+        .collect();
+    chosen.sort_unstable();
+    chosen.into_iter().map(|j| pairs[j]).collect()
 }
 
 #[cfg(test)]
@@ -318,11 +247,14 @@ mod tests {
     use crate::policy::MaxMargin;
     use crate::shard::ShardPolicySpec;
     use crate::simulator::{replay_market, SimulationResult};
-    use crate::stream::StreamPolicy;
+    use crate::stream::{
+        market_events, replay_stream, CollectingSink, StreamOptions, StreamPolicy,
+    };
     use crate::validate::validate_online_result;
     use rideshare_core::{Market, MarketBuildOptions, Objective};
     use rideshare_trace::{DriverModel, TraceConfig};
     use rideshare_types::{DriverId, TimeDelta, Timestamp};
+    use std::cell::{Cell, RefCell};
 
     fn market(seed: u64, tasks: usize, drivers: usize) -> Market {
         market_of(seed, tasks, drivers, DriverModel::Hitchhiking)
@@ -341,6 +273,23 @@ mod tests {
     fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
         let spec = ShardPolicySpec::Batched { window, matcher };
         replay_market(market, &mut spec.holder().as_policy())
+    }
+
+    /// `market` held for `window`, every epoch closed in rounds of `rule`
+    /// in place of the matcher's own close.
+    fn in_rounds(market: &Market, window: TimeDelta, rule: RoundRule) -> SimulationResult {
+        let mut options = StreamOptions::default();
+        options.rounds = Some(rule);
+        let matcher = MatcherKind::Greedy;
+        let mut sink = CollectingSink::new();
+        let _ = replay_stream(
+            market.speed(),
+            market_events(market),
+            &mut StreamPolicy::Batched { window, matcher },
+            options,
+            &mut sink,
+        );
+        sink.into_result()
     }
 
     #[test]
@@ -480,7 +429,7 @@ mod tests {
     }
 
     /// The round LP on the dense simplex, every pair a variable (negative
-    /// margins included): the oracle of [`OptimalAssignmentMatcher`].
+    /// margins included): the oracle of [`optimal_round`].
     fn dense_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
         use rideshare_lp::{Cmp, LinearProgram};
         // Variables: one per feasible (slot, candidate) pair.
@@ -537,33 +486,30 @@ mod tests {
             .collect()
     }
 
-    /// A matcher that solves every round both ways, insists on the same
-    /// pairs, and commits them.
-    #[derive(Default)]
-    struct Pinned {
-        rounds: usize,
-        /// Rounds that committed more than one pair.
-        joint: usize,
+    thread_local! {
+        /// The rounds [`pinned_round`] solved, and those of them that
+        /// committed more than one pair.
+        static PINNED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
     }
 
-    impl BatchMatcher for Pinned {
-        fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
-            let dense = dense_round(round);
-            let packing = OptimalAssignmentMatcher.match_round(round);
-            assert_eq!(
-                packing, dense,
-                "round {} over tasks {:?}",
-                self.rounds, round.tasks
-            );
-            self.rounds += 1;
-            self.joint += usize::from(packing.len() > 1);
-            packing
-        }
+    /// A round rule that solves every round both ways, insists on the
+    /// same pairs, and commits them.
+    fn pinned_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        let dense = dense_round(round);
+        let packing = optimal_round(round);
+        let (rounds, joint) = PINNED.get();
+        assert_eq!(
+            packing, dense,
+            "round {rounds} over tasks {:?}",
+            round.tasks
+        );
+        PINNED.set((rounds + 1, joint + usize::from(packing.len() > 1)));
+        packing
     }
 
     #[test]
     fn packing_round_lp_matches_the_dense_oracle_on_market_rounds() {
-        let mut pinned = Pinned::default();
+        PINNED.set((0, 0));
         let trap = greedy_trap();
         let mut runs = vec![(trap, vec![60])];
         for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
@@ -574,17 +520,14 @@ mod tests {
         }
         for (m, windows) in &runs {
             for &secs in windows {
-                let window = TimeDelta::from_secs(secs);
-                let matcher = &mut pinned;
-                let r = replay_market(m, &mut StreamPolicy::Batched { window, matcher });
+                let r = in_rounds(m, TimeDelta::from_secs(secs), pinned_round);
                 validate_online_result(m, &r).unwrap();
             }
         }
+        let (rounds, joint) = PINNED.get();
         assert!(
-            pinned.joint >= 1_000,
-            "{} of {} rounds committed more than one pair",
-            pinned.joint,
-            pinned.rounds
+            joint >= 1_000,
+            "{joint} of {rounds} rounds committed more than one pair"
         );
     }
 
@@ -624,7 +567,7 @@ mod tests {
                 tasks: &tasks,
                 candidates: &candidates,
             };
-            let packing = OptimalAssignmentMatcher.match_round(&round);
+            let packing = optimal_round(&round);
             let dense = dense_round(&round);
             for pairs in [&packing, &dense] {
                 let mut slots: Vec<usize> = pairs.iter().map(|p| p.0).collect();
@@ -651,10 +594,33 @@ mod tests {
         }
     }
 
-    /// [`GreedyPairMatcher`]'s rounds without its
-    /// [`BatchMatcher::single_best_pair`] promise, so the engine closes
-    /// every epoch in rounds: the oracle of the pair-heap close. It also
-    /// counts what the heap close has to get right.
+    /// The greedy rule, one round of it: commit the single feasible
+    /// *(driver, task)* pair with the maximum marginal value. Ties break to
+    /// the lower task index, then the lower driver id, then the earlier
+    /// slot. The definition the pair-heap close is tested against.
+    fn greedy_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        let mut best: Option<(f64, usize, usize, usize)> = None; // (δ, task, slot, cand)
+        for (slot, &t) in round.tasks.iter().enumerate() {
+            for (ci, c) in round.candidates[slot].iter().enumerate() {
+                let better = match best {
+                    None => true,
+                    Some((bv, bt, bslot, bci)) => {
+                        let bd = round.candidates[bslot][bci].driver;
+                        c.marginal_value > bv
+                            || (c.marginal_value == bv && (t, c.driver) < (bt, bd))
+                    }
+                };
+                if better {
+                    best = Some((c.marginal_value, t, slot, ci));
+                }
+            }
+        }
+        best.map(|(_, _, slot, ci)| vec![(slot, ci)])
+            .unwrap_or_default()
+    }
+
+    /// The greedy rule run in rounds ([`round_loop`]), with counts of what
+    /// the heap close has to get right.
     #[derive(Default)]
     struct RoundLoop {
         /// The last round's orders and the driver it committed.
@@ -668,8 +634,8 @@ mod tests {
         hits: usize,
     }
 
-    impl BatchMatcher for RoundLoop {
-        fn match_round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+    impl RoundLoop {
+        fn round(&mut self, round: &BatchRound<'_>) -> Vec<(usize, usize)> {
             // Task ids are unique, so a round shares an order with the
             // round before only inside one epoch.
             match self.last.take() {
@@ -679,7 +645,7 @@ mod tests {
                 }
                 _ => self.commits = 0,
             }
-            let picks = GreedyPairMatcher.match_round(round);
+            let picks = greedy_round(round);
             let moved = picks
                 .first()
                 .map(|&(slot, ci)| round.candidates[slot][ci].driver);
@@ -690,6 +656,16 @@ mod tests {
             self.last = Some((round.tasks.to_vec(), moved));
             picks
         }
+    }
+
+    thread_local! {
+        static ROUND_LOOP: RefCell<RoundLoop> = RefCell::default();
+    }
+
+    /// [`greedy_round`] as a round rule, counted in [`ROUND_LOOP`]: the
+    /// oracle of the pair-heap close.
+    fn round_loop(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
+        ROUND_LOOP.with_borrow_mut(|oracle| oracle.round(round))
     }
 
     /// Every pair of a co-located market: `drivers` drivers and one order
@@ -729,7 +705,7 @@ mod tests {
 
     #[test]
     fn heap_close_matches_the_round_loop_oracle() {
-        let mut oracle = RoundLoop::default();
+        ROUND_LOOP.take();
         let mut runs = Vec::new();
         for model in [DriverModel::Hitchhiking, DriverModel::HomeWorkHome] {
             for seed in [74u64, 75] {
@@ -746,15 +722,8 @@ mod tests {
         for (m, windows) in &runs {
             for &mins in windows {
                 let window = TimeDelta::from_mins(mins);
-                let heap = replay_market(
-                    m,
-                    &mut StreamPolicy::Batched {
-                        window,
-                        matcher: &mut GreedyPairMatcher,
-                    },
-                );
-                let matcher = &mut oracle;
-                let rounds = replay_market(m, &mut StreamPolicy::Batched { window, matcher });
+                let heap = batched(m, window, MatcherKind::Greedy);
+                let rounds = in_rounds(m, window, round_loop);
                 let at = format!("W={mins}m over {} tasks", m.num_tasks());
                 assert_eq!(heap.events, rounds.events, "{at}");
                 assert_eq!(heap.dispatch, rounds.dispatch, "{at}");
@@ -766,6 +735,7 @@ mod tests {
                 validate_online_result(m, &heap).unwrap();
             }
         }
+        let oracle = ROUND_LOOP.take();
         assert!(oracle.hits > 0, "no re-evaluation found a candidate");
         assert!(
             oracle.multi_commit_epochs >= 100,

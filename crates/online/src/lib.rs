@@ -17,8 +17,8 @@
 //!   correct batched dispatch — orders held for a window `W`, decided
 //!   jointly at the window end (or flushed early when a pickup deadline
 //!   would expire), drivers departing no earlier than the decision, with
-//!   matching pluggable via [`BatchMatcher`] ([`GreedyPairMatcher`] and
-//!   the LP-backed [`OptimalAssignmentMatcher`]); a driver leaves when the
+//!   the matcher named by [`MatcherKind`] (greedy best-pair picking or
+//!   the per-round assignment LP); a driver leaves when the
 //!   stream clock passes her shift end (no event says so), and the fleet
 //!   frees each retired driver's slot at retirement,
 //! - [`priced_events`]: the feed of a generated day — every shift of a
@@ -110,9 +110,7 @@ mod simulator;
 mod stream;
 mod validate;
 
-pub use batch::{
-    BatchMatcher, BatchRound, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher,
-};
+pub use batch::MatcherKind;
 pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
     IngestSource, IterSource, TcpSource,

@@ -130,7 +130,7 @@ use rideshare_core::Task;
 use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
 use rideshare_types::{ConfigError, TimeDelta, Timestamp};
 
-use crate::batch::{BatchMatcher, GreedyPairMatcher, MatcherKind, OptimalAssignmentMatcher};
+use crate::batch::MatcherKind;
 use crate::policy::{DispatchPolicy, MaxMargin, NearestDriver};
 use crate::simulator::DispatchEvent;
 use crate::stream::{
@@ -233,15 +233,15 @@ pub enum ShardPolicySpec {
 }
 
 /// Concrete policy storage materialised from a [`ShardPolicySpec`] — the
-/// owner of the boxed policy/matcher a [`StreamPolicy`] borrows from.
+/// owner of the boxed instant policy a [`StreamPolicy`] borrows from.
 /// Public so single-engine callers (the CLI's `--shards 1` path, tests)
 /// can run the *same* spec through a sequential [`StreamEngine`] without
 /// duplicating the spec→policy construction.
 pub enum PolicyHolder {
     /// An instant-dispatch policy.
     Instant(Box<dyn DispatchPolicy + Send>),
-    /// A batched hold window and its per-round matcher.
-    Batched(TimeDelta, Box<dyn BatchMatcher + Send>),
+    /// A batched hold window and its per-batch matcher.
+    Batched(TimeDelta, MatcherKind),
 }
 
 impl ShardPolicySpec {
@@ -254,13 +254,7 @@ impl ShardPolicySpec {
             ShardPolicySpec::Nearest { seed } => {
                 PolicyHolder::Instant(Box::new(NearestDriver::with_seed(seed)))
             }
-            ShardPolicySpec::Batched { window, matcher } => PolicyHolder::Batched(
-                window,
-                match matcher {
-                    MatcherKind::Greedy => Box::new(GreedyPairMatcher),
-                    MatcherKind::Optimal => Box::new(OptimalAssignmentMatcher),
-                },
-            ),
+            ShardPolicySpec::Batched { window, matcher } => PolicyHolder::Batched(window, matcher),
         }
     }
 
@@ -282,7 +276,7 @@ impl PolicyHolder {
             PolicyHolder::Instant(p) => StreamPolicy::Instant(p.as_mut()),
             PolicyHolder::Batched(window, matcher) => StreamPolicy::Batched {
                 window: *window,
-                matcher: matcher.as_mut(),
+                matcher: *matcher,
             },
         }
     }

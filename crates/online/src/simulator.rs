@@ -138,9 +138,7 @@ impl SimulationResult {
 ///
 /// ```
 /// use rideshare_core::{Market, MarketBuildOptions};
-/// use rideshare_online::{
-///     replay_market, validate_online_result, OptimalAssignmentMatcher, StreamPolicy,
-/// };
+/// use rideshare_online::{replay_market, validate_online_result, MatcherKind, StreamPolicy};
 /// use rideshare_trace::{DriverModel, TraceConfig};
 /// use rideshare_types::TimeDelta;
 ///
@@ -154,7 +152,7 @@ impl SimulationResult {
 ///     &market,
 ///     &mut StreamPolicy::Batched {
 ///         window: TimeDelta::from_mins(3),
-///         matcher: &mut OptimalAssignmentMatcher,
+///         matcher: MatcherKind::Optimal,
 ///     },
 /// );
 /// validate_online_result(&market, &result).unwrap();

@@ -22,9 +22,9 @@
 //!   publish instant: candidate set, [`DispatchPolicy`] choice, commit —
 //!   Algs. 3–4,
 //! - batched mode ([`StreamPolicy::Batched`]) holds orders for a window
-//!   and closes it through the early-flush epochs `batch.rs` documents,
-//!   each in matcher rounds or, for the greedy pair matcher, from a heap
-//!   of pairs.
+//!   and closes it through the early-flush epochs `batch.rs` documents:
+//!   the greedy matcher's from a heap of pairs, the assignment LP's in
+//!   rounds.
 //!
 //! Two details make a stream reproduce what a platform that knows the
 //! whole day would decide:
@@ -99,7 +99,7 @@ use rideshare_geo::{BoundingBox, SpeedModel};
 use rideshare_trace::TraceStream;
 use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
-use crate::batch::{BatchMatcher, BatchRound, RankedPair};
+use crate::batch::{optimal_round, BatchRound, MatcherKind, RankedPair, RoundRule};
 use crate::candidates::{unit_box, Fleet};
 use crate::policy::{Candidate, DispatchPolicy};
 #[cfg(feature = "stage-probe")]
@@ -187,6 +187,10 @@ pub struct StreamOptions {
     bbox: BoundingBox,
     #[cfg(any(test, feature = "oracle"))]
     fold: bool,
+    /// A round rule that closes every batched epoch in place of the
+    /// matcher's own close: the seam the closes' oracles run through.
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) rounds: Option<RoundRule>,
 }
 
 impl Default for StreamOptions {
@@ -195,6 +199,8 @@ impl Default for StreamOptions {
             bbox: unit_box(),
             #[cfg(any(test, feature = "oracle"))]
             fold: false,
+            #[cfg(any(test, feature = "oracle"))]
+            rounds: None,
         }
     }
 }
@@ -234,8 +240,8 @@ pub enum StreamPolicy<'p> {
     Batched {
         /// The hold window `W ≥ 0`.
         window: TimeDelta,
-        /// The per-round matcher (e.g. [`crate::GreedyPairMatcher`]).
-        matcher: &'p mut dyn BatchMatcher,
+        /// The per-batch matcher.
+        matcher: MatcherKind,
     },
 }
 
@@ -349,6 +355,8 @@ pub struct StreamEngine {
     /// Reusable per-window working memory for batched-mode dispatch.
     win_scratch: WindowScratch,
     hold: Hold,
+    #[cfg(any(test, feature = "oracle"))]
+    rounds: Option<RoundRule>,
     /// Latest instant through which decisions are final; new tasks must
     /// publish strictly later.
     decided_through: Option<Timestamp>,
@@ -375,6 +383,8 @@ impl StreamEngine {
             cand_scratch: Vec::new(),
             win_scratch: WindowScratch::default(),
             hold: Hold::Empty,
+            #[cfg(any(test, feature = "oracle"))]
+            rounds: options.rounds,
             decided_through: None,
             clock: None,
             served: 0,
@@ -546,7 +556,7 @@ impl StreamEngine {
                 self.decided_through = Some(at);
             }
             (Hold::Window(end), StreamPolicy::Batched { matcher, .. }) => {
-                self.decide_window(&group, end, &mut **matcher, sink);
+                self.decide_window(&group, end, *matcher, sink);
                 self.decided_through = Some(end);
             }
             (held, _) => panic!("policy kind changed mid-stream while holding {held:?}"),
@@ -608,9 +618,15 @@ impl StreamEngine {
         &mut self,
         batch: &[Task],
         window_end: Timestamp,
-        matcher: &mut dyn BatchMatcher,
+        matcher: MatcherKind,
         sink: &mut dyn StreamSink,
     ) {
+        let rule = match matcher {
+            MatcherKind::Greedy => None,
+            MatcherKind::Optimal => Some(optimal_round as RoundRule),
+        };
+        #[cfg(any(test, feature = "oracle"))]
+        let rule = self.rounds.or(rule);
         probe!(probe::start());
         let mut scratch = std::mem::take(&mut self.win_scratch);
         // Early flush: a task that could not be feasibly dispatched at the
@@ -639,24 +655,23 @@ impl StreamEngine {
                 e += 1;
             }
             probe!(probe::count(Count::Epochs, 1));
-            if matcher.single_best_pair() {
-                self.close_from_heap(batch, decision_time, &mut scratch, sink);
-            } else {
-                self.close_in_rounds(batch, decision_time, matcher, &mut scratch, sink);
+            match rule {
+                None => self.close_from_heap(batch, decision_time, &mut scratch, sink),
+                Some(rule) => self.close_in_rounds(batch, decision_time, rule, &mut scratch, sink),
             }
         }
         self.win_scratch = scratch;
     }
 
     /// Closes one decision epoch, the orders of `scratch.remaining`, in
-    /// matcher rounds: offer every unmatched order's candidates, commit the
-    /// answer, refresh the committed drivers' entries, ask again until an
-    /// answer is empty, then reject what is left.
+    /// rounds of `rule`: offer every unmatched order's candidates, commit
+    /// the answer, refresh the committed drivers' entries, ask again until
+    /// an answer is empty, then reject what is left.
     fn close_in_rounds(
         &mut self,
         batch: &[Task],
         decision_time: Timestamp,
-        matcher: &mut dyn BatchMatcher,
+        rule: RoundRule,
         scratch: &mut WindowScratch,
         sink: &mut dyn StreamSink,
     ) {
@@ -678,7 +693,7 @@ impl StreamEngine {
             };
             probe!(let offered = round.candidates.iter().map(Vec::len).sum::<usize>(););
             probe!(probe::count(Count::PairsRead, offered as u64));
-            let mut picks = matcher.match_round(&round);
+            let mut picks = rule(&round);
             picks.sort_unstable();
             probe!(probe::lap(Stage::Choose));
             scratch.committed.clear();
@@ -690,8 +705,7 @@ impl StreamEngine {
                 let Some(&cand) = cands.get(ci) else {
                     continue;
                 };
-                // Disjointness: first slot wins, as the trait contract
-                // promises.
+                // Disjointness: first slot wins, as `RoundRule` says.
                 let used = scratch.used_drivers.iter().any(|c| c.driver == cand.driver);
                 if used || scratch.committed.contains(&slot) {
                     continue;
@@ -760,12 +774,11 @@ impl StreamEngine {
     }
 
     /// Closes one decision epoch, the orders of `scratch.remaining`, from a
-    /// heap of pairs, for a matcher whose every round commits the one best
-    /// pair ([`BatchMatcher::single_best_pair`]). It commits what
-    /// [`StreamEngine::close_in_rounds`] would under
-    /// [`crate::GreedyPairMatcher`], in the same order and each out of the
-    /// same number of candidates, then rejects the unmatched orders in
-    /// ascending task id.
+    /// heap of pairs: the [`MatcherKind::Greedy`] close. It commits what
+    /// [`StreamEngine::close_in_rounds`] would under the greedy rule (each
+    /// round the one best pair, ranked as [`RankedPair`] ranks), in the
+    /// same order and each out of the same number of candidates, then
+    /// rejects the unmatched orders in ascending task id.
     ///
     /// Each order is scanned once and each pair pushed. A pair pops live
     /// if its order is unmatched and its driver has not committed since it
@@ -1109,7 +1122,6 @@ impl StreamSink for CollectingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::GreedyPairMatcher;
     use crate::policy::MaxMargin;
     use crate::simulator::replay_market;
     use rideshare_core::{Market, MarketBuildOptions};
@@ -1155,7 +1167,7 @@ mod tests {
         ticked.push(StreamEvent::EpochTick(Timestamp::from_hours(30)));
 
         let mut sink = CollectingSink::new();
-        let matcher = &mut GreedyPairMatcher;
+        let matcher = MatcherKind::Greedy;
         replay_stream(
             m.speed(),
             ticked,
@@ -1171,13 +1183,12 @@ mod tests {
     fn held_tasks_stay_bounded() {
         let m = market(85, 400, 25);
         let mut sink = CollectingSink::new();
-        let mut matcher = GreedyPairMatcher;
         let summary = replay_stream(
             m.speed(),
             market_events(&m),
             &mut StreamPolicy::Batched {
                 window: TimeDelta::from_mins(3),
-                matcher: &mut matcher,
+                matcher: MatcherKind::Greedy,
             },
             StreamOptions::default(),
             &mut sink,
@@ -1230,7 +1241,7 @@ mod tests {
         for mins in [2i64, 10] {
             let window = TimeDelta::from_mins(mins);
             let mut sink = CollectingSink::new();
-            let matcher = &mut GreedyPairMatcher;
+            let matcher = MatcherKind::Greedy;
             let summary = replay_stream(
                 m.speed(),
                 market_events(&m),
@@ -1295,7 +1306,7 @@ mod tests {
     /// Runs `f` under instant max-margin dispatch, then under `batch-3m`.
     fn under_both_policies(mut f: impl FnMut(&mut StreamPolicy<'_>)) {
         f(&mut StreamPolicy::Instant(&mut MaxMargin::new()));
-        let (window, matcher) = (TimeDelta::from_mins(3), &mut GreedyPairMatcher);
+        let (window, matcher) = (TimeDelta::from_mins(3), MatcherKind::Greedy);
         f(&mut StreamPolicy::Batched { window, matcher });
     }
 

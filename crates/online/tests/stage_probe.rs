@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rideshare_core::{MarketBuildOptions, Task};
 use rideshare_online::probe::{install_clock, readings, Count, Stage, StageClock, StageReadings};
 use rideshare_online::{
-    priced_events, replay_stream, DispatchEvent, GreedyPairMatcher, MaxMargin, StreamOptions,
+    priced_events, replay_stream, DispatchEvent, MatcherKind, MaxMargin, StreamOptions,
     StreamPolicy, StreamSink,
 };
 use rideshare_trace::{DriverModel, TraceConfig};
@@ -119,7 +119,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
 
     // Batched: one early-flush lap per window, and a refresh after every
     // matcher round that committed something and left orders over.
-    let (window, matcher) = (TimeDelta::from_mins(3), &mut GreedyPairMatcher);
+    let (window, matcher) = (TimeDelta::from_mins(3), MatcherKind::Greedy);
     let batched = Run::new(&mut StreamPolicy::Batched { window, matcher });
     let sink = &batched.sink;
     assert_eq!(sink.served + sink.rejected, 3000);

@@ -40,7 +40,7 @@ fn main() {
             &market,
             &mut StreamPolicy::Batched {
                 window: TimeDelta::from_mins(20),
-                matcher: &mut GreedyPairMatcher,
+                matcher: MatcherKind::Greedy,
             },
         );
 

@@ -16,7 +16,7 @@ fn main() {
     let instant = |policy: &mut dyn DispatchPolicy| {
         replay_market(&market, &mut StreamPolicy::Instant(policy))
     };
-    let batched = |mins: i64, matcher: &mut dyn BatchMatcher| {
+    let batched = |mins: i64, matcher: MatcherKind| {
         let window = TimeDelta::from_mins(mins);
         replay_market(&market, &mut StreamPolicy::Batched { window, matcher })
     };
@@ -27,12 +27,9 @@ fn main() {
     for (label, result) in [
         ("Nearest (Alg. 3)", instant(&mut NearestDriver::new())),
         ("maxMargin (Alg. 4)", instant(&mut MaxMargin::new())),
-        ("batched 2 min", batched(2, &mut GreedyPairMatcher)),
-        ("batched 10 min", batched(10, &mut GreedyPairMatcher)),
-        (
-            "batched 2 min, optimal",
-            batched(2, &mut OptimalAssignmentMatcher),
-        ),
+        ("batched 2 min", batched(2, MatcherKind::Greedy)),
+        ("batched 10 min", batched(10, MatcherKind::Greedy)),
+        ("batched 2 min, optimal", batched(2, MatcherKind::Optimal)),
     ] {
         // Feasibility *and* dispatch causality: departures never precede
         // the decisions that dispatched them.

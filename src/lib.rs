@@ -75,12 +75,12 @@ pub mod prelude {
     };
     pub use rideshare_online::{
         market_events, priced_events, replay_market, replay_market_by_value, replay_sharded,
-        replay_stream, validate_online, validate_online_result, BatchMatcher, BoxPartitioner,
-        CollectingSink, DispatchPolicy, FileSource, GreedyPairMatcher, IngestError, IngestFormat,
-        IngestSource, IterSource, MatcherKind, MaxMargin, NearestDriver, OptimalAssignmentMatcher,
-        RandomDispatch, RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport,
-        ServeStop, ShardOptions, ShardPolicySpec, SimulationResult, StreamEngine, StreamEvent,
-        StreamOptions, StreamPolicy, StreamSink, StreamSummary, TcpSource,
+        replay_stream, validate_online, validate_online_result, BoxPartitioner, CollectingSink,
+        DispatchPolicy, FileSource, IngestError, IngestFormat, IngestSource, IterSource,
+        MatcherKind, MaxMargin, NearestDriver, RandomDispatch, RegionPartitioner, ServeConfig,
+        ServeDaemon, ServeOutcome, ServeReport, ServeStop, ShardOptions, ShardPolicySpec,
+        SimulationResult, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink,
+        StreamSummary, TcpSource,
     };
     pub use rideshare_trace::{DriverModel, Trace, TraceConfig, TraceStream, TripRecord};
     pub use rideshare_tsdb::{

@@ -35,7 +35,7 @@
 use proptest::prelude::*;
 
 use rideshare::bench::Scenario;
-use rideshare::online::{GreedyPairMatcher, ShardOptions, ShardPolicySpec, SimulationResult};
+use rideshare::online::{ShardOptions, ShardPolicySpec, SimulationResult};
 use rideshare::prelude::*;
 
 fn regional_config(seed: u64, tasks: usize, drivers: usize, regions: usize) -> TraceConfig {
@@ -209,13 +209,11 @@ fn porto_regions_sharded_metrics_equal_sequential_exactly() {
     ] {
         let mut whole = StreamMetrics::hourly();
         let mut mm = MaxMargin::new();
-        let mut greedy = GreedyPairMatcher;
         let mut policy = match spec {
             ShardPolicySpec::MaxMargin => StreamPolicy::Instant(&mut mm),
-            ShardPolicySpec::Batched { window, .. } => StreamPolicy::Batched {
-                window,
-                matcher: &mut greedy,
-            },
+            ShardPolicySpec::Batched { window, matcher } => {
+                StreamPolicy::Batched { window, matcher }
+            }
             ShardPolicySpec::Nearest { .. } => unreachable!(),
         };
         let _ = replay_stream(
@@ -303,7 +301,7 @@ fn tiny_catalog_metric_merge_is_exact() {
 fn catalog_compaction_oracle() {
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        let (mut margin, matcher) = (MaxMargin::new(), &mut GreedyPairMatcher);
+        let (mut margin, matcher) = (MaxMargin::new(), MatcherKind::Greedy);
         let window = TimeDelta::from_mins(3);
         let policies = [
             ("instant", StreamPolicy::Instant(&mut margin)),

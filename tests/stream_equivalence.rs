@@ -86,9 +86,11 @@ fn stream_instant(market: &Market, policy: &mut dyn DispatchPolicy) -> Simulatio
 
 fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> SimulationResult {
     let mut sink = CollectingSink::new();
-    let mut greedy = GreedyPairMatcher;
-    let mut opt = OptimalAssignmentMatcher;
-    let matcher: &mut dyn BatchMatcher = if optimal { &mut opt } else { &mut greedy };
+    let matcher = if optimal {
+        MatcherKind::Optimal
+    } else {
+        MatcherKind::Greedy
+    };
     let _ = replay_stream(
         market.speed(),
         market_events(market),
@@ -284,9 +286,8 @@ proptest! {
         let run = |events: Vec<StreamEvent>| {
             let mut sink = CollectingSink::new();
             let mut mm = MaxMargin::new();
-            let mut greedy = GreedyPairMatcher;
             let mut policy = if batched {
-                StreamPolicy::Batched { window: TimeDelta::from_mins(3), matcher: &mut greedy }
+                StreamPolicy::Batched { window: TimeDelta::from_mins(3), matcher: MatcherKind::Greedy }
             } else {
                 StreamPolicy::Instant(&mut mm)
             };
@@ -402,12 +403,12 @@ fn grid_matches_scan(
         } else {
             StreamOptions::fold_oracle()
         };
-        let (mut margin, mut matcher) = (MaxMargin::new(), GreedyPairMatcher);
+        let mut margin = MaxMargin::new();
         let mut policy = if batched {
             let window = TimeDelta::from_mins(3);
             StreamPolicy::Batched {
                 window,
-                matcher: &mut matcher,
+                matcher: MatcherKind::Greedy,
             }
         } else {
             StreamPolicy::Instant(&mut margin)
