@@ -229,6 +229,8 @@ impl TsdbStore {
     /// if needed. An existing `index.json` is loaded and every listed
     /// chunk file structurally validated — truncated files and corrupt
     /// headers are typed errors at open, not surprises at query time.
+    /// Series files the index does not name are left as they are, and no
+    /// new series takes their ids.
     ///
     /// # Errors
     ///
@@ -246,6 +248,19 @@ impl TsdbStore {
             let text =
                 fs::read_to_string(&index_path).map_err(|e| TsdbError::io(&index_path, &e))?;
             store.load_index(&text)?;
+        }
+        // A series file no index row names (a process killed before its
+        // flush leaves one) is never appended to: new series take ids past
+        // every file on disk as well as past every row.
+        for entry in fs::read_dir(dir).map_err(|e| TsdbError::io(dir, &e))? {
+            let name = entry.map_err(|e| TsdbError::io(dir, &e))?.file_name();
+            let id = name.to_str().and_then(|name| {
+                let digits = name.strip_prefix("series-")?.strip_suffix(".tsc")?;
+                digits.parse::<u32>().ok()
+            });
+            if let Some(id) = id {
+                store.next_id = store.next_id.max(id.saturating_add(1));
+            }
         }
         Ok(store)
     }

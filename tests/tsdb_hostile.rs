@@ -393,6 +393,40 @@ fn overlapping_appends_are_refused_even_across_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Appends `CHUNK_LEN + 7` samples to one series of the store in `dir`,
+/// flushes, reopens and returns the series' sample count and samples.
+fn record_and_count(dir: &std::path::Path) -> (u64, Vec<Sample>) {
+    let mut store = TsdbStore::open(dir).expect("open");
+    for k in 0..(CHUNK_LEN as i64 + 7) {
+        store.append(&key("served"), k * 60, 3).expect("append");
+    }
+    store.flush().expect("flush");
+    drop(store);
+    let store = TsdbStore::open(dir).expect("reopen");
+    let (_, info) = store.series().next().expect("one series");
+    (info.samples, store.read_series(&key("served")).expect("read"))
+}
+
+#[test]
+fn unindexed_series_files_are_never_appended_to() {
+    // A process killed before its first flush leaves a sealed chunk and
+    // no `index.json`. A later run into the same directory must record
+    // what a fresh directory records, not append to the orphaned file.
+    let dir = tmp_dir("orphan");
+    let mut store = TsdbStore::open(&dir).expect("open");
+    for k in 0..(CHUNK_LEN as i64 + 7) {
+        store.append(&key("served"), k * 60, 9).expect("append");
+    }
+    drop(store);
+    assert!(dir.join("series-00000.tsc").exists(), "a chunk was sealed");
+    assert!(!dir.join("index.json").exists(), "nothing was flushed");
+
+    let fresh = tmp_dir("orphan-fresh");
+    assert_eq!(record_and_count(&dir), record_and_count(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
 #[test]
 fn query_rejects_degenerate_ranges() {
     let dir = tmp_dir("range");
