@@ -223,11 +223,11 @@ pub enum ShardPolicySpec {
         /// Tie-break seed (see [`NearestDriver::with_seed`]).
         seed: u64,
     },
-    /// Batched dispatch: hold window + per-round matcher.
+    /// Batched dispatch: hold window + per-batch matcher.
     Batched {
         /// The hold window `W ≥ 0`.
         window: TimeDelta,
-        /// The per-round matcher.
+        /// The per-batch matcher.
         matcher: MatcherKind,
     },
 }
