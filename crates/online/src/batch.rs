@@ -1,6 +1,6 @@
 //! Batched dispatch — a non-myopic online mode with honest timing.
 //!
-//! The paper's concluding remarks name "solv[ing] the online problem with
+//! The paper's concluding remarks name "solv\[ing\] the online problem with
 //! non-heuristic algorithms" as future work. The standard practical step in
 //! that direction (and what production dispatch systems actually do) is
 //! **batching**: instead of dispatching each order the instant it arrives,

@@ -221,7 +221,9 @@ struct SeriesState {
 pub struct TsdbStore {
     dir: PathBuf,
     series: BTreeMap<SeriesKey, SeriesState>,
-    next_id: u32,
+    /// The id the next new series takes: past every index row and every
+    /// series file on disk, so wider than an id.
+    next_id: u64,
 }
 
 impl TsdbStore {
@@ -259,7 +261,7 @@ impl TsdbStore {
                 digits.parse::<u32>().ok()
             });
             if let Some(id) = id {
-                store.next_id = store.next_id.max(id.saturating_add(1));
+                store.next_id = store.next_id.max(u64::from(id) + 1);
             }
         }
         Ok(store)
@@ -287,7 +289,7 @@ impl TsdbStore {
             if self.series.insert(key, state).is_some() {
                 return Err(TsdbError::BadIndex("duplicate series key".to_string()));
             }
-            self.next_id = self.next_id.max(id.saturating_add(1));
+            self.next_id = self.next_id.max(u64::from(id) + 1);
         }
         Ok(())
     }
@@ -345,8 +347,9 @@ impl TsdbStore {
     /// # Errors
     ///
     /// [`TsdbError::OutOfOrder`] unless `t` strictly exceeds the series'
-    /// newest timestamp; label validation and filesystem/codec errors as
-    /// typed variants.
+    /// newest timestamp; [`TsdbError::BadIndex`] for a new series when
+    /// the index or a series file on disk already holds the last id;
+    /// label validation and filesystem/codec errors as typed variants.
     pub fn append(&mut self, key: &SeriesKey, t: i64, v: i128) -> Result<(), TsdbError> {
         let state = match self.series.get_mut(key) {
             Some(state) => state,
@@ -355,7 +358,9 @@ impl TsdbStore {
                 if self.series.len() >= MAX_SERIES {
                     return Err(TsdbError::TooManySeries(self.series.len() + 1));
                 }
-                let id = self.next_id;
+                let id = u32::try_from(self.next_id).map_err(|_| {
+                    TsdbError::BadIndex(format!("no series id is left past {}", u32::MAX))
+                })?;
                 self.next_id += 1;
                 self.series.entry(key.clone()).or_insert(SeriesState {
                     id,

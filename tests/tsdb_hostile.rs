@@ -404,7 +404,10 @@ fn record_and_count(dir: &std::path::Path) -> (u64, Vec<Sample>) {
     drop(store);
     let store = TsdbStore::open(dir).expect("reopen");
     let (_, info) = store.series().next().expect("one series");
-    (info.samples, store.read_series(&key("served")).expect("read"))
+    (
+        info.samples,
+        store.read_series(&key("served")).expect("read"),
+    )
 }
 
 #[test]
@@ -425,6 +428,23 @@ fn unindexed_series_files_are_never_appended_to() {
     assert_eq!(record_and_count(&dir), record_and_count(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
+fn a_series_file_holding_the_last_id_leaves_no_id_to_take() {
+    // No new series may share a file with one the index does not name,
+    // even when that file holds the largest id there is.
+    let (dir, file) = sealed_store("last-id");
+    std::fs::remove_file(dir.join("index.json")).expect("drop the index");
+    let last = dir.join(format!("series-{}.tsc", u32::MAX));
+    std::fs::rename(&file, &last).expect("rename");
+    let before = std::fs::read(&last).expect("read");
+    let mut store = TsdbStore::open(&dir).expect("open");
+    let refused = store.append(&key("served"), 0, 1).expect_err("no id left");
+    assert!(matches!(refused, TsdbError::BadIndex(_)), "{refused}");
+    drop(store);
+    assert_eq!(std::fs::read(&last).expect("read"), before);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
