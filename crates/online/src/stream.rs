@@ -231,6 +231,17 @@ impl StreamOptions {
 }
 
 /// How the stream's orders are decided.
+///
+/// ```
+/// use rideshare_online::{MatcherKind, MaxMargin, StreamPolicy};
+/// use rideshare_types::TimeDelta;
+///
+/// let mut margin = MaxMargin::new();
+/// let _instant = StreamPolicy::Instant(&mut margin);
+/// let window = TimeDelta::from_mins(3);
+/// let _batch_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Greedy };
+/// let _batch_opt_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Optimal };
+/// ```
 pub enum StreamPolicy<'p> {
     /// Instant dispatch at publish time through a per-task policy
     /// (Algs. 3–4).
