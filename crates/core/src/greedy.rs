@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use rideshare_types::{Money, TaskId};
 
-use crate::assignment::{Assignment, DriverRoute};
+use crate::assignment::Assignment;
 use crate::market::{Market, Objective};
 use crate::view::{task_margins, PathScratch, REMOVED};
 
@@ -155,55 +155,54 @@ pub fn solve_greedy(market: &Market, objective: Objective) -> GreedyOutcome {
     }
 }
 
-/// The naive reference implementation of Alg. 1 that re-evaluates **every**
-/// remaining driver each iteration. Exponentially clearer, linearly slower;
-/// kept for differential testing of the lazy variant.
-#[cfg_attr(not(test), allow(dead_code))]
-#[must_use]
-pub(crate) fn solve_greedy_naive(market: &Market, objective: Objective) -> Assignment {
-    let n = market.num_drivers();
-    let mut value = task_margins(market, objective);
-    let mut scratch = PathScratch::default();
-    let mut taken = vec![false; n];
-    let maps = market.task_maps();
-    let mut routes = vec![DriverRoute::default(); n];
-    loop {
-        let mut best: Option<(f64, usize, Vec<u32>)> = None;
-        for (i, map) in maps.iter().enumerate() {
-            if taken[i] {
-                continue;
-            }
-            let path = map.best_path(&value, 0.0, &mut scratch);
-            if !Money::new(path.profit).is_strictly_positive() {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bp, bi, _)) => {
-                    path.profit > *bp + 1e-12 || ((path.profit - *bp).abs() <= 1e-12 && i < *bi)
-                }
-            };
-            if better {
-                best = Some((path.profit, i, path.tasks));
-            }
-        }
-        let Some((_, driver, path)) = best else {
-            break;
-        };
-        for &t in &path {
-            value[t as usize] = REMOVED;
-        }
-        taken[driver] = true;
-        routes[driver].tasks = path.iter().map(|&t| TaskId::new(t)).collect();
-    }
-    Assignment::from_routes(routes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::DriverRoute;
     use crate::market::MarketBuildOptions;
     use rideshare_trace::{DriverModel, TraceConfig};
+
+    /// The naive reference implementation of Alg. 1 that re-evaluates **every**
+    /// remaining driver each iteration. Exponentially clearer, linearly slower;
+    /// kept for differential testing of the lazy variant.
+    fn solve_greedy_naive(market: &Market, objective: Objective) -> Assignment {
+        let n = market.num_drivers();
+        let mut value = task_margins(market, objective);
+        let mut scratch = PathScratch::default();
+        let mut taken = vec![false; n];
+        let maps = market.task_maps();
+        let mut routes = vec![DriverRoute::default(); n];
+        loop {
+            let mut best: Option<(f64, usize, Vec<u32>)> = None;
+            for (i, map) in maps.iter().enumerate() {
+                if taken[i] {
+                    continue;
+                }
+                let path = map.best_path(&value, 0.0, &mut scratch);
+                if !Money::new(path.profit).is_strictly_positive() {
+                    continue;
+                }
+                let better = match &best {
+                    None => true,
+                    Some((bp, bi, _)) => {
+                        path.profit > *bp + 1e-12 || ((path.profit - *bp).abs() <= 1e-12 && i < *bi)
+                    }
+                };
+                if better {
+                    best = Some((path.profit, i, path.tasks));
+                }
+            }
+            let Some((_, driver, path)) = best else {
+                break;
+            };
+            for &t in &path {
+                value[t as usize] = REMOVED;
+            }
+            taken[driver] = true;
+            routes[driver].tasks = path.iter().map(|&t| TaskId::new(t)).collect();
+        }
+        Assignment::from_routes(routes)
+    }
 
     fn market(seed: u64, tasks: usize, drivers: usize, model: DriverModel) -> Market {
         let trace = TraceConfig::porto()

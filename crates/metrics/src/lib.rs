@@ -32,13 +32,19 @@
 //! ```
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
+// Metrics accumulate on the i128 fixed-point grid, so cross-shard merges
+// are exact: float arithmetic is confined to `float`, and clippy.toml
+// bans `Iterator::{sum, product}` here.
+#![deny(clippy::float_arithmetic)]
 
+mod float;
 mod journal;
 mod market_metrics;
 mod stream_stats;
 mod table;
 
+pub use float::fixed_to_f64;
 pub use journal::MetricsJournal;
 pub use market_metrics::MarketMetrics;
-pub use stream_stats::{fixed_to_f64, SnapshotError, StreamBucket, StreamMetrics, SNAPSHOT_SCHEMA};
+pub use stream_stats::{SnapshotError, StreamBucket, StreamMetrics, SNAPSHOT_SCHEMA};
 pub use table::{render_pivot, render_series, render_table, Series};

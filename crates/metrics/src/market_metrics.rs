@@ -2,6 +2,8 @@
 
 use rideshare_core::{Assignment, Market, Objective};
 
+use crate::float::ratio;
+
 /// The market-level quantities of §VI-C, computed from one assignment.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MarketMetrics {
@@ -37,13 +39,13 @@ impl MarketMetrics {
         let served_rate = if tasks == 0 {
             0.0
         } else {
-            served as f64 / tasks as f64
+            ratio(served as f64, tasks as f64)
         };
         let per_worker = |x: f64| {
             if drivers == 0 {
                 0.0
             } else {
-                x / drivers as f64
+                ratio(x, drivers as f64)
             }
         };
         Self {

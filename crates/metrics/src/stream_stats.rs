@@ -69,6 +69,7 @@ use rideshare_core::{Driver, Task};
 use rideshare_online::{DispatchEvent, StreamSink};
 use rideshare_types::{json, TimeDelta, Timestamp};
 
+use crate::float::{fixed_to_f64, ratio, to_fixed};
 use crate::table::render_table;
 
 /// Schema tag of the canonical snapshot JSON —
@@ -96,22 +97,10 @@ impl Error for SnapshotError {}
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub(crate) struct FixedSum(pub(crate) i128);
 
-/// 2⁴⁰: ~9.1 × 10⁻¹³ resolution per addend.
-const FIXED_SCALE: f64 = (1u64 << 40) as f64;
-
-/// Projects a raw fixed-point integer (2⁻⁴⁰ grid) to `f64` units — the
-/// same conversion [`StreamMetrics::revenue`] applies to its accumulator.
-/// Lossy for magnitudes beyond 2⁵³ grid steps, which is why equality
-/// checks compare the raw integers instead.
-#[must_use]
-pub fn fixed_to_f64(raw: i128) -> f64 {
-    raw as f64 / FIXED_SCALE
-}
-
 impl FixedSum {
     pub(crate) fn add(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "non-finite metric value");
-        self.0 += (x * FIXED_SCALE).round() as i128;
+        self.0 += to_fixed(x);
     }
 
     pub(crate) fn merge(&mut self, other: FixedSum) {
@@ -119,7 +108,7 @@ impl FixedSum {
     }
 
     pub(crate) fn as_f64(self) -> f64 {
-        self.0 as f64 / FIXED_SCALE
+        fixed_to_f64(self.0)
     }
 }
 
@@ -153,7 +142,7 @@ impl StreamBucket {
         if self.published == 0 {
             0.0
         } else {
-            self.served as f64 / self.published as f64
+            ratio(self.served as f64, self.published as f64)
         }
     }
 
@@ -353,8 +342,12 @@ impl StreamMetrics {
     /// Mean rider wait over served orders, in minutes.
     #[must_use]
     pub fn mean_wait_mins(&self) -> Option<f64> {
-        (self.totals.served > 0)
-            .then(|| self.wait_secs_sum as f64 / 60.0 / self.totals.served as f64)
+        (self.totals.served > 0).then(|| {
+            ratio(
+                ratio(self.wait_secs_sum as f64, 60.0),
+                self.totals.served as f64,
+            )
+        })
     }
 
     /// Total empty kilometres driven to reach pickups.
@@ -380,7 +373,7 @@ impl StreamMetrics {
         for i in &self.income {
             total.merge(*i);
         }
-        (active > 0).then(|| total.as_f64() / active as f64)
+        (active > 0).then(|| ratio(total.as_f64(), active as f64))
     }
 
     /// Mean served tasks per active driver (Fig. 9's metric).
@@ -389,8 +382,11 @@ impl StreamMetrics {
         let active = self.active_drivers();
         (active > 0).then(|| {
             // Integer sum is exact; one final division is order-free.
-            let total: u64 = self.tasks_per_driver.iter().map(|&n| u64::from(n)).sum();
-            total as f64 / active as f64
+            let mut total = 0u64;
+            for &n in &self.tasks_per_driver {
+                total += u64::from(n);
+            }
+            ratio(total as f64, active as f64)
         })
     }
 
@@ -655,20 +651,23 @@ mod tests {
     #[test]
     fn buckets_sum_to_totals() {
         let (_, metrics) = run(92, 300, 15);
-        let published: usize = metrics.buckets().iter().map(|b| b.published).sum();
-        let served: usize = metrics.buckets().iter().map(|b| b.served).sum();
-        let profit: f64 = metrics.buckets().iter().map(|b| b.profit()).sum();
-        assert_eq!(published, metrics.published());
-        assert_eq!(served, metrics.served());
-        assert!((profit - metrics.profit()).abs() < 1e-9);
+        let mut sum = StreamBucket::default();
+        for b in metrics.buckets() {
+            sum.merge(b);
+        }
+        // On the fixed-point grid the buckets add up to the totals exactly.
+        assert_eq!(sum, metrics.totals);
     }
 
     #[test]
     fn per_driver_income_consistent() {
         let (market, metrics) = run(93, 200, 10);
         assert_eq!(metrics.incomes().len(), market.num_drivers());
-        let total: f64 = metrics.incomes().iter().sum();
-        assert!((total - metrics.profit()).abs() < 1e-9);
+        let mut total = FixedSum::default();
+        for &i in &metrics.income {
+            total.merge(i);
+        }
+        assert_eq!(total, metrics.totals.profit);
         assert!(metrics.active_drivers() <= market.num_drivers());
         if metrics.served() > 0 {
             assert!(metrics.mean_income_per_active_driver().is_some());

@@ -1,5 +1,7 @@
 //! Plain-text tables and series for experiment output.
 
+use crate::float::{at_most, near_whole};
+
 /// A named data series: `(x, y)` points, e.g. performance ratio over the
 /// number of drivers.
 #[derive(Clone, PartialEq, Debug)]
@@ -28,7 +30,9 @@ impl Series {
     /// Returns `true` if `y` never decreases along the series.
     #[must_use]
     pub fn is_non_decreasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[0].1 <= w[1].1 + 1e-12)
+        self.points
+            .windows(2)
+            .all(|w| at_most(w[0].1, w[1].1, 1e-12))
     }
 }
 
@@ -78,7 +82,11 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let head: Vec<String> = headers.iter().map(|h| (*h).to_string()).collect();
     out.push_str(&fmt_row(&head, &widths));
     out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    let mut rule = 2 * (widths.len() - 1);
+    for w in &widths {
+        rule += w;
+    }
+    out.push_str(&"-".repeat(rule));
     out.push('\n');
     for r in rows {
         out.push_str(&fmt_row(r, &widths));
@@ -171,7 +179,7 @@ pub fn render_pivot(
 }
 
 fn format_num(v: f64) -> String {
-    if (v - v.round()).abs() < 1e-9 && v.abs() < 1e9 {
+    if near_whole(v, 1e-9) && v.abs() < 1e9 {
         format!("{}", v.round() as i64)
     } else {
         format!("{v:.4}")

@@ -32,6 +32,17 @@
 //! violations surface as typed [`IngestError`]s in the
 //! [`ServeOutcome`].
 
+// Hostile bytes reach this file: a panic here is a denial of service,
+// so failures are typed errors. Test code may panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

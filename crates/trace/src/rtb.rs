@@ -29,6 +29,20 @@
 //! by a single end-of-stream record ([`WireEvent::Eos`]); bytes after it
 //! are an error, and a file that ends without it was truncated mid-write.
 
+// A binary codec: a truncating `as` cast corrupts frames silently, so
+// conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+// Hostile bytes reach this file: a panic here is a denial of service,
+// so failures are typed errors. Test code may panic (clippy.toml).
+#![deny(clippy::as_conversions)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
@@ -341,8 +355,10 @@ impl<'a> RtbSlice<'a> {
     /// Returns the typed [`RtbError`] on truncation, a malformed record,
     /// trailing bytes, or a header/stream count mismatch; never panics on
     /// hostile input.
-    // Fallible-iterator pull, same idiom as `FrameDecoder::next`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "fallible-iterator pull, same idiom as `FrameDecoder::next`"
+    )]
     pub fn next(&mut self) -> Result<Option<WireEvent>, RtbError> {
         if self.end.done {
             return Ok(None);
@@ -428,7 +444,10 @@ impl<R: Read> RtbFileReader<R> {
     ///
     /// Same contract as [`RtbSlice::next`], plus [`RtbError::Io`] for
     /// transport failures.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "fallible-iterator pull, same idiom as `FrameDecoder::next`"
+    )]
     pub fn next(&mut self) -> Result<Option<WireEvent>, RtbError> {
         if self.end.done {
             return Ok(None);
@@ -621,7 +640,7 @@ mod tests {
         let events = sample_events();
         let mut bytes = encode(&events);
         // Patch an exact (correct) count into the header: accepted.
-        bytes[8..16].copy_from_slice(&(events.len() as u64).to_le_bytes());
+        bytes[8..16].copy_from_slice(&widen_u64(events.len()).to_le_bytes());
         assert_eq!(read_events(&bytes).unwrap(), events);
         // Patch a wrong count: typed mismatch.
         bytes[8..16].copy_from_slice(&7u64.to_le_bytes());
@@ -629,7 +648,7 @@ mod tests {
             read_events(&bytes).err(),
             Some(RtbError::CountMismatch {
                 declared: 7,
-                decoded: events.len() as u64,
+                decoded: widen_u64(events.len()),
             })
         );
     }

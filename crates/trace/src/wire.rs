@@ -31,6 +31,10 @@
 //! and amounts as their `f64` units; no second set of record types exists
 //! for the encodings to drift from.
 
+// A binary codec: a truncating `as` cast corrupts frames silently, so
+// conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+#![deny(clippy::as_conversions)]
+
 use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
@@ -396,9 +400,10 @@ impl FrameDecoder {
     /// Returns the typed [`WireError`] on a structurally invalid frame
     /// (oversized length prefix, unknown tag, short body). The decoder is
     /// not usable after an error — framing is lost.
-    // Deliberately named like the fallible-iterator idiom: `Iterator` can't
-    // express the `Result<Option<_>>` pull this decoder needs.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "deliberately named like the fallible-iterator idiom: `Iterator` can't express the `Result<Option<_>>` pull this decoder needs"
+    )]
     pub fn next(&mut self) -> Result<Option<WireEvent>, WireError> {
         let Some((&prefix, rest)) = self.buf[self.head..].split_first_chunk::<4>() else {
             return Ok(None);

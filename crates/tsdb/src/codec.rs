@@ -28,6 +28,20 @@
 //! checked on the *header* before any payload is decoded, so a
 //! forged length cannot force a large allocation.
 
+// A binary codec: a truncating `as` cast corrupts frames silently, so
+// conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+// Hostile bytes reach this file: a panic here is a denial of service,
+// so failures are typed errors. Test code may panic (clippy.toml).
+#![deny(clippy::as_conversions)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::error::Error;
 use std::fmt;
 

@@ -28,6 +28,11 @@
 //!   serve daemon and `rideshare replay` use to persist windows as they
 //!   close (`--tsdb-dir`), queried back by `rideshare query`.
 
+// Stored values stay on the metrics crate's integer grid: float
+// arithmetic is confined to `query`'s projection, and clippy.toml bans
+// `Iterator::{sum, product}` here.
+#![deny(clippy::float_arithmetic)]
+
 pub mod codec;
 pub mod query;
 pub mod recorder;

@@ -347,13 +347,24 @@ fn project(w: &WindowAgg, agg: Agg, step: i64, unit: MetricUnit) -> f64 {
             if w.count == 0 {
                 0.0
             } else {
-                scale(w.sum) / w.count as f64
+                per(scale(w.sum), w.count as f64)
             }
         }
-        Agg::Rate => scale(w.sum) / step as f64,
+        Agg::Rate => per(scale(w.sum), step as f64),
         Agg::Min => scale(w.min),
         Agg::Max => scale(w.max),
     }
+}
+
+/// `num / den`, the projection's one float operation (the crate denies
+/// `clippy::float_arithmetic` everywhere else).
+#[expect(
+    clippy::float_arithmetic,
+    reason = "a display-only mean or rate of an exact integer total, divided once"
+)]
+#[inline]
+fn per(num: f64, den: f64) -> f64 {
+    num / den
 }
 
 /// Renders the result as an aligned text table: one row per window plus

@@ -60,6 +60,17 @@
 //! assert_eq!(read_num::<u8>(at.unwrap(), "at").unwrap_err(), "field \"at\" is not a valid u8");
 //! ```
 
+// Hostile bytes reach this file: a panic here is a denial of service,
+// so failures are typed errors. Test code may panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::any::type_name;
 use std::borrow::Cow;
 use std::fmt::Write as _;

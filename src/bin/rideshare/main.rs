@@ -98,6 +98,10 @@ fn main() -> ExitCode {
 
 /// Runs `f`, returning its result and the wall seconds it took.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing elapsed-time display only; --canonical drops these lines, which is exactly what the CI byte-identity diffs compare"
+    )]
     // audit:allow(wall-clock): operator-facing elapsed-time display only; --canonical drops these lines, which is exactly what the CI byte-identity diffs compare.
     let start = std::time::Instant::now();
     let result = f();

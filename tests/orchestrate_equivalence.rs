@@ -19,7 +19,7 @@
 use rideshare::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 const BIN: &str = env!("CARGO_BIN_EXE_rideshare");
 
@@ -156,13 +156,13 @@ fn resume_reuses_finished_results_without_recomputation() {
     // …and resuming it adopts every finished result untouched: same
     // merged bytes, zero requeues, and the result files' mtimes prove
     // nothing was rewritten.
-    let mtime = |unit: &str| -> SystemTime {
+    let mtime = |unit: &str| {
         std::fs::metadata(dir.join("results").join(unit))
             .expect("result file")
             .modified()
             .expect("mtime")
     };
-    let before: Vec<SystemTime> = (0..scenarios.len())
+    let before: Vec<_> = (0..scenarios.len())
         .map(|i| mtime(&format!("{i:04}-{}.json", scenarios[i].name)))
         .collect();
     let mut opts = subprocess_opts(2);
@@ -171,7 +171,7 @@ fn resume_reuses_finished_results_without_recomputation() {
     assert_eq!(second.resumed, scenarios.len());
     assert_eq!(second.requeues, 0);
     assert_eq!(second.report.to_json(false), reference);
-    let after: Vec<SystemTime> = (0..scenarios.len())
+    let after: Vec<_> = (0..scenarios.len())
         .map(|i| mtime(&format!("{i:04}-{}.json", scenarios[i].name)))
         .collect();
     assert_eq!(before, after, "resume recomputed a finished unit");
