@@ -291,7 +291,6 @@ impl IngestSource for FileSource {
                         clippy::disallowed_methods,
                         reason = "the tail-poll backoff is a documented ingestion timing edge — it paces how fast a live tail notices growth and never feeds a timestamp into dispatch (stream time comes from the events themselves)"
                     )]
-                    // audit:allow(wall-clock): the tail-poll backoff is a documented ingestion timing edge — it paces how fast a live tail notices growth and never feeds a timestamp into dispatch (stream time comes from the events themselves).
                     std::thread::sleep(POLL);
                     continue;
                 }

@@ -124,7 +124,6 @@ pub static COMMANDS: &[Command] = commands! {
     export      [TRACE, &[SURGE, REGIONS], EXPORT]   "write the priced event stream as an ingestable log";
     serve       [SERVE, SHARDING, STREAM]            "long-running dispatch daemon over a live event feed";
     query       [QUERY]                              "range queries over a recorded telemetry store";
-    audit       [AUDIT]                              "static determinism & invariant audit of the sources";
     fig2        [FIG2]                               "Fig. 2: tightness of GA's 1/(D+1) ratio";
     fig3_4      [FIG3_4]                             "Figs. 3-4: travel time and distance distributions";
     fig5        [&[POINT_TASKS, QUICK], FIG5]        "Fig. 5: performance ratio against Z_f*, per driver model";
@@ -169,12 +168,6 @@ const QUERY: &[Flag] = &[
     val("--step", DURATION, "window length (default 3600)"),
     val("--agg", "sum|avg|rate|min|max", "projection (default sum)"),
     switch("--canonical", "byte-stable JSON (rideshare-tsdb/1)"),
-];
-const AUDIT: &[Flag] = &[
-    val("--root", "DIR", "workspace root (default .)"),
-    switch("--json", "canonical JSON report"),
-    switch("--check", "CI mode: summary line only when clean"),
-    switch("--verbose", "also list waived findings"),
 ];
 
 const FIG2: &[Flag] = &[val("--depth", "D", "largest diameter D swept (default 6)")];
@@ -486,7 +479,7 @@ mod tests {
 
     #[test]
     fn every_table_refuses_what_it_does_not_declare_and_documents_what_it_does() {
-        assert_eq!(COMMANDS.len(), 19);
+        assert_eq!(COMMANDS.len(), 18);
         let whole_program = usage();
         for cmd in COMMANDS {
             let base = required_args(cmd, "");

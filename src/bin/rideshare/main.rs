@@ -1,6 +1,6 @@
 //! `rideshare` — command-line interface to the framework.
 //!
-//! The nineteen subcommands, their flags and their one-line descriptions
+//! The eighteen subcommands, their flags and their one-line descriptions
 //! are declared once, in [`flags::COMMANDS`]; `rideshare help` prints the
 //! synopsis generated from that table, and each subcommand is the
 //! function of its name below. In pipeline order: `generate` a synthetic
@@ -10,9 +10,9 @@
 //! processes; `replay` a day of any size through the bounded-memory
 //! streaming engine, `export` the same event stream as a log, `serve` it
 //! as a long-running daemon; `query` the telemetry store a `--tsdb-dir`
-//! run recorded; `audit` the workspace sources. `fig2` … `ablations` print
-//! the paper's figures: each hands its flags, typed, and [`Out`] to the
-//! function of its name in `rideshare::bench::figures`.
+//! run recorded. `fig2` … `ablations` print the paper's figures: each
+//! hands its flags, typed, and [`Out`] to the function of its name in
+//! `rideshare::bench::figures`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -102,7 +102,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
         clippy::disallowed_methods,
         reason = "operator-facing elapsed-time display only; --canonical drops these lines, which is exactly what the CI byte-identity diffs compare"
     )]
-    // audit:allow(wall-clock): operator-facing elapsed-time display only; --canonical drops these lines, which is exactly what the CI byte-identity diffs compare.
     let start = std::time::Instant::now();
     let result = f();
     (result, start.elapsed().as_secs_f64())
@@ -860,31 +859,4 @@ fn small_scale(p: &Parsed<'_>) -> Result<(), String> {
 
 fn ablations(p: &Parsed<'_>) -> Result<(), String> {
     figure(figures::ablations(&mut Out, p.has("--quick")))
-}
-
-/// The static determinism/invariant audit. Fails when findings remain
-/// unwaived or a waiver is unused or malformed.
-fn audit(p: &Parsed<'_>) -> Result<(), String> {
-    let root = PathBuf::from(p.value("--root").unwrap_or("."));
-    if !root.join("Cargo.toml").is_file() {
-        return Err(format!(
-            "{} does not look like the workspace root (no Cargo.toml); pass --root DIR",
-            root.display()
-        ));
-    }
-    let report = rideshare::audit::run_audit(&root).map_err(|e| e.to_string())?;
-    if p.has("--json") {
-        println!("{}", report.to_canonical_json());
-    } else if p.has("--check") && report.is_clean() {
-        // CI mode stays quiet on success apart from the summary line.
-        let human = report.render_human(false);
-        println!("{}", human.lines().last().unwrap_or_default());
-    } else {
-        print!("{}", report.render_human(p.has("--verbose")));
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err("audit: unwaived findings or stale waivers remain".into())
-    }
 }

@@ -8,7 +8,6 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`audit`] | `rideshare-audit` | workspace determinism & invariant auditor (`rideshare audit`) |
 //! | [`types`] | `rideshare-types` | ids, time, money newtypes |
 //! | [`geo`] | `rideshare-geo` | coordinates, distances, speed model, grid index, Porto city model |
 //! | [`trace`] | `rideshare-trace` | Porto-calibrated synthetic trace generation + statistics |
@@ -46,7 +45,6 @@
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
 
-pub use rideshare_audit as audit;
 pub use rideshare_bench as bench;
 pub use rideshare_core as core;
 pub use rideshare_geo as geo;
