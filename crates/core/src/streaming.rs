@@ -16,8 +16,9 @@
 //!
 //! [`StreamPricer`] is the only place a trip becomes a [`Task`]. A
 //! streaming replay prices trips as they arrive, keeping
-//! `O(grid cells + drivers)` state; [`Market::from_trace`] maps the same
-//! pricer over a whole trace.
+//! `O(grid cells + drivers)` state;
+//! [`Market::from_trace`](crate::Market::from_trace) maps the same pricer
+//! over a whole trace.
 //!
 //! # Where the surge multiplier comes from
 //!

@@ -4,8 +4,8 @@
 //! never panic on hostile bytes — every transport or decode problem is a
 //! typed [`IngestError`]. These tests feed each source the nastiest
 //! inputs a producer (or attacker) can hand it and pin the error shape,
-//! so a future `unwrap` sneaking into the path fails here before the
-//! audit even runs.
+//! so a panic on the path fails here even where no lint could see it
+//! (an index out of bounds, an overflow, a panic inside a dependency).
 
 use rideshare_geo::{GeoPoint, SpeedModel};
 use rideshare_online::{

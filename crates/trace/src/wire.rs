@@ -33,7 +33,17 @@
 
 // A binary codec: a truncating `as` cast corrupts frames silently, so
 // conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+// Hostile bytes reach this file: a panic here is a denial of service,
+// so failures are typed errors. Test code may panic (clippy.toml).
 #![deny(clippy::as_conversions)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::borrow::Cow;
 use std::fmt;
@@ -264,7 +274,10 @@ pub fn encode_frame(event: &WireEvent) -> Vec<u8> {
     let mut frame = Vec::with_capacity(100);
     frame.extend_from_slice(&[0; 4]);
     encode_frame_body(event, &mut frame);
-    let body_len = u32::try_from(frame.len() - 4).expect("frame body fits u32");
+    // A body is at most 93 bytes. Were one ever past `u32::MAX`, the
+    // saturated prefix would exceed `MAX_FRAME_BODY`, which every decoder
+    // refuses with a typed error, so no frame can be misread.
+    let body_len = u32::try_from(frame.len() - 4).unwrap_or(u32::MAX);
     frame[..4].copy_from_slice(&body_len.to_le_bytes());
     frame
 }

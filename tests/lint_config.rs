@@ -58,7 +58,7 @@ const FLOAT: &[&str] = &["clippy::float_arithmetic"];
 
 /// Each tier file and the lints it must deny from its first line.
 const TIERS: &[(&str, &[&[&str]])] = &[
-    ("crates/trace/src/wire.rs", &[AS_CAST]),
+    ("crates/trace/src/wire.rs", &[AS_CAST, PANICS]),
     ("crates/trace/src/rtb.rs", &[AS_CAST, PANICS]),
     ("crates/tsdb/src/codec.rs", &[AS_CAST, PANICS]),
     ("crates/online/src/ingest.rs", &[PANICS]),

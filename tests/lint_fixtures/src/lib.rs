@@ -115,6 +115,15 @@ pub mod float_accum {
     pub fn ratio(num: f64, den: f64) -> f64 {
         num / den
     }
+
+    /// Test code may compare floats with a tolerance.
+    #[cfg(test)]
+    mod tests {
+        #[test]
+        fn a_test_subtracts_floats() {
+            assert!((super::ratio(1.0, 2.0) - 0.5).abs() < 1e-12);
+        }
+    }
 }
 
 /// `as` casts in a binary codec; test modules included.
