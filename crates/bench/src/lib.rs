@@ -28,7 +28,6 @@
 //! ```
 
 // Lint levels (unsafe_code, missing_docs) come from [workspace.lints].
-// The measurement harness is the one crate that reads the host clock.
 #![expect(
     clippy::disallowed_methods,
     reason = "the measurement harness: sweep cells and the orchestrator's worker polls are timed and paced on the wall clock, and no dispatch decision reads it"

@@ -31,11 +31,11 @@
 //! and amounts as their `f64` units; no second set of record types exists
 //! for the encodings to drift from.
 
-// A binary codec: a truncating `as` cast corrupts frames silently, so
+// A binary codec: a truncating `as` cast corrupts its bytes silently, so
 // conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+#![deny(clippy::as_conversions)]
 // Hostile bytes reach this file: a panic here is a denial of service,
 // so failures are typed errors. Test code may panic (clippy.toml).
-#![deny(clippy::as_conversions)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -28,11 +28,11 @@
 //! checked on the *header* before any payload is decoded, so a
 //! forged length cannot force a large allocation.
 
-// A binary codec: a truncating `as` cast corrupts frames silently, so
+// A binary codec: a truncating `as` cast corrupts its bytes silently, so
 // conversions go through `From`, `try_from` or `rideshare_types::widen_*`.
+#![deny(clippy::as_conversions)]
 // Hostile bytes reach this file: a panic here is a denial of service,
 // so failures are typed errors. Test code may panic (clippy.toml).
-#![deny(clippy::as_conversions)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -18,7 +18,8 @@ pub mod iter_order {
     use std::collections::HashMap; //~ clippy::disallowed_types
 
     /// `iter()`, `for … in &m` and `keys()` over a hash map.
-    pub fn iter_order_positive(m: HashMap<u32, u32>) -> u32 { //~ clippy::disallowed_types
+    pub fn iter_order_positive(pairs: &[(u32, u32)]) -> u32 {
+        let m: HashMap<u32, u32> = pairs.iter().copied().collect(); //~ clippy::disallowed_types
         let mut acc = 0;
         for (k, v) in m.iter() {
             acc += k + v;
@@ -30,14 +31,16 @@ pub mod iter_order {
     }
 
     /// Keyed access is order-free, but the type is banned all the same.
-    pub fn keyed_lookup(m: &mut HashMap<u32, u32>, b: &BTreeMap<u32, u32>) -> u32 { //~ clippy::disallowed_types
+    pub fn keyed_lookup(b: &BTreeMap<u32, u32>) -> u32 {
+        let mut m: HashMap<u32, u32> = HashMap::new(); //~ clippy::disallowed_types
         *m.entry(3).or_insert(0) += 1;
         let hit = m.get(&3).copied().unwrap_or(0);
         hit + b.keys().fold(0, |acc, k| acc.max(*k))
     }
 
     /// The set, too.
-    pub fn hash_set(s: &std::collections::HashSet<u8>) -> usize { //~ clippy::disallowed_types
+    pub fn hash_set(bytes: &[u8]) -> usize {
+        let s: std::collections::HashSet<u8> = bytes.iter().copied().collect(); //~ clippy::disallowed_types
         s.len()
     }
 }
@@ -60,8 +63,9 @@ pub mod wall_clock {
     }
 
     /// Any mention of `SystemTime`, and its clock read through the epoch.
-    pub fn system_time_anywhere(t: std::time::SystemTime) -> bool { //~ clippy::disallowed_types
-        std::time::UNIX_EPOCH.elapsed().is_ok() && t > std::time::UNIX_EPOCH //~ clippy::disallowed_methods
+    pub fn system_time_anywhere() -> bool {
+        let t: std::time::SystemTime = std::time::UNIX_EPOCH; //~ clippy::disallowed_types
+        t.elapsed().is_ok() //~ clippy::disallowed_methods
     }
 
     /// Event time is the sanctioned clock.
@@ -71,7 +75,10 @@ pub mod wall_clock {
 
     /// A reasoned expectation silences one site.
     pub fn wall_clock_waived() {
-        #[expect(clippy::disallowed_methods, reason = "paces a live tail, never feeds dispatch")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "paces a live tail, never feeds dispatch"
+        )]
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -176,8 +183,8 @@ pub mod unwrap_panic {
     pub fn other_panics(k: u8) -> u32 {
         match k {
             0 => unreachable!("zero"), //~ clippy::unreachable
-            1 => todo!(), //~ clippy::todo
-            2 => unimplemented!(), //~ clippy::unimplemented
+            1 => todo!(),              //~ clippy::todo
+            2 => unimplemented!(),     //~ clippy::unimplemented
             _ => 3,
         }
     }
