@@ -7,8 +7,7 @@
 //! That the configured lints catch each violating case is shown by
 //! `tests/lint_fixtures/check.sh`, which runs clippy.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,31 +17,20 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The lints named by the `#![deny(...)]` attributes a file opens with,
-/// before its first item.
-fn denied_at_top(rel: &str) -> BTreeSet<String> {
-    let mut header = String::new();
-    let mut in_attr = false;
-    for line in read(rel).lines() {
-        let t = line.trim();
-        if in_attr || t.starts_with("#![") {
-            header.push_str(t);
-            in_attr = !t.ends_with(']');
-        } else if !(t.is_empty() || t.starts_with("//")) {
+/// The text of the `#![deny(...)]` attributes a file opens with, before
+/// its first item.
+fn denied_at_top(rel: &str) -> String {
+    let mut denied = String::new();
+    let mut in_deny = false;
+    for line in read(rel).lines().map(str::trim) {
+        if in_deny || line.starts_with("#![deny(") {
+            denied.push_str(line);
+            in_deny = !line.ends_with(")]");
+        } else if !(line.is_empty() || line.starts_with("//") || line.starts_with("#![")) {
             break;
         }
     }
-    let mut lints = BTreeSet::new();
-    for attr in header.split("#![deny(").skip(1) {
-        let list = attr.split(")]").next().unwrap_or_default();
-        lints.extend(
-            list.split(',')
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(String::from),
-        );
-    }
-    lints
+    denied
 }
 
 const AS_CAST: &[&str] = &["clippy::as_conversions"];
@@ -56,27 +44,23 @@ const PANICS: &[&str] = &[
 ];
 const FLOAT: &[&str] = &["clippy::float_arithmetic"];
 
-/// Each tier file and the lints it must deny from its first line.
-const TIERS: &[(&str, &[&[&str]])] = &[
-    ("crates/trace/src/wire.rs", &[AS_CAST, PANICS]),
-    ("crates/trace/src/rtb.rs", &[AS_CAST, PANICS]),
-    ("crates/tsdb/src/codec.rs", &[AS_CAST, PANICS]),
-    ("crates/online/src/ingest.rs", &[PANICS]),
-    ("crates/online/src/serve.rs", &[PANICS]),
-    ("crates/types/src/json.rs", &[PANICS]),
-    ("crates/metrics/src/lib.rs", &[FLOAT]),
-    ("crates/tsdb/src/lib.rs", &[FLOAT]),
-];
-
 #[test]
 fn every_tier_file_opens_with_its_lints() {
-    for (rel, groups) in TIERS {
+    let tiers: &[(&str, &[&[&str]])] = &[
+        ("crates/trace/src/wire.rs", &[AS_CAST, PANICS]),
+        ("crates/trace/src/rtb.rs", &[AS_CAST, PANICS]),
+        ("crates/tsdb/src/codec.rs", &[AS_CAST, PANICS]),
+        ("crates/online/src/ingest.rs", &[PANICS]),
+        ("crates/online/src/serve.rs", &[PANICS]),
+        ("crates/types/src/json.rs", &[PANICS]),
+        ("crates/metrics/src/lib.rs", &[FLOAT]),
+        ("crates/tsdb/src/lib.rs", &[FLOAT]),
+    ];
+    for (rel, groups) in tiers {
         let denied = denied_at_top(rel);
         for lint in groups.iter().flat_map(|g| g.iter()) {
-            assert!(
-                denied.contains(*lint),
-                "{rel} no longer denies {lint}: {denied:?}"
-            );
+            let listed = denied.split(['(', ',', ')']).any(|l| l.trim() == *lint);
+            assert!(listed, "{rel} no longer denies {lint}: {denied}");
         }
     }
 }
@@ -84,151 +68,86 @@ fn every_tier_file_opens_with_its_lints() {
 #[test]
 fn every_package_takes_the_workspace_lints() {
     let manifest = read("Cargo.toml");
-    for rule in [
-        "allow_attributes = \"deny\"",
-        "allow_attributes_without_reason = \"deny\"",
-    ] {
-        let clippy = manifest
-            .split("[workspace.lints.clippy]")
-            .nth(1)
-            .and_then(|s| s.split("\n[").next())
-            .unwrap_or_default();
+    let clippy = manifest.split("[workspace.lints.clippy]").nth(1);
+    let clippy = clippy
+        .and_then(|s| s.split("\n[").next())
+        .unwrap_or_default();
+    for lint in ["allow_attributes", "allow_attributes_without_reason"] {
+        let line = format!("\n{lint} = \"deny\"\n");
         assert!(
-            clippy.contains(rule),
-            "[workspace.lints.clippy] lost `{rule}`"
+            clippy.contains(&line),
+            "[workspace.lints.clippy] no longer denies {lint}"
         );
     }
-    let mut packages = vec![String::from("Cargo.toml")];
-    for dir in ["crates", "vendor"] {
-        for entry in std::fs::read_dir(root().join(dir)).expect(dir) {
-            let path = entry.expect(dir).path();
-            if path.join("Cargo.toml").is_file() {
-                packages.push(format!(
-                    "{}/Cargo.toml",
-                    path.strip_prefix(root()).unwrap().display()
-                ));
-            }
-        }
+    let members = manifest
+        .split("members = [")
+        .nth(1)
+        .and_then(|m| m.split(']').next());
+    let packages = members.expect("[workspace] members").split(',');
+    let packages = packages
+        .map(|m| m.trim().trim_matches('"'))
+        .filter(|m| !m.is_empty());
+    for manifest in packages
+        .map(|p| format!("{p}/Cargo.toml"))
+        .chain(["Cargo.toml".into()])
+    {
+        let lints = read(&manifest).contains("\n[lints]\nworkspace = true\n");
+        assert!(lints, "{manifest} does not take the workspace lints");
     }
-    for rel in &packages {
-        assert!(
-            read(rel).contains("[lints]\nworkspace = true"),
-            "{rel} does not take the workspace lints"
-        );
-    }
-}
-
-/// Every setting of a `clippy.toml`, one `(key, value)` per scalar and
-/// per `path` of a list entry.
-fn clippy_settings(path: &Path) -> BTreeSet<(String, String)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let mut out = BTreeSet::new();
-    let mut list: Option<String> = None;
-    for line in text.lines().map(str::trim) {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "]" {
-            list = None;
-        } else if let Some(key) = &list {
-            let entry = line
-                .split("path = \"")
-                .nth(1)
-                .and_then(|s| s.split('"').next());
-            out.insert((key.clone(), entry.expect(line).to_string()));
-        } else if let Some((key, value)) = line.split_once(" = ") {
-            if value == "[" {
-                list = Some(key.to_string());
-            } else {
-                out.insert((key.to_string(), value.to_string()));
-            }
-        }
-    }
-    out
-}
-
-fn pairs(key: &str, values: &[&str]) -> Vec<(String, String)> {
-    values
-        .iter()
-        .map(|v| (key.to_string(), (*v).to_string()))
-        .collect()
 }
 
 #[test]
 fn every_clippy_toml_repeats_the_root_lists() {
-    let root_settings = clippy_settings(&root().join("clippy.toml"));
-    let mut required = pairs(
-        "disallowed-types",
-        &[
-            "std::collections::HashMap",
-            "std::collections::HashSet",
-            "std::time::SystemTime",
-        ],
-    );
-    required.extend(pairs(
-        "disallowed-methods",
-        &[
-            "std::time::Instant::now",
-            "std::time::SystemTime::now",
-            "std::time::SystemTime::elapsed",
-            "std::thread::sleep",
-        ],
-    ));
-    for switch in [
-        "allow-unwrap-in-tests",
-        "allow-expect-in-tests",
-        "allow-panic-in-tests",
+    let root_file = read("clippy.toml");
+    for entry in [
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+        "allow-panic-in-tests = true",
+        "path = \"std::collections::HashMap\"",
+        "path = \"std::collections::HashSet\"",
+        "path = \"std::time::SystemTime\"",
+        "path = \"std::time::Instant::now\"",
+        "path = \"std::time::SystemTime::now\"",
+        "path = \"std::time::SystemTime::elapsed\"",
+        "path = \"std::thread::sleep\"",
     ] {
-        required.push((switch.to_string(), "true".to_string()));
+        assert!(root_file.contains(entry), "clippy.toml lost `{entry}`");
     }
-    for setting in &required {
-        assert!(
-            root_settings.contains(setting),
-            "clippy.toml lost {setting:?}"
-        );
-    }
-
     // Clippy takes the nearest file above a package's manifest, so a file
-    // in any package directory, or in `crates/` or `vendor/` themselves,
-    // replaces the root one for the packages below it.
-    let mut nearer: Vec<PathBuf> = Vec::new();
+    // in a package directory, or in `crates/` or `vendor/`, replaces the
+    // root one. Only the fixed-point crates have one, and it holds every
+    // line of the root file's settings and lists, plus the fold ban.
     for dir in ["crates", "vendor"] {
-        let mut dirs = vec![root().join(dir)];
-        for entry in std::fs::read_dir(root().join(dir)).expect(dir) {
-            dirs.push(entry.expect(dir).path());
-        }
-        for d in dirs {
-            nearer.extend(
-                ["clippy.toml", ".clippy.toml"]
-                    .iter()
-                    .map(|f| d.join(f))
-                    .filter(|p| p.is_file()),
+        let packages = std::fs::read_dir(root().join(dir)).expect(dir);
+        let packages = packages.map(|p| p.expect(dir).path());
+        for path in packages.chain([root().join(dir)]) {
+            let own = ["clippy.toml", ".clippy.toml"]
+                .iter()
+                .any(|f| path.join(f).is_file());
+            let fixed_point = path.ends_with("crates/metrics") || path.ends_with("crates/tsdb");
+            assert_eq!(
+                own,
+                fixed_point,
+                "{}: a clippy.toml only in the fixed-point tier",
+                path.display()
             );
         }
     }
-    let fixed_point = [
-        root().join("crates/metrics/clippy.toml"),
-        root().join("crates/tsdb/clippy.toml"),
-    ];
-    for path in &fixed_point {
-        assert!(nearer.contains(path), "{} is gone", path.display());
-    }
-    let folds = pairs(
-        "disallowed-methods",
-        &["core::iter::Iterator::sum", "core::iter::Iterator::product"],
-    );
-    for path in &nearer {
-        let settings = clippy_settings(path);
-        let missing: Vec<_> = root_settings.difference(&settings).collect();
-        assert!(
-            missing.is_empty(),
-            "{} drops settings of the root clippy.toml: {missing:?}",
-            path.display()
-        );
-        if fixed_point.contains(path) {
-            for fold in &folds {
-                assert!(settings.contains(fold), "{} lost {fold:?}", path.display());
-            }
+    for rel in ["crates/metrics/clippy.toml", "crates/tsdb/clippy.toml"] {
+        let file = read(rel);
+        let lines: Vec<&str> = file.lines().map(str::trim).collect();
+        for line in root_file.lines().map(str::trim) {
+            let setting = !(line.is_empty() || line.starts_with('#'));
+            assert!(
+                !setting || lines.contains(&line),
+                "{rel} drops `{line}` of the root clippy.toml"
+            );
+        }
+        for fold in ["core::iter::Iterator::sum", "core::iter::Iterator::product"] {
+            assert!(
+                file.contains(&format!("path = \"{fold}\"")),
+                "{rel} lost {fold}"
+            );
         }
     }
 }
