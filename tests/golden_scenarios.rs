@@ -177,6 +177,89 @@ fn online_results_match_the_pinned_digests() {
     assert_eq!(computed.len(), 17, "a pinned cell was not run");
 }
 
+/// The instant columns the digest table above leaves out: nearest-driver
+/// dispatch under a tie-break seed other than 0, run through the shard
+/// spec's holder as `replay` and `serve` run it, and the uniform-random
+/// baseline through the sweep's one runner, its routes and objective value
+/// pinned. A deliberate change of results updates [`NEAREST_SEED_7`] and
+/// [`RANDOM`] from the table this prints.
+#[test]
+fn nearest_under_seed_7_and_random_are_pinned() {
+    let mut computed = Vec::new();
+    for scenario in Scenario::tiny_catalog() {
+        let market = scenario.build_market();
+        let spec = ShardPolicySpec::Nearest { seed: 7 };
+        let nearest = replay_market(&market, &mut spec.holder().as_policy());
+        let random = PolicySpec::Random.assign(&market, None, 1);
+        let value = random.objective_value(&market, Objective::Profit).as_f64();
+        computed.push((
+            scenario.name,
+            digests::result_digest(&nearest),
+            routes_digest(&random),
+            value,
+        ));
+    }
+    let table: Vec<String> = computed
+        .iter()
+        .map(|(s, n, r, v)| format!("    (\"{s}\", {n:#018x}, {r:#018x}, {v:?}),"))
+        .collect();
+    let table = table.join("\n");
+    assert_eq!(computed.len(), NEAREST_SEED_7.len());
+    for ((scenario, nearest, routes, value), (pinned_nearest, pinned_random)) in
+        computed.iter().zip(NEAREST_SEED_7.iter().zip(&RANDOM))
+    {
+        assert_eq!(
+            (*scenario, *nearest),
+            *pinned_nearest,
+            "nearest (seed 7) drifted; computed table:\n{table}"
+        );
+        assert_eq!(
+            (*scenario, *routes, value.to_bits()),
+            (pinned_random.0, pinned_random.1, pinned_random.2.to_bits()),
+            "random drifted; computed table:\n{table}"
+        );
+    }
+}
+
+/// Digests an offline-shaped result: the route count, then each route's
+/// length and task indices in service order.
+fn routes_digest(assignment: &Assignment) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    feed(assignment.routes().len() as u64);
+    for route in assignment.routes() {
+        feed(route.tasks.len() as u64);
+        for task in &route.tasks {
+            feed(task.index() as u64);
+        }
+    }
+    hash
+}
+
+/// `(scenario, digest)` of `replay_market` under nearest-driver dispatch
+/// with tie-break seed 7, run through `ShardPolicySpec::Nearest`'s holder.
+/// Every value equals the seed-0 column of `PINNED`: no tie on these
+/// markets reaches a pick the two seeds resolve differently.
+const NEAREST_SEED_7: [(&str, u64); 4] = [
+    ("tiny-rides", 0x46e7b203ce12c8f2),
+    ("tiny-delivery", 0xaf79ebcf5fb9e5b9),
+    ("tiny-rush", 0x27fe687cfbee660e),
+    ("tightness-d4", 0x5cce6b5f90417bb5),
+];
+
+/// `(scenario, routes digest, Eq. 4 objective value)` of the sweep's
+/// `random` column (seed 0) through `PolicySpec::assign`.
+const RANDOM: [(&str, u64, f64); 4] = [
+    ("tiny-rides", 0xc0b7f8e1fdd6b547, 49.393884596220836),
+    ("tiny-delivery", 0xea651943b8e471f6, 941.2126992677661),
+    ("tiny-rush", 0xfe9143a1f8f5813e, 7.898016434907761),
+    ("tightness-d4", 0xf65b60191d97a2e7, 1.8747942526637629),
+];
+
 #[test]
 fn goldens_are_thread_count_invariant() {
     // The same matrix on 3 threads must reproduce the same pinned numbers
