@@ -21,12 +21,20 @@ use std::io::{self, Write};
 
 use rideshare_core::partition::{partition_market, solve_components};
 use rideshare_core::{solve_greedy, Market, MarketBuildOptions, Objective, SurgeConfig};
-use rideshare_metrics::render_table;
-use rideshare_online::{
-    replay_market, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch, StreamPolicy,
-};
+use rideshare_metrics::{render_table, MarketMetrics};
+use rideshare_online::{replay_market, InstantRule, StreamPolicy};
 use rideshare_trace::{DriverModel, TraceConfig};
 use rideshare_types::TimeDelta;
+
+use crate::PolicySpec;
+
+/// The instant dispatch rules the criterion ablation compares, in legend
+/// order.
+const DISPATCH_RULES: [(&str, PolicySpec); 3] = [
+    ("maxMargin", PolicySpec::MaxMargin),
+    ("Nearest", PolicySpec::Nearest),
+    ("Random", PolicySpec::Random),
+];
 
 /// Prints the five ablation tables, at smoke size under `quick`.
 ///
@@ -59,17 +67,12 @@ fn dispatch_criterion(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::
     )?;
     let market = Market::from_trace(&trace(tasks, drivers), &MarketBuildOptions::default());
     let mut rows = Vec::new();
-    let mut policies: Vec<Box<dyn DispatchPolicy>> = vec![
-        Box::new(MaxMargin::new()),
-        Box::new(NearestDriver::with_seed(0)),
-        Box::new(RandomDispatch::with_seed(0)),
-    ];
-    for policy in &mut policies {
-        let r = replay_market(&market, &mut StreamPolicy::Instant(policy.as_mut()));
+    for (legend, policy) in DISPATCH_RULES {
+        let metrics = MarketMetrics::of(&market, &policy.assign(&market, None, 1));
         rows.push(vec![
-            policy.name().to_string(),
-            format!("{:.2}", r.total_profit(&market).as_f64()),
-            format!("{:.3}", r.service_rate()),
+            legend.to_string(),
+            format!("{:.2}", metrics.total_profit),
+            format!("{:.3}", metrics.served_rate),
         ]);
     }
     writeln!(
@@ -94,7 +97,10 @@ fn surge_on_off(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result
                 ..Default::default()
             },
         );
-        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let r = replay_market(
+            &market,
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+        );
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", r.assignment.total_revenue(&market).as_f64()),

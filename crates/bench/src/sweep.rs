@@ -28,7 +28,7 @@ use rideshare_core::{
     Assignment, Market, Objective, SubMarket, UpperBoundOptions,
 };
 use rideshare_metrics::render_pivot;
-use rideshare_online::{replay_market, MatcherKind, RandomDispatch, ShardPolicySpec, StreamPolicy};
+use rideshare_online::{replay_market, InstantRule, MatcherKind, ShardPolicySpec, StreamPolicy};
 use rideshare_types::json::{self, JsonValue};
 use rideshare_types::TimeDelta;
 
@@ -174,7 +174,7 @@ impl PolicySpec {
         match (self.stream_spec(), self) {
             (Some(spec), _) => replay_market(market, &mut spec.holder().as_policy()).assignment,
             (None, PolicySpec::Random) => {
-                let random = &mut RandomDispatch::with_seed(0);
+                let random = &mut InstantRule::random(0);
                 replay_market(market, &mut StreamPolicy::Instant(random)).assignment
             }
             (None, _) => match components {

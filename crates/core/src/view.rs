@@ -249,12 +249,6 @@ impl DriverView {
         &self.allowed
     }
 
-    /// Number of tasks in this driver's task map.
-    #[must_use]
-    pub fn feasible_task_count(&self) -> usize {
-        self.feasible_count
-    }
-
     /// The baseline commute cost `cₙ,₀,₋₁`.
     #[must_use]
     pub fn direct_cost(&self) -> Money {
@@ -394,7 +388,6 @@ mod tests {
         assert!(view.is_allowed(0));
         assert!(!view.is_allowed(1), "cannot reach pickup in time");
         assert!(!view.is_allowed(2), "cannot return home in time");
-        assert_eq!(view.feasible_task_count(), 1);
     }
 
     #[test]
@@ -489,7 +482,7 @@ mod tests {
         let far = task(0, 40.0, 1200, 1800, 50.0);
         let market = Market::new(vec![d], vec![far], speed(), None);
         let view = DriverView::new(&market, 0);
-        assert_eq!(view.feasible_task_count(), 0);
+        assert!(!view.is_allowed(0));
         let none = view.best_path_priced(&market, Objective::Profit, &[false], |_| 0.0, 1.5);
         assert!(none.tasks.is_empty());
         assert_eq!(none.profit, -1.5);
@@ -502,7 +495,7 @@ mod tests {
         let market = Market::new(vec![d], vec![t1, t2], speed(), None);
         assert_eq!(market.chain_arc_count(), 0);
         let view = DriverView::new(&market, 0);
-        assert_eq!(view.feasible_task_count(), 2);
+        assert!(view.is_allowed(0) && view.is_allowed(1));
         let one = view.best_path(&market, Objective::Profit, &[false, false]);
         assert_eq!(one.tasks, vec![1], "single tasks still price");
         let none = view.best_path_priced(&market, Objective::Profit, &[false, false], |_| 9.0, 1.5);

@@ -117,7 +117,9 @@ impl StreamSink for MetricsJournal {
 mod tests {
     use super::*;
     use rideshare_core::{Market, MarketBuildOptions};
-    use rideshare_online::{market_events, replay_stream, MaxMargin, StreamOptions, StreamPolicy};
+    use rideshare_online::{
+        market_events, replay_stream, InstantRule, StreamOptions, StreamPolicy,
+    };
     use rideshare_trace::{DriverModel, TraceConfig};
 
     fn market() -> Market {
@@ -138,7 +140,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut whole,
         );
@@ -173,7 +175,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut Rolling {
                 journal: &mut journal,

@@ -38,7 +38,7 @@
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
 //! use rideshare_metrics::StreamMetrics;
-//! use rideshare_online::{market_events, replay_stream, MaxMargin, StreamOptions, StreamPolicy};
+//! use rideshare_online::{market_events, replay_stream, InstantRule, StreamOptions, StreamPolicy};
 //! use rideshare_trace::{DriverModel, TraceConfig};
 //!
 //! let trace = TraceConfig::porto()
@@ -52,7 +52,7 @@
 //! let summary = replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut metrics,
 //! );
@@ -602,7 +602,7 @@ mod tests {
     use super::*;
     use rideshare_core::{Market, MarketBuildOptions};
     use rideshare_online::{
-        market_events, replay_market, replay_stream, MaxMargin, StreamOptions, StreamPolicy,
+        market_events, replay_market, replay_stream, InstantRule, StreamOptions, StreamPolicy,
     };
     use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -617,7 +617,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut metrics,
         );
@@ -627,8 +627,10 @@ mod tests {
     #[test]
     fn totals_match_materialized_objective() {
         let (market, metrics) = run(91, 250, 25);
-        let materialized =
-            replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let materialized = replay_market(
+            &market,
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+        );
         assert_eq!(metrics.served(), materialized.served);
         assert_eq!(metrics.rejected(), materialized.rejected);
         assert_eq!(metrics.published(), market.num_tasks());
@@ -708,7 +710,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );

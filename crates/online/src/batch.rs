@@ -244,7 +244,7 @@ pub(crate) fn optimal_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::MaxMargin;
+    use crate::policy::InstantRule;
     use crate::shard::ShardPolicySpec;
     use crate::simulator::{replay_market, SimulationResult};
     use crate::stream::{
@@ -335,7 +335,7 @@ mod tests {
             publishes.windows(2).all(|w| w[0] != w[1]),
             "seed must give distinct publish times"
         );
-        let instant = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let instant = replay_market(&m, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
         let zero = batched(&m, TimeDelta::ZERO, MatcherKind::Greedy);
         assert_eq!(zero.dispatch, instant.dispatch);
         assert_eq!(zero.served, instant.served);

@@ -13,7 +13,7 @@
 //!   finishes the task m before the estimated finish time t̄⁺ₘ, she can
 //!   drive to the source of her next task"), builds the candidate set of
 //!   step (a) of Algs. 3–4, and decides under a [`StreamPolicy`]: instant
-//!   dispatch through a pluggable [`DispatchPolicy`], or decision-time-
+//!   dispatch under an [`InstantRule`], or decision-time-
 //!   correct batched dispatch — orders held for a window `W`, decided
 //!   jointly at the window end (or flushed early when a pickup deadline
 //!   would expire), drivers departing no earlier than the decision, with
@@ -25,11 +25,12 @@
 //!   `TraceStream` announced, then each trip priced into a task as it is
 //!   pulled — the one place that sequence is written; [`market_events`] is
 //!   its counterpart for a materialised market,
-//! - [`NearestDriver`]: Algorithm 3 — pick the candidate with the earliest
-//!   arrival at the pickup, random tie-break,
-//! - [`MaxMargin`]: Algorithm 4 — pick the candidate with the largest
-//!   marginal value `δₙ,ₘ` (Eq. 14),
-//! - [`RandomDispatch`]: a uniform-random baseline for ablations,
+//! - [`InstantRule`]: the instant dispatch rules, a closed set —
+//!   [`InstantRule::Nearest`] (Algorithm 3: the candidate with the
+//!   earliest arrival at the pickup, random tie-break),
+//!   [`InstantRule::MaxMargin`] (Algorithm 4: the candidate with the
+//!   largest marginal value `δₙ,ₘ`, Eq. 14) and [`InstantRule::Random`]
+//!   (a uniform-random baseline for ablations),
 //! - [`replay_market`]: the one way to run a materialised market — every
 //!   driver announced, every task pushed in publish order through the
 //!   given [`StreamPolicy`] (instant or batched), candidates grid-pruned,
@@ -72,7 +73,7 @@
 //!
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions, Objective};
-//! use rideshare_online::{replay_market, MaxMargin, StreamPolicy};
+//! use rideshare_online::{replay_market, InstantRule, StreamPolicy};
 //! use rideshare_trace::{DriverModel, TraceConfig};
 //!
 //! let trace = TraceConfig::porto()
@@ -81,7 +82,7 @@
 //!     .with_driver_count(12, DriverModel::Hitchhiking)
 //!     .generate();
 //! let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-//! let result = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+//! let result = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
 //! assert_eq!(result.served + result.rejected, market.num_tasks());
 //! ```
 
@@ -115,7 +116,7 @@ pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
     IngestSource, IterSource, TcpSource,
 };
-pub use policy::{Candidate, DispatchPolicy, MaxMargin, NearestDriver, RandomDispatch};
+pub use policy::InstantRule;
 pub use serve::{
     DayPoint, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop, SnapshotPoint,
 };

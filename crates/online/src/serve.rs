@@ -472,7 +472,7 @@ mod tests {
     use super::*;
     use crate::ingest::IterSource;
     use crate::stream::{replay_stream, CollectingSink, StreamOptions, StreamPolicy};
-    use crate::MaxMargin;
+    use crate::InstantRule;
     use rideshare_core::{Driver, Task};
     use rideshare_geo::GeoPoint;
     use rideshare_trace::DriverModel;
@@ -524,7 +524,7 @@ mod tests {
         replay_stream(
             SpeedModel::default(),
             events.iter().copied(),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut expected,
         );
@@ -570,7 +570,7 @@ mod tests {
         let summary = replay_stream(
             SpeedModel::default(),
             events.iter().copied(),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut expected,
         );

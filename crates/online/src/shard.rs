@@ -86,7 +86,7 @@
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
 //! use rideshare_online::{
-//!     market_events, replay_sharded, replay_stream, BoxPartitioner, CollectingSink, MaxMargin,
+//!     market_events, replay_sharded, replay_stream, BoxPartitioner, CollectingSink, InstantRule,
 //!     ShardOptions, ShardPolicySpec, StreamOptions, StreamPolicy,
 //! };
 //! use rideshare_trace::{DriverModel, TraceConfig};
@@ -113,7 +113,7 @@
 //! replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut sequential,
 //! );
@@ -131,7 +131,7 @@ use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
 use rideshare_types::{ConfigError, TimeDelta, Timestamp};
 
 use crate::batch::MatcherKind;
-use crate::policy::{DispatchPolicy, MaxMargin, NearestDriver};
+use crate::policy::InstantRule;
 use crate::simulator::DispatchEvent;
 use crate::stream::{
     next_announced, Hold, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink,
@@ -209,18 +209,18 @@ impl RegionPartitioner for BoxPartitioner {
     }
 }
 
-/// Which dispatch policy every shard runs. A value (not a `&mut dyn`
+/// Which dispatch policy every shard runs. A value (not a `&mut`
 /// borrow like [`StreamPolicy`]) because the sharded engine must
 /// *instantiate one policy per shard*; the variants are exactly the
-/// shard-stable policies (see the module docs — `RandomDispatch`'s shared
-/// RNG stream is order-dependent and deliberately absent).
+/// shard-stable policies (see the module docs — [`InstantRule::Random`]'s
+/// shared RNG stream is order-dependent and deliberately absent).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ShardPolicySpec {
     /// Alg. 4 — maximum marginal value, instant dispatch.
     MaxMargin,
     /// Alg. 3 — nearest driver, instant dispatch, decision-local tie-break.
     Nearest {
-        /// Tie-break seed (see [`NearestDriver::with_seed`]).
+        /// Tie-break seed (see [`InstantRule::Nearest`]).
         seed: u64,
     },
     /// Batched dispatch: hold window + per-batch matcher.
@@ -233,26 +233,26 @@ pub enum ShardPolicySpec {
 }
 
 /// Concrete policy storage materialised from a [`ShardPolicySpec`] — the
-/// owner of the boxed instant policy a [`StreamPolicy`] borrows from.
+/// owner of the instant rule a [`StreamPolicy`] borrows from.
 /// Public so single-engine callers (the CLI's `--shards 1` path, tests)
 /// can run the *same* spec through a sequential [`StreamEngine`] without
 /// duplicating the spec→policy construction.
 pub enum PolicyHolder {
-    /// An instant-dispatch policy.
-    Instant(Box<dyn DispatchPolicy + Send>),
+    /// An instant-dispatch rule.
+    Instant(InstantRule),
     /// A batched hold window and its per-batch matcher.
     Batched(TimeDelta, MatcherKind),
 }
 
 impl ShardPolicySpec {
     /// Materialises one policy instance for one engine (each shard gets
-    /// its own — that is the point of a spec over a `&mut dyn` borrow).
+    /// its own — that is the point of a spec over a `&mut` borrow).
     #[must_use]
     pub fn holder(self) -> PolicyHolder {
         match self {
-            ShardPolicySpec::MaxMargin => PolicyHolder::Instant(Box::new(MaxMargin::new())),
+            ShardPolicySpec::MaxMargin => PolicyHolder::Instant(InstantRule::MaxMargin),
             ShardPolicySpec::Nearest { seed } => {
-                PolicyHolder::Instant(Box::new(NearestDriver::with_seed(seed)))
+                PolicyHolder::Instant(InstantRule::Nearest { seed })
             }
             ShardPolicySpec::Batched { window, matcher } => PolicyHolder::Batched(window, matcher),
         }
@@ -269,11 +269,11 @@ impl ShardPolicySpec {
 
 impl PolicyHolder {
     /// The [`StreamPolicy`] view an engine consumes, borrowing this
-    /// holder's boxed policy state.
+    /// holder's rule state.
     #[must_use]
     pub fn as_policy(&mut self) -> StreamPolicy<'_> {
         match self {
-            PolicyHolder::Instant(p) => StreamPolicy::Instant(p.as_mut()),
+            PolicyHolder::Instant(rule) => StreamPolicy::Instant(rule),
             PolicyHolder::Batched(window, matcher) => StreamPolicy::Batched {
                 window: *window,
                 matcher: *matcher,

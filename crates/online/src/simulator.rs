@@ -8,7 +8,7 @@ use rideshare_core::{Assignment, Market, Objective, Task};
 use rideshare_types::{DriverId, Money, TaskId, Timestamp};
 
 use crate::candidates::market_bbox;
-use crate::policy::DispatchPolicy;
+use crate::policy::InstantRule;
 use crate::stream::{
     market_events, replay_stream, CollectingSink, StreamEngine, StreamEvent, StreamOptions,
     StreamPolicy,
@@ -53,7 +53,8 @@ pub struct SimulationResult {
     pub assignment: Assignment,
     /// Tasks dispatched to a driver.
     pub served: usize,
-    /// Tasks rejected (empty candidate set or policy refusal).
+    /// Tasks rejected: no feasible candidate, or left unmatched when a
+    /// batched epoch closed.
     pub rejected: usize,
     /// For each task, the driver it was dispatched to (by task index).
     pub dispatch: Vec<Option<DriverId>>,
@@ -115,8 +116,8 @@ impl SimulationResult {
 
 /// Replays a materialized market through the [`StreamEngine`] and collects
 /// the whole outcome — the one way to run a [`Market`], taking the policy
-/// in the form every other surface hands the engine (an instant
-/// [`DispatchPolicy`] or a hold window and matcher).
+/// in the form every other surface hands the engine (an [`InstantRule`]
+/// or a hold window and matcher).
 ///
 /// Every driver is announced up front and re-labelled by market position,
 /// as are the tasks (hand-built markets may carry ids that disagree with
@@ -183,14 +184,11 @@ pub fn replay_market(market: &Market, policy: &mut StreamPolicy<'_>) -> Simulati
 /// The *offline* variant of maxMargin from §V-B ("it will be more
 /// efficient to deal with the tasks which have higher values firstly"),
 /// only meaningful when the full day is known in advance: [`replay_market`]
-/// with the tasks handed to `choose` in descending price order (ties by
+/// with the tasks handed to `rule` in descending price order (ties by
 /// task id), each still decided at its own publish instant. A hold window
 /// has no meaning out of publish order, so the policy is an instant one.
 #[must_use]
-pub fn replay_market_by_value(
-    market: &Market,
-    choose: &mut dyn DispatchPolicy,
-) -> SimulationResult {
+pub fn replay_market_by_value(market: &Market, rule: &mut InstantRule) -> SimulationResult {
     let mut engine = StreamEngine::new(
         market.speed(),
         StreamOptions::default().grid(market_bbox(market)),
@@ -200,7 +198,7 @@ pub fn replay_market_by_value(
     for event in market_events(market) {
         match event {
             StreamEvent::TaskPublished(task) => by_value.push(task),
-            event => engine.push(event, &mut StreamPolicy::Instant(&mut *choose), &mut sink),
+            event => engine.push(event, &mut StreamPolicy::Instant(rule), &mut sink),
         }
     }
     by_value.sort_by(|a, b| {
@@ -208,8 +206,8 @@ pub fn replay_market_by_value(
         by_price.then(a.id.cmp(&b.id))
     });
     // Past the stream's publish-order contract: see `decide_each`.
-    engine.decide_each(&by_value, &mut *choose, &mut sink);
-    let _ = engine.finish(&mut StreamPolicy::Instant(choose), &mut sink);
+    engine.decide_each(&by_value, rule, &mut sink);
+    let _ = engine.finish(&mut StreamPolicy::Instant(rule), &mut sink);
     collected(market, sink)
 }
 
@@ -223,7 +221,6 @@ fn collected(market: &Market, sink: CollectingSink) -> SimulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{MaxMargin, NearestDriver, RandomDispatch};
     use crate::{validate_online, validate_online_result};
     use rideshare_core::MarketBuildOptions;
     use rideshare_trace::{DriverModel, TraceConfig};
@@ -237,19 +234,19 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
-    fn instant(market: &Market, policy: &mut dyn DispatchPolicy) -> SimulationResult {
-        replay_market(market, &mut StreamPolicy::Instant(policy))
+    fn instant(market: &Market, rule: &mut InstantRule) -> SimulationResult {
+        replay_market(market, &mut StreamPolicy::Instant(rule))
     }
 
     #[test]
     fn all_tasks_accounted_for() {
         let m = market(41, 120, 15);
-        for policy in [
-            &mut NearestDriver::new() as &mut dyn DispatchPolicy,
-            &mut MaxMargin::new(),
-            &mut RandomDispatch::with_seed(1),
+        for mut rule in [
+            InstantRule::Nearest { seed: 0 },
+            InstantRule::MaxMargin,
+            InstantRule::random(1),
         ] {
-            let r = instant(&m, policy);
+            let r = instant(&m, &mut rule);
             assert_eq!(r.served + r.rejected, m.num_tasks());
             assert_eq!(r.served, r.assignment.served_count());
             assert_eq!(r.dispatch.iter().filter(|d| d.is_some()).count(), r.served);
@@ -260,8 +257,8 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let m = market(43, 100, 10);
-        let a = instant(&m, &mut NearestDriver::with_seed(5));
-        let b = instant(&m, &mut NearestDriver::with_seed(5));
+        let a = instant(&m, &mut InstantRule::Nearest { seed: 5 });
+        let b = instant(&m, &mut InstantRule::Nearest { seed: 5 });
         assert_eq!(a.dispatch, b.dispatch);
     }
 
@@ -271,7 +268,7 @@ mod tests {
         // positive one exists — total profit should be positive on a
         // healthy market.
         let m = market(44, 150, 60);
-        let r = instant(&m, &mut MaxMargin::new());
+        let r = instant(&m, &mut InstantRule::MaxMargin);
         assert!(r.total_profit(&m).is_strictly_positive());
         // Hitchhiking shifts are short commuter windows, so coverage of a
         // full day is sparse; with 60 drivers a healthy slice gets served.
@@ -281,8 +278,8 @@ mod tests {
     #[test]
     fn value_order_processes_high_prices_first() {
         let m = market(45, 100, 3);
-        let online = instant(&m, &mut MaxMargin::new());
-        let sorted = replay_market_by_value(&m, &mut MaxMargin::new());
+        let online = instant(&m, &mut InstantRule::MaxMargin);
+        let sorted = replay_market_by_value(&m, &mut InstantRule::MaxMargin);
         validate_online_result(&m, &sorted).unwrap();
         assert_eq!(sorted.dispatch.len(), m.num_tasks());
         // With scarce supply, prioritising valuable tasks should not lose
@@ -298,7 +295,7 @@ mod tests {
     #[test]
     fn empty_market_zero_everything() {
         let m = market(46, 0, 5);
-        let r = instant(&m, &mut MaxMargin::new());
+        let r = instant(&m, &mut InstantRule::MaxMargin);
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 0);
         assert_eq!(r.service_rate(), 0.0);
@@ -307,7 +304,7 @@ mod tests {
     #[test]
     fn no_drivers_rejects_everything() {
         let m = market(47, 50, 0);
-        let r = instant(&m, &mut NearestDriver::new());
+        let r = instant(&m, &mut InstantRule::Nearest { seed: 0 });
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 50);
     }
@@ -315,7 +312,7 @@ mod tests {
     #[test]
     fn events_are_consistent_with_dispatch() {
         let m = market(49, 150, 30);
-        let r = instant(&m, &mut MaxMargin::new());
+        let r = instant(&m, &mut InstantRule::MaxMargin);
         assert_eq!(r.events.len(), r.served);
         for e in &r.events {
             assert_eq!(r.dispatch[e.task.index()], Some(e.driver));
@@ -339,7 +336,7 @@ mod tests {
     #[test]
     fn empty_run_has_no_event_stats() {
         let m = market(50, 0, 3);
-        let r = instant(&m, &mut MaxMargin::new());
+        let r = instant(&m, &mut InstantRule::MaxMargin);
         assert!(r.mean_wait_mins().is_none());
         assert!(r.mean_candidates().is_none());
         assert_eq!(r.total_deadhead_km(), 0.0);
@@ -349,8 +346,8 @@ mod tests {
     fn more_drivers_serve_more() {
         let small = market(48, 200, 5);
         let big = market(48, 200, 60);
-        let r_small = instant(&small, &mut MaxMargin::new());
-        let r_big = instant(&big, &mut MaxMargin::new());
+        let r_small = instant(&small, &mut InstantRule::MaxMargin);
+        let r_big = instant(&big, &mut InstantRule::MaxMargin);
         assert!(
             r_big.served > r_small.served,
             "big {} vs small {}",

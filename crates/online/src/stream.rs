@@ -19,7 +19,7 @@
 //! # One engine, two ways to decide
 //!
 //! - instant mode ([`StreamPolicy::Instant`]) decides each order at its
-//!   publish instant: candidate set, [`DispatchPolicy`] choice, commit —
+//!   publish instant: candidate set, [`InstantRule`] choice, commit —
 //!   Algs. 3–4,
 //! - batched mode ([`StreamPolicy::Batched`]) holds orders for a window
 //!   and closes it through the early-flush epochs `batch.rs` documents:
@@ -62,7 +62,7 @@
 //! ```
 //! use rideshare_core::{Market, MarketBuildOptions};
 //! use rideshare_online::{
-//!     market_events, replay_market, replay_stream, CollectingSink, MaxMargin, StreamOptions,
+//!     market_events, replay_market, replay_stream, CollectingSink, InstantRule, StreamOptions,
 //!     StreamPolicy,
 //! };
 //! use rideshare_trace::{DriverModel, TraceConfig};
@@ -78,13 +78,13 @@
 //! let summary = replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut sink,
 //! );
 //! let streamed = sink.into_result();
 //!
-//! let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+//! let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
 //! assert_eq!(streamed.dispatch, materialized.dispatch);
 //! assert_eq!(streamed.events, materialized.events);
 //! assert_eq!(summary.served, materialized.served);
@@ -101,7 +101,7 @@ use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::batch::{optimal_round, BatchRound, MatcherKind, RankedPair, RoundRule};
 use crate::candidates::{unit_box, Fleet};
-use crate::policy::{Candidate, DispatchPolicy};
+use crate::policy::{Candidate, InstantRule};
 #[cfg(feature = "stage-probe")]
 use crate::probe::{self, Count, Stage};
 use crate::simulator::{DispatchEvent, SimulationResult};
@@ -167,8 +167,8 @@ pub trait StreamSink {
     /// `task` was dispatched; `event` carries the full operational record
     /// (arrival, decision time, wait, deadhead, Eq. 14 margin).
     fn dispatched(&mut self, _task: &Task, _event: &DispatchEvent) {}
-    /// `task` was rejected at `decision_time` (empty candidate set, policy
-    /// refusal, or unmatched at its batch epoch).
+    /// `task` was rejected at `decision_time` (empty candidate set, or
+    /// unmatched at its batch epoch).
     fn rejected(&mut self, _task: &Task, _decision_time: Timestamp) {}
     /// A publish group or batch window was fully decided: every
     /// `dispatched`/`rejected` call for it has been delivered, and
@@ -233,19 +233,19 @@ impl StreamOptions {
 /// How the stream's orders are decided.
 ///
 /// ```
-/// use rideshare_online::{MatcherKind, MaxMargin, StreamPolicy};
+/// use rideshare_online::{InstantRule, MatcherKind, StreamPolicy};
 /// use rideshare_types::TimeDelta;
 ///
-/// let mut margin = MaxMargin::new();
+/// let mut margin = InstantRule::MaxMargin;
 /// let _instant = StreamPolicy::Instant(&mut margin);
 /// let window = TimeDelta::from_mins(3);
 /// let _batch_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Greedy };
 /// let _batch_opt_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Optimal };
 /// ```
 pub enum StreamPolicy<'p> {
-    /// Instant dispatch at publish time through a per-task policy
+    /// Instant dispatch at publish time under a per-task rule
     /// (Algs. 3–4).
-    Instant(&'p mut dyn DispatchPolicy),
+    Instant(&'p mut InstantRule),
     /// Hold orders for `window` and decide jointly, with early-flush
     /// epochs closed by `matcher` (see `batch.rs`).
     Batched {
@@ -559,11 +559,11 @@ impl StreamEngine {
         // their capacity across the whole replay.
         let mut group = std::mem::replace(&mut self.pending, std::mem::take(&mut self.spare));
         match (hold, &mut *policy) {
-            (Hold::Instant(at), StreamPolicy::Instant(choose)) => {
+            (Hold::Instant(at), StreamPolicy::Instant(rule)) => {
                 // Same-timestamp orders decide in task-id order, making
                 // intra-timestamp delivery order irrelevant.
                 group.sort_by_key(|t| t.id.index());
-                self.decide_each(&group, &mut **choose, sink);
+                self.decide_each(&group, rule, sink);
                 self.decided_through = Some(at);
             }
             (Hold::Window(end), StreamPolicy::Batched { matcher, .. }) => {
@@ -585,7 +585,8 @@ impl StreamEngine {
 
     /// Instant dispatch, one order at a time in the order given: generate
     /// the candidate set at the order's publish instant (step (a) of
-    /// Algs. 3–4), let `choose` pick, commit the winner.
+    /// Algs. 3–4), let `rule` pick, commit the winner; an order without a
+    /// candidate is rejected.
     ///
     /// [`StreamEngine::flush`] calls this per publish group, after the
     /// stream clock has retired the drivers it may.
@@ -597,7 +598,7 @@ impl StreamEngine {
     pub(crate) fn decide_each(
         &mut self,
         tasks: &[Task],
-        choose: &mut dyn DispatchPolicy,
+        rule: &mut InstantRule,
         sink: &mut dyn StreamSink,
     ) {
         for task in tasks {
@@ -605,11 +606,7 @@ impl StreamEngine {
             let at = task.publish_time;
             self.fleet.candidates_into(task, at, &mut self.cand_scratch);
             probe!(probe::lap(Stage::Scan));
-            let pick = if self.cand_scratch.is_empty() {
-                None
-            } else {
-                choose.choose(&self.cand_scratch)
-            };
+            let pick = (!self.cand_scratch.is_empty()).then(|| rule.choose(&self.cand_scratch));
             probe!(probe::lap(Stage::Choose));
             match pick {
                 Some(k) => {
@@ -1133,7 +1130,7 @@ impl StreamSink for CollectingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::MaxMargin;
+    use crate::policy::InstantRule;
     use crate::simulator::replay_market;
     use rideshare_core::{Market, MarketBuildOptions};
     use rideshare_trace::{DriverModel, TraceConfig};
@@ -1227,11 +1224,12 @@ mod tests {
             let summary = replay_stream(
                 m.speed(),
                 market_events(&m),
-                &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+                &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
                 options,
                 &mut sink,
             );
-            let materialized = replay_market(&m, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+            let materialized =
+                replay_market(&m, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
             assert_same(&sink.into_result(), &materialized);
             assert!(
                 summary.compacted_drivers > 0,
@@ -1270,7 +1268,7 @@ mod tests {
     fn retirement_shrinks_resident_state() {
         let m = market(95, 150, 25);
         let mut engine = StreamEngine::new(m.speed(), StreamOptions::default());
-        let mut mm = MaxMargin::new();
+        let mut mm = InstantRule::MaxMargin;
         let mut policy = StreamPolicy::Instant(&mut mm);
         let mut sink = CollectingSink::new();
         for e in market_events(&m) {
@@ -1316,7 +1314,7 @@ mod tests {
 
     /// Runs `f` under instant max-margin dispatch, then under `batch-3m`.
     fn under_both_policies(mut f: impl FnMut(&mut StreamPolicy<'_>)) {
-        f(&mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        f(&mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
         let (window, matcher) = (TimeDelta::from_mins(3), MatcherKind::Greedy);
         f(&mut StreamPolicy::Batched { window, matcher });
     }
@@ -1360,7 +1358,7 @@ mod tests {
         let _ = replay_stream(
             m.speed(),
             events,
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -1388,7 +1386,7 @@ mod tests {
                 StreamEvent::EpochTick(tick),
                 StreamEvent::TaskPublished(late),
             ],
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -1412,7 +1410,7 @@ mod tests {
                         None => replay_stream(
                             m.speed(),
                             events,
-                            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+                            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
                             StreamOptions::default(),
                             &mut sink,
                         ),

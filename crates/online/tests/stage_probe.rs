@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rideshare_core::{MarketBuildOptions, Task};
 use rideshare_online::probe::{install_clock, readings, Count, Stage, StageClock, StageReadings};
 use rideshare_online::{
-    priced_events, replay_stream, DispatchEvent, MatcherKind, MaxMargin, StreamOptions,
+    priced_events, replay_stream, DispatchEvent, InstantRule, MatcherKind, StreamOptions,
     StreamPolicy, StreamSink,
 };
 use rideshare_trace::{DriverModel, TraceConfig};
@@ -106,7 +106,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
 
     // Instant: one scan, one choice and one report per order, one commit
     // per dispatch, and one report per publish group closed.
-    let instant = Run::new(&mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let instant = Run::new(&mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
     let sink = &instant.sink;
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(instant.counts(), [3000, 45832, 12848, 1364, 1360, 0, 0]);

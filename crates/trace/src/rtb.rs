@@ -16,7 +16,7 @@
 //! | 0      | 4    | magic `b"RTB1"` |
 //! | 4      | 2    | format version (`u16`, currently 1) |
 //! | 6      | 2    | reserved, must be zero |
-//! | 8      | 8    | event count (`u64`; [`COUNT_UNKNOWN`] if the producer streamed blind) |
+//! | 8      | 8    | event count (`u64`; `u64::MAX` if the producer streamed blind) |
 //! | 16     | …    | records |
 //!
 //! Each record is exactly a [`crate::wire`] frame *body* — one tag byte
@@ -53,18 +53,18 @@ use rideshare_types::widen_u64;
 use crate::wire::{self, WireError, WireEvent};
 
 /// The four magic bytes every `.rtb` file starts with.
-pub const MAGIC: [u8; 4] = *b"RTB1";
+const MAGIC: [u8; 4] = *b"RTB1";
 
 /// Current format version written by [`RtbWriter`].
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// Header size in bytes; records start at this offset.
-pub const HEADER_LEN: usize = 16;
+const HEADER_LEN: usize = 16;
 
 /// Sentinel event count for producers that stream without knowing the
 /// total in advance (e.g. writing to a pipe). Readers skip the count
 /// check when the header carries this value.
-pub const COUNT_UNKNOWN: u64 = u64::MAX;
+const COUNT_UNKNOWN: u64 = u64::MAX;
 
 /// Widest possible record (the task record); sized so the chunked reader
 /// can use one fixed stack buffer. Pinned against [`wire::body_len`] by a
@@ -74,7 +74,7 @@ const MAX_RECORD: usize = 93;
 /// A structural failure while reading an `.rtb` stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RtbError {
-    /// The first four bytes are not [`MAGIC`] — not an `.rtb` file.
+    /// The first four bytes are not `b"RTB1"` — not an `.rtb` file.
     BadMagic {
         /// The bytes found instead.
         got: [u8; 4],
@@ -163,7 +163,7 @@ impl From<WireError> for RtbError {
 /// Builds the 16-byte header for `count` events ([`COUNT_UNKNOWN`] when
 /// streaming blind).
 #[must_use]
-pub fn encode_header(count: u64) -> [u8; HEADER_LEN] {
+fn encode_header(count: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..4].copy_from_slice(&MAGIC);
     h[4..6].copy_from_slice(&VERSION.to_le_bytes());
@@ -178,7 +178,7 @@ pub fn encode_header(count: u64) -> [u8; HEADER_LEN] {
 ///
 /// Returns the typed [`RtbError`] for a short, foreign, or
 /// future-versioned header.
-pub fn decode_header(bytes: &[u8]) -> Result<u64, RtbError> {
+fn decode_header(bytes: &[u8]) -> Result<u64, RtbError> {
     let Some(h) = bytes.get(..HEADER_LEN) else {
         return Err(RtbError::Truncated {
             offset: widen_u64(bytes.len()),
@@ -204,10 +204,10 @@ pub fn decode_header(bytes: &[u8]) -> Result<u64, RtbError> {
 
 /// Streams events into an `.rtb` byte sink.
 ///
-/// The header is written up front with [`COUNT_UNKNOWN`] (the writer
-/// cannot seek back on a pipe); [`RtbWriter::finish`] appends the
-/// end-of-stream record and returns the sink plus the event count, which
-/// a seekable caller may patch into bytes 8..16 if it wants an exact
+/// The header is written up front with the unknown count `u64::MAX`
+/// (the writer cannot seek back on a pipe); [`RtbWriter::finish`] appends
+/// the end-of-stream record and returns the sink plus the event count,
+/// which a seekable caller may patch into bytes 8..16 if it wants an exact
 /// header. One scratch buffer is reused across records — the writer
 /// allocates nothing per event.
 pub struct RtbWriter<W: Write> {

@@ -49,10 +49,10 @@ use rideshare_types::widen_usize;
 
 /// Magic bytes opening every series file: **R**ideshare **TS**db
 /// **C**hunks.
-pub const FILE_MAGIC: [u8; 4] = *b"RTSC";
+const FILE_MAGIC: [u8; 4] = *b"RTSC";
 
 /// On-disk format version written after the magic.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 
 /// Byte length of the file header (magic + version).
 pub const FILE_HEADER_LEN: usize = 8;
@@ -68,7 +68,7 @@ pub const MAX_CHUNK_SAMPLES: u32 = 1 << 20;
 /// bytes (10-byte timestamp varint + 19-byte value varint), so this
 /// comfortably covers [`MAX_CHUNK_SAMPLES`] while bounding the payload a
 /// forged header can claim.
-pub const MAX_CHUNK_PAYLOAD: u32 = 32 << 20;
+const MAX_CHUNK_PAYLOAD: u32 = 32 << 20;
 
 /// One telemetry sample: a position on the stream clock and an exact
 /// integer value (count, whole seconds, or 2⁻⁴⁰ fixed-point).
@@ -84,7 +84,7 @@ pub struct Sample {
 /// bytes: every malformation maps to one of these.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// The file does not start with [`FILE_MAGIC`].
+    /// The file does not start with the magic bytes `RTSC`.
     BadMagic,
     /// The file header carries an unsupported format version.
     BadVersion(u32),
@@ -104,8 +104,7 @@ pub enum CodecError {
     },
     /// A chunk header declares zero samples.
     EmptyChunk,
-    /// A chunk header exceeds [`MAX_CHUNK_SAMPLES`] or
-    /// [`MAX_CHUNK_PAYLOAD`].
+    /// A chunk header exceeds [`MAX_CHUNK_SAMPLES`] or a 32 MiB payload.
     OversizedChunk {
         /// Declared sample count.
         samples: u32,
@@ -284,7 +283,7 @@ pub fn file_header() -> [u8; FILE_HEADER_LEN] {
 
 /// Validates the file header at the start of `bytes` and returns how many
 /// bytes it consumed.
-pub fn check_file_header(bytes: &[u8]) -> Result<usize, CodecError> {
+fn check_file_header(bytes: &[u8]) -> Result<usize, CodecError> {
     if bytes.len() < FILE_HEADER_LEN {
         return Err(CodecError::TruncatedHeader {
             needed: FILE_HEADER_LEN,
@@ -311,8 +310,8 @@ pub fn check_file_header(bytes: &[u8]) -> Result<usize, CodecError> {
 /// # Errors
 ///
 /// [`CodecError::EmptyChunk`] for an empty slice;
-/// [`CodecError::OversizedChunk`] past [`MAX_CHUNK_SAMPLES`] /
-/// [`MAX_CHUNK_PAYLOAD`].
+/// [`CodecError::OversizedChunk`] past [`MAX_CHUNK_SAMPLES`] or a
+/// 32 MiB payload.
 pub fn encode_chunk(samples: &[Sample], out: &mut Vec<u8>) -> Result<(), CodecError> {
     let first = samples.first().ok_or(CodecError::EmptyChunk)?;
     let count = u32::try_from(samples.len())
@@ -353,19 +352,19 @@ pub fn encode_chunk(samples: &[Sample], out: &mut Vec<u8>) -> Result<(), CodecEr
 
 /// A parsed chunk header.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ChunkHeader {
+struct ChunkHeader {
     /// Samples in the chunk (≥ 1).
-    pub count: u32,
+    count: u32,
     /// Payload length in bytes.
-    pub payload_len: u32,
+    payload_len: u32,
     /// FNV-1a checksum of the payload.
-    pub checksum: u32,
+    checksum: u32,
 }
 
 /// Parses and bounds-checks the chunk header at the start of `bytes`.
 /// Validation happens *here*, before any payload is read, so forged
 /// counts/lengths fail fast.
-pub fn read_chunk_header(bytes: &[u8]) -> Result<ChunkHeader, CodecError> {
+fn read_chunk_header(bytes: &[u8]) -> Result<ChunkHeader, CodecError> {
     if bytes.len() < CHUNK_HEADER_LEN {
         return Err(CodecError::TruncatedHeader {
             needed: CHUNK_HEADER_LEN,

@@ -237,12 +237,6 @@ impl<S: StreamSink> TsdbRecorder<S> {
         TsdbRecorder { inner, rec: None }
     }
 
-    /// True when a store is attached and no error has latched.
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.rec.as_ref().is_some_and(|r| r.error.is_none())
-    }
-
     /// The wrapped sink.
     #[must_use]
     pub fn inner(&self) -> &S {
@@ -342,7 +336,7 @@ mod tests {
     fn recorded_sums_equal_final_metrics() {
         use rideshare_core::{Market, MarketBuildOptions};
         use rideshare_online::{
-            market_events, replay_stream, MaxMargin, StreamOptions, StreamPolicy,
+            market_events, replay_stream, InstantRule, StreamOptions, StreamPolicy,
         };
         use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -360,7 +354,7 @@ mod tests {
         replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut rec,
         );
@@ -393,7 +387,6 @@ mod tests {
     fn passthrough_records_nothing() {
         let mut rec = TsdbRecorder::passthrough(StreamMetrics::hourly());
         rec.window_closed(Timestamp::from_secs(60));
-        assert!(!rec.is_recording());
         let (store, _) = rec.finish().expect("finish");
         assert!(store.is_none());
     }

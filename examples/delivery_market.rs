@@ -34,7 +34,10 @@ fn main() {
         let market = Market::from_trace(trace, &MarketBuildOptions::default());
         let offline = solve_greedy(&market, Objective::Profit);
         offline.assignment.validate(&market).expect("feasible");
-        let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let online = replay_market(
+            &market,
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+        );
         validate_online(&market, &online.assignment).expect("feasible online");
         let batched = replay_market(
             &market,

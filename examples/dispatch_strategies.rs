@@ -13,9 +13,8 @@ fn main() {
         .with_driver_count(50, DriverModel::Hitchhiking)
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-    let instant = |policy: &mut dyn DispatchPolicy| {
-        replay_market(&market, &mut StreamPolicy::Instant(policy))
-    };
+    let instant =
+        |mut rule: InstantRule| replay_market(&market, &mut StreamPolicy::Instant(&mut rule));
     let batched = |mins: i64, matcher: MatcherKind| {
         let window = TimeDelta::from_mins(mins);
         replay_market(&market, &mut StreamPolicy::Batched { window, matcher })
@@ -25,8 +24,11 @@ fn main() {
 
     // Instant policies, then batched ones.
     for (label, result) in [
-        ("Nearest (Alg. 3)", instant(&mut NearestDriver::new())),
-        ("maxMargin (Alg. 4)", instant(&mut MaxMargin::new())),
+        (
+            "Nearest (Alg. 3)",
+            instant(InstantRule::Nearest { seed: 0 }),
+        ),
+        ("maxMargin (Alg. 4)", instant(InstantRule::MaxMargin)),
         ("batched 2 min", batched(2, MatcherKind::Greedy)),
         ("batched 10 min", batched(10, MatcherKind::Greedy)),
         ("batched 2 min, optimal", batched(2, MatcherKind::Optimal)),
@@ -69,7 +71,7 @@ fn main() {
     replay_stream(
         market.speed(),
         market_events(&market),
-        &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
         StreamOptions::default(),
         &mut hourly,
     );

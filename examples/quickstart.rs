@@ -42,10 +42,13 @@ fn main() {
         .objective_value(&market, Objective::Profit);
 
     // 4. Online: replay the order stream through both heuristics.
-    let mm = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let mm = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+    );
     let nearest = replay_market(
         &market,
-        &mut StreamPolicy::Instant(&mut NearestDriver::new()),
+        &mut StreamPolicy::Instant(&mut InstantRule::Nearest { seed: 0 }),
     );
     validate_online(&market, &mm.assignment).expect("online dispatch is feasible");
 

@@ -45,7 +45,7 @@ fn main() {
     let bbox = stream.bounding_box();
     let options = StreamOptions::default().grid(bbox);
     let events: Vec<StreamEvent> = priced_events(stream, &build).collect();
-    let mut mm = MaxMargin::new();
+    let mut mm = InstantRule::MaxMargin;
     let mut policy = StreamPolicy::Instant(&mut mm);
     let mut want = StreamMetrics::hourly();
     let want_summary = replay_stream(

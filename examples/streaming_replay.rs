@@ -48,7 +48,7 @@ fn main() {
     //    metrics as the sink. `priced_events` is the feed `rideshare
     //    replay` dispatches: every shift announced, then each trip priced
     //    as the engine pulls it.
-    let mut policy = MaxMargin::new();
+    let mut policy = InstantRule::MaxMargin;
     let mut stream_policy = StreamPolicy::Instant(&mut policy);
     let mut metrics = StreamMetrics::hourly();
     let summary = replay_stream(

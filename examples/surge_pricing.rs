@@ -57,7 +57,10 @@ fn main() {
             .iter()
             .map(|t| t.price.as_f64())
             .fold(f64::MIN, f64::max);
-        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+        let r = replay_market(
+            &market,
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+        );
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", max_price),

@@ -44,7 +44,7 @@ fn main() {
     let labels = RunLabels::new("example", "margin", 1, 1);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
 
-    let mut policy = MaxMargin::new();
+    let mut policy = InstantRule::MaxMargin;
     let mut stream_policy = StreamPolicy::Instant(&mut policy);
     let summary = replay_stream(
         speed,

@@ -35,7 +35,7 @@
 //! let offline = solve_greedy(&market, Objective::Profit);
 //!
 //! // Online: replay the order stream through maxMargin (Alg. 4).
-//! let online = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+//! let online = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
 //!
 //! // Offline information advantage: greedy should not lose to the
 //! // online heuristic by much on any seed, and both must be feasible.
@@ -74,11 +74,10 @@ pub mod prelude {
     pub use rideshare_online::{
         market_events, priced_events, replay_market, replay_market_by_value, replay_sharded,
         replay_stream, validate_online, validate_online_result, BoxPartitioner, CollectingSink,
-        DispatchPolicy, FileSource, IngestError, IngestFormat, IngestSource, IterSource,
-        MatcherKind, MaxMargin, NearestDriver, RandomDispatch, RegionPartitioner, ServeConfig,
-        ServeDaemon, ServeOutcome, ServeReport, ServeStop, ShardOptions, ShardPolicySpec,
-        SimulationResult, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink,
-        StreamSummary, TcpSource,
+        FileSource, IngestError, IngestFormat, IngestSource, InstantRule, IterSource, MatcherKind,
+        RegionPartitioner, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop,
+        ShardOptions, ShardPolicySpec, SimulationResult, StreamEngine, StreamEvent, StreamOptions,
+        StreamPolicy, StreamSink, StreamSummary, TcpSource,
     };
     pub use rideshare_trace::{DriverModel, Trace, TraceConfig, TraceStream, TripRecord};
     pub use rideshare_tsdb::{

@@ -98,7 +98,10 @@ fn departure_waits_for_the_batch_decision() {
     }
     // Instant dispatch on the same market really is instant — the 300 s
     // above is the cost of batching, not an artefact of the market.
-    let instant = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let instant = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+    );
     assert_eq!(instant.events[0].arrival, Timestamp::from_secs(0));
 }
 

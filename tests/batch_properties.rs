@@ -30,7 +30,10 @@ fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> Simulati
 
 /// `market` under instant maxMargin.
 fn max_margin(market: &Market) -> SimulationResult {
-    replay_market(market, &mut StreamPolicy::Instant(&mut MaxMargin::new()))
+    replay_market(
+        market,
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+    )
 }
 
 fn porto_market(seed: u64, tasks: usize, drivers: usize, hitch: bool) -> Market {

@@ -155,7 +155,7 @@ fn online_results_match_the_pinned_digests() {
                 })
                 .collect();
         if scenario.name == "tiny-rides" {
-            let sorted = replay_market_by_value(&market, &mut MaxMargin::new());
+            let sorted = replay_market_by_value(&market, &mut InstantRule::MaxMargin);
             runs.push(("maxMargin/value-sorted", sorted));
         }
         for (policy, result) in runs {

@@ -67,9 +67,9 @@ proptest! {
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
         let window = TimeDelta::from_mins(window_mins);
         let make = || match policy {
-            0 => PolicyHolder::Instant(Box::new(MaxMargin::new())),
-            1 => PolicyHolder::Instant(Box::new(NearestDriver::with_seed(policy_seed))),
-            2 => PolicyHolder::Instant(Box::new(RandomDispatch::with_seed(policy_seed))),
+            0 => PolicyHolder::Instant(InstantRule::MaxMargin),
+            1 => PolicyHolder::Instant(InstantRule::Nearest { seed: policy_seed }),
+            2 => PolicyHolder::Instant(InstantRule::random(policy_seed)),
             3 => ShardPolicySpec::Batched { window, matcher: MatcherKind::Greedy }.holder(),
             _ => ShardPolicySpec::Batched { window, matcher: MatcherKind::Optimal }.holder(),
         };

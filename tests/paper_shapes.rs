@@ -26,10 +26,13 @@ fn run_point(drivers: usize, model: DriverModel) -> SweepPoint {
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
     let greedy = solve_greedy(&market, Objective::Profit);
-    let mm = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let mm = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+    );
     let nearest = replay_market(
         &market,
-        &mut StreamPolicy::Instant(&mut NearestDriver::with_seed(0)),
+        &mut StreamPolicy::Instant(&mut InstantRule::Nearest { seed: 0 }),
     );
     SweepPoint {
         greedy_profit: greedy

@@ -577,7 +577,7 @@ fn million_task_tcp_serve_matches_replay() {
     let bbox = stream.bounding_box();
     let options = StreamOptions::default().grid(bbox);
     let mut want = StreamMetrics::hourly();
-    let mut mm = MaxMargin::new();
+    let mut mm = InstantRule::MaxMargin;
     let mut policy = StreamPolicy::Instant(&mut mm);
     let events = priced_events(stream, &build);
     let want_summary = replay_stream(speed, events, &mut policy, options, &mut want);

@@ -208,7 +208,7 @@ fn porto_regions_sharded_metrics_equal_sequential_exactly() {
         },
     ] {
         let mut whole = StreamMetrics::hourly();
-        let mut mm = MaxMargin::new();
+        let mut mm = InstantRule::MaxMargin;
         let mut policy = match spec {
             ShardPolicySpec::MaxMargin => StreamPolicy::Instant(&mut mm),
             ShardPolicySpec::Batched { window, matcher } => {
@@ -254,7 +254,7 @@ fn tiny_catalog_metric_merge_is_exact() {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -301,7 +301,7 @@ fn tiny_catalog_metric_merge_is_exact() {
 fn catalog_compaction_oracle() {
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        let (mut margin, matcher) = (MaxMargin::new(), MatcherKind::Greedy);
+        let (mut margin, matcher) = (InstantRule::MaxMargin, MatcherKind::Greedy);
         let window = TimeDelta::from_mins(3);
         let policies = [
             ("instant", StreamPolicy::Instant(&mut margin)),
@@ -440,7 +440,7 @@ proptest! {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut MaxMargin::new()),
+            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -521,7 +521,7 @@ fn million_task_sharded_replay_is_byte_identical() {
         let options = StreamOptions::default().grid(bbox);
         let events = priced_events(stream, &build);
         let summary = if shards == 1 {
-            let mut mm = MaxMargin::new();
+            let mut mm = InstantRule::MaxMargin;
             let mut policy = StreamPolicy::Instant(&mut mm);
             replay_stream(speed, events, &mut policy, options, &mut metrics)
         } else {

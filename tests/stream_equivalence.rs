@@ -72,12 +72,12 @@ fn assert_same(streamed: &SimulationResult, materialized: &SimulationResult, ctx
     );
 }
 
-fn stream_instant(market: &Market, policy: &mut dyn DispatchPolicy) -> SimulationResult {
+fn stream_instant(market: &Market, rule: &mut InstantRule) -> SimulationResult {
     let mut sink = CollectingSink::new();
     let _ = replay_stream(
         market.speed(),
         market_events(market),
-        &mut StreamPolicy::Instant(policy),
+        &mut StreamPolicy::Instant(rule),
         StreamOptions::fold_oracle(),
         &mut sink,
     );
@@ -111,9 +111,7 @@ fn front_end_matches_the_scan_stream() {
     let policies: [(&str, &dyn Fn() -> PolicyHolder); 5] = [
         ("maxMargin", &|| ShardPolicySpec::MaxMargin.holder()),
         ("nearest", &|| ShardPolicySpec::Nearest { seed: 7 }.holder()),
-        ("random", &|| {
-            PolicyHolder::Instant(Box::new(RandomDispatch::with_seed(1)))
-        }),
+        ("random", &|| PolicyHolder::Instant(InstantRule::random(1))),
         ("batch-3m", &|| batched(three, MatcherKind::Greedy)),
         ("batch-opt-3m", &|| batched(three, MatcherKind::Optimal)),
     ];
@@ -145,10 +143,13 @@ fn catalog_instant_streaming_oracle() {
     for scenario in Scenario::catalog() {
         let market = scenario.build_market();
         let runs = [
-            ("maxMargin", stream_instant(&market, &mut MaxMargin::new())),
+            (
+                "maxMargin",
+                stream_instant(&market, &mut InstantRule::MaxMargin),
+            ),
             (
                 "nearest",
-                stream_instant(&market, &mut NearestDriver::with_seed(0)),
+                stream_instant(&market, &mut InstantRule::Nearest { seed: 0 }),
             ),
         ];
         for (policy, streamed) in runs {
@@ -215,7 +216,7 @@ fn lazy_pipeline_matches_materialized_pipeline() {
     let stream = config.stream();
     let speed = stream.speed();
     let options = StreamOptions::default().grid(stream.bounding_box());
-    let mut policy = MaxMargin::new();
+    let mut policy = InstantRule::MaxMargin;
     let mut spolicy = StreamPolicy::Instant(&mut policy);
     let mut sink = CollectingSink::new();
     let events = priced_events(stream, &build);
@@ -224,7 +225,10 @@ fn lazy_pipeline_matches_materialized_pipeline() {
 
     // Materialized: the same streamed trips, built into a market.
     let market = Market::from_trace(&config.stream().collect_trace(), &build);
-    let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut MaxMargin::new()));
+    let materialized = replay_market(
+        &market,
+        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+    );
 
     assert_same(&streamed, &materialized, "lazy pipeline");
     validate_online_result(&market, &streamed).unwrap();
@@ -285,7 +289,7 @@ proptest! {
 
         let run = |events: Vec<StreamEvent>| {
             let mut sink = CollectingSink::new();
-            let mut mm = MaxMargin::new();
+            let mut mm = InstantRule::MaxMargin;
             let mut policy = if batched {
                 StreamPolicy::Batched { window: TimeDelta::from_mins(3), matcher: MatcherKind::Greedy }
             } else {
@@ -403,7 +407,7 @@ fn grid_matches_scan(
         } else {
             StreamOptions::fold_oracle()
         };
-        let mut margin = MaxMargin::new();
+        let mut margin = InstantRule::MaxMargin;
         let mut policy = if batched {
             let window = TimeDelta::from_mins(3);
             StreamPolicy::Batched {
@@ -533,7 +537,7 @@ fn million_task_replay_stays_bounded() {
     let stream = config.stream();
     let speed = stream.speed();
     let bbox = stream.bounding_box();
-    let mut mm = MaxMargin::new();
+    let mut mm = InstantRule::MaxMargin;
     let mut policy = StreamPolicy::Instant(&mut mm);
     let mut metrics = StreamMetrics::hourly();
     let options = StreamOptions::default().grid(bbox);

@@ -475,7 +475,7 @@ fn million_task_record_and_query_round_trip() {
     let store = TsdbStore::open(&dir).expect("open store");
     let labels = RunLabels::new("porto-1m", "margin", 1, 1);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
-    let mut mm = MaxMargin::new();
+    let mut mm = InstantRule::MaxMargin;
     let mut policy = rideshare::online::StreamPolicy::Instant(&mut mm);
     let options = StreamOptions::default().grid(bbox);
     let events = priced_events(stream, &build);
