@@ -97,10 +97,7 @@ fn surge_on_off(out: &mut dyn Write, tasks: usize, drivers: usize) -> io::Result
                 ..Default::default()
             },
         );
-        let r = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let r = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", r.assignment.total_revenue(&market).as_f64()),

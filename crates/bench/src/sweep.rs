@@ -172,10 +172,9 @@ impl PolicySpec {
         threads: usize,
     ) -> Assignment {
         match (self.stream_spec(), self) {
-            (Some(spec), _) => replay_market(market, &mut spec.holder().as_policy()).assignment,
+            (Some(spec), _) => replay_market(market, spec.holder()).assignment,
             (None, PolicySpec::Random) => {
-                let random = &mut InstantRule::random(0);
-                replay_market(market, &mut StreamPolicy::Instant(random)).assignment
+                replay_market(market, StreamPolicy::Instant(InstantRule::random(0))).assignment
             }
             (None, _) => match components {
                 Some(c) => solve_components(market, c, Objective::Profit, threads),

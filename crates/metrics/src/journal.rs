@@ -140,7 +140,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut whole,
         );
@@ -175,7 +175,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut Rolling {
                 journal: &mut journal,

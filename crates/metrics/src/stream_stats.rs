@@ -52,7 +52,7 @@
 //! let summary = replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+//!     StreamPolicy::Instant(InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut metrics,
 //! );
@@ -617,7 +617,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut metrics,
         );
@@ -627,10 +627,7 @@ mod tests {
     #[test]
     fn totals_match_materialized_objective() {
         let (market, metrics) = run(91, 250, 25);
-        let materialized = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let materialized = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         assert_eq!(metrics.served(), materialized.served);
         assert_eq!(metrics.rejected(), materialized.rejected);
         assert_eq!(metrics.published(), market.num_tasks());
@@ -710,7 +707,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );

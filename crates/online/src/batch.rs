@@ -244,9 +244,9 @@ pub(crate) fn optimal_round(round: &BatchRound<'_>) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::market_replay::{replay_market, SimulationResult};
     use crate::policy::InstantRule;
     use crate::shard::ShardPolicySpec;
-    use crate::simulator::{replay_market, SimulationResult};
     use crate::stream::{
         market_events, replay_stream, CollectingSink, StreamOptions, StreamPolicy,
     };
@@ -272,7 +272,7 @@ mod tests {
     /// `market` held for `window` and closed by `matcher`.
     fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
         let spec = ShardPolicySpec::Batched { window, matcher };
-        replay_market(market, &mut spec.holder().as_policy())
+        replay_market(market, spec.holder())
     }
 
     /// `market` held for `window`, every epoch closed in rounds of `rule`
@@ -285,7 +285,7 @@ mod tests {
         let _ = replay_stream(
             market.speed(),
             market_events(market),
-            &mut StreamPolicy::Batched { window, matcher },
+            StreamPolicy::Batched { window, matcher },
             options,
             &mut sink,
         );
@@ -335,7 +335,7 @@ mod tests {
             publishes.windows(2).all(|w| w[0] != w[1]),
             "seed must give distinct publish times"
         );
-        let instant = replay_market(&m, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+        let instant = replay_market(&m, StreamPolicy::Instant(InstantRule::MaxMargin));
         let zero = batched(&m, TimeDelta::ZERO, MatcherKind::Greedy);
         assert_eq!(zero.dispatch, instant.dispatch);
         assert_eq!(zero.served, instant.served);

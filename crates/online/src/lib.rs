@@ -82,7 +82,7 @@
 //!     .with_driver_count(12, DriverModel::Hitchhiking)
 //!     .generate();
 //! let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-//! let result = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+//! let result = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
 //! assert_eq!(result.served + result.rejected, market.num_tasks());
 //! ```
 
@@ -102,12 +102,12 @@ macro_rules! probe {
 mod batch;
 mod candidates;
 mod ingest;
+mod market_replay;
 mod policy;
 #[cfg(feature = "stage-probe")]
 pub mod probe;
 mod serve;
 mod shard;
-mod simulator;
 mod stream;
 mod validate;
 
@@ -116,14 +116,12 @@ pub use ingest::{
     event_to_line, event_to_wire, wire_to_event, EventGuard, FileSource, IngestError, IngestFormat,
     IngestSource, IterSource, TcpSource,
 };
+pub use market_replay::{replay_market, replay_market_by_value, DispatchEvent, SimulationResult};
 pub use policy::InstantRule;
 pub use serve::{
     DayPoint, ServeConfig, ServeDaemon, ServeOutcome, ServeReport, ServeStop, SnapshotPoint,
 };
-pub use shard::{
-    replay_sharded, BoxPartitioner, PolicyHolder, RegionPartitioner, ShardOptions, ShardPolicySpec,
-};
-pub use simulator::{replay_market, replay_market_by_value, DispatchEvent, SimulationResult};
+pub use shard::{replay_sharded, BoxPartitioner, RegionPartitioner, ShardOptions, ShardPolicySpec};
 pub use stream::{
     market_events, priced_events, replay_stream, CollectingSink, StreamEngine, StreamEvent,
     StreamOptions, StreamPolicy, StreamSink, StreamSummary,

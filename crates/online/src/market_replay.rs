@@ -151,7 +151,7 @@ impl SimulationResult {
 /// let market = Market::from_trace(&trace, &MarketBuildOptions::default());
 /// let result = replay_market(
 ///     &market,
-///     &mut StreamPolicy::Batched {
+///     StreamPolicy::Batched {
 ///         window: TimeDelta::from_mins(3),
 ///         matcher: MatcherKind::Optimal,
 ///     },
@@ -161,7 +161,7 @@ impl SimulationResult {
 /// assert!(result.events.iter().all(|e| e.margin > -1e-9));
 /// ```
 #[must_use]
-pub fn replay_market(market: &Market, policy: &mut StreamPolicy<'_>) -> SimulationResult {
+pub fn replay_market(market: &Market, policy: StreamPolicy) -> SimulationResult {
     if let StreamPolicy::Batched { window, .. } = policy {
         // A bare stream only notices on its first order.
         assert!(
@@ -188,17 +188,18 @@ pub fn replay_market(market: &Market, policy: &mut StreamPolicy<'_>) -> Simulati
 /// task id), each still decided at its own publish instant. A hold window
 /// has no meaning out of publish order, so the policy is an instant one.
 #[must_use]
-pub fn replay_market_by_value(market: &Market, rule: &mut InstantRule) -> SimulationResult {
+pub fn replay_market_by_value(market: &Market, rule: InstantRule) -> SimulationResult {
     let mut engine = StreamEngine::new(
         market.speed(),
         StreamOptions::default().grid(market_bbox(market)),
     );
     let mut sink = CollectingSink::new();
+    let mut policy = StreamPolicy::Instant(rule);
     let mut by_value: Vec<Task> = Vec::with_capacity(market.num_tasks());
     for event in market_events(market) {
         match event {
             StreamEvent::TaskPublished(task) => by_value.push(task),
-            event => engine.push(event, &mut StreamPolicy::Instant(rule), &mut sink),
+            event => engine.push(event, &mut policy, &mut sink),
         }
     }
     by_value.sort_by(|a, b| {
@@ -206,8 +207,11 @@ pub fn replay_market_by_value(market: &Market, rule: &mut InstantRule) -> Simula
         by_price.then(a.id.cmp(&b.id))
     });
     // Past the stream's publish-order contract: see `decide_each`.
+    let StreamPolicy::Instant(rule) = &mut policy else {
+        unreachable!("an instant policy")
+    };
     engine.decide_each(&by_value, rule, &mut sink);
-    let _ = engine.finish(&mut StreamPolicy::Instant(rule), &mut sink);
+    let _ = engine.finish(&mut policy, &mut sink);
     collected(market, sink)
 }
 
@@ -234,19 +238,19 @@ mod tests {
         Market::from_trace(&trace, &MarketBuildOptions::default())
     }
 
-    fn instant(market: &Market, rule: &mut InstantRule) -> SimulationResult {
-        replay_market(market, &mut StreamPolicy::Instant(rule))
+    fn instant(market: &Market, rule: InstantRule) -> SimulationResult {
+        replay_market(market, StreamPolicy::Instant(rule))
     }
 
     #[test]
     fn all_tasks_accounted_for() {
         let m = market(41, 120, 15);
-        for mut rule in [
+        for rule in [
             InstantRule::Nearest { seed: 0 },
             InstantRule::MaxMargin,
             InstantRule::random(1),
         ] {
-            let r = instant(&m, &mut rule);
+            let r = instant(&m, rule);
             assert_eq!(r.served + r.rejected, m.num_tasks());
             assert_eq!(r.served, r.assignment.served_count());
             assert_eq!(r.dispatch.iter().filter(|d| d.is_some()).count(), r.served);
@@ -257,8 +261,8 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let m = market(43, 100, 10);
-        let a = instant(&m, &mut InstantRule::Nearest { seed: 5 });
-        let b = instant(&m, &mut InstantRule::Nearest { seed: 5 });
+        let a = instant(&m, InstantRule::Nearest { seed: 5 });
+        let b = instant(&m, InstantRule::Nearest { seed: 5 });
         assert_eq!(a.dispatch, b.dispatch);
     }
 
@@ -268,7 +272,7 @@ mod tests {
         // positive one exists — total profit should be positive on a
         // healthy market.
         let m = market(44, 150, 60);
-        let r = instant(&m, &mut InstantRule::MaxMargin);
+        let r = instant(&m, InstantRule::MaxMargin);
         assert!(r.total_profit(&m).is_strictly_positive());
         // Hitchhiking shifts are short commuter windows, so coverage of a
         // full day is sparse; with 60 drivers a healthy slice gets served.
@@ -278,8 +282,8 @@ mod tests {
     #[test]
     fn value_order_processes_high_prices_first() {
         let m = market(45, 100, 3);
-        let online = instant(&m, &mut InstantRule::MaxMargin);
-        let sorted = replay_market_by_value(&m, &mut InstantRule::MaxMargin);
+        let online = instant(&m, InstantRule::MaxMargin);
+        let sorted = replay_market_by_value(&m, InstantRule::MaxMargin);
         validate_online_result(&m, &sorted).unwrap();
         assert_eq!(sorted.dispatch.len(), m.num_tasks());
         // With scarce supply, prioritising valuable tasks should not lose
@@ -295,7 +299,7 @@ mod tests {
     #[test]
     fn empty_market_zero_everything() {
         let m = market(46, 0, 5);
-        let r = instant(&m, &mut InstantRule::MaxMargin);
+        let r = instant(&m, InstantRule::MaxMargin);
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 0);
         assert_eq!(r.service_rate(), 0.0);
@@ -304,7 +308,7 @@ mod tests {
     #[test]
     fn no_drivers_rejects_everything() {
         let m = market(47, 50, 0);
-        let r = instant(&m, &mut InstantRule::Nearest { seed: 0 });
+        let r = instant(&m, InstantRule::Nearest { seed: 0 });
         assert_eq!(r.served, 0);
         assert_eq!(r.rejected, 50);
     }
@@ -312,7 +316,7 @@ mod tests {
     #[test]
     fn events_are_consistent_with_dispatch() {
         let m = market(49, 150, 30);
-        let r = instant(&m, &mut InstantRule::MaxMargin);
+        let r = instant(&m, InstantRule::MaxMargin);
         assert_eq!(r.events.len(), r.served);
         for e in &r.events {
             assert_eq!(r.dispatch[e.task.index()], Some(e.driver));
@@ -336,7 +340,7 @@ mod tests {
     #[test]
     fn empty_run_has_no_event_stats() {
         let m = market(50, 0, 3);
-        let r = instant(&m, &mut InstantRule::MaxMargin);
+        let r = instant(&m, InstantRule::MaxMargin);
         assert!(r.mean_wait_mins().is_none());
         assert!(r.mean_candidates().is_none());
         assert_eq!(r.total_deadhead_km(), 0.0);
@@ -346,8 +350,8 @@ mod tests {
     fn more_drivers_serve_more() {
         let small = market(48, 200, 5);
         let big = market(48, 200, 60);
-        let r_small = instant(&small, &mut InstantRule::MaxMargin);
-        let r_big = instant(&big, &mut InstantRule::MaxMargin);
+        let r_small = instant(&small, InstantRule::MaxMargin);
+        let r_big = instant(&big, InstantRule::MaxMargin);
         assert!(
             r_big.served > r_small.served,
             "big {} vs small {}",

@@ -46,10 +46,8 @@ pub(crate) struct Candidate {
 /// ```
 /// use rideshare_online::{InstantRule, StreamPolicy};
 ///
-/// let mut nearest = InstantRule::Nearest { seed: 0 };
-/// let _alg_3 = StreamPolicy::Instant(&mut nearest);
-/// let mut random = InstantRule::random(0);
-/// let _baseline = StreamPolicy::Instant(&mut random);
+/// let _alg_3 = StreamPolicy::Instant(InstantRule::Nearest { seed: 0 });
+/// let _baseline = StreamPolicy::Instant(InstantRule::random(0));
 /// ```
 #[derive(Clone, Debug)]
 pub enum InstantRule {

@@ -440,7 +440,7 @@ impl<'p> ServeDaemon<'p> {
             _ => replay_stream(
                 self.speed,
                 guarded,
-                &mut self.spec.holder().as_policy(),
+                self.spec.holder(),
                 self.config.shards.stream,
                 &mut serve_sink,
             ),
@@ -524,7 +524,7 @@ mod tests {
         replay_stream(
             SpeedModel::default(),
             events.iter().copied(),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut expected,
         );
@@ -570,7 +570,7 @@ mod tests {
         let summary = replay_stream(
             SpeedModel::default(),
             events.iter().copied(),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut expected,
         );

@@ -54,7 +54,7 @@
 //!   hold window at the first pending order's publish time — a *global*
 //!   fact no shard can see alone. The router therefore tracks window
 //!   boundaries itself and broadcasts open anchors
-//!   ([`StreamEngine::open_window`]) and closing ticks
+//!   (`StreamEngine::open_window`) and closing ticks
 //!   ([`StreamEvent::EpochTick`]) to every shard, so all shards close the
 //!   very same windows the sequential engine would. (Instant-mode publish
 //!   groups are self-aligning — every member shares one timestamp — so
@@ -113,7 +113,7 @@
 //! replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+//!     StreamPolicy::Instant(InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut sequential,
 //! );
@@ -131,8 +131,8 @@ use rideshare_geo::{BoundingBox, GeoPoint, SpeedModel};
 use rideshare_types::{ConfigError, TimeDelta, Timestamp};
 
 use crate::batch::MatcherKind;
+use crate::market_replay::DispatchEvent;
 use crate::policy::InstantRule;
-use crate::simulator::DispatchEvent;
 use crate::stream::{
     next_announced, Hold, StreamEngine, StreamEvent, StreamOptions, StreamPolicy, StreamSink,
     StreamSummary,
@@ -209,11 +209,20 @@ impl RegionPartitioner for BoxPartitioner {
     }
 }
 
-/// Which dispatch policy every shard runs. A value (not a `&mut`
-/// borrow like [`StreamPolicy`]) because the sharded engine must
-/// *instantiate one policy per shard*; the variants are exactly the
-/// shard-stable policies (see the module docs — [`InstantRule::Random`]'s
-/// shared RNG stream is order-dependent and deliberately absent).
+/// Which dispatch policy every shard runs. A spec rather than a
+/// [`StreamPolicy`] because the sharded engine must *instantiate one
+/// policy per shard*; the variants are exactly the shard-stable policies
+/// (see the module docs — [`InstantRule::Random`]'s shared RNG stream is
+/// order-dependent and deliberately absent), so the sharded path refuses
+/// it by type:
+///
+/// ```compile_fail,E0308
+/// use rideshare_geo::SpeedModel;
+/// use rideshare_online::{InstantRule, ServeConfig, ServeDaemon, StreamPolicy};
+///
+/// let random = StreamPolicy::Instant(InstantRule::random(0));
+/// let _ = ServeDaemon::new(SpeedModel::default(), random, ServeConfig::new(2));
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ShardPolicySpec {
     /// Alg. 4 — maximum marginal value, instant dispatch.
@@ -232,52 +241,21 @@ pub enum ShardPolicySpec {
     },
 }
 
-/// Concrete policy storage materialised from a [`ShardPolicySpec`] — the
-/// owner of the instant rule a [`StreamPolicy`] borrows from.
-/// Public so single-engine callers (the CLI's `--shards 1` path, tests)
-/// can run the *same* spec through a sequential [`StreamEngine`] without
-/// duplicating the spec→policy construction.
-pub enum PolicyHolder {
-    /// An instant-dispatch rule.
-    Instant(InstantRule),
-    /// A batched hold window and its per-batch matcher.
-    Batched(TimeDelta, MatcherKind),
-}
-
 impl ShardPolicySpec {
     /// Materialises one policy instance for one engine (each shard gets
-    /// its own — that is the point of a spec over a `&mut` borrow).
+    /// its own). Public so single-engine callers (the CLI's `--shards 1`
+    /// path, tests) run the *same* spec through a sequential
+    /// [`StreamEngine`] without duplicating the spec→policy construction.
     #[must_use]
-    pub fn holder(self) -> PolicyHolder {
+    pub fn holder(self) -> StreamPolicy {
         match self {
-            ShardPolicySpec::MaxMargin => PolicyHolder::Instant(InstantRule::MaxMargin),
+            ShardPolicySpec::MaxMargin => StreamPolicy::Instant(InstantRule::MaxMargin),
             ShardPolicySpec::Nearest { seed } => {
-                PolicyHolder::Instant(InstantRule::Nearest { seed })
+                StreamPolicy::Instant(InstantRule::Nearest { seed })
             }
-            ShardPolicySpec::Batched { window, matcher } => PolicyHolder::Batched(window, matcher),
-        }
-    }
-
-    /// The batched hold window, if this is a batched spec.
-    fn window(self) -> Option<TimeDelta> {
-        match self {
-            ShardPolicySpec::Batched { window, .. } => Some(window),
-            _ => None,
-        }
-    }
-}
-
-impl PolicyHolder {
-    /// The [`StreamPolicy`] view an engine consumes, borrowing this
-    /// holder's rule state.
-    #[must_use]
-    pub fn as_policy(&mut self) -> StreamPolicy<'_> {
-        match self {
-            PolicyHolder::Instant(rule) => StreamPolicy::Instant(rule),
-            PolicyHolder::Batched(window, matcher) => StreamPolicy::Batched {
-                window: *window,
-                matcher: *matcher,
-            },
+            ShardPolicySpec::Batched { window, matcher } => {
+                StreamPolicy::Batched { window, matcher }
+            }
         }
     }
 }
@@ -438,7 +416,7 @@ impl Target {
 /// the worker thread and the inline lane both go through them.
 struct Shard {
     engine: StreamEngine,
-    holder: PolicyHolder,
+    policy: StreamPolicy,
     collector: Collector,
 }
 
@@ -446,7 +424,7 @@ impl Shard {
     fn new(speed: SpeedModel, options: StreamOptions, spec: ShardPolicySpec) -> Self {
         Self {
             engine: StreamEngine::new(speed, options),
-            holder: spec.holder(),
+            policy: spec.holder(),
             collector: Collector::default(),
         }
     }
@@ -454,23 +432,24 @@ impl Shard {
     /// Applies one delivery; a `Close` returns the closed window's
     /// decisions, in shard emission order.
     fn apply(&mut self, msg: ShardMsg) -> Option<Batch> {
-        let mut policy = self.holder.as_policy();
         let (event, closes) = match msg {
             ShardMsg::Event(event) => (event, false),
             ShardMsg::Close(tick) => (StreamEvent::EpochTick(tick), true),
             ShardMsg::Open(at) => {
-                self.engine.open_window(at, &policy);
+                if let Some(window) = self.policy.window() {
+                    self.engine.open_window(at, window);
+                }
                 return None;
             }
         };
-        self.engine.push(event, &mut policy, &mut self.collector);
+        self.engine
+            .push(event, &mut self.policy, &mut self.collector);
         closes.then(|| std::mem::take(&mut self.collector.decided))
     }
 
     /// End of stream: the final (unclosed) window plus the shard summary.
     fn finish(mut self) -> (Batch, StreamSummary) {
-        let mut policy = self.holder.as_policy();
-        let summary = self.engine.finish(&mut policy, &mut self.collector);
+        let summary = self.engine.finish(&mut self.policy, &mut self.collector);
         (self.collector.decided, summary)
     }
 }
@@ -885,7 +864,7 @@ where
         };
         route(
             events,
-            spec.window(),
+            spec.holder().window(),
             shards,
             partitioner,
             lanes,
@@ -896,7 +875,7 @@ where
             let lanes = ThreadLanes::spawn(scope, shards, speed, options.stream, spec);
             route(
                 events,
-                spec.window(),
+                spec.holder().window(),
                 shards,
                 partitioner,
                 lanes,
@@ -927,12 +906,10 @@ mod tests {
 
     fn sequential(market: &Market, spec: ShardPolicySpec) -> crate::SimulationResult {
         let mut sink = CollectingSink::new();
-        let mut holder = spec.holder();
-        let mut policy = holder.as_policy();
         let _ = replay_stream(
             market.speed(),
             market_events(market),
-            &mut policy,
+            spec.holder(),
             StreamOptions::default(),
             &mut sink,
         );
@@ -1202,7 +1179,7 @@ mod tests {
             let mut log = Vec::new();
             let _ = route(
                 stream,
-                spec.window(),
+                spec.holder().window(),
                 2,
                 &partitioner,
                 &mut log,

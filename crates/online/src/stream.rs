@@ -78,13 +78,13 @@
 //! let summary = replay_stream(
 //!     market.speed(),
 //!     market_events(&market),
-//!     &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+//!     StreamPolicy::Instant(InstantRule::MaxMargin),
 //!     StreamOptions::default(),
 //!     &mut sink,
 //! );
 //! let streamed = sink.into_result();
 //!
-//! let materialized = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+//! let materialized = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
 //! assert_eq!(streamed.dispatch, materialized.dispatch);
 //! assert_eq!(streamed.events, materialized.events);
 //! assert_eq!(summary.served, materialized.served);
@@ -101,10 +101,10 @@ use rideshare_types::{DriverId, TaskId, TimeDelta, Timestamp};
 
 use crate::batch::{optimal_round, BatchRound, MatcherKind, RankedPair, RoundRule};
 use crate::candidates::{unit_box, Fleet};
+use crate::market_replay::{DispatchEvent, SimulationResult};
 use crate::policy::{Candidate, InstantRule};
 #[cfg(feature = "stage-probe")]
 use crate::probe::{self, Count, Stage};
-use crate::simulator::{DispatchEvent, SimulationResult};
 
 /// One event of an ordered market stream.
 ///
@@ -230,22 +230,23 @@ impl StreamOptions {
     }
 }
 
-/// How the stream's orders are decided.
+/// How the stream's orders are decided: one value for the whole stream,
+/// owning its rule's state (a clone draws what the original would).
 ///
 /// ```
 /// use rideshare_online::{InstantRule, MatcherKind, StreamPolicy};
 /// use rideshare_types::TimeDelta;
 ///
-/// let mut margin = InstantRule::MaxMargin;
-/// let _instant = StreamPolicy::Instant(&mut margin);
+/// let _instant = StreamPolicy::Instant(InstantRule::MaxMargin);
 /// let window = TimeDelta::from_mins(3);
 /// let _batch_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Greedy };
 /// let _batch_opt_3m = StreamPolicy::Batched { window, matcher: MatcherKind::Optimal };
 /// ```
-pub enum StreamPolicy<'p> {
+#[derive(Clone, Debug)]
+pub enum StreamPolicy {
     /// Instant dispatch at publish time under a per-task rule
     /// (Algs. 3–4).
-    Instant(&'p mut InstantRule),
+    Instant(InstantRule),
     /// Hold orders for `window` and decide jointly, with early-flush
     /// epochs closed by `matcher` (see `batch.rs`).
     Batched {
@@ -341,13 +342,20 @@ impl Hold {
     }
 }
 
-impl StreamPolicy<'_> {
+impl StreamPolicy {
     /// The hold window, if this policy batches.
-    fn window(&self) -> Option<TimeDelta> {
+    pub(crate) fn window(&self) -> Option<TimeDelta> {
         match self {
             StreamPolicy::Instant(_) => None,
             StreamPolicy::Batched { window, .. } => Some(*window),
         }
+    }
+
+    /// This policy itself: `benchmark/`'s `spec.holder().as_policy()`
+    /// calls, kept until that package passes the policy (ROADMAP 4(a)).
+    #[doc(hidden)]
+    pub fn as_policy(&mut self) -> &mut Self {
+        self
     }
 }
 
@@ -431,7 +439,7 @@ impl StreamEngine {
     pub fn push(
         &mut self,
         event: StreamEvent,
-        policy: &mut StreamPolicy<'_>,
+        policy: &mut StreamPolicy,
         sink: &mut dyn StreamSink,
     ) {
         match event {
@@ -483,11 +491,7 @@ impl StreamEngine {
 
     /// Closes whatever is still held and returns the replay summary.
     #[must_use]
-    pub fn finish(
-        mut self,
-        policy: &mut StreamPolicy<'_>,
-        sink: &mut dyn StreamSink,
-    ) -> StreamSummary {
+    pub fn finish(mut self, policy: &mut StreamPolicy, sink: &mut dyn StreamSink) -> StreamSummary {
         if self.hold != Hold::Empty {
             self.flush(policy, sink);
         }
@@ -503,36 +507,34 @@ impl StreamEngine {
         }
     }
 
-    /// Anchors a batched hold window opening at `at` — the region-sharded
-    /// engine's window-alignment hook. A sequential engine opens each
-    /// window at its own first pending order's publish time; a shard must
-    /// instead open at the *global* window start (another shard's order may
-    /// have opened it), or its hold would close later than the sequential
-    /// engine's and decision epochs would drift. No-op under instant
-    /// policies: publish groups are self-aligning (every member shares one
-    /// timestamp).
+    /// Anchors a batched hold window of length `window` opening at `at` —
+    /// the region-sharded engine's window-alignment hook. A sequential
+    /// engine opens each window at its own first pending order's publish
+    /// time; a shard must instead open at the *global* window start
+    /// (another shard's order may have opened it), or its hold would close
+    /// later than the sequential engine's and decision epochs would drift.
+    /// Instant publish groups need no anchor: they are self-aligning
+    /// (every member shares one timestamp).
     ///
     /// # Panics
     ///
     /// Panics if a window is already open (close it with
     /// [`StreamEvent::EpochTick`] first), if the clock has passed `at`, or
     /// if the batch window is negative.
-    pub fn open_window(&mut self, at: Timestamp, policy: &StreamPolicy<'_>) {
-        if let Some(window) = policy.window() {
-            assert_eq!(
-                self.hold,
-                Hold::Empty,
-                "window anchored while another is open"
+    pub(crate) fn open_window(&mut self, at: Timestamp, window: TimeDelta) {
+        assert_eq!(
+            self.hold,
+            Hold::Empty,
+            "window anchored while another is open"
+        );
+        if let Some(clock) = self.clock {
+            assert!(
+                at >= clock,
+                "window anchored at {at} behind the clock {clock}"
             );
-            if let Some(clock) = self.clock {
-                assert!(
-                    at >= clock,
-                    "window anchored at {at} behind the clock {clock}"
-                );
-            }
-            self.clock = Some(at);
-            self.hold = Hold::opened_at(at, Some(window));
         }
+        self.clock = Some(at);
+        self.hold = Hold::opened_at(at, Some(window));
     }
 
     /// Orders currently held (published, undecided), for the sharding
@@ -548,7 +550,7 @@ impl StreamEngine {
     }
 
     /// Decides the currently held group/window.
-    fn flush(&mut self, policy: &mut StreamPolicy<'_>, sink: &mut dyn StreamSink) {
+    fn flush(&mut self, policy: &mut StreamPolicy, sink: &mut dyn StreamSink) {
         let hold = std::mem::replace(&mut self.hold, Hold::Empty);
         if self.pending.is_empty() {
             return;
@@ -1004,7 +1006,7 @@ impl PairScratch {
 pub fn replay_stream<I>(
     speed: SpeedModel,
     events: I,
-    policy: &mut StreamPolicy<'_>,
+    mut policy: StreamPolicy,
     options: StreamOptions,
     sink: &mut dyn StreamSink,
 ) -> StreamSummary
@@ -1013,9 +1015,9 @@ where
 {
     let mut engine = StreamEngine::new(speed, options);
     for event in events {
-        engine.push(event, policy, sink);
+        engine.push(event, &mut policy, sink);
     }
-    engine.finish(policy, sink)
+    engine.finish(&mut policy, sink)
 }
 
 /// The event stream of a materialized market: every driver announced up
@@ -1130,8 +1132,8 @@ impl StreamSink for CollectingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::market_replay::replay_market;
     use crate::policy::InstantRule;
-    use crate::simulator::replay_market;
     use rideshare_core::{Market, MarketBuildOptions};
     use rideshare_trace::{DriverModel, TraceConfig};
 
@@ -1179,11 +1181,11 @@ mod tests {
         replay_stream(
             m.speed(),
             ticked,
-            &mut StreamPolicy::Batched { window, matcher },
+            StreamPolicy::Batched { window, matcher },
             StreamOptions::default(),
             &mut sink,
         );
-        let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
+        let materialized = replay_market(&m, StreamPolicy::Batched { window, matcher });
         assert_same(&sink.into_result(), &materialized);
     }
 
@@ -1194,7 +1196,7 @@ mod tests {
         let summary = replay_stream(
             m.speed(),
             market_events(&m),
-            &mut StreamPolicy::Batched {
+            StreamPolicy::Batched {
                 window: TimeDelta::from_mins(3),
                 matcher: MatcherKind::Greedy,
             },
@@ -1224,12 +1226,11 @@ mod tests {
             let summary = replay_stream(
                 m.speed(),
                 market_events(&m),
-                &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+                StreamPolicy::Instant(InstantRule::MaxMargin),
                 options,
                 &mut sink,
             );
-            let materialized =
-                replay_market(&m, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+            let materialized = replay_market(&m, StreamPolicy::Instant(InstantRule::MaxMargin));
             assert_same(&sink.into_result(), &materialized);
             assert!(
                 summary.compacted_drivers > 0,
@@ -1254,11 +1255,11 @@ mod tests {
             let summary = replay_stream(
                 m.speed(),
                 market_events(&m),
-                &mut StreamPolicy::Batched { window, matcher },
+                StreamPolicy::Batched { window, matcher },
                 StreamOptions::default(),
                 &mut sink,
             );
-            let materialized = replay_market(&m, &mut StreamPolicy::Batched { window, matcher });
+            let materialized = replay_market(&m, StreamPolicy::Batched { window, matcher });
             assert_same(&sink.into_result(), &materialized);
             assert!(summary.compacted_drivers > 0, "no retirement at W={mins}m");
         }
@@ -1268,8 +1269,7 @@ mod tests {
     fn retirement_shrinks_resident_state() {
         let m = market(95, 150, 25);
         let mut engine = StreamEngine::new(m.speed(), StreamOptions::default());
-        let mut mm = InstantRule::MaxMargin;
-        let mut policy = StreamPolicy::Instant(&mut mm);
+        let mut policy = StreamPolicy::Instant(InstantRule::MaxMargin);
         let mut sink = CollectingSink::new();
         for e in market_events(&m) {
             engine.push(e, &mut policy, &mut sink);
@@ -1313,8 +1313,8 @@ mod tests {
     }
 
     /// Runs `f` under instant max-margin dispatch, then under `batch-3m`.
-    fn under_both_policies(mut f: impl FnMut(&mut StreamPolicy<'_>)) {
-        f(&mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+    fn under_both_policies(mut f: impl FnMut(&mut StreamPolicy)) {
+        f(&mut StreamPolicy::Instant(InstantRule::MaxMargin));
         let (window, matcher) = (TimeDelta::from_mins(3), MatcherKind::Greedy);
         f(&mut StreamPolicy::Batched { window, matcher });
     }
@@ -1358,7 +1358,7 @@ mod tests {
         let _ = replay_stream(
             m.speed(),
             events,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -1386,7 +1386,7 @@ mod tests {
                 StreamEvent::EpochTick(tick),
                 StreamEvent::TaskPublished(late),
             ],
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -1410,7 +1410,7 @@ mod tests {
                         None => replay_stream(
                             m.speed(),
                             events,
-                            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+                            StreamPolicy::Instant(InstantRule::MaxMargin),
                             StreamOptions::default(),
                             &mut sink,
                         ),

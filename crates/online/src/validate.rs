@@ -10,7 +10,7 @@
 use rideshare_core::{Assignment, Market};
 use rideshare_types::{MarketError, Result};
 
-use crate::simulator::{DispatchEvent, SimulationResult};
+use crate::market_replay::{DispatchEvent, SimulationResult};
 
 /// Validates an online assignment by replaying every driver's route with
 /// actual arrival/finish times.

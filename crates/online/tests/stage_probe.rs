@@ -57,7 +57,7 @@ struct Run {
 }
 
 impl Run {
-    fn new(policy: &mut StreamPolicy<'_>) -> Self {
+    fn new(policy: StreamPolicy) -> Self {
         let stream = TraceConfig::porto()
             .with_seed(11)
             .with_task_count(3000)
@@ -106,7 +106,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
 
     // Instant: one scan, one choice and one report per order, one commit
     // per dispatch, and one report per publish group closed.
-    let instant = Run::new(&mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+    let instant = Run::new(StreamPolicy::Instant(InstantRule::MaxMargin));
     let sink = &instant.sink;
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(instant.counts(), [3000, 45832, 12848, 1364, 1360, 0, 0]);
@@ -120,7 +120,7 @@ fn the_probe_counts_a_fixed_market_and_laps_at_every_hook() {
     // Batched: one early-flush lap per window, and a refresh after every
     // matcher round that committed something and left orders over.
     let (window, matcher) = (TimeDelta::from_mins(3), MatcherKind::Greedy);
-    let batched = Run::new(&mut StreamPolicy::Batched { window, matcher });
+    let batched = Run::new(StreamPolicy::Batched { window, matcher });
     let sink = &batched.sink;
     assert_eq!(sink.served + sink.rejected, 3000);
     assert_eq!(

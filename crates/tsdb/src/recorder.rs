@@ -354,7 +354,7 @@ mod tests {
         replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut rec,
         );

@@ -34,14 +34,11 @@ fn main() {
         let market = Market::from_trace(trace, &MarketBuildOptions::default());
         let offline = solve_greedy(&market, Objective::Profit);
         offline.assignment.validate(&market).expect("feasible");
-        let online = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let online = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         validate_online(&market, &online.assignment).expect("feasible online");
         let batched = replay_market(
             &market,
-            &mut StreamPolicy::Batched {
+            StreamPolicy::Batched {
                 window: TimeDelta::from_mins(20),
                 matcher: MatcherKind::Greedy,
             },

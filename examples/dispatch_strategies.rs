@@ -13,11 +13,10 @@ fn main() {
         .with_driver_count(50, DriverModel::Hitchhiking)
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-    let instant =
-        |mut rule: InstantRule| replay_market(&market, &mut StreamPolicy::Instant(&mut rule));
+    let instant = |rule: InstantRule| replay_market(&market, StreamPolicy::Instant(rule));
     let batched = |mins: i64, matcher: MatcherKind| {
         let window = TimeDelta::from_mins(mins);
-        replay_market(&market, &mut StreamPolicy::Batched { window, matcher })
+        replay_market(&market, StreamPolicy::Batched { window, matcher })
     };
 
     let mut rows = Vec::new();
@@ -71,7 +70,7 @@ fn main() {
     replay_stream(
         market.speed(),
         market_events(&market),
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+        StreamPolicy::Instant(InstantRule::MaxMargin),
         StreamOptions::default(),
         &mut hourly,
     );

@@ -34,10 +34,7 @@ fn main() {
         }
 
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
-        let online = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let online = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         let offline = solve_greedy(&market, Objective::Profit);
 
         let m_on = MarketMetrics::of(&market, &online.assignment);

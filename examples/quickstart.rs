@@ -42,13 +42,10 @@ fn main() {
         .objective_value(&market, Objective::Profit);
 
     // 4. Online: replay the order stream through both heuristics.
-    let mm = replay_market(
-        &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-    );
+    let mm = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
     let nearest = replay_market(
         &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::Nearest { seed: 0 }),
+        StreamPolicy::Instant(InstantRule::Nearest { seed: 0 }),
     );
     validate_online(&market, &mm.assignment).expect("online dispatch is feasible");
 

@@ -45,16 +45,9 @@ fn main() {
     let bbox = stream.bounding_box();
     let options = StreamOptions::default().grid(bbox);
     let events: Vec<StreamEvent> = priced_events(stream, &build).collect();
-    let mut mm = InstantRule::MaxMargin;
-    let mut policy = StreamPolicy::Instant(&mut mm);
+    let policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let mut want = StreamMetrics::hourly();
-    let want_summary = replay_stream(
-        speed,
-        events.iter().copied(),
-        &mut policy,
-        options,
-        &mut want,
-    );
+    let want_summary = replay_stream(speed, events.iter().copied(), policy, options, &mut want);
     println!(
         "oracle replay: served {}/{} ({:.1}%), revenue {:.2}",
         want_summary.served,

@@ -48,13 +48,12 @@ fn main() {
     //    metrics as the sink. `priced_events` is the feed `rideshare
     //    replay` dispatches: every shift announced, then each trip priced
     //    as the engine pulls it.
-    let mut policy = InstantRule::MaxMargin;
-    let mut stream_policy = StreamPolicy::Instant(&mut policy);
+    let stream_policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let mut metrics = StreamMetrics::hourly();
     let summary = replay_stream(
         speed,
         priced_events(stream, &build),
-        &mut stream_policy,
+        stream_policy,
         StreamOptions::default().grid(bbox),
         &mut metrics,
     );

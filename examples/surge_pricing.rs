@@ -57,10 +57,7 @@ fn main() {
             .iter()
             .map(|t| t.price.as_f64())
             .fold(f64::MIN, f64::max);
-        let r = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let r = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", max_price),

@@ -44,12 +44,11 @@ fn main() {
     let labels = RunLabels::new("example", "margin", 1, 1);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
 
-    let mut policy = InstantRule::MaxMargin;
-    let mut stream_policy = StreamPolicy::Instant(&mut policy);
+    let stream_policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let summary = replay_stream(
         speed,
         priced_events(stream, &build),
-        &mut stream_policy,
+        stream_policy,
         StreamOptions::default().grid(bbox),
         &mut sink,
     );

@@ -24,10 +24,7 @@ fn main() {
     let mut weekly_orders = 0usize;
     for (d, day) in week.days.iter().enumerate() {
         let market = Market::from_trace(day, &MarketBuildOptions::default());
-        let result = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let result = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         validate_online(&market, &result.assignment).expect("feasible day");
         let m = MarketMetrics::of(&market, &result.assignment);
         weekly_revenue += m.total_revenue;

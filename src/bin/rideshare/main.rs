@@ -234,7 +234,7 @@ fn online_policy(p: &Parsed<'_>) -> Result<(PolicySpec, ShardPolicySpec), String
 fn simulate(p: &Parsed<'_>) -> Result<(), String> {
     let (_, spec) = online_policy(p)?;
     let market = load_market(p)?;
-    let result = replay_market(&market, &mut spec.holder().as_policy());
+    let result = replay_market(&market, spec.holder());
     validate_online_result(&market, &result).map_err(|e| e.to_string())?;
     println!(
         "online: served {}/{} ({:.1}%), profit {}",

@@ -35,7 +35,7 @@
 //! let offline = solve_greedy(&market, Objective::Profit);
 //!
 //! // Online: replay the order stream through maxMargin (Alg. 4).
-//! let online = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+//! let online = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
 //!
 //! // Offline information advantage: greedy should not lose to the
 //! // online heuristic by much on any seed, and both must be feasible.

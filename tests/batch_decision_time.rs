@@ -20,7 +20,7 @@ use rideshare::prelude::*;
 /// front-end.
 fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
     let spec = ShardPolicySpec::Batched { window, matcher };
-    replay_market(market, &mut spec.holder().as_policy())
+    replay_market(market, spec.holder())
 }
 
 /// The same, through the linear-scan stream (the test-only fold).
@@ -30,7 +30,7 @@ fn batched_scan(market: &Market, window: TimeDelta, matcher: MatcherKind) -> Sim
     let _ = replay_stream(
         market.speed(),
         market_events(market),
-        &mut spec.holder().as_policy(),
+        spec.holder(),
         StreamOptions::fold_oracle(),
         &mut sink,
     );
@@ -98,10 +98,7 @@ fn departure_waits_for_the_batch_decision() {
     }
     // Instant dispatch on the same market really is instant — the 300 s
     // above is the cost of batching, not an artefact of the market.
-    let instant = replay_market(
-        &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-    );
+    let instant = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
     assert_eq!(instant.events[0].arrival, Timestamp::from_secs(0));
 }
 

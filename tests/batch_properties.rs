@@ -25,15 +25,12 @@ use rideshare::prelude::*;
 /// `market` held for `window` and closed by `matcher`.
 fn batched(market: &Market, window: TimeDelta, matcher: MatcherKind) -> SimulationResult {
     let spec = ShardPolicySpec::Batched { window, matcher };
-    replay_market(market, &mut spec.holder().as_policy())
+    replay_market(market, spec.holder())
 }
 
 /// `market` under instant maxMargin.
 fn max_margin(market: &Market) -> SimulationResult {
-    replay_market(
-        market,
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-    )
+    replay_market(market, StreamPolicy::Instant(InstantRule::MaxMargin))
 }
 
 fn porto_market(seed: u64, tasks: usize, drivers: usize, hitch: bool) -> Market {
@@ -125,7 +122,7 @@ proptest! {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut spec.holder().as_policy(),
+            spec.holder(),
             StreamOptions::fold_oracle(),
             &mut sink,
         );

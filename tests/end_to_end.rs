@@ -60,12 +60,12 @@ fn online_heuristics_feasible_and_bounded() {
     let bound = lp_upper_bound(&market, Objective::Profit, UpperBoundOptions::default())
         .unwrap()
         .bound;
-    for mut rule in [
+    for rule in [
         InstantRule::MaxMargin,
         InstantRule::Nearest { seed: 1 },
         InstantRule::random(1),
     ] {
-        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut rule));
+        let r = replay_market(&market, StreamPolicy::Instant(rule));
         validate_online(&market, &r.assignment).unwrap();
         assert!(
             r.total_profit(&market).as_f64() <= bound + 1e-6,
@@ -84,12 +84,9 @@ fn greedy_dominates_online_in_profit() {
             .assignment
             .objective_value(&market, Objective::Profit)
             .as_f64();
-        let online = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        )
-        .total_profit(&market)
-        .as_f64();
+        let online = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin))
+            .total_profit(&market)
+            .as_f64();
         assert!(
             offline >= online - 1e-6,
             "seed {seed}: offline {offline} < online {online}"
@@ -103,10 +100,7 @@ fn both_driver_models_run_cleanly() {
         let market = build(31, 100, 15, model);
         let greedy = solve_greedy(&market, Objective::Profit);
         greedy.assignment.validate(&market).unwrap();
-        let r = replay_market(
-            &market,
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-        );
+        let r = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         validate_online(&market, &r.assignment).unwrap();
         let m = MarketMetrics::of(&market, &r.assignment);
         assert!(m.served_rate <= 1.0);

@@ -148,14 +148,11 @@ fn online_results_match_the_pinned_digests() {
                 .map(|label| {
                     let spec = PolicySpec::parse(label).and_then(|p| p.stream_spec());
                     let spec = spec.expect("an online column");
-                    (
-                        label,
-                        replay_market(&market, &mut spec.holder().as_policy()),
-                    )
+                    (label, replay_market(&market, spec.holder()))
                 })
                 .collect();
         if scenario.name == "tiny-rides" {
-            let sorted = replay_market_by_value(&market, &mut InstantRule::MaxMargin);
+            let sorted = replay_market_by_value(&market, InstantRule::MaxMargin);
             runs.push(("maxMargin/value-sorted", sorted));
         }
         for (policy, result) in runs {
@@ -189,7 +186,7 @@ fn nearest_under_seed_7_and_random_are_pinned() {
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
         let spec = ShardPolicySpec::Nearest { seed: 7 };
-        let nearest = replay_market(&market, &mut spec.holder().as_policy());
+        let nearest = replay_market(&market, spec.holder());
         let random = PolicySpec::Random.assign(&market, None, 1);
         let value = random.objective_value(&market, Objective::Profit).as_f64();
         computed.push((
@@ -308,4 +305,74 @@ fn tightness_family_ratio_is_analytic() {
         ub.bound,
         inst.expected_opt()
     );
+}
+
+/// Two drivers with the same source, destination and shift, and one order
+/// at their source: every candidate field but the driver id ties, so only
+/// the tie-break seed decides which of the two takes it.
+fn tied_pair_market() -> Market {
+    let at = GeoPoint::new(41.15, -8.61);
+    let driver = |id| Driver {
+        id: DriverId::new(id),
+        source: at,
+        destination: at,
+        shift_start: Timestamp::from_secs(0),
+        shift_end: Timestamp::from_secs(50_000),
+        model: DriverModel::HomeWorkHome,
+    };
+    let order = Task {
+        id: TaskId::new(0),
+        publish_time: Timestamp::from_secs(600),
+        origin: at,
+        destination: at.offset_km(0.0, 2.0),
+        pickup_deadline: Timestamp::from_secs(3_600),
+        completion_deadline: Timestamp::from_secs(7_200),
+        duration: TimeDelta::from_secs(300),
+        price: Money::new(8.0),
+        valuation: Money::new(9.0),
+        service_cost: Money::ZERO,
+    };
+    Market::new(
+        vec![driver(0), driver(1)],
+        vec![order],
+        SpeedModel::new(60.0, 1.0, 0.1),
+        None,
+    )
+}
+
+/// The nearest-driver tie-break seed decides ties: on [`tied_pair_market`]
+/// seed 0 dispatches driver 0 and seed 7 driver 1, through the front-end
+/// and through two shards (inline and threaded) with both drivers in one
+/// region. A rule that ignored its seed would give both seeds one driver.
+#[test]
+fn the_tie_break_seed_picks_between_tied_drivers() {
+    let market = tied_pair_market();
+    let region = BoundingBox::new(41.0, 41.3, -8.8, -8.3);
+    let elsewhere = BoundingBox::new(41.0, 41.3, -7.0, -6.5);
+    let partitioner = BoxPartitioner::new(vec![region, elsewhere]);
+    for (seed, driver) in [(0, 0), (7, 1)] {
+        let spec = ShardPolicySpec::Nearest { seed };
+        let front = replay_market(&market, spec.holder());
+        let mut runs = vec![("replay_market", front.events)];
+        for validate in [true, false] {
+            let mut sink = CollectingSink::new();
+            let _ = replay_sharded(
+                market.speed(),
+                market_events(&market),
+                spec,
+                &partitioner,
+                ShardOptions::new(2).validate(validate),
+                &mut sink,
+            );
+            runs.push(("replay_sharded", sink.into_result().events));
+        }
+        for (path, events) in runs {
+            let picks: Vec<_> = events.iter().map(|e| (e.driver, e.candidates)).collect();
+            assert_eq!(
+                picks,
+                [(DriverId::new(driver), 2)],
+                "{path}, seed {seed}: the tied order's dispatch"
+            );
+        }
+    }
 }

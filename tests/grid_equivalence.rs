@@ -15,20 +15,19 @@
 
 use proptest::prelude::*;
 
-use rideshare::online::PolicyHolder;
 use rideshare::prelude::*;
 
-/// A fresh `make()` policy over `market` through the front-end, through
-/// the fold and through a bare stream over the default box; `true` when
-/// every field of all three agrees.
-fn grid_matches_scan(market: &Market, make: impl Fn() -> PolicyHolder) -> bool {
-    let grid = replay_market(market, &mut make().as_policy());
+/// A clone of `policy` over `market` through the front-end, through the
+/// fold and through a bare stream over the default box; `true` when every
+/// field of all three agrees.
+fn grid_matches_scan(market: &Market, policy: &StreamPolicy) -> bool {
+    let grid = replay_market(market, policy.clone());
     let stream = |options| {
         let mut sink = CollectingSink::new();
         let _ = replay_stream(
             market.speed(),
             market_events(market),
-            &mut make().as_policy(),
+            policy.clone(),
             options,
             &mut sink,
         );
@@ -66,15 +65,15 @@ proptest! {
             .generate();
         let market = Market::from_trace(&trace, &MarketBuildOptions::default());
         let window = TimeDelta::from_mins(window_mins);
-        let make = || match policy {
-            0 => PolicyHolder::Instant(InstantRule::MaxMargin),
-            1 => PolicyHolder::Instant(InstantRule::Nearest { seed: policy_seed }),
-            2 => PolicyHolder::Instant(InstantRule::random(policy_seed)),
-            3 => ShardPolicySpec::Batched { window, matcher: MatcherKind::Greedy }.holder(),
-            _ => ShardPolicySpec::Batched { window, matcher: MatcherKind::Optimal }.holder(),
+        let chosen = match policy {
+            0 => StreamPolicy::Instant(InstantRule::MaxMargin),
+            1 => StreamPolicy::Instant(InstantRule::Nearest { seed: policy_seed }),
+            2 => StreamPolicy::Instant(InstantRule::random(policy_seed)),
+            3 => StreamPolicy::Batched { window, matcher: MatcherKind::Greedy },
+            _ => StreamPolicy::Batched { window, matcher: MatcherKind::Optimal },
         };
         prop_assert!(
-            grid_matches_scan(&market, make),
+            grid_matches_scan(&market, &chosen),
             "grid/linear divergence at seed {seed}, {tasks}×{drivers}, policy {policy}"
         );
     }
@@ -86,7 +85,7 @@ fn grid_equivalence_on_delivery_and_rush_presets() {
     // twin peaks) get a deterministic pass of the same property.
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        let ok = grid_matches_scan(&market, || ShardPolicySpec::MaxMargin.holder());
+        let ok = grid_matches_scan(&market, &StreamPolicy::Instant(InstantRule::MaxMargin));
         assert!(ok, "grid/linear divergence on {}", scenario.name);
     }
 }

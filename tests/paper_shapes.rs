@@ -26,13 +26,10 @@ fn run_point(drivers: usize, model: DriverModel) -> SweepPoint {
         .generate();
     let market = Market::from_trace(&trace, &MarketBuildOptions::default());
     let greedy = solve_greedy(&market, Objective::Profit);
-    let mm = replay_market(
-        &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-    );
+    let mm = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
     let nearest = replay_market(
         &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::Nearest { seed: 0 }),
+        StreamPolicy::Instant(InstantRule::Nearest { seed: 0 }),
     );
     SweepPoint {
         greedy_profit: greedy

@@ -110,7 +110,7 @@ proptest! {
                 .is_strictly_negative()
         );
 
-        let r = replay_market(&market, &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin));
+        let r = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
         prop_assert!(validate_online(&market, &r.assignment).is_ok());
     }
 

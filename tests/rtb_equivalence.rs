@@ -158,12 +158,11 @@ fn run(
     let mut metrics = StreamMetrics::hourly();
     let mut sink = Tee(&mut decisions, &mut metrics);
     if shards == 1 {
-        let mut holder = spec.holder();
-        let mut policy = holder.as_policy();
+        let policy = spec.holder();
         let _ = replay_stream(
             p.speed,
             events,
-            &mut policy,
+            policy,
             StreamOptions::default().grid(p.bbox),
             &mut sink,
         );

@@ -120,12 +120,11 @@ fn replay_oracle(
 ) -> (SimulationResult, StreamMetrics) {
     let mut sink = DuoSink::new();
     if shards == 1 {
-        let mut holder = spec.holder();
-        let mut policy = holder.as_policy();
+        let policy = spec.holder();
         let _ = replay_stream(
             market.speed(),
             market_events(market),
-            &mut policy,
+            policy,
             StreamOptions::default(),
             &mut sink,
         );
@@ -577,10 +576,9 @@ fn million_task_tcp_serve_matches_replay() {
     let bbox = stream.bounding_box();
     let options = StreamOptions::default().grid(bbox);
     let mut want = StreamMetrics::hourly();
-    let mut mm = InstantRule::MaxMargin;
-    let mut policy = StreamPolicy::Instant(&mut mm);
+    let policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let events = priced_events(stream, &build);
-    let want_summary = replay_stream(speed, events, &mut policy, options, &mut want);
+    let want_summary = replay_stream(speed, events, policy, options, &mut want);
 
     // Daemon: the same events framed over a real socket, 4 shards.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();

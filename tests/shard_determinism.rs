@@ -82,12 +82,11 @@ fn policy_label(spec: ShardPolicySpec) -> &'static str {
 /// sharded engine gives each shard, run through one engine.
 fn sequential(market: &Market, spec: ShardPolicySpec) -> SimulationResult {
     let mut sink = CollectingSink::new();
-    let mut holder = spec.holder();
-    let mut policy = holder.as_policy();
+    let policy = spec.holder();
     let _ = replay_stream(
         market.speed(),
         market_events(market),
-        &mut policy,
+        policy,
         StreamOptions::default(),
         &mut sink,
     );
@@ -208,9 +207,8 @@ fn porto_regions_sharded_metrics_equal_sequential_exactly() {
         },
     ] {
         let mut whole = StreamMetrics::hourly();
-        let mut mm = InstantRule::MaxMargin;
-        let mut policy = match spec {
-            ShardPolicySpec::MaxMargin => StreamPolicy::Instant(&mut mm),
+        let policy = match spec {
+            ShardPolicySpec::MaxMargin => StreamPolicy::Instant(InstantRule::MaxMargin),
             ShardPolicySpec::Batched { window, matcher } => {
                 StreamPolicy::Batched { window, matcher }
             }
@@ -219,7 +217,7 @@ fn porto_regions_sharded_metrics_equal_sequential_exactly() {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut policy,
+            policy,
             StreamOptions::default(),
             &mut whole,
         );
@@ -254,7 +252,7 @@ fn tiny_catalog_metric_merge_is_exact() {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -301,17 +299,17 @@ fn tiny_catalog_metric_merge_is_exact() {
 fn catalog_compaction_oracle() {
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        let (mut margin, matcher) = (InstantRule::MaxMargin, MatcherKind::Greedy);
+        let (margin, matcher) = (InstantRule::MaxMargin, MatcherKind::Greedy);
         let window = TimeDelta::from_mins(3);
         let policies = [
-            ("instant", StreamPolicy::Instant(&mut margin)),
+            ("instant", StreamPolicy::Instant(margin)),
             ("batched", StreamPolicy::Batched { window, matcher }),
         ];
-        for (kind, mut policy) in policies {
+        for (kind, policy) in policies {
             let summary = replay_stream(
                 market.speed(),
                 market_events(&market),
-                &mut policy,
+                policy,
                 StreamOptions::default(),
                 &mut CollectingSink::new(),
             );
@@ -440,7 +438,7 @@ proptest! {
         let _ = replay_stream(
             market.speed(),
             market_events(&market),
-            &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
+            StreamPolicy::Instant(InstantRule::MaxMargin),
             StreamOptions::default(),
             &mut sink,
         );
@@ -521,9 +519,8 @@ fn million_task_sharded_replay_is_byte_identical() {
         let options = StreamOptions::default().grid(bbox);
         let events = priced_events(stream, &build);
         let summary = if shards == 1 {
-            let mut mm = InstantRule::MaxMargin;
-            let mut policy = StreamPolicy::Instant(&mut mm);
-            replay_stream(speed, events, &mut policy, options, &mut metrics)
+            let policy = StreamPolicy::Instant(InstantRule::MaxMargin);
+            replay_stream(speed, events, policy, options, &mut metrics)
         } else {
             let partitioner = BoxPartitioner::new(config.region_boxes());
             replay_sharded(

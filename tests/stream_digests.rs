@@ -280,9 +280,7 @@ fn batched_digest(config: &TraceConfig, mins: i64, matcher: MatcherKind) -> (u64
     let summary = replay_stream(
         speed,
         priced_events(stream, &opts),
-        &mut ShardPolicySpec::Batched { window, matcher }
-            .holder()
-            .as_policy(),
+        ShardPolicySpec::Batched { window, matcher }.holder(),
         options,
         &mut sink,
     );

@@ -42,7 +42,7 @@
 use proptest::prelude::*;
 
 use rideshare::bench::Scenario;
-use rideshare::online::{DispatchEvent, PolicyHolder};
+use rideshare::online::DispatchEvent;
 use rideshare::prelude::*;
 
 #[path = "golden_scenarios/digests.rs"]
@@ -72,12 +72,12 @@ fn assert_same(streamed: &SimulationResult, materialized: &SimulationResult, ctx
     );
 }
 
-fn stream_instant(market: &Market, rule: &mut InstantRule) -> SimulationResult {
+fn stream_instant(market: &Market, rule: InstantRule) -> SimulationResult {
     let mut sink = CollectingSink::new();
     let _ = replay_stream(
         market.speed(),
         market_events(market),
-        &mut StreamPolicy::Instant(rule),
+        StreamPolicy::Instant(rule),
         StreamOptions::fold_oracle(),
         &mut sink,
     );
@@ -94,7 +94,7 @@ fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> Simulati
     let _ = replay_stream(
         market.speed(),
         market_events(market),
-        &mut StreamPolicy::Batched { window, matcher },
+        StreamPolicy::Batched { window, matcher },
         StreamOptions::fold_oracle(),
         &mut sink,
     );
@@ -106,24 +106,38 @@ fn stream_batched(market: &Market, window: TimeDelta, optimal: bool) -> Simulati
 /// per market task, same events, routes and counts.
 #[test]
 fn front_end_matches_the_scan_stream() {
-    let batched = |window, matcher| ShardPolicySpec::Batched { window, matcher }.holder();
-    let three = TimeDelta::from_mins(3);
-    let policies: [(&str, &dyn Fn() -> PolicyHolder); 5] = [
-        ("maxMargin", &|| ShardPolicySpec::MaxMargin.holder()),
-        ("nearest", &|| ShardPolicySpec::Nearest { seed: 7 }.holder()),
-        ("random", &|| PolicyHolder::Instant(InstantRule::random(1))),
-        ("batch-3m", &|| batched(three, MatcherKind::Greedy)),
-        ("batch-opt-3m", &|| batched(three, MatcherKind::Optimal)),
+    let window = TimeDelta::from_mins(3);
+    let policies = [
+        ("maxMargin", StreamPolicy::Instant(InstantRule::MaxMargin)),
+        (
+            "nearest",
+            StreamPolicy::Instant(InstantRule::Nearest { seed: 7 }),
+        ),
+        ("random", StreamPolicy::Instant(InstantRule::random(1))),
+        (
+            "batch-3m",
+            StreamPolicy::Batched {
+                window,
+                matcher: MatcherKind::Greedy,
+            },
+        ),
+        (
+            "batch-opt-3m",
+            StreamPolicy::Batched {
+                window,
+                matcher: MatcherKind::Optimal,
+            },
+        ),
     ];
     for scenario in Scenario::tiny_catalog() {
         let market = scenario.build_market();
-        for (label, make) in policies {
-            let front = replay_market(&market, &mut make().as_policy());
+        for (label, policy) in &policies {
+            let front = replay_market(&market, policy.clone());
             let mut sink = CollectingSink::new();
             let _ = replay_stream(
                 market.speed(),
                 market_events(&market),
-                &mut make().as_policy(),
+                policy.clone(),
                 StreamOptions::fold_oracle(),
                 &mut sink,
             );
@@ -143,13 +157,10 @@ fn catalog_instant_streaming_oracle() {
     for scenario in Scenario::catalog() {
         let market = scenario.build_market();
         let runs = [
-            (
-                "maxMargin",
-                stream_instant(&market, &mut InstantRule::MaxMargin),
-            ),
+            ("maxMargin", stream_instant(&market, InstantRule::MaxMargin)),
             (
                 "nearest",
-                stream_instant(&market, &mut InstantRule::Nearest { seed: 0 }),
+                stream_instant(&market, InstantRule::Nearest { seed: 0 }),
             ),
         ];
         for (policy, streamed) in runs {
@@ -216,19 +227,15 @@ fn lazy_pipeline_matches_materialized_pipeline() {
     let stream = config.stream();
     let speed = stream.speed();
     let options = StreamOptions::default().grid(stream.bounding_box());
-    let mut policy = InstantRule::MaxMargin;
-    let mut spolicy = StreamPolicy::Instant(&mut policy);
+    let policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let mut sink = CollectingSink::new();
     let events = priced_events(stream, &build);
-    let summary = replay_stream(speed, events, &mut spolicy, options, &mut sink);
+    let summary = replay_stream(speed, events, policy, options, &mut sink);
     let streamed = sink.into_result();
 
     // Materialized: the same streamed trips, built into a market.
     let market = Market::from_trace(&config.stream().collect_trace(), &build);
-    let materialized = replay_market(
-        &market,
-        &mut StreamPolicy::Instant(&mut InstantRule::MaxMargin),
-    );
+    let materialized = replay_market(&market, StreamPolicy::Instant(InstantRule::MaxMargin));
 
     assert_same(&streamed, &materialized, "lazy pipeline");
     validate_online_result(&market, &streamed).unwrap();
@@ -289,16 +296,15 @@ proptest! {
 
         let run = |events: Vec<StreamEvent>| {
             let mut sink = CollectingSink::new();
-            let mut mm = InstantRule::MaxMargin;
-            let mut policy = if batched {
+            let policy = if batched {
                 StreamPolicy::Batched { window: TimeDelta::from_mins(3), matcher: MatcherKind::Greedy }
             } else {
-                StreamPolicy::Instant(&mut mm)
+                StreamPolicy::Instant(InstantRule::MaxMargin)
             };
             let _ = replay_stream(
                 market.speed(),
                 events,
-                &mut policy,
+                policy,
                 StreamOptions::default(),
                 &mut sink,
             );
@@ -348,9 +354,9 @@ proptest! {
         }
         let mut sink = CollectingSink::new();
         let options = StreamOptions::default();
-        let _ = replay_stream(market.speed(), ticked, &mut spec.holder().as_policy(), options, &mut sink);
+        let _ = replay_stream(market.speed(), ticked, spec.holder(), options, &mut sink);
         let streamed = sink.into_result();
-        let materialized = replay_market(&market, &mut spec.holder().as_policy());
+        let materialized = replay_market(&market, spec.holder());
         prop_assert_eq!(&streamed.dispatch, &materialized.dispatch);
         prop_assert_eq!(&streamed.events, &materialized.events);
         prop_assert_eq!(streamed.assignment.routes(), materialized.assignment.routes());
@@ -407,19 +413,18 @@ fn grid_matches_scan(
         } else {
             StreamOptions::fold_oracle()
         };
-        let mut margin = InstantRule::MaxMargin;
-        let mut policy = if batched {
+        let policy = if batched {
             let window = TimeDelta::from_mins(3);
             StreamPolicy::Batched {
                 window,
                 matcher: MatcherKind::Greedy,
             }
         } else {
-            StreamPolicy::Instant(&mut margin)
+            StreamPolicy::Instant(InstantRule::MaxMargin)
         };
         let events = priced_events(stream, build);
         let mut sink = Tee(StreamMetrics::hourly(), CollectingSink::new());
-        let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
+        let summary = replay_stream(speed, events, policy, options, &mut sink);
         (summary, sink.0, sink.1.into_result())
     };
     let ctx = format!(
@@ -516,7 +521,7 @@ fn porto_large_optimal_streaming_oracle() {
             window,
             matcher: MatcherKind::Optimal,
         };
-        let materialized = replay_market(&market, &mut spec.holder().as_policy());
+        let materialized = replay_market(&market, spec.holder());
         assert_same(&streamed, &materialized, &format!("porto-large W={mins}m"));
     }
 }
@@ -537,12 +542,11 @@ fn million_task_replay_stays_bounded() {
     let stream = config.stream();
     let speed = stream.speed();
     let bbox = stream.bounding_box();
-    let mut mm = InstantRule::MaxMargin;
-    let mut policy = StreamPolicy::Instant(&mut mm);
+    let policy = StreamPolicy::Instant(InstantRule::MaxMargin);
     let mut metrics = StreamMetrics::hourly();
     let options = StreamOptions::default().grid(bbox);
     let events = priced_events(stream, &build);
-    let summary = replay_stream(speed, events, &mut policy, options, &mut metrics);
+    let summary = replay_stream(speed, events, policy, options, &mut metrics);
     assert_eq!(summary.tasks, 1_000_000);
     assert!(summary.served > 0);
     assert_eq!(metrics.published(), 1_000_000);

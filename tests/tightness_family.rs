@@ -79,8 +79,8 @@ fn online_heuristics_on_adversarial_instance_stay_feasible() {
     // The Fig. 2 instance is an offline construction, but the online
     // simulator must still replay it without violating feasibility.
     let inst = fig2_instance(4, 0.05);
-    for mut rule in [InstantRule::MaxMargin, InstantRule::Nearest { seed: 0 }] {
-        let r = replay_market(&inst.market, &mut StreamPolicy::Instant(&mut rule));
+    for rule in [InstantRule::MaxMargin, InstantRule::Nearest { seed: 0 }] {
+        let r = replay_market(&inst.market, StreamPolicy::Instant(rule));
         validate_online(&inst.market, &r.assignment).unwrap();
     }
 }

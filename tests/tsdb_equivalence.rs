@@ -73,12 +73,11 @@ fn record_run(
     let labels = RunLabels::new("porto-regions", label, config.region_boxes().len(), shards);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
     if shards == 1 {
-        let mut holder = spec.holder();
-        let mut policy = holder.as_policy();
+        let policy = spec.holder();
         let _ = replay_stream(
             market.speed(),
             market_events(market),
-            &mut policy,
+            policy,
             StreamOptions::default(),
             &mut sink,
         );
@@ -347,8 +346,7 @@ fn record_golden(dir: &Path) -> TsdbStore {
     let store = TsdbStore::open(dir).expect("open store");
     let labels = RunLabels::new("golden", "margin", 2, 1);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
-    let mut policy_holder = ShardPolicySpec::MaxMargin.holder();
-    let mut policy = policy_holder.as_policy();
+    let mut policy = ShardPolicySpec::MaxMargin.holder();
     let mut engine = StreamEngine::new(speed, StreamOptions::default().grid(bbox));
     for wire in rtb::read_events(GOLDEN).expect("committed corpus decodes") {
         if let Some(event) = wire_to_event(wire) {
@@ -475,11 +473,10 @@ fn million_task_record_and_query_round_trip() {
     let store = TsdbStore::open(&dir).expect("open store");
     let labels = RunLabels::new("porto-1m", "margin", 1, 1);
     let mut sink = TsdbRecorder::new(store, labels, StreamMetrics::hourly());
-    let mut mm = InstantRule::MaxMargin;
-    let mut policy = rideshare::online::StreamPolicy::Instant(&mut mm);
+    let policy = rideshare::online::StreamPolicy::Instant(InstantRule::MaxMargin);
     let options = StreamOptions::default().grid(bbox);
     let events = priced_events(stream, &build);
-    let summary = replay_stream(speed, events, &mut policy, options, &mut sink);
+    let summary = replay_stream(speed, events, policy, options, &mut sink);
     assert_eq!(summary.tasks, 1_000_000);
 
     let (store, metrics) = sink.finish().expect("record");
