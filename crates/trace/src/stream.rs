@@ -23,9 +23,29 @@
 //!
 //! The look-ahead buffer is one sorted deque. Each hour is appended whole
 //! and the buffer re-sorted in place by `(publish time, generation
-//! sequence)`; emission pops from the front. The sequence number is
+//! sequence)`; then everything below the watermark leaves its front,
+//! renumbered, as one **chunk** (about 24 a day). The sequence number is
 //! unique per trip, so no two keys tie and the order is fully determined
 //! by the keys — any correct sort, stable or not, yields the same stream.
+//!
+//! # Where the generator runs
+//!
+//! One sequential generator makes every trip; the stream only chooses
+//! where it runs. On the first `next()`, when the platform reports at
+//! least two CPUs (`std::thread::available_parallelism`, which respects
+//! affinity masks and cgroup quotas), the generator moves onto a thread
+//! of its own named `trace-generator`, which hands the consumer one chunk
+//! per watermark step through a rendezvous channel and generates the next
+//! hour while the consumer walks the one it holds. On one CPU, or when the
+//! thread cannot be spawned, it runs on the calling thread instead, a
+//! chunk at a time. Trips, ids and order are the same either way. Dropping
+//! the stream closes the channel and joins the thread; a panic on the
+//! generator thread is raised again by the consumer's `next()`.
+//!
+//! Resident trips are the generator's deque (its high-water mark is
+//! [`TraceStream::peak_buffered`]), the chunk the consumer is walking,
+//! and on the thread at most one finished chunk waiting to be handed
+//! over.
 //!
 //! # Relation to `generate`
 //!
@@ -63,6 +83,9 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::panic;
+use std::sync::mpsc::{self, Receiver};
+use std::thread::{self, JoinHandle};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,18 +101,60 @@ use crate::{Driver, Trace, TraceConfig, TripRecord};
 const TRIP_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Salt for the driver RNG (drivers are generated up front).
 const DRIVER_STREAM_SALT: u64 = 0xD1B5_4A32_D192_ED03;
+/// The name of the thread the generator runs on (see the module docs).
+const GENERATOR_THREAD: &str = "trace-generator";
 
 /// The lazy publish-ordered trip stream created by [`TraceConfig::stream`].
 ///
 /// Yields exactly `task_count` [`TripRecord`]s in non-decreasing publish
 /// order with ids renumbered densely in emission order; driver shifts are
 /// generated eagerly (they are `O(drivers)` and consumers need them before
-/// the first order). See the module docs for the memory bound.
+/// the first order).
+///
+/// The stream is a thin consumer: it walks one hour-chunk of finished
+/// trips at a time, while the generator behind it — on a thread named
+/// `trace-generator` when the platform reports at least two CPUs, on the
+/// calling thread otherwise or when that thread cannot be spawned —
+/// holds the look-ahead deque and makes the next chunk. Dropping the
+/// stream joins that thread. See the module docs for the memory bound.
 pub struct TraceStream {
+    config: TraceConfig,
+    drivers: Vec<Driver>,
+    feed: Feed,
+    /// The chunk being walked.
+    chunk: std::collections::vec_deque::IntoIter<TripRecord>,
+    emitted: usize,
+    peak_buffered: usize,
+}
+
+/// Where the chunks come from.
+enum Feed {
+    /// Before the first `next()`: the generator, not yet placed.
+    Idle(Box<Hours>),
+    /// The generator on the calling thread.
+    Inline(Box<Hours>),
+    /// The generator on its own thread, one chunk ahead.
+    Ahead {
+        chunks: Receiver<Chunk>,
+        thread: JoinHandle<()>,
+    },
+    /// Every chunk handed over.
+    Done,
+}
+
+/// One watermark step: every trip publishing before the watermark, in
+/// publish order and renumbered.
+struct Chunk {
+    trips: VecDeque<TripRecord>,
+    /// The generator deque's high-water mark once this chunk was cut.
+    peak_buffered: usize,
+}
+
+/// The hour-by-hour generator behind a [`TraceStream`].
+struct Hours {
     config: TraceConfig,
     run: RunConstants,
     rng: StdRng,
-    drivers: Vec<Driver>,
     /// How many trips fall in each pickup-deadline hour.
     counts: [usize; 24],
     /// Next hour to generate (24 = all generated).
@@ -100,7 +165,8 @@ pub struct TraceStream {
     buffer: VecDeque<TripRecord>,
     /// Trips generated so far (the next trip's sequence number).
     generated: u32,
-    emitted: usize,
+    /// Trips emitted so far (the next emitted trip's id).
+    emitted: u32,
     peak_buffered: usize,
     max_lead: TimeDelta,
 }
@@ -126,16 +192,23 @@ impl TraceConfig {
         for _ in 0..self.task_count {
             counts[sample_categorical(&mut rng, &self.hourly_demand)] += 1;
         }
-        TraceStream {
+        let hours = Hours {
             max_lead: TimeDelta::from_mins(self.lead_time_mins.1),
             config: self.clone(),
             run,
             rng,
-            drivers,
             counts,
             hour: 0,
             buffer: VecDeque::new(),
             generated: 0,
+            emitted: 0,
+            peak_buffered: 0,
+        };
+        TraceStream {
+            config: self.clone(),
+            drivers,
+            feed: Feed::Idle(Box::new(hours)),
+            chunk: VecDeque::new().into_iter(),
             emitted: 0,
             peak_buffered: 0,
         }
@@ -175,9 +248,12 @@ impl TraceStream {
         self.config.task_count
     }
 
-    /// High-water mark of the internal look-ahead buffer so far — the
-    /// stream's whole resident trip state, bounded by ~one hour plus one
-    /// lead window of demand regardless of trace length.
+    /// High-water mark of the generator's look-ahead deque, as of the
+    /// chunk being walked: bounded by ~one hour plus one lead window of
+    /// demand regardless of trace length. The stream's resident trips are
+    /// this deque plus the hour-chunk it is walking (and, when the
+    /// generator runs on its own thread, at most one finished chunk
+    /// waiting to be handed over).
     #[must_use]
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
@@ -198,6 +274,84 @@ impl TraceStream {
         }
     }
 
+    /// Places the generator: on a thread of its own when `ahead` and the
+    /// spawn succeeds, on the calling thread otherwise.
+    fn start(&mut self, ahead: bool) {
+        let Feed::Idle(hours) = std::mem::replace(&mut self.feed, Feed::Done) else {
+            unreachable!("the generator is placed once");
+        };
+        self.feed = if ahead {
+            spawn(hours)
+        } else {
+            Feed::Inline(hours)
+        };
+    }
+
+    /// The next chunk, or `None` once the generator is exhausted.
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        match &mut self.feed {
+            Feed::Idle(_) => {
+                let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+                self.start(cpus >= 2);
+                self.next_chunk()
+            }
+            Feed::Inline(hours) => hours.next_chunk(),
+            Feed::Ahead { chunks, .. } => {
+                if let Ok(chunk) = chunks.recv() {
+                    return Some(chunk);
+                }
+                // The sender is gone: the thread returned or panicked.
+                if let Feed::Ahead { thread, .. } = std::mem::replace(&mut self.feed, Feed::Done) {
+                    if let Err(payload) = thread.join() {
+                        panic::resume_unwind(payload);
+                    }
+                }
+                None
+            }
+            Feed::Done => None,
+        }
+    }
+}
+
+/// Moves `hours` onto the generator thread, or keeps it on the calling
+/// thread when the spawn fails. The generator is handed over after the
+/// spawn, so a failed spawn does not lose it.
+fn spawn(hours: Box<Hours>) -> Feed {
+    let (give, take) = mpsc::channel::<Box<Hours>>();
+    let (send, chunks) = mpsc::sync_channel(0);
+    let spawned = thread::Builder::new()
+        .name(GENERATOR_THREAD.to_owned())
+        .spawn(move || {
+            let Ok(mut hours) = take.recv() else { return };
+            while let Some(chunk) = hours.next_chunk() {
+                if send.send(chunk).is_err() {
+                    return; // the stream was dropped
+                }
+            }
+        });
+    match spawned {
+        Ok(thread) => {
+            give.send(hours)
+                .expect("the generator thread waits for its generator");
+            Feed::Ahead { chunks, thread }
+        }
+        Err(_) => Feed::Inline(hours),
+    }
+}
+
+impl Drop for TraceStream {
+    /// Closes the channel, so a generator blocked handing over a chunk
+    /// returns, and joins its thread. A panic there is not raised again:
+    /// the trips it would have made were not asked for.
+    fn drop(&mut self) {
+        if let Feed::Ahead { chunks, thread } = std::mem::replace(&mut self.feed, Feed::Done) {
+            drop(chunks);
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Hours {
     /// Everything published before this instant has been emitted.
     fn watermark(&self) -> Option<Timestamp> {
         if self.hour > 23 {
@@ -206,23 +360,28 @@ impl TraceStream {
             Some(Timestamp::from_hours(self.hour as i64) - self.max_lead)
         }
     }
-}
 
-impl Iterator for TraceStream {
-    type Item = TripRecord;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Generates hours until some trip publishes before the watermark and
+    /// cuts everything that does, renumbered, as one chunk; `None` once
+    /// every trip has been emitted.
+    fn next_chunk(&mut self) -> Option<Chunk> {
         loop {
-            let ready = match (self.buffer.front(), self.watermark()) {
-                (Some(_), None) => true,
-                (Some(first), Some(w)) => first.publish_time < w,
-                (None, _) => false,
+            let ready = match self.watermark() {
+                None => self.buffer.len(),
+                Some(w) => self.buffer.partition_point(|t| t.publish_time < w),
             };
-            if ready {
-                let mut trip = self.buffer.pop_front().expect("peeked");
-                trip.id = TaskId::new(self.emitted as u32);
-                self.emitted += 1;
-                return Some(trip);
+            if ready > 0 {
+                // The front leaves whole as the chunk; the tail stays.
+                let tail = self.buffer.split_off(ready);
+                let mut trips = std::mem::replace(&mut self.buffer, tail);
+                for (trip, id) in trips.iter_mut().zip(self.emitted..) {
+                    trip.id = TaskId::new(id);
+                }
+                self.emitted += ready as u32;
+                return Some(Chunk {
+                    trips,
+                    peak_buffered: self.peak_buffered,
+                });
             }
             if self.hour > 23 {
                 return None;
@@ -244,6 +403,28 @@ impl Iterator for TraceStream {
                 .make_contiguous()
                 .sort_unstable_by_key(|t| (t.publish_time, t.id));
             self.peak_buffered = self.peak_buffered.max(self.buffer.len());
+        }
+    }
+}
+
+impl Iterator for TraceStream {
+    type Item = TripRecord;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(trip) = self.chunk.next() {
+                self.emitted += 1;
+                return Some(trip);
+            }
+            let Some(chunk) = self.next_chunk() else {
+                assert_eq!(
+                    self.emitted, self.config.task_count,
+                    "the trace stream ended short"
+                );
+                return None;
+            };
+            self.peak_buffered = chunk.peak_buffered;
+            self.chunk = chunk.trips.into_iter();
         }
     }
 
@@ -374,5 +555,79 @@ mod tests {
         let mut s = config(0).stream();
         assert!(s.next().is_none());
         assert_eq!(s.drivers().len(), 12);
+    }
+
+    /// `cfg`'s stream with its generator on its own thread (`ahead`) or on
+    /// the calling thread, whatever the platform reports.
+    fn placed(cfg: &TraceConfig, ahead: bool) -> TraceStream {
+        let mut s = cfg.stream();
+        s.start(ahead);
+        s
+    }
+
+    /// Steps the threaded stream and the calling-thread reference side by
+    /// side: same trip, id, `size_hint` and `peak_buffered` at every step.
+    fn assert_threaded_matches_inline(cfg: &TraceConfig) {
+        let mut reference = placed(cfg, false);
+        let mut threaded = placed(cfg, true);
+        assert!(matches!(threaded.feed, Feed::Ahead { .. }));
+        assert_eq!(threaded.drivers(), reference.drivers());
+        let mut steps = 0;
+        loop {
+            assert_eq!(threaded.size_hint(), reference.size_hint(), "step {steps}");
+            let (t, r) = (threaded.next(), reference.next());
+            assert_eq!(t, r, "step {steps}");
+            assert_eq!(
+                threaded.peak_buffered(),
+                reference.peak_buffered(),
+                "step {steps}"
+            );
+            if r.is_none() {
+                break;
+            }
+            steps += 1;
+        }
+        assert_eq!(steps, cfg.task_count);
+        assert_eq!(threaded.next(), None);
+        assert_eq!(threaded.size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn threaded_stream_equals_the_calling_thread_generator() {
+        for tasks in [0, 1, 500, 20_000] {
+            for regions in [1, 4] {
+                assert_threaded_matches_inline(&config(tasks).with_regions(regions));
+            }
+        }
+        // 240-minute leads keep four hours buffered.
+        assert_threaded_matches_inline(&TraceConfig::porto_delivery().with_task_count(5000));
+        let mut demand = [0.0; 24];
+        demand[12] = 1.0;
+        assert_threaded_matches_inline(&config(3000).with_hourly_demand(demand));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn a_generator_panic_is_raised_by_next() {
+        let cfg = TraceConfig {
+            lead_time_mins: (15, 4),
+            ..config(500)
+        };
+        let mut s = placed(&cfg, true);
+        for _ in 0..500 {
+            assert!(s.next().is_some(), "the stream ended short");
+        }
+    }
+
+    #[test]
+    fn dropping_a_started_stream_joins_its_generator() {
+        let cfg = config(20_000);
+        let first: Vec<_> = placed(&cfg, false).take(10).collect();
+        for _ in 0..20 {
+            let mut s = placed(&cfg, true);
+            assert_eq!(s.by_ref().take(10).collect::<Vec<_>>(), first);
+            drop(s);
+        }
+        assert_eq!(cfg.stream().take(10).collect::<Vec<_>>(), first);
     }
 }
