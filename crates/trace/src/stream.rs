@@ -252,8 +252,10 @@ impl TraceStream {
     /// chunk being walked: bounded by ~one hour plus one lead window of
     /// demand regardless of trace length. The stream's resident trips are
     /// this deque plus the hour-chunk it is walking (and, when the
-    /// generator runs on its own thread, at most one finished chunk
-    /// waiting to be handed over).
+    /// generator runs on its `trace-generator` thread, at most one
+    /// finished chunk waiting to be handed over; on one CPU, or when that
+    /// thread cannot be spawned, the generator runs on the calling thread
+    /// and nothing waits).
     #[must_use]
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
